@@ -81,6 +81,13 @@ impl MemStore {
     pub fn live_blocks(&self) -> usize {
         self.blocks.borrow().len()
     }
+
+    /// The live blocks' numbers, ascending.
+    pub fn live_block_numbers(&self) -> Vec<BlockNo> {
+        let mut blocks: Vec<BlockNo> = self.blocks.borrow().keys().copied().collect();
+        blocks.sort_unstable();
+        blocks
+    }
 }
 
 impl BlockStore for MemStore {

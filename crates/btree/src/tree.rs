@@ -8,7 +8,7 @@
 //! Range scans walk the leaf chain through [`BlockStore::read_for_scan`],
 //! which is where the Disk Process's bulk-I/O and pre-fetch policies attach.
 
-use crate::node::Node;
+use crate::node::{Node, NodeRef};
 use crate::{BlockNo, BlockStore};
 use std::ops::Bound;
 
@@ -89,19 +89,14 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let mut block = self.root;
+        let mut bytes = self.store.read(self.root);
         loop {
-            match self.load(block) {
-                Node::Internal { seps, children } => {
-                    let ci = seps.partition_point(|s| s.as_slice() <= key);
-                    block = children[ci];
+            match NodeRef::new(&bytes) {
+                NodeRef::Internal(node) => {
+                    let (_, child) = node.child_for(key);
+                    bytes = self.store.read(child);
                 }
-                Node::Leaf { entries, .. } => {
-                    return entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone());
-                }
+                NodeRef::Leaf(leaf) => return leaf.get(key).map(<[u8]>::to_vec),
             }
         }
     }
@@ -146,6 +141,8 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         Ok(())
     }
 
+    /// Write into the subtree at `block`; returns the separator and block
+    /// of a new right sibling when `block` had to split.
     fn write_rec(
         &self,
         block: BlockNo,
@@ -153,106 +150,73 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         value: &[u8],
         mode: WriteMode,
     ) -> Result<Option<(Vec<u8>, BlockNo)>, TreeError> {
-        let mut node = self.load(block);
-        if matches!(node, Node::Leaf { .. }) {
-            {
-                let Node::Leaf { entries, .. } = &mut node else {
-                    unreachable!()
-                };
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        if mode == WriteMode::Insert {
-                            return Err(TreeError::DuplicateKey);
-                        }
-                        entries[i].1 = value.to_vec();
-                    }
-                    Err(i) => {
-                        if mode == WriteMode::Update {
-                            return Err(TreeError::NotFound);
-                        }
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                    }
+        let bytes = self.store.read(block);
+        match NodeRef::new(&bytes) {
+            NodeRef::Leaf(leaf) => {
+                let (slot, _) = leaf.locate(key);
+                match mode {
+                    WriteMode::Insert if slot.found() => return Err(TreeError::DuplicateKey),
+                    WriteMode::Update if !slot.found() => return Err(TreeError::NotFound),
+                    _ => {}
                 }
-            }
-            if node.size() <= self.cap() {
-                self.save(block, &node);
-                return Ok(None);
-            }
-            // Split by cumulative size.
-            let right_block = self.store.alloc();
-            let (sep, right) = {
-                let Node::Leaf { next, entries } = &mut node else {
-                    unreachable!()
-                };
+                let new_size = bytes.len() - slot.entry.len() + 4 + key.len() + value.len();
+                if new_size <= self.cap() {
+                    self.store
+                        .write(block, slot.splice(bytes, Some((key, value))));
+                    return Ok(None);
+                }
+                // Split by cumulative size.
+                let mut entries = leaf.to_entries();
+                if slot.found() {
+                    entries[slot.index].1 = value.to_vec();
+                } else {
+                    entries.insert(slot.index, (key.to_vec(), value.to_vec()));
+                }
+                let right_block = self.store.alloc();
                 let sizes: Vec<usize> =
                     entries.iter().map(|(k, v)| 4 + k.len() + v.len()).collect();
-                let split = split_point(&sizes, self.cap());
-                let right_entries = entries.split_off(split);
+                let right_entries = entries.split_off(split_point(&sizes, self.cap()));
                 let sep = right_entries[0].0.clone();
                 let right = Node::Leaf {
-                    next: *next,
+                    next: leaf.next(),
                     entries: right_entries,
                 };
-                *next = Some(right_block);
-                (sep, right)
-            };
-            self.save(block, &node);
-            self.save(right_block, &right);
-            return Ok(Some((sep, right_block)));
+                let left = Node::Leaf {
+                    next: Some(right_block),
+                    entries,
+                };
+                self.save(block, &left);
+                self.save(right_block, &right);
+                Ok(Some((sep, right_block)))
+            }
+            NodeRef::Internal(node) => {
+                let (ci, child) = node.child_for(key);
+                let Some((sep, right)) = self.write_rec(child, key, value, mode)? else {
+                    return Ok(None);
+                };
+                let (mut seps, mut children) = node.to_parts();
+                seps.insert(ci, sep);
+                children.insert(ci + 1, right);
+                let sizes: Vec<usize> = seps.iter().map(|k| 6 + k.len()).collect();
+                if 7 + sizes.iter().sum::<usize>() <= self.cap() {
+                    self.save(block, &Node::Internal { seps, children });
+                    return Ok(None);
+                }
+                // Split the internal node: promote the middle separator.
+                let right_block = self.store.alloc();
+                let m = split_point(&sizes, self.cap());
+                // Separators [0, m-1) stay left, separator m-1 is promoted,
+                // [m, ..) go right; children split at m.
+                let right = Node::Internal {
+                    seps: seps.split_off(m),
+                    children: children.split_off(m),
+                };
+                let promoted = seps.remove(m - 1);
+                self.save(block, &Node::Internal { seps, children });
+                self.save(right_block, &right);
+                Ok(Some((promoted, right_block)))
+            }
         }
-
-        // Internal node.
-        let ci = {
-            let Node::Internal { seps, .. } = &node else {
-                unreachable!()
-            };
-            seps.partition_point(|s| s.as_slice() <= key)
-        };
-        let child = {
-            let Node::Internal { children, .. } = &node else {
-                unreachable!()
-            };
-            children[ci]
-        };
-        let Some((sep, right)) = self.write_rec(child, key, value, mode)? else {
-            return Ok(None);
-        };
-        {
-            let Node::Internal { seps, children } = &mut node else {
-                unreachable!()
-            };
-            seps.insert(ci, sep);
-            children.insert(ci + 1, right);
-        }
-        if node.size() <= self.cap() {
-            self.save(block, &node);
-            return Ok(None);
-        }
-        // Split the internal node: promote the middle separator.
-        let right_block = self.store.alloc();
-        let (promoted, right) = {
-            let Node::Internal { seps, children } = &mut node else {
-                unreachable!()
-            };
-            let sizes: Vec<usize> = seps.iter().map(|k| 6 + k.len()).collect();
-            let m = split_point(&sizes, self.cap());
-            let promoted = seps[m - 1].clone();
-            // Separators [0, m-1) stay left, separator m-1 is promoted,
-            // [m, ..) go right; children split at m.
-            let right_seps = seps.split_off(m);
-            seps.pop(); // the promoted separator moves up
-            let right_children = children.split_off(m);
-            (
-                promoted,
-                Node::Internal {
-                    seps: right_seps,
-                    children: right_children,
-                },
-            )
-        };
-        self.save(block, &node);
-        self.save(right_block, &right);
-        Ok(Some((promoted, right_block)))
     }
 
     /// Delete a record, returning its old value.
@@ -262,12 +226,11 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         // child, pull that child up into the root block (the paper's
         // "collapses").
         loop {
-            let node = self.load(self.root);
-            match node {
-                Node::Internal { seps, children } if seps.is_empty() => {
-                    let child = children[0];
-                    let child_node = self.load(child);
-                    self.save(self.root, &child_node);
+            let bytes = self.store.read(self.root);
+            match NodeRef::new(&bytes) {
+                NodeRef::Internal(node) if node.is_empty() => {
+                    let child = node.first_child();
+                    self.store.write(self.root, self.store.read(child));
                     self.store.free(child);
                 }
                 _ => break,
@@ -276,38 +239,44 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         Ok(old)
     }
 
+    /// Delete from the subtree at `block`; returns the old value and
+    /// whether `block` is left underfull.
     fn delete_rec(&self, block: BlockNo, key: &[u8]) -> Result<(Vec<u8>, bool), TreeError> {
-        let mut node = self.load(block);
-        match &mut node {
-            Node::Leaf { entries, .. } => {
-                let i = entries
-                    .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                    .map_err(|_| TreeError::NotFound)?;
-                let old = entries.remove(i).1;
-                let under = node.size() < self.cap() / 4 || node.is_empty();
-                self.save(block, &node);
+        let underfull = |size: usize, len: usize| size < self.cap() / 4 || len == 0;
+        let bytes = self.store.read(block);
+        match NodeRef::new(&bytes) {
+            NodeRef::Leaf(leaf) => {
+                let (slot, Some(old)) = leaf.locate(key) else {
+                    return Err(TreeError::NotFound);
+                };
+                let old = old.to_vec();
+                let under = underfull(bytes.len() - slot.entry.len(), leaf.len() - 1);
+                self.store.write(block, slot.splice(bytes, None));
                 Ok((old, under))
             }
-            Node::Internal { seps, children } => {
-                let ci = seps.partition_point(|s| s.as_slice() <= key);
-                let child = children[ci];
+            NodeRef::Internal(node) => {
+                let (ci, child) = node.child_for(key);
                 let (old, under) = self.delete_rec(child, key)?;
-                if under {
-                    self.rebalance(&mut node, ci);
+                if !under {
+                    // Unchanged, but still re-written: the block store sees
+                    // the same calls whether or not the child underflowed.
+                    let parent_under = underfull(bytes.len(), node.len());
+                    self.store.write(block, bytes);
+                    return Ok((old, parent_under));
                 }
-                let parent_under = node.size() < self.cap() / 4 || node.is_empty();
+                let (mut seps, mut children) = node.to_parts();
+                self.rebalance(&mut seps, &mut children, ci);
+                let node = Node::Internal { seps, children };
+                let parent_under = underfull(node.size(), node.len());
                 self.save(block, &node);
                 Ok((old, parent_under))
             }
         }
     }
 
-    /// Fix an underfull child `ci` of `parent` by merging with or borrowing
-    /// from an adjacent sibling.
-    fn rebalance(&self, parent: &mut Node, ci: usize) {
-        let Node::Internal { seps, children } = parent else {
-            unreachable!("rebalance on leaf");
-        };
+    /// Fix an underfull child `ci` of the parent holding `seps` and
+    /// `children` by merging with or borrowing from an adjacent sibling.
+    fn rebalance(&self, seps: &mut Vec<Vec<u8>>, children: &mut Vec<BlockNo>, ci: usize) {
         if children.len() < 2 {
             return; // nothing to merge with; root collapse handles the rest
         }
@@ -413,51 +382,45 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
             Bound::Unbounded => None,
             Bound::Included(k) | Bound::Excluded(k) => Some(k),
         };
-        let mut block = self.root;
+        let mut bytes = self.store.read_for_scan(self.root);
+        while let NodeRef::Internal(node) = NodeRef::new(&bytes) {
+            let child = match seek {
+                None => node.first_child(),
+                Some(k) => node.child_for(k).1,
+            };
+            bytes = self.store.read_for_scan(child);
+        }
+        // Only the first leaf can hold keys before the start bound: once a
+        // key has passed it, or the leaf has ended, the bound is spent.
+        let mut start = start;
         loop {
-            match Node::decode(&self.store.read_for_scan(block)) {
-                Node::Internal { seps, children } => {
-                    let ci = match seek {
-                        None => 0,
-                        Some(k) => seps.partition_point(|s| s.as_slice() <= k),
-                    };
-                    block = children[ci];
+            let NodeRef::Leaf(leaf) = NodeRef::new(&bytes) else {
+                panic!("leaf chain reached an internal node");
+            };
+            // Announce the next leaf so the cache can pre-fetch it while
+            // this leaf's records are being processed.
+            let next = leaf.next();
+            if let Some(nb) = next {
+                self.store.will_need(nb);
+            }
+            for (k, v) in leaf.entries() {
+                let before_start = match start {
+                    Bound::Unbounded => false,
+                    Bound::Included(s) => k < s,
+                    Bound::Excluded(s) => k <= s,
+                };
+                if before_start {
+                    continue;
                 }
-                Node::Leaf { next, entries } => {
-                    // Announce the next leaf so the cache can pre-fetch it
-                    // while this leaf's records are being processed.
-                    if let Some(nb) = next {
-                        self.store.will_need(nb);
-                    }
-                    let from = match start {
-                        Bound::Unbounded => 0,
-                        Bound::Included(k) => entries.partition_point(|(ek, _)| ek.as_slice() < k),
-                        Bound::Excluded(k) => entries.partition_point(|(ek, _)| ek.as_slice() <= k),
-                    };
-                    for (k, v) in &entries[from..] {
-                        if visit(k, v) == ScanControl::Stop {
-                            return;
-                        }
-                    }
-                    let mut cur = next;
-                    while let Some(nb) = cur {
-                        let Node::Leaf { next, entries } =
-                            Node::decode(&self.store.read_for_scan(nb))
-                        else {
-                            panic!("leaf chain reached an internal node");
-                        };
-                        if let Some(nn) = next {
-                            self.store.will_need(nn);
-                        }
-                        for (k, v) in &entries {
-                            if visit(k, v) == ScanControl::Stop {
-                                return;
-                            }
-                        }
-                        cur = next;
-                    }
+                start = Bound::Unbounded;
+                if visit(k, v) == ScanControl::Stop {
                     return;
                 }
+            }
+            start = Bound::Unbounded;
+            match next {
+                Some(nb) => bytes = self.store.read_for_scan(nb),
+                None => return,
             }
         }
     }
@@ -484,16 +447,11 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
 
     /// True when the file holds no records.
     pub fn is_empty(&self) -> bool {
-        matches!(self.load_leftmost(), Node::Leaf { entries, .. } if entries.is_empty())
-    }
-
-    fn load_leftmost(&self) -> Node {
-        let mut block = self.root;
+        let mut bytes = self.store.read(self.root);
         loop {
-            let node = self.load(block);
-            match node {
-                Node::Internal { children, .. } => block = children[0],
-                leaf => return leaf,
+            match NodeRef::new(&bytes) {
+                NodeRef::Internal(node) => bytes = self.store.read(node.first_child()),
+                NodeRef::Leaf(leaf) => return leaf.is_empty(),
             }
         }
     }

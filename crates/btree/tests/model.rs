@@ -3,7 +3,8 @@
 //! while maintaining its structural invariants. Operation sequences are
 //! drawn from a seeded RNG so every run is reproducible.
 
-use nsql_btree::{BTreeFile, MemStore, ScanControl, TreeError};
+use nsql_btree::node::Node;
+use nsql_btree::{BTreeFile, BlockStore, MemStore, ScanControl, TreeError};
 use nsql_sim::SimRng;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -38,6 +39,33 @@ fn key(k: u16) -> Vec<u8> {
 fn val(v: u8) -> Vec<u8> {
     // Variable-length values stress the size-based split logic.
     vec![v; 1 + (v as usize % 40)]
+}
+
+/// In-place writes must leave exactly the bytes a re-encode of the node
+/// would: no padding, no stale tail, counts that match the entries.
+fn assert_blocks_canonical(store: &MemStore) {
+    for block in store.live_block_numbers() {
+        let bytes = store.read(block);
+        assert_eq!(Node::decode(&bytes).encode(), bytes, "block {block}");
+    }
+}
+
+/// The first `limit` entries a scan from `start` visits.
+fn scan_prefix(
+    tree: &BTreeFile<MemStore>,
+    start: Bound<&[u8]>,
+    limit: usize,
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut got = Vec::new();
+    tree.scan(start, |key, value| {
+        got.push((key.to_vec(), value.to_vec()));
+        if got.len() >= limit {
+            ScanControl::Stop
+        } else {
+            ScanControl::Continue
+        }
+    });
+    got
 }
 
 #[test]
@@ -91,15 +119,7 @@ fn btree_equals_model() {
                 }
                 Op::ScanFrom(k, n) => {
                     let k = key(k);
-                    let mut got = Vec::new();
-                    tree.scan(Bound::Included(&k), |key, value| {
-                        got.push((key.to_vec(), value.to_vec()));
-                        if got.len() >= n as usize {
-                            ScanControl::Stop
-                        } else {
-                            ScanControl::Continue
-                        }
-                    });
+                    let got = scan_prefix(&tree, Bound::Included(&k), n as usize);
                     let want: Vec<(Vec<u8>, Vec<u8>)> = model
                         .range(k..)
                         .take(n as usize)
@@ -108,6 +128,7 @@ fn btree_equals_model() {
                     assert_eq!(got, want);
                 }
             }
+            assert_blocks_canonical(&store);
         }
 
         // Full structural validation and final equality.
@@ -116,6 +137,51 @@ fn btree_equals_model() {
         let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
         assert_eq!(got, want);
     }
+}
+
+/// Start bounds that name no stored key: every value between two keys,
+/// including the gap between one leaf's last key and the next leaf's
+/// first — where the descent lands on a leaf whose keys all lie before
+/// the bound — and beyond both ends of the file.
+#[test]
+fn scan_bounds_between_keys_match_model() {
+    let store = MemStore::with_block_size(256);
+    let tree = BTreeFile::open(&store, BTreeFile::create(&store));
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for i in 1..=300u16 {
+        tree.insert(&key(3 * i), &val(i as u8)).unwrap();
+        model.insert(key(3 * i), val(i as u8));
+    }
+    for round in 0..2 {
+        if round == 1 {
+            // Holes: deletes leave separators that name keys no longer
+            // stored, and widen the gaps at leaf boundaries.
+            for i in (1..=300u16).filter(|i| i % 5 < 2) {
+                tree.delete(&key(3 * i)).unwrap();
+                model.remove(&key(3 * i));
+            }
+            tree.validate();
+        }
+        for probe in 0..=905u16 {
+            let k = key(probe);
+            for (start, model_start) in [
+                (Bound::Included(&k[..]), Bound::Included(k.clone())),
+                (Bound::Excluded(&k[..]), Bound::Excluded(k.clone())),
+            ] {
+                let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                    .range((model_start, Bound::Unbounded))
+                    .take(12)
+                    .map(|(a, b)| (a.clone(), b.clone()))
+                    .collect();
+                assert_eq!(
+                    scan_prefix(&tree, start, 12),
+                    want,
+                    "round {round} from {start:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(tree.len(), model.len());
 }
 
 /// Blocks freed by deletes are reusable: a grow/shrink cycle must not leak

@@ -1,0 +1,139 @@
+//! The B-tree's `BlockStore` call trace is part of its contract.
+//!
+//! In the Disk Process the store is the buffer pool, so *which* blocks a
+//! tree operation reads, writes, allocates and frees — in which order, with
+//! which bytes — decides cache hits, LRU order, write-behind strings and
+//! through them every virtual metric. This test hashes every call a seeded
+//! script makes and pins the hash: a change to how nodes are accessed must
+//! leave it alone; only a deliberate change to the access pattern or the
+//! node format may move it (and must then re-record it).
+
+use nsql_btree::{BTreeFile, BlockNo, BlockStore, MemStore, ScanControl};
+use nsql_sim::SimRng;
+use std::cell::Cell;
+use std::ops::Bound;
+
+/// FNV-1a over every `BlockStore` call made through it.
+struct TraceStore {
+    inner: MemStore,
+    hash: Cell<u64>,
+    calls: Cell<u64>,
+}
+
+impl TraceStore {
+    fn new(block_size: usize) -> Self {
+        TraceStore {
+            inner: MemStore::with_block_size(block_size),
+            hash: Cell::new(0xcbf2_9ce4_8422_2325),
+            calls: Cell::new(0),
+        }
+    }
+
+    fn record(&self, kind: u8, block: BlockNo, bytes: &[u8]) {
+        let call = [kind]
+            .into_iter()
+            .chain(block.to_be_bytes())
+            .chain((bytes.len() as u32).to_be_bytes())
+            .chain(bytes.iter().copied());
+        let mut h = self.hash.get();
+        for b in call {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.hash.set(h);
+        self.calls.set(self.calls.get() + 1);
+    }
+}
+
+impl BlockStore for TraceStore {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn read(&self, block: BlockNo) -> Vec<u8> {
+        let data = self.inner.read(block);
+        self.record(b'r', block, &data);
+        data
+    }
+    fn read_for_scan(&self, block: BlockNo) -> Vec<u8> {
+        let data = self.inner.read_for_scan(block);
+        self.record(b's', block, &data);
+        data
+    }
+    fn will_need(&self, block: BlockNo) {
+        self.record(b'n', block, &[]);
+    }
+    fn write(&self, block: BlockNo, data: Vec<u8>) {
+        self.record(b'w', block, &data);
+        self.inner.write(block, data);
+    }
+    fn alloc(&self) -> BlockNo {
+        let block = self.inner.alloc();
+        self.record(b'a', block, &[]);
+        block
+    }
+    fn free(&self, block: BlockNo) {
+        self.record(b'f', block, &[]);
+        self.inner.free(block);
+    }
+}
+
+/// Recorded on the decode/encode implementation (the commit before node
+/// access moved onto the block bytes).
+const PINNED_CALLS: u64 = 11_415;
+const PINNED_HASH: u64 = 0x000f_11b7_7424_45bb;
+
+#[test]
+fn block_store_call_trace_is_pinned() {
+    let store = TraceStore::new(256);
+    let tree = BTreeFile::open(&store, BTreeFile::create(&store));
+    let mut rng = SimRng::seed_from(0x7ACE);
+    let key = |k: u64| (k as u16).to_be_bytes().to_vec();
+    // Variable-length values (some empty) move the size-based split,
+    // merge and borrow decisions around.
+    let val = |v: u64| vec![v as u8; v as usize % 41];
+    for step in 0..3000u32 {
+        // Grow for the first third, then mix, then shrink: on the recorded
+        // run the script crosses two root splits (the second of an internal
+        // root), 27 rebalances (one of internal nodes) and a root collapse.
+        let delete_weight = match step {
+            0..=999 => 1,
+            1000..=1999 => 3,
+            _ => 24,
+        };
+        let k = key(rng.below(600));
+        let v = val(rng.below(256));
+        match rng.below(8 + delete_weight) {
+            0 | 1 => drop(tree.insert(&k, &v)),
+            2 => drop(tree.update(&k, &v)),
+            3 => drop(tree.put(&k, &v)),
+            4 => drop(tree.get(&k)),
+            5 => {
+                let limit = 1 + rng.below(40);
+                let start = match rng.below(3) {
+                    0 => Bound::Unbounded,
+                    1 => Bound::Included(&k[..]),
+                    _ => Bound::Excluded(&k[..]),
+                };
+                let mut seen = 0;
+                tree.scan(start, |_, _| {
+                    seen += 1;
+                    if seen >= limit {
+                        ScanControl::Stop
+                    } else {
+                        ScanControl::Continue
+                    }
+                });
+            }
+            6 => drop(tree.is_empty()),
+            _ => drop(tree.delete(&k)),
+        }
+    }
+    let (calls, hash) = (store.calls.get(), store.hash.get());
+    tree.validate();
+    assert!(!tree.is_empty(), "script should not end on an empty tree");
+    assert_eq!(
+        (calls, hash),
+        (PINNED_CALLS, PINNED_HASH),
+        "BlockStore call trace moved: {calls} calls, hash {hash:#018x}"
+    );
+}

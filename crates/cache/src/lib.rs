@@ -278,15 +278,18 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Evict LRU frames until `need` new frames fit.
+    /// Evict LRU frames until `need` new frames fit. The frames of one bulk
+    /// string share a tick; among equals the lowest block goes first, so
+    /// the choice does not depend on the map's iteration order.
     fn make_room(&self, inner: &mut PoolInner, need: usize) -> Result<(), DiskError> {
         let mut evicted = 0u64;
         while inner.frames.len() + need > self.capacity {
             let victim = inner
                 .frames
                 .iter()
-                .min_by_key(|(_, f)| f.last_use)
-                .map(|(b, _)| *b)
+                .map(|(b, f)| (f.last_use, *b))
+                .min()
+                .map(|(_, b)| b)
                 .expect("capacity >= 8 so pool is nonempty when full");
             let f = inner.frames.remove(&victim).expect("victim exists");
             if f.dirty {
@@ -481,6 +484,36 @@ mod tests {
         pool.flush_all().unwrap();
         assert_eq!(disk.read(1, 1).unwrap()[0][0], 99);
         assert_eq!(pool.dirty_frames(), 0);
+    }
+
+    #[test]
+    fn eviction_order_within_a_bulk_string_is_deterministic() {
+        // One bulk read brings in a string of frames with the same tick;
+        // which of them a later miss evicts must not depend on hash order.
+        let evictions = || {
+            let (_sim, disk, pool) = setup(8);
+            fill_disk(&disk, 32);
+            let cached = |pool: &BufferPool| -> Vec<BlockNo> {
+                let mut blocks: Vec<BlockNo> = pool.inner.lock().frames.keys().copied().collect();
+                blocks.sort_unstable();
+                blocks
+            };
+            pool.read_scan(0, ScanOptions::sequential()).unwrap();
+            let string = cached(&pool);
+            assert!(string.len() >= 4, "bulk read brought in {string:?}");
+            let mut order = Vec::new();
+            for b in 16..24 {
+                let before = cached(&pool);
+                pool.read(b).unwrap();
+                let after = cached(&pool);
+                order.extend(before.into_iter().filter(|x| !after.contains(x)));
+            }
+            (string, order)
+        };
+        let (string, order) = evictions();
+        assert_eq!(evictions(), (string.clone(), order.clone()));
+        // Once the pool is full the string goes, lowest block first.
+        assert_eq!(order[..string.len()], string[..]);
     }
 
     #[test]

@@ -1007,7 +1007,14 @@ impl DiskProcess {
         if let Some(txn) = scb.txn {
             self.join_txn(txn);
         }
-        let cfg = self.config.lock().clone();
+        let (reply_buffer, max_records, write_behind) = {
+            let cfg = self.config.lock();
+            (
+                cfg.reply_buffer,
+                cfg.max_records_per_request,
+                cfg.write_behind,
+            )
+        };
         // RSBB replies carry one physical block copy; VSBB virtual blocks
         // use the configured reply buffer.
         let reply_budget = match &scb.op {
@@ -1015,7 +1022,7 @@ impl DiskProcess {
                 mode: SubsetMode::Rsbb,
                 ..
             } => self.pool.disk().block_size(),
-            _ => cfg.reply_buffer,
+            _ => reply_buffer,
         };
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
@@ -1027,7 +1034,8 @@ impl DiskProcess {
         let mut first_selected: Option<Vec<u8>> = None;
         let mut reply_bytes = 0usize;
         let mut examined = 0u32;
-        let mut last_key: Option<Vec<u8>> = None;
+        // Last key examined; one buffer reused across the scan.
+        let mut last_key: Vec<u8> = Vec::new();
         let mut exhausted = true;
         let mut eval_error: Option<DpError> = None;
         let is_read = matches!(scb.op, ScbOp::Read { .. });
@@ -1067,7 +1075,8 @@ impl DiskProcess {
                     }
                 }
             };
-            last_key = Some(k.to_vec());
+            last_key.clear();
+            last_key.extend_from_slice(k);
             if selected {
                 self.sim.metrics.dp_records_selected.inc();
                 frec.bump(Ctr::RecsSelected);
@@ -1096,7 +1105,7 @@ impl DiskProcess {
                 exhausted = false; // full (virtual) block: re-drive
                 return ScanControl::Stop;
             }
-            if examined >= cfg.max_records_per_request {
+            if examined >= max_records {
                 exhausted = false; // time slice expired: re-drive
                 return ScanControl::Stop;
             }
@@ -1105,6 +1114,7 @@ impl DiskProcess {
         if let Some(e) = eval_error {
             return Err(e);
         }
+        let last_key = (examined > 0).then_some(last_key);
 
         // Locking: a read subset with locking group-locks the span of the
         // virtual block ("the records of the virtual block are locked as a
@@ -1117,10 +1127,11 @@ impl DiskProcess {
             Some(txn),
             Some(lo),
             Some(hi),
-        ) = (&scb.op, scb.txn, first_selected.clone(), last_key.clone())
+        ) = (&scb.op, scb.txn, &first_selected, &last_key)
         {
             let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-            self.lock(txn, scb.file, LockScope::interval(lo, hi), LockMode::Shared)?;
+            let span = LockScope::interval(lo.clone(), hi.clone());
+            self.lock(txn, scb.file, span, LockMode::Shared)?;
         }
 
         // Phase 2 (update/delete): apply to the matched records.
@@ -1198,7 +1209,7 @@ impl DiskProcess {
         }
 
         // Idle-time write-behind after set-oriented work.
-        if cfg.write_behind && !is_read {
+        if write_behind && !is_read {
             self.pool.write_behind();
         }
 

@@ -130,12 +130,19 @@ impl AuditRecord {
     /// (no per-process hash seeding), so identical seeded runs produce
     /// byte-identical trails.
     pub fn checksum(&self) -> u64 {
+        let mut body = Vec::new();
+        encode_body(&self.body, &mut body);
+        self.checksum_over(&body)
+    }
+
+    fn checksum_over(&self, encoded_body: &[u8]) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.lsn);
         h.write_u64(self.txn.0);
         h.write_bytes(self.volume.as_bytes());
         h.write_u64(self.file as u64);
-        body_checksum_feed(&self.body, &mut h);
+        h.write_bytes(&[body_tag(&self.body)]);
+        h.write_bytes(encoded_body);
         h.finish()
     }
 
@@ -143,18 +150,28 @@ impl AuditRecord {
     /// payload, trailing checksum. [`decode_record`] is the exact inverse
     /// and verifies the checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let body = encode_body(&self.body);
-        let mut out = Vec::with_capacity(23 + self.volume.len() + body.len() + 8);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this record's [`encode`](Self::encode) image to `out` (the
+    /// trail's durable log is the concatenation of these).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.lsn.to_be_bytes());
         out.extend_from_slice(&self.txn.0.to_be_bytes());
         out.extend_from_slice(&self.file.to_be_bytes());
         out.extend_from_slice(&(self.volume.len() as u16).to_be_bytes());
         out.push(body_tag(&self.body));
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
         out.extend_from_slice(self.volume.as_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&self.checksum().to_be_bytes());
-        out
+        let body_at = out.len();
+        encode_body(&self.body, out);
+        let body_len = (out.len() - body_at) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&body_len.to_be_bytes());
+        let checksum = self.checksum_over(&out[body_at..]);
+        out.extend_from_slice(&checksum.to_be_bytes());
     }
 }
 
@@ -195,11 +212,6 @@ fn body_tag(body: &AuditBody) -> u8 {
         AuditBody::Commit => 5,
         AuditBody::Abort => 6,
     }
-}
-
-fn body_checksum_feed(body: &AuditBody, h: &mut Fnv) {
-    h.write_bytes(&[body_tag(body)]);
-    h.write_bytes(&encode_body(body));
 }
 
 fn encode_value(v: &Value, out: &mut Vec<u8>) {
@@ -246,30 +258,28 @@ fn encode_chunk(bytes: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(bytes);
 }
 
-fn encode_body(body: &AuditBody) -> Vec<u8> {
-    let mut out = Vec::new();
+fn encode_body(body: &AuditBody, out: &mut Vec<u8>) {
     match body {
         AuditBody::Insert { key, record } => {
-            encode_chunk(key, &mut out);
-            encode_chunk(record, &mut out);
+            encode_chunk(key, out);
+            encode_chunk(record, out);
         }
         AuditBody::Delete { key, before } => {
-            encode_chunk(key, &mut out);
-            encode_chunk(before, &mut out);
+            encode_chunk(key, out);
+            encode_chunk(before, out);
         }
         AuditBody::UpdateFull { key, before, after } => {
-            encode_chunk(key, &mut out);
-            encode_chunk(before, &mut out);
-            encode_chunk(after, &mut out);
+            encode_chunk(key, out);
+            encode_chunk(before, out);
+            encode_chunk(after, out);
         }
         AuditBody::UpdateFields { key, before, after } => {
-            encode_chunk(key, &mut out);
-            encode_field_image(before, &mut out);
-            encode_field_image(after, &mut out);
+            encode_chunk(key, out);
+            encode_field_image(before, out);
+            encode_field_image(after, out);
         }
         AuditBody::Commit | AuditBody::Abort => {}
     }
-    out
 }
 
 /// A byte cursor that never panics on truncated input.

@@ -118,14 +118,20 @@ struct LastFlush {
     start: Micros,
     /// When the write string completes.
     end: Micros,
-    /// Index into `durable` of the first record this write carried.
+    /// Byte offset into `durable` where this write's image starts.
     from: usize,
+    /// Records this write carried.
+    records: usize,
+    /// `durable_lsn` before this write.
+    lsn_before: Lsn,
 }
 
 #[derive(Debug, Default)]
 struct TrailInner {
-    /// Durably flushed records (the readable log).
-    durable: Vec<AuditRecord>,
+    /// The durable log as the bytes on the audit volume: every flushed
+    /// record's [`AuditRecord::encode`] image, in flush order. Records are
+    /// decoded again only for recovery.
+    durable: Vec<u8>,
     durable_lsn: Lsn,
     /// Unflushed write buffer.
     buffer: Vec<AuditRecord>,
@@ -197,7 +203,7 @@ impl Trail {
     pub fn durable_records(&self, now: Micros) -> Vec<AuditRecord> {
         let mut inner = self.inner.lock();
         self.settle(&mut inner, now);
-        inner.durable.clone()
+        crate::audit::scan_tail(&inner.durable).0
     }
 
     /// Simulate a crash of the whole system at the current virtual time.
@@ -221,21 +227,18 @@ impl Trail {
         let mut torn = 0usize;
         if let Some(lf) = inner.last_flush.take() {
             if lf.end > now {
-                // The write string was mid-transfer: reconstruct the byte
-                // image it was writing and cut it where the device stopped.
-                let image: Vec<u8> = inner.durable[lf.from..]
-                    .iter()
-                    .flat_map(|r| r.encode())
-                    .collect();
+                // The write string was mid-transfer: cut the byte image it
+                // was writing where the device stopped.
+                let image = &inner.durable[lf.from..];
                 let written = if now <= lf.start {
                     0
                 } else {
                     (image.len() as u64 * (now - lf.start) / (lf.end - lf.start)) as usize
                 };
                 let (whole, torn_bytes) = crate::audit::scan_tail(&image[..written]);
-                torn = inner.durable.len() - lf.from - whole.len();
-                inner.durable.truncate(lf.from + whole.len());
-                inner.durable_lsn = inner.durable.iter().map(|r| r.lsn).max().unwrap_or(0);
+                torn = lf.records - whole.len();
+                inner.durable_lsn = whole.iter().map(|r| r.lsn).fold(lf.lsn_before, Lsn::max);
+                inner.durable.truncate(lf.from + written - torn_bytes);
                 if torn > 0 {
                     self.rec.add(Ctr::RecoveryTorn, torn as u64);
                     self.sim
@@ -314,6 +317,8 @@ impl Trail {
             start,
             end,
             from: inner.durable.len(),
+            records: inner.buffer.len(),
+            lsn_before: inner.durable_lsn,
         });
 
         inner.durable_lsn = inner
@@ -323,7 +328,12 @@ impl Trail {
             .max()
             .unwrap_or(inner.durable_lsn)
             .max(inner.durable_lsn);
-        inner.durable.append(&mut inner.buffer);
+        let TrailInner {
+            durable, buffer, ..
+        } = inner;
+        for r in buffer.drain(..) {
+            r.encode_into(durable);
+        }
         inner.buffer_bytes = 0;
         inner.buffer_commits = 0;
         inner.group = None;
@@ -812,6 +822,39 @@ mod tests {
                 .get(Ctr::RecoveryTorn),
             torn as u64
         );
+    }
+
+    #[test]
+    fn torn_tail_keeps_earlier_flushes_and_their_lsn() {
+        let (sim, _bus, trail, lsns) = setup(CommitTimer::Fixed(1_000));
+        let rec = |lsn| AuditRecord {
+            lsn,
+            txn: TxnId(1),
+            volume: "$D".into(),
+            file: 0,
+            body: update_body(500),
+        };
+        // A first flush that completes...
+        let first = lsns.next();
+        trail.apply(TrailRequest::Append {
+            records: vec![rec(first)],
+        });
+        let done = trail.force_up_to(first, sim.now());
+        sim.clock.advance_to(done);
+        // ... then a second one the crash catches mid-transfer.
+        let later: Vec<Lsn> = (0..6).map(|_| lsns.next()).collect();
+        trail.apply(TrailRequest::Append {
+            records: later.iter().map(|&l| rec(l)).collect(),
+        });
+        trail.apply(TrailRequest::Commit { txn: TxnId(1) });
+        sim.clock.advance(1_001);
+        let torn = trail.crash();
+        assert!(torn > 0 && torn <= later.len() + 1);
+        let recs = trail.durable_records(sim.now());
+        assert_eq!(recs.len(), 1 + later.len() + 1 - torn);
+        assert_eq!(recs[0], rec(first), "the completed flush is untouched");
+        let top = recs.iter().map(|r| r.lsn).max().unwrap_or(0);
+        assert_eq!(trail.durable_lsn(sim.now()), top);
     }
 
     #[test]

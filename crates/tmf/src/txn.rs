@@ -23,8 +23,6 @@ use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind};
 use nsql_sim::sync::Mutex;
 use nsql_sim::{Ctr, EntityKind, FlightEntry, MeasureRecord, Sim, Wait};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Transaction states.
@@ -100,7 +98,10 @@ impl std::error::Error for TxnError {}
 
 struct TxnInfo {
     state: TxnState,
-    participants: BTreeSet<String>,
+    /// Sorted by name, no duplicates. A plain vector: the manager remembers
+    /// every transaction it ever ran, so the per-transaction footprint is
+    /// what a long run's memory grows by.
+    participants: Vec<String>,
     /// Set when a participant crashed while holding this transaction's
     /// uncommitted writes: commit must fail, only abort is possible.
     doomed: bool,
@@ -110,10 +111,16 @@ struct TxnInfo {
 pub struct TxnManager {
     sim: Sim,
     bus: Arc<Bus>,
-    next: AtomicU64,
-    txns: Mutex<HashMap<TxnId, TxnInfo>>,
+    /// Every transaction ever begun; `TxnId(n)` is entry `n - 1`.
+    txns: Mutex<Vec<TxnInfo>>,
     /// Cluster-wide transaction MEASURE record (`txn` entity, "TMF").
     rec: Arc<MeasureRecord>,
+}
+
+/// Index of `txn` in the manager's table (ids start at 1; `TxnId(0)` and
+/// ids never begun here find nothing).
+fn slot(txn: TxnId) -> usize {
+    (txn.0 as usize).wrapping_sub(1)
 }
 
 /// The entity name transaction counters and the doom flight ring live
@@ -127,24 +134,20 @@ impl TxnManager {
         Arc::new(TxnManager {
             sim,
             bus,
-            next: AtomicU64::new(1),
-            txns: Mutex::new(HashMap::new()),
+            txns: Mutex::new(Vec::new()),
             rec,
         })
     }
 
     /// Begin a transaction.
     pub fn begin(&self) -> TxnId {
-        let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.txns.lock().insert(
-            id,
-            TxnInfo {
-                state: TxnState::Active,
-                participants: BTreeSet::new(),
-                doomed: false,
-            },
-        );
-        id
+        let mut txns = self.txns.lock();
+        txns.push(TxnInfo {
+            state: TxnState::Active,
+            participants: Vec::new(),
+            doomed: false,
+        });
+        TxnId(txns.len() as u64)
     }
 
     /// Doom a transaction: a Disk Process crashed while holding its
@@ -152,7 +155,7 @@ impl TxnManager {
     /// state, and recovery undid anything on disk). A later commit attempt
     /// is turned into an abort; explicit rollback proceeds normally.
     pub fn doom(&self, txn: TxnId) {
-        if let Some(info) = self.txns.lock().get_mut(&txn) {
+        if let Some(info) = self.txns.lock().get_mut(slot(txn)) {
             if info.state == TxnState::Active && !info.doomed {
                 info.doomed = true;
                 self.rec.bump(Ctr::TxnDoomed);
@@ -178,33 +181,32 @@ impl TxnManager {
     /// the trail buffer, so each one must be doomed and backed out
     /// through the surviving Disk Processes.
     pub fn active(&self) -> Vec<TxnId> {
-        let mut ids: Vec<TxnId> = self
-            .txns
-            .lock()
-            .iter()
-            .filter(|(_, i)| i.state == TxnState::Active)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort();
-        ids
+        let txns = self.txns.lock();
+        let ids = (1..).map(TxnId).zip(txns.iter());
+        ids.filter(|(_, i)| i.state == TxnState::Active)
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Has a participant crash doomed this transaction?
     pub fn is_doomed(&self, txn: TxnId) -> bool {
-        self.txns.lock().get(&txn).is_some_and(|i| i.doomed)
+        self.txns.lock().get(slot(txn)).is_some_and(|i| i.doomed)
     }
 
     /// Record that `process` (a Disk Process name) did work for `txn`.
     /// Called by Disk Processes on first touch.
     pub fn join(&self, txn: TxnId, process: &str) {
-        if let Some(info) = self.txns.lock().get_mut(&txn) {
-            info.participants.insert(process.to_string());
+        if let Some(info) = self.txns.lock().get_mut(slot(txn)) {
+            let ps = &mut info.participants;
+            if let Err(at) = ps.binary_search_by(|p| p.as_str().cmp(process)) {
+                ps.insert(at, process.to_string());
+            }
         }
     }
 
     /// State of a transaction (`None` if unknown).
     pub fn state(&self, txn: TxnId) -> Option<TxnState> {
-        self.txns.lock().get(&txn).map(|i| i.state)
+        self.txns.lock().get(slot(txn)).map(|i| i.state)
     }
 
     /// Snapshot of every transaction the manager still remembers —
@@ -212,42 +214,31 @@ impl TxnManager {
     /// `(txn, state, doomed, participants)`, sorted by id. A pure read for
     /// introspection (`sys.txns`).
     pub fn snapshot(&self) -> Vec<(TxnId, TxnState, bool, Vec<String>)> {
-        let mut all: Vec<(TxnId, TxnState, bool, Vec<String>)> = self
-            .txns
-            .lock()
-            .iter()
-            .map(|(id, i)| {
-                (
-                    *id,
-                    i.state,
-                    i.doomed,
-                    i.participants.iter().cloned().collect(),
-                )
-            })
-            .collect();
-        all.sort_by_key(|(id, ..)| *id);
-        all
+        let txns = self.txns.lock();
+        let ids = (1..).map(TxnId).zip(txns.iter());
+        ids.map(|(id, i)| (id, i.state, i.doomed, i.participants.clone()))
+            .collect()
     }
 
     /// Participants of a transaction (tests/inspection).
     pub fn participants(&self, txn: TxnId) -> Vec<String> {
         self.txns
             .lock()
-            .get(&txn)
-            .map(|i| i.participants.iter().cloned().collect())
+            .get(slot(txn))
+            .map(|i| i.participants.clone())
             .unwrap_or_default()
     }
 
-    fn take_active(&self, txn: TxnId) -> Result<BTreeSet<String>, TxnError> {
+    fn take_active(&self, txn: TxnId) -> Result<Vec<String>, TxnError> {
         let txns = self.txns.lock();
-        match txns.get(&txn) {
+        match txns.get(slot(txn)) {
             Some(info) if info.state == TxnState::Active => Ok(info.participants.clone()),
             _ => Err(TxnError::BadTxn(txn)),
         }
     }
 
     fn set_state(&self, txn: TxnId, state: TxnState) {
-        if let Some(info) = self.txns.lock().get_mut(&txn) {
+        if let Some(info) = self.txns.lock().get_mut(slot(txn)) {
             info.state = state;
         }
     }
@@ -344,7 +335,7 @@ impl TxnManager {
     fn finish_participants(
         &self,
         txn: TxnId,
-        participants: &BTreeSet<String>,
+        participants: &[String],
         committed: bool,
         from: CpuId,
     ) {
