@@ -7,7 +7,7 @@
 
 use crate::report::{ms, ratio, Table};
 use nsql_core::{Cluster, ClusterBuilder, DiskProcessConfig, FaultConfig, GroupCommitTimer};
-use nsql_sim::{MetricsSnapshot, SimRng};
+use nsql_sim::{MetricsSnapshot, SimRng, Window};
 use nsql_workloads::{Bank, Wisconsin};
 
 /// Run one experiment by id (`"e1"`..`"e22"`), all with `"all"`, the
@@ -78,10 +78,6 @@ pub fn run_json() -> String {
     format!("[\n{}\n]\n", records.join(",\n"))
 }
 
-fn d(db: &Cluster, before: &MetricsSnapshot) -> MetricsSnapshot {
-    db.metrics().since(before)
-}
-
 /// Drop every volume's cache (cold-cache scans) after flushing dirt.
 /// Catalog lookup for a table the experiment itself just created; a miss
 /// is a harness bug, so this is the one sanctioned panic for it.
@@ -143,10 +139,10 @@ pub fn e1() -> String {
         ]);
     }
 
-    let before = db.snapshot();
-    let t0 = db.sim.now();
+    let mark = db.sim.mark();
     let n = w.run_count(&db, &w.q_scan_all()).unwrap();
-    let delta = d(&db, &before);
+    let w = mark.close(&db.sim);
+    let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
     let mut t2 = Table::new(
         "E1 — full scan from a session on node 0",
         &["metric", "value"],
@@ -157,7 +153,7 @@ pub fn e1() -> String {
         "messages crossing nodes".into(),
         delta.msgs_remote.to_string(),
     ]);
-    t2.row(vec!["virtual elapsed".into(), ms(db.sim.now() - t0)]);
+    t2.row(vec!["virtual elapsed".into(), ms(elapsed_us)]);
     t2.note("Half the partitions live on node 1: the requester reaches them only via inter-node messages, which is why the paper pushes selection to the data.");
     format!("{}{}", t.render(), t2.render())
 }
@@ -173,20 +169,82 @@ pub fn e2() -> String {
     e2_table().render()
 }
 
-fn e2_table() -> Table {
+/// Rows of the table E2 and E18 read.
+const READ_ROWS: u32 = 10_000;
+
+/// The three sequential-read interfaces over a cold [`READ_ROWS`]-row
+/// Wisconsin table — record-at-a-time, RSBB, and VSBB with the Wisconsin
+/// 10% selection and 2-field projection — each as its window and the rows
+/// it returned. E2 reads the windows' cluster totals, E18 their per-entity
+/// MEASURE deltas.
+fn read_interfaces() -> [(&'static str, Window, usize); 3] {
     use nsql_dp::{ReadLock, SubsetMode};
     use nsql_records::{CmpOp, Expr, KeyRange, Value};
 
-    let rows = 10_000u32;
     let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-    let _w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 2).unwrap();
+    let _w = Wisconsin::create(&db, "WISC", READ_ROWS, &["$DATA1"], 2).unwrap();
     let info = table_info(&db, "WISC");
     let of = &info.open;
     let session = db.session();
     let fs = session.fs();
 
+    // Record-at-a-time (the old ENSCRIBE discipline).
+    cold_caches(&db);
+    let mark = db.sim.mark();
+    let mut cur = fs.ens_open(of, None);
+    let mut n = 0;
+    while fs.ens_read_next(&mut cur).unwrap().is_some() {
+        n += 1;
+    }
+    let rat = ("record-at-a-time", mark.close(&db.sim), n);
+
+    // RSBB: one physical block copy per message.
+    cold_caches(&db);
+    let txn = db.txnmgr.begin();
+    let mark = db.sim.mark();
+    let mut cur = fs.ens_open_sbb(of, txn).unwrap();
+    let mut n = 0;
+    while fs.ens_read_next(&mut cur).unwrap().is_some() {
+        n += 1;
+    }
+    let rsbb = ("RSBB (block buffering)", mark.close(&db.sim), n);
+    db.txnmgr.commit(txn, session.cpu()).unwrap();
+
+    // VSBB with a selective predicate and 2-field projection — the
+    // Wisconsin selection shape the paper cites.
+    cold_caches(&db);
+    let mark = db.sim.mark();
+    let scan = fs
+        .scan(
+            None,
+            of,
+            &KeyRange::all(),
+            Some(&Expr::field_cmp(
+                1,
+                CmpOp::Lt,
+                Value::Int(READ_ROWS as i32 / 10),
+            )),
+            Some(&[0, 1]),
+            SubsetMode::Vsbb,
+            ReadLock::None,
+        )
+        .unwrap();
+    let vsbb = (
+        "VSBB (10% select + project)",
+        mark.close(&db.sim),
+        scan.rows.len(),
+    );
+    [rat, rsbb, vsbb]
+}
+
+fn e2_table() -> Table {
+    let runs = read_interfaces();
+    let [rat, rsbb, vsbb] = [&runs[0].1, &runs[1].1, &runs[2].1];
+
     let mut t = Table::new(
-        format!("E2 — sequential read interfaces, {rows}-row Wisconsin table (≈208 B records)"),
+        format!(
+            "E2 — sequential read interfaces, {READ_ROWS}-row Wisconsin table (≈208 B records)"
+        ),
         &[
             "interface",
             "rows",
@@ -197,93 +255,36 @@ fn e2_table() -> Table {
             "mean B/msg",
         ],
     );
-
-    // Record-at-a-time (the old ENSCRIBE discipline).
-    cold_caches(&db);
-    let before = db.snapshot();
-    let t0 = db.sim.now();
-    let mut cur = fs.ens_open(of, None);
-    let mut n = 0u32;
-    while fs.ens_read_next(&mut cur).unwrap().is_some() {
-        n += 1;
+    for (i, (label, w, n)) in runs.iter().enumerate() {
+        t.row(vec![
+            (*label).into(),
+            n.to_string(),
+            w.metrics.msgs_fs_dp.to_string(),
+            w.metrics.msg_bytes_total.to_string(),
+            ms(w.elapsed_us),
+            if i == 0 {
+                "1.0x".into()
+            } else {
+                ratio(rat.metrics.msgs_fs_dp, w.metrics.msgs_fs_dp)
+            },
+            format!("{:.0}", w.metrics.mean_bytes_per_message()),
+        ]);
     }
-    let rat = d(&db, &before);
-    let rat_time = db.sim.now() - t0;
-    t.row(vec![
-        "record-at-a-time".into(),
-        n.to_string(),
-        rat.msgs_fs_dp.to_string(),
-        rat.msg_bytes_total.to_string(),
-        ms(rat_time),
-        "1.0x".into(),
-        format!("{:.0}", rat.mean_bytes_per_message()),
-    ]);
-
-    // RSBB: one physical block copy per message.
-    cold_caches(&db);
-    let txn = db.txnmgr.begin();
-    let before = db.snapshot();
-    let t0 = db.sim.now();
-    let mut cur = fs.ens_open_sbb(of, txn).unwrap();
-    let mut n = 0u32;
-    while fs.ens_read_next(&mut cur).unwrap().is_some() {
-        n += 1;
-    }
-    let rsbb = d(&db, &before);
-    let rsbb_time = db.sim.now() - t0;
-    db.txnmgr.commit(txn, session.cpu()).unwrap();
-    t.row(vec![
-        "RSBB (block buffering)".into(),
-        n.to_string(),
-        rsbb.msgs_fs_dp.to_string(),
-        rsbb.msg_bytes_total.to_string(),
-        ms(rsbb_time),
-        ratio(rat.msgs_fs_dp, rsbb.msgs_fs_dp),
-        format!("{:.0}", rsbb.mean_bytes_per_message()),
-    ]);
-
-    // VSBB with a selective predicate and 2-field projection — the
-    // Wisconsin selection shape the paper cites.
-    cold_caches(&db);
-    let before = db.snapshot();
-    let t0 = db.sim.now();
-    let scan = fs
-        .scan(
-            None,
-            of,
-            &KeyRange::all(),
-            Some(&Expr::field_cmp(1, CmpOp::Lt, Value::Int(rows as i32 / 10))),
-            Some(&[0, 1]),
-            SubsetMode::Vsbb,
-            ReadLock::None,
-        )
-        .unwrap();
-    let vsbb = d(&db, &before);
-    let vsbb_time = db.sim.now() - t0;
-    t.row(vec![
-        "VSBB (10% select + project)".into(),
-        scan.rows.len().to_string(),
-        vsbb.msgs_fs_dp.to_string(),
-        vsbb.msg_bytes_total.to_string(),
-        ms(vsbb_time),
-        ratio(rat.msgs_fs_dp, vsbb.msgs_fs_dp),
-        format!("{:.0}", vsbb.mean_bytes_per_message()),
-    ]);
 
     t.note(format!(
         "RSBB carries {} over record-at-a-time on raw FS-DP messages (the paper's end-to-end \
          factor of three blends fixed CPU costs); VSBB adds another {} by filtering and \
          projecting at the data source.",
-        ratio(rat.msgs_fs_dp, rsbb.msgs_fs_dp),
-        ratio(rsbb.msgs_fs_dp, vsbb.msgs_fs_dp),
+        ratio(rat.metrics.msgs_fs_dp, rsbb.metrics.msgs_fs_dp),
+        ratio(rsbb.metrics.msgs_fs_dp, vsbb.metrics.msgs_fs_dp),
     ));
     t.note(format!(
         "Elapsed (virtual) time tells the blended story: {} / {} / {} — ratios {} and {}.",
-        ms(rat_time),
-        ms(rsbb_time),
-        ms(vsbb_time),
-        ratio(rat_time, rsbb_time),
-        ratio(rsbb_time, vsbb_time),
+        ms(rat.elapsed_us),
+        ms(rsbb.elapsed_us),
+        ms(vsbb.elapsed_us),
+        ratio(rat.elapsed_us, rsbb.elapsed_us),
+        ratio(rsbb.elapsed_us, vsbb.elapsed_us),
     ));
     t
 }
@@ -330,12 +331,12 @@ pub fn e3() -> String {
     );
     for (name, sql) in queries {
         let mut s = db.session();
-        let before = db.snapshot();
+        let mark = db.sim.mark();
         let rows = s.query(&sql).unwrap().rows.len();
-        let set = d(&db, &before);
-        let before = db.snapshot();
+        let set = mark.close(&db.sim).metrics;
+        let mark = db.sim.mark();
         let _ = s.query(&format!("{sql} FOR BROWSE RECORD ACCESS")).unwrap();
-        let rat = d(&db, &before);
+        let rat = mark.close(&db.sim).metrics;
         t.row(vec![
             name.into(),
             rows.to_string(),
@@ -401,19 +402,19 @@ fn e4_table() -> Table {
     {
         let db = build();
         let mut s = db.session();
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let n = s
             .execute("UPDATE ACCOUNT SET BALANCE = BALANCE * 1.07 WHERE BALANCE > 0")
             .unwrap()
             .count();
-        let delta = d(&db, &before);
+        let w = mark.close(&db.sim);
+        let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
         t.row(vec![
             "UPDATE^SUBSET (set-oriented pushdown)".into(),
             n.to_string(),
             delta.msgs_fs_dp.to_string(),
             delta.audit_bytes.to_string(),
-            ms(db.sim.now() - t0),
+            ms(elapsed_us),
         ]);
     }
 
@@ -432,8 +433,7 @@ fn e4_table() -> Table {
                 ),
             )],
         };
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let txn = db.txnmgr.begin();
         for i in 0..n_accounts {
             let key = nsql_records::key::encode_record_key(
@@ -445,13 +445,14 @@ fn e4_table() -> Table {
                 .unwrap();
         }
         db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let delta = d(&db, &before);
+        let w = mark.close(&db.sim);
+        let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
         t.row(vec![
             "per-record UPDATE w/ expression".into(),
             n_accounts.to_string(),
             delta.msgs_fs_dp.to_string(),
             delta.audit_bytes.to_string(),
-            ms(db.sim.now() - t0),
+            ms(elapsed_us),
         ]);
     }
 
@@ -460,8 +461,7 @@ fn e4_table() -> Table {
         let db = build();
         let s = db.session();
         let info = table_info(&db, "ACCOUNT");
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let txn = db.txnmgr.begin();
         for i in 0..n_accounts {
             let key = nsql_records::key::encode_record_key(
@@ -479,13 +479,14 @@ fn e4_table() -> Table {
             s.fs().ens_rewrite(txn, &info.open, &old.0, &new).unwrap();
         }
         db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let delta = d(&db, &before);
+        let w = mark.close(&db.sim);
+        let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
         t.row(vec![
             "ENSCRIBE read-then-write".into(),
             n_accounts.to_string(),
             delta.msgs_fs_dp.to_string(),
             delta.audit_bytes.to_string(),
-            ms(db.sim.now() - t0),
+            ms(elapsed_us),
         ]);
     }
     t.note("Shipping the update expression eliminates the read-before-write message; shipping the whole subset eliminates the per-record messages too. Field-compressed audit shrinks audit volume alongside.");
@@ -524,12 +525,12 @@ pub fn e5() -> String {
     );
 
     // Read via alternate key.
-    let before = db.snapshot();
+    let mark = db.sim.mark();
     let r = s
         .query("SELECT SALARY FROM EMP WHERE NAME = 'E00123'")
         .unwrap();
     assert_eq!(r.rows.len(), 1);
-    let delta = d(&db, &before);
+    let delta = mark.close(&db.sim).metrics;
     t.row(vec![
         "read via alternate key".into(),
         delta.msgs_fs_dp.to_string(),
@@ -540,7 +541,7 @@ pub fn e5() -> String {
     // then ship the update expression to the base partition.
     let info = table_info(&db, "EMP");
     let idx = info.open.indexes[0].clone();
-    let before = db.snapshot();
+    let mark = db.sim.mark();
     let txn = db.txnmgr.begin();
     let prefix = nsql_records::key::encode_key_prefix(&[(
         nsql_records::FieldType::Char(12),
@@ -569,7 +570,7 @@ pub fn e5() -> String {
         )
         .unwrap();
     db.txnmgr.commit(txn, s.cpu()).unwrap();
-    let delta = d(&db, &before);
+    let delta = mark.close(&db.sim).metrics;
     t.row(vec![
         "update via alternate key".into(),
         delta.msgs_fs_dp.to_string(),
@@ -643,7 +644,7 @@ fn e6_table() -> Table {
         let db = build();
         let s = db.session();
         let info = table_info(&db, "ACCT");
-        let before = db.snapshot();
+        let mark = db.sim.mark();
         for i in 0..updates {
             let key = nsql_records::key::encode_record_key(
                 &info.open.desc,
@@ -673,7 +674,7 @@ fn e6_table() -> Table {
                 .unwrap();
             db.txnmgr.commit(txn, s.cpu()).unwrap();
         }
-        let delta = d(&db, &before);
+        let delta = mark.close(&db.sim).metrics;
         t.row(vec![
             label.into(),
             delta.audit_bytes.to_string(),
@@ -698,7 +699,7 @@ fn e6_table() -> Table {
                 ),
             )],
         };
-        let before = db.snapshot();
+        let mark = db.sim.mark();
         for i in 0..updates {
             let key = nsql_records::key::encode_record_key(
                 &info.open.desc,
@@ -710,7 +711,7 @@ fn e6_table() -> Table {
                 .unwrap();
             db.txnmgr.commit(txn, s.cpu()).unwrap();
         }
-        let delta = d(&db, &before);
+        let delta = mark.close(&db.sim).metrics;
         t.row(vec![
             "SQL field-compressed images (free: syntax names fields)".into(),
             delta.audit_bytes.to_string(),
@@ -814,11 +815,11 @@ pub fn e8() -> String {
             .build();
         let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 4).unwrap();
         cold_caches(&db);
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let n = w.run_count(&db, &w.q_scan_all()).unwrap();
         assert_eq!(n, rows as usize);
-        (db.metrics().since(&before), db.sim.now() - t0)
+        let w = mark.close(&db.sim);
+        (w.metrics, w.elapsed_us)
     };
 
     let mut t = Table::new(
@@ -867,14 +868,14 @@ pub fn e8() -> String {
             .build();
         let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 4).unwrap();
         let mut s = db.session();
-        let before = db.snapshot();
+        let mark = db.sim.mark();
         s.execute(&format!(
             "UPDATE WISC SET THOUSAND = THOUSAND + 1 WHERE UNIQUE2 < {}",
             rows / 2
         ))
         .unwrap();
         let _ = w;
-        db.metrics().since(&before)
+        mark.close(&db.sim).metrics
     };
     let mut t2 = Table::new(
         "E8b — subset update: write-behind of aged dirty strings",
@@ -917,8 +918,7 @@ fn e9_table() -> Table {
         let bank = Bank::create(&db, 2, 500, "$DATA1").unwrap();
         let s = db.session();
         let mut rng = SimRng::seed_from(5);
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         for _ in 0..txns {
             let (aid, tid, bid, delta) = bank.draw(&mut rng);
             let txn = db.txnmgr.begin();
@@ -931,7 +931,8 @@ fn e9_table() -> Table {
             }
             db.txnmgr.commit(txn, s.cpu()).unwrap();
         }
-        (db.metrics().since(&before), db.sim.now() - t0)
+        let w = mark.close(&db.sim);
+        (w.metrics, w.elapsed_us)
     };
 
     let (sql, sql_time) = run(true);
@@ -1026,27 +1027,26 @@ pub fn e10() -> String {
         let db = build();
         let s = db.session();
         let info = table_info(&db, "LOAD");
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let txn = db.txnmgr.begin();
         for k in 0..rows {
             s.fs().insert_row(txn, &info.open, &row(k)).unwrap();
         }
         db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let m = d(&db, &before);
+        let w = mark.close(&db.sim);
+        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
         t.row(vec![
             "per-record inserts".into(),
             m.msgs_fs_dp.to_string(),
             m.msg_bytes_total.to_string(),
-            ms(db.sim.now() - t0),
+            ms(elapsed_us),
         ]);
     }
     {
         let db = build();
         let s = db.session();
         let info = table_info(&db, "LOAD");
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let txn = db.txnmgr.begin();
         {
             let mut ins = nsql_fs::BlockedInserter::new(s.fs(), &info.open, txn);
@@ -1056,12 +1056,13 @@ pub fn e10() -> String {
             ins.flush().unwrap();
         }
         db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let m = d(&db, &before);
+        let w = mark.close(&db.sim);
+        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
         t.row(vec![
             "blocked inserts (extension)".into(),
             m.msgs_fs_dp.to_string(),
             m.msg_bytes_total.to_string(),
-            ms(db.sim.now() - t0),
+            ms(elapsed_us),
         ]);
     }
     t.note("The paper's 'Opportunities for Future Performance Enhancements': accumulating sequential inserts in a File System buffer and shipping them in one message reduces message traffic by the blocking factor.");
@@ -1107,8 +1108,7 @@ pub fn e10() -> String {
                 nsql_dp::ReadLock::Shared,
             )
             .unwrap();
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         if buffered {
             let mut cur = nsql_fs::CursorUpdater::new(s.fs(), &info.open, txn);
             for (i, r) in scan.rows.iter().enumerate() {
@@ -1133,7 +1133,7 @@ pub fn e10() -> String {
                 }
             }
         }
-        let m = d(&db, &before);
+        let m = mark.close(&db.sim).metrics;
         db.txnmgr.commit(txn, s.cpu()).unwrap();
         t2.row(vec![
             if buffered {
@@ -1142,7 +1142,7 @@ pub fn e10() -> String {
                 "per-record WHERE CURRENT".into()
             },
             m.msgs_fs_dp.to_string(),
-            ms(db.sim.now() - t0),
+            ms(mark.close(&db.sim).elapsed_us),
         ]);
     }
     t2.note("The paper's second future-work item: cursor updates and deletes accumulate in a File System buffer and ship to each Disk Process in one message.");
@@ -1177,7 +1177,7 @@ pub fn e11() -> String {
             .build();
         let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 6).unwrap();
         let mut s = db.session();
-        let before = db.snapshot();
+        let mark = db.sim.mark();
         // Selective predicate on an unindexed column: the whole table is
         // examined at the Disk Process, little is returned.
         let n = s
@@ -1189,7 +1189,7 @@ pub fn e11() -> String {
             .rows
             .len();
         assert_eq!(n, rows as usize / 100);
-        let m = d(&db, &before);
+        let m = mark.close(&db.sim).metrics;
         t.row(vec![
             limit.to_string(),
             m.msgs_fs_dp.to_string(),
@@ -1243,7 +1243,7 @@ pub fn e12() -> String {
     );
 
     // (a) Constraint shipped with the update: one message.
-    let before = db.snapshot();
+    let mark = db.sim.mark();
     let txn = db.txnmgr.begin();
     for i in 0..100 {
         s.fs()
@@ -1251,7 +1251,7 @@ pub fn e12() -> String {
             .unwrap();
     }
     db.txnmgr.commit(txn, s.cpu()).unwrap();
-    let pushed = d(&db, &before);
+    let pushed = mark.close(&db.sim).metrics;
     t.row(vec![
         "CHECK at the Disk Process".into(),
         pushed.msgs_fs_dp.to_string(),
@@ -1259,7 +1259,7 @@ pub fn e12() -> String {
     ]);
 
     // (b) Requester-side verification: read, check locally, then update.
-    let before = db.snapshot();
+    let mark = db.sim.mark();
     let txn = db.txnmgr.begin();
     for i in 0..100 {
         let row = s
@@ -1275,7 +1275,7 @@ pub fn e12() -> String {
         }
     }
     db.txnmgr.commit(txn, s.cpu()).unwrap();
-    let local = d(&db, &before);
+    let local = mark.close(&db.sim).metrics;
     t.row(vec![
         "preliminary read at requester".into(),
         local.msgs_fs_dp.to_string(),
@@ -1444,8 +1444,7 @@ pub fn e14() -> String {
             .build();
         let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 8).unwrap();
         let mut s = db.session();
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let n = s
             .query(&format!(
                 "SELECT * FROM {} WHERE UNIQUE1 < {}",
@@ -1456,13 +1455,14 @@ pub fn e14() -> String {
             .rows
             .len();
         assert_eq!(n, rows as usize / 10);
-        let m = d(&db, &before);
+        let w = mark.close(&db.sim);
+        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
         t.row(vec![
             format!("{} B", buf),
             m.msgs_fs_dp.to_string(),
             m.msg_bytes_total.to_string(),
             (m.msg_bytes_total / m.msgs_fs_dp.max(1)).to_string(),
-            ms(db.sim.now() - t0),
+            ms(elapsed_us),
         ]);
     }
     t.note("The paper fixes the virtual block at roughly a physical block; the sweep shows the trade: message count falls linearly with buffer size while each reply grows, so the cost per returned byte flattens once fixed message overhead is amortized.");
@@ -1510,7 +1510,7 @@ pub fn e15() -> String {
                 ),
             )],
         };
-        let before = db.snapshot();
+        let mark = db.sim.mark();
         let txn = db.txnmgr.begin();
         for k in 0..updates {
             let key = nsql_records::key::encode_record_key(
@@ -1522,7 +1522,7 @@ pub fn e15() -> String {
                 .unwrap();
         }
         db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let m = d(&db, &before);
+        let m = mark.close(&db.sim).metrics;
         t.row(vec![
             format!("{} B", threshold),
             m.msgs_audit.to_string(),
@@ -1550,8 +1550,7 @@ pub fn e16() -> String {
         let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 16).unwrap();
         db.set_sort_parallelism(ways);
         let mut s = db.session();
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let r = s
             .query(&format!(
                 "SELECT UNIQUE1, UNIQUE2 FROM {} ORDER BY UNIQUE1",
@@ -1559,11 +1558,12 @@ pub fn e16() -> String {
             ))
             .unwrap();
         assert_eq!(r.rows.len(), rows as usize);
-        let m = d(&db, &before);
+        let w = mark.close(&db.sim);
+        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
         t.row(vec![
             ways.to_string(),
             m.cpu_executor.to_string(),
-            ms(db.sim.now() - t0),
+            ms(elapsed_us),
         ]);
     }
     t.note("FastSort [Tsukerman] 'uses multiple processors and disks if available': the path length (CPU work) is constant while elapsed time shrinks with the subsort fan-out — the intra-query parallelism the paper counts as already exploited.");
@@ -1621,8 +1621,7 @@ pub fn e17_table() -> Table {
                 ..FaultConfig::with_seed(17)
             });
         }
-        let before = db.snapshot();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         let mut committed = 0u32;
         for _ in 0..txns {
             let (aid, tid, bid, delta) = bank.draw(&mut rng);
@@ -1641,8 +1640,8 @@ pub fn e17_table() -> Table {
         let mut s2 = db.session();
         s2.query("SELECT COUNT(*) FROM HISTORY").unwrap();
         db.disable_faults();
-        let m = d(&db, &before);
-        let elapsed = db.sim.now() - t0;
+        let w = mark.close(&db.sim);
+        let (m, elapsed) = (w.metrics, w.elapsed_us);
         if baseline_us == 0 {
             baseline_us = elapsed;
         }
@@ -1676,22 +1675,15 @@ pub fn e18() -> String {
 /// metrics — so the experiment doubles as an end-to-end check that the
 /// per-entity counters attribute work to the right entities.
 pub fn e18_table() -> Table {
-    use nsql_dp::{ReadLock, SubsetMode};
-    use nsql_records::{CmpOp, Expr, KeyRange, Value};
-    use nsql_sim::{Ctr, EntityKind, MeasureReport};
+    use nsql_sim::{Ctr, EntityKind};
 
-    let rows = 10_000u32;
-    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-    let _w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 2).unwrap();
-    let info = table_info(&db, "WISC");
-    let of = &info.open;
-    let session = db.session();
-    let fs = session.fs();
+    let runs = read_interfaces();
+    let [rat, rsbb, vsbb] = [&runs[0].1, &runs[1].1, &runs[2].1];
 
     let mut t = Table::new(
         format!(
             "E18 — MEASURE cross-check: per-entity counter deltas for the E2 interfaces, \
-             {rows}-row Wisconsin table"
+             {READ_ROWS}-row Wisconsin table"
         ),
         &[
             "interface",
@@ -1707,98 +1699,46 @@ pub fn e18_table() -> Table {
 
     // Everything below reads one entity's counters out of a delta; the DP
     // process and its volume/file entities all answer to "$DATA1".
-    let dp = |m: &MeasureReport, c: Ctr| m.snap.get(EntityKind::Process, "$DATA1", c);
-    let file = |m: &MeasureReport, c: Ctr| m.snap.total(EntityKind::File, c);
-    let vol = |m: &MeasureReport, c: Ctr| m.snap.get(EntityKind::Volume, "$DATA1", c);
-    let push = |t: &mut Table, label: &str, m: &MeasureReport, elapsed: u64, rat_msgs: u64| {
+    let dp = |m: &Window, c: Ctr| m.measure.snap.get(EntityKind::Process, "$DATA1", c);
+    let file = |m: &Window, c: Ctr| m.measure.snap.total(EntityKind::File, c);
+    let vol = |m: &Window, c: Ctr| m.measure.snap.get(EntityKind::Volume, "$DATA1", c);
+    for (i, (label, m, _)) in runs.iter().enumerate() {
         t.row(vec![
-            label.into(),
+            (*label).into(),
             dp(m, Ctr::MsgsRecv).to_string(),
             dp(m, Ctr::BytesRecv).to_string(),
             file(m, Ctr::RecsExamined).to_string(),
             file(m, Ctr::RecsSelected).to_string(),
             vol(m, Ctr::DiskReads).to_string(),
-            ms(elapsed),
-            if rat_msgs == 0 {
+            ms(m.elapsed_us),
+            if i == 0 {
                 "1.0x".into()
             } else {
-                ratio(rat_msgs, dp(m, Ctr::MsgsRecv))
+                ratio(dp(rat, Ctr::MsgsRecv), dp(m, Ctr::MsgsRecv))
             },
         ]);
-    };
-
-    // Record-at-a-time (the old ENSCRIBE discipline).
-    cold_caches(&db);
-    let before = MeasureReport::capture(&db.sim);
-    let t0 = db.sim.now();
-    let mut cur = fs.ens_open(of, None);
-    while fs.ens_read_next(&mut cur).unwrap().is_some() {}
-    let rat = MeasureReport::capture(&db.sim).since(&before);
-    let rat_time = db.sim.now() - t0;
-    push(&mut t, "record-at-a-time", &rat, rat_time, 0);
-
-    // RSBB: one physical block copy per message.
-    cold_caches(&db);
-    let txn = db.txnmgr.begin();
-    let before = MeasureReport::capture(&db.sim);
-    let t0 = db.sim.now();
-    let mut cur = fs.ens_open_sbb(of, txn).unwrap();
-    while fs.ens_read_next(&mut cur).unwrap().is_some() {}
-    let rsbb = MeasureReport::capture(&db.sim).since(&before);
-    let rsbb_time = db.sim.now() - t0;
-    db.txnmgr.commit(txn, session.cpu()).unwrap();
-    push(
-        &mut t,
-        "RSBB (block buffering)",
-        &rsbb,
-        rsbb_time,
-        dp(&rat, Ctr::MsgsRecv),
-    );
-
-    // VSBB with the Wisconsin 10% selection + 2-field projection.
-    cold_caches(&db);
-    let before = MeasureReport::capture(&db.sim);
-    let t0 = db.sim.now();
-    fs.scan(
-        None,
-        of,
-        &KeyRange::all(),
-        Some(&Expr::field_cmp(1, CmpOp::Lt, Value::Int(rows as i32 / 10))),
-        Some(&[0, 1]),
-        SubsetMode::Vsbb,
-        ReadLock::None,
-    )
-    .unwrap();
-    let vsbb = MeasureReport::capture(&db.sim).since(&before);
-    let vsbb_time = db.sim.now() - t0;
-    push(
-        &mut t,
-        "VSBB (10% select + project)",
-        &vsbb,
-        vsbb_time,
-        dp(&rat, Ctr::MsgsRecv),
-    );
+    }
 
     t.note(format!(
         "Measured from the Disk Process's own MEASURE record: RSBB receives {} fewer requests \
          than record-at-a-time and VSBB another {} fewer than RSBB — each carries at least the \
          paper's factor of three, reproduced from per-entity counter deltas alone (the global \
          metrics of E2 agree message for message).",
-        ratio(dp(&rat, Ctr::MsgsRecv), dp(&rsbb, Ctr::MsgsRecv)),
-        ratio(dp(&rsbb, Ctr::MsgsRecv), dp(&vsbb, Ctr::MsgsRecv)),
+        ratio(dp(rat, Ctr::MsgsRecv), dp(rsbb, Ctr::MsgsRecv)),
+        ratio(dp(rsbb, Ctr::MsgsRecv), dp(vsbb, Ctr::MsgsRecv)),
     ));
     t.note(format!(
         "Blended (virtual elapsed) ratios stay {} and {} — identical to E2, because the MEASURE \
          layer observes the run without perturbing it: always-on counters cost no virtual time.",
-        ratio(rat_time, rsbb_time),
-        ratio(rsbb_time, vsbb_time),
+        ratio(rat.elapsed_us, rsbb.elapsed_us),
+        ratio(rsbb.elapsed_us, vsbb.elapsed_us),
     ));
     t.note(format!(
         "The file entity confirms the DP does the same logical work each time (recs.examined \
          {} / {} / {}), so the ratios are pure interface effects, not workload drift.",
-        file(&rat, Ctr::RecsExamined),
-        file(&rsbb, Ctr::RecsExamined),
-        file(&vsbb, Ctr::RecsExamined),
+        file(rat, Ctr::RecsExamined),
+        file(rsbb, Ctr::RecsExamined),
+        file(vsbb, Ctr::RecsExamined),
     ));
     t
 }
@@ -1904,8 +1844,7 @@ pub fn e19_table() -> Table {
         if let Some(cfg) = faults {
             db.enable_faults(cfg);
         }
-        let w0 = db.sim.wait_profile();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         for _ in 0..100 {
             let (aid, tid, bid, delta) = bank.draw(&mut rng);
             let txn = db.txnmgr.begin();
@@ -1918,10 +1857,9 @@ pub fn e19_table() -> Table {
                 }
             }
         }
-        let wait = db.sim.wait_profile() - w0;
-        let elapsed = db.sim.now() - t0;
+        let w = mark.close(&db.sim);
         db.disable_faults();
-        (wait, elapsed, db.metrics().snapshot().fs_retries)
+        (w.wait, w.elapsed_us, db.metrics().snapshot().fs_retries)
     };
     let (wait, elapsed, _) = bank_run(None);
     push(&mut t, "E9 DebitCredit x100 (fault-free)", &wait, elapsed);
@@ -1965,7 +1903,7 @@ pub fn e20() -> String {
 /// are raw integers (record counts / virtual µs): the perf gate catches
 /// recovery silently getting slower with zero tolerance.
 pub fn e20_table() -> Table {
-    use nsql_sim::{Ctr, EntityKind, MeasureReport, Wait};
+    use nsql_sim::{Ctr, EntityKind, Wait};
 
     let mut t = Table::new(
         "E20 — crash-restart: audit-trail replay cost vs durable trail length (µs)",
@@ -2024,13 +1962,10 @@ pub fn e20_table() -> Table {
                 .map_err(|e| e.to_string())?;
         }
         let trail_recs = db.trail.durable_records(db.sim.now()).len();
-        let before = MeasureReport::capture(&db.sim);
-        let w0 = db.sim.wait_profile();
-        let t0 = db.sim.now();
+        let mark = db.sim.mark();
         recover(&db)?;
-        let elapsed = db.sim.now() - t0;
-        let wait = db.sim.wait_profile() - w0;
-        let d = MeasureReport::capture(&db.sim).since(&before).snap;
+        let w = mark.close(&db.sim);
+        let d = &w.measure.snap;
         Ok(vec![
             label.to_string(),
             trail_recs.to_string(),
@@ -2040,8 +1975,8 @@ pub fn e20_table() -> Table {
                 .to_string(),
             d.get(EntityKind::Process, "$DATA1", Ctr::RecoveryUndo)
                 .to_string(),
-            wait.get(Wait::Restart).to_string(),
-            elapsed.to_string(),
+            w.wait.get(Wait::Restart).to_string(),
+            w.elapsed_us.to_string(),
         ])
     };
 
@@ -2555,15 +2490,13 @@ pub fn load_sweep() -> String {
 /// a 10% Wisconsin selection). Deterministic per build, so the perf gate
 /// can diff it against `BENCH_baseline.json` with zero tolerance.
 pub fn measure_record() -> String {
-    use nsql_sim::MeasureReport;
-
     let db = ClusterBuilder::new()
         .volume("$DATA1", 0, 1)
         .volume("$DATA2", 0, 2)
         .build();
     let w = Wisconsin::create(&db, "WISC", 5_000, &["$DATA1"], 2).unwrap();
     let bank = Bank::create(&db, 2, 50, "$DATA2").unwrap();
-    let before = MeasureReport::capture(&db.sim);
+    let mark = db.sim.mark();
 
     let s = db.session();
     let fs = s.fs();
@@ -2579,9 +2512,7 @@ pub fn measure_record() -> String {
     let n = s2.query(&w.q_select_10pct_clustered()).unwrap().rows.len();
     assert_eq!(n, 500);
 
-    MeasureReport::capture(&db.sim)
-        .since(&before)
-        .to_json("measure")
+    mark.close(&db.sim).measure.to_json("measure")
 }
 
 /// Chrome trace-event JSON (`chrome://tracing` / Perfetto) for the same

@@ -31,10 +31,7 @@ use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId};
 use nsql_records::{Row, Value};
 use nsql_sim::sync::{Mutex, RwLock};
-use nsql_sim::{
-    CostModel, Ctr, Histogram, MeasureReport, Metrics, MetricsSnapshot, Micros, Sim, TraceEvent,
-    WaitProfile, COUNTER_NAMES,
-};
+use nsql_sim::{CostModel, Ctr, Histogram, Mark, Metrics, MetricsSnapshot, Sim, COUNTER_NAMES};
 use nsql_sql::ast::Statement;
 use nsql_sql::{parse, plan, Catalog, Executor, OpStats, Plan, QueryResult, SysSnapshot};
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager, AUDIT_PROCESS};
@@ -440,13 +437,12 @@ impl Cluster {
         let sim = &self.sim;
 
         // sys.counters: every non-zero MEASURE counter of every entity.
-        let measure = sim.measure.snapshot(sim.clock.now());
-        for ((kind, name), vals) in &measure.entities {
+        for (kind, name, vals) in sim.measure_snapshot().iter() {
             for (ci, &v) in vals.iter().enumerate() {
                 if v > 0 {
                     snap.counters.push(Row(vec![
                         Value::Str(kind.tag().to_string()),
-                        Value::Str(name.clone()),
+                        Value::Str(name.to_string()),
                         Value::Str(COUNTER_NAMES[ci].to_string()),
                         Value::LargeInt(v as i64),
                     ]));
@@ -732,25 +728,24 @@ impl Cluster {
     }
 }
 
-/// What one statement cost: the counter delta, the virtual time it took,
-/// and (when tracing is enabled) the trace events it produced.
-#[derive(Debug, Clone)]
-pub struct QueryStats {
-    /// Delta of every metric counter over the statement.
-    pub metrics: MetricsSnapshot,
-    /// Virtual time the statement took.
-    pub elapsed_us: Micros,
-    /// Exact decomposition of `elapsed_us` into wait categories: the
-    /// per-category virtual-time ledger delta over the statement. Its
-    /// `total()` equals `elapsed_us` with no tolerance.
-    pub wait: WaitProfile,
-    /// Trace events emitted during the statement (empty when tracing is
-    /// disabled or the events were evicted from the ring).
-    pub trace: Vec<TraceEvent>,
-    /// Per-entity MEASURE counter deltas over the statement, with the
-    /// trace ring's dropped-event count (never silently truncated).
-    pub measure: MeasureReport,
+/// The bus, the processes registered on it and the path-switch hook hold
+/// each other through `Arc` cycles; taking them off the bus breaks the
+/// cycles, so a dropped cluster frees its memory.
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.bus.set_path_switch(Arc::new(|_| false));
+        for volume in self.volumes() {
+            self.bus.deregister(&volume);
+        }
+        self.bus.deregister(AUDIT_PROCESS);
+    }
 }
+
+/// What one statement cost: the statement's measurement window — counter
+/// deltas, the virtual time it took and its exact wait decomposition, the
+/// per-entity MEASURE deltas and (when tracing is enabled) the trace events
+/// it produced.
+pub use nsql_sim::Window as QueryStats;
 
 /// One application session: SQL entry point plus the underlying File
 /// System for ENSCRIBE-style access.
@@ -833,32 +828,19 @@ impl Session<'_> {
     /// captured and available from [`Session::last_stats`] afterwards.
     pub fn execute(&mut self, sql: &str) -> Result<Outcome, DbError> {
         self.cluster.session_update(self.id, |i| i.statements += 1);
-        let sim = self.cluster.sim.clone();
-        let before = sim.metrics.snapshot();
-        let measure_before = MeasureReport::capture(&sim);
-        let t0 = sim.clock.now();
-        let w0 = sim.wait_profile();
-        let cursor = sim.trace.cursor();
+        let sim = &self.cluster.sim;
+        let mark = sim.mark();
         // The statement's root span: every FS-DP request span opened while
         // it runs becomes a child, so the trace assembles into one tree per
         // statement.
         let span = sim.span_root(stmt_label(sql), &self.cpu.to_string());
-        let out = self.execute_inner(sql);
+        let out = self.execute_inner(sql, &mark);
         drop(span);
-        let elapsed = sim.clock.now().saturating_sub(t0);
-        // The ledger delta decomposes the elapsed time exactly — the clock
-        // only moves through attributed advances.
-        let wait = sim.wait_profile() - w0;
-        sim.hist.stmt_latency_us.record(elapsed);
-        sim.hist.record_stmt_wait(&wait);
-        sim.metrics.record_stmt_wait(&wait);
-        self.last_stats = Some(QueryStats {
-            metrics: sim.metrics.snapshot() - before,
-            elapsed_us: elapsed,
-            wait,
-            trace: sim.trace.since(cursor),
-            measure: MeasureReport::capture(&sim).since(&measure_before),
-        });
+        // The window's ledger delta decomposes its elapsed time exactly —
+        // the clock only moves through attributed advances.
+        let stats = mark.close(sim);
+        sim.record_statement(&stats);
+        self.last_stats = Some(stats);
         out
     }
 
@@ -867,7 +849,7 @@ impl Session<'_> {
         self.last_stats.as_ref()
     }
 
-    fn execute_inner(&mut self, sql: &str) -> Result<Outcome, DbError> {
+    fn execute_inner(&mut self, sql: &str, mark: &Mark) -> Result<Outcome, DbError> {
         let stmt = parse(sql).map_err(db_err)?;
         let planned = plan(&self.cluster.catalog, stmt).map_err(db_err)?;
         // Coherence point for sys.* reads: one snapshot, captured between
@@ -894,17 +876,12 @@ impl Session<'_> {
                 }))
             }
             Plan::ExplainAnalyze(inner) => {
-                let sim = &self.cluster.sim;
-                let before = MeasureReport::capture(sim);
-                let w0 = sim.wait_profile();
-                let t0 = sim.clock.now();
+                // Parsing, planning and the sys.* capture move neither
+                // clock nor counters, so the statement's own window,
+                // closed here, is exactly the analyzed plan's.
                 let stats = self.analyze(&exec, *inner)?;
-                let wait = sim.wait_profile() - w0;
-                let elapsed = sim.clock.now().saturating_sub(t0);
-                let delta = MeasureReport::capture(sim).since(&before);
-                Ok(Outcome::Rows(analyze_result(
-                    &stats, &delta, &wait, elapsed,
-                )))
+                let window = mark.close(&self.cluster.sim);
+                Ok(Outcome::Rows(analyze_result(&stats, &window)))
             }
             Plan::Select(p) => {
                 let r = exec.select(&p, self.txn).map_err(db_err)?;
@@ -986,19 +963,19 @@ impl Session<'_> {
                 let mut stats = Vec::new();
                 match self.txn {
                     Some(txn) => {
-                        let mark = op_mark(sim);
+                        let mark = sim.mark();
                         let n = run(txn)?;
-                        stats.push(close_op(sim, label, n, mark));
+                        stats.push(OpStats::close(label, n, &mark, sim));
                     }
                     None => {
                         let txn = self.cluster.txnmgr.begin();
-                        let mark = op_mark(sim);
+                        let mark = sim.mark();
                         match run(txn) {
                             Ok(n) => {
-                                stats.push(close_op(sim, label, n, mark));
-                                let mark = op_mark(sim);
+                                stats.push(OpStats::close(label, n, &mark, sim));
+                                let mark = sim.mark();
                                 self.cluster.txnmgr.commit(txn, self.cpu).map_err(db_err)?;
-                                stats.push(close_op(sim, "COMMIT".into(), 0, mark));
+                                stats.push(OpStats::close("COMMIT".into(), 0, &mark, sim));
                             }
                             Err(e) => {
                                 let _ = self.cluster.txnmgr.abort(txn, self.cpu);
@@ -1068,24 +1045,6 @@ fn stmt_label(sql: &str) -> &'static str {
     }
 }
 
-/// Open one operator measurement window (EXPLAIN ANALYZE over DML).
-fn op_mark(sim: &Sim) -> (MetricsSnapshot, Micros) {
-    (sim.metrics.snapshot(), sim.clock.now())
-}
-
-/// Close an operator measurement window into an [`OpStats`].
-fn close_op(sim: &Sim, label: String, rows: u64, mark: (MetricsSnapshot, Micros)) -> OpStats {
-    let d = sim.metrics.snapshot() - mark.0;
-    OpStats {
-        label,
-        rows,
-        msgs_fs_dp: d.msgs_fs_dp,
-        disk_reads: d.disk_reads,
-        disk_writes: d.disk_writes,
-        elapsed_us: sim.clock.now().saturating_sub(mark.1),
-    }
-}
-
 /// Render per-operator statistics as the EXPLAIN ANALYZE result set,
 /// followed by the statement's per-entity MEASURE breakdown (`@kind name`
 /// rows: records examined, messages received, disk I/O per entity), a
@@ -1094,14 +1053,10 @@ fn close_op(sim: &Sim, label: String, rows: u64, mark: (MetricsSnapshot, Micros)
 /// to the measured window's elapsed virtual time) and — whenever the trace
 /// ring overflowed — a `TRACE DROPPED` row so bounded tracing never
 /// silently truncates.
-fn analyze_result(
-    stats: &[OpStats],
-    measure: &MeasureReport,
-    wait: &WaitProfile,
-    window_us: Micros,
-) -> QueryResult {
+fn analyze_result(stats: &[OpStats], window: &QueryStats) -> QueryResult {
     use nsql_records::{Row, Value};
-    let mut rows = Vec::with_capacity(stats.len() + 1 + measure.snap.entities.len());
+    let (measure, wait, window_us) = (&window.measure, &window.wait, window.elapsed_us);
+    let mut rows = Vec::with_capacity(stats.len() + 1 + measure.snap.iter().len());
     let (mut msgs, mut reads, mut writes, mut elapsed) = (0u64, 0u64, 0u64, 0u64);
     for s in stats {
         msgs += s.msgs_fs_dp;
@@ -1126,7 +1081,7 @@ fn analyze_result(
         Value::LargeInt(writes as i64),
         Value::LargeInt(elapsed as i64),
     ]));
-    for ((kind, name), vals) in &measure.snap.entities {
+    for (kind, name, vals) in measure.snap.iter() {
         if vals.iter().all(|&v| v == 0) {
             continue;
         }

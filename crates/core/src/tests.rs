@@ -264,3 +264,22 @@ fn memory_pressure_handshake() {
     let r = s.query("SELECT COUNT(*) FROM T").unwrap();
     assert_eq!(r.rows[0].0[0], Value::LargeInt(500));
 }
+
+#[test]
+fn dropping_a_cluster_frees_the_bus() {
+    let db = ClusterBuilder::new()
+        .volume("$DATA1", 0, 1)
+        .volume_with_backup("$DATA2", 0, 2, 0, 3)
+        .build();
+    let mut s = db.session();
+    s.execute("CREATE TABLE T (A INT NOT NULL, B INT, PRIMARY KEY (A))")
+        .unwrap();
+    s.execute("INSERT INTO T VALUES (1, 2)").unwrap();
+    drop(s);
+    let bus = Arc::downgrade(&db.bus);
+    drop(db);
+    assert!(
+        bus.upgrade().is_none(),
+        "the bus must not outlive its cluster"
+    );
+}

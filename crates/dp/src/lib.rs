@@ -1801,7 +1801,11 @@ impl Server for DiskProcess {
                 let reply = self.handle_end_txn(*req);
                 Response::new(reply, 4)
             }
-            Err(_) => panic!("Disk Process received an unknown message type"),
+            Err(_) => {
+                let reply = DpReply::Error(DpError::UnknownRequest);
+                let size = reply.wire_size();
+                Response::new(reply, size)
+            }
         }
     }
 }

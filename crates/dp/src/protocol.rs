@@ -524,6 +524,8 @@ pub enum DpError {
     KeyUpdateNotAllowed,
     /// Operation illegal for the file kind.
     WrongFileKind,
+    /// The message was none of the protocols a Disk Process speaks.
+    UnknownRequest,
 }
 
 impl std::fmt::Display for DpError {
@@ -548,6 +550,7 @@ impl std::fmt::Display for DpError {
             DpError::BadSubset(id) => write!(f, "unknown subset control block {id}"),
             DpError::KeyUpdateNotAllowed => write!(f, "primary key fields cannot be updated"),
             DpError::WrongFileKind => write!(f, "operation illegal for this file structure"),
+            DpError::UnknownRequest => write!(f, "unknown message type"),
         }
     }
 }

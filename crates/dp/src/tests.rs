@@ -1178,3 +1178,15 @@ fn measure_records_track_files_scbs_and_lock_waits() {
         0
     );
 }
+
+#[test]
+fn unknown_payload_gets_a_typed_error_reply() {
+    let c = cluster();
+    let reply = c
+        .bus
+        .request(c.client, "$DATA1", MsgKind::FsDp, 8, Box::new(()))
+        .unwrap()
+        .downcast::<DpReply>()
+        .unwrap();
+    assert!(matches!(reply, DpReply::Error(DpError::UnknownRequest)));
+}

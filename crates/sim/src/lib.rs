@@ -117,6 +117,30 @@ impl Sim {
         self.clock.profile()
     }
 
+    /// Open a measurement window: one capture of everything a before/after
+    /// reader subtracts. Pure reads — moves neither clock nor counters.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            metrics: self.metrics.snapshot(),
+            wait: self.wait_profile(),
+            measure: MeasureReport::capture(self),
+            cursor: self.trace.cursor(),
+        }
+    }
+
+    /// Book one statement's closed window into the always-on statement
+    /// instruments: the latency histogram, and its wait decomposition into
+    /// the per-category histograms (non-zero categories only) and counters.
+    pub fn record_statement(&self, window: &Window) {
+        self.hist.stmt_latency_us.record(window.elapsed_us);
+        for (w, us) in window.wait.iter() {
+            if us > 0 {
+                self.hist.stmt_wait_us[w.index()].record(us);
+            }
+        }
+        self.metrics.record_stmt_wait(&window.wait);
+    }
+
     /// Open a root span for a new statement: fresh trace id, no parent.
     pub fn span_root(&self, label: &str, track: &str) -> SpanGuard {
         let header = SpanHeader {
@@ -154,6 +178,53 @@ impl Sim {
         };
         SpanGuard::open(self.clock.clone(), self.trace.clone(), header, label, track)
     }
+}
+
+/// The opening edge of a measurement window (see [`Sim::mark`]): cluster
+/// totals, the wait ledger, virtual time plus every entity's counters plus
+/// the trace ring's dropped count (a [`MeasureReport`]), and the trace
+/// cursor.
+#[derive(Debug)]
+pub struct Mark {
+    metrics: MetricsSnapshot,
+    wait: WaitProfile,
+    measure: MeasureReport,
+    cursor: u64,
+}
+
+impl Mark {
+    /// What happened on `sim` since this mark. The mark stays open: closing
+    /// it again later yields the longer window.
+    pub fn close(&self, sim: &Sim) -> Window {
+        let measure = MeasureReport::capture(sim).since(&self.measure);
+        Window {
+            metrics: sim.metrics.snapshot() - self.metrics,
+            elapsed_us: measure.snap.at.saturating_sub(self.measure.snap.at),
+            wait: sim.wait_profile() - self.wait,
+            trace: sim.trace.since(self.cursor),
+            measure,
+        }
+    }
+}
+
+/// What a window of virtual time cost: the deltas between a [`Mark`] and
+/// the moment it was closed.
+#[derive(Debug, Clone)]
+pub struct Window {
+    /// Delta of every metric counter over the window.
+    pub metrics: MetricsSnapshot,
+    /// Virtual time the window spans.
+    pub elapsed_us: Micros,
+    /// Exact decomposition of `elapsed_us` into wait categories: the
+    /// per-category virtual-time ledger delta over the window. Its
+    /// `total()` equals `elapsed_us` with no tolerance.
+    pub wait: WaitProfile,
+    /// Trace events emitted during the window (empty when tracing is
+    /// disabled or the events were evicted from the ring).
+    pub trace: Vec<TraceEvent>,
+    /// Per-entity MEASURE counter deltas over the window, with the trace
+    /// ring's dropped-event count (never silently truncated).
+    pub measure: MeasureReport,
 }
 
 impl Default for Sim {

@@ -9,8 +9,8 @@
 //! * [`MeasureRecord`] — a fixed array of relaxed atomic counters, one slot
 //!   per [`Ctr`]. Components hold an `Arc` to their record from construction,
 //!   so a steady-state bump is a single relaxed `fetch_add`.
-//! * [`MeasureRegistry`] — `(EntityKind, name) → Arc<MeasureRecord>` with
-//!   deterministic (sorted) iteration for snapshots and reports.
+//! * [`MeasureRegistry`] — `(EntityKind, name) → Arc<MeasureRecord>`, kept
+//!   sorted so snapshots and reports iterate deterministically.
 //! * [`MeasureReport`] — an interval snapshot (plus the trace ring's dropped
 //!   count, so truncation is never silent) rendered as aligned text or JSON.
 //! * [`FlightRecorder`] — a small always-on ring of recent activity per
@@ -209,14 +209,29 @@ impl MeasureRecord {
     }
 }
 
+/// An entity's identity: the sort key of every snapshot and report.
+type EntityKey = (EntityKind, String);
+
 /// The per-simulation registry of entity counter records.
 ///
 /// Lookup takes a mutex, so components fetch their `Arc` once at
-/// construction and bump lock-free afterwards. Iteration order is the
-/// `BTreeMap` order of `(kind, name)` — deterministic across runs.
+/// construction and bump lock-free afterwards. The registry is append-only
+/// and kept sorted by `(kind, name)` — deterministic across runs — with
+/// `records[i]` belonging to `names[i]`.
 #[derive(Debug, Default)]
 pub struct MeasureRegistry {
-    entities: Mutex<BTreeMap<(EntityKind, String), Arc<MeasureRecord>>>,
+    entities: Mutex<Entities>,
+}
+
+#[derive(Debug, Default)]
+struct Entities {
+    /// Shared with every snapshot; copied only when an entity is added.
+    names: Arc<Vec<EntityKey>>,
+    records: Vec<Arc<MeasureRecord>>,
+}
+
+fn position(names: &[EntityKey], kind: EntityKind, name: &str) -> Result<usize, usize> {
+    names.binary_search_by(|(k, n)| (*k, n.as_str()).cmp(&(kind, name)))
 }
 
 impl MeasureRegistry {
@@ -227,73 +242,98 @@ impl MeasureRegistry {
 
     /// Get or create the counter record for `(kind, name)`.
     pub fn entity(&self, kind: EntityKind, name: &str) -> Arc<MeasureRecord> {
-        let mut map = self.entities.lock();
-        if let Some(rec) = map.get(&(kind, name.to_string())) {
-            return Arc::clone(rec);
-        }
-        let rec = Arc::new(MeasureRecord::new());
-        map.insert((kind, name.to_string()), Arc::clone(&rec));
-        rec
+        let mut e = self.entities.lock();
+        let at = match position(&e.names, kind, name) {
+            Ok(at) => at,
+            Err(at) => {
+                Arc::make_mut(&mut e.names).insert(at, (kind, name.to_string()));
+                e.records.insert(at, Arc::new(MeasureRecord::new()));
+                at
+            }
+        };
+        Arc::clone(&e.records[at])
     }
 
     /// Snapshot every record at virtual time `at`.
     pub fn snapshot(&self, at: Micros) -> MeasureSnapshot {
-        let map = self.entities.lock();
+        let e = self.entities.lock();
         MeasureSnapshot {
             at,
-            entities: map
-                .iter()
-                .map(|((k, n), rec)| ((*k, n.clone()), rec.values()))
-                .collect(),
+            names: Arc::clone(&e.names),
+            values: e.records.iter().map(|rec| rec.values()).collect(),
         }
     }
 }
 
-/// A point-in-time copy of every entity's counters.
+/// A point-in-time copy of every entity's counters: the registry's sorted
+/// `(kind, name)` list (shared, not copied) and one flat row of counter
+/// values per entity, in the same order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MeasureSnapshot {
     /// Virtual time the snapshot was taken.
     pub at: Micros,
-    /// `(kind, name) → counter values`, sorted.
-    pub entities: BTreeMap<(EntityKind, String), [u64; Ctr::COUNT]>,
+    names: Arc<Vec<EntityKey>>,
+    values: Vec<[u64; Ctr::COUNT]>,
 }
 
 impl MeasureSnapshot {
+    /// Every entity's `(kind, name, counter values)`, sorted by
+    /// `(kind, name)`.
+    pub fn iter(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (EntityKind, &str, &[u64; Ctr::COUNT])> + '_ {
+        self.names
+            .iter()
+            .zip(&self.values)
+            .map(|((kind, name), vals)| (*kind, name.as_str(), vals))
+    }
+
+    fn row(&self, kind: EntityKind, name: &str) -> Option<&[u64; Ctr::COUNT]> {
+        position(&self.names, kind, name)
+            .ok()
+            .map(|at| &self.values[at])
+    }
+
     /// Counter `c` of entity `(kind, name)`, zero if the entity is unknown.
     pub fn get(&self, kind: EntityKind, name: &str, c: Ctr) -> u64 {
-        self.entities
-            .get(&(kind, name.to_string()))
-            .map_or(0, |v| v[c as usize])
+        self.row(kind, name).map_or(0, |v| v[c as usize])
     }
 
     /// Sum of counter `c` over every entity of `kind`.
     pub fn total(&self, kind: EntityKind, c: Ctr) -> u64 {
-        self.entities
-            .iter()
-            .filter(|((k, _), _)| *k == kind)
-            .map(|(_, v)| v[c as usize])
+        self.iter()
+            .filter(|(k, _, _)| *k == kind)
+            .map(|(_, _, v)| v[c as usize])
             .sum()
     }
 
     /// The interval delta `self - earlier` (saturating per counter;
-    /// entities absent from `earlier` count from zero).
+    /// entities absent from `earlier` count from zero). Two snapshots of an
+    /// unchanged registry share one name list and subtract by position.
     pub fn since(&self, earlier: &MeasureSnapshot) -> MeasureSnapshot {
-        let mut entities = BTreeMap::new();
-        for (key, now) in &self.entities {
-            let then = earlier.entities.get(key);
-            let delta: [u64; Ctr::COUNT] =
-                std::array::from_fn(|i| now[i].saturating_sub(then.map_or(0, |t| t[i])));
-            entities.insert(key.clone(), delta);
-        }
+        let positional = Arc::ptr_eq(&self.names, &earlier.names);
+        let values = self
+            .iter()
+            .enumerate()
+            .map(|(at, (kind, name, now))| {
+                let then = if positional {
+                    earlier.values.get(at)
+                } else {
+                    earlier.row(kind, name)
+                };
+                std::array::from_fn(|i| now[i].saturating_sub(then.map_or(0, |t| t[i])))
+            })
+            .collect();
         MeasureSnapshot {
             at: self.at,
-            entities,
+            names: Arc::clone(&self.names),
+            values,
         }
     }
 
     /// Does any counter of any entity differ from zero?
     pub fn is_zero(&self) -> bool {
-        self.entities.values().all(|v| v.iter().all(|&c| c == 0))
+        self.values.iter().all(|v| v.iter().all(|&c| c == 0))
     }
 }
 
@@ -334,18 +374,17 @@ impl MeasureReport {
             out,
             "MEASURE @ {} µs  ({} entities, trace dropped: {})",
             self.snap.at,
-            self.snap.entities.len(),
+            self.snap.values.len(),
             self.trace_dropped
         );
         let name_w = self
             .snap
-            .entities
-            .keys()
-            .map(|(_, n)| n.len())
+            .iter()
+            .map(|(_, n, _)| n.len())
             .max()
             .unwrap_or(4)
             .max(4);
-        for ((kind, name), vals) in &self.snap.entities {
+        for (kind, name, vals) in self.snap.iter() {
             if vals.iter().all(|&v| v == 0) {
                 continue;
             }
@@ -374,7 +413,7 @@ impl MeasureReport {
             self.trace_dropped
         );
         let mut first_e = true;
-        for ((kind, name), vals) in &self.snap.entities {
+        for (kind, name, vals) in self.snap.iter() {
             if vals.iter().all(|&v| v == 0) {
                 continue;
             }
@@ -607,7 +646,7 @@ mod tests {
         assert_eq!(snap.get(EntityKind::Volume, "$DATA1", Ctr::DiskReads), 3);
         assert_eq!(snap.get(EntityKind::Cpu, "nope", Ctr::MsgsSent), 0);
         // Kinds are distinct even under the same name.
-        assert_eq!(snap.entities.len(), 2);
+        assert_eq!(snap.iter().len(), 2);
     }
 
     #[test]

@@ -580,15 +580,6 @@ impl Histograms {
     pub fn stmt_wait(&self, w: Wait) -> &Histogram {
         &self.stmt_wait_us[w.index()]
     }
-
-    /// Record one statement's wait-profile delta (non-zero categories only).
-    pub fn record_stmt_wait(&self, wait: &WaitProfile) {
-        for (w, us) in wait.iter() {
-            if us > 0 {
-                self.stmt_wait_us[w.index()].record(us);
-            }
-        }
-    }
 }
 
 // ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ use nsql_dp::{ReadLock, SubsetMode};
 use nsql_fs::{FileSystem, FsError};
 use nsql_lock::TxnId;
 use nsql_records::{EvalError, Expr, KeyRange, Row, RowAccessor, Value};
-use nsql_sim::{CpuLayer, Ctr, EntityKind, MetricsSnapshot, Micros};
+use nsql_sim::{CpuLayer, Ctr, EntityKind, Mark, Micros, Sim};
 use std::collections::HashMap;
 
 /// Measured cost of one plan operator (the EXPLAIN ANALYZE row).
@@ -48,10 +48,19 @@ pub struct OpStats {
     pub elapsed_us: Micros,
 }
 
-/// Snapshot marker opening one operator's measurement window.
-struct OpMark {
-    before: MetricsSnapshot,
-    t0: Micros,
+impl OpStats {
+    /// The operator that ran on `sim` since `mark`.
+    pub fn close(label: String, rows: u64, mark: &Mark, sim: &Sim) -> OpStats {
+        let w = mark.close(sim);
+        OpStats {
+            label,
+            rows,
+            msgs_fs_dp: w.metrics.msgs_fs_dp,
+            disk_reads: w.metrics.disk_reads,
+            disk_writes: w.metrics.disk_writes,
+            elapsed_us: w.elapsed_us,
+        }
+    }
 }
 
 /// Execution errors.
@@ -157,7 +166,7 @@ pub struct Executor<'a> {
 }
 
 impl Executor<'_> {
-    fn sim(&self) -> &nsql_sim::Sim {
+    fn sim(&self) -> &Sim {
         self.fs.sim()
     }
 
@@ -165,23 +174,18 @@ impl Executor<'_> {
     // SELECT
     // ------------------------------------------------------------------
 
-    fn mark(&self) -> OpMark {
-        OpMark {
-            before: self.sim().metrics.snapshot(),
-            t0: self.sim().clock.now(),
+    /// EXPLAIN ANALYZE: record the operator that ran since the previous one
+    /// closed and open the next, so the operators' windows stay contiguous.
+    fn close_op(
+        &self,
+        ops: &mut Option<(&mut Vec<OpStats>, Mark)>,
+        label: impl FnOnce() -> String,
+        rows: usize,
+    ) {
+        if let Some((stats, mark)) = ops {
+            stats.push(OpStats::close(label(), rows as u64, mark, self.sim()));
+            *mark = self.sim().mark();
         }
-    }
-
-    fn close_op(&self, label: String, rows: u64, mark: OpMark, stats: &mut Vec<OpStats>) {
-        let d = self.sim().metrics.snapshot() - mark.before;
-        stats.push(OpStats {
-            label,
-            rows,
-            msgs_fs_dp: d.msgs_fs_dp,
-            disk_reads: d.disk_reads,
-            disk_writes: d.disk_writes,
-            elapsed_us: self.sim().clock.now().saturating_sub(mark.t0),
-        });
     }
 
     /// Execute a SELECT plan.
@@ -204,21 +208,18 @@ impl Executor<'_> {
         &self,
         plan: &SelectPlan,
         txn: Option<TxnId>,
-        mut stats: Option<&mut Vec<OpStats>>,
+        stats: Option<&mut Vec<OpStats>>,
     ) -> Result<QueryResult, ExecError> {
+        let mut ops = stats.map(|s| (s, self.sim().mark()));
         // Fetch each table's contribution.
         let mut per_table: Vec<Vec<Row>> = Vec::with_capacity(plan.tables.len());
         for (i, t) in plan.tables.iter().enumerate() {
-            let mark = stats.is_some().then(|| self.mark());
             let rows = self.fetch_table(t, txn)?;
-            if let Some(s) = stats.as_deref_mut() {
-                let prefix = if i == 0 { "" } else { "NESTED-LOOP JOIN with " };
-                let label = format!("{prefix}{}", describe_access(t));
-                self.close_op(label, rows.len() as u64, mark.unwrap(), s);
-            }
+            let prefix = if i == 0 { "" } else { "NESTED-LOOP JOIN with " };
+            let label = || format!("{prefix}{}", describe_access(t));
+            self.close_op(&mut ops, label, rows.len());
             per_table.push(rows);
         }
-        let mark = stats.is_some().then(|| self.mark());
 
         // Nested-loop join (cross product progressively filtered).
         let mut joined: Vec<Row> = per_table.first().cloned().unwrap_or_default();
@@ -245,16 +246,9 @@ impl Executor<'_> {
             }
             joined = kept;
         }
-        let mark = if plan.tables.len() > 1 || plan.join_filter.is_some() {
-            if let Some(s) = stats.as_deref_mut() {
-                self.close_op("JOIN".into(), joined.len() as u64, mark.unwrap(), s);
-                Some(self.mark())
-            } else {
-                None
-            }
-        } else {
-            mark
-        };
+        if plan.tables.len() > 1 || plan.join_filter.is_some() {
+            self.close_op(&mut ops, || "JOIN".into(), joined.len());
+        }
 
         // Aggregate or plain projection.
         let mut result = if let Some(agg) = &plan.aggregate {
@@ -286,16 +280,14 @@ impl Executor<'_> {
             result.rows = fastsort(self.sim(), result.rows, &keys, self.sort_parallelism)?;
         }
 
-        if let Some(s) = stats {
-            let sorted = !plan.order_by.is_empty() || !plan.order_on_output.is_empty();
-            let label = match (&plan.aggregate, sorted) {
-                (Some(_), true) => "AGGREGATE + SORT + PROJECT",
-                (Some(_), false) => "AGGREGATE + PROJECT",
-                (None, true) => "SORT + PROJECT",
-                (None, false) => "PROJECT",
-            };
-            self.close_op(label.into(), result.rows.len() as u64, mark.unwrap(), s);
-        }
+        let sorted = !plan.order_by.is_empty() || !plan.order_on_output.is_empty();
+        let label = match (&plan.aggregate, sorted) {
+            (Some(_), true) => "AGGREGATE + SORT + PROJECT",
+            (Some(_), false) => "AGGREGATE + PROJECT",
+            (None, true) => "SORT + PROJECT",
+            (None, false) => "PROJECT",
+        };
+        self.close_op(&mut ops, || label.into(), result.rows.len());
 
         self.sim()
             .metrics

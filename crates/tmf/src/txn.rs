@@ -257,13 +257,7 @@ impl TxnManager {
         // writes) cannot commit: its effects were already rolled back by
         // recovery. Turn the commit into an abort.
         if self.is_doomed(txn) {
-            self.finish_participants(txn, &participants, false, from);
-            self.trail_abort(txn, from);
-            self.set_state(txn, TxnState::Aborted);
-            self.sim.metrics.txns_aborted.inc();
-            self.rec.bump(Ctr::TxnAborts);
-            self.sim
-                .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnAbort { txn: txn.0 });
+            self.roll_back(txn, &participants, from);
             return Err(TxnError::Doomed(txn));
         }
 
@@ -278,13 +272,7 @@ impl TxnManager {
                 .map_err(|_| TxnError::Unreachable(p.clone()))?;
             if reply == EndTxnReply::VoteAbort {
                 // Presumed abort: roll everyone back.
-                self.finish_participants(txn, &participants, false, from);
-                self.trail_abort(txn, from);
-                self.set_state(txn, TxnState::Aborted);
-                self.sim.metrics.txns_aborted.inc();
-                self.rec.bump(Ctr::TxnAborts);
-                self.sim
-                    .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnAbort { txn: txn.0 });
+                self.roll_back(txn, &participants, from);
                 return Err(TxnError::ParticipantAborted(p.clone()));
             }
         }
@@ -322,14 +310,20 @@ impl TxnManager {
     /// written lazily.
     pub fn abort(&self, txn: TxnId, from: CpuId) -> Result<(), TxnError> {
         let participants = self.take_active(txn)?;
-        self.finish_participants(txn, &participants, false, from);
+        self.roll_back(txn, &participants, from);
+        Ok(())
+    }
+
+    /// Participants undo and release, the trail gets its (lazy) abort
+    /// record, and the transaction is booked as aborted.
+    fn roll_back(&self, txn: TxnId, participants: &[String], from: CpuId) {
+        self.finish_participants(txn, participants, false, from);
         self.trail_abort(txn, from);
         self.set_state(txn, TxnState::Aborted);
         self.sim.metrics.txns_aborted.inc();
         self.rec.bump(Ctr::TxnAborts);
         self.sim
             .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnAbort { txn: txn.0 });
-        Ok(())
     }
 
     fn finish_participants(

@@ -33,9 +33,7 @@ use nsql_core::Cluster;
 use nsql_dp::DpError;
 use nsql_fs::FsError;
 use nsql_lock::TxnId;
-use nsql_sim::{
-    Ctr, EntityKind, MeasureSnapshot, Sim, SimRng, Wait, WaitProfile, Zipf, WAIT_CATEGORIES,
-};
+use nsql_sim::{Ctr, EntityKind, Mark, MeasureSnapshot, Sim, SimRng, Wait, Zipf, WAIT_CATEGORIES};
 use nsql_tmf::txn::{TxnError, TMF_ENTITY};
 use std::collections::VecDeque;
 
@@ -285,14 +283,13 @@ struct Engine {
 }
 
 /// The interval sampler: high-water marks of the run tallies plus the
-/// previous boundary's wait-ledger and MEASURE snapshots, so each closed
-/// interval is an exact delta. Inactive (and cost-free) when `every == 0`.
+/// previous boundary's [`Mark`], so each closed interval is an exact delta.
+/// Inactive (and cost-free) when `every == 0`.
 struct Sampler {
     every: u64,
     next_at: u64,
     start: u64,
-    prev_wait: WaitProfile,
-    prev_measure: MeasureSnapshot,
+    mark: Mark,
     prev_arrivals: u64,
     prev_committed: u64,
     prev_aborted: u64,
@@ -305,8 +302,7 @@ impl Sampler {
             every,
             next_at: start.saturating_add(every.max(1)),
             start,
-            prev_wait: sim.wait_profile(),
-            prev_measure: sim.measure.snapshot(start),
+            mark: sim.mark(),
             prev_arrivals: 0,
             prev_committed: 0,
             prev_aborted: 0,
@@ -321,14 +317,8 @@ impl Sampler {
         sim.measure
             .entity(EntityKind::Process, "SAMPLER")
             .bump(Ctr::SamplerIntervals);
-        let wait_now = sim.wait_profile();
-        let delta = wait_now - self.prev_wait;
-        let mut wait_us = [0u64; Wait::COUNT];
-        for (w, us) in delta.iter() {
-            wait_us[w.index()] = us;
-        }
-        let measure_now = sim.measure.snapshot(at);
-        let (top_entity, top_entity_delta) = busiest_entity(&self.prev_measure, &measure_now);
+        let window = self.mark.close(sim);
+        let (top_entity, top_entity_delta) = busiest_entity(&window.measure.snap);
         let mut latencies_us = out.latencies_us[self.prev_lat..].to_vec();
         latencies_us.sort_unstable();
         out.intervals.push(IntervalSample {
@@ -338,14 +328,13 @@ impl Sampler {
             committed: out.committed - self.prev_committed,
             aborted: out.aborted - self.prev_aborted,
             latencies_us,
-            wait_us,
+            wait_us: window.wait.us,
             top_entity,
             top_entity_delta,
         });
         self.start = at;
         self.next_at = at.saturating_add(self.every.max(1));
-        self.prev_wait = wait_now;
-        self.prev_measure = measure_now;
+        self.mark = sim.mark();
         self.prev_arrivals = out.arrivals;
         self.prev_committed = out.committed;
         self.prev_aborted = out.aborted;
@@ -353,19 +342,13 @@ impl Sampler {
     }
 }
 
-/// The MEASURE entity whose counters moved the most between two snapshots,
-/// as `(kind/name, summed delta)`. Ties break on `BTreeMap` iteration
-/// order (entity kind, then name), so the answer is deterministic.
-fn busiest_entity(before: &MeasureSnapshot, after: &MeasureSnapshot) -> (String, u64) {
+/// The MEASURE entity whose counters moved the most over an interval, as
+/// `(kind/name, summed delta)`. Ties break on the snapshot's order (entity
+/// kind, then name), so the answer is deterministic.
+fn busiest_entity(delta: &MeasureSnapshot) -> (String, u64) {
     let mut best = (String::new(), 0u64);
-    for ((kind, name), vals) in &after.entities {
-        let zero = [0u64; Ctr::COUNT];
-        let prev = before.entities.get(&(*kind, name.clone())).unwrap_or(&zero);
-        let sum: u64 = vals
-            .iter()
-            .zip(prev.iter())
-            .map(|(a, b)| a.saturating_sub(*b))
-            .sum();
+    for (kind, name, vals) in delta.iter() {
+        let sum: u64 = vals.iter().sum();
         if sum > best.1 {
             best = (format!("{}/{}", kind.tag(), name), sum);
         }
