@@ -30,24 +30,27 @@ pub use protocol::{
     AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, SubsetId, SubsetMode,
     SyncId, SyncRequest,
 };
+use store::Unlogged;
 pub use store::{Allocator, DpStore};
 
+use nsql_btree::relative::RelativeError;
 use nsql_btree::{BTreeFile, EntrySequencedFile, RelativeFile, ScanControl, TreeError};
 use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, LockScope, TxnId};
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use nsql_records::row::{decode_row, encode_row, extract_field, RawRecord};
-use nsql_records::{Expr, OwnedBound, RecordDescriptor, SetList, Value};
+use nsql_records::{Expr, KeyRange, OwnedBound, RecordDescriptor, SetList, Value};
 use nsql_sim::sync::Mutex;
 use nsql_sim::trace::TraceEventKind;
 use nsql_sim::Wait;
-use nsql_sim::{CpuLayer, Ctr, EntityKind, MeasureRecord, Micros, Sim};
+use nsql_sim::{CpuLayer, Ctr, EntityKind, FlightEntry, MeasureRecord, Micros, Sim};
 use nsql_tmf::audit::FieldImage;
 use nsql_tmf::txn::{EndTxnReply, EndTxnRequest};
-use nsql_tmf::{AuditBody, Trail, TxnManager, VolumeAuditor};
+use nsql_tmf::{AuditBody, AuditRecord, Direction, Trail, TxnManager, VolumeAuditor};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Tunables of a Disk Process.
@@ -110,36 +113,11 @@ impl WalGate for AuditorGate {
     }
 }
 
-/// Per-transaction undo entry kept by the Disk Process until end-txn.
-#[derive(Debug, Clone)]
-enum UndoOp {
-    Insert {
-        file: FileId,
-        key: Vec<u8>,
-    },
-    Delete {
-        file: FileId,
-        key: Vec<u8>,
-        before: Vec<u8>,
-    },
-    UpdateFull {
-        file: FileId,
-        key: Vec<u8>,
-        before: Vec<u8>,
-    },
-    UpdateFields {
-        file: FileId,
-        key: Vec<u8>,
-        before: FieldImage,
-    },
-}
-
 /// What a Subset Control Block remembers between re-drives: "these latter
 /// were saved in the Subset Control Block which was created by the Disk
 /// Process at GET^FIRST time".
 #[derive(Debug, Clone)]
 struct Scb {
-    txn: Option<TxnId>,
     file: FileId,
     end: OwnedBound,
     predicate: Option<Expr>,
@@ -149,15 +127,28 @@ struct Scb {
 #[derive(Debug, Clone)]
 enum ScbOp {
     Read {
+        txn: Option<TxnId>,
         mode: SubsetMode,
         projection: Option<Vec<u16>>,
         lock: ReadLock,
     },
     Update {
+        txn: TxnId,
         sets: SetList,
         constraint: Option<Expr>,
     },
-    Delete,
+    Delete {
+        txn: TxnId,
+    },
+}
+
+impl ScbOp {
+    fn txn(&self) -> Option<TxnId> {
+        match self {
+            ScbOp::Read { txn, .. } => *txn,
+            ScbOp::Update { txn, .. } | ScbOp::Delete { txn } => Some(*txn),
+        }
+    }
 }
 
 /// Replies remembered per opener for duplicate suppression (Tandem kept a
@@ -169,7 +160,9 @@ struct DpState {
     label: VolumeLabel,
     subsets: HashMap<SubsetId, Scb>,
     next_subset: SubsetId,
-    undo: HashMap<TxnId, Vec<UndoOp>>,
+    /// What each live transaction has logged on this volume, oldest first,
+    /// for abort to back out: the file and the audit record's body.
+    undo: HashMap<TxnId, Vec<(FileId, AuditBody)>>,
     /// Per-opener cache of the last few `(sync seq, reply)` pairs: a
     /// retransmitted request (lost reply, duplicate delivery) is answered
     /// from here instead of being re-executed.
@@ -349,9 +342,9 @@ impl DiskProcess {
             .ok_or(DpError::BadFile(file))
     }
 
-    fn descriptor(&self, label: &FileLabel) -> Result<RecordDescriptor, DpError> {
+    fn descriptor<'l>(&self, label: &'l FileLabel) -> Result<&'l RecordDescriptor, DpError> {
         match &label.kind {
-            FileKind::KeySequenced(desc) => Ok(desc.clone()),
+            FileKind::KeySequenced(desc) => Ok(desc),
             FileKind::Relative { .. } | FileKind::EntrySequenced => Err(DpError::WrongFileKind),
         }
     }
@@ -394,14 +387,7 @@ impl DiskProcess {
                     .wait(txn, holder, file, scope, mode, self.sim.now())
                 {
                     Err(LockError::Deadlock { victim }) => {
-                        self.sim.metrics.deadlocks.inc();
-                        self.rec.bump(Ctr::LockDeadlocks);
-                        self.rec.bump(Ctr::DeadlockDetected);
-                        self.rec.bump(Ctr::DeadlockVictims);
-                        self.sim.trace_emit(|| TraceEventKind::LockWait {
-                            txn: txn.0,
-                            deadlock: true,
-                        });
+                        self.note_deadlock(txn);
                         if victim == txn {
                             Err(DpError::Deadlock { victim })
                         } else {
@@ -433,14 +419,7 @@ impl DiskProcess {
             // acquire() only bounces with Conflict; these arms are
             // defensive completeness.
             Err(LockError::Deadlock { victim }) => {
-                self.sim.metrics.deadlocks.inc();
-                self.rec.bump(Ctr::LockDeadlocks);
-                self.rec.bump(Ctr::DeadlockDetected);
-                self.rec.bump(Ctr::DeadlockVictims);
-                self.sim.trace_emit(|| TraceEventKind::LockWait {
-                    txn: txn.0,
-                    deadlock: true,
-                });
+                self.note_deadlock(txn);
                 Err(DpError::Deadlock { victim })
             }
             Err(LockError::WaitTimeout { victim }) => {
@@ -448,6 +427,18 @@ impl DiskProcess {
                 Err(DpError::LockTimeout { victim })
             }
         }
+    }
+
+    /// Book a deadlock found while `txn` was asking for a lock.
+    fn note_deadlock(&self, txn: TxnId) {
+        self.sim.metrics.deadlocks.inc();
+        self.rec.bump(Ctr::LockDeadlocks);
+        self.rec.bump(Ctr::DeadlockDetected);
+        self.rec.bump(Ctr::DeadlockVictims);
+        self.sim.trace_emit(|| TraceEventKind::LockWait {
+            txn: txn.0,
+            deadlock: true,
+        });
     }
 
     /// MEASURE record for one open file on this volume (`$VOL#Fn`).
@@ -458,10 +449,6 @@ impl DiskProcess {
                 .measure
                 .entity(EntityKind::File, &format!("{}#F{}", self.name, file))
         }))
-    }
-
-    fn push_undo(&self, txn: TxnId, op: UndoOp) {
-        self.state.lock().undo.entry(txn).or_default().push(op);
     }
 
     /// Send a process-pair checkpoint to the backup, when enabled.
@@ -536,39 +523,25 @@ impl DiskProcess {
                 mode,
                 lock,
             } => {
-                let scb = Scb {
+                let op = ScbOp::Read {
                     txn,
-                    file,
-                    end: range.end.clone(),
-                    predicate,
-                    op: ScbOp::Read {
-                        mode,
-                        projection,
-                        lock,
-                    },
+                    mode,
+                    projection,
+                    lock,
                 };
-                self.run_subset(scb, range.begin, None)
+                self.subset_first(file, range, predicate, op)
             }
             DpRequest::GetSubsetNext { subset, after }
             | DpRequest::UpdateSubsetNext { subset, after }
             | DpRequest::DeleteSubsetNext { subset, after } => {
-                let scb = {
-                    let st = self.state.lock();
-                    st.subsets
-                        .get(&subset)
-                        .cloned()
-                        .ok_or(DpError::BadSubset(subset))
-                };
-                match scb {
-                    Ok(scb) => {
-                        let r = self.run_subset(scb, OwnedBound::Excluded(after), Some(subset));
-                        if let Ok(DpReply::Subset { done: true, .. }) = &r {
-                            self.state.lock().subsets.remove(&subset);
-                        }
-                        r
+                let scb = self.state.lock().subsets.get(&subset).cloned();
+                scb.ok_or(DpError::BadSubset(subset)).and_then(|scb| {
+                    let r = self.run_subset(scb, OwnedBound::Excluded(after), Some(subset));
+                    if let Ok(DpReply::Subset { done: true, .. }) = &r {
+                        self.state.lock().subsets.remove(&subset);
                     }
-                    Err(e) => Err(e),
-                }
+                    r
+                })
             }
             DpRequest::UpdateSubsetFirst {
                 txn,
@@ -578,30 +551,19 @@ impl DiskProcess {
                 sets,
                 constraint,
             } => {
-                let scb = Scb {
-                    txn: Some(txn),
-                    file,
-                    end: range.end.clone(),
-                    predicate,
-                    op: ScbOp::Update { sets, constraint },
+                let op = ScbOp::Update {
+                    txn,
+                    sets,
+                    constraint,
                 };
-                self.run_subset(scb, range.begin, None)
+                self.subset_first(file, range, predicate, op)
             }
             DpRequest::DeleteSubsetFirst {
                 txn,
                 file,
                 range,
                 predicate,
-            } => {
-                let scb = Scb {
-                    txn: Some(txn),
-                    file,
-                    end: range.end.clone(),
-                    predicate,
-                    op: ScbOp::Delete,
-                };
-                self.run_subset(scb, range.begin, None)
-            }
+            } => self.subset_first(file, range, predicate, ScbOp::Delete { txn }),
             DpRequest::UpdatePoint {
                 txn,
                 file,
@@ -617,9 +579,12 @@ impl DiskProcess {
                 Ok(DpReply::Ok)
             }
             DpRequest::BlockedUpdate { txn, file, records } => {
-                self.blocked_update(txn, file, records)
+                let changes = records.into_iter().map(|(key, after)| (key, Some(after)));
+                self.blocked_change(txn, file, changes)
             }
-            DpRequest::BlockedDelete { txn, file, keys } => self.blocked_delete(txn, file, keys),
+            DpRequest::BlockedDelete { txn, file, keys } => {
+                self.blocked_change(txn, file, keys.into_iter().map(|key| (key, None)))
+            }
             DpRequest::RelativeWrite {
                 txn,
                 file,
@@ -641,11 +606,7 @@ impl DiskProcess {
 
     fn create_file(&self, kind: FileKind) -> Result<DpReply, DpError> {
         let store = DpStore::new(&self.pool, &self.alloc);
-        let anchor = match &kind {
-            FileKind::KeySequenced(_) => BTreeFile::create(&store),
-            FileKind::Relative { slot_size } => RelativeFile::create(&store, *slot_size as usize),
-            FileKind::EntrySequenced => EntrySequencedFile::create(&store),
-        };
+        let anchor = create_structure(&store, &kind);
         let label = {
             let mut st = self.state.lock();
             let id = st.label.next_file;
@@ -670,7 +631,8 @@ impl DiskProcess {
             self.lock(txn, file, LockScope::record(key.to_vec()), LockMode::Shared)?;
         }
         let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
+        let opened = AuditedFile::open(&store, &label)?;
+        let tree = opened.tree()?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 3);
         let found = tree.get(key);
         if found.is_some() {
@@ -691,11 +653,9 @@ impl DiskProcess {
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
-        let start = match &after {
-            Some(k) => std::ops::Bound::Excluded(k.as_slice()),
-            None => std::ops::Bound::Unbounded,
-        };
+        let opened = AuditedFile::open(&store, &label)?;
+        let tree = opened.tree()?;
+        let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
         let mut found: Option<(Vec<u8>, Vec<u8>)> = None;
         tree.scan(start, |k, v| {
             found = Some((k.to_vec(), v.to_vec()));
@@ -733,16 +693,14 @@ impl DiskProcess {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
-        let tree = BTreeFile::open(&store, label.anchor);
+        let opened = AuditedFile::open(&store, &label)?;
+        let tree = opened.tree()?;
         let block_budget = self.pool.disk().block_size();
         let mut rows = Vec::new();
         let mut bytes = 0usize;
         let mut last_key: Option<Vec<u8>> = None;
         let mut full = false;
-        let start = match &after {
-            Some(k) => std::ops::Bound::Excluded(k.as_slice()),
-            None => std::ops::Bound::Unbounded,
-        };
+        let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
         tree.scan(start, |k, v| {
             bytes += v.len();
             rows.push(v.to_vec());
@@ -768,6 +726,78 @@ impl DiskProcess {
         })
     }
 
+    /// What every record-at-a-time write begins with: the file's label,
+    /// membership of the transaction, the exclusive lock on the record.
+    fn begin_write(&self, txn: TxnId, file: FileId, key: &[u8]) -> Result<FileLabel, DpError> {
+        let label = self.file_label(file)?;
+        self.join_txn(txn);
+        self.lock(
+            txn,
+            file,
+            LockScope::record(key.to_vec()),
+            LockMode::Exclusive,
+        )?;
+        Ok(label)
+    }
+
+    /// The one way a record of an audited file is changed. `body` is the
+    /// change: it is logged, the LSN it gets stamps the blocks it dirties,
+    /// it is applied to the file's structure, and it — the body itself, not
+    /// a copy, less the after-images backout never reads — goes on the
+    /// transaction's undo list, from where abort backs it out the way
+    /// restart would ([`Self::apply_logged`]). `image` is the full
+    /// after-image when `body` carries field images only.
+    ///
+    /// The structure refuses a change (duplicate key, record too large, not
+    /// found) before it writes a block, and the change is logged only just
+    /// ahead of its first block write ([`Self::log_ahead`]): a refused
+    /// change leaves no audit record and no undo entry.
+    fn audited_write<'s>(
+        &'s self,
+        file: &AuditedFile<'_, 's>,
+        txn: TxnId,
+        body: AuditBody,
+        image: Option<&[u8]>,
+    ) -> Result<(), DpError> {
+        let body = Arc::new(body);
+        file.store.unlogged.replace(Some(Unlogged {
+            dp: self,
+            txn,
+            file: file.id,
+            body: Arc::clone(&body),
+        }));
+        let applied = match (&*body, image) {
+            (AuditBody::Insert { key, record }, _) => file.write(key, record, BTreeFile::insert),
+            (AuditBody::UpdateFull { key, after, .. }, _) => {
+                file.write(key, after, BTreeFile::update)
+            }
+            (AuditBody::UpdateFields { key, .. }, Some(after)) => {
+                file.write(key, after, BTreeFile::update)
+            }
+            (AuditBody::Delete { key, .. }, _) => file.delete(key),
+            (AuditBody::UpdateFields { .. }, None) | (AuditBody::Commit | AuditBody::Abort, _) => {
+                Err(DpError::BadRecord("not a record change".into()))
+            }
+        };
+        let unlogged = file.store.unlogged.take().is_some();
+        applied?;
+        debug_assert!(!unlogged, "a change that is applied writes a block");
+        // The store view let go of the body when it logged it.
+        let mut body = Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone());
+        body.forget_after();
+        let mut st = self.state.lock();
+        st.undo.entry(txn).or_default().push((file.id, body));
+        Ok(())
+    }
+
+    /// Write-ahead: `change` goes onto the volume's audit buffer and its LSN
+    /// onto every block `store` writes from here on. The store view calls
+    /// this just before the change's first block write (`DpStore::write`).
+    pub(crate) fn log_ahead(&self, store: &DpStore<'_>, change: &Unlogged<'_>) {
+        let lsn = self.auditor.log(change.txn, change.file, &change.body);
+        store.lsn.set(lsn);
+    }
+
     fn insert(
         &self,
         txn: TxnId,
@@ -775,33 +805,14 @@ impl DiskProcess {
         key: Vec<u8>,
         record: Vec<u8>,
     ) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        self.join_txn(txn);
-        self.lock(
-            txn,
-            file,
-            LockScope::record(key.clone()),
-            LockMode::Exclusive,
-        )?;
-        let lsn = self.auditor.log(
-            txn,
-            file,
-            AuditBody::Insert {
-                key: key.clone(),
-                record: record.clone(),
-            },
-        );
+        let label = self.begin_write(txn, file, &key)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        store.lsn.set(lsn);
-        let tree = BTreeFile::open(&store, label.anchor);
-        tree.insert(&key, &record).map_err(|e| match e {
-            TreeError::DuplicateKey => DpError::DuplicateKey,
-            TreeError::NotFound => DpError::NotFound,
-            TreeError::EntryTooLarge => DpError::BadRecord("record too large".into()),
-        })?;
+        let opened = AuditedFile::open(&store, &label)?;
+        opened.tree()?;
+        let checkpoint = 64 + record.len();
+        self.audited_write(&opened, txn, AuditBody::Insert { key, record }, None)?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 4);
-        self.push_undo(txn, UndoOp::Insert { file, key });
-        self.checkpoint(64 + record.len());
+        self.checkpoint(checkpoint);
         Ok(DpReply::Ok)
     }
 
@@ -813,72 +824,42 @@ impl DiskProcess {
         record: Vec<u8>,
         audit: AuditMode,
     ) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        self.join_txn(txn);
-        self.lock(
-            txn,
-            file,
-            LockScope::record(key.clone()),
-            LockMode::Exclusive,
-        )?;
+        let label = self.begin_write(txn, file, &key)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
-        let before = tree.get(&key).ok_or(DpError::NotFound)?;
-        let body = match audit {
-            AuditMode::FullImage => AuditBody::UpdateFull {
-                key: key.clone(),
-                before: before.clone(),
-                after: record.clone(),
-            },
+        let opened = AuditedFile::open(&store, &label)?;
+        let before = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
+        let checkpoint = 64 + record.len();
+        match audit {
+            AuditMode::FullImage => {
+                let after = record;
+                let body = AuditBody::UpdateFull { key, before, after };
+                self.audited_write(&opened, txn, body, None)?;
+            }
             AuditMode::FieldCompressed => {
                 // Compute which fields changed by comparing images — this is
                 // exactly the "costly" ENSCRIBE audit-compression option the
                 // paper contrasts with SQL's free field knowledge.
                 let desc = self.descriptor(&label)?;
-                let (b, a) = diff_fields(&desc, &before, &record)
+                let (before, after) = diff_fields(desc, &before, &record)
                     .map_err(|e| DpError::BadRecord(e.to_string()))?;
                 self.sim
                     .cpu_work(CpuLayer::DiskProcess, desc.num_fields() as u64);
-                AuditBody::UpdateFields {
-                    key: key.clone(),
-                    before: b,
-                    after: a,
-                }
+                let body = AuditBody::UpdateFields { key, before, after };
+                self.audited_write(&opened, txn, body, Some(&record))?;
             }
-        };
-        let lsn = self.auditor.log(txn, file, body);
-        store.lsn.set(lsn);
-        tree.update(&key, &record).map_err(|_| DpError::NotFound)?;
+        }
         self.sim.cpu_work(CpuLayer::DiskProcess, 4);
-        self.push_undo(txn, UndoOp::UpdateFull { file, key, before });
-        self.checkpoint(64 + record.len());
+        self.checkpoint(checkpoint);
         Ok(DpReply::Ok)
     }
 
     fn delete_record(&self, txn: TxnId, file: FileId, key: Vec<u8>) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        self.join_txn(txn);
-        self.lock(
-            txn,
-            file,
-            LockScope::record(key.clone()),
-            LockMode::Exclusive,
-        )?;
+        let label = self.begin_write(txn, file, &key)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
-        let before = tree.get(&key).ok_or(DpError::NotFound)?;
-        let lsn = self.auditor.log(
-            txn,
-            file,
-            AuditBody::Delete {
-                key: key.clone(),
-                before: before.clone(),
-            },
-        );
-        store.lsn.set(lsn);
-        tree.delete(&key).map_err(|_| DpError::NotFound)?;
+        let opened = AuditedFile::open(&store, &label)?;
+        let before = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
+        self.audited_write(&opened, txn, AuditBody::Delete { key, before }, None)?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 4);
-        self.push_undo(txn, UndoOp::Delete { file, key, before });
         self.checkpoint(96);
         Ok(DpReply::Ok)
     }
@@ -893,7 +874,7 @@ impl DiskProcess {
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
         let desc = self.descriptor(&label)?;
-        check_no_key_updates(&desc, &sets)?;
+        check_no_key_updates(desc, &sets)?;
         self.join_txn(txn);
         self.lock(
             txn,
@@ -902,32 +883,31 @@ impl DiskProcess {
             LockMode::Exclusive,
         )?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
-        let before_bytes = tree.get(&key).ok_or(DpError::NotFound)?;
-        let (new_bytes, before_img, after_img) =
-            apply_sets(&self.sim, &desc, &before_bytes, &sets, constraint.as_ref())?;
-        let lsn = self.auditor.log(
-            txn,
-            file,
-            AuditBody::UpdateFields {
-                key: key.clone(),
-                before: before_img.clone(),
-                after: after_img,
-            },
-        );
-        store.lsn.set(lsn);
-        tree.update(&key, &new_bytes)
-            .map_err(|_| DpError::NotFound)?;
-        self.push_undo(
-            txn,
-            UndoOp::UpdateFields {
-                file,
-                key,
-                before: before_img,
-            },
-        );
+        let opened = AuditedFile::open(&store, &label)?;
+        let current = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
+        let (image, before, after) =
+            apply_sets(&self.sim, desc, &current, &sets, constraint.as_ref())?;
+        let body = AuditBody::UpdateFields { key, before, after };
+        self.audited_write(&opened, txn, body, Some(&image))?;
         self.checkpoint(96);
         Ok(DpReply::Ok)
+    }
+
+    /// The reply of a blocked (buffered) write: every record examined was
+    /// affected.
+    fn blocked_done(&self, affected: u32) -> DpReply {
+        // Insert Control Block equivalent: let aged dirty strings go out.
+        if self.config.lock().write_behind {
+            self.pool.write_behind();
+        }
+        DpReply::Subset {
+            rows: Vec::new(),
+            last_key: None,
+            done: true,
+            subset: None,
+            examined: affected,
+            affected,
+        }
     }
 
     fn blocked_insert(
@@ -936,54 +916,48 @@ impl DiskProcess {
         file: FileId,
         records: Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<DpReply, DpError> {
-        if records.is_empty() {
+        let (Some((lo, _)), Some((hi, _))) = (records.first(), records.last()) else {
             return Ok(DpReply::Ok);
-        }
+        };
         let label = self.file_label(file)?;
         self.join_txn(txn);
         // The whole target key range is locked as a group (by prior
         // agreement with the File System).
-        let lo = records.first().expect("nonempty").0.clone();
-        let hi = records.last().expect("nonempty").0.clone();
-        self.lock(txn, file, LockScope::interval(lo, hi), LockMode::Exclusive)?;
+        let span = LockScope::interval(lo.clone(), hi.clone());
+        self.lock(txn, file, span, LockMode::Exclusive)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
+        let opened = AuditedFile::open(&store, &label)?;
+        opened.tree()?;
         let mut affected = 0u32;
         for (key, record) in records {
-            let lsn = self.auditor.log(
-                txn,
-                file,
-                AuditBody::Insert {
-                    key: key.clone(),
-                    record: record.clone(),
-                },
-            );
-            store.lsn.set(lsn);
-            tree.insert(&key, &record).map_err(|e| match e {
-                TreeError::DuplicateKey => DpError::DuplicateKey,
-                _ => DpError::BadRecord(e.to_string()),
-            })?;
+            self.audited_write(&opened, txn, AuditBody::Insert { key, record }, None)?;
             self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-            self.push_undo(txn, UndoOp::Insert { file, key });
             affected += 1;
         }
-        // Insert Control Block equivalent: let aged dirty strings go out.
-        if self.config.lock().write_behind {
-            self.pool.write_behind();
-        }
-        Ok(DpReply::Subset {
-            rows: Vec::new(),
-            last_key: None,
-            done: true,
-            subset: None,
-            examined: affected,
-            affected,
-        })
+        Ok(self.blocked_done(affected))
     }
 
     // ------------------------------------------------------------------
     // Set-oriented execution under the re-drive protocol
     // ------------------------------------------------------------------
+
+    /// A subset operation's first execution, over the whole of `range`.
+    fn subset_first(
+        &self,
+        file: FileId,
+        range: KeyRange,
+        predicate: Option<Expr>,
+        op: ScbOp,
+    ) -> Result<DpReply, DpError> {
+        let KeyRange { begin, end } = range;
+        let scb = Scb {
+            file,
+            end,
+            predicate,
+            op,
+        };
+        self.run_subset(scb, begin, None)
+    }
 
     /// Execute one request-message's worth of a subset operation starting
     /// at `begin`. `existing` is the SCB id on re-drives; on first
@@ -1002,9 +976,9 @@ impl DiskProcess {
             self.scb_rec.bump(Ctr::ScbRedrives);
         }
         if let ScbOp::Update { sets, .. } = &scb.op {
-            check_no_key_updates(&desc, sets)?;
+            check_no_key_updates(desc, sets)?;
         }
-        if let Some(txn) = scb.txn {
+        if let Some(txn) = scb.op.txn() {
             self.join_txn(txn);
         }
         let (reply_buffer, max_records, write_behind) = {
@@ -1026,7 +1000,8 @@ impl DiskProcess {
         };
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
-        let tree = BTreeFile::open(&store, label.anchor);
+        let opened = AuditedFile::open(&store, &label)?;
+        let tree = opened.tree()?;
 
         // Phase 1: scan, evaluating the single-variable query per record.
         let mut rows: Vec<Vec<u8>> = Vec::new();
@@ -1057,10 +1032,7 @@ impl DiskProcess {
             examined += 1;
             self.sim.metrics.dp_records_examined.inc();
             frec.bump(Ctr::RecsExamined);
-            let raw = RawRecord {
-                desc: &desc,
-                bytes: v,
-            };
+            let raw = RawRecord { desc, bytes: v };
             let selected = match &scb.predicate {
                 None => true,
                 Some(p) => {
@@ -1086,7 +1058,7 @@ impl DiskProcess {
                 if is_read {
                     let row = match &projection {
                         None => v.to_vec(),
-                        Some(fields) => match project_record(&desc, v, fields) {
+                        Some(fields) => match project_record(desc, v, fields) {
                             Ok(r) => r,
                             Err(e) => {
                                 eval_error = Some(e);
@@ -1121,90 +1093,53 @@ impl DiskProcess {
         // group").
         if let (
             ScbOp::Read {
+                txn: Some(txn),
                 lock: ReadLock::Shared,
                 ..
             },
-            Some(txn),
             Some(lo),
             Some(hi),
-        ) = (&scb.op, scb.txn, &first_selected, &last_key)
+        ) = (&scb.op, &first_selected, &last_key)
         {
             let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
             let span = LockScope::interval(lo.clone(), hi.clone());
-            self.lock(txn, scb.file, span, LockMode::Shared)?;
+            self.lock(*txn, scb.file, span, LockMode::Shared)?;
         }
 
         // Phase 2 (update/delete): apply to the matched records.
         let mut affected = rows.len() as u32;
-        match &scb.op {
-            ScbOp::Read { .. } => {}
-            ScbOp::Update { sets, constraint } => {
-                let txn = scb.txn.expect("update subset requires a transaction");
-                affected = 0;
-                for (key, before_bytes) in &matched {
-                    self.lock(
-                        txn,
-                        scb.file,
-                        LockScope::record(key.clone()),
-                        LockMode::Exclusive,
-                    )?;
-                    let (new_bytes, before_img, after_img) =
-                        apply_sets(&self.sim, &desc, before_bytes, sets, constraint.as_ref())?;
-                    let lsn = self.auditor.log(
-                        txn,
-                        scb.file,
-                        AuditBody::UpdateFields {
-                            key: key.clone(),
-                            before: before_img.clone(),
-                            after: after_img,
-                        },
-                    );
-                    store.lsn.set(lsn);
-                    tree.update(key, &new_bytes)
-                        .map_err(|_| DpError::NotFound)?;
-                    self.push_undo(
-                        txn,
-                        UndoOp::UpdateFields {
-                            file: scb.file,
-                            key: key.clone(),
-                            before: before_img,
-                        },
-                    );
-                    self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-                    affected += 1;
+        let writer = match &scb.op {
+            ScbOp::Read { .. } => None,
+            ScbOp::Update {
+                txn,
+                sets,
+                constraint,
+            } => Some((*txn, Some((sets, constraint.as_ref())))),
+            ScbOp::Delete { txn } => Some((*txn, None)),
+        };
+        if let Some((txn, update)) = writer {
+            affected = 0;
+            for (key, current) in matched {
+                self.lock(
+                    txn,
+                    scb.file,
+                    LockScope::record(key.clone()),
+                    LockMode::Exclusive,
+                )?;
+                match update {
+                    Some((sets, constraint)) => {
+                        let (image, before, after) =
+                            apply_sets(&self.sim, desc, &current, sets, constraint)?;
+                        let body = AuditBody::UpdateFields { key, before, after };
+                        self.audited_write(&opened, txn, body, Some(&image))?;
+                    }
+                    None => {
+                        let before = current;
+                        self.audited_write(&opened, txn, AuditBody::Delete { key, before }, None)?;
+                    }
                 }
-            }
-            ScbOp::Delete => {
-                let txn = scb.txn.expect("delete subset requires a transaction");
-                affected = 0;
-                for (key, before_bytes) in &matched {
-                    self.lock(
-                        txn,
-                        scb.file,
-                        LockScope::record(key.clone()),
-                        LockMode::Exclusive,
-                    )?;
-                    let lsn = self.auditor.log(
-                        txn,
-                        scb.file,
-                        AuditBody::Delete {
-                            key: key.clone(),
-                            before: before_bytes.clone(),
-                        },
-                    );
-                    store.lsn.set(lsn);
-                    tree.delete(key).map_err(|_| DpError::NotFound)?;
-                    self.push_undo(
-                        txn,
-                        UndoOp::Delete {
-                            file: scb.file,
-                            key: key.clone(),
-                            before: before_bytes.clone(),
-                        },
-                    );
-                    self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-                    affected += 1;
-                }
+                self.sim.cpu_work(CpuLayer::DiskProcess, 3);
+                affected += 1;
             }
         }
 
@@ -1246,20 +1181,23 @@ impl DiskProcess {
     // Buffered WHERE CURRENT (future-work extension)
     // ------------------------------------------------------------------
 
-    /// Apply a File-System buffer of cursor updates in one message:
-    /// "substantial message traffic savings in the FS-DP interface".
-    fn blocked_update(
+    /// Apply a File-System buffer of cursor updates or deletes in one
+    /// message: "substantial message traffic savings in the FS-DP interface".
+    /// Replace (`Some(after)`) or delete (`None`) each keyed record, full
+    /// images in the audit.
+    fn blocked_change(
         &self,
         txn: TxnId,
         file: FileId,
-        records: Vec<(Vec<u8>, Vec<u8>)>,
+        changes: impl Iterator<Item = (Vec<u8>, Option<Vec<u8>>)>,
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
         self.join_txn(txn);
         let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
+        let opened = AuditedFile::open(&store, &label)?;
+        let tree = opened.tree()?;
         let mut affected = 0u32;
-        for (key, record) in records {
+        for (key, after) in changes {
             self.lock(
                 txn,
                 file,
@@ -1267,91 +1205,20 @@ impl DiskProcess {
                 LockMode::Exclusive,
             )?;
             let before = tree.get(&key).ok_or(DpError::NotFound)?;
-            let lsn = self.auditor.log(
-                txn,
-                file,
-                AuditBody::UpdateFull {
-                    key: key.clone(),
-                    before: before.clone(),
-                    after: record.clone(),
-                },
-            );
-            store.lsn.set(lsn);
-            tree.update(&key, &record).map_err(|_| DpError::NotFound)?;
-            self.push_undo(txn, UndoOp::UpdateFull { file, key, before });
+            let body = match after {
+                Some(after) => AuditBody::UpdateFull { key, before, after },
+                None => AuditBody::Delete { key, before },
+            };
+            self.audited_write(&opened, txn, body, None)?;
             self.sim.cpu_work(CpuLayer::DiskProcess, 3);
             affected += 1;
         }
-        if self.config.lock().write_behind {
-            self.pool.write_behind();
-        }
-        Ok(DpReply::Subset {
-            rows: Vec::new(),
-            last_key: None,
-            done: true,
-            subset: None,
-            examined: affected,
-            affected,
-        })
-    }
-
-    /// Apply a File-System buffer of cursor deletes in one message.
-    fn blocked_delete(
-        &self,
-        txn: TxnId,
-        file: FileId,
-        keys: Vec<Vec<u8>>,
-    ) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        self.join_txn(txn);
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let tree = BTreeFile::open(&store, label.anchor);
-        let mut affected = 0u32;
-        for key in keys {
-            self.lock(
-                txn,
-                file,
-                LockScope::record(key.clone()),
-                LockMode::Exclusive,
-            )?;
-            let before = tree.get(&key).ok_or(DpError::NotFound)?;
-            let lsn = self.auditor.log(
-                txn,
-                file,
-                AuditBody::Delete {
-                    key: key.clone(),
-                    before: before.clone(),
-                },
-            );
-            store.lsn.set(lsn);
-            tree.delete(&key).map_err(|_| DpError::NotFound)?;
-            self.push_undo(txn, UndoOp::Delete { file, key, before });
-            self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-            affected += 1;
-        }
-        if self.config.lock().write_behind {
-            self.pool.write_behind();
-        }
-        Ok(DpReply::Subset {
-            rows: Vec::new(),
-            last_key: None,
-            done: true,
-            subset: None,
-            examined: affected,
-            affected,
-        })
+        Ok(self.blocked_done(affected))
     }
 
     // ------------------------------------------------------------------
     // Relative and entry-sequenced access methods
     // ------------------------------------------------------------------
-
-    fn relative_slot_size(&self, label: &FileLabel) -> Result<u32, DpError> {
-        match &label.kind {
-            FileKind::Relative { slot_size } => Ok(*slot_size),
-            FileKind::KeySequenced(_) | FileKind::EntrySequenced => Err(DpError::WrongFileKind),
-        }
-    }
 
     fn relative_write(
         &self,
@@ -1360,85 +1227,41 @@ impl DiskProcess {
         recnum: u64,
         record: Vec<u8>,
     ) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        self.relative_slot_size(&label)?;
-        self.join_txn(txn);
         let key = recnum.to_be_bytes().to_vec();
-        self.lock(
-            txn,
-            file,
-            LockScope::record(key.clone()),
-            LockMode::Exclusive,
-        )?;
+        let label = self.begin_write(txn, file, &key)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let rel = RelativeFile::open(&store, label.anchor);
-        let before = rel.read_record(recnum).ok();
-        let body = match &before {
-            Some(b) => AuditBody::UpdateFull {
-                key: key.clone(),
-                before: b.clone(),
-                after: record.clone(),
-            },
-            None => AuditBody::Insert {
-                key: key.clone(),
-                record: record.clone(),
-            },
+        let opened = AuditedFile::open(&store, &label)?;
+        let checkpoint = 64 + record.len();
+        let body = match opened.relative()?.read_record(recnum) {
+            Ok(before) => {
+                let after = record;
+                AuditBody::UpdateFull { key, before, after }
+            }
+            Err(_) => AuditBody::Insert { key, record },
         };
-        let lsn = self.auditor.log(txn, file, body);
-        store.lsn.set(lsn);
-        rel.write_record(recnum, &record)
-            .map_err(|e| DpError::BadRecord(e.to_string()))?;
+        self.audited_write(&opened, txn, body, None)?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-        match before {
-            Some(b) => self.push_undo(
-                txn,
-                UndoOp::UpdateFull {
-                    file,
-                    key,
-                    before: b,
-                },
-            ),
-            None => self.push_undo(txn, UndoOp::Insert { file, key }),
-        }
-        self.checkpoint(64 + record.len());
+        self.checkpoint(checkpoint);
         Ok(DpReply::Ok)
     }
 
     fn relative_read(&self, file: FileId, recnum: u64) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
-        self.relative_slot_size(&label)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let rel = RelativeFile::open(&store, label.anchor);
+        let opened = AuditedFile::open(&store, &label)?;
+        let rel = opened.relative()?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 2);
         Ok(DpReply::Record(rel.read_record(recnum).ok()))
     }
 
     fn relative_delete(&self, txn: TxnId, file: FileId, recnum: u64) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        self.relative_slot_size(&label)?;
-        self.join_txn(txn);
         let key = recnum.to_be_bytes().to_vec();
-        self.lock(
-            txn,
-            file,
-            LockScope::record(key.clone()),
-            LockMode::Exclusive,
-        )?;
+        let label = self.begin_write(txn, file, &key)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let rel = RelativeFile::open(&store, label.anchor);
-        let before = rel.read_record(recnum).map_err(|_| DpError::NotFound)?;
-        let lsn = self.auditor.log(
-            txn,
-            file,
-            AuditBody::Delete {
-                key: key.clone(),
-                before: before.clone(),
-            },
-        );
-        store.lsn.set(lsn);
-        rel.delete_record(recnum).map_err(|_| DpError::NotFound)?;
+        let opened = AuditedFile::open(&store, &label)?;
+        let before = opened.relative()?.read_record(recnum)?;
+        self.audited_write(&opened, txn, AuditBody::Delete { key, before }, None)?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-        self.push_undo(txn, UndoOp::Delete { file, key, before });
         Ok(DpReply::Ok)
     }
 
@@ -1484,10 +1307,11 @@ impl DiskProcess {
             EndTxnRequest::Finish { txn, committed } => {
                 let undo = self.state.lock().undo.remove(&txn);
                 if !committed {
-                    if let Some(ops) = undo {
-                        for op in ops.into_iter().rev() {
-                            self.apply_undo_op(op);
-                        }
+                    // Back out newest change first. Each change's audit is
+                    // already buffered ahead of every page it touched, so
+                    // the backout stamps no LSN of its own.
+                    for (file, body) in undo.iter().flatten().rev() {
+                        self.apply_logged(*file, body, Direction::Undo, 0);
                     }
                 }
                 self.locks.release_all(txn);
@@ -1497,95 +1321,6 @@ impl DiskProcess {
                 EndTxnReply::Ok
             }
         }
-    }
-
-    fn apply_undo_op(&self, op: UndoOp) {
-        match op {
-            UndoOp::Insert { file, key } => {
-                if let Ok(label) = self.file_label(file) {
-                    self.kind_delete(&label, &key);
-                }
-            }
-            UndoOp::Delete { file, key, before } | UndoOp::UpdateFull { file, key, before } => {
-                if let Ok(label) = self.file_label(file) {
-                    self.kind_put(&label, &key, &before);
-                }
-            }
-            UndoOp::UpdateFields { file, key, before } => {
-                if let Ok(label) = self.file_label(file) {
-                    if let Ok(desc) = self.descriptor(&label) {
-                        if let Some(cur) = self.kind_get(&label, &key) {
-                            if let Ok(patched) = patch_record(&desc, &cur, &before) {
-                                self.kind_put(&label, &key, &patched);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Kind-dispatched logical apply (undo and recovery work on both
-    // key-sequenced and relative files; entry-sequenced files are
-    // non-audited)
-    // ------------------------------------------------------------------
-
-    fn kind_get(&self, label: &FileLabel, key: &[u8]) -> Option<Vec<u8>> {
-        let store = DpStore::new(&self.pool, &self.alloc);
-        match &label.kind {
-            FileKind::KeySequenced(_) => BTreeFile::open(&store, label.anchor).get(key),
-            FileKind::Relative { .. } => {
-                let recnum = u64::from_be_bytes(key.try_into().ok()?);
-                RelativeFile::open(&store, label.anchor)
-                    .read_record(recnum)
-                    .ok()
-            }
-            FileKind::EntrySequenced => None,
-        }
-    }
-
-    /// Insert-or-replace, stamped with `lsn` when nonzero.
-    fn kind_put_lsn(&self, label: &FileLabel, key: &[u8], bytes: &[u8], lsn: u64) {
-        let store = DpStore::new(&self.pool, &self.alloc);
-        store.lsn.set(lsn);
-        match &label.kind {
-            FileKind::KeySequenced(_) => {
-                let _ = BTreeFile::open(&store, label.anchor).put(key, bytes);
-            }
-            FileKind::Relative { .. } => {
-                if let Ok(k) = key.try_into() {
-                    let recnum = u64::from_be_bytes(k);
-                    let _ = RelativeFile::open(&store, label.anchor).write_record(recnum, bytes);
-                }
-            }
-            FileKind::EntrySequenced => {}
-        }
-    }
-
-    fn kind_put(&self, label: &FileLabel, key: &[u8], bytes: &[u8]) {
-        self.kind_put_lsn(label, key, bytes, 0);
-    }
-
-    fn kind_delete_lsn(&self, label: &FileLabel, key: &[u8], lsn: u64) {
-        let store = DpStore::new(&self.pool, &self.alloc);
-        store.lsn.set(lsn);
-        match &label.kind {
-            FileKind::KeySequenced(_) => {
-                let _ = BTreeFile::open(&store, label.anchor).delete(key);
-            }
-            FileKind::Relative { .. } => {
-                if let Ok(k) = key.try_into() {
-                    let recnum = u64::from_be_bytes(k);
-                    let _ = RelativeFile::open(&store, label.anchor).delete_record(recnum);
-                }
-            }
-            FileKind::EntrySequenced => {}
-        }
-    }
-
-    fn kind_delete(&self, label: &FileLabel, key: &[u8]) {
-        self.kind_delete_lsn(label, key, 0);
     }
 
     // ------------------------------------------------------------------
@@ -1644,13 +1379,7 @@ impl DiskProcess {
                 next_file: old.next_file,
             };
             for (id, f) in &old.files {
-                let anchor = match &f.kind {
-                    FileKind::KeySequenced(_) => BTreeFile::create(&store),
-                    FileKind::Relative { slot_size } => {
-                        RelativeFile::create(&store, *slot_size as usize)
-                    }
-                    FileKind::EntrySequenced => EntrySequencedFile::create(&store),
-                };
+                let anchor = create_structure(&store, &f.kind);
                 label.files.insert(
                     *id,
                     FileLabel {
@@ -1670,72 +1399,206 @@ impl DiskProcess {
         self.pool.flush_all()
     }
 
-    /// Scan the durable trail and apply the REDO plan (and, when
-    /// `with_undo`, the UNDO plan) for this volume. The scan is charged to
+    /// Scan the durable trail and apply this volume's recovery plan (its
+    /// REDO steps only, unless `with_undo`). The scan is charged to
     /// [`Wait::Restart`] on the virtual clock; the replayed page I/O shows
     /// up under its own categories.
-    fn replay(&self, records: &[nsql_tmf::AuditRecord], with_undo: bool) {
+    fn replay(&self, records: &[AuditRecord], with_undo: bool) {
         self.sim.clock.advance_in(
             Wait::Restart,
             records.len() as u64 * self.sim.cost.cpu_work_unit_us,
         );
         self.rec.add(Ctr::RecoveryScanned, records.len() as u64);
         let plan = nsql_tmf::classify(records, &self.name);
-        self.rec.add(Ctr::RecoveryRedo, plan.redo.len() as u64);
-        for rec in &plan.redo {
-            self.apply_logged(rec, true);
-        }
+        let redo = plan.records(Direction::Redo).count();
+        self.rec.add(Ctr::RecoveryRedo, redo as u64);
         if with_undo {
-            self.rec.add(Ctr::RecoveryUndo, plan.undo.len() as u64);
-            for rec in &plan.undo {
-                self.apply_logged(rec, false);
+            let undo = plan.steps.len() - redo;
+            self.rec.add(Ctr::RecoveryUndo, undo as u64);
+        }
+        for (rec, direction) in plan.steps {
+            if with_undo || direction == Direction::Redo {
+                self.apply_logged(rec.file, &rec.body, direction, rec.lsn);
             }
         }
     }
 
-    /// Apply one trail record in redo (`forward = true`) or undo direction.
-    /// All applications are logical and idempotent, dispatched per file
-    /// structure.
-    fn apply_logged(&self, rec: &nsql_tmf::AuditRecord, forward: bool) {
-        let Ok(label) = self.file_label(rec.file) else {
-            return;
-        };
-        match (&rec.body, forward) {
-            (AuditBody::Insert { key, record }, true) => {
-                self.kind_put_lsn(&label, key, record, rec.lsn);
-            }
-            (AuditBody::Insert { key, .. }, false) => {
-                self.kind_delete_lsn(&label, key, rec.lsn);
-            }
-            (AuditBody::Delete { key, .. }, true) => {
-                self.kind_delete_lsn(&label, key, rec.lsn);
-            }
-            (AuditBody::Delete { key, before }, false) => {
-                self.kind_put_lsn(&label, key, before, rec.lsn);
-            }
-            (AuditBody::UpdateFull { key, after, .. }, true) => {
-                self.kind_put_lsn(&label, key, after, rec.lsn);
-            }
-            (AuditBody::UpdateFull { key, before, .. }, false) => {
-                self.kind_put_lsn(&label, key, before, rec.lsn);
-            }
-            (AuditBody::UpdateFields { key, after, .. }, true) => {
-                self.patch_logged(&label, key, after, rec.lsn);
-            }
-            (AuditBody::UpdateFields { key, before, .. }, false) => {
-                self.patch_logged(&label, key, before, rec.lsn);
-            }
-            (AuditBody::Commit | AuditBody::Abort, _) => {}
+    /// Apply one audit record's `body` to `file` in `direction` — replay's
+    /// REDO and UNDO, and the backout of an aborting transaction — stamping
+    /// the blocks it dirties with `lsn`. Every application is logical and
+    /// idempotent (insert or replace, delete if present, set these fields),
+    /// dispatched per file structure, so nothing a well-formed record asks
+    /// for can be refused; what is refused all the same is left in the
+    /// flight recorder.
+    fn apply_logged(&self, file: FileId, body: &AuditBody, direction: Direction, lsn: u64) {
+        if let Err(e) = self.try_apply_logged(file, body, direction, lsn) {
+            let entry = FlightEntry {
+                at: self.sim.now(),
+                tag: "error",
+                label: format!("{direction:?} on file {file} refused: {e}"),
+                a: lsn,
+                b: 0,
+            };
+            self.sim.flight.record(&self.name, entry);
         }
     }
 
-    fn patch_logged(&self, label: &FileLabel, key: &[u8], img: &FieldImage, lsn: u64) {
-        let Ok(desc) = self.descriptor(label) else {
-            return;
+    fn try_apply_logged(
+        &self,
+        file: FileId,
+        body: &AuditBody,
+        direction: Direction,
+        lsn: u64,
+    ) -> Result<(), DpError> {
+        use Direction::{Redo, Undo};
+        let label = self.file_label(file)?;
+        let store = DpStore::new(&self.pool, &self.alloc);
+        store.lsn.set(lsn);
+        let file = AuditedFile::open(&store, &label)?;
+        match (body, direction) {
+            (AuditBody::Insert { key, record }, Redo) => file.write(key, record, BTreeFile::put),
+            (AuditBody::Delete { key, before }, Undo) => file.write(key, before, BTreeFile::put),
+            (AuditBody::UpdateFull { key, after, .. }, Redo) => {
+                file.write(key, after, BTreeFile::put)
+            }
+            (AuditBody::UpdateFull { key, before, .. }, Undo) => {
+                file.write(key, before, BTreeFile::put)
+            }
+            (AuditBody::Insert { key, .. }, Undo) | (AuditBody::Delete { key, .. }, Redo) => {
+                match file.delete(key) {
+                    // Delete if present.
+                    Err(DpError::NotFound) => Ok(()),
+                    done => done,
+                }
+            }
+            (AuditBody::UpdateFields { key, before, after }, _) => {
+                let fields = if direction == Redo { after } else { before };
+                let desc = self.descriptor(&label)?;
+                match file.get(key) {
+                    Some(current) => {
+                        let image = patch_record(desc, &current, fields)?;
+                        file.write(key, &image, BTreeFile::put)
+                    }
+                    // Set these fields, if the record is there.
+                    None => Ok(()),
+                }
+            }
+            (AuditBody::Commit | AuditBody::Abort, _) => Ok(()),
+        }
+    }
+}
+
+/// An audited file's structure — key-sequenced or relative; entry-sequenced
+/// files are not audited — opened on a request's store view. A request made
+/// for one structure reaches it through [`tree`](Self::tree) or
+/// [`relative`](Self::relative); the audited-write path, backout and replay
+/// work on either, a relative record being keyed by its big-endian number.
+struct AuditedFile<'r, 's> {
+    id: FileId,
+    store: &'r DpStore<'s>,
+    records: Records<'r, 's>,
+}
+
+enum Records<'r, 's> {
+    KeySequenced(BTreeFile<'r, DpStore<'s>>),
+    Relative(RelativeFile<'r, DpStore<'s>>),
+}
+
+/// How [`AuditedFile::write`] treats a key-sequenced file's existing entry:
+/// [`BTreeFile::insert`], [`BTreeFile::update`] or [`BTreeFile::put`].
+type TreeWrite<'r, 's> = fn(&BTreeFile<'r, DpStore<'s>>, &[u8], &[u8]) -> Result<(), TreeError>;
+
+impl<'r, 's> AuditedFile<'r, 's> {
+    fn open(store: &'r DpStore<'s>, label: &FileLabel) -> Result<Self, DpError> {
+        let records = match &label.kind {
+            FileKind::KeySequenced(_) => {
+                Records::KeySequenced(BTreeFile::open(store, label.anchor))
+            }
+            FileKind::Relative { .. } => Records::Relative(RelativeFile::open(store, label.anchor)),
+            FileKind::EntrySequenced => return Err(DpError::WrongFileKind),
         };
-        if let Some(cur) = self.kind_get(label, key) {
-            if let Ok(patched) = patch_record(&desc, &cur, img) {
-                self.kind_put_lsn(label, key, &patched, lsn);
+        let id = label.id;
+        Ok(AuditedFile { id, store, records })
+    }
+
+    fn tree(&self) -> Result<&BTreeFile<'r, DpStore<'s>>, DpError> {
+        match &self.records {
+            Records::KeySequenced(tree) => Ok(tree),
+            Records::Relative(_) => Err(DpError::WrongFileKind),
+        }
+    }
+
+    fn relative(&self) -> Result<&RelativeFile<'r, DpStore<'s>>, DpError> {
+        match &self.records {
+            Records::Relative(rel) => Ok(rel),
+            Records::KeySequenced(_) => Err(DpError::WrongFileKind),
+        }
+    }
+
+    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        match &self.records {
+            Records::KeySequenced(tree) => tree.get(key),
+            Records::Relative(rel) => rel.read_record(recnum(key).ok()?).ok(),
+        }
+    }
+
+    /// Store `image` under `key`: into the slot, whatever it held, on a
+    /// relative file; the way `tree_write` goes about it on a key-sequenced
+    /// one.
+    fn write(
+        &self,
+        key: &[u8],
+        image: &[u8],
+        tree_write: TreeWrite<'r, 's>,
+    ) -> Result<(), DpError> {
+        match &self.records {
+            Records::KeySequenced(tree) => Ok(tree_write(tree, key, image)?),
+            Records::Relative(rel) => Ok(rel.write_record(recnum(key)?, image)?),
+        }
+    }
+
+    fn delete(&self, key: &[u8]) -> Result<(), DpError> {
+        match &self.records {
+            Records::KeySequenced(tree) => tree.delete(key).map(drop)?,
+            Records::Relative(rel) => rel.delete_record(recnum(key)?)?,
+        }
+        Ok(())
+    }
+}
+
+/// Create an empty file structure of `kind`; returns its anchor block.
+fn create_structure(store: &DpStore<'_>, kind: &FileKind) -> nsql_btree::BlockNo {
+    match kind {
+        FileKind::KeySequenced(_) => BTreeFile::create(store),
+        FileKind::Relative { slot_size } => RelativeFile::create(store, *slot_size as usize),
+        FileKind::EntrySequenced => EntrySequencedFile::create(store),
+    }
+}
+
+/// The record number a relative file's key stands for.
+fn recnum(key: &[u8]) -> Result<u64, DpError> {
+    let bytes = key.try_into();
+    let bytes = bytes.map_err(|_| DpError::BadRecord("not a record number".into()))?;
+    Ok(u64::from_be_bytes(bytes))
+}
+
+/// The one reading of what an access method refused.
+impl From<TreeError> for DpError {
+    fn from(e: TreeError) -> DpError {
+        match e {
+            TreeError::DuplicateKey => DpError::DuplicateKey,
+            TreeError::NotFound => DpError::NotFound,
+            TreeError::EntryTooLarge => DpError::BadRecord("record too large".into()),
+        }
+    }
+}
+
+impl From<RelativeError> for DpError {
+    fn from(e: RelativeError) -> DpError {
+        match e {
+            RelativeError::NotFound => DpError::NotFound,
+            RelativeError::OutOfRange | RelativeError::RecordTooLarge => {
+                DpError::BadRecord(e.to_string())
             }
         }
     }
@@ -1772,6 +1635,10 @@ impl DiskProcess {
 
 impl Server for DiskProcess {
     fn handle(&self, request: Box<dyn Any + Send>) -> Response {
+        let respond = |reply: DpReply| {
+            let size = reply.wire_size();
+            Response::new(reply, size)
+        };
         // Three protocols arrive here: sync-ID-carrying FS-DP requests,
         // bare FS-DP requests, and TMF end-txn calls.
         let request = match request.downcast::<protocol::SyncRequest>() {
@@ -1782,18 +1649,12 @@ impl Server for DiskProcess {
                 // survives the wire hop (and a duplicate delivery shows up
                 // as a second handling span under the same request span).
                 let _span = self.sim.span_enter(sreq.span, sreq.req.name(), &self.name);
-                let reply = self.handle_sync(sreq.sync, sreq.req);
-                let size = reply.wire_size();
-                return Response::new(reply, size);
+                return respond(self.handle_sync(sreq.sync, sreq.req));
             }
             Err(original) => original,
         };
         let request = match request.downcast::<DpRequest>() {
-            Ok(req) => {
-                let reply = self.handle_request(*req);
-                let size = reply.wire_size();
-                return Response::new(reply, size);
-            }
+            Ok(req) => return respond(self.handle_request(*req)),
             Err(original) => original,
         };
         match request.downcast::<EndTxnRequest>() {
@@ -1801,11 +1662,7 @@ impl Server for DiskProcess {
                 let reply = self.handle_end_txn(*req);
                 Response::new(reply, 4)
             }
-            Err(_) => {
-                let reply = DpReply::Error(DpError::UnknownRequest);
-                let size = reply.wire_size();
-                Response::new(reply, size)
-            }
+            Err(_) => respond(DpReply::Error(DpError::UnknownRequest)),
         }
     }
 }

@@ -6,14 +6,21 @@
 //! * the **current-LSN tag** — every block written during a record
 //!   operation is stamped with the audit LSN of that operation, which is
 //!   what the write-ahead-log check in the cache keys on;
+//! * the **write-ahead hand-off** — an audited change is logged just
+//!   before the first block it writes, so one the access method refuses
+//!   (it refuses before it writes) is never logged;
 //! * the **scan options** — while a set-oriented request is executing, leaf
 //!   reads go through the bulk-I/O / pre-fetch path;
 //! * the volume **block allocator** (block 0 is the volume label).
 
+use crate::{DiskProcess, FileId};
 use nsql_btree::{BlockNo, BlockStore};
 use nsql_cache::{BufferPool, ScanOptions};
+use nsql_lock::TxnId;
 use nsql_sim::sync::Mutex;
-use std::cell::Cell;
+use nsql_tmf::AuditBody;
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 /// Volume block allocator. Block 0 is reserved for the volume label.
 #[derive(Debug)]
@@ -69,6 +76,15 @@ impl Default for Allocator {
     }
 }
 
+/// An audited change that has not written a block yet, and so is not logged
+/// yet: whose it is, what it is, and the Disk Process to log it through.
+pub(crate) struct Unlogged<'a> {
+    pub dp: &'a DiskProcess,
+    pub txn: TxnId,
+    pub file: FileId,
+    pub body: Arc<AuditBody>,
+}
+
 /// The per-operation view of the volume's blocks.
 pub struct DpStore<'a> {
     /// The Disk Process's buffer pool.
@@ -79,6 +95,8 @@ pub struct DpStore<'a> {
     pub lsn: Cell<u64>,
     /// Scan behaviour for `read_for_scan` during the current operation.
     pub scan: Cell<ScanOptions>,
+    /// The change in progress, until it writes its first block.
+    pub(crate) unlogged: RefCell<Option<Unlogged<'a>>>,
 }
 
 impl<'a> DpStore<'a> {
@@ -89,6 +107,7 @@ impl<'a> DpStore<'a> {
             alloc,
             lsn: Cell::new(0),
             scan: Cell::new(ScanOptions::default()),
+            unlogged: RefCell::new(None),
         }
     }
 }
@@ -117,6 +136,9 @@ impl BlockStore for DpStore<'_> {
     }
 
     fn write(&self, block: BlockNo, data: Vec<u8>) {
+        if let Some(change) = self.unlogged.take() {
+            change.dp.log_ahead(self, &change);
+        }
         self.pool
             .write(block, data, self.lsn.get())
             .unwrap_or_else(|e| panic!("volume write failed: {e}"))

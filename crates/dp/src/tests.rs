@@ -1033,16 +1033,12 @@ fn wrong_file_kind_rejected() {
     }) else {
         panic!()
     };
-    let reply = c.send(DpRequest::GetSubsetFirst {
-        txn: None,
-        file: rel,
-        range: KeyRange::all(),
-        predicate: None,
-        projection: None,
-        mode: SubsetMode::Rsbb,
-        lock: ReadLock::None,
-    });
-    assert!(matches!(reply, DpReply::Error(DpError::WrongFileKind)));
+    let DpReply::FileCreated(log) = c.send(DpRequest::CreateFile {
+        kind: FileKind::EntrySequenced,
+    }) else {
+        panic!()
+    };
+    let keyed = c.create_emp();
     let reply = c.send(DpRequest::Read {
         txn: None,
         file: 99,
@@ -1050,6 +1046,230 @@ fn wrong_file_kind_rejected() {
         lock: ReadLock::None,
     });
     assert!(matches!(reply, DpReply::Error(DpError::BadFile(99))));
+
+    // Every handler, once per structure it is not meant for. None of them
+    // may reach the file (a B-tree opened on a relative file's header block
+    // used to panic on the node tag), and none may leave audit behind.
+    let txn = c.txnmgr.begin();
+    let before = c.sim.metrics.snapshot();
+    let key = || 7u64.to_be_bytes().to_vec();
+    let sets = || SetList {
+        sets: vec![(3, Expr::lit(Value::Double(1.0)))],
+    };
+    for file in [rel, log] {
+        let keyed_requests = vec![
+            DpRequest::Read {
+                txn: None,
+                file,
+                key: key(),
+                lock: ReadLock::None,
+            },
+            DpRequest::ReadNext {
+                txn: None,
+                file,
+                after: None,
+                lock: ReadLock::None,
+            },
+            DpRequest::ReadSeqBlock {
+                txn: None,
+                file,
+                after: None,
+            },
+            DpRequest::Insert {
+                txn,
+                file,
+                key: key(),
+                record: vec![1; 8],
+            },
+            DpRequest::UpdateRecord {
+                txn,
+                file,
+                key: key(),
+                record: vec![1; 8],
+                audit: AuditMode::FullImage,
+            },
+            DpRequest::DeleteRecord {
+                txn,
+                file,
+                key: key(),
+            },
+            DpRequest::UpdatePoint {
+                txn,
+                file,
+                key: key(),
+                sets: sets(),
+                constraint: None,
+            },
+            DpRequest::BlockedInsert {
+                txn,
+                file,
+                records: vec![(key(), vec![1; 8])],
+            },
+            DpRequest::BlockedUpdate {
+                txn,
+                file,
+                records: vec![(key(), vec![1; 8])],
+            },
+            DpRequest::BlockedDelete {
+                txn,
+                file,
+                keys: vec![key()],
+            },
+            DpRequest::GetSubsetFirst {
+                txn: None,
+                file,
+                range: KeyRange::all(),
+                predicate: None,
+                projection: None,
+                mode: SubsetMode::Rsbb,
+                lock: ReadLock::None,
+            },
+            DpRequest::UpdateSubsetFirst {
+                txn,
+                file,
+                range: KeyRange::all(),
+                predicate: None,
+                sets: sets(),
+                constraint: None,
+            },
+            DpRequest::DeleteSubsetFirst {
+                txn,
+                file,
+                range: KeyRange::all(),
+                predicate: None,
+            },
+        ];
+        for req in keyed_requests {
+            let name = req.name();
+            let reply = c.send(req);
+            assert!(
+                matches!(reply, DpReply::Error(DpError::WrongFileKind)),
+                "{name} on file {file}: {reply:?}"
+            );
+        }
+    }
+    for file in [keyed, log] {
+        let relative_requests = vec![
+            DpRequest::RelativeWrite {
+                txn,
+                file,
+                recnum: 7,
+                record: vec![1; 8],
+            },
+            DpRequest::RelativeRead { file, recnum: 7 },
+            DpRequest::RelativeDelete {
+                txn,
+                file,
+                recnum: 7,
+            },
+        ];
+        for req in relative_requests {
+            let name = req.name();
+            let reply = c.send(req);
+            assert!(
+                matches!(reply, DpReply::Error(DpError::WrongFileKind)),
+                "{name} on file {file}: {reply:?}"
+            );
+        }
+    }
+    for file in [keyed, rel] {
+        let reply = c.send(DpRequest::EntryAppend {
+            file,
+            record: vec![1; 8],
+        });
+        assert!(matches!(reply, DpReply::Error(DpError::WrongFileKind)));
+        let reply = c.send(DpRequest::EntryRead { file, address: 0 });
+        assert!(matches!(reply, DpReply::Error(DpError::WrongFileKind)));
+    }
+    assert_eq!(c.sim.metrics.since(&before).audit_records, 0);
+    c.txnmgr.abort(txn, c.client).unwrap();
+}
+
+#[test]
+fn a_refused_change_leaves_no_audit_record_and_no_undo_entry() {
+    let c = cluster();
+    let file = c.create_emp();
+    c.load_emps(file, 5);
+    let desc = emp_desc();
+    let txn = c.txnmgr.begin();
+    let before = c.sim.metrics.snapshot();
+
+    // Duplicate key.
+    let dup = emp_row(3, "DUP", 0, 0.0);
+    let reply = c.send(DpRequest::Insert {
+        txn,
+        file,
+        key: encode_record_key(&desc, &dup),
+        record: encode_row(&desc, &dup).unwrap(),
+    });
+    assert!(matches!(reply, DpReply::Error(DpError::DuplicateKey)));
+    let reply = c.send(DpRequest::BlockedInsert {
+        txn,
+        file,
+        records: vec![(
+            encode_record_key(&desc, &dup),
+            encode_row(&desc, &dup).unwrap(),
+        )],
+    });
+    assert!(matches!(reply, DpReply::Error(DpError::DuplicateKey)));
+    // Not found.
+    let reply = c.send(DpRequest::DeleteRecord {
+        txn,
+        file,
+        key: emp_key(77),
+    });
+    assert!(matches!(reply, DpReply::Error(DpError::NotFound)));
+    // Too large for a block: one error, whichever request carries it (an
+    // oversized update used to be reported as "not found", a blocked
+    // insert with its own wording).
+    let huge = vec![0u8; 3000];
+    let too_large = |reply: DpReply| match reply {
+        DpReply::Error(DpError::BadRecord(why)) => assert_eq!(why, "record too large"),
+        other => panic!("{other:?}"),
+    };
+    too_large(c.send(DpRequest::UpdateRecord {
+        txn,
+        file,
+        key: emp_key(3),
+        record: huge.clone(),
+        audit: AuditMode::FullImage,
+    }));
+    too_large(c.send(DpRequest::Insert {
+        txn,
+        file,
+        key: emp_key(50),
+        record: huge.clone(),
+    }));
+    too_large(c.send(DpRequest::BlockedInsert {
+        txn,
+        file,
+        records: vec![(emp_key(50), huge.clone())],
+    }));
+    too_large(c.send(DpRequest::BlockedUpdate {
+        txn,
+        file,
+        records: vec![(emp_key(3), huge)],
+    }));
+
+    let d = c.sim.metrics.since(&before);
+    assert_eq!(d.audit_records, 0, "a refused change is not logged");
+    assert_eq!(d.audit_bytes, 0);
+    assert!(
+        !c.dp.state.lock().undo.contains_key(&txn),
+        "a refused change has nothing to back out"
+    );
+    // Rolling back therefore leaves the rows the refusals named untouched.
+    c.txnmgr.abort(txn, c.client).unwrap();
+    let DpReply::Record(Some(bytes)) = c.send(DpRequest::Read {
+        txn: None,
+        file,
+        key: emp_key(3),
+        lock: ReadLock::None,
+    }) else {
+        panic!("employee 3 must survive the rollback of a refused insert")
+    };
+    let row = decode_row(&desc, &bytes).unwrap();
+    assert_eq!(row.0[1], Value::Str("EMP00003".into()));
 }
 
 #[test]

@@ -98,6 +98,20 @@ impl AuditBody {
     pub fn is_outcome(&self) -> bool {
         matches!(self, AuditBody::Commit | AuditBody::Abort)
     }
+
+    /// Drop the after-images, keeping what UNDO reads: the key and the
+    /// before-images. (What a Disk Process holds on to once a change is
+    /// logged and applied: the after-image is in the file and on its way to
+    /// the trail.)
+    pub fn forget_after(&mut self) {
+        match self {
+            AuditBody::Insert { record: after, .. } | AuditBody::UpdateFull { after, .. } => {
+                *after = Vec::new()
+            }
+            AuditBody::UpdateFields { after, .. } => *after = FieldImage::new(),
+            AuditBody::Delete { .. } | AuditBody::Commit | AuditBody::Abort => {}
+        }
+    }
 }
 
 /// One audit record as written to the trail.
@@ -123,7 +137,16 @@ pub const AUDIT_HEADER: usize = 24;
 impl AuditRecord {
     /// Total size of this record on the trail / on the wire.
     pub fn size(&self) -> usize {
-        AUDIT_HEADER + self.volume.len() + self.body.size()
+        self.header().size(&self.body)
+    }
+
+    pub(crate) fn header(&self) -> RecordHeader<'_> {
+        RecordHeader {
+            lsn: self.lsn,
+            txn: self.txn,
+            volume: &self.volume,
+            file: self.file,
+        }
     }
 
     /// FNV-1a checksum over the record's logical content. Deterministic
@@ -132,18 +155,7 @@ impl AuditRecord {
     pub fn checksum(&self) -> u64 {
         let mut body = Vec::new();
         encode_body(&self.body, &mut body);
-        self.checksum_over(&body)
-    }
-
-    fn checksum_over(&self, encoded_body: &[u8]) -> u64 {
-        let mut h = Fnv::new();
-        h.write_u64(self.lsn);
-        h.write_u64(self.txn.0);
-        h.write_bytes(self.volume.as_bytes());
-        h.write_u64(self.file as u64);
-        h.write_bytes(&[body_tag(&self.body)]);
-        h.write_bytes(encoded_body);
-        h.finish()
+        self.header().checksum_over(body_tag(&self.body), &body)
     }
 
     /// Serialize as one trail record: fixed header, volume name, body
@@ -158,20 +170,99 @@ impl AuditRecord {
     /// Append this record's [`encode`](Self::encode) image to `out` (the
     /// trail's durable log is the concatenation of these).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.header().encode_into(&self.body, out);
+    }
+}
+
+/// Everything of an [`AuditRecord`] but its body, borrowed: a record can be
+/// sized and encoded from its parts without being assembled first.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordHeader<'a> {
+    /// Sequence number.
+    pub lsn: Lsn,
+    /// Owning transaction.
+    pub txn: TxnId,
+    /// Volume the change belongs to; empty for outcome records.
+    pub volume: &'a str,
+    /// File within the volume.
+    pub file: u32,
+}
+
+impl RecordHeader<'_> {
+    /// Total size on the trail / on the wire of the record with this header
+    /// and `body`.
+    pub fn size(&self, body: &AuditBody) -> usize {
+        AUDIT_HEADER + self.volume.len() + body.size()
+    }
+
+    fn checksum_over(&self, tag: u8, encoded_body: &[u8]) -> u64 {
+        let mut h = Fnv::new();
+        h.write_u64(self.lsn);
+        h.write_u64(self.txn.0);
+        h.write_bytes(self.volume.as_bytes());
+        h.write_u64(self.file as u64);
+        h.write_bytes(&[tag]);
+        h.write_bytes(encoded_body);
+        h.finish()
+    }
+
+    fn encode_into(&self, body: &AuditBody, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.lsn.to_be_bytes());
         out.extend_from_slice(&self.txn.0.to_be_bytes());
         out.extend_from_slice(&self.file.to_be_bytes());
         out.extend_from_slice(&(self.volume.len() as u16).to_be_bytes());
-        out.push(body_tag(&self.body));
+        out.push(body_tag(body));
         let len_at = out.len();
         out.extend_from_slice(&[0; 4]);
         out.extend_from_slice(self.volume.as_bytes());
         let body_at = out.len();
-        encode_body(&self.body, out);
+        encode_body(body, out);
         let body_len = (out.len() - body_at) as u32;
         out[len_at..len_at + 4].copy_from_slice(&body_len.to_be_bytes());
-        let checksum = self.checksum_over(&out[body_at..]);
+        let checksum = self.checksum_over(body_tag(body), &out[body_at..]);
         out.extend_from_slice(&checksum.to_be_bytes());
+    }
+}
+
+/// A run of audit records in LSN order, held as what the trail will write:
+/// their [`AuditRecord::encode`] images end to end. A volume's send buffer,
+/// the message that ships it and the trail's write buffer are all one of
+/// these, so a record is encoded once, where it is logged, and no
+/// structured copy of it travels.
+#[derive(Debug, Default)]
+pub struct AuditBatch {
+    /// The records' trail images, end to end.
+    pub(crate) bytes: Vec<u8>,
+    /// Number of records.
+    pub(crate) records: usize,
+    /// Modelled size on the trail / on the wire: the sum of the records'
+    /// [`AuditRecord::size`].
+    pub(crate) size: usize,
+    /// Highest LSN in the batch (0 when empty).
+    pub(crate) last_lsn: Lsn,
+}
+
+impl AuditBatch {
+    /// Append one record, given as its parts.
+    pub fn push(&mut self, header: RecordHeader<'_>, body: &AuditBody) {
+        header.encode_into(body, &mut self.bytes);
+        self.records += 1;
+        self.size += header.size(body);
+        self.last_lsn = self.last_lsn.max(header.lsn);
+    }
+
+    /// Add every record of `other` at the end of this batch.
+    pub fn append(&mut self, other: AuditBatch) {
+        self.bytes.extend_from_slice(&other.bytes);
+        self.records += other.records;
+        self.size += other.size;
+        self.last_lsn = self.last_lsn.max(other.last_lsn);
+    }
+
+    /// Empty the batch, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        (self.records, self.size, self.last_lsn) = (0, 0, 0);
     }
 }
 

@@ -8,7 +8,8 @@
 //!
 //! * [`audit`] — audit records, with ENSCRIBE-style **full-record images**
 //!   and SQL-style **field-compressed images** (the paper's *Field Interface
-//!   Enables Audit Record Size Reduction* section);
+//!   Enables Audit Record Size Reduction* section), and the
+//!   [`AuditBatch`] of encoded records they travel and are buffered in;
 //! * [`trail`] — the audit-trail Disk Process: an append-only log with
 //!   buffered bulk writes, **group commit**, commit piggy-backing, buffer-
 //!   full flushes, and **adaptive group-commit timers** (the \[Helland\]
@@ -17,7 +18,8 @@
 //!   participant registration, and the commit/abort protocol (a simplified
 //!   presumed-abort two-phase commit across participant Disk Processes);
 //! * [`recovery`] — classification of trail records into winners and losers
-//!   for crash recovery (redo committed work, undo uncommitted work).
+//!   for crash recovery, and the one LSN-ordered plan of redo and undo
+//!   steps that replays them.
 //!
 //! Audit *data* always moves via counted messages (data DP → audit trail
 //! DP). Control state (the durable-LSN watermark used for the write-ahead-
@@ -29,7 +31,10 @@ pub mod recovery;
 pub mod trail;
 pub mod txn;
 
-pub use audit::{decode_record, scan_tail, AuditBody, AuditRecord, FieldImage, Lsn, LsnSource};
-pub use recovery::{classify, RecoveryPlan};
+pub use audit::{
+    decode_record, scan_tail, AuditBatch, AuditBody, AuditRecord, FieldImage, Lsn, LsnSource,
+    RecordHeader,
+};
+pub use recovery::{classify, Direction, RecoveryPlan};
 pub use trail::{CommitTimer, Trail, TrailReply, TrailRequest, VolumeAuditor, AUDIT_PROCESS};
 pub use txn::{EndTxnRequest, TxnManager, TxnState};

@@ -25,7 +25,9 @@
 //! trail never reads its own blocks during normal operation, and modelling
 //! it directly lets flushes be scheduled at their exact group-commit times.
 
-use crate::audit::{AuditBody, AuditRecord, Lsn, LsnSource};
+use crate::audit::{
+    AuditBatch, AuditBody, AuditRecord, Lsn, LsnSource, RecordHeader, AUDIT_HEADER,
+};
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use nsql_sim::sync::Mutex;
@@ -64,10 +66,7 @@ impl Default for CommitTimer {
 #[derive(Debug)]
 pub enum TrailRequest {
     /// A batch of audit records from a data-volume Disk Process.
-    Append {
-        /// The records, in LSN order.
-        records: Vec<AuditRecord>,
-    },
+    Append(AuditBatch),
     /// Commit `txn`: append a commit record and group-commit it.
     Commit {
         /// Committing transaction.
@@ -84,9 +83,7 @@ impl TrailRequest {
     /// Wire size for message accounting.
     pub fn wire_size(&self) -> usize {
         match self {
-            TrailRequest::Append { records } => {
-                8 + records.iter().map(AuditRecord::size).sum::<usize>()
-            }
+            TrailRequest::Append(batch) => 8 + batch.size,
             TrailRequest::Commit { .. } | TrailRequest::Abort { .. } => 16,
         }
     }
@@ -104,6 +101,9 @@ pub enum TrailReply {
     },
 }
 
+/// Bytes a segment of the durable log is allocated with.
+const LOG_SEGMENT: usize = 256 << 10;
+
 /// A pending commit group awaiting its timer.
 #[derive(Debug)]
 struct PendingGroup {
@@ -118,7 +118,8 @@ struct LastFlush {
     start: Micros,
     /// When the write string completes.
     end: Micros,
-    /// Byte offset into `durable` where this write's image starts.
+    /// Byte offset into the last segment of `durable` where this write's
+    /// image starts.
     from: usize,
     /// Records this write carried.
     records: usize,
@@ -130,12 +131,13 @@ struct LastFlush {
 struct TrailInner {
     /// The durable log as the bytes on the audit volume: every flushed
     /// record's [`AuditRecord::encode`] image, in flush order. Records are
-    /// decoded again only for recovery.
-    durable: Vec<u8>,
+    /// decoded again only for recovery. Kept in segments that are allocated
+    /// whole and never grown, so appending never copies what is already
+    /// there; one audit write lies within one segment.
+    durable: Vec<Vec<u8>>,
     durable_lsn: Lsn,
     /// Unflushed write buffer.
-    buffer: Vec<AuditRecord>,
-    buffer_bytes: usize,
+    buffer: AuditBatch,
     buffer_commits: u32,
     group: Option<PendingGroup>,
     /// Audit-volume device timeline.
@@ -193,7 +195,7 @@ impl Trail {
     pub fn force_up_to(&self, lsn: Lsn, now: Micros) -> Micros {
         let mut inner = self.inner.lock();
         self.settle(&mut inner, now);
-        if inner.durable_lsn >= lsn || inner.buffer.is_empty() {
+        if inner.durable_lsn >= lsn || inner.buffer.records == 0 {
             return now;
         }
         self.flush(&mut inner, now, false)
@@ -203,7 +205,10 @@ impl Trail {
     pub fn durable_records(&self, now: Micros) -> Vec<AuditRecord> {
         let mut inner = self.inner.lock();
         self.settle(&mut inner, now);
-        crate::audit::scan_tail(&inner.durable).0
+        let segments = inner.durable.iter();
+        segments
+            .flat_map(|s| crate::audit::scan_tail(s).0)
+            .collect()
     }
 
     /// Simulate a crash of the whole system at the current virtual time.
@@ -219,17 +224,17 @@ impl Trail {
         let now = self.sim.now();
         let mut inner = self.inner.lock();
         self.settle(&mut inner, now);
+        let inner = &mut *inner;
         inner.buffer.clear();
-        inner.buffer_bytes = 0;
         inner.buffer_commits = 0;
         inner.group = None;
 
         let mut torn = 0usize;
-        if let Some(lf) = inner.last_flush.take() {
+        if let (Some(lf), Some(log)) = (inner.last_flush.take(), inner.durable.last_mut()) {
             if lf.end > now {
                 // The write string was mid-transfer: cut the byte image it
                 // was writing where the device stopped.
-                let image = &inner.durable[lf.from..];
+                let image = &log[lf.from..];
                 let written = if now <= lf.start {
                     0
                 } else {
@@ -238,7 +243,7 @@ impl Trail {
                 let (whole, torn_bytes) = crate::audit::scan_tail(&image[..written]);
                 torn = lf.records - whole.len();
                 inner.durable_lsn = whole.iter().map(|r| r.lsn).fold(lf.lsn_before, Lsn::max);
-                inner.durable.truncate(lf.from + written - torn_bytes);
+                log.truncate(lf.from + written - torn_bytes);
                 if torn > 0 {
                     self.rec.add(Ctr::RecoveryTorn, torn as u64);
                     self.sim
@@ -273,7 +278,7 @@ impl Trail {
     /// Returns the completion time.
     fn flush(&self, inner: &mut TrailInner, at: Micros, buffer_full: bool) -> Micros {
         let m = &self.sim.metrics;
-        let bytes = inner.buffer_bytes;
+        let bytes = inner.buffer.size;
         let cost = &self.sim.cost;
         let blocks = bytes.div_ceil(cost.block_size).max(1);
         let max_blocks = cost.bulk_io_max_blocks();
@@ -298,7 +303,7 @@ impl Trail {
                 .commit_group
                 .record(inner.buffer_commits as u64);
         }
-        let (records, commits) = (inner.buffer.len() as u64, inner.buffer_commits as u64);
+        let (records, commits) = (inner.buffer.records as u64, inner.buffer_commits as u64);
         self.rec.bump(Ctr::AuditFlushes);
         self.rec.add(Ctr::AuditRecords, records);
         self.rec.add(Ctr::AuditBytes, bytes as u64);
@@ -313,28 +318,25 @@ impl Trail {
         let start = inner.disk_busy_until.max(at);
         let end = start + self.flush_duration(bytes);
         inner.disk_busy_until = end;
-        inner.last_flush = Some(LastFlush {
-            start,
-            end,
-            from: inner.durable.len(),
-            records: inner.buffer.len(),
-            lsn_before: inner.durable_lsn,
-        });
-
-        inner.durable_lsn = inner
-            .buffer
-            .iter()
-            .map(|r| r.lsn)
-            .max()
-            .unwrap_or(inner.durable_lsn)
-            .max(inner.durable_lsn);
-        let TrailInner {
-            durable, buffer, ..
-        } = inner;
-        for r in buffer.drain(..) {
-            r.encode_into(durable);
+        let image = &inner.buffer.bytes;
+        let room = |log: &Vec<u8>| log.capacity() - log.len();
+        if inner.durable.last().map_or(0, room) < image.len() {
+            let segment = Vec::with_capacity(LOG_SEGMENT.max(image.len()));
+            inner.durable.push(segment);
         }
-        inner.buffer_bytes = 0;
+        if let Some(log) = inner.durable.last_mut() {
+            inner.last_flush = Some(LastFlush {
+                start,
+                end,
+                from: log.len(),
+                records: inner.buffer.records,
+                lsn_before: inner.durable_lsn,
+            });
+            log.extend_from_slice(image);
+        }
+
+        inner.durable_lsn = inner.durable_lsn.max(inner.buffer.last_lsn);
+        inner.buffer.clear();
         inner.buffer_commits = 0;
         inner.group = None;
         end
@@ -368,18 +370,25 @@ impl Trail {
         }
     }
 
-    fn append_records(&self, inner: &mut TrailInner, records: Vec<AuditRecord>, now: Micros) {
-        for r in records {
-            inner.buffer_bytes += r.size();
-            if r.body.is_outcome() {
-                self.sim.metrics.audit_records.inc();
-                self.sim.metrics.audit_bytes.add(r.size() as u64);
-            }
-            inner.buffer.push(r);
-        }
-        if inner.buffer_bytes >= self.buffer_capacity {
+    /// The buffer-full condition, checked after every append.
+    fn flush_if_full(&self, inner: &mut TrailInner, now: Micros) {
+        if inner.buffer.size >= self.buffer_capacity {
             self.flush(inner, now, true);
         }
+    }
+
+    /// Buffer the trail's own record of how `txn` ended.
+    fn append_outcome(&self, inner: &mut TrailInner, txn: TxnId, body: AuditBody, now: Micros) {
+        self.sim.metrics.audit_records.inc();
+        self.sim.metrics.audit_bytes.add(AUDIT_HEADER as u64);
+        let header = RecordHeader {
+            lsn: self.lsns.next(),
+            txn,
+            volume: "",
+            file: 0,
+        };
+        inner.buffer.push(header, &body);
+        self.flush_if_full(inner, now);
     }
 
     /// Core request handling (also callable without a message for tests).
@@ -388,8 +397,9 @@ impl Trail {
         let mut inner = self.inner.lock();
         self.settle(&mut inner, now);
         match req {
-            TrailRequest::Append { records } => {
-                self.append_records(&mut inner, records, now);
+            TrailRequest::Append(batch) => {
+                inner.buffer.append(batch);
+                self.flush_if_full(&mut inner, now);
                 TrailReply::Ok
             }
             TrailRequest::Commit { txn } => {
@@ -404,18 +414,11 @@ impl Trail {
                 }
                 inner.last_commit_at = Some(now);
 
-                let rec = AuditRecord {
-                    lsn: self.lsns.next(),
-                    txn,
-                    volume: String::new(),
-                    file: 0,
-                    body: AuditBody::Commit,
-                };
                 inner.buffer_commits += 1;
-                self.append_records(&mut inner, vec![rec], now);
-                // append_records may have flushed on buffer-full; if so the
+                self.append_outcome(&mut inner, txn, AuditBody::Commit, now);
+                // The append may have flushed on buffer-full; if so the
                 // commit is already durable.
-                if inner.buffer.is_empty() {
+                if inner.buffer.records == 0 {
                     return TrailReply::Committed {
                         completion: inner.disk_busy_until,
                     };
@@ -430,18 +433,11 @@ impl Trail {
                     }
                 };
                 let completion =
-                    completion.max(inner.disk_busy_until) + self.flush_duration(inner.buffer_bytes);
+                    completion.max(inner.disk_busy_until) + self.flush_duration(inner.buffer.size);
                 TrailReply::Committed { completion }
             }
             TrailRequest::Abort { txn } => {
-                let rec = AuditRecord {
-                    lsn: self.lsns.next(),
-                    txn,
-                    volume: String::new(),
-                    file: 0,
-                    body: AuditBody::Abort,
-                };
-                self.append_records(&mut inner, vec![rec], now);
+                self.append_outcome(&mut inner, txn, AuditBody::Abort, now);
                 TrailReply::Ok
             }
         }
@@ -471,7 +467,7 @@ pub struct VolumeAuditor {
     lsns: Arc<LsnSource>,
     /// Send the buffer once it holds at least this many bytes.
     send_threshold: std::sync::atomic::AtomicUsize,
-    buf: Mutex<(Vec<AuditRecord>, usize)>,
+    buf: Mutex<AuditBatch>,
     /// MEASURE record of the owning Disk Process (audit generation is
     /// charged to the data volume's process, not the trail).
     rec: Arc<MeasureRecord>,
@@ -488,7 +484,7 @@ impl VolumeAuditor {
             volume,
             lsns,
             send_threshold: std::sync::atomic::AtomicUsize::new(4096),
-            buf: Mutex::new((Vec::new(), 0)),
+            buf: Mutex::new(AuditBatch::default()),
             rec,
         }
     }
@@ -502,27 +498,27 @@ impl VolumeAuditor {
     /// Append an audit record for (`txn`, `file`); ships the buffer if the
     /// threshold is reached. Returns the record's LSN (for WAL page
     /// tagging).
-    pub fn log(&self, txn: TxnId, file: u32, body: AuditBody) -> Lsn {
+    pub fn log(&self, txn: TxnId, file: u32, body: &AuditBody) -> Lsn {
         let lsn = self.lsns.next();
-        let rec = AuditRecord {
+        let header = RecordHeader {
             lsn,
             txn,
-            volume: self.volume.clone(),
+            volume: &self.volume,
             file,
-            body,
         };
+        let size = header.size(body) as u64;
         let m = &self.bus.sim().metrics;
         m.audit_records.inc();
-        m.audit_bytes.add(rec.size() as u64);
+        m.audit_bytes.add(size);
         self.rec.bump(Ctr::AuditRecords);
-        self.rec.add(Ctr::AuditBytes, rec.size() as u64);
+        self.rec.add(Ctr::AuditBytes, size);
         let should_send = {
             let mut b = self.buf.lock();
-            b.1 += rec.size();
-            b.0.push(rec);
-            b.1 >= self
-                .send_threshold
-                .load(std::sync::atomic::Ordering::Relaxed)
+            b.push(header, body);
+            b.size
+                >= self
+                    .send_threshold
+                    .load(std::sync::atomic::Ordering::Relaxed)
         };
         if should_send {
             self.send();
@@ -532,15 +528,11 @@ impl VolumeAuditor {
 
     /// Ship all buffered records to the audit-trail Disk Process.
     pub fn send(&self) {
-        let records = {
-            let mut b = self.buf.lock();
-            if b.0.is_empty() {
-                return;
-            }
-            b.1 = 0;
-            std::mem::take(&mut b.0)
-        };
-        let req = TrailRequest::Append { records };
+        let batch = std::mem::take(&mut *self.buf.lock());
+        if batch.records == 0 {
+            return;
+        }
+        let req = TrailRequest::Append(batch);
         let size = req.wire_size();
         let _ack = self
             .bus
@@ -552,21 +544,28 @@ impl VolumeAuditor {
 
     /// Number of bytes currently buffered (tests).
     pub fn buffered_bytes(&self) -> usize {
-        self.buf.lock().1
+        self.buf.lock().size
     }
 
     /// Simulate losing this volume's in-memory audit buffer in a crash.
     pub fn crash(&self) {
-        let mut b = self.buf.lock();
-        b.0.clear();
-        b.1 = 0;
+        *self.buf.lock() = AuditBatch::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditRecord;
     use nsql_records::Value;
+
+    fn append(records: &[AuditRecord]) -> TrailRequest {
+        let mut batch = AuditBatch::default();
+        for r in records {
+            batch.push(r.header(), &r.body);
+        }
+        TrailRequest::Append(batch)
+    }
 
     fn setup(timer: CommitTimer) -> (Sim, Arc<Bus>, Arc<Trail>, Arc<LsnSource>) {
         let sim = Sim::new();
@@ -642,7 +641,7 @@ mod tests {
                 body,
             };
             pushed += rec.size();
-            trail.apply(TrailRequest::Append { records: vec![rec] });
+            trail.apply(append(&[rec]));
         }
         assert_eq!(sim.metrics.audit_buffer_full_flushes.get(), 1);
         assert!(trail.durable_lsn(sim.now()) > 0);
@@ -652,15 +651,13 @@ mod tests {
     fn force_up_to_flushes_immediately() {
         let (sim, _bus, trail, lsns) = setup(CommitTimer::Fixed(1_000_000));
         let lsn = lsns.next();
-        trail.apply(TrailRequest::Append {
-            records: vec![AuditRecord {
-                lsn,
-                txn: TxnId(1),
-                volume: "$D".into(),
-                file: 0,
-                body: update_body(100),
-            }],
-        });
+        trail.apply(append(&[AuditRecord {
+            lsn,
+            txn: TxnId(1),
+            volume: "$D".into(),
+            file: 0,
+            body: update_body(100),
+        }]));
         assert!(trail.durable_lsn(sim.now()) < lsn);
         let done = trail.force_up_to(lsn, sim.now());
         assert!(done >= sim.now());
@@ -695,29 +692,25 @@ mod tests {
         let (sim, _bus, trail, lsns) = setup(CommitTimer::Fixed(5_000));
         // Make one record durable.
         let l1 = lsns.next();
-        trail.apply(TrailRequest::Append {
-            records: vec![AuditRecord {
-                lsn: l1,
-                txn: TxnId(1),
-                volume: "$D".into(),
-                file: 0,
-                body: update_body(50),
-            }],
-        });
+        trail.apply(append(&[AuditRecord {
+            lsn: l1,
+            txn: TxnId(1),
+            volume: "$D".into(),
+            file: 0,
+            body: update_body(50),
+        }]));
         let done = trail.force_up_to(l1, sim.now());
         // Wait out the forced write so it is physically complete.
         sim.clock.advance_to(done);
         // Buffer another, then crash before flushing.
         let l2 = lsns.next();
-        trail.apply(TrailRequest::Append {
-            records: vec![AuditRecord {
-                lsn: l2,
-                txn: TxnId(2),
-                volume: "$D".into(),
-                file: 0,
-                body: update_body(50),
-            }],
-        });
+        trail.apply(append(&[AuditRecord {
+            lsn: l2,
+            txn: TxnId(2),
+            volume: "$D".into(),
+            file: 0,
+            body: update_body(50),
+        }]));
         trail.crash();
         let recs = trail.durable_records(sim.now());
         assert_eq!(recs.len(), 1);
@@ -738,7 +731,7 @@ mod tests {
         assert_eq!(sent_before, 0);
         let mut logged = 0;
         while sim.metrics.msgs_audit.get() == sent_before {
-            auditor.log(TxnId(1), 0, body());
+            auditor.log(TxnId(1), 0, &body());
             logged += 1;
             assert!(logged < 1000, "send threshold never reached");
         }
@@ -750,7 +743,7 @@ mod tests {
         sent_before = sim.metrics.msgs_audit.get();
         let mut logged_full = 0;
         while sim.metrics.msgs_audit.get() == sent_before {
-            auditor.log(TxnId(1), 0, update_body(200));
+            auditor.log(TxnId(1), 0, &update_body(200));
             logged_full += 1;
         }
         assert!(
@@ -766,7 +759,7 @@ mod tests {
         let lsn = auditor.log(
             TxnId(7),
             2,
-            AuditBody::Insert {
+            &AuditBody::Insert {
                 key: vec![1, 2],
                 record: vec![3, 4, 5],
             },
@@ -791,15 +784,13 @@ mod tests {
         for _ in 0..6 {
             let lsn = lsns.next();
             all.push(lsn);
-            trail.apply(TrailRequest::Append {
-                records: vec![AuditRecord {
-                    lsn,
-                    txn: TxnId(1),
-                    volume: "$D".into(),
-                    file: 0,
-                    body: update_body(500),
-                }],
-            });
+            trail.apply(append(&[AuditRecord {
+                lsn,
+                txn: TxnId(1),
+                volume: "$D".into(),
+                file: 0,
+                body: update_body(500),
+            }]));
         }
         trail.apply(TrailRequest::Commit { txn: TxnId(1) });
         // Advance just past the group timer so the flush *starts*, but not
@@ -836,16 +827,13 @@ mod tests {
         };
         // A first flush that completes...
         let first = lsns.next();
-        trail.apply(TrailRequest::Append {
-            records: vec![rec(first)],
-        });
+        trail.apply(append(&[rec(first)]));
         let done = trail.force_up_to(first, sim.now());
         sim.clock.advance_to(done);
         // ... then a second one the crash catches mid-transfer.
         let later: Vec<Lsn> = (0..6).map(|_| lsns.next()).collect();
-        trail.apply(TrailRequest::Append {
-            records: later.iter().map(|&l| rec(l)).collect(),
-        });
+        let later_records: Vec<AuditRecord> = later.iter().map(|&l| rec(l)).collect();
+        trail.apply(append(&later_records));
         trail.apply(TrailRequest::Commit { txn: TxnId(1) });
         sim.clock.advance(1_001);
         let torn = trail.crash();

@@ -4,7 +4,7 @@
 use nsql_lock::TxnId;
 use nsql_sim::{Sim, SimRng};
 use nsql_tmf::audit::{AuditBody, AuditRecord};
-use nsql_tmf::{classify, CommitTimer, LsnSource, Trail, TrailReply, TrailRequest};
+use nsql_tmf::{classify, CommitTimer, Direction, LsnSource, Trail, TrailReply, TrailRequest};
 use std::collections::HashSet;
 
 #[derive(Debug, Clone)]
@@ -26,8 +26,10 @@ fn draw_event(rng: &mut SimRng) -> Event {
     }
 }
 
-/// Classification invariants: redo only winners, undo never winners, redo in
-/// LSN order, undo in reverse LSN order, volume filtering.
+/// Classification invariants: redo only winners, undo never winners, volume
+/// filtering, winners redone in LSN order, every loser backed out newest
+/// change first in one run at its last change, and nothing of another
+/// transaction on the same key between a loser's change and its backout.
 #[test]
 fn classification_invariants() {
     for case in 0..128u64 {
@@ -73,22 +75,47 @@ fn classification_invariants() {
         for vol in ["$A", "$B"] {
             let plan = classify(&records, vol);
             assert_eq!(&plan.winners, &committed);
-            for r in &plan.redo {
-                assert!(committed.contains(&r.txn));
+            for (r, direction) in &plan.steps {
                 assert_eq!(&r.volume, vol);
+                let redo = *direction == Direction::Redo;
+                assert_eq!(redo, committed.contains(&r.txn));
             }
-            for r in &plan.undo {
-                assert!(!committed.contains(&r.txn));
-                assert_eq!(&r.volume, vol);
-            }
-            assert!(plan.redo.windows(2).all(|w| w[0].lsn < w[1].lsn));
-            assert!(plan.undo.windows(2).all(|w| w[0].lsn > w[1].lsn));
-            // Every data record for this volume lands in exactly one bucket.
+            let redo: Vec<u64> = plan.records(Direction::Redo).map(|r| r.lsn).collect();
+            assert!(redo.windows(2).all(|w| w[0] < w[1]));
+            // Every data record for this volume lands in exactly one step.
             let total = records
                 .iter()
                 .filter(|r| !r.body.is_outcome() && r.volume == vol)
                 .count();
-            assert_eq!(plan.redo.len() + plan.undo.len(), total);
+            assert_eq!(plan.steps.len(), total);
+            // A loser's backout is one unbroken run, newest change first,
+            // standing where its last change stood: every redo before the
+            // run is older than that change, every redo after it is newer.
+            let mut i = 0;
+            while i < plan.steps.len() {
+                let (first, direction) = plan.steps[i];
+                if direction == Direction::Redo {
+                    i += 1;
+                    continue;
+                }
+                let run = plan.steps[i..]
+                    .iter()
+                    .take_while(|(r, d)| *d == Direction::Undo && r.txn == first.txn)
+                    .count();
+                let lsns: Vec<u64> = plan.steps[i..i + run].iter().map(|(r, _)| r.lsn).collect();
+                assert!(lsns.windows(2).all(|w| w[0] > w[1]));
+                let all = plan.records(Direction::Undo).filter(|r| r.txn == first.txn);
+                assert_eq!(all.count(), run, "one run per loser");
+                let redone = |steps: &[(&AuditRecord, Direction)]| -> Vec<u64> {
+                    let redo = steps.iter().filter(|(_, d)| *d == Direction::Redo);
+                    redo.map(|(r, _)| r.lsn).collect()
+                };
+                assert!(redone(&plan.steps[..i]).iter().all(|l| *l < first.lsn));
+                assert!(redone(&plan.steps[i + run..])
+                    .iter()
+                    .all(|l| *l > first.lsn));
+                i += run;
+            }
         }
     }
 }

@@ -392,3 +392,157 @@ fn lock_table_and_waits_for_drain_to_zero_after_random_interleavings() {
         );
     }
 }
+
+// ----------------------------------------------------------------------
+// Backout: abort and restart are one function
+// ----------------------------------------------------------------------
+
+mod backout {
+    use nonstop_sql::{Cluster, ClusterBuilder, Session};
+    use nsql_dp::{DpReply, DpRequest, FileId, FileKind};
+    use nsql_fs::BlockedInserter;
+    use nsql_records::Value;
+    use nsql_sim::SimRng;
+
+    const VOLUME: &str = "$DATA1";
+    const ROWS: i32 = 120;
+    const SLOTS: u64 = 24;
+
+    /// `T (K, V, PAD)` with the even keys below `2 * ROWS`, and a relative
+    /// file with every third slot filled: the committed state a script
+    /// starts from.
+    fn committed_state() -> (Cluster, FileId) {
+        let db = ClusterBuilder::new().volume(VOLUME, 0, 1).build();
+        let mut s = db.session();
+        s.execute(
+            "CREATE TABLE T (K INT NOT NULL, V INT NOT NULL, PAD CHAR(8) NOT NULL, \
+             PRIMARY KEY (K))",
+        )
+        .unwrap();
+        let created = DpRequest::CreateFile {
+            kind: FileKind::Relative { slot_size: 16 },
+        };
+        let DpReply::FileCreated(rel) = s.fs().send(VOLUME, created).unwrap() else {
+            panic!("relative file not created")
+        };
+        let txn = s.begin().unwrap();
+        for k in 0..ROWS {
+            s.execute(&format!("INSERT INTO T VALUES ({}, {k}, 'p{k}')", 2 * k))
+                .unwrap();
+        }
+        for slot in (0..SLOTS).step_by(3) {
+            let record = format!("slot {slot}").into_bytes();
+            s.fs()
+                .ens_relative_write(txn, VOLUME, rel, slot, record)
+                .unwrap();
+        }
+        s.commit().unwrap();
+        drop(s);
+        (db, rel)
+    }
+
+    /// Everything both files hold, in key order.
+    fn dump(db: &Cluster, rel: FileId) -> (Vec<Vec<Value>>, Vec<Option<Vec<u8>>>) {
+        let mut s = db.session();
+        let rows = s.query("SELECT * FROM T").unwrap().rows;
+        let slots = (0..SLOTS + 8).map(|slot| s.fs().ens_relative_read(VOLUME, rel, slot).unwrap());
+        (rows.into_iter().map(|r| r.0).collect(), slots.collect())
+    }
+
+    /// A random run of audited writes inside the session's open
+    /// transaction: every kind of write request the Disk Process has, some
+    /// of them refused (duplicate key, missing slot).
+    fn run_script(s: &mut Session<'_>, rel: FileId, rng: &mut SimRng) {
+        let txn = s.current_txn().expect("script runs inside a transaction");
+        let table = s.open_table("T").unwrap();
+        let key = |rng: &mut SimRng| rng.below(2 * ROWS as u64 + 40) as i32;
+        for step in 0..40 {
+            match rng.below(7) {
+                0 => {
+                    // INSERT: refused on the keys that exist.
+                    let k = key(rng);
+                    let _ = s.execute(&format!("INSERT INTO T VALUES ({k}, -1, 'new')"));
+                }
+                1 => {
+                    let sql = format!("UPDATE T SET V = V + {step} WHERE K = {}", key(rng));
+                    s.execute(&sql).unwrap();
+                }
+                2 => {
+                    let lo = key(rng);
+                    let sql = format!(
+                        "UPDATE T SET V = V * 2, PAD = 's{step}' WHERE K BETWEEN {lo} AND {}",
+                        lo + 30
+                    );
+                    s.execute(&sql).unwrap();
+                }
+                3 => {
+                    let lo = key(rng);
+                    let sql = format!("DELETE FROM T WHERE K BETWEEN {lo} AND {}", lo + 6);
+                    s.execute(&sql).unwrap();
+                }
+                4 => {
+                    // Blocked insert of odd keys: refused as a whole if the
+                    // script put one of them there before.
+                    let lo = key(rng) | 1;
+                    let mut ins = BlockedInserter::new(s.fs(), &table, txn);
+                    for k in (lo..lo + 10).step_by(2) {
+                        let row = [Value::Int(k), Value::Int(step), Value::Str("blk".into())];
+                        ins.push(&row).unwrap();
+                    }
+                    let _ = ins.flush();
+                }
+                5 => {
+                    let slot = rng.below(SLOTS + 8);
+                    let record = format!("step {step}").into_bytes();
+                    s.fs()
+                        .ens_relative_write(txn, VOLUME, rel, slot, record)
+                        .unwrap();
+                }
+                _ => {
+                    // Refused on an empty slot.
+                    let slot = rng.below(SLOTS);
+                    let _ = s.fs().ens_relative_delete(txn, VOLUME, rel, slot);
+                }
+            }
+        }
+    }
+
+    /// The dump after `ROLLBACK WORK`, the dump after a restart with the
+    /// transaction left in flight, and the dump taken before the
+    /// transaction are the same dump.
+    #[test]
+    fn abort_and_restart_back_out_identically() {
+        for seed in 0..12u64 {
+            let (db, rel) = committed_state();
+            let before = dump(&db, rel);
+
+            let mut s = db.session();
+            s.begin().unwrap();
+            run_script(&mut s, rel, &mut SimRng::seed_from(0xBAC0 + seed));
+            assert_ne!(
+                dump(&db, rel),
+                before,
+                "seed {seed}: the script changed nothing"
+            );
+            s.rollback().unwrap();
+            assert_eq!(dump(&db, rel), before, "seed {seed}: ROLLBACK WORK");
+            drop(s);
+
+            let (db, rel) = committed_state();
+            let mut s = db.session();
+            s.begin().unwrap();
+            run_script(&mut s, rel, &mut SimRng::seed_from(0xBAC0 + seed));
+            if seed % 2 == 0 {
+                // The loser's pages reach the disk (write-ahead log first)...
+                db.dp(VOLUME).pool().flush_all().unwrap();
+            } else {
+                // ... or only its audit does, carried by another commit.
+                let other = format!("UPDATE T SET V = V WHERE K = {}", 2 * ROWS + 100);
+                db.session().execute(&other).unwrap();
+            }
+            db.crash_and_restart(0, 1);
+            assert_eq!(dump(&db, rel), before, "seed {seed}: restart");
+            drop(s);
+        }
+    }
+}

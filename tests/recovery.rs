@@ -338,3 +338,122 @@ fn aborted_txn_stays_aborted_across_crash() {
     let r = s2.query("SELECT V FROM T WHERE K = 20").unwrap();
     assert_eq!(r.rows[0].0[0], Value::Int(20));
 }
+
+/// One volume on CPU (0,1), `T (K, V)` holding `(k, 10)` for each of `keys`.
+fn db_with_rows(keys: &[i32]) -> Cluster {
+    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
+    let mut s = db.session();
+    s.execute("CREATE TABLE T (K INT NOT NULL, V INT NOT NULL, PRIMARY KEY (K))")
+        .unwrap();
+    for k in keys {
+        s.execute(&format!("INSERT INTO T VALUES ({k}, 10)"))
+            .unwrap();
+    }
+    drop(s);
+    db
+}
+
+fn v_of(db: &Cluster, k: i32) -> Value {
+    let mut s = db.session();
+    let r = s.query(&format!("SELECT V FROM T WHERE K = {k}")).unwrap();
+    r.rows[0].0[0].clone()
+}
+
+#[test]
+fn committed_update_after_an_abort_on_the_same_key_survives_restart() {
+    // The aborted update's before-image (10) must go in before the later
+    // committed update is redone, not after the whole redo pass.
+    let db = db_with_rows(&[1]);
+    let mut s = db.session();
+    s.execute("BEGIN WORK").unwrap();
+    s.execute("UPDATE T SET V = 20 WHERE K = 1").unwrap();
+    s.execute("ROLLBACK WORK").unwrap();
+    s.execute("UPDATE T SET V = 30 WHERE K = 1").unwrap();
+    db.crash_and_restart(0, 1);
+    assert_eq!(v_of(&db, 1), Value::Int(30));
+    // ... and a second restart replays the same trail to the same state.
+    db.crash_and_restart(0, 1);
+    assert_eq!(v_of(&db, 1), Value::Int(30));
+}
+
+#[test]
+fn a_doomed_txn_is_backed_out_where_it_stopped_not_where_its_abort_record_is() {
+    // T1's update is on the trail (T2's commit carried it there) when the
+    // Disk Process dies; restart backs it out and dooms T1. T3 then commits
+    // a change to the same row, and only afterwards does T1's client learn
+    // its fate — so T1's abort record lands *after* T3's commit. A second
+    // restart must still replay T1's backout ahead of T3's update.
+    let db = db_with_rows(&[1, 2]);
+    let mut s1 = db.session();
+    let mut s2 = db.session();
+    s1.execute("BEGIN WORK").unwrap();
+    s1.execute("UPDATE T SET V = 20 WHERE K = 1").unwrap();
+    s2.execute("UPDATE T SET V = 11 WHERE K = 2").unwrap();
+    db.crash_and_restart(0, 1);
+    assert_eq!(v_of(&db, 1), Value::Int(10), "in-flight update undone");
+
+    s2.execute("UPDATE T SET V = 30 WHERE K = 1").unwrap();
+    let err = s1.execute("COMMIT WORK").unwrap_err();
+    assert!(err.to_string().contains("doomed"), "{err}");
+    assert_eq!(v_of(&db, 1), Value::Int(30));
+
+    db.crash_and_restart(0, 1);
+    assert_eq!(
+        v_of(&db, 1),
+        Value::Int(30),
+        "late abort record clobbered T3"
+    );
+    assert_eq!(v_of(&db, 2), Value::Int(11));
+}
+
+/// `BEGIN; INSERT (1,99)` over an existing row 1, then an update of row 2.
+/// Returns the session with the transaction still open, and how many audit
+/// records the refused INSERT generated.
+fn refused_insert_then_update(db: &Cluster) -> (nonstop_sql::Session<'_>, u64) {
+    let mut s = db.session();
+    s.execute("BEGIN WORK").unwrap();
+    let before = db.snapshot();
+    let err = s.execute("INSERT INTO T VALUES (1, 99)").unwrap_err();
+    assert!(err.to_string().contains("duplicate"), "{err}");
+    let logged = db.metrics().since(&before).audit_records;
+    s.execute("UPDATE T SET V = 11 WHERE K = 2").unwrap();
+    (s, logged)
+}
+
+#[test]
+fn refused_insert_is_not_redone_for_a_winner() {
+    // Logged before the B-tree could refuse it, the phantom image (1,99)
+    // used to be REDOne over the existing row.
+    let db = db_with_rows(&[1, 2]);
+    let (mut s, logged) = refused_insert_then_update(&db);
+    s.execute("COMMIT WORK").unwrap();
+    db.crash_and_restart(0, 1);
+    assert_eq!(v_of(&db, 1), Value::Int(10));
+    assert_eq!(v_of(&db, 2), Value::Int(11));
+    assert_eq!(logged, 0, "a refused INSERT must not be logged");
+}
+
+#[test]
+fn refused_insert_is_not_undone_for_a_loser() {
+    // ... and for a loser, UNDO of the phantom insert deleted the row that
+    // was there all along.
+    let db = db_with_rows(&[1, 2, 3]);
+    let (_in_flight, logged) = refused_insert_then_update(&db);
+    // Another transaction's commit carries the loser's audit to the trail.
+    db.session()
+        .execute("UPDATE T SET V = 12 WHERE K = 3")
+        .unwrap();
+    db.crash_and_restart(0, 1);
+    let mut s = db.session();
+    let r = s.query("SELECT K, V FROM T").unwrap();
+    let rows: Vec<_> = r.rows.into_iter().map(|row| row.0).collect();
+    assert_eq!(
+        rows,
+        vec![
+            vec![Value::Int(1), Value::Int(10)],
+            vec![Value::Int(2), Value::Int(10)],
+            vec![Value::Int(3), Value::Int(12)],
+        ]
+    );
+    assert_eq!(logged, 0, "a refused INSERT must not be logged");
+}

@@ -13,8 +13,10 @@
 //!
 //! Variants cover: an in-flight uncommitted transaction at crash time
 //! (UNDO path), a crash of the audit-trail CPU itself (torn-tail
-//! truncation path), and per-seed determinism (two sweeps from the same
-//! seed produce identical state at every crash point).
+//! truncation path), rolled-back transactions each followed by a
+//! committed one on the same account (UNDO ordered among the REDO), and
+//! per-seed determinism (two sweeps from the same seed produce identical
+//! state at every crash point).
 //!
 //! The small smoke sweep runs in the normal test pass; the exhaustive
 //! sweep over every commit boundary (and both crash targets) is
@@ -139,6 +141,62 @@ fn crash_point(i: u32, in_flight: bool, target: CrashTarget, seed: u64) -> Vec<V
     actual
 }
 
+/// Like [`run_to`], but every fifth transaction is rolled back and the next
+/// one — committed — works on the same account, teller and branch: the
+/// rows the aborted one touched and gave back.
+fn run_with_rollbacks(txns: u32, seed: u64) -> Cluster {
+    let db = ClusterBuilder::new()
+        .volume("$DATA1", 0, 1)
+        .audit_on(0, 2)
+        .build();
+    let bank = Bank::create(&db, BRANCHES, ACCOUNTS_PER_BRANCH, "$DATA1").unwrap();
+    let mut rng = SimRng::seed_from(seed);
+    let s = db.session();
+    let mut again = None;
+    for i in 0..txns {
+        let drawn = bank.draw(&mut rng);
+        let (aid, tid, bid, _) = again.take().unwrap_or(drawn);
+        let delta = drawn.3;
+        let txn = db.txnmgr.begin();
+        bank.debit_credit_sql(s.fs(), txn, aid, tid, bid, delta)
+            .unwrap();
+        if i % 5 == 4 {
+            db.txnmgr.abort(txn, s.cpu()).unwrap();
+            again = Some((aid, tid, bid, delta));
+        } else {
+            db.txnmgr.commit(txn, s.cpu()).unwrap();
+        }
+    }
+    drop(s);
+    db
+}
+
+/// One crash point of the rollback variant: restart must reproduce the
+/// state the run left, rolled-back work gone and what followed it intact.
+fn rollback_crash_point(txns: u32, target: CrashTarget) {
+    let db = run_with_rollbacks(txns, SEED);
+    let expected = dump(&db);
+    crash(&db, target);
+    assert_eq!(
+        expected,
+        dump(&db),
+        "{txns} txns with rollbacks ({target:?}): restart changed committed state"
+    );
+    // Restart is idempotent over the same trail.
+    crash(&db, target);
+    assert_eq!(expected, dump(&db), "{txns} txns: second restart differs");
+}
+
+#[test]
+fn rolled_back_work_stays_out_and_later_commits_stay_in() {
+    // 6: one rollback and the commit after it; 11 and 13: more of them,
+    // ending on a commit after a rollback and mid-way between two.
+    for txns in [6, 11, 13] {
+        rollback_crash_point(txns, CrashTarget::DataCpu);
+    }
+    rollback_crash_point(11, CrashTarget::Both);
+}
+
 #[test]
 fn smoke_sweep_small_crash_points() {
     for i in [0, 1, 3] {
@@ -213,6 +271,9 @@ fn full_sweep_every_durable_lsn_boundary() {
         for i in 0..=FULL_SWEEP {
             crash_point(i, false, target, SEED);
             crash_point(i, true, target, SEED);
+        }
+        for txns in 5..=2 * FULL_SWEEP {
+            rollback_crash_point(txns, target);
         }
     }
 }
