@@ -28,7 +28,7 @@ pub mod store;
 pub use label::{FileLabel, VolumeLabel};
 pub use protocol::{
     AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, SubsetId, SubsetMode,
-    SyncId, SyncRequest,
+    SubsetOp, SubsetVerb, SyncId, SyncRequest,
 };
 use store::Unlogged;
 pub use store::{Allocator, DpStore};
@@ -115,40 +115,15 @@ impl WalGate for AuditorGate {
 
 /// What a Subset Control Block remembers between re-drives: "these latter
 /// were saved in the Subset Control Block which was created by the Disk
-/// Process at GET^FIRST time".
+/// Process at GET^FIRST time" — the FIRST request less the begin-key. It is
+/// freed when its range is exhausted, when the requester closes it, when
+/// its transaction ends and when the process crashes.
 #[derive(Debug, Clone)]
 struct Scb {
     file: FileId,
     end: OwnedBound,
     predicate: Option<Expr>,
-    op: ScbOp,
-}
-
-#[derive(Debug, Clone)]
-enum ScbOp {
-    Read {
-        txn: Option<TxnId>,
-        mode: SubsetMode,
-        projection: Option<Vec<u16>>,
-        lock: ReadLock,
-    },
-    Update {
-        txn: TxnId,
-        sets: SetList,
-        constraint: Option<Expr>,
-    },
-    Delete {
-        txn: TxnId,
-    },
-}
-
-impl ScbOp {
-    fn txn(&self) -> Option<TxnId> {
-        match self {
-            ScbOp::Read { txn, .. } => *txn,
-            ScbOp::Update { txn, .. } | ScbOp::Delete { txn } => Some(*txn),
-        }
-    }
+    op: SubsetOp,
 }
 
 /// Replies remembered per opener for duplicate suppression (Tandem kept a
@@ -514,56 +489,25 @@ impl DiskProcess {
                 };
                 self.lock(txn, file, scope, mode).map(|_| DpReply::Ok)
             }
-            DpRequest::GetSubsetFirst {
-                txn,
+            DpRequest::SubsetFirst {
                 file,
-                range,
+                range: KeyRange { begin, end },
                 predicate,
-                projection,
-                mode,
-                lock,
+                op,
             } => {
-                let op = ScbOp::Read {
-                    txn,
-                    mode,
-                    projection,
-                    lock,
+                let scb = Scb {
+                    file,
+                    end,
+                    predicate,
+                    op,
                 };
-                self.subset_first(file, range, predicate, op)
+                self.run_subset(scb, begin, None)
             }
-            DpRequest::GetSubsetNext { subset, after }
-            | DpRequest::UpdateSubsetNext { subset, after }
-            | DpRequest::DeleteSubsetNext { subset, after } => {
-                let scb = self.state.lock().subsets.get(&subset).cloned();
-                scb.ok_or(DpError::BadSubset(subset)).and_then(|scb| {
-                    let r = self.run_subset(scb, OwnedBound::Excluded(after), Some(subset));
-                    if let Ok(DpReply::Subset { done: true, .. }) = &r {
-                        self.state.lock().subsets.remove(&subset);
-                    }
-                    r
-                })
-            }
-            DpRequest::UpdateSubsetFirst {
-                txn,
-                file,
-                range,
-                predicate,
-                sets,
-                constraint,
-            } => {
-                let op = ScbOp::Update {
-                    txn,
-                    sets,
-                    constraint,
-                };
-                self.subset_first(file, range, predicate, op)
-            }
-            DpRequest::DeleteSubsetFirst {
-                txn,
-                file,
-                range,
-                predicate,
-            } => self.subset_first(file, range, predicate, ScbOp::Delete { txn }),
+            DpRequest::SubsetNext {
+                subset,
+                after,
+                verb,
+            } => self.subset_next(subset, after, verb),
             DpRequest::UpdatePoint {
                 txn,
                 file,
@@ -941,22 +885,25 @@ impl DiskProcess {
     // Set-oriented execution under the re-drive protocol
     // ------------------------------------------------------------------
 
-    /// A subset operation's first execution, over the whole of `range`.
-    fn subset_first(
+    /// A re-drive: the SCB's operation, continued after `after`. The verb
+    /// must be the operation's own — a requester that mixes up its subsets
+    /// is told so before a record is touched.
+    fn subset_next(
         &self,
-        file: FileId,
-        range: KeyRange,
-        predicate: Option<Expr>,
-        op: ScbOp,
+        subset: SubsetId,
+        after: Vec<u8>,
+        verb: SubsetVerb,
     ) -> Result<DpReply, DpError> {
-        let KeyRange { begin, end } = range;
-        let scb = Scb {
-            file,
-            end,
-            predicate,
-            op,
-        };
-        self.run_subset(scb, begin, None)
+        let scb = self.state.lock().subsets.get(&subset).cloned();
+        let scb = scb.ok_or(DpError::BadSubset(subset))?;
+        if scb.op.verb() != verb {
+            return Err(DpError::WrongVerb { subset, verb });
+        }
+        let reply = self.run_subset(scb, OwnedBound::Excluded(after), Some(subset))?;
+        if let DpReply::Subset { done: true, .. } = reply {
+            self.state.lock().subsets.remove(&subset);
+        }
+        Ok(reply)
     }
 
     /// Execute one request-message's worth of a subset operation starting
@@ -975,7 +922,7 @@ impl DiskProcess {
         if existing.is_some() {
             self.scb_rec.bump(Ctr::ScbRedrives);
         }
-        if let ScbOp::Update { sets, .. } = &scb.op {
+        if let SubsetOp::Update { sets, .. } = &scb.op {
             check_no_key_updates(desc, sets)?;
         }
         if let Some(txn) = scb.op.txn() {
@@ -989,14 +936,19 @@ impl DiskProcess {
                 cfg.write_behind,
             )
         };
+        // A read fills the reply with (projected) rows; a write collects
+        // the records to change.
+        let read = match &scb.op {
+            SubsetOp::Read {
+                mode, projection, ..
+            } => Some((*mode, projection.as_deref())),
+            SubsetOp::Update { .. } | SubsetOp::Delete { .. } => None,
+        };
         // RSBB replies carry one physical block copy; VSBB virtual blocks
         // use the configured reply buffer.
-        let reply_budget = match &scb.op {
-            ScbOp::Read {
-                mode: SubsetMode::Rsbb,
-                ..
-            } => self.pool.disk().block_size(),
-            _ => reply_buffer,
+        let reply_budget = match read {
+            Some((SubsetMode::Rsbb, _)) => self.pool.disk().block_size(),
+            Some((SubsetMode::Vsbb, _)) | None => reply_buffer,
         };
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
@@ -1013,11 +965,6 @@ impl DiskProcess {
         let mut last_key: Vec<u8> = Vec::new();
         let mut exhausted = true;
         let mut eval_error: Option<DpError> = None;
-        let is_read = matches!(scb.op, ScbOp::Read { .. });
-        let projection = match &scb.op {
-            ScbOp::Read { projection, .. } => projection.clone(),
-            _ => None,
-        };
 
         tree.scan(begin.as_ref(), |k, v| {
             // Range end check.
@@ -1055,8 +1002,8 @@ impl DiskProcess {
                 if first_selected.is_none() {
                     first_selected = Some(k.to_vec());
                 }
-                if is_read {
-                    let row = match &projection {
+                if let Some((_, projection)) = read {
+                    let row = match projection {
                         None => v.to_vec(),
                         Some(fields) => match project_record(desc, v, fields) {
                             Ok(r) => r,
@@ -1092,7 +1039,7 @@ impl DiskProcess {
         // virtual block ("the records of the virtual block are locked as a
         // group").
         if let (
-            ScbOp::Read {
+            SubsetOp::Read {
                 txn: Some(txn),
                 lock: ReadLock::Shared,
                 ..
@@ -1109,13 +1056,13 @@ impl DiskProcess {
         // Phase 2 (update/delete): apply to the matched records.
         let mut affected = rows.len() as u32;
         let writer = match &scb.op {
-            ScbOp::Read { .. } => None,
-            ScbOp::Update {
+            SubsetOp::Read { .. } => None,
+            SubsetOp::Update {
                 txn,
                 sets,
                 constraint,
             } => Some((*txn, Some((sets, constraint.as_ref())))),
-            ScbOp::Delete { txn } => Some((*txn, None)),
+            SubsetOp::Delete { txn } => Some((*txn, None)),
         };
         if let Some((txn, update)) = writer {
             affected = 0;
@@ -1144,7 +1091,7 @@ impl DiskProcess {
         }
 
         // Idle-time write-behind after set-oriented work.
-        if write_behind && !is_read {
+        if write_behind && read.is_none() {
             self.pool.write_behind();
         }
 
@@ -1305,7 +1252,14 @@ impl DiskProcess {
                 EndTxnReply::Ok
             }
             EndTxnRequest::Finish { txn, committed } => {
-                let undo = self.state.lock().undo.remove(&txn);
+                let undo = {
+                    let mut st = self.state.lock();
+                    // No SCB outlives its transaction: a re-drive that comes
+                    // after this finds no subset, not a finished transaction
+                    // to work in.
+                    st.subsets.retain(|_, scb| scb.op.txn() != Some(txn));
+                    st.undo.remove(&txn)
+                };
                 if !committed {
                     // Back out newest change first. Each change's audit is
                     // already buffered ahead of every page it touched, so

@@ -100,6 +100,70 @@ pub enum SubsetMode {
     Vsbb,
 }
 
+/// The operation of a subset conversation: what the Disk Process does with
+/// each record the key range and predicate select. Sent once, in the FIRST
+/// request, and kept as received in the Subset Control Block.
+#[derive(Debug, Clone)]
+pub enum SubsetOp {
+    /// Return the records (`GET^FIRST^VSBB` / `GET^FIRST^RSBB`).
+    Read {
+        /// Enclosing transaction, if any.
+        txn: Option<TxnId>,
+        /// Projected field numbers (VSBB only; None = whole records).
+        projection: Option<Vec<u16>>,
+        /// RSBB or VSBB.
+        mode: SubsetMode,
+        /// Lock behaviour for returned records.
+        lock: ReadLock,
+    },
+    /// Update them in place (`UPDATE^SUBSET^FIRST`).
+    Update {
+        /// Enclosing transaction.
+        txn: TxnId,
+        /// Update expressions (`SET BALANCE = BALANCE * 1.07`).
+        sets: SetList,
+        /// Integrity constraint checked on each new record at the Disk
+        /// Process (`CHECK QUANTITY >= 0`).
+        constraint: Option<Expr>,
+    },
+    /// Delete them (`DELETE^SUBSET^FIRST`).
+    Delete {
+        /// Enclosing transaction.
+        txn: TxnId,
+    },
+}
+
+impl SubsetOp {
+    /// The transaction the operation runs in (a browse read has none).
+    pub fn txn(&self) -> Option<TxnId> {
+        match self {
+            SubsetOp::Read { txn, .. } => *txn,
+            SubsetOp::Update { txn, .. } | SubsetOp::Delete { txn } => Some(*txn),
+        }
+    }
+
+    /// The verb its re-drives carry.
+    pub fn verb(&self) -> SubsetVerb {
+        match self {
+            SubsetOp::Read { .. } => SubsetVerb::Get,
+            SubsetOp::Update { .. } => SubsetVerb::Update,
+            SubsetOp::Delete { .. } => SubsetVerb::Delete,
+        }
+    }
+}
+
+/// Which [`SubsetOp`] a re-drive continues: a one-byte tag in the NEXT
+/// request (the operation itself stays in the Subset Control Block).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubsetVerb {
+    /// `GET^NEXT`.
+    Get,
+    /// `UPDATE^SUBSET^NEXT`.
+    Update,
+    /// `DELETE^SUBSET^NEXT`.
+    Delete,
+}
+
 /// A request message on the FS-DP interface.
 #[derive(Debug, Clone)]
 pub enum DpRequest {
@@ -194,10 +258,11 @@ pub enum DpRequest {
     },
 
     // ----- new NonStop SQL field/set-oriented interface -----
-    /// `GET^FIRST^VSBB` / `GET^FIRST^RSBB`: open a read subset.
-    GetSubsetFirst {
-        /// Enclosing transaction, if any.
-        txn: Option<TxnId>,
+    /// `GET^FIRST^VSBB` / `GET^FIRST^RSBB` / `UPDATE^SUBSET^FIRST` /
+    /// `DELETE^SUBSET^FIRST`: open a subset conversation. The Disk Process
+    /// runs `op` over the selected records of `range` until a limit stops
+    /// it, and keeps the request in a Subset Control Block when it does.
+    SubsetFirst {
         /// Target file.
         file: FileId,
         /// Primary key range.
@@ -205,62 +270,20 @@ pub enum DpRequest {
         /// Selection predicate (single-variable query), evaluated per
         /// record at the Disk Process.
         predicate: Option<Expr>,
-        /// Projected field numbers (VSBB only; None = whole records).
-        projection: Option<Vec<u16>>,
-        /// RSBB or VSBB.
-        mode: SubsetMode,
-        /// Lock behaviour for returned records.
-        lock: ReadLock,
+        /// What to do with each selected record.
+        op: SubsetOp,
     },
-    /// `GET^NEXT^*`: continuation re-drive. The predicate and projection
-    /// are *not* re-sent — they live in the Subset Control Block.
-    GetSubsetNext {
+    /// `GET^NEXT` / `UPDATE^SUBSET^NEXT` / `DELETE^SUBSET^NEXT`:
+    /// continuation re-drive. Predicate and operation are *not* re-sent —
+    /// they live in the Subset Control Block.
+    SubsetNext {
         /// Subset Control Block id from the FIRST reply.
         subset: SubsetId,
         /// Last key processed (the new exclusive begin-key).
         after: Vec<u8>,
-    },
-    /// `UPDATE^SUBSET^FIRST`: set-oriented update with an update expression
-    /// evaluated at the data source.
-    UpdateSubsetFirst {
-        /// Enclosing transaction.
-        txn: TxnId,
-        /// Target file.
-        file: FileId,
-        /// Primary key range.
-        range: KeyRange,
-        /// Selection predicate.
-        predicate: Option<Expr>,
-        /// Update expressions (`SET BALANCE = BALANCE * 1.07`).
-        sets: SetList,
-        /// Integrity constraint checked on each new record at the Disk
-        /// Process (`CHECK QUANTITY >= 0`).
-        constraint: Option<Expr>,
-    },
-    /// `UPDATE^SUBSET^NEXT`: continuation re-drive for an update subset.
-    UpdateSubsetNext {
-        /// Subset Control Block id.
-        subset: SubsetId,
-        /// New exclusive begin-key.
-        after: Vec<u8>,
-    },
-    /// `DELETE^SUBSET^FIRST`: set-oriented delete.
-    DeleteSubsetFirst {
-        /// Enclosing transaction.
-        txn: TxnId,
-        /// Target file.
-        file: FileId,
-        /// Primary key range.
-        range: KeyRange,
-        /// Selection predicate.
-        predicate: Option<Expr>,
-    },
-    /// `DELETE^SUBSET^NEXT`: continuation re-drive for a delete subset.
-    DeleteSubsetNext {
-        /// Subset Control Block id.
-        subset: SubsetId,
-        /// New exclusive begin-key.
-        after: Vec<u8>,
+        /// The operation the requester believes it is continuing; the Disk
+        /// Process refuses a re-drive whose verb is not its SCB's.
+        verb: SubsetVerb,
     },
     /// Single-record update with expressions and constraint (the
     /// read-before-write eliminator for point updates).
@@ -382,34 +405,25 @@ impl DpRequest {
             DpRequest::UpdateRecord { key, record, .. } => 9 + key.len() + record.len(),
             DpRequest::DeleteRecord { key, .. } => 8 + key.len(),
             DpRequest::Lock { key, .. } => 9 + opt_len(key),
-            DpRequest::GetSubsetFirst {
+            DpRequest::SubsetFirst {
                 range,
                 predicate,
-                projection,
+                op,
                 ..
             } => {
-                10 + range.wire_size()
+                range.wire_size()
                     + predicate.as_ref().map_or(1, Expr::wire_size)
-                    + projection.as_ref().map_or(1, |p| 1 + 2 * p.len())
+                    + match op {
+                        SubsetOp::Read { projection, .. } => {
+                            10 + projection.as_ref().map_or(1, |p| 1 + 2 * p.len())
+                        }
+                        SubsetOp::Update {
+                            sets, constraint, ..
+                        } => 8 + sets.wire_size() + constraint.as_ref().map_or(1, Expr::wire_size),
+                        SubsetOp::Delete { .. } => 8,
+                    }
             }
-            DpRequest::GetSubsetNext { after, .. }
-            | DpRequest::UpdateSubsetNext { after, .. }
-            | DpRequest::DeleteSubsetNext { after, .. } => 8 + after.len(),
-            DpRequest::UpdateSubsetFirst {
-                range,
-                predicate,
-                sets,
-                constraint,
-                ..
-            } => {
-                8 + range.wire_size()
-                    + predicate.as_ref().map_or(1, Expr::wire_size)
-                    + sets.wire_size()
-                    + constraint.as_ref().map_or(1, Expr::wire_size)
-            }
-            DpRequest::DeleteSubsetFirst {
-                range, predicate, ..
-            } => 8 + range.wire_size() + predicate.as_ref().map_or(1, Expr::wire_size),
+            DpRequest::SubsetNext { after, .. } => 8 + after.len(),
             DpRequest::UpdatePoint {
                 key,
                 sets,
@@ -451,15 +465,19 @@ impl DpRequest {
             DpRequest::UpdateRecord { .. } => "WRITE",
             DpRequest::DeleteRecord { .. } => "DELETE",
             DpRequest::Lock { .. } => "LOCK",
-            DpRequest::GetSubsetFirst { mode, .. } => match mode {
-                SubsetMode::Vsbb => "GET^FIRST^VSBB",
-                SubsetMode::Rsbb => "GET^FIRST^RSBB",
+            DpRequest::SubsetFirst { op, .. } => match op {
+                SubsetOp::Read { mode, .. } => match mode {
+                    SubsetMode::Vsbb => "GET^FIRST^VSBB",
+                    SubsetMode::Rsbb => "GET^FIRST^RSBB",
+                },
+                SubsetOp::Update { .. } => "UPDATE^SUBSET^FIRST",
+                SubsetOp::Delete { .. } => "DELETE^SUBSET^FIRST",
             },
-            DpRequest::GetSubsetNext { .. } => "GET^NEXT",
-            DpRequest::UpdateSubsetFirst { .. } => "UPDATE^SUBSET^FIRST",
-            DpRequest::UpdateSubsetNext { .. } => "UPDATE^SUBSET^NEXT",
-            DpRequest::DeleteSubsetFirst { .. } => "DELETE^SUBSET^FIRST",
-            DpRequest::DeleteSubsetNext { .. } => "DELETE^SUBSET^NEXT",
+            DpRequest::SubsetNext { verb, .. } => match verb {
+                SubsetVerb::Get => "GET^NEXT",
+                SubsetVerb::Update => "UPDATE^SUBSET^NEXT",
+                SubsetVerb::Delete => "DELETE^SUBSET^NEXT",
+            },
             DpRequest::UpdatePoint { .. } => "UPDATE^POINT",
             DpRequest::BlockedInsert { .. } => "BLOCKED^INSERT",
             DpRequest::CloseSubset { .. } => "CLOSE^SUBSET",
@@ -475,12 +493,7 @@ impl DpRequest {
 
     /// Is this a continuation re-drive (for message-kind attribution)?
     pub fn is_redrive(&self) -> bool {
-        matches!(
-            self,
-            DpRequest::GetSubsetNext { .. }
-                | DpRequest::UpdateSubsetNext { .. }
-                | DpRequest::DeleteSubsetNext { .. }
-        )
+        matches!(self, DpRequest::SubsetNext { .. })
     }
 }
 
@@ -518,8 +531,17 @@ pub enum DpError {
     EvalFailed(String),
     /// Record/row malformed for the file's descriptor.
     BadRecord(String),
-    /// Unknown Subset Control Block (closed or never opened).
+    /// Unknown Subset Control Block (closed, never opened, or freed with
+    /// its transaction).
     BadSubset(SubsetId),
+    /// A re-drive named a Subset Control Block that holds another
+    /// operation; nothing was done.
+    WrongVerb {
+        /// The Subset Control Block named.
+        subset: SubsetId,
+        /// The verb the re-drive carried.
+        verb: SubsetVerb,
+    },
     /// Attempt to update a primary-key field.
     KeyUpdateNotAllowed,
     /// Operation illegal for the file kind.
@@ -548,6 +570,9 @@ impl std::fmt::Display for DpError {
             DpError::EvalFailed(e) => write!(f, "expression evaluation failed: {e}"),
             DpError::BadRecord(e) => write!(f, "malformed record: {e}"),
             DpError::BadSubset(id) => write!(f, "unknown subset control block {id}"),
+            DpError::WrongVerb { subset, verb } => {
+                write!(f, "subset control block {subset} is not a {verb:?} subset")
+            }
             DpError::KeyUpdateNotAllowed => write!(f, "primary key fields cannot be updated"),
             DpError::WrongFileKind => write!(f, "operation illegal for this file structure"),
             DpError::UnknownRequest => write!(f, "unknown message type"),
@@ -635,34 +660,101 @@ mod tests {
         };
         assert!(big.wire_size() > small.wire_size());
 
-        let with_pred = DpRequest::GetSubsetFirst {
-            txn: None,
+        let with_pred = DpRequest::SubsetFirst {
             file: 0,
             range: KeyRange::all(),
             predicate: Some(Expr::field_cmp(3, CmpOp::Gt, Value::Double(32000.0))),
-            projection: Some(vec![1, 2]),
-            mode: SubsetMode::Vsbb,
-            lock: ReadLock::None,
+            op: SubsetOp::Read {
+                txn: None,
+                projection: Some(vec![1, 2]),
+                mode: SubsetMode::Vsbb,
+                lock: ReadLock::None,
+            },
         };
-        let without = DpRequest::GetSubsetFirst {
-            txn: None,
+        let without = DpRequest::SubsetFirst {
             file: 0,
             range: KeyRange::all(),
             predicate: None,
-            projection: None,
-            mode: SubsetMode::Rsbb,
-            lock: ReadLock::None,
+            op: SubsetOp::Read {
+                txn: None,
+                projection: None,
+                mode: SubsetMode::Rsbb,
+                lock: ReadLock::None,
+            },
         };
         assert!(with_pred.wire_size() > without.wire_size());
     }
 
+    /// The six paper verbs are two variants: label, message kind and bytes
+    /// of each shape, as measured before the variants were folded.
     #[test]
-    fn redrive_classification() {
-        assert!(DpRequest::GetSubsetNext {
+    fn subset_verbs_keep_their_labels_kinds_and_sizes() {
+        use nsql_records::{ArithOp, OwnedBound, SetList};
+        let first = |predicate, op| DpRequest::SubsetFirst {
+            file: 3,
+            range: KeyRange {
+                begin: OwnedBound::Included(vec![1; 4]),
+                end: OwnedBound::Excluded(vec![9; 6]),
+            },
+            predicate,
+            op,
+        };
+        let next = |verb| DpRequest::SubsetNext {
             subset: 1,
-            after: vec![]
+            after: vec![5; 12],
+            verb,
+        };
+        let predicate = || Some(Expr::field_cmp(3, CmpOp::Gt, Value::Double(32000.0)));
+        let raise = Expr::Arith(
+            Box::new(Expr::Field(2)),
+            ArithOp::Mul,
+            Box::new(Expr::lit(Value::Double(1.07))),
+        );
+        let txn = TxnId(7);
+        let vsbb = SubsetOp::Read {
+            txn: Some(txn),
+            projection: Some(vec![1, 2]),
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::Shared,
+        };
+        let rsbb = SubsetOp::Read {
+            txn: None,
+            projection: None,
+            mode: SubsetMode::Rsbb,
+            lock: ReadLock::None,
+        };
+        let update = SubsetOp::Update {
+            txn,
+            sets: SetList {
+                sets: vec![(2, raise)],
+            },
+            constraint: Some(Expr::field_cmp(2, CmpOp::Ge, Value::Double(0.0))),
+        };
+        let delete = SubsetOp::Delete { txn };
+        let verbs = [&vsbb, &rsbb, &update, &delete].map(SubsetOp::verb);
+        assert_eq!(
+            verbs,
+            [
+                SubsetVerb::Get,
+                SubsetVerb::Get,
+                SubsetVerb::Update,
+                SubsetVerb::Delete
+            ]
+        );
+        let shapes = [
+            (first(predicate(), vsbb), "GET^FIRST^VSBB", false, 58),
+            (first(None, rsbb), "GET^FIRST^RSBB", false, 40),
+            (next(SubsetVerb::Get), "GET^NEXT", true, 36),
+            (first(predicate(), update), "UPDATE^SUBSET^FIRST", false, 83),
+            (next(SubsetVerb::Update), "UPDATE^SUBSET^NEXT", true, 36),
+            (first(predicate(), delete), "DELETE^SUBSET^FIRST", false, 51),
+            (next(SubsetVerb::Delete), "DELETE^SUBSET^NEXT", true, 36),
+        ];
+        for (request, name, redrive, bytes) in shapes {
+            assert_eq!(request.name(), name);
+            assert_eq!(request.is_redrive(), redrive, "{name}");
+            assert_eq!(request.wire_size(), bytes, "{name}");
         }
-        .is_redrive());
         assert!(!DpRequest::FlushCache.is_redrive());
     }
 

@@ -182,14 +182,16 @@ fn paper_example_1_vsbb_selection_projection() {
 
     let before = c.sim.metrics.snapshot();
     let mut rows_total = 0usize;
-    let mut reply = c.send(DpRequest::GetSubsetFirst {
-        txn: None,
+    let mut reply = c.send(DpRequest::SubsetFirst {
         file,
         range: range_to(1000),
         predicate: Some(Expr::field_cmp(3, CmpOp::Gt, Value::Double(32_000.0))),
-        projection: Some(vec![1, 2]),
-        mode: SubsetMode::Vsbb,
-        lock: ReadLock::None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: Some(vec![1, 2]),
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::None,
+        },
     });
     loop {
         let DpReply::Subset {
@@ -213,9 +215,10 @@ fn paper_example_1_vsbb_selection_projection() {
         if done {
             break;
         }
-        reply = c.send(DpRequest::GetSubsetNext {
+        reply = c.send(DpRequest::SubsetNext {
             subset: subset.expect("re-drive needs an SCB"),
             after: last_key.expect("re-drive needs a last key"),
+            verb: SubsetVerb::Get,
         });
     }
     // EMPNO 0..=1000 with salary > 32000 (every 4th): 0,4,...,1000 = 251.
@@ -237,14 +240,16 @@ fn paper_example_2_rsbb_full_scan() {
     c.load_emps(file, 500);
     let before = c.sim.metrics.snapshot();
     let mut got = 0usize;
-    let mut reply = c.send(DpRequest::GetSubsetFirst {
-        txn: None,
+    let mut reply = c.send(DpRequest::SubsetFirst {
         file,
         range: KeyRange::all(),
         predicate: None,
-        projection: None,
-        mode: SubsetMode::Rsbb,
-        lock: ReadLock::None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: None,
+            mode: SubsetMode::Rsbb,
+            lock: ReadLock::None,
+        },
     });
     loop {
         let DpReply::Subset {
@@ -261,9 +266,10 @@ fn paper_example_2_rsbb_full_scan() {
         if done {
             break;
         }
-        reply = c.send(DpRequest::GetSubsetNext {
+        reply = c.send(DpRequest::SubsetNext {
             subset: subset.unwrap(),
             after: last_key.unwrap(),
+            verb: SubsetVerb::Get,
         });
     }
     assert_eq!(got, 500);
@@ -307,13 +313,15 @@ fn paper_example_3_update_subset_with_expression() {
         )],
     };
     let mut affected_total = 0u32;
-    let mut reply = c.send(DpRequest::UpdateSubsetFirst {
-        txn,
+    let mut reply = c.send(DpRequest::SubsetFirst {
         file,
         range: KeyRange::all(),
         predicate: Some(Expr::field_cmp(3, CmpOp::Gt, Value::Double(0.0))),
-        sets,
-        constraint: None,
+        op: SubsetOp::Update {
+            txn,
+            sets,
+            constraint: None,
+        },
     });
     loop {
         let DpReply::Subset {
@@ -330,9 +338,10 @@ fn paper_example_3_update_subset_with_expression() {
         if done {
             break;
         }
-        reply = c.send(DpRequest::UpdateSubsetNext {
+        reply = c.send(DpRequest::SubsetNext {
             subset: subset.unwrap(),
             after: last_key.unwrap(),
+            verb: SubsetVerb::Update,
         });
     }
     c.txnmgr.commit(txn, c.client).unwrap();
@@ -366,11 +375,11 @@ fn delete_subset_removes_matching() {
     let file = c.create_emp();
     c.load_emps(file, 100);
     let txn = c.txnmgr.begin();
-    let reply = c.send(DpRequest::DeleteSubsetFirst {
-        txn,
+    let reply = c.send(DpRequest::SubsetFirst {
         file,
         range: range_to(49),
         predicate: None,
+        op: SubsetOp::Delete { txn },
     });
     let DpReply::Subset { affected, done, .. } = reply else {
         panic!()
@@ -621,14 +630,16 @@ fn vsbb_group_lock_vs_enscribe_file_lock() {
 
     // VSBB read of EMPNO <= 20 with shared group locking.
     let reader = c.txnmgr.begin();
-    let reply = c.send(DpRequest::GetSubsetFirst {
-        txn: Some(reader),
+    let reply = c.send(DpRequest::SubsetFirst {
         file,
         range: range_to(20),
         predicate: None,
-        projection: Some(vec![0, 1]),
-        mode: SubsetMode::Vsbb,
-        lock: ReadLock::Shared,
+        op: SubsetOp::Read {
+            txn: Some(reader),
+            projection: Some(vec![0, 1]),
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::Shared,
+        },
     });
     assert!(matches!(reply, DpReply::Subset { .. }));
 
@@ -729,14 +740,16 @@ fn time_slice_limits_monopolization() {
     // A very selective predicate returns nothing, but the DP still must
     // yield every 50 records examined.
     let before = c.sim.metrics.snapshot();
-    let mut reply = c.send(DpRequest::GetSubsetFirst {
-        txn: None,
+    let mut reply = c.send(DpRequest::SubsetFirst {
         file,
         range: KeyRange::all(),
         predicate: Some(Expr::field_cmp(0, CmpOp::Eq, Value::Int(-1))),
-        projection: Some(vec![0]),
-        mode: SubsetMode::Vsbb,
-        lock: ReadLock::None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: Some(vec![0]),
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::None,
+        },
     });
     let mut redrives = 0;
     loop {
@@ -755,9 +768,10 @@ fn time_slice_limits_monopolization() {
             break;
         }
         redrives += 1;
-        reply = c.send(DpRequest::GetSubsetNext {
+        reply = c.send(DpRequest::SubsetNext {
             subset: subset.unwrap(),
             after: last_key.unwrap(),
+            verb: SubsetVerb::Get,
         });
     }
     assert!(redrives >= 3);
@@ -957,14 +971,16 @@ fn bulk_io_and_prefetch_on_sequential_scan() {
     c.send(DpRequest::FlushCache);
     c.dp.pool().crash();
     let before = c.sim.metrics.snapshot();
-    let mut reply = c.send(DpRequest::GetSubsetFirst {
-        txn: None,
+    let mut reply = c.send(DpRequest::SubsetFirst {
         file,
         range: KeyRange::all(),
         predicate: None,
-        projection: Some(vec![0]),
-        mode: SubsetMode::Vsbb,
-        lock: ReadLock::None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: Some(vec![0]),
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::None,
+        },
     });
     loop {
         let DpReply::Subset {
@@ -979,9 +995,10 @@ fn bulk_io_and_prefetch_on_sequential_scan() {
         if done {
             break;
         }
-        reply = c.send(DpRequest::GetSubsetNext {
+        reply = c.send(DpRequest::SubsetNext {
             subset: subset.unwrap(),
             after: last_key.unwrap(),
+            verb: SubsetVerb::Get,
         });
     }
     let d = c.sim.metrics.since(&before);
@@ -1005,24 +1022,143 @@ fn subset_after_close_is_rejected() {
         subset: Some(id),
         last_key: Some(k),
         ..
-    } = c.send(DpRequest::GetSubsetFirst {
-        txn: None,
+    } = c.send(DpRequest::SubsetFirst {
         file,
         range: KeyRange::all(),
         predicate: None,
-        projection: Some(vec![0]),
-        mode: SubsetMode::Vsbb,
-        lock: ReadLock::None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: Some(vec![0]),
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::None,
+        },
     })
     else {
         panic!("expected a re-drivable subset")
     };
     c.send(DpRequest::CloseSubset { subset: id });
-    let reply = c.send(DpRequest::GetSubsetNext {
+    let reply = c.send(DpRequest::SubsetNext {
         subset: id,
         after: k,
+        verb: SubsetVerb::Get,
     });
     assert!(matches!(reply, DpReply::Error(DpError::BadSubset(_))));
+}
+
+/// A `DELETE^SUBSET^FIRST` over the whole file that the time slice stops
+/// after ten records: its transaction, SCB id and last key.
+fn interrupted_delete(c: &TestCluster, file: FileId) -> (TxnId, SubsetId, Vec<u8>) {
+    let txn = c.txnmgr.begin();
+    let reply = c.send(DpRequest::SubsetFirst {
+        file,
+        range: KeyRange::all(),
+        predicate: None,
+        op: SubsetOp::Delete { txn },
+    });
+    let DpReply::Subset {
+        subset: Some(id),
+        last_key: Some(last),
+        affected: 10,
+        done: false,
+        ..
+    } = reply
+    else {
+        panic!("expected ten deletes and a re-drivable subset, got {reply:?}")
+    };
+    (txn, id, last)
+}
+
+/// Rows of `file`, browsed in one request.
+fn count_rows(c: &TestCluster, file: FileId) -> u32 {
+    c.dp.config.lock().max_records_per_request = 1_000;
+    let reply = c.send(DpRequest::SubsetFirst {
+        file,
+        range: KeyRange::all(),
+        predicate: None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: Some(vec![0]),
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::None,
+        },
+    });
+    let DpReply::Subset {
+        done: true,
+        affected,
+        ..
+    } = reply
+    else {
+        panic!("expected the whole file in one reply, got {reply:?}")
+    };
+    affected
+}
+
+#[test]
+fn an_scb_dies_with_its_transaction() {
+    let config = DpConfig {
+        max_records_per_request: 10,
+        ..DpConfig::default()
+    };
+    let c = cluster_with(config);
+    let file = c.create_emp();
+    c.load_emps(file, 100);
+    let (txn, id, last) = interrupted_delete(&c, file);
+    c.txnmgr.abort(txn, c.client).unwrap();
+    // The re-drive must not re-join the finished transaction and delete ten
+    // more rows under it.
+    let reply = c.send(DpRequest::SubsetNext {
+        subset: id,
+        after: last,
+        verb: SubsetVerb::Delete,
+    });
+    assert!(
+        matches!(reply, DpReply::Error(DpError::BadSubset(s)) if s == id),
+        "{reply:?}"
+    );
+    assert_eq!(count_rows(&c, file), 100, "the abort restored every row");
+}
+
+#[test]
+fn a_redrive_of_another_verb_is_refused() {
+    let config = DpConfig {
+        max_records_per_request: 10,
+        ..DpConfig::default()
+    };
+    let c = cluster_with(config);
+    let file = c.create_emp();
+    c.load_emps(file, 100);
+    let (txn, id, last) = interrupted_delete(&c, file);
+    let examined = c.sim.metrics.snapshot().dp_records_examined;
+    let reply = c.send(DpRequest::SubsetNext {
+        subset: id,
+        after: last.clone(),
+        verb: SubsetVerb::Get,
+    });
+    let refused = DpError::WrongVerb {
+        subset: id,
+        verb: SubsetVerb::Get,
+    };
+    assert!(
+        matches!(&reply, DpReply::Error(e) if *e == refused),
+        "{reply:?}"
+    );
+    assert_eq!(
+        c.sim.metrics.snapshot().dp_records_examined,
+        examined,
+        "a refused re-drive looks at no record"
+    );
+    // The SCB is still there for the re-drive it was opened for.
+    let reply = c.send(DpRequest::SubsetNext {
+        subset: id,
+        after: last,
+        verb: SubsetVerb::Delete,
+    });
+    assert!(
+        matches!(reply, DpReply::Subset { affected: 10, .. }),
+        "{reply:?}"
+    );
+    c.txnmgr.commit(txn, c.client).unwrap();
+    assert_eq!(count_rows(&c, file), 80);
 }
 
 #[test]
@@ -1115,28 +1251,32 @@ fn wrong_file_kind_rejected() {
                 file,
                 keys: vec![key()],
             },
-            DpRequest::GetSubsetFirst {
-                txn: None,
+            DpRequest::SubsetFirst {
                 file,
                 range: KeyRange::all(),
                 predicate: None,
-                projection: None,
-                mode: SubsetMode::Rsbb,
-                lock: ReadLock::None,
+                op: SubsetOp::Read {
+                    txn: None,
+                    projection: None,
+                    mode: SubsetMode::Rsbb,
+                    lock: ReadLock::None,
+                },
             },
-            DpRequest::UpdateSubsetFirst {
-                txn,
+            DpRequest::SubsetFirst {
                 file,
                 range: KeyRange::all(),
                 predicate: None,
-                sets: sets(),
-                constraint: None,
+                op: SubsetOp::Update {
+                    txn,
+                    sets: sets(),
+                    constraint: None,
+                },
             },
-            DpRequest::DeleteSubsetFirst {
-                txn,
+            DpRequest::SubsetFirst {
                 file,
                 range: KeyRange::all(),
                 predicate: None,
+                op: SubsetOp::Delete { txn },
             },
         ];
         for req in keyed_requests {
@@ -1330,14 +1470,16 @@ fn measure_records_track_files_scbs_and_lock_waits() {
     c.load_emps(file, 1200);
 
     // A filtered VSBB scan big enough to re-drive at least once.
-    let mut reply = c.send(DpRequest::GetSubsetFirst {
-        txn: None,
+    let mut reply = c.send(DpRequest::SubsetFirst {
         file,
         range: KeyRange::all(),
         predicate: Some(Expr::field_cmp(0, CmpOp::Lt, Value::Int(400))),
-        projection: None,
-        mode: SubsetMode::Vsbb,
-        lock: ReadLock::None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: None,
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::None,
+        },
     });
     loop {
         let DpReply::Subset {
@@ -1352,9 +1494,10 @@ fn measure_records_track_files_scbs_and_lock_waits() {
         if done {
             break;
         }
-        reply = c.send(DpRequest::GetSubsetNext {
+        reply = c.send(DpRequest::SubsetNext {
             subset: subset.expect("re-drive needs an SCB"),
             after: last_key.expect("re-drive needs a last key"),
+            verb: SubsetVerb::Get,
         });
     }
 

@@ -16,7 +16,7 @@
 //! requester before writing it (two messages), with full-record audit
 //! images.
 
-use crate::{FileSystem, FsError, OpenFile};
+use crate::{unexpected, FileSystem, FsError, OpenFile};
 use nsql_dp::{AuditMode, DpReply, DpRequest, ReadLock};
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::key::encode_record_key;
@@ -109,7 +109,7 @@ impl FileSystem {
                     ..
                 } = reply
                 else {
-                    panic!("protocol violation")
+                    return Err(unexpected("READ^SEQ^BLOCK", &reply));
                 };
                 // De-blocking by the File System from its local block copy.
                 for bytes in rows {
@@ -138,14 +138,11 @@ impl FileSystem {
                         cur.part += 1;
                         cur.after = None;
                     }
-                    DpReply::Subset {
-                        mut rows, last_key, ..
-                    } => {
-                        let bytes = rows.pop().expect("one record");
+                    DpReply::Subset { rows, last_key, .. } if rows.len() == 1 => {
                         cur.after = last_key;
-                        return Ok(Some(self.decode(&cur.of.desc, &bytes)?));
+                        return Ok(Some(self.decode(&cur.of.desc, &rows[0])?));
                     }
-                    other => panic!("protocol violation: {other:?}"),
+                    other => return Err(unexpected("READ^NEXT", &other)),
                 }
             }
         }
@@ -200,52 +197,10 @@ impl FileSystem {
             let old_irow = idx.index_row(&of.desc, old);
             let new_irow = idx.index_row(&of.desc, new);
             if old_irow != new_irow {
-                self.index_delete_ens(txn, of, idx, old)?;
-                self.index_insert_ens(txn, of, idx, new)?;
+                self.index_delete(txn, of, idx, old)?;
+                self.index_insert(txn, of, idx, new)?;
             }
         }
-        Ok(())
-    }
-
-    fn index_insert_ens(
-        &self,
-        txn: TxnId,
-        of: &OpenFile,
-        idx: &crate::IndexInfo,
-        values: &[Value],
-    ) -> Result<(), FsError> {
-        let irow = idx.index_row(&of.desc, values);
-        let ikey = encode_record_key(&idx.desc, &irow);
-        let irec = encode_row(&idx.desc, &irow).map_err(|e| FsError::BadRow(e.to_string()))?;
-        self.send(
-            &idx.process,
-            DpRequest::Insert {
-                txn,
-                file: idx.file,
-                key: ikey,
-                record: irec,
-            },
-        )?;
-        Ok(())
-    }
-
-    fn index_delete_ens(
-        &self,
-        txn: TxnId,
-        of: &OpenFile,
-        idx: &crate::IndexInfo,
-        values: &[Value],
-    ) -> Result<(), FsError> {
-        let irow = idx.index_row(&of.desc, values);
-        let ikey = encode_record_key(&idx.desc, &irow);
-        self.send(
-            &idx.process,
-            DpRequest::DeleteRecord {
-                txn,
-                file: idx.file,
-                key: ikey,
-            },
-        )?;
         Ok(())
     }
 
@@ -284,7 +239,7 @@ impl FileSystem {
     ) -> Result<Option<Vec<u8>>, FsError> {
         match self.send(process, DpRequest::RelativeRead { file, recnum })? {
             DpReply::Record(r) => Ok(r),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected("RELATIVE^READ", &other)),
         }
     }
 
@@ -309,7 +264,7 @@ impl FileSystem {
     ) -> Result<u64, FsError> {
         match self.send(process, DpRequest::EntryAppend { file, record })? {
             DpReply::Appended(a) => Ok(a),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected("ENTRY^APPEND", &other)),
         }
     }
 
@@ -322,7 +277,7 @@ impl FileSystem {
     ) -> Result<Option<Vec<u8>>, FsError> {
         match self.send(process, DpRequest::EntryRead { file, address })? {
             DpReply::Record(r) => Ok(r),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected("ENTRY^READ", &other)),
         }
     }
 

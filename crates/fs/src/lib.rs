@@ -28,7 +28,8 @@ pub use sqlapi::{BlockedInserter, CursorUpdater, ScanResult};
 
 use nsql_dp::{DpError, DpReply, DpRequest, FileId};
 use nsql_msg::{Bus, BusError, CpuId, MsgKind};
-use nsql_records::key::encode_key_value;
+use nsql_records::key::{encode_key_value, encode_record_key};
+use nsql_records::row::encode_row;
 use nsql_records::{KeyRange, RecordDescriptor, Row, Value};
 use nsql_sim::trace::TraceEventKind;
 use nsql_sim::{CpuLayer, Ctr, EntityKind, FlightEntry, MeasureRecord, Sim, Wait};
@@ -95,6 +96,12 @@ impl std::fmt::Display for FsError {
 }
 
 impl std::error::Error for FsError {}
+
+/// A reply of a shape the request `verb` cannot have: the statement is
+/// aborted instead of panicking the requester.
+pub(crate) fn unexpected(verb: &str, reply: &DpReply) -> FsError {
+    FsError::Protocol(format!("unexpected reply to {verb}: {reply:?}"))
+}
 
 /// Bounded virtual-time retry policy the File System applies to FS-DP
 /// requests that time out or find their path down.
@@ -194,6 +201,12 @@ impl IndexInfo {
             out.push(row[k as usize].clone());
         }
         out
+    }
+
+    /// The index file's `(key, record)` for an index row.
+    pub(crate) fn entry(&self, irow: &[Value]) -> Result<(Vec<u8>, Vec<u8>), FsError> {
+        let record = encode_row(&self.desc, irow).map_err(|e| FsError::BadRow(e.to_string()))?;
+        Ok((encode_record_key(&self.desc, irow), record))
     }
 
     /// Extract the base primary key (encoded) from a decoded index row.

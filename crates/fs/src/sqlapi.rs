@@ -8,14 +8,14 @@
 //! System re-drives with the last processed key until the range is
 //! exhausted.
 
-use crate::{FileSystem, FsError, IndexInfo, OpenFile};
-use nsql_dp::{DpReply, DpRequest, ReadLock, SubsetMode};
+use crate::{unexpected, FileSystem, FsError, IndexInfo, OpenFile};
+use nsql_dp::{DpError, DpReply, DpRequest, FileId, ReadLock, SubsetMode, SubsetOp};
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::key::encode_record_key;
 use nsql_records::row::encode_row;
 use nsql_records::{Expr, KeyRange, OwnedBound, Row, SetList, Value};
 use nsql_sim::{CpuLayer, TraceEventKind};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Result of a set-oriented read.
 #[derive(Debug, Clone, Default)]
@@ -51,45 +51,37 @@ impl FileSystem {
         Ok(())
     }
 
-    fn index_insert(
+    pub(crate) fn index_insert(
         &self,
         txn: TxnId,
         of: &OpenFile,
         idx: &IndexInfo,
         values: &[Value],
     ) -> Result<(), FsError> {
-        let irow = idx.index_row(&of.desc, values);
-        let ikey = encode_record_key(&idx.desc, &irow);
-        let irec = encode_row(&idx.desc, &irow).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let (key, record) = idx.entry(&idx.index_row(&of.desc, values))?;
+        let file = idx.file;
         self.send(
             &idx.process,
             DpRequest::Insert {
                 txn,
-                file: idx.file,
-                key: ikey,
-                record: irec,
+                file,
+                key,
+                record,
             },
         )?;
         Ok(())
     }
 
-    fn index_delete(
+    pub(crate) fn index_delete(
         &self,
         txn: TxnId,
         of: &OpenFile,
         idx: &IndexInfo,
         values: &[Value],
     ) -> Result<(), FsError> {
-        let irow = idx.index_row(&of.desc, values);
-        let ikey = encode_record_key(&idx.desc, &irow);
-        self.send(
-            &idx.process,
-            DpRequest::DeleteRecord {
-                txn,
-                file: idx.file,
-                key: ikey,
-            },
-        )?;
+        let key = encode_record_key(&idx.desc, &idx.index_row(&of.desc, values));
+        let file = idx.file;
+        self.send(&idx.process, DpRequest::DeleteRecord { txn, file, key })?;
         Ok(())
     }
 
@@ -132,33 +124,7 @@ impl FileSystem {
         match reply {
             DpReply::Record(Some(bytes)) => Ok(Some(self.decode(&of.desc, &bytes)?)),
             DpReply::Record(None) => Ok(None),
-            other => Err(FsError::Protocol(format!(
-                "unexpected reply to READ: {other:?}"
-            ))),
-        }
-    }
-
-    /// Issue a re-drive (`*SUBSET^NEXT`) request, transparently rebuilding
-    /// the Subset Control Block when the Disk Process no longer knows it —
-    /// the SCB is volatile state, lost when the process crashes and its
-    /// backup takes over. `rebuild` produces a fresh `*SUBSET^FIRST`
-    /// resuming after the last confirmed key, so mid-scan takeover is
-    /// invisible to SQL callers.
-    fn send_redrive(
-        &self,
-        process: &str,
-        next: DpRequest,
-        rebuild: &dyn Fn() -> DpRequest,
-    ) -> Result<DpReply, FsError> {
-        match self.send(process, next) {
-            Err(FsError::Dp(nsql_dp::DpError::BadSubset(_))) => {
-                self.sim.trace_emit(|| TraceEventKind::PathSwitch {
-                    to: process.to_string(),
-                    resumed: true,
-                });
-                self.send(process, rebuild())
-            }
-            other => other,
+            other => Err(unexpected("READ", &other)),
         }
     }
 
@@ -198,7 +164,7 @@ impl FileSystem {
         // values to fix the affected indices.
         let old = self
             .read_by_key(Some(txn), of, key, ReadLock::Shared)?
-            .ok_or(FsError::Dp(nsql_dp::DpError::NotFound))?;
+            .ok_or(FsError::Dp(DpError::NotFound))?;
         let p = of.partition_for(key);
         self.send(
             &p.process,
@@ -249,7 +215,7 @@ impl FileSystem {
         } else {
             Some(
                 self.read_by_key(Some(txn), of, key, ReadLock::Shared)?
-                    .ok_or(FsError::Dp(nsql_dp::DpError::NotFound))?,
+                    .ok_or(FsError::Dp(DpError::NotFound))?,
             )
         };
         let p = of.partition_for(key);
@@ -270,8 +236,87 @@ impl FileSystem {
     }
 
     // ------------------------------------------------------------------
-    // Set-oriented reads (VSBB / RSBB with re-drive)
+    // The set interface: one subset conversation, whatever the verb
     // ------------------------------------------------------------------
+
+    /// The requester's half of a subset conversation, with each of
+    /// `destinations` in turn. FIRST carries the key range, the predicate
+    /// and the operation `make_op` builds; the Disk Process bounds every
+    /// execution, and NEXT re-drives it after the last key it processed
+    /// until the range is exhausted. `chunk` is handed each reply's rows and
+    /// its examined and affected counts.
+    ///
+    /// The Subset Control Block is volatile: it is lost when the process
+    /// crashes and its backup takes over. A re-drive answered `BadSubset`
+    /// opens the conversation again with a FIRST that resumes after the last
+    /// confirmed key, so a mid-scan takeover is invisible to SQL callers.
+    fn drive_subset<'a>(
+        &self,
+        destinations: impl IntoIterator<Item = (&'a str, FileId, KeyRange)>,
+        predicate: Option<&Expr>,
+        make_op: &dyn Fn() -> SubsetOp,
+        mut chunk: impl FnMut(Vec<Vec<u8>>, u32, u32) -> Result<(), FsError>,
+    ) -> Result<(), FsError> {
+        for (process, file, range) in destinations {
+            let first = |range, op| DpRequest::SubsetFirst {
+                file,
+                range,
+                predicate: predicate.cloned(),
+                op,
+            };
+            let op = make_op();
+            let verb = op.verb();
+            let end = range.end.clone();
+            let mut request = first(range, op);
+            // The key the re-drive in flight resumes after.
+            let mut resume: Option<Vec<u8>> = None;
+            let mut chain = 1u64;
+            loop {
+                let label = request.name();
+                let reply = match (self.send(process, request), resume.take()) {
+                    (Err(FsError::Dp(DpError::BadSubset(_))), Some(after)) => {
+                        self.sim.trace_emit(|| TraceEventKind::PathSwitch {
+                            to: process.to_string(),
+                            resumed: true,
+                        });
+                        let begin = OwnedBound::Excluded(after);
+                        let end = end.clone();
+                        request = first(KeyRange { begin, end }, make_op());
+                        continue;
+                    }
+                    (reply, _) => reply?,
+                };
+                let DpReply::Subset {
+                    rows,
+                    last_key,
+                    done,
+                    subset,
+                    examined,
+                    affected,
+                } = reply
+                else {
+                    return Err(unexpected(label, &reply));
+                };
+                chunk(rows, examined, affected)?;
+                if done {
+                    break;
+                }
+                chain += 1;
+                let subset = subset
+                    .ok_or_else(|| FsError::Protocol("re-drive without an SCB".to_string()))?;
+                let after = last_key
+                    .ok_or_else(|| FsError::Protocol("re-drive without a last key".to_string()))?;
+                resume = Some(after.clone());
+                request = DpRequest::SubsetNext {
+                    subset,
+                    after,
+                    verb,
+                };
+            }
+            self.sim.hist.redrive_chain.record(chain);
+        }
+        Ok(())
+    }
 
     /// Set-oriented read over a primary-key range: fans out across
     /// partitions, re-driving each until exhausted, and de-blocks the
@@ -291,73 +336,63 @@ impl FileSystem {
             Some(fields) => of.desc.project(fields),
             None => of.desc.clone(),
         };
+        let op = || SubsetOp::Read {
+            txn,
+            projection: projection.map(<[u16]>::to_vec),
+            mode,
+            lock,
+        };
         let mut out = ScanResult::default();
-        for (p, clipped) in of.partitions_for_range(range) {
-            let mut reply = self.send(
-                &p.process,
-                DpRequest::GetSubsetFirst {
-                    txn,
-                    file: p.file,
-                    range: clipped.clone(),
-                    predicate: predicate.cloned(),
-                    projection: projection.map(|f| f.to_vec()),
-                    mode,
-                    lock,
-                },
-            )?;
-            let mut chain = 1u64;
-            loop {
-                let DpReply::Subset {
-                    rows,
-                    last_key,
-                    done,
-                    subset,
-                    examined,
-                    ..
-                } = reply
-                else {
-                    return Err(FsError::Protocol(
-                        "unexpected reply to GET^SUBSET".to_string(),
-                    ));
-                };
+        self.drive_subset(
+            partitions(of, range),
+            predicate,
+            &op,
+            |rows, examined, _| {
                 out.examined += examined as u64;
                 for bytes in rows {
                     out.rows.push(self.decode(&row_desc, &bytes)?);
                 }
-                if done {
-                    break;
-                }
-                chain += 1;
-                let subset = subset
-                    .ok_or_else(|| FsError::Protocol("re-drive without an SCB".to_string()))?;
-                let after = last_key
-                    .ok_or_else(|| FsError::Protocol("re-drive without a last key".to_string()))?;
-                let resume = KeyRange {
-                    begin: OwnedBound::Excluded(after.clone()),
-                    end: clipped.end.clone(),
-                };
-                reply = self.send_redrive(
-                    &p.process,
-                    DpRequest::GetSubsetNext { subset, after },
-                    &|| DpRequest::GetSubsetFirst {
-                        txn,
-                        file: p.file,
-                        range: resume.clone(),
-                        predicate: predicate.cloned(),
-                        projection: projection.map(|f| f.to_vec()),
-                        mode,
-                        lock,
-                    },
-                )?;
-            }
-            self.sim.hist.redrive_chain.record(chain);
-        }
+                Ok(())
+            },
+        )?;
         Ok(out)
     }
 
-    // ------------------------------------------------------------------
-    // Set-oriented update / delete
-    // ------------------------------------------------------------------
+    /// A set-oriented write pushed down to the Disk Processes of `range`;
+    /// returns the number of records they changed.
+    fn write_set(
+        &self,
+        of: &OpenFile,
+        range: &KeyRange,
+        predicate: Option<&Expr>,
+        op: &dyn Fn() -> SubsetOp,
+    ) -> Result<u64, FsError> {
+        let mut total = 0u64;
+        self.drive_subset(partitions(of, range), predicate, op, |_, _, affected| {
+            total += affected as u64;
+            Ok(())
+        })?;
+        Ok(total)
+    }
+
+    /// A set-oriented write on a table whose indices it would disturb: read
+    /// the qualifying rows (whole records, locked), then `change` each by
+    /// key, which maintains the indices from the old row.
+    fn write_row_at_a_time(
+        &self,
+        txn: TxnId,
+        of: &OpenFile,
+        range: &KeyRange,
+        predicate: Option<&Expr>,
+        change: impl Fn(&[u8]) -> Result<(), FsError>,
+    ) -> Result<u64, FsError> {
+        let (mode, lock) = (SubsetMode::Vsbb, ReadLock::Shared);
+        let scan = self.scan(Some(txn), of, range, predicate, None, mode, lock)?;
+        for row in &scan.rows {
+            change(&encode_record_key(&of.desc, &row.0))?;
+        }
+        Ok(scan.rows.len() as u64)
+    }
 
     /// Set-oriented UPDATE over a key range. When no index covers an
     /// assigned field the whole operation is pushed to the Disk Processes
@@ -375,97 +410,19 @@ impl FileSystem {
     ) -> Result<u64, FsError> {
         let touched = sets.target_fields();
         if of.indexes.iter().any(|i| i.touched_by(&touched)) {
-            return self.update_set_with_indices(txn, of, range, predicate, sets, constraint);
+            return self.write_row_at_a_time(txn, of, range, predicate, |key| {
+                self.update_by_key(txn, of, key, sets, constraint)
+            });
         }
-        let mut affected = 0u64;
-        for (p, clipped) in of.partitions_for_range(range) {
-            let mut reply = self.send(
-                &p.process,
-                DpRequest::UpdateSubsetFirst {
-                    txn,
-                    file: p.file,
-                    range: clipped.clone(),
-                    predicate: predicate.cloned(),
-                    sets: sets.clone(),
-                    constraint: constraint.cloned(),
-                },
-            )?;
-            let mut chain = 1u64;
-            loop {
-                let DpReply::Subset {
-                    affected: a,
-                    last_key,
-                    done,
-                    subset,
-                    ..
-                } = reply
-                else {
-                    return Err(FsError::Protocol(
-                        "unexpected reply to UPDATE^SUBSET".to_string(),
-                    ));
-                };
-                affected += a as u64;
-                if done {
-                    break;
-                }
-                chain += 1;
-                let subset = subset
-                    .ok_or_else(|| FsError::Protocol("re-drive without an SCB".to_string()))?;
-                let after = last_key
-                    .ok_or_else(|| FsError::Protocol("re-drive without a last key".to_string()))?;
-                let resume = KeyRange {
-                    begin: OwnedBound::Excluded(after.clone()),
-                    end: clipped.end.clone(),
-                };
-                reply = self.send_redrive(
-                    &p.process,
-                    DpRequest::UpdateSubsetNext { subset, after },
-                    &|| DpRequest::UpdateSubsetFirst {
-                        txn,
-                        file: p.file,
-                        range: resume.clone(),
-                        predicate: predicate.cloned(),
-                        sets: sets.clone(),
-                        constraint: constraint.cloned(),
-                    },
-                )?;
-            }
-            self.sim.hist.redrive_chain.record(chain);
-        }
-        Ok(affected)
-    }
-
-    fn update_set_with_indices(
-        &self,
-        txn: TxnId,
-        of: &OpenFile,
-        range: &KeyRange,
-        predicate: Option<&Expr>,
-        sets: &SetList,
-        constraint: Option<&Expr>,
-    ) -> Result<u64, FsError> {
-        // Read the qualifying rows (whole records, locked), then update
-        // each with index maintenance.
-        let scan = self.scan(
-            Some(txn),
-            of,
-            range,
-            predicate,
-            None,
-            SubsetMode::Vsbb,
-            ReadLock::Shared,
-        )?;
-        let mut affected = 0u64;
-        for row in &scan.rows {
-            let key = encode_record_key(&of.desc, &row.0);
-            self.update_by_key(txn, of, &key, sets, constraint)?;
-            affected += 1;
-        }
-        Ok(affected)
+        self.write_set(of, range, predicate, &|| SubsetOp::Update {
+            txn,
+            sets: sets.clone(),
+            constraint: constraint.cloned(),
+        })
     }
 
     /// Set-oriented DELETE over a key range, pushed down when the table has
-    /// no indices.
+    /// no indices (index maintenance requires the old rows).
     pub fn delete_set(
         &self,
         txn: TxnId,
@@ -474,76 +431,11 @@ impl FileSystem {
         predicate: Option<&Expr>,
     ) -> Result<u64, FsError> {
         if !of.indexes.is_empty() {
-            // Index maintenance requires the old rows.
-            let scan = self.scan(
-                Some(txn),
-                of,
-                range,
-                predicate,
-                None,
-                SubsetMode::Vsbb,
-                ReadLock::Shared,
-            )?;
-            let mut affected = 0u64;
-            for row in &scan.rows {
-                let key = encode_record_key(&of.desc, &row.0);
-                self.delete_by_key(txn, of, &key)?;
-                affected += 1;
-            }
-            return Ok(affected);
+            return self.write_row_at_a_time(txn, of, range, predicate, |key| {
+                self.delete_by_key(txn, of, key)
+            });
         }
-        let mut affected = 0u64;
-        for (p, clipped) in of.partitions_for_range(range) {
-            let mut reply = self.send(
-                &p.process,
-                DpRequest::DeleteSubsetFirst {
-                    txn,
-                    file: p.file,
-                    range: clipped.clone(),
-                    predicate: predicate.cloned(),
-                },
-            )?;
-            let mut chain = 1u64;
-            loop {
-                let DpReply::Subset {
-                    affected: a,
-                    last_key,
-                    done,
-                    subset,
-                    ..
-                } = reply
-                else {
-                    return Err(FsError::Protocol(
-                        "unexpected reply to DELETE^SUBSET".to_string(),
-                    ));
-                };
-                affected += a as u64;
-                if done {
-                    break;
-                }
-                chain += 1;
-                let subset = subset
-                    .ok_or_else(|| FsError::Protocol("re-drive without an SCB".to_string()))?;
-                let after = last_key
-                    .ok_or_else(|| FsError::Protocol("re-drive without a last key".to_string()))?;
-                let resume = KeyRange {
-                    begin: OwnedBound::Excluded(after.clone()),
-                    end: clipped.end.clone(),
-                };
-                reply = self.send_redrive(
-                    &p.process,
-                    DpRequest::DeleteSubsetNext { subset, after },
-                    &|| DpRequest::DeleteSubsetFirst {
-                        txn,
-                        file: p.file,
-                        range: resume.clone(),
-                        predicate: predicate.cloned(),
-                    },
-                )?;
-            }
-            self.sim.hist.redrive_chain.record(chain);
-        }
-        Ok(affected)
+        self.write_set(of, range, predicate, &|| SubsetOp::Delete { txn })
     }
 
     // ------------------------------------------------------------------
@@ -561,64 +453,21 @@ impl FileSystem {
         predicate: Option<&Expr>,
         lock: ReadLock,
     ) -> Result<Vec<Row>, FsError> {
-        let mut rows = Vec::new();
-        let mut reply = self.send(
-            &idx.process,
-            DpRequest::GetSubsetFirst {
-                txn,
-                file: idx.file,
-                range: range.clone(),
-                predicate: predicate.cloned(),
-                projection: None,
-                mode: SubsetMode::Vsbb,
-                lock,
-            },
-        )?;
-        let mut chain = 1u64;
-        loop {
-            let DpReply::Subset {
-                rows: batch,
-                last_key,
-                done,
-                subset,
-                ..
-            } = reply
-            else {
-                return Err(FsError::Protocol(
-                    "unexpected reply to GET^SUBSET (index)".to_string(),
-                ));
-            };
-            for bytes in batch {
-                rows.push(self.decode(&idx.desc, &bytes)?);
+        let op = || SubsetOp::Read {
+            txn,
+            projection: None,
+            mode: SubsetMode::Vsbb,
+            lock,
+        };
+        let index = [(idx.process.as_str(), idx.file, range.clone())];
+        let mut out = Vec::new();
+        self.drive_subset(index, predicate, &op, |rows, _, _| {
+            for bytes in rows {
+                out.push(self.decode(&idx.desc, &bytes)?);
             }
-            if done {
-                break;
-            }
-            chain += 1;
-            let subset =
-                subset.ok_or_else(|| FsError::Protocol("re-drive without an SCB".to_string()))?;
-            let after = last_key
-                .ok_or_else(|| FsError::Protocol("re-drive without a last key".to_string()))?;
-            let resume = KeyRange {
-                begin: OwnedBound::Excluded(after.clone()),
-                end: range.end.clone(),
-            };
-            reply = self.send_redrive(
-                &idx.process,
-                DpRequest::GetSubsetNext { subset, after },
-                &|| DpRequest::GetSubsetFirst {
-                    txn,
-                    file: idx.file,
-                    range: resume.clone(),
-                    predicate: predicate.cloned(),
-                    projection: None,
-                    mode: SubsetMode::Vsbb,
-                    lock,
-                },
-            )?;
-        }
-        self.sim.hist.redrive_chain.record(chain);
-        Ok(rows)
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Read base rows via a secondary index (Figure 2): first the index's
@@ -643,6 +492,120 @@ impl FileSystem {
     }
 }
 
+/// The base-table destinations of a subset conversation over `range`.
+fn partitions<'a>(
+    of: &'a OpenFile,
+    range: &KeyRange,
+) -> impl Iterator<Item = (&'a str, FileId, KeyRange)> {
+    let overlapping = of.partitions_for_range(range).into_iter();
+    overlapping.map(|(p, clipped)| (p.process.as_str(), p.file, clipped))
+}
+
+/// What a blocked message does with its records. A flush sends the phases
+/// in this order: base updates, then deletes, then inserts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Blocked {
+    Update,
+    Delete,
+    Insert,
+}
+
+/// Where a blocked message goes, by position in the [`OpenFile`]: base
+/// partitions first, then secondary indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Destination {
+    Partition(usize),
+    Index(usize),
+}
+
+/// `(key, record)` pairs in arrival order; a delete's record is empty.
+type KeyedRecords = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// The File System's local buffers of blocked writes for one transaction
+/// over one table: one per phase and destination, kept and sent in that
+/// order.
+struct BlockedBuffers<'a> {
+    fs: &'a FileSystem,
+    of: &'a OpenFile,
+    txn: TxnId,
+    pending: BTreeMap<(Blocked, Destination), KeyedRecords>,
+}
+
+impl<'a> BlockedBuffers<'a> {
+    fn new(fs: &'a FileSystem, of: &'a OpenFile, txn: TxnId) -> Self {
+        BlockedBuffers {
+            fs,
+            of,
+            txn,
+            pending: BTreeMap::new(),
+        }
+    }
+
+    fn partition_of(&self, key: &[u8]) -> Result<Destination, FsError> {
+        let owner = self
+            .of
+            .partitions
+            .iter()
+            .position(|p| p.range.contains(key));
+        owner.map(Destination::Partition).ok_or_else(|| {
+            FsError::Protocol("partition ranges do not cover the key space".to_string())
+        })
+    }
+
+    /// Buffer one record; returns how many its buffer now holds.
+    fn push(&mut self, what: Blocked, to: Destination, key: Vec<u8>, record: Vec<u8>) -> usize {
+        let buffer = self.pending.entry((what, to)).or_default();
+        buffer.push((key, record));
+        buffer.len()
+    }
+
+    /// Send one buffer as one message. Inserts go in key order (by prior
+    /// agreement the Disk Process locks their span as a group).
+    fn send(
+        &self,
+        what: Blocked,
+        to: Destination,
+        mut records: KeyedRecords,
+    ) -> Result<(), FsError> {
+        let (process, file) = match to {
+            Destination::Partition(i) => {
+                (&self.of.partitions[i].process, self.of.partitions[i].file)
+            }
+            Destination::Index(i) => (&self.of.indexes[i].process, self.of.indexes[i].file),
+        };
+        let txn = self.txn;
+        let request = match what {
+            Blocked::Update => DpRequest::BlockedUpdate { txn, file, records },
+            Blocked::Delete => {
+                let keys = records.into_iter().map(|(key, _)| key).collect();
+                DpRequest::BlockedDelete { txn, file, keys }
+            }
+            Blocked::Insert => {
+                records.sort_by(|a, b| a.0.cmp(&b.0));
+                DpRequest::BlockedInsert { txn, file, records }
+            }
+        };
+        self.fs.send(process, request)?;
+        Ok(())
+    }
+
+    /// Send the one buffer `(what, to)`, if anything is in it.
+    fn flush_one(&mut self, what: Blocked, to: Destination) -> Result<(), FsError> {
+        match self.pending.remove(&(what, to)) {
+            Some(records) => self.send(what, to, records),
+            None => Ok(()),
+        }
+    }
+
+    /// Send every buffer: one message per phase and Disk Process file.
+    fn flush(&mut self) -> Result<(), FsError> {
+        for ((what, to), records) in std::mem::take(&mut self.pending) {
+            self.send(what, to, records)?;
+        }
+        Ok(())
+    }
+}
+
 /// Client-side buffering for the blocked sequential-insert extension (the
 /// paper's *Opportunities for Future Performance Enhancements*): "multiple
 /// sequential inserts issued to the File System by the SQL Executor would
@@ -650,13 +613,7 @@ impl FileSystem {
 /// when required, send the buffer of inserted records to the Disk Process
 /// using one message."
 pub struct BlockedInserter<'a> {
-    fs: &'a FileSystem,
-    of: &'a OpenFile,
-    txn: TxnId,
-    /// Per-partition buffers of `(key, record)`.
-    buffers: KeyedRecordBuffers,
-    /// Per-index buffers.
-    index_buffers: KeyedRecordBuffers,
+    buffers: BlockedBuffers<'a>,
     /// Flush a partition buffer at this many records.
     pub flush_at: usize,
 }
@@ -665,88 +622,33 @@ impl<'a> BlockedInserter<'a> {
     /// A blocked inserter for one transaction over one table.
     pub fn new(fs: &'a FileSystem, of: &'a OpenFile, txn: TxnId) -> Self {
         BlockedInserter {
-            fs,
-            of,
-            txn,
-            buffers: HashMap::new(),
-            index_buffers: HashMap::new(),
+            buffers: BlockedBuffers::new(fs, of, txn),
             flush_at: 100,
         }
     }
 
     /// Buffer one row; flushes automatically at the threshold.
     pub fn push(&mut self, values: &[Value]) -> Result<(), FsError> {
-        let record =
-            encode_row(&self.of.desc, values).map_err(|e| FsError::BadRow(e.to_string()))?;
-        let key = encode_record_key(&self.of.desc, values);
-        let pi = self
-            .of
-            .partitions
-            .iter()
-            .position(|p| p.range.contains(&key))
-            .ok_or_else(|| {
-                FsError::Protocol("partition ranges do not cover the key space".to_string())
-            })?;
-        self.buffers.entry(pi).or_default().push((key, record));
-        for (ii, idx) in self.of.indexes.iter().enumerate() {
-            let irow = idx.index_row(&self.of.desc, values);
-            let ikey = encode_record_key(&idx.desc, &irow);
-            let irec = encode_row(&idx.desc, &irow).map_err(|e| FsError::BadRow(e.to_string()))?;
-            self.index_buffers.entry(ii).or_default().push((ikey, irec));
+        let of = self.buffers.of;
+        let record = encode_row(&of.desc, values).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let key = encode_record_key(&of.desc, values);
+        let partition = self.buffers.partition_of(&key)?;
+        let buffered = self.buffers.push(Blocked::Insert, partition, key, record);
+        for (ii, idx) in of.indexes.iter().enumerate() {
+            let (ikey, irec) = idx.entry(&idx.index_row(&of.desc, values))?;
+            self.buffers
+                .push(Blocked::Insert, Destination::Index(ii), ikey, irec);
         }
-        if self.buffers[&pi].len() >= self.flush_at {
-            self.flush_partition(pi)?;
+        if buffered >= self.flush_at {
+            self.buffers.flush_one(Blocked::Insert, partition)?;
         }
-        Ok(())
-    }
-
-    fn flush_partition(&mut self, pi: usize) -> Result<(), FsError> {
-        let Some(mut records) = self.buffers.remove(&pi) else {
-            return Ok(());
-        };
-        if records.is_empty() {
-            return Ok(());
-        }
-        records.sort_by(|a, b| a.0.cmp(&b.0));
-        let p = &self.of.partitions[pi];
-        self.fs.send(
-            &p.process,
-            DpRequest::BlockedInsert {
-                txn: self.txn,
-                file: p.file,
-                records,
-            },
-        )?;
         Ok(())
     }
 
     /// Flush every buffered record (base and index). Must be called before
     /// commit.
     pub fn flush(&mut self) -> Result<(), FsError> {
-        let parts: Vec<usize> = self.buffers.keys().copied().collect();
-        for pi in parts {
-            self.flush_partition(pi)?;
-        }
-        let idxs: Vec<usize> = self.index_buffers.keys().copied().collect();
-        for ii in idxs {
-            let Some(mut records) = self.index_buffers.remove(&ii) else {
-                continue;
-            };
-            if records.is_empty() {
-                continue;
-            }
-            records.sort_by(|a, b| a.0.cmp(&b.0));
-            let idx = &self.of.indexes[ii];
-            self.fs.send(
-                &idx.process,
-                DpRequest::BlockedInsert {
-                    txn: self.txn,
-                    file: idx.file,
-                    records,
-                },
-            )?;
-        }
-        Ok(())
+        self.buffers.flush()
     }
 }
 
@@ -760,74 +662,44 @@ impl<'a> BlockedInserter<'a> {
 /// The cursor's owner supplies old and new row values; index maintenance
 /// is buffered alongside, so secondary indices also see blocked traffic.
 pub struct CursorUpdater<'a> {
-    fs: &'a FileSystem,
-    of: &'a OpenFile,
-    txn: TxnId,
-    updates: KeyedRecordBuffers,
-    deletes: KeyBuffers,
-    idx_inserts: KeyedRecordBuffers,
-    idx_deletes: KeyBuffers,
+    buffers: BlockedBuffers<'a>,
     n_updates: u64,
     n_deletes: u64,
 }
-
-/// Per-partition/per-index buffers of `(key, record)` pairs.
-type KeyedRecordBuffers = HashMap<usize, Vec<(Vec<u8>, Vec<u8>)>>;
-/// Per-partition/per-index buffers of keys.
-type KeyBuffers = HashMap<usize, Vec<Vec<u8>>>;
 
 impl<'a> CursorUpdater<'a> {
     /// A buffered cursor writer for one transaction over one table.
     pub fn new(fs: &'a FileSystem, of: &'a OpenFile, txn: TxnId) -> Self {
         CursorUpdater {
-            fs,
-            of,
-            txn,
-            updates: HashMap::new(),
-            deletes: HashMap::new(),
-            idx_inserts: HashMap::new(),
-            idx_deletes: HashMap::new(),
+            buffers: BlockedBuffers::new(fs, of, txn),
             n_updates: 0,
             n_deletes: 0,
         }
     }
 
-    fn partition_index(&self, key: &[u8]) -> Result<usize, FsError> {
-        self.of
-            .partitions
-            .iter()
-            .position(|p| p.range.contains(key))
-            .ok_or_else(|| {
-                FsError::Protocol("partition ranges do not cover the key space".to_string())
-            })
-    }
-
     /// Buffer `UPDATE WHERE CURRENT`: the cursor's current row `old`
     /// becomes `new` (same primary key).
     pub fn update(&mut self, old: &[Value], new: &[Value]) -> Result<(), FsError> {
-        let key = encode_record_key(&self.of.desc, new);
+        let of = self.buffers.of;
+        let key = encode_record_key(&of.desc, new);
         assert_eq!(
             key,
-            encode_record_key(&self.of.desc, old),
+            encode_record_key(&of.desc, old),
             "WHERE CURRENT updates cannot change the primary key"
         );
-        let record = encode_row(&self.of.desc, new).map_err(|e| FsError::BadRow(e.to_string()))?;
-        let pi = self.partition_index(&key)?;
-        self.updates.entry(pi).or_default().push((key, record));
-        for (ii, idx) in self.of.indexes.iter().enumerate() {
-            let old_irow = idx.index_row(&self.of.desc, old);
-            let new_irow = idx.index_row(&self.of.desc, new);
+        let record = encode_row(&of.desc, new).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let partition = self.buffers.partition_of(&key)?;
+        self.buffers.push(Blocked::Update, partition, key, record);
+        for (ii, idx) in of.indexes.iter().enumerate() {
+            let old_irow = idx.index_row(&of.desc, old);
+            let new_irow = idx.index_row(&of.desc, new);
             if old_irow != new_irow {
-                self.idx_deletes
-                    .entry(ii)
-                    .or_default()
-                    .push(encode_record_key(&idx.desc, &old_irow));
-                let irec =
-                    encode_row(&idx.desc, &new_irow).map_err(|e| FsError::BadRow(e.to_string()))?;
-                self.idx_inserts
-                    .entry(ii)
-                    .or_default()
-                    .push((encode_record_key(&idx.desc, &new_irow), irec));
+                let index = Destination::Index(ii);
+                let old_key = encode_record_key(&idx.desc, &old_irow);
+                self.buffers
+                    .push(Blocked::Delete, index, old_key, Vec::new());
+                let (new_key, new_rec) = idx.entry(&new_irow)?;
+                self.buffers.push(Blocked::Insert, index, new_key, new_rec);
             }
         }
         self.n_updates += 1;
@@ -836,15 +708,15 @@ impl<'a> CursorUpdater<'a> {
 
     /// Buffer `DELETE WHERE CURRENT` of the cursor's current row.
     pub fn delete(&mut self, old: &[Value]) -> Result<(), FsError> {
-        let key = encode_record_key(&self.of.desc, old);
-        let pi = self.partition_index(&key)?;
-        self.deletes.entry(pi).or_default().push(key);
-        for (ii, idx) in self.of.indexes.iter().enumerate() {
-            let irow = idx.index_row(&self.of.desc, old);
-            self.idx_deletes
-                .entry(ii)
-                .or_default()
-                .push(encode_record_key(&idx.desc, &irow));
+        let of = self.buffers.of;
+        let key = encode_record_key(&of.desc, old);
+        let partition = self.buffers.partition_of(&key)?;
+        self.buffers
+            .push(Blocked::Delete, partition, key, Vec::new());
+        for (ii, idx) in of.indexes.iter().enumerate() {
+            let ikey = encode_record_key(&idx.desc, &idx.index_row(&of.desc, old));
+            self.buffers
+                .push(Blocked::Delete, Destination::Index(ii), ikey, Vec::new());
         }
         self.n_deletes += 1;
         Ok(())
@@ -853,51 +725,7 @@ impl<'a> CursorUpdater<'a> {
     /// Ship every buffer in one message per Disk Process touched. Returns
     /// `(rows updated, rows deleted)`.
     pub fn flush(&mut self) -> Result<(u64, u64), FsError> {
-        for (pi, records) in std::mem::take(&mut self.updates) {
-            let p = &self.of.partitions[pi];
-            self.fs.send(
-                &p.process,
-                DpRequest::BlockedUpdate {
-                    txn: self.txn,
-                    file: p.file,
-                    records,
-                },
-            )?;
-        }
-        for (pi, keys) in std::mem::take(&mut self.deletes) {
-            let p = &self.of.partitions[pi];
-            self.fs.send(
-                &p.process,
-                DpRequest::BlockedDelete {
-                    txn: self.txn,
-                    file: p.file,
-                    keys,
-                },
-            )?;
-        }
-        for (ii, keys) in std::mem::take(&mut self.idx_deletes) {
-            let idx = &self.of.indexes[ii];
-            self.fs.send(
-                &idx.process,
-                DpRequest::BlockedDelete {
-                    txn: self.txn,
-                    file: idx.file,
-                    keys,
-                },
-            )?;
-        }
-        for (ii, mut records) in std::mem::take(&mut self.idx_inserts) {
-            records.sort_by(|a, b| a.0.cmp(&b.0));
-            let idx = &self.of.indexes[ii];
-            self.fs.send(
-                &idx.process,
-                DpRequest::BlockedInsert {
-                    txn: self.txn,
-                    file: idx.file,
-                    records,
-                },
-            )?;
-        }
+        self.buffers.flush()?;
         Ok((self.n_updates, self.n_deletes))
     }
 }

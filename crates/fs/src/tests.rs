@@ -482,6 +482,73 @@ fn blocked_inserter_batches_messages() {
     assert_eq!(entries.len(), 40);
 }
 
+/// The blocked buffers are flushed by phase (update, delete, insert), then
+/// partition number, then index number — not in the iteration order of a
+/// hashed map, which differs from one run to the next.
+#[test]
+fn blocked_messages_go_out_in_one_order() {
+    let run = || {
+        let w = world(&["$DATA1", "$DATA2", "$IDX"]);
+        let mut of = create_partitioned_emp(&w);
+        // A second index, on SALARY, kept on the first data volume.
+        let by_salary = IndexInfo::build("EMP_SALARY", "$DATA1", 0, &of.desc, vec![3], false);
+        let kind = FileKind::KeySequenced(by_salary.desc.clone());
+        let request = nsql_dp::DpRequest::CreateFile { kind };
+        let nsql_dp::DpReply::FileCreated(file) = w.fs.send("$DATA1", request).unwrap() else {
+            panic!("index file not created")
+        };
+        of.indexes.push(IndexInfo { file, ..by_salary });
+
+        w.sim.trace.enable_default();
+        let txn = w.txnmgr.begin();
+        let row = |i: i32| emp_row(i, "BULK", i % 10, i as f64);
+        let mut ins = BlockedInserter::new(&w.fs, &of, txn);
+        for i in 450..550 {
+            ins.push(&row(i)).unwrap();
+        }
+        ins.flush().unwrap();
+        let mut cur = crate::CursorUpdater::new(&w.fs, &of, txn);
+        for i in 450..550 {
+            if i % 2 == 0 {
+                cur.delete(&row(i)).unwrap();
+            } else {
+                cur.update(&row(i), &emp_row(i, "BULK", 99, -1.0)).unwrap();
+            }
+        }
+        assert_eq!(cur.flush().unwrap(), (50, 50));
+        w.txnmgr.commit(txn, w.client).unwrap();
+        let sent = w
+            .sim
+            .trace
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Msg { label, to, .. } if label.starts_with("BLOCKED^") => {
+                    Some(format!("{label} {to}"))
+                }
+                _ => None,
+            });
+        sent.collect::<Vec<_>>()
+    };
+    let expected = [
+        "BLOCKED^INSERT $DATA1",
+        "BLOCKED^INSERT $DATA2",
+        "BLOCKED^INSERT $IDX",
+        "BLOCKED^INSERT $DATA1",
+        "BLOCKED^UPDATE $DATA1",
+        "BLOCKED^UPDATE $DATA2",
+        "BLOCKED^DELETE $DATA1",
+        "BLOCKED^DELETE $DATA2",
+        "BLOCKED^DELETE $IDX",
+        "BLOCKED^DELETE $DATA1",
+        "BLOCKED^INSERT $IDX",
+        "BLOCKED^INSERT $DATA1",
+    ];
+    for _ in 0..8 {
+        assert_eq!(run(), expected);
+    }
+}
+
 #[test]
 fn unique_index_rejects_duplicates() {
     let w = world(&["$DATA1", "$DATA2", "$IDX"]);
@@ -903,4 +970,43 @@ fn doom_class_dp_errors_become_typed_fs_doomed() {
         FsError::from(nsql_dp::DpError::NotFound),
         FsError::Dp(nsql_dp::DpError::NotFound)
     ));
+}
+
+/// A server that answers every request with a bare `Ok` — the wrong shape
+/// for every read.
+struct AlwaysOk;
+
+impl nsql_msg::Server for AlwaysOk {
+    fn handle(&self, _request: Box<dyn std::any::Any + Send>) -> nsql_msg::Response {
+        nsql_msg::Response::new(DpReply::Ok, 24)
+    }
+}
+
+#[test]
+fn a_reply_of_the_wrong_shape_is_a_protocol_error_not_a_panic() {
+    fn refused<T: std::fmt::Debug>(what: &str, result: Result<T, FsError>) {
+        assert!(
+            matches!(result, Err(FsError::Protocol(_))),
+            "{what}: {result:?}"
+        );
+    }
+    let w = world(&[]);
+    w.bus.register("$ODD", CpuId::new(0, 1), Arc::new(AlwaysOk));
+    let of = OpenFile::single("EMP", emp_desc(), "$ODD", 0);
+    let txn = w.txnmgr.begin();
+    let fs = &w.fs;
+    refused("READ^NEXT", fs.ens_read_next(&mut fs.ens_open(&of, None)));
+    let mut sbb = fs.ens_open_sbb(&of, txn).unwrap();
+    refused("READ^SEQ^BLOCK", fs.ens_read_next(&mut sbb));
+    refused("RELATIVE^READ", fs.ens_relative_read("$ODD", 0, 1));
+    refused("ENTRY^APPEND", fs.ens_entry_append("$ODD", 0, vec![1]));
+    refused("ENTRY^READ", fs.ens_entry_read("$ODD", 0, 1));
+    refused(
+        "READ",
+        fs.read_by_key(None, &of, &emp_key(1), ReadLock::None),
+    );
+    refused(
+        "DELETE^SUBSET^FIRST",
+        fs.delete_set(txn, &of, &KeyRange::all(), None),
+    );
 }

@@ -10,7 +10,7 @@
 //! schedule.
 //!
 //! Two small-step models mirror `crates/fs/src/lib.rs::send`,
-//! `crates/fs/src/sqlapi.rs::send_redrive` and
+//! `crates/fs/src/sqlapi.rs::drive_subset` and
 //! `crates/dp/src/lib.rs::handle_sync` closely enough that every branch of
 //! the real code has a counterpart here:
 //!
@@ -366,7 +366,7 @@ enum RunResult {
 type RunOutput = (RunResult, usize, usize);
 
 /// One scan-model execution: `GET^FIRST`, then `GET^NEXT` until done, with
-/// the `send_redrive` rebuild on `BadSubset`. The invariant is checked on
+/// the `drive_subset` rebuild on `BadSubset`. The invariant is checked on
 /// the stream of keys the *client* observes.
 fn run_scan(cfg: ModelConfig, prefix: &[Action]) -> RunOutput {
     let mut run = Run::new(cfg, prefix);
@@ -401,7 +401,7 @@ fn run_scan(cfg: ModelConfig, prefix: &[Action]) -> RunOutput {
             }
             SendOutcome::Ok(Reply::BadSubset) => {
                 // Mid-scan takeover: rebuild the SCB, resuming strictly
-                // after the last confirmed key (sqlapi::send_redrive).
+                // after the last confirmed key (sqlapi::drive_subset).
                 phase_first = true;
             }
             SendOutcome::Ok(Reply::Applied) => {

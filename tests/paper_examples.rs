@@ -128,24 +128,27 @@ fn redrives_do_not_resend_predicate_bytes() {
     // "It specifies the new key range ... but does not re-send the
     // predicate or the projection." A GET^NEXT message must be much
     // smaller than its GET^FIRST.
-    use nsql_dp::DpRequest;
+    use nsql_dp::{DpRequest, SubsetOp, SubsetVerb};
     use nsql_records::{CmpOp, Expr, KeyRange, Value};
 
-    let first = DpRequest::GetSubsetFirst {
-        txn: None,
+    let first = DpRequest::SubsetFirst {
         file: 0,
         range: KeyRange::all(),
         predicate: Some(Expr::and(
             Expr::field_cmp(3, CmpOp::Gt, Value::Double(32000.0)),
             Expr::field_cmp(0, CmpOp::Le, Value::Int(1000)),
         )),
-        projection: Some(vec![1, 2]),
-        mode: nsql_dp::SubsetMode::Vsbb,
-        lock: nsql_dp::ReadLock::None,
+        op: SubsetOp::Read {
+            txn: None,
+            projection: Some(vec![1, 2]),
+            mode: nsql_dp::SubsetMode::Vsbb,
+            lock: nsql_dp::ReadLock::None,
+        },
     };
-    let next = DpRequest::GetSubsetNext {
+    let next = DpRequest::SubsetNext {
         subset: 1,
         after: vec![0u8; 5],
+        verb: SubsetVerb::Get,
     };
     assert!(
         next.wire_size() * 2 < first.wire_size(),

@@ -546,3 +546,202 @@ mod backout {
         }
     }
 }
+
+/// The set interface is one conversation whatever the verb: over random
+/// tables, limits and statements it returns what a `BTreeMap` does, and on
+/// the wire each touched partition sees one FIRST, then only NEXTs of the
+/// same verb.
+mod subset_conversation {
+    use nonstop_sql::ClusterBuilder;
+    use nsql_dp::{DpConfig, ReadLock, SubsetMode};
+    use nsql_records::key::encode_record_key;
+    use nsql_records::{ArithOp, CmpOp, Expr, KeyRange, OwnedBound, SetList, Value};
+    use nsql_sim::{SimRng, TraceEventKind};
+    use std::collections::btree_map::{BTreeMap, Entry};
+    use std::ops::Bound;
+
+    const KEYS: i32 = 300;
+    const VOLUMES: [&str; 3] = ["$DATA1", "$DATA2", "$DATA3"];
+
+    fn bound(rng: &mut SimRng, key: i32) -> Bound<i32> {
+        match rng.below(3) {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(key),
+            _ => Bound::Excluded(key),
+        }
+    }
+
+    #[test]
+    fn select_update_delete_match_a_model_and_keep_to_one_conversation() {
+        for case in 0..12u64 {
+            let mut rng = SimRng::seed_from(0x5c6 + case);
+            let partitions = 1 + rng.below(3) as usize;
+            let config = DpConfig {
+                max_records_per_request: 1 + rng.below(40) as u32,
+                reply_buffer: 64 + rng.below(2_000) as usize,
+                ..DpConfig::default()
+            };
+            let mut builder = ClusterBuilder::new().dp_config(config);
+            for (cpu, volume) in VOLUMES[..partitions].iter().enumerate() {
+                builder = builder.volume(volume, 0, 1 + cpu as u8);
+            }
+            let db = builder.build();
+            let mut s = db.session();
+            let layout = match partitions {
+                1 => String::new(),
+                2 => " PARTITION BY VALUES (150) ON ('$DATA1', '$DATA2')".to_string(),
+                _ => {
+                    " PARTITION BY VALUES (100, 200) ON ('$DATA1', '$DATA2', '$DATA3')".to_string()
+                }
+            };
+            s.execute(&format!(
+                "CREATE TABLE S (K INT NOT NULL, V INT NOT NULL, PAD CHAR(8) NOT NULL, \
+                 PRIMARY KEY (K)){layout}"
+            ))
+            .unwrap();
+            let mut model: BTreeMap<i32, i32> = BTreeMap::new();
+            s.execute("BEGIN WORK").unwrap();
+            for _ in 0..200 {
+                let (k, v) = (rng.below(KEYS as u64) as i32, rng.between(-50, 50) as i32);
+                if let Entry::Vacant(slot) = model.entry(k) {
+                    slot.insert(v);
+                    s.execute(&format!("INSERT INTO S VALUES ({k}, {v}, 'pad')"))
+                        .unwrap();
+                }
+            }
+            s.execute("COMMIT WORK").unwrap();
+
+            let of = s.open_table("S").unwrap();
+            let key = |k: i32| {
+                let row = [Value::Int(k), Value::Null, Value::Null];
+                encode_record_key(&of.desc, &row)
+            };
+            let owned = |b: Bound<i32>| match b {
+                Bound::Unbounded => OwnedBound::Unbounded,
+                Bound::Included(k) => OwnedBound::Included(key(k)),
+                Bound::Excluded(k) => OwnedBound::Excluded(key(k)),
+            };
+            db.sim.trace.enable(100_000);
+            for step in 0..8 {
+                let lo = rng.below(KEYS as u64) as i32;
+                let hi = lo + rng.below((KEYS - lo) as u64 + 1) as i32;
+                let bounds = (bound(&mut rng, lo), bound(&mut rng, hi));
+                let range = KeyRange {
+                    begin: owned(bounds.0),
+                    end: owned(bounds.1),
+                };
+                let floor = rng.between(-60, 40) as i32;
+                let predicate =
+                    (rng.below(4) > 0).then(|| Expr::field_cmp(1, CmpOp::Gt, Value::Int(floor)));
+                let selected = |k: &i32, v: &i32| {
+                    let in_range = range.contains(&key(*k));
+                    in_range && (predicate.is_none() || *v > floor)
+                };
+                let cursor = db.sim.trace.cursor();
+                let chains = db.sim.hist.redrive_chain.count();
+
+                let verb = rng.below(3);
+                let (first, next) = match verb {
+                    0 => ("GET^FIRST^VSBB", "GET^NEXT"),
+                    1 => ("UPDATE^SUBSET^FIRST", "UPDATE^SUBSET^NEXT"),
+                    _ => ("DELETE^SUBSET^FIRST", "DELETE^SUBSET^NEXT"),
+                };
+                let context = format!("case {case} step {step} {first} {bounds:?} V > {floor}");
+                let txn = s.begin().unwrap();
+                let fs = s.fs();
+                let predicate = predicate.as_ref();
+                match verb {
+                    0 => {
+                        let (mode, lock) = (SubsetMode::Vsbb, ReadLock::Shared);
+                        let fields: &[u16] = &[0, 1];
+                        let got = fs
+                            .scan(Some(txn), &of, &range, predicate, Some(fields), mode, lock)
+                            .unwrap();
+                        let got: Vec<Vec<Value>> = got.rows.into_iter().map(|r| r.0).collect();
+                        let want = model.iter().filter(|(k, v)| selected(k, v));
+                        let want: Vec<Vec<Value>> = want
+                            .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
+                            .collect();
+                        assert_eq!(got, want, "{context}");
+                    }
+                    1 => {
+                        let plus_seven = Expr::Arith(
+                            Box::new(Expr::Field(1)),
+                            ArithOp::Add,
+                            Box::new(Expr::lit(Value::Int(7))),
+                        );
+                        let sets = SetList {
+                            sets: vec![(1, plus_seven)],
+                        };
+                        let changed = fs
+                            .update_set(txn, &of, &range, predicate, &sets, None)
+                            .unwrap();
+                        let hit: Vec<i32> = model
+                            .iter()
+                            .filter(|(k, v)| selected(k, v))
+                            .map(|(k, _)| *k)
+                            .collect();
+                        assert_eq!(changed, hit.len() as u64, "{context}");
+                        for k in hit {
+                            *model.get_mut(&k).unwrap() += 7;
+                        }
+                    }
+                    _ => {
+                        let deleted = fs.delete_set(txn, &of, &range, predicate).unwrap();
+                        let before = model.len();
+                        model.retain(|k, v| !selected(k, v));
+                        assert_eq!(deleted, (before - model.len()) as u64, "{context}");
+                    }
+                }
+                s.commit().unwrap();
+
+                // On the wire: per touched partition, in partition order,
+                // one FIRST and then NEXTs of the same verb only.
+                let sent = db
+                    .sim
+                    .trace
+                    .since(cursor)
+                    .into_iter()
+                    .filter_map(|e| match e.kind {
+                        TraceEventKind::Msg { label, to, .. }
+                            if label.contains("SUBSET") || label.starts_with("GET^") =>
+                        {
+                            Some((to, label))
+                        }
+                        _ => None,
+                    });
+                let mut conversations: Vec<(String, Vec<String>)> = Vec::new();
+                for (to, label) in sent {
+                    match conversations.last_mut() {
+                        Some((last, labels)) if *last == to => labels.push(label),
+                        _ => conversations.push((to, vec![label])),
+                    }
+                }
+                let volumes: Vec<&str> = conversations.iter().map(|(to, _)| to.as_str()).collect();
+                let expected: Vec<&str> = of
+                    .partitions_for_range(&range)
+                    .iter()
+                    .map(|(p, _)| p.process.as_str())
+                    .collect();
+                assert_eq!(volumes, expected, "{context}");
+                for (to, labels) in &conversations {
+                    assert_eq!(labels[0], first, "{context} on {to}");
+                    assert!(
+                        labels[1..].iter().all(|l| l == next),
+                        "{context} on {to}: {labels:?}"
+                    );
+                }
+                let recorded = db.sim.hist.redrive_chain.count() - chains;
+                assert_eq!(recorded, expected.len() as u64, "{context}");
+            }
+
+            let left = s.query("SELECT K, V FROM S").unwrap();
+            let left: Vec<Vec<Value>> = left.rows.into_iter().map(|r| r.0).collect();
+            let want: Vec<Vec<Value>> = model
+                .iter()
+                .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
+                .collect();
+            assert_eq!(left, want, "case {case}");
+        }
+    }
+}
