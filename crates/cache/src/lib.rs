@@ -73,6 +73,7 @@ impl ScanOptions {
 
 #[derive(Debug)]
 struct Frame {
+    block: BlockNo,
     data: Vec<u8>,
     dirty: bool,
     /// Highest audit LSN covering changes to this block (0 = none).
@@ -80,13 +81,146 @@ struct Frame {
     /// If the block arrived via pre-fetch and has not been waited on yet,
     /// the completion time of that I/O.
     ready_at: Option<Micros>,
-    last_use: u64,
+    /// Neighbours on the recency list, towards the least and the most
+    /// recently used end.
+    older: Option<usize>,
+    newer: Option<usize>,
 }
 
+/// The cached frames: a slab of slots, the slot of each cached block, and a
+/// recency list threaded through the slots — least recently used first, the
+/// frames one bulk I/O brought in together in ascending block order. A use
+/// moves a frame to the newest end by relinking three slots; the victim is
+/// the oldest end.
 #[derive(Default)]
 struct PoolInner {
-    frames: HashMap<BlockNo, Frame>,
-    tick: u64,
+    slots: Vec<Frame>,
+    /// Slots whose frame was evicted, to be reused.
+    vacant: Vec<usize>,
+    slot_of: HashMap<BlockNo, usize>,
+    oldest: Option<usize>,
+    newest: Option<usize>,
+}
+
+impl PoolInner {
+    fn frame(&self, block: BlockNo) -> Option<&Frame> {
+        self.slot_of.get(&block).map(|&slot| &self.slots[slot])
+    }
+
+    /// The cached frames, least recently used first.
+    fn by_recency(&self) -> impl Iterator<Item = &Frame> {
+        let first = self.oldest.map(|slot| &self.slots[slot]);
+        std::iter::successors(first, |f| f.newer.map(|slot| &self.slots[slot]))
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (older, newer) = (self.slots[slot].older, self.slots[slot].newer);
+        match older {
+            Some(o) => self.slots[o].newer = newer,
+            None => self.oldest = newer,
+        }
+        match newer {
+            Some(n) => self.slots[n].older = older,
+            None => self.newest = older,
+        }
+    }
+
+    fn link_newest(&mut self, slot: usize) {
+        self.slots[slot].older = self.newest;
+        self.slots[slot].newer = None;
+        match self.newest {
+            Some(n) => self.slots[n].newer = Some(slot),
+            None => self.oldest = Some(slot),
+        }
+        self.newest = Some(slot);
+    }
+
+    /// The frame of `block`, now the most recently used, if it is cached.
+    fn touch(&mut self, block: BlockNo) -> Option<&mut Frame> {
+        let slot = *self.slot_of.get(&block)?;
+        self.unlink(slot);
+        self.link_newest(slot);
+        Some(&mut self.slots[slot])
+    }
+
+    /// Cache `data` as `block` (not cached so far), most recently used.
+    fn install(
+        &mut self,
+        block: BlockNo,
+        data: Vec<u8>,
+        dirty: bool,
+        lsn: u64,
+        ready_at: Option<Micros>,
+    ) {
+        debug_assert!(
+            !self.slot_of.contains_key(&block),
+            "block {block} is cached"
+        );
+        let frame = Frame {
+            block,
+            data,
+            dirty,
+            lsn,
+            ready_at,
+            older: None,
+            newer: None,
+        };
+        let slot = match self.vacant.pop() {
+            Some(slot) => {
+                self.slots[slot] = frame;
+                slot
+            }
+            None => {
+                self.slots.push(frame);
+                self.slots.len() - 1
+            }
+        };
+        self.slot_of.insert(block, slot);
+        self.link_newest(slot);
+    }
+
+    /// Drop the frame in `slot`; returns what it held.
+    fn evict(&mut self, slot: usize) -> Frame {
+        self.unlink(slot);
+        self.vacant.push(slot);
+        let frame = &mut self.slots[slot];
+        self.slot_of.remove(&frame.block);
+        Frame {
+            data: std::mem::take(&mut frame.data),
+            older: None,
+            newer: None,
+            ..*frame
+        }
+    }
+
+    /// The dirty blocks `keep` admits, ascending.
+    fn dirty_blocks(&self, keep: impl Fn(&Frame) -> bool) -> Vec<BlockNo> {
+        let dirty = self.by_recency().filter(|f| f.dirty && keep(f));
+        let mut dirty: Vec<BlockNo> = dirty.map(|f| f.block).collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// Copies of the cached contents of `blocks`, for one bulk write.
+    fn contents(&self, blocks: &[BlockNo]) -> Vec<Vec<u8>> {
+        let cached = blocks.iter().filter_map(|&b| self.frame(b));
+        cached.map(|f| f.data.clone()).collect()
+    }
+
+    fn mark_clean(&mut self, blocks: &[BlockNo]) {
+        for b in blocks {
+            if let Some(&slot) = self.slot_of.get(b) {
+                self.slots[slot].dirty = false;
+            }
+        }
+    }
+}
+
+/// Cut ascending block numbers into maximal strings of consecutive blocks,
+/// none longer than `max`: what one bulk write can carry.
+fn strings(blocks: &[BlockNo], max: usize) -> impl Iterator<Item = &[BlockNo]> {
+    let consecutive = blocks.chunk_by(|a, b| *b == *a + 1);
+    consecutive.flat_map(move |run| run.chunks(max))
 }
 
 /// The buffer pool of one Disk Process.
@@ -133,11 +267,8 @@ impl BufferPool {
     /// does not).
     pub fn read_scan(&self, block: BlockNo, opts: ScanOptions) -> Result<Vec<u8>, DiskError> {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
 
-        if let Some(f) = inner.frames.get_mut(&block) {
-            f.last_use = tick;
+        if let Some(f) = inner.touch(block) {
             // If the block was pre-fetched, we may have to wait for the I/O
             // to complete — but usually the CPU work since issuing it
             // covers the latency (that is the point of pre-fetch).
@@ -147,7 +278,6 @@ impl BufferPool {
             }
             self.sim.metrics.cache_hits.inc();
             self.rec.bump(Ctr::CacheHits);
-            let _ = opts;
             return Ok(f.data.clone());
         }
 
@@ -155,78 +285,39 @@ impl BufferPool {
         self.rec.bump(Ctr::CacheFaults);
         // Miss: choose the string length.
         let run = if opts.bulk {
-            self.contiguous_uncached_run(&inner, block)
+            self.uncached_run(&inner, block).max(1)
         } else {
             1
         };
         self.make_room(&mut inner, run)?;
         let datas = self.disk.read(block, run)?;
-        let mut out = None;
-        for (i, data) in datas.into_iter().enumerate() {
-            let b = block + i as u32;
-            if i == 0 {
-                out = Some(data.clone());
-            }
-            inner.frames.insert(
-                b,
-                Frame {
-                    data,
-                    dirty: false,
-                    lsn: 0,
-                    ready_at: None,
-                    last_use: tick,
-                },
-            );
+        let out = datas.first().cloned();
+        for (b, data) in (block..).zip(datas) {
+            inner.install(b, data, false, 0, None);
         }
         Ok(out.expect("read returned at least one block"))
     }
 
     /// Longest run of uncached, allocated blocks starting at `block`,
     /// clipped to the bulk I/O maximum.
-    fn contiguous_uncached_run(&self, inner: &PoolInner, block: BlockNo) -> usize {
+    fn uncached_run(&self, inner: &PoolInner, block: BlockNo) -> usize {
         let max = self.sim.cost.bulk_io_max_blocks();
         let disk_len = self.disk.len_blocks() as u32;
-        let mut run = 0usize;
-        while run < max {
-            let b = block + run as u32;
-            if b >= disk_len || inner.frames.contains_key(&b) {
-                break;
-            }
-            run += 1;
-        }
-        run.max(1)
+        let uncached = |b: &BlockNo| *b < disk_len && !inner.slot_of.contains_key(b);
+        (block..).take(max).take_while(uncached).count()
     }
 
-    /// Asynchronously pre-fetch a string of contiguous blocks starting at
-    /// `from` (the B-tree scan announces the next leaf in the chain). The
-    /// I/O runs on the disk's private timeline, overlapping the caller's
-    /// CPU-bound record processing.
+    /// Asynchronously pre-fetch the next uncached string of contiguous
+    /// blocks starting at `from` (the B-tree scan announces the next leaf
+    /// in the chain). The I/O runs on the disk's private timeline,
+    /// overlapping the caller's CPU-bound record processing.
     pub fn prefetch(&self, from: BlockNo) {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        self.maybe_prefetch(&mut inner, from, tick);
-    }
-
-    /// Asynchronously fetch the next uncached string starting at `from`.
-    fn maybe_prefetch(&self, inner: &mut PoolInner, from: BlockNo, tick: u64) {
-        let run = {
-            let max = self.sim.cost.bulk_io_max_blocks();
-            let disk_len = self.disk.len_blocks() as u32;
-            let mut run = 0usize;
-            while run < max {
-                let b = from + run as u32;
-                if b >= disk_len || inner.frames.contains_key(&b) {
-                    break;
-                }
-                run += 1;
-            }
-            run
-        };
+        let run = self.uncached_run(&inner, from);
         if run == 0 {
             return;
         }
-        if self.make_room(inner, run).is_err() {
+        if self.make_room(&mut inner, run).is_err() {
             return; // cannot evict enough: skip the pre-fetch
         }
         let Ok((datas, ready)) = self.disk.read_async(from, run) else {
@@ -235,17 +326,8 @@ impl BufferPool {
         self.rec.add(Ctr::PrefetchReads, run as u64);
         self.sim
             .trace_emit(|| nsql_sim::trace::TraceEventKind::Prefetch { blocks: run as u64 });
-        for (i, data) in datas.into_iter().enumerate() {
-            inner.frames.insert(
-                from + i as u32,
-                Frame {
-                    data,
-                    dirty: false,
-                    lsn: 0,
-                    ready_at: Some(ready),
-                    last_use: tick,
-                },
-            );
+        for (b, data) in (from..).zip(datas) {
+            inner.install(b, data, false, 0, Some(ready));
         }
     }
 
@@ -254,44 +336,26 @@ impl BufferPool {
     pub fn write(&self, block: BlockNo, data: Vec<u8>, lsn: u64) -> Result<(), DiskError> {
         assert!(data.len() <= self.disk.block_size());
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(f) = inner.frames.get_mut(&block) {
+        if let Some(f) = inner.touch(block) {
             f.data = data;
             f.dirty = true;
             f.lsn = f.lsn.max(lsn);
             f.ready_at = None;
-            f.last_use = tick;
             return Ok(());
         }
         self.make_room(&mut inner, 1)?;
-        inner.frames.insert(
-            block,
-            Frame {
-                data,
-                dirty: true,
-                lsn,
-                ready_at: None,
-                last_use: tick,
-            },
-        );
+        inner.install(block, data, true, lsn, None);
         Ok(())
     }
 
-    /// Evict LRU frames until `need` new frames fit. The frames of one bulk
-    /// string share a tick; among equals the lowest block goes first, so
-    /// the choice does not depend on the map's iteration order.
+    /// Evict from the least recently used end until `need` new frames fit.
     fn make_room(&self, inner: &mut PoolInner, need: usize) -> Result<(), DiskError> {
         let mut evicted = 0u64;
-        while inner.frames.len() + need > self.capacity {
+        while inner.slot_of.len() + need > self.capacity {
             let victim = inner
-                .frames
-                .iter()
-                .map(|(b, f)| (f.last_use, *b))
-                .min()
-                .map(|(_, b)| b)
+                .oldest
                 .expect("capacity >= 8 so pool is nonempty when full");
-            let f = inner.frames.remove(&victim).expect("victim exists");
+            let f = inner.evict(victim);
             if f.dirty {
                 // Steal of a dirty page: WAL first, then write it out.
                 let now = self.sim.now();
@@ -299,7 +363,7 @@ impl BufferPool {
                     let done = self.wal.force(f.lsn, now);
                     self.sim.clock.advance_to_in(Wait::Commit, done);
                 }
-                self.disk.write(victim, std::slice::from_ref(&f.data))?;
+                self.disk.write(f.block, std::slice::from_ref(&f.data))?;
             }
             self.sim.metrics.cache_steals.inc();
             evicted += 1;
@@ -321,35 +385,17 @@ impl BufferPool {
     pub fn write_behind(&self) -> usize {
         let now = self.sim.now();
         let mut inner = self.inner.lock();
-        let mut dirty: Vec<BlockNo> = inner
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty && self.wal.durable(f.lsn, now))
-            .map(|(b, _)| *b)
-            .collect();
-        dirty.sort_unstable();
-        let max = self.sim.cost.bulk_io_max_blocks();
+        let dirty = inner.dirty_blocks(|f| self.wal.durable(f.lsn, now));
         let mut written = 0usize;
-        let mut i = 0;
-        while i < dirty.len() {
-            // Maximal contiguous run from i.
-            let mut j = i + 1;
-            while j < dirty.len() && dirty[j] == dirty[j - 1] + 1 && j - i < max {
-                j += 1;
+        for string in strings(&dirty, self.sim.cost.bulk_io_max_blocks()) {
+            if self
+                .disk
+                .write_async(string[0], &inner.contents(string))
+                .is_ok()
+            {
+                inner.mark_clean(string);
+                written += string.len();
             }
-            let start = dirty[i];
-            let datas: Vec<Vec<u8>> = (i..j)
-                .map(|k| inner.frames[&dirty[k]].data.clone())
-                .collect();
-            if self.disk.write_async(start, &datas).is_ok() {
-                for b in &dirty[i..j] {
-                    if let Some(f) = inner.frames.get_mut(b) {
-                        f.dirty = false;
-                    }
-                }
-                written += j - i;
-            }
-            i = j;
         }
         written
     }
@@ -358,62 +404,38 @@ impl BufferPool {
     /// shutdown), respecting WAL.
     pub fn flush_all(&self) -> Result<(), DiskError> {
         let mut inner = self.inner.lock();
-        let max_lsn = inner
-            .frames
-            .values()
-            .filter(|f| f.dirty)
-            .map(|f| f.lsn)
-            .max()
-            .unwrap_or(0);
+        let dirty = inner.dirty_blocks(|_| true);
+        let lsns = dirty.iter().filter_map(|&b| inner.frame(b));
+        let max_lsn = lsns.map(|f| f.lsn).max().unwrap_or(0);
         let now = self.sim.now();
         if max_lsn > 0 && !self.wal.durable(max_lsn, now) {
             let done = self.wal.force(max_lsn, now);
             self.sim.clock.advance_to_in(Wait::Commit, done);
         }
-        let mut dirty: Vec<BlockNo> = inner
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(b, _)| *b)
-            .collect();
-        dirty.sort_unstable();
-        let max = self.sim.cost.bulk_io_max_blocks();
-        let mut i = 0;
-        while i < dirty.len() {
-            let mut j = i + 1;
-            while j < dirty.len() && dirty[j] == dirty[j - 1] + 1 && j - i < max {
-                j += 1;
-            }
-            let datas: Vec<Vec<u8>> = (i..j)
-                .map(|k| inner.frames[&dirty[k]].data.clone())
-                .collect();
-            self.disk.write(dirty[i], &datas)?;
-            for b in &dirty[i..j] {
-                inner.frames.get_mut(b).expect("exists").dirty = false;
-            }
-            i = j;
+        for string in strings(&dirty, self.sim.cost.bulk_io_max_blocks()) {
+            self.disk.write(string[0], &inner.contents(string))?;
+            inner.mark_clean(string);
         }
         Ok(())
     }
 
-    /// Memory-pressure handshake: drop up to `n` clean frames. Returns how
-    /// many were stolen.
+    /// Memory-pressure handshake: drop up to `n` clean frames, least
+    /// recently used first. Returns how many were stolen.
     pub fn steal_clean(&self, n: usize) -> usize {
         let mut inner = self.inner.lock();
-        let mut clean: Vec<(u64, BlockNo)> = inner
-            .frames
-            .iter()
-            .filter(|(_, f)| !f.dirty && f.ready_at.is_none())
-            .map(|(b, f)| (f.last_use, *b))
-            .collect();
-        clean.sort_unstable();
-        let take = clean.len().min(n);
-        for (_, b) in clean.into_iter().take(take) {
-            inner.frames.remove(&b);
-            self.sim.metrics.cache_steals.inc();
+        let mut stolen = 0;
+        let mut next = inner.oldest;
+        while let Some(slot) = next.filter(|_| stolen < n) {
+            let f = &inner.slots[slot];
+            next = f.newer;
+            if !f.dirty && f.ready_at.is_none() {
+                inner.evict(slot);
+                self.sim.metrics.cache_steals.inc();
+                stolen += 1;
+            }
         }
-        self.rec.add(Ctr::CacheEvicts, take as u64);
-        take
+        self.rec.add(Ctr::CacheEvicts, stolen as u64);
+        stolen
     }
 
     /// Memory-pressure handshake: clean (write out) dirty frames so their
@@ -425,22 +447,17 @@ impl BufferPool {
     /// Drop every frame without writing (crash simulation: cache contents
     /// are lost; the disk keeps only what was flushed).
     pub fn crash(&self) {
-        self.inner.lock().frames.clear();
+        *self.inner.lock() = PoolInner::default();
     }
 
     /// Number of cached frames (tests).
     pub fn cached_frames(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.inner.lock().slot_of.len()
     }
 
     /// Number of dirty frames (tests).
     pub fn dirty_frames(&self) -> usize {
-        self.inner
-            .lock()
-            .frames
-            .values()
-            .filter(|f| f.dirty)
-            .count()
+        self.inner.lock().by_recency().filter(|f| f.dirty).count()
     }
 }
 
@@ -454,6 +471,18 @@ mod tests {
         let disk = Disk::new(sim.clone(), "$D", false);
         let pool = BufferPool::new(sim.clone(), Arc::clone(&disk), Arc::new(NoWal), capacity);
         (sim, disk, pool)
+    }
+
+    /// The cached blocks, least recently used first.
+    fn recency(pool: &BufferPool) -> Vec<BlockNo> {
+        let inner = pool.inner.lock();
+        let blocks: Vec<BlockNo> = inner.by_recency().map(|f| f.block).collect();
+        assert_eq!(
+            blocks.len(),
+            inner.slot_of.len(),
+            "every frame is on the list"
+        );
+        blocks
     }
 
     fn fill_disk(disk: &Disk, nblocks: u32) {
@@ -494,7 +523,7 @@ mod tests {
             let (_sim, disk, pool) = setup(8);
             fill_disk(&disk, 32);
             let cached = |pool: &BufferPool| -> Vec<BlockNo> {
-                let mut blocks: Vec<BlockNo> = pool.inner.lock().frames.keys().copied().collect();
+                let mut blocks = recency(pool);
                 blocks.sort_unstable();
                 blocks
             };
@@ -514,6 +543,156 @@ mod tests {
         assert_eq!(evictions(), (string.clone(), order.clone()));
         // Once the pool is full the string goes, lowest block first.
         assert_eq!(order[..string.len()], string[..]);
+    }
+
+    /// What the recency list replaced: every frame stamped with the tick of
+    /// its last use, the victim found by scanning all of them for the least
+    /// `(last_use, block)`.
+    #[derive(Default)]
+    struct TickModel {
+        /// `block -> (last_use, dirty, pre-fetch pending)`.
+        frames: HashMap<BlockNo, (u64, bool, bool)>,
+        tick: u64,
+        evictions: Vec<BlockNo>,
+    }
+
+    impl TickModel {
+        const CAPACITY: usize = 8;
+        const DISK: BlockNo = 40;
+        const BULK: usize = 7;
+
+        fn uncached_run(&self, from: BlockNo) -> usize {
+            let uncached = |b: &BlockNo| *b < Self::DISK && !self.frames.contains_key(b);
+            (from..).take(Self::BULK).take_while(uncached).count()
+        }
+
+        fn make_room(&mut self, need: usize) {
+            while self.frames.len() + need > Self::CAPACITY {
+                let victim = self.frames.iter().map(|(b, f)| (f.0, *b)).min().unwrap().1;
+                self.frames.remove(&victim);
+                self.evictions.push(victim);
+            }
+        }
+
+        fn read(&mut self, block: BlockNo, bulk: bool) {
+            self.tick += 1;
+            if let Some(f) = self.frames.get_mut(&block) {
+                *f = (self.tick, f.1, false);
+                return;
+            }
+            let run = if bulk {
+                self.uncached_run(block).max(1)
+            } else {
+                1
+            };
+            self.make_room(run);
+            for b in block..block + run as BlockNo {
+                self.frames.insert(b, (self.tick, false, false));
+            }
+        }
+
+        fn prefetch(&mut self, from: BlockNo) {
+            self.tick += 1;
+            let run = self.uncached_run(from);
+            if run > 0 {
+                self.make_room(run);
+                for b in from..from + run as BlockNo {
+                    self.frames.insert(b, (self.tick, false, true));
+                }
+            }
+        }
+
+        fn write(&mut self, block: BlockNo) {
+            self.tick += 1;
+            if !self.frames.contains_key(&block) {
+                self.make_room(1);
+            }
+            self.frames.insert(block, (self.tick, true, false));
+        }
+
+        fn steal_clean(&mut self, n: usize) {
+            let clean = self.frames.iter().filter(|(_, f)| !f.1 && !f.2);
+            let mut clean: Vec<(u64, BlockNo)> = clean.map(|(b, f)| (f.0, *b)).collect();
+            clean.sort_unstable();
+            for (_, b) in clean.into_iter().take(n) {
+                self.frames.remove(&b);
+                self.evictions.push(b);
+            }
+        }
+
+        fn recency(&self) -> Vec<BlockNo> {
+            let mut order: Vec<(u64, BlockNo)> =
+                self.frames.iter().map(|(b, f)| (f.0, *b)).collect();
+            order.sort_unstable();
+            order.into_iter().map(|(_, b)| b).collect()
+        }
+    }
+
+    #[test]
+    fn recency_list_evicts_what_the_least_tick_scan_evicted() {
+        for seed in 0..40 {
+            let mut rng = nsql_sim::SimRng::seed_from(0xCAC4E + seed);
+            let (sim, disk, pool) = setup(TickModel::CAPACITY);
+            assert_eq!(sim.cost.bulk_io_max_blocks(), TickModel::BULK);
+            fill_disk(&disk, TickModel::DISK);
+            let mut model = TickModel::default();
+            let mut evictions = Vec::new();
+            for step in 0..400 {
+                let block = rng.below(u64::from(TickModel::DISK) + 4) as BlockNo;
+                let before = recency(&pool);
+                let op = rng.below(100);
+                match op {
+                    // Past the end of the disk there is nothing to read.
+                    0..=34 if block < TickModel::DISK => {
+                        pool.read(block).unwrap();
+                        model.read(block, false);
+                    }
+                    35..=59 if block < TickModel::DISK => {
+                        pool.read_scan(block, ScanOptions::sequential()).unwrap();
+                        model.read(block, true);
+                    }
+                    60..=74 => {
+                        pool.prefetch(block);
+                        model.prefetch(block);
+                    }
+                    75..=94 if block < TickModel::DISK => {
+                        pool.write(block, vec![step as u8; 64], 0).unwrap();
+                        model.write(block);
+                    }
+                    95..=98 => {
+                        let n = rng.below(5) as usize;
+                        pool.steal_clean(n);
+                        model.steal_clean(n);
+                    }
+                    // What a crash loses was not evicted.
+                    99 => {
+                        pool.crash();
+                        model.frames.clear();
+                        assert!(recency(&pool).is_empty());
+                        continue;
+                    }
+                    _ => continue,
+                }
+                // What went, oldest first, and the order of what stayed.
+                let after = recency(&pool);
+                evictions.extend(before.into_iter().filter(|b| !after.contains(b)));
+                assert_eq!(
+                    evictions,
+                    model.evictions[..],
+                    "seed {seed} step {step} op {op}"
+                );
+                assert_eq!(after, model.recency(), "seed {seed} step {step} op {op}");
+                assert_eq!(
+                    pool.dirty_frames(),
+                    model.frames.values().filter(|f| f.1).count()
+                );
+            }
+            assert!(
+                evictions.len() > 100,
+                "seed {seed}: {} evictions",
+                evictions.len()
+            );
+        }
     }
 
     #[test]

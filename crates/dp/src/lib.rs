@@ -27,8 +27,8 @@ pub mod store;
 
 pub use label::{FileLabel, VolumeLabel};
 pub use protocol::{
-    AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, SubsetId, SubsetMode,
-    SubsetOp, SubsetVerb, SyncId, SyncRequest,
+    AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, RowBlock, SubsetId,
+    SubsetMode, SubsetOp, SubsetVerb, SyncId, SyncRequest,
 };
 use store::Unlogged;
 pub use store::{Allocator, DpStore};
@@ -39,8 +39,8 @@ use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, LockScope, TxnId};
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
-use nsql_records::row::{decode_row, encode_row, extract_field, RawRecord};
-use nsql_records::{Expr, KeyRange, OwnedBound, RecordDescriptor, SetList, Value};
+use nsql_records::row::{decode_row, encode_row, CodecError, RawRecord};
+use nsql_records::{Expr, KeyRange, OwnedBound, Projection, RecordDescriptor, SetList};
 use nsql_sim::sync::Mutex;
 use nsql_sim::trace::TraceEventKind;
 use nsql_sim::Wait;
@@ -115,15 +115,18 @@ impl WalGate for AuditorGate {
 
 /// What a Subset Control Block remembers between re-drives: "these latter
 /// were saved in the Subset Control Block which was created by the Disk
-/// Process at GET^FIRST time" — the FIRST request less the begin-key. It is
-/// freed when its range is exhausted, when the requester closes it, when
-/// its transaction ends and when the process crashes.
-#[derive(Debug, Clone)]
+/// Process at GET^FIRST time" — the FIRST request less the begin-key, plus
+/// what was worked out from it then. It is freed when its range is
+/// exhausted, when the requester closes it, when its transaction ends and
+/// when the process crashes.
+#[derive(Debug)]
 struct Scb {
     file: FileId,
     end: OwnedBound,
     predicate: Option<Expr>,
     op: SubsetOp,
+    /// The projection of a read, compiled against the file's descriptor.
+    plan: Option<Projection>,
 }
 
 /// Replies remembered per opener for duplicate suppression (Tandem kept a
@@ -133,14 +136,15 @@ const REPLY_CACHE_PER_OPENER: usize = 8;
 #[derive(Default)]
 struct DpState {
     label: VolumeLabel,
-    subsets: HashMap<SubsetId, Scb>,
+    subsets: HashMap<SubsetId, Arc<Scb>>,
     next_subset: SubsetId,
     /// What each live transaction has logged on this volume, oldest first,
     /// for abort to back out: the file and the audit record's body.
     undo: HashMap<TxnId, Vec<(FileId, AuditBody)>>,
     /// Per-opener cache of the last few `(sync seq, reply)` pairs: a
     /// retransmitted request (lost reply, duplicate delivery) is answered
-    /// from here instead of being re-executed.
+    /// from here instead of being re-executed. A reply's row block is
+    /// shared with the copy that was handed out, not copied.
     replies: HashMap<u64, VecDeque<(u64, DpReply)>>,
 }
 
@@ -307,7 +311,7 @@ impl DiskProcess {
         }
     }
 
-    fn file_label(&self, file: FileId) -> Result<FileLabel, DpError> {
+    fn file_label(&self, file: FileId) -> Result<Arc<FileLabel>, DpError> {
         self.state
             .lock()
             .label
@@ -491,18 +495,10 @@ impl DiskProcess {
             }
             DpRequest::SubsetFirst {
                 file,
-                range: KeyRange { begin, end },
+                range,
                 predicate,
                 op,
-            } => {
-                let scb = Scb {
-                    file,
-                    end,
-                    predicate,
-                    op,
-                };
-                self.run_subset(scb, begin, None)
-            }
+            } => self.subset_first(file, range, predicate, op),
             DpRequest::SubsetNext {
                 subset,
                 after,
@@ -555,7 +551,8 @@ impl DiskProcess {
             let mut st = self.state.lock();
             let id = st.label.next_file;
             st.label.next_file += 1;
-            st.label.files.insert(id, FileLabel { id, kind, anchor });
+            let file = FileLabel { id, kind, anchor };
+            st.label.files.insert(id, Arc::new(file));
             st.label.clone()
         };
         self.persist_label(&label);
@@ -600,15 +597,17 @@ impl DiskProcess {
         let opened = AuditedFile::open(&store, &label)?;
         let tree = opened.tree()?;
         let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-        let mut found: Option<(Vec<u8>, Vec<u8>)> = None;
+        let mut rows = RowBlock::default();
+        let mut found: Option<Vec<u8>> = None;
         tree.scan(start, |k, v| {
-            found = Some((k.to_vec(), v.to_vec()));
+            rows.push(v);
+            found = Some(k.to_vec());
             ScanControl::Stop
         });
         self.sim.cpu_work(CpuLayer::DiskProcess, 3);
         match found {
             None => Ok(DpReply::Record(None)),
-            Some((k, v)) => {
+            Some(k) => {
                 if let (Some(txn), ReadLock::Shared) = (txn, lock) {
                     self.join_txn(txn);
                     self.lock(txn, file, LockScope::record(k.clone()), LockMode::Shared)?;
@@ -619,7 +618,7 @@ impl DiskProcess {
                 // The caller needs the key to continue; replies carry it in
                 // a Subset-shaped message.
                 Ok(DpReply::Subset {
-                    rows: vec![v],
+                    rows,
                     last_key: Some(k),
                     done: false,
                     subset: None,
@@ -640,15 +639,20 @@ impl DiskProcess {
         let opened = AuditedFile::open(&store, &label)?;
         let tree = opened.tree()?;
         let block_budget = self.pool.disk().block_size();
-        let mut rows = Vec::new();
-        let mut bytes = 0usize;
-        let mut last_key: Option<Vec<u8>> = None;
+        let mut rows = RowBlock::default();
+        let (mut records, mut bytes) = (0u64, 0usize);
+        // Last key returned; one buffer reused across the scan.
+        let mut last_key: Vec<u8> = Vec::new();
         let mut full = false;
         let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
         tree.scan(start, |k, v| {
+            // A physical block's worth of record bytes, length prefixes
+            // aside.
+            records += 1;
             bytes += v.len();
-            rows.push(v.to_vec());
-            last_key = Some(k.to_vec());
+            rows.push(v);
+            last_key.clear();
+            last_key.extend_from_slice(k);
             self.sim.cpu_work(CpuLayer::DiskProcess, 1);
             if bytes >= block_budget {
                 full = true;
@@ -658,11 +662,11 @@ impl DiskProcess {
             }
         });
         let frec = self.file_rec(file);
-        frec.add(Ctr::RecsExamined, rows.len() as u64);
-        frec.add(Ctr::RecsSelected, rows.len() as u64);
+        frec.add(Ctr::RecsExamined, records);
+        frec.add(Ctr::RecsSelected, records);
         Ok(DpReply::Subset {
             rows,
-            last_key,
+            last_key: (records > 0).then_some(last_key),
             done: !full,
             subset: None,
             examined: 0,
@@ -672,7 +676,7 @@ impl DiskProcess {
 
     /// What every record-at-a-time write begins with: the file's label,
     /// membership of the transaction, the exclusive lock on the record.
-    fn begin_write(&self, txn: TxnId, file: FileId, key: &[u8]) -> Result<FileLabel, DpError> {
+    fn begin_write(&self, txn: TxnId, file: FileId, key: &[u8]) -> Result<Arc<FileLabel>, DpError> {
         let label = self.file_label(file)?;
         self.join_txn(txn);
         self.lock(
@@ -845,7 +849,7 @@ impl DiskProcess {
             self.pool.write_behind();
         }
         DpReply::Subset {
-            rows: Vec::new(),
+            rows: RowBlock::default(),
             last_key: None,
             done: true,
             subset: None,
@@ -885,6 +889,57 @@ impl DiskProcess {
     // Set-oriented execution under the re-drive protocol
     // ------------------------------------------------------------------
 
+    /// FIRST: open a subset conversation. What can be worked out once — the
+    /// projection plan — is, and it stays with the operation in the Subset
+    /// Control Block, which is created when a re-drive will be needed.
+    fn subset_first(
+        &self,
+        file: FileId,
+        range: KeyRange,
+        predicate: Option<Expr>,
+        op: SubsetOp,
+    ) -> Result<DpReply, DpError> {
+        let label = self.file_label(file)?;
+        let plan = match &op {
+            SubsetOp::Read {
+                projection: Some(fields),
+                ..
+            } => {
+                let plan = Projection::new(self.descriptor(&label)?, fields);
+                Some(plan.map_err(|e| DpError::BadRecord(e.to_string()))?)
+            }
+            SubsetOp::Read {
+                projection: None, ..
+            }
+            | SubsetOp::Update { .. }
+            | SubsetOp::Delete { .. } => None,
+        };
+        let KeyRange { begin, end } = range;
+        let scb = Scb {
+            file,
+            end,
+            predicate,
+            op,
+            plan,
+        };
+        let mut reply = self.run_subset(&scb, &label, begin, None)?;
+        if let DpReply::Subset {
+            done: false,
+            subset,
+            ..
+        } = &mut reply
+        {
+            let mut st = self.state.lock();
+            let id = st.next_subset;
+            st.next_subset += 1;
+            st.subsets.insert(id, Arc::new(scb));
+            self.sim.metrics.subset_control_blocks.inc();
+            self.scb_rec.bump(Ctr::ScbCreated);
+            *subset = Some(id);
+        }
+        Ok(reply)
+    }
+
     /// A re-drive: the SCB's operation, continued after `after`. The verb
     /// must be the operation's own — a requester that mixes up its subsets
     /// is told so before a record is touched.
@@ -894,30 +949,30 @@ impl DiskProcess {
         after: Vec<u8>,
         verb: SubsetVerb,
     ) -> Result<DpReply, DpError> {
-        let scb = self.state.lock().subsets.get(&subset).cloned();
+        let scb = self.state.lock().subsets.get(&subset).map(Arc::clone);
         let scb = scb.ok_or(DpError::BadSubset(subset))?;
         if scb.op.verb() != verb {
             return Err(DpError::WrongVerb { subset, verb });
         }
-        let reply = self.run_subset(scb, OwnedBound::Excluded(after), Some(subset))?;
+        let label = self.file_label(scb.file)?;
+        let reply = self.run_subset(&scb, &label, OwnedBound::Excluded(after), Some(subset))?;
         if let DpReply::Subset { done: true, .. } = reply {
             self.state.lock().subsets.remove(&subset);
         }
         Ok(reply)
     }
 
-    /// Execute one request-message's worth of a subset operation starting
-    /// at `begin`. `existing` is the SCB id on re-drives; on first
-    /// executions a Subset Control Block is created when a re-drive will be
-    /// needed.
+    /// Execute one request-message's worth of the subset operation `scb`
+    /// on the file of `label`, starting at `begin`. `existing` is the SCB id
+    /// on re-drives, which keep reporting it until the range is exhausted.
     fn run_subset(
         &self,
-        scb: Scb,
+        scb: &Scb,
+        label: &FileLabel,
         begin: OwnedBound,
         existing: Option<SubsetId>,
     ) -> Result<DpReply, DpError> {
-        let label = self.file_label(scb.file)?;
-        let desc = self.descriptor(&label)?;
+        let desc = self.descriptor(label)?;
         let frec = self.file_rec(scb.file);
         if existing.is_some() {
             self.scb_rec.bump(Ctr::ScbRedrives);
@@ -937,30 +992,46 @@ impl DiskProcess {
             )
         };
         // A read fills the reply with (projected) rows; a write collects
-        // the records to change.
-        let read = match &scb.op {
+        // the records to change. A locking read group-locks the span of
+        // what it returns.
+        let (read, group_lock) = match &scb.op {
             SubsetOp::Read {
-                mode, projection, ..
-            } => Some((*mode, projection.as_deref())),
-            SubsetOp::Update { .. } | SubsetOp::Delete { .. } => None,
+                mode, txn, lock, ..
+            } => (
+                Some(*mode),
+                txn.filter(|_| matches!(lock, ReadLock::Shared)),
+            ),
+            SubsetOp::Update { .. } | SubsetOp::Delete { .. } => (None, None),
         };
         // RSBB replies carry one physical block copy; VSBB virtual blocks
         // use the configured reply buffer.
         let reply_budget = match read {
-            Some((SubsetMode::Rsbb, _)) => self.pool.disk().block_size(),
-            Some((SubsetMode::Vsbb, _)) | None => reply_buffer,
+            Some(SubsetMode::Rsbb) => self.pool.disk().block_size(),
+            Some(SubsetMode::Vsbb) | None => reply_buffer,
+        };
+        // The predicate with its charge per record, and how long a record
+        // must be for predicate or projection to find its fields: the fixed
+        // part is checked once per record, ahead of both.
+        let predicate = scb.predicate.as_ref().map(|p| (p, 1 + p.eval_cost() / 2));
+        let looks_inside = predicate.is_some() || scb.plan.as_ref().is_some_and(|p| !p.is_empty());
+        let fixed_part = if looks_inside {
+            desc.bitmap_len() + desc.fixed_size()
+        } else {
+            0
         };
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
-        let opened = AuditedFile::open(&store, &label)?;
+        let opened = AuditedFile::open(&store, label)?;
         let tree = opened.tree()?;
 
         // Phase 1: scan, evaluating the single-variable query per record.
-        let mut rows: Vec<Vec<u8>> = Vec::new();
+        // Every CPU charge of a record lands before the scan reads its next
+        // block (the disk's timeline is read against the clock); the counts
+        // nothing reads meanwhile are booked after the scan.
+        let mut rows = RowBlock::default();
         let mut matched: Vec<(Vec<u8>, Vec<u8>)> = Vec::new(); // update/delete candidates
         let mut first_selected: Option<Vec<u8>> = None;
-        let mut reply_bytes = 0usize;
-        let mut examined = 0u32;
+        let (mut examined, mut selected) = (0u32, 0u32);
         // Last key examined; one buffer reused across the scan.
         let mut last_key: Vec<u8> = Vec::new();
         let mut exhausted = true;
@@ -977,50 +1048,44 @@ impl DiskProcess {
                 return ScanControl::Stop;
             }
             examined += 1;
-            self.sim.metrics.dp_records_examined.inc();
-            frec.bump(Ctr::RecsExamined);
-            let raw = RawRecord { desc, bytes: v };
-            let selected = match &scb.predicate {
+            let mut fail = |units: u64, e: DpError| {
+                self.sim.cpu_work(CpuLayer::DiskProcess, units);
+                eval_error = Some(e);
+                ScanControl::Stop
+            };
+            if v.len() < fixed_part {
+                return fail(0, DpError::BadRecord(CodecError::Corrupt.to_string()));
+            }
+            let mut units = 1;
+            let passes = match predicate {
                 None => true,
-                Some(p) => {
-                    self.sim
-                        .cpu_work(CpuLayer::DiskProcess, 1 + p.eval_cost() / 2);
-                    match p.passes(&raw) {
-                        Ok(sel) => sel,
-                        Err(e) => {
-                            eval_error = Some(DpError::EvalFailed(e.to_string()));
-                            return ScanControl::Stop;
-                        }
+                Some((p, cost)) => {
+                    units += cost;
+                    match p.passes(&RawRecord { desc, bytes: v }) {
+                        Ok(passes) => passes,
+                        Err(e) => return fail(cost, DpError::EvalFailed(e.to_string())),
                     }
                 }
             };
             last_key.clear();
             last_key.extend_from_slice(k);
-            if selected {
-                self.sim.metrics.dp_records_selected.inc();
-                frec.bump(Ctr::RecsSelected);
-                if first_selected.is_none() {
+            if passes {
+                selected += 1;
+                if group_lock.is_some() && first_selected.is_none() {
                     first_selected = Some(k.to_vec());
                 }
-                if let Some((_, projection)) = read {
-                    let row = match projection {
-                        None => v.to_vec(),
-                        Some(fields) => match project_record(desc, v, fields) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                eval_error = Some(e);
-                                return ScanControl::Stop;
-                            }
-                        },
-                    };
-                    reply_bytes += row.len() + 2;
-                    rows.push(row);
-                } else {
-                    matched.push((k.to_vec(), v.to_vec()));
+                match (read, &scb.plan) {
+                    (Some(_), None) => rows.push(v),
+                    (Some(_), Some(plan)) => {
+                        if let Err(e) = rows.push_with(|row| plan.project_into(v, row)) {
+                            return fail(units - 1, DpError::BadRecord(e.to_string()));
+                        }
+                    }
+                    (None, _) => matched.push((k.to_vec(), v.to_vec())),
                 }
             }
-            self.sim.cpu_work(CpuLayer::DiskProcess, 1);
-            if reply_bytes >= reply_budget {
+            self.sim.cpu_work(CpuLayer::DiskProcess, units);
+            if rows.wire_len() >= reply_budget {
                 exhausted = false; // full (virtual) block: re-drive
                 return ScanControl::Stop;
             }
@@ -1030,6 +1095,10 @@ impl DiskProcess {
             }
             ScanControl::Continue
         });
+        self.sim.metrics.dp_records_examined.add(examined as u64);
+        self.sim.metrics.dp_records_selected.add(selected as u64);
+        frec.add(Ctr::RecsExamined, examined as u64);
+        frec.add(Ctr::RecsSelected, selected as u64);
         if let Some(e) = eval_error {
             return Err(e);
         }
@@ -1038,23 +1107,14 @@ impl DiskProcess {
         // Locking: a read subset with locking group-locks the span of the
         // virtual block ("the records of the virtual block are locked as a
         // group").
-        if let (
-            SubsetOp::Read {
-                txn: Some(txn),
-                lock: ReadLock::Shared,
-                ..
-            },
-            Some(lo),
-            Some(hi),
-        ) = (&scb.op, &first_selected, &last_key)
-        {
+        if let (Some(txn), Some(lo), Some(hi)) = (group_lock, &first_selected, &last_key) {
             let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
             let span = LockScope::interval(lo.clone(), hi.clone());
-            self.lock(*txn, scb.file, span, LockMode::Shared)?;
+            self.lock(txn, scb.file, span, LockMode::Shared)?;
         }
 
         // Phase 2 (update/delete): apply to the matched records.
-        let mut affected = rows.len() as u32;
+        let mut affected = selected;
         let writer = match &scb.op {
             SubsetOp::Read { .. } => None,
             SubsetOp::Update {
@@ -1095,30 +1155,11 @@ impl DiskProcess {
             self.pool.write_behind();
         }
 
-        // Subset Control Block management: created at FIRST time when a
-        // re-drive will be needed; re-drives keep reporting the same id.
-        let subset_id = if exhausted {
-            None
-        } else {
-            match existing {
-                Some(id) => Some(id),
-                None => {
-                    let mut st = self.state.lock();
-                    let id = st.next_subset;
-                    st.next_subset += 1;
-                    st.subsets.insert(id, scb);
-                    self.sim.metrics.subset_control_blocks.inc();
-                    self.scb_rec.bump(Ctr::ScbCreated);
-                    Some(id)
-                }
-            }
-        };
-
         Ok(DpReply::Subset {
             rows,
             last_key,
             done: exhausted,
-            subset: subset_id,
+            subset: existing.filter(|_| !exhausted),
             examined,
             affected,
         })
@@ -1334,14 +1375,12 @@ impl DiskProcess {
             };
             for (id, f) in &old.files {
                 let anchor = create_structure(&store, &f.kind);
-                label.files.insert(
-                    *id,
-                    FileLabel {
-                        id: *id,
-                        kind: f.kind.clone(),
-                        anchor,
-                    },
-                );
+                let file = FileLabel {
+                    id: *id,
+                    kind: f.kind.clone(),
+                    anchor,
+                };
+                label.files.insert(*id, Arc::new(file));
             }
             label
         };
@@ -1624,21 +1663,6 @@ impl Server for DiskProcess {
 // ----------------------------------------------------------------------
 // Field-level helpers
 // ----------------------------------------------------------------------
-
-/// Project `fields` out of an encoded record into a new encoded row.
-fn project_record(
-    desc: &RecordDescriptor,
-    bytes: &[u8],
-    fields: &[u16],
-) -> Result<Vec<u8>, DpError> {
-    let values: Result<Vec<Value>, _> = fields
-        .iter()
-        .map(|&f| extract_field(desc, bytes, f))
-        .collect();
-    let values = values.map_err(|e| DpError::BadRecord(e.to_string()))?;
-    let pdesc = desc.project(fields);
-    encode_row(&pdesc, &values).map_err(|e| DpError::BadRecord(e.to_string()))
-}
 
 /// Evaluate a SetList + constraint against a record: returns the new
 /// encoded record plus field-compressed before/after images.

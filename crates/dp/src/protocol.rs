@@ -16,6 +16,7 @@
 
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::{Expr, KeyRange, RecordDescriptor, SetList};
+use std::sync::Arc;
 
 /// File identifier within a volume.
 pub type FileId = u32;
@@ -582,6 +583,70 @@ impl std::fmt::Display for DpError {
 
 impl std::error::Error for DpError {}
 
+/// The rows of a reply — a real or a virtual sequential block: one buffer
+/// per message, each row a 2-byte big-endian length and then its bytes. The
+/// Disk Process appends rows as it selects them and the File System
+/// de-blocks them in place; a clone shares the buffer, which is how the
+/// duplicate-suppression cache keeps a reply it has also handed out.
+#[derive(Debug, Clone, Default)]
+pub struct RowBlock {
+    /// `None` until the first row: a reply without rows allocates nothing.
+    bytes: Option<Arc<Vec<u8>>>,
+}
+
+impl RowBlock {
+    /// The buffer to append to (a shared one is copied first).
+    fn buffer(&mut self) -> &mut Vec<u8> {
+        Arc::make_mut(self.bytes.get_or_insert_with(Arc::default))
+    }
+
+    /// Append the row `fill` writes; a row `fill` refuses leaves the block
+    /// as it was. Rows are at most a disk block long, well inside the
+    /// prefix's 64 KB.
+    pub fn push_with<E>(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let buf = self.buffer();
+        let at = buf.len();
+        buf.extend_from_slice(&[0; 2]);
+        match fill(buf) {
+            Ok(()) => {
+                let len = (buf.len() - at - 2) as u16;
+                buf[at..at + 2].copy_from_slice(&len.to_be_bytes());
+                Ok(())
+            }
+            Err(e) => {
+                buf.truncate(at);
+                Err(e)
+            }
+        }
+    }
+
+    /// Append `row` as it is.
+    pub fn push(&mut self, row: &[u8]) {
+        let buf = self.buffer();
+        buf.extend_from_slice(&(row.len() as u16).to_be_bytes());
+        buf.extend_from_slice(row);
+    }
+
+    /// Bytes on the wire: the sum of `2 + row.len()` over the rows.
+    pub fn wire_len(&self) -> usize {
+        self.bytes.as_ref().map_or(0, |b| b.len())
+    }
+
+    /// The rows, in the order they were appended.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        let mut rest: &[u8] = self.bytes.as_ref().map_or(&[], |b| b.as_slice());
+        std::iter::from_fn(move || {
+            let (prefix, after) = rest.split_first_chunk::<2>()?;
+            let (row, after) = after.split_at_checked(u16::from_be_bytes(*prefix) as usize)?;
+            rest = after;
+            Some(row)
+        })
+    }
+}
+
 /// A reply message on the FS-DP interface.
 #[derive(Debug, Clone)]
 pub enum DpReply {
@@ -596,7 +661,7 @@ pub enum DpReply {
     /// A (real or virtual) sequential block plus re-drive state.
     Subset {
         /// Encoded rows: full records (RSBB) or projected rows (VSBB).
-        rows: Vec<Vec<u8>>,
+        rows: RowBlock,
         /// Key of the last record *processed* (not necessarily returned) —
         /// the re-drive continuation point.
         last_key: Option<Vec<u8>>,
@@ -621,10 +686,7 @@ impl DpReply {
             DpReply::Ok | DpReply::FileCreated(_) | DpReply::Appended(_) => 8,
             DpReply::Record(r) => 1 + r.as_ref().map_or(0, Vec::len),
             DpReply::Subset { rows, last_key, .. } => {
-                rows.iter().map(|r| 2 + r.len()).sum::<usize>()
-                    + 1
-                    + last_key.as_ref().map_or(0, Vec::len)
-                    + 10
+                rows.wire_len() + 1 + last_key.as_ref().map_or(0, Vec::len) + 10
             }
             DpReply::Error(_) => 8,
         }
@@ -758,25 +820,58 @@ mod tests {
         assert!(!DpRequest::FlushCache.is_redrive());
     }
 
+    /// A reply's size is its header, its re-drive state and its row block
+    /// byte for byte: the literals are what the per-row formula
+    /// `Σ(2 + row.len())` gave before the rows shared one buffer.
     #[test]
     fn reply_size_counts_rows() {
-        let empty = DpReply::Subset {
-            rows: vec![],
-            last_key: None,
-            done: true,
-            subset: None,
-            examined: 0,
-            affected: 0,
+        let size = |rows: &[&[u8]], last_key: Option<Vec<u8>>| {
+            let mut block = RowBlock::default();
+            for row in rows {
+                block.push(row);
+            }
+            assert!(block.iter().eq(rows.iter().copied()), "de-blocks to rows");
+            let reply = DpReply::Subset {
+                rows: block,
+                last_key,
+                done: false,
+                subset: Some(1),
+                examined: rows.len() as u32,
+                affected: rows.len() as u32,
+            };
+            reply.wire_size()
         };
-        let full = DpReply::Subset {
-            rows: vec![vec![0; 100]; 10],
-            last_key: Some(vec![0; 8]),
-            done: false,
-            subset: Some(1),
-            examined: 10,
-            affected: 10,
-        };
-        assert!(full.wire_size() > empty.wire_size() + 1000);
+        let row = &[7u8; 100][..];
+        assert_eq!(size(&[], None), 27);
+        assert_eq!(size(&[], Some(vec![0; 8])), 35);
+        assert_eq!(size(&[row], Some(vec![0; 8])), 137);
+        assert_eq!(size(&[row; 10], Some(vec![0; 8])), 1055);
+        assert_eq!(size(&[&[], &row[..5], &[9; 300]], None), 338);
+    }
+
+    #[test]
+    fn a_refused_row_leaves_the_block_as_it_was() {
+        let mut block = RowBlock::default();
+        block.push(b"kept");
+        let refused = block.push_with(|buf| {
+            buf.extend_from_slice(b"half a row");
+            Err("no")
+        });
+        assert_eq!(refused, Err("no"));
+        block
+            .push_with(|buf| {
+                buf.extend_from_slice(b"also kept");
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        let rows: Vec<&[u8]> = block.iter().collect();
+        assert_eq!(rows, [&b"kept"[..], b"also kept"]);
+        assert_eq!(block.wire_len(), 2 + 4 + 2 + 9);
+        // A clone shares the buffer; appending to one leaves the other.
+        let shared = block.clone();
+        block.push(b"more");
+        assert_eq!(shared.iter().count(), 2);
+        assert_eq!(block.iter().count(), 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use super::*;
 use nsql_records::key::encode_record_key;
-use nsql_records::{CmpOp, FieldDef, FieldType, KeyRange};
+use nsql_records::{CmpOp, FieldDef, FieldType, KeyRange, Value};
 use nsql_tmf::{CommitTimer, LsnSource};
 
 struct TestCluster {
@@ -206,12 +206,12 @@ fn paper_example_1_vsbb_selection_projection() {
         };
         // Projected rows decode with the projected descriptor.
         let pdesc = desc.project(&[1, 2]);
-        for r in &rows {
+        for r in rows.iter() {
             let row = decode_row(&pdesc, r).unwrap();
             assert_eq!(row.0.len(), 2);
             assert!(matches!(row.0[0], Value::Str(_)));
         }
-        rows_total += rows.len();
+        rows_total += rows.iter().count();
         if done {
             break;
         }
@@ -262,7 +262,7 @@ fn paper_example_2_rsbb_full_scan() {
         else {
             panic!("unexpected {reply:?}")
         };
-        got += rows.len();
+        got += rows.iter().count();
         if done {
             break;
         }
@@ -1552,4 +1552,77 @@ fn unknown_payload_gets_a_typed_error_reply() {
         .downcast::<DpReply>()
         .unwrap();
     assert!(matches!(reply, DpReply::Error(DpError::UnknownRequest)));
+}
+
+/// A record shorter than its descriptor's fixed part is corrupt to whoever
+/// has to look inside it — predicate or projection, reading or writing —
+/// and a record like any other to whoever does not. (A predicate used to
+/// read its fields as NULL and pass over it: `DELETE … WHERE HIRE_DATE >= 0`
+/// answered `affected: 5` and left it behind.)
+#[test]
+fn a_record_shorter_than_its_fixed_part_is_corrupt_to_whoever_looks_inside() {
+    let c = cluster();
+    let file = c.create_emp();
+    c.load_emps(file, 5);
+    let txn = c.txnmgr.begin();
+    let stunted = DpRequest::Insert {
+        txn,
+        file,
+        key: emp_key(9_999),
+        record: vec![0; 6],
+    };
+    assert!(matches!(c.send(stunted), DpReply::Ok));
+    c.txnmgr.commit(txn, c.client).unwrap();
+
+    let hired = || Some(Expr::field_cmp(2, CmpOp::Ge, Value::Int(0)));
+    let first = |predicate, op| {
+        c.send(DpRequest::SubsetFirst {
+            file,
+            range: KeyRange::all(),
+            predicate,
+            op,
+        })
+    };
+    let read = |projection| SubsetOp::Read {
+        txn: None,
+        projection,
+        mode: SubsetMode::Vsbb,
+        lock: ReadLock::None,
+    };
+    let corrupt = |reply: DpReply, what: &str| match reply {
+        DpReply::Error(DpError::BadRecord(why)) => assert_eq!(why, "corrupt record bytes"),
+        other => panic!("{what}: {other:?}"),
+    };
+    corrupt(first(hired(), read(None)), "predicate only");
+    corrupt(first(None, read(Some(vec![1, 2]))), "projection only");
+    corrupt(first(hired(), read(Some(vec![1, 2]))), "both");
+    // Nothing to look inside for: whole records, and a projection of no
+    // field at all.
+    for projection in [None, Some(Vec::new())] {
+        match first(None, read(projection)) {
+            DpReply::Subset { affected: 6, .. } => {}
+            other => panic!("nobody looks inside: {other:?}"),
+        }
+    }
+
+    let txn = c.txnmgr.begin();
+    let raise = SetList {
+        sets: vec![(2, Expr::lit(Value::Int(1999)))],
+    };
+    let update = SubsetOp::Update {
+        txn,
+        sets: raise,
+        constraint: None,
+    };
+    corrupt(first(hired(), update), "UPDATE^SUBSET");
+    corrupt(first(hired(), SubsetOp::Delete { txn }), "DELETE^SUBSET");
+    c.txnmgr.abort(txn, c.client).unwrap();
+
+    // A delete with no predicate takes it like any other record.
+    let txn = c.txnmgr.begin();
+    match first(None, SubsetOp::Delete { txn }) {
+        DpReply::Subset { affected: 6, .. } => {}
+        other => panic!("DELETE^SUBSET of everything: {other:?}"),
+    }
+    c.txnmgr.commit(txn, c.client).unwrap();
 }

@@ -112,9 +112,7 @@ impl FileSystem {
                     return Err(unexpected("READ^SEQ^BLOCK", &reply));
                 };
                 // De-blocking by the File System from its local block copy.
-                for bytes in rows {
-                    cur.buffer.push_back(self.decode(&cur.of.desc, &bytes)?);
-                }
+                self.deblock(&cur.of.desc, &rows, &mut cur.buffer)?;
                 cur.after = last_key;
                 cur.done = done;
                 if cur.buffer.is_empty() && done {
@@ -138,9 +136,12 @@ impl FileSystem {
                         cur.part += 1;
                         cur.after = None;
                     }
-                    DpReply::Subset { rows, last_key, .. } if rows.len() == 1 => {
+                    DpReply::Subset { rows, last_key, .. } if rows.iter().count() == 1 => {
                         cur.after = last_key;
-                        return Ok(Some(self.decode(&cur.of.desc, &rows[0])?));
+                        let row = rows.iter().next();
+                        return row
+                            .map(|bytes| self.decode(&cur.of.desc, bytes))
+                            .transpose();
                     }
                     other => return Err(unexpected("READ^NEXT", &other)),
                 }

@@ -26,7 +26,7 @@ pub mod sqlapi;
 
 pub use sqlapi::{BlockedInserter, CursorUpdater, ScanResult};
 
-use nsql_dp::{DpError, DpReply, DpRequest, FileId};
+use nsql_dp::{DpError, DpReply, DpRequest, FileId, RowBlock};
 use nsql_msg::{Bus, BusError, CpuId, MsgKind};
 use nsql_records::key::{encode_key_value, encode_record_key};
 use nsql_records::row::encode_row;
@@ -438,6 +438,19 @@ impl FileSystem {
     pub(crate) fn decode(&self, desc: &RecordDescriptor, bytes: &[u8]) -> Result<Row, FsError> {
         self.sim.cpu_work(CpuLayer::FileSystem, 1);
         nsql_records::row::decode_row(desc, bytes).map_err(|e| FsError::BadRow(e.to_string()))
+    }
+
+    /// De-block a reply: decode each row of `block`, in order, onto `out`.
+    pub(crate) fn deblock(
+        &self,
+        desc: &RecordDescriptor,
+        block: &RowBlock,
+        out: &mut impl Extend<Row>,
+    ) -> Result<(), FsError> {
+        for bytes in block.iter() {
+            out.extend([self.decode(desc, bytes)?]);
+        }
+        Ok(())
     }
 }
 

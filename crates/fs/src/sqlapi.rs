@@ -9,7 +9,7 @@
 //! exhausted.
 
 use crate::{unexpected, FileSystem, FsError, IndexInfo, OpenFile};
-use nsql_dp::{DpError, DpReply, DpRequest, FileId, ReadLock, SubsetMode, SubsetOp};
+use nsql_dp::{DpError, DpReply, DpRequest, FileId, ReadLock, RowBlock, SubsetMode, SubsetOp};
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::key::encode_record_key;
 use nsql_records::row::encode_row;
@@ -243,8 +243,8 @@ impl FileSystem {
     /// `destinations` in turn. FIRST carries the key range, the predicate
     /// and the operation `make_op` builds; the Disk Process bounds every
     /// execution, and NEXT re-drives it after the last key it processed
-    /// until the range is exhausted. `chunk` is handed each reply's rows and
-    /// its examined and affected counts.
+    /// until the range is exhausted. `chunk` is handed each reply's row block
+    /// and its examined and affected counts.
     ///
     /// The Subset Control Block is volatile: it is lost when the process
     /// crashes and its backup takes over. A re-drive answered `BadSubset`
@@ -255,7 +255,7 @@ impl FileSystem {
         destinations: impl IntoIterator<Item = (&'a str, FileId, KeyRange)>,
         predicate: Option<&Expr>,
         make_op: &dyn Fn() -> SubsetOp,
-        mut chunk: impl FnMut(Vec<Vec<u8>>, u32, u32) -> Result<(), FsError>,
+        mut chunk: impl FnMut(&RowBlock, u32, u32) -> Result<(), FsError>,
     ) -> Result<(), FsError> {
         for (process, file, range) in destinations {
             let first = |range, op| DpRequest::SubsetFirst {
@@ -297,7 +297,7 @@ impl FileSystem {
                 else {
                     return Err(unexpected(label, &reply));
                 };
-                chunk(rows, examined, affected)?;
+                chunk(&rows, examined, affected)?;
                 if done {
                     break;
                 }
@@ -332,10 +332,8 @@ impl FileSystem {
         mode: SubsetMode,
         lock: ReadLock,
     ) -> Result<ScanResult, FsError> {
-        let row_desc = match projection {
-            Some(fields) => of.desc.project(fields),
-            None => of.desc.clone(),
-        };
+        let projected = projection.map(|fields| of.desc.project(fields));
+        let row_desc = projected.as_ref().unwrap_or(&of.desc);
         let op = || SubsetOp::Read {
             txn,
             projection: projection.map(<[u16]>::to_vec),
@@ -349,10 +347,7 @@ impl FileSystem {
             &op,
             |rows, examined, _| {
                 out.examined += examined as u64;
-                for bytes in rows {
-                    out.rows.push(self.decode(&row_desc, &bytes)?);
-                }
-                Ok(())
+                self.deblock(row_desc, rows, &mut out.rows)
             },
         )?;
         Ok(out)
@@ -462,10 +457,7 @@ impl FileSystem {
         let index = [(idx.process.as_str(), idx.file, range.clone())];
         let mut out = Vec::new();
         self.drive_subset(index, predicate, &op, |rows, _, _| {
-            for bytes in rows {
-                out.push(self.decode(&idx.desc, &bytes)?);
-            }
-            Ok(())
+            self.deblock(&idx.desc, rows, &mut out)
         })?;
         Ok(out)
     }

@@ -27,6 +27,6 @@ pub mod value;
 
 pub use expr::{ArithOp, CmpOp, EvalError, Expr, SetList};
 pub use key::{KeyRange, OwnedBound};
-pub use row::{ConcatRow, RawRecord, Row, RowAccessor, SliceRow};
+pub use row::{ConcatRow, Projection, RawRecord, Row, RowAccessor, SliceRow};
 pub use types::{FieldDef, FieldType, RecordDescriptor};
 pub use value::Value;

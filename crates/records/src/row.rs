@@ -1,11 +1,14 @@
 //! Row encoding/decoding and field access.
 //!
-//! Two access paths exist deliberately:
+//! Three access paths exist deliberately:
 //!
 //! * [`Row`] — fully decoded values, used by the SQL executor.
 //! * [`RawRecord`] — lazy field extraction straight from encoded record
 //!   bytes, used by the Disk Process when evaluating pushed-down predicates
-//!   and projections (decode only the fields actually touched).
+//!   (decode only the fields actually touched).
+//! * [`Projection`] — a pushed-down projection compiled once per request,
+//!   by which the Disk Process copies field bytes from a stored record into
+//!   a virtual block (decode nothing).
 
 use crate::types::{FieldType, RecordDescriptor};
 use crate::value::Value;
@@ -230,6 +233,132 @@ pub fn extract_field(desc: &RecordDescriptor, bytes: &[u8], i: u16) -> Result<Va
             Value::Str(s.to_string())
         }
     })
+}
+
+/// What a projected field's fixed slot holds, for [`Projection`].
+#[derive(Debug, Clone, Copy)]
+enum SlotKind {
+    /// A number: the slot is the value.
+    Number,
+    /// `CHAR(n)`: the padded slot is the value, which must be UTF-8.
+    Char,
+    /// `VARCHAR`: the slot points into the tail, which is rebuilt.
+    Varchar,
+}
+
+/// One field of a [`Projection`]: where its slot sits in a stored record
+/// and where it goes in the projected row.
+#[derive(Debug, Clone)]
+struct FieldCopy {
+    /// Field number in the stored record (its null bit).
+    source: usize,
+    source_slot: usize,
+    dest_slot: usize,
+    width: usize,
+    kind: SlotKind,
+}
+
+/// A projection compiled against a record descriptor: the plan by which the
+/// Disk Process copies the projected fields' bytes out of a stored record
+/// into a virtual block, decoding nothing. Its rows are, byte for byte, what
+/// `encode_row(&desc.project(fields), …)` makes of the fields
+/// [`extract_field`] extracts, and it refuses exactly the records
+/// `extract_field` refuses for one of the projected fields.
+#[derive(Debug, Clone)]
+pub struct Projection {
+    /// Bitmap plus fixed part of a stored record; a shorter one is corrupt.
+    source_fixed_end: usize,
+    /// Bitmap plus fixed part of a projected row; VARCHAR tails follow.
+    dest_fixed_end: usize,
+    fields: Vec<FieldCopy>,
+}
+
+impl Projection {
+    /// Compile the projection of `fields` (field numbers of `desc`, in
+    /// output order). A field number `desc` does not have is
+    /// [`CodecError::Corrupt`], as it is to [`extract_field`].
+    pub fn new(desc: &RecordDescriptor, fields: &[u16]) -> Result<Projection, CodecError> {
+        let dest_bitmap = fields.len().div_ceil(8);
+        let mut dest_slot = dest_bitmap;
+        let mut copies = Vec::with_capacity(fields.len());
+        for &f in fields {
+            let def = desc.fields.get(f as usize).ok_or(CodecError::Corrupt)?;
+            let width = def.ty.fixed_width();
+            copies.push(FieldCopy {
+                source: f as usize,
+                source_slot: desc.slot_offset(f),
+                dest_slot,
+                width,
+                kind: match def.ty {
+                    FieldType::Char(_) => SlotKind::Char,
+                    FieldType::Varchar(_) => SlotKind::Varchar,
+                    FieldType::SmallInt
+                    | FieldType::Int
+                    | FieldType::LargeInt
+                    | FieldType::Double => SlotKind::Number,
+                },
+            });
+            dest_slot += width;
+        }
+        Ok(Projection {
+            source_fixed_end: desc.bitmap_len() + desc.fixed_size(),
+            dest_fixed_end: dest_slot,
+            fields: copies,
+        })
+    }
+
+    /// Does it project no field at all (and so never look inside a record)?
+    pub fn is_empty(&self) -> bool {
+        self.fields.is_empty()
+    }
+
+    /// Append the projected row of `record` to `out`; on error `out` is left
+    /// as it was.
+    pub fn project_into(&self, record: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+        let base = out.len();
+        let done = self.copy_fields(record, out, base);
+        if done.is_err() {
+            out.truncate(base);
+        }
+        done
+    }
+
+    fn copy_fields(&self, record: &[u8], out: &mut Vec<u8>, base: usize) -> Result<(), CodecError> {
+        if record.len() < self.source_fixed_end && !self.is_empty() {
+            return Err(CodecError::Corrupt);
+        }
+        // Bitmap and slots start zeroed, which is what a NULL's slot holds.
+        out.resize(base + self.dest_fixed_end, 0);
+        for (i, f) in self.fields.iter().enumerate() {
+            if record[f.source / 8] & (1 << (f.source % 8)) != 0 {
+                out[base + i / 8] |= 1 << (i % 8);
+                continue;
+            }
+            let slot = &record[f.source_slot..f.source_slot + f.width];
+            let dest = base + f.dest_slot;
+            match f.kind {
+                SlotKind::Number => out[dest..dest + f.width].copy_from_slice(slot),
+                SlotKind::Char => {
+                    std::str::from_utf8(slot).map_err(|_| CodecError::Corrupt)?;
+                    out[dest..dest + f.width].copy_from_slice(slot);
+                }
+                SlotKind::Varchar => {
+                    let off = u16::from_be_bytes([slot[0], slot[1]]) as usize;
+                    let len = u16::from_be_bytes([slot[2], slot[3]]);
+                    let start = self.source_fixed_end + off;
+                    let text = record
+                        .get(start..start + len as usize)
+                        .ok_or(CodecError::Corrupt)?;
+                    std::str::from_utf8(text).map_err(|_| CodecError::Corrupt)?;
+                    let tail = (out.len() - base - self.dest_fixed_end) as u16;
+                    out[dest..dest + 2].copy_from_slice(&tail.to_be_bytes());
+                    out[dest + 2..dest + 4].copy_from_slice(&len.to_be_bytes());
+                    out.extend_from_slice(text);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Lazy field access over encoded record bytes — the Disk Process view.

@@ -22,7 +22,7 @@ use crate::sys::{SysSnapshot, SysTable};
 use nsql_dp::{ReadLock, SubsetMode};
 use nsql_fs::{FileSystem, FsError};
 use nsql_lock::TxnId;
-use nsql_records::{EvalError, Expr, KeyRange, Row, RowAccessor, Value};
+use nsql_records::{EvalError, Expr, KeyRange, Row, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Mark, Micros, Sim};
 use std::collections::HashMap;
 
@@ -222,11 +222,12 @@ impl Executor<'_> {
         }
 
         // Nested-loop join (cross product progressively filtered).
-        let mut joined: Vec<Row> = per_table.first().cloned().unwrap_or_default();
-        for batch in per_table.iter().skip(1) {
+        let mut per_table = per_table.into_iter();
+        let mut joined: Vec<Row> = per_table.next().unwrap_or_default();
+        for batch in per_table {
             let mut next = Vec::new();
             for outer in &joined {
-                for inner in batch {
+                for inner in &batch {
                     self.sim().cpu_work(CpuLayer::Executor, 1);
                     let mut row = outer.0.clone();
                     row.extend_from_slice(&inner.0);
@@ -255,15 +256,38 @@ impl Executor<'_> {
             self.aggregate(agg, &joined, &plan.column_names)?
         } else {
             let sorted = fastsort(self.sim(), joined, &plan.order_by, self.sort_parallelism)?;
-            let mut rows = Vec::with_capacity(sorted.len());
-            for row in &sorted {
-                self.sim().cpu_work(CpuLayer::Executor, 1);
-                let mut out = Vec::with_capacity(plan.output.len());
-                for (_, e) in &plan.output {
-                    out.push(e.eval(row)?);
+            let width: usize = plan.tables.iter().map(|t| t.fetch_fields.len()).sum();
+            let rows = match plain_columns(&plan.output) {
+                // The rows as fetched are the result.
+                Some(columns) if columns.iter().copied().eq(0..width) => {
+                    self.sim().cpu_work(CpuLayer::Executor, sorted.len() as u64);
+                    sorted
                 }
-                rows.push(Row(out));
-            }
+                // Each value is wanted once: it moves.
+                Some(columns) => {
+                    let mut rows = Vec::with_capacity(sorted.len());
+                    for mut row in sorted {
+                        self.sim().cpu_work(CpuLayer::Executor, 1);
+                        let values = columns
+                            .iter()
+                            .map(|&c| std::mem::replace(&mut row.0[c], Value::Null));
+                        rows.push(Row(values.collect()));
+                    }
+                    rows
+                }
+                None => {
+                    let mut rows = Vec::with_capacity(sorted.len());
+                    for row in &sorted {
+                        self.sim().cpu_work(CpuLayer::Executor, 1);
+                        let mut out = Vec::with_capacity(plan.output.len());
+                        for (_, e) in &plan.output {
+                            out.push(e.eval(row)?);
+                        }
+                        rows.push(Row(out));
+                    }
+                    rows
+                }
+            };
             QueryResult {
                 columns: plan.column_names.clone(),
                 rows,
@@ -493,17 +517,28 @@ impl Executor<'_> {
             }
         }
 
-        let mut groups: HashMap<Vec<u8>, (Vec<Value>, Vec<AccState>)> = HashMap::new();
-        let mut order: Vec<Vec<u8>> = Vec::new();
+        // Groups in first-seen order, found by key; the key of the row at
+        // hand is built in one buffer, and only a new group keeps a copy of
+        // it and of its grouping values.
+        let mut groups: Vec<(Vec<Value>, Vec<AccState>)> = Vec::new();
+        let mut by_key: HashMap<Vec<u8>, usize> = HashMap::new();
+        let mut key = Vec::new();
+        let new_group = |values| (values, vec![AccState::default(); agg.aggs.len()]);
         for row in rows {
             self.sim()
                 .cpu_work(CpuLayer::Executor, 1 + agg.aggs.len() as u64);
-            let group_vals: Vec<Value> = agg.group_by.iter().map(|&g| row.field(g)).collect();
-            let gk = group_key(&group_vals);
-            let entry = groups.entry(gk.clone()).or_insert_with(|| {
-                order.push(gk);
-                (group_vals, vec![AccState::default(); agg.aggs.len()])
-            });
+            let group_vals = || agg.group_by.iter().map(|&g| &row.0[g as usize]);
+            key.clear();
+            group_key(group_vals(), &mut key);
+            let group = match by_key.get(key.as_slice()) {
+                Some(&group) => group,
+                None => {
+                    by_key.insert(key.clone(), groups.len());
+                    groups.push(new_group(group_vals().cloned().collect()));
+                    groups.len() - 1
+                }
+            };
+            let entry = &mut groups[group];
             for (i, (func, arg)) in agg.aggs.iter().enumerate() {
                 let v = match arg {
                     None => Value::Int(1), // COUNT(*)
@@ -544,14 +579,11 @@ impl Executor<'_> {
         }
         // A global aggregate over zero rows still yields one row.
         if groups.is_empty() && agg.group_by.is_empty() {
-            let gk = group_key(&[]);
-            order.push(gk.clone());
-            groups.insert(gk, (Vec::new(), vec![AccState::default(); agg.aggs.len()]));
+            groups.push(new_group(Vec::new()));
         }
 
-        let mut out_rows = Vec::with_capacity(order.len());
-        for gk in order {
-            let (gvals, states) = &groups[&gk];
+        let mut out_rows = Vec::with_capacity(groups.len());
+        for (gvals, states) in &groups {
             let mut out = Vec::with_capacity(agg.output.len());
             for o in &agg.output {
                 out.push(match *o {
@@ -635,10 +667,22 @@ impl Executor<'_> {
     }
 }
 
+/// The positions `output` selects, when it is a list of distinct plain
+/// columns of the fetched row (evaluating one only clones it).
+fn plain_columns(output: &[(String, Expr)]) -> Option<Vec<usize>> {
+    let mut columns = Vec::with_capacity(output.len());
+    for (_, e) in output {
+        match e {
+            Expr::Field(c) if !columns.contains(&(*c as usize)) => columns.push(*c as usize),
+            _ => return None,
+        }
+    }
+    Some(columns)
+}
+
 /// Order-insensitive hashable key for grouping values (f64 via bit
-/// patterns; strings length-prefixed).
-fn group_key(vals: &[Value]) -> Vec<u8> {
-    let mut out = Vec::new();
+/// patterns; strings length-prefixed), appended to `out`.
+fn group_key<'a>(vals: impl Iterator<Item = &'a Value>, out: &mut Vec<u8>) {
     for v in vals {
         match v {
             Value::Null => out.push(0),
@@ -669,7 +713,6 @@ fn group_key(vals: &[Value]) -> Vec<u8> {
             }
         }
     }
-    out
 }
 
 /// Evaluate a `KeyRange`-less full scan quickly (used by tests).

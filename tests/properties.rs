@@ -2,8 +2,8 @@
 //! RNG so every run checks the same cases.
 
 use nsql_records::key::{encode_key_value, encode_record_key};
-use nsql_records::row::{decode_row, encode_row};
-use nsql_records::{CmpOp, Expr, FieldDef, FieldType, RecordDescriptor, Row, Value};
+use nsql_records::row::{decode_row, encode_row, extract_field, CodecError};
+use nsql_records::{CmpOp, Expr, FieldDef, FieldType, Projection, RecordDescriptor, Row, Value};
 use nsql_sim::SimRng;
 
 fn draw_value_for(rng: &mut SimRng, ty: FieldType) -> Value {
@@ -201,35 +201,127 @@ fn de_morgan_under_three_valued_logic() {
     }
 }
 
+/// A random schema over all six field types: a NOT NULL key column, the
+/// rest nullable.
+fn draw_desc(rng: &mut SimRng) -> RecordDescriptor {
+    let ncols = 1 + rng.below(11) as usize;
+    let mut fields = Vec::new();
+    for i in 0..ncols {
+        let s = rng.next_u64();
+        let ty = match s % 6 {
+            0 => FieldType::SmallInt,
+            1 => FieldType::Int,
+            2 => FieldType::LargeInt,
+            3 => FieldType::Double,
+            4 => FieldType::Char((s % 40 + 1) as u16),
+            _ => FieldType::Varchar((s % 60 + 1) as u16),
+        };
+        if i == 0 {
+            fields.push(FieldDef::new(format!("C{i}"), ty));
+        } else {
+            fields.push(FieldDef::nullable(format!("C{i}"), ty));
+        }
+    }
+    RecordDescriptor::new(fields, vec![0])
+}
+
 /// Descriptor byte-codec round-trips arbitrary schemas.
 #[test]
 fn descriptor_codec_round_trips() {
     let mut rng = SimRng::seed_from(0x205);
     for _ in 0..256 {
-        let ncols = 1 + rng.below(11) as usize;
-        let mut fields = Vec::new();
-        for i in 0..ncols {
-            let s = rng.next_u64();
-            let ty = match s % 6 {
-                0 => FieldType::SmallInt,
-                1 => FieldType::Int,
-                2 => FieldType::LargeInt,
-                3 => FieldType::Double,
-                4 => FieldType::Char((s % 40 + 1) as u16),
-                _ => FieldType::Varchar((s % 60 + 1) as u16),
-            };
-            if i == 0 {
-                fields.push(FieldDef::new(format!("C{i}"), ty));
-            } else {
-                fields.push(FieldDef::nullable(format!("C{i}"), ty));
-            }
-        }
-        let d = RecordDescriptor::new(fields, vec![0]);
+        let d = draw_desc(&mut rng);
         let bytes = d.encode_bytes();
         let (decoded, used) = RecordDescriptor::decode_bytes(&bytes);
         assert_eq!(used, bytes.len());
         assert_eq!(decoded, d);
     }
+}
+
+/// The projected fields as `extract_field` reads them, if it reads them all.
+fn extract(d: &RecordDescriptor, record: &[u8], fields: &[u16]) -> Option<Vec<Value>> {
+    let values = fields.iter().map(|&f| extract_field(d, record, f));
+    values.collect::<Result<_, _>>().ok()
+}
+
+/// The Disk Process's projection plan copies bytes; what it produces is what
+/// extracting the fields and re-encoding them under the projected descriptor
+/// produces, and it refuses a damaged record exactly when `extract_field`
+/// refuses one of the projected fields.
+#[test]
+fn projection_plan_matches_extract_and_encode() {
+    let mut rng = SimRng::seed_from(0x206);
+    let (mut intact, mut refused, mut survived) = (0, 0, 0);
+    for _ in 0..512 {
+        let d = draw_desc(&mut rng);
+        let n = d.num_fields() as u64;
+        let row: Vec<Value> = (d.fields.iter().enumerate())
+            .map(|(i, f)| match (f.ty, rng.below(4)) {
+                (_, 0) if i > 0 => Value::Null,
+                // Empty and full strings; CHAR pads what it is short of.
+                (FieldType::Char(_) | FieldType::Varchar(_), 1) => Value::Str(String::new()),
+                (FieldType::Char(w) | FieldType::Varchar(w), 2) => {
+                    Value::Str("x".repeat(w as usize))
+                }
+                (ty, _) => draw_value_for(&mut rng, ty),
+            })
+            .collect();
+        let record = encode_row(&d, &row).unwrap();
+        // Any fields in any order, repeats included, none at all sometimes.
+        let fields: Vec<u16> = (0..rng.below(2 * n + 1))
+            .map(|_| rng.below(n) as u16)
+            .collect();
+        let plan = Projection::new(&d, &fields).unwrap();
+        assert!(Projection::new(&d, &[n as u16]).is_err(), "no such field");
+
+        let mut block = vec![0xEE; 3];
+        plan.project_into(&record, &mut block).unwrap();
+        assert_eq!(block[..3], [0xEE; 3], "the plan appends");
+        let projected = d.project(&fields);
+        let values = extract(&d, &record, &fields).unwrap();
+        let expected = encode_row(&projected, &values).unwrap();
+        assert_eq!(block[3..], expected[..], "{d:?} {fields:?}");
+        intact += 1;
+
+        // Damage: truncation, a VARCHAR slot pointing out of the record, a
+        // byte no UTF-8 text holds.
+        let mut damaged = record.clone();
+        match rng.below(3) {
+            0 => damaged.truncate(rng.below(record.len() as u64) as usize),
+            1 => {
+                let varchars = (0..n as u16)
+                    .filter(|&f| matches!(d.fields[f as usize].ty, FieldType::Varchar(_)));
+                for f in varchars {
+                    let at = d.slot_offset(f) + 2 * rng.below(2) as usize;
+                    let wild = (rng.below(2 * record.len() as u64 + 2) as u16).to_be_bytes();
+                    damaged[at..at + 2].copy_from_slice(&wild);
+                }
+            }
+            _ => {
+                let at = rng.below(record.len() as u64) as usize;
+                damaged[at] = 0xFF;
+            }
+        }
+        let mut block = vec![0xEE; 3];
+        let done = plan.project_into(&damaged, &mut block);
+        match extract(&d, &damaged, &fields) {
+            Some(values) => {
+                done.unwrap();
+                // Re-encoding also refuses a NULL key and an overlong
+                // VARCHAR, which extracting (and so the plan) lets through.
+                if let Ok(expected) = encode_row(&projected, &values) {
+                    assert_eq!(block[3..], expected[..], "{d:?} {fields:?}");
+                }
+                survived += 1;
+            }
+            None => {
+                assert_eq!(done, Err(CodecError::Corrupt), "{d:?} {fields:?}");
+                assert_eq!(block, [0xEE; 3], "a refused record leaves nothing behind");
+                refused += 1;
+            }
+        }
+    }
+    assert!(intact == 512 && refused > 100 && survived > 100);
 }
 
 /// End-to-end: a batch of random rows inserted through SQL is exactly what
