@@ -763,7 +763,7 @@ pub fn e7() -> String {
         }
         sim.clock.advance(1_000_000);
         trail.durable_lsn(sim.now()); // settle the final group
-        let flushes = sim.metrics.audit_flushes.get();
+        let flushes = sim.metrics.snapshot().audit_flushes;
         (flushes, n as f64 / flushes as f64, total_latency / n)
     };
 
@@ -1859,7 +1859,7 @@ pub fn e19_table() -> Table {
         }
         let w = mark.close(&db.sim);
         db.disable_faults();
-        (w.wait, w.elapsed_us, db.metrics().snapshot().fs_retries)
+        (w.wait, w.elapsed_us, db.snapshot().fs_retries)
     };
     let (wait, elapsed, _) = bank_run(None);
     push(&mut t, "E9 DebitCredit x100 (fault-free)", &wait, elapsed);
@@ -2417,9 +2417,10 @@ pub fn e22_tables() -> (Table, Table) {
     );
     series.note(
         "Read as a bottleneck report: at every offered load the group-commit timer dominates \
-         the windowed ledger (wait.commit), and the busiest entity alternates between the hot \
-         data Disk Process and the audit trail as flush batches land — shortening think time \
-         moves the latency columns, not the bottleneck. The report and the ledger cannot \
+         the windowed ledger (wait.commit), and the busiest entity is the hot data Disk Process \
+         in every interval (the audit trail counts the audit it is sent once, as bytes \
+         received, not again when it flushes) — shortening think time moves the latency \
+         columns, not the bottleneck. The report and the ledger cannot \
          disagree because they are the same numbers."
             .to_string(),
     );

@@ -24,7 +24,7 @@
 
 use nsql_disk::{BlockNo, Disk, DiskError};
 use nsql_sim::sync::Mutex;
-use nsql_sim::{Ctr, Micros, Sim, Wait};
+use nsql_sim::{Ctr, Event, Micros, Sim, Wait};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -274,14 +274,12 @@ impl BufferPool {
             // covers the latency (that is the point of pre-fetch).
             if let Some(ready) = f.ready_at.take() {
                 self.sim.clock.advance_to_in(Wait::Disk, ready);
-                self.sim.metrics.prefetch_hits.inc();
+                self.rec.bump(Ctr::PrefetchHits);
             }
-            self.sim.metrics.cache_hits.inc();
             self.rec.bump(Ctr::CacheHits);
             return Ok(f.data.clone());
         }
 
-        self.sim.metrics.cache_misses.inc();
         self.rec.bump(Ctr::CacheFaults);
         // Miss: choose the string length.
         let run = if opts.bulk {
@@ -323,9 +321,7 @@ impl BufferPool {
         let Ok((datas, ready)) = self.disk.read_async(from, run) else {
             return; // hole in the file: skip
         };
-        self.rec.add(Ctr::PrefetchReads, run as u64);
-        self.sim
-            .trace_emit(|| nsql_sim::trace::TraceEventKind::Prefetch { blocks: run as u64 });
+        self.sim.emit(&self.rec, Event::Prefetch(run as u64));
         for (b, data) in (from..).zip(datas) {
             inner.install(b, data, false, 0, Some(ready));
         }
@@ -350,7 +346,7 @@ impl BufferPool {
 
     /// Evict from the least recently used end until `need` new frames fit.
     fn make_room(&self, inner: &mut PoolInner, need: usize) -> Result<(), DiskError> {
-        let mut evicted = 0u64;
+        let mut frames = 0u64;
         while inner.slot_of.len() + need > self.capacity {
             let victim = inner
                 .oldest
@@ -365,13 +361,10 @@ impl BufferPool {
                 }
                 self.disk.write(f.block, std::slice::from_ref(&f.data))?;
             }
-            self.sim.metrics.cache_steals.inc();
-            evicted += 1;
+            frames += 1;
         }
-        if evicted > 0 {
-            self.rec.add(Ctr::CacheEvicts, evicted);
-            self.sim
-                .trace_emit(|| nsql_sim::trace::TraceEventKind::CacheEvict { frames: evicted });
+        if frames > 0 {
+            self.sim.emit(&self.rec, Event::CacheEvict(frames));
         }
         Ok(())
     }
@@ -430,7 +423,6 @@ impl BufferPool {
             next = f.newer;
             if !f.dirty && f.ready_at.is_none() {
                 inner.evict(slot);
-                self.sim.metrics.cache_steals.inc();
                 stolen += 1;
             }
         }
@@ -498,7 +490,7 @@ mod tests {
         let before = sim.metrics.snapshot();
         assert_eq!(pool.read(2).unwrap(), vec![2u8; 64]);
         assert_eq!(pool.read(2).unwrap(), vec![2u8; 64]);
-        let d = sim.metrics.since(&before);
+        let d = sim.metrics.snapshot() - before;
         assert_eq!(d.cache_misses, 1);
         assert_eq!(d.cache_hits, 1);
     }
@@ -709,7 +701,7 @@ mod tests {
         let before = sim.metrics.snapshot();
         pool.read(0).unwrap();
         pool.read(1).unwrap();
-        let d = sim.metrics.since(&before);
+        let d = sim.metrics.snapshot() - before;
         assert_eq!(d.cache_hits, 1);
         assert_eq!(d.cache_misses, 1);
     }
@@ -729,7 +721,7 @@ mod tests {
             )
             .unwrap();
         }
-        let d = sim.metrics.since(&before);
+        let d = sim.metrics.snapshot() - before;
         assert_eq!(d.disk_reads, 2, "14 blocks = two 7-block strings");
         assert_eq!(d.disk_blocks_read, 14);
         assert_eq!(d.cache_misses, 2);
@@ -754,7 +746,7 @@ mod tests {
             // Per-record CPU work between block reads.
             sim.clock.advance(20_000);
         }
-        let d = sim.metrics.since(&before);
+        let d = sim.metrics.snapshot() - before;
         assert!(d.prefetch_reads >= 1);
         assert!(d.prefetch_hits >= 1);
         assert_eq!(d.cache_misses, 1, "only the first miss was synchronous");
@@ -851,8 +843,8 @@ mod tests {
         assert_eq!(written, 4, "only the aged string goes out");
         assert_eq!(pool.dirty_frames(), 1);
         // One async bulk write of 4 blocks.
-        assert_eq!(sim.metrics.writebehind_writes.get(), 1);
-        assert_eq!(sim.metrics.disk_blocks_written.get(), 4 + 8);
+        assert_eq!(sim.metrics.snapshot().writebehind_writes, 1);
+        assert_eq!(sim.metrics.snapshot().disk_blocks_written, 4 + 8);
         assert!(gate.forces.lock().is_empty(), "write-behind never forces");
     }
 
@@ -867,7 +859,7 @@ mod tests {
         let stolen = pool.steal_clean(4);
         assert_eq!(stolen, 4);
         assert_eq!(pool.cached_frames(), 4);
-        assert!(sim.metrics.cache_steals.get() >= 4);
+        assert!(sim.metrics.snapshot().cache_steals >= 4);
         // The dirty frame survived stealing.
         assert_eq!(pool.dirty_frames(), 1);
     }

@@ -31,7 +31,9 @@ use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId};
 use nsql_records::{Row, Value};
 use nsql_sim::sync::{Mutex, RwLock};
-use nsql_sim::{CostModel, Ctr, Histogram, Mark, Metrics, MetricsSnapshot, Sim, COUNTER_NAMES};
+use nsql_sim::{
+    CostModel, Ctr, EntityKind, Event, Histogram, Mark, MetricsSnapshot, Sim, COUNTER_NAMES,
+};
 use nsql_sql::ast::Statement;
 use nsql_sql::{parse, plan, Catalog, Executor, OpStats, Plan, QueryResult, SysSnapshot};
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager, AUDIT_PROCESS};
@@ -405,11 +407,6 @@ impl Cluster {
         if let Some(info) = self.sessions.lock().get_mut(&id) {
             f(info);
         }
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.sim.metrics
     }
 
     /// Snapshot all counters.
@@ -833,13 +830,14 @@ impl Session<'_> {
         // The statement's root span: every FS-DP request span opened while
         // it runs becomes a child, so the trace assembles into one tree per
         // statement.
-        let span = sim.span_root(stmt_label(sql), &self.cpu.to_string());
+        let cpu = self.cpu;
+        let span = sim.span_root(stmt_label(sql), &cpu);
         let out = self.execute_inner(sql, &mark);
         drop(span);
         // The window's ledger delta decomposes its elapsed time exactly —
         // the clock only moves through attributed advances.
         let stats = mark.close(sim);
-        sim.record_statement(&stats);
+        sim.emit(&sim.cluster, Event::Statement(&stats));
         self.last_stats = Some(stats);
         out
     }
@@ -1082,7 +1080,8 @@ fn analyze_result(stats: &[OpStats], window: &QueryStats) -> QueryResult {
         Value::LargeInt(elapsed as i64),
     ]));
     for (kind, name, vals) in measure.snap.iter() {
-        if vals.iter().all(|&v| v == 0) {
+        // The cluster's own record is not a part of the breakdown.
+        if kind == EntityKind::Cluster || vals.iter().all(|&v| v == 0) {
             continue;
         }
         let get = |c: Ctr| vals[c as usize];

@@ -84,7 +84,7 @@ fn distributed_table_across_nodes() {
     let before = db.snapshot();
     let r = s.query("SELECT K FROM BIG").unwrap();
     assert_eq!(r.rows.len(), 3);
-    let d = db.metrics().since(&before);
+    let d = db.snapshot() - before;
     assert!(d.msgs_remote >= 1, "the $REMOTE partition is on node 1");
 }
 
@@ -142,7 +142,7 @@ fn process_pair_checkpoints_flow() {
         s.execute(&format!("INSERT INTO T VALUES ({i})")).unwrap();
     }
     assert!(
-        db.metrics().msgs_checkpoint.get() >= 10,
+        db.snapshot().msgs_checkpoint >= 10,
         "primary must checkpoint each change to its backup"
     );
 }
@@ -259,7 +259,7 @@ fn memory_pressure_handshake() {
     assert_eq!(r.rows[0].0[0], Value::LargeInt(500));
     let stolen = db.memory_pressure("$DATA1", 10);
     assert!(stolen > 0, "clean frames must be stealable");
-    assert!(db.metrics().cache_steals.get() >= stolen as u64);
+    assert!(db.snapshot().cache_steals >= stolen as u64);
     // The database still answers correctly (blocks re-read on demand).
     let r = s.query("SELECT COUNT(*) FROM T").unwrap();
     assert_eq!(r.rows[0].0[0], Value::LargeInt(500));

@@ -16,9 +16,9 @@
 //!   cpu-bound processing using data from the cache to occur in parallel
 //!   with disk I/O's").
 
-use nsql_sim::measure::{Ctr, EntityKind, MeasureRecord};
+use nsql_sim::measure::{EntityKind, MeasureRecord};
 use nsql_sim::sync::Mutex;
-use nsql_sim::{Micros, Sim, Wait};
+use nsql_sim::{Event, Micros, Sim, Wait};
 use std::sync::Arc;
 
 /// Index of a block on a volume.
@@ -139,27 +139,13 @@ impl Disk {
         }
         // Copy-back: strings of maximal sequential bulk I/Os from the
         // surviving half to the replacement.
-        let cost = &self.sim.cost;
-        let max_blocks = cost.bulk_io_max_blocks();
-        let mut remaining = nblocks;
-        let mut total = 0;
-        while remaining > 0 {
-            let n = remaining.min(max_blocks);
-            total += cost.disk_io_cost(true, n);
-            remaining -= n;
-        }
+        let (_, total) = self.sim.cost.bulk_string(nblocks);
         let begin = st.busy_until.max(self.sim.now());
         let end = begin + total;
         st.busy_until = end;
         st.next_sequential = None;
         drop(st);
-        self.rec.add(Ctr::BlocksRead, nblocks as u64);
-        self.rec.add(Ctr::BlocksWritten, nblocks as u64);
-        self.sim
-            .trace_emit(|| nsql_sim::trace::TraceEventKind::Remirror {
-                volume: self.name.clone(),
-                blocks: nblocks as u64,
-            });
+        self.sim.emit(&self.rec, Event::Remirror(nblocks as u64));
         self.sim.clock.advance_to_in(Wait::Restart, end);
         end
     }
@@ -195,32 +181,12 @@ impl Disk {
         st.busy_until = end;
         st.next_sequential = Some(start + nblocks as u32);
 
-        let m = &self.sim.metrics;
-        if is_write {
-            m.disk_writes.inc();
-            m.disk_blocks_written.add(nblocks as u64);
-            self.rec.bump(Ctr::DiskWrites);
-            self.rec.add(Ctr::BlocksWritten, nblocks as u64);
-        } else {
-            m.disk_reads.inc();
-            m.disk_blocks_read.add(nblocks as u64);
-            self.rec.bump(Ctr::DiskReads);
-            self.rec.add(Ctr::BlocksRead, nblocks as u64);
-        }
-        if nblocks > 1 {
-            m.disk_bulk_ios.inc();
-            self.rec.bump(Ctr::BulkIos);
-        }
-        if !synchronous && !is_write {
-            self.rec.add(Ctr::PrefetchReads, nblocks as u64);
-        }
-        self.sim
-            .trace_emit(|| nsql_sim::trace::TraceEventKind::DiskIo {
-                volume: self.name.clone(),
-                write: is_write,
-                blocks: nblocks as u64,
-                synchronous,
-            });
+        let io = Event::DiskIo {
+            write: is_write,
+            blocks: nblocks as u64,
+            synchronous,
+        };
+        self.sim.emit(&self.rec, io);
         if synchronous {
             self.sim.clock.advance_to_in(Wait::Disk, end);
         }
@@ -230,26 +196,7 @@ impl Disk {
     /// Synchronously read `nblocks` contiguous blocks starting at `start`
     /// as one (possibly bulk) I/O.
     pub fn read(&self, start: BlockNo, nblocks: usize) -> Result<Vec<Vec<u8>>, DiskError> {
-        assert!(nblocks >= 1);
-        assert!(
-            nblocks * self.block_size() <= self.sim.cost.bulk_io_max,
-            "bulk I/O limited to {} bytes",
-            self.sim.cost.bulk_io_max
-        );
-        let mut st = self.state.lock();
-        self.check_media(&st)?;
-        let mut out = Vec::with_capacity(nblocks);
-        for i in 0..nblocks {
-            let b = start + i as u32;
-            let data = st
-                .blocks
-                .get(b as usize)
-                .and_then(|x| x.as_ref())
-                .ok_or(DiskError::Unallocated(b))?;
-            out.push(data.clone());
-        }
-        self.account_io(&mut st, start, nblocks, false, true);
-        Ok(out)
+        self.fetch(start, nblocks, true).map(|(data, _)| data)
     }
 
     /// Schedule an asynchronous read (pre-fetch). Returns `(data,
@@ -259,6 +206,16 @@ impl Disk {
         &self,
         start: BlockNo,
         nblocks: usize,
+    ) -> Result<(Vec<Vec<u8>>, Micros), DiskError> {
+        self.fetch(start, nblocks, false)
+    }
+
+    /// One read I/O: the blocks and its completion time.
+    fn fetch(
+        &self,
+        start: BlockNo,
+        nblocks: usize,
+        synchronous: bool,
     ) -> Result<(Vec<Vec<u8>>, Micros), DiskError> {
         assert!(nblocks >= 1);
         assert!(
@@ -278,8 +235,7 @@ impl Disk {
                 .ok_or(DiskError::Unallocated(b))?;
             out.push(data.clone());
         }
-        let end = self.account_io(&mut st, start, nblocks, false, false);
-        self.sim.metrics.prefetch_reads.inc();
+        let end = self.account_io(&mut st, start, nblocks, false, synchronous);
         Ok((out, end))
     }
 
@@ -287,36 +243,26 @@ impl Disk {
     /// bulk) I/O. Mirrored volumes write both halves in parallel (same
     /// cost).
     pub fn write(&self, start: BlockNo, blocks: &[Vec<u8>]) -> Result<(), DiskError> {
-        assert!(!blocks.is_empty());
-        assert!(
-            blocks.len() * self.block_size() <= self.sim.cost.bulk_io_max,
-            "bulk I/O limited to {} bytes",
-            self.sim.cost.bulk_io_max
-        );
         let bs = self.block_size();
         for b in blocks {
             assert!(b.len() <= bs, "block exceeds {bs} bytes");
         }
-        let mut st = self.state.lock();
-        self.check_media(&st)?;
-        if st.write_failures_pending > 0 {
-            st.write_failures_pending -= 1;
-            return Err(DiskError::WriteFailed);
-        }
-        let needed = start as usize + blocks.len();
-        if st.blocks.len() < needed {
-            st.blocks.resize(needed, None);
-        }
-        for (i, data) in blocks.iter().enumerate() {
-            st.blocks[start as usize + i] = Some(data.clone());
-        }
-        self.account_io(&mut st, start, blocks.len(), true, true);
-        Ok(())
+        self.store(start, blocks, true).map(|_| ())
     }
 
     /// Schedule an asynchronous write (write-behind). The data is durable
     /// once the returned completion time has been reached.
     pub fn write_async(&self, start: BlockNo, blocks: &[Vec<u8>]) -> Result<Micros, DiskError> {
+        self.store(start, blocks, false)
+    }
+
+    /// One write I/O: returns its completion time.
+    fn store(
+        &self,
+        start: BlockNo,
+        blocks: &[Vec<u8>],
+        synchronous: bool,
+    ) -> Result<Micros, DiskError> {
         assert!(!blocks.is_empty());
         assert!(
             blocks.len() * self.block_size() <= self.sim.cost.bulk_io_max,
@@ -336,9 +282,7 @@ impl Disk {
         for (i, data) in blocks.iter().enumerate() {
             st.blocks[start as usize + i] = Some(data.clone());
         }
-        let end = self.account_io(&mut st, start, blocks.len(), true, false);
-        self.sim.metrics.writebehind_writes.inc();
-        Ok(end)
+        Ok(self.account_io(&mut st, start, blocks.len(), true, synchronous))
     }
 
     /// Time at which the device becomes idle (for tests and the
@@ -359,6 +303,7 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsql_sim::Ctr;
 
     fn disk() -> (Sim, Arc<Disk>) {
         let sim = Sim::new();
@@ -454,7 +399,7 @@ mod tests {
         // ... but the device is busy until `done`.
         assert!(done > now);
         assert_eq!(d.busy_until(), done);
-        assert_eq!(sim.metrics.prefetch_reads.get(), 1);
+        assert_eq!(sim.metrics.snapshot().prefetch_reads, 1);
     }
 
     #[test]

@@ -42,9 +42,7 @@ use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use nsql_records::row::{decode_row, encode_row, CodecError, RawRecord};
 use nsql_records::{Expr, KeyRange, OwnedBound, Projection, RecordDescriptor, SetList};
 use nsql_sim::sync::Mutex;
-use nsql_sim::trace::TraceEventKind;
-use nsql_sim::Wait;
-use nsql_sim::{CpuLayer, Ctr, EntityKind, FlightEntry, MeasureRecord, Micros, Sim};
+use nsql_sim::{CpuLayer, Ctr, EntityKind, Event, LockWaitEnd, MeasureRecord, Micros, Sim, Wait};
 use nsql_tmf::audit::FieldImage;
 use nsql_tmf::txn::{EndTxnReply, EndTxnRequest};
 use nsql_tmf::{AuditBody, AuditRecord, Direction, Trail, TxnManager, VolumeAuditor};
@@ -349,11 +347,11 @@ impl DiskProcess {
         if self.txnmgr.is_doomed(txn) {
             return Err(DpError::Deadlock { victim: txn });
         }
+        // One lock wait, however it ended, is one event.
+        let waited = |end| self.sim.emit(&self.rec, Event::LockWait(txn.0, end));
         match self.locks.acquire(txn, file, scope.clone(), mode) {
             Ok(()) => Ok(()),
             Err(LockError::Conflict { holder }) => {
-                self.sim.metrics.lock_waits.inc();
-                self.rec.bump(Ctr::LockWaits);
                 // The blocked-then-bounced hop. Zero-cost by default, but
                 // whatever it costs lands in the wait.lock category.
                 self.sim
@@ -366,7 +364,7 @@ impl DiskProcess {
                     .wait(txn, holder, file, scope, mode, self.sim.now())
                 {
                     Err(LockError::Deadlock { victim }) => {
-                        self.note_deadlock(txn);
+                        waited(LockWaitEnd::Deadlock);
                         if victim == txn {
                             Err(DpError::Deadlock { victim })
                         } else {
@@ -379,18 +377,11 @@ impl DiskProcess {
                         }
                     }
                     Err(LockError::WaitTimeout { victim }) => {
-                        self.rec.bump(Ctr::LockWaitTimeouts);
-                        self.sim.trace_emit(|| TraceEventKind::LockWait {
-                            txn: txn.0,
-                            deadlock: false,
-                        });
+                        waited(LockWaitEnd::TimedOut);
                         Err(DpError::LockTimeout { victim })
                     }
                     Ok(()) | Err(LockError::Conflict { .. }) => {
-                        self.sim.trace_emit(|| TraceEventKind::LockWait {
-                            txn: txn.0,
-                            deadlock: false,
-                        });
+                        waited(LockWaitEnd::Bounced);
                         Err(DpError::Locked { holder })
                     }
                 }
@@ -398,26 +389,14 @@ impl DiskProcess {
             // acquire() only bounces with Conflict; these arms are
             // defensive completeness.
             Err(LockError::Deadlock { victim }) => {
-                self.note_deadlock(txn);
+                waited(LockWaitEnd::Deadlock);
                 Err(DpError::Deadlock { victim })
             }
             Err(LockError::WaitTimeout { victim }) => {
-                self.rec.bump(Ctr::LockWaitTimeouts);
+                waited(LockWaitEnd::TimedOut);
                 Err(DpError::LockTimeout { victim })
             }
         }
-    }
-
-    /// Book a deadlock found while `txn` was asking for a lock.
-    fn note_deadlock(&self, txn: TxnId) {
-        self.sim.metrics.deadlocks.inc();
-        self.rec.bump(Ctr::LockDeadlocks);
-        self.rec.bump(Ctr::DeadlockDetected);
-        self.rec.bump(Ctr::DeadlockVictims);
-        self.sim.trace_emit(|| TraceEventKind::LockWait {
-            txn: txn.0,
-            deadlock: true,
-        });
     }
 
     /// MEASURE record for one open file on this volume (`$VOL#Fn`).
@@ -933,7 +912,6 @@ impl DiskProcess {
             let id = st.next_subset;
             st.next_subset += 1;
             st.subsets.insert(id, Arc::new(scb));
-            self.sim.metrics.subset_control_blocks.inc();
             self.scb_rec.bump(Ctr::ScbCreated);
             *subset = Some(id);
         }
@@ -1095,8 +1073,6 @@ impl DiskProcess {
             }
             ScanControl::Continue
         });
-        self.sim.metrics.dp_records_examined.add(examined as u64);
-        self.sim.metrics.dp_records_selected.add(selected as u64);
         frec.add(Ctr::RecsExamined, examined as u64);
         frec.add(Ctr::RecsSelected, selected as u64);
         if let Some(e) = eval_error {
@@ -1425,14 +1401,8 @@ impl DiskProcess {
     /// flight recorder.
     fn apply_logged(&self, file: FileId, body: &AuditBody, direction: Direction, lsn: u64) {
         if let Err(e) = self.try_apply_logged(file, body, direction, lsn) {
-            let entry = FlightEntry {
-                at: self.sim.now(),
-                tag: "error",
-                label: format!("{direction:?} on file {file} refused: {e}"),
-                a: lsn,
-                b: 0,
-            };
-            self.sim.flight.record(&self.name, entry);
+            let what = format!("{direction:?} on file {file} refused: {e}");
+            self.sim.emit(&self.rec, Event::Refused(what, lsn));
         }
     }
 
@@ -1611,7 +1581,7 @@ impl DiskProcess {
             .map(|(_, reply)| reply.clone())
         {
             // The request already executed; only the reply was lost.
-            self.sim.metrics.dp_dup_suppressed.inc();
+            self.rec.bump(Ctr::DupSuppressed);
             self.sim.cpu_work(CpuLayer::DiskProcess, 1);
             return cached;
         }

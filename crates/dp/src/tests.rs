@@ -223,7 +223,7 @@ fn paper_example_1_vsbb_selection_projection() {
     }
     // EMPNO 0..=1000 with salary > 32000 (every 4th): 0,4,...,1000 = 251.
     assert_eq!(rows_total, 251);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     assert!(d.msgs_redrive >= 1, "large subset must re-drive");
     assert!(d.subset_control_blocks >= 1);
     assert_eq!(d.dp_records_selected, 251);
@@ -273,7 +273,7 @@ fn paper_example_2_rsbb_full_scan() {
         });
     }
     assert_eq!(got, 500);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     // Blocked transfer: many records per message.
     assert!(
         (d.msgs_fs_dp as usize) < 500 / 10,
@@ -432,7 +432,7 @@ fn update_point_pushdown_is_one_message() {
         constraint: None,
     });
     assert!(matches!(reply, DpReply::Ok));
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 1, "no read-before-write message");
     c.txnmgr.commit(txn, c.client).unwrap();
     let DpReply::Record(Some(bytes)) = c.send(DpRequest::Read {
@@ -617,7 +617,7 @@ fn locks_conflict_and_release() {
     });
     assert!(matches!(reply, DpReply::Ok));
     c.txnmgr.commit(t2, c.client).unwrap();
-    assert!(c.sim.metrics.lock_waits.get() >= 1);
+    assert!(c.sim.metrics.snapshot().lock_waits >= 1);
 }
 
 #[test]
@@ -696,7 +696,7 @@ fn blocked_insert_is_one_message() {
         panic!()
     };
     assert_eq!(affected, 100);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 1, "100 inserts in one message");
     c.txnmgr.commit(txn, c.client).unwrap();
     assert!(matches!(
@@ -775,7 +775,7 @@ fn time_slice_limits_monopolization() {
         });
     }
     assert!(redrives >= 3);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     assert_eq!(d.dp_records_selected, 0);
     assert_eq!(d.dp_records_examined, 200);
 }
@@ -896,7 +896,7 @@ fn checkpointing_sends_messages() {
         .register("$DATA1-B", CpuId::new(0, 2), Arc::new(BackupSink));
     let file = c.create_emp();
     c.load_emps(file, 10);
-    assert!(c.sim.metrics.msgs_checkpoint.get() >= 10);
+    assert!(c.sim.metrics.snapshot().msgs_checkpoint >= 10);
 }
 
 #[test]
@@ -948,7 +948,7 @@ fn audit_mode_full_vs_field_sizes() {
             audit,
         });
         c.txnmgr.commit(txn, c.client).unwrap();
-        c.sim.metrics.since(&before).audit_bytes
+        (c.sim.metrics.snapshot() - before).audit_bytes
     };
     let full = run(AuditMode::FullImage);
     let field = run(AuditMode::FieldCompressed);
@@ -1001,7 +1001,7 @@ fn bulk_io_and_prefetch_on_sequential_scan() {
             verb: SubsetVerb::Get,
         });
     }
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     assert!(d.disk_bulk_ios > 0, "sequential scan should use bulk I/O");
     assert!(
         d.disk_blocks_read > d.disk_reads,
@@ -1321,7 +1321,7 @@ fn wrong_file_kind_rejected() {
         let reply = c.send(DpRequest::EntryRead { file, address: 0 });
         assert!(matches!(reply, DpReply::Error(DpError::WrongFileKind)));
     }
-    assert_eq!(c.sim.metrics.since(&before).audit_records, 0);
+    assert_eq!((c.sim.metrics.snapshot() - before).audit_records, 0);
     c.txnmgr.abort(txn, c.client).unwrap();
 }
 
@@ -1391,7 +1391,7 @@ fn a_refused_change_leaves_no_audit_record_and_no_undo_entry() {
         records: vec![(emp_key(3), huge)],
     }));
 
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     assert_eq!(d.audit_records, 0, "a refused change is not logged");
     assert_eq!(d.audit_bytes, 0);
     assert!(
@@ -1442,7 +1442,7 @@ fn dirty_steal_under_memory_pressure_forces_audit() {
         });
         assert!(matches!(reply, DpReply::Ok), "{reply:?}");
     }
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.metrics.snapshot() - before;
     assert!(d.cache_steals > 0, "the 8-frame cache must steal");
     assert!(
         d.audit_flushes > 0,

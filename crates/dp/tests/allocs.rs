@@ -110,7 +110,7 @@ fn vsbb_read(
             lock: ReadLock::None,
         },
     };
-    let reads = || sim.metrics.cache_hits.get() + sim.metrics.cache_misses.get();
+    let reads = || sim.metrics.snapshot().cache_hits + sim.metrics.snapshot().cache_misses;
     let (reads_before, allocs_before) = (reads(), ALLOCS.with(Cell::get));
     let reply = send(bus, seq, request);
     let allocs = ALLOCS.with(Cell::get) - allocs_before;

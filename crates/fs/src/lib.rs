@@ -31,8 +31,7 @@ use nsql_msg::{Bus, BusError, CpuId, MsgKind};
 use nsql_records::key::{encode_key_value, encode_record_key};
 use nsql_records::row::encode_row;
 use nsql_records::{KeyRange, RecordDescriptor, Row, Value};
-use nsql_sim::trace::TraceEventKind;
-use nsql_sim::{CpuLayer, Ctr, EntityKind, FlightEntry, MeasureRecord, Sim, Wait};
+use nsql_sim::{CpuLayer, Ctr, EntityKind, Event, MeasureRecord, Sim, Wait};
 use std::sync::Arc;
 
 /// Errors surfaced to File System callers.
@@ -298,7 +297,7 @@ pub struct FileSystem {
     opener: u64,
     /// Per-opener sync sequence (retries of one request reuse one value).
     sync_seq: std::sync::atomic::AtomicU64,
-    /// MEASURE record of the requester's CPU: re-drives and path switches
+    /// MEASURE record of the requester's CPU: retries and path switches
     /// are charged to the CPU, not to any one server process.
     rec: Arc<MeasureRecord>,
 }
@@ -347,7 +346,7 @@ impl FileSystem {
         // across every retry of this logical request. Its identity rides
         // the already-accounted request header so the Disk Process can
         // attach its handling span on the far side of the wire.
-        let span = self.sim.span_child(label, &self.cpu.to_string());
+        let span = self.sim.span_child(label, &self.cpu);
         let env = nsql_dp::SyncRequest {
             sync: nsql_dp::SyncId {
                 opener: self.opener,
@@ -359,6 +358,8 @@ impl FileSystem {
             req,
         };
         let make = move || -> Box<dyn std::any::Any + Send> { Box::new(env.clone()) };
+        // The server's record, looked up only when something goes wrong.
+        let server_rec = || self.sim.measure.entity(EntityKind::Process, to);
         let mut attempt = 0u32;
         let mut backoff = self.retry.backoff_us;
         loop {
@@ -371,7 +372,7 @@ impl FileSystem {
                         Ok(r) => r,
                         Err(_) => {
                             self.sim
-                                .flight_dump(to, "protocol violation (bad reply type)");
+                                .flight_dump(&server_rec(), "protocol violation (bad reply type)");
                             return Err(FsError::Protocol("reply was not a DpReply".to_string()));
                         }
                     };
@@ -384,49 +385,30 @@ impl FileSystem {
                 }
                 Err(e) if e.is_retriable() && attempt < self.retry.max_retries => {
                     attempt += 1;
-                    self.sim.metrics.fs_retries.inc();
+                    // Counted now, reported once the backoff is served: a
+                    // takeover's postmortem already shows this retry.
                     self.rec.bump(Ctr::RetryBackoffs);
+                    let (from, server) = (&*self.rec, server_rec());
                     if matches!(e, BusError::CpuDown(_)) && self.bus.try_path_switch(to) {
-                        self.sim.metrics.path_switches.inc();
-                        self.rec.bump(Ctr::PathTakeovers);
-                        self.sim.trace_emit(|| TraceEventKind::PathSwitch {
-                            to: to.to_string(),
-                            resumed: false,
-                        });
+                        let resumed = false;
+                        self.sim.emit(&server, Event::PathSwitch { from, resumed });
                     }
                     self.sim.clock.advance_in(Wait::Retry, backoff);
-                    self.sim.flight.record(
-                        to,
-                        FlightEntry {
-                            at: self.sim.now(),
-                            tag: "retry",
-                            label: label.to_string(),
-                            a: attempt as u64,
-                            b: backoff,
-                        },
-                    );
-                    self.sim.trace_emit(|| TraceEventKind::Retry {
-                        label: label.to_string(),
-                        to: to.to_string(),
+                    let retry = Event::Retry {
+                        label,
                         attempt,
                         backoff_us: backoff,
-                    });
+                    };
+                    self.sim.emit(&server, retry);
                     backoff = (backoff * 2).min(self.retry.max_backoff_us);
                 }
                 Err(e) if e.is_retriable() => {
                     // The server stayed unreachable through the whole retry
                     // budget: dump its flight ring for the postmortem.
-                    self.sim.flight.record(
-                        to,
-                        FlightEntry {
-                            at: self.sim.now(),
-                            tag: "error",
-                            label: format!("{label}: {e}"),
-                            a: attempt as u64,
-                            b: 0,
-                        },
-                    );
-                    self.sim.flight_dump(to, "retries exhausted (FS)");
+                    let server = server_rec();
+                    let refused = Event::Refused(format!("{label}: {e}"), attempt.into());
+                    self.sim.emit(&server, refused);
+                    self.sim.flight_dump(&server, "retries exhausted (FS)");
                     return Err(FsError::Unavailable(e.to_string()));
                 }
                 Err(e) => return Err(FsError::Bus(e.to_string())),

@@ -14,7 +14,7 @@ use nsql_lock::{LockMode, TxnId};
 use nsql_records::key::encode_record_key;
 use nsql_records::row::encode_row;
 use nsql_records::{Expr, KeyRange, OwnedBound, Row, SetList, Value};
-use nsql_sim::{CpuLayer, TraceEventKind};
+use nsql_sim::{CpuLayer, EntityKind, Event};
 use std::collections::BTreeMap;
 
 /// Result of a set-oriented read.
@@ -275,10 +275,9 @@ impl FileSystem {
                 let label = request.name();
                 let reply = match (self.send(process, request), resume.take()) {
                     (Err(FsError::Dp(DpError::BadSubset(_))), Some(after)) => {
-                        self.sim.trace_emit(|| TraceEventKind::PathSwitch {
-                            to: process.to_string(),
-                            resumed: true,
-                        });
+                        let server = self.sim.measure.entity(EntityKind::Process, process);
+                        let (from, resumed) = (&*self.rec, true);
+                        self.sim.emit(&server, Event::PathSwitch { from, resumed });
                         let begin = OwnedBound::Excluded(after);
                         let end = end.clone();
                         request = first(KeyRange { begin, end }, make_op());
@@ -313,7 +312,7 @@ impl FileSystem {
                     verb,
                 };
             }
-            self.sim.hist.redrive_chain.record(chain);
+            self.sim.emit(&self.rec, Event::RedriveChain(chain));
         }
         Ok(())
     }

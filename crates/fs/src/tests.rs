@@ -9,6 +9,7 @@ use nsql_dp::{DiskProcess, DpConfig, DpContext, FileKind, ReadLock, SubsetMode};
 use nsql_lock::LockMode;
 use nsql_records::key::{encode_key_prefix, encode_record_key};
 use nsql_records::{CmpOp, Expr, FieldDef, FieldType, OwnedBound, SetList};
+use nsql_sim::TraceEventKind;
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager, AUDIT_PROCESS};
 
 struct World {
@@ -214,7 +215,7 @@ fn range_scan_touches_only_needed_partition() {
         )
         .unwrap();
     assert_eq!(scan.rows.len(), 51);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     // Only $DATA2 was consulted: 51 narrow rows fit one virtual block.
     assert_eq!(d.msgs_fs_dp, 1);
 }
@@ -237,7 +238,7 @@ fn figure_2_read_via_alternate_key() {
         assert_eq!(r.0[2], Value::Int(3));
         assert_eq!(r.0.len(), 4, "full base rows returned");
     }
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     // Figure 2's shape: one index subset message + one base read per row.
     assert_eq!(d.msgs_fs_dp, 1 + 10);
 }
@@ -308,7 +309,7 @@ fn update_of_unindexed_field_pushes_down() {
             .unwrap();
     w.txnmgr.commit(txn, w.client).unwrap();
     assert_eq!(n, 100);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     assert!(
         d.msgs_fs_dp <= 4,
         "set-oriented pushdown should need ~1 message per partition, got {}",
@@ -367,7 +368,7 @@ fn sequential_read_interfaces_message_ratio() {
         n += 1;
     }
     assert_eq!(n, 1000);
-    let record_at_a_time = w.sim.metrics.since(&before).msgs_fs_dp;
+    let record_at_a_time = (w.sim.metrics.snapshot() - before).msgs_fs_dp;
 
     // RSBB.
     let txn = w.txnmgr.begin();
@@ -378,7 +379,7 @@ fn sequential_read_interfaces_message_ratio() {
         n += 1;
     }
     assert_eq!(n, 1000);
-    let rsbb = w.sim.metrics.since(&before).msgs_fs_dp;
+    let rsbb = (w.sim.metrics.snapshot() - before).msgs_fs_dp;
     w.txnmgr.commit(txn, w.client).unwrap();
 
     // VSBB with projection (narrow rows pack densely).
@@ -395,7 +396,7 @@ fn sequential_read_interfaces_message_ratio() {
         )
         .unwrap();
     assert_eq!(scan.rows.len(), 1000);
-    let vsbb = w.sim.metrics.since(&before).msgs_fs_dp;
+    let vsbb = (w.sim.metrics.snapshot() - before).msgs_fs_dp;
 
     assert!(record_at_a_time >= 1000);
     assert!(
@@ -440,7 +441,7 @@ fn enscribe_rewrite_is_read_plus_write() {
     let mut new = old.0.clone();
     new[3] = Value::Double(4321.0);
     w.fs.ens_rewrite(txn, &of, &old.0, &new).unwrap();
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 2, "read + write");
     w.txnmgr.commit(txn, w.client).unwrap();
     let got =
@@ -461,7 +462,7 @@ fn blocked_inserter_batches_messages() {
         ins.push(&emp_row(i, "BULK", i % 10, 1.0)).unwrap();
     }
     ins.flush().unwrap();
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     w.txnmgr.commit(txn, w.client).unwrap();
     // 400 base records + 400 index entries in a handful of messages.
     assert!(
@@ -630,7 +631,7 @@ fn delete_set_pushdown_without_indices() {
         .unwrap();
     w.txnmgr.commit(txn, w.client).unwrap();
     assert_eq!(n, 100);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     assert!(
         d.msgs_fs_dp <= 2,
         "delete subset pushes down, got {}",
@@ -783,7 +784,7 @@ fn cursor_updater_batches_where_current() {
         }
     }
     let (nu, nd) = cur.flush().unwrap();
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     w.txnmgr.commit(txn, w.client).unwrap();
 
     assert_eq!(nd, 50);

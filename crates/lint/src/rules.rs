@@ -21,6 +21,12 @@
 //!   FS-DP path is a protocol step that silently never happened. Existing
 //!   offenders live under ratcheted per-path ceilings (`[result_discard]`
 //!   in `lint.toml`) that, like the panic ratchet, only go down.
+//! * **`one-write-path`** — outside `crates/sim`, non-test code reaches no
+//!   instrument directly: no `trace_emit(`, no `flight.record(`, no
+//!   `.hist.<x>.record(`, no `metrics.<x>.inc(` / `.add(`. Every event goes
+//!   through `Sim::emit` and every plain count is an `add` on an entity's
+//!   record, so what an event feeds is decided in one place. No baseline:
+//!   the count is zero.
 //! * **`stale-registry`** — the registry discipline cuts both ways: a
 //!   `[trace_labels]` canonical label or counter name that *no* source
 //!   file emits any more is dead weight that would mask a future
@@ -96,6 +102,7 @@ pub fn lint_source(cfg: &Config, rel: &str, src: &str) -> FileReport {
         report.panic_count = panic_count(&toks, &in_test, rel, &mut report);
         wildcard_match_rule(cfg, rel, &toks, &in_test, &mut report);
         trace_label_rule(cfg, rel, &toks, &in_test, &mut report);
+        one_write_path_rule(rel, &toks, &in_test, &mut report);
         if is_discard_path(cfg, rel) {
             report.discard_count = discard_positions(&toks, &in_test).len() as u64;
         }
@@ -486,6 +493,70 @@ fn trace_label_rule(
 }
 
 // ----------------------------------------------------------------------
+// Rule: one-write-path
+// ----------------------------------------------------------------------
+
+/// The telemetry's own crate: the one place instruments may be written.
+const TELEMETRY_CRATE: &str = "crates/sim/";
+
+/// Does the token sequence starting at `i` spell `words`, where each word
+/// is an identifier or a single punctuation character?
+fn spells(toks: &[Tok], i: usize, words: &[&str]) -> bool {
+    words
+        .iter()
+        .enumerate()
+        .all(|(k, w)| toks.get(i + k).is_some_and(|t| t.text == *w))
+}
+
+/// The instrument a direct write starting at token `i` reaches, if any.
+fn direct_instrument_write(toks: &[Tok], i: usize) -> Option<&'static str> {
+    let any_ident = |k: usize| toks.get(k).is_some_and(|t| t.kind == TokKind::Ident);
+    if spells(toks, i, &["trace_emit", "("]) {
+        return Some("trace_emit(");
+    }
+    if spells(toks, i, &["flight", ".", "record", "("]) {
+        return Some("flight.record(");
+    }
+    if spells(toks, i, &[".", "hist", "."]) && any_ident(i + 3) {
+        // `.hist.stmt_wait_us[w.index()].record(`: skip one index group.
+        let mut j = i + 4;
+        if toks.get(j).is_some_and(|t| t.is_punct('[')) {
+            j = close_delim(toks, j, '[', ']');
+        }
+        if spells(toks, j, &[".", "record", "("]) {
+            return Some(".hist.<x>.record(");
+        }
+    }
+    if spells(toks, i, &["metrics", "."])
+        && any_ident(i + 2)
+        && (spells(toks, i + 3, &[".", "inc", "("]) || spells(toks, i + 3, &[".", "add", "("]))
+    {
+        return Some("metrics.<x>.inc(/.add(");
+    }
+    None
+}
+
+fn one_write_path_rule(rel: &str, toks: &[Tok], in_test: &[bool], report: &mut FileReport) {
+    if rel.starts_with(TELEMETRY_CRATE) {
+        return;
+    }
+    for i in (0..toks.len()).filter(|&i| !in_test[i]) {
+        if let Some(what) = direct_instrument_write(toks, i) {
+            report.diags.push(Diagnostic {
+                rule: "one-write-path",
+                file: rel.to_string(),
+                line: toks[i].line,
+                msg: format!(
+                    "`{what}` writes an instrument directly; report the event with \
+                     `Sim::emit` (or count on the entity's record) so nsql_sim alone decides \
+                     what it feeds"
+                ),
+            });
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // Rule: result-discard (counting half; ceilings enforced by the caller)
 // ----------------------------------------------------------------------
 
@@ -806,6 +877,45 @@ mod tests {
         let r = lint_source(&cfg, "x.rs", src);
         assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
         assert!(r.diags[0].msg.contains("FileKind"));
+    }
+
+    #[test]
+    fn one_write_path_flags_each_direct_write_outside_the_telemetry_crate() {
+        let cfg = test_cfg();
+        let src = r#"
+            fn f(sim: &Sim) {
+                sim.trace_emit(|| kind());
+                sim.flight.record("$DATA1", entry());
+                sim.hist.msg_bytes.record(8);
+                sim.hist.stmt_wait_us[w.index()].record(us);
+                sim.metrics.msgs_total.inc();
+                self.sim.metrics.audit_bytes.add(size);
+            }
+            #[cfg(test)]
+            mod tests {
+                fn t(sim: &Sim) { sim.hist.msg_bytes.record(8); }
+            }
+        "#;
+        let r = lint_source(&cfg, "crates/msg/src/lib.rs", src);
+        let lines: Vec<usize> = r.diags.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![3, 4, 5, 6, 7, 8], "{:?}", r.diags);
+        assert!(r.diags.iter().all(|d| d.rule == "one-write-path"));
+        // The telemetry crate is where instruments are written.
+        assert!(lint_source(&cfg, "crates/sim/src/event.rs", src)
+            .diags
+            .is_empty());
+        // Reads, the one path itself, and a histogram of one's own are fine.
+        let ok = r#"
+            fn g(sim: &Sim, rec: &MeasureRecord, h: &Histogram) {
+                sim.emit(rec, Event::CacheEvict(1));
+                rec.add(Ctr::CacheHits, 1);
+                let p = sim.hist.msg_bytes.p50();
+                let m = sim.metrics.snapshot();
+                h.record(p + m.msgs_total);
+            }
+        "#;
+        let r = lint_source(&cfg, "crates/cache/src/lib.rs", ok);
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
     }
 
     #[test]

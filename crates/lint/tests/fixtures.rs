@@ -114,6 +114,23 @@ fn label_ok_is_clean() {
 }
 
 #[test]
+fn write_path_bad_names_the_rule_and_both_lines() {
+    let (diags, _) = lint_fixture("write_path_bad.rs");
+    let lines: Vec<usize> = diags
+        .iter()
+        .filter(|d| d.rule == "one-write-path")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, vec![5, 6], "{diags:?}");
+}
+
+#[test]
+fn write_path_ok_is_clean() {
+    let (diags, _) = lint_fixture("write_path_ok.rs");
+    assert!(diags.is_empty(), "unexpected: {diags:?}");
+}
+
+#[test]
 fn discard_bad_counts_both_shapes() {
     let src = std::fs::read_to_string(fixture_dir().join("discard_bad.rs")).expect("fixture");
     let report = rules::lint_source(&fixture_config(), "fixtures/discard_bad.rs", &src);

@@ -11,16 +11,16 @@
 //!
 //! Processes register on a [`Bus`] under Tandem-style `$NAME`s with a home
 //! CPU. [`Bus::request`] performs a request/reply exchange: it looks up the
-//! server, accounts the message (count, bytes, locality) against the
-//! [`nsql_sim::Metrics`], advances the virtual clock per the cost model, and
+//! server, reports the message (count, bytes, locality) as one
+//! [`nsql_sim::Event`], advances the virtual clock per the cost model, and
 //! invokes the server's handler in-line (the simulation is deterministic and
 //! synchronous). Handlers may themselves send messages (e.g. a data-volume
 //! Disk Process sending audit to the audit-trail Disk Process).
 
-use nsql_sim::measure::{Ctr, EntityKind, FlightEntry, MeasureRecord};
+use nsql_sim::measure::{EntityKind, MeasureRecord};
 use nsql_sim::sync::{Mutex, RwLock};
-use nsql_sim::trace::{FaultAction, TraceEventKind, TraceMsgClass};
-use nsql_sim::{Micros, Sim, SimRng, Wait};
+use nsql_sim::trace::FaultAction;
+use nsql_sim::{Event, Micros, Reply, Sim, SimRng, Wait};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -56,20 +56,9 @@ impl fmt::Display for CpuId {
     }
 }
 
-/// Message categories, used only for metric attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgKind {
-    /// An FS-DP interface request (the paper's headline traffic).
-    FsDp,
-    /// An FS-DP continuation re-drive (also counted as FS-DP).
-    Redrive,
-    /// Audit shipment to the audit-trail Disk Process.
-    Audit,
-    /// Process-pair checkpoint (primary → backup).
-    Checkpoint,
-    /// Anything else (TMF coordination, sort subcontracts, ...).
-    Other,
-}
+/// Message categories, used only for metric attribution: the accounting
+/// classes of the telemetry.
+pub use nsql_sim::trace::TraceMsgClass as MsgKind;
 
 /// A reply from a server: an opaque payload plus its wire size.
 pub struct Response {
@@ -458,8 +447,10 @@ impl Bus {
         self.request_labeled(from, to, kind, req_size, payload, "")
     }
 
-    /// [`Bus::request`] with a request name for the trace (e.g.
-    /// `"GetSubsetFirst"`). The label costs nothing unless tracing is on.
+    /// [`Bus::request`] with a request name for the trace and the target's
+    /// flight ring (e.g. `"GET^NEXT"`). The label is borrowed all the way
+    /// down: it becomes an owned string only in a trace record, so with
+    /// tracing off an exchange allocates nothing for telemetry.
     pub fn request_labeled(
         &self,
         from: CpuId,
@@ -467,9 +458,10 @@ impl Bus {
         kind: MsgKind,
         req_size: usize,
         payload: Box<dyn Any + Send>,
-        label: &str,
+        label: &'static str,
     ) -> Result<Response, BusError> {
-        self.request_inner(from, to, kind, req_size, payload, None, label)
+        self.exchange(from, to, kind, req_size, label)?
+            .run(payload, None)
     }
 
     /// [`Bus::request_labeled`] with a payload *factory*, so the fault plane
@@ -484,30 +476,21 @@ impl Bus {
         kind: MsgKind,
         req_size: usize,
         make_payload: &dyn Fn() -> Box<dyn Any + Send>,
-        label: &str,
+        label: &'static str,
     ) -> Result<Response, BusError> {
-        self.request_inner(
-            from,
-            to,
-            kind,
-            req_size,
-            make_payload(),
-            Some(make_payload),
-            label,
-        )
+        self.exchange(from, to, kind, req_size, label)?
+            .run(make_payload(), Some(make_payload))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn request_inner(
-        &self,
+    /// Resolve a request's two ends, or say why it cannot be sent.
+    fn exchange<'a>(
+        &'a self,
         from: CpuId,
-        to: &str,
+        to: &'a str,
         kind: MsgKind,
         req_size: usize,
-        payload: Box<dyn Any + Send>,
-        replay: Option<&dyn Fn() -> Box<dyn Any + Send>>,
-        label: &str,
-    ) -> Result<Response, BusError> {
+        label: &'static str,
+    ) -> Result<Exchange<'a>, BusError> {
         let (cpu, server, rec) = {
             let procs = self.processes.read();
             match procs.get(to) {
@@ -524,236 +507,18 @@ impl Bus {
         if self.cpu_is_down(from) {
             return Err(BusError::CpuDown(format!("requester cpu {from}")));
         }
-
-        if self.faults_on.load(Ordering::Relaxed) {
-            let fault = self.fault.read().as_ref().and_then(|p| p.decide(kind, to));
-            if let Some(fault) = fault {
-                return self.apply_fault(
-                    fault, from, to, cpu, kind, req_size, payload, replay, label, server, &rec,
-                );
-            }
-        }
-
-        self.deliver(from, to, cpu, kind, req_size, payload, label, server, &rec)
-    }
-
-    /// The unperturbed exchange: accounting, in-line handling, tracing,
-    /// clock advance.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &self,
-        from: CpuId,
-        to: &str,
-        cpu: CpuId,
-        kind: MsgKind,
-        req_size: usize,
-        payload: Box<dyn Any + Send>,
-        label: &str,
-        server: Arc<dyn Server>,
-        rec: &Arc<MeasureRecord>,
-    ) -> Result<Response, BusError> {
-        let m = &self.sim.metrics;
-        m.msgs_total.inc();
-        let remote = from.node != cpu.node;
-        if remote {
-            m.msgs_remote.inc();
-        }
-        match kind {
-            MsgKind::FsDp => m.msgs_fs_dp.inc(),
-            MsgKind::Redrive => {
-                m.msgs_fs_dp.inc();
-                m.msgs_redrive.inc();
-            }
-            MsgKind::Audit => m.msgs_audit.inc(),
-            MsgKind::Checkpoint => m.msgs_checkpoint.inc(),
-            MsgKind::Other => {}
-        }
-
-        let response = server.handle(payload);
-
-        // MEASURE: the requesting CPU sent a request and consumed a reply;
-        // the target process saw the mirror image.
-        let from_rec = self.cpu_rec(from);
-        from_rec.bump(Ctr::MsgsSent);
-        from_rec.add(Ctr::BytesSent, req_size as u64);
-        from_rec.add(Ctr::BytesRecv, response.size as u64);
-        rec.bump(Ctr::MsgsRecv);
-        rec.add(Ctr::BytesRecv, req_size as u64);
-        rec.add(Ctr::BytesSent, response.size as u64);
-        if matches!(kind, MsgKind::Redrive) {
-            rec.bump(Ctr::MsgsRedrive);
-        }
-        self.sim.flight.record(
+        Ok(Exchange {
+            bus: self,
+            from: self.cpu_rec(from),
             to,
-            FlightEntry {
-                at: self.sim.now(),
-                tag: "msg",
-                label: label.to_string(),
-                a: req_size as u64,
-                b: response.size as u64,
-            },
-        );
-
-        let bytes = req_size + response.size;
-        m.msg_bytes_total.add(bytes as u64);
-        self.sim.hist.msg_bytes.record(bytes as u64);
-        self.sim.trace_emit(|| TraceEventKind::Msg {
-            class: match kind {
-                MsgKind::FsDp => TraceMsgClass::FsDp,
-                MsgKind::Redrive => TraceMsgClass::Redrive,
-                MsgKind::Audit => TraceMsgClass::Audit,
-                MsgKind::Checkpoint => TraceMsgClass::Checkpoint,
-                MsgKind::Other => TraceMsgClass::Other,
-            },
-            label: label.to_string(),
-            from: from.to_string(),
-            to: to.to_string(),
-            req_bytes: req_size as u64,
-            reply_bytes: response.size as u64,
-            remote,
-        });
-        self.sim
-            .clock
-            .advance_in(Wait::Msg, self.sim.cost.msg_cost(remote, bytes));
-        Ok(response)
-    }
-
-    /// Execute one fault decision. Dropped messages still account for the
-    /// request on the wire and charge the requester's virtual-time timeout;
-    /// a dropped *reply* executes the server's side effects first (that is
-    /// what the sync-ID duplicate-suppression cache exists for).
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault(
-        &self,
-        fault: Fault,
-        from: CpuId,
-        to: &str,
-        cpu: CpuId,
-        kind: MsgKind,
-        req_size: usize,
-        payload: Box<dyn Any + Send>,
-        replay: Option<&dyn Fn() -> Box<dyn Any + Send>>,
-        label: &str,
-        server: Arc<dyn Server>,
-        rec: &Arc<MeasureRecord>,
-    ) -> Result<Response, BusError> {
-        let m = &self.sim.metrics;
-        let timeout = self
-            .fault
-            .read()
-            .as_ref()
-            .map_or(10_000, |p| p.cfg.timeout_us);
-        let emit_fault = |action: FaultAction| {
-            m.faults_injected.inc();
-            rec.bump(Ctr::FaultsInjected);
-            self.sim.flight.record(
-                to,
-                FlightEntry {
-                    at: self.sim.now(),
-                    tag: "fault",
-                    label: format!("{} {label}", action.tag()),
-                    a: 0,
-                    b: 0,
-                },
-            );
-            self.sim.trace_emit(|| TraceEventKind::FaultInject {
-                action,
-                label: label.to_string(),
-                to: to.to_string(),
-            });
-        };
-        match fault {
-            Fault::DownTarget => {
-                emit_fault(FaultAction::Crash);
-                self.fail_cpu(cpu);
-                // Postmortem: dump the victim's flight ring with the counter
-                // snapshot at the moment of the kill.
-                self.sim.flight_dump(to, "cpu down (fault plane)");
-                Err(BusError::CpuDown(to.to_string()))
-            }
-            Fault::DropRequest => {
-                emit_fault(FaultAction::Drop);
-                self.account_lost_request(from, cpu, kind, req_size, rec);
-                m.msgs_timed_out.inc();
-                self.sim.clock.advance_in(Wait::Msg, timeout);
-                Err(BusError::Timeout(to.to_string()))
-            }
-            Fault::DropReply => {
-                emit_fault(FaultAction::Drop);
-                self.account_lost_request(from, cpu, kind, req_size, rec);
-                // The server executed the request; only the answer is lost.
-                let _ = server.handle(payload);
-                m.msgs_timed_out.inc();
-                self.sim.clock.advance_in(Wait::Msg, timeout);
-                Err(BusError::Timeout(to.to_string()))
-            }
-            Fault::Duplicate => {
-                emit_fault(FaultAction::Duplicate);
-                // First delivery's reply is superseded by the second's; the
-                // server must suppress the duplicate itself (sync IDs).
-                // Non-replayable payloads degrade to a single delivery.
-                if let Some(make) = replay {
-                    let _ = self.deliver(
-                        from,
-                        to,
-                        cpu,
-                        kind,
-                        req_size,
-                        make(),
-                        label,
-                        Arc::clone(&server),
-                        rec,
-                    )?;
-                }
-                self.deliver(from, to, cpu, kind, req_size, payload, label, server, rec)
-            }
-            Fault::Delay(us) => {
-                emit_fault(FaultAction::Delay);
-                self.sim.clock.advance_in(Wait::Msg, us);
-                self.deliver(from, to, cpu, kind, req_size, payload, label, server, rec)
-            }
-            Fault::Error => {
-                emit_fault(FaultAction::Error);
-                self.account_lost_request(from, cpu, kind, req_size, rec);
-                Err(BusError::Injected(to.to_string()))
-            }
-        }
-    }
-
-    /// Account a request that went on the wire but produced no reply.
-    fn account_lost_request(
-        &self,
-        from: CpuId,
-        cpu: CpuId,
-        kind: MsgKind,
-        req_size: usize,
-        rec: &Arc<MeasureRecord>,
-    ) {
-        let m = &self.sim.metrics;
-        m.msgs_total.inc();
-        let remote = from.node != cpu.node;
-        if remote {
-            m.msgs_remote.inc();
-        }
-        match kind {
-            MsgKind::FsDp => m.msgs_fs_dp.inc(),
-            MsgKind::Redrive => {
-                m.msgs_fs_dp.inc();
-                m.msgs_redrive.inc();
-            }
-            MsgKind::Audit => m.msgs_audit.inc(),
-            MsgKind::Checkpoint => m.msgs_checkpoint.inc(),
-            MsgKind::Other => {}
-        }
-        m.msg_bytes_total.add(req_size as u64);
-        // MEASURE: the requester paid for a send that never answered.
-        let from_rec = self.cpu_rec(from);
-        from_rec.bump(Ctr::MsgsSent);
-        from_rec.add(Ctr::BytesSent, req_size as u64);
-        rec.bump(Ctr::MsgsLost);
-        self.sim
-            .clock
-            .advance_in(Wait::Msg, self.sim.cost.msg_cost(remote, req_size));
+            cpu,
+            server,
+            rec,
+            kind,
+            req_size,
+            label,
+            remote: from.node != cpu.node,
+        })
     }
 
     /// Cost (without sending) of an exchange to `to` carrying `bytes` — used
@@ -764,9 +529,137 @@ impl Bus {
     }
 }
 
+/// One resolved request: who asks whom for what.
+struct Exchange<'a> {
+    bus: &'a Bus,
+    /// The requesting CPU's record.
+    from: Arc<MeasureRecord>,
+    to: &'a str,
+    /// The CPU `to` runs on.
+    cpu: CpuId,
+    server: Arc<dyn Server>,
+    /// The record of `to`.
+    rec: Arc<MeasureRecord>,
+    kind: MsgKind,
+    req_size: usize,
+    label: &'static str,
+    remote: bool,
+}
+
+impl Exchange<'_> {
+    /// The request went on the wire and ended in `reply`: its one event,
+    /// and the clock advance for the bytes that moved.
+    fn went(&self, reply: Reply) {
+        let sim = &self.bus.sim;
+        let went = Event::Msg {
+            from: &self.from,
+            class: self.kind,
+            label: self.label,
+            req_bytes: self.req_size as u64,
+            reply,
+            remote: self.remote,
+        };
+        sim.emit(&self.rec, went);
+        let bytes = match reply {
+            Reply::Bytes(n) => self.req_size + n as usize,
+            Reply::TimedOut | Reply::Failed => self.req_size,
+        };
+        let cost = sim.cost.msg_cost(self.remote, bytes);
+        sim.clock.advance_in(Wait::Msg, cost);
+    }
+
+    /// Perform the exchange, as the fault plane (when armed) decides.
+    fn run(
+        &self,
+        payload: Box<dyn Any + Send>,
+        replay: Option<&dyn Fn() -> Box<dyn Any + Send>>,
+    ) -> Result<Response, BusError> {
+        let bus = self.bus;
+        if bus.faults_on.load(Ordering::Relaxed) {
+            let decide = |p: &FaultPlane| p.decide(self.kind, self.to);
+            let fault = bus.fault.read().as_ref().and_then(decide);
+            if let Some(fault) = fault {
+                return self.perturb(fault, payload, replay);
+            }
+        }
+        self.deliver(payload)
+    }
+
+    /// The unperturbed exchange, handled in-line.
+    fn deliver(&self, payload: Box<dyn Any + Send>) -> Result<Response, BusError> {
+        let response = self.server.handle(payload);
+        self.went(Reply::Bytes(response.size as u64));
+        Ok(response)
+    }
+
+    /// Execute one fault decision. Dropped messages still account for the
+    /// request on the wire and charge the requester's virtual-time timeout;
+    /// a dropped *reply* executes the server's side effects first (that is
+    /// what the sync-ID duplicate-suppression cache exists for).
+    fn perturb(
+        &self,
+        fault: Fault,
+        payload: Box<dyn Any + Send>,
+        replay: Option<&dyn Fn() -> Box<dyn Any + Send>>,
+    ) -> Result<Response, BusError> {
+        let (bus, sim, to) = (self.bus, &self.bus.sim, self.to);
+        let timeout = bus
+            .fault
+            .read()
+            .as_ref()
+            .map_or(10_000, |p| p.cfg.timeout_us);
+        let emit_fault = |action| sim.emit(&self.rec, Event::Fault(action, self.label));
+        match fault {
+            Fault::DownTarget => {
+                emit_fault(FaultAction::Crash);
+                bus.fail_cpu(self.cpu);
+                // Postmortem: dump the victim's flight ring with the counter
+                // snapshot at the moment of the kill.
+                sim.flight_dump(&self.rec, "cpu down (fault plane)");
+                Err(BusError::CpuDown(to.to_string()))
+            }
+            Fault::DropRequest => {
+                emit_fault(FaultAction::Drop);
+                self.went(Reply::TimedOut);
+                sim.clock.advance_in(Wait::Msg, timeout);
+                Err(BusError::Timeout(to.to_string()))
+            }
+            Fault::DropReply => {
+                emit_fault(FaultAction::Drop);
+                self.went(Reply::TimedOut);
+                // The server executed the request; only the answer is lost.
+                let _ = self.server.handle(payload);
+                sim.clock.advance_in(Wait::Msg, timeout);
+                Err(BusError::Timeout(to.to_string()))
+            }
+            Fault::Duplicate => {
+                emit_fault(FaultAction::Duplicate);
+                // First delivery's reply is superseded by the second's; the
+                // server must suppress the duplicate itself (sync IDs).
+                // Non-replayable payloads degrade to a single delivery.
+                if let Some(make) = replay {
+                    let _ = self.deliver(make())?;
+                }
+                self.deliver(payload)
+            }
+            Fault::Delay(us) => {
+                emit_fault(FaultAction::Delay);
+                sim.clock.advance_in(Wait::Msg, us);
+                self.deliver(payload)
+            }
+            Fault::Error => {
+                emit_fault(FaultAction::Error);
+                self.went(Reply::Failed);
+                Err(BusError::Injected(to.to_string()))
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsql_sim::Ctr;
 
     /// Echo server that replies with the request integer + 1.
     struct Echo;

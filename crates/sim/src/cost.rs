@@ -78,6 +78,17 @@ impl CostModel {
         };
         position + blocks as u64 * self.disk_transfer_per_block_us
     }
+
+    /// A string of maximal sequential bulk I/Os moving `blocks` blocks in
+    /// all: how many I/Os it takes, and what they cost together.
+    pub fn bulk_string(&self, blocks: usize) -> (usize, Micros) {
+        let ios = blocks.div_ceil(self.bulk_io_max_blocks());
+        let position = ios as u64 * self.disk_sequential_position_us;
+        (
+            ios,
+            position + blocks as u64 * self.disk_transfer_per_block_us,
+        )
+    }
 }
 
 impl Default for CostModel {
@@ -107,6 +118,15 @@ mod tests {
         // The paper: 4K blocks, 28K bulk I/O maximum => strings of 7 blocks.
         let c = CostModel::default();
         assert_eq!(c.bulk_io_max_blocks(), 7);
+    }
+
+    #[test]
+    fn a_bulk_string_is_its_ios_one_after_another() {
+        let c = CostModel::default();
+        // 7 + 7 + 3 blocks.
+        let separately = 2 * c.disk_io_cost(true, 7) + c.disk_io_cost(true, 3);
+        assert_eq!(c.bulk_string(17), (3, separately));
+        assert_eq!(c.bulk_string(7), (1, c.disk_io_cost(true, 7)));
     }
 
     #[test]

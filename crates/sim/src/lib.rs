@@ -3,12 +3,15 @@
 //!
 //! The paper's measurements are message counts, message bytes, disk I/O
 //! counts, audit volume, and path length ("CPU work"). All of those are
-//! captured here as [`Metrics`] counters, and latency shape is captured by a
-//! virtual [`Clock`] advanced according to a [`CostModel`]. Nothing in the
-//! system reads wall-clock time, so every experiment is exactly reproducible.
+//! counters on per-entity records ([`measure`]) whose sums are the cluster
+//! totals ([`Metrics`]), written through one path ([`Sim::emit`]); latency
+//! shape is captured by a virtual [`Clock`] advanced according to a
+//! [`CostModel`]. Nothing in the system reads wall-clock time, so every
+//! experiment is exactly reproducible.
 
 pub mod clock;
 pub mod cost;
+pub mod event;
 pub mod measure;
 pub mod metrics;
 pub mod rng;
@@ -18,11 +21,12 @@ pub mod trace;
 
 pub use clock::{Clock, Micros, Wait, WaitProfile, WAIT_CATEGORIES};
 pub use cost::CostModel;
+pub use event::{Event, LockWaitEnd, Reply};
 pub use measure::{
     Ctr, EntityKind, FlightDump, FlightEntry, FlightRecorder, MeasureRecord, MeasureRegistry,
     MeasureReport, MeasureSnapshot, COUNTER_NAMES,
 };
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{Metrics, MetricsSnapshot, TOTALS};
 pub use rng::{SimRng, Zipf};
 pub use span::{current_span, SpanAllocator, SpanGuard, SpanHeader};
 pub use trace::{
@@ -30,6 +34,7 @@ pub use trace::{
     TraceEvent, TraceEventKind, TraceMsgClass, TraceRecorder,
 };
 
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// Shared simulation context handed to every component of a cluster.
@@ -42,15 +47,18 @@ pub struct Sim {
     pub clock: Arc<Clock>,
     /// The cost model all components charge against.
     pub cost: Arc<CostModel>,
-    /// The counter registry.
-    pub metrics: Arc<Metrics>,
+    /// The cluster totals, summed from `measure` (see [`metrics`]).
+    pub metrics: Metrics,
     /// Event-level trace recorder (off by default; see [`trace`]).
     pub trace: Arc<TraceRecorder>,
     /// Always-on latency/size distributions (see [`trace::Histograms`]).
     pub hist: Arc<Histograms>,
     /// MEASURE-style per-entity counter records (see [`measure`]).
     pub measure: Arc<MeasureRegistry>,
-    /// Always-on per-process flight rings and crash dumps (see [`measure`]).
+    /// The cluster's own record: what no one component owns.
+    pub cluster: Arc<MeasureRecord>,
+    /// Postmortems of the always-on per-process flight rings (see
+    /// [`measure`]).
     pub flight: Arc<FlightRecorder>,
     /// Trace/span id allocator for causal tracing (see [`span`]).
     pub spans: Arc<SpanAllocator>,
@@ -64,14 +72,16 @@ impl Sim {
 
     /// Create a simulation context with an explicit cost model.
     pub fn with_cost(cost: CostModel) -> Self {
+        let measure = Arc::new(MeasureRegistry::new());
         Sim {
             clock: Arc::new(Clock::new()),
             cost: Arc::new(cost),
-            metrics: Arc::new(Metrics::new()),
+            metrics: Metrics::new(Arc::clone(&measure)),
             trace: Arc::new(TraceRecorder::new()),
             hist: Arc::new(Histograms::new()),
-            measure: Arc::new(MeasureRegistry::new()),
-            flight: Arc::new(FlightRecorder::new()),
+            cluster: measure.entity(EntityKind::Cluster, "cluster"),
+            measure,
+            flight: Arc::default(),
             spans: Arc::new(SpanAllocator::new()),
         }
     }
@@ -83,15 +93,9 @@ impl Sim {
 
     /// Dump `process`'s flight ring with the current counter snapshot —
     /// called by the fault plane, TMF dooming, and typed FS errors.
-    pub fn flight_dump(&self, process: &str, reason: &str) {
+    pub fn flight_dump(&self, process: &MeasureRecord, reason: &str) {
         self.flight
             .dump(process, reason, self.now(), self.measure_snapshot());
-    }
-
-    /// Record a trace event at the current virtual time. The closure runs
-    /// only when tracing is enabled, so callers pay one atomic load when off.
-    pub fn trace_emit(&self, make: impl FnOnce() -> TraceEventKind) {
-        self.trace.emit(self.clock.now(), make);
     }
 
     /// Current virtual time in microseconds.
@@ -102,11 +106,12 @@ impl Sim {
     /// Account for `units` of CPU work in layer `layer`, advancing virtual
     /// time by `units * cost.cpu_work_unit_us`.
     pub fn cpu_work(&self, layer: CpuLayer, units: u64) {
-        match layer {
-            CpuLayer::Executor => self.metrics.cpu_executor.add(units),
-            CpuLayer::FileSystem => self.metrics.cpu_fs.add(units),
-            CpuLayer::DiskProcess => self.metrics.cpu_dp.add(units),
-        }
+        let layer = match layer {
+            CpuLayer::Executor => Ctr::CpuExecutor,
+            CpuLayer::FileSystem => Ctr::CpuFs,
+            CpuLayer::DiskProcess => Ctr::CpuDp,
+        };
+        self.cluster.add(layer, units);
         self.clock
             .advance_in(Wait::Cpu, units * self.cost.cpu_work_unit_us);
     }
@@ -121,40 +126,26 @@ impl Sim {
     /// reader subtracts. Pure reads — moves neither clock nor counters.
     pub fn mark(&self) -> Mark {
         Mark {
-            metrics: self.metrics.snapshot(),
             wait: self.wait_profile(),
             measure: MeasureReport::capture(self),
             cursor: self.trace.cursor(),
         }
     }
 
-    /// Book one statement's closed window into the always-on statement
-    /// instruments: the latency histogram, and its wait decomposition into
-    /// the per-category histograms (non-zero categories only) and counters.
-    pub fn record_statement(&self, window: &Window) {
-        self.hist.stmt_latency_us.record(window.elapsed_us);
-        for (w, us) in window.wait.iter() {
-            if us > 0 {
-                self.hist.stmt_wait_us[w.index()].record(us);
-            }
-        }
-        self.metrics.record_stmt_wait(&window.wait);
-    }
-
     /// Open a root span for a new statement: fresh trace id, no parent.
-    pub fn span_root(&self, label: &str, track: &str) -> SpanGuard {
+    pub fn span_root<'a>(&'a self, label: &str, track: &'a dyn Display) -> SpanGuard<'a> {
         let header = SpanHeader {
             trace: self.spans.trace_id(),
             span: self.spans.span_id(),
             parent: 0,
         };
-        SpanGuard::open(self.clock.clone(), self.trace.clone(), header, label, track)
+        SpanGuard::open(self, header, label, track)
     }
 
     /// Open a span under the innermost open span on this thread — a fresh
     /// root trace when none is open (e.g. utility operations outside a
     /// statement).
-    pub fn span_child(&self, label: &str, track: &str) -> SpanGuard {
+    pub fn span_child<'a>(&'a self, label: &str, track: &'a dyn Display) -> SpanGuard<'a> {
         let cur = current_span();
         let header = SpanHeader {
             trace: if cur.span == 0 {
@@ -165,28 +156,31 @@ impl Sim {
             span: self.spans.span_id(),
             parent: cur.span,
         };
-        SpanGuard::open(self.clock.clone(), self.trace.clone(), header, label, track)
+        SpanGuard::open(self, header, label, track)
     }
 
     /// Open a span under an identity carried on the wire — the Disk Process
     /// side of a request: same trace, parent = the request's span.
-    pub fn span_enter(&self, carried: SpanHeader, label: &str, track: &str) -> SpanGuard {
+    pub fn span_enter<'a>(
+        &'a self,
+        carried: SpanHeader,
+        label: &str,
+        track: &'a dyn Display,
+    ) -> SpanGuard<'a> {
         let header = SpanHeader {
             trace: carried.trace,
             span: self.spans.span_id(),
             parent: carried.span,
         };
-        SpanGuard::open(self.clock.clone(), self.trace.clone(), header, label, track)
+        SpanGuard::open(self, header, label, track)
     }
 }
 
-/// The opening edge of a measurement window (see [`Sim::mark`]): cluster
-/// totals, the wait ledger, virtual time plus every entity's counters plus
-/// the trace ring's dropped count (a [`MeasureReport`]), and the trace
-/// cursor.
+/// The opening edge of a measurement window (see [`Sim::mark`]): the wait
+/// ledger, virtual time plus every entity's counters plus the trace ring's
+/// dropped count (a [`MeasureReport`]), and the trace cursor.
 #[derive(Debug)]
 pub struct Mark {
-    metrics: MetricsSnapshot,
     wait: WaitProfile,
     measure: MeasureReport,
     cursor: u64,
@@ -196,9 +190,9 @@ impl Mark {
     /// What happened on `sim` since this mark. The mark stays open: closing
     /// it again later yields the longer window.
     pub fn close(&self, sim: &Sim) -> Window {
-        let measure = MeasureReport::capture(sim).since(&self.measure);
+        let measure = MeasureReport::capture_since(sim, &self.measure);
         Window {
-            metrics: sim.metrics.snapshot() - self.metrics,
+            metrics: MetricsSnapshot::from(&measure.snap),
             elapsed_us: measure.snap.at.saturating_sub(self.measure.snap.at),
             wait: sim.wait_profile() - self.wait,
             trace: sim.trace.since(self.cursor),
@@ -211,7 +205,8 @@ impl Mark {
 /// the moment it was closed.
 #[derive(Debug, Clone)]
 pub struct Window {
-    /// Delta of every metric counter over the window.
+    /// Delta of every cluster total over the window: the sums of
+    /// `measure`'s entity deltas.
     pub metrics: MetricsSnapshot,
     /// Virtual time the window spans.
     pub elapsed_us: Micros,
@@ -257,7 +252,7 @@ mod tests {
         let sim = Sim::new();
         let t0 = sim.now();
         sim.cpu_work(CpuLayer::DiskProcess, 10);
-        assert_eq!(sim.metrics.cpu_dp.get(), 10);
+        assert_eq!(sim.metrics.snapshot().cpu_dp, 10);
         assert_eq!(sim.now() - t0, 10 * sim.cost.cpu_work_unit_us);
     }
 
@@ -267,7 +262,7 @@ mod tests {
         let sim2 = sim.clone();
         sim.clock.advance(100);
         assert_eq!(sim2.now(), 100);
-        sim2.metrics.msgs_total.add(3);
-        assert_eq!(sim.metrics.msgs_total.get(), 3);
+        sim2.cluster.add(Ctr::RowsReturned, 3);
+        assert_eq!(sim.metrics.snapshot().rows_returned, 3);
     }
 }

@@ -6,26 +6,30 @@
 //! leave running in production and precise enough to argue message-count
 //! claims from. This module reproduces that layer for the simulation:
 //!
-//! * [`MeasureRecord`] — a fixed array of relaxed atomic counters, one slot
-//!   per [`Ctr`]. Components hold an `Arc` to their record from construction,
-//!   so a steady-state bump is a single relaxed `fetch_add`.
+//! * [`MeasureRecord`] — an entity's identity, a fixed array of relaxed
+//!   atomic counters (one slot per [`Ctr`]) and its flight ring. Components
+//!   hold an `Arc` to their record from construction, so a steady-state bump
+//!   is a single relaxed `fetch_add`. This is the only counter store: a
+//!   cluster total is the sum the table in [`crate::metrics`] names.
 //! * [`MeasureRegistry`] — `(EntityKind, name) → Arc<MeasureRecord>`, kept
 //!   sorted so snapshots and reports iterate deterministically.
 //! * [`MeasureReport`] — an interval snapshot (plus the trace ring's dropped
 //!   count, so truncation is never silent) rendered as aligned text or JSON.
-//! * [`FlightRecorder`] — a small always-on ring of recent activity per
-//!   process, dumped together with a full counter snapshot when the fault
-//!   plane kills a CPU, TMF dooms a transaction, or a typed FS error
-//!   surfaces. Dumps are deterministic per seed, so chaos tests can assert
-//!   on the postmortem itself.
+//! * [`FlightRecorder`] — the store of postmortems: a process's small
+//!   always-on ring of recent activity (kept on its own record, fed by
+//!   [`crate::Sim::emit`]) is dumped together with a full counter snapshot
+//!   when the fault plane kills a CPU, TMF dooms a transaction, or a typed
+//!   FS error surfaces. Dumps are deterministic per seed, so chaos tests can
+//!   assert on the postmortem itself.
 //!
 //! Counter field names are dotted lowercase (`msgs.sent`, `cache.hits`) and
 //! registered in `lint.toml` next to the paper-verb trace labels; a typo'd
 //! counter name fails `nsql-lint check` the same way a typo'd label does.
 
-use crate::clock::Micros;
+use crate::clock::{Micros, Wait};
 use crate::sync::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,9 +51,16 @@ pub enum EntityKind {
     Scb,
     /// Transactions, aggregated under the single `TMF` record.
     Txn,
+    /// The cluster as a whole: the single `cluster` record of what no one
+    /// component owns (CPU path length per layer, rows returned, statement
+    /// wait totals).
+    Cluster,
 }
 
 impl EntityKind {
+    /// Number of entity kinds.
+    pub const COUNT: usize = EntityKind::Cluster as usize + 1;
+
     /// Short lowercase tag used in reports and JSON.
     pub fn tag(self) -> &'static str {
         match self {
@@ -60,6 +71,7 @@ impl EntityKind {
             EntityKind::Cache => "cache",
             EntityKind::Scb => "scb",
             EntityKind::Txn => "txn",
+            EntityKind::Cluster => "cluster",
         }
     }
 }
@@ -91,14 +103,25 @@ macro_rules! measure_counters {
 }
 
 measure_counters! {
-    /// Messages sent by this entity (requester side).
+    /// Requests sent by this CPU, answered or lost.
     MsgsSent => "msgs.sent",
     /// Messages received by this entity (server side).
     MsgsRecv => "msgs.recv",
-    /// Received messages that were re-drives of earlier requests.
+    /// Re-drives of earlier requests: sent, on a CPU; received, on a process.
     MsgsRedrive => "msgs.redrive",
-    /// Requests lost to the fault plane (dropped/timed out on this path).
+    /// Requests to this process that produced no reply: timed out, or
+    /// answered by the fault plane with an injected transport error.
     MsgsLost => "msgs.lost",
+    /// The lost requests whose requester waited out its timer.
+    MsgsTimedOut => "msgs.timed_out",
+    /// Requests sent by this CPU that crossed a node boundary.
+    MsgsRemote => "msgs.remote",
+    /// FS-DP interface requests sent by this CPU (re-drives included).
+    MsgsFsDp => "msgs.fs_dp",
+    /// Audit shipments to the audit-trail process sent by this CPU.
+    MsgsAudit => "msgs.audit",
+    /// Process-pair checkpoint messages sent by this CPU.
+    MsgsCheckpoint => "msgs.checkpoint",
     /// Bytes sent (requests out plus replies returned).
     BytesSent => "bytes.sent",
     /// Bytes received (requests in plus replies consumed).
@@ -121,6 +144,14 @@ measure_counters! {
     CacheEvicts => "cache.evicts",
     /// Blocks read ahead by the sequential prefetcher.
     PrefetchReads => "prefetch.reads",
+    /// Asynchronous read operations the pre-fetcher issued on a volume.
+    PrefetchIos => "prefetch.ios",
+    /// Cache hits that had to be satisfied from a pre-fetched block.
+    PrefetchHits => "prefetch.hits",
+    /// Asynchronous dirty-string writes issued by write-behind.
+    WritebehindWrites => "writebehind.writes",
+    /// Blocks copied back onto a replaced drive from its surviving mirror.
+    RemirrorBlocks => "remirror.blocks",
     /// Records examined by subset scans against a file.
     RecsExamined => "recs.examined",
     /// Records selected (passed predicate) by subset scans.
@@ -143,12 +174,19 @@ measure_counters! {
     TxnAborts => "txn.aborts",
     /// Transactions doomed by TMF after a participant failure.
     TxnDoomed => "txn.doomed",
-    /// Audit records generated or flushed through this entity.
+    /// Audit records this process generated (a data volume's changes; on
+    /// the trail, its own commit and abort records).
     AuditRecords => "audit.records",
-    /// Audit bytes generated or flushed through this entity.
+    /// Bytes of the audit records this process generated.
     AuditBytes => "audit.bytes",
     /// Audit-trail buffer flushes.
     AuditFlushes => "audit.flushes",
+    /// Audit flushes forced by a full buffer rather than the commit timer.
+    AuditFullFlushes => "audit.full_flushes",
+    /// Commits that rode an audit write another commit paid for.
+    CommitPiggybacks => "commit.piggybacks",
+    /// Retransmitted requests answered from the sync-ID reply cache.
+    DupSuppressed => "dup.suppressed",
     /// Faults injected against this entity by the fault plane.
     FaultsInjected => "faults.injected",
     /// Durable audit records scanned during crash recovery.
@@ -174,19 +212,56 @@ measure_counters! {
     SysScans => "sys.scans",
     /// Intervals closed by the load engine's virtual-time sampler.
     SamplerIntervals => "sampler.intervals",
+    /// CPU work units of the SQL executor / application layer.
+    CpuExecutor => "cpu.executor",
+    /// CPU work units of the File System.
+    CpuFs => "cpu.fs",
+    /// CPU work units of the Disk Processes.
+    CpuDp => "cpu.dp",
+    /// Rows returned to the application.
+    RowsReturned => "rows.returned",
+    /// Statement virtual time spent in CPU service. This and the eight
+    /// after it are the wait categories, in ledger order.
+    StmtWaitCpu => "stmt.wait.cpu",
+    /// Statement virtual time spent in the message system.
+    StmtWaitMsg => "stmt.wait.msg",
+    /// Statement virtual time spent waiting on disk I/O.
+    StmtWaitDisk => "stmt.wait.disk",
+    /// Statement virtual time spent blocked on locks.
+    StmtWaitLock => "stmt.wait.lock",
+    /// Statement virtual time spent waiting for group commit.
+    StmtWaitCommit => "stmt.wait.commit",
+    /// Statement virtual time spent in retry backoff.
+    StmtWaitRetry => "stmt.wait.retry",
+    /// Statement virtual time spent in crash recovery.
+    StmtWaitRestart => "stmt.wait.restart",
+    /// Statement virtual time spent queued at the admission gate.
+    StmtWaitAdmission => "stmt.wait.admission",
+    /// Statement virtual time left unattributed (normally 0).
+    StmtWaitOther => "stmt.wait.other",
 }
 
-/// One entity's counter record: a fixed array of relaxed atomics.
+/// One entity's record: who it is, a fixed array of relaxed atomic
+/// counters, and the flight ring of what recently happened to it.
 #[derive(Debug)]
 pub struct MeasureRecord {
+    name: String,
     counters: [AtomicU64; Ctr::COUNT],
+    ring: Mutex<VecDeque<FlightEntry>>,
 }
 
 impl MeasureRecord {
-    fn new() -> Self {
+    fn new(name: &str) -> Self {
         MeasureRecord {
+            name: name.to_string(),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            ring: Mutex::new(VecDeque::new()),
         }
+    }
+
+    /// The entity's name (`$DATA1`, `\0.1`, `TMF`).
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Increment counter `c` by one.
@@ -206,6 +281,23 @@ impl MeasureRecord {
 
     fn values(&self) -> [u64; Ctr::COUNT] {
         std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))
+    }
+
+    /// Add `us` to the statement-wait counter of category `w`.
+    pub(crate) fn add_stmt_wait(&self, w: Wait, us: u64) {
+        self.counters[Ctr::StmtWaitCpu as usize + w.index()].fetch_add(us, Ordering::Relaxed);
+    }
+
+    /// Append to the flight ring, evicting the oldest entry when full. The
+    /// ring takes its whole (bounded) room with the first entry.
+    pub(crate) fn flight(&self, entry: FlightEntry) {
+        let mut ring = self.ring.lock();
+        if ring.len() == FLIGHT_RING_CAPACITY {
+            ring.pop_front();
+        }
+        let room = FLIGHT_RING_CAPACITY - ring.len();
+        ring.reserve_exact(room);
+        ring.push_back(entry);
     }
 }
 
@@ -247,11 +339,19 @@ impl MeasureRegistry {
             Ok(at) => at,
             Err(at) => {
                 Arc::make_mut(&mut e.names).insert(at, (kind, name.to_string()));
-                e.records.insert(at, Arc::new(MeasureRecord::new()));
+                e.records.insert(at, Arc::new(MeasureRecord::new(name)));
                 at
             }
         };
         Arc::clone(&e.records[at])
+    }
+
+    /// What every record counted since `earlier`, as of virtual time `at`:
+    /// `snapshot(at).since(earlier)` without the second copy.
+    pub fn since(&self, at: Micros, earlier: &MeasureSnapshot) -> MeasureSnapshot {
+        let mut now = self.snapshot(at);
+        now.subtract(earlier);
+        now
     }
 
     /// Snapshot every record at virtual time `at`.
@@ -299,35 +399,47 @@ impl MeasureSnapshot {
         self.row(kind, name).map_or(0, |v| v[c as usize])
     }
 
+    /// The rows of the entities of kind number `kind`: one contiguous run,
+    /// as the snapshot is sorted by kind.
+    fn rows_of(&self, kind: usize) -> &[[u64; Ctr::COUNT]] {
+        let before = |kind| self.names.partition_point(|(k, _)| (*k as usize) < kind);
+        &self.values[before(kind)..before(kind + 1)]
+    }
+
+    /// The rows of each entity kind, indexed by kind.
+    pub(crate) fn rows_by_kind(&self) -> [&[[u64; Ctr::COUNT]]; EntityKind::COUNT] {
+        std::array::from_fn(|kind| self.rows_of(kind))
+    }
+
     /// Sum of counter `c` over every entity of `kind`.
     pub fn total(&self, kind: EntityKind, c: Ctr) -> u64 {
-        self.iter()
-            .filter(|(k, _, _)| *k == kind)
-            .map(|(_, _, v)| v[c as usize])
-            .sum()
+        let rows = self.rows_of(kind as usize);
+        rows.iter().map(|v| v[c as usize]).sum()
     }
 
     /// The interval delta `self - earlier` (saturating per counter;
     /// entities absent from `earlier` count from zero). Two snapshots of an
     /// unchanged registry share one name list and subtract by position.
     pub fn since(&self, earlier: &MeasureSnapshot) -> MeasureSnapshot {
+        let mut delta = self.clone();
+        delta.subtract(earlier);
+        delta
+    }
+
+    fn subtract(&mut self, earlier: &MeasureSnapshot) {
         let positional = Arc::ptr_eq(&self.names, &earlier.names);
-        let values = self
-            .iter()
-            .enumerate()
-            .map(|(at, (kind, name, now))| {
-                let then = if positional {
-                    earlier.values.get(at)
-                } else {
-                    earlier.row(kind, name)
-                };
-                std::array::from_fn(|i| now[i].saturating_sub(then.map_or(0, |t| t[i])))
-            })
-            .collect();
-        MeasureSnapshot {
-            at: self.at,
-            names: Arc::clone(&self.names),
-            values,
+        let rows = self.names.iter().zip(&mut self.values);
+        for (at, ((kind, name), now)) in rows.enumerate() {
+            let then = if positional {
+                earlier.values.get(at)
+            } else {
+                earlier.row(*kind, name)
+            };
+            if let Some(then) = then {
+                for (now, then) in now.iter_mut().zip(then) {
+                    *now = now.saturating_sub(*then);
+                }
+            }
         }
     }
 
@@ -355,6 +467,15 @@ impl MeasureReport {
         MeasureReport {
             snap: sim.measure.snapshot(sim.now()),
             trace_dropped: sim.trace.dropped(),
+        }
+    }
+
+    /// What `sim` did since `earlier` was captured:
+    /// `capture(sim).since(earlier)` without the intermediate copy.
+    pub fn capture_since(sim: &crate::Sim, earlier: &MeasureReport) -> MeasureReport {
+        MeasureReport {
+            snap: sim.measure.since(sim.now(), &earlier.snap),
+            trace_dropped: sim.trace.dropped().saturating_sub(earlier.trace_dropped),
         }
     }
 
@@ -484,10 +605,11 @@ pub const MAX_FLIGHT_DUMPS: usize = 64;
 pub struct FlightEntry {
     /// Virtual time of the event.
     pub at: Micros,
-    /// Entry class: `msg`, `lost`, `fault`, `retry`, `doom`, `error`.
+    /// Entry class: `msg`, `fault`, `retry`, `doom`, `error`.
     pub tag: &'static str,
-    /// The paper-verb label, fault action, or error description.
-    pub label: String,
+    /// The paper-verb label (borrowed), or a fault action or error
+    /// description (built for the entry).
+    pub label: Cow<'static, str>,
     /// Tag-dependent detail (request bytes, attempt number, txn id).
     pub a: u64,
     /// Tag-dependent detail (reply bytes, backoff µs).
@@ -498,7 +620,6 @@ impl FlightEntry {
     fn render(&self) -> String {
         let detail = match self.tag {
             "msg" => format!("req={}B reply={}B", self.a, self.b),
-            "lost" => format!("req={}B", self.a),
             "retry" => format!("attempt={} backoff={}µs", self.a, self.b),
             "doom" => format!("txn={}", self.a),
             _ => String::new(),
@@ -556,59 +677,31 @@ impl FlightDump {
     }
 }
 
-/// Always-on per-process activity rings plus the dump store.
-#[derive(Debug)]
+/// The retained postmortems (the rings themselves live on the records).
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    capacity: usize,
-    rings: Mutex<BTreeMap<String, VecDeque<FlightEntry>>>,
     dumps: Mutex<Vec<FlightDump>>,
     dumps_total: AtomicU64,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FlightRecorder {
-    /// Create a recorder with the default ring capacity.
-    pub fn new() -> Self {
-        FlightRecorder {
-            capacity: FLIGHT_RING_CAPACITY,
-            rings: Mutex::new(BTreeMap::new()),
-            dumps: Mutex::new(Vec::new()),
-            dumps_total: AtomicU64::new(0),
-        }
-    }
-
-    /// Append an entry to `process`'s ring, evicting the oldest when full.
-    pub fn record(&self, process: &str, entry: FlightEntry) {
-        let mut rings = self.rings.lock();
-        let ring = rings.entry(process.to_string()).or_default();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(entry);
-    }
-
-    /// Dump `process`'s ring with the given counter snapshot. The ring is
+    /// Dump `entity`'s ring with the given counter snapshot. The ring is
     /// left intact (a process can be dumped more than once).
-    pub fn dump(&self, process: &str, reason: &str, at: Micros, counters: MeasureSnapshot) {
+    pub(crate) fn dump(
+        &self,
+        entity: &MeasureRecord,
+        reason: &str,
+        at: Micros,
+        counters: MeasureSnapshot,
+    ) {
         self.dumps_total.fetch_add(1, Ordering::Relaxed);
-        let entries = self
-            .rings
-            .lock()
-            .get(process)
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default();
         let mut dumps = self.dumps.lock();
         if dumps.len() < MAX_FLIGHT_DUMPS {
             dumps.push(FlightDump {
                 at,
-                process: process.to_string(),
+                process: entity.name.clone(),
                 reason: reason.to_string(),
-                entries,
+                entries: entity.ring.lock().iter().cloned().collect(),
                 counters,
             });
         }
@@ -658,6 +751,7 @@ mod tests {
         rec.add(Ctr::MsgsSent, 7);
         reg.entity(EntityKind::Txn, "TMF").bump(Ctr::TxnCommits);
         let delta = reg.snapshot(9).since(&before);
+        assert_eq!(delta, reg.since(9, &before), "one pass or two");
         assert_eq!(delta.get(EntityKind::Cpu, "\\0.0", Ctr::MsgsSent), 7);
         assert_eq!(delta.get(EntityKind::Txn, "TMF", Ctr::TxnCommits), 1);
         // Saturation rather than wraparound if a counter ever regressed.
@@ -697,6 +791,11 @@ mod tests {
                 "counter name `{name}` must be dotted lowercase"
             );
         }
+        // The statement-wait counters mirror the wait ledger, in its order.
+        for w in crate::WAIT_CATEGORIES {
+            let name = COUNTER_NAMES[Ctr::StmtWaitCpu as usize + w.index()];
+            assert_eq!(format!("stmt.{}", w.name()), name);
+        }
         // Unique.
         let mut sorted: Vec<_> = COUNTER_NAMES.to_vec();
         sorted.sort_unstable();
@@ -706,28 +805,28 @@ mod tests {
 
     #[test]
     fn flight_ring_is_bounded_and_dumps_are_ordered() {
-        let rec = FlightRecorder::new();
+        let reg = MeasureRegistry::new();
+        let rec = FlightRecorder::default();
+        let dp = reg.entity(EntityKind::Process, "$DATA1");
         for i in 0..(FLIGHT_RING_CAPACITY as u64 + 10) {
-            rec.record(
-                "$DATA1",
-                FlightEntry {
-                    at: i,
-                    tag: "msg",
-                    label: "GET^NEXT".into(),
-                    a: 32,
-                    b: 2048,
-                },
-            );
+            dp.flight(FlightEntry {
+                at: i,
+                tag: "msg",
+                label: "GET^NEXT".into(),
+                a: 32,
+                b: 2048,
+            });
         }
-        rec.dump("$DATA1", "cpu down", 99, MeasureSnapshot::default());
-        rec.dump("$NOPE", "txn doomed", 100, MeasureSnapshot::default());
+        rec.dump(&dp, "cpu down", 99, MeasureSnapshot::default());
+        let quiet = reg.entity(EntityKind::Txn, "TMF");
+        rec.dump(&quiet, "txn doomed", 100, MeasureSnapshot::default());
         let dumps = rec.dumps();
         assert_eq!(dumps.len(), 2);
         assert_eq!(rec.dumps_total(), 2);
         assert_eq!(dumps[0].entries.len(), FLIGHT_RING_CAPACITY);
         // Oldest entries were evicted: the ring starts at entry 10.
         assert_eq!(dumps[0].entries[0].at, 10);
-        // A never-recorded process dumps an empty ring, not a panic.
+        // A never-recorded entity dumps an empty ring, not a panic.
         assert!(dumps[1].entries.is_empty());
         let text = dumps[0].render();
         assert!(text.contains("reason: cpu down"), "{text}");

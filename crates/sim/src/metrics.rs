@@ -1,67 +1,60 @@
-//! Metrics: the counters the paper's evaluation is expressed in.
+//! Cluster totals: the counters the paper's evaluation is expressed in.
 //!
-//! A [`Metrics`] registry lives in the [`crate::Sim`] context; every
-//! component increments counters as it works. Experiments take a
-//! [`MetricsSnapshot`] before and after a workload and subtract.
+//! There is one counter store — the per-entity records of
+//! [`crate::measure`] — and a cluster total is *defined* as a sum over the
+//! entities of one kind. The `totals!` table below is that definition
+//! ([`TOTALS`] exports it), so a total cannot disagree with its entities and
+//! nothing bumps a total by name. [`Metrics`] is the view that computes a
+//! [`MetricsSnapshot`]; experiments take one before and after a workload
+//! and subtract.
 
+use crate::measure::{Ctr, EntityKind, MeasureRegistry, MeasureSnapshot};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// A single monotone counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+/// The cluster totals of one simulation, computed from its entity records.
+#[derive(Debug, Clone)]
+pub struct Metrics {
+    measure: Arc<MeasureRegistry>,
+}
 
-impl Counter {
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
+impl Metrics {
+    pub(crate) fn new(measure: Arc<MeasureRegistry>) -> Self {
+        Metrics { measure }
     }
 
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+    /// Sum every total from the entity counters as they stand.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot::from(&self.measure.snapshot(0))
     }
 }
 
-macro_rules! metrics {
-    ($(#[doc = $doc:literal] $name:ident,)+) => {
-        /// The full counter registry of a simulated cluster.
-        #[derive(Debug, Default)]
-        pub struct Metrics {
-            $(#[doc = $doc] pub $name: Counter,)+
-        }
-
-        /// A point-in-time copy of every counter. Supports subtraction to
-        /// obtain per-workload deltas.
+macro_rules! totals {
+    ($($(#[doc = $doc:literal])+ $name:ident = $kind:ident: $ctr:ident $(+ $more:ident)*;)+) => {
+        /// Every cluster total at one instant (or, subtracted, over a
+        /// window).
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct MetricsSnapshot {
-            $(#[doc = $doc] pub $name: u64,)+
+            $($(#[doc = $doc])+ pub $name: u64,)+
         }
 
-        impl Metrics {
-            /// Fresh registry with all counters at zero.
-            pub fn new() -> Self {
-                Self::default()
-            }
+        /// The definition of every cluster total, in declaration order:
+        /// `(total, entity kind, counters summed over that kind)`.
+        pub const TOTALS: &[(&str, EntityKind, &[Ctr])] = &[
+            $((stringify!($name), EntityKind::$kind, &[Ctr::$ctr $(, Ctr::$more)*]),)+
+        ];
 
-            /// Copy every counter.
-            pub fn snapshot(&self) -> MetricsSnapshot {
+        impl From<&MeasureSnapshot> for MetricsSnapshot {
+            /// Sum the totals of a counter snapshot (or of a delta: the sums
+            /// are linear).
+            fn from(entities: &MeasureSnapshot) -> MetricsSnapshot {
+                let rows = entities.rows_by_kind();
+                let sum = |kind: EntityKind, c: Ctr| -> u64 {
+                    rows[kind as usize].iter().map(|row| row[c as usize]).sum()
+                };
                 MetricsSnapshot {
-                    $($name: self.$name.get(),)+
-                }
-            }
-
-            /// Delta of every counter since `before`. Saturates at zero so
-            /// out-of-order snapshots report 0 rather than panicking.
-            pub fn since(&self, before: &MetricsSnapshot) -> MetricsSnapshot {
-                let now = self.snapshot();
-                MetricsSnapshot {
-                    $($name: now.$name.saturating_sub(before.$name),)+
+                    $($name: sum(EntityKind::$kind, Ctr::$ctr)
+                        $(+ sum(EntityKind::$kind, Ctr::$more))*,)+
                 }
             }
         }
@@ -75,6 +68,8 @@ macro_rules! metrics {
 
         impl std::ops::Sub for MetricsSnapshot {
             type Output = MetricsSnapshot;
+            /// Saturates at zero, so out-of-order snapshots report 0 rather
+            /// than panicking.
             fn sub(self, rhs: MetricsSnapshot) -> MetricsSnapshot {
                 MetricsSnapshot {
                     $($name: self.$name.saturating_sub(rhs.$name),)+
@@ -95,127 +90,104 @@ macro_rules! metrics {
     };
 }
 
-metrics! {
+totals! {
     /// Total request/reply message exchanges over the message system.
-    msgs_total,
+    msgs_total = Cpu: MsgsSent;
     /// Message exchanges that crossed a node boundary.
-    msgs_remote,
+    msgs_remote = Cpu: MsgsRemote;
     /// Total bytes carried by messages (requests + replies).
-    msg_bytes_total,
+    msg_bytes_total = Cpu: BytesSent + BytesRecv;
     /// FS-DP interface messages (the paper's headline metric).
-    msgs_fs_dp,
+    msgs_fs_dp = Cpu: MsgsFsDp;
     /// Audit messages from data-volume DPs to the audit-trail DP.
-    msgs_audit,
+    msgs_audit = Cpu: MsgsAudit;
     /// Process-pair checkpoint messages (primary -> backup).
-    msgs_checkpoint,
+    msgs_checkpoint = Cpu: MsgsCheckpoint;
     /// Continuation re-drive messages (GET^NEXT / UPDATE^SUBSET^NEXT ...).
-    msgs_redrive,
+    msgs_redrive = Cpu: MsgsRedrive;
     /// Disk read operations issued.
-    disk_reads,
-    /// Disk write operations issued.
-    disk_writes,
+    disk_reads = Volume: DiskReads;
+    /// Disk write operations issued (the audit volume's included).
+    disk_writes = Volume: DiskWrites;
     /// Blocks transferred by disk reads.
-    disk_blocks_read,
+    disk_blocks_read = Volume: BlocksRead;
     /// Blocks transferred by disk writes.
-    disk_blocks_written,
+    disk_blocks_written = Volume: BlocksWritten;
     /// Disk I/Os that transferred more than one block (bulk I/O).
-    disk_bulk_ios,
+    disk_bulk_ios = Volume: BulkIos;
     /// Buffer-pool lookups that hit.
-    cache_hits,
+    cache_hits = Cache: CacheHits;
     /// Buffer-pool lookups that missed and required a disk read.
-    cache_misses,
-    /// Bulk reads issued by the pre-fetcher.
-    prefetch_reads,
+    cache_misses = Cache: CacheFaults;
+    /// Bulk reads issued by the pre-fetcher (I/Os; the blocks they carried
+    /// are the entities' `prefetch.reads`).
+    prefetch_reads = Volume: PrefetchIos;
     /// Cache hits satisfied from a pre-fetched block.
-    prefetch_hits,
+    prefetch_hits = Cache: PrefetchHits;
     /// Dirty-string writes issued by the write-behind mechanism.
-    writebehind_writes,
-    /// Clean buffers stolen by the memory-pressure handshake.
-    cache_steals,
+    writebehind_writes = Volume: WritebehindWrites;
+    /// Buffers evicted for room or stolen by the memory-pressure handshake.
+    cache_steals = Cache: CacheEvicts;
     /// Audit records generated.
-    audit_records,
+    audit_records = Process: AuditRecords;
     /// Total audit bytes generated.
-    audit_bytes,
+    audit_bytes = Process: AuditBytes;
     /// Audit-trail disk writes (group-commit flushes).
-    audit_flushes,
+    audit_flushes = Process: AuditFlushes;
     /// Audit flushes triggered by a buffer-full condition.
-    audit_buffer_full_flushes,
+    audit_buffer_full_flushes = Process: AuditFullFlushes;
     /// Transactions committed.
-    txns_committed,
+    txns_committed = Txn: TxnCommits;
     /// Transactions aborted.
-    txns_aborted,
+    txns_aborted = Txn: TxnAborts;
     /// Transactions whose commit rode an audit write shared with others.
-    group_commit_piggybacks,
+    group_commit_piggybacks = Process: CommitPiggybacks;
     /// Lock requests that had to wait.
-    lock_waits,
+    lock_waits = Process: LockWaits;
     /// Deadlocks detected (victim aborted).
-    deadlocks,
+    deadlocks = Process: LockDeadlocks;
     /// CPU work units accounted to the SQL executor / application layer.
-    cpu_executor,
+    cpu_executor = Cluster: CpuExecutor;
     /// CPU work units accounted to the File System.
-    cpu_fs,
+    cpu_fs = Cluster: CpuFs;
     /// CPU work units accounted to the Disk Process.
-    cpu_dp,
-    /// Records examined by Disk Process predicate evaluation.
-    dp_records_examined,
+    cpu_dp = Cluster: CpuDp;
+    /// Records a Disk Process read request looked at, whichever verb.
+    dp_records_examined = File: RecsExamined;
     /// Records selected (passed the DP filter).
-    dp_records_selected,
+    dp_records_selected = File: RecsSelected;
     /// Subset Control Blocks created.
-    subset_control_blocks,
+    subset_control_blocks = Scb: ScbCreated;
     /// Rows returned to the application.
-    rows_returned,
+    rows_returned = Cluster: RowsReturned;
     /// Message faults injected by the fault plane (drop/dup/delay/error).
-    faults_injected,
+    faults_injected = Process: FaultsInjected;
     /// Requests that surfaced a virtual-time timeout to the requester.
-    msgs_timed_out,
+    msgs_timed_out = Process: MsgsTimedOut;
     /// File System retries after a timeout or down path.
-    fs_retries,
+    fs_retries = Cpu: RetryBackoffs;
     /// Primary re-resolutions (backup takeover observed by a requester).
-    path_switches,
+    path_switches = Cpu: PathTakeovers;
     /// Duplicate requests suppressed by the Disk Process sync-ID cache.
-    dp_dup_suppressed,
+    dp_dup_suppressed = Process: DupSuppressed;
     /// Statement virtual time attributed to CPU service (wait.cpu).
-    stmt_wait_cpu_us,
+    stmt_wait_cpu_us = Cluster: StmtWaitCpu;
     /// Statement virtual time attributed to the message system (wait.msg).
-    stmt_wait_msg_us,
+    stmt_wait_msg_us = Cluster: StmtWaitMsg;
     /// Statement virtual time attributed to disk I/O (wait.disk).
-    stmt_wait_disk_us,
+    stmt_wait_disk_us = Cluster: StmtWaitDisk;
     /// Statement virtual time attributed to lock waits (wait.lock).
-    stmt_wait_lock_us,
+    stmt_wait_lock_us = Cluster: StmtWaitLock;
     /// Statement virtual time attributed to group-commit waits (wait.commit).
-    stmt_wait_commit_us,
+    stmt_wait_commit_us = Cluster: StmtWaitCommit;
     /// Statement virtual time attributed to retry backoff (wait.retry).
-    stmt_wait_retry_us,
+    stmt_wait_retry_us = Cluster: StmtWaitRetry;
     /// Statement virtual time attributed to crash recovery (wait.restart).
-    stmt_wait_restart_us,
+    stmt_wait_restart_us = Cluster: StmtWaitRestart;
     /// Statement virtual time attributed to admission queueing (wait.admission).
-    stmt_wait_admission_us,
+    stmt_wait_admission_us = Cluster: StmtWaitAdmission;
     /// Statement virtual time left unattributed (wait.other; normally 0).
-    stmt_wait_other_us,
-}
-
-impl Metrics {
-    /// Accumulate one statement's wait-profile delta into the per-category
-    /// statement-wait counters.
-    pub fn record_stmt_wait(&self, wait: &crate::clock::WaitProfile) {
-        use crate::clock::Wait;
-        for (w, us) in wait.iter() {
-            if us == 0 {
-                continue;
-            }
-            match w {
-                Wait::Cpu => self.stmt_wait_cpu_us.add(us),
-                Wait::Msg => self.stmt_wait_msg_us.add(us),
-                Wait::Disk => self.stmt_wait_disk_us.add(us),
-                Wait::Lock => self.stmt_wait_lock_us.add(us),
-                Wait::Commit => self.stmt_wait_commit_us.add(us),
-                Wait::Retry => self.stmt_wait_retry_us.add(us),
-                Wait::Restart => self.stmt_wait_restart_us.add(us),
-                Wait::Admission => self.stmt_wait_admission_us.add(us),
-                Wait::Other => self.stmt_wait_other_us.add(us),
-            }
-        }
-    }
+    stmt_wait_other_us = Cluster: StmtWaitOther;
 }
 
 impl MetricsSnapshot {
@@ -279,43 +251,50 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    fn registry() -> (Arc<MeasureRegistry>, Metrics) {
+        let reg = Arc::new(MeasureRegistry::new());
+        (Arc::clone(&reg), Metrics::new(reg))
+    }
+
     #[test]
     fn snapshot_delta() {
-        let m = Metrics::new();
-        m.msgs_total.add(5);
+        let (reg, m) = registry();
+        reg.entity(EntityKind::Cpu, "\\0.0").add(Ctr::MsgsSent, 5);
         let before = m.snapshot();
-        m.msgs_total.add(3);
-        m.disk_reads.inc();
-        let delta = m.since(&before);
+        reg.entity(EntityKind::Cpu, "\\0.1").add(Ctr::MsgsSent, 3);
+        reg.entity(EntityKind::Volume, "$DATA1")
+            .bump(Ctr::DiskReads);
+        // The same counter on another kind is another quantity.
+        reg.entity(EntityKind::Process, "$DATA1")
+            .add(Ctr::MsgsSent, 99);
+        let delta = m.snapshot() - before;
         assert_eq!(delta.msgs_total, 3);
         assert_eq!(delta.disk_reads, 1);
         assert_eq!(delta.disk_writes, 0);
+        assert_eq!(m.snapshot().msgs_total, 8);
+        // A total may sum several counters.
+        let cpu = reg.entity(EntityKind::Cpu, "\\0.0");
+        cpu.add(Ctr::BytesSent, 100);
+        cpu.add(Ctr::BytesRecv, 8);
+        assert_eq!(m.snapshot().msg_bytes_total, 108);
     }
 
     #[test]
-    fn sub_operator_matches_since() {
-        let m = Metrics::new();
-        let s0 = m.snapshot();
-        m.cache_hits.add(7);
-        let s1 = m.snapshot();
-        assert_eq!((s1 - s0).cache_hits, 7);
-        assert_eq!(m.since(&s0), s1 - s0);
+    fn the_table_names_every_field_once_in_order() {
+        let names: Vec<&str> = TOTALS.iter().map(|(n, _, _)| *n).collect();
+        let fields: Vec<&str> = MetricsSnapshot::default().iter().map(|(n, _)| n).collect();
+        assert_eq!(names, fields);
     }
 
     #[test]
-    fn since_saturates_on_out_of_order_snapshots() {
-        let m = Metrics::new();
-        m.msgs_total.add(10);
-        let later = m.snapshot();
+    fn sub_saturates_on_out_of_order_snapshots() {
+        let later = MetricsSnapshot {
+            msgs_total: 10,
+            ..MetricsSnapshot::default()
+        };
         // A snapshot taken "before" counters advanced, subtracted the wrong
         // way round, must clamp to zero instead of panicking.
-        let earlier = MetricsSnapshot::default();
-        assert_eq!((earlier - later).msgs_total, 0);
-        let delta = m.since(&MetricsSnapshot {
-            msgs_total: 99,
-            ..MetricsSnapshot::default()
-        });
-        assert_eq!(delta.msgs_total, 0);
+        assert_eq!((MetricsSnapshot::default() - later).msgs_total, 0);
     }
 
     #[test]
@@ -341,8 +320,9 @@ mod tests {
 
     #[test]
     fn iter_names_nonempty_and_display() {
-        let m = Metrics::new();
-        m.rows_returned.add(2);
+        let (reg, m) = registry();
+        reg.entity(EntityKind::Cluster, "cluster")
+            .add(Ctr::RowsReturned, 2);
         let s = m.snapshot();
         assert!(s.iter().count() > 20);
         let shown = format!("{s}");

@@ -8,17 +8,21 @@
 //!
 //! Identities come from a shared [`SpanAllocator`] (plain atomics on no
 //! clock), so allocation is always-on, deterministic per seed, and free of
-//! virtual-time side effects; the begin/end *events* go through
-//! [`TraceRecorder::emit`]'s closure gate and cost one relaxed load when
-//! tracing is off. The active-span stack is thread-local, which is exact
-//! here: the message bus is synchronous, so a request's DP-side handling
-//! runs nested inside the requester's call stack.
+//! virtual-time side effects. A guard borrows its label and whatever names
+//! its track; the begin/end *records* (and the track's string) are built
+//! inside the trace recorder's enabled branch, so with tracing off a span
+//! costs an id, a push and pop of the thread-local stack and two copies of
+//! the wait ledger — no allocation.
+//! The active-span stack is thread-local, which is exact here: the message
+//! bus is synchronous, so a request's DP-side handling runs nested inside
+//! the requester's call stack.
 
-use crate::clock::{Clock, WaitProfile};
-use crate::trace::{TraceEventKind, TraceRecorder};
+use crate::clock::WaitProfile;
+use crate::trace::TraceEventKind;
+use crate::Sim;
 use std::cell::RefCell;
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The span identity every FS-DP request carries in its header.
 ///
@@ -71,15 +75,14 @@ pub fn current_span() -> SpanHeader {
 /// An open span. Dropping it pops the thread-local stack and emits the
 /// [`TraceEventKind::SpanEnd`] event carrying the span's inclusive
 /// per-category wait profile (clock ledger delta since the span opened).
-pub struct SpanGuard {
-    clock: Arc<Clock>,
-    trace: Arc<TraceRecorder>,
+pub struct SpanGuard<'a> {
+    sim: &'a Sim,
     header: SpanHeader,
-    track: String,
+    track: &'a dyn Display,
     p0: WaitProfile,
 }
 
-impl SpanGuard {
+impl<'a> SpanGuard<'a> {
     /// The identity to stamp into outgoing request headers.
     pub fn header(&self) -> SpanHeader {
         self.header
@@ -87,28 +90,23 @@ impl SpanGuard {
 
     /// Push `header` onto this thread's stack and emit the begin event.
     pub(crate) fn open(
-        clock: Arc<Clock>,
-        trace: Arc<TraceRecorder>,
+        sim: &'a Sim,
         header: SpanHeader,
         label: &str,
-        track: &str,
-    ) -> SpanGuard {
+        track: &'a dyn Display,
+    ) -> Self {
         ACTIVE.with(|s| s.borrow_mut().push(header));
-        let p0 = clock.profile();
-        let track = track.to_string();
-        trace.emit(clock.now(), {
-            let (label, track) = (label.to_string(), track.clone());
-            move || TraceEventKind::SpanBegin {
+        let p0 = sim.clock.profile();
+        sim.trace
+            .emit(sim.clock.now(), || TraceEventKind::SpanBegin {
                 trace: header.trace,
                 span: header.span,
                 parent: header.parent,
-                label,
-                track,
-            }
-        });
+                label: label.to_string(),
+                track: track.to_string(),
+            });
         SpanGuard {
-            clock,
-            trace,
+            sim,
             header,
             track,
             p0,
@@ -116,19 +114,19 @@ impl SpanGuard {
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         ACTIVE.with(|s| {
             s.borrow_mut().pop();
         });
-        let wait = self.clock.profile() - self.p0;
-        let h = self.header;
-        let track = std::mem::take(&mut self.track);
-        self.trace
-            .emit(self.clock.now(), move || TraceEventKind::SpanEnd {
+        let (clock, h) = (&self.sim.clock, self.header);
+        let wait = clock.profile() - self.p0;
+        self.sim
+            .trace
+            .emit(clock.now(), || TraceEventKind::SpanEnd {
                 trace: h.trace,
                 span: h.span,
-                track,
+                track: self.track.to_string(),
                 wait,
             });
     }
@@ -139,25 +137,19 @@ mod tests {
     use super::*;
     use crate::clock::Wait;
 
-    fn open(
-        clock: &Arc<Clock>,
-        rec: &Arc<TraceRecorder>,
-        header: SpanHeader,
-        label: &str,
-    ) -> SpanGuard {
-        SpanGuard::open(clock.clone(), rec.clone(), header, label, "t")
+    fn open<'a>(sim: &'a Sim, header: SpanHeader, label: &str) -> SpanGuard<'a> {
+        SpanGuard::open(sim, header, label, &"t")
     }
 
     #[test]
     fn guards_stack_and_attribute_waits() {
-        let clock = Arc::new(Clock::new());
-        let rec = Arc::new(TraceRecorder::new());
+        let sim = Sim::new();
+        let (clock, rec) = (&sim.clock, &sim.trace);
         rec.enable_default();
         assert_eq!(current_span(), SpanHeader::default());
         {
             let root = open(
-                &clock,
-                &rec,
+                &sim,
                 SpanHeader {
                     trace: 1,
                     span: 1,
@@ -169,8 +161,7 @@ mod tests {
             clock.advance_in(Wait::Cpu, 5);
             {
                 let child = open(
-                    &clock,
-                    &rec,
+                    &sim,
                     SpanHeader {
                         trace: 1,
                         span: 2,

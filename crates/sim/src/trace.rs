@@ -6,11 +6,13 @@
 //! behind them:
 //!
 //! * [`TraceRecorder`] — a bounded ring buffer of typed [`TraceEvent`]s,
-//!   each stamped with virtual microseconds. Disabled by default; when
-//!   disabled, emission is a single relaxed atomic load and the event is
-//!   never even constructed, so tracing is zero-cost for experiments that do
-//!   not ask for it. Because everything runs on the virtual clock, two
-//!   identical runs produce byte-identical event streams.
+//!   each stamped with virtual microseconds, written by [`crate::Sim::emit`]
+//!   and the span guards. Disabled by default; when disabled, a would-be
+//!   record costs a single relaxed atomic load and is never constructed —
+//!   its strings included, which the emitters only borrow — so tracing
+//!   allocates nothing for experiments that do not ask for it. Because
+//!   everything runs on the virtual clock, two identical runs produce
+//!   byte-identical event streams.
 //! * [`Histogram`] — a log₂-bucketed distribution with p50/p95/p99/max
 //!   accessors. The standard set lives in [`Histograms`] (message sizes,
 //!   statement latencies, group-commit batch sizes, re-drive chain lengths).
@@ -54,7 +56,9 @@ impl TraceMsgClass {
     }
 }
 
-/// What happened.
+/// What happened: the record format of the trace stream. Records are
+/// built by [`crate::Sim::emit`] (from an [`crate::Event`]) and by the span
+/// guards, inside the recorder's enabled branch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A request/reply message exchange completed.
@@ -253,9 +257,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// A bounded ring buffer of trace events.
 ///
-/// Disabled by default. [`TraceRecorder::emit`] takes a closure so that when
-/// tracing is off the event is never constructed — the only cost is one
-/// relaxed atomic load.
+/// Disabled by default. Emission takes a closure, so that when tracing is
+/// off the record is never constructed — the only cost is one relaxed atomic
+/// load.
 #[derive(Default)]
 pub struct TraceRecorder {
     enabled: AtomicBool,
@@ -292,7 +296,7 @@ impl TraceRecorder {
 
     /// Record an event at virtual time `at`. The closure runs only when
     /// recording is enabled.
-    pub fn emit(&self, at: Micros, make: impl FnOnce() -> TraceEventKind) {
+    pub(crate) fn emit(&self, at: Micros, make: impl FnOnce() -> TraceEventKind) {
         if !self.is_enabled() {
             return;
         }
@@ -762,6 +766,13 @@ fn chrome_track(kind: &TraceEventKind) -> String {
     }
 }
 
+const AUDIT_TORN: &str = "audit.torn";
+const DISK_REMIRROR: &str = "disk.remirror";
+
+/// The record names that are dotted like counter names, and so share their
+/// registry in `lint.toml`.
+pub const DOTTED_RECORD_NAMES: [&str; 2] = [AUDIT_TORN, DISK_REMIRROR];
+
 /// Event name, category, and pre-rendered JSON `args` body.
 fn chrome_describe(kind: &TraceEventKind) -> (String, &'static str, String) {
     use crate::measure::json_str as js;
@@ -829,12 +840,12 @@ fn chrome_describe(kind: &TraceEventKind) -> (String, &'static str, String) {
             ),
         ),
         TraceEventKind::AuditTorn { records, bytes } => (
-            "audit.torn".into(),
+            AUDIT_TORN.into(),
             "audit",
             format!("\"records\": {records}, \"bytes\": {bytes}"),
         ),
         TraceEventKind::Remirror { volume, blocks } => (
-            "disk.remirror".into(),
+            DISK_REMIRROR.into(),
             "disk",
             format!("\"volume\": {}, \"blocks\": {blocks}", js(volume)),
         ),

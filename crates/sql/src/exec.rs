@@ -314,9 +314,8 @@ impl Executor<'_> {
         self.close_op(&mut ops, || label.into(), result.rows.len());
 
         self.sim()
-            .metrics
-            .rows_returned
-            .add(result.rows.len() as u64);
+            .cluster
+            .add(Ctr::RowsReturned, result.rows.len() as u64);
         Ok(result)
     }
 

@@ -9,7 +9,7 @@
 //! would.
 
 use nsql_records::{EvalError, Expr, Row, Value};
-use nsql_sim::{Sim, Wait};
+use nsql_sim::{Ctr, Sim, Wait};
 use std::cmp::Ordering;
 
 /// Compare two values for sorting: NULLs sort first, otherwise SQL order.
@@ -52,7 +52,7 @@ pub fn fastsort(
     let n = decorated.len() as u64;
     let work = n * (64 - n.leading_zeros() as u64) / 4 + 1;
     let ways = parallel_ways.max(1) as u64;
-    sim.metrics.cpu_executor.add(work);
+    sim.cluster.add(Ctr::CpuExecutor, work);
     let elapsed_units = if ways == 1 { work } else { work / ways + n / 8 };
     sim.clock
         .advance_in(Wait::Cpu, elapsed_units * sim.cost.cpu_work_unit_us);
@@ -127,9 +127,9 @@ mod tests {
         let sim = Sim::new();
         let keys = vec![(Expr::Field(0), false)];
         let many: Vec<i32> = (0..1000).rev().collect();
-        let before = sim.metrics.cpu_executor.get();
+        let before = sim.metrics.snapshot().cpu_executor;
         fastsort(&sim, rows(&many), &keys, 1).unwrap();
-        assert!(sim.metrics.cpu_executor.get() > before);
+        assert!(sim.metrics.snapshot().cpu_executor > before);
     }
 
     #[test]
@@ -141,7 +141,7 @@ mod tests {
             let t0 = sim.now();
             let sorted = fastsort(&sim, rows(&many), &keys, ways).unwrap();
             assert_eq!(sorted[0].0[0], Value::Int(0));
-            (sim.metrics.cpu_executor.get(), sim.now() - t0)
+            (sim.metrics.snapshot().cpu_executor, sim.now() - t0)
         };
         let (work1, time1) = run(1);
         let (work4, time4) = run(4);

@@ -271,7 +271,7 @@ fn point_query_uses_key_range_one_message() {
     let before = w.sim.metrics.snapshot();
     let r = w.rows("SELECT NAME FROM EMP WHERE EMPNO = 700");
     assert_eq!(r.rows.len(), 1);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 1, "point query must touch one partition once");
     assert!(
         d.dp_records_examined <= 1,
@@ -286,7 +286,7 @@ fn range_predicate_limits_partition_fanout() {
     let before = w.sim.metrics.snapshot();
     let r = w.rows("SELECT EMPNO FROM EMP WHERE EMPNO BETWEEN 100 AND 120");
     assert_eq!(r.rows.len(), 21);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 1);
     assert!(d.dp_records_examined <= 22);
 }
@@ -320,7 +320,7 @@ fn index_is_chosen_for_equality_on_indexed_column() {
     for row in &r.rows {
         assert_eq!(row.0[1], Value::Int(3));
     }
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     assert!(
         d.msgs_fs_dp <= 3,
         "index-only scan should take ~1 message, got {}",
@@ -405,7 +405,7 @@ fn browse_access_reads_record_at_a_time() {
     let fast = w.rows("SELECT EMPNO FROM EMP WHERE SALARY > 40000");
     let before = w.sim.metrics.snapshot();
     let slow = w.rows("SELECT EMPNO FROM EMP WHERE SALARY > 40000 FOR BROWSE RECORD ACCESS");
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.metrics.snapshot() - before;
     assert_eq!(fast.rows.len(), slow.rows.len());
     // ... but browse access pays one message per record.
     assert!(

@@ -24,6 +24,8 @@
 //! a device busy-timeline) rather than through a `nsql_disk::Disk`: the
 //! trail never reads its own blocks during normal operation, and modelling
 //! it directly lets flushes be scheduled at their exact group-commit times.
+//! Its I/O is counted like any volume's all the same: the trail keeps the
+//! `(Volume, $AUDIT)` record and a flush reports its write string there.
 
 use crate::audit::{
     AuditBatch, AuditBody, AuditRecord, Lsn, LsnSource, RecordHeader, AUDIT_HEADER,
@@ -31,7 +33,7 @@ use crate::audit::{
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use nsql_sim::sync::Mutex;
-use nsql_sim::{Ctr, EntityKind, MeasureRecord, Micros, Sim};
+use nsql_sim::{Ctr, EntityKind, Event, MeasureRecord, Micros, Sim};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -159,6 +161,8 @@ pub struct Trail {
     inner: Mutex<TrailInner>,
     /// MEASURE record of the audit-trail process.
     rec: Arc<MeasureRecord>,
+    /// MEASURE record of the audit volume.
+    volume_rec: Arc<MeasureRecord>,
 }
 
 impl Trail {
@@ -166,6 +170,7 @@ impl Trail {
     pub fn new(sim: Sim, lsns: Arc<LsnSource>, timer: CommitTimer) -> Arc<Self> {
         let buffer_capacity = sim.cost.bulk_io_max;
         let rec = sim.measure.entity(EntityKind::Process, AUDIT_PROCESS);
+        let volume_rec = sim.measure.entity(EntityKind::Volume, AUDIT_PROCESS);
         Arc::new(Trail {
             sim,
             lsns,
@@ -173,6 +178,7 @@ impl Trail {
             timer: Mutex::new(timer),
             inner: Mutex::new(TrailInner::default()),
             rec,
+            volume_rec,
         })
     }
 
@@ -245,12 +251,11 @@ impl Trail {
                 inner.durable_lsn = whole.iter().map(|r| r.lsn).fold(lf.lsn_before, Lsn::max);
                 log.truncate(lf.from + written - torn_bytes);
                 if torn > 0 {
-                    self.rec.add(Ctr::RecoveryTorn, torn as u64);
-                    self.sim
-                        .trace_emit(|| nsql_sim::trace::TraceEventKind::AuditTorn {
-                            records: torn as u64,
-                            bytes: torn_bytes as u64,
-                        });
+                    let tail = Event::AuditTorn {
+                        records: torn as u64,
+                        bytes: torn_bytes as u64,
+                    };
+                    self.sim.emit(&self.rec, tail);
                 }
             }
         }
@@ -259,64 +264,32 @@ impl Trail {
         torn
     }
 
-    /// Duration of the sequential bulk-write string needed for `bytes`.
-    fn flush_duration(&self, bytes: usize) -> Micros {
-        let cost = &self.sim.cost;
-        let blocks = bytes.div_ceil(cost.block_size).max(1);
-        let max_blocks = cost.bulk_io_max_blocks();
-        let mut remaining = blocks;
-        let mut total = 0;
-        while remaining > 0 {
-            let n = remaining.min(max_blocks);
-            total += cost.disk_io_cost(true, n);
-            remaining -= n;
-        }
-        total
+    /// The sequential bulk-write string needed for `bytes`: its blocks, its
+    /// writes, its duration.
+    fn flush_string(&self, bytes: usize) -> (usize, usize, Micros) {
+        let blocks = bytes.div_ceil(self.sim.cost.block_size).max(1);
+        let (writes, duration) = self.sim.cost.bulk_string(blocks);
+        (blocks, writes, duration)
     }
 
     /// Flush the buffer as one audit write, starting no earlier than `at`.
     /// Returns the completion time.
     fn flush(&self, inner: &mut TrailInner, at: Micros, buffer_full: bool) -> Micros {
-        let m = &self.sim.metrics;
         let bytes = inner.buffer.size;
-        let cost = &self.sim.cost;
-        let blocks = bytes.div_ceil(cost.block_size).max(1);
-        let max_blocks = cost.bulk_io_max_blocks();
-        let nwrites = blocks.div_ceil(max_blocks);
-
-        m.audit_flushes.inc();
-        if buffer_full {
-            m.audit_buffer_full_flushes.inc();
-        }
-        m.disk_writes.add(nwrites as u64);
-        m.disk_blocks_written.add(blocks as u64);
-        if blocks > 1 {
-            m.disk_bulk_ios.add(nwrites as u64);
-        }
-        if inner.buffer_commits > 1 {
-            m.group_commit_piggybacks
-                .add(inner.buffer_commits as u64 - 1);
-        }
-        if inner.buffer_commits > 0 {
-            self.sim
-                .hist
-                .commit_group
-                .record(inner.buffer_commits as u64);
-        }
-        let (records, commits) = (inner.buffer.records as u64, inner.buffer_commits as u64);
-        self.rec.bump(Ctr::AuditFlushes);
-        self.rec.add(Ctr::AuditRecords, records);
-        self.rec.add(Ctr::AuditBytes, bytes as u64);
-        self.sim
-            .trace_emit(|| nsql_sim::trace::TraceEventKind::AuditFlush {
-                records,
-                bytes: bytes as u64,
-                commits,
-                buffer_full,
-            });
+        let (blocks, writes, duration) = self.flush_string(bytes);
+        let flush = Event::AuditFlush {
+            volume: &self.volume_rec,
+            records: inner.buffer.records as u64,
+            bytes: bytes as u64,
+            commits: inner.buffer_commits as u64,
+            buffer_full,
+            writes: writes as u64,
+            blocks: blocks as u64,
+        };
+        self.sim.emit(&self.rec, flush);
 
         let start = inner.disk_busy_until.max(at);
-        let end = start + self.flush_duration(bytes);
+        let end = start + duration;
         inner.disk_busy_until = end;
         let image = &inner.buffer.bytes;
         let room = |log: &Vec<u8>| log.capacity() - log.len();
@@ -379,8 +352,8 @@ impl Trail {
 
     /// Buffer the trail's own record of how `txn` ended.
     fn append_outcome(&self, inner: &mut TrailInner, txn: TxnId, body: AuditBody, now: Micros) {
-        self.sim.metrics.audit_records.inc();
-        self.sim.metrics.audit_bytes.add(AUDIT_HEADER as u64);
+        self.rec.bump(Ctr::AuditRecords);
+        self.rec.add(Ctr::AuditBytes, AUDIT_HEADER as u64);
         let header = RecordHeader {
             lsn: self.lsns.next(),
             txn,
@@ -433,7 +406,7 @@ impl Trail {
                     }
                 };
                 let completion =
-                    completion.max(inner.disk_busy_until) + self.flush_duration(inner.buffer.size);
+                    completion.max(inner.disk_busy_until) + self.flush_string(inner.buffer.size).2;
                 TrailReply::Committed { completion }
             }
             TrailRequest::Abort { txn } => {
@@ -507,9 +480,6 @@ impl VolumeAuditor {
             file,
         };
         let size = header.size(body) as u64;
-        let m = &self.bus.sim().metrics;
-        m.audit_records.inc();
-        m.audit_bytes.add(size);
         self.rec.bump(Ctr::AuditRecords);
         self.rec.add(Ctr::AuditBytes, size);
         let should_send = {
@@ -597,7 +567,7 @@ mod tests {
         // ... durable once the flush time passes.
         sim.clock.advance_to(completion);
         assert!(trail.durable_lsn(sim.now()) >= 1);
-        assert_eq!(sim.metrics.audit_flushes.get(), 1);
+        assert_eq!(sim.metrics.snapshot().audit_flushes, 1);
     }
 
     #[test]
@@ -610,8 +580,8 @@ mod tests {
         trail.apply(TrailRequest::Commit { txn: TxnId(3) });
         sim.clock.advance(20_000);
         trail.durable_lsn(sim.now()); // settle
-        assert_eq!(sim.metrics.audit_flushes.get(), 1, "one group flush");
-        assert_eq!(sim.metrics.group_commit_piggybacks.get(), 2);
+        assert_eq!(sim.metrics.snapshot().audit_flushes, 1, "one group flush");
+        assert_eq!(sim.metrics.snapshot().group_commit_piggybacks, 2);
     }
 
     #[test]
@@ -622,8 +592,8 @@ mod tests {
             sim.clock.advance(50_000);
         }
         trail.durable_lsn(sim.now());
-        assert_eq!(sim.metrics.audit_flushes.get(), 3);
-        assert_eq!(sim.metrics.group_commit_piggybacks.get(), 0);
+        assert_eq!(sim.metrics.snapshot().audit_flushes, 3);
+        assert_eq!(sim.metrics.snapshot().group_commit_piggybacks, 0);
     }
 
     #[test]
@@ -643,7 +613,7 @@ mod tests {
             pushed += rec.size();
             trail.apply(append(&[rec]));
         }
-        assert_eq!(sim.metrics.audit_buffer_full_flushes.get(), 1);
+        assert_eq!(sim.metrics.snapshot().audit_buffer_full_flushes, 1);
         assert!(trail.durable_lsn(sim.now()) > 0);
     }
 
@@ -679,12 +649,12 @@ mod tests {
         }
         sim.clock.advance(100_000);
         trail.durable_lsn(sim.now());
-        let flushes = sim.metrics.audit_flushes.get();
+        let flushes = sim.metrics.snapshot().audit_flushes;
         assert!(
             flushes < 40,
             "adaptive timer should group fast commits ({flushes} flushes for 40 commits)"
         );
-        assert!(sim.metrics.group_commit_piggybacks.get() > 0);
+        assert!(sim.metrics.snapshot().group_commit_piggybacks > 0);
     }
 
     #[test]
@@ -727,10 +697,10 @@ mod tests {
             before: vec![(3, Value::Double(1.0))],
             after: vec![(3, Value::Double(1.07))],
         };
-        let mut sent_before = sim.metrics.msgs_audit.get();
+        let mut sent_before = sim.metrics.snapshot().msgs_audit;
         assert_eq!(sent_before, 0);
         let mut logged = 0;
-        while sim.metrics.msgs_audit.get() == sent_before {
+        while sim.metrics.snapshot().msgs_audit == sent_before {
             auditor.log(TxnId(1), 0, &body());
             logged += 1;
             assert!(logged < 1000, "send threshold never reached");
@@ -740,9 +710,9 @@ mod tests {
             "field-compressed records should batch heavily (got {logged})"
         );
         // Full-image updates fill the buffer much faster.
-        sent_before = sim.metrics.msgs_audit.get();
+        sent_before = sim.metrics.snapshot().msgs_audit;
         let mut logged_full = 0;
-        while sim.metrics.msgs_audit.get() == sent_before {
+        while sim.metrics.snapshot().msgs_audit == sent_before {
             auditor.log(TxnId(1), 0, &update_body(200));
             logged_full += 1;
         }

@@ -22,7 +22,7 @@ use crate::trail::{TrailReply, TrailRequest, AUDIT_PROCESS};
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind};
 use nsql_sim::sync::Mutex;
-use nsql_sim::{Ctr, EntityKind, FlightEntry, MeasureRecord, Sim, Wait};
+use nsql_sim::{EntityKind, Event, MeasureRecord, Sim, Wait};
 use std::sync::Arc;
 
 /// Transaction states.
@@ -158,19 +158,9 @@ impl TxnManager {
         if let Some(info) = self.txns.lock().get_mut(slot(txn)) {
             if info.state == TxnState::Active && !info.doomed {
                 info.doomed = true;
-                self.rec.bump(Ctr::TxnDoomed);
-                self.sim.flight.record(
-                    TMF_ENTITY,
-                    FlightEntry {
-                        at: self.sim.now(),
-                        tag: "doom",
-                        label: format!("{txn}"),
-                        a: txn.0,
-                        b: 0,
-                    },
-                );
+                self.sim.emit(&self.rec, Event::TxnDoomed(txn.0));
                 self.sim
-                    .flight_dump(TMF_ENTITY, &format!("transaction {txn} doomed"));
+                    .flight_dump(&self.rec, &format!("transaction {txn} doomed"));
             }
         }
     }
@@ -299,10 +289,7 @@ impl TxnManager {
         // Phase 2: tell participants to release.
         self.finish_participants(txn, &participants, true, from);
         self.set_state(txn, TxnState::Committed);
-        self.sim.metrics.txns_committed.inc();
-        self.rec.bump(Ctr::TxnCommits);
-        self.sim
-            .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnCommit { txn: txn.0 });
+        self.sim.emit(&self.rec, Event::TxnCommit(txn.0));
         Ok(())
     }
 
@@ -320,10 +307,7 @@ impl TxnManager {
         self.finish_participants(txn, participants, false, from);
         self.trail_abort(txn, from);
         self.set_state(txn, TxnState::Aborted);
-        self.sim.metrics.txns_aborted.inc();
-        self.rec.bump(Ctr::TxnAborts);
-        self.sim
-            .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnAbort { txn: txn.0 });
+        self.sim.emit(&self.rec, Event::TxnAbort(txn.0));
     }
 
     fn finish_participants(
@@ -361,6 +345,7 @@ mod tests {
     use crate::trail::{CommitTimer, Trail};
     use nsql_msg::{Response, Server};
     use nsql_sim::sync::Mutex as PMutex;
+    use nsql_sim::Ctr;
     use std::any::Any;
 
     /// A fake participant that records the protocol it sees.
@@ -419,7 +404,7 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert!(log[0].starts_with("prepare"));
         assert!(log[1].contains("committed=true"));
-        assert_eq!(sim.metrics.txns_committed.get(), 1);
+        assert_eq!(sim.metrics.snapshot().txns_committed, 1);
     }
 
     #[test]
@@ -435,7 +420,7 @@ mod tests {
         let err = mgr.commit(txn, CpuId::new(0, 0)).unwrap_err();
         assert!(matches!(err, TxnError::ParticipantAborted(_)));
         assert_eq!(mgr.state(txn), Some(TxnState::Aborted));
-        assert_eq!(sim.metrics.txns_aborted.get(), 1);
+        assert_eq!(sim.metrics.snapshot().txns_aborted, 1);
     }
 
     #[test]

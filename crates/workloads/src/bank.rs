@@ -367,13 +367,13 @@ mod tests {
         let txn = db.txnmgr.begin();
         bank.debit_credit_sql(fs, txn, 1, 1, 0, 10.0).unwrap();
         db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let sql_msgs = db.metrics().since(&before).msgs_fs_dp;
+        let sql_msgs = (db.snapshot() - before).msgs_fs_dp;
 
         let before = db.snapshot();
         let txn = db.txnmgr.begin();
         bank.debit_credit_enscribe(fs, txn, 1, 1, 0, 10.0).unwrap();
         db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let ens_msgs = db.metrics().since(&before).msgs_fs_dp;
+        let ens_msgs = (db.snapshot() - before).msgs_fs_dp;
 
         assert_eq!(sql_msgs, 4, "3 pushed-down updates + 1 insert");
         assert_eq!(ens_msgs, 7, "3 x (read + write) + 1 insert");

@@ -466,7 +466,8 @@ pub fn run_load(db: &Cluster, bank: &Bank, cfg: &LoadConfig) -> LoadOutcome {
             TermState::Run { job, txn, step } => {
                 // One FS-DP message of this transaction, under a span on
                 // this terminal's track for critical-path attribution.
-                let span = sim.span_root("DEBITCREDIT STEP", &format!("terminal-{i}"));
+                let track = format_args!("terminal-{i}");
+                let span = sim.span_root("DEBITCREDIT STEP", &track);
                 let actual = if step < job.order.len() {
                     job.order[step]
                 } else {

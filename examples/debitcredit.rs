@@ -33,7 +33,7 @@ fn main() {
             db.txnmgr.commit(txn, session.cpu()).expect("commit");
         }
         let elapsed = db.sim.now() - t0;
-        let m = db.metrics().since(&before);
+        let m = db.snapshot() - before;
 
         println!("--- {label} path, {txns} debit-credit transactions ---");
         println!(

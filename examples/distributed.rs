@@ -40,7 +40,7 @@ fn main() {
     let r = s
         .query("SELECT UNIQUE2, HUNDRED FROM WISC WHERE HUNDRED = 42")
         .unwrap();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     println!("predicate scan  : {} rows", r.rows.len());
     println!(
         "  FS-DP msgs    : {} ({} crossed nodes)",
@@ -59,7 +59,7 @@ fn main() {
     let r = s
         .query("SELECT UNIQUE2, UNIQUE1 FROM WISC WHERE UNIQUE1 BETWEEN 100 AND 179")
         .unwrap();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     println!("\nindex-only scan : {} rows", r.rows.len());
     println!(
         "  FS-DP msgs    : {} ({} crossed nodes)",
@@ -74,7 +74,7 @@ fn main() {
         .execute("UPDATE WISC SET THOUSAND = THOUSAND + 1 WHERE UNIQUE2 BETWEEN 1990 AND 2010")
         .unwrap()
         .count();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     println!("\ncross-partition UPDATE: {n} rows across the $DATA2/$FAR1 boundary");
     println!("  FS-DP msgs    : {}", m.msgs_fs_dp);
     println!(

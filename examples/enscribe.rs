@@ -76,7 +76,7 @@ fn main() {
     while fs.ens_read_next(&mut cur).unwrap().is_some() {
         n += 1;
     }
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     println!(
         "key-sequenced: sequential read of {n} records took {} FS-DP messages",
         m.msgs_fs_dp

@@ -26,7 +26,7 @@ fn main() {
     }
     println!(
         "loaded 100 accounts; {} checkpoint messages went primary -> backup",
-        db.metrics().msgs_checkpoint.get()
+        db.snapshot().msgs_checkpoint
     );
 
     // --- CPU failure and takeover -------------------------------------

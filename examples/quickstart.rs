@@ -40,7 +40,7 @@ fn main() {
     let rows = session
         .query("SELECT NAME, HIRE_DATE FROM EMP WHERE EMPNO <= 1000 AND SALARY > 32000")
         .expect("query");
-    let delta = db.metrics().since(&before);
+    let delta = db.snapshot() - before;
 
     println!("{}", rows.to_table());
     println!("rows returned        : {}", rows.rows.len());

@@ -73,7 +73,7 @@ fn aggregate_with_predicate_pushdown() {
     let r = s
         .query("SELECT G, SUM(X) AS S FROM M WHERE X > 15 GROUP BY G ORDER BY G")
         .unwrap();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     assert_eq!(r.rows.len(), 1, "only group 2 has X > 15");
     assert_eq!(r.rows[0].0[1], Value::LargeInt(120));
     // The predicate ran at the Disk Process, not the executor.
@@ -135,7 +135,7 @@ fn cursor_updater_spans_partitions() {
         cur.update(&row.0, &new).unwrap();
     }
     let (nu, _) = cur.flush().unwrap();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     db.txnmgr.commit(txn, s.cpu()).unwrap();
     assert_eq!(nu, 100);
     assert_eq!(
@@ -155,7 +155,7 @@ fn abort_metrics_and_trail_abort_records() {
     s.execute("BEGIN WORK").unwrap();
     s.execute("INSERT INTO T VALUES (1)").unwrap();
     s.execute("ROLLBACK WORK").unwrap();
-    assert_eq!(db.metrics().txns_aborted.get(), 1);
+    assert_eq!(db.snapshot().txns_aborted, 1);
     // Presumed abort: the abort record is lazy — it rides the next flush
     // (here, the group commit of a later transaction).
     s.execute("INSERT INTO T VALUES (2)").unwrap();

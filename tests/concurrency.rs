@@ -184,7 +184,7 @@ fn deadlock_victim_chosen_at_the_disk_process() {
     // s2 wants K=1: closes the cycle -> s2 is the deadlock victim.
     let e2 = s2.execute("UPDATE T SET V = 2 WHERE K = 1").unwrap_err();
     assert!(e2.0.contains("deadlock"), "{e2}");
-    assert!(db.metrics().deadlocks.get() >= 1);
+    assert!(db.snapshot().deadlocks >= 1);
 
     // The victim rolls back; the survivor retries and completes.
     s2.execute("ROLLBACK WORK").unwrap();

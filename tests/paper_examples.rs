@@ -38,7 +38,7 @@ fn example_1_get_first_vsbb() {
     let r = s
         .query("SELECT NAME, HIRE_DATE FROM EMP WHERE EMPNO <= 1000 AND SALARY > 32000")
         .unwrap();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
 
     // EMPNO 0..=1000 with i % 3 == 0: 334 rows.
     assert_eq!(r.rows.len(), 334);
@@ -62,7 +62,7 @@ fn example_2_get_first_rsbb() {
     let mut s = db.session();
     let before = db.snapshot();
     let r = s.query("SELECT * FROM EMP").unwrap();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
 
     assert_eq!(r.rows.len(), 2000);
     // No selection or projection: real blocks, one per message, blocking
@@ -100,7 +100,7 @@ fn example_3_update_subset() {
         .execute("UPDATE ACCOUNT SET BALANCE = BALANCE * 1.07 WHERE BALANCE > 0")
         .unwrap()
         .count();
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
 
     assert_eq!(n, 750);
     // UPDATE^SUBSET^FIRST + re-drives; no records return to the requester.

@@ -415,7 +415,7 @@ fn refused_insert_then_update(db: &Cluster) -> (nonstop_sql::Session<'_>, u64) {
     let before = db.snapshot();
     let err = s.execute("INSERT INTO T VALUES (1, 99)").unwrap_err();
     assert!(err.to_string().contains("duplicate"), "{err}");
-    let logged = db.metrics().since(&before).audit_records;
+    let logged = (db.snapshot() - before).audit_records;
     s.execute("UPDATE T SET V = 11 WHERE K = 2").unwrap();
     (s, logged)
 }

@@ -30,7 +30,7 @@ fn multi_column_primary_key() {
         .query("SELECT AMOUNT FROM ORDERS WHERE CUSTNO = 7 AND ORDERNO = 3")
         .unwrap();
     assert_eq!(r.rows[0].0[0], Value::Double(73.0));
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     assert!(
         m.dp_records_examined <= 1,
         "full-key equality must not scan"
@@ -42,7 +42,7 @@ fn multi_column_primary_key() {
         .query("SELECT ORDERNO FROM ORDERS WHERE CUSTNO = 7")
         .unwrap();
     assert_eq!(r.rows.len(), 10);
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     assert!(
         m.dp_records_examined <= 10,
         "prefix range bounds the scan to the customer, examined {}",
@@ -55,7 +55,7 @@ fn multi_column_primary_key() {
         .query("SELECT ORDERNO FROM ORDERS WHERE CUSTNO = 7 AND ORDERNO BETWEEN 2 AND 5")
         .unwrap();
     assert_eq!(r.rows.len(), 4);
-    let m = db.metrics().since(&before);
+    let m = db.snapshot() - before;
     assert!(m.dp_records_examined <= 4);
 
     // Duplicate full key rejected; same first column fine.
@@ -89,7 +89,7 @@ fn vsbb_group_locks_accumulate_across_redrives() {
     let r = reader.query("SELECT K FROM T").unwrap();
     assert_eq!(r.rows.len(), 100);
     assert!(
-        db.metrics().msgs_redrive.get() >= 3,
+        db.snapshot().msgs_redrive >= 3,
         "the 25-record limit must force re-drives"
     );
 
@@ -127,7 +127,7 @@ fn parallel_sort_setting_changes_elapsed_only() {
         let t0 = db.sim.now();
         let r = s.query("SELECT K FROM T ORDER BY R").unwrap();
         assert_eq!(r.rows[0].0[0], Value::Int(1999), "sorted by descending R");
-        let m = db.metrics().since(&before);
+        let m = db.snapshot() - before;
         (m.cpu_executor, db.sim.now() - t0)
     };
     let (work1, time1) = run(1);

@@ -107,6 +107,40 @@ fn sys_counters_self_observation_is_idempotent() {
     assert_eq!(stats.metrics.disk_reads, 0);
 }
 
+/// What used to exist only as a cluster total is a counter on an entity,
+/// so `sys.counters` returns it — and every cluster total can be had from
+/// SQL as the sum its definition names.
+#[test]
+fn sys_counters_carry_what_used_to_be_cluster_only() {
+    let db = wisconsin_db(200);
+    let mut s = db.session();
+    let rows = s
+        .query("SELECT UNIQUE1 FROM WISC WHERE UNIQUE1 < 10")
+        .unwrap();
+    let totals = db.snapshot();
+    let seen = counters(&mut s);
+    let get = |kind: &str, entity: &str, counter: &str| {
+        let key = (kind.to_string(), entity.to_string(), counter.to_string());
+        seen.get(&key).copied().unwrap_or(0) as u64
+    };
+    assert_eq!(get("cluster", "cluster", "rows.returned"), 10);
+    assert_eq!(rows.rows.len(), 10);
+    assert_eq!(get("cluster", "cluster", "cpu.dp"), totals.cpu_dp);
+    assert_eq!(
+        get("cluster", "cluster", "cpu.executor"),
+        totals.cpu_executor
+    );
+    assert!(get("cluster", "cluster", "stmt.wait.cpu") > 0);
+    // One requester CPU, so its counters are the totals.
+    assert_eq!(get("cpu", "\\0.0", "msgs.fs_dp"), totals.msgs_fs_dp);
+    assert!(totals.msgs_fs_dp > 0);
+    // The audit volume is an entity like the data volume.
+    let (audit, data) = ("$AUDIT", "$DATA1");
+    let writes = get("volume", audit, "disk.writes") + get("volume", data, "disk.writes");
+    assert_eq!(writes, totals.disk_writes);
+    assert!(get("volume", audit, "disk.writes") >= totals.audit_flushes);
+}
+
 /// Predicate pushdown works on virtual tables exactly as on real ones.
 #[test]
 fn sys_scan_pushdown_filters_rows() {

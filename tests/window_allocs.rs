@@ -13,10 +13,16 @@
 //! fields from the leaf into the reply's one buffer, the File System decodes
 //! it once, and the executor moves it — so the per-row allocation count of
 //! the `scan_select` statements has a ceiling too.
+//!
+//! "Off builds nothing": spans, events and messages borrow their labels and
+//! build owned strings only inside the trace recorder's enabled branch, and
+//! a process's flight ring hangs off its own record — so with tracing off
+//! the telemetry of a span, a message and a statement allocates nothing.
 
-use nonstop_sql::sim::SimRng;
+use nonstop_sql::sim::{Sim, SimRng, SpanHeader};
 use nonstop_sql::workloads::{Bank, Wisconsin};
 use nonstop_sql::{Cluster, Outcome};
+use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -97,6 +103,63 @@ fn a_window_is_a_flat_copy() {
     let ((count, _), ()) = allocs_during(|| debit_credit(&db, &bank, &mut rng, 1));
     assert!(
         count <= 725 - 150,
+        "one DebitCredit made {count} allocations"
+    );
+}
+
+/// Replies to anything with nothing.
+struct Echo;
+
+impl Server for Echo {
+    fn handle(&self, _request: Box<dyn std::any::Any + Send>) -> Response {
+        Response::new((), 8)
+    }
+}
+
+#[test]
+fn telemetry_that_is_off_allocates_nothing() {
+    let sim = Sim::new();
+    assert!(!sim.trace.is_enabled());
+    // This thread's span stack takes its room on the first push.
+    drop(sim.span_root("WARM-UP", &"\\0.0"));
+    // Was 3 for a span given its track, 4 with the track formatted for it.
+    let ((spans, _), ()) = allocs_during(|| {
+        let root = sim.span_root("SELECT", &"\\0.0");
+        let request = sim.span_child("GET^NEXT", &"\\0.0");
+        let carried = SpanHeader {
+            parent: root.header().span,
+            ..request.header()
+        };
+        drop(sim.span_enter(carried, "GET^NEXT", &"$DATA1"));
+    });
+    assert_eq!(spans, 0, "three spans opened and closed");
+
+    let bus = Bus::new(sim.clone());
+    bus.register("$ECHO", CpuId::new(0, 1), std::sync::Arc::new(Echo));
+    let request = |n: usize| {
+        for _ in 0..n {
+            let empty = Box::new(());
+            bus.request_labeled(CpuId::new(0, 0), "$ECHO", MsgKind::FsDp, 16, empty, "READ")
+                .unwrap();
+        }
+    };
+    // Fill the flight ring once: it grows to its bound and stays there.
+    request(64);
+    // Was 2 (the ring's key and the entry's label); the reply's box is the
+    // server's, and a `()` in a box is no allocation.
+    let ((message, _), ()) = allocs_during(|| request(1));
+    assert_eq!(message, 0, "one labelled exchange");
+
+    // One DebitCredit — six statements, four FS-DP messages — made 450
+    // allocations when every span, message and statement built its strings
+    // first and asked whether tracing was on afterwards; now 380.
+    let db = Cluster::single_volume();
+    let bank = Bank::create(&db, 2, 50, "$DATA1").unwrap();
+    let mut rng = SimRng::seed_from(7);
+    debit_credit(&db, &bank, &mut rng, 0);
+    let ((count, _), ()) = allocs_during(|| debit_credit(&db, &bank, &mut rng, 1));
+    assert!(
+        count <= 450 - 60,
         "one DebitCredit made {count} allocations"
     );
 }
