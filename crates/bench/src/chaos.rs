@@ -8,7 +8,7 @@
 //! exactly the committed row set.
 
 use crate::report::Table;
-use nsql_core::{ClusterBuilder, FaultConfig};
+use nsql_core::{ClusterBuilder, Fault, FaultConfig};
 use nsql_records::Value;
 use nsql_sim::SimRng;
 use nsql_workloads::{Bank, Wisconsin};
@@ -59,7 +59,10 @@ fn mixes(seed: u64) -> Vec<(&'static str, FaultConfig)> {
             "crash",
             FaultConfig {
                 drop: 0.02,
-                down_at: vec![30 + seed, 130 + seed],
+                at: vec![
+                    (30 + seed, Fault::DownTarget),
+                    (130 + seed, Fault::DownTarget),
+                ],
                 ..FaultConfig::with_seed(seed)
             },
         ),

@@ -42,7 +42,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 pub use nsql_dp::DpConfig as DiskProcessConfig;
-pub use nsql_msg::FaultConfig;
+pub use nsql_msg::{Fault, FaultConfig};
 pub use nsql_sim::CostModel as ClusterCostModel;
 pub use nsql_sql::QueryResult as Rows;
 pub use nsql_tmf::CommitTimer as GroupCommitTimer;

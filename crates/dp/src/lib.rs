@@ -129,7 +129,7 @@ struct Scb {
 
 /// Replies remembered per opener for duplicate suppression (Tandem kept a
 /// similar small "sync block" per opener).
-const REPLY_CACHE_PER_OPENER: usize = 8;
+pub const REPLY_CACHE_PER_OPENER: usize = 8;
 
 #[derive(Default)]
 struct DpState {
@@ -283,6 +283,13 @@ impl DiskProcess {
         self.cpu
     }
 
+    /// Replies remembered for the opener with the most of them (at most
+    /// [`REPLY_CACHE_PER_OPENER`]).
+    pub fn reply_cache_len(&self) -> usize {
+        let replies = &self.state.lock().replies;
+        replies.values().map(VecDeque::len).max().unwrap_or(0)
+    }
+
     /// Tune the audit send-buffer threshold (experiment E15's ablation).
     pub fn set_audit_send_threshold(&self, bytes: usize) {
         self.auditor.set_send_threshold(bytes);
@@ -337,9 +344,8 @@ impl DiskProcess {
         scope: LockScope,
         mode: LockMode,
     ) -> Result<(), DpError> {
-        // Every branch below is mirrored by `crates/lint/src/lockmodel.rs`
-        // (`nsql-lint check-locks`); a behavioral change here needs the
-        // mirror updated in the same PR.
+        // `nsql-lint check-locks` runs every branch below under every
+        // interleaving of its client scripts.
         //
         // A doomed transaction must not take new locks: fail fast so a
         // deadlock victim chosen while someone *else* was requesting learns

@@ -49,6 +49,10 @@ pub struct Config {
     /// covered file not under one of these prefixes has an implicit
     /// ceiling of zero.
     pub result_discard_ratchet: BTreeMap<String, u64>,
+    /// Coverage floor: `check-protocol` at its default depth must run at
+    /// least this many schedules (`[model] protocol_min_schedules`). Only
+    /// ever raised.
+    pub protocol_min_schedules: u64,
     /// Coverage floor: `check-locks` must explore at least this many
     /// distinct schedules across its default configurations
     /// (`[model] lock_min_schedules`). Only ever raised.
@@ -210,21 +214,15 @@ fn apply(
             })?;
             cfg.result_discard_ratchet.insert(path.to_string(), n);
         }
-        ("model", "lock_min_schedules") => {
-            cfg.lock_min_schedules = value.parse().map_err(|_| {
-                ConfigError(format!(
-                    "line {}: lock_min_schedules is not an integer",
-                    ln + 1
-                ))
-            })?;
-        }
-        ("model", "lock_min_states") => {
-            cfg.lock_min_states = value.parse().map_err(|_| {
-                ConfigError(format!(
-                    "line {}: lock_min_states is not an integer",
-                    ln + 1
-                ))
-            })?;
+        ("model", "protocol_min_schedules" | "lock_min_schedules" | "lock_min_states") => {
+            let floor = value
+                .parse()
+                .map_err(|_| ConfigError(format!("line {}: {key} is not an integer", ln + 1)))?;
+            match key {
+                "protocol_min_schedules" => cfg.protocol_min_schedules = floor,
+                "lock_min_schedules" => cfg.lock_min_schedules = floor,
+                _ => cfg.lock_min_states = floor,
+            }
         }
         _ => {
             return Err(ConfigError(format!(
@@ -281,6 +279,7 @@ crates = ["crates/msg", "crates/dp"]
 "crates/dp/src/lib.rs" = 5
 
 [model]
+protocol_min_schedules = 22454
 lock_min_schedules = 10000
 lock_min_states = 1200
 "#,
@@ -292,6 +291,7 @@ lock_min_states = 1200
             cfg.result_discard_ratchet.get("crates/dp/src/lib.rs"),
             Some(&5)
         );
+        assert_eq!(cfg.protocol_min_schedules, 22454);
         assert_eq!(cfg.lock_min_schedules, 10000);
         assert_eq!(cfg.lock_min_states, 1200);
     }

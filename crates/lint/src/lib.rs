@@ -1,21 +1,24 @@
 #![warn(missing_docs)]
-//! `nsql-lint` — the repo's dependency-free invariant linter and bounded
-//! FS-DP protocol model checker.
+//! `nsql-lint` — the repo's invariant linter, and the exhaustive explorers
+//! of its FS-DP recovery protocol and its lock plane.
 //!
 //! The paper's argument rests on protocol discipline between the File
 //! System and the Disk Process. Repo-wide invariants protect it:
 //! virtual-time-only determinism, typed errors on the FS-DP hot path,
 //! exhaustive handling of protocol variants, and no silently dropped
 //! `Result`s on the wire. `nsql-lint check` enforces them statically over
-//! every crate (see [`rules`]); `nsql-lint check-protocol` exhaustively
-//! model-checks the sync-ID / reply-cache / backoff / takeover protocol
-//! (see [`model`]); `nsql-lint check-locks` exhaustively model-checks the
-//! lock / deadlock / doom / retry / admission protocol (see
-//! [`lockmodel`]). Ratchet ceilings live in the checked-in `lint.toml`
-//! ([`config`]) so panic counts can only go down — and model-checker
-//! coverage floors so explored schedules can only go up.
+//! every crate (see [`rules`]). The other two commands run the shipped
+//! stack — a fresh [`nsql_core::Cluster`] per run, nothing re-implemented:
+//! `nsql-lint check-protocol` drives it through every bounded schedule of
+//! injected faults and checks the sync-ID / reply-cache / backoff /
+//! takeover protocol end to end (see [`model`]); `nsql-lint check-locks`
+//! drives its lock manager, Disk Process and TMF through every
+//! interleaving of a few scripted clients and checks the lock / deadlock /
+//! doom / retry / admission protocol (see [`lockmodel`]). Ratchet ceilings
+//! live in the checked-in `lint.toml` ([`config`]) so panic counts can only
+//! go down — and coverage floors so explored schedules can only go up.
 //!
-//! Everything here is plain `std` — the linter must run in the offline CI
+//! No third-party dependency: the linter must run in the offline CI
 //! container that builds the rest of the workspace.
 
 pub mod config;
@@ -23,11 +26,27 @@ pub mod lexer;
 pub mod lockmodel;
 pub mod model;
 pub mod rules;
+mod stack;
 
 use config::Config;
 use rules::{Diagnostic, FileReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+/// An invariant an explorer found broken, with the schedule of `A`ctions
+/// that reproduces it.
+#[derive(Debug, Clone)]
+pub struct Violation<A> {
+    /// Which invariant broke.
+    pub invariant: &'static str,
+    /// What exactly went wrong.
+    pub detail: String,
+    /// The schedule to replay.
+    pub schedule: Vec<A>,
+}
+
+/// A broken invariant: its name and what went wrong.
+type Broke = (&'static str, String);
 
 /// Directories never scanned: build output, VCS, and the linter's own
 /// deliberately-violating fixture tree.

@@ -1,208 +1,155 @@
-//! Bounded explicit-state model checking of the contention protocol.
+//! Exhaustive exploration of the contention protocol, on the shipped stack.
 //!
-//! PR 8 added the system's most schedule-sensitive code: lock manager v2
-//! with FIFO waiter queues, youngest-cycle-member victim selection, typed
-//! doom propagation (`DpError` → `FsError::Doomed` → `ExecError::Doomed`),
-//! virtual-time lock-wait timeouts, and an admission-control gate. The load
-//! engine *samples* that state space with a handful of seeds; this module
-//! *exhausts* it, the way [`crate::model`] exhausts the FS-DP recovery
-//! protocol.
+//! The system's most schedule-sensitive code is the lock plane: a lock
+//! manager with FIFO waiter queues and youngest-cycle-member victims
+//! (`nsql_lock`), the Disk Process's lock path that dooms a younger victim
+//! at the TMF while the older requester keeps waiting (`nsql_dp`), TMF's
+//! refusal to commit a doomed transaction (`nsql_tmf`), typed doom
+//! propagation through the File System (`nsql_fs`), lock-wait timeouts. The
+//! load engine *samples* that state space with a handful of seeds; this
+//! module *exhausts* it, as [`crate::model`] does the recovery protocol.
 //!
-//! The model mirrors the real layers branch-for-branch:
-//!
-//! * **lock manager** — `crates/lock/src/lib.rs`: `acquire` (covered check,
-//!   held-conflict scan, FIFO fairness scan with the upgrade exemption,
-//!   grant), `wait` (queue entry keeps its position across re-polls,
-//!   `close_cycle` walking the waits-for chain, youngest-member victim
-//!   whose wait state is cleared), `release_all`, `stop_waiting`;
-//! * **Disk Process** — `crates/dp/src/lib.rs::lock`: the doomed fail-fast
-//!   check, queuing behind the holder, dooming a younger victim at the TMF
-//!   while the older requester keeps waiting, `LockTimeout` bouncing;
-//! * **TMF** — `crates/tmf/src/txn.rs`: `commit` refuses a doomed
-//!   transaction (abort instead), abort releases everything;
-//! * **client** — `crates/workloads/src/load.rs`: re-polling a `Locked`
-//!   bounce, aborting on `Doomed` and retrying as a *fresh, younger*
-//!   transaction, the bounded retry budget, and the FIFO admission gate
-//!   whose slot is retained across retries and handed to the queue head on
-//!   release.
+//! None of that code is written down here. A state ([`St`]) is *observed*
+//! from a live [`nsql_core::Cluster`] after each action — `held()`,
+//! `waiters()` and `wait_edges()` of the volume's lock manager, `is_doomed`
+//! of the TMF — and expanded by replaying its action prefix on a fresh
+//! cluster and taking one more action. What *is* written here is the
+//! **workload** ([`Live`]): scripted clients whose step is
+//! `read_by_key(.., Shared)` or `update_by_key`, that re-poll a `Locked`
+//! bounce, abort on `Doomed` and retry as a fresh, younger transaction
+//! within a budget, commit at the end of their script, and pass a FIFO
+//! admission gate whose slot is kept across retries. The load engine's own
+//! client is another program with the same manners; `tests/load_sweep.rs`
+//! covers it.
 //!
 //! Exploration is a deterministic BFS over *canonical* states: transaction
-//! identity is reduced to begin-order rank among live transactions (the
-//! transaction-symmetry reduction — absolute TMF ids only matter through
-//! their relative age), so the retried-transaction id space collapses and
-//! the graph is finite. Schedules are counted exactly by path counting over
-//! the explored graph; every reported violation carries the action sequence
-//! from the initial state, replayable with [`replay`].
+//! ids appear only as begin-order rank among live transactions (all the lock
+//! manager compares them for), virtual time, LSNs and sync sequences not at
+//! all, so the graph is finite. Schedules are counted exactly by path
+//! counting; a violation carries the action sequence that [`replay`]s it.
 //!
-//! Invariants, checked on every transition and at every quiescent state:
+//! Invariants, of every transition and of every quiescent state:
 //!
 //! * **fifo-no-overtake** — a grant never bypasses an earlier-queued
 //!   incompatible waiter (upgrades excepted);
-//! * **youngest-victim** — a detected waits-for cycle's victim is its
-//!   youngest member (highest begin rank);
-//! * **one-victim-per-cycle** — no transaction is victimized twice for the
-//!   same unresolved cycle (dooming must actually dissolve it);
-//! * **serializability** — no two live transactions ever hold incompatible
-//!   locks on the same item; with strict 2PL (all effects under locks held
-//!   to commit/abort) this is exactly conflict-serializability of the
-//!   committed effects;
+//! * **youngest-victim** — a deadlock verdict's victim is the youngest
+//!   member (highest begin rank) of a waits-for cycle the request closed;
+//! * **one-victim-per-cycle** — every verdict dooms somebody who was not
+//!   doomed yet (dooming must actually dissolve the cycle);
+//! * **serializability** — no two live transactions hold incompatible locks
+//!   on one item; under strict 2PL that is conflict-serializability;
 //! * **doomed-commit** — a doomed transaction never commits;
-//! * **drain** — at quiescence the lock table, waiter queue, waits-for
-//!   graph, and admission gate are all empty;
-//! * **liveness** — no stuck state (a non-quiescent state always has an
-//!   enabled action: no stuck waiter, no lost wakeup, no lost admission
-//!   grant) and no livelock (the canonical state graph is acyclic).
+//! * **drain** — lock state belongs to live transactions only, and at
+//!   quiescence lock table, waiter queue, waits-for graph and admission
+//!   gate are empty;
+//! * **liveness** — no stuck state (no stuck waiter, lost wakeup or lost
+//!   admission grant) and no livelock (the state graph is acyclic).
 //!
-//! Three mutation switches weaken one mechanism each and must produce a
-//! printed, replayable counterexample — the contention analogue of the
-//! reply-cache `cache=0` double-apply pin:
-//!
-//! * [`Mutation::OvertakeQueue`] drops the FIFO fairness scan;
-//! * [`Mutation::OldestVictim`] picks the cycle's oldest member;
-//! * [`Mutation::DropDoom`] detects the deadlock but never dooms the
-//!   victim at the TMF.
+//! "0 violations" must not mean "never got there": [`REACHED`] names the
+//! situations the invariants are about, and callers hold their counts above 0.
 
+use crate::stack::{self, VOLUME};
+use crate::Broke;
+use nsql_core::{Cluster, DiskProcessConfig};
+use nsql_dp::{DpError, ReadLock};
+use nsql_fs::{FileSystem, FsError, OpenFile};
+pub use nsql_lock::LockMode as Mode;
+use nsql_lock::{LockScope, TxnId};
+use nsql_msg::CpuId;
+use nsql_tmf::txn::TxnError;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-/// Lock mode (mirrors `nsql_lock::LockMode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Mode {
-    /// Shared (read).
-    Shared,
-    /// Exclusive (write).
-    Exclusive,
-}
+/// An invariant violation with its replayable schedule.
+pub type Violation = crate::Violation<Act>;
 
-impl Mode {
-    /// Classic S/X compatibility (mirrors `LockMode::compatible`).
-    fn compatible(self, other: Mode) -> bool {
-        matches!((self, other), (Mode::Shared, Mode::Shared))
-    }
-}
-
-/// A deliberately weakened mechanism, for counterexample pinning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mutation {
-    /// The faithful protocol.
-    #[default]
-    None,
-    /// `acquire` skips the FIFO fairness scan: a late arrival may overtake
-    /// an earlier incompatible queued waiter.
-    OvertakeQueue,
-    /// `close_cycle` picks the *oldest* cycle member as the victim instead
-    /// of the youngest.
-    OldestVictim,
-    /// The Disk Process detects the deadlock and reports the victim, but
-    /// the `txnmgr.doom(victim)` edge is dropped — the victim is never
-    /// told, so the cycle does not actually dissolve.
-    DropDoom,
-}
-
-impl Mutation {
-    /// Parse a CLI mutation name.
-    pub fn parse(s: &str) -> Option<Mutation> {
-        match s {
-            "none" => Some(Mutation::None),
-            "overtake" => Some(Mutation::OvertakeQueue),
-            "oldest-victim" => Some(Mutation::OldestVictim),
-            "drop-doom" => Some(Mutation::DropDoom),
-            _ => None,
-        }
-    }
-}
-
-/// One step of a transaction's script: acquire `item` in `mode`.
-type Step = (u8, Mode);
-
-/// Model parameters. The script shape is derived from `txns`/`locks`:
-/// transaction `i` acquires `(i, Shared)`, `((i+1) % locks, Exclusive)`,
-/// then upgrades `(i, Exclusive)` — rotated orders make waits-for cycles of
-/// every length reachable, the shared first step exercises S/S coexistence
-/// and the upgrade exercises the queue-jumping upgrade path.
+/// The workload: a script per client slot — `(item, mode)` steps, item `i`
+/// being row `i + 1` — and the bounds that keep the graph finite.
 #[derive(Debug, Clone)]
 pub struct LockModelConfig {
-    /// Concurrent client slots (K).
-    pub txns: usize,
-    /// Lockable items (M).
-    pub locks: usize,
+    /// Per-slot scripts: a shared step reads its row, an exclusive one
+    /// updates it.
+    pub scripts: Vec<Vec<(u8, Mode)>>,
     /// Admission-gate capacity (slots in flight at once).
-    pub max_inflight: usize,
-    /// Retries per slot after its first attempt (load-engine
-    /// `max_txn_retries`).
+    pub max_inflight: u8,
+    /// Retries per slot after its first attempt.
     pub max_retries: u8,
-    /// Lock-wait timeouts the adversary may fire per schedule.
+    /// Lock-wait timeouts the adversary may arm per schedule.
     pub max_timeouts: u8,
-    /// Per-slot acquisition scripts (one `Vec<Step>` per slot).
-    pub scripts: Vec<Vec<Step>>,
-    /// Weakened mechanism under test.
-    pub mutation: Mutation,
 }
 
 impl LockModelConfig {
-    /// The cycle-heavy configuration: 3 transactions × 3 locks, rotated
-    /// scripts with a shared first step and a queue-jumping upgrade, all
-    /// slots admitted at once. Deadlock cycles of length 2 and 3 are
-    /// reachable, as are upgrade deadlocks.
+    /// Rows the scripts touch.
+    pub fn locks(&self) -> usize {
+        let items = self.scripts.iter().flatten().map(|&(item, _)| item);
+        items.max().map_or(0, |top| top as usize + 1)
+    }
+
+    /// The cycle-heavy configuration: 3 transactions × 3 locks, all admitted
+    /// at once. Transaction `i` reads item `i`, updates item `i + 1`, then
+    /// updates item `i`: rotated orders make waits-for cycles of three
+    /// reachable, each with a reader in it, and end on a queue-jumping
+    /// upgrade.
     pub fn cycle() -> LockModelConfig {
-        let txns = 3usize;
-        let locks = 3u8;
-        let scripts = (0..txns)
-            .map(|i| {
-                let a = i as u8 % locks;
-                let b = (i as u8 + 1) % locks;
-                vec![
-                    (a, Mode::Shared),
-                    (b, Mode::Exclusive),
-                    (a, Mode::Exclusive),
-                ]
-            })
-            .collect();
+        let (s, x) = (Mode::Shared, Mode::Exclusive);
+        let script = |i: u8| vec![(i, s), ((i + 1) % 3, x), (i, x)];
         LockModelConfig {
-            txns,
-            locks: locks as usize,
+            scripts: (0..3).map(script).collect(),
             max_inflight: 3,
             max_retries: 3,
             max_timeouts: 1,
-            scripts,
-            mutation: Mutation::None,
         }
     }
 
-    /// The convoy configuration: 3 transactions all acquiring the same two
-    /// items in the same order through a 2-slot admission gate. No cycles
-    /// are reachable, so every contention event is a pure FIFO convoy —
-    /// the configuration that distinguishes fair queues from overtaking
-    /// ones, and admission queueing from open admission.
+    /// The convoy configuration: 3 transactions updating the same two items
+    /// in the same order through a 2-slot gate. No cycle is reachable, so
+    /// every contention event is a pure FIFO convoy — what tells fair queues
+    /// from overtaking ones, and admission queueing from open admission.
     pub fn convoy() -> LockModelConfig {
-        let txns = 3usize;
-        let scripts = (0..txns)
-            .map(|_| vec![(0u8, Mode::Exclusive), (1u8, Mode::Exclusive)])
-            .collect();
+        let script = vec![(0, Mode::Exclusive), (1, Mode::Exclusive)];
         LockModelConfig {
-            txns,
-            locks: 2,
+            scripts: vec![script; 3],
             max_inflight: 2,
             max_retries: 2,
             max_timeouts: 2,
-            scripts,
-            mutation: Mutation::None,
+        }
+    }
+
+    /// The upgrade configuration: 2 transactions that both read the one item
+    /// and then update it — the classic upgrade deadlock, a waits-for cycle
+    /// of two, which the other configurations cannot reach (no item of
+    /// theirs has two readers).
+    pub fn upgrade() -> LockModelConfig {
+        let script = vec![(0, Mode::Shared), (0, Mode::Exclusive)];
+        LockModelConfig {
+            scripts: vec![script; 2],
+            max_inflight: 2,
+            max_retries: 2,
+            max_timeouts: 1,
         }
     }
 }
 
-/// One scheduler choice. `Arrive` is a client arriving at the admission
-/// gate (admitted immediately when a slot is free, queued FIFO otherwise);
-/// `Poll` is the slot's next protocol action (acquire / re-poll / begin a
-/// retry / commit); `Timeout` fires the armed lock-wait timeout on an
-/// established waiter (the adversary's per-step fault choice).
+/// One scheduler choice. `Arrive`: a client reaches the admission gate
+/// (admitted when a slot is free, queued FIFO otherwise). `Poll`: the slot's
+/// next protocol action (request / re-poll / begin a retry / commit).
+/// `Timeout`: the adversary's fault choice — a waiting slot's re-poll with
+/// the lock-wait timeout armed, which bounces it unless the lock has come
+/// free (each arming spends the budget).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
 pub enum Act {
-    /// Slot arrives at the gate.
     Arrive(u8),
-    /// Slot takes its next protocol step.
     Poll(u8),
-    /// The lock-wait timeout fires for this waiting slot.
     Timeout(u8),
+}
+
+impl Act {
+    fn slot(self) -> u8 {
+        match self {
+            Act::Arrive(s) | Act::Poll(s) | Act::Timeout(s) => s,
+        }
+    }
 }
 
 impl std::fmt::Display for Act {
@@ -215,43 +162,34 @@ impl std::fmt::Display for Act {
     }
 }
 
-/// Where one client slot is in its transaction lifecycle (mirrors the load
-/// engine's `TermState`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Where a client slot is: not yet at the gate, queued there, executing its
+/// script, bounced and queued at the lock manager, aborted and about to try
+/// afresh, committed, or out of retries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 enum Phase {
-    /// Not yet arrived at the gate.
+    #[default]
     Unarrived,
-    /// Arrived; queued at the admission gate.
     Queued,
-    /// In flight, executing its script.
     Running,
-    /// Bounced off a holder; queued at the lock manager.
     Waiting,
-    /// Aborted (doomed victim / timeout); will begin a fresh attempt.
     Backoff,
-    /// Committed.
     Committed,
-    /// Retry budget exhausted.
     GaveUp,
 }
 
 /// One client slot's state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 struct Slot {
     phase: Phase,
-    /// Next script step to acquire; `pc == script.len()` means commit next.
+    /// Next script step; past the end means commit next.
     pc: u8,
-    /// Attempts begun so far (first attempt = 1).
+    /// Attempts begun so far.
     attempt: u8,
-    /// Begin-order rank among *live* transactions (the symmetry-reduced
-    /// TMF id): higher rank = younger. Meaningless unless live.
+    /// Begin-order rank among *live* transactions — all that is kept of a
+    /// TMF id; higher = younger; 0 unless live.
     rank: u8,
-    /// TMF doomed this transaction (deadlock victim chosen while someone
-    /// else was requesting).
+    /// TMF has doomed the slot's live transaction.
     doomed: bool,
-    /// Chosen as a deadlock victim and not yet aborted — the
-    /// one-victim-per-cycle invariant's bookkeeping.
-    victimized: bool,
 }
 
 impl Slot {
@@ -261,110 +199,121 @@ impl Slot {
     }
 }
 
-/// A held lock: `(slot, item, mode)`, insertion-ordered like the real
-/// manager's `held` vector.
-type Held = (u8, u8, Mode);
+/// A lock-table or waiter-queue entry. `slot` is the client whose current
+/// transaction it belongs to and `item` the row it is on; either is
+/// [`STRAY`] when the workload knows of no such thing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Lock {
+    slot: u8,
+    item: u8,
+    exclusive: bool,
+}
 
-/// A queued waiter: `(slot, item, mode)`, FIFO like the real manager's
-/// `waiters` vector.
-type Waiter = (u8, u8, Mode);
+/// Always a `drain` violation.
+const STRAY: u8 = u8::MAX;
 
-/// The canonical model state. Slots are identified by index (their scripts
-/// differ, so slots are distinguishable); transaction *ids* appear only as
-/// compressed age ranks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+impl std::fmt::Display for Lock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "T{}'s {:?} on item {}",
+            self.slot,
+            self.mode(),
+            self.item
+        )
+    }
+}
+
+impl Lock {
+    fn mode(self) -> Mode {
+        let modes = [Mode::Shared, Mode::Exclusive];
+        modes[usize::from(self.exclusive)]
+    }
+
+    /// Can the two not be granted together?
+    fn conflicts(self, other: Lock) -> bool {
+        let together = self.mode().compatible(other.mode());
+        self.slot != other.slot && self.item == other.item && !together
+    }
+}
+
+/// The canonical state: the workload's half (phases, gate, budgets), which
+/// the clients below keep, and the lock plane's half (`held`, `waiters`,
+/// `waits_for`, ranks, `doomed`), which is only ever observed. Slots are told
+/// apart by index (their scripts differ).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 struct St {
     slots: Vec<Slot>,
-    held: Vec<Held>,
-    waiters: Vec<Waiter>,
-    /// `waiter slot -> holder slot` edges, sorted (the map iteration order
-    /// of the real `waits_for` does not matter — lookup is keyed).
+    /// The lock table, in grant order.
+    held: Vec<Lock>,
+    /// The waiter queue, in FIFO order.
+    waiters: Vec<Lock>,
+    /// `waiter slot -> holder slot` edges, sorted.
     waits_for: Vec<(u8, u8)>,
     /// Admission-gate FIFO of queued slots.
     gate: Vec<u8>,
     inflight: u8,
-    /// Adversary timeout budget consumed.
+    /// Timeouts the adversary has armed.
     timeouts_used: u8,
 }
 
 impl St {
+    /// Nobody has arrived.
     fn initial(cfg: &LockModelConfig) -> St {
+        let slots = vec![Slot::default(); cfg.scripts.len()];
         St {
-            slots: (0..cfg.txns)
-                .map(|_| Slot {
-                    phase: Phase::Unarrived,
-                    pc: 0,
-                    attempt: 0,
-                    rank: 0,
-                    doomed: false,
-                    victimized: false,
-                })
-                .collect(),
-            held: Vec::new(),
-            waiters: Vec::new(),
-            waits_for: Vec::new(),
-            gate: Vec::new(),
-            inflight: 0,
-            timeouts_used: 0,
+            slots,
+            ..St::default()
         }
-    }
-
-    /// The transaction-symmetry reduction: compress live ranks to
-    /// `0..live_count` preserving relative age, zero dead ranks.
-    fn canonicalize(&mut self) {
-        let mut live: Vec<(u8, usize)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.live() || s.phase == Phase::Backoff)
-            .map(|(i, s)| (s.rank, i))
-            .collect();
-        live.sort_unstable();
-        for (new_rank, &(_, idx)) in live.iter().enumerate() {
-            self.slots[idx].rank = new_rank as u8;
-        }
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if !(s.live() || s.phase == Phase::Backoff) {
-                s.rank = 0;
-            }
-            debug_assert!(
-                s.live() || s.phase == Phase::Backoff || (!s.doomed && !s.victimized),
-                "slot {i} carries doom state without a live transaction"
-            );
-        }
-        self.waits_for.sort_unstable();
     }
 
     fn edge_from(&self, waiter: u8) -> Option<u8> {
-        self.waits_for
-            .iter()
-            .find(|(w, _)| *w == waiter)
-            .map(|&(_, h)| h)
+        let edge = self.waits_for.iter().find(|(w, _)| *w == waiter);
+        edge.map(|&(_, h)| h)
     }
 
-    fn remove_edge_from(&mut self, waiter: u8) {
-        self.waits_for.retain(|(w, _)| *w != waiter);
+    fn live(&self, slot: u8) -> bool {
+        self.slots.get(slot as usize).is_some_and(Slot::live)
     }
 
-    /// Mirror of `LockManager::release_all` plus TMF forgetting the txn.
-    fn release_all(&mut self, slot: u8) {
-        self.held.retain(|&(s, _, _)| s != slot);
-        self.waiters.retain(|&(s, _, _)| s != slot);
-        self.waits_for.retain(|&(w, h)| w != slot && h != slot);
-        self.slots[slot as usize].doomed = false;
-        self.slots[slot as usize].victimized = false;
+    /// Does `slot` hold a lock on `item` (so that asking for more is an
+    /// upgrade, which jumps the queue)?
+    fn holds(&self, slot: u8, item: u8) -> bool {
+        self.held.iter().any(|h| (h.slot, h.item) == (slot, item))
     }
 }
 
-/// An invariant violation with its replayable schedule.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Which invariant broke.
-    pub invariant: &'static str,
-    /// What exactly went wrong.
-    pub detail: String,
-    /// The action sequence from the initial state that reproduces it.
-    pub schedule: Vec<Act>,
+/// One observed step of the shipped stack.
+struct Transition {
+    before: St,
+    act: Act,
+    /// Deadlock verdicts the Disk Process booked during the action.
+    verdicts: u64,
+    after: St,
+}
+
+/// The situations the invariants are about, as [`Exploration::reach`] counts
+/// them over the explored transitions: deadlock verdicts on a waits-for
+/// cycle of two and of three, verdicts on a request that was upgrading,
+/// verdicts whose victim was not the requester, armed timeouts that fired,
+/// arrivals that had to queue at the gate.
+pub const REACHED: [&str; 6] = [
+    "2-cycle verdicts",
+    "3-cycle verdicts",
+    "upgrade deadlocks",
+    "victims other than the requester",
+    "timeout bounces",
+    "arrivals queued at the gate",
+];
+
+/// One explored state: how it was first reached, and where it leads.
+#[derive(Debug)]
+struct Node {
+    st: St,
+    parent: Option<(u32, Act)>,
+    out: Vec<(Act, u32)>,
+    /// No action changes it.
+    quiescent: bool,
 }
 
 /// Result of exploring one configuration.
@@ -374,459 +323,384 @@ pub struct Exploration {
     pub states: u64,
     /// Transitions taken (stutter steps excluded).
     pub transitions: u64,
-    /// Distinct schedules (root-to-quiescence interleavings) covered by
-    /// the explored graph, saturating at `u64::MAX`.
+    /// Distinct schedules (root-to-quiescence interleavings) covered by the
+    /// explored graph, saturating at `u64::MAX`.
     pub schedules: u64,
     /// Quiescent states reached.
     pub terminals: u64,
     /// Quiescent states in which some slot exhausted its retry budget.
     pub gave_up_terminals: u64,
+    /// How often the transitions reached each of [`REACHED`], in its order.
+    pub reach: [u64; 6],
+    /// FS-DP messages the clusters served over all replays (`sim.metrics`),
+    /// and the lock requests among them that had to wait.
+    pub served: (u64, u64),
     /// First violation found per invariant, minimal-schedule first.
     pub violations: Vec<Violation>,
-    /// Total violating transitions (mutants can trip thousands).
+    /// Total violating transitions.
     pub violation_count: u64,
-}
-
-/// Outcome of applying one action: the successor state, plus any invariant
-/// violations the transition itself raised.
-struct Applied {
-    next: St,
-    violations: Vec<(&'static str, String)>,
+    graph: Vec<Node>,
 }
 
 // ----------------------------------------------------------------------
-// The protocol step function (the branch-for-branch mirror)
+// The workload, driving a live cluster
 // ----------------------------------------------------------------------
 
-/// Mirror of `LockManager::acquire`'s covered check: does `slot` already
-/// hold `item` at sufficient strength?
-fn covered(st: &St, slot: u8, item: u8, mode: Mode) -> bool {
-    st.held
-        .iter()
-        .any(|&(s, i, m)| s == slot && i == item && (m == Mode::Exclusive || mode == Mode::Shared))
+/// A live cluster with the scripted clients on it.
+struct Live<'c> {
+    cfg: &'c LockModelConfig,
+    db: Cluster,
+    fs: FileSystem,
+    of: OpenFile,
+    /// The clients' half of the state, and the lock plane as last observed.
+    st: St,
+    /// Each slot's current transaction, or its last.
+    txns: Vec<Option<TxnId>>,
 }
 
-/// Mirror of the upgrade test: does `slot` hold any lock on `item`?
-fn upgrading(st: &St, slot: u8, item: u8) -> bool {
-    st.held.iter().any(|&(s, i, _)| s == slot && i == item)
-}
-
-/// What `acquire` decided.
-enum AcquireOutcome {
-    /// Granted (or already covered).
-    Granted,
-    /// Bounced off a holder or an earlier queued waiter.
-    Conflict { holder: u8 },
-}
-
-/// Mirror of `LockManager::acquire`, with the independent fifo-no-overtake
-/// invariant check evaluated at grant time (so a mutated mechanism that
-/// grants unfairly is caught by the checker, not trusted).
-fn acquire(
-    st: &mut St,
-    cfg: &LockModelConfig,
-    slot: u8,
-    item: u8,
-    mode: Mode,
-    violations: &mut Vec<(&'static str, String)>,
-) -> AcquireOutcome {
-    // Already covered by one of our own locks at sufficient strength?
-    if covered(st, slot, item, mode) {
-        st.waiters.retain(|&(s, _, _)| s != slot);
-        st.remove_edge_from(slot);
-        return AcquireOutcome::Granted;
-    }
-    // Conflict scan: any overlapping lock by another txn in an
-    // incompatible mode blocks us.
-    for &(s, i, m) in &st.held {
-        if s != slot && i == item && !m.compatible(mode) {
-            return AcquireOutcome::Conflict { holder: s };
-        }
-    }
-    // FIFO fairness scan: an incompatible waiter queued before us gets the
-    // grant first — unless we are upgrading. The OvertakeQueue mutation
-    // deletes exactly this branch.
-    let is_upgrade = upgrading(st, slot, item);
-    if cfg.mutation != Mutation::OvertakeQueue && !is_upgrade {
-        for &(s, i, m) in &st.waiters {
-            if s == slot {
-                break; // only arrivals ahead of our own position count
-            }
-            if i == item && !m.compatible(mode) {
-                return AcquireOutcome::Conflict { holder: s };
-            }
-        }
-    }
-    // Grant. Invariant: the grant must not have bypassed an earlier-queued
-    // incompatible waiter (upgrades excepted).
-    if !is_upgrade {
-        for &(s, i, m) in &st.waiters {
-            if s == slot {
-                break;
-            }
-            if i == item && !m.compatible(mode) {
-                violations.push((
-                    "fifo-no-overtake",
-                    format!(
-                        "T{slot} granted item {item} {mode:?} over earlier queued \
-                         waiter T{s} ({m:?})"
-                    ),
-                ));
-            }
-        }
-    }
-    st.held.push((slot, item, mode));
-    st.waiters.retain(|&(s, _, _)| s != slot);
-    st.remove_edge_from(slot);
-    AcquireOutcome::Granted
-}
-
-/// What `wait` (the declared block) decided.
-enum WaitOutcome {
-    /// Edge recorded; keep waiting.
-    Waiting,
-    /// The new edge closed a cycle; `victim` was chosen and its wait state
-    /// cleared.
-    Deadlock { victim: u8 },
-}
-
-/// Mirror of `LockManager::wait` + `close_cycle`, with the independent
-/// youngest-victim and one-victim-per-cycle invariant checks.
-fn wait(
-    st: &mut St,
-    cfg: &LockModelConfig,
-    waiter: u8,
-    holder: u8,
-    item: u8,
-    mode: Mode,
-    violations: &mut Vec<(&'static str, String)>,
-) -> WaitOutcome {
-    // Find or create the FIFO queue entry; a changed request keeps its
-    // position but updates in place (mirrors the real manager).
-    match st.waiters.iter_mut().find(|(s, _, _)| *s == waiter) {
-        Some(w) => {
-            w.1 = item;
-            w.2 = mode;
-        }
-        None => st.waiters.push((waiter, item, mode)),
-    }
-    // close_cycle: walk holder's wait chain; reaching `waiter` is a cycle.
-    let mut members = vec![waiter, holder];
-    let mut cur = holder;
-    let mut hops = 0usize;
-    while let Some(next) = st.edge_from(cur) {
-        if next == waiter {
-            // A cycle. The mechanism picks its victim (youngest, unless
-            // mutated); the checker independently recomputes the youngest
-            // and audits the choice.
-            let mechanism_victim = match cfg.mutation {
-                Mutation::OldestVictim => *members
-                    .iter()
-                    .min_by_key(|&&s| st.slots[s as usize].rank)
-                    .unwrap_or(&waiter),
-                _ => *members
-                    .iter()
-                    .max_by_key(|&&s| st.slots[s as usize].rank)
-                    .unwrap_or(&waiter),
-            };
-            let true_youngest = *members
-                .iter()
-                .max_by_key(|&&s| st.slots[s as usize].rank)
-                .unwrap_or(&waiter);
-            if mechanism_victim != true_youngest {
-                violations.push((
-                    "youngest-victim",
-                    format!(
-                        "cycle {} chose victim T{mechanism_victim} (rank {}), but the \
-                         youngest member is T{true_youngest} (rank {})",
-                        render_cycle(&members),
-                        st.slots[mechanism_victim as usize].rank,
-                        st.slots[true_youngest as usize].rank,
-                    ),
-                ));
-            }
-            if st.slots[mechanism_victim as usize].victimized {
-                violations.push((
-                    "one-victim-per-cycle",
-                    format!(
-                        "cycle {} re-victimized T{mechanism_victim}: its first \
-                         victimization never dissolved the cycle (doom dropped?)",
-                        render_cycle(&members),
-                    ),
-                ));
-            }
-            st.slots[mechanism_victim as usize].victimized = true;
-            // Clear the victim's wait state (this is what breaks the cycle)
-            // and, when the victim is someone else, record the waiter's
-            // edge — the cycle is already broken, so the edge is safe.
-            st.remove_edge_from(mechanism_victim);
-            st.waiters.retain(|&(s, _, _)| s != mechanism_victim);
-            if mechanism_victim != waiter {
-                st.remove_edge_from(waiter);
-                st.waits_for.push((waiter, holder));
-            }
-            return WaitOutcome::Deadlock {
-                victim: mechanism_victim,
-            };
-        }
-        members.push(next);
-        cur = next;
-        hops += 1;
-        if hops > st.waits_for.len() {
-            break; // defensive: malformed graph
-        }
-    }
-    st.remove_edge_from(waiter);
-    st.waits_for.push((waiter, holder));
-    WaitOutcome::Waiting
-}
-
-fn render_cycle(members: &[u8]) -> String {
-    let names: Vec<String> = members.iter().map(|s| format!("T{s}")).collect();
-    format!("[{}]", names.join("→"))
-}
-
-/// Begin a fresh transaction for `slot` (the TMF `begin`): it becomes the
-/// youngest live transaction.
-fn begin(st: &mut St, slot: u8) {
-    let max_rank = st
-        .slots
-        .iter()
-        .filter(|s| s.live() || s.phase == Phase::Backoff)
-        .map(|s| s.rank)
-        .max()
-        .unwrap_or(0);
-    let s = &mut st.slots[slot as usize];
-    s.phase = Phase::Running;
-    s.pc = 0;
-    s.attempt += 1;
-    s.rank = max_rank + 1;
-    s.doomed = false;
-    s.victimized = false;
-}
-
-/// Abort `slot`'s transaction and put it on the retry path — or give up
-/// past the budget, releasing the admission slot (mirrors the load
-/// engine's `retry` + `release_slot`).
-fn abort_and_retry(st: &mut St, cfg: &LockModelConfig, slot: u8) {
-    st.release_all(slot);
-    let attempts = st.slots[slot as usize].attempt;
-    if attempts > cfg.max_retries {
-        st.slots[slot as usize].phase = Phase::GaveUp;
-        release_gate_slot(st, cfg);
-    } else {
-        // The admission slot is retained across the backoff.
-        st.slots[slot as usize].phase = Phase::Backoff;
-    }
-}
-
-/// Free one admission slot and hand it straight to the head of the gate
-/// FIFO (mirrors `release_slot`: the granted slot begins immediately).
-fn release_gate_slot(st: &mut St, _cfg: &LockModelConfig) {
-    st.inflight -= 1;
-    if !st.gate.is_empty() {
-        let head = st.gate.remove(0);
-        st.inflight += 1;
-        begin(st, head);
-    }
-}
-
-/// Apply one action to a state. Returns `None` when the action is not
-/// enabled there.
-fn apply(st: &St, cfg: &LockModelConfig, act: Act) -> Option<Applied> {
-    let mut next = st.clone();
-    let mut violations = Vec::new();
+/// Is `act` something its slot's client (or the adversary) can do in `st`?
+fn enabled(st: &St, cfg: &LockModelConfig, act: Act) -> bool {
+    let Some(slot) = st.slots.get(act.slot() as usize) else {
+        return false;
+    };
     match act {
-        Act::Arrive(slot) => {
-            if st.slots[slot as usize].phase != Phase::Unarrived {
-                return None;
-            }
-            if (next.inflight as usize) < cfg.max_inflight {
-                next.inflight += 1;
-                begin(&mut next, slot);
-            } else {
-                // The admission-queued branch: the arrival parks FIFO.
-                next.slots[slot as usize].phase = Phase::Queued;
-                next.gate.push(slot);
-            }
-        }
-        Act::Timeout(slot) => {
-            // The lock-wait timeout fires: only meaningful for a waiter
-            // with an established queue entry, and budgeted per schedule.
-            if st.slots[slot as usize].phase != Phase::Waiting
-                || st.timeouts_used >= cfg.max_timeouts
-                || !st.waiters.iter().any(|&(s, _, _)| s == slot)
-            {
-                return None;
-            }
-            next.timeouts_used += 1;
-            // Mirror `LockError::WaitTimeout` → `DpError::LockTimeout` →
-            // `FsError::Doomed` → client abort + retry: the waiter is
-            // dequeued and dooms itself.
-            next.waiters.retain(|&(s, _, _)| s != slot);
-            next.remove_edge_from(slot);
-            abort_and_retry(&mut next, cfg, slot);
-        }
-        Act::Poll(slot) => {
-            let phase = st.slots[slot as usize].phase;
-            match phase {
-                Phase::Backoff => {
-                    // Backoff expired: rerun under a fresh TMF transaction.
-                    begin(&mut next, slot);
-                }
-                Phase::Running | Phase::Waiting => {
-                    let script = &cfg.scripts[slot as usize];
-                    let pc = st.slots[slot as usize].pc as usize;
-                    // The doomed fail-fast check heads both the DP lock
-                    // path and the TMF commit.
-                    if st.slots[slot as usize].doomed {
-                        abort_and_retry(&mut next, cfg, slot);
-                        return finish(st, next, violations);
-                    }
-                    if pc >= script.len() {
-                        // Commit. TMF re-checks the doom flag (mirrored
-                        // above); committing releases everything and frees
-                        // the admission slot.
-                        if next.slots[slot as usize].doomed {
-                            violations
-                                .push(("doomed-commit", format!("T{slot} committed while doomed")));
-                        }
-                        next.release_all(slot);
-                        next.slots[slot as usize].phase = Phase::Committed;
-                        release_gate_slot(&mut next, cfg);
-                        return finish(st, next, violations);
-                    }
-                    let (item, mode) = script[pc];
-                    match acquire(&mut next, cfg, slot, item, mode, &mut violations) {
-                        AcquireOutcome::Granted => {
-                            next.slots[slot as usize].phase = Phase::Running;
-                            next.slots[slot as usize].pc += 1;
-                        }
-                        AcquireOutcome::Conflict { holder } => {
-                            match wait(&mut next, cfg, slot, holder, item, mode, &mut violations) {
-                                WaitOutcome::Waiting => {
-                                    next.slots[slot as usize].phase = Phase::Waiting;
-                                }
-                                WaitOutcome::Deadlock { victim } => {
-                                    if victim == slot {
-                                        // `DpError::Deadlock` propagates to
-                                        // this client, which aborts and
-                                        // retries.
-                                        abort_and_retry(&mut next, cfg, slot);
-                                    } else {
-                                        // Doom the younger victim at the
-                                        // TMF and keep this (older)
-                                        // requester politely waiting. The
-                                        // DropDoom mutation loses exactly
-                                        // this edge.
-                                        if cfg.mutation != Mutation::DropDoom {
-                                            next.slots[victim as usize].doomed = true;
-                                        }
-                                        next.slots[slot as usize].phase = Phase::Waiting;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Phase::Unarrived | Phase::Queued | Phase::Committed | Phase::GaveUp => {
-                    return None;
-                }
-            }
-        }
+        Act::Arrive(_) => slot.phase == Phase::Unarrived,
+        Act::Poll(_) => slot.live() || slot.phase == Phase::Backoff,
+        Act::Timeout(_) => slot.phase == Phase::Waiting && st.timeouts_used < cfg.max_timeouts,
     }
-    finish(st, next, violations)
 }
 
-/// Canonicalize the successor, run the per-state invariants, and filter
-/// stutter steps (a transition that leaves the canonical state unchanged
-/// is not a transition).
-fn finish(st: &St, mut next: St, mut violations: Vec<(&'static str, String)>) -> Option<Applied> {
-    next.canonicalize();
-    if next == *st && violations.is_empty() {
-        return None;
+impl<'c> Live<'c> {
+    /// A fresh cluster, one row per lockable item, taken through `schedule`.
+    fn at(cfg: &'c LockModelConfig, schedule: &[Act]) -> Result<Live<'c>, String> {
+        let (db, of) = stack::build(false, DiskProcessConfig::default(), cfg.locks() as i32)?;
+        let fs = FileSystem::new(db.sim.clone(), Arc::clone(&db.bus), CpuId::new(0, 0));
+        let (st, txns) = (St::initial(cfg), vec![None; cfg.scripts.len()]);
+        let mut live = Live {
+            cfg,
+            db,
+            fs,
+            of,
+            st,
+            txns,
+        };
+        for (i, &act) in schedule.iter().enumerate() {
+            let stepped = live.step(act);
+            stepped.map_err(|e| format!("step {i}: {e}"))?;
+        }
+        Ok(live)
     }
-    state_invariants(&next, &mut violations);
-    Some(Applied { next, violations })
+
+    /// Begin a fresh transaction for `slot` at the TMF: the youngest.
+    fn begin(&mut self, slot: u8) {
+        self.txns[slot as usize] = Some(self.db.txnmgr.begin());
+        let s = &mut self.st.slots[slot as usize];
+        (s.phase, s.pc, s.attempt) = (Phase::Running, 0, s.attempt + 1);
+    }
+
+    /// The slot's transaction is gone: back off (keeping the admission slot)
+    /// and run again — or give up past the budget, which frees it.
+    fn retry(&mut self, slot: u8) {
+        let s = &mut self.st.slots[slot as usize];
+        if s.attempt > self.cfg.max_retries {
+            s.phase = Phase::GaveUp;
+            self.release_gate_slot();
+        } else {
+            s.phase = Phase::Backoff;
+        }
+    }
+
+    /// Free one admission slot, or rather hand it straight to the head of
+    /// the gate FIFO, which begins at once.
+    fn release_gate_slot(&mut self) {
+        if self.st.gate.is_empty() {
+            self.st.inflight -= 1;
+        } else {
+            let head = self.st.gate.remove(0);
+            self.begin(head);
+        }
+    }
+
+    /// The slot's next request, or its commit at the end of its script.
+    fn poll(&mut self, slot: u8) -> Result<(), String> {
+        let txn = self.txns[slot as usize].ok_or("no transaction")?;
+        let (of, cpu) = (&self.of, self.fs.cpu);
+        let pc = self.st.slots[slot as usize].pc as usize;
+        let Some(&(item, mode)) = self.cfg.scripts[slot as usize].get(pc) else {
+            match self.db.txnmgr.commit(txn, cpu) {
+                Ok(()) => {
+                    self.st.slots[slot as usize].phase = Phase::Committed;
+                    self.release_gate_slot();
+                }
+                // TMF refused, and rolled the doomed transaction back.
+                Err(TxnError::Doomed(_)) => self.retry(slot),
+                Err(e) => return Err(format!("T{slot} commit: {e}")),
+            }
+            return Ok(());
+        };
+        let key = stack::key(of, i32::from(item) + 1);
+        let sent = match mode {
+            Mode::Shared => {
+                let read = self.fs.read_by_key(Some(txn), of, &key, ReadLock::Shared);
+                read.map(drop)
+            }
+            Mode::Exclusive => self.fs.update_by_key(txn, of, &key, &stack::bump(), None),
+        };
+        let s = &mut self.st.slots[slot as usize];
+        match sent {
+            Ok(()) => (s.phase, s.pc) = (Phase::Running, s.pc + 1),
+            // Queued behind a holder: to re-poll.
+            Err(FsError::Dp(DpError::Locked { .. })) => s.phase = Phase::Waiting,
+            // A deadlock victim — chosen on this very request, or earlier on
+            // someone else's — or timed out.
+            Err(FsError::Doomed { .. }) => {
+                let aborted = self.db.txnmgr.abort(txn, cpu);
+                aborted.map_err(|e| format!("T{slot} abort: {e}"))?;
+                self.retry(slot);
+            }
+            Err(e) => return Err(format!("T{slot} step {pc}: {e}")),
+        }
+        Ok(())
+    }
+
+    /// Take one action and observe.
+    fn step(&mut self, act: Act) -> Result<(), String> {
+        if !enabled(&self.st, self.cfg, act) {
+            return Err(format!("action {act} is not enabled"));
+        }
+        let slot = act.slot();
+        match act {
+            Act::Arrive(_) if self.st.inflight < self.cfg.max_inflight => {
+                self.st.inflight += 1;
+                self.begin(slot);
+            }
+            Act::Arrive(_) => {
+                self.st.slots[slot as usize].phase = Phase::Queued;
+                self.st.gate.push(slot);
+            }
+            // Backoff over: a fresh attempt.
+            Act::Poll(_) if !self.st.live(slot) => self.begin(slot),
+            Act::Poll(_) => self.poll(slot)?,
+            Act::Timeout(_) => {
+                // One re-poll under a budget any wait has outlasted.
+                self.st.timeouts_used += 1;
+                self.db.set_lock_wait_timeout(1);
+                let polled = self.poll(slot);
+                self.db.set_lock_wait_timeout(0);
+                polled?
+            }
+        }
+        self.observe();
+        Ok(())
+    }
+
+    /// [`Self::step`], with what there was to observe before and after it.
+    fn transition(&mut self, act: Act) -> Result<Transition, String> {
+        let (before, deadlocks) = (self.st.clone(), self.db.snapshot().deadlocks);
+        self.step(act)?;
+        let verdicts = self.db.snapshot().deadlocks - deadlocks;
+        let after = self.st.clone();
+        Ok(Transition {
+            before,
+            act,
+            verdicts,
+            after,
+        })
+    }
+
+    /// Read the lock plane's half of the state off the shipped stack.
+    fn observe(&mut self) {
+        let dp = self.db.dp(VOLUME);
+        let stray = |at: Option<usize>| at.map_or(STRAY, |i| i as u8);
+        let slot_of = |txn: TxnId| stray(self.txns.iter().position(|t| *t == Some(txn)));
+        let rows = 1..=self.cfg.locks() as i32;
+        let row = |k| LockScope::record(stack::key(&self.of, k));
+        let rows: Vec<LockScope> = rows.map(row).collect();
+        let lock = |txn: TxnId, scope: &LockScope, mode: Mode| Lock {
+            slot: slot_of(txn),
+            item: stray(rows.iter().position(|r| r == scope)),
+            exclusive: mode == Mode::Exclusive,
+        };
+        let held = dp.locks.held();
+        let held = held.iter().map(|h| lock(h.txn, &h.scope, h.mode));
+        let waiters = dp.locks.waiters();
+        let waiters = waiters.iter().map(|w| lock(w.txn, &w.scope, w.mode));
+        let edges = dp.locks.wait_edges();
+        let edges = edges.iter().map(|&(w, h)| (slot_of(w), slot_of(h)));
+        (self.st.held, self.st.waiters) = (held.collect(), waiters.collect());
+        self.st.waits_for = edges.collect();
+        self.st.waits_for.sort_unstable();
+        // Live transactions, oldest first: a TMF id is its begin order.
+        let live = |s: &usize| self.st.slots[*s].live();
+        let mut live: Vec<(Option<TxnId>, usize)> = (0..self.txns.len())
+            .filter(live)
+            .map(|s| (self.txns[s], s))
+            .collect();
+        live.sort_unstable();
+        for s in &mut self.st.slots {
+            (s.rank, s.doomed) = (0, false);
+        }
+        for (rank, (txn, s)) in live.into_iter().enumerate() {
+            let doomed = txn.is_some_and(|txn| self.db.txnmgr.is_doomed(txn));
+            (self.st.slots[s].rank, self.st.slots[s].doomed) = (rank as u8, doomed);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The invariants, over observations
+// ----------------------------------------------------------------------
+
+/// The waits-for cycles a request for `want` would close in `st`: for each
+/// transaction it would have to wait for — a conflicting holder, or (unless
+/// it is upgrading) a conflicting waiter queued ahead of it — the members of
+/// the chain from there back to the requester, when there is one.
+fn cycles(st: &St, want: Lock) -> Vec<Vec<u8>> {
+    let ahead = st.waiters.iter().take_while(|w| w.slot != want.slot);
+    let ahead = ahead.filter(|_| !st.holds(want.slot, want.item));
+    let blockers = st.held.iter().chain(ahead).filter(|l| l.conflicts(want));
+    let chain = |blocker: &Lock| {
+        let mut members = vec![want.slot, blocker.slot];
+        while let Some(next) = st.edge_from(members[members.len() - 1]) {
+            if next == want.slot {
+                return Some(members);
+            }
+            if members.contains(&next) {
+                break; // a cycle the requester is not on
+            }
+            members.push(next);
+        }
+        None
+    };
+    blockers.filter_map(chain).collect()
+}
+
+/// The invariants of one transition and of the state it leads to; and which
+/// of [`REACHED`] (by index) the transition reached.
+fn check(cfg: &LockModelConfig, t: &Transition) -> (Vec<Broke>, Vec<usize>) {
+    let (mut broke, mut reached) = (Vec::new(), Vec::new());
+    let slot = t.act.slot();
+    let me = &t.before.slots[slot as usize];
+    let then = &t.after.slots[slot as usize];
+    // The requester's transaction was live, and the action ended it unhappily.
+    let aborted = me.live() && matches!(then.phase, Phase::Backoff | Phase::GaveUp);
+    // fifo-no-overtake: what was granted did not bypass an earlier-queued
+    // incompatible waiter (upgrades excepted).
+    for g in t.after.held.iter().filter(|l| !t.before.held.contains(l)) {
+        let ahead = t.before.waiters.iter().take_while(|w| w.slot != g.slot);
+        let upgrade = t.before.holds(g.slot, g.item);
+        for w in ahead.filter(|w| w.conflicts(*g) && !upgrade) {
+            let detail = format!("{g} was granted over the earlier queued {w}");
+            broke.push(("fifo-no-overtake", detail));
+        }
+    }
+    // A deadlock verdict: who was shot, and was it the right one?
+    let step = cfg.scripts[slot as usize].get(me.pc as usize);
+    if let (true, Some(&(item, mode))) = (t.verdicts > 0, step) {
+        let exclusive = mode == Mode::Exclusive;
+        let closed = cycles(
+            &t.before,
+            Lock {
+                slot,
+                item,
+                exclusive,
+            },
+        );
+        let rank = |s: &u8| t.before.slots[*s as usize].rank;
+        let youngest = |cycle: &[u8]| cycle.iter().copied().max_by_key(rank);
+        let newly = |s: &usize| t.after.slots[*s].doomed && !t.before.slots[*s].doomed;
+        // A requester that goes down with a verdict is its victim.
+        let other = (0..t.after.slots.len()).find(newly).map(|s| s as u8);
+        let victim = if aborted { Some(slot) } else { other };
+        let cycle = closed.iter().find(|c| youngest(c) == victim);
+        match (victim, cycle) {
+            // The verdict doomed nobody new: its victim already was, or the
+            // doom got lost. Either way the cycle stands.
+            (None, _) => {
+                let detail = format!(
+                    "T{slot}'s request closed the cycle(s) {closed:?} and the verdict doomed \
+                     nobody who was not doomed already: the cycle stands"
+                );
+                broke.push(("one-victim-per-cycle", detail));
+            }
+            (Some(victim), None) => {
+                let detail = format!(
+                    "T{slot}'s request closed the cycle(s) {closed:?} and T{victim} (rank {}) \
+                     was chosen: not the youngest member of any of them",
+                    rank(&victim)
+                );
+                broke.push(("youngest-victim", detail));
+            }
+            (Some(victim), Some(cycle)) => {
+                let upgrade = t.before.holds(slot, item);
+                let found = [cycle.len() == 2, cycle.len() == 3, upgrade, victim != slot];
+                reached.extend((0..4).filter(|&i| found[i]));
+            }
+        }
+    }
+    if then.phase == Phase::Committed && me.doomed {
+        broke.push(("doomed-commit", format!("T{slot} committed while doomed")));
+    }
+    // An armed timeout bounced a waiter that was not going down anyway.
+    let timed_out = matches!(t.act, Act::Timeout(_)) && aborted && !me.doomed;
+    reached.extend(timed_out.then_some(4));
+    reached.extend((then.phase == Phase::Queued).then_some(5));
+    state_invariants(&t.after, &mut broke);
+    (broke, reached)
 }
 
 /// Invariants of every reachable state (not just quiescent ones).
-fn state_invariants(st: &St, violations: &mut Vec<(&'static str, String)>) {
+fn state_invariants(st: &St, broke: &mut Vec<Broke>) {
     // Serializability: with strict 2PL (every effect under a lock held to
     // commit/abort), conflict-serializability of committed effects is
     // exactly "no two live transactions hold incompatible locks on the
     // same item".
-    for (i, &(s1, it1, m1)) in st.held.iter().enumerate() {
-        for &(s2, it2, m2) in &st.held[i + 1..] {
-            if s1 != s2 && it1 == it2 && !m1.compatible(m2) {
-                violations.push((
-                    "serializability",
-                    format!(
-                        "T{s1} ({m1:?}) and T{s2} ({m2:?}) both hold item {it1}: \
-                         incompatible simultaneous holds break 2PL \
-                         conflict-serializability"
-                    ),
-                ));
-            }
+    for (i, a) in st.held.iter().enumerate() {
+        for b in st.held[i + 1..].iter().filter(|b| b.conflicts(*a)) {
+            let detail = format!("{a} and {b} are both held: that breaks 2PL serializability");
+            broke.push(("serializability", detail));
         }
     }
     // Lock state must belong to live transactions only.
-    for &(s, item, _) in st.held.iter().chain(st.waiters.iter()) {
-        if !st.slots[s as usize].live() {
-            violations.push((
-                "drain",
-                format!(
-                    "T{s} ({:?}) still appears in the lock table / waiter queue \
-                     for item {item}",
-                    st.slots[s as usize].phase
-                ),
-            ));
+    for l in st.held.iter().chain(&st.waiters) {
+        if !st.live(l.slot) || l.item == STRAY {
+            let detail = format!("{l} is held or queued for, and T{} is not live", l.slot);
+            broke.push(("drain", detail));
         }
     }
     for &(w, h) in &st.waits_for {
-        if !st.slots[w as usize].live() || !st.slots[h as usize].live() {
-            violations.push((
-                "drain",
-                format!("stale waits-for edge T{w}→T{h} references a dead transaction"),
-            ));
+        if !st.live(w) || !st.live(h) {
+            let detail = format!("stale waits-for edge T{w}→T{h} references a dead transaction");
+            broke.push(("drain", detail));
         }
     }
 }
 
-/// Invariants of a quiescent state (no enabled actions).
-fn quiescent_invariants(st: &St, violations: &mut Vec<(&'static str, String)>) {
+/// Invariants of a quiescent state (no action changes it).
+fn quiescent_invariants(st: &St, broke: &mut Vec<Broke>) {
     for (i, s) in st.slots.iter().enumerate() {
         if !matches!(s.phase, Phase::Committed | Phase::GaveUp) {
-            violations.push((
-                "liveness-stuck",
-                format!(
-                    "quiescent state leaves T{i} in {:?} (pc {}, attempt {}): \
-                     stuck waiter or lost wakeup",
-                    s.phase, s.pc, s.attempt
-                ),
-            ));
+            let detail = format!(
+                "quiescent state leaves T{i} in {:?} (pc {}, attempt {}): stuck waiter or \
+                 lost wakeup",
+                s.phase, s.pc, s.attempt
+            );
+            broke.push(("liveness-stuck", detail));
         }
     }
-    if !st.held.is_empty() || !st.waiters.is_empty() || !st.waits_for.is_empty() {
-        violations.push((
-            "drain",
-            format!(
-                "quiescent state leaks lock state: {} held, {} waiting, {} edges",
-                st.held.len(),
-                st.waiters.len(),
-                st.waits_for.len()
-            ),
-        ));
+    let lock_state = (st.held.len(), st.waiters.len(), st.waits_for.len());
+    if lock_state != (0, 0, 0) {
+        let detail =
+            format!("quiescent state leaks lock state (held, waiting, edges): {lock_state:?}");
+        broke.push(("drain", detail));
     }
-    if !st.gate.is_empty() || st.inflight != 0 {
-        violations.push((
-            "drain",
-            format!(
-                "quiescent state leaks admission state: {} queued, {} in flight",
-                st.gate.len(),
-                st.inflight
-            ),
-        ));
+    if (st.gate.len(), st.inflight) != (0, 0) {
+        let detail = format!(
+            "quiescent state leaks admission state: {} queued, {} in flight",
+            st.gate.len(),
+            st.inflight
+        );
+        broke.push(("drain", detail));
     }
 }
 
@@ -836,115 +710,120 @@ fn quiescent_invariants(st: &St, violations: &mut Vec<(&'static str, String)>) {
 
 /// All actions, in the deterministic enumeration order.
 fn all_actions(cfg: &LockModelConfig) -> Vec<Act> {
-    let mut acts = Vec::new();
-    for s in 0..cfg.txns as u8 {
-        acts.push(Act::Arrive(s));
-        acts.push(Act::Poll(s));
-        acts.push(Act::Timeout(s));
+    let slots = 0..cfg.scripts.len() as u8;
+    let of = |s| [Act::Arrive(s), Act::Poll(s), Act::Timeout(s)];
+    slots.flat_map(of).collect()
+}
+
+/// `act` taken on a fresh cluster brought to `before` by `prefix`: the
+/// transition, unless it leaves the observation as it was (a stutter is not
+/// a transition).
+fn expand(
+    cfg: &LockModelConfig,
+    prefix: &[Act],
+    before: &St,
+    act: Act,
+    served: &mut (u64, u64),
+) -> Result<Option<Transition>, String> {
+    let mut live = Live::at(cfg, prefix)?;
+    if live.st != *before {
+        return Err("the prefix did not lead to the state it led to before".into());
     }
-    acts
+    let t = live.transition(act)?;
+    let counters = live.db.snapshot();
+    served.0 += counters.msgs_fs_dp;
+    served.1 += counters.lock_waits;
+    Ok((t.after != *before).then_some(t))
 }
 
 /// Exhaustively explore every interleaving of the configuration by BFS
 /// over canonical states. Deterministic: state discovery order, violation
 /// order, and all counts depend only on `cfg`.
 pub fn explore(cfg: &LockModelConfig) -> Exploration {
-    assert_eq!(cfg.scripts.len(), cfg.txns, "one script per slot");
     assert!(cfg.max_inflight > 0, "admission gate needs capacity");
-    let acts = all_actions(cfg);
+    let node = |st, parent| Node {
+        st,
+        parent,
+        out: Vec::new(),
+        quiescent: false,
+    };
     let mut out = Exploration::default();
-
+    out.graph.push(node(St::initial(cfg), None));
     // Interned states: canonical state -> dense index.
-    let mut index: HashMap<St, u32> = HashMap::new();
-    let mut states: Vec<St> = Vec::new();
-    // BFS parent pointers for schedule reconstruction.
-    let mut parent: Vec<Option<(u32, Act)>> = Vec::new();
-    // Explored edges, for path counting.
-    let mut edges: Vec<Vec<u32>> = Vec::new();
-    let mut quiescent: Vec<bool> = Vec::new();
-
-    let mut root = St::initial(cfg);
-    root.canonicalize();
-    index.insert(root.clone(), 0);
-    states.push(root);
-    parent.push(None);
-    edges.push(Vec::new());
-    quiescent.push(false);
-
-    let mut seen_invariants: Vec<&'static str> = Vec::new();
+    let mut index: HashMap<St, u32> = HashMap::from([(St::initial(cfg), 0)]);
+    // The first violation of each invariant is kept, with its schedule.
+    let report = |out: &mut Exploration, broke: Vec<Broke>, schedule: &[Act]| {
+        for (invariant, detail) in broke {
+            out.violation_count += 1;
+            if out.violations.iter().all(|v| v.invariant != invariant) {
+                let schedule = schedule.to_vec();
+                out.violations.push(Violation {
+                    invariant,
+                    detail,
+                    schedule,
+                });
+            }
+        }
+    };
     let mut queue: VecDeque<u32> = VecDeque::from([0u32]);
     while let Some(at) = queue.pop_front() {
-        let st = states[at as usize].clone();
-        let mut enabled = 0usize;
-        for &act in &acts {
-            let Some(applied) = apply(&st, cfg, act) else {
+        let st = out.graph[at as usize].st.clone();
+        let prefix = reconstruct(&out.graph, at);
+        let mut moved = false;
+        for act in all_actions(cfg) {
+            if !enabled(&st, cfg, act) {
                 continue;
+            }
+            let schedule = [prefix.as_slice(), &[act]].concat();
+            let t = match expand(cfg, &prefix, &st, act, &mut out.served) {
+                Ok(Some(t)) => t,
+                Ok(None) => continue,
+                // Not the stack's answer to anything a client may do.
+                Err(detail) => {
+                    report(&mut out, vec![("protocol", detail)], &schedule);
+                    continue;
+                }
             };
-            enabled += 1;
+            moved = true;
             out.transitions += 1;
-            for (invariant, detail) in &applied.violations {
-                out.violation_count += 1;
-                if !seen_invariants.contains(invariant) {
-                    seen_invariants.push(invariant);
-                    let mut schedule = reconstruct(&parent, at);
-                    schedule.push(act);
-                    out.violations.push(Violation {
-                        invariant,
-                        detail: detail.clone(),
-                        schedule,
-                    });
-                }
+            let (broke, reached) = check(cfg, &t);
+            for situation in reached {
+                out.reach[situation] += 1;
             }
-            if !applied.violations.is_empty() {
-                // A violating transition is a counterexample, not a state
-                // to build on: stop expanding past it.
-                continue;
+            // A violating transition is a counterexample, not a state to
+            // build on.
+            if broke.is_empty() {
+                let next = *index.entry(t.after).or_insert_with_key(|after| {
+                    out.graph.push(node(after.clone(), Some((at, act))));
+                    queue.push_back(out.graph.len() as u32 - 1);
+                    out.graph.len() as u32 - 1
+                });
+                out.graph[at as usize].out.push((act, next));
             }
-            let next_idx = match index.get(&applied.next) {
-                Some(&i) => i,
-                None => {
-                    let i = states.len() as u32;
-                    index.insert(applied.next.clone(), i);
-                    states.push(applied.next);
-                    parent.push(Some((at, act)));
-                    edges.push(Vec::new());
-                    quiescent.push(false);
-                    queue.push_back(i);
-                    i
-                }
-            };
-            edges[at as usize].push(next_idx);
+            report(&mut out, broke, &schedule);
         }
-        if enabled == 0 {
-            quiescent[at as usize] = true;
+        if !moved {
+            out.graph[at as usize].quiescent = true;
             out.terminals += 1;
-            if st.slots.iter().any(|s| s.phase == Phase::GaveUp) {
-                out.gave_up_terminals += 1;
-            }
-            let mut vs = Vec::new();
-            quiescent_invariants(&st, &mut vs);
-            for (invariant, detail) in vs {
-                out.violation_count += 1;
-                if !seen_invariants.contains(&invariant) {
-                    seen_invariants.push(invariant);
-                    out.violations.push(Violation {
-                        invariant,
-                        detail,
-                        schedule: reconstruct(&parent, at),
-                    });
-                }
-            }
+            let gave_up = st.slots.iter().any(|s| s.phase == Phase::GaveUp);
+            out.gave_up_terminals += u64::from(gave_up);
+            let mut broke = Vec::new();
+            quiescent_invariants(&st, &mut broke);
+            report(&mut out, broke, &prefix);
         }
     }
-    out.states = states.len() as u64;
-    out.schedules = count_schedules(&edges, &quiescent, &mut out.violations);
+    out.states = out.graph.len() as u64;
+    match count_schedules(&out.graph) {
+        Ok(schedules) => out.schedules = schedules,
+        Err(livelock) => report(&mut out, vec![livelock], &[]),
+    }
     out
 }
 
 /// Rebuild the action path from the root to `at` via BFS parent pointers.
-fn reconstruct(parent: &[Option<(u32, Act)>], mut at: u32) -> Vec<Act> {
+fn reconstruct(graph: &[Node], mut at: u32) -> Vec<Act> {
     let mut acts = Vec::new();
-    while let Some((prev, act)) = parent[at as usize] {
+    while let Some((prev, act)) = graph[at as usize].parent {
         acts.push(act);
         at = prev;
     }
@@ -953,69 +832,73 @@ fn reconstruct(parent: &[Option<(u32, Act)>], mut at: u32) -> Vec<Act> {
 }
 
 /// Count distinct root-to-quiescence paths through the explored graph by
-/// DP in topological order. The graph must be acyclic — begin ranks,
-/// attempt counters and script pcs are monotone along every path — and a
-/// cycle would mean a livelock (an infinite schedule making no progress),
-/// reported as its own violation.
-fn count_schedules(edges: &[Vec<u32>], quiescent: &[bool], violations: &mut Vec<Violation>) -> u64 {
-    let n = edges.len();
-    let mut indeg = vec![0u32; n];
-    for outs in edges {
-        for &to in outs {
-            indeg[to as usize] += 1;
-        }
+/// DP in topological order. The graph must be acyclic — attempt counters
+/// and script pcs only grow along a path, and the retry and timeout budgets
+/// bound them — and a cycle would mean a livelock (an infinite schedule
+/// making no progress): a violation of its own.
+fn count_schedules(graph: &[Node]) -> Result<u64, Broke> {
+    let mut indeg = vec![0u32; graph.len()];
+    for &(_, to) in graph.iter().flat_map(|n| &n.out) {
+        indeg[to as usize] += 1;
     }
-    let mut paths = vec![0u128; n];
+    let mut paths = vec![0u128; graph.len()];
     paths[0] = 1;
-    let mut ready: VecDeque<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-    let mut visited = 0usize;
-    let mut total: u128 = 0;
-    while let Some(at) = ready.pop_front() {
+    let mut ready: Vec<usize> = (0..graph.len()).filter(|&i| indeg[i] == 0).collect();
+    let (mut visited, mut total) = (0, 0u128);
+    while let Some(at) = ready.pop() {
         visited += 1;
-        if quiescent[at as usize] {
-            total = total.saturating_add(paths[at as usize]);
+        if graph[at].quiescent {
+            total = total.saturating_add(paths[at]);
         }
-        for &to in &edges[at as usize] {
-            paths[to as usize] = paths[to as usize].saturating_add(paths[at as usize]);
+        for &(_, to) in &graph[at].out {
+            paths[to as usize] = paths[to as usize].saturating_add(paths[at]);
             indeg[to as usize] -= 1;
             if indeg[to as usize] == 0 {
-                ready.push_back(to);
+                ready.push(to as usize);
             }
         }
     }
-    if visited != n {
-        violations.push(Violation {
-            invariant: "liveness-livelock",
-            detail: format!(
-                "{} states sit on a cycle in the canonical state graph: some \
-                 schedule loops forever without progress",
-                n - visited
-            ),
-            schedule: Vec::new(),
-        });
+    if visited != graph.len() {
+        let detail = format!(
+            "{} states sit on a cycle in the canonical state graph: some schedule loops \
+             forever without progress",
+            graph.len() - visited
+        );
+        return Err(("liveness-livelock", detail));
     }
-    u64::try_from(total).unwrap_or(u64::MAX)
+    Ok(u64::try_from(total).unwrap_or(u64::MAX))
 }
 
-/// Re-execute an exact action sequence from the initial state, returning
-/// every invariant violation it raises — the replay half of a pinned
-/// counterexample. Returns `Err` if the schedule takes a disabled action.
+/// Re-execute an exact action sequence on a fresh cluster, returning every
+/// invariant violation it raises — the replay half of a printed
+/// counterexample. `Err` if the schedule takes a disabled action or the
+/// stack answers a client with something no client expects.
 pub fn replay(cfg: &LockModelConfig, schedule: &[Act]) -> Result<Vec<Violation>, String> {
-    let mut st = St::initial(cfg);
-    st.canonicalize();
+    let mut live = Live::at(cfg, &[])?;
     let mut out = Vec::new();
-    for (i, &act) in schedule.iter().enumerate() {
-        let Some(applied) = apply(&st, cfg, act) else {
-            return Err(format!("step {i}: action {act} is not enabled"));
-        };
-        for (invariant, detail) in applied.violations {
+    let mut report = |broke: Vec<Broke>, steps: usize| {
+        for (invariant, detail) in broke {
+            let schedule = schedule[..steps].to_vec();
             out.push(Violation {
                 invariant,
                 detail,
-                schedule: schedule[..=i].to_vec(),
+                schedule,
             });
         }
-        st = applied.next;
+    };
+    for (i, &act) in schedule.iter().enumerate() {
+        let t = live.transition(act);
+        let t = t.map_err(|e| format!("step {i}: {e}"))?;
+        report(check(cfg, &t).0, i + 1);
+    }
+    // And where the schedule ends: is it where everything stops?
+    let st = &live.st;
+    let moves = |act| !matches!(expand(cfg, schedule, st, act, &mut (0, 0)), Ok(None));
+    let mut acts = all_actions(cfg).into_iter();
+    if !acts.any(|act| enabled(st, cfg, act) && moves(act)) {
+        let mut broke = Vec::new();
+        quiescent_invariants(st, &mut broke);
+        report(broke, schedule.len());
     }
     Ok(out)
 }
@@ -1029,127 +912,323 @@ pub fn format_schedule(schedule: &[Act]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    #[test]
-    fn cycle_config_is_clean_and_large() {
-        let ex = explore(&LockModelConfig::cycle());
+    /// Each default configuration is explored once per test run.
+    fn explored(name: &str) -> (&'static LockModelConfig, &'static Exploration) {
+        type Cached = OnceLock<(LockModelConfig, Exploration)>;
+        static CACHE: [Cached; 3] = [Cached::new(), Cached::new(), Cached::new()];
+        let (slot, cfg): (_, fn() -> LockModelConfig) = match name {
+            "cycle" => (0, LockModelConfig::cycle),
+            "convoy" => (1, LockModelConfig::convoy),
+            _ => (2, LockModelConfig::upgrade),
+        };
+        let (cfg, ex) = CACHE[slot].get_or_init(|| (cfg(), explore(&cfg())));
+        (cfg, ex)
+    }
+
+    fn clean(name: &str) -> &'static Exploration {
+        let ex = explored(name).1;
         assert!(ex.violations.is_empty(), "{:?}", ex.violations.first());
-        // Exact pins: exploration is deterministic, so these only change
-        // when the model (or the mirrored protocol) changes — and then
-        // lint.toml's [model] floors must be re-measured too.
-        assert_eq!(ex.states, 5_456);
-        assert_eq!(ex.transitions, 12_525);
-        assert_eq!(ex.schedules, 32_055_282);
-        assert_eq!(ex.terminals, 13);
         // Strong liveness at default bounds: every transaction commits —
         // no schedule exhausts a retry budget.
         assert_eq!(ex.gave_up_terminals, 0);
+        // The shipped stack did the work.
+        assert!(ex.served.0 > ex.transitions && ex.served.1 > 0);
+        ex
+    }
+
+    /// `Arrive(T0) Poll(T1) …`, as [`format_schedule`] prints it.
+    fn parse(schedule: &str) -> Vec<Act> {
+        let act = |word: &str| {
+            let slot = word[word.len() - 2..word.len() - 1].parse().unwrap();
+            match &word[..word.len() - 4] {
+                "Arrive" => Act::Arrive(slot),
+                "Poll" => Act::Poll(slot),
+                "Timeout" => Act::Timeout(slot),
+                other => panic!("no action {other}"),
+            }
+        };
+        let acts: Vec<Act> = schedule.split_whitespace().map(act).collect();
+        assert_eq!(format_schedule(&acts), schedule);
+        acts
+    }
+
+    /// The last step of `schedule` on the shipped stack, as observed.
+    fn last_transition(cfg: &LockModelConfig, schedule: &str) -> Transition {
+        let acts = parse(schedule);
+        let (&act, prefix) = acts.split_last().unwrap();
+        let t = Live::at(cfg, prefix).unwrap().transition(act).unwrap();
+        assert_eq!(check(cfg, &t).0, vec![], "the shipped stack is clean here");
+        t
+    }
+
+    fn trips(cfg: &LockModelConfig, t: &Transition, invariant: &str) {
+        let broke = check(cfg, t).0;
+        assert!(broke.iter().any(|(i, _)| *i == invariant), "{broke:?}");
+    }
+
+    // `(states, transitions, schedules)` of each default configuration:
+    // what `lint.toml`'s [model] floors and the tables in EXPERIMENTS.md
+    // were measured from. Exploration is deterministic, so they only
+    // change when the workload or the shipped lock plane does.
+    const CYCLE: (u64, u64, u64) = (4_998, 11_217, 24_432_594);
+    const CONVOY: (u64, u64, u64) = (1_105, 2_058, 148_812);
+    const UPGRADE: (u64, u64, u64) = (233, 352, 1_598);
+
+    fn size(ex: &Exploration) -> (u64, u64, u64) {
+        (ex.states, ex.transitions, ex.schedules)
+    }
+
+    /// Which of [`REACHED`] the exploration got to.
+    fn reached(ex: &Exploration) -> [bool; 6] {
+        ex.reach.map(|n| n > 0)
+    }
+
+    // Between them the three reach every situation the invariants are
+    // about: "0 violations" does not mean "never got there".
+
+    #[test]
+    fn cycle_config_is_clean_and_large() {
+        let ex = clean("cycle");
+        assert_eq!(size(ex), CYCLE);
+        assert_eq!(ex.terminals, 14);
+        assert_eq!(reached(ex), [false, true, false, true, true, false]);
     }
 
     #[test]
     fn convoy_config_is_clean() {
-        let ex = explore(&LockModelConfig::convoy());
-        assert!(ex.violations.is_empty(), "{:?}", ex.violations.first());
-        assert_eq!(ex.states, 1_046);
-        assert_eq!(ex.schedules, 199_836);
-        assert_eq!(ex.gave_up_terminals, 0);
+        let ex = clean("convoy");
+        assert_eq!(size(ex), CONVOY);
+        // Same order everywhere: nothing to deadlock on.
+        assert_eq!(reached(ex), [false, false, false, false, true, true]);
+    }
+
+    #[test]
+    fn upgrade_config_is_clean_and_deadlocks_on_the_upgrade() {
+        let ex = clean("upgrade");
+        assert_eq!(size(ex), UPGRADE);
+        assert_eq!(reached(ex), [true, false, true, true, true, false]);
+        assert_eq!(ex.reach[0], ex.reach[2], "{REACHED:?}");
+    }
+
+    #[test]
+    fn the_floors_are_no_higher_than_what_is_explored() {
+        let floors = crate::config::Config::parse(include_str!("../../../lint.toml")).unwrap();
+        assert!(floors.lock_min_states <= CYCLE.0 + CONVOY.0 + UPGRADE.0);
+        assert!(floors.lock_min_schedules <= CYCLE.2 + CONVOY.2 + UPGRADE.2);
     }
 
     #[test]
     fn exploration_is_deterministic() {
-        let a = explore(&LockModelConfig::cycle());
-        let b = explore(&LockModelConfig::cycle());
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.transitions, b.transitions);
-        assert_eq!(a.schedules, b.schedules);
-        assert_eq!(a.terminals, b.terminals);
+        let (cfg, a) = explored("upgrade");
+        let b = explore(cfg);
+        let shape = |ex: &Exploration| -> Vec<(St, Vec<(Act, u32)>)> {
+            let node = |n: &Node| (n.st.clone(), n.out.clone());
+            ex.graph.iter().map(node).collect()
+        };
+        assert_eq!(shape(a), shape(&b));
+        assert_eq!((a.schedules, a.served), (b.schedules, b.served));
+        assert_eq!(a.reach, b.reach);
+        // And the same prefix gives the same observation on two clusters.
+        let prefix = reconstruct(&a.graph, a.states as u32 - 1);
+        let (x, y) = (Live::at(cfg, &prefix), Live::at(cfg, &prefix));
+        assert_eq!(x.unwrap().st, y.unwrap().st);
     }
 
-    /// The three pinned mutation counterexamples. Each is the BFS-minimal
-    /// schedule, asserted as an exact string (the contention analogue of
-    /// the reply-cache `cache=0` double-apply pin) and replayed.
-    fn pinned_counterexample(cfg: &LockModelConfig, invariant: &str, want_schedule: &str) {
-        let ex = explore(cfg);
-        let v = ex
-            .violations
-            .iter()
-            .find(|v| v.invariant == invariant)
-            .unwrap_or_else(|| panic!("mutation {:?} must break `{invariant}`", cfg.mutation));
-        assert_eq!(format_schedule(&v.schedule), want_schedule);
-        let replayed = replay(cfg, &v.schedule).expect("pinned schedule replays");
+    /// What the deduplication relies on: nothing the fingerprint leaves out
+    /// — reply cache, SCBs, row values, clocks, transaction ids — steers the
+    /// lock plane. Every state the convoy reaches by a second prefix has,
+    /// from that prefix, the successors it has from its first.
+    #[test]
+    fn a_state_reached_by_two_prefixes_has_one_set_of_successors() {
+        let (cfg, ex) = explored("convoy");
+        let mut second: Vec<Option<Vec<Act>>> = vec![None; ex.states as usize];
+        for (from, node) in ex.graph.iter().enumerate() {
+            for &(act, to) in &node.out {
+                if ex.graph[to as usize].parent != Some((from as u32, act)) {
+                    let mut other = reconstruct(&ex.graph, from as u32);
+                    other.push(act);
+                    second[to as usize].get_or_insert(other);
+                }
+            }
+        }
+        let mut compared = 0;
+        for (at, prefix) in second.iter().enumerate() {
+            let Some(prefix) = prefix else { continue };
+            let st = &ex.graph[at].st;
+            for act in all_actions(cfg) {
+                if !enabled(st, cfg, act) {
+                    continue;
+                }
+                let next = expand(cfg, prefix, st, act, &mut (0, 0)).unwrap();
+                let known = ex.graph[at].out.iter().find(|(a, _)| *a == act);
+                let known = known.map(|&(_, to)| &ex.graph[to as usize].st);
+                let next = next.map(|t| t.after);
+                assert_eq!(
+                    next.as_ref(),
+                    known,
+                    "{act} after {}",
+                    format_schedule(prefix)
+                );
+                compared += 1;
+            }
+        }
         assert!(
-            replayed.iter().any(|r| r.invariant == invariant),
-            "replay must reproduce `{invariant}`, got {replayed:?}"
+            compared > 500,
+            "only {compared} successors had a second prefix"
         );
     }
 
     #[test]
+    fn a_stutter_is_not_a_transition() {
+        // T1 is queued behind T0 and polls again: bounced again, nothing to
+        // observe, no edge.
+        let cfg = LockModelConfig::convoy();
+        let prefix = parse("Arrive(T0) Poll(T0) Arrive(T1) Poll(T1)");
+        let at = Live::at(&cfg, &prefix).unwrap().st;
+        let mut served = (0, 0);
+        let again = expand(&cfg, &prefix, &at, Act::Poll(1), &mut served).unwrap();
+        assert!(again.is_none());
+        assert!(served.0 > 0, "but it was a request, and it was served");
+    }
+
+    #[test]
+    fn a_cycle_in_the_state_graph_is_a_livelock() {
+        // 0 → 1 → 2 → 1: no way to count the schedules through that.
+        let node = |to| Node {
+            st: St::initial(&LockModelConfig::upgrade()),
+            parent: None,
+            out: vec![(Act::Poll(0), to)],
+            quiescent: false,
+        };
+        let livelock = count_schedules(&[node(1), node(2), node(1)]).unwrap_err();
+        assert_eq!(livelock.0, "liveness-livelock");
+    }
+
+    // The three schedules below are the minimal counterexamples the
+    // hand-written model printed for its three mutants (a manager that lets
+    // a late arrival overtake the queue, one that shoots the oldest cycle
+    // member, a Disk Process that drops the doom). The shipped stack takes
+    // each of them cleanly; the observation it yields, altered by hand into
+    // what the mutant would have shown, trips the invariant.
+
+    const OVERTAKE: &str =
+        "Arrive(T0) Poll(T0) Poll(T0) Arrive(T1) Poll(T1) Poll(T0) Arrive(T2) Poll(T2)";
+    const OLDEST_VICTIM: &str = "Arrive(T0) Poll(T0) Arrive(T1) Poll(T1) Poll(T0) Arrive(T2) \
+                                 Poll(T2) Poll(T1) Poll(T2)";
+    const DROP_DOOM: &str = "Arrive(T0) Poll(T0) Arrive(T1) Poll(T1) Poll(T0) Arrive(T2) \
+                             Poll(T2) Poll(T2) Poll(T1) Poll(T2)";
+
+    #[test]
     fn overtake_mutation_breaks_fifo() {
-        // T0 holds item 0 and waits on T1's hold of item 1; T1 queues
-        // behind T0 on item 0; T2 then barges straight past queued T1.
-        pinned_counterexample(
-            &LockModelConfig {
-                mutation: Mutation::OvertakeQueue,
-                ..LockModelConfig::convoy()
-            },
-            "fifo-no-overtake",
-            "Arrive(T0) Poll(T0) Poll(T0) Arrive(T1) Poll(T1) Poll(T0) Arrive(T2) Poll(T2)",
-        );
+        // T1 is queued for item 0 when T0 commits; T2 arrives and asks for
+        // it, and is bounced off the queued T1.
+        let cfg = LockModelConfig::convoy();
+        let mut t = last_transition(&cfg, OVERTAKE);
+        assert_eq!(t.after.slots[2].phase, Phase::Waiting);
+        let barged = t.after.waiters.pop().unwrap();
+        assert_eq!((barged.slot, barged.item), (2, 0));
+        t.after.waits_for.retain(|&(w, _)| w != 2);
+        // Granted instead, straight past T1.
+        t.after.held.push(barged);
+        trips(&cfg, &t, "fifo-no-overtake");
     }
 
     #[test]
     fn oldest_victim_mutation_breaks_victim_choice() {
-        // The rotated scripts close the 3-cycle T2→T0→T1; the mutated
-        // policy shoots T0 (rank 0, the oldest) instead of T2 (rank 2).
-        pinned_counterexample(
-            &LockModelConfig {
-                mutation: Mutation::OldestVictim,
-                ..LockModelConfig::cycle()
-            },
-            "youngest-victim",
-            "Arrive(T0) Poll(T0) Arrive(T1) Poll(T1) Poll(T0) Arrive(T2) Poll(T2) \
-             Poll(T1) Poll(T2)",
-        );
+        // The rotated scripts close the 3-cycle T2→T0→T1 on T2's request,
+        // and T2 — the youngest — is shot.
+        let cfg = LockModelConfig::cycle();
+        let mut t = last_transition(&cfg, OLDEST_VICTIM);
+        assert_eq!((t.after.slots[2].phase, t.verdicts), (Phase::Backoff, 1));
+        // T0 (rank 0, the oldest) shot instead; T2 bounced and waits on.
+        t.after = t.before.clone();
+        t.after.slots[2].phase = Phase::Waiting;
+        t.after.slots[0].doomed = true;
+        trips(&cfg, &t, "youngest-victim");
     }
 
     #[test]
     fn drop_doom_mutation_revictimizes_the_cycle() {
-        // The same 3-cycle closes, T2 is chosen — but never doomed, so it
-        // keeps waiting, the cycle re-forms, and detection picks T2 again.
-        pinned_counterexample(
-            &LockModelConfig {
-                mutation: Mutation::DropDoom,
-                ..LockModelConfig::cycle()
-            },
-            "one-victim-per-cycle",
-            "Arrive(T0) Poll(T0) Arrive(T1) Poll(T1) Poll(T0) Arrive(T2) Poll(T2) \
-             Poll(T2) Poll(T1) Poll(T2)",
-        );
+        // T1's request closes the same 3-cycle; T2 is the victim, is doomed
+        // at the TMF, and T1 keeps waiting.
+        let cfg = LockModelConfig::cycle();
+        let verdict = DROP_DOOM.strip_suffix(" Poll(T2)").unwrap();
+        let mut t = last_transition(&cfg, verdict);
+        assert_eq!((t.after.slots[1].phase, t.verdicts), (Phase::Waiting, 1));
+        assert!(t.after.slots[2].doomed);
+        // A verdict, and nobody the worse for it: the cycle stands.
+        t.after.slots[2].doomed = false;
+        trips(&cfg, &t, "one-victim-per-cycle");
     }
 
     #[test]
     fn healthy_protocol_is_clean_on_the_mutant_schedules() {
-        // The drop-doom counterexample's action sequence is also enabled
-        // under the faithful protocol (same prefix up to the second
-        // victimization) — and there it raises nothing.
-        let cfg = LockModelConfig::cycle();
-        let schedule = [
-            Act::Arrive(0),
-            Act::Poll(0),
-            Act::Arrive(1),
-            Act::Poll(1),
-            Act::Poll(0),
-            Act::Arrive(2),
-            Act::Poll(2),
-            Act::Poll(2),
-            Act::Poll(1),
-            Act::Poll(2),
-        ];
-        let replayed = replay(&cfg, &schedule).expect("schedule enabled under healthy protocol");
-        assert!(
-            replayed.is_empty(),
-            "healthy replay must be clean: {replayed:?}"
-        );
+        for (cfg, schedule) in [
+            (LockModelConfig::convoy(), OVERTAKE),
+            (LockModelConfig::cycle(), OLDEST_VICTIM),
+            (LockModelConfig::cycle(), DROP_DOOM),
+        ] {
+            let replayed = replay(&cfg, &parse(schedule)).unwrap();
+            assert!(replayed.is_empty(), "{schedule}: {replayed:?}");
+        }
+    }
+
+    #[test]
+    fn a_doomed_transaction_that_commits_is_caught() {
+        // T0 of the convoy is about to commit. Say it had been doomed, and
+        // committed all the same.
+        let cfg = LockModelConfig::convoy();
+        let mut t = last_transition(&cfg, "Arrive(T0) Poll(T0) Poll(T0) Poll(T0)");
+        assert_eq!(t.after.slots[0].phase, Phase::Committed);
+        t.before.slots[0].doomed = true;
+        trips(&cfg, &t, "doomed-commit");
+    }
+
+    #[test]
+    fn lock_state_that_outlives_its_transaction_is_caught() {
+        let cfg = LockModelConfig::convoy();
+        let committed = "Arrive(T0) Poll(T0) Poll(T0) Poll(T0)";
+        // A lock of the committed T0 left in the table …
+        let mut t = last_transition(&cfg, committed);
+        t.after.held.push(t.before.held[0]);
+        trips(&cfg, &t, "drain");
+        // … a lock of a transaction no client is running …
+        let mut t = last_transition(&cfg, committed);
+        t.after.waiters.push(Lock {
+            slot: STRAY,
+            ..t.before.held[0]
+        });
+        trips(&cfg, &t, "drain");
+        // … an edge to it …
+        let mut t = last_transition(&cfg, "Arrive(T0) Poll(T0) Arrive(T1) Poll(T1)");
+        t.after.slots[0].phase = Phase::Committed;
+        trips(&cfg, &t, "drain");
+        // … and a quiescent state that still holds an admission slot.
+        let mut quiet = last_transition(&cfg, committed).after;
+        quiet
+            .slots
+            .iter_mut()
+            .for_each(|s| s.phase = Phase::Committed);
+        let mut broke = Vec::new();
+        quiescent_invariants(&quiet, &mut broke);
+        assert_eq!(broke, vec![]);
+        quiet.inflight = 1;
+        quiescent_invariants(&quiet, &mut broke);
+        assert_eq!(broke[0].0, "drain");
+    }
+
+    #[test]
+    fn replay_checks_where_a_schedule_comes_to_rest() {
+        // One client after the other, to the end: nothing left anywhere.
+        let cfg = LockModelConfig::upgrade();
+        let serial = "Arrive(T0) Poll(T0) Poll(T0) Poll(T0) Arrive(T1) Poll(T1) Poll(T1) Poll(T1)";
+        assert!(replay(&cfg, &parse(serial)).unwrap().is_empty());
+        let quiet = Live::at(&cfg, &parse(serial)).unwrap().st;
+        assert!(all_actions(&cfg)
+            .iter()
+            .all(|&act| !enabled(&quiet, &cfg, act)));
     }
 
     #[test]

@@ -2,20 +2,22 @@
 //!
 //! ```text
 //! nsql-lint check [--root DIR] [--config FILE] [--update-ratchet]
-//! nsql-lint check-protocol [--keys N] [--depth N] [--cache N] [--retries N]
-//! nsql-lint check-locks [--config FILE] [--mutation NAME] [--retries N] [--timeouts N]
+//! nsql-lint check-protocol [--depth N] [--config FILE]
+//! nsql-lint check-locks [--config FILE]
 //! ```
 //!
 //! `check` lints every `.rs` file in the workspace against `lint.toml` and
-//! exits non-zero on any violation. `check-protocol` exhaustively explores
-//! fault schedules against the FS-DP protocol model and exits non-zero if
-//! any invariant breaks. `check-locks` does the same for the lock-manager /
-//! deadlock / retry protocol; with `--mutation` it instead *demands* a
-//! counterexample from a deliberately weakened mechanism.
+//! exits non-zero on any violation. `check-protocol` runs the shipped stack
+//! under every schedule of at most `--depth` injected faults and exits
+//! non-zero if any invariant of the FS-DP recovery protocol breaks — or if
+//! its negative control, a Disk Process that cannot recognise a
+//! retransmission, fails to break one. `check-locks` runs the shipped lock
+//! manager, Disk Process and TMF under every interleaving of its scripted
+//! clients. Both hold their coverage to the `[model]` floors of `lint.toml`.
 
 use nsql_lint::config::Config;
-use nsql_lint::lockmodel::{self, LockModelConfig, Mutation};
-use nsql_lint::model::{self, ModelConfig};
+use nsql_lint::lockmodel::{self, LockModelConfig};
+use nsql_lint::model::{self, Repair, Scenario};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -31,19 +33,15 @@ fn main() -> ExitCode {
             eprintln!("    --root DIR          workspace root (default: .)");
             eprintln!("    --config FILE       config path (default: <root>/lint.toml)");
             eprintln!("    --update-ratchet    rewrite [ratchet] with current counts");
-            eprintln!("  check-protocol  model-check the FS-DP fault-tolerance protocol");
-            eprintln!("    --keys N            rows per scan/update model (default 6)");
+            eprintln!("  check-protocol  run the shipped FS-DP stack under every fault schedule");
             eprintln!("    --depth N           max injected faults per schedule (default 3)");
-            eprintln!("    --cache N           reply-cache entries per opener (default 8)");
-            eprintln!("    --retries N         send retries before giving up (default 6)");
-            eprintln!("  check-locks     model-check the lock/deadlock/retry protocol");
             eprintln!(
                 "    --config FILE       lint.toml with [model] floors (default: ./lint.toml)"
             );
-            eprintln!("    --retries N         client retries per slot (default per config)");
-            eprintln!("    --timeouts N        adversary timeout budget (default per config)");
-            eprintln!("    --mutation NAME     weaken one mechanism and demand a counterexample");
-            eprintln!("                        (overtake | oldest-victim | drop-doom)");
+            eprintln!("  check-locks     run the shipped lock plane under every interleaving");
+            eprintln!(
+                "    --config FILE       lint.toml with [model] floors (default: ./lint.toml)"
+            );
             return if args.is_empty() {
                 ExitCode::from(2)
             } else {
@@ -186,48 +184,86 @@ fn replace_ratchet_section(text: &str, new_body: &str) -> Result<String, String>
     Ok(out)
 }
 
+/// The `[model]` coverage floors of `--config` (default `./lint.toml`). A
+/// missing file means no floor: ad-hoc invocations outside the workspace
+/// root.
+fn floors(opts: &std::collections::BTreeMap<String, String>) -> Result<Config, String> {
+    let path = opts.get("--config").map_or("lint.toml", String::as_str);
+    match std::fs::read_to_string(path) {
+        Ok(text) => Config::parse(&text).map_err(|e| e.to_string()),
+        Err(_) => Ok(Config::default()),
+    }
+}
+
+/// Hold `got` to its floor; says so on stderr when it fell below.
+fn meets_floor(what: &str, got: u64, floor: u64) -> bool {
+    if got < floor {
+        eprintln!("COVERAGE: {got} {what} < the floor {floor} (coverage can only grow)");
+    }
+    got >= floor
+}
+
+/// The depth `[model] protocol_min_schedules` was measured at.
+const DEFAULT_DEPTH: u64 = 3;
+
 fn cmd_check_protocol(args: &[String]) -> Result<ExitCode, String> {
-    let opts = parse_opts(args, &["--keys", "--depth", "--cache", "--retries"], &[])?;
-    let d = ModelConfig::default();
-    let cfg = ModelConfig {
-        keys: parse_num(&opts, "--keys", d.keys)?,
-        max_faults: parse_num(&opts, "--depth", d.max_faults as u64)? as usize,
-        cache: parse_num(&opts, "--cache", d.cache as u64)? as usize,
-        max_retries: parse_num(&opts, "--retries", u64::from(d.max_retries))? as u32,
-    };
+    let opts = parse_opts(args, &["--depth", "--config"], &[])?;
+    let depth = parse_num(&opts, "--depth", DEFAULT_DEPTH)?;
+    let floors = floors(&opts)?;
     println!(
-        "nsql-lint check-protocol: keys={} depth={} cache={} retries={}",
-        cfg.keys, cfg.max_faults, cfg.cache, cfg.max_retries
+        "nsql-lint check-protocol: depth={depth}, {} rows, every fault of {:?}",
+        model::KEYS,
+        model::FAULTS
     );
 
-    let scan = model::check_scan(cfg);
+    let (mut schedules, mut failed) = (0u64, false);
+    let (mut msgs, mut hits, mut switches) = (0u64, 0u64, 0u64);
+    for repair in [Repair::Takeover, Repair::Restart] {
+        for scenario in [Scenario::Scan, Scenario::Update] {
+            let ex = model::explore(scenario, repair, depth as usize);
+            println!(
+                "  {scenario:?} / {repair:?}: {} schedules run (max {} exchanges), \
+                 {} violation(s)",
+                ex.schedules,
+                ex.max_exchanges,
+                ex.violations.len()
+            );
+            schedules += ex.schedules;
+            msgs += ex.msgs_fs_dp;
+            hits += ex.dup_suppressed;
+            switches += ex.path_switches;
+            for v in &ex.violations {
+                failed = true;
+                eprintln!(
+                    "VIOLATION [{}] in {scenario:?} / {repair:?}: {}\n  schedule: {}",
+                    v.invariant,
+                    v.detail,
+                    model::format_schedule(&v.schedule)
+                );
+            }
+        }
+    }
     println!(
-        "  scan model:   {} schedules explored (max {} exchanges), {} violation(s)",
-        scan.schedules,
-        scan.max_exchanges,
-        scan.violations.len()
-    );
-    let update = model::check_update(cfg);
-    println!(
-        "  update model: {} schedules explored (max {} exchanges), {} violation(s)",
-        update.schedules,
-        update.max_exchanges,
-        update.violations.len()
-    );
-    println!(
-        "  total:        {} schedules",
-        scan.schedules + update.schedules
+        "  total: {schedules} schedules; the clusters served {msgs} FS-DP messages, \
+         {hits} of them from a reply cache, and switched paths {switches} times"
     );
 
-    let mut failed = false;
-    for v in scan.violations.iter().chain(update.violations.iter()) {
-        failed = true;
-        eprintln!(
-            "VIOLATION [{}]: {}\n  schedule: {}",
-            v.invariant,
-            v.detail,
-            model::format_schedule(&v.schedule)
-        );
+    // The negative control: found, minimal, and found again.
+    match (model::negative_control(), model::negative_control()) {
+        (Ok(a), Ok(b)) if a.schedule == b.schedule && a.schedule.len() == 1 => println!(
+            "  negative control: without duplicate suppression, [{}] at {} — reproduced twice",
+            a.invariant,
+            model::format_schedule(&a.schedule)
+        ),
+        (a, b) => {
+            failed = true;
+            eprintln!(
+                "NEGATIVE CONTROL: expected one minimal double apply twice, got {a:?} and {b:?}"
+            );
+        }
+    }
+    if depth == DEFAULT_DEPTH {
+        failed |= !meets_floor("schedules", schedules, floors.protocol_min_schedules);
     }
     if failed {
         eprintln!("nsql-lint check-protocol: FAIL");
@@ -239,133 +275,68 @@ fn cmd_check_protocol(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_check_locks(args: &[String]) -> Result<ExitCode, String> {
-    let opts = parse_opts(
-        args,
-        &["--config", "--retries", "--timeouts", "--mutation"],
-        &[],
-    )?;
-    let mutation = match opts.get("--mutation") {
-        None => Mutation::None,
-        Some(name) => Mutation::parse(name).ok_or_else(|| {
-            format!("unknown mutation `{name}` (overtake | oldest-victim | drop-doom)")
-        })?,
-    };
-    // Coverage floors come from lint.toml; a missing file means no floor
-    // (mutation runs and ad-hoc invocations outside the workspace root).
-    let config_path = PathBuf::from(
-        opts.get("--config")
-            .map(String::as_str)
-            .unwrap_or("lint.toml"),
-    );
-    let floors = std::fs::read_to_string(&config_path)
-        .ok()
-        .map(|text| Config::parse(&text).map_err(|e| e.to_string()))
-        .transpose()?;
+    let opts = parse_opts(args, &["--config"], &[])?;
+    let floors = floors(&opts)?;
+    println!("nsql-lint check-locks: the shipped lock manager, Disk Process and TMF");
 
-    let mut configs = vec![
+    let (mut schedules, mut states, mut failed) = (0u64, 0u64, false);
+    let mut reach = [0u64; lockmodel::REACHED.len()];
+    let configs = [
         ("cycle", LockModelConfig::cycle()),
         ("convoy", LockModelConfig::convoy()),
+        ("upgrade", LockModelConfig::upgrade()),
     ];
-    for (_, cfg) in &mut configs {
-        cfg.mutation = mutation;
-        if let Some(r) = opts.get("--retries") {
-            cfg.max_retries = r
-                .parse()
-                .map_err(|_| format!("--retries expects an integer, got `{r}`"))?;
-        }
-        if let Some(t) = opts.get("--timeouts") {
-            cfg.max_timeouts = t
-                .parse()
-                .map_err(|_| format!("--timeouts expects an integer, got `{t}`"))?;
-        }
-    }
-    println!(
-        "nsql-lint check-locks: mutation={mutation:?} retries={} timeouts={}",
-        configs[0].1.max_retries, configs[0].1.max_timeouts
-    );
-
-    let mut total_schedules: u64 = 0;
-    let mut total_states: u64 = 0;
-    let mut violations = Vec::new();
     for (name, cfg) in &configs {
         let ex = lockmodel::explore(cfg);
         println!(
-            "  {name} model ({}T×{}L, gate {}): {} states, {} transitions, \
-             {} schedules ({} quiescent, {} gave-up), {} violating transition(s)",
-            cfg.txns,
-            cfg.locks,
+            "  {name} ({}T×{}L, gate {}, {} retries, {} timeouts): {} states, {} transitions, \
+             {} schedules ({} quiescent, {} gave-up), {} violating transition(s); \
+             served {} FS-DP messages, {} lock waits",
+            cfg.scripts.len(),
+            cfg.locks(),
             cfg.max_inflight,
+            cfg.max_retries,
+            cfg.max_timeouts,
             ex.states,
             ex.transitions,
             ex.schedules,
             ex.terminals,
             ex.gave_up_terminals,
-            ex.violation_count
+            ex.violation_count,
+            ex.served.0,
+            ex.served.1
         );
-        total_schedules = total_schedules.saturating_add(ex.schedules);
-        total_states += ex.states;
-        violations.extend(ex.violations.into_iter().map(|v| (*name, v)));
-    }
-    println!("  total:        {total_schedules} schedules over {total_states} states");
-
-    for (name, v) in &violations {
-        eprintln!(
-            "VIOLATION [{}] in {name} model: {}\n  schedule: {}",
-            v.invariant,
-            v.detail,
-            lockmodel::format_schedule(&v.schedule)
-        );
-    }
-
-    if mutation != Mutation::None {
-        // Mutation runs invert the exit semantics: the weakened mechanism
-        // MUST produce a counterexample, and it must replay.
-        if violations.is_empty() {
-            eprintln!("nsql-lint check-locks: FAIL — mutation {mutation:?} produced no violation");
-            return Ok(ExitCode::FAILURE);
+        schedules = schedules.saturating_add(ex.schedules);
+        states += ex.states;
+        println!("    reached {:?} of {:?}", ex.reach, lockmodel::REACHED);
+        for (n, here) in reach.iter_mut().zip(ex.reach) {
+            *n += here;
         }
-        for (name, v) in &violations {
-            let Some((_, cfg)) = configs.iter().find(|(n, _)| n == name) else {
-                continue;
+        for v in &ex.violations {
+            failed = true;
+            eprintln!(
+                "VIOLATION [{}] in {name}: {}\n  schedule: {}",
+                v.invariant,
+                v.detail,
+                lockmodel::format_schedule(&v.schedule)
+            );
+            // What is printed is what a fresh cluster does again.
+            let again = match lockmodel::replay(cfg, &v.schedule) {
+                Ok(found) => found.iter().any(|r| r.invariant == v.invariant),
+                Err(_) => v.invariant == "protocol",
             };
-            let replayed = lockmodel::replay(cfg, &v.schedule)
-                .map_err(|e| format!("counterexample does not replay: {e}"))?;
-            if !replayed.iter().any(|r| r.invariant == v.invariant) {
-                eprintln!(
-                    "nsql-lint check-locks: FAIL — replay of [{}] counterexample \
-                     did not reproduce it",
-                    v.invariant
-                );
-                return Ok(ExitCode::FAILURE);
+            if !again && !v.schedule.is_empty() {
+                eprintln!("  (replay on a fresh cluster does not reproduce it)");
             }
         }
-        println!(
-            "nsql-lint check-locks: OK — mutation {mutation:?} caught with {} replayable \
-             counterexample(s)",
-            violations.len()
-        );
-        return Ok(ExitCode::SUCCESS);
     }
-
-    let mut failed = !violations.is_empty();
-    if let Some(cfg) = &floors {
-        if cfg.lock_min_schedules > 0 && total_schedules < cfg.lock_min_schedules {
-            eprintln!(
-                "COVERAGE: {total_schedules} schedules < lock_min_schedules floor {} \
-                 (coverage can only grow)",
-                cfg.lock_min_schedules
-            );
-            failed = true;
-        }
-        if cfg.lock_min_states > 0 && total_states < cfg.lock_min_states {
-            eprintln!(
-                "COVERAGE: {total_states} states < lock_min_states floor {} \
-                 (coverage can only grow)",
-                cfg.lock_min_states
-            );
-            failed = true;
-        }
+    println!("  total: {schedules} schedules over {states} states");
+    // "0 violations" must not mean "never got there".
+    for (n, what) in reach.into_iter().zip(lockmodel::REACHED) {
+        failed |= !meets_floor(what, n, 1);
     }
+    failed |= !meets_floor("schedules", schedules, floors.lock_min_schedules);
+    failed |= !meets_floor("states", states, floors.lock_min_states);
     if failed {
         eprintln!("nsql-lint check-locks: FAIL");
         Ok(ExitCode::FAILURE)

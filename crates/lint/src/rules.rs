@@ -796,8 +796,7 @@ mod tests {
             ratchet: BTreeMap::new(),
             result_discard_crates: vec!["proto".into()],
             result_discard_ratchet: BTreeMap::new(),
-            lock_min_schedules: 0,
-            lock_min_states: 0,
+            ..Config::default()
         }
     }
 

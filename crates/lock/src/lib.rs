@@ -38,12 +38,8 @@
 //! Locking is strict two-phase: transactions release everything at
 //! commit/abort via [`LockManager::release_all`].
 //!
-//! **Model-checked mirror:** `crates/lint/src/lockmodel.rs` re-implements
-//! the acquire / FIFO-fairness / upgrade / `close_cycle` / timeout
-//! branches of this file and exhausts every interleaving of them
-//! (`nsql-lint check-locks`). When changing a branch here, change the
-//! mirror in the same PR — its pinned mutation counterexamples are the
-//! proof that each branch is load-bearing.
+//! `nsql-lint check-locks` runs this manager, as shipped, under every
+//! interleaving of its client scripts (`crates/lint/src/lockmodel.rs`).
 
 use nsql_sim::sync::Mutex;
 use std::collections::HashMap;

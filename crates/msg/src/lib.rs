@@ -168,10 +168,13 @@ struct Entry {
 
 /// Configuration of the deterministic fault plane.
 ///
-/// Every field is drawn against a [`SimRng`] seeded with `seed`, so the
-/// same seed over the same workload produces the same fault schedule —
-/// byte-identical traces included. Probabilities apply independently per
-/// eligible exchange, in the order drop, duplicate, delay, error.
+/// The plane numbers the eligible exchanges it is consulted about, from 0.
+/// An exchange whose number is scripted in `at` gets that fault and draws
+/// nothing; every other one is drawn against a [`SimRng`] seeded with
+/// `seed`, the probabilities applying independently per exchange in the
+/// order drop, duplicate, delay, error. Either way the same config over
+/// the same workload produces the same fault schedule — byte-identical
+/// traces included.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Seed for the fault schedule.
@@ -194,10 +197,11 @@ pub struct FaultConfig {
     pub kinds: Vec<MsgKind>,
     /// Restrict injection to these target processes (None = all).
     pub targets: Option<Vec<String>>,
-    /// Eligible-exchange sequence numbers at which the *target's CPU is
-    /// failed* (server crash mid-workload). Takeover must be arranged by
-    /// the path-switch hook (see [`Bus::set_path_switch`]).
-    pub down_at: Vec<u64>,
+    /// The script: the fault to inject at the n-th eligible exchange,
+    /// decided before any dice are drawn. A server crash mid-workload is
+    /// `(n, Fault::DownTarget)`; takeover must be arranged by the
+    /// path-switch hook (see [`Bus::set_path_switch`]).
+    pub at: Vec<(u64, Fault)>,
 }
 
 impl Default for FaultConfig {
@@ -212,7 +216,7 @@ impl Default for FaultConfig {
             timeout_us: 10_000,
             kinds: vec![MsgKind::FsDp, MsgKind::Redrive],
             targets: None,
-            down_at: Vec::new(),
+            at: Vec::new(),
         }
     }
 }
@@ -229,7 +233,8 @@ impl FaultConfig {
 }
 
 /// One decision of the fault plane for an eligible exchange.
-enum Fault {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
     /// Request lost before the server saw it.
     DropRequest,
     /// Server executed the request but the reply was lost.
@@ -240,7 +245,7 @@ enum Fault {
     Delay(u64),
     /// Transport error.
     Error,
-    /// Fail the target's CPU (one-shot crash from `down_at`).
+    /// Fail the target's CPU (a one-shot crash; scripted only).
     DownTarget,
 }
 
@@ -249,7 +254,7 @@ enum Fault {
 struct FaultPlane {
     cfg: FaultConfig,
     rng: Mutex<SimRng>,
-    /// Count of eligible exchanges seen (the `down_at` sequence space).
+    /// Count of eligible exchanges seen (the sequence space of `at`).
     seq: AtomicU64,
 }
 
@@ -277,8 +282,8 @@ impl FaultPlane {
             return None;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if self.cfg.down_at.contains(&seq) {
-            return Some(Fault::DownTarget);
+        if let Some(&(_, fault)) = self.cfg.at.iter().find(|(n, _)| *n == seq) {
+            return Some(fault);
         }
         let mut rng = self.rng.lock();
         let u = rng.unit();
@@ -392,6 +397,14 @@ impl Bus {
     /// Is the fault plane currently armed?
     pub fn faults_enabled(&self) -> bool {
         self.faults_on.load(Ordering::Relaxed)
+    }
+
+    /// How many eligible exchanges the armed plane has been consulted
+    /// about (0 when it is not armed): the length of the sequence space
+    /// [`FaultConfig::at`] scripts.
+    pub fn fault_exchanges(&self) -> u64 {
+        let consulted = |p: &FaultPlane| p.seq.load(Ordering::Relaxed);
+        self.fault.read().as_ref().map_or(0, consulted)
     }
 
     /// Install the cluster's backup-takeover hook (see [`PathSwitchFn`]).
@@ -923,12 +936,12 @@ mod tests {
     }
 
     #[test]
-    fn down_at_fails_the_target_cpu_once() {
+    fn scripted_down_target_fails_the_target_cpu_once() {
         let (_sim, bus) = setup();
         let primary = CpuId::new(0, 1);
         bus.register("$DATA", primary, Arc::new(Echo));
         bus.enable_faults(FaultConfig {
-            down_at: vec![1],
+            at: vec![(1, Fault::DownTarget)],
             ..FaultConfig::with_seed(1)
         });
         let from = CpuId::new(0, 0);
@@ -945,6 +958,29 @@ mod tests {
         assert!(bus
             .request(from, "$DATA", MsgKind::FsDp, 8, Box::new(1u64))
             .is_ok());
+    }
+
+    #[test]
+    fn the_script_decides_before_the_dice() {
+        let (_sim, bus) = setup();
+        bus.register("$DATA", CpuId::new(0, 1), Arc::new(Echo));
+        assert_eq!(bus.fault_exchanges(), 0, "not armed, not consulted");
+        // Every unscripted exchange is dropped; the scripted ones get
+        // their own fault, whatever the seed would have drawn.
+        bus.enable_faults(FaultConfig {
+            drop: 1.0,
+            at: vec![(1, Fault::Error), (2, Fault::Delay(5))],
+            ..FaultConfig::with_seed(9)
+        });
+        let send = || bus.request(CpuId::new(0, 0), "$DATA", MsgKind::FsDp, 8, Box::new(1u64));
+        assert_eq!(send().unwrap_err(), BusError::Timeout("$DATA".into()));
+        assert_eq!(send().unwrap_err(), BusError::Injected("$DATA".into()));
+        assert_eq!(send().unwrap().downcast::<u64>().unwrap(), 2);
+        assert_eq!(bus.fault_exchanges(), 3);
+        // Traffic the plane is not asked about is not counted.
+        bus.request(CpuId::new(0, 0), "$DATA", MsgKind::Audit, 8, Box::new(1u64))
+            .unwrap();
+        assert_eq!(bus.fault_exchanges(), 3);
     }
 
     #[test]
@@ -984,7 +1020,7 @@ mod tests {
         let (sim, bus) = setup();
         bus.register("$DATA", CpuId::new(0, 1), Arc::new(Echo));
         bus.enable_faults(FaultConfig {
-            down_at: vec![2],
+            at: vec![(2, Fault::DownTarget)],
             ..FaultConfig::with_seed(1)
         });
         let from = CpuId::new(0, 0);

@@ -237,9 +237,8 @@ impl TxnManager {
     /// (the requester's CPU). On success the virtual clock has advanced to
     /// the commit's durability point.
     ///
-    /// The doomed-refuses-to-commit branch below is one of the invariants
-    /// exhausted by `nsql-lint check-locks` (`crates/lint/src/lockmodel.rs`
-    /// mirrors it as the `doomed-commit` check); keep the mirror in sync.
+    /// `nsql-lint check-locks` holds the doomed-refuses-to-commit branch
+    /// below to its `doomed-commit` invariant on every schedule it explores.
     pub fn commit(&self, txn: TxnId, from: CpuId) -> Result<(), TxnError> {
         let participants = self.take_active(txn)?;
 

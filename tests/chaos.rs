@@ -13,7 +13,7 @@
 //! * identical seeds produce identical traces.
 
 use nonstop_sql::sim::format_sequence;
-use nonstop_sql::{Cluster, ClusterBuilder, FaultConfig};
+use nonstop_sql::{Cluster, ClusterBuilder, Fault, FaultConfig};
 use nsql_records::Value;
 use nsql_sim::SimRng;
 use nsql_workloads::{Bank, Wisconsin};
@@ -184,7 +184,7 @@ fn bank_survives_primary_crashes() {
     for seed in SEEDS {
         let cfg = FaultConfig {
             drop: 0.02,
-            down_at: vec![30, 130],
+            at: vec![(30, Fault::DownTarget), (130, Fault::DownTarget)],
             ..FaultConfig::with_seed(seed)
         };
         let out = bank_run(cfg, 40, false);
@@ -240,7 +240,7 @@ fn scan_survives_mid_chain_crash() {
             .build();
         Wisconsin::create(&db, "WISC", 500, &["$DATA1"], 1).unwrap();
         db.enable_faults(FaultConfig {
-            down_at: vec![2],
+            at: vec![(2, Fault::DownTarget)],
             ..FaultConfig::with_seed(seed)
         });
         let mut s = db.session();
@@ -339,7 +339,10 @@ fn wait_profiles_decompose_exactly_and_deterministically_under_chaos() {
 fn full_chaos_matrix() {
     for seed in SEEDS {
         for (name, mut cfg) in mixes(seed) {
-            cfg.down_at = vec![50 + seed, 300 + 2 * seed];
+            cfg.at = vec![
+                (50 + seed, Fault::DownTarget),
+                (300 + 2 * seed, Fault::DownTarget),
+            ];
             let out = bank_run(cfg.clone(), 80, false);
             check_bank(&out, &format!("matrix seed {seed}, {name}+crash"));
 
@@ -378,7 +381,7 @@ fn flight_dumps_are_deterministic_per_seed() {
         Wisconsin::create(&db, "WISC", 500, &["$DATA1"], 1).unwrap();
         db.enable_faults(FaultConfig {
             drop: 0.05,
-            down_at: vec![2],
+            at: vec![(2, Fault::DownTarget)],
             ..FaultConfig::with_seed(seed)
         });
         let mut s = db.session();

@@ -1,7 +1,7 @@
 //! Crash-recovery and fault-tolerance scenarios across the whole stack.
 
 use nonstop_sql::sim::{format_sequence, TraceEventKind};
-use nonstop_sql::{Cluster, ClusterBuilder, DiskProcessConfig, FaultConfig};
+use nonstop_sql::{Cluster, ClusterBuilder, DiskProcessConfig, Fault, FaultConfig};
 use nsql_records::Value;
 
 fn db_with_table() -> Cluster {
@@ -199,7 +199,7 @@ fn takeover_mid_scan_completes_with_correct_rows() {
     // The 5th eligible FS-DP exchange (mid re-drive chain) crashes the
     // primary's CPU.
     db.enable_faults(FaultConfig {
-        down_at: vec![4],
+        at: vec![(4, Fault::DownTarget)],
         ..FaultConfig::with_seed(1)
     });
     let r = s.query("SELECT K FROM T").unwrap();

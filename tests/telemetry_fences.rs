@@ -13,7 +13,7 @@
 
 use nonstop_sql::sim::{chrome_trace, format_sequence, SimRng};
 use nonstop_sql::workloads::{Bank, Wisconsin};
-use nonstop_sql::{Cluster, ClusterBuilder, FaultConfig};
+use nonstop_sql::{Cluster, ClusterBuilder, Fault, FaultConfig};
 
 /// FNV-1a, as `crates/btree/tests/store_trace.rs` uses.
 fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -90,7 +90,7 @@ fn scenario() -> Cluster {
     debit_credits(&db, &bank, 60, 2);
     db.enable_faults(FaultConfig {
         drop: 0.02,
-        down_at: vec![31, 131],
+        at: vec![(31, Fault::DownTarget), (131, Fault::DownTarget)],
         ..FaultConfig::with_seed(1)
     });
     debit_credits(&db, &bank, 40, 3);

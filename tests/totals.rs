@@ -33,7 +33,7 @@
 use nonstop_sql::sim::{Ctr, EntityKind, SimRng, TOTALS};
 use nonstop_sql::workloads::load::{run_load, LoadConfig};
 use nonstop_sql::workloads::{Bank, Wisconsin};
-use nonstop_sql::{Cluster, ClusterBuilder, FaultConfig};
+use nonstop_sql::{Cluster, ClusterBuilder, Fault, FaultConfig};
 use nsql_dp::ReadLock;
 use nsql_records::key::encode_record_key;
 use nsql_records::Value;
@@ -141,7 +141,7 @@ fn every_cluster_total_equals_its_entity_sum() {
     debit_credits(&db, &bank, 60, 2);
     db.enable_faults(FaultConfig {
         drop: 0.02,
-        down_at: vec![31, 131],
+        at: vec![(31, Fault::DownTarget), (131, Fault::DownTarget)],
         ..FaultConfig::with_seed(1)
     });
     debit_credits(&db, &bank, 40, 3);
