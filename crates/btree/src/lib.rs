@@ -11,6 +11,12 @@
 //! a [`MemStore`]. The B-tree implements splits and *collapses* (the
 //! paper's term for structure shrinkage), which is what breaks physical
 //! clustering and shortens the cache's bulk-I/O strings.
+//!
+//! A block is read as a [`Block`]: the store's own image, lent, never a
+//! copy. The access methods search and iterate it where it is; one that
+//! changes a block builds the new image (that is the one copy) and writes
+//! it back whole, and one that only moves a block hands the image it read
+//! straight back.
 
 pub mod entryseq;
 pub mod node;
@@ -28,23 +34,27 @@ use std::collections::HashMap;
 /// dependency).
 pub type BlockNo = u32;
 
+/// One immutable, shared block image (the same type as `nsql_disk::Block`,
+/// without the dependency).
+pub type Block = std::sync::Arc<Vec<u8>>;
+
 /// Abstract block storage: the Disk Process's cache, or memory in tests.
 pub trait BlockStore {
     /// Block size in bytes.
     fn block_size(&self) -> usize;
-    /// Read a block (point access).
-    fn read(&self, block: BlockNo) -> Vec<u8>;
+    /// Read a block (point access): the store's image, lent.
+    fn read(&self, block: BlockNo) -> Block;
     /// Read a block as part of a sequential scan. Implementations may apply
     /// bulk I/O; by default identical to [`BlockStore::read`].
-    fn read_for_scan(&self, block: BlockNo) -> Vec<u8> {
+    fn read_for_scan(&self, block: BlockNo) -> Block {
         self.read(block)
     }
     /// Advise that `block` will be needed soon (the B-tree scan announces
     /// the next leaf in the chain). Implementations may pre-fetch
     /// asynchronously; by default a no-op.
     fn will_need(&self, _block: BlockNo) {}
-    /// Write (replace) a block.
-    fn write(&self, block: BlockNo, data: Vec<u8>);
+    /// Write (replace) a block: the store keeps `data` as the image.
+    fn write(&self, block: BlockNo, data: Block);
     /// Allocate a fresh block number.
     fn alloc(&self) -> BlockNo;
     /// Return a block to the free pool.
@@ -54,7 +64,7 @@ pub trait BlockStore {
 /// In-memory block store for unit and property tests.
 #[derive(Default)]
 pub struct MemStore {
-    blocks: RefCell<HashMap<BlockNo, Vec<u8>>>,
+    blocks: RefCell<HashMap<BlockNo, Block>>,
     next: RefCell<BlockNo>,
     free_list: RefCell<Vec<BlockNo>>,
     block_size: usize,
@@ -94,26 +104,24 @@ impl BlockStore for MemStore {
     fn block_size(&self) -> usize {
         self.block_size
     }
-    fn read(&self, block: BlockNo) -> Vec<u8> {
-        self.blocks
-            .borrow()
-            .get(&block)
-            .unwrap_or_else(|| panic!("read of unallocated block {block}"))
-            .clone()
+    fn read(&self, block: BlockNo) -> Block {
+        let blocks = self.blocks.borrow();
+        let image = blocks.get(&block);
+        Block::clone(image.unwrap_or_else(|| panic!("read of unallocated block {block}")))
     }
-    fn write(&self, block: BlockNo, data: Vec<u8>) {
+    fn write(&self, block: BlockNo, data: Block) {
         assert!(data.len() <= self.block_size, "block overflow");
         self.blocks.borrow_mut().insert(block, data);
     }
     fn alloc(&self) -> BlockNo {
         if let Some(b) = self.free_list.borrow_mut().pop() {
-            self.blocks.borrow_mut().insert(b, Vec::new());
+            self.blocks.borrow_mut().insert(b, Block::default());
             return b;
         }
         let mut next = self.next.borrow_mut();
         let b = *next;
         *next += 1;
-        self.blocks.borrow_mut().insert(b, Vec::new());
+        self.blocks.borrow_mut().insert(b, Block::default());
         b
     }
     fn free(&self, block: BlockNo) {

@@ -12,8 +12,9 @@
 //! the smallest key reachable under child `i + 1`.
 //!
 //! Two representations share the format: [`NodeRef`], borrowed views that
-//! search, iterate and splice the block bytes where they are, and [`Node`],
-//! the owned form a node is restructured in.
+//! search and iterate the block bytes where they are (and copy them once,
+//! around a single changed entry), and [`Node`], the owned form a node is
+//! restructured in.
 
 use crate::BlockNo;
 use std::cmp::Ordering;
@@ -37,9 +38,9 @@ fn u32_at(bytes: &[u8], pos: usize) -> u32 {
 
 /// A node read in place: a borrowed view over its block bytes.
 ///
-/// Search, iteration and single-entry leaf changes work on the bytes as
-/// the block store holds them; nothing is copied out. A node's block is
-/// exactly its serialized bytes, so the block's length is [`Node::size`].
+/// Search and iteration work on the bytes as the block store holds them;
+/// nothing is copied out. A node's block is exactly its serialized bytes,
+/// so the block's length is [`Node::size`].
 #[derive(Debug, Clone, Copy)]
 pub enum NodeRef<'a> {
     /// A leaf block.
@@ -175,32 +176,27 @@ impl LeafSlot {
         !self.entry.is_empty()
     }
 
-    /// Replace the slot's entry in `leaf` — the block the slot was located
-    /// in — with `new` (`None` removes it), moving the tail once. The
-    /// result is what [`Node::encode`] gives for the changed leaf.
-    pub fn splice(&self, mut leaf: Vec<u8>, new: Option<(&[u8], &[u8])>) -> Vec<u8> {
+    /// The leaf `leaf` — the block the slot was located in — with the
+    /// slot's entry replaced by `new` (`None` removes it): the one copy a
+    /// change that fits its leaf makes of it, head, entry and tail each
+    /// written once into a buffer of the exact size (it goes on to live in
+    /// a cache frame). The result is what [`Node::encode`] gives for the
+    /// changed leaf.
+    pub fn splice(&self, leaf: &[u8], new: Option<(&[u8], &[u8])>) -> Vec<u8> {
         let Range { start, end } = self.entry;
-        let old_size = leaf.len();
         let new_len = new.map_or(0, |(k, v)| 4 + k.len() + v.len());
-        let new_size = old_size - (end - start) + new_len;
-        if new_size != old_size {
-            // Exact growth: the buffer goes on to live in a cache frame.
-            leaf.reserve_exact(new_size.saturating_sub(old_size));
-            leaf.resize(new_size.max(old_size), 0);
-            leaf.copy_within(end..old_size, start + new_len);
-            leaf.truncate(new_size);
-        }
+        let mut out = Vec::with_capacity(leaf.len() - (end - start) + new_len);
+        out.extend_from_slice(&leaf[..start]);
         if let Some((k, v)) = new {
-            let key_at = start + 4;
-            let value_at = key_at + k.len();
-            leaf[start..start + 2].copy_from_slice(&(k.len() as u16).to_be_bytes());
-            leaf[start + 2..key_at].copy_from_slice(&(v.len() as u16).to_be_bytes());
-            leaf[key_at..value_at].copy_from_slice(k);
-            leaf[value_at..value_at + v.len()].copy_from_slice(v);
+            out.extend_from_slice(&(k.len() as u16).to_be_bytes());
+            out.extend_from_slice(&(v.len() as u16).to_be_bytes());
+            out.extend_from_slice(k);
+            out.extend_from_slice(v);
         }
-        let nkeys = u16_at(&leaf, 1) + usize::from(new.is_some()) - usize::from(self.found());
-        leaf[1..3].copy_from_slice(&(nkeys as u16).to_be_bytes());
-        leaf
+        out.extend_from_slice(&leaf[end..]);
+        let nkeys = u16_at(leaf, 1) + usize::from(new.is_some()) - usize::from(self.found());
+        out[1..3].copy_from_slice(&(nkeys as u16).to_be_bytes());
+        out
     }
 }
 
@@ -459,7 +455,7 @@ mod tests {
                     Err(i) => put.insert(i, (probe.clone(), b"new".to_vec())),
                 }
                 assert_eq!(
-                    slot.splice(bytes.clone(), Some((&probe, b"new"))),
+                    slot.splice(&bytes, Some((&probe, b"new"))),
                     Node::Leaf { next, entries: put }.encode()
                 );
                 if let Ok(i) = want {
@@ -469,7 +465,7 @@ mod tests {
                         next,
                         entries: removed,
                     };
-                    assert_eq!(slot.splice(bytes.clone(), None), removed.encode());
+                    assert_eq!(slot.splice(&bytes, None), removed.encode());
                 }
             }
         }

@@ -49,7 +49,7 @@ impl<'a, S: BlockStore> RelativeFile<'a, S> {
         let mut h = Vec::with_capacity(8);
         h.extend_from_slice(&(slot_size as u32).to_be_bytes());
         h.extend_from_slice(&0u32.to_be_bytes());
-        store.write(header, h);
+        store.write(header, h.into());
         header
     }
 
@@ -94,7 +94,7 @@ impl<'a, S: BlockStore> RelativeFile<'a, S> {
             h.len() <= self.store.block_size(),
             "relative file too large"
         );
-        self.store.write(self.header, h);
+        self.store.write(self.header, h.into());
     }
 
     fn locate(&self, recnum: u64) -> (usize, usize) {
@@ -116,19 +116,20 @@ impl<'a, S: BlockStore> RelativeFile<'a, S> {
         while dir.len() <= bi {
             let b = self.store.alloc();
             let pb = self.per_block();
-            self.store
-                .write(b, vec![0u8; pb.div_ceil(8) + pb * self.slot_size]);
+            let empty = vec![0u8; pb.div_ceil(8) + pb * self.slot_size];
+            self.store.write(b, empty.into());
             dir.push(b);
         }
         self.save_directory(&dir);
-        let mut block = self.store.read(dir[bi]);
+        // The data block is changed: this is its private copy.
+        let mut block = self.store.read(dir[bi]).to_vec();
         block[si / 8] |= 1 << (si % 8);
         let off = self.per_block().div_ceil(8) + si * self.slot_size;
         block[off..off + data.len()].copy_from_slice(data);
         for b in &mut block[off + data.len()..off + self.slot_size] {
             *b = 0;
         }
-        self.store.write(dir[bi], block);
+        self.store.write(dir[bi], block.into());
         Ok(())
     }
 
@@ -150,12 +151,13 @@ impl<'a, S: BlockStore> RelativeFile<'a, S> {
         let (bi, si) = self.locate(recnum);
         let dir = self.directory();
         let block_no = *dir.get(bi).ok_or(RelativeError::NotFound)?;
-        let mut block = self.store.read(block_no);
+        let block = self.store.read(block_no);
         if block[si / 8] & (1 << (si % 8)) == 0 {
             return Err(RelativeError::NotFound);
         }
+        let mut block = block.to_vec();
         block[si / 8] &= !(1 << (si % 8));
-        self.store.write(block_no, block);
+        self.store.write(block_no, block.into());
         Ok(())
     }
 

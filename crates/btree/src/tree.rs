@@ -61,7 +61,7 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     /// Create a new empty file; returns its root block number.
     pub fn create(store: &'a S) -> BlockNo {
         let root = store.alloc();
-        store.write(root, Node::empty_leaf().encode());
+        store.write(root, Node::empty_leaf().encode().into());
         root
     }
 
@@ -84,7 +84,7 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     }
 
     fn save(&self, block: BlockNo, node: &Node) {
-        self.store.write(block, node.encode());
+        self.store.write(block, node.encode().into());
     }
 
     /// Point lookup.
@@ -161,8 +161,8 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
                 }
                 let new_size = bytes.len() - slot.entry.len() + 4 + key.len() + value.len();
                 if new_size <= self.cap() {
-                    self.store
-                        .write(block, slot.splice(bytes, Some((key, value))));
+                    let changed = slot.splice(&bytes, Some((key, value)));
+                    self.store.write(block, changed.into());
                     return Ok(None);
                 }
                 // Split by cumulative size.
@@ -251,15 +251,16 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
                 };
                 let old = old.to_vec();
                 let under = underfull(bytes.len() - slot.entry.len(), leaf.len() - 1);
-                self.store.write(block, slot.splice(bytes, None));
+                self.store.write(block, slot.splice(&bytes, None).into());
                 Ok((old, under))
             }
             NodeRef::Internal(node) => {
                 let (ci, child) = node.child_for(key);
                 let (old, under) = self.delete_rec(child, key)?;
                 if !under {
-                    // Unchanged, but still re-written: the block store sees
-                    // the same calls whether or not the child underflowed.
+                    // Unchanged, but still re-written — the image that was
+                    // read, handed back: the block store sees the same calls
+                    // whether or not the child underflowed.
                     let parent_under = underfull(bytes.len(), node.len());
                     self.store.write(block, bytes);
                     return Ok((old, parent_under));

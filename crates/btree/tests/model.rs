@@ -46,7 +46,7 @@ fn val(v: u8) -> Vec<u8> {
 fn assert_blocks_canonical(store: &MemStore) {
     for block in store.live_block_numbers() {
         let bytes = store.read(block);
-        assert_eq!(Node::decode(&bytes).encode(), bytes, "block {block}");
+        assert_eq!(Node::decode(&bytes).encode(), *bytes, "block {block}");
     }
 }
 

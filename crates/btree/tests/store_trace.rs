@@ -8,7 +8,7 @@
 //! leave it alone; only a deliberate change to the access pattern or the
 //! node format may move it (and must then re-record it).
 
-use nsql_btree::{BTreeFile, BlockNo, BlockStore, MemStore, ScanControl};
+use nsql_btree::{BTreeFile, Block, BlockNo, BlockStore, MemStore, ScanControl};
 use nsql_sim::SimRng;
 use std::cell::Cell;
 use std::ops::Bound;
@@ -49,12 +49,12 @@ impl BlockStore for TraceStore {
     fn block_size(&self) -> usize {
         self.inner.block_size()
     }
-    fn read(&self, block: BlockNo) -> Vec<u8> {
+    fn read(&self, block: BlockNo) -> Block {
         let data = self.inner.read(block);
         self.record(b'r', block, &data);
         data
     }
-    fn read_for_scan(&self, block: BlockNo) -> Vec<u8> {
+    fn read_for_scan(&self, block: BlockNo) -> Block {
         let data = self.inner.read_for_scan(block);
         self.record(b's', block, &data);
         data
@@ -62,7 +62,7 @@ impl BlockStore for TraceStore {
     fn will_need(&self, block: BlockNo) {
         self.record(b'n', block, &[]);
     }
-    fn write(&self, block: BlockNo, data: Vec<u8>) {
+    fn write(&self, block: BlockNo, data: Block) {
         self.record(b'w', block, &data);
         self.inner.write(block, data);
     }

@@ -24,6 +24,12 @@ use std::sync::Arc;
 /// Index of a block on a volume.
 pub type BlockNo = u32;
 
+/// One block image: immutable bytes behind a reference count. The platter,
+/// a cache frame and every reader hold the *same* image; a read at any level
+/// is a count bump, and whoever changes a block builds a new image and
+/// replaces the old one wholesale, so an image once handed out never changes.
+pub type Block = Arc<Vec<u8>>;
+
 /// Errors from the disk driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiskError {
@@ -49,7 +55,7 @@ impl std::error::Error for DiskError {}
 
 #[derive(Debug, Default)]
 struct DiskState {
-    blocks: Vec<Option<Vec<u8>>>,
+    blocks: Vec<Option<Block>>,
     /// Block following the last one touched — for sequentiality detection.
     next_sequential: Option<BlockNo>,
     /// Device busy-timeline: virtual time at which the arm becomes free.
@@ -195,7 +201,7 @@ impl Disk {
 
     /// Synchronously read `nblocks` contiguous blocks starting at `start`
     /// as one (possibly bulk) I/O.
-    pub fn read(&self, start: BlockNo, nblocks: usize) -> Result<Vec<Vec<u8>>, DiskError> {
+    pub fn read(&self, start: BlockNo, nblocks: usize) -> Result<Vec<Block>, DiskError> {
         self.fetch(start, nblocks, true).map(|(data, _)| data)
     }
 
@@ -206,17 +212,18 @@ impl Disk {
         &self,
         start: BlockNo,
         nblocks: usize,
-    ) -> Result<(Vec<Vec<u8>>, Micros), DiskError> {
+    ) -> Result<(Vec<Block>, Micros), DiskError> {
         self.fetch(start, nblocks, false)
     }
 
-    /// One read I/O: the blocks and its completion time.
+    /// One read I/O: the images on the platter, shared, and its completion
+    /// time.
     fn fetch(
         &self,
         start: BlockNo,
         nblocks: usize,
         synchronous: bool,
-    ) -> Result<(Vec<Vec<u8>>, Micros), DiskError> {
+    ) -> Result<(Vec<Block>, Micros), DiskError> {
         assert!(nblocks >= 1);
         assert!(
             nblocks * self.block_size() <= self.sim.cost.bulk_io_max,
@@ -233,7 +240,7 @@ impl Disk {
                 .get(b as usize)
                 .and_then(|x| x.as_ref())
                 .ok_or(DiskError::Unallocated(b))?;
-            out.push(data.clone());
+            out.push(Arc::clone(data));
         }
         let end = self.account_io(&mut st, start, nblocks, false, synchronous);
         Ok((out, end))
@@ -241,26 +248,31 @@ impl Disk {
 
     /// Synchronously write a contiguous string of blocks as one (possibly
     /// bulk) I/O. Mirrored volumes write both halves in parallel (same
-    /// cost).
-    pub fn write(&self, start: BlockNo, blocks: &[Vec<u8>]) -> Result<(), DiskError> {
-        let bs = self.block_size();
-        for b in blocks {
-            assert!(b.len() <= bs, "block exceeds {bs} bytes");
-        }
+    /// cost). A [`Block`] is stored as the image it is; bytes are copied
+    /// into a new one.
+    pub fn write<B: Clone + Into<Block>>(
+        &self,
+        start: BlockNo,
+        blocks: &[B],
+    ) -> Result<(), DiskError> {
         self.store(start, blocks, true).map(|_| ())
     }
 
     /// Schedule an asynchronous write (write-behind). The data is durable
     /// once the returned completion time has been reached.
-    pub fn write_async(&self, start: BlockNo, blocks: &[Vec<u8>]) -> Result<Micros, DiskError> {
+    pub fn write_async<B: Clone + Into<Block>>(
+        &self,
+        start: BlockNo,
+        blocks: &[B],
+    ) -> Result<Micros, DiskError> {
         self.store(start, blocks, false)
     }
 
     /// One write I/O: returns its completion time.
-    fn store(
+    fn store<B: Clone + Into<Block>>(
         &self,
         start: BlockNo,
-        blocks: &[Vec<u8>],
+        blocks: &[B],
         synchronous: bool,
     ) -> Result<Micros, DiskError> {
         assert!(!blocks.is_empty());
@@ -279,8 +291,11 @@ impl Disk {
         if st.blocks.len() < needed {
             st.blocks.resize(needed, None);
         }
+        let bs = self.block_size();
         for (i, data) in blocks.iter().enumerate() {
-            st.blocks[start as usize + i] = Some(data.clone());
+            let data: Block = data.clone().into();
+            assert!(data.len() <= bs, "block exceeds {bs} bytes");
+            st.blocks[start as usize + i] = Some(data);
         }
         Ok(self.account_io(&mut st, start, blocks.len(), true, synchronous))
     }
@@ -320,7 +335,25 @@ mod tests {
         let (_sim, d) = disk();
         let b = block(7, d.block_size());
         d.write(3, std::slice::from_ref(&b)).unwrap();
-        assert_eq!(d.read(3, 1).unwrap(), vec![b]);
+        assert_eq!(*d.read(3, 1).unwrap()[0], b);
+    }
+
+    #[test]
+    fn a_read_lends_the_platter_image() {
+        let (_sim, d) = disk();
+        let image: Block = Arc::new(block(7, d.block_size()));
+        d.write(3, std::slice::from_ref(&image)).unwrap();
+        // The image written is the image read, twice over: no copy on the
+        // way down or on the way up.
+        let first = d.read(3, 1).unwrap().remove(0);
+        let (mut again, _) = d.read_async(3, 1).unwrap();
+        assert!(Arc::ptr_eq(&first, &image));
+        assert!(Arc::ptr_eq(&again.remove(0), &image));
+        // A later write replaces the block wholesale; what a reader holds
+        // is a snapshot.
+        d.write(3, &[block(9, 16)]).unwrap();
+        assert_eq!(*first, block(7, d.block_size()));
+        assert_eq!(*d.read(3, 1).unwrap()[0], block(9, 16));
     }
 
     #[test]
@@ -434,7 +467,7 @@ mod tests {
         let b = block(9, 16);
         d.write(0, std::slice::from_ref(&b)).unwrap();
         d.fail_drive(0);
-        assert_eq!(d.read(0, 1).unwrap(), vec![b.clone()]);
+        assert_eq!(*d.read(0, 1).unwrap()[0], b);
         d.fail_drive(1);
         assert_eq!(d.read(0, 1), Err(DiskError::MediaFailure));
         d.repair_drive(0);

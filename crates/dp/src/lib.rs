@@ -39,8 +39,10 @@ use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, LockScope, TxnId};
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
-use nsql_records::row::{decode_row, encode_row, CodecError, RawRecord};
-use nsql_records::{Expr, KeyRange, OwnedBound, Projection, RecordDescriptor, SetList};
+use nsql_records::row::{decode_row, encode_row, CodecError};
+use nsql_records::{
+    Expr, KeyRange, OwnedBound, Predicate, PredicateError, Projection, RecordDescriptor, SetList,
+};
 use nsql_sim::sync::Mutex;
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Event, LockWaitEnd, MeasureRecord, Micros, Sim, Wait};
 use nsql_tmf::audit::FieldImage;
@@ -113,17 +115,20 @@ impl WalGate for AuditorGate {
 
 /// What a Subset Control Block remembers between re-drives: "these latter
 /// were saved in the Subset Control Block which was created by the Disk
-/// Process at GET^FIRST time" — the FIRST request less the begin-key, plus
-/// what was worked out from it then. It is freed when its range is
+/// Process at GET^FIRST time" — the FIRST request less the begin-key, with
+/// its predicate and its projection in the form they were compiled to,
+/// once, against the file's descriptor. It is freed when its range is
 /// exhausted, when the requester closes it, when its transaction ends and
 /// when the process crashes.
 #[derive(Debug)]
 struct Scb {
     file: FileId,
     end: OwnedBound,
-    predicate: Option<Expr>,
+    /// The selection predicate, compiled; it keeps the expression as
+    /// shipped, which is what a record's evaluation is charged by.
+    predicate: Option<Predicate>,
     op: SubsetOp,
-    /// The projection of a read, compiled against the file's descriptor.
+    /// The projection of a read, compiled.
     plan: Option<Projection>,
 }
 
@@ -875,8 +880,9 @@ impl DiskProcess {
     // ------------------------------------------------------------------
 
     /// FIRST: open a subset conversation. What can be worked out once — the
-    /// projection plan — is, and it stays with the operation in the Subset
-    /// Control Block, which is created when a re-drive will be needed.
+    /// compiled predicate, the projection plan — is, and it stays with the
+    /// operation in the Subset Control Block, which is created when a
+    /// re-drive will be needed.
     fn subset_first(
         &self,
         file: FileId,
@@ -885,12 +891,14 @@ impl DiskProcess {
         op: SubsetOp,
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
+        let desc = self.descriptor(&label)?;
+        let predicate = predicate.map(|expr| Predicate::new(desc, expr));
         let plan = match &op {
             SubsetOp::Read {
                 projection: Some(fields),
                 ..
             } => {
-                let plan = Projection::new(self.descriptor(&label)?, fields);
+                let plan = Projection::new(desc, fields);
                 Some(plan.map_err(|e| DpError::BadRecord(e.to_string()))?)
             }
             SubsetOp::Read {
@@ -1045,9 +1053,14 @@ impl DiskProcess {
                 None => true,
                 Some((p, cost)) => {
                     units += cost;
-                    match p.passes(&RawRecord { desc, bytes: v }) {
+                    match p.passes(desc, v) {
                         Ok(passes) => passes,
-                        Err(e) => return fail(cost, DpError::EvalFailed(e.to_string())),
+                        Err(PredicateError::Eval(e)) => {
+                            return fail(cost, DpError::EvalFailed(e.to_string()))
+                        }
+                        Err(PredicateError::Record(e)) => {
+                            return fail(cost, DpError::BadRecord(e.to_string()))
+                        }
                     }
                 }
             };

@@ -14,7 +14,7 @@
 //! * the volume **block allocator** (block 0 is the volume label).
 
 use crate::{DiskProcess, FileId};
-use nsql_btree::{BlockNo, BlockStore};
+use nsql_btree::{Block, BlockNo, BlockStore};
 use nsql_cache::{BufferPool, ScanOptions};
 use nsql_lock::TxnId;
 use nsql_sim::sync::Mutex;
@@ -117,13 +117,13 @@ impl BlockStore for DpStore<'_> {
         self.pool.disk().block_size()
     }
 
-    fn read(&self, block: BlockNo) -> Vec<u8> {
+    fn read(&self, block: BlockNo) -> Block {
         self.pool
             .read(block)
             .unwrap_or_else(|e| panic!("volume read failed: {e}"))
     }
 
-    fn read_for_scan(&self, block: BlockNo) -> Vec<u8> {
+    fn read_for_scan(&self, block: BlockNo) -> Block {
         self.pool
             .read_scan(block, self.scan.get())
             .unwrap_or_else(|e| panic!("volume scan read failed: {e}"))
@@ -135,7 +135,7 @@ impl BlockStore for DpStore<'_> {
         }
     }
 
-    fn write(&self, block: BlockNo, data: Vec<u8>) {
+    fn write(&self, block: BlockNo, data: Block) {
         if let Some(change) = self.unlogged.take() {
             change.dp.log_ahead(self, &change);
         }
@@ -185,7 +185,7 @@ mod tests {
         let store = DpStore::new(&pool, &alloc);
         let b = store.alloc();
         store.lsn.set(7);
-        store.write(b, vec![1, 2, 3]);
-        assert_eq!(store.read(b), vec![1, 2, 3]);
+        store.write(b, vec![1, 2, 3].into());
+        assert_eq!(*store.read(b), vec![1, 2, 3]);
     }
 }

@@ -1626,3 +1626,104 @@ fn a_record_shorter_than_its_fixed_part_is_corrupt_to_whoever_looks_inside() {
     }
     c.txnmgr.commit(txn, c.client).unwrap();
 }
+
+/// A field a predicate reads that does not decode is a corrupt record, as
+/// it is to a projection of that field — under a compiled leaf (`CHAR`) and
+/// under an interpreted one (`VARCHAR`) alike. (`RawRecord` reads such a
+/// field as NULL, so `WHERE NOTE = 'x'` used to pass over the record and
+/// `WHERE NOTE IS NULL` used to select it.)
+#[test]
+fn a_field_that_does_not_decode_is_corrupt_to_the_predicate_that_reads_it() {
+    let desc = RecordDescriptor::new(
+        vec![
+            FieldDef::new("ID", FieldType::Int),
+            FieldDef::new("NAME", FieldType::Char(4)),
+            FieldDef::nullable("NOTE", FieldType::Varchar(8)),
+        ],
+        vec![0],
+    );
+    let c = cluster();
+    let created = c.send(DpRequest::CreateFile {
+        kind: FileKind::KeySequenced(desc.clone()),
+    });
+    let DpReply::FileCreated(file) = created else {
+        panic!("unexpected {created:?}")
+    };
+    let row = |id: i32| {
+        vec![
+            Value::Int(id),
+            Value::Str("BOB".into()),
+            Value::Str("x".into()),
+        ]
+    };
+    // Record 1's NOTE slot points past its tail; record 2's NAME is not
+    // UTF-8; record 0 is sound.
+    let mut records: Vec<Vec<u8>> = (0..3)
+        .map(|id| encode_row(&desc, &row(id)).unwrap())
+        .collect();
+    let note = desc.slot_offset(2);
+    records[1][note..note + 2].copy_from_slice(&900u16.to_be_bytes());
+    records[2][desc.slot_offset(1)] = 0xFF;
+    let txn = c.txnmgr.begin();
+    for (id, record) in records.into_iter().enumerate() {
+        let insert = DpRequest::Insert {
+            txn,
+            file,
+            key: encode_record_key(&desc, &row(id as i32)),
+            record,
+        };
+        assert!(matches!(c.send(insert), DpReply::Ok));
+    }
+    c.txnmgr.commit(txn, c.client).unwrap();
+
+    let only = |id: i32| KeyRange {
+        begin: OwnedBound::Included(encode_record_key(&desc, &row(id))),
+        end: OwnedBound::Included(encode_record_key(&desc, &row(id))),
+    };
+    let select = |range: KeyRange, predicate: Expr| {
+        let reply = c.send(DpRequest::SubsetFirst {
+            file,
+            range,
+            predicate: Some(predicate),
+            op: SubsetOp::Read {
+                txn: None,
+                projection: Some(vec![0]),
+                mode: SubsetMode::Vsbb,
+                lock: ReadLock::None,
+            },
+        });
+        match reply {
+            DpReply::Subset { affected, .. } => Ok(affected),
+            DpReply::Error(DpError::BadRecord(why)) => Err(why),
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let corrupt = Err("corrupt record bytes".to_string());
+    let note_is = |text: &str| Expr::field_cmp(2, CmpOp::Eq, Value::Str(text.into()));
+    let note_is_null = Expr::IsNull {
+        expr: Box::new(Expr::Field(2)),
+        negated: false,
+    };
+    let name_is = |text: &str| Expr::field_cmp(1, CmpOp::Eq, Value::Str(text.into()));
+    let name_is_null = Expr::IsNull {
+        expr: Box::new(Expr::Field(1)),
+        negated: false,
+    };
+    assert_eq!(select(only(0), note_is("x")), Ok(1));
+    assert_eq!(select(only(0), name_is("BOB")), Ok(1));
+    // The two cases ROADMAP item 3 names.
+    assert_eq!(select(only(1), note_is("x")), corrupt);
+    assert_eq!(select(only(1), note_is_null.clone()), corrupt);
+    // The same under compiled leaves.
+    assert_eq!(select(only(2), name_is("BOB")), corrupt);
+    assert_eq!(select(only(2), name_is_null), corrupt);
+    // A predicate that never gets to the field does not trip over it: the
+    // sound fields of the same records still filter them.
+    let never = |then: Expr| Expr::and(Expr::field_cmp(0, CmpOp::Lt, Value::Int(0)), then);
+    assert_eq!(select(KeyRange::all(), never(note_is("x"))), Ok(0));
+    assert_eq!(select(KeyRange::all(), never(name_is("BOB"))), Ok(0));
+    assert_eq!(select(only(1), name_is("BOB")), Ok(1));
+    assert_eq!(select(only(2), note_is("x")), Ok(1));
+    // A scan that reaches the record stops at it.
+    assert_eq!(select(KeyRange::all(), note_is_null), corrupt);
+}

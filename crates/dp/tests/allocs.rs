@@ -1,8 +1,9 @@
 //! Allocation counts as a deterministic proxy for "a scan touches each row
-//! once": the Disk Process examines a record where it lies in the cached
-//! leaf, and a selected one goes from there into the reply's one buffer.
-//! What still allocates per block is the block store handing out a copy of
-//! each block read.
+//! once, where it lies": the cache lends the Disk Process its own image of
+//! each leaf, a compiled predicate compares a record's fields in that image,
+//! and a selected record goes from there into the reply's one buffer. What
+//! a request allocates does not grow with the blocks it reads or the
+//! records it examines — only with what it returns.
 
 use nsql_disk::Disk;
 use nsql_dp::{
@@ -87,14 +88,14 @@ fn send(bus: &Bus, seq: u64, req: DpRequest) -> DpReply {
 }
 
 /// `(allocations, block reads, reply)` of one VSBB read of `NAME,
-/// HIRE_DATE` over the keys `0..=hi`, selecting by `SALARY >= floor`.
+/// HIRE_DATE` over the keys `0..=hi`, selecting by `predicate`.
 fn vsbb_read(
     sim: &Sim,
     bus: &Bus,
     file: FileId,
     seq: u64,
     hi: i32,
-    floor: f64,
+    predicate: Expr,
 ) -> (u64, u64, DpReply) {
     let request = DpRequest::SubsetFirst {
         file,
@@ -102,7 +103,7 @@ fn vsbb_read(
             begin: OwnedBound::Unbounded,
             end: OwnedBound::Included(encode_record_key(&desc(), &row(hi))),
         },
-        predicate: Some(Expr::field_cmp(3, CmpOp::Ge, Value::Double(floor))),
+        predicate: Some(predicate),
         op: SubsetOp::Read {
             txn: None,
             projection: Some(vec![1, 2]),
@@ -117,8 +118,30 @@ fn vsbb_read(
     (allocs, reads() - reads_before, reply)
 }
 
-#[test]
-fn an_examined_record_allocates_nothing_and_a_selected_one_only_grows_the_buffer() {
+/// `SALARY >= floor`.
+fn paid(floor: f64) -> Expr {
+    Expr::field_cmp(3, CmpOp::Ge, Value::Double(floor))
+}
+
+/// Nobody is paid this much.
+const NOBODY: f64 = 1e9;
+
+/// `(examined, selected)` of a reply that finished its range.
+fn examined_and_selected(reply: &DpReply) -> (u32, u32) {
+    match reply {
+        DpReply::Subset {
+            done: true,
+            examined,
+            affected,
+            ..
+        } => (*examined, *affected),
+        other => panic!("expected the range in one reply, got {other:?}"),
+    }
+}
+
+/// A Disk Process over a 3,000-row EMP file that fits its cache, already
+/// read once; the handles keep it alive.
+fn warm_file() -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>) {
     let sim = Sim::new();
     let bus = Bus::new(sim.clone());
     let lsns = LsnSource::new();
@@ -139,7 +162,7 @@ fn an_examined_record_allocates_nothing_and_a_selected_one_only_grows_the_buffer
         ..DpConfig::default()
     };
     let disk = Disk::new(sim.clone(), VOLUME, true);
-    let _dp = DiskProcess::format(&ctx, VOLUME, CpuId::new(0, 1), disk, config);
+    let dp = DiskProcess::format(&ctx, VOLUME, CpuId::new(0, 1), disk, config);
     let created = send(
         &bus,
         0,
@@ -165,41 +188,28 @@ fn an_examined_record_allocates_nothing_and_a_selected_one_only_grows_the_buffer
         assert!(matches!(send(&bus, 1 + empno as u64, insert), DpReply::Ok));
     }
     txnmgr.commit(txn, CpuId::new(0, 0)).unwrap();
-
-    let examined_and_selected = |reply: &DpReply| match reply {
-        DpReply::Subset {
-            done: true,
-            examined,
-            affected,
-            ..
-        } => (*examined, *affected),
-        other => panic!("expected the range in one reply, got {other:?}"),
-    };
-    const NOBODY: f64 = 1e9;
     // The file fits the cache; the first read warms it.
-    vsbb_read(&sim, &bus, file, 4_000, 2_999, NOBODY);
+    vsbb_read(&sim, &bus, file, 4_000, 2_999, paid(NOBODY));
+    (sim, bus, file, dp)
+}
 
-    // Rejected records: twice as many cost only the extra leaves' block
-    // copies (one allocation each; the bound leaves room for three). 29 and
-    // 48 allocations over 20 and 39 block reads; before the virtual block
-    // was one buffer 35 and 54 — this half held already.
-    let (small, small_reads, reply) = vsbb_read(&sim, &bus, file, 4_001, 999, NOBODY);
+#[test]
+fn an_examined_record_allocates_nothing_and_a_selected_one_only_grows_the_buffer() {
+    let (sim, bus, file, _dp) = warm_file();
+
+    // Rejected records: twice as many cost nothing more.
+    let (small, _, reply) = vsbb_read(&sim, &bus, file, 4_001, 999, paid(NOBODY));
     assert_eq!(examined_and_selected(&reply), (1_000, 0));
-    let (large, large_reads, reply) = vsbb_read(&sim, &bus, file, 4_002, 1_999, NOBODY);
+    let (large, _, reply) = vsbb_read(&sim, &bus, file, 4_002, 1_999, paid(NOBODY));
     assert_eq!(examined_and_selected(&reply), (2_000, 0));
-    assert!(large_reads > small_reads);
-    assert!(
-        large <= small + 3 * (large_reads - small_reads),
-        "1,000 records examined: {small} allocations over {small_reads} block reads; \
-         2,000: {large} over {large_reads}"
-    );
+    assert_eq!(large, small, "1,000 against 2,000 records examined");
 
     // Selected records: all 2,000 go into one buffer, which allocates when
-    // it doubles (plus the block's shared handle): 62 allocations, 14 more
-    // than with none selected. Before: 16,066, 8 per selected record.
-    let (all, all_reads, reply) = vsbb_read(&sim, &bus, file, 4_003, 1_999, 0.0);
+    // it doubles (plus the block's shared handle): 14 allocations more than
+    // with none selected. Before the virtual block was one buffer: 16,066,
+    // 8 per selected record.
+    let (all, _, reply) = vsbb_read(&sim, &bus, file, 4_003, 1_999, paid(0.0));
     assert_eq!(examined_and_selected(&reply), (2_000, 2_000));
-    assert_eq!(all_reads, large_reads);
     let DpReply::Subset { rows, .. } = &reply else {
         unreachable!()
     };
@@ -210,4 +220,77 @@ fn an_examined_record_allocates_nothing_and_a_selected_one_only_grows_the_buffer
         "2,000 records selected: {all} allocations, none selected: {large}, \
          the buffer doubled at most {doublings} times"
     );
+}
+
+#[test]
+fn a_cache_resident_scan_allocates_per_reply_not_per_block() {
+    let (sim, bus, file, _dp) = warm_file();
+    // Twice the leaves, the same handful of allocations (the request, its
+    // compiled forms, the reply): a block read is a lent image. Before the
+    // cache lent its frames: 29 and 48, one 4 KB copy per block read.
+    let (small, small_reads, _) = vsbb_read(&sim, &bus, file, 4_001, 999, paid(NOBODY));
+    let (large, large_reads, _) = vsbb_read(&sim, &bus, file, 4_002, 1_999, paid(NOBODY));
+    assert!(small_reads >= 20 && large_reads >= small_reads + 19);
+    assert_eq!(
+        large, small,
+        "{small_reads} against {large_reads} block reads"
+    );
+    assert!(small < 10, "{small} allocations for one empty reply");
+}
+
+#[test]
+fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
+    let (sim, bus, file, _dp) = warm_file();
+    let field = |f: u16| Box::new(Expr::Field(f));
+    let lit = |v: Value| Box::new(Expr::Lit(v));
+    let name = |text: &str| Value::Str(text.into());
+    // Every shape that compiles, each rejecting every record: numbers of
+    // both kinds, CHAR (a `String` per record to the interpreter), BETWEEN,
+    // IN with a NULL member, IS NULL, a literal on the left, and the
+    // connectives over them.
+    let compiled = [
+        Expr::field_cmp(2, CmpOp::Lt, Value::SmallInt(0)),
+        Expr::field_cmp(2, CmpOp::Gt, Value::Double(1e6)),
+        Expr::field_cmp(1, CmpOp::Eq, name("NOBODY  ")),
+        Expr::Cmp(lit(name("A")), CmpOp::Gt, field(1)),
+        Expr::Between {
+            expr: field(3),
+            lo: lit(Value::Int(-2)),
+            hi: lit(Value::Double(-1.0)),
+        },
+        Expr::InList(
+            field(0),
+            vec![Expr::Lit(Value::Int(-1)), Expr::Lit(Value::Null)],
+        ),
+        Expr::InList(field(1), vec![Expr::Lit(name("X")), Expr::Lit(name("Y"))]),
+        Expr::IsNull {
+            expr: field(1),
+            negated: false,
+        },
+        Expr::and(
+            Expr::or(paid(NOBODY), Expr::field_cmp(0, CmpOp::Lt, Value::Int(0))),
+            Expr::Not(Box::new(Expr::field_cmp(1, CmpOp::Ne, name("EMP00000")))),
+        ),
+    ];
+    let mut seq = 5_000;
+    let mut allocations = |hi: i32, predicate: &Expr| {
+        seq += 1;
+        let (allocs, _, reply) = vsbb_read(&sim, &bus, file, seq, hi, predicate.clone());
+        let (examined, selected) = examined_and_selected(&reply);
+        assert_eq!(examined, hi as u32 + 1);
+        assert!(selected <= 1, "{predicate}: {selected} selected");
+        allocs
+    };
+    for predicate in &compiled {
+        let (few, many) = (allocations(999, predicate), allocations(1_999, predicate));
+        assert_eq!(many, few, "{predicate}: 1,000 against 2,000 records");
+    }
+    // The proxy is live: what falls back to the interpreter builds a value
+    // per field it reads, and a CHAR value is a `String`.
+    let interpreted = Expr::Like(field(1), "NOBODY%".into());
+    let (few, many) = (
+        allocations(999, &interpreted),
+        allocations(1_999, &interpreted),
+    );
+    assert!(many >= few + 1_000, "LIKE: {few} against {many}");
 }

@@ -377,7 +377,7 @@ impl std::fmt::Display for Expr {
 }
 
 /// Truth view of a value for 3VL connectives.
-fn truth(v: Value) -> Result<Option<bool>, EvalError> {
+pub(crate) fn truth(v: Value) -> Result<Option<bool>, EvalError> {
     match v {
         Value::Bool(b) => Ok(Some(b)),
         Value::Null => Ok(None),

@@ -15,18 +15,21 @@
 //!   the set-oriented FS-DP interface and of the continuation re-drive
 //!   protocol.
 //! * [`Expr`] — bound expressions ("single-variable queries") with SQL
-//!   three-valued logic, evaluated by the Disk Process against raw records.
+//!   three-valued logic; [`Predicate`] is the form the Disk Process compiles
+//!   one to, to decide it on the bytes of the records it holds.
 //! * [`SetList`] — update expressions (`SET BALANCE = BALANCE * 1.07`)
 //!   applied at the data source.
 
 pub mod expr;
 pub mod key;
+pub mod predicate;
 pub mod row;
 pub mod types;
 pub mod value;
 
 pub use expr::{ArithOp, CmpOp, EvalError, Expr, SetList};
 pub use key::{KeyRange, OwnedBound};
+pub use predicate::{Predicate, PredicateError};
 pub use row::{ConcatRow, Projection, RawRecord, Row, RowAccessor, SliceRow};
 pub use types::{FieldDef, FieldType, RecordDescriptor};
 pub use value::Value;

@@ -4,8 +4,10 @@
 //!
 //! * [`Row`] — fully decoded values, used by the SQL executor.
 //! * [`RawRecord`] — lazy field extraction straight from encoded record
-//!   bytes, used by the Disk Process when evaluating pushed-down predicates
-//!   (decode only the fields actually touched).
+//!   bytes (decode only the fields actually touched): how
+//!   [`Expr::eval`](crate::Expr::eval) reads a stored record. The Disk
+//!   Process's pushed-down predicates go through a
+//!   [`Predicate`](crate::Predicate), which compares most fields undecoded.
 //! * [`Projection`] — a pushed-down projection compiled once per request,
 //!   by which the Disk Process copies field bytes from a stored record into
 //!   a virtual block (decode nothing).
@@ -361,7 +363,9 @@ impl Projection {
     }
 }
 
-/// Lazy field access over encoded record bytes — the Disk Process view.
+/// Lazy field access over encoded record bytes. A field that does not
+/// decode reads as NULL; a [`Predicate`](crate::Predicate) refuses such a
+/// record instead.
 pub struct RawRecord<'a> {
     /// The record layout.
     pub desc: &'a RecordDescriptor,

@@ -3,8 +3,12 @@
 
 use nsql_records::key::{encode_key_value, encode_record_key};
 use nsql_records::row::{decode_row, encode_row, extract_field, CodecError};
-use nsql_records::{CmpOp, Expr, FieldDef, FieldType, Projection, RecordDescriptor, Row, Value};
+use nsql_records::{
+    ArithOp, CmpOp, EvalError, Expr, FieldDef, FieldType, Predicate, PredicateError, Projection,
+    RecordDescriptor, Row, RowAccessor, Value,
+};
 use nsql_sim::SimRng;
+use std::cell::Cell;
 
 fn draw_value_for(rng: &mut SimRng, ty: FieldType) -> Value {
     match ty {
@@ -155,7 +159,13 @@ fn record_keys_order_like_tuples() {
     }
 }
 
-/// The Disk Process's raw-record predicate evaluation agrees with
+/// What a compiled predicate makes of `record`, in the oracle's terms.
+fn compiled_eval(d: &RecordDescriptor, e: &Expr, record: &[u8]) -> Result<Value, PredicateError> {
+    Predicate::new(d, e.clone()).eval(d, record)
+}
+
+/// The Disk Process's evaluation over raw record bytes — interpreted
+/// through `RawRecord` and compiled into a `Predicate` — agrees with
 /// evaluation over the fully decoded row.
 #[test]
 fn raw_and_decoded_evaluation_agree() {
@@ -173,6 +183,10 @@ fn raw_and_decoded_evaluation_agree() {
         for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge, CmpOp::Ne] {
             let pred = Expr::field_cmp(1, op, Value::SmallInt(lit));
             assert_eq!(pred.eval(&raw), pred.eval(&decoded));
+            assert_eq!(
+                compiled_eval(&d, &pred, &bytes),
+                Ok(pred.eval(&raw).unwrap())
+            );
         }
         // IS NULL too.
         let isnull = Expr::IsNull {
@@ -180,6 +194,10 @@ fn raw_and_decoded_evaluation_agree() {
             negated: false,
         };
         assert_eq!(isnull.eval(&raw), isnull.eval(&decoded));
+        assert_eq!(
+            compiled_eval(&d, &isnull, &bytes),
+            Ok(isnull.eval(&raw).unwrap())
+        );
     }
 }
 
@@ -197,6 +215,26 @@ fn de_morgan_under_three_valued_logic() {
             let lhs = Expr::Not(Box::new(Expr::and(v(a), v(b))));
             let rhs = Expr::or(Expr::Not(Box::new(v(a))), Expr::Not(Box::new(v(b))));
             assert_eq!(lhs.eval(&row).unwrap(), rhs.eval(&row).unwrap());
+        }
+    }
+    // The same over the compiled connectives: `F<x> = 1` is FALSE, TRUE and
+    // unknown on the fields of one stored record.
+    let d = RecordDescriptor::new(
+        (0..3)
+            .map(|i| FieldDef::nullable(format!("F{i}"), FieldType::Int))
+            .collect(),
+        vec![],
+    );
+    let record = encode_row(&d, &[Value::Int(0), Value::Int(1), Value::Null]).unwrap();
+    let f = |x: u8| Expr::field_cmp(u16::from(x), CmpOp::Eq, Value::Int(1));
+    for a in 0u8..3 {
+        for b in 0u8..3 {
+            let lhs = Expr::Not(Box::new(Expr::and(f(a), f(b))));
+            let rhs = Expr::or(Expr::Not(Box::new(f(a))), Expr::Not(Box::new(f(b))));
+            let literals = Expr::Not(Box::new(Expr::and(v(a), v(b))));
+            let compiled = compiled_eval(&d, &lhs, &record);
+            assert_eq!(compiled, compiled_eval(&d, &rhs, &record));
+            assert_eq!(compiled, Ok(literals.eval(&row).unwrap()));
         }
     }
 }
@@ -236,6 +274,29 @@ fn descriptor_codec_round_trips() {
         assert_eq!(used, bytes.len());
         assert_eq!(decoded, d);
     }
+}
+
+/// `record` damaged: truncated, its VARCHAR slots pointing out of it, or
+/// holding a byte no UTF-8 text holds.
+fn damage(rng: &mut SimRng, d: &RecordDescriptor, record: &[u8]) -> Vec<u8> {
+    let mut damaged = record.to_vec();
+    match rng.below(3) {
+        0 => damaged.truncate(rng.below(record.len() as u64) as usize),
+        1 => {
+            let varchars = (0..d.num_fields() as u16)
+                .filter(|&f| matches!(d.fields[f as usize].ty, FieldType::Varchar(_)));
+            for f in varchars {
+                let at = d.slot_offset(f) + 2 * rng.below(2) as usize;
+                let wild = (rng.below(2 * record.len() as u64 + 2) as u16).to_be_bytes();
+                damaged[at..at + 2].copy_from_slice(&wild);
+            }
+        }
+        _ => {
+            let at = rng.below(record.len() as u64) as usize;
+            damaged[at] = 0xFF;
+        }
+    }
+    damaged
 }
 
 /// The projected fields as `extract_field` reads them, if it reads them all.
@@ -283,25 +344,7 @@ fn projection_plan_matches_extract_and_encode() {
         assert_eq!(block[3..], expected[..], "{d:?} {fields:?}");
         intact += 1;
 
-        // Damage: truncation, a VARCHAR slot pointing out of the record, a
-        // byte no UTF-8 text holds.
-        let mut damaged = record.clone();
-        match rng.below(3) {
-            0 => damaged.truncate(rng.below(record.len() as u64) as usize),
-            1 => {
-                let varchars = (0..n as u16)
-                    .filter(|&f| matches!(d.fields[f as usize].ty, FieldType::Varchar(_)));
-                for f in varchars {
-                    let at = d.slot_offset(f) + 2 * rng.below(2) as usize;
-                    let wild = (rng.below(2 * record.len() as u64 + 2) as u16).to_be_bytes();
-                    damaged[at..at + 2].copy_from_slice(&wild);
-                }
-            }
-            _ => {
-                let at = rng.below(record.len() as u64) as usize;
-                damaged[at] = 0xFF;
-            }
-        }
+        let damaged = damage(&mut rng, &d, &record);
         let mut block = vec![0xEE; 3];
         let done = plan.project_into(&damaged, &mut block);
         match extract(&d, &damaged, &fields) {
@@ -322,6 +365,322 @@ fn projection_plan_matches_extract_and_encode() {
         }
     }
     assert!(intact == 512 && refused > 100 && survived > 100);
+}
+
+/// Random expressions over the whole `Expr` grammar, against one row of one
+/// schema: comparisons of a field with a literal of its own type (the row's
+/// own value often enough for equality to be met), of any other type, NULL
+/// or a boolean, on either side; arithmetic that overflows and divides by
+/// zero; `LIKE`, `IN` with a NULL member, `BETWEEN`, `IS NULL`; non-boolean
+/// operands under the connectives.
+struct ExprGen<'a> {
+    rng: &'a mut SimRng,
+    d: &'a RecordDescriptor,
+    row: &'a [Value],
+}
+
+impl ExprGen<'_> {
+    fn field(&mut self) -> u16 {
+        self.rng.below(self.d.num_fields() as u64) as u16
+    }
+
+    /// Zero to divide by, ends of the range to overflow from, and doubles
+    /// that do not order.
+    const EDGES: [Value; 8] = [
+        Value::Int(0),
+        Value::SmallInt(-1),
+        Value::LargeInt(i64::MAX),
+        Value::LargeInt(i64::MIN),
+        Value::Double(0.0),
+        Value::Double(f64::NAN),
+        Value::Double(f64::INFINITY),
+        Value::Double(-1.5),
+    ];
+
+    fn literal_for(&mut self, f: u16) -> Value {
+        let own = &self.row[f as usize];
+        match self.rng.below(10) {
+            0 => Value::Null,
+            1 => Value::Bool(self.rng.chance(0.5)),
+            2 | 3 if !own.is_null() => own.clone(),
+            4 => {
+                let any = self.field();
+                draw_value_for(self.rng, self.d.fields[any as usize].ty)
+            }
+            5 => Self::EDGES[self.rng.below(8) as usize].clone(),
+            _ => draw_value_for(self.rng, self.d.fields[f as usize].ty),
+        }
+    }
+
+    fn lit(&mut self, f: u16) -> Box<Expr> {
+        Box::new(Expr::Lit(self.literal_for(f)))
+    }
+
+    /// A value: a field, a literal or arithmetic over them.
+    fn operand(&mut self, depth: u32) -> Expr {
+        match self.rng.below(if depth == 0 { 2 } else { 3 }) {
+            0 => Expr::Field(self.field()),
+            1 => {
+                let f = self.field();
+                Expr::Lit(self.literal_for(f))
+            }
+            _ => {
+                let ops = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div];
+                let op = ops[self.rng.below(4) as usize];
+                let a = self.operand(depth - 1);
+                let b = match self.rng.below(2) {
+                    0 => Expr::Lit(Self::EDGES[self.rng.below(4) as usize].clone()),
+                    _ => self.operand(depth - 1),
+                };
+                Expr::Arith(Box::new(a), op, Box::new(b))
+            }
+        }
+    }
+
+    fn cmp_op(&mut self) -> CmpOp {
+        use CmpOp::*;
+        [Eq, Ne, Lt, Le, Gt, Ge][self.rng.below(6) as usize]
+    }
+
+    /// A truth value, mostly.
+    fn predicate(&mut self, depth: u32) -> Expr {
+        let f = self.field();
+        let field = Box::new(Expr::Field(f));
+        match self.rng.below(if depth == 0 { 7 } else { 12 }) {
+            0 => Expr::Cmp(field, self.cmp_op(), self.lit(f)),
+            1 => Expr::Cmp(self.lit(f), self.cmp_op(), field),
+            2 => Expr::IsNull {
+                expr: if self.rng.chance(0.8) {
+                    field
+                } else {
+                    Box::new(self.operand(depth))
+                },
+                negated: self.rng.chance(0.5),
+            },
+            3 => Expr::Between {
+                expr: field,
+                lo: self.lit(f),
+                hi: if self.rng.chance(0.9) {
+                    self.lit(f)
+                } else {
+                    Box::new(self.operand(depth))
+                },
+            },
+            4 => {
+                let mut list: Vec<Expr> = (0..self.rng.below(4))
+                    .map(|_| Expr::Lit(self.literal_for(f)))
+                    .collect();
+                if self.rng.chance(0.1) {
+                    list.push(self.operand(depth));
+                }
+                Expr::InList(field, list)
+            }
+            5 => {
+                let patterns = ["%", "_%", "a%", "%a%", "", "%  "];
+                let pattern = patterns[self.rng.below(6) as usize].to_string();
+                Expr::Like(field, pattern)
+            }
+            6 => {
+                let (a, b) = (self.operand(depth), self.operand(depth));
+                Expr::Cmp(Box::new(a), self.cmp_op(), Box::new(b))
+            }
+            7 | 8 => Expr::and(self.predicate(depth - 1), self.predicate(depth - 1)),
+            9 => Expr::or(self.predicate(depth - 1), self.predicate(depth - 1)),
+            10 => Expr::Not(Box::new(self.predicate(depth - 1))),
+            _ => self.operand(depth),
+        }
+    }
+}
+
+/// A record's fields as `extract_field` reads them one by one; one that does
+/// not decode reads as NULL and is remembered.
+struct FieldByField {
+    fields: Vec<Result<Value, CodecError>>,
+    read_an_undecodable: Cell<bool>,
+}
+
+impl RowAccessor for FieldByField {
+    fn field(&self, i: u16) -> Value {
+        self.fields[i as usize].clone().unwrap_or_else(|_| {
+            self.read_an_undecodable.set(true);
+            Value::Null
+        })
+    }
+    fn width(&self) -> usize {
+        self.fields.len()
+    }
+}
+
+/// The compiled predicate is `Expr::eval` over the decoded row: the same
+/// value — TRUE, FALSE, unknown, or whatever a non-boolean expression comes
+/// to — and the same error, for every expression and every record. The one
+/// difference is on purpose: a record too short for its fixed part, or a
+/// field the evaluation reads that does not decode, is a corrupt record
+/// instead of a NULL.
+#[test]
+fn compiled_and_interpreted_predicates_agree() {
+    let mut rng = SimRng::seed_from(0x207);
+    let (mut values, mut type_errors, mut arithmetic_errors) = (0, 0, 0);
+    let (mut corrupt, mut compiled_trees) = (0, 0);
+    let mut truths = [0; 3];
+    for case in 0..4_000 {
+        let d = draw_desc(&mut rng);
+        let row: Vec<Value> = (d.fields.iter().enumerate())
+            .map(|(i, f)| match rng.below(4) {
+                0 if i > 0 => Value::Null,
+                _ => draw_value_for(&mut rng, f.ty),
+            })
+            .collect();
+        let intact = encode_row(&d, &row).unwrap();
+        let depth = rng.below(5) as u32;
+        let expr = ExprGen {
+            rng: &mut rng,
+            d: &d,
+            row: &row,
+        }
+        .predicate(depth);
+        let predicate = Predicate::new(&d, expr.clone());
+        assert_eq!(predicate.eval_cost(), expr.eval_cost());
+        if !format!("{predicate:?}").contains("root: None") {
+            compiled_trees += 1;
+        }
+
+        // The record as stored, damaged as a projection's is, and with one
+        // bit flipped.
+        let mut flipped = intact.clone();
+        flipped[rng.below(intact.len() as u64) as usize] ^= 1 << rng.below(8);
+        let damaged = damage(&mut rng, &d, &intact);
+        for record in [&intact, &damaged, &flipped] {
+            let fields = FieldByField {
+                fields: (0..d.num_fields() as u16)
+                    .map(|f| extract_field(&d, record, f))
+                    .collect(),
+                read_an_undecodable: Cell::new(false),
+            };
+            let interpreted = expr.eval(&fields);
+            let expected = if record.len() < d.bitmap_len() + d.fixed_size()
+                || fields.read_an_undecodable.get()
+            {
+                Err(PredicateError::Record(CodecError::Corrupt))
+            } else {
+                interpreted.map_err(PredicateError::Eval)
+            };
+            let got = predicate.eval(&d, record);
+            // By their rendering: a NaN is the NaN it is.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{expected:?}"),
+                "case {case}: {expr} over {row:?} as {record:?}"
+            );
+            assert_eq!(
+                predicate.passes(&d, record).ok(),
+                got.as_ref().ok().map(|v| *v == Value::Bool(true))
+            );
+            match got {
+                Ok(Value::Bool(false)) => truths[0] += 1,
+                Ok(Value::Bool(true)) => truths[1] += 1,
+                Ok(Value::Null) => truths[2] += 1,
+                Ok(_) => values += 1,
+                Err(PredicateError::Eval(EvalError::Type(_))) => type_errors += 1,
+                Err(PredicateError::Eval(_)) => arithmetic_errors += 1,
+                Err(PredicateError::Record(_)) => corrupt += 1,
+            }
+        }
+        // Field by field, the intact record is the decoded row.
+        let decoded = expr.eval(&Row(row)).map_err(PredicateError::Eval);
+        let got = predicate.eval(&d, &intact);
+        assert_eq!(format!("{got:?}"), format!("{decoded:?}"), "case {case}");
+    }
+    assert!(
+        truths.iter().all(|&n| n > 1_000) && values > 100 && corrupt > 500,
+        "FALSE/TRUE/unknown {truths:?}, other values {values}, corrupt {corrupt}"
+    );
+    assert!(
+        type_errors > 300 && arithmetic_errors > 50,
+        "{type_errors} type errors, {arithmetic_errors} of arithmetic"
+    );
+    assert!(compiled_trees > 1_500, "{compiled_trees} of 4,000 compiled");
+}
+
+/// A predicate decided by the Disk Process (pushed down under VSBB, compiled
+/// or interpreted there) and the same predicate decided by the executor
+/// (`FOR BROWSE RECORD ACCESS` fetches record by record and filters the
+/// decoded rows) select the same rows, for every field type.
+#[test]
+fn pushed_down_and_executor_evaluated_predicates_select_the_same_rows() {
+    use nonstop_sql::ClusterBuilder;
+
+    let mut rng = SimRng::seed_from(0x208);
+    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
+    let mut s = db.session();
+    s.execute(
+        "CREATE TABLE T (K INT NOT NULL, S SMALLINT, I INT, L LARGEINT, D DOUBLE PRECISION, \
+         C CHAR(6), V VARCHAR(10), PRIMARY KEY (K))",
+    )
+    .unwrap();
+    let texts = ["", "a", "ab", "ab  c", "b", "zz", "M"];
+    s.execute("BEGIN WORK").unwrap();
+    for k in 0..120 {
+        let values = [
+            rng.between(-3, 3).to_string(),
+            rng.between(-100, 100).to_string(),
+            (rng.between(-2, 2) * 5_000_000_000).to_string(),
+            format!("{:.2}", rng.between(-20, 20) as f64 / 4.0),
+            format!("'{}'", texts[rng.below(7) as usize]),
+            format!("'{}'", texts[rng.below(7) as usize]),
+        ];
+        // One column in five is NULL.
+        let values = values.map(|v| match rng.below(5) {
+            0 => "NULL".to_string(),
+            _ => v,
+        });
+        let values = values.join(", ");
+        s.execute(&format!("INSERT INTO T VALUES ({k}, {values})"))
+            .unwrap();
+    }
+    s.execute("COMMIT WORK").unwrap();
+
+    let predicates = [
+        // SMALLINT, INT, LARGEINT: exact against any integer, promoted
+        // against a double.
+        "S > 0",
+        "S <= 1.5",
+        "I BETWEEN -50 AND 50",
+        "NOT I = 7 AND I <> 8",
+        "L IN (5000000000, -10000000000, NULL)",
+        "L >= 5000000000",
+        "100 > I",
+        // DOUBLE.
+        "D >= 0.5",
+        "D < 2",
+        "D BETWEEN -1 AND 1.25",
+        // CHAR: PAD SPACE.
+        "C = 'ab'",
+        "C < 'b'",
+        "C IN ('a', 'zz  ')",
+        "C IS NOT NULL",
+        // VARCHAR and what else the Disk Process interprets.
+        "V = 'ab'",
+        "V IS NULL",
+        "V LIKE 'a%'",
+        "S + 1 > I",
+        "I = S",
+        // Both kinds of leaf under the connectives.
+        "S > 0 AND V = 'ab' OR D < 0 AND NOT (C >= 'b' OR L IS NULL)",
+    ];
+    let mut selected = 0;
+    for p in predicates {
+        let pushed = s.query(&format!("SELECT K, V FROM T WHERE {p}")).unwrap();
+        let browsed = s
+            .query(&format!(
+                "SELECT K, V FROM T WHERE {p} FOR BROWSE RECORD ACCESS"
+            ))
+            .unwrap();
+        assert_eq!(pushed.rows, browsed.rows, "WHERE {p}");
+        assert!(pushed.rows.len() < 120, "WHERE {p} selects every row");
+        selected += pushed.rows.len();
+    }
+    assert!(selected > 500, "{selected} rows selected in all");
 }
 
 /// End-to-end: a batch of random rows inserted through SQL is exactly what
