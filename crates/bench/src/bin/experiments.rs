@@ -1,7 +1,10 @@
 //! CLI entry point: print experiment reports.
 //!
-//! - `--json`: also write one machine-readable record per core experiment
-//!   to `BENCH_results.json` in the current directory.
+//! - `<id>...`: run the named experiments of the registry
+//!   (`nsql_bench::EXPERIMENTS`), or `all`; no argument means `all`. An
+//!   unknown id, or an experiment that fails, prints why and exits 1.
+//! - `--json`: also write one machine-readable record per gated table to
+//!   `BENCH_results.json` in the current directory.
 //! - `--trace-out <path>`: run the canonical traced workload and write a
 //!   Chrome trace-event JSON file (load into `chrome://tracing` or
 //!   Perfetto; timestamps are virtual microseconds).
@@ -13,69 +16,56 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    match cli(std::env::args().skip(1).collect()) {
+        Ok(code) => code,
+        Err(why) => {
+            eprintln!("{why}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+fn cli(mut args: Vec<String>) -> Result<ExitCode, String> {
+    if args.is_empty() {
+        args.push("all".into());
+    }
     if args.first().map(String::as_str) == Some("gate") {
-        let baseline_path = args
-            .get(1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_baseline.json");
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("perf gate: cannot read {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let current = nsql_bench::run_json();
-        return match nsql_bench::perf_gate(&baseline, &current) {
-            Ok(summary) => {
-                print!("{summary}");
-                ExitCode::SUCCESS
-            }
-            Err(report) => {
-                print!("{report}");
-                ExitCode::FAILURE
-            }
-        };
+        let path = args.get(1).map_or("BENCH_baseline.json", String::as_str);
+        let baseline = std::fs::read_to_string(path)
+            .map_err(|e| format!("perf gate: cannot read {path}: {e}"))?;
+        // The gate's report, pass or fail, goes to stdout.
+        return Ok(
+            match nsql_bench::perf_gate(&baseline, &nsql_bench::run_json()?) {
+                Ok(summary) => {
+                    print!("{summary}");
+                    ExitCode::SUCCESS
+                }
+                Err(report) => {
+                    print!("{report}");
+                    ExitCode::FAILURE
+                }
+            },
+        );
     }
 
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote {path}");
+        Ok::<(), String>(())
+    };
     if let Some(pos) = args.iter().position(|a| a == "--trace-out") {
         args.remove(pos);
         if pos >= args.len() {
-            eprintln!("--trace-out requires a path");
-            return ExitCode::FAILURE;
+            return Err("--trace-out requires a path".into());
         }
-        let path = args.remove(pos);
-        if let Err(e) = std::fs::write(&path, nsql_bench::trace_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-        if args.is_empty() {
-            return ExitCode::SUCCESS;
-        }
+        write(&args.remove(pos), nsql_bench::trace_json()?)?;
     }
-
     if let Some(pos) = args.iter().position(|a| a == "--json") {
         args.remove(pos);
-        let json = nsql_bench::run_json();
-        if let Err(e) = std::fs::write("BENCH_results.json", &json) {
-            eprintln!("cannot write BENCH_results.json: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote BENCH_results.json");
-        if args.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    if args.is_empty() {
-        print!("{}", nsql_bench::run("all"));
-        return ExitCode::SUCCESS;
+        write("BENCH_results.json", nsql_bench::run_json()?)?;
     }
     for a in args {
-        print!("{}", nsql_bench::run(&a));
+        print!("{}", nsql_bench::run(&a)?);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

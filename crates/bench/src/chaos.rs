@@ -2,15 +2,15 @@
 //!
 //! Runs the bank (DebitCredit) and Wisconsin workloads under seeded fault
 //! schedules — 8 seeds x 5 fault mixes — and reports what the recovery
-//! protocol absorbed. The invariants of `tests/chaos.rs` are re-asserted
-//! here, so a violation aborts the run loudly instead of printing a table:
+//! protocol absorbed. The invariants of `tests/chaos.rs` are re-checked
+//! here, so a violation fails the run instead of printing a table:
 //! no committed transaction lost, no update applied twice, scans return
 //! exactly the committed row set.
 
+use crate::fixtures::{debit_credit_batch, ensure, Outcome};
 use crate::report::Table;
-use nsql_core::{ClusterBuilder, Fault, FaultConfig};
+use nsql_core::{Cluster, ClusterBuilder, Fault, FaultConfig};
 use nsql_records::Value;
-use nsql_sim::SimRng;
 use nsql_workloads::{Bank, Wisconsin};
 
 /// The fixed seed set (also used by the CI chaos job).
@@ -81,138 +81,109 @@ struct Agg {
     scan_rows: i64,
 }
 
+impl Agg {
+    /// Add what the fault plane and the recovery protocol counted on `db`.
+    fn absorb(&mut self, db: &Cluster) {
+        let m = db.snapshot();
+        self.faults += m.faults_injected;
+        self.retries += m.fs_retries;
+        self.dup_suppressed += m.dp_dup_suppressed;
+        self.path_switches += m.path_switches;
+    }
+}
+
 /// One bank run: `BANK_TXNS` debit-credit transactions under `cfg`,
 /// committing what succeeds and aborting the rest, then a consistency
 /// audit with the fault plane off.
-fn bank_run(cfg: FaultConfig, agg: &mut Agg) {
+fn bank_run(cfg: FaultConfig, agg: &mut Agg) -> Outcome<()> {
     let db = ClusterBuilder::new()
         .volume_with_backup("$DATA1", 0, 1, 0, 3)
         .build();
-    let bank = Bank::create(&db, 2, 25, "$DATA1").unwrap();
+    let bank = Bank::create(&db, 2, 25, "$DATA1")?;
     let s = db.session();
-    let fs = s.fs();
-    let mut rng = SimRng::seed_from(cfg.seed ^ 0xB1);
+    let seed = cfg.seed ^ 0xB1;
     db.enable_faults(cfg);
-    let mut committed = 0i64;
-    let mut expected = 50.0 * 1000.0;
-    for _ in 0..BANK_TXNS {
-        let (aid, tid, bid, delta) = bank.draw(&mut rng);
-        let txn = db.txnmgr.begin();
-        match bank.debit_credit_sql(fs, txn, aid, tid, bid, delta) {
-            Ok(()) if db.txnmgr.commit(txn, s.cpu()).is_ok() => {
-                committed += 1;
-                expected += delta;
-            }
-            Ok(()) => {}
-            Err(_) => {
-                let _ = db.txnmgr.abort(txn, s.cpu());
-            }
-        }
-    }
+    let batch = debit_credit_batch(&s, &bank, Bank::debit_credit_sql, seed, BANK_TXNS);
     db.disable_faults();
-    let err = bank.total_balance(&db).unwrap() - expected;
-    assert!(
+    let committed = i64::from(batch.committed);
+    let err = bank.total_balance(&db)? - (50.0 * 1000.0 + batch.net_delta);
+    ensure!(
         err.abs() < 1e-6,
         "chaos: money lost or double-applied ({err:+})"
     );
-    let mut s2 = db.session();
-    let history = match s2.query("SELECT COUNT(*) FROM HISTORY").unwrap().rows[0].0[0] {
-        Value::LargeInt(n) => n,
-        ref other => panic!("expected COUNT, got {other:?}"),
-    };
-    assert_eq!(
-        history, committed,
-        "chaos: exactly one HISTORY row per committed transaction"
+    let history = db.session().query("SELECT COUNT(*) FROM HISTORY")?.rows[0].0[0].clone();
+    ensure!(
+        history == Value::LargeInt(committed),
+        "chaos: HISTORY counts {history:?} for {committed} committed transactions"
     );
-    let m = db.snapshot();
-    agg.faults += m.faults_injected;
-    agg.retries += m.fs_retries;
-    agg.dup_suppressed += m.dp_dup_suppressed;
-    agg.path_switches += m.path_switches;
+    agg.absorb(&db);
     agg.committed += committed;
     agg.worst_conservation = agg.worst_conservation.max(err.abs());
+    Ok(())
 }
 
 /// One Wisconsin run: a full scan under `cfg` must return exactly the
 /// committed row set.
-fn wisconsin_run(cfg: FaultConfig, agg: &mut Agg) {
+fn wisconsin_run(cfg: FaultConfig, agg: &mut Agg) -> Outcome<()> {
     let db = ClusterBuilder::new()
         .volume_with_backup("$DATA1", 0, 1, 0, 3)
         .build();
-    Wisconsin::create(&db, "WISC", WISC_ROWS, &["$DATA1"], 1).unwrap();
+    Wisconsin::create(&db, "WISC", WISC_ROWS, &["$DATA1"], 1)?;
     db.enable_faults(cfg);
-    let mut s = db.session();
-    let r = s.query("SELECT UNIQUE1 FROM WISC").unwrap();
+    let r = db.session().query("SELECT UNIQUE1 FROM WISC")?;
     db.disable_faults();
-    let mut seen: Vec<i64> = r
-        .rows
-        .iter()
-        .map(|row| match row.0[0] {
-            Value::Int(n) => n as i64,
-            ref other => panic!("expected INT, got {other:?}"),
-        })
-        .collect();
+    let mut seen = Vec::new();
+    for row in &r.rows {
+        let Value::Int(n) = row.0[0] else {
+            return Err(format!("chaos: UNIQUE1 is {:?}, not an INT", row.0[0]).into());
+        };
+        seen.push(n);
+    }
     seen.sort_unstable();
-    assert_eq!(
-        seen,
-        (0..WISC_ROWS as i64).collect::<Vec<_>>(),
+    ensure!(
+        seen == (0..WISC_ROWS as i32).collect::<Vec<_>>(),
         "chaos: scan must return each committed row exactly once"
     );
-    let m = db.snapshot();
-    agg.faults += m.faults_injected;
-    agg.retries += m.fs_retries;
-    agg.dup_suppressed += m.dp_dup_suppressed;
-    agg.path_switches += m.path_switches;
+    agg.absorb(&db);
     agg.scan_rows += seen.len() as i64;
+    Ok(())
 }
 
-/// Run the full chaos matrix and render the per-mix report.
-pub fn run_chaos() -> String {
-    let mut t = Table::new(
+/// The full chaos matrix as the per-mix report.
+pub fn chaos() -> Outcome<Vec<Table>> {
+    let mut rows = Vec::new();
+    for (i, (name, _)) in mixes(0).into_iter().enumerate() {
+        let mut agg = Agg::default();
+        for seed in SEEDS {
+            let cfg = mixes(seed).remove(i).1;
+            bank_run(cfg.clone(), &mut agg)?;
+            wisconsin_run(cfg, &mut agg)?;
+        }
+        rows.push((name, agg));
+    }
+    let mut t = Table::measured(
         format!(
             "Chaos — bank ({BANK_TXNS} txns) + Wisconsin ({WISC_ROWS} rows) x {} seeds per mix",
             SEEDS.len()
         ),
+        &rows,
         &[
-            "fault mix",
-            "faults injected",
-            "FS retries",
-            "dup suppressed",
-            "path switches",
-            "committed",
-            "worst conservation",
-            "scan rows ok",
+            ("fault mix", &|r| r.0.into()),
+            ("faults injected", &|r| r.1.faults.to_string()),
+            ("FS retries", &|r| r.1.retries.to_string()),
+            ("dup suppressed", &|r| r.1.dup_suppressed.to_string()),
+            ("path switches", &|r| r.1.path_switches.to_string()),
+            ("committed", &|r| {
+                format!("{}/{}", r.1.committed, BANK_TXNS as usize * SEEDS.len())
+            }),
+            ("worst conservation", &|r| {
+                format!("{:+.1e}", r.1.worst_conservation)
+            }),
+            ("scan rows ok", &|r| r.1.scan_rows.to_string()),
         ],
     );
-    let names: Vec<&'static str> = mixes(0).into_iter().map(|(n, _)| n).collect();
-    for name in names {
-        let mut agg = Agg::default();
-        for seed in SEEDS {
-            let cfg = mixes(seed)
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, c)| c)
-                .unwrap();
-            bank_run(cfg.clone(), &mut agg);
-            wisconsin_run(cfg, &mut agg);
-        }
-        t.row(vec![
-            name.to_string(),
-            agg.faults.to_string(),
-            agg.retries.to_string(),
-            agg.dup_suppressed.to_string(),
-            agg.path_switches.to_string(),
-            format!(
-                "{}/{}",
-                agg.committed,
-                BANK_TXNS as i64 * SEEDS.len() as i64
-            ),
-            format!("{:+.1e}", agg.worst_conservation),
-            agg.scan_rows.to_string(),
-        ]);
-    }
     t.note("Every row re-asserts the fault-tolerance contract: account balances reconcile against the committed deltas, HISTORY holds exactly one row per commit, and the scan returns each committed row exactly once. Crashed-CPU mixes abort (doom) in-flight transactions — the committed column dips — but never lose a committed one.");
-    t.render()
+    Ok(vec![t])
 }
 
 #[cfg(test)]
@@ -229,8 +200,8 @@ mod tests {
             .find(|(n, _)| *n == "everything")
             .map(|(_, c)| c)
             .unwrap();
-        bank_run(cfg.clone(), &mut agg);
-        wisconsin_run(cfg, &mut agg);
+        bank_run(cfg.clone(), &mut agg).unwrap();
+        wisconsin_run(cfg, &mut agg).unwrap();
         assert!(agg.faults > 0, "the mix must actually inject faults");
         assert_eq!(agg.scan_rows, WISC_ROWS as i64);
     }

@@ -1,96 +1,164 @@
-//! The experiment harness: one function per experiment of DESIGN.md §4.
+//! The experiments of DESIGN.md §4: one registry, one body per entry.
 //!
-//! Every experiment builds a fresh deterministic cluster, runs a workload,
-//! and reports the counters the paper argues about (FS-DP messages, bytes,
-//! disk I/O, audit volume, CPU work units, virtual elapsed time). Each
-//! function returns the rendered report so tests can assert on the shapes.
+//! [`EXPERIMENTS`] is the only place an experiment is named. `run`,
+//! `run_json`, the binary's dispatch and error message, the gate's record
+//! ids and the documentation tests all iterate it. To add an experiment:
+//! one entry here, one body below, one row in DESIGN.md §4 and its tables
+//! in EXPERIMENTS.md — the tests of this module name whichever is missing.
+//!
+//! Every body builds a fresh deterministic cluster from `crate::fixtures`,
+//! runs a workload inside measurement windows, and declares each table as
+//! rows plus columns (header and cell accessor together). A body returns
+//! `Err` where it cannot report — a failed call or a result check that does
+//! not hold — and the binary exits non-zero naming the experiment.
 
+use crate::fixtures::{
+    accounts, blocked_insert, canonical_workload, cold_caches, configured, debit_credit_batch,
+    ensure, in_txn, loaded, pk, rebalanced, set_arith, table, window, Outcome,
+};
 use crate::report::{ms, ratio, Table};
 use nsql_core::{Cluster, ClusterBuilder, DiskProcessConfig, FaultConfig, GroupCommitTimer};
-use nsql_sim::{MetricsSnapshot, SimRng, Window};
-use nsql_workloads::{Bank, Wisconsin};
+use nsql_dp::{AuditMode, DpError, DpRequest, ReadLock, SubsetMode};
+use nsql_fs::{CursorUpdater, FsError, OpenFile};
+use nsql_records::{ArithOp, CmpOp, Expr, FieldType, KeyRange, OwnedBound, SetList, Value};
+use nsql_sim::{Ctr, EntityKind, Histogram, MetricsSnapshot, Wait, WaitProfile, Window};
+use nsql_workloads::{run_load, Bank, LoadConfig, LoadOutcome, Wisconsin};
 
-/// Run one experiment by id (`"e1"`..`"e22"`), all with `"all"`, the
-/// chaos harness with `"chaos"`, or the exhaustive contention grid with
-/// `"load"`.
-pub fn run(which: &str) -> String {
-    if which == "chaos" {
-        return crate::chaos::run_chaos();
+/// One entry of the registry.
+pub struct Experiment {
+    /// What the command line calls it.
+    pub id: &'static str,
+    /// Whether `all` runs it (the chaos matrix and the load grid are run
+    /// by name only).
+    pub in_all: bool,
+    /// Builds the tables, in the order they are printed.
+    pub body: Body,
+    /// The `BENCH_results.json` record id of each table, for the
+    /// experiments the perf gate pins; empty for the rest.
+    pub records: &'static [&'static str],
+}
+
+/// What an entry runs.
+pub type Body = fn() -> Outcome<Vec<Table>>;
+
+/// An experiment of the paper: `all` runs it, and its tables are the
+/// `records` the perf gate pins, if any.
+const fn paper(id: &'static str, body: Body, records: &'static [&'static str]) -> Experiment {
+    Experiment {
+        id,
+        in_all: true,
+        body,
+        records,
     }
-    if which == "load" {
-        return load_sweep();
+}
+
+/// A mode run by name only, and not gated.
+const fn by_name(id: &'static str, body: Body) -> Experiment {
+    Experiment {
+        id,
+        in_all: false,
+        body,
+        records: &[],
     }
-    type ExperimentFn = fn() -> String;
-    let all: Vec<(&str, ExperimentFn)> = vec![
-        ("e1", e1),
-        ("e2", e2),
-        ("e3", e3),
-        ("e4", e4),
-        ("e5", e5),
-        ("e6", e6),
-        ("e7", e7),
-        ("e8", e8),
-        ("e9", e9),
-        ("e10", e10),
-        ("e11", e11),
-        ("e12", e12),
-        ("e13", e13),
-        ("e14", e14),
-        ("e15", e15),
-        ("e16", e16),
-        ("e17", e17),
-        ("e18", e18),
-        ("e19", e19),
-        ("e20", e20),
-        ("e21", e21),
-        ("e22", e22),
-    ];
+}
+
+/// Every experiment, in the order `all` prints them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    paper("e1", e1, &[]),
+    paper("e2", e2, &["e2"]),
+    paper("e3", e3, &[]),
+    paper("e4", e4, &["e4"]),
+    paper("e5", e5, &[]),
+    paper("e6", e6, &["e6"]),
+    paper("e7", e7, &[]),
+    paper("e8", e8, &[]),
+    paper("e9", e9, &["e9"]),
+    paper("e10", e10, &[]),
+    paper("e11", e11, &[]),
+    paper("e12", e12, &[]),
+    paper("e13", e13, &[]),
+    paper("e14", e14, &[]),
+    paper("e15", e15, &[]),
+    paper("e16", e16, &[]),
+    paper("e17", e17, &["e17"]),
+    paper("e18", e18, &["e18"]),
+    paper("e19", e19, &["e19"]),
+    paper("e20", e20, &["e20"]),
+    paper("e21", e21, &["e21"]),
+    paper("e22", e22, &["e22", "e22cdf"]),
+    by_name("chaos", crate::chaos::chaos),
+    by_name("load", load),
+];
+
+impl Experiment {
+    /// Run the body; an error names the experiment.
+    pub fn tables(&self) -> Result<Vec<Table>, String> {
+        (self.body)().map_err(|e| format!("experiment {}: {e}", self.id))
+    }
+
+    /// The experiment as text: its tables one after another. Tables that
+    /// are records of their own (E22's series and its CDF) are set apart
+    /// by a blank line, as whole experiments are in `all`.
+    fn text(&self) -> Result<String, String> {
+        let rendered: Vec<String> = self.tables()?.iter().map(Table::render).collect();
+        Ok(rendered.join(if self.records.len() > 1 { "\n" } else { "" }))
+    }
+}
+
+/// Run one experiment by its registry id, or with `"all"` every one the
+/// registry marks for it. An unknown id is an error that lists the ids.
+pub fn run(which: &str) -> Result<String, String> {
     if which == "all" {
-        return all.iter().map(|(_, f)| f()).collect::<Vec<_>>().join("\n");
+        let texts: Result<Vec<String>, String> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all)
+            .map(Experiment::text)
+            .collect();
+        return Ok(texts?.join("\n"));
     }
-    for (id, f) in &all {
-        if *id == which {
-            return f();
+    match EXPERIMENTS.iter().find(|e| e.id == which) {
+        Some(e) => e.text(),
+        None => {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+            Err(format!(
+                "unknown experiment {which}; try all, or one of {}",
+                ids.join(" ")
+            ))
         }
     }
-    format!("unknown experiment {which}; try e1..e22, all, chaos, or load\n")
 }
 
-/// Run the experiments that feed `BENCH_results.json` and render them as a
-/// JSON array, one record per experiment (see EXPERIMENTS.md for the
-/// schema).
-pub fn run_json() -> String {
-    let (e22_series, e22_cdf) = e22_tables();
-    let records = [
-        e2_table().to_json("e2"),
-        e4_table().to_json("e4"),
-        e6_table().to_json("e6"),
-        e9_table().to_json("e9"),
-        e17_table().to_json("e17"),
-        e18_table().to_json("e18"),
-        e19_table().to_json("e19"),
-        e20_table().to_json("e20"),
-        e21_table().to_json("e21"),
-        e22_series.to_json("e22"),
-        e22_cdf.to_json("e22cdf"),
-        measure_record(),
-    ];
-    format!("[\n{}\n]\n", records.join(",\n"))
-}
-
-/// Drop every volume's cache (cold-cache scans) after flushing dirt.
-/// Catalog lookup for a table the experiment itself just created; a miss
-/// is a harness bug, so this is the one sanctioned panic for it.
-fn table_info(db: &Cluster, name: &str) -> nsql_sql::TableInfo {
-    db.catalog.table(name).unwrap()
-}
-
-fn cold_caches(db: &Cluster) {
-    for v in db.volumes() {
-        let dp = db.dp(&v);
-        dp.pool().flush_all().expect("flush");
-        dp.pool().crash();
+/// Run the experiments that feed `BENCH_results.json` — those with record
+/// ids in the registry — and render them as a JSON array, one record per
+/// table, followed by the `measure` record: the full per-entity counter
+/// delta of the canonical mixed workload (see EXPERIMENTS.md for the
+/// schema). Deterministic per build, so the perf gate diffs it against
+/// `BENCH_baseline.json` with zero tolerance.
+pub fn run_json() -> Result<String, String> {
+    let mut records = Vec::new();
+    for e in EXPERIMENTS.iter().filter(|e| !e.records.is_empty()) {
+        let tables = e.tables()?;
+        if tables.len() != e.records.len() {
+            return Err(format!(
+                "experiment {}: {} tables for {} record ids",
+                e.id,
+                tables.len(),
+                e.records.len()
+            ));
+        }
+        records.extend(tables.iter().zip(e.records).map(|(t, id)| t.to_json(id)));
     }
+    let (_, w) = canonical_workload(false).map_err(|e| format!("measure record: {e}"))?;
+    records.push(w.measure.to_json("measure"));
+    Ok(format!("[\n{}\n]\n", records.join(",\n")))
+}
+
+/// Chrome trace-event JSON (`chrome://tracing` / Perfetto) of the canonical
+/// mixed workload, captured with the bounded trace ring at its default
+/// capacity. Timestamps are virtual micros.
+pub fn trace_json() -> Result<String, String> {
+    let (db, _) = canonical_workload(true).map_err(|e| format!("trace: {e}"))?;
+    Ok(nsql_sim::chrome_trace(&db.sim.trace.events()))
 }
 
 // ----------------------------------------------------------------------
@@ -100,177 +168,159 @@ fn cold_caches(db: &Cluster) {
 /// Two nodes, four CPUs, a table partitioned across both nodes; shows that
 /// execution is distributed and that remote partitions cost remote
 /// messages.
-pub fn e1() -> String {
+fn e1() -> Outcome<Vec<Table>> {
+    const VOLUMES: [&str; 4] = ["$DATA1", "$DATA2", "$REMOTE1", "$REMOTE2"];
     let db = ClusterBuilder::new()
         .volume("$DATA1", 0, 1)
         .volume("$DATA2", 0, 2)
         .volume("$REMOTE1", 1, 0)
         .volume("$REMOTE2", 1, 1)
         .build();
-    let w = Wisconsin::create(
-        &db,
-        "WISC",
-        4000,
-        &["$DATA1", "$DATA2", "$REMOTE1", "$REMOTE2"],
-        1,
-    )
-    .unwrap();
+    let w = Wisconsin::create(&db, "WISC", 4000, &VOLUMES, 1)?;
 
-    let mut t = Table::new(
-        "E1 — Figure 1: two-node cluster, table partitioned over 4 volumes",
-        &["volume", "node", "rows"],
-    );
     let mut s = db.session();
-    for (i, vol) in ["$DATA1", "$DATA2", "$REMOTE1", "$REMOTE2"]
-        .iter()
-        .enumerate()
-    {
+    let mut partitions = Vec::new();
+    for (i, vol) in VOLUMES.iter().enumerate() {
         let lo = i as u32 * 1000;
         let hi = lo + 999;
-        let r = s
-            .query(&format!(
-                "SELECT COUNT(*) FROM WISC WHERE UNIQUE2 BETWEEN {lo} AND {hi}"
-            ))
-            .unwrap();
-        t.row(vec![
-            vol.to_string(),
-            if vol.starts_with("$R") { "1" } else { "0" }.into(),
-            r.rows[0].0[0].to_string(),
-        ]);
+        let r = s.query(&format!(
+            "SELECT COUNT(*) FROM WISC WHERE UNIQUE2 BETWEEN {lo} AND {hi}"
+        ))?;
+        partitions.push((*vol, r.rows[0].0[0].to_string()));
     }
-
-    let mark = db.sim.mark();
-    let n = w.run_count(&db, &w.q_scan_all()).unwrap();
-    let w = mark.close(&db.sim);
-    let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
-    let mut t2 = Table::new(
-        "E1 — full scan from a session on node 0",
-        &["metric", "value"],
+    let placement = Table::measured(
+        "E1 — Figure 1: two-node cluster, table partitioned over 4 volumes",
+        &partitions,
+        &[
+            ("volume", &|p| p.0.into()),
+            ("node", &|p| {
+                if p.0.starts_with("$R") { "1" } else { "0" }.into()
+            }),
+            ("rows", &|p| p.1.clone()),
+        ],
     );
-    t2.row(vec!["rows returned".into(), n.to_string()]);
-    t2.row(vec!["FS-DP messages".into(), delta.msgs_fs_dp.to_string()]);
-    t2.row(vec![
-        "messages crossing nodes".into(),
-        delta.msgs_remote.to_string(),
-    ]);
-    t2.row(vec!["virtual elapsed".into(), ms(elapsed_us)]);
-    t2.note("Half the partitions live on node 1: the requester reaches them only via inter-node messages, which is why the paper pushes selection to the data.");
-    format!("{}{}", t.render(), t2.render())
+
+    let (scan, n) = window(&db, || Ok(w.run_count(&db, &w.q_scan_all())?))?;
+    let mut totals = Table::measured(
+        "E1 — full scan from a session on node 0",
+        &[
+            ("rows returned", n.to_string()),
+            ("FS-DP messages", scan.metrics.msgs_fs_dp.to_string()),
+            (
+                "messages crossing nodes",
+                scan.metrics.msgs_remote.to_string(),
+            ),
+            ("virtual elapsed", ms(scan.elapsed_us)),
+        ],
+        &[("metric", &|r| r.0.into()), ("value", &|r| r.1.clone())],
+    );
+    totals.note("Half the partitions live on node 1: the requester reaches them only via inter-node messages, which is why the paper pushes selection to the data.");
+    Ok(vec![placement, totals])
 }
 
 // ----------------------------------------------------------------------
 // E2 — record-at-a-time vs RSBB vs VSBB
 // ----------------------------------------------------------------------
 
-/// The headline claim: "RSBB gives a factor of three over the record-at-a-
-/// time interface. VSBB gives NonStop SQL an additional factor of three
-/// over RSBB."
-pub fn e2() -> String {
-    e2_table().render()
-}
-
 /// Rows of the table E2 and E18 read.
 const READ_ROWS: u32 = 10_000;
+
+/// One sequential-read interface's run over the table.
+struct Read {
+    label: &'static str,
+    w: Window,
+    rows: usize,
+}
 
 /// The three sequential-read interfaces over a cold [`READ_ROWS`]-row
 /// Wisconsin table — record-at-a-time, RSBB, and VSBB with the Wisconsin
 /// 10% selection and 2-field projection — each as its window and the rows
 /// it returned. E2 reads the windows' cluster totals, E18 their per-entity
 /// MEASURE deltas.
-fn read_interfaces() -> [(&'static str, Window, usize); 3] {
-    use nsql_dp::{ReadLock, SubsetMode};
-    use nsql_records::{CmpOp, Expr, KeyRange, Value};
-
-    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-    let _w = Wisconsin::create(&db, "WISC", READ_ROWS, &["$DATA1"], 2).unwrap();
-    let info = table_info(&db, "WISC");
-    let of = &info.open;
+fn read_interfaces() -> Outcome<[Read; 3]> {
+    let db = Cluster::single_volume();
+    Wisconsin::create(&db, "WISC", READ_ROWS, &["$DATA1"], 2)?;
     let session = db.session();
+    let of = session.open_table("WISC")?;
     let fs = session.fs();
+    let drain = |cur: &mut nsql_fs::enscribe::EnscribeCursor| -> Outcome<usize> {
+        let mut n = 0;
+        while fs.ens_read_next(cur)?.is_some() {
+            n += 1;
+        }
+        Ok(n)
+    };
 
     // Record-at-a-time (the old ENSCRIBE discipline).
-    cold_caches(&db);
-    let mark = db.sim.mark();
-    let mut cur = fs.ens_open(of, None);
-    let mut n = 0;
-    while fs.ens_read_next(&mut cur).unwrap().is_some() {
-        n += 1;
-    }
-    let rat = ("record-at-a-time", mark.close(&db.sim), n);
+    cold_caches(&db)?;
+    let (w, rows) = window(&db, || drain(&mut fs.ens_open(&of, None)))?;
+    let rat = Read {
+        label: "record-at-a-time",
+        w,
+        rows,
+    };
 
-    // RSBB: one physical block copy per message.
-    cold_caches(&db);
+    // RSBB: one physical block copy per message. The reader's transaction
+    // begins and commits outside the window.
+    cold_caches(&db)?;
     let txn = db.txnmgr.begin();
-    let mark = db.sim.mark();
-    let mut cur = fs.ens_open_sbb(of, txn).unwrap();
-    let mut n = 0;
-    while fs.ens_read_next(&mut cur).unwrap().is_some() {
-        n += 1;
-    }
-    let rsbb = ("RSBB (block buffering)", mark.close(&db.sim), n);
-    db.txnmgr.commit(txn, session.cpu()).unwrap();
+    let (w, rows) = window(&db, || drain(&mut fs.ens_open_sbb(&of, txn)?))?;
+    db.txnmgr.commit(txn, session.cpu())?;
+    let rsbb = Read {
+        label: "RSBB (block buffering)",
+        w,
+        rows,
+    };
 
     // VSBB with a selective predicate and 2-field projection — the
     // Wisconsin selection shape the paper cites.
-    cold_caches(&db);
-    let mark = db.sim.mark();
-    let scan = fs
-        .scan(
+    cold_caches(&db)?;
+    let tenth = Expr::field_cmp(1, CmpOp::Lt, Value::Int(READ_ROWS as i32 / 10));
+    let (w, rows) = window(&db, || {
+        let scan = fs.scan(
             None,
-            of,
+            &of,
             &KeyRange::all(),
-            Some(&Expr::field_cmp(
-                1,
-                CmpOp::Lt,
-                Value::Int(READ_ROWS as i32 / 10),
-            )),
+            Some(&tenth),
             Some(&[0, 1]),
             SubsetMode::Vsbb,
             ReadLock::None,
-        )
-        .unwrap();
-    let vsbb = (
-        "VSBB (10% select + project)",
-        mark.close(&db.sim),
-        scan.rows.len(),
-    );
-    [rat, rsbb, vsbb]
+        )?;
+        Ok(scan.rows.len())
+    })?;
+    let vsbb = Read {
+        label: "VSBB (10% select + project)",
+        w,
+        rows,
+    };
+    Ok([rat, rsbb, vsbb])
 }
 
-fn e2_table() -> Table {
-    let runs = read_interfaces();
-    let [rat, rsbb, vsbb] = [&runs[0].1, &runs[1].1, &runs[2].1];
-
-    let mut t = Table::new(
+/// The headline claim: "RSBB gives a factor of three over the record-at-a-
+/// time interface. VSBB gives NonStop SQL an additional factor of three
+/// over RSBB."
+fn e2() -> Outcome<Vec<Table>> {
+    let runs = read_interfaces()?;
+    let [rat, rsbb, vsbb] = [&runs[0].w, &runs[1].w, &runs[2].w];
+    let mut t = Table::measured(
         format!(
             "E2 — sequential read interfaces, {READ_ROWS}-row Wisconsin table (≈208 B records)"
         ),
+        &runs,
         &[
-            "interface",
-            "rows",
-            "FS-DP msgs",
-            "msg bytes",
-            "elapsed",
-            "msgs vs RAT",
-            "mean B/msg",
+            ("interface", &|r| r.label.into()),
+            ("rows", &|r| r.rows.to_string()),
+            ("FS-DP msgs", &|r| r.w.metrics.msgs_fs_dp.to_string()),
+            ("msg bytes", &|r| r.w.metrics.msg_bytes_total.to_string()),
+            ("elapsed", &|r| ms(r.w.elapsed_us)),
+            ("msgs vs RAT", &|r| {
+                ratio(rat.metrics.msgs_fs_dp, r.w.metrics.msgs_fs_dp)
+            }),
+            ("mean B/msg", &|r| {
+                format!("{:.0}", r.w.metrics.mean_bytes_per_message())
+            }),
         ],
     );
-    for (i, (label, w, n)) in runs.iter().enumerate() {
-        t.row(vec![
-            (*label).into(),
-            n.to_string(),
-            w.metrics.msgs_fs_dp.to_string(),
-            w.metrics.msg_bytes_total.to_string(),
-            ms(w.elapsed_us),
-            if i == 0 {
-                "1.0x".into()
-            } else {
-                ratio(rat.metrics.msgs_fs_dp, w.metrics.msgs_fs_dp)
-            },
-            format!("{:.0}", w.metrics.mean_bytes_per_message()),
-        ]);
-    }
-
     t.note(format!(
         "RSBB carries {} over record-at-a-time on raw FS-DP messages (the paper's end-to-end \
          factor of three blends fixed CPU costs); VSBB adds another {} by filtering and \
@@ -286,7 +336,7 @@ fn e2_table() -> Table {
         ratio(rat.elapsed_us, rsbb.elapsed_us),
         ratio(rsbb.elapsed_us, vsbb.elapsed_us),
     ));
-    t
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -295,20 +345,16 @@ fn e2_table() -> Table {
 
 /// The Wisconsin selections/projections through the SQL planner (VSBB/RSBB
 /// chosen automatically) vs the forced record-at-a-time interface.
-pub fn e3() -> String {
+fn e3() -> Outcome<Vec<Table>> {
     let db = ClusterBuilder::new()
         .volume("$DATA1", 0, 1)
         .volume("$IDX", 0, 2)
         .build();
-    let w = Wisconsin::create(&db, "WISC", 10_000, &["$DATA1"], 3).unwrap();
-    {
-        let mut s = db.session();
-        s.execute("CREATE INDEX WISC_U1 ON WISC (UNIQUE1) ON '$IDX'")
-            .unwrap();
-    }
-
-    let w2 = Wisconsin::create(&db, "WISC2", 10_000, &["$DATA1"], 13).unwrap();
-    let queries: Vec<(&str, String)> = vec![
+    let w = Wisconsin::create(&db, "WISC", 10_000, &["$DATA1"], 3)?;
+    db.session()
+        .execute("CREATE INDEX WISC_U1 ON WISC (UNIQUE1) ON '$IDX'")?;
+    let w2 = Wisconsin::create(&db, "WISC2", 10_000, &["$DATA1"], 13)?;
+    let queries = [
         ("1% clustered selection", w.q_select_1pct_clustered()),
         ("10% clustered selection", w.q_select_10pct_clustered()),
         ("1% non-clustered (indexed)", w.q_select_1pct_nonclustered()),
@@ -317,38 +363,42 @@ pub fn e3() -> String {
         ("1% join to second relation", w.q_join_1pct(&w2)),
     ];
 
-    let mut t = Table::new(
-        "E3 — Wisconsin queries: set-oriented interface vs record-at-a-time",
-        &[
-            "query",
-            "rows",
-            "msgs (set)",
-            "bytes (set)",
-            "msgs (RAT)",
-            "bytes (RAT)",
-            "msg ratio",
-        ],
-    );
+    /// One query through both interfaces.
+    struct Pair {
+        name: &'static str,
+        rows: usize,
+        set: MetricsSnapshot,
+        rat: MetricsSnapshot,
+    }
+    let mut pairs = Vec::new();
     for (name, sql) in queries {
         let mut s = db.session();
-        let mark = db.sim.mark();
-        let rows = s.query(&sql).unwrap().rows.len();
-        let set = mark.close(&db.sim).metrics;
-        let mark = db.sim.mark();
-        let _ = s.query(&format!("{sql} FOR BROWSE RECORD ACCESS")).unwrap();
-        let rat = mark.close(&db.sim).metrics;
-        t.row(vec![
-            name.into(),
-            rows.to_string(),
-            set.msgs_fs_dp.to_string(),
-            set.msg_bytes_total.to_string(),
-            rat.msgs_fs_dp.to_string(),
-            rat.msg_bytes_total.to_string(),
-            ratio(rat.msgs_fs_dp, set.msgs_fs_dp),
-        ]);
+        let (set, rows) = window(&db, || Ok(s.query(&sql)?.rows.len()))?;
+        let (rat, _) = window(&db, || {
+            Ok(s.query(&format!("{sql} FOR BROWSE RECORD ACCESS"))?)
+        })?;
+        pairs.push(Pair {
+            name,
+            rows,
+            set: set.metrics,
+            rat: rat.metrics,
+        });
     }
+    let mut t = Table::measured(
+        "E3 — Wisconsin queries: set-oriented interface vs record-at-a-time",
+        &pairs,
+        &[
+            ("query", &|p| p.name.into()),
+            ("rows", &|p| p.rows.to_string()),
+            ("msgs (set)", &|p| p.set.msgs_fs_dp.to_string()),
+            ("bytes (set)", &|p| p.set.msg_bytes_total.to_string()),
+            ("msgs (RAT)", &|p| p.rat.msgs_fs_dp.to_string()),
+            ("bytes (RAT)", &|p| p.rat.msg_bytes_total.to_string()),
+            ("msg ratio", &|p| ratio(p.rat.msgs_fs_dp, p.set.msgs_fs_dp)),
+        ],
+    );
     t.note("The selective queries show the VSBB advantage the paper cites on 'many of the Wisconsin benchmark queries'; the indexed non-clustered selection also avoids scanning entirely.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -358,139 +408,71 @@ pub fn e3() -> String {
 /// `UPDATE ACCOUNT SET BALANCE = BALANCE * 1.07 WHERE BALANCE > 0` three
 /// ways: set-oriented pushdown, per-record pushdown, ENSCRIBE
 /// read-then-write.
-pub fn e4() -> String {
-    e4_table().render()
-}
-
-fn e4_table() -> Table {
-    use nsql_records::{ArithOp, Expr, SetList, Value};
-
-    let n_accounts = 2_000i32;
-    let build = || {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let mut s = db.session();
-        s.execute(
-            "CREATE TABLE ACCOUNT (ACCTNO INT NOT NULL, BALANCE DOUBLE NOT NULL, \
-             FILLER CHAR(84) NOT NULL, PRIMARY KEY (ACCTNO))",
-        )
-        .unwrap();
-        let info = table_info(&db, "ACCOUNT");
-        let txn = db.txnmgr.begin();
-        {
-            let mut ins = nsql_fs::BlockedInserter::new(s.fs(), &info.open, txn);
-            for i in 0..n_accounts {
-                ins.push(&[
-                    Value::Int(i),
-                    Value::Double(100.0),
-                    Value::Str("F".repeat(84)),
-                ])
-                .unwrap();
-            }
-            ins.flush().unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        drop(s);
-        db
-    };
-
-    let mut t = Table::new(
-        format!("E4 — interest posting over {n_accounts} accounts"),
-        &["method", "updated", "FS-DP msgs", "audit bytes", "elapsed"],
-    );
+fn e4() -> Outcome<Vec<Table>> {
+    const ACCOUNTS: i32 = 2_000;
+    let bank = || accounts("ACCOUNT", "ACCTNO", 84, ACCOUNTS);
 
     // (a) Set-oriented UPDATE^SUBSET (the paper's example 3).
-    {
-        let db = build();
-        let mut s = db.session();
-        let mark = db.sim.mark();
-        let n = s
-            .execute("UPDATE ACCOUNT SET BALANCE = BALANCE * 1.07 WHERE BALANCE > 0")
-            .unwrap()
-            .count();
-        let w = mark.close(&db.sim);
-        let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
-        t.row(vec![
-            "UPDATE^SUBSET (set-oriented pushdown)".into(),
-            n.to_string(),
-            delta.msgs_fs_dp.to_string(),
-            delta.audit_bytes.to_string(),
-            ms(elapsed_us),
-        ]);
-    }
+    let (db, _) = bank()?;
+    let mut s = db.session();
+    let (subset, updated) = window(&db, || {
+        Ok(
+            s.execute("UPDATE ACCOUNT SET BALANCE = BALANCE * 1.07 WHERE BALANCE > 0")?
+                .count(),
+        )
+    })?;
 
     // (b) Per-record update with expression pushdown (1 msg/record).
-    {
-        let db = build();
-        let s = db.session();
-        let info = table_info(&db, "ACCOUNT");
-        let sets = SetList {
-            sets: vec![(
-                1,
-                Expr::Arith(
-                    Box::new(Expr::Field(1)),
-                    ArithOp::Mul,
-                    Box::new(Expr::lit(Value::Double(1.07))),
-                ),
-            )],
-        };
-        let mark = db.sim.mark();
-        let txn = db.txnmgr.begin();
-        for i in 0..n_accounts {
-            let key = nsql_records::key::encode_record_key(
-                &info.open.desc,
-                &[Value::Int(i), Value::Double(0.0), Value::Str(String::new())],
-            );
-            s.fs()
-                .update_by_key(txn, &info.open, &key, &sets, None)
-                .unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let w = mark.close(&db.sim);
-        let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
-        t.row(vec![
-            "per-record UPDATE w/ expression".into(),
-            n_accounts.to_string(),
-            delta.msgs_fs_dp.to_string(),
-            delta.audit_bytes.to_string(),
-            ms(elapsed_us),
-        ]);
-    }
+    let (db, of) = bank()?;
+    let s = db.session();
+    let interest = set_arith(1, ArithOp::Mul, Value::Double(1.07));
+    let (per_record, ()) = window(&db, || {
+        in_txn(&s, |txn| {
+            for i in 0..ACCOUNTS {
+                s.fs().update_by_key(txn, &of, &pk(i), &interest, None)?;
+            }
+            Ok(())
+        })
+    })?;
 
     // (c) ENSCRIBE: READ then WRITE per record, full-image audit.
-    {
-        let db = build();
-        let s = db.session();
-        let info = table_info(&db, "ACCOUNT");
-        let mark = db.sim.mark();
-        let txn = db.txnmgr.begin();
-        for i in 0..n_accounts {
-            let key = nsql_records::key::encode_record_key(
-                &info.open.desc,
-                &[Value::Int(i), Value::Double(0.0), Value::Str(String::new())],
-            );
-            let old = s
-                .fs()
-                .ens_read(Some(txn), &info.open, &key, nsql_dp::ReadLock::Shared)
-                .unwrap()
-                .unwrap();
-            let mut new = old.0.clone();
-            let Value::Double(b) = new[1] else { panic!() };
-            new[1] = Value::Double(b * 1.07);
-            s.fs().ens_rewrite(txn, &info.open, &old.0, &new).unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let w = mark.close(&db.sim);
-        let (delta, elapsed_us) = (w.metrics, w.elapsed_us);
-        t.row(vec![
-            "ENSCRIBE read-then-write".into(),
-            n_accounts.to_string(),
-            delta.msgs_fs_dp.to_string(),
-            delta.audit_bytes.to_string(),
-            ms(elapsed_us),
-        ]);
-    }
+    let (db, of) = bank()?;
+    let s = db.session();
+    let (enscribe, ()) = window(&db, || {
+        in_txn(&s, |txn| {
+            for i in 0..ACCOUNTS {
+                let old = s
+                    .fs()
+                    .ens_read(Some(txn), &of, &pk(i), ReadLock::Shared)?
+                    .ok_or("an account that was loaded is gone")?;
+                let new = rebalanced(&old.0, |b| b * 1.07)?;
+                s.fs().ens_rewrite(txn, &of, &old.0, &new)?;
+            }
+            Ok(())
+        })
+    })?;
+
+    let mut t = Table::measured(
+        format!("E4 — interest posting over {ACCOUNTS} accounts"),
+        &[
+            ("UPDATE^SUBSET (set-oriented pushdown)", updated, subset),
+            (
+                "per-record UPDATE w/ expression",
+                ACCOUNTS as u64,
+                per_record,
+            ),
+            ("ENSCRIBE read-then-write", ACCOUNTS as u64, enscribe),
+        ],
+        &[
+            ("method", &|r| r.0.into()),
+            ("updated", &|r| r.1.to_string()),
+            ("FS-DP msgs", &|r| r.2.metrics.msgs_fs_dp.to_string()),
+            ("audit bytes", &|r| r.2.metrics.audit_bytes.to_string()),
+            ("elapsed", &|r| ms(r.2.elapsed_us)),
+        ],
+    );
     t.note("Shipping the update expression eliminates the read-before-write message; shipping the whole subset eliminates the per-record messages too. Field-compressed audit shrinks audit volume alongside.");
-    t
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -499,9 +481,7 @@ fn e4_table() -> Table {
 
 /// Point read and update through a secondary index: the two-message
 /// pattern of Figure 2.
-pub fn e5() -> String {
-    use nsql_records::{Expr, SetList, Value};
-
+fn e5() -> Outcome<Vec<Table>> {
     let db = ClusterBuilder::new()
         .volume("$DATA1", 0, 1)
         .volume("$IDX", 0, 2)
@@ -510,74 +490,69 @@ pub fn e5() -> String {
     s.execute(
         "CREATE TABLE EMP (EMPNO INT NOT NULL, NAME CHAR(12) NOT NULL, \
          SALARY DOUBLE NOT NULL, PRIMARY KEY (EMPNO)) ON '$DATA1'",
-    )
-    .unwrap();
+    )?;
     for i in 0..500 {
-        s.execute(&format!("INSERT INTO EMP VALUES ({i}, 'E{i:05}', 1000)"))
-            .unwrap();
+        s.execute(&format!("INSERT INTO EMP VALUES ({i}, 'E{i:05}', 1000)"))?;
     }
-    s.execute("CREATE UNIQUE INDEX EMP_NAME ON EMP (NAME) ON '$IDX'")
-        .unwrap();
-
-    let mut t = Table::new(
-        "E5 — Figure 2: operations via alternate (secondary) key",
-        &["operation", "FS-DP msgs", "sequence"],
-    );
+    s.execute("CREATE UNIQUE INDEX EMP_NAME ON EMP (NAME) ON '$IDX'")?;
 
     // Read via alternate key.
-    let mark = db.sim.mark();
-    let r = s
-        .query("SELECT SALARY FROM EMP WHERE NAME = 'E00123'")
-        .unwrap();
-    assert_eq!(r.rows.len(), 1);
-    let delta = mark.close(&db.sim).metrics;
-    t.row(vec![
-        "read via alternate key".into(),
-        delta.msgs_fs_dp.to_string(),
-        "index DP (find primary key) → base DP (read record)".into(),
-    ]);
+    let (read, found) = window(&db, || {
+        Ok(s.query("SELECT SALARY FROM EMP WHERE NAME = 'E00123'")?
+            .rows
+            .len())
+    })?;
+    ensure!(
+        found == 1,
+        "E5: the alternate key found {found} rows, not 1"
+    );
 
     // Update via alternate key: find the primary key through the index,
     // then ship the update expression to the base partition.
-    let info = table_info(&db, "EMP");
-    let idx = info.open.indexes[0].clone();
-    let mark = db.sim.mark();
-    let txn = db.txnmgr.begin();
-    let prefix = nsql_records::key::encode_key_prefix(&[(
-        nsql_records::FieldType::Char(12),
-        Value::Str("E00123".into()),
-    )]);
-    let entries = s
-        .fs()
-        .scan_index(
-            Some(txn),
-            &idx,
-            &nsql_records::KeyRange::prefix(prefix),
-            None,
-            nsql_dp::ReadLock::Shared,
-        )
-        .unwrap();
-    let base_key = idx.base_key_from_index_row(&info.open.desc, &entries[0].0);
-    s.fs()
-        .update_by_key(
-            txn,
-            &info.open,
-            &base_key,
-            &SetList {
-                sets: vec![(2, Expr::lit(Value::Double(2000.0)))],
-            },
-            None,
-        )
-        .unwrap();
-    db.txnmgr.commit(txn, s.cpu()).unwrap();
-    let delta = mark.close(&db.sim).metrics;
-    t.row(vec![
-        "update via alternate key".into(),
-        delta.msgs_fs_dp.to_string(),
-        "index DP (find primary key) → base DP (update expression)".into(),
-    ]);
+    let of = s.open_table("EMP")?;
+    let idx = &of.indexes[0];
+    let name =
+        nsql_records::key::encode_key_prefix(&[(FieldType::Char(12), Value::Str("E00123".into()))]);
+    let raise = SetList {
+        sets: vec![(2, Expr::lit(Value::Double(2000.0)))],
+    };
+    let (update, ()) = window(&db, || {
+        in_txn(&s, |txn| {
+            let entries = s.fs().scan_index(
+                Some(txn),
+                idx,
+                &KeyRange::prefix(name),
+                None,
+                ReadLock::Shared,
+            )?;
+            let entry = entries.first().ok_or("E5: no index entry for E00123")?;
+            let base_key = idx.base_key_from_index_row(&of.desc, &entry.0);
+            Ok(s.fs().update_by_key(txn, &of, &base_key, &raise, None)?)
+        })
+    })?;
+
+    let mut t = Table::measured(
+        "E5 — Figure 2: operations via alternate (secondary) key",
+        &[
+            (
+                "read via alternate key",
+                read,
+                "index DP (find primary key) → base DP (read record)",
+            ),
+            (
+                "update via alternate key",
+                update,
+                "index DP (find primary key) → base DP (update expression)",
+            ),
+        ],
+        &[
+            ("operation", &|r| r.0.into()),
+            ("FS-DP msgs", &|r| r.1.metrics.msgs_fs_dp.to_string()),
+            ("sequence", &|r| r.2.into()),
+        ],
+    );
     t.note("Exactly the message flow of the paper's Figure 2: the File System first asks the index's Disk Process, then sends the operation to the Disk Process managing the primary-key partition.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -586,142 +561,78 @@ pub fn e5() -> String {
 
 /// One-field updates of ~190-byte records, audited with ENSCRIBE full
 /// images vs SQL field compression.
-pub fn e6() -> String {
-    e6_table().render()
-}
-
-fn e6_table() -> Table {
-    use nsql_records::{ArithOp, Expr, SetList, Value};
-
-    let updates = 400i32;
-    let build = || {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let mut s = db.session();
-        s.execute(
-            "CREATE TABLE ACCT (ID INT NOT NULL, BALANCE DOUBLE NOT NULL, \
-             FILLER CHAR(180) NOT NULL, PRIMARY KEY (ID))",
-        )
-        .unwrap();
-        let info = table_info(&db, "ACCT");
-        let txn = db.txnmgr.begin();
-        {
-            let mut ins = nsql_fs::BlockedInserter::new(s.fs(), &info.open, txn);
-            for i in 0..updates {
-                ins.push(&[
-                    Value::Int(i),
-                    Value::Double(100.0),
-                    Value::Str("F".repeat(180)),
-                ])
-                .unwrap();
-            }
-            ins.flush().unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        drop(s);
-        db
-    };
-
-    let mut t = Table::new(
-        format!("E6 — audit volume for {updates} one-field updates of ~190 B records (one txn per update)"),
-        &[
-            "audit mode",
-            "audit bytes",
-            "audit msgs to trail",
-            "DP CPU work",
-            "bytes/update",
-        ],
-    );
+fn e6() -> Outcome<Vec<Table>> {
+    const UPDATES: i32 = 400;
+    let accts = || accounts("ACCT", "ID", 180, UPDATES);
+    let mut runs = Vec::new();
 
     // ENSCRIBE updates: by default full images, optionally with the costly
     // audit-compression option (the DP diffs the before/after images).
     for (label, mode) in [
-        ("ENSCRIBE full-record images", nsql_dp::AuditMode::FullImage),
+        ("ENSCRIBE full-record images", AuditMode::FullImage),
         (
             "ENSCRIBE audit-compression option (image diff at DP)",
-            nsql_dp::AuditMode::FieldCompressed,
+            AuditMode::FieldCompressed,
         ),
     ] {
-        let db = build();
+        let (db, of) = accts()?;
         let s = db.session();
-        let info = table_info(&db, "ACCT");
-        let mark = db.sim.mark();
-        for i in 0..updates {
-            let key = nsql_records::key::encode_record_key(
-                &info.open.desc,
-                &[Value::Int(i), Value::Double(0.0), Value::Str(String::new())],
-            );
-            let txn = db.txnmgr.begin();
-            let old = s
-                .fs()
-                .ens_read(Some(txn), &info.open, &key, nsql_dp::ReadLock::Shared)
-                .unwrap()
-                .unwrap();
-            let mut new = old.0.clone();
-            let Value::Double(b) = new[1] else { panic!() };
-            new[1] = Value::Double(b + 1.0);
-            let record = nsql_records::row::encode_row(&info.open.desc, &new).unwrap();
-            s.fs()
-                .send(
-                    &info.open.partitions[0].process,
-                    nsql_dp::DpRequest::UpdateRecord {
-                        txn,
-                        file: info.open.partitions[0].file,
-                        key,
-                        record,
-                        audit: mode,
-                    },
-                )
-                .unwrap();
-            db.txnmgr.commit(txn, s.cpu()).unwrap();
-        }
-        let delta = mark.close(&db.sim).metrics;
-        t.row(vec![
-            label.into(),
-            delta.audit_bytes.to_string(),
-            delta.msgs_audit.to_string(),
-            delta.cpu_dp.to_string(),
-            format!("{:.0}", delta.audit_bytes_per_txn()),
-        ]);
+        let (w, ()) = window(&db, || {
+            for i in 0..UPDATES {
+                in_txn(&s, |txn| {
+                    let old = s
+                        .fs()
+                        .ens_read(Some(txn), &of, &pk(i), ReadLock::Shared)?
+                        .ok_or("an account that was loaded is gone")?;
+                    let new = rebalanced(&old.0, |b| b + 1.0)?;
+                    s.fs().send(
+                        &of.partitions[0].process,
+                        DpRequest::UpdateRecord {
+                            txn,
+                            file: of.partitions[0].file,
+                            key: pk(i),
+                            record: nsql_records::row::encode_row(&of.desc, &new)?,
+                            audit: mode,
+                        },
+                    )?;
+                    Ok(())
+                })?;
+            }
+            Ok(())
+        })?;
+        runs.push((label, w.metrics));
     }
 
     // SQL field-compressed updates.
-    {
-        let db = build();
-        let s = db.session();
-        let info = table_info(&db, "ACCT");
-        let sets = SetList {
-            sets: vec![(
-                1,
-                Expr::Arith(
-                    Box::new(Expr::Field(1)),
-                    ArithOp::Add,
-                    Box::new(Expr::lit(Value::Double(1.0))),
-                ),
-            )],
-        };
-        let mark = db.sim.mark();
-        for i in 0..updates {
-            let key = nsql_records::key::encode_record_key(
-                &info.open.desc,
-                &[Value::Int(i), Value::Double(0.0), Value::Str(String::new())],
-            );
-            let txn = db.txnmgr.begin();
-            s.fs()
-                .update_by_key(txn, &info.open, &key, &sets, None)
-                .unwrap();
-            db.txnmgr.commit(txn, s.cpu()).unwrap();
+    let (db, of) = accts()?;
+    let s = db.session();
+    let credit = set_arith(1, ArithOp::Add, Value::Double(1.0));
+    let (w, ()) = window(&db, || {
+        for i in 0..UPDATES {
+            in_txn(&s, |txn| {
+                Ok(s.fs().update_by_key(txn, &of, &pk(i), &credit, None)?)
+            })?;
         }
-        let delta = mark.close(&db.sim).metrics;
-        t.row(vec![
-            "SQL field-compressed images (free: syntax names fields)".into(),
-            delta.audit_bytes.to_string(),
-            delta.msgs_audit.to_string(),
-            delta.cpu_dp.to_string(),
-            format!("{:.0}", delta.audit_bytes_per_txn()),
-        ]);
-    }
+        Ok(())
+    })?;
+    runs.push((
+        "SQL field-compressed images (free: syntax names fields)",
+        w.metrics,
+    ));
+
+    let mut t = Table::measured(
+        format!("E6 — audit volume for {UPDATES} one-field updates of ~190 B records (one txn per update)"),
+        &runs,
+        &[
+            ("audit mode", &|r| r.0.into()),
+            ("audit bytes", &|r| r.1.audit_bytes.to_string()),
+            ("audit msgs to trail", &|r| r.1.msgs_audit.to_string()),
+            ("DP CPU work", &|r| r.1.cpu_dp.to_string()),
+            ("bytes/update", &|r| format!("{:.0}", r.1.audit_bytes_per_txn())),
+        ],
+    );
     t.note("SQL syntax names the updated fields, so field-compressed audit is free; ENSCRIBE's optional compression must diff full images at the Disk Process ('its implementation is costly since the identity of the updated fields must be computed by comparing the record before- and after-images') — and the SQL path also saves the read-before-write message.");
-    t
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -730,43 +641,19 @@ fn e6_table() -> Table {
 
 /// Synthetic commit arrival streams against the audit trail: commits per
 /// flush and response time under fixed and adaptive timers.
-pub fn e7() -> String {
-    use nsql_lock::TxnId;
-    use nsql_sim::Sim;
+fn e7() -> Outcome<Vec<Table>> {
     use nsql_tmf::{LsnSource, Trail, TrailReply, TrailRequest};
+    const COMMITS: u64 = 500;
 
-    let mut t = Table::new(
-        "E7 — group commit: 500 commits at each arrival rate",
-        &[
-            "timer",
-            "inter-arrival",
-            "flushes",
-            "commits/flush",
-            "mean latency",
-        ],
-    );
-
-    let run = |timer: GroupCommitTimer, gap_us: u64| -> (u64, f64, u64) {
-        let sim = Sim::new();
-        let trail = Trail::new(sim.clone(), LsnSource::new(), timer);
-        let n = 500u64;
-        let mut total_latency = 0u64;
-        for i in 0..n {
-            let submit = sim.now();
-            let TrailReply::Committed { completion } =
-                trail.apply(TrailRequest::Commit { txn: TxnId(i) })
-            else {
-                panic!()
-            };
-            total_latency += completion.saturating_sub(submit);
-            sim.clock.advance(gap_us);
-        }
-        sim.clock.advance(1_000_000);
-        trail.durable_lsn(sim.now()); // settle the final group
-        let flushes = sim.metrics.snapshot().audit_flushes;
-        (flushes, n as f64 / flushes as f64, total_latency / n)
-    };
-
+    /// One arrival stream: its timer, its inter-arrival gap, the audit
+    /// flushes it took and the mean commit latency.
+    struct Stream {
+        timer: &'static str,
+        gap_us: u64,
+        flushes: u64,
+        mean_latency_us: u64,
+    }
+    let mut streams = Vec::new();
     for (name, timer) in [
         ("fixed 1 ms", GroupCommitTimer::Fixed(1_000)),
         ("fixed 10 ms", GroupCommitTimer::Fixed(10_000)),
@@ -779,19 +666,46 @@ pub fn e7() -> String {
             },
         ),
     ] {
-        for gap in [200u64, 2_000, 20_000] {
-            let (flushes, per, latency) = run(timer, gap);
-            t.row(vec![
-                name.into(),
-                ms(gap),
-                flushes.to_string(),
-                format!("{per:.1}"),
-                ms(latency),
-            ]);
+        for gap_us in [200u64, 2_000, 20_000] {
+            let sim = nsql_sim::Sim::new();
+            let trail = Trail::new(sim.clone(), LsnSource::new(), timer);
+            let mut total_latency = 0u64;
+            for i in 0..COMMITS {
+                let submit = sim.now();
+                let reply = trail.apply(TrailRequest::Commit {
+                    txn: nsql_lock::TxnId(i),
+                });
+                let TrailReply::Committed { completion } = reply else {
+                    return Err("E7: the trail did not answer a commit with Committed".into());
+                };
+                total_latency += completion.saturating_sub(submit);
+                sim.clock.advance(gap_us);
+            }
+            sim.clock.advance(1_000_000);
+            trail.durable_lsn(sim.now()); // settle the final group
+            streams.push(Stream {
+                timer: name,
+                gap_us,
+                flushes: sim.metrics.snapshot().audit_flushes,
+                mean_latency_us: total_latency / COMMITS,
+            });
         }
     }
+    let mut t = Table::measured(
+        "E7 — group commit: 500 commits at each arrival rate",
+        &streams,
+        &[
+            ("timer", &|s| s.timer.into()),
+            ("inter-arrival", &|s| ms(s.gap_us)),
+            ("flushes", &|s| s.flushes.to_string()),
+            ("commits/flush", &|s| {
+                format!("{:.1}", COMMITS as f64 / s.flushes as f64)
+            }),
+            ("mean latency", &|s| ms(s.mean_latency_us)),
+        ],
+    );
     t.note("High arrival rates want a long timer (big groups, few audit writes); low rates want a short one (latency). The adaptive timer tracks the arrival rate and gets both — the [Helland] mechanism.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -800,103 +714,84 @@ pub fn e7() -> String {
 
 /// A cold full-table scan with cache optimizations toggled, plus a subset
 /// update with and without write-behind.
-pub fn e8() -> String {
-    let rows = 5_000u32;
-    let scan_with = |bulk: bool, prefetch: bool| -> (MetricsSnapshot, u64) {
-        let config = DiskProcessConfig {
-            bulk_io: bulk,
+fn e8() -> Outcome<Vec<Table>> {
+    const ROWS: u32 = 5_000;
+    let scan_with = |bulk_io: bool, prefetch: bool| -> Outcome<Window> {
+        let db = configured(DiskProcessConfig {
+            bulk_io,
             prefetch,
             cache_frames: 64, // smaller than the table: real I/O happens
             ..DiskProcessConfig::default()
-        };
-        let db = ClusterBuilder::new()
-            .dp_config(config)
-            .volume("$DATA1", 0, 1)
-            .build();
-        let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 4).unwrap();
-        cold_caches(&db);
-        let mark = db.sim.mark();
-        let n = w.run_count(&db, &w.q_scan_all()).unwrap();
-        assert_eq!(n, rows as usize);
-        let w = mark.close(&db.sim);
-        (w.metrics, w.elapsed_us)
+        });
+        let w = Wisconsin::create(&db, "WISC", ROWS, &["$DATA1"], 4)?;
+        cold_caches(&db)?;
+        let (scan, n) = window(&db, || Ok(w.run_count(&db, &w.q_scan_all())?))?;
+        ensure!(
+            n == ROWS as usize,
+            "E8a: the scan returned {n} of {ROWS} rows"
+        );
+        Ok(scan)
     };
-
-    let mut t = Table::new(
+    let mut scans = Table::measured(
         format!(
-            "E8a — cold sequential scan of {rows} rows (~280 blocks), cache optimizations toggled"
+            "E8a — cold sequential scan of {ROWS} rows (~280 blocks), cache optimizations toggled"
         ),
         &[
-            "configuration",
-            "disk reads",
-            "blocks read",
-            "blocks/read",
-            "prefetch hits",
-            "elapsed",
+            ("block-at-a-time", scan_with(false, false)?),
+            ("+ bulk I/O", scan_with(true, false)?),
+            ("+ bulk I/O + pre-fetch", scan_with(true, true)?),
+        ],
+        &[
+            ("configuration", &|r| r.0.into()),
+            ("disk reads", &|r| r.1.metrics.disk_reads.to_string()),
+            ("blocks read", &|r| r.1.metrics.disk_blocks_read.to_string()),
+            ("blocks/read", &|r| {
+                let m = &r.1.metrics;
+                format!(
+                    "{:.1}",
+                    m.disk_blocks_read as f64 / m.disk_reads.max(1) as f64
+                )
+            }),
+            ("prefetch hits", &|r| r.1.metrics.prefetch_hits.to_string()),
+            ("elapsed", &|r| ms(r.1.elapsed_us)),
         ],
     );
-    for (name, bulk, prefetch) in [
-        ("block-at-a-time", false, false),
-        ("+ bulk I/O", true, false),
-        ("+ bulk I/O + pre-fetch", true, true),
-    ] {
-        let (m, elapsed) = scan_with(bulk, prefetch);
-        t.row(vec![
-            name.into(),
-            m.disk_reads.to_string(),
-            m.disk_blocks_read.to_string(),
-            format!(
-                "{:.1}",
-                m.disk_blocks_read as f64 / m.disk_reads.max(1) as f64
-            ),
-            m.prefetch_hits.to_string(),
-            ms(elapsed),
-        ]);
-    }
-    t.note("Advance knowledge of the key span lets the Disk Process read 7-block strings with one positioning delay each, and pre-fetch overlaps those reads with per-record CPU work.");
+    scans.note("Advance knowledge of the key span lets the Disk Process read 7-block strings with one positioning delay each, and pre-fetch overlaps those reads with per-record CPU work.");
 
     // Write-behind: a subset update leaves dirty strings; with write-behind
     // they go out as asynchronous bulk writes during idle time.
-    let update_with = |write_behind: bool| -> MetricsSnapshot {
-        let config = DiskProcessConfig {
+    let update_with = |write_behind: bool| -> Outcome<MetricsSnapshot> {
+        let db = configured(DiskProcessConfig {
             write_behind,
             ..DiskProcessConfig::default()
-        };
-        let db = ClusterBuilder::new()
-            .dp_config(config)
-            .volume("$DATA1", 0, 1)
-            .build();
-        let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 4).unwrap();
+        });
+        Wisconsin::create(&db, "WISC", ROWS, &["$DATA1"], 4)?;
         let mut s = db.session();
-        let mark = db.sim.mark();
-        s.execute(&format!(
-            "UPDATE WISC SET THOUSAND = THOUSAND + 1 WHERE UNIQUE2 < {}",
-            rows / 2
-        ))
-        .unwrap();
-        let _ = w;
-        mark.close(&db.sim).metrics
+        let (w, _) = window(&db, || {
+            Ok(s.execute(&format!(
+                "UPDATE WISC SET THOUSAND = THOUSAND + 1 WHERE UNIQUE2 < {}",
+                ROWS / 2
+            ))?)
+        })?;
+        Ok(w.metrics)
     };
-    let mut t2 = Table::new(
+    let mut updates = Table::measured(
         "E8b — subset update: write-behind of aged dirty strings",
         &[
-            "configuration",
-            "write-behind writes",
-            "blocks written",
-            "bulk I/Os",
+            ("write-behind off", update_with(false)?),
+            ("write-behind on", update_with(true)?),
+        ],
+        &[
+            ("configuration", &|r| r.0.into()),
+            ("write-behind writes", &|r| {
+                r.1.writebehind_writes.to_string()
+            }),
+            ("blocks written", &|r| r.1.disk_blocks_written.to_string()),
+            ("bulk I/Os", &|r| r.1.disk_bulk_ios.to_string()),
         ],
     );
-    for (name, wb) in [("write-behind off", false), ("write-behind on", true)] {
-        let m = update_with(wb);
-        t2.row(vec![
-            name.into(),
-            m.writebehind_writes.to_string(),
-            m.disk_blocks_written.to_string(),
-            m.disk_bulk_ios.to_string(),
-        ]);
-    }
-    t2.note("With write-behind on, strings of sequentially-dirtied blocks whose audit is already durable are written with asynchronous bulk I/O instead of waiting to be stolen one by one.");
-    format!("{}{}", t.render(), t2.render())
+    updates.note("With write-behind on, strings of sequentially-dirtied blocks whose audit is already durable are written with asynchronous bulk I/O instead of waiting to be stolen one by one.");
+    Ok(vec![scans, updates])
 }
 
 // ----------------------------------------------------------------------
@@ -905,97 +800,66 @@ pub fn e8() -> String {
 
 /// The paper's bottom line: "an SQL system which today matches ... the
 /// performance of its pre-existing DBMS."
-pub fn e9() -> String {
-    e9_table().render()
-}
-
-fn e9_table() -> Table {
-    use nsql_sim::SimRng;
-
-    let txns = 300u32;
-    let run = |sql_path: bool| -> (MetricsSnapshot, u64) {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let bank = Bank::create(&db, 2, 500, "$DATA1").unwrap();
+fn e9() -> Outcome<Vec<Table>> {
+    const TXNS: u32 = 300;
+    let run = |debit| -> Outcome<Window> {
+        let db = Cluster::single_volume();
+        let bank = Bank::create(&db, 2, 500, "$DATA1")?;
         let s = db.session();
-        let mut rng = SimRng::seed_from(5);
-        let mark = db.sim.mark();
-        for _ in 0..txns {
-            let (aid, tid, bid, delta) = bank.draw(&mut rng);
-            let txn = db.txnmgr.begin();
-            if sql_path {
-                bank.debit_credit_sql(s.fs(), txn, aid, tid, bid, delta)
-                    .unwrap();
-            } else {
-                bank.debit_credit_enscribe(s.fs(), txn, aid, tid, bid, delta)
-                    .unwrap();
-            }
-            db.txnmgr.commit(txn, s.cpu()).unwrap();
-        }
-        let w = mark.close(&db.sim);
-        (w.metrics, w.elapsed_us)
+        let (w, _) = window(&db, || {
+            debit_credit_batch(&s, &bank, debit, 5, TXNS).fault_free()
+        })?;
+        Ok(w)
     };
+    let sql = run(Bank::debit_credit_sql)?;
+    let ens = run(Bank::debit_credit_enscribe)?;
 
-    let (sql, sql_time) = run(true);
-    let (ens, ens_time) = run(false);
-
-    let mut t = Table::new(
-        format!("E9 — DebitCredit, {txns} transactions (2 branches x 500 accounts)"),
-        &["metric", "NonStop SQL", "ENSCRIBE", "SQL/ENSCRIBE"],
-    );
-    let mut push = |name: &str, a: u64, b: u64| {
-        t.row(vec![
-            name.into(),
-            a.to_string(),
-            b.to_string(),
-            format!("{:.2}", a as f64 / b.max(1) as f64),
-        ]);
-    };
-    push("FS-DP messages", sql.msgs_fs_dp, ens.msgs_fs_dp);
-    push("message bytes", sql.msg_bytes_total, ens.msg_bytes_total);
-    push("audit bytes", sql.audit_bytes, ens.audit_bytes);
-    push("audit messages", sql.msgs_audit, ens.msgs_audit);
-    push("disk writes", sql.disk_writes, ens.disk_writes);
-    push(
-        "CPU work (executor+FS)",
-        sql.cpu_executor + sql.cpu_fs,
-        ens.cpu_executor + ens.cpu_fs,
-    );
-    push("CPU work (Disk Process)", sql.cpu_dp, ens.cpu_dp);
-    push("virtual elapsed (µs)", sql_time, ens_time);
-    let mut derived = |name: &str, a: f64, b: f64| {
-        t.row(vec![
-            name.into(),
-            format!("{a:.1}"),
-            format!("{b:.1}"),
-            if b == 0.0 {
-                "-".into()
-            } else {
-                format!("{:.2}", a / b)
-            },
-        ]);
-    };
-    derived(
-        "mean bytes/message",
-        sql.mean_bytes_per_message(),
-        ens.mean_bytes_per_message(),
-    );
-    derived(
-        "audit bytes/txn",
-        sql.audit_bytes_per_txn(),
-        ens.audit_bytes_per_txn(),
-    );
-    derived(
-        "cache hit rate (%)",
-        100.0 * sql.cache_hit_rate(),
-        100.0 * ens.cache_hit_rate(),
+    // A row is a metric: its name, the decimals it prints with, and how it
+    // is read off either run's window.
+    type Metric<'a> = (&'a str, usize, &'a dyn Fn(&Window) -> f64);
+    let metrics: [Metric; 11] = [
+        ("FS-DP messages", 0, &|w| w.metrics.msgs_fs_dp as f64),
+        ("message bytes", 0, &|w| w.metrics.msg_bytes_total as f64),
+        ("audit bytes", 0, &|w| w.metrics.audit_bytes as f64),
+        ("audit messages", 0, &|w| w.metrics.msgs_audit as f64),
+        ("disk writes", 0, &|w| w.metrics.disk_writes as f64),
+        ("CPU work (executor+FS)", 0, &|w| {
+            (w.metrics.cpu_executor + w.metrics.cpu_fs) as f64
+        }),
+        ("CPU work (Disk Process)", 0, &|w| w.metrics.cpu_dp as f64),
+        ("virtual elapsed (µs)", 0, &|w| w.elapsed_us as f64),
+        ("mean bytes/message", 1, &|w| {
+            w.metrics.mean_bytes_per_message()
+        }),
+        ("audit bytes/txn", 1, &|w| w.metrics.audit_bytes_per_txn()),
+        ("cache hit rate (%)", 1, &|w| {
+            100.0 * w.metrics.cache_hit_rate()
+        }),
+    ];
+    let mut t = Table::measured(
+        format!("E9 — DebitCredit, {TXNS} transactions (2 branches x 500 accounts)"),
+        &metrics,
+        &[
+            ("metric", &|m| m.0.into()),
+            ("NonStop SQL", &|m| format!("{:.*}", m.1, (m.2)(&sql))),
+            ("ENSCRIBE", &|m| format!("{:.*}", m.1, (m.2)(&ens))),
+            ("SQL/ENSCRIBE", &|m| {
+                let (a, b) = ((m.2)(&sql), (m.2)(&ens));
+                if b == 0.0 {
+                    "-".into()
+                } else {
+                    format!("{:.2}", a / b)
+                }
+            }),
+        ],
     );
     t.note(format!(
         "Per-transaction virtual time: SQL {} vs ENSCRIBE {} — the SQL path matches the \
          pre-existing DBMS (and beats it on messages and audit volume) exactly as the paper claims.",
-        ms(sql_time / txns as u64),
-        ms(ens_time / txns as u64)
+        ms(sql.elapsed_us / TXNS as u64),
+        ms(ens.elapsed_us / TXNS as u64)
     ));
-    t
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -1003,150 +867,104 @@ fn e9_table() -> Table {
 // ----------------------------------------------------------------------
 
 /// Sequential load through per-record inserts vs the blocked-insert
-/// interface.
-pub fn e10() -> String {
-    use nsql_records::Value;
-
-    let rows = 10_000u32;
-    let build = || {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let mut s = db.session();
-        s.execute("CREATE TABLE LOAD (K INT NOT NULL, V CHAR(80) NOT NULL, PRIMARY KEY (K))")
-            .unwrap();
-        drop(s);
-        db
-    };
+/// interface, then cursor updates and deletes per record vs buffered.
+fn e10() -> Outcome<Vec<Table>> {
+    const ROWS: u32 = 10_000;
+    const COLUMNS: &str = "K INT NOT NULL, V CHAR(80) NOT NULL, PRIMARY KEY (K)";
     let row = |k: u32| vec![Value::Int(k as i32), Value::Str("V".repeat(80))];
 
-    let mut t = Table::new(
-        format!("E10 — sequential load of {rows} records"),
-        &["interface", "FS-DP msgs", "msg bytes", "elapsed"],
-    );
-
-    {
-        let db = build();
-        let s = db.session();
-        let info = table_info(&db, "LOAD");
-        let mark = db.sim.mark();
-        let txn = db.txnmgr.begin();
-        for k in 0..rows {
-            s.fs().insert_row(txn, &info.open, &row(k)).unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let w = mark.close(&db.sim);
-        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
-        t.row(vec![
-            "per-record inserts".into(),
-            m.msgs_fs_dp.to_string(),
-            m.msg_bytes_total.to_string(),
-            ms(elapsed_us),
-        ]);
-    }
-    {
-        let db = build();
-        let s = db.session();
-        let info = table_info(&db, "LOAD");
-        let mark = db.sim.mark();
-        let txn = db.txnmgr.begin();
-        {
-            let mut ins = nsql_fs::BlockedInserter::new(s.fs(), &info.open, txn);
-            for k in 0..rows {
-                ins.push(&row(k)).unwrap();
+    let (db, of) = table("LOAD", COLUMNS)?;
+    let s = db.session();
+    let (per_record, ()) = window(&db, || {
+        in_txn(&s, |txn| {
+            for k in 0..ROWS {
+                s.fs().insert_row(txn, &of, &row(k))?;
             }
-            ins.flush().unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let w = mark.close(&db.sim);
-        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
-        t.row(vec![
-            "blocked inserts (extension)".into(),
-            m.msgs_fs_dp.to_string(),
-            m.msg_bytes_total.to_string(),
-            ms(elapsed_us),
-        ]);
-    }
+            Ok(())
+        })
+    })?;
+    let (db, of) = table("LOAD", COLUMNS)?;
+    let s = db.session();
+    let (blocked, ()) = window(&db, || blocked_insert(&s, &of, (0..ROWS).map(row)))?;
+    let mut t = Table::measured(
+        format!("E10 — sequential load of {ROWS} records"),
+        &[
+            ("per-record inserts", per_record),
+            ("blocked inserts (extension)", blocked),
+        ],
+        &[
+            ("interface", &|r| r.0.into()),
+            ("FS-DP msgs", &|r| r.1.metrics.msgs_fs_dp.to_string()),
+            ("msg bytes", &|r| r.1.metrics.msg_bytes_total.to_string()),
+            ("elapsed", &|r| ms(r.1.elapsed_us)),
+        ],
+    );
     t.note("The paper's 'Opportunities for Future Performance Enhancements': accumulating sequential inserts in a File System buffer and shipping them in one message reduces message traffic by the blocking factor.");
 
-    // Part 2: UPDATE/DELETE WHERE CURRENT, per-record vs buffered.
-    let cursor_rows = 2_000u32;
-    let build_loaded = || {
-        let db = build();
+    // Part 2: UPDATE/DELETE WHERE CURRENT, per-record vs buffered. The
+    // window covers the cursor writes only — not the scan that positions
+    // the cursor, not the commit — and both cells of a row read it.
+    const CURSOR_ROWS: u32 = 2_000;
+    let cursor_writes = |buffered: bool| -> Outcome<Window> {
+        let (db, of) = loaded("LOAD", COLUMNS, (0..CURSOR_ROWS).map(row))?;
         let s = db.session();
-        let info = table_info(&db, "LOAD");
-        let txn = db.txnmgr.begin();
-        {
-            let mut ins = nsql_fs::BlockedInserter::new(s.fs(), &info.open, txn);
-            for k in 0..cursor_rows {
-                ins.push(&row(k)).unwrap();
-            }
-            ins.flush().unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        drop(s);
-        db
-    };
-    let mut t2 = Table::new(
-        format!(
-            "E10b — cursor writes over {cursor_rows} rows (update every 2nd, delete every 4th)"
-        ),
-        &["interface", "FS-DP msgs", "elapsed"],
-    );
-    for buffered in [false, true] {
-        let db = build_loaded();
-        let s = db.session();
-        let info = table_info(&db, "LOAD");
-        let txn = db.txnmgr.begin();
-        let scan = s
-            .fs()
-            .scan(
+        in_txn(&s, |txn| {
+            let scan = s.fs().scan(
                 Some(txn),
-                &info.open,
-                &nsql_records::KeyRange::all(),
+                &of,
+                &KeyRange::all(),
                 None,
                 None,
-                nsql_dp::SubsetMode::Vsbb,
-                nsql_dp::ReadLock::Shared,
-            )
-            .unwrap();
-        let mark = db.sim.mark();
-        if buffered {
-            let mut cur = nsql_fs::CursorUpdater::new(s.fs(), &info.open, txn);
-            for (i, r) in scan.rows.iter().enumerate() {
-                if i % 4 == 0 {
-                    cur.delete(&r.0).unwrap();
-                } else if i % 2 == 0 {
-                    let mut new = r.0.clone();
-                    new[1] = Value::Str("U".repeat(80));
-                    cur.update(&r.0, &new).unwrap();
+                SubsetMode::Vsbb,
+                ReadLock::Shared,
+            )?;
+            let updated = |old: &[Value]| {
+                let mut new = old.to_vec();
+                new[1] = Value::Str("U".repeat(80));
+                new
+            };
+            let (w, ()) = window(&db, || {
+                if buffered {
+                    let mut cur = CursorUpdater::new(s.fs(), &of, txn);
+                    for (i, r) in scan.rows.iter().enumerate() {
+                        if i % 4 == 0 {
+                            cur.delete(&r.0)?;
+                        } else if i % 2 == 0 {
+                            cur.update(&r.0, &updated(&r.0))?;
+                        }
+                    }
+                    cur.flush()?;
+                } else {
+                    for (i, r) in scan.rows.iter().enumerate() {
+                        if i % 4 == 0 {
+                            let key = nsql_records::key::encode_record_key(&of.desc, &r.0);
+                            s.fs().delete_by_key(txn, &of, &key)?;
+                        } else if i % 2 == 0 {
+                            s.fs().ens_rewrite(txn, &of, &r.0, &updated(&r.0))?;
+                        }
+                    }
                 }
-            }
-            cur.flush().unwrap();
-        } else {
-            for (i, r) in scan.rows.iter().enumerate() {
-                let key = nsql_records::key::encode_record_key(&info.open.desc, &r.0);
-                if i % 4 == 0 {
-                    s.fs().delete_by_key(txn, &info.open, &key).unwrap();
-                } else if i % 2 == 0 {
-                    let mut new = r.0.clone();
-                    new[1] = Value::Str("U".repeat(80));
-                    s.fs().ens_rewrite(txn, &info.open, &r.0, &new).unwrap();
-                }
-            }
-        }
-        let m = mark.close(&db.sim).metrics;
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        t2.row(vec![
-            if buffered {
-                "buffered WHERE CURRENT (extension)".into()
-            } else {
-                "per-record WHERE CURRENT".into()
-            },
-            m.msgs_fs_dp.to_string(),
-            ms(mark.close(&db.sim).elapsed_us),
-        ]);
-    }
+                Ok(())
+            })?;
+            Ok(w)
+        })
+    };
+    let mut t2 = Table::measured(
+        format!(
+            "E10b — cursor writes over {CURSOR_ROWS} rows (update every 2nd, delete every 4th)"
+        ),
+        &[
+            ("per-record WHERE CURRENT", cursor_writes(false)?),
+            ("buffered WHERE CURRENT (extension)", cursor_writes(true)?),
+        ],
+        &[
+            ("interface", &|r| r.0.into()),
+            ("FS-DP msgs", &|r| r.1.metrics.msgs_fs_dp.to_string()),
+            ("elapsed", &|r| ms(r.1.elapsed_us)),
+        ],
+    );
     t2.note("The paper's second future-work item: cursor updates and deletes accumulate in a File System buffer and ship to each Disk Process in one message.");
-    format!("{}{}", t.render(), t2.render())
+    Ok(vec![t, t2])
 }
 
 // ----------------------------------------------------------------------
@@ -1155,50 +973,42 @@ pub fn e10() -> String {
 
 /// Sweep the per-request record limit: total messages vs the longest time
 /// one request execution can monopolize the Disk Process.
-pub fn e11() -> String {
-    let rows = 10_000u32;
-    let mut t = Table::new(
-        format!("E11 — re-drive limit sweep over a {rows}-row unselective scan"),
-        &[
-            "records/request limit",
-            "FS-DP msgs",
-            "re-drives",
-            "max records per execution",
-        ],
-    );
+fn e11() -> Outcome<Vec<Table>> {
+    const ROWS: u32 = 10_000;
+    let mut sweep = Vec::new();
     for limit in [250u32, 1_000, 5_000, 20_000] {
-        let config = DiskProcessConfig {
+        let db = configured(DiskProcessConfig {
             max_records_per_request: limit,
             ..DiskProcessConfig::default()
-        };
-        let db = ClusterBuilder::new()
-            .dp_config(config)
-            .volume("$DATA1", 0, 1)
-            .build();
-        let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 6).unwrap();
+        });
+        let w = Wisconsin::create(&db, "WISC", ROWS, &["$DATA1"], 6)?;
         let mut s = db.session();
-        let mark = db.sim.mark();
         // Selective predicate on an unindexed column: the whole table is
         // examined at the Disk Process, little is returned.
-        let n = s
-            .query(&format!(
-                "SELECT UNIQUE2 FROM {} WHERE HUNDRED = 50",
-                w.name
-            ))
-            .unwrap()
-            .rows
-            .len();
-        assert_eq!(n, rows as usize / 100);
-        let m = mark.close(&db.sim).metrics;
-        t.row(vec![
-            limit.to_string(),
-            m.msgs_fs_dp.to_string(),
-            m.msgs_redrive.to_string(),
-            m.dp_records_examined.min(limit as u64).to_string(),
-        ]);
+        let (scan, n) = window(&db, || {
+            let sql = format!("SELECT UNIQUE2 FROM {} WHERE HUNDRED = 50", w.name);
+            Ok(s.query(&sql)?.rows.len())
+        })?;
+        ensure!(
+            n == ROWS as usize / 100,
+            "E11: limit {limit} returned {n} rows"
+        );
+        sweep.push((limit, scan.metrics));
     }
+    let mut t = Table::measured(
+        format!("E11 — re-drive limit sweep over a {ROWS}-row unselective scan"),
+        &sweep,
+        &[
+            ("records/request limit", &|r| r.0.to_string()),
+            ("FS-DP msgs", &|r| r.1.msgs_fs_dp.to_string()),
+            ("re-drives", &|r| r.1.msgs_redrive.to_string()),
+            ("max records per execution", &|r| {
+                r.1.dp_records_examined.min(r.0 as u64).to_string()
+            }),
+        ],
+    );
     t.note("Low limits bound how long one set-oriented request occupies the Disk Process (good for concurrent requesters) at the price of re-drive messages; the limit is the paper's elapsed/processor-time limit.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -1207,80 +1017,49 @@ pub fn e11() -> String {
 
 /// `CHECK QUANTITY >= 0` enforced at the Disk Process vs verified by a
 /// preliminary read at the requester.
-pub fn e12() -> String {
-    use nsql_records::{ArithOp, CmpOp, Expr, SetList, Value};
-
-    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
+fn e12() -> Outcome<Vec<Table>> {
+    let db = Cluster::single_volume();
     let mut s = db.session();
     s.execute(
         "CREATE TABLE PART (PARTNO INT NOT NULL, QUANTITY INT NOT NULL, \
          PRIMARY KEY (PARTNO), CHECK (QUANTITY >= 0))",
-    )
-    .unwrap();
+    )?;
     for i in 0..100 {
-        s.execute(&format!("INSERT INTO PART VALUES ({i}, 10)"))
-            .unwrap();
+        s.execute(&format!("INSERT INTO PART VALUES ({i}, 10)"))?;
     }
-    let info = table_info(&db, "PART");
-    let key = |i: i32| {
-        nsql_records::key::encode_record_key(&info.open.desc, &[Value::Int(i), Value::Int(0)])
-    };
-    let sets = SetList {
-        sets: vec![(
-            1,
-            Expr::Arith(
-                Box::new(Expr::Field(1)),
-                ArithOp::Sub,
-                Box::new(Expr::lit(Value::Int(1))),
-            ),
-        )],
-    };
-    let constraint = Expr::field_cmp(1, CmpOp::Ge, Value::Int(0));
-
-    let mut t = Table::new(
-        "E12 — guarded decrement of PART.QUANTITY (100 updates)",
-        &["method", "FS-DP msgs", "msgs/update"],
-    );
+    let of = s.open_table("PART")?;
+    let take_one = set_arith(1, ArithOp::Sub, Value::Int(1));
+    let in_stock = Expr::field_cmp(1, CmpOp::Ge, Value::Int(0));
 
     // (a) Constraint shipped with the update: one message.
-    let mark = db.sim.mark();
-    let txn = db.txnmgr.begin();
-    for i in 0..100 {
-        s.fs()
-            .update_by_key(txn, &info.open, &key(i), &sets, Some(&constraint))
-            .unwrap();
-    }
-    db.txnmgr.commit(txn, s.cpu()).unwrap();
-    let pushed = mark.close(&db.sim).metrics;
-    t.row(vec![
-        "CHECK at the Disk Process".into(),
-        pushed.msgs_fs_dp.to_string(),
-        format!("{:.1}", pushed.msgs_fs_dp as f64 / 100.0),
-    ]);
+    let (pushed, ()) = window(&db, || {
+        in_txn(&s, |txn| {
+            for i in 0..100 {
+                s.fs()
+                    .update_by_key(txn, &of, &pk(i), &take_one, Some(&in_stock))?;
+            }
+            Ok(())
+        })
+    })?;
 
     // (b) Requester-side verification: read, check locally, then update.
-    let mark = db.sim.mark();
-    let txn = db.txnmgr.begin();
-    for i in 0..100 {
-        let row = s
-            .fs()
-            .read_by_key(Some(txn), &info.open, &key(i), nsql_dp::ReadLock::Shared)
-            .unwrap()
-            .unwrap();
-        let Value::Int(q) = row.0[1] else { panic!() };
-        if q > 0 {
-            s.fs()
-                .update_by_key(txn, &info.open, &key(i), &sets, None)
-                .unwrap();
-        }
-    }
-    db.txnmgr.commit(txn, s.cpu()).unwrap();
-    let local = mark.close(&db.sim).metrics;
-    t.row(vec![
-        "preliminary read at requester".into(),
-        local.msgs_fs_dp.to_string(),
-        format!("{:.1}", local.msgs_fs_dp as f64 / 100.0),
-    ]);
+    let (local, ()) = window(&db, || {
+        in_txn(&s, |txn| {
+            for i in 0..100 {
+                let row = s
+                    .fs()
+                    .read_by_key(Some(txn), &of, &pk(i), ReadLock::Shared)?
+                    .ok_or("E12: a part that was inserted is gone")?;
+                let Value::Int(q) = row.0[1] else {
+                    return Err("E12: QUANTITY is not an INT".into());
+                };
+                if q > 0 {
+                    s.fs().update_by_key(txn, &of, &pk(i), &take_one, None)?;
+                }
+            }
+            Ok(())
+        })
+    })?;
 
     // The pushdown really enforces: drive quantity to zero then underflow.
     let txn = db.txnmgr.begin();
@@ -1288,20 +1067,33 @@ pub fn e12() -> String {
     for _ in 0..20 {
         match s
             .fs()
-            .update_by_key(txn, &info.open, &key(0), &sets, Some(&constraint))
+            .update_by_key(txn, &of, &pk(0), &take_one, Some(&in_stock))
         {
             Ok(()) => {}
-            Err(nsql_fs::FsError::Dp(nsql_dp::DpError::ConstraintViolation)) => {
+            Err(FsError::Dp(DpError::ConstraintViolation)) => {
                 rejected = true;
                 break;
             }
-            Err(e) => panic!("{e}"),
+            Err(e) => return Err(e.into()),
         }
     }
-    db.txnmgr.abort(txn, s.cpu()).unwrap();
-    assert!(rejected, "constraint must eventually reject");
+    db.txnmgr.abort(txn, s.cpu())?;
+    ensure!(rejected, "E12: the constraint must eventually reject");
+
+    let mut t = Table::measured(
+        "E12 — guarded decrement of PART.QUANTITY (100 updates)",
+        &[
+            ("CHECK at the Disk Process", pushed.metrics.msgs_fs_dp),
+            ("preliminary read at requester", local.metrics.msgs_fs_dp),
+        ],
+        &[
+            ("method", &|r| r.0.into()),
+            ("FS-DP msgs", &|r| r.1.to_string()),
+            ("msgs/update", &|r| format!("{:.1}", r.1 as f64 / 100.0)),
+        ],
+    );
     t.note("Enforcing the integrity constraint at the Disk Process 'obviates the need for a preliminary read by the File System for constraint verification prior to an update request via a second message'.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -1311,107 +1103,83 @@ pub fn e12() -> String {
 /// Concurrent reader and writer: ENSCRIBE SBB's mandatory file lock blocks
 /// the writer everywhere; VSBB's virtual-block group lock only covers the
 /// scanned span.
-pub fn e13() -> String {
-    use nsql_dp::{ReadLock, SubsetMode};
-    use nsql_records::{Expr, KeyRange, OwnedBound, SetList, Value};
-
-    let mut t = Table::new(
-        "E13 — writer concurrency while a sequential reader is active",
-        &[
-            "reader interface",
-            "write outside scanned span",
-            "write inside scanned span",
-        ],
-    );
-
-    let build = || {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
+fn e13() -> Outcome<Vec<Table>> {
+    let build = || -> Outcome<(Cluster, OpenFile)> {
+        let (db, of) = table("T", "K INT NOT NULL, V DOUBLE NOT NULL, PRIMARY KEY (K)")?;
         let mut s = db.session();
-        s.execute("CREATE TABLE T (K INT NOT NULL, V DOUBLE NOT NULL, PRIMARY KEY (K))")
-            .unwrap();
         for k in 0..200 {
-            s.execute(&format!("INSERT INTO T VALUES ({k}, 1.0)"))
-                .unwrap();
+            s.execute(&format!("INSERT INTO T VALUES ({k}, 1.0)"))?;
         }
         drop(s);
-        db
+        Ok((db, of))
     };
-    let sets = SetList {
+    let nine = SetList {
         sets: vec![(1, Expr::lit(Value::Double(9.0)))],
     };
-    let try_write = |db: &Cluster, k: i32, sets: &SetList| -> &'static str {
+    // A second session's attempt to update row `k` while the reader's
+    // transaction is open.
+    let try_write = |db: &Cluster, of: &OpenFile, k: i32| -> Outcome<&'static str> {
         let s = db.session();
-        let info = table_info(db, "T");
-        let key = nsql_records::key::encode_record_key(
-            &info.open.desc,
-            &[Value::Int(k), Value::Double(0.0)],
-        );
         let txn = db.txnmgr.begin();
-        let outcome = match s.fs().update_by_key(txn, &info.open, &key, sets, None) {
+        let outcome = match s.fs().update_by_key(txn, of, &pk(k), &nine, None) {
             Ok(()) => "proceeds",
-            Err(nsql_fs::FsError::Dp(nsql_dp::DpError::Locked { .. })) => "BLOCKED",
-            Err(e) => panic!("{e}"),
+            Err(FsError::Dp(DpError::Locked { .. })) => "BLOCKED",
+            Err(e) => return Err(e.into()),
         };
-        db.txnmgr.abort(txn, s.cpu()).unwrap();
-        outcome
+        db.txnmgr.abort(txn, s.cpu())?;
+        Ok(outcome)
+    };
+    // With the reader positioned, one write far from what it has read
+    // (K = 190) and one inside it (K = 5).
+    let writes = |db: &Cluster, of: &OpenFile| -> Outcome<[&'static str; 2]> {
+        Ok([try_write(db, of, 190)?, try_write(db, of, 5)?])
     };
 
-    // ENSCRIBE SBB reader (file lock).
-    {
-        let db = build();
-        let s = db.session();
-        let info = table_info(&db, "T");
-        let reader = db.txnmgr.begin();
-        let mut cur = s.fs().ens_open_sbb(&info.open, reader).unwrap();
-        // Read a few records of the front of the file.
+    // ENSCRIBE SBB reader (file lock), ten records into the file.
+    let (db, of) = build()?;
+    let s = db.session();
+    let sbb = in_txn(&s, |reader| {
+        let mut cur = s.fs().ens_open_sbb(&of, reader)?;
         for _ in 0..10 {
-            s.fs().ens_read_next(&mut cur).unwrap();
+            s.fs().ens_read_next(&mut cur)?;
         }
-        let outside = try_write(&db, 190, &sets);
-        let inside = try_write(&db, 5, &sets);
-        db.txnmgr.commit(reader, s.cpu()).unwrap();
-        t.row(vec![
-            "ENSCRIBE SBB (file lock)".into(),
-            outside.into(),
-            inside.into(),
-        ]);
-    }
+        writes(&db, &of)
+    })?;
 
     // VSBB reader (virtual-block group lock over K <= 50).
-    {
-        let db = build();
-        let s = db.session();
-        let info = table_info(&db, "T");
-        let reader = db.txnmgr.begin();
-        let hi = nsql_records::key::encode_record_key(
-            &info.open.desc,
-            &[Value::Int(50), Value::Double(0.0)],
-        );
-        s.fs()
-            .scan(
-                Some(reader),
-                &info.open,
-                &KeyRange {
-                    begin: OwnedBound::Unbounded,
-                    end: OwnedBound::Included(hi),
-                },
-                None,
-                Some(&[0]),
-                SubsetMode::Vsbb,
-                ReadLock::Shared,
-            )
-            .unwrap();
-        let outside = try_write(&db, 190, &sets);
-        let inside = try_write(&db, 5, &sets);
-        db.txnmgr.commit(reader, s.cpu()).unwrap();
-        t.row(vec![
-            "SQL VSBB (virtual-block group lock)".into(),
-            outside.into(),
-            inside.into(),
-        ]);
-    }
+    let (db, of) = build()?;
+    let s = db.session();
+    let vsbb = in_txn(&s, |reader| {
+        let span = KeyRange {
+            begin: OwnedBound::Unbounded,
+            end: OwnedBound::Included(pk(50)),
+        };
+        s.fs().scan(
+            Some(reader),
+            &of,
+            &span,
+            None,
+            Some(&[0]),
+            SubsetMode::Vsbb,
+            ReadLock::Shared,
+        )?;
+        writes(&db, &of)
+    })?;
+
+    let mut t = Table::measured(
+        "E13 — writer concurrency while a sequential reader is active",
+        &[
+            ("ENSCRIBE SBB (file lock)", sbb),
+            ("SQL VSBB (virtual-block group lock)", vsbb),
+        ],
+        &[
+            ("reader interface", &|r| r.0.into()),
+            ("write outside scanned span", &|r| r.1[0].into()),
+            ("write inside scanned span", &|r| r.1[1].into()),
+        ],
+    );
     t.note("'The locking restriction under ENSCRIBE (file locking only) which limited the usefulness of SBB has been removed for SQL. Record locking has been extended to a form of virtual block locking.'");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -1420,53 +1188,42 @@ pub fn e13() -> String {
 
 /// Sweep the VSBB reply buffer: bigger virtual blocks mean fewer re-drives
 /// but more data per reply and longer DP occupancy per request.
-pub fn e14() -> String {
-    let rows = 10_000u32;
-    let mut t = Table::new(
-        format!("E14 — ablation: virtual-block size for a 10% selection over {rows} rows"),
-        &[
-            "reply buffer",
-            "FS-DP msgs",
-            "msg bytes",
-            "bytes/msg",
-            "elapsed",
-        ],
-    );
-    for buf in [1_024usize, 4_096, 16_384, 65_536] {
-        let config = DiskProcessConfig {
-            reply_buffer: buf,
+fn e14() -> Outcome<Vec<Table>> {
+    const ROWS: u32 = 10_000;
+    let mut sweep = Vec::new();
+    for reply_buffer in [1_024usize, 4_096, 16_384, 65_536] {
+        let db = configured(DiskProcessConfig {
+            reply_buffer,
             max_records_per_request: 1_000_000, // isolate the buffer limit
             ..DiskProcessConfig::default()
-        };
-        let db = ClusterBuilder::new()
-            .dp_config(config)
-            .volume("$DATA1", 0, 1)
-            .build();
-        let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 8).unwrap();
+        });
+        let w = Wisconsin::create(&db, "WISC", ROWS, &["$DATA1"], 8)?;
         let mut s = db.session();
-        let mark = db.sim.mark();
-        let n = s
-            .query(&format!(
-                "SELECT * FROM {} WHERE UNIQUE1 < {}",
-                w.name,
-                rows / 10
-            ))
-            .unwrap()
-            .rows
-            .len();
-        assert_eq!(n, rows as usize / 10);
-        let w = mark.close(&db.sim);
-        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
-        t.row(vec![
-            format!("{} B", buf),
-            m.msgs_fs_dp.to_string(),
-            m.msg_bytes_total.to_string(),
-            (m.msg_bytes_total / m.msgs_fs_dp.max(1)).to_string(),
-            ms(elapsed_us),
-        ]);
+        let (scan, n) = window(&db, || {
+            let sql = format!("SELECT * FROM {} WHERE UNIQUE1 < {}", w.name, ROWS / 10);
+            Ok(s.query(&sql)?.rows.len())
+        })?;
+        ensure!(
+            n == ROWS as usize / 10,
+            "E14: a {reply_buffer} B buffer returned {n} rows"
+        );
+        sweep.push((reply_buffer, scan));
     }
+    let mut t = Table::measured(
+        format!("E14 — ablation: virtual-block size for a 10% selection over {ROWS} rows"),
+        &sweep,
+        &[
+            ("reply buffer", &|r| format!("{} B", r.0)),
+            ("FS-DP msgs", &|r| r.1.metrics.msgs_fs_dp.to_string()),
+            ("msg bytes", &|r| r.1.metrics.msg_bytes_total.to_string()),
+            ("bytes/msg", &|r| {
+                (r.1.metrics.msg_bytes_total / r.1.metrics.msgs_fs_dp.max(1)).to_string()
+            }),
+            ("elapsed", &|r| ms(r.1.elapsed_us)),
+        ],
+    );
     t.note("The paper fixes the virtual block at roughly a physical block; the sweep shows the trade: message count falls linearly with buffer size while each reply grows, so the cost per returned byte flattens once fixed message overhead is amortized.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -1475,62 +1232,44 @@ pub fn e14() -> String {
 
 /// Sweep the Disk Process's audit send buffer: the batching that field
 /// compression amplifies.
-pub fn e15() -> String {
-    use nsql_records::{ArithOp, Expr, SetList, Value};
-
-    let updates = 500i32;
-    let mut t = Table::new(
-        format!("E15 — ablation: audit send-buffer threshold, {updates} small updates in one txn"),
-        &["send threshold", "audit msgs to trail", "records/msg"],
-    );
+fn e15() -> Outcome<Vec<Table>> {
+    const UPDATES: i32 = 500;
+    let credit = set_arith(1, ArithOp::Add, Value::Double(1.0));
+    let mut sweep = Vec::new();
     for threshold in [256usize, 1_024, 4_096, 16_384] {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let mut s = db.session();
-        s.execute("CREATE TABLE A (K INT NOT NULL, BAL DOUBLE NOT NULL, PRIMARY KEY (K))")
-            .unwrap();
-        let info = table_info(&db, "A");
-        let txn = db.txnmgr.begin();
-        {
-            let mut ins = nsql_fs::BlockedInserter::new(s.fs(), &info.open, txn);
-            for k in 0..updates {
-                ins.push(&[Value::Int(k), Value::Double(1.0)]).unwrap();
-            }
-            ins.flush().unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-
+        let (db, of) = loaded(
+            "A",
+            "K INT NOT NULL, BAL DOUBLE NOT NULL, PRIMARY KEY (K)",
+            (0..UPDATES).map(|k| vec![Value::Int(k), Value::Double(1.0)]),
+        )?;
         db.dp("$DATA1").set_audit_send_threshold(threshold);
-        let sets = SetList {
-            sets: vec![(
-                1,
-                Expr::Arith(
-                    Box::new(Expr::Field(1)),
-                    ArithOp::Add,
-                    Box::new(Expr::lit(Value::Double(1.0))),
-                ),
-            )],
-        };
-        let mark = db.sim.mark();
-        let txn = db.txnmgr.begin();
-        for k in 0..updates {
-            let key = nsql_records::key::encode_record_key(
-                &info.open.desc,
-                &[Value::Int(k), Value::Double(0.0)],
-            );
-            s.fs()
-                .update_by_key(txn, &info.open, &key, &sets, None)
-                .unwrap();
-        }
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-        let m = mark.close(&db.sim).metrics;
-        t.row(vec![
-            format!("{} B", threshold),
-            m.msgs_audit.to_string(),
-            format!("{:.1}", m.audit_records as f64 / m.msgs_audit.max(1) as f64),
-        ]);
+        let s = db.session();
+        let (w, ()) = window(&db, || {
+            in_txn(&s, |txn| {
+                for k in 0..UPDATES {
+                    s.fs().update_by_key(txn, &of, &pk(k), &credit, None)?;
+                }
+                Ok(())
+            })
+        })?;
+        sweep.push((threshold, w.metrics));
     }
+    let mut t = Table::measured(
+        format!("E15 — ablation: audit send-buffer threshold, {UPDATES} small updates in one txn"),
+        &sweep,
+        &[
+            ("send threshold", &|r| format!("{} B", r.0)),
+            ("audit msgs to trail", &|r| r.1.msgs_audit.to_string()),
+            ("records/msg", &|r| {
+                format!(
+                    "{:.1}",
+                    r.1.audit_records as f64 / r.1.msgs_audit.max(1) as f64
+                )
+            }),
+        ],
+    );
     t.note("Each audit message to the trail carries a batch of records; a bigger send buffer batches more. Field compression effectively multiplies the threshold — the system-wide benefit the paper attributes to smaller audit records.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -1539,35 +1278,37 @@ pub fn e15() -> String {
 
 /// ORDER BY over a big result with the parallel sorter at 1/2/4/8 ways —
 /// the paper's existing exploitation of intra-query parallelism.
-pub fn e16() -> String {
-    let rows = 10_000u32;
-    let mut t = Table::new(
-        format!("E16 — FastSort: ORDER BY over {rows} rows at increasing parallelism"),
-        &["subsort processes", "executor CPU work", "elapsed"],
-    );
+fn e16() -> Outcome<Vec<Table>> {
+    const ROWS: u32 = 10_000;
+    let mut sweep = Vec::new();
     for ways in [1u32, 2, 4, 8] {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let w = Wisconsin::create(&db, "WISC", rows, &["$DATA1"], 16).unwrap();
+        let db = Cluster::single_volume();
+        let w = Wisconsin::create(&db, "WISC", ROWS, &["$DATA1"], 16)?;
         db.set_sort_parallelism(ways);
         let mut s = db.session();
-        let mark = db.sim.mark();
-        let r = s
-            .query(&format!(
-                "SELECT UNIQUE1, UNIQUE2 FROM {} ORDER BY UNIQUE1",
-                w.name
-            ))
-            .unwrap();
-        assert_eq!(r.rows.len(), rows as usize);
-        let w = mark.close(&db.sim);
-        let (m, elapsed_us) = (w.metrics, w.elapsed_us);
-        t.row(vec![
-            ways.to_string(),
-            m.cpu_executor.to_string(),
-            ms(elapsed_us),
-        ]);
+        let (sort, n) = window(&db, || {
+            let sql = format!("SELECT UNIQUE1, UNIQUE2 FROM {} ORDER BY UNIQUE1", w.name);
+            Ok(s.query(&sql)?.rows.len())
+        })?;
+        ensure!(
+            n == ROWS as usize,
+            "E16: the {ways}-way sort returned {n} rows"
+        );
+        sweep.push((ways, sort));
     }
+    let mut t = Table::measured(
+        format!("E16 — FastSort: ORDER BY over {ROWS} rows at increasing parallelism"),
+        &sweep,
+        &[
+            ("subsort processes", &|r| r.0.to_string()),
+            ("executor CPU work", &|r| {
+                r.1.metrics.cpu_executor.to_string()
+            }),
+            ("elapsed", &|r| ms(r.1.elapsed_us)),
+        ],
+    );
     t.note("FastSort [Tsukerman] 'uses multiple processors and disks if available': the path length (CPU work) is constant while elapsed time shrinks with the subsort fan-out — the intra-query parallelism the paper counts as already exploited.");
-    t.render()
+    Ok(vec![t])
 }
 
 // ----------------------------------------------------------------------
@@ -1576,31 +1317,20 @@ pub fn e16() -> String {
 
 /// Message-loss sweep over DebitCredit plus a scan: retries, sync-ID
 /// duplicate suppression, re-drive chain length, and virtual-time overhead
-/// against the fault-free baseline.
-pub fn e17() -> String {
-    e17_table().render()
-}
+/// against the fault-free baseline. Each row runs the identical seeded
+/// workload — only the message-loss rate of the fault plane changes; at 0%
+/// the plane is never armed.
+fn e17() -> Outcome<Vec<Table>> {
+    const TXNS: u32 = 150;
 
-/// The table behind E17, also emitted to `BENCH_results.json`. Each row
-/// runs the identical seeded workload — only the message-loss rate of the
-/// fault plane changes; at 0% the plane is never armed.
-pub fn e17_table() -> Table {
-    let txns = 150u32;
-    let mut t = Table::new(
-        format!(
-            "E17 — fault-rate sweep: {txns} DebitCredit txns + HISTORY scan under message loss"
-        ),
-        &[
-            "message loss",
-            "committed",
-            "FS retries",
-            "dup suppressed",
-            "re-drive chain max",
-            "elapsed",
-            "overhead",
-        ],
-    );
-    let mut baseline_us = 0u64;
+    /// One loss rate's run.
+    struct Run {
+        rate: f64,
+        committed: u32,
+        w: Window,
+        redrive_chain_max: u64,
+    }
+    let mut runs = Vec::new();
     for rate in [0.0f64, 0.01, 0.02, 0.05] {
         let db = ClusterBuilder::new()
             // A small reply buffer so the closing scan needs a re-drive
@@ -1611,114 +1341,95 @@ pub fn e17_table() -> Table {
             })
             .volume_with_backup("$DATA1", 0, 1, 0, 3)
             .build();
-        let bank = Bank::create(&db, 2, 50, "$DATA1").unwrap();
+        let bank = Bank::create(&db, 2, 50, "$DATA1")?;
         let s = db.session();
-        let fs = s.fs();
-        let mut rng = SimRng::seed_from(0xE17);
         if rate > 0.0 {
             db.enable_faults(FaultConfig {
                 drop: rate,
                 ..FaultConfig::with_seed(17)
             });
         }
-        let mark = db.sim.mark();
-        let mut committed = 0u32;
-        for _ in 0..txns {
-            let (aid, tid, bid, delta) = bank.draw(&mut rng);
-            let txn = db.txnmgr.begin();
-            match bank.debit_credit_sql(fs, txn, aid, tid, bid, delta) {
-                Ok(()) if db.txnmgr.commit(txn, s.cpu()).is_ok() => committed += 1,
-                Ok(()) => {}
-                Err(_) => {
-                    let _ = db.txnmgr.abort(txn, s.cpu());
-                }
-            }
-        }
-        // A VSBB scan under the same loss rate: lost replies stretch the
-        // GET^NEXT re-drive chain, which the retry protocol re-drives from
-        // the last confirmed key.
-        let mut s2 = db.session();
-        s2.query("SELECT COUNT(*) FROM HISTORY").unwrap();
-        db.disable_faults();
-        let w = mark.close(&db.sim);
-        let (m, elapsed) = (w.metrics, w.elapsed_us);
-        if baseline_us == 0 {
-            baseline_us = elapsed;
-        }
-        t.row(vec![
-            format!("{:.0}%", rate * 100.0),
-            committed.to_string(),
-            m.fs_retries.to_string(),
-            m.dp_dup_suppressed.to_string(),
-            db.sim.hist.redrive_chain.max().to_string(),
-            ms(elapsed),
-            format!("{:.2}x", elapsed as f64 / baseline_us.max(1) as f64),
-        ]);
+        let (w, committed) = window(&db, || {
+            let batch = debit_credit_batch(&s, &bank, Bank::debit_credit_sql, 0xE17, TXNS);
+            // A VSBB scan under the same loss rate: lost replies stretch the
+            // GET^NEXT re-drive chain, which the retry protocol re-drives from
+            // the last confirmed key.
+            db.session().query("SELECT COUNT(*) FROM HISTORY")?;
+            db.disable_faults();
+            Ok(batch.committed)
+        })?;
+        runs.push(Run {
+            rate,
+            committed,
+            w,
+            redrive_chain_max: db.sim.hist.redrive_chain.max(),
+        });
     }
+    let baseline_us = runs[0].w.elapsed_us.max(1);
+    let mut t = Table::measured(
+        format!(
+            "E17 — fault-rate sweep: {TXNS} DebitCredit txns + HISTORY scan under message loss"
+        ),
+        &runs,
+        &[
+            ("message loss", &|r| format!("{:.0}%", r.rate * 100.0)),
+            ("committed", &|r| r.committed.to_string()),
+            ("FS retries", &|r| r.w.metrics.fs_retries.to_string()),
+            ("dup suppressed", &|r| {
+                r.w.metrics.dp_dup_suppressed.to_string()
+            }),
+            ("re-drive chain max", &|r| r.redrive_chain_max.to_string()),
+            ("elapsed", &|r| ms(r.w.elapsed_us)),
+            ("overhead", &|r| {
+                format!("{:.2}x", r.w.elapsed_us as f64 / baseline_us as f64)
+            }),
+        ],
+    );
     t.note("Message loss is absorbed entirely inside the FS retry protocol: every transaction still commits, retries grow with the loss rate, and the Disk Process sync-ID cache answers retransmissions without re-applying updates. The virtual-time overhead stays within a small multiple of the loss-free run because each retry costs one timeout plus a bounded backoff.");
-    t
+    Ok(vec![t])
 }
 
-// ----------------------------------------------------------------------
-// E18 — MEASURE cross-check of the interface ratios
-// ----------------------------------------------------------------------
+/// E18 — MEASURE cross-check of the interface ratios. E2's headline ratios
+/// re-derived purely from the MEASURE per-entity counter deltas: the Disk
+/// Process's own `msgs.recv` counter must tell the same ≈3x / ≈3x story the
+/// global metrics tell. Every cell comes from a `MeasureReport` delta
+/// around one interface run — no global metrics — so the experiment doubles
+/// as an end-to-end check that the per-entity counters attribute work to
+/// the right entities.
+fn e18() -> Outcome<Vec<Table>> {
+    let runs = read_interfaces()?;
+    let [rat, rsbb, vsbb] = [&runs[0].w, &runs[1].w, &runs[2].w];
 
-/// E2's headline ratios re-derived purely from the MEASURE per-entity
-/// counter deltas: the Disk Process's own `msgs.recv` counter must tell
-/// the same ≈3x / ≈3x story the global metrics tell.
-pub fn e18() -> String {
-    e18_table().render()
-}
-
-/// The table behind E18, also emitted to `BENCH_results.json`. Every cell
-/// comes from a `MeasureReport` delta around one interface run — no global
-/// metrics — so the experiment doubles as an end-to-end check that the
-/// per-entity counters attribute work to the right entities.
-pub fn e18_table() -> Table {
-    use nsql_sim::{Ctr, EntityKind};
-
-    let runs = read_interfaces();
-    let [rat, rsbb, vsbb] = [&runs[0].1, &runs[1].1, &runs[2].1];
-
-    let mut t = Table::new(
+    // Everything below reads one entity's counters out of a delta; the DP
+    // process and its volume/file entities all answer to "$DATA1".
+    let dp = |w: &Window, c: Ctr| w.measure.snap.get(EntityKind::Process, "$DATA1", c);
+    let file = |w: &Window, c: Ctr| w.measure.snap.total(EntityKind::File, c);
+    let vol = |w: &Window, c: Ctr| w.measure.snap.get(EntityKind::Volume, "$DATA1", c);
+    let mut t = Table::measured(
         format!(
             "E18 — MEASURE cross-check: per-entity counter deltas for the E2 interfaces, \
              {READ_ROWS}-row Wisconsin table"
         ),
+        &runs,
         &[
-            "interface",
-            "DP msgs recv",
-            "DP bytes recv",
-            "recs examined",
-            "recs selected",
-            "volume disk reads",
-            "elapsed",
-            "msgs vs RAT",
+            ("interface", &|r| r.label.into()),
+            ("DP msgs recv", &|r| dp(&r.w, Ctr::MsgsRecv).to_string()),
+            ("DP bytes recv", &|r| dp(&r.w, Ctr::BytesRecv).to_string()),
+            ("recs examined", &|r| {
+                file(&r.w, Ctr::RecsExamined).to_string()
+            }),
+            ("recs selected", &|r| {
+                file(&r.w, Ctr::RecsSelected).to_string()
+            }),
+            ("volume disk reads", &|r| {
+                vol(&r.w, Ctr::DiskReads).to_string()
+            }),
+            ("elapsed", &|r| ms(r.w.elapsed_us)),
+            ("msgs vs RAT", &|r| {
+                ratio(dp(rat, Ctr::MsgsRecv), dp(&r.w, Ctr::MsgsRecv))
+            }),
         ],
     );
-
-    // Everything below reads one entity's counters out of a delta; the DP
-    // process and its volume/file entities all answer to "$DATA1".
-    let dp = |m: &Window, c: Ctr| m.measure.snap.get(EntityKind::Process, "$DATA1", c);
-    let file = |m: &Window, c: Ctr| m.measure.snap.total(EntityKind::File, c);
-    let vol = |m: &Window, c: Ctr| m.measure.snap.get(EntityKind::Volume, "$DATA1", c);
-    for (i, (label, m, _)) in runs.iter().enumerate() {
-        t.row(vec![
-            (*label).into(),
-            dp(m, Ctr::MsgsRecv).to_string(),
-            dp(m, Ctr::BytesRecv).to_string(),
-            file(m, Ctr::RecsExamined).to_string(),
-            file(m, Ctr::RecsSelected).to_string(),
-            vol(m, Ctr::DiskReads).to_string(),
-            ms(m.elapsed_us),
-            if i == 0 {
-                "1.0x".into()
-            } else {
-                ratio(dp(rat, Ctr::MsgsRecv), dp(m, Ctr::MsgsRecv))
-            },
-        ]);
-    }
-
     t.note(format!(
         "Measured from the Disk Process's own MEASURE record: RSBB receives {} fewer requests \
          than record-at-a-time and VSBB another {} fewer than RSBB — each carries at least the \
@@ -1740,336 +1451,275 @@ pub fn e18_table() -> Table {
         file(rsbb, Ctr::RecsExamined),
         file(vsbb, Ctr::RecsExamined),
     ));
-    t
+    Ok(vec![t])
 }
 
 /// E19 — critical-path wait profile: where the elapsed virtual time of the
 /// E2/E4/E9 workloads goes, decomposed into exhaustive, non-overlapping
 /// categories that sum *exactly* to the elapsed time (no tolerance), plus a
-/// chaos variant showing retry/backoff time appearing under injected faults.
-pub fn e19() -> String {
-    e19_table().render()
-}
-
-/// The table behind E19, also emitted to `BENCH_results.json`. Every cell
-/// is a raw integer of virtual microseconds, so the perf gate catches any
-/// hop silently getting slower, per category.
-pub fn e19_table() -> Table {
-    use nsql_sim::{Wait, WaitProfile};
-
-    let mut t = Table::new(
-        "E19 — critical-path wait profile: exact decomposition of elapsed virtual time (µs)",
-        &[
-            "workload", "cpu", "msg", "disk", "lock", "commit", "retry", "other", "elapsed",
-        ],
-    );
-    // E19's schema (and its pinned baseline) predates `wait.restart`:
-    // the column set stays the original seven, and restart — which only
-    // crash recovery can charge — is asserted zero instead. E20 owns the
-    // restart category.
-    const E19_CATEGORIES: [Wait; 7] = [
-        Wait::Cpu,
-        Wait::Msg,
-        Wait::Disk,
-        Wait::Lock,
-        Wait::Commit,
-        Wait::Retry,
-        Wait::Other,
-    ];
-    let push = |t: &mut Table, label: &str, wait: &WaitProfile, elapsed: u64| {
-        assert_eq!(
-            wait.total(),
-            elapsed,
-            "{label}: wait categories must sum exactly to elapsed time"
+/// chaos variant showing retry/backoff time appearing under injected
+/// faults. Every cell is a raw integer of virtual microseconds, so the perf
+/// gate catches any hop silently getting slower, per category.
+fn e19() -> Outcome<Vec<Table>> {
+    /// A workload's ledger, admitted as a row only if it is exact.
+    fn profile(label: &'static str, w: &Window) -> Outcome<(&'static str, WaitProfile, u64)> {
+        ensure!(
+            w.wait.total() == w.elapsed_us,
+            "E19 {label}: wait categories sum to {}, elapsed is {}",
+            w.wait.total(),
+            w.elapsed_us
         );
-        assert_eq!(
-            wait.get(Wait::Other),
-            0,
-            "{label}: every microsecond inside a workload must be attributed"
+        ensure!(
+            w.wait.get(Wait::Other) == 0,
+            "E19 {label}: every microsecond inside a workload must be attributed"
         );
-        assert_eq!(
-            wait.get(Wait::Restart),
-            0,
-            "{label}: no crash recovery runs inside these workloads"
+        ensure!(
+            w.wait.get(Wait::Restart) == 0,
+            "E19 {label}: no crash recovery runs inside these workloads"
         );
-        let mut row = vec![label.to_string()];
-        row.extend(E19_CATEGORIES.iter().map(|w| wait.get(*w).to_string()));
-        row.push(elapsed.to_string());
-        t.row(row);
-    };
+        Ok((label, w.wait, w.elapsed_us))
+    }
+    let mut rows = Vec::new();
 
     // E2's winning interface: the VSBB 10% selection as one SQL statement.
     // Statement-level profile straight from QueryStats.
     {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let w = Wisconsin::create(&db, "WISC", 10_000, &["$DATA1"], 2).unwrap();
-        cold_caches(&db);
+        let db = Cluster::single_volume();
+        let w = Wisconsin::create(&db, "WISC", 10_000, &["$DATA1"], 2)?;
+        cold_caches(&db)?;
         let mut s = db.session();
-        s.query(&w.q_select_10pct_clustered()).unwrap();
-        let stats = s.last_stats().unwrap();
-        push(
-            &mut t,
-            "E2 VSBB scan (10% select)",
-            &stats.wait,
-            stats.elapsed_us,
-        );
+        s.query(&w.q_select_10pct_clustered())?;
+        let stats = s.last_stats().ok_or("E19: the statement left no stats")?;
+        rows.push(profile("E2 VSBB scan (10% select)", stats)?);
     }
 
     // E4's winning method: the set-oriented interest-posting UPDATE.
     {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let w = Wisconsin::create(&db, "WISC", 2_000, &["$DATA1"], 2).unwrap();
-        let _ = &w;
+        let db = Cluster::single_volume();
+        Wisconsin::create(&db, "WISC", 2_000, &["$DATA1"], 2)?;
         let mut s = db.session();
-        s.execute("UPDATE WISC SET UNIQUE1 = UNIQUE1 + 0 WHERE UNIQUE2 < 200")
-            .unwrap();
-        let stats = s.last_stats().unwrap();
-        push(
-            &mut t,
-            "E4 set-oriented UPDATE (10%)",
-            &stats.wait,
-            stats.elapsed_us,
-        );
+        s.execute("UPDATE WISC SET UNIQUE1 = UNIQUE1 + 0 WHERE UNIQUE2 < 200")?;
+        let stats = s.last_stats().ok_or("E19: the statement left no stats")?;
+        rows.push(profile("E4 set-oriented UPDATE (10%)", stats)?);
     }
 
     // E9: the DebitCredit batch over the SQL path; the window profile
     // aggregates the per-statement ledgers (group-commit time shows up).
-    let bank_run = |faults: Option<FaultConfig>| -> (WaitProfile, u64, u64) {
+    let bank_run = |faults: Option<FaultConfig>| -> Outcome<(Window, u64)> {
         let db = ClusterBuilder::new()
             .volume_with_backup("$DATA1", 0, 1, 0, 3)
             .build();
-        let bank = Bank::create(&db, 2, 500, "$DATA1").unwrap();
+        let bank = Bank::create(&db, 2, 500, "$DATA1")?;
         let s = db.session();
-        let mut rng = SimRng::seed_from(5);
         if let Some(cfg) = faults {
             db.enable_faults(cfg);
         }
-        let mark = db.sim.mark();
-        for _ in 0..100 {
-            let (aid, tid, bid, delta) = bank.draw(&mut rng);
-            let txn = db.txnmgr.begin();
-            match bank.debit_credit_sql(s.fs(), txn, aid, tid, bid, delta) {
-                Ok(()) => {
-                    let _ = db.txnmgr.commit(txn, s.cpu());
-                }
-                Err(_) => {
-                    let _ = db.txnmgr.abort(txn, s.cpu());
-                }
-            }
-        }
-        let w = mark.close(&db.sim);
+        let (w, _) = window(&db, || {
+            Ok(debit_credit_batch(
+                &s,
+                &bank,
+                Bank::debit_credit_sql,
+                5,
+                100,
+            ))
+        })?;
         db.disable_faults();
-        (w.wait, w.elapsed_us, db.snapshot().fs_retries)
+        Ok((w, db.snapshot().fs_retries))
     };
-    let (wait, elapsed, _) = bank_run(None);
-    push(&mut t, "E9 DebitCredit x100 (fault-free)", &wait, elapsed);
-    let (wait, elapsed, retries) = bank_run(Some(FaultConfig {
+    let (w, _) = bank_run(None)?;
+    rows.push(profile("E9 DebitCredit x100 (fault-free)", &w)?);
+    let (w, retries) = bank_run(Some(FaultConfig {
         drop: 0.08,
         ..FaultConfig::with_seed(21)
-    }));
-    assert!(retries > 0, "the chaos variant must exercise FS retries");
-    push(
-        &mut t,
-        "E9 DebitCredit x100 (chaos: 8% drops)",
-        &wait,
-        elapsed,
+    }))?;
+    ensure!(
+        retries > 0,
+        "E19: the chaos variant must exercise FS retries"
     );
+    rows.push(profile("E9 DebitCredit x100 (chaos: 8% drops)", &w)?);
 
+    // E19's schema (and its pinned baseline) predates `wait.restart`:
+    // the column set stays the original seven, and restart — which only
+    // crash recovery can charge — is checked zero instead. E20 owns the
+    // restart category.
+    let mut t = Table::measured(
+        "E19 — critical-path wait profile: exact decomposition of elapsed virtual time (µs)",
+        &rows,
+        &[
+            ("workload", &|r| r.0.into()),
+            ("cpu", &|r| r.1.get(Wait::Cpu).to_string()),
+            ("msg", &|r| r.1.get(Wait::Msg).to_string()),
+            ("disk", &|r| r.1.get(Wait::Disk).to_string()),
+            ("lock", &|r| r.1.get(Wait::Lock).to_string()),
+            ("commit", &|r| r.1.get(Wait::Commit).to_string()),
+            ("retry", &|r| r.1.get(Wait::Retry).to_string()),
+            ("other", &|r| r.1.get(Wait::Other).to_string()),
+            ("elapsed", &|r| r.2.to_string()),
+        ],
+    );
     t.note(
         "Each row decomposes the workload's elapsed virtual time into the exhaustive wait \
          categories of the per-statement ledger; the categories sum exactly (no tolerance) to \
-         the elapsed column — the EXPLAIN ANALYZE discipline applied to latency."
-            .to_string(),
+         the elapsed column — the EXPLAIN ANALYZE discipline applied to latency.",
     );
     t.note(
         "Under injected message drops the same workload grows a retry column (FS backoff \
          between retransmissions) and its msg share swells with virtual-time timeouts — the \
-         breakdown names the hop that got slower, which counters alone cannot."
-            .to_string(),
+         breakdown names the hop that got slower, which counters alone cannot.",
     );
-    t
+    Ok(vec![t])
 }
 
-/// E20 — crash-restart recovery cost. The paper's availability story
-/// rests on TMF: "transaction audit trails ... are the basis of both
-/// transaction UNDO and REDO". This experiment measures what that REDO/
-/// UNDO replay costs at restart, as a function of durable trail length,
-/// plus the two media-recovery paths (trail rebuild and mirror copy-back).
-pub fn e20() -> String {
-    e20_table().render()
-}
-
-/// The table behind E20, also emitted to `BENCH_results.json`. All cells
-/// are raw integers (record counts / virtual µs): the perf gate catches
+/// E20 — crash-restart recovery cost. The paper's availability story rests
+/// on TMF: "transaction audit trails ... are the basis of both transaction
+/// UNDO and REDO". This experiment measures what that REDO/UNDO replay
+/// costs at restart, as a function of durable trail length, plus the two
+/// media-recovery paths (trail rebuild and mirror copy-back). All cells are
+/// raw integers (record counts / virtual µs): the perf gate catches
 /// recovery silently getting slower with zero tolerance.
-pub fn e20_table() -> Table {
-    use nsql_sim::{Ctr, EntityKind, Wait};
-
-    let mut t = Table::new(
-        "E20 — crash-restart: audit-trail replay cost vs durable trail length (µs)",
-        &[
-            "scenario",
-            "trail recs",
-            "scanned",
-            "redo",
-            "undo",
-            "restart us",
-            "recovery us",
-        ],
-    );
+fn e20() -> Outcome<Vec<Table>> {
+    /// One recovery: what it had to read back and what that cost.
+    struct Recovery {
+        label: &'static str,
+        trail_recs: usize,
+        w: Window,
+    }
+    type Recover<'a> = &'a dyn Fn(&Cluster) -> Outcome<()>;
 
     // A seeded cluster with `txns` committed DebitCredit transactions
     // (and optionally one in-flight loser with durable audit), measured
-    // through the given recovery action. Fallible end to end so the
-    // harness has exactly one panic site.
-    let cells = |label: &str,
-                 txns: u32,
-                 in_flight: bool,
-                 mirrored: bool,
-                 recover: &dyn Fn(&Cluster) -> Result<(), String>|
-     -> Result<Vec<String>, String> {
-        let mut b = ClusterBuilder::new();
-        b = if mirrored {
+    // through the given recovery action.
+    let scenario = |label: &'static str,
+                    txns: u32,
+                    in_flight: bool,
+                    mirrored: bool,
+                    recover: Recover|
+     -> Outcome<Recovery> {
+        let b = ClusterBuilder::new();
+        let db = if mirrored {
             b.volume("$DATA1", 0, 1)
         } else {
             b.volume_unmirrored("$DATA1", 0, 1)
-        };
-        let db = b.build();
-        let bank = Bank::create(&db, 2, 100, "$DATA1").map_err(|e| e.to_string())?;
-        let s = db.session();
-        let mut rng = SimRng::seed_from(0xE20);
-        for _ in 0..txns {
-            let (aid, tid, bid, delta) = bank.draw(&mut rng);
-            let txn = db.txnmgr.begin();
-            bank.debit_credit_sql(s.fs(), txn, aid, tid, bid, delta)
-                .map_err(|e| e.to_string())?;
-            db.txnmgr.commit(txn, s.cpu()).map_err(|e| e.to_string())?;
         }
+        .build();
+        let bank = Bank::create(&db, 2, 100, "$DATA1")?;
+        let s = db.session();
+        debit_credit_batch(&s, &bank, Bank::debit_credit_sql, 0xE20, txns).fault_free()?;
         if in_flight {
             // Its audit reaches the durable trail via an eager send plus
             // one committed writer's group flush — a genuine UNDO load.
             // Fixed, disjoint ids: the loser (branch 0) and the flushing
             // committed txn (branch 1) must not collide on locks.
             db.dp("$DATA1").set_audit_send_threshold(0);
-            let txn = db.txnmgr.begin();
-            bank.debit_credit_sql(s.fs(), txn, 5, 1, 0, 2.5)
-                .map_err(|e| e.to_string())?;
-            let committed = db.txnmgr.begin();
-            bank.debit_credit_sql(s.fs(), committed, 150, 15, 1, -1.25)
-                .map_err(|e| e.to_string())?;
-            db.txnmgr
-                .commit(committed, s.cpu())
-                .map_err(|e| e.to_string())?;
+            let loser = db.txnmgr.begin();
+            bank.debit_credit_sql(s.fs(), loser, 5, 1, 0, 2.5)?;
+            in_txn(&s, |txn| {
+                Ok(bank.debit_credit_sql(s.fs(), txn, 150, 15, 1, -1.25)?)
+            })?;
         }
         let trail_recs = db.trail.durable_records(db.sim.now()).len();
-        let mark = db.sim.mark();
-        recover(&db)?;
-        let w = mark.close(&db.sim);
-        let d = &w.measure.snap;
-        Ok(vec![
-            label.to_string(),
-            trail_recs.to_string(),
-            d.get(EntityKind::Process, "$DATA1", Ctr::RecoveryScanned)
-                .to_string(),
-            d.get(EntityKind::Process, "$DATA1", Ctr::RecoveryRedo)
-                .to_string(),
-            d.get(EntityKind::Process, "$DATA1", Ctr::RecoveryUndo)
-                .to_string(),
-            w.wait.get(Wait::Restart).to_string(),
-            w.elapsed_us.to_string(),
-        ])
+        let (w, ()) = window(&db, || recover(&db))?;
+        Ok(Recovery {
+            label,
+            trail_recs,
+            w,
+        })
     };
 
-    let restart = |db: &Cluster| -> Result<(), String> {
+    let restart: Recover = &|db| {
         db.crash_and_restart(0, 1);
         Ok(())
     };
-    let rebuild = |db: &Cluster| -> Result<(), String> {
+    let rebuild: Recover = &|db| {
         db.disk("$DATA1").fail_drive(0);
-        db.media_recover("$DATA1").map_err(|e| e.to_string())
+        Ok(db.media_recover("$DATA1")?)
     };
-    let remirror = |db: &Cluster| -> Result<(), String> {
-        db.dp("$DATA1")
-            .pool()
-            .flush_all()
-            .map_err(|e| e.to_string())?;
+    let remirror: Recover = &|db| {
+        db.dp("$DATA1").pool().flush_all()?;
         db.disk("$DATA1").fail_drive(1);
-        db.media_recover("$DATA1").map_err(|e| e.to_string())
+        Ok(db.media_recover("$DATA1")?)
     };
-    type Recover<'a> = &'a dyn Fn(&Cluster) -> Result<(), String>;
-    let scenarios: [(&str, u32, bool, bool, Recover); 6] = [
-        ("restart after 25 txns", 25, false, true, &restart),
-        ("restart after 100 txns", 100, false, true, &restart),
-        ("restart after 400 txns", 400, false, true, &restart),
-        (
+    let recoveries = [
+        scenario("restart after 25 txns", 25, false, true, restart)?,
+        scenario("restart after 100 txns", 100, false, true, restart)?,
+        scenario("restart after 400 txns", 400, false, true, restart)?,
+        scenario(
             "restart + in-flight loser (100 txns)",
             100,
             true,
             true,
-            &restart,
-        ),
-        (
+            restart,
+        )?,
+        scenario(
             "media rebuild, unmirrored (100 txns)",
             100,
             false,
             false,
-            &rebuild,
-        ),
-        (
-            "re-mirror copy-back (100 txns)",
-            100,
-            false,
-            true,
-            &remirror,
-        ),
+            rebuild,
+        )?,
+        scenario("re-mirror copy-back (100 txns)", 100, false, true, remirror)?,
     ];
-    for (label, txns, in_flight, mirrored, recover) in scenarios {
-        let row = cells(label, txns, in_flight, mirrored, recover)
-            .expect("E20 scenario must run to completion");
-        t.row(row);
-    }
 
+    let dp = |r: &Recovery, c: Ctr| r.w.measure.snap.get(EntityKind::Process, "$DATA1", c);
+    let mut t = Table::measured(
+        "E20 — crash-restart: audit-trail replay cost vs durable trail length (µs)",
+        &recoveries,
+        &[
+            ("scenario", &|r| r.label.into()),
+            ("trail recs", &|r| r.trail_recs.to_string()),
+            ("scanned", &|r| dp(r, Ctr::RecoveryScanned).to_string()),
+            ("redo", &|r| dp(r, Ctr::RecoveryRedo).to_string()),
+            ("undo", &|r| dp(r, Ctr::RecoveryUndo).to_string()),
+            ("restart us", &|r| r.w.wait.get(Wait::Restart).to_string()),
+            ("recovery us", &|r| r.w.elapsed_us.to_string()),
+        ],
+    );
     t.note(
         "Restart replay cost scales with the durable trail prefix: `scanned` counts every \
          record read back, `redo`/`undo` the winners re-applied and losers rolled back, and \
          `restart us` the virtual time charged to the wait.restart category (CPU replay work \
-         plus, for media recovery, the cost-modelled disk transfer)."
-            .to_string(),
+         plus, for media recovery, the cost-modelled disk transfer).",
     );
     t.note(
         "The two media paths differ structurally: a dead unmirrored volume is rebuilt by REDO \
          of the whole trail onto an empty store, while a mirrored volume's replacement half is \
-         a pure sequential copy-back from the survivor (no Disk Process replay at all)."
-            .to_string(),
+         a pure sequential copy-back from the survivor (no Disk Process replay at all).",
     );
-    t
+    Ok(vec![t])
 }
 
-/// E21 — contention survival. N simulated terminals issue DebitCredit
-/// with Poisson arrivals and a Zipf-skewed account hotspot, interleaved
-/// at FS-DP message granularity so transactions genuinely contend:
-/// deadlocks are detected on the waits-for graph, the youngest cycle
-/// member is doomed and rolled back via the audit trail, and the client
-/// retries with bounded backoff. An admission gate bounds in-flight
-/// transactions so overload queues instead of collapsing the lock table.
-pub fn e21() -> String {
-    e21_table().render()
+/// One cell of a load table: the scenario, its configured horizon, and
+/// what the open-loop engine reported.
+struct LoadRun {
+    label: String,
+    duration_us: u64,
+    out: LoadOutcome,
 }
 
-/// One E21 row: build a fresh cluster + bank, run the open-loop load,
-/// and report throughput, tail latency, and the contention-survival
-/// counters. Conservation is asserted on every row — aborted attempts
-/// must have rolled back exactly. Fallible end to end so the harness
-/// has a single panic-free failure site (`push_row`).
-fn e21_row(
+/// The terminal population every load experiment runs — twelve terminals
+/// behind a six-slot admission gate — with the knobs they turn.
+fn terminals(seed: u64, duration_us: u64, mean_think_us: f64, zipf_theta: f64) -> LoadConfig {
+    LoadConfig {
+        terminals: 12,
+        duration_us,
+        mean_think_us,
+        zipf_theta,
+        max_inflight: 6,
+        seed,
+        ..LoadConfig::default()
+    }
+}
+
+/// Build a fresh cluster + bank, run the open-loop load, and check
+/// conservation — aborted attempts must have rolled back exactly.
+fn load_run(
     label: &str,
-    cfg: &nsql_workloads::LoadConfig,
+    cfg: &LoadConfig,
     accounts_per_branch: u32,
     lock_timeout_us: u64,
     faults: Option<FaultConfig>,
-) -> Result<Vec<String>, String> {
-    use nsql_workloads::run_load;
-    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
+) -> Outcome<LoadRun> {
+    let db = Cluster::single_volume();
     if lock_timeout_us > 0 {
         db.set_lock_wait_timeout(lock_timeout_us);
     }
@@ -2077,77 +1727,64 @@ fn e21_row(
     // contention knob is the Zipf hotspot over the account rows, whose
     // population the caller picks (wide bank = load-bound, small bank =
     // contention-bound).
-    let bank = Bank::create(&db, 10, accounts_per_branch, "$DATA1").map_err(|e| e.to_string())?;
-    let initial = bank.total_balance(&db).map_err(|e| e.to_string())?;
+    let bank = Bank::create(&db, 10, accounts_per_branch, "$DATA1")?;
+    let initial = bank.total_balance(&db)?;
     if let Some(f) = faults {
         db.enable_faults(f);
     }
     let out = run_load(&db, &bank, cfg);
     db.disable_faults();
-    let total = bank.total_balance(&db).map_err(|e| e.to_string())?;
-    assert!(
+    let total = bank.total_balance(&db)?;
+    ensure!(
         (total - (initial + out.net_delta)).abs() < 1e-6,
-        "E21 {label}: money not conserved ({total} vs {initial} + {})",
+        "{label}: money not conserved ({total} vs {initial} + {})",
         out.net_delta
     );
-    assert_eq!(
-        out.arrivals,
-        out.committed + out.gave_up,
-        "E21 {label}: every arrival must commit or exhaust its retries"
+    ensure!(
+        out.arrivals == out.committed + out.gave_up,
+        "{label}: every arrival must commit or exhaust its retries"
     );
-    Ok(vec![
-        label.to_string(),
-        format!("{:.1}", out.offered_tps(cfg.duration_us)),
-        format!("{:.1}", out.tps()),
-        out.percentile_us(50.0).to_string(),
-        out.percentile_us(95.0).to_string(),
-        out.percentile_us(99.0).to_string(),
-        out.admission_wait_us.to_string(),
-        out.deadlock_retries.to_string(),
-        out.lock_timeouts.to_string(),
-        out.gave_up.to_string(),
-    ])
+    Ok(LoadRun {
+        label: label.to_string(),
+        duration_us: cfg.duration_us,
+        out,
+    })
 }
 
-/// Push a completed experiment row, failing the run loudly (but
-/// panic-token free) if the scenario errored. The one sanctioned failure
-/// site for the fallible load-engine experiments (E21, E22, `load`).
-fn push_row(t: &mut Table, what: &str, label: &str, row: Result<Vec<String>, String>) {
-    assert!(row.is_ok(), "{what} {label}: {:?}", row.as_ref().err());
-    if let Ok(cells) = row {
-        t.row(cells);
-    }
-}
-
-/// The table behind E21, also emitted to `BENCH_results.json`. tps cells
-/// are fixed-precision floats of deterministic virtual-time ratios, so
-/// the perf gate diffs them with zero tolerance like the integer cells.
-pub fn e21_table() -> Table {
-    use nsql_workloads::LoadConfig;
-
-    let mut t = Table::new(
-        "E21 — contention survival: throughput and tail latency vs offered load and skew",
+/// The columns E21 and `load` share. tps cells are fixed-precision floats
+/// of deterministic virtual-time ratios, so the perf gate diffs them with
+/// zero tolerance like the integer cells.
+fn load_table(title: &str, runs: &[LoadRun]) -> Table {
+    Table::measured(
+        title,
+        runs,
         &[
-            "scenario",
-            "offered tps",
-            "tps",
-            "p50 us",
-            "p95 us",
-            "p99 us",
-            "adm wait us",
-            "dl retries",
-            "timeouts",
-            "gave up",
+            ("scenario", &|r| r.label.clone()),
+            ("offered tps", &|r| {
+                format!("{:.1}", r.out.offered_tps(r.duration_us))
+            }),
+            ("tps", &|r| format!("{:.1}", r.out.tps())),
+            ("p50 us", &|r| r.out.percentile_us(50.0).to_string()),
+            ("p95 us", &|r| r.out.percentile_us(95.0).to_string()),
+            ("p99 us", &|r| r.out.percentile_us(99.0).to_string()),
+            ("adm wait us", &|r| r.out.admission_wait_us.to_string()),
+            ("dl retries", &|r| r.out.deadlock_retries.to_string()),
+            ("timeouts", &|r| r.out.lock_timeouts.to_string()),
+            ("gave up", &|r| r.out.gave_up.to_string()),
         ],
-    );
-    let base = LoadConfig {
-        terminals: 12,
-        duration_us: 400_000,
-        zipf_theta: 0.8,
-        max_inflight: 6,
-        seed: 0xE21,
-        ..LoadConfig::default()
-    };
+    )
+}
+
+/// E21 — contention survival. N simulated terminals issue DebitCredit with
+/// Poisson arrivals and a Zipf-skewed account hotspot, interleaved at FS-DP
+/// message granularity so transactions genuinely contend: deadlocks are
+/// detected on the waits-for graph, the youngest cycle member is doomed and
+/// rolled back via the audit trail, and the client retries with bounded
+/// backoff. An admission gate bounds in-flight transactions so overload
+/// queues instead of collapsing the lock table.
+fn e21() -> Outcome<Vec<Table>> {
+    let cfg = |think_us, theta| terminals(0xE21, 400_000, think_us, theta);
+    let mut runs = Vec::new();
     // Offered-load sweep at moderate skew: shrinking think time pushes the
     // open-loop arrival rate through saturation.
     for (label, think_us) in [
@@ -2156,305 +1793,70 @@ pub fn e21_table() -> Table {
         ("load: heavy (think 10ms)", 10_000.0),
         ("load: saturated (think 3ms)", 3_000.0),
     ] {
-        let cfg = LoadConfig {
-            mean_think_us: think_us,
-            ..base.clone()
-        };
-        push_row(&mut t, "E21", label, e21_row(label, &cfg, 100, 0, None));
+        runs.push(load_run(label, &cfg(think_us, 0.8), 100, 0, None)?);
     }
     // Skew sweep at fixed offered load on a small hot bank (100 account
     // rows): a steeper Zipf hotspot turns the same arrival rate into
     // convoys and genuine waits-for cycles.
+    let hot = |theta| cfg(10_000.0, theta);
     for (label, theta) in [
         ("skew: uniform (theta 0)", 0.0),
         ("skew: mild (theta 0.6)", 0.6),
         ("skew: hot (theta 1.0)", 1.0),
         ("skew: scorching (theta 1.2)", 1.2),
     ] {
-        let cfg = LoadConfig {
-            mean_think_us: 10_000.0,
-            zipf_theta: theta,
-            ..base.clone()
-        };
-        push_row(&mut t, "E21", label, e21_row(label, &cfg, 10, 0, None));
+        runs.push(load_run(label, &hot(theta), 10, 0, None)?);
     }
     // Lock-wait timeout armed: convoy stragglers are doomed instead of
     // waiting out the hotspot, trading aborts for bounded tail latency.
-    let cfg = LoadConfig {
-        mean_think_us: 10_000.0,
-        zipf_theta: 1.2,
-        ..base.clone()
-    };
-    let label = "timeout armed (2.5ms, theta 1.2)";
-    push_row(&mut t, "E21", label, e21_row(label, &cfg, 10, 2_500, None));
+    runs.push(load_run(
+        "timeout armed (2.5ms, theta 1.2)",
+        &hot(1.2),
+        10,
+        2_500,
+        None,
+    )?);
     // Chaos variant: message drops and delays on top of contention; FS
     // retries and doom-retries compose, and conservation still holds.
-    let cfg = LoadConfig {
-        mean_think_us: 10_000.0,
-        zipf_theta: 1.0,
-        ..base.clone()
-    };
     let faults = FaultConfig {
         drop: 0.02,
         delay: 0.02,
         ..FaultConfig::with_seed(0xE21)
     };
-    let label = "chaos (2% drop, 2% delay, theta 1.0)";
-    push_row(
-        &mut t,
-        "E21",
-        label,
-        e21_row(label, &cfg, 10, 0, Some(faults)),
-    );
+    runs.push(load_run(
+        "chaos (2% drop, 2% delay, theta 1.0)",
+        &hot(1.0),
+        10,
+        0,
+        Some(faults),
+    )?);
 
+    let mut t = load_table(
+        "E21 — contention survival: throughput and tail latency vs offered load and skew",
+        &runs,
+    );
     t.note(
         "Open-loop arrivals: each of 12 terminals draws exponential think times, so offered \
          tps rises as think time shrinks while achieved tps saturates at the lock/commit \
          bottleneck — the gap drains into the admission queue (`adm wait us` is the summed \
          per-transaction wait between arrival and gate admission) instead of collapsing the \
-         lock table."
-            .to_string(),
+         lock table.",
     );
     t.note(
         "Skew turns load into contention: at uniform skew deadlocks are rare, while a \
          theta=1.2 hotspot produces genuine waits-for cycles — each is resolved by dooming \
          the youngest cycle member (rolled back via the audit trail) and retrying it with \
          bounded backoff (`dl retries`). Every row asserts exact money conservation, so every \
-         abort demonstrably undid its partial work."
-            .to_string(),
+         abort demonstrably undid its partial work.",
     );
-    t
-}
-
-// ----------------------------------------------------------------------
-// E22 — interval sampler: latency curves and bottleneck attribution
-// ----------------------------------------------------------------------
-
-/// E22: run the open-loop DebitCredit engine with the virtual-time
-/// interval sampler on, at three offered-load levels, and report (a) the
-/// per-interval time series — throughput, latency percentiles, and the
-/// windowed wait-ledger bottleneck — and (b) the full log2 latency CDF of
-/// each cell.
-pub fn e22() -> String {
-    let (series, cdf) = e22_tables();
-    format!("{}\n{}", series.render(), cdf.render())
-}
-
-/// The three offered-load cells of E22 (one bank shape, think time is the
-/// knob), each sampled every 50ms of virtual time.
-fn e22_cells() -> Vec<(&'static str, nsql_workloads::LoadConfig)> {
-    use nsql_workloads::LoadConfig;
-    let base = LoadConfig {
-        terminals: 12,
-        duration_us: 400_000,
-        zipf_theta: 0.8,
-        max_inflight: 6,
-        sample_every_us: 50_000,
-        seed: 0xE22,
-        ..LoadConfig::default()
-    };
-    vec![
-        (
-            "light (think 100ms)",
-            LoadConfig {
-                mean_think_us: 100_000.0,
-                ..base.clone()
-            },
-        ),
-        (
-            "heavy (think 10ms)",
-            LoadConfig {
-                mean_think_us: 10_000.0,
-                ..base.clone()
-            },
-        ),
-        (
-            "saturated (think 3ms)",
-            LoadConfig {
-                mean_think_us: 3_000.0,
-                ..base
-            },
-        ),
-    ]
-}
-
-/// Run one E22 cell and verify the sampler's exactness contract on every
-/// interval: the windowed wait ledger must decompose the interval's span
-/// with no remainder, the intervals must tile the run gaplessly, and the
-/// reported bottleneck must be the ledger's own argmax. Fallible end to
-/// end; the single failure site is `push_row`.
-fn e22_run(
-    label: &str,
-    cfg: &nsql_workloads::LoadConfig,
-) -> Result<nsql_workloads::LoadOutcome, String> {
-    use nsql_workloads::run_load;
-    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-    let bank = Bank::create(&db, 10, 100, "$DATA1").map_err(|e| e.to_string())?;
-    let out = run_load(&db, &bank, cfg);
-    if out.intervals.len() < 3 {
-        return Err(format!(
-            "{label}: expected >= 3 intervals, got {}",
-            out.intervals.len()
-        ));
-    }
-    let mut expect_start = out.intervals[0].start_us;
-    for (i, iv) in out.intervals.iter().enumerate() {
-        if iv.start_us != expect_start {
-            return Err(format!(
-                "{label} interval {i}: gap ({} != {expect_start})",
-                iv.start_us
-            ));
-        }
-        let span = iv.end_us.saturating_sub(iv.start_us);
-        if iv.wait_total_us() != span {
-            return Err(format!(
-                "{label} interval {i}: ledger {} != span {span}",
-                iv.wait_total_us()
-            ));
-        }
-        let max = iv.wait_us.iter().fold(0u64, |a, &b| a.max(b));
-        if iv.wait_us[iv.top_wait().index()] != max {
-            return Err(format!(
-                "{label} interval {i}: bottleneck is not the argmax"
-            ));
-        }
-        expect_start = iv.end_us;
-    }
-    Ok(out)
-}
-
-/// Both E22 records from one pass over the cells: the per-interval time
-/// series and the full log2 latency CDF per cell.
-pub fn e22_tables() -> (Table, Table) {
-    use nsql_sim::Histogram;
-
-    let mut series = Table::new(
-        "E22 — interval sampler: per-interval throughput, latency, and bottleneck attribution",
-        &[
-            "scenario",
-            "ivl",
-            "start us",
-            "span us",
-            "arrivals",
-            "commits",
-            "tps",
-            "p50 us",
-            "p95 us",
-            "p99 us",
-            "top wait",
-            "wait us",
-            "top entity",
-            "entity ops",
-        ],
-    );
-    let mut cdf = Table::new(
-        "E22 — latency CDF per offered-load cell (log2 buckets, interpolated percentiles)",
-        &[
-            "scenario", "kind", "lo us", "hi us", "count", "cum", "cum %",
-        ],
-    );
-
-    for (label, cfg) in e22_cells() {
-        match e22_run(label, &cfg) {
-            Ok(out) => {
-                for (i, iv) in out.intervals.iter().enumerate() {
-                    series.row(vec![
-                        label.to_string(),
-                        i.to_string(),
-                        iv.start_us.to_string(),
-                        (iv.end_us - iv.start_us).to_string(),
-                        iv.arrivals.to_string(),
-                        iv.committed.to_string(),
-                        format!("{:.1}", iv.tps()),
-                        iv.percentile_us(50.0).to_string(),
-                        iv.percentile_us(95.0).to_string(),
-                        iv.percentile_us(99.0).to_string(),
-                        iv.top_wait().name().to_string(),
-                        iv.wait_us[iv.top_wait().index()].to_string(),
-                        iv.top_entity.clone(),
-                        iv.top_entity_delta.to_string(),
-                    ]);
-                }
-                let h = Histogram::new();
-                for &v in &out.latencies_us {
-                    h.record(v);
-                }
-                let n = h.count();
-                let mut cum = 0u64;
-                for (lo, hi, count) in h.buckets() {
-                    cum += count;
-                    cdf.row(vec![
-                        label.to_string(),
-                        "bucket".to_string(),
-                        lo.to_string(),
-                        hi.to_string(),
-                        count.to_string(),
-                        cum.to_string(),
-                        format!("{:.1}", 100.0 * cum as f64 / n.max(1) as f64),
-                    ]);
-                }
-                cdf.row(vec![
-                    label.to_string(),
-                    "p50/p95/p99/p999".to_string(),
-                    h.percentile(0.50).to_string(),
-                    h.percentile(0.95).to_string(),
-                    h.percentile(0.99).to_string(),
-                    h.percentile(0.999).to_string(),
-                    "100.0".to_string(),
-                ]);
-            }
-            Err(e) => push_row(&mut series, "E22", label, Err(e)),
-        }
-    }
-
-    series.note(
-        "Each row is one closed sampler interval (50ms of virtual time; the last row of a \
-         cell is the partial drain tail). `top wait` is the argmax of the interval's windowed \
-         wait ledger — the same attributed clock every statement decomposes into — so the \
-         bottleneck column sums, with the other categories, to exactly `span us`. `top \
-         entity` is the MEASURE entity with the largest counter delta in the window."
-            .to_string(),
-    );
-    series.note(
-        "Read as a bottleneck report: at every offered load the group-commit timer dominates \
-         the windowed ledger (wait.commit), and the busiest entity is the hot data Disk Process \
-         in every interval (the audit trail counts the audit it is sent once, as bytes \
-         received, not again when it flushes) — shortening think time moves the latency \
-         columns, not the bottleneck. The report and the ledger cannot \
-         disagree because they are the same numbers."
-            .to_string(),
-    );
-    cdf.note(
-        "Full latency distribution per cell, not just point percentiles: log2 buckets with \
-         cumulative counts, plus a summary row of interpolated p50/p95/p99/p999 \
-         (Histogram::percentile spreads each bucket uniformly). Offered load moves the whole \
-         curve, not just the tail."
-            .to_string(),
-    );
-    (series, cdf)
+    Ok(vec![t])
 }
 
 /// The exhaustive `experiments load` mode: a full offered-load × skew
 /// grid at a longer horizon than the E21 record, for interactive study.
 /// Not part of `BENCH_results.json` (CI runs the pinned E21 table).
-pub fn load_sweep() -> String {
-    use nsql_workloads::LoadConfig;
-
-    let mut t = Table::new(
-        "LOAD — exhaustive contention sweep: offered load x Zipf skew (12 terminals)",
-        &[
-            "scenario",
-            "offered tps",
-            "tps",
-            "p50 us",
-            "p95 us",
-            "p99 us",
-            "adm wait us",
-            "dl retries",
-            "timeouts",
-            "gave up",
-        ],
-    );
+fn load() -> Outcome<Vec<Table>> {
+    let mut runs = Vec::new();
     for (tag, think_us) in [
         ("6ms", 6_000.0),
         ("3ms", 3_000.0),
@@ -2463,138 +1865,211 @@ pub fn load_sweep() -> String {
         ("0.4ms", 400.0),
     ] {
         for (skew, theta) in [("0.0", 0.0), ("0.8", 0.8), ("1.2", 1.2)] {
-            let cfg = LoadConfig {
-                terminals: 12,
-                duration_us: 300_000,
-                mean_think_us: think_us,
-                zipf_theta: theta,
-                max_inflight: 6,
-                seed: 0xE21,
-                ..LoadConfig::default()
-            };
+            let cfg = terminals(0xE21, 300_000, think_us, theta);
             let label = format!("think {tag}, theta {skew}");
-            push_row(&mut t, "LOAD", &label, e21_row(&label, &cfg, 20, 0, None));
+            runs.push(load_run(&label, &cfg, 20, 0, None)?);
         }
     }
+    let mut t = load_table(
+        "LOAD — exhaustive contention sweep: offered load x Zipf skew (12 terminals)",
+        &runs,
+    );
     t.note(
         "The full grid behind E21's two one-dimensional sweeps: every offered-load level \
          crossed with every skew level, at a 300ms virtual horizon. Run via `experiments \
          load`; the CI load-sweep job drives the same engine through the #[ignore]-gated \
-         exhaustive tests."
-            .to_string(),
+         exhaustive tests.",
     );
-    t.render()
+    Ok(vec![t])
 }
 
-/// The `"measure"` record of `BENCH_results.json`: the full per-entity
-/// counter delta for one canonical mixed workload (DebitCredit batch plus
-/// a 10% Wisconsin selection). Deterministic per build, so the perf gate
-/// can diff it against `BENCH_baseline.json` with zero tolerance.
-pub fn measure_record() -> String {
-    let db = ClusterBuilder::new()
-        .volume("$DATA1", 0, 1)
-        .volume("$DATA2", 0, 2)
-        .build();
-    let w = Wisconsin::create(&db, "WISC", 5_000, &["$DATA1"], 2).unwrap();
-    let bank = Bank::create(&db, 2, 50, "$DATA2").unwrap();
-    let mark = db.sim.mark();
-
-    let s = db.session();
-    let fs = s.fs();
-    let mut rng = SimRng::seed_from(0xE18);
-    for _ in 0..50 {
-        let (aid, tid, bid, delta) = bank.draw(&mut rng);
-        let txn = db.txnmgr.begin();
-        bank.debit_credit_sql(fs, txn, aid, tid, bid, delta)
-            .unwrap();
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
+/// Run one E22 cell and verify the sampler's exactness contract on every
+/// interval: the windowed wait ledger must decompose the interval's span
+/// with no remainder, the intervals must tile the run gaplessly, and the
+/// reported bottleneck must be the ledger's own argmax.
+fn e22_run(label: &str, cfg: &LoadConfig) -> Outcome<LoadOutcome> {
+    let db = Cluster::single_volume();
+    let bank = Bank::create(&db, 10, 100, "$DATA1")?;
+    let out = run_load(&db, &bank, cfg);
+    ensure!(
+        out.intervals.len() >= 3,
+        "{label}: expected >= 3 intervals, got {}",
+        out.intervals.len()
+    );
+    let mut expect_start = out.intervals[0].start_us;
+    for (i, iv) in out.intervals.iter().enumerate() {
+        ensure!(
+            iv.start_us == expect_start,
+            "{label} interval {i}: gap ({} != {expect_start})",
+            iv.start_us
+        );
+        let span = iv.end_us.saturating_sub(iv.start_us);
+        ensure!(
+            iv.wait_total_us() == span,
+            "{label} interval {i}: ledger {} != span {span}",
+            iv.wait_total_us()
+        );
+        let max = iv.wait_us.iter().fold(0u64, |a, &b| a.max(b));
+        ensure!(
+            iv.wait_us[iv.top_wait().index()] == max,
+            "{label} interval {i}: bottleneck is not the argmax"
+        );
+        expect_start = iv.end_us;
     }
-    let mut s2 = db.session();
-    let n = s2.query(&w.q_select_10pct_clustered()).unwrap().rows.len();
-    assert_eq!(n, 500);
-
-    mark.close(&db.sim).measure.to_json("measure")
+    Ok(out)
 }
 
-/// Chrome trace-event JSON (`chrome://tracing` / Perfetto) for the same
-/// canonical workload `measure_record` runs, captured with the bounded
-/// trace ring at its default capacity. Timestamps are virtual micros.
-pub fn trace_json() -> String {
-    use nsql_sim::chrome_trace;
-
-    let db = ClusterBuilder::new()
-        .volume("$DATA1", 0, 1)
-        .volume("$DATA2", 0, 2)
-        .build();
-    db.sim.trace.enable_default();
-    let w = Wisconsin::create(&db, "WISC", 5_000, &["$DATA1"], 2).unwrap();
-    let bank = Bank::create(&db, 2, 50, "$DATA2").unwrap();
-
-    let s = db.session();
-    let fs = s.fs();
-    let mut rng = SimRng::seed_from(0xE18);
-    for _ in 0..50 {
-        let (aid, tid, bid, delta) = bank.draw(&mut rng);
-        let txn = db.txnmgr.begin();
-        bank.debit_credit_sql(fs, txn, aid, tid, bid, delta)
-            .unwrap();
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
+/// E22 — interval sampler: the open-loop DebitCredit engine with the
+/// virtual-time interval sampler on, at three offered-load levels (one bank
+/// shape, think time is the knob, sampled every 50ms of virtual time). Both
+/// records come from one pass over the cells: (a) the per-interval time
+/// series — throughput, latency percentiles, and the windowed wait-ledger
+/// bottleneck — and (b) the full log2 latency CDF of each cell.
+fn e22() -> Outcome<Vec<Table>> {
+    let mut intervals = Vec::new();
+    // A CDF row: the cell, what kind of row it is, its four numbers (a
+    // bucket's lo / hi / count / cumulative count, or the summary row's
+    // four percentiles) and the cumulative share in percent.
+    let mut cdf_rows: Vec<(&str, &str, [u64; 4], f64)> = Vec::new();
+    for (label, think_us) in [
+        ("light (think 100ms)", 100_000.0),
+        ("heavy (think 10ms)", 10_000.0),
+        ("saturated (think 3ms)", 3_000.0),
+    ] {
+        let cfg = LoadConfig {
+            sample_every_us: 50_000,
+            ..terminals(0xE22, 400_000, think_us, 0.8)
+        };
+        let out = e22_run(label, &cfg)?;
+        intervals.extend(
+            out.intervals
+                .into_iter()
+                .enumerate()
+                .map(|(i, iv)| (label, i, iv)),
+        );
+        let h = Histogram::new();
+        for &v in &out.latencies_us {
+            h.record(v);
+        }
+        let n = h.count().max(1) as f64;
+        let mut cum = 0u64;
+        for (lo, hi, count) in h.buckets() {
+            cum += count;
+            cdf_rows.push((
+                label,
+                "bucket",
+                [lo, hi, count, cum],
+                100.0 * cum as f64 / n,
+            ));
+        }
+        let percentiles = [0.50, 0.95, 0.99, 0.999].map(|q| h.percentile(q));
+        cdf_rows.push((label, "p50/p95/p99/p999", percentiles, 100.0));
     }
-    let mut s2 = db.session();
-    s2.query(&w.q_select_10pct_clustered()).unwrap();
 
-    chrome_trace(&db.sim.trace.events())
+    let mut series = Table::measured(
+        "E22 — interval sampler: per-interval throughput, latency, and bottleneck attribution",
+        &intervals,
+        &[
+            ("scenario", &|r| r.0.into()),
+            ("ivl", &|r| r.1.to_string()),
+            ("start us", &|r| r.2.start_us.to_string()),
+            ("span us", &|r| (r.2.end_us - r.2.start_us).to_string()),
+            ("arrivals", &|r| r.2.arrivals.to_string()),
+            ("commits", &|r| r.2.committed.to_string()),
+            ("tps", &|r| format!("{:.1}", r.2.tps())),
+            ("p50 us", &|r| r.2.percentile_us(50.0).to_string()),
+            ("p95 us", &|r| r.2.percentile_us(95.0).to_string()),
+            ("p99 us", &|r| r.2.percentile_us(99.0).to_string()),
+            ("top wait", &|r| r.2.top_wait().name().to_string()),
+            ("wait us", &|r| {
+                r.2.wait_us[r.2.top_wait().index()].to_string()
+            }),
+            ("top entity", &|r| r.2.top_entity.clone()),
+            ("entity ops", &|r| r.2.top_entity_delta.to_string()),
+        ],
+    );
+    series.note(
+        "Each row is one closed sampler interval (50ms of virtual time; the last row of a \
+         cell is the partial drain tail). `top wait` is the argmax of the interval's windowed \
+         wait ledger — the same attributed clock every statement decomposes into — so the \
+         bottleneck column sums, with the other categories, to exactly `span us`. `top \
+         entity` is the MEASURE entity with the largest counter delta in the window.",
+    );
+    series.note(
+        "Read as a bottleneck report: at every offered load the group-commit timer dominates \
+         the windowed ledger (wait.commit), and the busiest entity is the hot data Disk Process \
+         in every interval (the audit trail counts the audit it is sent once, as bytes \
+         received, not again when it flushes) — shortening think time moves the latency \
+         columns, not the bottleneck. The report and the ledger cannot \
+         disagree because they are the same numbers.",
+    );
+    let mut cdf = Table::measured(
+        "E22 — latency CDF per offered-load cell (log2 buckets, interpolated percentiles)",
+        &cdf_rows,
+        &[
+            ("scenario", &|r| r.0.into()),
+            ("kind", &|r| r.1.into()),
+            ("lo us", &|r| r.2[0].to_string()),
+            ("hi us", &|r| r.2[1].to_string()),
+            ("count", &|r| r.2[2].to_string()),
+            ("cum", &|r| r.2[3].to_string()),
+            ("cum %", &|r| format!("{:.1}", r.3)),
+        ],
+    );
+    cdf.note(
+        "Full latency distribution per cell, not just point percentiles: log2 buckets with \
+         cumulative counts, plus a summary row of interpolated p50/p95/p99/p999 \
+         (Histogram::percentile spreads each bucket uniformly). Offered load moves the whole \
+         curve, not just the tail.",
+    );
+    Ok(vec![series, cdf])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The tables of experiment `id`, each body run at most once per test
+    /// process however many tests read it.
+    fn tables(id: &str) -> &'static [Table] {
+        static RUNS: [OnceLock<Vec<Table>>; EXPERIMENTS.len()] =
+            [const { OnceLock::new() }; EXPERIMENTS.len()];
+        let i = EXPERIMENTS
+            .iter()
+            .position(|e| e.id == id)
+            .unwrap_or_else(|| panic!("no experiment {id}"));
+        RUNS[i].get_or_init(|| EXPERIMENTS[i].tables().unwrap())
+    }
+
+    /// A cell of the experiment's first table, parsed.
+    fn cell<T: std::str::FromStr>(id: &str, row: &str, header: &str) -> T {
+        let text = tables(id)[0]
+            .cell(row, header)
+            .unwrap_or_else(|| panic!("{id}: no cell ({row}, {header})"));
+        text.trim_end_matches('x')
+            .parse()
+            .unwrap_or_else(|_| panic!("{id} ({row}, {header}): cannot parse {text:?}"))
+    }
 
     // Each experiment is smoke-tested for the qualitative shape its report
     // claims; the full tables go to EXPERIMENTS.md.
 
     #[test]
     fn e2_shape_rsbb_and_vsbb_win() {
-        let r = e2();
-        assert!(r.contains("record-at-a-time"));
+        assert!(tables("e2")[0]
+            .cell("record-at-a-time", "FS-DP msgs")
+            .is_some());
         // RSBB beats record-at-a-time by at least 3x on messages.
-        let lines: Vec<&str> = r.lines().collect();
-        let rsbb_line = lines.iter().find(|l| l.contains("RSBB (block")).unwrap();
-        let factor: f64 = rsbb_line
-            .split('|')
-            .nth(6)
-            .unwrap()
-            .trim()
-            .trim_end_matches('x')
-            .parse()
-            .unwrap();
+        let factor: f64 = cell("e2", "RSBB (block", "msgs vs RAT");
         assert!(factor >= 3.0, "RSBB factor {factor} < 3");
-        let vsbb_line = lines.iter().find(|l| l.contains("VSBB (10%")).unwrap();
-        let vfactor: f64 = vsbb_line
-            .split('|')
-            .nth(6)
-            .unwrap()
-            .trim()
-            .trim_end_matches('x')
-            .parse()
-            .unwrap();
+        let vfactor: f64 = cell("e2", "VSBB (10%", "msgs vs RAT");
         assert!(vfactor >= 3.0 * factor, "VSBB must beat RSBB by ≥3x again");
     }
 
     #[test]
     fn e4_shape_pushdown_wins() {
-        let r = e4();
-        let msgs = |needle: &str| -> u64 {
-            r.lines()
-                .find(|l| l.contains(needle))
-                .unwrap()
-                .split('|')
-                .nth(3)
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
+        let msgs = |row: &str| -> u64 { cell("e4", row, "FS-DP msgs") };
         let subset = msgs("UPDATE^SUBSET");
         let per_record = msgs("per-record UPDATE");
         let enscribe = msgs("ENSCRIBE read-then-write");
@@ -2607,46 +2082,26 @@ mod tests {
 
     #[test]
     fn e5_shape_two_messages() {
-        let r = e5();
-        let read_line = r
-            .lines()
-            .find(|l| l.contains("read via alternate key"))
-            .unwrap();
-        let msgs: u64 = read_line.split('|').nth(2).unwrap().trim().parse().unwrap();
+        let msgs: u64 = cell("e5", "read via alternate key", "FS-DP msgs");
         assert_eq!(msgs, 2, "Figure 2 is a two-message pattern");
     }
 
     #[test]
     fn e6_shape_field_compression_shrinks() {
-        let r = e6();
-        let bytes = |needle: &str| -> u64 {
-            r.lines()
-                .find(|l| l.contains(needle))
-                .unwrap()
-                .split('|')
-                .nth(2)
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        let full = bytes("ENSCRIBE full-record");
-        let field = bytes("SQL field-compressed");
+        let full: u64 = cell("e6", "ENSCRIBE full-record", "audit bytes");
+        let field: u64 = cell("e6", "SQL field-compressed", "audit bytes");
         assert!(field * 2 < full, "field {field} vs full {full}");
     }
 
     #[test]
     fn e7_shape_adaptive_groups() {
-        let r = e7();
-        assert!(r.contains("adaptive"));
-        assert!(r.contains("commits/flush"));
+        let t = &tables("e7")[0];
+        assert!(t.cell("adaptive", "commits/flush").is_some());
     }
 
     #[test]
     fn e9_shape_sql_matches_enscribe() {
-        let r = e9();
-        let line = r.lines().find(|l| l.contains("virtual elapsed")).unwrap();
-        let ratio: f64 = line.split('|').nth(4).unwrap().trim().parse().unwrap();
+        let ratio: f64 = cell("e9", "virtual elapsed", "SQL/ENSCRIBE");
         assert!(
             ratio <= 1.1,
             "SQL path must match or beat ENSCRIBE (ratio {ratio})"
@@ -2655,73 +2110,44 @@ mod tests {
 
     #[test]
     fn e10_shape_blocking_factor() {
-        let r = e10();
-        let msgs = |needle: &str| -> u64 {
-            r.lines()
-                .find(|l| l.contains(needle))
-                .unwrap()
-                .split('|')
-                .nth(2)
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
+        let msgs = |row: &str| -> u64 { cell("e10", row, "FS-DP msgs") };
         assert!(msgs("per-record inserts") > 50 * msgs("blocked inserts"));
     }
 
     #[test]
     fn e17_shape_loss_surfaces_as_retries_not_lost_txns() {
-        let r = e17();
-        let cell = |label: &str, idx: usize| -> String {
-            r.lines()
-                .find(|l| l.split('|').nth(1).is_some_and(|c| c.trim() == label))
-                .unwrap_or_else(|| panic!("no row {label}"))
-                .split('|')
-                .nth(idx)
-                .unwrap()
-                .trim()
-                .to_string()
-        };
+        let t = &tables("e17")[0];
         // The fault-free baseline neither retries nor pays overhead.
-        assert_eq!(cell("0%", 3), "0");
-        assert_eq!(cell("0%", 7), "1.00x");
+        assert_eq!(t.cell("0%", "FS retries"), Some("0"));
+        assert_eq!(t.cell("0%", "overhead"), Some("1.00x"));
         // Loss surfaces as retries, monotonically with the rate ...
-        let r1: u64 = cell("1%", 3).parse().unwrap();
-        let r5: u64 = cell("5%", 3).parse().unwrap();
+        let r1: u64 = cell("e17", "1%", "FS retries");
+        let r5: u64 = cell("e17", "5%", "FS retries");
         assert!(r1 > 0, "1% loss must force at least one retry");
         assert!(r5 > r1, "retries must grow with the rate ({r1} -> {r5})");
         // ... never as lost transactions.
         for rate in ["0%", "1%", "2%", "5%"] {
-            assert_eq!(cell(rate, 2), "150", "every txn commits at {rate}");
+            assert_eq!(
+                t.cell(rate, "committed"),
+                Some("150"),
+                "every txn commits at {rate}"
+            );
         }
     }
 
     #[test]
     fn e13_shape_vsbb_allows_outside_writer() {
-        let r = e13();
-        let sbb = r.lines().find(|l| l.contains("ENSCRIBE SBB")).unwrap();
-        assert!(sbb.matches("BLOCKED").count() == 2);
-        let vsbb = r.lines().find(|l| l.contains("SQL VSBB")).unwrap();
-        assert!(vsbb.contains("proceeds") && vsbb.contains("BLOCKED"));
+        let t = &tables("e13")[0];
+        let (outside, inside) = ("write outside scanned span", "write inside scanned span");
+        assert_eq!(t.cell("ENSCRIBE SBB", outside), Some("BLOCKED"));
+        assert_eq!(t.cell("ENSCRIBE SBB", inside), Some("BLOCKED"));
+        assert_eq!(t.cell("SQL VSBB", outside), Some("proceeds"));
+        assert_eq!(t.cell("SQL VSBB", inside), Some("BLOCKED"));
     }
 
     #[test]
     fn e18_shape_measure_counters_reproduce_the_ratios() {
-        let r = e18();
-        let lines: Vec<&str> = r.lines().collect();
-        let msgs = |needle: &str| -> u64 {
-            lines
-                .iter()
-                .find(|l| l.contains(needle))
-                .unwrap()
-                .split('|')
-                .nth(2)
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
+        let msgs = |row: &str| -> u64 { cell("e18", row, "DP msgs recv") };
         let rat = msgs("record-at-a-time");
         let rsbb = msgs("RSBB (block");
         let vsbb = msgs("VSBB (10%");
@@ -2731,25 +2157,44 @@ mod tests {
         );
         assert!(rsbb >= 3 * vsbb, "VSBB ≈3x again ({rsbb} vs {vsbb})");
         // Same logical work each run, straight from the file entity.
-        let examined = |needle: &str| -> u64 {
-            lines
-                .iter()
-                .find(|l| l.contains(needle))
-                .unwrap()
-                .split('|')
-                .nth(4)
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
+        let examined = |row: &str| -> u64 { cell("e18", row, "recs examined") };
         assert_eq!(examined("record-at-a-time"), 10_000);
         assert_eq!(examined("VSBB (10%"), 10_000);
     }
 
     #[test]
+    fn e19_shape_wait_profiles_sum_exactly_and_chaos_shows_retries() {
+        let t = &tables("e19")[0];
+        assert!(t.cell("E2 VSBB scan", "elapsed").is_some());
+        // The chaos variant surfaces retry/backoff time; the fault-free
+        // rows have none. Row cells are raw integers, so the perf gate
+        // diffs every category with zero tolerance.
+        let retry_of = |row: &str| -> u64 { cell("e19", row, "retry") };
+        assert_eq!(retry_of("E9 DebitCredit"), 0);
+        assert!(retry_of("chaos") > 0, "{}", t.render());
+    }
+
+    /// The E10b bug this pins: `FS-DP msgs` came from a window closed
+    /// before the commit and `elapsed` from one closed after it. Both now
+    /// read one window, so the buffered path's elapsed time no longer
+    /// carries a commit that its two messages do not.
+    #[test]
+    fn e10b_reads_both_cells_from_the_window_before_the_commit() {
+        let t = &tables("e10")[1];
+        assert_eq!(t.cell("buffered WHERE CURRENT", "FS-DP msgs"), Some("2"));
+        assert_eq!(
+            t.cell("per-record WHERE CURRENT", "elapsed"),
+            Some("812.91 ms")
+        );
+        assert_eq!(
+            t.cell("buffered WHERE CURRENT", "elapsed"),
+            Some("91.08 ms")
+        );
+    }
+
+    #[test]
     fn run_json_record_ids_and_gate_round_trip() {
-        let json = run_json();
+        let json = run_json().unwrap();
         let doc = crate::gate::parse(&json).unwrap();
         let ids: Vec<&str> = doc
             .as_arr()
@@ -2757,13 +2202,13 @@ mod tests {
             .iter()
             .map(|r| r.get("id").and_then(crate::gate::Json::as_str).unwrap())
             .collect();
-        assert_eq!(
-            ids,
-            [
-                "e2", "e4", "e6", "e9", "e17", "e18", "e19", "e20", "e21", "e22", "e22cdf",
-                "measure"
-            ]
-        );
+        // Exactly the registry's record ids, in its order, then `measure`.
+        let mut declared: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|e| e.records.iter().copied())
+            .collect();
+        declared.push("measure");
+        assert_eq!(ids, declared);
         // The same build's results gate cleanly against themselves, and the
         // measure record carries per-entity counters.
         assert!(crate::gate::perf_gate(&json, &json).is_ok());
@@ -2773,7 +2218,7 @@ mod tests {
 
     #[test]
     fn trace_json_is_a_chrome_trace() {
-        let t = trace_json();
+        let t = trace_json().unwrap();
         assert!(t.contains("\"traceEvents\""), "{t}");
         assert!(t.contains("\"ph\""), "{t}");
         // Causal spans render as duration slices with cross-track flow
@@ -2787,25 +2232,84 @@ mod tests {
     }
 
     #[test]
-    fn e19_shape_wait_profiles_sum_exactly_and_chaos_shows_retries() {
-        let r = e19();
-        assert!(r.contains("E2 VSBB scan"), "{r}");
-        assert!(r.contains("E9 DebitCredit"), "{r}");
-        // The chaos variant surfaces retry/backoff time; the fault-free
-        // rows have none. Row cells are raw integers, so the perf gate
-        // diffs every category with zero tolerance.
-        let retry_of = |needle: &str| -> u64 {
-            r.lines()
-                .find(|l| l.contains(needle))
-                .unwrap()
-                .split('|')
-                .nth(7)
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
+    fn an_unknown_id_is_an_error_that_lists_the_registry() {
+        let err = run("e99").unwrap_err();
+        assert!(err.contains("e99"), "{err}");
+        for e in EXPERIMENTS {
+            assert!(err.contains(e.id), "{err} does not offer {}", e.id);
+        }
+    }
+
+    #[test]
+    fn a_failing_body_is_an_error_that_names_the_experiment() {
+        let e = Experiment {
+            id: "e0",
+            in_all: false,
+            body: || Err("the check did not hold".into()),
+            records: &[],
         };
-        assert_eq!(retry_of("E9 DebitCredit"), 0);
-        assert!(retry_of("chaos") > 0, "{r}");
+        assert_eq!(
+            e.tables().err().as_deref(),
+            Some("experiment e0: the check did not hold")
+        );
+    }
+
+    #[test]
+    fn registry_ids_are_unique_and_record_ids_belong_to_all() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|other| other.id != e.id),
+                "{} is declared twice",
+                e.id
+            );
+            assert!(
+                e.in_all || e.records.is_empty(),
+                "{} is gated but not part of `all`",
+                e.id
+            );
+        }
+    }
+
+    /// DESIGN.md §4 indexes exactly the experiments `all` runs, in order.
+    #[test]
+    fn design_index_lists_the_registry() {
+        let design = crate::repo_doc("DESIGN.md");
+        let section = design
+            .split("\n## ")
+            .find(|s| s.starts_with("4. Experiment index"))
+            .expect("DESIGN.md has a section 4, the experiment index");
+        let indexed: Vec<String> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| E"))
+            .filter_map(|l| l.split(' ').next())
+            .filter(|n| n.chars().all(|c| c.is_ascii_digit()))
+            .map(|n| format!("e{n}"))
+            .collect();
+        let declared: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(
+            indexed, declared,
+            "DESIGN.md §4 `Exp` column vs EXPERIMENTS"
+        );
+    }
+
+    /// EXPERIMENTS.md records every table any registry entry renders.
+    #[test]
+    fn experiments_md_has_a_heading_for_every_table() {
+        let recorded = crate::repo_doc("EXPERIMENTS.md");
+        for e in EXPERIMENTS {
+            for t in tables(e.id) {
+                let heading = format!("\n### {}\n", t.title);
+                assert!(
+                    recorded.contains(&heading),
+                    "EXPERIMENTS.md has no `### {}` (experiment {})",
+                    t.title,
+                    e.id
+                );
+            }
+        }
     }
 }

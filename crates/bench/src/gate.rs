@@ -544,4 +544,55 @@ mod tests {
         assert!(err.contains("[e4] record missing"), "{err}");
         assert!(err.contains("[e9] record not in baseline"), "{err}");
     }
+
+    /// The table EXPERIMENTS.md prints under `### title`, as the record
+    /// `Table::to_json` would have written for it.
+    fn recorded_table(md: &str, id: &str, title: &str) -> Json {
+        let body = md
+            .split(&format!("\n### {title}\n"))
+            .nth(1)
+            .unwrap_or_else(|| panic!("EXPERIMENTS.md has no table titled `{title}`"));
+        let mut lines = body
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                let cells = l.trim_matches('|').split('|');
+                cells.map(|c| c.trim().to_string()).collect::<Vec<_>>()
+            });
+        let table = crate::report::Table {
+            title: title.to_string(),
+            headers: lines.next().expect("a header row"),
+            rows: lines.skip(1).collect(), // past the |---| rule
+            notes: Vec::new(),
+        };
+        parse(&table.to_json(id)).unwrap()
+    }
+
+    /// Pure text, nothing run: every table record of the checked-in
+    /// baseline gates clean against the table of the same title in
+    /// EXPERIMENTS.md — same rows in the same order, same whole-number
+    /// cells — so the document cannot drift from what CI pins.
+    #[test]
+    fn experiments_md_prints_the_baseline() {
+        let baseline = parse(&crate::repo_doc("BENCH_baseline.json")).unwrap();
+        let md = crate::repo_doc("EXPERIMENTS.md");
+        let (mut tables, mut compared, mut diffs) = (0, 0, Vec::new());
+        for rec in baseline.as_arr().unwrap() {
+            if rec.get("kind").and_then(Json::as_str) == Some("measure") {
+                continue;
+            }
+            let id = rec.get("id").and_then(Json::as_str).unwrap();
+            let title = rec.get("title").and_then(Json::as_str).unwrap();
+            compared += diff_table(id, rec, &recorded_table(&md, id, title), &mut diffs);
+            tables += 1;
+        }
+        let diffs: Vec<String> = diffs
+            .iter()
+            .map(|d| format!("[{}] {}", d.record, d.what))
+            .collect();
+        assert!(diffs.is_empty(), "EXPERIMENTS.md vs baseline: {diffs:#?}");
+        assert_eq!(tables, 11, "table records in BENCH_baseline.json");
+        assert!(compared > 500, "only {compared} cells compared");
+    }
 }

@@ -11,10 +11,18 @@
 
 pub mod chaos;
 pub mod experiments;
+mod fixtures;
 pub mod gate;
 pub mod report;
 pub mod wall_clock;
 
-pub use chaos::run_chaos;
-pub use experiments::{run, run_json, trace_json};
+pub use experiments::{run, run_json, trace_json, EXPERIMENTS};
 pub use gate::perf_gate;
+
+/// A document at the repository root, for the tests that hold the code and
+/// the markdown to each other.
+#[cfg(test)]
+fn repo_doc(name: &str) -> String {
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}

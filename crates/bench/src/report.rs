@@ -1,5 +1,6 @@
 //! Tabular report rendering for the experiment harness.
 
+use nsql_sim::measure::json_str;
 use std::fmt::Write as _;
 
 /// A titled table of experiment results.
@@ -14,21 +15,35 @@ pub struct Table {
     pub notes: Vec<String>,
 }
 
+/// One column of a measured table: its header and how a row's cell is
+/// rendered. Declared together, so a table cannot have a cell without a
+/// header or a row shorter than its neighbours.
+pub type Col<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+
 impl Table {
-    /// Start a table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
+    /// A table with one row per element of `rows` and one column per
+    /// element of `cols`.
+    pub fn measured<R>(title: impl Into<String>, rows: &[R], cols: &[Col<'_, R>]) -> Table {
         Table {
             title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            headers: cols.iter().map(|(header, _)| header.to_string()).collect(),
+            rows: rows
+                .iter()
+                .map(|r| cols.iter().map(|(_, cell)| cell(r)).collect())
+                .collect(),
             notes: Vec::new(),
         }
     }
 
-    /// Append a row.
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "ragged table row");
-        self.rows.push(cells);
+    /// The cell under `header` in the first row whose label (its first
+    /// cell) contains `row`.
+    pub fn cell(&self, row: &str, header: &str) -> Option<&str> {
+        let col = self.headers.iter().position(|h| h == header)?;
+        let r = self
+            .rows
+            .iter()
+            .find(|r| r.first().is_some_and(|label| label.contains(row)))?;
+        Some(&r[col])
     }
 
     /// Append a note.
@@ -105,27 +120,6 @@ impl Table {
     }
 }
 
-/// Escape a string as a JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Format a ratio like `3.2x`.
 pub fn ratio(num: u64, den: u64) -> String {
     if den == 0 {
@@ -148,16 +142,31 @@ pub fn secs(us: u64) -> String {
 mod tests {
     use super::*;
 
+    fn demo() -> Table {
+        let mut t = Table::measured(
+            "E0 — demo",
+            &[("alpha", 1u64), ("b", 123_456)],
+            &[("name", &|r| r.0.into()), ("value", &|r| r.1.to_string())],
+        );
+        t.note("a note");
+        t
+    }
+
     #[test]
     fn renders_aligned_markdown() {
-        let mut t = Table::new("E0 — demo", &["name", "value"]);
-        t.row(vec!["alpha".into(), "1".into()]);
-        t.row(vec!["b".into(), "123456".into()]);
-        t.note("a note");
-        let s = t.render();
+        let s = demo().render();
         assert!(s.contains("### E0 — demo"));
-        assert!(s.contains("| alpha |"));
+        assert!(s.contains("| alpha | 1      |"));
         assert!(s.contains("> a note"));
+    }
+
+    #[test]
+    fn cells_are_found_by_row_label_and_header() {
+        let t = demo();
+        assert_eq!(t.cell("alpha", "value"), Some("1"));
+        assert_eq!(t.cell("b", "value"), Some("123456"));
+        assert_eq!(t.cell("b", "no such column"), None);
+        assert_eq!(t.cell("no such row", "value"), None);
     }
 
     #[test]
@@ -168,13 +177,8 @@ mod tests {
         assert_eq!(secs(2_500_000), "2.500 s");
     }
 
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_rejected() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["only-one".into()]);
-    }
-
+    /// `Table::to_json` escapes through `nsql_sim`'s `json_str`, the one
+    /// copy; this is the escaping the `BENCH_results.json` records rely on.
     #[test]
     fn json_escaping() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
@@ -183,10 +187,7 @@ mod tests {
 
     #[test]
     fn json_record_shape() {
-        let mut t = Table::new("E0 — demo", &["name", "value"]);
-        t.row(vec!["alpha".into(), "1".into()]);
-        t.note("a note");
-        let j = t.to_json("e0");
+        let j = demo().to_json("e0");
         assert!(j.starts_with("{\"id\": \"e0\""));
         assert!(j.contains("\"columns\": [\"name\", \"value\"]"));
         assert!(j.contains("{\"name\": \"alpha\", \"value\": \"1\"}"));
