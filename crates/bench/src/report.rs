@@ -133,11 +133,6 @@ pub fn ms(us: u64) -> String {
     format!("{:.2} ms", us as f64 / 1000.0)
 }
 
-/// Format microseconds as seconds.
-pub fn secs(us: u64) -> String {
-    format!("{:.3} s", us as f64 / 1_000_000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +169,6 @@ mod tests {
         assert_eq!(ratio(6, 2), "3.0x");
         assert_eq!(ratio(1, 0), "-");
         assert_eq!(ms(1500), "1.50 ms");
-        assert_eq!(secs(2_500_000), "2.500 s");
     }
 
     /// `Table::to_json` escapes through `nsql_sim`'s `json_str`, the one

@@ -518,13 +518,11 @@ impl Cluster {
             )),
         ]));
         for e in sim.trace.events() {
-            let detail = format!("{:?}", e.kind);
-            let kind = detail.split([' ', '{']).next().unwrap_or("").to_string();
             snap.trace.push(Row(vec![
                 Value::LargeInt(e.seq as i64),
                 Value::LargeInt(e.at as i64),
-                Value::Str(kind),
-                Value::Str(detail),
+                Value::Str(e.kind.describe().variant.to_string()),
+                Value::Str(format!("{:?}", e.kind)),
             ]));
         }
 

@@ -1621,8 +1621,8 @@ impl Server for DiskProcess {
             let size = reply.wire_size();
             Response::new(reply, size)
         };
-        // Three protocols arrive here: sync-ID-carrying FS-DP requests,
-        // bare FS-DP requests, and TMF end-txn calls.
+        // Two protocols arrive here: FS-DP requests, each carrying its sync
+        // ID, and TMF end-txn calls.
         let request = match request.downcast::<protocol::SyncRequest>() {
             Ok(sreq) => {
                 let sreq = *sreq;
@@ -1633,10 +1633,6 @@ impl Server for DiskProcess {
                 let _span = self.sim.span_enter(sreq.span, sreq.req.name(), &self.name);
                 return respond(self.handle_sync(sreq.sync, sreq.req));
             }
-            Err(original) => original,
-        };
-        let request = match request.downcast::<DpRequest>() {
-            Ok(req) => return respond(self.handle_request(*req)),
             Err(original) => original,
         };
         match request.downcast::<EndTxnRequest>() {

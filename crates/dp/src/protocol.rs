@@ -747,8 +747,11 @@ mod tests {
         assert!(with_pred.wire_size() > without.wire_size());
     }
 
-    /// The six paper verbs are two variants: label, message kind and bytes
-    /// of each shape, as measured before the variants were folded.
+    /// One request of every variant — and of each of the six subset
+    /// shapes, which are two variants — with its paper verb, message kind
+    /// and wire bytes. `DpRequest::name` is the only place the verbs are
+    /// spelled, so this is where they are pinned (the subset sizes as
+    /// measured before those variants were folded).
     #[test]
     fn subset_verbs_keep_their_labels_kinds_and_sizes() {
         use nsql_records::{ArithOp, OwnedBound, SetList};
@@ -788,7 +791,7 @@ mod tests {
         let update = SubsetOp::Update {
             txn,
             sets: SetList {
-                sets: vec![(2, raise)],
+                sets: vec![(2, raise.clone())],
             },
             constraint: Some(Expr::field_cmp(2, CmpOp::Ge, Value::Double(0.0))),
         };
@@ -803,7 +806,97 @@ mod tests {
                 SubsetVerb::Delete
             ]
         );
+        let (file, key, record) = (3, || vec![1; 4], || vec![2; 40]);
+        let pairs = || vec![(key(), record()); 3];
+        let sets = || SetList {
+            sets: vec![(2, raise.clone())],
+        };
         let shapes = [
+            (
+                DpRequest::CreateFile {
+                    kind: FileKind::Relative { slot_size: 64 },
+                },
+                "CREATE^FILE",
+                false,
+                24,
+            ),
+            (DpRequest::FlushCache, "FLUSH^CACHE", false, 16),
+            (
+                DpRequest::Read {
+                    txn: None,
+                    file,
+                    key: key(),
+                    lock: ReadLock::Shared,
+                },
+                "READ",
+                false,
+                28,
+            ),
+            (
+                DpRequest::ReadNext {
+                    txn: None,
+                    file,
+                    after: Some(key()),
+                    lock: ReadLock::None,
+                },
+                "READ^NEXT",
+                false,
+                30,
+            ),
+            (
+                DpRequest::ReadSeqBlock {
+                    txn: Some(txn),
+                    file,
+                    after: None,
+                },
+                "READ^SEQ^BLOCK",
+                false,
+                25,
+            ),
+            (
+                DpRequest::Insert {
+                    txn,
+                    file,
+                    key: key(),
+                    record: record(),
+                },
+                "INSERT",
+                false,
+                68,
+            ),
+            (
+                DpRequest::UpdateRecord {
+                    txn,
+                    file,
+                    key: key(),
+                    record: record(),
+                    audit: AuditMode::FullImage,
+                },
+                "WRITE",
+                false,
+                69,
+            ),
+            (
+                DpRequest::DeleteRecord {
+                    txn,
+                    file,
+                    key: key(),
+                },
+                "DELETE",
+                false,
+                28,
+            ),
+            (
+                DpRequest::Lock {
+                    txn,
+                    file,
+                    key: Some(key()),
+                    mode: LockMode::Exclusive,
+                },
+                "LOCK",
+                false,
+                30,
+            ),
             (first(predicate(), vsbb), "GET^FIRST^VSBB", false, 58),
             (first(None, rsbb), "GET^FIRST^RSBB", false, 40),
             (next(SubsetVerb::Get), "GET^NEXT", true, 36),
@@ -811,13 +904,104 @@ mod tests {
             (next(SubsetVerb::Update), "UPDATE^SUBSET^NEXT", true, 36),
             (first(predicate(), delete), "DELETE^SUBSET^FIRST", false, 51),
             (next(SubsetVerb::Delete), "DELETE^SUBSET^NEXT", true, 36),
+            (
+                DpRequest::UpdatePoint {
+                    txn,
+                    file,
+                    key: key(),
+                    sets: sets(),
+                    constraint: None,
+                },
+                "UPDATE^POINT",
+                false,
+                46,
+            ),
+            (
+                DpRequest::BlockedInsert {
+                    txn,
+                    file,
+                    records: pairs(),
+                },
+                "BLOCKED^INSERT",
+                false,
+                168,
+            ),
+            (
+                DpRequest::CloseSubset { subset: 1 },
+                "CLOSE^SUBSET",
+                false,
+                24,
+            ),
+            (
+                DpRequest::BlockedUpdate {
+                    txn,
+                    file,
+                    records: pairs(),
+                },
+                "BLOCKED^UPDATE",
+                false,
+                168,
+            ),
+            (
+                DpRequest::BlockedDelete {
+                    txn,
+                    file,
+                    keys: vec![key(); 3],
+                },
+                "BLOCKED^DELETE",
+                false,
+                42,
+            ),
+            (
+                DpRequest::RelativeWrite {
+                    txn,
+                    file,
+                    recnum: 9,
+                    record: record(),
+                },
+                "RELATIVE^WRITE",
+                false,
+                72,
+            ),
+            (
+                DpRequest::RelativeRead { file, recnum: 9 },
+                "RELATIVE^READ",
+                false,
+                32,
+            ),
+            (
+                DpRequest::RelativeDelete {
+                    txn,
+                    file,
+                    recnum: 9,
+                },
+                "RELATIVE^DELETE",
+                false,
+                32,
+            ),
+            (
+                DpRequest::EntryAppend {
+                    file,
+                    record: record(),
+                },
+                "ENTRY^APPEND",
+                false,
+                64,
+            ),
+            (
+                DpRequest::EntryRead { file, address: 9 },
+                "ENTRY^READ",
+                false,
+                32,
+            ),
         ];
+        let names: std::collections::BTreeSet<&str> = shapes.iter().map(|s| s.1).collect();
+        assert_eq!(names.len(), 26, "every verb, once");
         for (request, name, redrive, bytes) in shapes {
             assert_eq!(request.name(), name);
             assert_eq!(request.is_redrive(), redrive, "{name}");
             assert_eq!(request.wire_size(), bytes, "{name}");
         }
-        assert!(!DpRequest::FlushCache.is_redrive());
     }
 
     /// A reply's size is its header, its re-drive state and its row block

@@ -15,6 +15,8 @@ struct TestCluster {
     dp: Arc<DiskProcess>,
     disk: Arc<Disk>,
     client: CpuId,
+    /// The sync sequence of the next request (the client's opener is 0).
+    seq: std::sync::atomic::AtomicU64,
 }
 
 fn cluster() -> TestCluster {
@@ -46,6 +48,7 @@ fn cluster_with(config: DpConfig) -> TestCluster {
         dp,
         disk,
         client: CpuId::new(0, 0),
+        seq: Default::default(),
     }
 }
 
@@ -72,6 +75,16 @@ fn emp_row(empno: i32, name: &str, hire: i32, salary: f64) -> Vec<Value> {
 }
 
 impl TestCluster {
+    /// `req` as the File System sends it: under a fresh sync ID.
+    fn envelope(&self, req: DpRequest) -> Box<SyncRequest> {
+        let seq = self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Box::new(SyncRequest {
+            sync: SyncId { opener: 0, seq },
+            span: nsql_sim::SpanHeader::default(),
+            req,
+        })
+    }
+
     fn send(&self, req: DpRequest) -> DpReply {
         let size = req.wire_size();
         let kind = if req.is_redrive() {
@@ -80,7 +93,7 @@ impl TestCluster {
             MsgKind::FsDp
         };
         self.bus
-            .request(self.client, "$DATA1", kind, size, Box::new(req))
+            .request(self.client, "$DATA1", kind, size, self.envelope(req))
             .expect("dp unreachable")
             .downcast::<DpReply>()
             .expect("dp reply type")
@@ -860,7 +873,7 @@ fn takeover_after_cpu_failure() {
             "$DATA1",
             MsgKind::FsDp,
             8,
-            Box::new(DpRequest::FlushCache)
+            c.envelope(DpRequest::FlushCache)
         )
         .is_err());
     // Backup takes over on another CPU: opens the same (mirrored) volume

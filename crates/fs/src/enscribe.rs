@@ -94,14 +94,13 @@ impl FileSystem {
             let p = &cur.of.partitions[cur.part];
             if cur.sbb {
                 // One message returns one physical block's worth.
-                let reply = self.send(
-                    &p.process,
-                    DpRequest::ReadSeqBlock {
-                        txn: cur.txn,
-                        file: p.file,
-                        after: cur.after.clone(),
-                    },
-                )?;
+                let request = DpRequest::ReadSeqBlock {
+                    txn: cur.txn,
+                    file: p.file,
+                    after: cur.after.clone(),
+                };
+                let verb = request.name();
+                let reply = self.send(&p.process, request)?;
                 let DpReply::Subset {
                     rows,
                     last_key,
@@ -109,7 +108,7 @@ impl FileSystem {
                     ..
                 } = reply
                 else {
-                    return Err(unexpected("READ^SEQ^BLOCK", &reply));
+                    return Err(unexpected(verb, &reply));
                 };
                 // De-blocking by the File System from its local block copy.
                 self.deblock(&cur.of.desc, &rows, &mut cur.buffer)?;
@@ -122,16 +121,14 @@ impl FileSystem {
                 }
             } else {
                 // One message returns one record.
-                let reply = self.send(
-                    &p.process,
-                    DpRequest::ReadNext {
-                        txn: cur.txn,
-                        file: p.file,
-                        after: cur.after.clone(),
-                        lock: ReadLock::None,
-                    },
-                )?;
-                match reply {
+                let request = DpRequest::ReadNext {
+                    txn: cur.txn,
+                    file: p.file,
+                    after: cur.after.clone(),
+                    lock: ReadLock::None,
+                };
+                let verb = request.name();
+                match self.send(&p.process, request)? {
                     DpReply::Record(None) => {
                         cur.part += 1;
                         cur.after = None;
@@ -143,7 +140,7 @@ impl FileSystem {
                             .map(|bytes| self.decode(&cur.of.desc, bytes))
                             .transpose();
                     }
-                    other => return Err(unexpected("READ^NEXT", &other)),
+                    other => return Err(unexpected(verb, &other)),
                 }
             }
         }
@@ -238,9 +235,11 @@ impl FileSystem {
         file: nsql_dp::FileId,
         recnum: u64,
     ) -> Result<Option<Vec<u8>>, FsError> {
-        match self.send(process, DpRequest::RelativeRead { file, recnum })? {
+        let request = DpRequest::RelativeRead { file, recnum };
+        let verb = request.name();
+        match self.send(process, request)? {
             DpReply::Record(r) => Ok(r),
-            other => Err(unexpected("RELATIVE^READ", &other)),
+            other => Err(unexpected(verb, &other)),
         }
     }
 
@@ -263,9 +262,11 @@ impl FileSystem {
         file: nsql_dp::FileId,
         record: Vec<u8>,
     ) -> Result<u64, FsError> {
-        match self.send(process, DpRequest::EntryAppend { file, record })? {
+        let request = DpRequest::EntryAppend { file, record };
+        let verb = request.name();
+        match self.send(process, request)? {
             DpReply::Appended(a) => Ok(a),
-            other => Err(unexpected("ENTRY^APPEND", &other)),
+            other => Err(unexpected(verb, &other)),
         }
     }
 
@@ -276,9 +277,11 @@ impl FileSystem {
         file: nsql_dp::FileId,
         address: u64,
     ) -> Result<Option<Vec<u8>>, FsError> {
-        match self.send(process, DpRequest::EntryRead { file, address })? {
+        let request = DpRequest::EntryRead { file, address };
+        let verb = request.name();
+        match self.send(process, request)? {
             DpReply::Record(r) => Ok(r),
-            other => Err(unexpected("ENTRY^READ", &other)),
+            other => Err(unexpected(verb, &other)),
         }
     }
 

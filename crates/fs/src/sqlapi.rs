@@ -112,19 +112,17 @@ impl FileSystem {
         lock: ReadLock,
     ) -> Result<Option<Row>, FsError> {
         let p = of.partition_for(key);
-        let reply = self.send(
-            &p.process,
-            DpRequest::Read {
-                txn,
-                file: p.file,
-                key: key.to_vec(),
-                lock,
-            },
-        )?;
-        match reply {
+        let request = DpRequest::Read {
+            txn,
+            file: p.file,
+            key: key.to_vec(),
+            lock,
+        };
+        let verb = request.name();
+        match self.send(&p.process, request)? {
             DpReply::Record(Some(bytes)) => Ok(Some(self.decode(&of.desc, &bytes)?)),
             DpReply::Record(None) => Ok(None),
-            other => Err(unexpected("READ", &other)),
+            other => Err(unexpected(verb, &other)),
         }
     }
 

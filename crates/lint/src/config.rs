@@ -33,11 +33,6 @@ pub struct Config {
     /// Enum type names whose matches must not use a `_ =>` arm
     /// (`[protocol_enums] names`).
     pub protocol_enums: Vec<String>,
-    /// The canonical paper-verb trace labels (`[trace_labels] canonical`).
-    pub trace_labels: Vec<String>,
-    /// The canonical MEASURE counter-field names (`[trace_labels]
-    /// counters`); same registry discipline, same rule.
-    pub counter_names: Vec<String>,
     /// Ratchet ceilings: path prefix → max `unwrap/expect/panic!` count in
     /// non-test code under that prefix (`[ratchet]`).
     pub ratchet: BTreeMap<String, u64>,
@@ -193,8 +188,6 @@ fn apply(
         ("wall_clock", "banned") => cfg.wall_clock_banned = parse_str_array(value, ln)?,
         ("wall_clock", "allow") => cfg.wall_clock_allow = parse_str_array(value, ln)?,
         ("protocol_enums", "names") => cfg.protocol_enums = parse_str_array(value, ln)?,
-        ("trace_labels", "canonical") => cfg.trace_labels = parse_str_array(value, ln)?,
-        ("trace_labels", "counters") => cfg.counter_names = parse_str_array(value, ln)?,
         ("ratchet", path) => {
             let n: u64 = value.parse().map_err(|_| {
                 ConfigError(format!(
@@ -252,9 +245,6 @@ names = [
     "DpRequest",
     "DpReply", # trailing comment
 ]
-
-[trace_labels]
-canonical = ["GET^NEXT"]
 
 [ratchet]
 "crates/msg" = 0

@@ -95,7 +95,6 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// Lint the whole workspace rooted at `root` against `cfg`.
 pub fn check_workspace(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceReport> {
     let mut report = WorkspaceReport::default();
-    let mut emitted = std::collections::BTreeSet::new();
     for path in collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
@@ -107,10 +106,8 @@ pub fn check_workspace(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceRe
             diags,
             panic_count,
             discard_count,
-            strings,
         } = rules::lint_source(cfg, &rel, &src);
         report.diags.extend(diags);
-        emitted.extend(strings);
         if !rules::is_test_path(&rel) {
             if rules::is_discard_path(cfg, &rel) {
                 report.discard_counts.insert(rel.clone(), discard_count);
@@ -126,7 +123,6 @@ pub fn check_workspace(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceRe
         rules::enforce_discard_ratchet(cfg, &report.discard_counts);
     report.diags.extend(discard_diags);
     report.discard_buckets = discard_buckets;
-    report.diags.extend(rules::stale_registry(cfg, &emitted));
     report
         .diags
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));

@@ -1,6 +1,6 @@
 //! The rule engine: repo invariants enforced over the token stream.
 //!
-//! Four rules, each guarding a mechanism the paper reproduction depends on:
+//! Six rules, each guarding a mechanism the paper reproduction depends on:
 //!
 //! * **`wall-clock`** — no `Instant::now` / `SystemTime` / OS randomness
 //!   outside the allowlisted helper. Replay determinism, seeded chaos runs
@@ -13,9 +13,13 @@
 //!   enums (`DpRequest`, `DpReply`, …): adding a protocol variant must be
 //!   a compile/lint error everywhere it is interpreted, not a silent
 //!   default (the `_ => 8` wire-size guess this rule was born from).
-//! * **`trace-label`** — every paper-verb string (`GET^FIRST^VSBB` style)
-//!   in non-test code must be in the canonical registry rendered by
-//!   `format_sequence`, so traces and tests never drift apart on spelling.
+//! * **`trace-label`** — a name is spelled only by the type that owns it.
+//!   In non-test code a paper-verb literal (`GET^FIRST^VSBB` style) outside
+//!   `crates/dp/src/protocol.rs`, or a dotted counter-shaped literal
+//!   (`msgs.recv` style) outside `crates/sim/`, is an error naming the typed
+//!   accessor to use instead (`DpRequest::name`, `Ctr::name`,
+//!   `Wait::name`), so traces, counters and tests cannot drift apart on
+//!   spelling.
 //! * **`result-discard`** — no silent `Result` discards (`let _ = …` /
 //!   bare `.ok();`) in the wire-protocol crates: a dropped `Err` on the
 //!   FS-DP path is a protocol step that silently never happened. Existing
@@ -27,10 +31,6 @@
 //!   through `Sim::emit` and every plain count is an `add` on an entity's
 //!   record, so what an event feeds is decided in one place. No baseline:
 //!   the count is zero.
-//! * **`stale-registry`** — the registry discipline cuts both ways: a
-//!   `[trace_labels]` canonical label or counter name that *no* source
-//!   file emits any more is dead weight that would mask a future
-//!   misspelling, and is flagged until removed.
 
 use crate::config::Config;
 use crate::lexer::{tokenize, Tok, TokKind};
@@ -73,9 +73,6 @@ pub struct FileReport {
     /// Silent `Result` discards (`let _ =` / bare `.ok();`) in non-test
     /// code — only counted for files under a `[result_discard]` crate.
     pub discard_count: u64,
-    /// Every string literal in the file (tests included) — the emission
-    /// side of the bidirectional registry check.
-    pub strings: Vec<String>,
 }
 
 /// Is this path test or bench code (excluded from the ratchet, wildcard and
@@ -101,17 +98,12 @@ pub fn lint_source(cfg: &Config, rel: &str, src: &str) -> FileReport {
     if !test_path {
         report.panic_count = panic_count(&toks, &in_test, rel, &mut report);
         wildcard_match_rule(cfg, rel, &toks, &in_test, &mut report);
-        trace_label_rule(cfg, rel, &toks, &in_test, &mut report);
+        trace_label_rule(rel, &toks, &in_test, &mut report);
         one_write_path_rule(rel, &toks, &in_test, &mut report);
         if is_discard_path(cfg, rel) {
             report.discard_count = discard_positions(&toks, &in_test).len() as u64;
         }
     }
-    report.strings = toks
-        .iter()
-        .filter(|t| t.kind == TokKind::Str)
-        .map(|t| t.text.clone())
-        .collect();
     report
 }
 
@@ -452,52 +444,45 @@ fn is_counter_name(s: &str) -> bool {
         && !matches!(segs.last(), Some(last) if EXTENSIONS.contains(last))
 }
 
-fn trace_label_rule(
-    cfg: &Config,
-    rel: &str,
-    toks: &[Tok],
-    in_test: &[bool],
-    report: &mut FileReport,
-) {
+/// The one file that spells the paper's verbs (`DpRequest::name`).
+const VERB_HOME: &str = "crates/dp/src/protocol.rs";
+
+/// The telemetry's own crate: the one place instruments are written and
+/// dotted names spelled (`Ctr::name`, `Wait::name`, the trace records).
+const TELEMETRY_CRATE: &str = "crates/sim/";
+
+fn trace_label_rule(rel: &str, toks: &[Tok], in_test: &[bool], report: &mut FileReport) {
     for (i, t) in toks.iter().enumerate() {
         if in_test[i] || t.kind != TokKind::Str {
             continue;
         }
-        if is_paper_verb(&t.text) && !cfg.trace_labels.iter().any(|l| l == &t.text) {
-            report.diags.push(Diagnostic {
-                rule: "trace-label",
-                file: rel.to_string(),
-                line: t.line,
-                msg: format!(
-                    "`{}` is not in the canonical paper-verb registry ([trace_labels] in \
-                     lint.toml); register it or fix the spelling so format_sequence and the \
-                     trace tests stay in agreement",
-                    t.text
-                ),
-            });
-        }
-        if is_counter_name(&t.text) && !cfg.counter_names.iter().any(|l| l == &t.text) {
-            report.diags.push(Diagnostic {
-                rule: "trace-label",
-                file: rel.to_string(),
-                line: t.line,
-                msg: format!(
-                    "`{}` is not in the MEASURE counter registry ([trace_labels] counters in \
-                     lint.toml); register it or fix the spelling so counter lookups cannot \
-                     silently miss",
-                    t.text
-                ),
-            });
-        }
+        let msg = if is_paper_verb(&t.text) && rel != VERB_HOME {
+            format!(
+                "`{}` spells a paper verb outside {VERB_HOME}; take it from the request \
+                 (`DpRequest::name`) so every label has one spelling",
+                t.text
+            )
+        } else if is_counter_name(&t.text) && !rel.starts_with(TELEMETRY_CRATE) {
+            format!(
+                "`{}` spells a dotted name outside {TELEMETRY_CRATE}; take it from its type \
+                 (`Ctr::name`, `Wait::name`) so a lookup cannot silently miss",
+                t.text
+            )
+        } else {
+            continue;
+        };
+        report.diags.push(Diagnostic {
+            rule: "trace-label",
+            file: rel.to_string(),
+            line: t.line,
+            msg,
+        });
     }
 }
 
 // ----------------------------------------------------------------------
 // Rule: one-write-path
 // ----------------------------------------------------------------------
-
-/// The telemetry's own crate: the one place instruments may be written.
-const TELEMETRY_CRATE: &str = "crates/sim/";
 
 /// Does the token sequence starting at `i` spell `words`, where each word
 /// is an identifier or a single punctuation character?
@@ -688,48 +673,6 @@ pub fn enforce_discard_ratchet(
 }
 
 // ----------------------------------------------------------------------
-// Rule: stale-registry (the reverse direction of trace-label)
-// ----------------------------------------------------------------------
-
-/// Flag every registry entry — canonical paper verb or MEASURE counter —
-/// that no scanned source file emits as a string literal. `emitted` is the
-/// union of all files' [`FileReport::strings`].
-pub fn stale_registry(
-    cfg: &Config,
-    emitted: &std::collections::BTreeSet<String>,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for label in &cfg.trace_labels {
-        if !emitted.contains(label) {
-            diags.push(Diagnostic {
-                rule: "stale-registry",
-                file: "lint.toml".to_string(),
-                line: 0,
-                msg: format!(
-                    "canonical trace label `{label}` is emitted by no source file; \
-                     remove the registry entry or restore the emission (a dead entry \
-                     would mask a future misspelling)"
-                ),
-            });
-        }
-    }
-    for counter in &cfg.counter_names {
-        if !emitted.contains(counter) {
-            diags.push(Diagnostic {
-                rule: "stale-registry",
-                file: "lint.toml".to_string(),
-                line: 0,
-                msg: format!(
-                    "MEASURE counter `{counter}` is emitted by no source file; \
-                     remove the registry entry or restore the emission"
-                ),
-            });
-        }
-    }
-    diags
-}
-
-// ----------------------------------------------------------------------
 // Ratchet enforcement over a whole workspace scan
 // ----------------------------------------------------------------------
 
@@ -791,8 +734,6 @@ mod tests {
             wall_clock_banned: vec!["Instant".into(), "SystemTime".into(), "thread_rng".into()],
             wall_clock_allow: vec!["allowed/wall_clock.rs".into()],
             protocol_enums: vec!["DpRequest".into(), "DpReply".into(), "FileKind".into()],
-            trace_labels: vec!["GET^NEXT".into(), "GET^FIRST^VSBB".into()],
-            counter_names: vec!["msgs.recv".into(), "cache.hits".into()],
             ratchet: BTreeMap::new(),
             result_discard_crates: vec!["proto".into()],
             result_discard_ratchet: BTreeMap::new(),
@@ -908,7 +849,7 @@ mod tests {
             fn g(sim: &Sim, rec: &MeasureRecord, h: &Histogram) {
                 sim.emit(rec, Event::CacheEvict(1));
                 rec.add(Ctr::CacheHits, 1);
-                let p = sim.hist.msg_bytes.p50();
+                let p = sim.hist.msg_bytes.percentile(0.5);
                 let m = sim.metrics.snapshot();
                 h.record(p + m.msgs_total);
             }
@@ -969,46 +910,38 @@ mod tests {
             .any(|d| d.msg.contains("exceeds the ratcheted ceiling 1")));
     }
 
-    #[test]
-    fn stale_registry_flags_never_emitted_entries() {
-        let cfg = test_cfg();
-        let mut emitted: std::collections::BTreeSet<String> =
-            ["GET^NEXT", "GET^FIRST^VSBB", "msgs.recv"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        // `cache.hits` is registered but never emitted → stale.
-        let diags = stale_registry(&cfg, &emitted);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "stale-registry");
-        assert!(diags[0].msg.contains("cache.hits"));
-        // Emitting it anywhere (tests included) clears the flag.
-        emitted.insert("cache.hits".to_string());
-        assert!(stale_registry(&cfg, &emitted).is_empty());
-    }
-
+    /// The registry of paper verbs is the file that declares them:
+    /// `DpRequest::name` in the protocol module.
     #[test]
     fn trace_labels_check_the_registry() {
         let cfg = test_cfg();
-        let r = lint_source(&cfg, "x.rs", r#"let l = "GET^NEXT";"#);
-        assert!(r.diags.is_empty());
-        let r = lint_source(&cfg, "x.rs", r#"let l = "GET^FRIST^VSBB";"#);
-        assert_eq!(r.diags.len(), 1);
+        let verb = r#"let l = "GET^NEXT";"#;
+        assert!(lint_source(&cfg, VERB_HOME, verb).diags.is_empty());
+        let r = lint_source(&cfg, "crates/fs/src/enscribe.rs", verb);
+        assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
         assert_eq!(r.diags[0].rule, "trace-label");
-        // Non-verb strings with carets are ignored.
+        assert!(r.diags[0].msg.contains("DpRequest::name"), "{}", r.diags[0]);
+        // Test code may spell what it checks; non-verb carets are ignored.
+        let test = format!("#[cfg(test)]\nmod tests {{ fn t() {{ {verb} }} }}");
+        assert!(lint_source(&cfg, "x.rs", &test).diags.is_empty());
+        assert!(lint_source(&cfg, "tests/x.rs", verb).diags.is_empty());
         let r = lint_source(&cfg, "x.rs", r#"let l = "a^b";"#);
         assert!(r.diags.is_empty());
     }
 
+    /// The registry of dotted names is the telemetry crate that declares
+    /// them: `Ctr::name`, `Wait::name` and the trace records.
     #[test]
     fn counter_names_check_the_same_registry() {
         let cfg = test_cfg();
-        let r = lint_source(&cfg, "x.rs", r#"let c = "msgs.recv";"#);
-        assert!(r.diags.is_empty(), "{:?}", r.diags);
-        let r = lint_source(&cfg, "x.rs", r#"let c = "msgs.rcv";"#);
+        let counter = r#"let c = "msgs.recv";"#;
+        assert!(lint_source(&cfg, "crates/sim/src/measure.rs", counter)
+            .diags
+            .is_empty());
+        let r = lint_source(&cfg, "crates/bench/src/gate.rs", counter);
         assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
         assert_eq!(r.diags[0].rule, "trace-label");
-        assert!(r.diags[0].msg.contains("MEASURE counter registry"));
+        assert!(r.diags[0].msg.contains("Ctr::name"), "{}", r.diags[0]);
         // Paths, versions, and rendered ratios are not counter names.
         for ok in [
             r#"let p = "lint.toml";"#,

@@ -29,9 +29,6 @@ allow = ["crates/bench/src/wall_clock.rs"]
 [protocol_enums]
 names = ["DpRequest", "DpReply", "FsError", "BusError"]
 
-[trace_labels]
-canonical = ["GET^FIRST^VSBB", "UPDATE^SUBSET^FIRST", "GET^NEXT"]
-
 [result_discard]
 crates = ["fixtures"]
 
@@ -45,8 +42,13 @@ crates = ["fixtures"]
 /// Lint one fixture under a fake non-test path (fixtures model product
 /// code, so they must not be exempted by test-path rules).
 fn lint_fixture(name: &str) -> (Vec<Diagnostic>, u64) {
+    lint_fixture_as(name, &format!("fixtures/{name}"))
+}
+
+/// Lint one fixture as if it were the workspace file `rel`.
+fn lint_fixture_as(name: &str, rel: &str) -> (Vec<Diagnostic>, u64) {
     let src = std::fs::read_to_string(fixture_dir().join(name)).expect("fixture readable");
-    let report = rules::lint_source(&fixture_config(), &format!("fixtures/{name}"), &src);
+    let report = rules::lint_source(&fixture_config(), rel, &src);
     (report.diags, report.panic_count)
 }
 
@@ -97,20 +99,34 @@ fn wildcard_ok_is_clean() {
     assert!(diags.is_empty(), "unexpected: {diags:?}");
 }
 
+/// A verb outside `protocol.rs` and a dotted name outside `crates/sim`
+/// are each flagged at their line, naming the accessor to use.
 #[test]
 fn label_bad_names_the_rule_and_line() {
     let (diags, _) = lint_fixture("label_bad.rs");
-    let hit = diags
+    let hits: Vec<(usize, &str)> = diags
         .iter()
-        .find(|d| d.rule == "trace-label")
-        .expect("label_bad.rs must trip trace-label");
-    assert!(hit.msg.contains("GET^FRIST^VSBB"), "{}", hit.msg);
+        .filter(|d| d.rule == "trace-label")
+        .map(|d| (d.line, d.msg.as_str()))
+        .collect();
+    assert_eq!(hits.len(), 2, "{diags:?}");
+    assert_eq!(hits[0].0, 5);
+    assert!(hits[0].1.contains("`GET^NEXT`") && hits[0].1.contains("DpRequest::name"));
+    assert_eq!(hits[1].0, 9);
+    assert!(hits[1].1.contains("`msgs.recv`") && hits[1].1.contains("Ctr::name"));
+    // The dotted name is at home in the telemetry crate; the verb is not.
+    let (diags, _) = lint_fixture_as("label_bad.rs", "crates/sim/src/measure.rs");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].msg.contains("GET^NEXT"), "{}", diags[0]);
 }
 
+/// The verbs are clean where they are declared and flagged anywhere else.
 #[test]
 fn label_ok_is_clean() {
-    let (diags, _) = lint_fixture("label_ok.rs");
+    let (diags, _) = lint_fixture_as("label_ok.rs", "crates/dp/src/protocol.rs");
     assert!(diags.is_empty(), "unexpected: {diags:?}");
+    let (diags, _) = lint_fixture("label_ok.rs");
+    assert_eq!(diags.len(), 2, "two verbs outside protocol.rs: {diags:?}");
 }
 
 #[test]

@@ -1,5 +1,10 @@
-// Fixture: a typo'd paper-verb trace label (FRIST for FIRST).
+// Fixture: names spelled outside the types that own them — a paper verb
+// typed by hand, and a dotted counter name typed by hand.
 
 fn label() -> &'static str {
-    "GET^FRIST^VSBB"
+    "GET^NEXT"
+}
+
+fn counter() -> &'static str {
+    "msgs.recv"
 }

@@ -2,5 +2,5 @@
 
 fn evict(sim: &Sim, rec: &MeasureRecord, frames: u64) {
     sim.emit(rec, Event::CacheEvict(frames));
-    let _median = sim.hist.msg_bytes.p50();
+    let _median = sim.hist.msg_bytes.percentile(0.5);
 }

@@ -457,31 +457,19 @@ impl Bus {
         req_size: usize,
         payload: Box<dyn Any + Send>,
     ) -> Result<Response, BusError> {
-        self.request_labeled(from, to, kind, req_size, payload, "")
-    }
-
-    /// [`Bus::request`] with a request name for the trace and the target's
-    /// flight ring (e.g. `"GET^NEXT"`). The label is borrowed all the way
-    /// down: it becomes an owned string only in a trace record, so with
-    /// tracing off an exchange allocates nothing for telemetry.
-    pub fn request_labeled(
-        &self,
-        from: CpuId,
-        to: &str,
-        kind: MsgKind,
-        req_size: usize,
-        payload: Box<dyn Any + Send>,
-        label: &'static str,
-    ) -> Result<Response, BusError> {
-        self.exchange(from, to, kind, req_size, label)?
+        self.exchange(from, to, kind, req_size, "")?
             .run(payload, None)
     }
 
-    /// [`Bus::request_labeled`] with a payload *factory*, so the fault plane
-    /// can deliver true duplicates (two handler executions of the same
-    /// request). The File System uses this for every FS-DP request; callers
-    /// whose payloads cannot be re-materialized use [`Bus::request`] and
-    /// never see duplicate delivery.
+    /// [`Bus::request`] with a payload *factory*, so the fault plane can
+    /// deliver true duplicates (two handler executions of the same
+    /// request), and a request name for the trace and the target's flight
+    /// ring (the request's `DpRequest::name`). The label is borrowed all
+    /// the way down: it becomes an owned string only in a trace record, so
+    /// with tracing off an exchange allocates nothing for telemetry. The
+    /// File System uses this for every FS-DP request; callers whose
+    /// payloads cannot be re-materialized use [`Bus::request`] and never
+    /// see duplicate delivery.
     pub fn request_replayable(
         &self,
         from: CpuId,
@@ -1024,12 +1012,13 @@ mod tests {
             ..FaultConfig::with_seed(1)
         });
         let from = CpuId::new(0, 0);
+        let payload = || -> Box<dyn Any + Send> { Box::new(1u64) };
         for _ in 0..2 {
-            bus.request_labeled(from, "$DATA", MsgKind::FsDp, 32, Box::new(1u64), "GET^NEXT")
+            bus.request_replayable(from, "$DATA", MsgKind::FsDp, 32, &payload, "GET^NEXT")
                 .unwrap();
         }
         let err = bus
-            .request_labeled(from, "$DATA", MsgKind::FsDp, 32, Box::new(1u64), "GET^NEXT")
+            .request_replayable(from, "$DATA", MsgKind::FsDp, 32, &payload, "GET^NEXT")
             .unwrap_err();
         assert!(matches!(err, BusError::CpuDown(_)));
         let dumps = sim.flight.dumps();

@@ -89,7 +89,7 @@ impl Wait {
         }
     }
 
-    /// Canonical dotted name (registered in `lint.toml`).
+    /// Canonical dotted name — spelled here only (the `trace-label` lint).
     pub fn name(self) -> &'static str {
         match self {
             Wait::Cpu => "wait.cpu",

@@ -12,6 +12,7 @@
 pub mod clock;
 pub mod cost;
 pub mod event;
+pub mod histogram;
 pub mod measure;
 pub mod metrics;
 pub mod rng;
@@ -22,6 +23,7 @@ pub mod trace;
 pub use clock::{Clock, Micros, Wait, WaitProfile, WAIT_CATEGORIES};
 pub use cost::CostModel;
 pub use event::{Event, LockWaitEnd, Reply};
+pub use histogram::{Histogram, Histograms};
 pub use measure::{
     Ctr, EntityKind, FlightDump, FlightEntry, FlightRecorder, MeasureRecord, MeasureRegistry,
     MeasureReport, MeasureSnapshot, COUNTER_NAMES,
@@ -30,8 +32,8 @@ pub use metrics::{Metrics, MetricsSnapshot, TOTALS};
 pub use rng::{SimRng, Zipf};
 pub use span::{current_span, SpanAllocator, SpanGuard, SpanHeader};
 pub use trace::{
-    assemble_spans, chrome_trace, format_sequence, FaultAction, Histogram, Histograms, SpanNode,
-    TraceEvent, TraceEventKind, TraceMsgClass, TraceRecorder,
+    assemble_spans, chrome_trace, format_sequence, FaultAction, SpanNode, TraceEvent,
+    TraceEventKind, TraceMsgClass, TraceRecorder,
 };
 
 use std::fmt::Display;
@@ -51,7 +53,7 @@ pub struct Sim {
     pub metrics: Metrics,
     /// Event-level trace recorder (off by default; see [`trace`]).
     pub trace: Arc<TraceRecorder>,
-    /// Always-on latency/size distributions (see [`trace::Histograms`]).
+    /// Always-on latency/size distributions (see [`histogram`]).
     pub hist: Arc<Histograms>,
     /// MEASURE-style per-entity counter records (see [`measure`]).
     pub measure: Arc<MeasureRegistry>,

@@ -23,8 +23,9 @@
 //!   assert on the postmortem itself.
 //!
 //! Counter field names are dotted lowercase (`msgs.sent`, `cache.hits`) and
-//! registered in `lint.toml` next to the paper-verb trace labels; a typo'd
-//! counter name fails `nsql-lint check` the same way a typo'd label does.
+//! spelled only here: everywhere else a counter is the typed [`Ctr`], and a
+//! dotted literal outside `crates/sim` fails `nsql-lint check` the same way
+//! a paper verb outside `DpRequest::name` does.
 
 use crate::clock::{Micros, Wait};
 use crate::sync::Mutex;
@@ -81,7 +82,7 @@ macro_rules! measure_counters {
         /// A counter field of a [`MeasureRecord`].
         ///
         /// The discriminant is the slot index; [`Ctr::name`] gives the
-        /// canonical dotted field name registered in `lint.toml`.
+        /// canonical dotted field name.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Ctr {
             $($(#[$doc])* $variant,)+
@@ -566,8 +567,8 @@ impl MeasureReport {
     }
 }
 
-/// Escape a string as a JSON string literal (local copy: `nsql-sim` sits
-/// below the bench crate and must stay dependency-free).
+/// Escape a string as a JSON string literal — the workspace's one escaper:
+/// the MEASURE records, the Chrome trace and `nsql_bench`'s tables use it.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

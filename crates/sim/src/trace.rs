@@ -13,19 +13,21 @@
 //!   allocates nothing for experiments that do not ask for it. Because
 //!   everything runs on the virtual clock, two identical runs produce
 //!   byte-identical event streams.
-//! * [`Histogram`] — a log₂-bucketed distribution with p50/p95/p99/max
-//!   accessors. The standard set lives in [`Histograms`] (message sizes,
-//!   statement latencies, group-commit batch sizes, re-drive chain lengths).
-//!   Histograms never touch the clock or the counters, so they are always on.
+//! * [`TraceEventKind::describe`] — what a record says about itself, once:
+//!   its kind, Chrome track, name, category, typed fields and Figure-2
+//!   line. Every renderer reads it, so a new kind is one arm there.
 //! * [`format_sequence`] — renders a trace slice as the paper's
 //!   Figure-2-style FS ↔ DP message-sequence diagram, used by tests to
-//!   assert message *patterns* rather than just counts.
+//!   assert message *patterns* rather than just counts; [`chrome_trace`]
+//!   renders it for Perfetto.
 
-use crate::clock::{Micros, Wait, WaitProfile};
+use crate::clock::{Micros, WaitProfile};
+use crate::measure::json_str;
 use crate::sync::Mutex;
+use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Message category as seen by the tracer (mirrors the message system's
 /// accounting classes without depending on it).
@@ -272,21 +274,17 @@ impl TraceRecorder {
         Self::default()
     }
 
-    /// Start recording, keeping at most `capacity` events (oldest dropped).
+    /// Start recording, keeping at most `capacity` events: the ring is
+    /// bounded by [`TraceRecorder::set_capacity`], so events already held
+    /// beyond it are dropped oldest first.
     pub fn enable(&self, capacity: usize) {
-        let mut r = self.ring.lock();
-        r.capacity = capacity.max(1);
+        self.set_capacity(capacity);
         self.enabled.store(true, Ordering::Relaxed);
     }
 
     /// Start recording with [`DEFAULT_TRACE_CAPACITY`].
     pub fn enable_default(&self) {
         self.enable(DEFAULT_TRACE_CAPACITY);
-    }
-
-    /// Stop recording (already-captured events are kept).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
     }
 
     /// Is the recorder currently capturing?
@@ -336,11 +334,6 @@ impl TraceRecorder {
         self.ring.lock().events.iter().cloned().collect()
     }
 
-    /// Drop all captured events (sequence numbers keep counting up).
-    pub fn clear(&self) {
-        self.ring.lock().events.clear();
-    }
-
     /// Events evicted by the ring bound since enabling.
     pub fn dropped(&self) -> u64 {
         self.ring.lock().dropped
@@ -365,224 +358,294 @@ impl TraceRecorder {
 }
 
 // ----------------------------------------------------------------------
-// Histograms
+// What a record says about itself
 // ----------------------------------------------------------------------
 
-const BUCKETS: usize = 65; // bucket b holds values with bit-length b; 0 -> 0
-
-/// A log₂-bucketed histogram of `u64` samples.
-///
-/// Bucket `b` counts values `v` with `2^(b-1) <= v < 2^b` (bucket 0 counts
-/// zeros), so quantiles are exact to within a factor of two — plenty for
-/// "is the p95 message 100 bytes or 4 KB?" questions. Recording is lock-free
-/// and never touches the virtual clock or the metric counters.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
+/// A typed field of a record, as its Chrome event's `args` carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Field<'a> {
+    /// A name (a JSON string).
+    Str(&'a str),
+    /// A count.
+    Num(u64),
+    /// A flag.
+    Flag(bool),
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+impl fmt::Display for Field<'_> {
+    /// The field as a JSON value.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Str(s) => f.write_str(&json_str(s)),
+            Field::Num(n) => write!(f, "{n}"),
+            Field::Flag(b) => write!(f, "{b}"),
         }
     }
 }
 
-fn bucket_of(v: u64) -> usize {
-    (64 - v.leading_zeros()) as usize
+/// A record's line in the Figure-2 diagram.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Line {
+    /// A line of its own, stamped with the record's virtual time.
+    Stamped(String),
+    /// An indented side note under the exchange that caused it.
+    Note(String),
 }
 
-/// Inclusive upper bound of bucket `b` (the largest value it can hold).
-fn bucket_hi(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else if b >= 64 {
-        u64::MAX
+/// What a record says about itself — the one description that
+/// [`format_sequence`], [`chrome_trace`] and `sys.trace` read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Description<'a> {
+    /// The record's kind: its variant's name (`sys.trace`'s `KIND`).
+    pub variant: &'static str,
+    /// The entity it happened on: a Chrome track (a Perfetto process row).
+    pub(crate) track: Cow<'a, str>,
+    /// Its Chrome event name.
+    pub(crate) name: Cow<'a, str>,
+    /// Its Chrome event category.
+    pub(crate) category: &'static str,
+    /// Its typed fields, in the order its Chrome event's `args` list them.
+    pub(crate) fields: Vec<(&'static str, Field<'a>)>,
+    /// Its line in the Figure-2 diagram.
+    pub(crate) line: Line,
+}
+
+/// A request's label, or `request` when the sender gave none.
+fn or_request(label: &str) -> &str {
+    if label.is_empty() {
+        "request"
     } else {
-        (1u64 << b) - 1
+        label
     }
 }
 
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample. The running sum saturates at `u64::MAX` rather
-    /// than wrapping, so `mean()` degrades gracefully on absurd inputs.
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(v))
-            });
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile sample
-    /// (`q` in `[0, 1]`); the exact maximum for the last occupied bucket.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        let mut last = 0usize;
-        for (b, c) in self.buckets.iter().enumerate() {
-            let c = c.load(Ordering::Relaxed);
-            if c > 0 {
-                last = b;
-                seen += c;
-                if seen >= rank {
-                    // The max sample is a tighter bound for the top bucket.
-                    return if b == bucket_of(self.max()) {
-                        self.max()
-                    } else {
-                        bucket_hi(b)
-                    };
+impl TraceEventKind {
+    /// Describe this record. The one place a kind says what it is: a new
+    /// kind adds one arm here, and every renderer follows.
+    pub fn describe(&self) -> Description<'_> {
+        use Field::{Flag, Num, Str};
+        use Line::{Note, Stamped};
+        match self {
+            TraceEventKind::Msg {
+                class,
+                label,
+                from,
+                to,
+                req_bytes,
+                reply_bytes,
+                remote,
+            } => Description {
+                variant: "Msg",
+                track: to.into(),
+                name: or_request(label).into(),
+                category: "msg",
+                fields: vec![
+                    ("class", Str(class.tag())),
+                    ("from", Str(from)),
+                    ("to", Str(to)),
+                    ("req_bytes", Num(*req_bytes)),
+                    ("reply_bytes", Num(*reply_bytes)),
+                    ("remote", Flag(*remote)),
+                ],
+                line: Stamped(format!(
+                    "{from} ──{}({req_bytes} B)──▶ {to}   ◀──({reply_bytes} B reply)── [{}{}]",
+                    or_request(label),
+                    class.tag(),
+                    if *remote { ", remote" } else { "" },
+                )),
+            },
+            TraceEventKind::DiskIo {
+                volume,
+                write,
+                blocks,
+                synchronous,
+            } => {
+                let rw = if *write { "write" } else { "read" };
+                Description {
+                    variant: "DiskIo",
+                    track: format!("{volume} (disk)").into(),
+                    name: format!("disk {rw}").into(),
+                    category: "disk",
+                    fields: vec![
+                        ("volume", Str(volume)),
+                        ("blocks", Num(*blocks)),
+                        ("synchronous", Flag(*synchronous)),
+                    ],
+                    line: Note(format!(
+                        "{volume} disk {rw}, {blocks} block(s){}{}",
+                        if *blocks > 1 { " (bulk)" } else { "" },
+                        if *synchronous { "" } else { " (async)" },
+                    )),
                 }
             }
-        }
-        bucket_hi(last)
-    }
-
-    /// The `q`-quantile with linear interpolation inside the containing
-    /// log₂ bucket (`q` in `[0, 1]`).
-    ///
-    /// Where [`Histogram::quantile`] answers with the bucket's upper bound
-    /// (exact to within 2×), this spreads the bucket's samples uniformly
-    /// over `[lo, hi]` and reads off the rank's position — the estimator
-    /// latency curves want. Deterministic: pure integer bucket counts in,
-    /// one rounded interpolation out. The top occupied bucket is tightened
-    /// to the recorded max so `percentile(1.0) == max()`.
-    pub fn percentile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        let mut last = 0usize;
-        for (b, c) in self.buckets.iter().enumerate() {
-            let c = c.load(Ordering::Relaxed);
-            if c > 0 {
-                last = b;
-                if seen + c >= rank {
-                    let lo = if b == 0 { 0 } else { 1u64 << (b - 1) };
-                    let hi = if b == bucket_of(self.max()) {
-                        self.max()
+            TraceEventKind::LockWait { txn, deadlock } => Description {
+                variant: "LockWait",
+                track: "TMF".into(),
+                name: "lock wait".into(),
+                category: "lock",
+                fields: vec![("txn", Num(*txn)), ("deadlock", Flag(*deadlock))],
+                line: Note(format!(
+                    "txn {txn} lock wait{}",
+                    if *deadlock { " -> deadlock victim" } else { "" },
+                )),
+            },
+            TraceEventKind::CacheEvict { frames } => Description {
+                variant: "CacheEvict",
+                track: "cache".into(),
+                name: "cache evict".into(),
+                category: "cache",
+                fields: vec![("frames", Num(*frames))],
+                line: Note(format!("cache evicted {frames} frame(s)")),
+            },
+            TraceEventKind::Prefetch { blocks } => Description {
+                variant: "Prefetch",
+                track: "cache".into(),
+                name: "prefetch".into(),
+                category: "cache",
+                fields: vec![("blocks", Num(*blocks))],
+                line: Note(format!("prefetch {blocks} block(s) ahead")),
+            },
+            TraceEventKind::AuditFlush {
+                records,
+                bytes,
+                commits,
+                buffer_full,
+            } => Description {
+                variant: "AuditFlush",
+                track: "audit trail".into(),
+                name: "audit flush".into(),
+                category: "audit",
+                fields: vec![
+                    ("records", Num(*records)),
+                    ("bytes", Num(*bytes)),
+                    ("commits", Num(*commits)),
+                    ("buffer_full", Flag(*buffer_full)),
+                ],
+                line: Stamped(format!(
+                    "AUDIT flush: {records} record(s), {bytes} B, {commits} commit(s){}",
+                    if *buffer_full { " (buffer full)" } else { "" },
+                )),
+            },
+            TraceEventKind::AuditTorn { records, bytes } => Description {
+                variant: "AuditTorn",
+                track: "audit trail".into(),
+                name: "audit.torn".into(),
+                category: "audit",
+                fields: vec![("records", Num(*records)), ("bytes", Num(*bytes))],
+                line: Stamped(format!(
+                    "AUDIT torn tail: {records} record(s) / {bytes} B truncated"
+                )),
+            },
+            TraceEventKind::Remirror { volume, blocks } => Description {
+                variant: "Remirror",
+                track: format!("{volume} (disk)").into(),
+                name: "disk.remirror".into(),
+                category: "disk",
+                fields: vec![("volume", Str(volume)), ("blocks", Num(*blocks))],
+                line: Stamped(format!(
+                    "     ⊕ disk.remirror: {volume} copy-back, {blocks} block(s)"
+                )),
+            },
+            TraceEventKind::TxnCommit { txn } => Description {
+                variant: "TxnCommit",
+                track: "TMF".into(),
+                name: "txn commit".into(),
+                category: "txn",
+                fields: vec![("txn", Num(*txn))],
+                line: Stamped(format!("txn {txn} COMMIT")),
+            },
+            TraceEventKind::TxnAbort { txn } => Description {
+                variant: "TxnAbort",
+                track: "TMF".into(),
+                name: "txn abort".into(),
+                category: "txn",
+                fields: vec![("txn", Num(*txn))],
+                line: Stamped(format!("txn {txn} ABORT")),
+            },
+            TraceEventKind::FaultInject { action, label, to } => Description {
+                variant: "FaultInject",
+                track: to.into(),
+                name: format!("fault: {}", action.tag()).into(),
+                category: "fault",
+                fields: vec![("label", Str(label)), ("to", Str(to))],
+                line: Stamped(format!(
+                    "     ✕ fault: {} {} ──▶ {to}",
+                    action.tag(),
+                    or_request(label),
+                )),
+            },
+            TraceEventKind::Retry {
+                label,
+                to,
+                attempt,
+                backoff_us,
+            } => Description {
+                variant: "Retry",
+                track: to.into(),
+                name: format!("retry #{attempt}").into(),
+                category: "fault",
+                fields: vec![
+                    ("label", Str(label)),
+                    ("to", Str(to)),
+                    ("backoff_us", Num(*backoff_us)),
+                ],
+                line: Stamped(format!(
+                    "     ↻ retry #{attempt}: {} ──▶ {to} (backoff {backoff_us} µs)",
+                    or_request(label),
+                )),
+            },
+            TraceEventKind::PathSwitch { to, resumed } => Description {
+                variant: "PathSwitch",
+                track: to.into(),
+                name: "path switch".into(),
+                category: "fault",
+                fields: vec![("to", Str(to)), ("resumed", Flag(*resumed))],
+                line: Stamped(format!(
+                    "     ⇄ path switch: {to} SCB rebuilt{}",
+                    if *resumed {
+                        ", resumed after last confirmed key"
                     } else {
-                        bucket_hi(b)
-                    };
-                    // Position of the rank within this bucket, in (0, 1].
-                    let frac = (rank - seen) as f64 / c as f64;
-                    let span = (hi - lo) as f64;
-                    return lo + (frac * span).round() as u64;
-                }
-                seen += c;
-            }
+                        ""
+                    },
+                )),
+            },
+            TraceEventKind::SpanBegin {
+                trace,
+                span,
+                parent,
+                label,
+                track,
+            } => Description {
+                variant: "SpanBegin",
+                track: track.into(),
+                name: label.into(),
+                category: "span",
+                fields: vec![
+                    ("trace", Num(*trace)),
+                    ("span", Num(*span)),
+                    ("parent", Num(*parent)),
+                ],
+                line: Stamped(format!(
+                    "     ▷ span #{span} open: {label} on {track} (trace {trace}, parent #{parent})"
+                )),
+            },
+            TraceEventKind::SpanEnd {
+                trace,
+                span,
+                track,
+                wait,
+            } => Description {
+                variant: "SpanEnd",
+                track: track.into(),
+                name: "span end".into(),
+                category: "span",
+                fields: [("trace", Num(*trace)), ("span", Num(*span))]
+                    .into_iter()
+                    .chain(wait.iter().map(|(w, us)| (w.name(), Num(us))))
+                    .collect(),
+                line: Stamped(format!("     ◁ span #{span} close: {wait}")),
+            },
         }
-        bucket_hi(last)
-    }
-
-    /// Median (bucket upper bound).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile (bucket upper bound).
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile (bucket upper bound).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile (bucket upper bound).
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
-    /// Occupied buckets as `(lo, hi, count)` ranges, ascending.
-    pub fn buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, c)| {
-                let c = c.load(Ordering::Relaxed);
-                (c > 0).then(|| {
-                    let lo = if b == 0 { 0 } else { 1u64 << (b - 1) };
-                    (lo, bucket_hi(b), c)
-                })
-            })
-            .collect()
-    }
-}
-
-/// The standard distributions every cluster records (always on).
-#[derive(Debug, Default)]
-pub struct Histograms {
-    /// Bytes per message exchange (request + reply).
-    pub msg_bytes: Histogram,
-    /// Virtual microseconds per SQL statement.
-    pub stmt_latency_us: Histogram,
-    /// Commits made durable per audit flush (group-commit batch size).
-    pub commit_group: Histogram,
-    /// Messages per FS-DP continuation chain (1 = no re-drive).
-    pub redrive_chain: Histogram,
-    /// Per-category wait micros per SQL statement, indexed by
-    /// [`Wait::index`]. Only non-zero category deltas are recorded, so each
-    /// histogram's count is "statements that waited here at all".
-    pub stmt_wait_us: [Histogram; Wait::COUNT],
-}
-
-impl Histograms {
-    /// All-empty histograms.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The per-statement wait histogram for one category.
-    pub fn stmt_wait(&self, w: Wait) -> &Histogram {
-        &self.stmt_wait_us[w.index()]
     }
 }
 
@@ -593,9 +656,10 @@ impl Histograms {
 /// Render a trace slice as a message-sequence diagram in the style of the
 /// paper's Figure 2 (requester on the left, Disk Processes on the right).
 ///
-/// Message exchanges render as one arrow line each; disk I/O, audit flushes
-/// and lock waits render as indented side notes under the exchange that
-/// caused them. Example:
+/// Message exchanges render as one arrow line each; disk I/O, cache
+/// activity and lock waits render as indented side notes under the
+/// exchange that caused them, as each record's description says.
+/// Example:
 ///
 /// ```text
 /// [     512 µs] \0.0 ──GetSubsetFirst(148 B)──▶ $DATA1   ◀──(4052 B reply)── [FS-DP]
@@ -605,136 +669,10 @@ impl Histograms {
 pub fn format_sequence(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for e in events {
-        match &e.kind {
-            TraceEventKind::Msg {
-                class,
-                label,
-                from,
-                to,
-                req_bytes,
-                reply_bytes,
-                remote,
-            } => {
-                let name = if label.is_empty() { "request" } else { label };
-                let net = if *remote { ", remote" } else { "" };
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs] {from} ──{name}({req_bytes} B)──▶ {to}   ◀──({reply_bytes} B reply)── [{}{net}]",
-                    e.at,
-                    class.tag(),
-                );
-            }
-            TraceEventKind::DiskIo {
-                volume,
-                write,
-                blocks,
-                synchronous,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "               · {volume} disk {}, {blocks} block(s){}{}",
-                    if *write { "write" } else { "read" },
-                    if *blocks > 1 { " (bulk)" } else { "" },
-                    if *synchronous { "" } else { " (async)" },
-                );
-            }
-            TraceEventKind::LockWait { txn, deadlock } => {
-                let _ = writeln!(
-                    out,
-                    "               · txn {txn} lock wait{}",
-                    if *deadlock { " -> deadlock victim" } else { "" },
-                );
-            }
-            TraceEventKind::CacheEvict { frames } => {
-                let _ = writeln!(out, "               · cache evicted {frames} frame(s)");
-            }
-            TraceEventKind::Prefetch { blocks } => {
-                let _ = writeln!(out, "               · prefetch {blocks} block(s) ahead");
-            }
-            TraceEventKind::AuditFlush {
-                records,
-                bytes,
-                commits,
-                buffer_full,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs] AUDIT flush: {records} record(s), {bytes} B, {commits} commit(s){}",
-                    e.at,
-                    if *buffer_full { " (buffer full)" } else { "" },
-                );
-            }
-            TraceEventKind::AuditTorn { records, bytes } => {
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs] AUDIT torn tail: {records} record(s) / {bytes} B truncated",
-                    e.at,
-                );
-            }
-            TraceEventKind::Remirror { volume, blocks } => {
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs]      ⊕ disk.remirror: {volume} copy-back, {blocks} block(s)",
-                    e.at,
-                );
-            }
-            TraceEventKind::TxnCommit { txn } => {
-                let _ = writeln!(out, "[{:>8} µs] txn {txn} COMMIT", e.at);
-            }
-            TraceEventKind::TxnAbort { txn } => {
-                let _ = writeln!(out, "[{:>8} µs] txn {txn} ABORT", e.at);
-            }
-            TraceEventKind::FaultInject { action, label, to } => {
-                let name = if label.is_empty() { "request" } else { label };
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs]      ✕ fault: {} {name} ──▶ {to}",
-                    e.at,
-                    action.tag(),
-                );
-            }
-            TraceEventKind::Retry {
-                label,
-                to,
-                attempt,
-                backoff_us,
-            } => {
-                let name = if label.is_empty() { "request" } else { label };
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs]      ↻ retry #{attempt}: {name} ──▶ {to} (backoff {backoff_us} µs)",
-                    e.at,
-                );
-            }
-            TraceEventKind::PathSwitch { to, resumed } => {
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs]      ⇄ path switch: {to} SCB rebuilt{}",
-                    e.at,
-                    if *resumed {
-                        ", resumed after last confirmed key"
-                    } else {
-                        ""
-                    },
-                );
-            }
-            TraceEventKind::SpanBegin {
-                trace,
-                span,
-                parent,
-                label,
-                track,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "[{:>8} µs]      ▷ span #{span} open: {label} on {track} (trace {trace}, parent #{parent})",
-                    e.at,
-                );
-            }
-            TraceEventKind::SpanEnd { span, wait, .. } => {
-                let _ = writeln!(out, "[{:>8} µs]      ◁ span #{span} close: {wait}", e.at);
-            }
-        }
+        let _ = match e.kind.describe().line {
+            Line::Stamped(text) => writeln!(out, "[{:>8} µs] {text}", e.at),
+            Line::Note(text) => writeln!(out, "               · {text}"),
+        };
     }
     out
 }
@@ -743,189 +681,30 @@ pub fn format_sequence(events: &[TraceEvent]) -> String {
 // Chrome trace-event export
 // ----------------------------------------------------------------------
 
-/// The track (rendered as a Perfetto "process" row) an event belongs to.
-fn chrome_track(kind: &TraceEventKind) -> String {
-    match kind {
-        TraceEventKind::Msg { to, .. }
-        | TraceEventKind::FaultInject { to, .. }
-        | TraceEventKind::Retry { to, .. }
-        | TraceEventKind::PathSwitch { to, .. } => to.clone(),
-        TraceEventKind::DiskIo { volume, .. } | TraceEventKind::Remirror { volume, .. } => {
-            format!("{volume} (disk)")
-        }
-        TraceEventKind::CacheEvict { .. } | TraceEventKind::Prefetch { .. } => "cache".into(),
-        TraceEventKind::LockWait { .. }
-        | TraceEventKind::TxnCommit { .. }
-        | TraceEventKind::TxnAbort { .. } => "TMF".into(),
-        TraceEventKind::AuditFlush { .. } | TraceEventKind::AuditTorn { .. } => {
-            "audit trail".into()
-        }
-        TraceEventKind::SpanBegin { track, .. } | TraceEventKind::SpanEnd { track, .. } => {
-            track.clone()
-        }
-    }
-}
-
-const AUDIT_TORN: &str = "audit.torn";
-const DISK_REMIRROR: &str = "disk.remirror";
-
-/// The record names that are dotted like counter names, and so share their
-/// registry in `lint.toml`.
-pub const DOTTED_RECORD_NAMES: [&str; 2] = [AUDIT_TORN, DISK_REMIRROR];
-
-/// Event name, category, and pre-rendered JSON `args` body.
-fn chrome_describe(kind: &TraceEventKind) -> (String, &'static str, String) {
-    use crate::measure::json_str as js;
-    match kind {
-        TraceEventKind::Msg {
-            class,
-            label,
-            from,
-            to,
-            req_bytes,
-            reply_bytes,
-            remote,
-        } => (
-            if label.is_empty() {
-                "request".into()
-            } else {
-                label.clone()
-            },
-            "msg",
-            format!(
-                "\"class\": {}, \"from\": {}, \"to\": {}, \"req_bytes\": {req_bytes}, \
-                 \"reply_bytes\": {reply_bytes}, \"remote\": {remote}",
-                js(class.tag()),
-                js(from),
-                js(to)
-            ),
-        ),
-        TraceEventKind::DiskIo {
-            volume,
-            write,
-            blocks,
-            synchronous,
-        } => (
-            format!("disk {}", if *write { "write" } else { "read" }),
-            "disk",
-            format!(
-                "\"volume\": {}, \"blocks\": {blocks}, \"synchronous\": {synchronous}",
-                js(volume)
-            ),
-        ),
-        TraceEventKind::LockWait { txn, deadlock } => (
-            "lock wait".into(),
-            "lock",
-            format!("\"txn\": {txn}, \"deadlock\": {deadlock}"),
-        ),
-        TraceEventKind::CacheEvict { frames } => (
-            "cache evict".into(),
-            "cache",
-            format!("\"frames\": {frames}"),
-        ),
-        TraceEventKind::Prefetch { blocks } => {
-            ("prefetch".into(), "cache", format!("\"blocks\": {blocks}"))
-        }
-        TraceEventKind::AuditFlush {
-            records,
-            bytes,
-            commits,
-            buffer_full,
-        } => (
-            "audit flush".into(),
-            "audit",
-            format!(
-                "\"records\": {records}, \"bytes\": {bytes}, \"commits\": {commits}, \
-                 \"buffer_full\": {buffer_full}"
-            ),
-        ),
-        TraceEventKind::AuditTorn { records, bytes } => (
-            AUDIT_TORN.into(),
-            "audit",
-            format!("\"records\": {records}, \"bytes\": {bytes}"),
-        ),
-        TraceEventKind::Remirror { volume, blocks } => (
-            DISK_REMIRROR.into(),
-            "disk",
-            format!("\"volume\": {}, \"blocks\": {blocks}", js(volume)),
-        ),
-        TraceEventKind::TxnCommit { txn } => {
-            ("txn commit".into(), "txn", format!("\"txn\": {txn}"))
-        }
-        TraceEventKind::TxnAbort { txn } => ("txn abort".into(), "txn", format!("\"txn\": {txn}")),
-        TraceEventKind::FaultInject { action, label, to } => (
-            format!("fault: {}", action.tag()),
-            "fault",
-            format!("\"label\": {}, \"to\": {}", js(label), js(to)),
-        ),
-        TraceEventKind::Retry {
-            label,
-            to,
-            attempt,
-            backoff_us,
-        } => (
-            format!("retry #{attempt}"),
-            "fault",
-            format!(
-                "\"label\": {}, \"to\": {}, \"backoff_us\": {backoff_us}",
-                js(label),
-                js(to)
-            ),
-        ),
-        TraceEventKind::PathSwitch { to, resumed } => (
-            "path switch".into(),
-            "fault",
-            format!("\"to\": {}, \"resumed\": {resumed}", js(to)),
-        ),
-        TraceEventKind::SpanBegin {
-            trace,
-            span,
-            parent,
-            label,
-            ..
-        } => (
-            label.clone(),
-            "span",
-            format!("\"trace\": {trace}, \"span\": {span}, \"parent\": {parent}"),
-        ),
-        TraceEventKind::SpanEnd {
-            trace, span, wait, ..
-        } => {
-            let mut args = format!("\"trace\": {trace}, \"span\": {span}");
-            for (w, us) in wait.iter() {
-                let _ = write!(args, ", {}: {us}", js(w.name()));
-            }
-            ("span end".into(), "span", args)
-        }
-    }
-}
-
 /// Render a trace slice as Chrome trace-event JSON (the `chrome://tracing` /
 /// Perfetto interchange format).
 ///
 /// Virtual microseconds map directly onto the format's `ts` field (also
 /// microseconds), so the Perfetto timeline *is* the virtual timeline. Each
-/// target entity (DP process, volume, the audit trail, TMF) becomes one
-/// `pid` track named by a metadata event; every [`TraceEvent`] becomes a
-/// thread-scoped instant event carrying its fields as `args` — except causal
-/// spans, which render as `B`/`E` duration slices, with a flow-event pair
-/// (`ph: "s"`/`"f"`, id = the child span) drawing the causal arrow whenever
-/// a span's parent ran on a different track (the FS→DP hop).
+/// track a record describes (DP process, volume, the audit trail, TMF)
+/// becomes one `pid` named by a metadata event; every [`TraceEvent`] becomes
+/// a thread-scoped instant event carrying its fields as `args` — except
+/// causal spans, which render as `B`/`E` duration slices, with a flow-event
+/// pair (`ph: "s"`/`"f"`, id = the child span) drawing the causal arrow
+/// whenever a span's parent ran on a different track (the FS→DP hop).
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    use crate::measure::json_str as js;
     use std::collections::BTreeMap;
-    let mut tracks: BTreeMap<String, u64> = BTreeMap::new();
-    let mut span_track: BTreeMap<u64, String> = BTreeMap::new();
-    for e in events {
-        let n = tracks.len() as u64;
-        tracks.entry(chrome_track(&e.kind)).or_insert(n + 1);
-        if let TraceEventKind::SpanBegin { span, track, .. } = &e.kind {
-            span_track.insert(*span, track.clone());
-        }
-    }
-    // Re-number sorted so pid order is name order, independent of arrival.
+    let described: Vec<Description> = events.iter().map(|e| e.kind.describe()).collect();
+    // Tracks numbered in name order, independent of arrival.
+    let mut tracks: BTreeMap<&str, u64> = described.iter().map(|d| (&*d.track, 0)).collect();
     for (i, pid) in tracks.values_mut().enumerate() {
         *pid = i as u64 + 1;
+    }
+    let mut span_track: BTreeMap<u64, &str> = BTreeMap::new();
+    for e in events {
+        if let TraceEventKind::SpanBegin { span, track, .. } = &e.kind {
+            span_track.insert(*span, track);
+        }
     }
     let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
     let mut first = true;
@@ -938,12 +717,11 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             out,
             "\n{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
              \"args\": {{\"name\": {}}}}}",
-            js(name)
+            json_str(name)
         );
     }
-    for e in events {
-        let pid = tracks[&chrome_track(&e.kind)];
-        let (name, cat, args) = chrome_describe(&e.kind);
+    for (e, d) in events.iter().zip(&described) {
+        let pid = tracks[&*d.track];
         let ph = match &e.kind {
             TraceEventKind::SpanBegin { .. } => "B",
             TraceEventKind::SpanEnd { .. } => "E",
@@ -956,13 +734,17 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
         first = false;
         let _ = write!(
             out,
-            "\n{{\"name\": {}, \"cat\": \"{cat}\", \"ph\": \"{ph}\", {scope}\"ts\": {}, \
-             \"pid\": {pid}, \"tid\": 0, \"args\": {{\"seq\": {}{}{args}}}}}",
-            js(&name),
+            "\n{{\"name\": {}, \"cat\": \"{}\", \"ph\": \"{ph}\", {scope}\"ts\": {}, \
+             \"pid\": {pid}, \"tid\": 0, \"args\": {{\"seq\": {}",
+            json_str(&d.name),
+            d.category,
             e.at,
             e.seq,
-            if args.is_empty() { "" } else { ", " },
         );
+        for (key, value) in &d.fields {
+            let _ = write!(out, ", \"{key}\": {value}");
+        }
+        out.push_str("}}");
         // Causal arrow: when this span's parent ran on another track, emit a
         // flow pair from the parent's slice to this one (id = child span).
         if let TraceEventKind::SpanBegin {
@@ -973,7 +755,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
         } = &e.kind
         {
             if *parent != 0 {
-                if let Some(ptrack) = span_track.get(parent) {
+                if let Some(&ptrack) = span_track.get(parent) {
                     if ptrack != track {
                         let ppid = tracks[ptrack];
                         let _ = write!(
@@ -1109,6 +891,7 @@ pub fn assemble_spans(events: &[TraceEvent]) -> Vec<SpanNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Wait;
 
     fn msg(label: &str) -> TraceEventKind {
         TraceEventKind::Msg {
@@ -1152,66 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles() {
-        let h = Histogram::new();
-        assert_eq!(h.p50(), 0);
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.sum(), 5050);
-        assert_eq!(h.max(), 100);
-        // p50 of 1..=100 lands in bucket [33, 64]; p99 and max in [65, 128],
-        // where the true max (100) is the reported bound.
-        assert_eq!(h.p50(), 63);
-        assert_eq!(h.p99(), 100);
-        assert_eq!(h.quantile(1.0), 100);
-        assert!(h.buckets().iter().map(|(_, _, c)| c).sum::<u64>() == 100);
-    }
-
-    #[test]
-    fn percentile_interpolates_within_buckets() {
-        let h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        // Uniform 1..=100 fills every log2 bucket proportionally, so linear
-        // interpolation lands on (nearly) the exact order statistics —
-        // unlike quantile(), which answers with bucket upper bounds.
-        assert_eq!(h.percentile(0.50), 50);
-        assert_eq!(h.percentile(0.95), 95);
-        assert_eq!(h.percentile(0.99), 99);
-        assert_eq!(h.percentile(0.999), 100);
-        assert_eq!(h.percentile(1.0), h.max());
-    }
-
-    #[test]
-    fn percentile_pinned_on_known_bucket_fill() {
-        let h = Histogram::new();
-        h.record(0); // bucket 0: [0, 0]
-        for _ in 0..4 {
-            h.record(10); // bucket 4: [8, 15]
-        }
-        for _ in 0..5 {
-            h.record(1000); // bucket 10: [512, 1023], tightened to max 1000
-        }
-        assert_eq!(h.percentile(0.1), 0);
-        // rank 5 is the last of bucket 4's four samples: frac 4/4 -> hi.
-        assert_eq!(h.percentile(0.5), 15);
-        // rank 9 sits 4/5 into [512, 1000]: 512 + 0.8 * 488 = 902.
-        assert_eq!(h.percentile(0.9), 902);
-        assert_eq!(h.percentile(1.0), 1000);
-        // A single sample is its own every-percentile.
-        let one = Histogram::new();
-        one.record(37);
-        assert_eq!(one.percentile(0.0), 37);
-        assert_eq!(one.percentile(0.5), 37);
-        assert_eq!(one.percentile(1.0), 37);
-        // Empty histograms report zero.
-        assert_eq!(Histogram::new().percentile(0.5), 0);
-    }
-
-    #[test]
     fn set_capacity_trims_oldest_into_dropped() {
         let t = TraceRecorder::new();
         t.enable(8);
@@ -1238,46 +961,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_quantiles_are_zero() {
-        let h = Histogram::new();
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0, "q={q}");
+    fn re_enabling_with_a_smaller_capacity_trims_the_ring() {
+        let t = TraceRecorder::new();
+        t.enable(64);
+        for i in 0..10u64 {
+            t.emit(i, || msg("X"));
         }
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert!(h.buckets().is_empty());
-    }
-
-    #[test]
-    fn single_sample_histogram_reports_it_everywhere() {
-        let h = Histogram::new();
-        h.record(37);
-        assert_eq!(h.count(), 1);
-        // One sample is its own p50, p99, and max (top-bucket tightening).
-        assert_eq!(h.p50(), 37);
-        assert_eq!(h.p99(), 37);
-        assert_eq!(h.quantile(0.0), 37);
-        assert_eq!(h.max(), 37);
-        assert_eq!(h.buckets(), vec![(32, 63, 1)]);
-    }
-
-    #[test]
-    fn top_bucket_values_saturate_max_and_p99_consistently() {
-        let h = Histogram::new();
-        h.record(u64::MAX);
-        h.record(u64::MAX - 1);
-        // Both land in the open-topped bucket 64; max() and every upper
-        // quantile agree on the true max instead of an overflowed bound.
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.p99(), u64::MAX);
-        assert_eq!(h.quantile(1.0), h.max());
-        assert_eq!(h.buckets(), vec![(1u64 << 63, u64::MAX, 2)]);
-        // The running sum saturates instead of wrapping.
-        assert_eq!(h.sum(), u64::MAX);
-        h.record(100);
-        assert_eq!(h.sum(), u64::MAX);
-        // A mid-bucket quantile still reports its own bucket's bound.
-        assert_eq!(h.quantile(0.0), 127);
+        // Enabling bounds the ring as `set_capacity` does: the oldest
+        // events beyond the new bound go into the dropped count at once.
+        t.enable(4);
+        assert_eq!((t.events().len(), t.dropped(), t.capacity()), (4, 6, 4));
+        t.emit(10, || msg("X"));
+        let evs = t.events();
+        assert_eq!(evs.len(), 4, "the ring holds its capacity");
+        assert_eq!(evs.first().unwrap().seq, 7);
+        assert_eq!(t.dropped(), 7);
     }
 
     #[test]
@@ -1434,7 +1132,7 @@ mod tests {
             "{json}"
         );
         assert!(!json.contains("\"id\": 3"), "{json}");
-        // Wait categories ride the end event's args under their lint names.
+        // Wait categories ride the end event's args under their dotted names.
         assert!(json.contains("\"wait.disk\": 22"), "{json}");
         // Balanced delimiters and one B per E (cheap well-formedness check).
         assert_eq!(
@@ -1447,17 +1145,6 @@ mod tests {
             json.matches("\"ph\": \"E\"").count(),
             "{json}"
         );
-    }
-
-    #[test]
-    fn histogram_zero_bucket() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(0);
-        h.record(1);
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.max(), 1);
-        assert_eq!(h.buckets()[0], (0, 0, 2));
     }
 
     #[test]

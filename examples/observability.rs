@@ -92,26 +92,26 @@ fn main() {
     let h = &db.sim.hist;
     println!(
         "statement latency (virtual µs): p50={} p95={} p99={} max={}",
-        h.stmt_latency_us.p50(),
-        h.stmt_latency_us.p95(),
-        h.stmt_latency_us.p99(),
+        h.stmt_latency_us.percentile(0.50),
+        h.stmt_latency_us.percentile(0.95),
+        h.stmt_latency_us.percentile(0.99),
         h.stmt_latency_us.max(),
     );
     println!(
         "message bytes:                  p50={} p99={} max={} (n={})",
-        h.msg_bytes.p50(),
-        h.msg_bytes.p99(),
+        h.msg_bytes.percentile(0.50),
+        h.msg_bytes.percentile(0.99),
         h.msg_bytes.max(),
         h.msg_bytes.count(),
     );
     println!(
         "re-drive chain length:          p50={} max={}",
-        h.redrive_chain.p50(),
+        h.redrive_chain.percentile(0.50),
         h.redrive_chain.max(),
     );
     println!(
         "group-commit batch size:        p50={} max={}",
-        h.commit_group.p50(),
+        h.commit_group.percentile(0.50),
         h.commit_group.max(),
     );
 }

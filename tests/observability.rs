@@ -270,7 +270,7 @@ fn histograms_observe_statements() {
     assert!(h.msg_bytes.count() > 0);
     // The 500-row VSBB scan needs several reply buffers: a chain > 1.
     assert!(h.redrive_chain.max() > 1);
-    assert!(h.stmt_latency_us.p99() >= h.stmt_latency_us.p50());
+    assert!(h.stmt_latency_us.percentile(0.99) >= h.stmt_latency_us.percentile(0.50));
 }
 
 /// Satellite: the bounded trace ring reports what it evicted. A tiny ring
@@ -343,7 +343,7 @@ fn statement_wait_profile_sums_exactly_to_elapsed() {
     assert!(h.stmt_wait(Wait::Msg).count() >= 2);
     assert!(h.stmt_wait(Wait::Commit).count() >= 1);
     assert_eq!(h.stmt_wait(Wait::Other).count(), 0);
-    assert!(h.stmt_wait(Wait::Disk).p999() >= h.stmt_wait(Wait::Disk).p50());
+    assert!(h.stmt_wait(Wait::Disk).percentile(0.999) >= h.stmt_wait(Wait::Disk).percentile(0.50));
     // ... and the metric counters, which reassemble into the same totals.
     let counters = db.sim.metrics.snapshot().stmt_wait();
     assert_eq!(

@@ -136,10 +136,10 @@ fn telemetry_that_is_off_allocates_nothing() {
 
     let bus = Bus::new(sim.clone());
     bus.register("$ECHO", CpuId::new(0, 1), std::sync::Arc::new(Echo));
+    let empty = || -> Box<dyn std::any::Any + Send> { Box::new(()) };
     let request = |n: usize| {
         for _ in 0..n {
-            let empty = Box::new(());
-            bus.request_labeled(CpuId::new(0, 0), "$ECHO", MsgKind::FsDp, 16, empty, "READ")
+            bus.request_replayable(CpuId::new(0, 0), "$ECHO", MsgKind::FsDp, 16, &empty, "READ")
                 .unwrap();
         }
     };
