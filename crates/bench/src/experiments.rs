@@ -13,15 +13,15 @@
 //! not hold — and the binary exits non-zero naming the experiment.
 
 use crate::fixtures::{
-    accounts, blocked_insert, canonical_workload, cold_caches, configured, debit_credit_batch,
-    ensure, in_txn, loaded, pk, rebalanced, set_arith, table, window, Outcome,
+    accounts, blocked_insert, canonical_workload, cold_caches, configured, ensure, in_txn, loaded,
+    pk, rebalanced, set_arith, table, window, Outcome,
 };
 use crate::report::{ms, ratio, Table};
 use nsql_core::{Cluster, ClusterBuilder, DiskProcessConfig, FaultConfig, GroupCommitTimer};
 use nsql_dp::{AuditMode, DpError, DpRequest, ReadLock, SubsetMode};
 use nsql_fs::{CursorUpdater, FsError, OpenFile};
 use nsql_records::{ArithOp, CmpOp, Expr, FieldType, KeyRange, OwnedBound, SetList, Value};
-use nsql_sim::{Ctr, EntityKind, Histogram, MetricsSnapshot, Wait, WaitProfile, Window};
+use nsql_sim::{Ctr, EntityKind, Histogram, MetricsSnapshot, SimRng, Wait, WaitProfile, Window};
 use nsql_workloads::{run_load, Bank, LoadConfig, LoadOutcome, Wisconsin};
 
 /// One entry of the registry.
@@ -807,7 +807,9 @@ fn e9() -> Outcome<Vec<Table>> {
         let bank = Bank::create(&db, 2, 500, "$DATA1")?;
         let s = db.session();
         let (w, _) = window(&db, || {
-            debit_credit_batch(&s, &bank, debit, 5, TXNS).fault_free()
+            Ok(bank
+                .batch(&s, debit, &mut SimRng::seed_from(5), TXNS)
+                .fault_free()?)
         })?;
         Ok(w)
     };
@@ -1350,7 +1352,8 @@ fn e17() -> Outcome<Vec<Table>> {
             });
         }
         let (w, committed) = window(&db, || {
-            let batch = debit_credit_batch(&s, &bank, Bank::debit_credit_sql, 0xE17, TXNS);
+            let mut rng = SimRng::seed_from(0xE17);
+            let batch = bank.batch(&s, Bank::debit_credit_sql, &mut rng, TXNS);
             // A VSBB scan under the same loss rate: lost replies stretch the
             // GET^NEXT re-drive chain, which the retry protocol re-drives from
             // the last confirmed key.
@@ -1515,13 +1518,8 @@ fn e19() -> Outcome<Vec<Table>> {
             db.enable_faults(cfg);
         }
         let (w, _) = window(&db, || {
-            Ok(debit_credit_batch(
-                &s,
-                &bank,
-                Bank::debit_credit_sql,
-                5,
-                100,
-            ))
+            let mut rng = SimRng::seed_from(5);
+            Ok(bank.batch(&s, Bank::debit_credit_sql, &mut rng, 100))
         })?;
         db.disable_faults();
         Ok((w, db.snapshot().fs_retries))
@@ -1604,7 +1602,9 @@ fn e20() -> Outcome<Vec<Table>> {
         .build();
         let bank = Bank::create(&db, 2, 100, "$DATA1")?;
         let s = db.session();
-        debit_credit_batch(&s, &bank, Bank::debit_credit_sql, 0xE20, txns).fault_free()?;
+        let mut rng = SimRng::seed_from(0xE20);
+        bank.batch(&s, Bank::debit_credit_sql, &mut rng, txns)
+            .fault_free()?;
         if in_flight {
             // Its audit reaches the durable trail via an eager send plus
             // one committed writer's group flush — a genuine UNDO load.
@@ -1710,8 +1710,8 @@ fn terminals(seed: u64, duration_us: u64, mean_think_us: f64, zipf_theta: f64) -
     }
 }
 
-/// Build a fresh cluster + bank, run the open-loop load, and check
-/// conservation — aborted attempts must have rolled back exactly.
+/// Build a fresh cluster + bank, run the open-loop load, and check it
+/// (`LoadOutcome::check`): aborted attempts must have rolled back exactly.
 fn load_run(
     label: &str,
     cfg: &LoadConfig,
@@ -1728,22 +1728,14 @@ fn load_run(
     // population the caller picks (wide bank = load-bound, small bank =
     // contention-bound).
     let bank = Bank::create(&db, 10, accounts_per_branch, "$DATA1")?;
-    let initial = bank.total_balance(&db)?;
+    let opening = bank.total_balance(&db)?;
     if let Some(f) = faults {
         db.enable_faults(f);
     }
     let out = run_load(&db, &bank, cfg);
     db.disable_faults();
-    let total = bank.total_balance(&db)?;
-    ensure!(
-        (total - (initial + out.net_delta)).abs() < 1e-6,
-        "{label}: money not conserved ({total} vs {initial} + {})",
-        out.net_delta
-    );
-    ensure!(
-        out.arrivals == out.committed + out.gave_up,
-        "{label}: every arrival must commit or exhaust its retries"
-    );
+    out.check(&db, &bank, opening)
+        .map_err(|e| format!("{label}: {e}"))?;
     Ok(LoadRun {
         label: label.to_string(),
         duration_us: cfg.duration_us,
@@ -1883,39 +1875,17 @@ fn load() -> Outcome<Vec<Table>> {
     Ok(vec![t])
 }
 
-/// Run one E22 cell and verify the sampler's exactness contract on every
-/// interval: the windowed wait ledger must decompose the interval's span
-/// with no remainder, the intervals must tile the run gaplessly, and the
-/// reported bottleneck must be the ledger's own argmax.
+/// Run one E22 cell and check it (`LoadOutcome::check`), the sampler's
+/// exactness contract included: the intervals tile the run, each windowed
+/// wait ledger decomposes its interval's span with no remainder, and the
+/// reported bottleneck is the ledger's own argmax. The bank is read only
+/// after the run, so the check moves no cell of the record.
 fn e22_run(label: &str, cfg: &LoadConfig) -> Outcome<LoadOutcome> {
     let db = Cluster::single_volume();
     let bank = Bank::create(&db, 10, 100, "$DATA1")?;
     let out = run_load(&db, &bank, cfg);
-    ensure!(
-        out.intervals.len() >= 3,
-        "{label}: expected >= 3 intervals, got {}",
-        out.intervals.len()
-    );
-    let mut expect_start = out.intervals[0].start_us;
-    for (i, iv) in out.intervals.iter().enumerate() {
-        ensure!(
-            iv.start_us == expect_start,
-            "{label} interval {i}: gap ({} != {expect_start})",
-            iv.start_us
-        );
-        let span = iv.end_us.saturating_sub(iv.start_us);
-        ensure!(
-            iv.wait_total_us() == span,
-            "{label} interval {i}: ledger {} != span {span}",
-            iv.wait_total_us()
-        );
-        let max = iv.wait_us.iter().fold(0u64, |a, &b| a.max(b));
-        ensure!(
-            iv.wait_us[iv.top_wait().index()] == max,
-            "{label} interval {i}: bottleneck is not the argmax"
-        );
-        expect_start = iv.end_us;
-    }
+    out.check(&db, &bank, bank.opening_total())
+        .map_err(|e| format!("{label}: {e}"))?;
     Ok(out)
 }
 

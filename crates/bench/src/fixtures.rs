@@ -1,10 +1,10 @@
 //! What the experiment bodies share: clusters, loaded tables, a transaction
-//! scope, the measurement window, key and set-list builders, and the two
-//! DebitCredit workloads (a seeded batch, and the canonical mixed workload
-//! behind both the `measure` record and the Chrome trace).
+//! scope, the measurement window, key and set-list builders, and the
+//! canonical mixed workload behind both the `measure` record and the Chrome
+//! trace.
 
 use nsql_core::{Cluster, ClusterBuilder, DiskProcessConfig, Session};
-use nsql_fs::{BlockedInserter, FileSystem, OpenFile};
+use nsql_fs::{BlockedInserter, OpenFile};
 use nsql_lock::TxnId;
 use nsql_records::{ArithOp, Expr, FieldType, SetList, Value};
 use nsql_sim::{SimRng, Window};
@@ -147,63 +147,6 @@ pub fn set_arith(field: u16, op: ArithOp, v: Value) -> SetList {
     }
 }
 
-/// One of [`Bank`]'s two DebitCredit paths: `Bank::debit_credit_sql` or
-/// `Bank::debit_credit_enscribe`.
-pub type Debit =
-    fn(&Bank, &FileSystem, TxnId, i32, i32, i32, f64) -> Result<(), nsql_core::DbError>;
-
-/// How a [`debit_credit_batch`] ended.
-#[derive(Default)]
-pub struct Batch {
-    /// Transactions that committed.
-    pub committed: u32,
-    /// Sum of the committed transactions' deltas.
-    pub net_delta: f64,
-    /// Why the first transaction that did not commit did not.
-    failure: Option<String>,
-}
-
-impl Batch {
-    /// For a batch run with no fault plane armed: a transaction that did
-    /// not commit fails the experiment.
-    pub fn fault_free(self) -> Outcome<Batch> {
-        match self.failure {
-            Some(why) => Err(format!("DebitCredit transaction did not commit: {why}").into()),
-            None => Ok(self),
-        }
-    }
-}
-
-/// `txns` DebitCredit transactions on `s`, inputs drawn from a generator
-/// seeded with `seed`, each applied by `debit` and committed. A transaction that fails is aborted
-/// and the batch goes on, as a terminal would under faults.
-pub fn debit_credit_batch(s: &Session, bank: &Bank, debit: Debit, seed: u64, txns: u32) -> Batch {
-    let tm = &s.cluster().txnmgr;
-    let mut rng = SimRng::seed_from(seed);
-    let mut batch = Batch::default();
-    for _ in 0..txns {
-        let (aid, tid, bid, delta) = bank.draw(&mut rng);
-        let txn = tm.begin();
-        let done = match debit(bank, s.fs(), txn, aid, tid, bid, delta) {
-            Ok(()) => tm.commit(txn, s.cpu()).map_err(|e| e.to_string()),
-            Err(e) => {
-                let _ = tm.abort(txn, s.cpu());
-                Err(e.to_string())
-            }
-        };
-        match done {
-            Ok(_) => {
-                batch.committed += 1;
-                batch.net_delta += delta;
-            }
-            Err(why) => {
-                batch.failure.get_or_insert(why);
-            }
-        }
-    }
-    batch
-}
-
 /// The canonical mixed workload — 50 DebitCredit transactions on `$DATA2`
 /// and a 10% Wisconsin selection on `$DATA1` — on a fresh cluster, with
 /// the trace ring on from the start if `traced`. The `measure` record is
@@ -221,7 +164,9 @@ pub fn canonical_workload(traced: bool) -> Outcome<(Cluster, Window)> {
     let bank = Bank::create(&db, 2, 50, "$DATA2")?;
     let (window, ()) = window(&db, || {
         let s = db.session();
-        debit_credit_batch(&s, &bank, Bank::debit_credit_sql, 0xE18, 50).fault_free()?;
+        let mut rng = SimRng::seed_from(0xE18);
+        bank.batch(&s, Bank::debit_credit_sql, &mut rng, 50)
+            .fault_free()?;
         let n = db
             .session()
             .query(&w.q_select_10pct_clustered())?

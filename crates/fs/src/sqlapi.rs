@@ -603,16 +603,16 @@ impl<'a> BlockedBuffers<'a> {
 /// using one message."
 pub struct BlockedInserter<'a> {
     buffers: BlockedBuffers<'a>,
-    /// Flush a partition buffer at this many records.
-    pub flush_at: usize,
 }
 
 impl<'a> BlockedInserter<'a> {
+    /// Flush a partition buffer at this many records.
+    const FLUSH_AT: usize = 100;
+
     /// A blocked inserter for one transaction over one table.
     pub fn new(fs: &'a FileSystem, of: &'a OpenFile, txn: TxnId) -> Self {
         BlockedInserter {
             buffers: BlockedBuffers::new(fs, of, txn),
-            flush_at: 100,
         }
     }
 
@@ -628,7 +628,7 @@ impl<'a> BlockedInserter<'a> {
             self.buffers
                 .push(Blocked::Insert, Destination::Index(ii), ikey, irec);
         }
-        if buffered >= self.flush_at {
+        if buffered >= Self::FLUSH_AT {
             self.buffers.flush_one(Blocked::Insert, partition)?;
         }
         Ok(())

@@ -324,6 +324,12 @@ impl Executor<'_> {
     fn fetch_table(&self, t: &TableAccess, txn: Option<TxnId>) -> Result<Vec<Row>, ExecError> {
         let of = &t.info.open;
         let all_fields = t.fetch_fields.len() == of.desc.num_fields();
+        // A transaction's reads take shared locks; a bare read takes none.
+        let lock = if txn.is_some() {
+            ReadLock::Shared
+        } else {
+            ReadLock::None
+        };
         let rows = match &t.access {
             AccessPath::TableScan {
                 range,
@@ -338,23 +344,9 @@ impl Executor<'_> {
                 } else {
                     (SubsetMode::Vsbb, Some(t.fetch_fields.as_slice()))
                 };
-                let scan = self.fs.scan(
-                    txn,
-                    of,
-                    range,
-                    pushdown.as_ref(),
-                    projection,
-                    mode,
-                    if txn.is_some() {
-                        ReadLock::Shared
-                    } else {
-                        ReadLock::None
-                    },
-                )?;
-                if projection.is_none() && !all_fields {
-                    unreachable!("RSBB only chosen when all fields are fetched");
-                }
-                scan.rows
+                self.fs
+                    .scan(txn, of, range, pushdown.as_ref(), projection, mode, lock)?
+                    .rows
             }
             AccessPath::TableScan { browse: true, .. } => {
                 // Record-at-a-time: read whole records, project + filter
@@ -379,17 +371,9 @@ impl Executor<'_> {
                 index_only,
             } => {
                 let idx = &of.indexes[*index];
-                let entries = self.fs.scan_index(
-                    txn,
-                    idx,
-                    range,
-                    index_pushdown.as_ref(),
-                    if txn.is_some() {
-                        ReadLock::Shared
-                    } else {
-                        ReadLock::None
-                    },
-                )?;
+                let entries = self
+                    .fs
+                    .scan_index(txn, idx, range, index_pushdown.as_ref(), lock)?;
                 if *index_only {
                     // Project directly out of index rows.
                     let field_in_index = |base: u16| -> usize {
@@ -420,16 +404,7 @@ impl Executor<'_> {
                     let mut rows = Vec::new();
                     for irow in &entries {
                         let base_key = idx.base_key_from_index_row(&of.desc, &irow.0);
-                        if let Some(full) = self.fs.read_by_key(
-                            txn,
-                            of,
-                            &base_key,
-                            if txn.is_some() {
-                                ReadLock::Shared
-                            } else {
-                                ReadLock::None
-                            },
-                        )? {
+                        if let Some(full) = self.fs.read_by_key(txn, of, &base_key, lock)? {
                             rows.push(Row(t
                                 .fetch_fields
                                 .iter()

@@ -16,7 +16,7 @@
 //! work and virtual time — the paper's claim is that the SQL system
 //! *matches* the pre-existing DBMS on this kind of workload.
 
-use nsql_core::{Cluster, DbError};
+use nsql_core::{Cluster, DbError, Session};
 use nsql_dp::ReadLock;
 use nsql_fs::{FileSystem, OpenFile};
 use nsql_lock::TxnId;
@@ -27,6 +27,37 @@ use nsql_sim::SimRng;
 /// FS-DP messages in one SQL debit-credit transaction (see
 /// [`Bank::debit_credit_step`]).
 pub const DEBIT_CREDIT_STEPS: usize = 4;
+
+/// Every account's balance as [`Bank::create`] loads it.
+const OPENING_BALANCE: f64 = 1000.0;
+
+/// One of [`Bank`]'s two DebitCredit paths: [`Bank::debit_credit_sql`] or
+/// [`Bank::debit_credit_enscribe`].
+pub type Debit = fn(&Bank, &FileSystem, TxnId, i32, i32, i32, f64) -> Result<(), DbError>;
+
+/// How a [`Bank::batch`] ended.
+#[derive(Debug, Default)]
+pub struct Batch {
+    /// Transactions that committed.
+    pub committed: u32,
+    /// Sum of the committed transactions' deltas.
+    pub net_delta: f64,
+    /// Why the first transaction that did not commit did not.
+    failure: Option<String>,
+}
+
+impl Batch {
+    /// For a batch run with no fault plane armed: a transaction that did
+    /// not commit is an error.
+    pub fn fault_free(self) -> Result<Batch, DbError> {
+        match self.failure {
+            Some(why) => Err(DbError(format!(
+                "DebitCredit transaction did not commit: {why}"
+            ))),
+            None => Ok(self),
+        }
+    }
+}
 
 /// A loaded bank database.
 pub struct Bank {
@@ -113,7 +144,7 @@ impl Bank {
                 ins.push(&[
                     Value::Int(a as i32),
                     Value::Int((a / accounts_per_branch) as i32),
-                    Value::Double(1000.0),
+                    Value::Double(OPENING_BALANCE),
                     Value::Str(filler(84)),
                 ])
                 .map_err(|e| DbError(e.to_string()))?;
@@ -147,6 +178,41 @@ impl Bank {
         let bid = tid / 10;
         let delta = rng.between(-500, 500) as f64;
         (aid, tid, bid, delta)
+    }
+
+    /// `txns` DebitCredit transactions on `s`, inputs drawn from `rng`,
+    /// each applied by `debit` and committed. A transaction that fails is
+    /// aborted and the batch goes on, as a terminal would under faults.
+    pub fn batch(&self, s: &Session<'_>, debit: Debit, rng: &mut SimRng, txns: u32) -> Batch {
+        let tm = &s.cluster().txnmgr;
+        let mut batch = Batch::default();
+        for _ in 0..txns {
+            let (aid, tid, bid, delta) = self.draw(rng);
+            let txn = tm.begin();
+            let done = match debit(self, s.fs(), txn, aid, tid, bid, delta) {
+                Ok(()) => tm.commit(txn, s.cpu()).map_err(|e| e.to_string()),
+                Err(e) => {
+                    let _ = tm.abort(txn, s.cpu());
+                    Err(e.to_string())
+                }
+            };
+            match done {
+                Ok(()) => {
+                    batch.committed += 1;
+                    batch.net_delta += delta;
+                }
+                Err(why) => {
+                    batch.failure.get_or_insert(why);
+                }
+            }
+        }
+        batch
+    }
+
+    /// The total of all account balances as [`Bank::create`] loaded them:
+    /// where a conservation check starts without reading the table.
+    pub fn opening_total(&self) -> f64 {
+        f64::from(self.accounts) * OPENING_BALANCE
     }
 
     fn hid(&self) -> i64 {

@@ -14,11 +14,30 @@
 //!   with Poisson arrivals, Zipf-skewed hotspots, an admission-control
 //!   gate, and automatic retry of doomed (deadlock-victim / lock-timeout)
 //!   transactions.
+//! * [`chaos`] — the fault mixes and seeds the chaos suite and `experiments
+//!   chaos` share, and the bank and Wisconsin runs that check the
+//!   fault-tolerance contract under them.
+//!
+//! The DebitCredit loop ([`Bank::batch`]), the chaos runs and the load
+//! check ([`LoadOutcome::check`]) are written once, here; the tests, the
+//! experiments and the examples call them.
+
+/// Return a [`nsql_core::DbError`] carrying the message unless `cond`
+/// holds: the checks of this crate end a run with an error, not a panic.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        let holds: bool = $cond;
+        if !holds {
+            return Err(nsql_core::DbError(format!($($msg)+)));
+        }
+    };
+}
 
 pub mod bank;
+pub mod chaos;
 pub mod load;
 pub mod wisconsin;
 
-pub use bank::{Bank, DEBIT_CREDIT_STEPS};
-pub use load::{run_load, IntervalSample, LoadConfig, LoadOutcome};
+pub use bank::{Bank, Batch, Debit, DEBIT_CREDIT_STEPS};
+pub use load::{hot_bank, run_load, IntervalSample, LoadConfig, LoadOutcome};
 pub use wisconsin::Wisconsin;

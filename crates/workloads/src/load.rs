@@ -29,7 +29,7 @@
 //! therefore measured separately in [`LoadOutcome::admission_wait_us`].
 
 use crate::bank::{Bank, DEBIT_CREDIT_STEPS};
-use nsql_core::Cluster;
+use nsql_core::{Cluster, DbError};
 use nsql_dp::DpError;
 use nsql_fs::FsError;
 use nsql_lock::TxnId;
@@ -94,6 +94,31 @@ impl Default for LoadConfig {
             seed: 1,
         }
     }
+}
+
+impl LoadConfig {
+    /// The contended cell: ten terminals behind a six-slot gate, each
+    /// arriving every 1.2 ms on average with Zipf 1.0 account picks, for
+    /// 150 ms. On [`hot_bank`] its transactions deadlock and retry.
+    pub fn contended(seed: u64) -> LoadConfig {
+        LoadConfig {
+            terminals: 10,
+            duration_us: 150_000,
+            mean_think_us: 1_200.0,
+            zipf_theta: 1.0,
+            max_inflight: 6,
+            seed,
+            ..LoadConfig::default()
+        }
+    }
+}
+
+/// The hot bank: one branch of 40 accounts on a one-volume cluster, few
+/// enough rows that concurrent terminals collide on them.
+pub fn hot_bank() -> Result<(Cluster, Bank), DbError> {
+    let db = Cluster::single_volume();
+    let bank = Bank::create(&db, 1, 40, "$DATA1")?;
+    Ok((db, bank))
 }
 
 /// One closed interval of the telemetry sampler: what the engine saw in
@@ -234,6 +259,110 @@ impl LoadOutcome {
         } else {
             self.arrivals as f64 * 1_000_000.0 / duration_us as f64
         }
+    }
+
+    /// The invariants of any run, whatever the load, skew or faults: every
+    /// arrival committed or gave up, one latency per commit, money
+    /// conserved from `opening` (the account total before the run; the
+    /// balance is read here, after it), and no lock, waiter or wait edge
+    /// left on any volume. A sampled run's intervals must also tile it,
+    /// each with a ledger that sums exactly to its span and `top_wait` its
+    /// argmax, and their counts and latencies must add up to the run's.
+    pub fn check(&self, db: &Cluster, bank: &Bank, opening: f64) -> Result<(), DbError> {
+        ensure!(
+            self.arrivals == self.committed + self.gave_up,
+            "an arrival vanished: {} arrivals, {} committed, {} gave up",
+            self.arrivals,
+            self.committed,
+            self.gave_up
+        );
+        ensure!(
+            self.latencies_us.len() as u64 == self.committed,
+            "{} latencies for {} commits",
+            self.latencies_us.len(),
+            self.committed
+        );
+        let [p50, p95, p99] = [50.0, 95.0, 99.0].map(|p| self.percentile_us(p));
+        ensure!(
+            p50 <= p95 && p95 <= p99,
+            "percentiles out of order: {p50}, {p95}, {p99}"
+        );
+        let total = bank.total_balance(db)?;
+        ensure!(
+            (total - (opening + self.net_delta)).abs() < 1e-6,
+            "money not conserved: {total} vs {opening} + {}",
+            self.net_delta
+        );
+        for volume in db.volumes() {
+            let locks = &db.dp(&volume).locks;
+            let left = [
+                locks.lock_count(),
+                locks.waiting_count(),
+                locks.wait_edge_count(),
+            ];
+            ensure!(
+                left == [0; 3],
+                "{volume}: the lock plane did not drain: {} locks, {} waiters, {} wait edges",
+                left[0],
+                left[1],
+                left[2]
+            );
+        }
+        self.check_intervals()
+    }
+
+    /// The sampler's half of [`LoadOutcome::check`].
+    fn check_intervals(&self) -> Result<(), DbError> {
+        let Some(first) = self.intervals.first() else {
+            return Ok(());
+        };
+        let mut at = first.start_us;
+        let (mut arrivals, mut committed, mut aborted) = (0, 0, 0);
+        let mut latencies = Vec::with_capacity(self.latencies_us.len());
+        for (i, iv) in self.intervals.iter().enumerate() {
+            ensure!(
+                iv.start_us == at && iv.end_us > at,
+                "interval {i} is [{}, {}), after one that ended at {at}",
+                iv.start_us,
+                iv.end_us
+            );
+            ensure!(
+                iv.wait_total_us() == iv.end_us - at,
+                "interval {i}: the ledger sums to {}, the span is {}",
+                iv.wait_total_us(),
+                iv.end_us - at
+            );
+            let top = iv.wait_us[iv.top_wait().index()];
+            ensure!(
+                iv.wait_us.iter().all(|&us| us <= top),
+                "interval {i}: the bottleneck is not the argmax"
+            );
+            arrivals += iv.arrivals;
+            committed += iv.committed;
+            aborted += iv.aborted;
+            latencies.extend_from_slice(&iv.latencies_us);
+            at = iv.end_us;
+        }
+        latencies.sort_unstable();
+        ensure!(
+            at - first.start_us == self.elapsed_us,
+            "the intervals span {}, the run {}",
+            at - first.start_us,
+            self.elapsed_us
+        );
+        ensure!(
+            (arrivals, committed, aborted) == (self.arrivals, self.committed, self.aborted),
+            "the intervals count {arrivals} arrivals, {committed} commits and {aborted} aborts; \
+             the run {}, {} and {}",
+            self.arrivals,
+            self.committed,
+            self.aborted
+        );
+        ensure!(
+            latencies == self.latencies_us,
+            "the intervals' latencies are not the run's"
+        );
+        Ok(())
     }
 }
 
@@ -682,62 +811,40 @@ mod tests {
     use super::*;
     use nsql_core::ClusterBuilder;
 
-    fn hot_db() -> (Cluster, Bank) {
-        let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-        let bank = Bank::create(&db, 1, 40, "$DATA1").expect("bank load");
-        (db, bank)
-    }
-
-    fn contended_cfg(seed: u64) -> LoadConfig {
-        LoadConfig {
-            terminals: 10,
-            duration_us: 150_000,
-            mean_think_us: 1_200.0,
-            zipf_theta: 1.0,
-            max_inflight: 6,
-            seed,
-            ..LoadConfig::default()
-        }
+    fn hot() -> (Cluster, Bank) {
+        hot_bank().expect("bank load")
     }
 
     #[test]
     fn contended_run_commits_conserves_money_and_resolves_deadlocks() {
-        let (db, bank) = hot_db();
+        let (db, bank) = hot();
         let initial = bank.total_balance(&db).expect("initial balance");
-        let out = run_load(&db, &bank, &contended_cfg(7));
+        let out = run_load(&db, &bank, &LoadConfig::contended(7));
         assert!(out.committed > 10, "outcome {out:?}");
         assert_eq!(out.gave_up, 0, "retry budget never exhausted");
         assert_eq!(out.other_errors, 0, "no chaos in a clean run");
         // Exact conservation: aborted attempts rolled back fully.
-        let total = bank.total_balance(&db).expect("final balance");
-        assert!(
-            (total - (initial + out.net_delta)).abs() < 1e-6,
-            "conservation: {total} vs {} + {}",
-            initial,
-            out.net_delta
-        );
+        out.check(&db, &bank, initial).unwrap();
         // The hotspot makes real contention: some attempt aborted on a
         // deadlock and was retried to success.
         assert!(out.aborted > 0, "expected doomed attempts under skew");
         assert_eq!(out.deadlock_retries, out.aborted);
-        assert_eq!(out.latencies_us.len() as u64, out.committed);
-        assert!(out.percentile_us(99.0) >= out.percentile_us(50.0));
     }
 
     #[test]
     fn same_seed_same_outcome() {
-        let (db1, bank1) = hot_db();
-        let (db2, bank2) = hot_db();
-        let a = run_load(&db1, &bank1, &contended_cfg(11));
-        let b = run_load(&db2, &bank2, &contended_cfg(11));
+        let (db1, bank1) = hot();
+        let (db2, bank2) = hot();
+        let a = run_load(&db1, &bank1, &LoadConfig::contended(11));
+        let b = run_load(&db2, &bank2, &LoadConfig::contended(11));
         assert_eq!(a, b, "virtual-clock runs are exactly reproducible");
-        let c = run_load(&db1, &bank1, &contended_cfg(12));
+        let c = run_load(&db1, &bank1, &LoadConfig::contended(12));
         assert_ne!(a.latencies_us, c.latencies_us, "seeds matter");
     }
 
     #[test]
     fn admission_gate_queues_overload_and_everyone_still_finishes() {
-        let (db, bank) = hot_db();
+        let (db, bank) = hot();
         let cfg = LoadConfig {
             terminals: 12,
             duration_us: 120_000,
@@ -750,25 +857,17 @@ mod tests {
         let out = run_load(&db, &bank, &cfg);
         assert!(out.admission_queued > 0, "overload must queue");
         assert!(out.admission_wait_us > 0, "queued txns waited measurably");
-        assert_eq!(
-            out.arrivals,
-            out.committed + out.gave_up,
-            "every arrival either committed or exhausted its retries"
-        );
-        // The gate capped concurrency, so the lock table stayed sane and
-        // the run drained completely; conservation still holds.
-        let total = bank.total_balance(&db).expect("final balance");
-        assert!((total - (40.0 * 1000.0 + out.net_delta)).abs() < 1e-6);
+        // The gate capped concurrency, so the run drained completely: every
+        // arrival committed or exhausted its retries, and the books balance.
+        out.check(&db, &bank, bank.opening_total()).unwrap();
     }
 
     #[test]
     fn sampler_intervals_decompose_the_run_exactly_and_perturb_nothing() {
-        let (db1, bank1) = hot_db();
-        let (db2, bank2) = hot_db();
-        let plain = run_load(&db1, &bank1, &contended_cfg(21));
-        let mut cfg = contended_cfg(21);
-        cfg.sample_every_us = 20_000;
-        let sampled = run_load(&db2, &bank2, &cfg);
+        let (db1, bank1) = hot();
+        let (db2, bank2) = hot();
+        let plain = run_load(&db1, &bank1, &LoadConfig::contended(21));
+        let sampled = sampled_run(&db2, &bank2);
         // Sampling is a pure observer: the committed history is identical.
         assert_eq!(plain.committed, sampled.committed);
         assert_eq!(plain.latencies_us, sampled.latencies_us);
@@ -778,43 +877,11 @@ mod tests {
             "{:?}",
             sampled.intervals.len()
         );
-
         // Intervals tile the run with no gaps, and each one's wait-ledger
         // delta decomposes its span *exactly* — the bottleneck report is
         // the attributed clock itself, windowed.
-        let run_start = sampled.intervals[0].start_us;
-        let mut expect_start = run_start;
-        let (mut arrivals, mut committed, mut aborted) = (0, 0, 0);
-        let mut lats = Vec::new();
-        for iv in &sampled.intervals {
-            assert_eq!(iv.start_us, expect_start, "no gap between intervals");
-            assert!(iv.end_us > iv.start_us);
-            assert_eq!(
-                iv.wait_total_us(),
-                iv.end_us - iv.start_us,
-                "ledger covers the interval exactly"
-            );
-            assert_eq!(
-                iv.wait_us[iv.top_wait().index()],
-                *iv.wait_us.iter().max().unwrap()
-            );
-            arrivals += iv.arrivals;
-            committed += iv.committed;
-            aborted += iv.aborted;
-            lats.extend(iv.latencies_us.iter().copied());
-            expect_start = iv.end_us;
-        }
-        assert_eq!(expect_start - run_start, sampled.elapsed_us);
-        assert_eq!(arrivals, sampled.arrivals);
-        assert_eq!(committed, sampled.committed);
-        assert_eq!(aborted, sampled.aborted);
-        lats.sort_unstable();
-        assert_eq!(
-            lats, sampled.latencies_us,
-            "per-interval latencies partition the run's"
-        );
-        // Under this hotspot some interval is bottlenecked on something
-        // other than pure CPU, and some entity did measurable work.
+        sampled.check(&db2, &bank2, bank2.opening_total()).unwrap();
+        // Some entity did measurable work in every interval.
         assert!(sampled.intervals.iter().all(|iv| !iv.top_entity.is_empty()));
     }
 
@@ -839,7 +906,63 @@ mod tests {
             out.lock_timeouts > 0,
             "convoy stragglers should time out: {out:?}"
         );
-        let total = bank.total_balance(&db).expect("final balance");
-        assert!((total - (10.0 * 1000.0 + out.net_delta)).abs() < 1e-6);
+        out.check(&db, &bank, bank.opening_total()).unwrap();
+    }
+
+    // The check can fail: each test below alters one thing about a run
+    // that checks clean.
+
+    /// The contended cell on `bank`, sampled every 20 ms.
+    fn sampled_run(db: &Cluster, bank: &Bank) -> LoadOutcome {
+        let cfg = LoadConfig {
+            sample_every_us: 20_000,
+            ..LoadConfig::contended(21)
+        };
+        run_load(db, bank, &cfg)
+    }
+
+    /// What the check says about a clean sampled run once `alter` has
+    /// changed its outcome or its cluster.
+    fn altered(alter: impl FnOnce(&Cluster, &Bank, &mut LoadOutcome)) -> String {
+        let (db, bank) = hot();
+        let mut out = sampled_run(&db, &bank);
+        out.check(&db, &bank, bank.opening_total())
+            .expect("the run as it happened checks clean");
+        alter(&db, &bank, &mut out);
+        out.check(&db, &bank, bank.opening_total())
+            .expect_err("the altered run")
+            .0
+    }
+
+    #[test]
+    fn check_fails_on_a_vanished_arrival() {
+        let why = altered(|_, _, out| out.arrivals += 1);
+        assert!(why.contains("an arrival vanished"), "{why}");
+    }
+
+    #[test]
+    fn check_fails_on_a_balance_off_by_one_delta() {
+        // A commit the outcome counts but the accounts never saw.
+        let why = altered(|_, _, out| out.net_delta += 250.0);
+        assert!(why.contains("money not conserved"), "{why}");
+    }
+
+    #[test]
+    fn check_fails_on_a_leaked_lock() {
+        // A transaction left open holding an account row's lock; its delta
+        // is zero, so only the lock plane tells.
+        let why = altered(|db, bank, _| {
+            let s = db.session();
+            let txn = db.txnmgr.begin();
+            bank.debit_credit_step(s.fs(), txn, 0, 0, 0, 0, 0.0)
+                .expect("update while nothing else runs");
+        });
+        assert!(why.contains("the lock plane did not drain"), "{why}");
+    }
+
+    #[test]
+    fn check_fails_on_a_gap_between_intervals() {
+        let why = altered(|_, _, out| out.intervals[1].start_us += 1);
+        assert!(why.contains("interval 1 is"), "{why}");
     }
 }

@@ -7,12 +7,16 @@
 
 use nonstop_sql::ClusterBuilder;
 use nsql_sim::SimRng;
-use nsql_workloads::Bank;
+use nsql_workloads::{Bank, Debit};
 
 fn main() {
     let txns = 200u32;
 
-    for (label, sql_path) in [("NonStop SQL", true), ("ENSCRIBE", false)] {
+    let paths: [(&str, Debit); 2] = [
+        ("NonStop SQL", Bank::debit_credit_sql),
+        ("ENSCRIBE", Bank::debit_credit_enscribe),
+    ];
+    for (label, debit) in paths {
         let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
         let bank = Bank::create(&db, 2, 500, "$DATA1").expect("load bank");
         let session = db.session();
@@ -20,18 +24,9 @@ fn main() {
 
         let before = db.snapshot();
         let t0 = db.sim.now();
-        for _ in 0..txns {
-            let (aid, tid, bid, delta) = bank.draw(&mut rng);
-            let txn = db.txnmgr.begin();
-            if sql_path {
-                bank.debit_credit_sql(session.fs(), txn, aid, tid, bid, delta)
-                    .expect("txn");
-            } else {
-                bank.debit_credit_enscribe(session.fs(), txn, aid, tid, bid, delta)
-                    .expect("txn");
-            }
-            db.txnmgr.commit(txn, session.cpu()).expect("commit");
-        }
+        bank.batch(&session, debit, &mut rng, txns)
+            .fault_free()
+            .expect("every transaction commits");
         let elapsed = db.sim.now() - t0;
         let m = db.snapshot() - before;
 

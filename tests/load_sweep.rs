@@ -3,64 +3,21 @@
 //! The smoke test always runs; the exhaustive offered-load × skew grid is
 //! `#[ignore]`-gated and driven by the CI `load-sweep` job with
 //! `--include-ignored` (and locally via `cargo test --release --test
-//! load_sweep -- --include-ignored`).
+//! load_sweep -- --include-ignored`). Every cell must pass
+//! `LoadOutcome::check`: complete accounting of arrivals, exact money
+//! conservation, a drained lock plane, and internally consistent latency
+//! percentiles.
 
-use nonstop_sql::{Cluster, ClusterBuilder};
-use nsql_workloads::{run_load, Bank, LoadConfig, LoadOutcome};
-
-fn bank_db(branches: u32, accounts: u32) -> (Cluster, Bank) {
-    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
-    let bank = Bank::create(&db, branches, accounts, "$DATA1").expect("bank load");
-    (db, bank)
-}
-
-/// The invariants every sweep cell must satisfy, whatever the load level:
-/// complete accounting of arrivals, exact money conservation, a drained
-/// lock plane, and internally consistent latency percentiles.
-fn check_cell(db: &Cluster, bank: &Bank, initial: f64, out: &LoadOutcome, label: &str) {
-    assert_eq!(
-        out.arrivals,
-        out.committed + out.gave_up,
-        "{label}: an arrival vanished: {out:?}"
-    );
-    assert_eq!(
-        out.latencies_us.len() as u64,
-        out.committed,
-        "{label}: latency sample per commit"
-    );
-    assert!(
-        out.percentile_us(50.0) <= out.percentile_us(95.0)
-            && out.percentile_us(95.0) <= out.percentile_us(99.0),
-        "{label}: percentiles out of order"
-    );
-    let total = bank.total_balance(db).expect("final balance");
-    assert!(
-        (total - (initial + out.net_delta)).abs() < 1e-6,
-        "{label}: money not conserved ({total} vs {initial} + {}): {out:?}",
-        out.net_delta
-    );
-    let dp = db.dp("$DATA1");
-    assert_eq!(dp.locks.lock_count(), 0, "{label}: leaked locks");
-    assert_eq!(dp.locks.waiting_count(), 0, "{label}: leaked waiters");
-    assert_eq!(dp.locks.wait_edge_count(), 0, "{label}: leaked edges");
-}
+use nsql_workloads::{hot_bank, run_load, LoadConfig};
 
 #[test]
 fn load_smoke_contended_cell_survives() {
-    let (db, bank) = bank_db(1, 40);
-    let initial = bank.total_balance(&db).expect("initial balance");
-    let cfg = LoadConfig {
-        terminals: 10,
-        duration_us: 150_000,
-        mean_think_us: 1_200.0,
-        zipf_theta: 1.0,
-        max_inflight: 6,
-        seed: 7,
-        ..LoadConfig::default()
-    };
-    let out = run_load(&db, &bank, &cfg);
+    let (db, bank) = hot_bank().expect("bank load");
+    let opening = bank.total_balance(&db).expect("opening balance");
+    let out = run_load(&db, &bank, &LoadConfig::contended(7));
     assert!(out.committed > 0, "{out:?}");
-    check_cell(&db, &bank, initial, &out, "smoke");
+    out.check(&db, &bank, opening)
+        .unwrap_or_else(|e| panic!("smoke: {e}: {out:?}"));
 }
 
 /// The exhaustive grid: every offered-load level × every skew level ×
@@ -72,11 +29,6 @@ fn load_sweep_exhaustive_grid() {
     for &think_us in &[6_000.0, 2_000.0, 800.0, 400.0] {
         for &theta in &[0.0, 0.6, 1.0, 1.2] {
             for &timeout_us in &[0u64, 2_500] {
-                let (db, bank) = bank_db(1, 40);
-                if timeout_us > 0 {
-                    db.set_lock_wait_timeout(timeout_us);
-                }
-                let initial = bank.total_balance(&db).expect("initial balance");
                 let cfg = LoadConfig {
                     terminals: 12,
                     duration_us: 200_000,
@@ -86,17 +38,22 @@ fn load_sweep_exhaustive_grid() {
                     seed: 0x5EED,
                     ..LoadConfig::default()
                 };
-                let out = run_load(&db, &bank, &cfg);
                 let label = format!("think {think_us}µs, theta {theta}, timeout {timeout_us}µs");
+                let run = || {
+                    let (db, bank) = hot_bank().expect("bank load");
+                    if timeout_us > 0 {
+                        db.set_lock_wait_timeout(timeout_us);
+                    }
+                    let opening = bank.total_balance(&db).expect("opening balance");
+                    let out = run_load(&db, &bank, &cfg);
+                    out.check(&db, &bank, opening)
+                        .unwrap_or_else(|e| panic!("{label}: {e}: {out:?}"));
+                    out
+                };
+                let out = run();
                 assert!(out.committed > 0, "{label}: {out:?}");
-                check_cell(&db, &bank, initial, &out, &label);
                 // Determinism: the same cell replays to the same outcome.
-                let (db2, bank2) = bank_db(1, 40);
-                if timeout_us > 0 {
-                    db2.set_lock_wait_timeout(timeout_us);
-                }
-                let out2 = run_load(&db2, &bank2, &cfg);
-                assert_eq!(out, out2, "{label}: sweep cell not reproducible");
+                assert_eq!(out, run(), "{label}: sweep cell not reproducible");
             }
         }
     }

@@ -53,15 +53,9 @@ fn run_to(commits: u32, seed: u64) -> (Cluster, Bank, SimRng) {
         .build();
     let bank = Bank::create(&db, BRANCHES, ACCOUNTS_PER_BRANCH, "$DATA1").unwrap();
     let mut rng = SimRng::seed_from(seed);
-    let s = db.session();
-    for _ in 0..commits {
-        let (aid, tid, bid, delta) = bank.draw(&mut rng);
-        let txn = db.txnmgr.begin();
-        bank.debit_credit_sql(s.fs(), txn, aid, tid, bid, delta)
-            .unwrap();
-        db.txnmgr.commit(txn, s.cpu()).unwrap();
-    }
-    drop(s);
+    bank.batch(&db.session(), Bank::debit_credit_sql, &mut rng, commits)
+        .fault_free()
+        .unwrap();
     (db, bank, rng)
 }
 
@@ -130,13 +124,11 @@ fn crash_point(i: u32, in_flight: bool, target: CrashTarget, seed: u64) -> Vec<V
         assert_eq!(dump(&db), actual, "abort after restart changed state");
     }
 
-    // The cluster stays serviceable: one more committed txn round-trips.
-    let (aid, tid, bid, delta) = bank.draw(&mut rng);
-    let txn = db.txnmgr.begin();
-    let s = db.session();
-    bank.debit_credit_sql(s.fs(), txn, aid, tid, bid, delta)
+    // The cluster stays serviceable: one more committed txn, continuing
+    // the same stream, round-trips.
+    bank.batch(&db.session(), Bank::debit_credit_sql, &mut rng, 1)
+        .fault_free()
         .unwrap();
-    db.txnmgr.commit(txn, s.cpu()).unwrap();
 
     actual
 }

@@ -57,20 +57,8 @@ fn assert_totals_are_entity_sums(db: &Cluster, phase: &str) {
 }
 
 fn debit_credits(db: &Cluster, bank: &Bank, txns: u32, seed: u64) {
-    let s = db.session();
     let mut rng = SimRng::seed_from(seed);
-    for _ in 0..txns {
-        let (aid, tid, bid, delta) = bank.draw(&mut rng);
-        let txn = db.txnmgr.begin();
-        match bank.debit_credit_sql(s.fs(), txn, aid, tid, bid, delta) {
-            Ok(()) => {
-                let _ = db.txnmgr.commit(txn, s.cpu());
-            }
-            Err(_) => {
-                let _ = db.txnmgr.abort(txn, s.cpu());
-            }
-        }
-    }
+    bank.batch(&db.session(), Bank::debit_credit_sql, &mut rng, txns);
 }
 
 /// `dp_records_examined` over `f`.
