@@ -35,7 +35,7 @@ use nsql_sim::{
     CostModel, Ctr, EntityKind, Event, Histogram, Mark, MetricsSnapshot, Sim, COUNTER_NAMES,
 };
 use nsql_sql::ast::Statement;
-use nsql_sql::{parse, plan, Catalog, Executor, OpStats, Plan, QueryResult, SysSnapshot};
+use nsql_sql::{Catalog, Executor, OpStats, Plan, QueryResult, StatementCache, SysSnapshot};
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager, AUDIT_PROCESS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU64;
@@ -318,6 +318,7 @@ impl ClusterBuilder {
             trail,
             txnmgr,
             catalog,
+            statements: StatementCache::default(),
             ctx,
             dps,
             disks,
@@ -347,6 +348,8 @@ pub struct Cluster {
     pub txnmgr: Arc<TxnManager>,
     /// The SQL catalog.
     pub catalog: Arc<Catalog>,
+    /// One template per statement shape, behind every session's `execute`.
+    statements: StatementCache,
     ctx: DpContext,
     dps: Arc<RwLock<HashMap<String, Arc<DiskProcess>>>>,
     disks: HashMap<String, Arc<Disk>>,
@@ -846,8 +849,11 @@ impl Session<'_> {
     }
 
     fn execute_inner(&mut self, sql: &str, mark: &Mark) -> Result<Outcome, DbError> {
-        let stmt = parse(sql).map_err(db_err)?;
-        let planned = plan(&self.cluster.catalog, stmt).map_err(db_err)?;
+        let planned = self
+            .cluster
+            .statements
+            .plan(&self.cluster.catalog, sql)
+            .map_err(db_err)?;
         // Coherence point for sys.* reads: one snapshot, captured between
         // planning and execution, serves every virtual scan of the
         // statement (capture is pure reads — no clock, no counters).
@@ -1025,20 +1031,15 @@ impl Drop for Session<'_> {
 
 /// Root-span label for a statement: its leading keyword, uppercased.
 fn stmt_label(sql: &str) -> &'static str {
+    const LABELS: [&str; 10] = [
+        "SELECT", "INSERT", "UPDATE", "DELETE", "EXPLAIN", "BEGIN", "COMMIT", "ROLLBACK", "CREATE",
+        "DROP",
+    ];
     let kw = sql.split_whitespace().next().unwrap_or("");
-    match kw.to_ascii_uppercase().as_str() {
-        "SELECT" => "SELECT",
-        "INSERT" => "INSERT",
-        "UPDATE" => "UPDATE",
-        "DELETE" => "DELETE",
-        "EXPLAIN" => "EXPLAIN",
-        "BEGIN" => "BEGIN",
-        "COMMIT" => "COMMIT",
-        "ROLLBACK" => "ROLLBACK",
-        "CREATE" => "CREATE",
-        "DROP" => "DROP",
-        _ => "STATEMENT",
-    }
+    LABELS
+        .into_iter()
+        .find(|label| label.eq_ignore_ascii_case(kw))
+        .unwrap_or("STATEMENT")
 }
 
 /// Render per-operator statistics as the EXPLAIN ANALYZE result set,

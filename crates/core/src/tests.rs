@@ -283,3 +283,48 @@ fn dropping_a_cluster_frees_the_bus() {
         "the bus must not outlive its cluster"
     );
 }
+
+#[test]
+fn explain_of_a_cached_shape_shows_its_own_literal() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute("CREATE TABLE EMP (EMPNO INT NOT NULL, SALARY DOUBLE, PRIMARY KEY (EMPNO))")
+        .unwrap();
+    for salary in ["32000", "41000.5", "-7"] {
+        let plan = s
+            .query(&format!(
+                "EXPLAIN SELECT EMPNO FROM EMP WHERE SALARY > {salary}"
+            ))
+            .unwrap();
+        assert!(
+            plan.rows[0].0[0]
+                .to_string()
+                .contains(&format!("pushdown predicate: F1 > {salary};")),
+            "{:?}",
+            plan.rows
+        );
+    }
+}
+
+#[test]
+fn the_row_count_statistic_follows_dml() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute("CREATE TABLE T (A INT NOT NULL, PRIMARY KEY (A))")
+        .unwrap();
+    s.execute("INSERT INTO T VALUES (1), (2), (3)").unwrap();
+    s.execute("DELETE FROM T WHERE A = 2").unwrap();
+    assert_eq!(db.catalog.row_count("t"), Some(2), "names ignore case");
+    db.catalog.bump_rows("T", 10);
+    assert_eq!(db.catalog.row_count("T"), Some(12));
+    assert_eq!(db.catalog.row_count("NOPE"), None);
+}
+
+#[test]
+fn root_spans_are_labelled_by_the_leading_keyword() {
+    assert_eq!(stmt_label("  select * FROM T"), "SELECT");
+    assert_eq!(stmt_label("Explain ANALYZE DELETE FROM T"), "EXPLAIN");
+    assert_eq!(stmt_label("rollback"), "ROLLBACK");
+    assert_eq!(stmt_label("SELECTED"), "STATEMENT");
+    assert_eq!(stmt_label(""), "STATEMENT");
+}

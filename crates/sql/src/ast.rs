@@ -2,7 +2,8 @@
 //!
 //! Name-based expressions ([`AstExpr`]) are bound to record-descriptor
 //! field numbers ([`nsql_records::Expr`]) by the planner; the bound form is
-//! what travels to the Disk Process.
+//! what travels to the Disk Process. A statement's cached template holds an
+//! [`AstExpr::Param`] where its text held a literal.
 
 use nsql_records::{ArithOp, CmpOp, FieldType, Value};
 
@@ -20,6 +21,15 @@ pub struct ColumnRef {
 pub enum AstExpr {
     /// Literal.
     Lit(Value),
+    /// A literal lifted out of a cached statement's template: the
+    /// `index`-th literal of the statement text, negated when `neg` (the
+    /// parser's `-literal` fold). Bound to its value at plan time.
+    Param {
+        /// Position among the text's literals.
+        index: usize,
+        /// Negate the value.
+        neg: bool,
+    },
     /// Column reference.
     Column(ColumnRef),
     /// Arithmetic.

@@ -4,16 +4,19 @@
 //! index), and the catalog keeps the [`OpenFile`] metadata the File System
 //! routes with. Catalog contents live in memory, shared by all sessions of
 //! a cluster; the on-volume file labels are the durable complement a real
-//! system would reload from.
+//! system would reload from. A plan holds its tables' entries by reference
+//! count ([`Catalog::entry`]): DDL replaces an entry, it never changes one
+//! a plan holds.
 
 use crate::ast::{CreateIndex, CreateTable};
-use crate::bind::{bind_expr, BindError, Scope};
+use crate::bind::{bind_expr, BindError, Params, Scope};
 use nsql_dp::{DpReply, DpRequest, FileKind};
 use nsql_fs::{FileSystem, FsError, IndexInfo, OpenFile, Partition};
 use nsql_lock::TxnId;
 use nsql_records::key::encode_key_value;
 use nsql_records::{Expr, FieldDef, KeyRange, OwnedBound, RecordDescriptor};
 use nsql_sim::sync::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -67,15 +70,31 @@ pub struct TableInfo {
     pub open: OpenFile,
     /// Bound CHECK constraints (field numbers over the table row).
     pub checks: Vec<Expr>,
-    /// Approximate row count (maintained by DML, used by the planner).
-    pub row_count: u64,
+}
+
+/// One table in the catalog: the entry plans share, and beside it the
+/// row-count statistic, so that DML moving the count never copies an entry
+/// a running plan holds.
+struct Table {
+    info: Arc<TableInfo>,
+    rows: u64,
 }
 
 /// The shared catalog of one cluster.
 pub struct Catalog {
-    tables: RwLock<HashMap<String, TableInfo>>,
+    tables: RwLock<HashMap<String, Table>>,
     /// Volume used when DDL names none.
     pub default_volume: String,
+}
+
+/// A table name as the catalog keys it: upper-cased. Names from the lexer
+/// already are, so most lookups borrow the name as given.
+fn key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_lowercase()) {
+        Cow::Owned(name.to_ascii_uppercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 impl Catalog {
@@ -87,13 +106,18 @@ impl Catalog {
         })
     }
 
-    /// Look up a table (cloned snapshot).
-    pub fn table(&self, name: &str) -> Result<TableInfo, CatalogError> {
+    /// A table's shared entry, as plans hold it.
+    pub fn entry(&self, name: &str) -> Result<Arc<TableInfo>, CatalogError> {
         self.tables
             .read()
-            .get(&name.to_ascii_uppercase())
-            .cloned()
+            .get(&*key(name))
+            .map(|t| Arc::clone(&t.info))
             .ok_or_else(|| CatalogError::NoSuchTable(name.to_string()))
+    }
+
+    /// Look up a table (a copy of its entry).
+    pub fn table(&self, name: &str) -> Result<TableInfo, CatalogError> {
+        self.entry(name).map(|info| TableInfo::clone(&info))
     }
 
     /// All table names (diagnostics).
@@ -103,11 +127,18 @@ impl Catalog {
         v
     }
 
-    /// Adjust the row-count statistic after DML.
+    /// Adjust the row-count statistic after DML or a bulk load.
     pub fn bump_rows(&self, name: &str, delta: i64) {
-        if let Some(t) = self.tables.write().get_mut(&name.to_ascii_uppercase()) {
-            t.row_count = t.row_count.saturating_add_signed(delta);
+        if let Some(t) = self.tables.write().get_mut(&*key(name)) {
+            t.rows = t.rows.saturating_add_signed(delta);
         }
+    }
+
+    /// The approximate row-count statistic: maintained by DML and bulk
+    /// loaders through [`Catalog::bump_rows`]; no planner decision reads it
+    /// yet.
+    pub fn row_count(&self, name: &str) -> Option<u64> {
+        self.tables.read().get(&*key(name)).map(|t| t.rows)
     }
 
     /// Execute CREATE TABLE: builds the descriptor, creates one
@@ -180,7 +211,7 @@ impl Catalog {
         let checks = stmt
             .checks
             .iter()
-            .map(|c| bind_expr(c, &scope))
+            .map(|c| bind_expr(c, &scope, &Params::NONE))
             .collect::<Result<Vec<_>, _>>()?;
 
         let open = OpenFile {
@@ -189,15 +220,10 @@ impl Catalog {
             partitions,
             indexes: Vec::new(),
         };
-        self.tables.write().insert(
-            name.clone(),
-            TableInfo {
-                name,
-                open,
-                checks,
-                row_count: 0,
-            },
-        );
+        let info = Arc::new(TableInfo { name, open, checks });
+        self.tables
+            .write()
+            .insert(info.name.clone(), Table { info, rows: 0 });
         Ok(())
     }
 
@@ -210,7 +236,7 @@ impl Catalog {
         stmt: &CreateIndex,
     ) -> Result<(), CatalogError> {
         let tname = stmt.table.to_ascii_uppercase();
-        let info = self.table(&tname)?;
+        let info = self.entry(&tname)?;
         if info
             .open
             .indexes
@@ -286,13 +312,11 @@ impl Catalog {
             })?;
         }
 
-        self.tables
-            .write()
-            .get_mut(&tname)
-            .expect("checked above")
-            .open
-            .indexes
-            .push(idx);
+        // Held here too, the entry would be copied by `make_mut`.
+        drop(info);
+        let mut tables = self.tables.write();
+        let table = tables.get_mut(&tname).expect("checked above");
+        Arc::make_mut(&mut table.info).open.indexes.push(idx);
         Ok(())
     }
 
@@ -301,7 +325,7 @@ impl Catalog {
     pub fn drop_table(&self, name: &str) -> Result<(), CatalogError> {
         self.tables
             .write()
-            .remove(&name.to_ascii_uppercase())
+            .remove(&*key(name))
             .map(|_| ())
             .ok_or_else(|| CatalogError::NoSuchTable(name.to_string()))
     }

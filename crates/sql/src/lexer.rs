@@ -90,112 +90,144 @@ impl std::error::Error for LexError {}
 
 /// Tokenize a SQL string.
 pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = input.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
+    Scanner::new(input)
+        .map(|lexeme| lexeme.map(Lexeme::into_token))
+        .collect()
+}
+
+/// One token as the scanner reads it, borrowed from the input: scanning
+/// allocates nothing. [`lex`] turns each into an owned [`Token`]; the
+/// statement cache reads a statement's shape and literals straight off it.
+#[derive(Debug)]
+pub(crate) enum Lexeme<'a> {
+    /// Keyword or identifier as written: a bare one becomes its upper-cased
+    /// token, a delimited one (`quoted`, quotes stripped) stays as is.
+    Ident { text: &'a str, quoted: bool },
+    /// Integer literal.
+    Int(i64),
+    /// Floating literal.
+    Float(f64),
+    /// String literal: the text between its quotes, `''` escapes still
+    /// doubled, starting at byte `at` of the input.
+    Str { body: &'a str, at: usize },
+    /// Punctuation or an operator: a [`Token`] that carries no text.
+    Punct(Token),
+}
+
+impl Lexeme<'_> {
+    fn into_token(self) -> Token {
+        match self {
+            Lexeme::Ident {
+                text,
+                quoted: false,
+            } => Token::Ident(text.to_ascii_uppercase()),
+            Lexeme::Ident { text, quoted: true } => Token::Ident(text.to_string()),
+            Lexeme::Int(n) => Token::Int(n),
+            Lexeme::Float(x) => Token::Float(x),
+            Lexeme::Str { body, .. } => Token::Str(unescape(body)),
+            Lexeme::Punct(t) => t,
+        }
+    }
+}
+
+/// A string literal's value from its body: `''` is one quote, and every
+/// other byte is the character of that code point.
+pub(crate) fn unescape(body: &str) -> String {
+    let mut s = String::with_capacity(body.len());
+    let mut bytes = body.bytes();
+    while let Some(b) = bytes.next() {
+        if b == b'\'' {
+            bytes.next();
+        }
+        s.push(b as char);
+    }
+    s
+}
+
+/// The lexer's scanner: yields one [`Lexeme`] per token, or the error that
+/// stops the scan.
+pub(crate) struct Scanner<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    pub(crate) fn new(input: &'a str) -> Self {
+        Scanner { input, pos: 0 }
+    }
+
+    fn punct(&mut self, token: Token, len: usize) -> Lexeme<'a> {
+        self.pos += len;
+        Lexeme::Punct(token)
+    }
+}
+
+impl<'a> Iterator for Scanner<'a> {
+    type Item = Result<Lexeme<'a>, LexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let mut i = self.pos;
+        // Whitespace and SQL comments (to end of line).
+        loop {
+            match bytes.get(i) {
+                Some(b' ' | b'\t' | b'\r' | b'\n') => i += 1,
+                Some(b'-') if bytes.get(i + 1) == Some(&b'-') => {
+                    while i < bytes.len() && bytes[i] != b'\n' {
+                        i += 1;
+                    }
+                }
+                Some(_) => break,
+                None => {
+                    self.pos = i;
+                    return None;
+                }
+            }
+        }
+        self.pos = i;
         let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                // SQL comment to end of line.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '(' => {
-                out.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
-            }
-            ';' => {
-                out.push(Token::Semi);
-                i += 1;
-            }
-            '.' => {
-                out.push(Token::Dot);
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Star);
-                i += 1;
-            }
-            '+' => {
-                out.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                out.push(Token::Minus);
-                i += 1;
-            }
-            '/' => {
-                out.push(Token::Slash);
-                i += 1;
-            }
-            '=' => {
-                out.push(Token::Eq);
-                i += 1;
-            }
-            '!' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token::Ne);
-                i += 2;
-            }
+        Some(Ok(match c {
+            '(' => self.punct(Token::LParen, 1),
+            ')' => self.punct(Token::RParen, 1),
+            ',' => self.punct(Token::Comma, 1),
+            ';' => self.punct(Token::Semi, 1),
+            '.' => self.punct(Token::Dot, 1),
+            '*' => self.punct(Token::Star, 1),
+            '+' => self.punct(Token::Plus, 1),
+            '-' => self.punct(Token::Minus, 1),
+            '/' => self.punct(Token::Slash, 1),
+            '=' => self.punct(Token::Eq, 1),
+            '!' if bytes.get(i + 1) == Some(&b'=') => self.punct(Token::Ne, 2),
             '<' => match bytes.get(i + 1) {
-                Some(b'=') => {
-                    out.push(Token::Le);
-                    i += 2;
-                }
-                Some(b'>') => {
-                    out.push(Token::Ne);
-                    i += 2;
-                }
-                _ => {
-                    out.push(Token::Lt);
-                    i += 1;
-                }
+                Some(b'=') => self.punct(Token::Le, 2),
+                Some(b'>') => self.punct(Token::Ne, 2),
+                _ => self.punct(Token::Lt, 1),
             },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
-            }
+            '>' if bytes.get(i + 1) == Some(&b'=') => self.punct(Token::Ge, 2),
+            '>' => self.punct(Token::Gt, 1),
             '\'' => {
-                let mut s = String::new();
-                i += 1;
+                let at = i + 1;
+                i = at;
                 loop {
                     match bytes.get(i) {
                         None => {
-                            return Err(LexError {
+                            self.pos = bytes.len();
+                            return Some(Err(LexError {
                                 message: "unterminated string literal".into(),
                                 at: i,
-                            })
+                            }));
                         }
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => i += 2,
+                        Some(b'\'') => break,
+                        Some(_) => i += 1,
                     }
                 }
-                out.push(Token::Str(s));
+                self.pos = i + 1;
+                Lexeme::Str {
+                    body: &input[at..i],
+                    at,
+                }
             }
             '0'..='9' => {
                 let start = i;
@@ -223,57 +255,66 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                         i += 1;
                     }
                 }
+                self.pos = i;
                 let text = &input[start..i];
-                if is_float {
-                    out.push(Token::Float(text.parse().map_err(|_| LexError {
+                let parsed = if is_float {
+                    text.parse().map(Lexeme::Float).map_err(|_| LexError {
                         message: format!("bad numeric literal {text}"),
                         at: start,
-                    })?));
+                    })
                 } else {
-                    out.push(Token::Int(text.parse().map_err(|_| LexError {
+                    text.parse().map(Lexeme::Int).map_err(|_| LexError {
                         message: format!("bad integer literal {text}"),
                         at: start,
-                    })?));
+                    })
+                };
+                return Some(parsed);
+            }
+            '"' => {
+                // Delimited identifier.
+                let start = i + 1;
+                i = start;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += 1;
+                }
+                if i >= bytes.len() {
+                    self.pos = bytes.len();
+                    return Some(Err(LexError {
+                        message: "unterminated delimited identifier".into(),
+                        at: start,
+                    }));
+                }
+                self.pos = i + 1;
+                Lexeme::Ident {
+                    text: &input[start..i],
+                    quoted: true,
                 }
             }
-            'a'..='z' | 'A'..='Z' | '_' | '$' | '"' => {
-                if c == '"' {
-                    // Delimited identifier.
-                    let start = i + 1;
+            'a'..='z' | 'A'..='Z' | '_' | '$' => {
+                let start = i;
+                while i < bytes.len()
+                    && (bytes[i].is_ascii_alphanumeric()
+                        || bytes[i] == b'_'
+                        || bytes[i] == b'$'
+                        || bytes[i] == b'^')
+                {
                     i += 1;
-                    while i < bytes.len() && bytes[i] != b'"' {
-                        i += 1;
-                    }
-                    if i >= bytes.len() {
-                        return Err(LexError {
-                            message: "unterminated delimited identifier".into(),
-                            at: start,
-                        });
-                    }
-                    out.push(Token::Ident(input[start..i].to_string()));
-                    i += 1;
-                } else {
-                    let start = i;
-                    while i < bytes.len()
-                        && (bytes[i].is_ascii_alphanumeric()
-                            || bytes[i] == b'_'
-                            || bytes[i] == b'$'
-                            || bytes[i] == b'^')
-                    {
-                        i += 1;
-                    }
-                    out.push(Token::Ident(input[start..i].to_ascii_uppercase()));
+                }
+                self.pos = i;
+                Lexeme::Ident {
+                    text: &input[start..i],
+                    quoted: false,
                 }
             }
             other => {
-                return Err(LexError {
+                self.pos = bytes.len();
+                return Some(Err(LexError {
                     message: format!("unexpected character {other:?}"),
                     at: i,
-                })
+                }));
             }
-        }
+        }))
     }
-    Ok(out)
 }
 
 #[cfg(test)]

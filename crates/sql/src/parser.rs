@@ -29,24 +29,75 @@ impl From<LexError> for ParseError {
 
 /// Parse one statement (a trailing semicolon is allowed).
 pub fn parse(input: &str) -> Result<Statement, ParseError> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat_if(&Token::Semi);
-    if p.pos != p.tokens.len() {
-        return Err(p.err(format!("trailing input at token {}", p.peek_desc())));
-    }
-    Ok(stmt)
+    Parser::new(input, None)?.finish()
+}
+
+/// Parse a statement's *template*: every literal read as an expression
+/// becomes the [`AstExpr::Param`] numbered by its place among the text's
+/// literals, so the template serves every text of the same shape. Fails
+/// where a literal is read as syntax (a `LIKE` pattern), and for DDL, which
+/// runs once and whose CHECK expressions the catalog binds, not the planner.
+pub(crate) fn template(input: &str) -> Result<Statement, ParseError> {
+    Parser::new(input, Some(Vec::new()))?.finish()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Template mode: one entry per lifted literal, `true` for a string
+    /// (whose negation is `0 - 'x'`, not a folded literal).
+    params: Option<Vec<bool>>,
+}
+
+fn err(message: String) -> ParseError {
+    ParseError { message }
+}
+
+/// How an error names the token it found.
+fn desc(t: Option<&Token>) -> String {
+    t.map_or("<end>".into(), |t| t.to_string())
+}
+
+fn expected(what: impl std::fmt::Display, found: Option<&Token>) -> ParseError {
+    err(format!("expected {what}, found {}", desc(found)))
+}
+
+/// An integer literal's value: `Int` when it fits, `LargeInt` otherwise.
+pub(crate) fn int_value(n: i64) -> Value {
+    if n.abs() <= i32::MAX as i64 {
+        Value::Int(n as i32)
+    } else {
+        Value::LargeInt(n)
+    }
+}
+
+/// `-v` for a numeric literal, as the parser folds a negated one; any other
+/// value is returned unchanged.
+pub(crate) fn negate(v: Value) -> Value {
+    match v {
+        Value::Int(n) => Value::Int(-n),
+        Value::LargeInt(n) => Value::LargeInt(-n),
+        Value::Double(x) => Value::Double(-x),
+        other => other,
+    }
 }
 
 impl Parser {
-    fn err(&self, message: String) -> ParseError {
-        ParseError { message }
+    fn new(input: &str, params: Option<Vec<bool>>) -> Result<Parser, ParseError> {
+        Ok(Parser {
+            tokens: lex(input)?,
+            pos: 0,
+            params,
+        })
+    }
+
+    fn finish(mut self) -> Result<Statement, ParseError> {
+        let stmt = self.statement()?;
+        self.eat_if(&Token::Semi);
+        if self.pos != self.tokens.len() {
+            return Err(err(format!("trailing input at token {}", self.peek_desc())));
+        }
+        Ok(stmt)
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -54,11 +105,11 @@ impl Parser {
     }
 
     fn peek_desc(&self) -> String {
-        self.peek().map_or("<end>".into(), |t| t.to_string())
+        desc(self.peek())
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<&Token> {
+        let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
         }
@@ -78,18 +129,16 @@ impl Parser {
         if self.eat_if(t) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {t}, found {}", self.peek_desc())))
+            Err(expected(t, self.peek()))
         }
     }
 
     /// Consume a specific keyword.
     fn keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.next() {
-            Some(Token::Ident(s)) if s == kw => Ok(()),
-            other => Err(self.err(format!(
-                "expected {kw}, found {}",
-                other.map_or("<end>".into(), |t| t.to_string())
-            ))),
+        if self.kw_if(kw) {
+            Ok(())
+        } else {
+            Err(expected(kw, self.peek()))
         }
     }
 
@@ -105,11 +154,8 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String, ParseError> {
         match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
-            other => Err(self.err(format!(
-                "expected identifier, found {}",
-                other.map_or("<end>".into(), |t| t.to_string())
-            ))),
+            Some(Token::Ident(s)) => Ok(s.clone()),
+            other => Err(expected("identifier", other)),
         }
     }
 
@@ -127,6 +173,11 @@ impl Parser {
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
         match self.peek() {
+            Some(Token::Ident(kw))
+                if self.params.is_some() && matches!(kw.as_str(), "CREATE" | "DROP") =>
+            {
+                Err(err(format!("{kw} is not templated")))
+            }
             Some(Token::Ident(kw)) => match kw.as_str() {
                 "EXPLAIN" => {
                     self.keyword("EXPLAIN")?;
@@ -161,9 +212,9 @@ impl Parser {
                     self.kw_if("WORK");
                     Ok(Statement::Rollback)
                 }
-                other => Err(self.err(format!("unknown statement {other}"))),
+                other => Err(err(format!("unknown statement {other}"))),
             },
-            _ => Err(self.err("empty statement".into())),
+            _ => Err(err("empty statement".into())),
         }
     }
 
@@ -373,12 +424,14 @@ impl Parser {
             });
         }
         if self.kw_if("LIKE") {
+            // The pattern is syntax, compiled as it stands: not liftable.
+            let lifting = self.params.is_some();
             let pat = match self.next() {
-                Some(Token::Str(s)) => s,
+                Some(Token::Str(s)) if !lifting => s.clone(),
                 other => {
-                    return Err(self.err(format!(
+                    return Err(err(format!(
                         "LIKE requires a string literal, found {}",
-                        other.map_or("<end>".into(), |t| t.to_string())
+                        desc(other)
                     )))
                 }
             };
@@ -390,7 +443,7 @@ impl Parser {
             });
         }
         if negated {
-            return Err(self.err("NOT must be followed by BETWEEN, IN or LIKE".into()));
+            return Err(err("NOT must be followed by BETWEEN, IN or LIKE".into()));
         }
         let op = match self.peek() {
             Some(Token::Eq) => CmpOp::Eq,
@@ -441,9 +494,12 @@ impl Parser {
             // Constant-fold negative literals; general negation otherwise.
             let inner = self.unary()?;
             return Ok(match inner {
-                AstExpr::Lit(Value::Int(n)) => AstExpr::Lit(Value::Int(-n)),
-                AstExpr::Lit(Value::LargeInt(n)) => AstExpr::Lit(Value::LargeInt(-n)),
-                AstExpr::Lit(Value::Double(x)) => AstExpr::Lit(Value::Double(-x)),
+                AstExpr::Lit(v @ (Value::Int(_) | Value::LargeInt(_) | Value::Double(_))) => {
+                    AstExpr::Lit(negate(v))
+                }
+                AstExpr::Param { index, neg } if !self.string_param(index) => {
+                    AstExpr::Param { index, neg: !neg }
+                }
                 other => AstExpr::Arith(
                     Box::new(AstExpr::Lit(Value::Int(0))),
                     ArithOp::Sub,
@@ -457,15 +513,31 @@ impl Parser {
         self.primary()
     }
 
+    /// Is lifted literal `index` a string?
+    fn string_param(&self, index: usize) -> bool {
+        self.params
+            .as_ref()
+            .is_some_and(|p| p.get(index) == Some(&true))
+    }
+
     fn primary(&mut self) -> Result<AstExpr, ParseError> {
+        let string = match self.peek() {
+            Some(Token::Int(_) | Token::Float(_)) => Some(false),
+            Some(Token::Str(_)) => Some(true),
+            _ => None,
+        };
+        if let (Some(string), Some(params)) = (string, &mut self.params) {
+            self.pos += 1;
+            params.push(string);
+            return Ok(AstExpr::Param {
+                index: params.len() - 1,
+                neg: false,
+            });
+        }
         match self.next() {
-            Some(Token::Int(n)) => Ok(AstExpr::Lit(if n.abs() <= i32::MAX as i64 {
-                Value::Int(n as i32)
-            } else {
-                Value::LargeInt(n)
-            })),
-            Some(Token::Float(x)) => Ok(AstExpr::Lit(Value::Double(x))),
-            Some(Token::Str(s)) => Ok(AstExpr::Lit(Value::Str(s))),
+            Some(Token::Int(n)) => Ok(AstExpr::Lit(int_value(*n))),
+            Some(Token::Float(x)) => Ok(AstExpr::Lit(Value::Double(*x))),
+            Some(Token::Str(s)) => Ok(AstExpr::Lit(Value::Str(s.clone()))),
             Some(Token::LParen) => {
                 let e = self.expr()?;
                 self.expect(&Token::RParen)?;
@@ -475,6 +547,7 @@ impl Parser {
                 if name == "NULL" {
                     return Ok(AstExpr::Lit(Value::Null));
                 }
+                let name = name.clone();
                 if self.eat_if(&Token::Dot) {
                     let column = self.ident()?;
                     Ok(AstExpr::Column(ColumnRef {
@@ -488,10 +561,7 @@ impl Parser {
                     }))
                 }
             }
-            other => Err(self.err(format!(
-                "expected expression, found {}",
-                other.map_or("<end>".into(), |t| t.to_string())
-            ))),
+            other => Err(expected("expression", other)),
         }
     }
 
@@ -598,15 +668,7 @@ impl Parser {
         }
         self.expect(&Token::RParen)?;
         let volume = if self.kw_if("ON") {
-            match self.next() {
-                Some(Token::Str(v)) => Some(v),
-                other => {
-                    return Err(self.err(format!(
-                        "expected volume name string, found {}",
-                        other.map_or("<end>".into(), |t| t.to_string())
-                    )))
-                }
-            }
+            Some(self.volume()?)
         } else {
             None
         };
@@ -665,17 +727,12 @@ impl Parser {
             self.expect(&Token::LParen)?;
             let mut splits = Vec::new();
             loop {
-                match self.next() {
-                    Some(Token::Int(n)) => splits.push(Value::Int(n as i32)),
-                    Some(Token::Float(x)) => splits.push(Value::Double(x)),
-                    Some(Token::Str(s)) => splits.push(Value::Str(s)),
-                    other => {
-                        return Err(self.err(format!(
-                            "expected split literal, found {}",
-                            other.map_or("<end>".into(), |t| t.to_string())
-                        )))
-                    }
-                }
+                splits.push(match self.next() {
+                    Some(Token::Int(n)) => Value::Int(*n as i32),
+                    Some(Token::Float(x)) => Value::Double(*x),
+                    Some(Token::Str(s)) => Value::Str(s.clone()),
+                    other => return Err(expected("split literal", other)),
+                });
                 if !self.eat_if(&Token::Comma) {
                     break;
                 }
@@ -685,22 +742,14 @@ impl Parser {
             self.expect(&Token::LParen)?;
             let mut volumes = Vec::new();
             loop {
-                match self.next() {
-                    Some(Token::Str(v)) => volumes.push(v),
-                    other => {
-                        return Err(self.err(format!(
-                            "expected volume name string, found {}",
-                            other.map_or("<end>".into(), |t| t.to_string())
-                        )))
-                    }
-                }
+                volumes.push(self.volume()?);
                 if !self.eat_if(&Token::Comma) {
                     break;
                 }
             }
             self.expect(&Token::RParen)?;
             if volumes.len() != splits.len() + 1 {
-                return Err(self.err(format!(
+                return Err(err(format!(
                     "partitioning needs {} volumes for {} splits",
                     splits.len() + 1,
                     splits.len()
@@ -708,23 +757,15 @@ impl Parser {
             }
             Some(PartitionClause { splits, volumes })
         } else if self.kw_if("ON") {
-            match self.next() {
-                Some(Token::Str(v)) => Some(PartitionClause {
-                    splits: Vec::new(),
-                    volumes: vec![v],
-                }),
-                other => {
-                    return Err(self.err(format!(
-                        "expected volume name string, found {}",
-                        other.map_or("<end>".into(), |t| t.to_string())
-                    )))
-                }
-            }
+            Some(PartitionClause {
+                splits: Vec::new(),
+                volumes: vec![self.volume()?],
+            })
         } else {
             None
         };
         if primary_key.is_empty() {
-            return Err(self.err(format!("table {name} needs a PRIMARY KEY")));
+            return Err(err(format!("table {name} needs a PRIMARY KEY")));
         }
         Ok(CreateTable {
             name,
@@ -769,17 +810,21 @@ impl Parser {
                 }
                 Ok(FieldType::LargeInt)
             }
-            other => Err(self.err(format!("unknown data type {other}"))),
+            other => Err(err(format!("unknown data type {other}"))),
         }
     }
 
     fn int_literal(&mut self) -> Result<i64, ParseError> {
         match self.next() {
-            Some(Token::Int(n)) => Ok(n),
-            other => Err(self.err(format!(
-                "expected integer, found {}",
-                other.map_or("<end>".into(), |t| t.to_string())
-            ))),
+            Some(Token::Int(n)) => Ok(*n),
+            other => Err(expected("integer", other)),
+        }
+    }
+
+    fn volume(&mut self) -> Result<String, ParseError> {
+        match self.next() {
+            Some(Token::Str(v)) => Ok(v.clone()),
+            other => Err(expected("volume name string", other)),
         }
     }
 }

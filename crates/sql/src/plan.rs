@@ -19,20 +19,30 @@
 //! 6. cross-table conjuncts remain as the executor's join filter.
 
 use crate::ast::{self, AstExpr, Select, SelectItem, Statement};
-use crate::bind::{bind_expr, BindError, Scope};
+use crate::bind::{bind_expr, BindError, Params, Scope};
 use crate::catalog::{Catalog, CatalogError, TableInfo};
+use crate::parser::ParseError;
 use nsql_records::key::encode_key_value;
 use nsql_records::{CmpOp, Expr, FieldType, KeyRange, OwnedBound, SetList, Value};
+use std::sync::Arc;
 
 /// Planning errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
+    /// The statement text did not parse (planning from text).
+    Parse(ParseError),
     /// Catalog lookup failed.
     Catalog(CatalogError),
     /// Binding failed.
     Bind(BindError),
     /// Statement shape unsupported or invalid.
     Unsupported(String),
+}
+
+impl From<ParseError> for PlanError {
+    fn from(e: ParseError) -> Self {
+        PlanError::Parse(e)
+    }
 }
 
 impl From<CatalogError> for PlanError {
@@ -50,6 +60,7 @@ impl From<BindError> for PlanError {
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PlanError::Parse(e) => write!(f, "{e}"),
             PlanError::Catalog(e) => write!(f, "{e}"),
             PlanError::Bind(e) => write!(f, "{e}"),
             PlanError::Unsupported(m) => write!(f, "unsupported: {m}"),
@@ -96,8 +107,8 @@ pub enum AccessPath {
 /// One table's access within a SELECT plan.
 #[derive(Debug, Clone)]
 pub struct TableAccess {
-    /// Catalog snapshot for the table.
-    pub info: TableInfo,
+    /// The table's catalog entry.
+    pub info: Arc<TableInfo>,
     /// Chosen path.
     pub access: AccessPath,
     /// Base-table fields fetched (in ascending order); the table's
@@ -153,7 +164,7 @@ pub struct SelectPlan {
 #[derive(Debug, Clone)]
 pub struct UpdatePlan {
     /// Target table.
-    pub info: TableInfo,
+    pub info: Arc<TableInfo>,
     /// Primary-key range.
     pub range: KeyRange,
     /// Pushed-down predicate.
@@ -168,7 +179,7 @@ pub struct UpdatePlan {
 #[derive(Debug, Clone)]
 pub struct DeletePlan {
     /// Target table.
-    pub info: TableInfo,
+    pub info: Arc<TableInfo>,
     /// Primary-key range.
     pub range: KeyRange,
     /// Pushed-down predicate.
@@ -179,7 +190,7 @@ pub struct DeletePlan {
 #[derive(Debug, Clone)]
 pub struct InsertPlan {
     /// Target table.
-    pub info: TableInfo,
+    pub info: Arc<TableInfo>,
     /// Fully-evaluated, coerced rows in declaration order.
     pub rows: Vec<Vec<Value>>,
 }
@@ -221,28 +232,39 @@ impl Plan {
 
 /// Resolve a FROM-position name: `sys.*` virtual tables first, then the
 /// catalog.
-fn resolve_table(catalog: &Catalog, name: &str) -> Result<TableInfo, PlanError> {
+fn resolve_table(catalog: &Catalog, name: &str) -> Result<Arc<TableInfo>, PlanError> {
     if crate::sys::is_sys_name(name) {
-        return crate::sys::table_info(name).ok_or_else(|| {
+        return crate::sys::table_info(name).map(Arc::new).ok_or_else(|| {
             PlanError::Catalog(CatalogError::NoSuchTable(name.to_ascii_uppercase()))
         });
     }
-    catalog.table(name).map_err(Into::into)
+    catalog.entry(name).map_err(Into::into)
 }
 
 /// Plan a statement against the catalog.
 pub fn plan(catalog: &Catalog, stmt: Statement) -> Result<Plan, PlanError> {
-    match stmt {
-        Statement::Select(s) => plan_select(catalog, s).map(Plan::Select),
-        Statement::Insert(i) => plan_insert(catalog, i).map(Plan::Insert),
-        Statement::Update(u) => plan_update(catalog, u).map(Plan::Update),
-        Statement::Delete(d) => plan_delete(catalog, d).map(Plan::Delete),
-        Statement::Explain(inner) => Ok(Plan::Explain(Box::new(plan(catalog, *inner)?))),
+    plan_with(catalog, &stmt, &Params::NONE)
+}
+
+/// Plan a borrowed statement, binding its parameters (a cached template's
+/// lifted literals) to `params`. DDL and transaction control pass through
+/// as a copy.
+pub(crate) fn plan_with(
+    catalog: &Catalog,
+    stmt: &Statement,
+    params: &Params,
+) -> Result<Plan, PlanError> {
+    Ok(match stmt {
+        Statement::Select(s) => Plan::Select(plan_select(catalog, s, params)?),
+        Statement::Insert(i) => Plan::Insert(plan_insert(catalog, i, params)?),
+        Statement::Update(u) => Plan::Update(plan_update(catalog, u, params)?),
+        Statement::Delete(d) => Plan::Delete(plan_delete(catalog, d, params)?),
+        Statement::Explain(inner) => Plan::Explain(Box::new(plan_with(catalog, inner, params)?)),
         Statement::ExplainAnalyze(inner) => {
-            Ok(Plan::ExplainAnalyze(Box::new(plan(catalog, *inner)?)))
+            Plan::ExplainAnalyze(Box::new(plan_with(catalog, inner, params)?))
         }
-        other => Ok(Plan::Passthrough(other)),
-    }
+        other => Plan::Passthrough(other.clone()),
+    })
 }
 
 fn range_str(r: &KeyRange) -> String {
@@ -598,12 +620,12 @@ fn conjoin(mut exprs: Vec<Expr>) -> Option<Expr> {
 // SELECT planning
 // ----------------------------------------------------------------------
 
-fn plan_select(catalog: &Catalog, s: Select) -> Result<SelectPlan, PlanError> {
+fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectPlan, PlanError> {
     if s.from.is_empty() {
         return Err(PlanError::Unsupported("SELECT without FROM".into()));
     }
     // Resolve tables and build the scope over full base rows.
-    let infos: Vec<TableInfo> = s
+    let infos: Vec<Arc<TableInfo>> = s
         .from
         .iter()
         .map(|t| resolve_table(catalog, &t.table))
@@ -612,21 +634,14 @@ fn plan_select(catalog: &Catalog, s: Select) -> Result<SelectPlan, PlanError> {
         s.from
             .iter()
             .zip(&infos)
-            .map(|(tr, info)| {
-                let mut names = vec![tr.table.to_ascii_uppercase()];
-                if let Some(a) = &tr.alias {
-                    names.push(a.to_ascii_uppercase());
-                }
-                (names, &info.open.desc)
-            })
-            .collect(),
+            .map(|(tr, info)| (tr.table.as_str(), tr.alias.as_deref(), &info.open.desc)),
     );
 
     // Bind WHERE and split into per-table and cross-table conjuncts.
     let mut table_conjuncts: Vec<Vec<Expr>> = vec![Vec::new(); infos.len()];
     let mut cross: Vec<Expr> = Vec::new();
     if let Some(w) = &s.where_clause {
-        let bound = bind_expr(w, &scope)?;
+        let bound = bind_expr(w, &scope, params)?;
         let mut cs = Vec::new();
         conjuncts(bound, &mut cs);
         for c in cs {
@@ -661,13 +676,16 @@ fn plan_select(catalog: &Catalog, s: Select) -> Result<SelectPlan, PlanError> {
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                let bound = bind_expr(expr, &scope)?;
+                let bound = bind_expr(expr, &scope, params)?;
                 let name = alias.clone().unwrap_or_else(|| display_name(expr));
                 out_exprs.push((name, bound));
             }
             SelectItem::Aggregate { func, expr, alias } => {
                 has_agg = true;
-                let bound = expr.as_ref().map(|e| bind_expr(e, &scope)).transpose()?;
+                let bound = expr
+                    .as_ref()
+                    .map(|e| bind_expr(e, &scope, params))
+                    .transpose()?;
                 let name = alias
                     .clone()
                     .unwrap_or_else(|| format!("{func:?}").to_uppercase());
@@ -710,7 +728,7 @@ fn plan_select(catalog: &Catalog, s: Select) -> Result<SelectPlan, PlanError> {
     let mut bound_order: Vec<(Expr, bool)> = Vec::new();
     if !is_aggregate_query {
         for o in &s.order_by {
-            let e = bind_expr(&o.expr, &scope)?;
+            let e = bind_expr(&o.expr, &scope, params)?;
             e.collect_fields(&mut needed);
             bound_order.push((e, o.desc));
         }
@@ -1022,9 +1040,13 @@ fn reject_sys_dml(table: &str) -> Result<(), PlanError> {
     Ok(())
 }
 
-fn plan_insert(catalog: &Catalog, i: ast::Insert) -> Result<InsertPlan, PlanError> {
+fn plan_insert(
+    catalog: &Catalog,
+    i: &ast::Insert,
+    params: &Params,
+) -> Result<InsertPlan, PlanError> {
     reject_sys_dml(&i.table)?;
-    let info = catalog.table(&i.table)?;
+    let info = catalog.entry(&i.table)?;
     let desc = &info.open.desc;
     // Column positions.
     let positions: Vec<u16> = if i.columns.is_empty() {
@@ -1050,7 +1072,7 @@ fn plan_insert(catalog: &Catalog, i: ast::Insert) -> Result<InsertPlan, PlanErro
         }
         let mut row = vec![Value::Null; desc.num_fields()];
         for (expr, &pos) in r.iter().zip(&positions) {
-            let bound = bind_expr(expr, &empty_scope)
+            let bound = bind_expr(expr, &empty_scope, params)
                 .map_err(|_| PlanError::Unsupported("INSERT values must be literals".into()))?;
             let v = bound
                 .eval(&nsql_records::Row(Vec::new()))
@@ -1068,9 +1090,13 @@ fn plan_insert(catalog: &Catalog, i: ast::Insert) -> Result<InsertPlan, PlanErro
     Ok(InsertPlan { info, rows })
 }
 
-fn plan_update(catalog: &Catalog, u: ast::Update) -> Result<UpdatePlan, PlanError> {
+fn plan_update(
+    catalog: &Catalog,
+    u: &ast::Update,
+    params: &Params,
+) -> Result<UpdatePlan, PlanError> {
     reject_sys_dml(&u.table)?;
-    let info = catalog.table(&u.table)?;
+    let info = catalog.entry(&u.table)?;
     let scope = Scope::single(&info.name, &info.open.desc);
     let mut sets = Vec::new();
     for (col, e) in &u.sets {
@@ -1079,11 +1105,11 @@ fn plan_update(catalog: &Catalog, u: ast::Update) -> Result<UpdatePlan, PlanErro
             .desc
             .field_named(col)
             .ok_or_else(|| PlanError::Catalog(CatalogError::NoSuchColumn(col.clone())))?;
-        sets.push((f, bind_expr(e, &scope)?));
+        sets.push((f, bind_expr(e, &scope, params)?));
     }
     let mut conj = Vec::new();
     if let Some(w) = &u.where_clause {
-        conjuncts(bind_expr(w, &scope)?, &mut conj);
+        conjuncts(bind_expr(w, &scope, params)?, &mut conj);
     }
     let desc = &info.open.desc;
     let range = key_range_from(&conj, &desc.key_fields, |f| desc.fields[f as usize].ty);
@@ -1097,13 +1123,17 @@ fn plan_update(catalog: &Catalog, u: ast::Update) -> Result<UpdatePlan, PlanErro
     })
 }
 
-fn plan_delete(catalog: &Catalog, d: ast::Delete) -> Result<DeletePlan, PlanError> {
+fn plan_delete(
+    catalog: &Catalog,
+    d: &ast::Delete,
+    params: &Params,
+) -> Result<DeletePlan, PlanError> {
     reject_sys_dml(&d.table)?;
-    let info = catalog.table(&d.table)?;
+    let info = catalog.entry(&d.table)?;
     let scope = Scope::single(&info.name, &info.open.desc);
     let mut conj = Vec::new();
     if let Some(w) = &d.where_clause {
-        conjuncts(bind_expr(w, &scope)?, &mut conj);
+        conjuncts(bind_expr(w, &scope, params)?, &mut conj);
     }
     let desc = &info.open.desc;
     let range = key_range_from(&conj, &desc.key_fields, |f| desc.fields[f as usize].ty);

@@ -150,7 +150,6 @@ pub fn table_info(name: &str) -> Option<TableInfo> {
         // machinery still wants an OpenFile-shaped descriptor.
         open: OpenFile::single(t.name(), t.descriptor(), "$SYS", 0),
         checks: Vec::new(),
-        row_count: 0,
     })
 }
 

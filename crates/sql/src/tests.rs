@@ -1,17 +1,19 @@
-//! End-to-end SQL tests: parse → plan → execute over a simulated cluster.
+//! End-to-end SQL tests: parse → plan → execute over a simulated cluster,
+//! statements planned through a statement cache as a cluster plans them.
 
 use crate::ast::Statement;
+use crate::cache::StatementCache;
 use crate::catalog::Catalog;
 use crate::exec::{ExecError, Executor, QueryResult};
-use crate::parser::parse;
-use crate::plan::{plan, AccessPath, Plan};
+use crate::parser::{parse, template};
+use crate::plan::{plan, AccessPath, Plan, PlanError};
 use nsql_disk::Disk;
 use nsql_dp::{DiskProcess, DpConfig, DpContext};
 use nsql_fs::FileSystem;
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId};
-use nsql_records::Value;
-use nsql_sim::Sim;
+use nsql_records::{ArithOp, Expr, Value};
+use nsql_sim::{Sim, SimRng};
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager, AUDIT_PROCESS};
 use std::sync::Arc;
 
@@ -19,6 +21,7 @@ struct World {
     sim: Sim,
     txnmgr: Arc<TxnManager>,
     catalog: Arc<Catalog>,
+    statements: StatementCache,
     fs: FileSystem,
     client: CpuId,
 }
@@ -53,6 +56,7 @@ fn world() -> World {
         sim,
         txnmgr,
         catalog: Catalog::new("$DATA1"),
+        statements: StatementCache::default(),
         fs,
         client,
     }
@@ -61,8 +65,10 @@ fn world() -> World {
 impl World {
     /// Run one statement in its own transaction (autocommit).
     fn run(&self, sql: &str) -> Result<ExecOutcome, String> {
-        let stmt = parse(sql).map_err(|e| e.to_string())?;
-        let planned = plan(&self.catalog, stmt).map_err(|e| e.to_string())?;
+        let planned = self
+            .statements
+            .plan(&self.catalog, sql)
+            .map_err(|e| e.to_string())?;
         let exec = Executor {
             fs: &self.fs,
             catalog: &self.catalog,
@@ -503,5 +509,284 @@ fn doomed_fs_errors_surface_as_typed_exec_doomed() {
     assert_eq!(
         crate::exec::ExecError::from(nsql_fs::FsError::Dp(nsql_dp::DpError::ConstraintViolation)),
         crate::exec::ExecError::ConstraintViolation
+    );
+}
+
+// ----------------------------------------------------------------------
+// The statement cache
+// ----------------------------------------------------------------------
+
+/// Plan `sql` through the cache and as `plan(parse(sql))`: the two must
+/// read the same, errors included. Returns the cache's plan.
+fn cached(w: &World, sql: &str) -> Result<Plan, PlanError> {
+    let got = w.statements.plan(&w.catalog, sql);
+    let direct = parse(sql)
+        .map_err(PlanError::from)
+        .and_then(|stmt| plan(&w.catalog, stmt));
+    assert_eq!(format!("{got:?}"), format!("{direct:?}"), "{sql}");
+    got
+}
+
+/// A table with a column of each of the six field types; `I` can be
+/// indexed.
+fn all_types(w: &World) {
+    w.run(
+        "CREATE TABLE T (K INT NOT NULL, S SMALLINT, I INT NOT NULL, L LARGEINT, \
+         D DOUBLE PRECISION, C CHAR(8), V VARCHAR(10), PRIMARY KEY (K))",
+    )
+    .unwrap();
+}
+
+#[test]
+fn cached_literals_bind_as_the_parser_reads_them() {
+    let w = world();
+    all_types(&w);
+    // The template comes from the first text; the second, of the same
+    // shape, is bound from it.
+    let bound = |first: &str, second: &str| {
+        cached(&w, &format!("UPDATE T SET L = {first} WHERE K = 1")).unwrap();
+        let Plan::Update(p) =
+            cached(&w, &format!("UPDATE T SET L = {second} WHERE K = 2")).unwrap()
+        else {
+            panic!()
+        };
+        p.sets.sets[0].1.clone()
+    };
+    let int = |n| Expr::Lit(Value::Int(n));
+    let string = |s: &str| Expr::Lit(Value::Str(s.into()));
+    assert_eq!(bound("+ -1", "+ -37"), int(-37));
+    assert_eq!(bound("- - 1", "- - 5"), int(5));
+    assert_eq!(bound("1", "2147483647"), int(i32::MAX));
+    assert_eq!(
+        bound("1", "2147483648"),
+        Expr::Lit(Value::LargeInt(2_147_483_648))
+    );
+    // LargeInt first, then negated: not Int(i32::MIN).
+    assert_eq!(
+        bound("-1", "-2147483648"),
+        Expr::Lit(Value::LargeInt(-2_147_483_648))
+    );
+    assert_eq!(bound("1", "2e3"), Expr::Lit(Value::Double(2000.0)));
+    assert_eq!(bound("-(1)", "-(4.5)"), Expr::Lit(Value::Double(-4.5)));
+    assert_eq!(bound("'a'", "'O''BRIEN'"), string("O'BRIEN"));
+    // A negated string is not folded: it stays `0 - 'x'`.
+    let zero_minus = |e| Expr::Arith(Box::new(int(0)), ArithOp::Sub, Box::new(e));
+    assert_eq!(bound("-'a'", "-'x'"), zero_minus(string("x")));
+    assert_eq!(
+        bound("- -'a'", "- -'x'"),
+        zero_minus(zero_minus(string("x")))
+    );
+}
+
+#[test]
+fn a_like_pattern_is_syntax_and_is_not_templated() {
+    let w = world();
+    all_types(&w);
+    w.count("INSERT INTO T (K, I, V) VALUES (1, 0, 'ALPHA'), (2, 0, 'BETA'), (3, 0, 'OMEGA')");
+    for (pattern, rows) in [("A%", 1), ("B%", 1), ("%A", 3), ("A%", 1)] {
+        let sql = format!("SELECT K FROM T WHERE V LIKE '{pattern}'");
+        assert!(template(&sql).is_err(), "{sql}");
+        cached(&w, &sql).unwrap();
+        assert_eq!(w.rows(&sql).rows.len(), rows, "{sql}");
+    }
+}
+
+#[test]
+fn in_lists_of_different_lengths_are_different_shapes() {
+    let w = world();
+    all_types(&w);
+    let pushdown = |sql: &str| {
+        let Plan::Select(p) = cached(&w, sql).unwrap() else {
+            panic!()
+        };
+        let AccessPath::TableScan {
+            pushdown: Some(e), ..
+        } = &p.tables[0].access
+        else {
+            panic!("{:?}", p.tables[0].access)
+        };
+        e.to_string()
+    };
+    assert_eq!(pushdown("SELECT K FROM T WHERE I IN (1,2)"), "F2 IN (1, 2)");
+    assert_eq!(
+        pushdown("SELECT K FROM T WHERE I IN (1,2,3)"),
+        "F2 IN (1, 2, 3)"
+    );
+    assert_eq!(pushdown("SELECT K FROM T WHERE I IN (4,5)"), "F2 IN (4, 5)");
+}
+
+#[test]
+fn a_cached_shape_follows_the_catalog_across_drop_and_create() {
+    let w = world();
+    w.run("CREATE TABLE U (A INT NOT NULL, B INT, PRIMARY KEY (A))")
+        .unwrap();
+    let fetched = |sql: &str| {
+        let Plan::Select(p) = cached(&w, sql).unwrap() else {
+            panic!()
+        };
+        let t = &p.tables[0];
+        (t.fetch_fields.clone(), t.info.open.desc.num_fields())
+    };
+    assert_eq!(fetched("SELECT B FROM U WHERE A = 1"), (vec![1], 2));
+    w.run("DROP TABLE U").unwrap();
+    let ddl = "CREATE TABLE U (A INT NOT NULL, X CHAR(8), B DOUBLE, PRIMARY KEY (A))";
+    assert!(template(ddl).is_err(), "DDL is planned as written");
+    cached(&w, ddl).unwrap();
+    w.run(ddl).unwrap();
+    assert_eq!(fetched("SELECT B FROM U WHERE A = 2"), (vec![2], 3));
+    // A column the new table lacks fails as planning the text does.
+    w.run("DROP TABLE U").unwrap();
+    w.run("CREATE TABLE U (A INT NOT NULL, PRIMARY KEY (A))")
+        .unwrap();
+    let err = cached(&w, "SELECT B FROM U WHERE A = 3").unwrap_err();
+    assert_eq!(err.to_string(), "unknown column B");
+}
+
+#[test]
+fn cache_errors_read_as_parse_errors() {
+    let w = world();
+    all_types(&w);
+    for sql in [
+        "SELECT ~ FROM T",
+        "SELECT * FROM T WHERE V = 'open",
+        "SELECT * FROM T WHERE I = 99999999999999999999",
+        "SELECT * FROM",
+        "SELEC * FROM T",
+        "SELECT * FROM T WHERE V LIKE 7",
+        "SELECT NOPE FROM T",
+        "SELECT * FROM NOPE WHERE K = 1",
+        "INSERT INTO T VALUES (1)",
+    ] {
+        // Unseen, then seen.
+        for _ in 0..2 {
+            let err = cached(&w, sql).unwrap_err();
+            if let Err(e) = parse(sql) {
+                assert_eq!(err.to_string(), e.to_string(), "{sql}");
+            }
+        }
+    }
+}
+
+const COLUMNS: [&str; 7] = ["K", "S", "I", "L", "D", "C", "V"];
+
+/// A literal: `shape` decides where it is, its sign and mostly its kind
+/// (number, string, NULL), `values` its value, so a text redrawn from the
+/// same `shape` seed has other literals and mostly the same shape. Where
+/// `values` decides between a string and a number, the two texts are of
+/// different shapes that differ in nothing but that literal's kind.
+fn literal(shape: &mut SimRng, values: &mut SimRng) -> String {
+    let string = match shape.below(8) {
+        0 => return "NULL".into(),
+        1 => values.chance(0.5),
+        2 => true,
+        _ => false,
+    };
+    let value = if string {
+        format!("'{}'", ["", "ab", "O''B", "zz "][values.below(4) as usize])
+    } else {
+        match values.below(4) {
+            0 => values.between(0, 40).to_string(),
+            1 => (2_147_483_646 + values.between(0, 3)).to_string(),
+            2 => format!("{}.{}", values.between(0, 99), values.between(0, 9)),
+            _ => format!("{}e{}", values.between(1, 9), values.between(0, 3)),
+        }
+    };
+    let signed = format!(
+        "{}{value}",
+        ["", "-", "+ ", "- -", "+ -"][shape.below(5) as usize]
+    );
+    if shape.chance(0.15) {
+        format!("-({signed})")
+    } else {
+        signed
+    }
+}
+
+fn predicate(shape: &mut SimRng, values: &mut SimRng, depth: u32) -> String {
+    let col = COLUMNS[shape.below(7) as usize];
+    let op = ["=", "<>", "<", "<=", ">", ">=", "!="][shape.below(7) as usize];
+    let not = if shape.chance(0.3) { "NOT " } else { "" };
+    match shape.below(if depth > 1 { 6 } else { 9 }) {
+        0 => format!("{col} {op} {}", literal(shape, values)),
+        1 => format!("{} {op} {col}", literal(shape, values)),
+        2 => format!(
+            "{col} {not}BETWEEN {} AND {}",
+            literal(shape, values),
+            literal(shape, values)
+        ),
+        3 => {
+            let list: Vec<String> = (0..=shape.below(3))
+                .map(|_| literal(shape, values))
+                .collect();
+            format!("{col} {not}IN ({})", list.join(", "))
+        }
+        4 => format!("{col} IS {not}NULL"),
+        5 => format!(
+            "{col} * {} {op} {}",
+            literal(shape, values),
+            literal(shape, values)
+        ),
+        6 => format!("NOT ({})", predicate(shape, values, depth + 1)),
+        7 => format!(
+            "{} AND {}",
+            predicate(shape, values, depth + 1),
+            predicate(shape, values, depth + 1)
+        ),
+        _ => format!(
+            "({} OR {})",
+            predicate(shape, values, depth + 1),
+            predicate(shape, values, depth + 1)
+        ),
+    }
+}
+
+fn dml(shape: &mut SimRng, values: &mut SimRng) -> String {
+    let p = predicate(shape, values, 0);
+    let text = match shape.below(6) {
+        0 => format!("SELECT K, V FROM T WHERE {p}"),
+        1 => format!("SELECT I, COUNT(*), SUM(D) FROM T WHERE {p} GROUP BY I"),
+        2 => format!(
+            "UPDATE T SET D = D * {}, S = {} WHERE {p}",
+            literal(shape, values),
+            literal(shape, values)
+        ),
+        3 => format!("DELETE FROM T WHERE {p}"),
+        4 => {
+            let row: Vec<String> = (0..7).map(|_| literal(shape, values)).collect();
+            format!("INSERT INTO T VALUES ({})", row.join(", "))
+        }
+        _ => format!("SELECT * FROM T WHERE {p} ORDER BY D DESC"),
+    };
+    if shape.chance(0.2) {
+        format!("EXPLAIN {text}")
+    } else {
+        text
+    }
+}
+
+/// Cache on vs cache off: for random DML over all six field types the
+/// cache's plan is `plan(parse(text))`, errors included. Each skeleton is
+/// drawn twice with other literals, so the second text mostly plans from
+/// the template the first one left.
+#[test]
+fn cached_plans_equal_parsed_plans() {
+    let w = world();
+    all_types(&w);
+    w.run("CREATE INDEX T_I ON T (I) ON '$IDX'").unwrap();
+    let mut values = SimRng::seed_from(0x2701);
+    let (mut planned, mut failed) = (0, 0);
+    for case in 0..500 {
+        let first = dml(&mut SimRng::seed_from(case), &mut values);
+        let second = dml(&mut SimRng::seed_from(case), &mut values);
+        for text in [first, second] {
+            match cached(&w, &text) {
+                Ok(_) => planned += 1,
+                Err(_) => failed += 1,
+            }
+        }
+    }
+    assert!(
+        planned > 800 && failed > 150,
+        "{planned} planned, {failed} failed"
     );
 }
