@@ -31,9 +31,7 @@ use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId};
 use nsql_records::{Row, Value};
 use nsql_sim::sync::{Mutex, RwLock};
-use nsql_sim::{
-    CostModel, Ctr, EntityKind, Event, Histogram, Mark, MetricsSnapshot, Sim, COUNTER_NAMES,
-};
+use nsql_sim::{Ctr, EntityKind, Event, Histogram, Mark, MetricsSnapshot, Sim, COUNTER_NAMES};
 use nsql_sql::ast::Statement;
 use nsql_sql::{Catalog, Executor, OpStats, Plan, QueryResult, StatementCache, SysSnapshot};
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager, AUDIT_PROCESS};
@@ -43,7 +41,6 @@ use std::sync::Arc;
 
 pub use nsql_dp::DpConfig as DiskProcessConfig;
 pub use nsql_msg::{Fault, FaultConfig};
-pub use nsql_sim::CostModel as ClusterCostModel;
 pub use nsql_sql::QueryResult as Rows;
 pub use nsql_tmf::CommitTimer as GroupCommitTimer;
 
@@ -144,8 +141,6 @@ struct VolumeSpec {
 
 /// Builds a simulated cluster.
 pub struct ClusterBuilder {
-    cost: CostModel,
-    timer: CommitTimer,
     dp_config: DpConfig,
     volumes: Vec<VolumeSpec>,
     audit_cpu: CpuId,
@@ -155,24 +150,10 @@ impl ClusterBuilder {
     /// Start a cluster description.
     pub fn new() -> Self {
         ClusterBuilder {
-            cost: CostModel::default(),
-            timer: CommitTimer::default(),
             dp_config: DpConfig::default(),
             volumes: Vec::new(),
             audit_cpu: CpuId::new(0, 0),
         }
-    }
-
-    /// Override the cost model.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Override the group-commit timer policy.
-    pub fn commit_timer(mut self, timer: CommitTimer) -> Self {
-        self.timer = timer;
-        self
     }
 
     /// Override the Disk Process tunables for every volume.
@@ -233,10 +214,10 @@ impl ClusterBuilder {
 
     /// Assemble the cluster.
     pub fn build(self) -> Cluster {
-        let sim = Sim::with_cost(self.cost);
+        let sim = Sim::new();
         let bus = Bus::new(sim.clone());
         let lsns = LsnSource::new();
-        let trail = Trail::new(sim.clone(), Arc::clone(&lsns), self.timer);
+        let trail = Trail::new(sim.clone(), Arc::clone(&lsns), CommitTimer::default());
         bus.register(AUDIT_PROCESS, self.audit_cpu, trail.clone());
         let txnmgr = TxnManager::new(sim.clone(), Arc::clone(&bus));
         let ctx = DpContext {
@@ -264,21 +245,20 @@ impl ClusterBuilder {
             default_volume.get_or_insert_with(|| spec.name.clone());
         }
         let catalog = Catalog::new(default_volume.unwrap_or_else(|| "$DATA1".into()));
-        let dps = Arc::new(RwLock::new(dps));
+        let dps = Arc::new(DiskProcesses {
+            ctx,
+            by_volume: RwLock::new(dps),
+            disks,
+        });
         // The File System's path-switch hook: when a retry hits a down CPU,
         // the bus asks the cluster to re-resolve the volume's primary. If
         // the volume was configured as a process pair, its backup takes
-        // over (crash + open on the backup CPU + recover from the audit
-        // trail) and the retry proceeds against the new primary.
+        // over and the retry proceeds against the new primary.
         {
-            let hook_dps = Arc::clone(&dps);
-            let hook_disks = disks.clone();
-            let hook_ctx = ctx.clone();
-            let hook_bus = Arc::clone(&bus);
+            let (dps, hook_bus) = (Arc::clone(&dps), Arc::clone(&bus));
             bus.set_path_switch(Arc::new(move |name: &str| {
-                let old = match hook_dps.read().get(name) {
-                    Some(dp) => Arc::clone(dp),
-                    None => return false,
+                let Some(old) = dps.get(name) else {
+                    return false;
                 };
                 if !hook_bus.cpu_is_down(old.cpu()) {
                     // Primary is healthy; nothing to switch.
@@ -299,16 +279,7 @@ impl ClusterBuilder {
                 if hook_bus.cpu_is_down(to) {
                     hook_bus.revive_cpu(to);
                 }
-                old.crash();
-                let new_dp = DiskProcess::open(
-                    &hook_ctx,
-                    name,
-                    to,
-                    Arc::clone(&hook_disks[name]),
-                    old.config.lock().clone(),
-                );
-                new_dp.recover();
-                hook_dps.write().insert(name.to_string(), new_dp);
+                dps.replace(name, &old, to);
                 true
             }));
         }
@@ -319,9 +290,7 @@ impl ClusterBuilder {
             txnmgr,
             catalog,
             statements: StatementCache::default(),
-            ctx,
             dps,
-            disks,
             audit_cpu: self.audit_cpu,
             sort_parallelism: std::sync::atomic::AtomicU32::new(1),
             sessions: Mutex::new(BTreeMap::new()),
@@ -333,6 +302,33 @@ impl ClusterBuilder {
 impl Default for ClusterBuilder {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Every volume's disk and the Disk Process serving it: what the cluster
+/// and the path-switch hook share, so that both replace a Disk Process the
+/// one way.
+struct DiskProcesses {
+    ctx: DpContext,
+    by_volume: RwLock<HashMap<String, Arc<DiskProcess>>>,
+    disks: HashMap<String, Arc<Disk>>,
+}
+
+impl DiskProcesses {
+    /// The Disk Process currently serving `volume`.
+    fn get(&self, volume: &str) -> Option<Arc<DiskProcess>> {
+        self.by_volume.read().get(volume).map(Arc::clone)
+    }
+
+    /// Crash `old`, the Disk Process serving `volume`, and open the volume
+    /// again on `cpu` with its configuration; the new process recovers from
+    /// the durable audit trail before it serves a request.
+    fn replace(&self, volume: &str, old: &DiskProcess, cpu: CpuId) {
+        old.crash();
+        let disk = Arc::clone(&self.disks[volume]);
+        let new_dp = DiskProcess::open(&self.ctx, volume, cpu, disk, old.config.lock().clone());
+        new_dp.recover();
+        self.by_volume.write().insert(volume.to_string(), new_dp);
     }
 }
 
@@ -350,9 +346,7 @@ pub struct Cluster {
     pub catalog: Arc<Catalog>,
     /// One template per statement shape, behind every session's `execute`.
     statements: StatementCache,
-    ctx: DpContext,
-    dps: Arc<RwLock<HashMap<String, Arc<DiskProcess>>>>,
-    disks: HashMap<String, Arc<Disk>>,
+    dps: Arc<DiskProcesses>,
     /// CPU the audit-trail Disk Process is homed on.
     audit_cpu: CpuId,
     sort_parallelism: std::sync::atomic::AtomicU32,
@@ -558,22 +552,19 @@ impl Cluster {
 
     /// The Disk Process currently serving `volume`.
     pub fn dp(&self, volume: &str) -> Arc<DiskProcess> {
-        Arc::clone(
-            self.dps
-                .read()
-                .get(volume)
-                .unwrap_or_else(|| panic!("no volume {volume}")),
-        )
+        self.dps
+            .get(volume)
+            .unwrap_or_else(|| panic!("no volume {volume}"))
     }
 
     /// The disk behind `volume`.
     pub fn disk(&self, volume: &str) -> Arc<Disk> {
-        Arc::clone(&self.disks[volume])
+        Arc::clone(&self.dps.disks[volume])
     }
 
     /// Volume names, sorted.
     pub fn volumes(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.dps.read().keys().cloned().collect();
+        let mut v: Vec<String> = self.dps.by_volume.read().keys().cloned().collect();
         v.sort();
         v
     }
@@ -582,7 +573,7 @@ impl Cluster {
     /// older than `us` virtual microseconds are doomed with a typed
     /// lock-timeout error instead of queueing forever (`0` disarms).
     pub fn set_lock_wait_timeout(&self, us: u64) {
-        for dp in self.dps.read().values() {
+        for dp in self.dps.by_volume.read().values() {
             dp.set_lock_wait_timeout(us);
         }
     }
@@ -604,16 +595,7 @@ impl Cluster {
     pub fn takeover(&self, volume: &str, node: u8, cpu: u8) {
         let old = self.dp(volume);
         self.bus.fail_cpu(old.cpu());
-        old.crash();
-        let new_dp = DiskProcess::open(
-            &self.ctx,
-            volume,
-            CpuId::new(node, cpu),
-            Arc::clone(&self.disks[volume]),
-            old.config.lock().clone(),
-        );
-        new_dp.recover();
-        self.dps.write().insert(volume.to_string(), new_dp);
+        self.dps.replace(volume, &old, CpuId::new(node, cpu));
     }
 
     /// Current FastSort parallelism for ORDER BY.
@@ -690,16 +672,7 @@ impl Cluster {
     /// from the durable audit trail.
     fn restart_volume(&self, name: &str) {
         let old = self.dp(name);
-        old.crash();
-        let new_dp = DiskProcess::open(
-            &self.ctx,
-            name,
-            old.cpu(),
-            Arc::clone(&self.disks[name]),
-            old.config.lock().clone(),
-        );
-        new_dp.recover();
-        self.dps.write().insert(name.to_string(), new_dp);
+        self.dps.replace(name, &old, old.cpu());
     }
 
     /// Media recovery: replace `volume`'s failed drive(s) and bring the

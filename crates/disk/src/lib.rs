@@ -18,7 +18,7 @@
 
 use nsql_sim::measure::{EntityKind, MeasureRecord};
 use nsql_sim::sync::Mutex;
-use nsql_sim::{Event, Micros, Sim, Wait};
+use nsql_sim::{CostModel, Event, Micros, Sim, Wait};
 use std::sync::Arc;
 
 /// Index of a block on a volume.
@@ -96,7 +96,7 @@ impl Disk {
 
     /// Block size in bytes (from the cost model; the paper's 4 KB).
     pub fn block_size(&self) -> usize {
-        self.sim.cost.block_size
+        CostModel::BLOCK_SIZE
     }
 
     /// Number of allocated (ever-written) block slots.
@@ -226,9 +226,9 @@ impl Disk {
     ) -> Result<(Vec<Block>, Micros), DiskError> {
         assert!(nblocks >= 1);
         assert!(
-            nblocks * self.block_size() <= self.sim.cost.bulk_io_max,
+            nblocks * self.block_size() <= CostModel::BULK_IO_MAX,
             "bulk I/O limited to {} bytes",
-            self.sim.cost.bulk_io_max
+            CostModel::BULK_IO_MAX
         );
         let mut st = self.state.lock();
         self.check_media(&st)?;
@@ -277,9 +277,9 @@ impl Disk {
     ) -> Result<Micros, DiskError> {
         assert!(!blocks.is_empty());
         assert!(
-            blocks.len() * self.block_size() <= self.sim.cost.bulk_io_max,
+            blocks.len() * self.block_size() <= CostModel::BULK_IO_MAX,
             "bulk I/O limited to {} bytes",
-            self.sim.cost.bulk_io_max
+            CostModel::BULK_IO_MAX
         );
         let mut st = self.state.lock();
         self.check_media(&st)?;

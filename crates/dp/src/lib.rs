@@ -44,7 +44,9 @@ use nsql_records::{
     Expr, KeyRange, OwnedBound, Predicate, PredicateError, Projection, RecordDescriptor, SetList,
 };
 use nsql_sim::sync::Mutex;
-use nsql_sim::{CpuLayer, Ctr, EntityKind, Event, LockWaitEnd, MeasureRecord, Micros, Sim, Wait};
+use nsql_sim::{
+    CostModel, CpuLayer, Ctr, EntityKind, Event, LockWaitEnd, MeasureRecord, Micros, Sim, Wait,
+};
 use nsql_tmf::audit::FieldImage;
 use nsql_tmf::txn::{EndTxnReply, EndTxnRequest};
 use nsql_tmf::{AuditBody, AuditRecord, Direction, Trail, TxnManager, VolumeAuditor};
@@ -363,11 +365,6 @@ impl DiskProcess {
         match self.locks.acquire(txn, file, scope.clone(), mode) {
             Ok(()) => Ok(()),
             Err(LockError::Conflict { holder }) => {
-                // The blocked-then-bounced hop. Zero-cost by default, but
-                // whatever it costs lands in the wait.lock category.
-                self.sim
-                    .clock
-                    .advance_in(Wait::Lock, self.sim.cost.lock_wait_us);
                 // Queue behind the holder; a closed waits-for cycle dooms
                 // its youngest member, an exhausted budget dooms us.
                 match self
@@ -934,7 +931,11 @@ impl DiskProcess {
 
     /// A re-drive: the SCB's operation, continued after `after`. The verb
     /// must be the operation's own — a requester that mixes up its subsets
-    /// is told so before a record is touched.
+    /// is told so before a record is touched, and the SCB stays for the
+    /// conversation it belongs to. Past that check the SCB ends with the
+    /// range or with the first failure: the requester never re-drives a
+    /// failed conversation, and a browse read has no transaction whose end
+    /// would free it.
     fn subset_next(
         &self,
         subset: SubsetId,
@@ -946,12 +947,14 @@ impl DiskProcess {
         if scb.op.verb() != verb {
             return Err(DpError::WrongVerb { subset, verb });
         }
-        let label = self.file_label(scb.file)?;
-        let reply = self.run_subset(&scb, &label, OwnedBound::Excluded(after), Some(subset))?;
-        if let DpReply::Subset { done: true, .. } = reply {
+        let begin = OwnedBound::Excluded(after);
+        let reply = self
+            .file_label(scb.file)
+            .and_then(|label| self.run_subset(&scb, &label, begin, Some(subset)));
+        if !matches!(reply, Ok(DpReply::Subset { done: false, .. })) {
             self.state.lock().subsets.remove(&subset);
         }
-        Ok(reply)
+        reply
     }
 
     /// Execute one request-message's worth of the subset operation `scb`
@@ -1394,7 +1397,7 @@ impl DiskProcess {
     fn replay(&self, records: &[AuditRecord], with_undo: bool) {
         self.sim.clock.advance_in(
             Wait::Restart,
-            records.len() as u64 * self.sim.cost.cpu_work_unit_us,
+            records.len() as u64 * CostModel::CPU_WORK_UNIT_US,
         );
         self.rec.add(Ctr::RecoveryScanned, records.len() as u64);
         let plan = nsql_tmf::classify(records, &self.name);

@@ -3,7 +3,7 @@
 
 use super::*;
 use nsql_records::key::encode_record_key;
-use nsql_records::{CmpOp, FieldDef, FieldType, KeyRange, Value};
+use nsql_records::{ArithOp, CmpOp, FieldDef, FieldType, KeyRange, Value};
 use nsql_tmf::{CommitTimer, LsnSource};
 
 struct TestCluster {
@@ -1172,6 +1172,61 @@ fn a_redrive_of_another_verb_is_refused() {
     );
     c.txnmgr.commit(txn, c.client).unwrap();
     assert_eq!(count_rows(&c, file), 80);
+}
+
+#[test]
+fn a_failed_redrive_frees_its_scb() {
+    let config = DpConfig {
+        max_records_per_request: 10,
+        ..DpConfig::default()
+    };
+    let c = cluster_with(config);
+    let file = c.create_emp();
+    c.load_emps(file, 50);
+    // HIRE_DATE / (EMPNO - 30) > 0 divides by zero at employee 30, three
+    // re-drives into a browse read: no transaction ends to free its SCB.
+    let arith = |a, op, b| Expr::Arith(Box::new(a), op, Box::new(b));
+    let divisor = arith(Expr::Field(0), ArithOp::Sub, Expr::lit(Value::Int(30)));
+    let quotient = arith(Expr::Field(2), ArithOp::Div, divisor);
+    let mut reply = c.send(DpRequest::SubsetFirst {
+        file,
+        range: KeyRange::all(),
+        predicate: Some(Expr::Cmp(
+            Box::new(quotient),
+            CmpOp::Gt,
+            Box::new(Expr::lit(Value::Int(0))),
+        )),
+        op: SubsetOp::Read {
+            txn: None,
+            projection: None,
+            mode: SubsetMode::Vsbb,
+            lock: ReadLock::None,
+        },
+    });
+    let mut redrives = 0;
+    while let DpReply::Subset {
+        done: false,
+        subset: Some(subset),
+        last_key: Some(after),
+        ..
+    } = reply
+    {
+        redrives += 1;
+        reply = c.send(DpRequest::SubsetNext {
+            subset,
+            after,
+            verb: SubsetVerb::Get,
+        });
+    }
+    assert!(
+        matches!(reply, DpReply::Error(DpError::EvalFailed(_))),
+        "{reply:?}"
+    );
+    assert_eq!(redrives, 3);
+    assert!(
+        c.dp.state.lock().subsets.is_empty(),
+        "the SCB outlived its scan"
+    );
 }
 
 #[test]

@@ -202,11 +202,6 @@ impl FileSystem {
         Ok(())
     }
 
-    /// DELETE a record by key (reads it first when alternate keys exist).
-    pub fn ens_delete(&self, txn: TxnId, of: &OpenFile, key: &[u8]) -> Result<(), FsError> {
-        self.delete_by_key(txn, of, key)
-    }
-
     /// Write a record into a relative file slot.
     pub fn ens_relative_write(
         &self,
@@ -283,14 +278,6 @@ impl FileSystem {
             DpReply::Record(r) => Ok(r),
             other => Err(unexpected(verb, &other)),
         }
-    }
-
-    /// LOCKFILE.
-    pub fn ens_lock_file(&self, txn: TxnId, of: &OpenFile, mode: LockMode) -> Result<(), FsError> {
-        for p in &of.partitions {
-            self.lock(txn, &p.process, p.file, None, mode)?;
-        }
-        Ok(())
     }
 
     /// LOCKRECORD.

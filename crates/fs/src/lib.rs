@@ -102,27 +102,15 @@ pub(crate) fn unexpected(verb: &str, reply: &DpReply) -> FsError {
     FsError::Protocol(format!("unexpected reply to {verb}: {reply:?}"))
 }
 
-/// Bounded virtual-time retry policy the File System applies to FS-DP
-/// requests that time out or find their path down.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Give up (and fail the statement) after this many retries.
-    pub max_retries: u32,
-    /// Initial backoff charged to the virtual clock before a retry.
-    pub backoff_us: u64,
-    /// Backoff doubles per retry up to this cap.
-    pub max_backoff_us: u64,
-}
+// The bounded virtual-time retry policy the File System applies to FS-DP
+// requests that time out or find their path down.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 6,
-            backoff_us: 500,
-            max_backoff_us: 8_000,
-        }
-    }
-}
+/// Give up (and fail the statement) after this many retries.
+pub const MAX_RETRIES: u32 = 6;
+/// Initial backoff charged to the virtual clock before a retry.
+const RETRY_BACKOFF_US: u64 = 500;
+/// Backoff doubles per retry up to this cap.
+const MAX_RETRY_BACKOFF_US: u64 = 8_000;
 
 /// One horizontal partition of a file: a Disk Process and the primary-key
 /// range it owns.
@@ -291,8 +279,6 @@ pub struct FileSystem {
     pub(crate) bus: Arc<Bus>,
     /// The CPU the requester runs on (message locality depends on it).
     pub cpu: CpuId,
-    /// Retry/backoff policy for timed-out or path-down requests.
-    pub retry: RetryPolicy,
     /// This opener's identity in every sync ID it issues.
     opener: u64,
     /// Per-opener sync sequence (retries of one request reuse one value).
@@ -310,7 +296,6 @@ impl FileSystem {
             sim,
             bus,
             cpu,
-            retry: RetryPolicy::default(),
             opener: NEXT_OPENER.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             sync_seq: std::sync::atomic::AtomicU64::new(0),
             rec,
@@ -361,7 +346,7 @@ impl FileSystem {
         // The server's record, looked up only when something goes wrong.
         let server_rec = || self.sim.measure.entity(EntityKind::Process, to);
         let mut attempt = 0u32;
-        let mut backoff = self.retry.backoff_us;
+        let mut backoff = RETRY_BACKOFF_US;
         loop {
             match self
                 .bus
@@ -383,7 +368,7 @@ impl FileSystem {
                         ok => Ok(ok),
                     };
                 }
-                Err(e) if e.is_retriable() && attempt < self.retry.max_retries => {
+                Err(e) if e.is_retriable() && attempt < MAX_RETRIES => {
                     attempt += 1;
                     // Counted now, reported once the backoff is served: a
                     // takeover's postmortem already shows this retry.
@@ -400,7 +385,7 @@ impl FileSystem {
                         backoff_us: backoff,
                     };
                     self.sim.emit(&server, retry);
-                    backoff = (backoff * 2).min(self.retry.max_backoff_us);
+                    backoff = (backoff * 2).min(MAX_RETRY_BACKOFF_US);
                 }
                 Err(e) if e.is_retriable() => {
                     // The server stayed unreachable through the whole retry

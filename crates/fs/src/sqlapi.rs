@@ -143,26 +143,17 @@ impl FileSystem {
             .iter()
             .filter(|i| i.touched_by(&touched))
             .collect();
-        if affected.is_empty() {
-            // Pure pushdown: one message, no read-before-write.
-            let p = of.partition_for(key);
-            self.send(
-                &p.process,
-                DpRequest::UpdatePoint {
-                    txn,
-                    file: p.file,
-                    key: key.to_vec(),
-                    sets: sets.clone(),
-                    constraint: constraint.cloned(),
-                },
-            )?;
-            return Ok(());
-        }
-        // Index maintenance path: the File System must see old and new
+        // With no index touched this is pure pushdown: one message, no
+        // read-before-write. Otherwise the File System must see old and new
         // values to fix the affected indices.
-        let old = self
-            .read_by_key(Some(txn), of, key, ReadLock::Shared)?
-            .ok_or(FsError::Dp(DpError::NotFound))?;
+        let old = if affected.is_empty() {
+            None
+        } else {
+            Some(
+                self.read_by_key(Some(txn), of, key, ReadLock::Shared)?
+                    .ok_or(FsError::Dp(DpError::NotFound))?,
+            )
+        };
         let p = of.partition_for(key);
         self.send(
             &p.process,
@@ -174,10 +165,12 @@ impl FileSystem {
                 constraint: constraint.cloned(),
             },
         )?;
-        let new = self.apply_sets_locally(of, &old.0, sets)?;
-        for idx in affected {
-            self.index_delete(txn, of, idx, &old.0)?;
-            self.index_insert(txn, of, idx, &new)?;
+        if let Some(old) = old {
+            let new = self.apply_sets_locally(of, &old.0, sets)?;
+            for idx in affected {
+                self.index_delete(txn, of, idx, &old.0)?;
+                self.index_insert(txn, of, idx, &new)?;
+            }
         }
         Ok(())
     }

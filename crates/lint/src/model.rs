@@ -396,7 +396,7 @@ mod tests {
     fn retries_exhausted_fail_the_statement_cleanly() {
         // No schedule of three faults exhausts the File System's retry
         // budget. A request lost on its every attempt does.
-        let attempts = u64::from(nsql_fs::RetryPolicy::default().max_retries) + 1;
+        let attempts = u64::from(nsql_fs::MAX_RETRIES) + 1;
         let lost: Schedule = (0..attempts).map(|at| (at, Fault::DropRequest)).collect();
         for scenario in [Scenario::Scan, Scenario::Update] {
             let mut out = Exploration::default();

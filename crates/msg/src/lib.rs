@@ -166,15 +166,21 @@ struct Entry {
 // Fault plane
 // ----------------------------------------------------------------------
 
+/// Virtual-time request timeout charged when the fault plane loses a
+/// message.
+const FAULT_TIMEOUT_US: u64 = 10_000;
+
 /// Configuration of the deterministic fault plane.
 ///
-/// The plane numbers the eligible exchanges it is consulted about, from 0.
-/// An exchange whose number is scripted in `at` gets that fault and draws
-/// nothing; every other one is drawn against a [`SimRng`] seeded with
-/// `seed`, the probabilities applying independently per exchange in the
-/// order drop, duplicate, delay, error. Either way the same config over
-/// the same workload produces the same fault schedule — byte-identical
-/// traces included.
+/// Only the FS-DP interface is eligible: requests and re-drives. TMF
+/// coordination and audit traffic are left alone. The plane numbers the
+/// eligible exchanges it is consulted about, from 0. An exchange whose
+/// number is scripted in `at` gets that fault and draws nothing; every
+/// other one is drawn against a [`SimRng`] seeded with `seed`, the
+/// probabilities applying independently per exchange in the order drop,
+/// duplicate, delay, error. Either way the same config over the same
+/// workload produces the same fault schedule — byte-identical traces
+/// included.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Seed for the fault schedule.
@@ -189,14 +195,6 @@ pub struct FaultConfig {
     pub error: f64,
     /// Uniform range (inclusive lo, exclusive hi) of injected delay, µs.
     pub delay_us: (u64, u64),
-    /// Virtual-time request timeout charged when a message is lost.
-    pub timeout_us: u64,
-    /// Message kinds eligible for injection. Defaults to the FS-DP
-    /// interface (requests and re-drives); TMF coordination and audit
-    /// traffic are left alone unless asked for.
-    pub kinds: Vec<MsgKind>,
-    /// Restrict injection to these target processes (None = all).
-    pub targets: Option<Vec<String>>,
     /// The script: the fault to inject at the n-th eligible exchange,
     /// decided before any dice are drawn. A server crash mid-workload is
     /// `(n, Fault::DownTarget)`; takeover must be arranged by the
@@ -213,9 +211,6 @@ impl Default for FaultConfig {
             delay: 0.0,
             error: 0.0,
             delay_us: (200, 2_000),
-            timeout_us: 10_000,
-            kinds: vec![MsgKind::FsDp, MsgKind::Redrive],
-            targets: None,
             at: Vec::new(),
         }
     }
@@ -268,17 +263,8 @@ impl FaultPlane {
         }
     }
 
-    fn eligible(&self, kind: MsgKind, to: &str) -> bool {
-        self.cfg.kinds.contains(&kind)
-            && self
-                .cfg
-                .targets
-                .as_ref()
-                .is_none_or(|ts| ts.iter().any(|t| t == to))
-    }
-
-    fn decide(&self, kind: MsgKind, to: &str) -> Option<Fault> {
-        if !self.eligible(kind, to) {
+    fn decide(&self, kind: MsgKind) -> Option<Fault> {
+        if !matches!(kind, MsgKind::FsDp | MsgKind::Redrive) {
             return None;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -381,8 +367,8 @@ impl Bus {
         }
     }
 
-    /// Arm the fault plane. Exchanges matching the config's kind/target
-    /// filters may be dropped, duplicated, delayed or errored from now on.
+    /// Arm the fault plane. FS-DP exchanges may be dropped, duplicated,
+    /// delayed or errored from now on.
     pub fn enable_faults(&self, cfg: FaultConfig) {
         *self.fault.write() = Some(FaultPlane::new(cfg));
         self.faults_on.store(true, Ordering::Relaxed);
@@ -577,7 +563,7 @@ impl Exchange<'_> {
     ) -> Result<Response, BusError> {
         let bus = self.bus;
         if bus.faults_on.load(Ordering::Relaxed) {
-            let decide = |p: &FaultPlane| p.decide(self.kind, self.to);
+            let decide = |p: &FaultPlane| p.decide(self.kind);
             let fault = bus.fault.read().as_ref().and_then(decide);
             if let Some(fault) = fault {
                 return self.perturb(fault, payload, replay);
@@ -604,11 +590,6 @@ impl Exchange<'_> {
         replay: Option<&dyn Fn() -> Box<dyn Any + Send>>,
     ) -> Result<Response, BusError> {
         let (bus, sim, to) = (self.bus, &self.bus.sim, self.to);
-        let timeout = bus
-            .fault
-            .read()
-            .as_ref()
-            .map_or(10_000, |p| p.cfg.timeout_us);
         let emit_fault = |action| sim.emit(&self.rec, Event::Fault(action, self.label));
         match fault {
             Fault::DownTarget => {
@@ -622,7 +603,7 @@ impl Exchange<'_> {
             Fault::DropRequest => {
                 emit_fault(FaultAction::Drop);
                 self.went(Reply::TimedOut);
-                sim.clock.advance_in(Wait::Msg, timeout);
+                sim.clock.advance_in(Wait::Msg, FAULT_TIMEOUT_US);
                 Err(BusError::Timeout(to.to_string()))
             }
             Fault::DropReply => {
@@ -630,7 +611,7 @@ impl Exchange<'_> {
                 self.went(Reply::TimedOut);
                 // The server executed the request; only the answer is lost.
                 let _ = self.server.handle(payload);
-                sim.clock.advance_in(Wait::Msg, timeout);
+                sim.clock.advance_in(Wait::Msg, FAULT_TIMEOUT_US);
                 Err(BusError::Timeout(to.to_string()))
             }
             Fault::Duplicate => {
@@ -843,7 +824,6 @@ mod tests {
         bus.register("$DATA", CpuId::new(0, 1), Arc::new(Echo));
         let cfg = FaultConfig {
             drop: 1.0,
-            timeout_us: 7_500,
             ..FaultConfig::with_seed(42)
         };
         bus.enable_faults(cfg);
@@ -854,8 +834,8 @@ mod tests {
         assert_eq!(err, BusError::Timeout("$DATA".into()));
         assert!(err.is_retriable());
         // The lost request went on the wire and the requester waited out
-        // its timer: at least timeout_us of virtual time passed.
-        assert!(sim.now() - t0 >= 7_500);
+        // its timer: at least the timeout of virtual time passed.
+        assert!(sim.now() - t0 >= FAULT_TIMEOUT_US);
         let s = sim.metrics.snapshot();
         assert_eq!(s.faults_injected, 1);
         assert_eq!(s.msgs_timed_out, 1);
@@ -910,7 +890,7 @@ mod tests {
             error: 1.0,
             ..FaultConfig::with_seed(1)
         });
-        // Default kinds: FS-DP and re-drive only.
+        // Eligible kinds: FS-DP and re-drive only.
         let err = bus
             .request(CpuId::new(0, 0), "$DATA", MsgKind::FsDp, 8, Box::new(1u64))
             .unwrap_err();

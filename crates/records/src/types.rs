@@ -164,15 +164,6 @@ impl RecordDescriptor {
         }
     }
 
-    /// Rebuild the precomputed layout (needed after constructing a
-    /// descriptor whose cached offsets are stale).
-    pub fn rebuild_layout(&mut self) {
-        *self = RecordDescriptor::new(
-            std::mem::take(&mut self.fields),
-            std::mem::take(&mut self.key_fields),
-        );
-    }
-
     /// Number of fields.
     pub fn num_fields(&self) -> usize {
         self.fields.len()

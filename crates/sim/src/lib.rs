@@ -48,7 +48,7 @@ pub struct Sim {
     /// The virtual clock.
     pub clock: Arc<Clock>,
     /// The cost model all components charge against.
-    pub cost: Arc<CostModel>,
+    pub cost: CostModel,
     /// The cluster totals, summed from `measure` (see [`metrics`]).
     pub metrics: Metrics,
     /// Event-level trace recorder (off by default; see [`trace`]).
@@ -67,17 +67,12 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create a simulation context with the default 1988-flavoured cost model.
+    /// Create a simulation context over the 1988-flavoured cost model.
     pub fn new() -> Self {
-        Self::with_cost(CostModel::default())
-    }
-
-    /// Create a simulation context with an explicit cost model.
-    pub fn with_cost(cost: CostModel) -> Self {
         let measure = Arc::new(MeasureRegistry::new());
         Sim {
             clock: Arc::new(Clock::new()),
-            cost: Arc::new(cost),
+            cost: CostModel,
             metrics: Metrics::new(Arc::clone(&measure)),
             trace: Arc::new(TraceRecorder::new()),
             hist: Arc::new(Histograms::new()),
@@ -106,7 +101,7 @@ impl Sim {
     }
 
     /// Account for `units` of CPU work in layer `layer`, advancing virtual
-    /// time by `units * cost.cpu_work_unit_us`.
+    /// time by `units * CostModel::CPU_WORK_UNIT_US`.
     pub fn cpu_work(&self, layer: CpuLayer, units: u64) {
         let layer = match layer {
             CpuLayer::Executor => Ctr::CpuExecutor,
@@ -115,7 +110,7 @@ impl Sim {
         };
         self.cluster.add(layer, units);
         self.clock
-            .advance_in(Wait::Cpu, units * self.cost.cpu_work_unit_us);
+            .advance_in(Wait::Cpu, units * CostModel::CPU_WORK_UNIT_US);
     }
 
     /// Current per-category wait ledger (see [`Clock::profile`]). Two
@@ -255,7 +250,7 @@ mod tests {
         let t0 = sim.now();
         sim.cpu_work(CpuLayer::DiskProcess, 10);
         assert_eq!(sim.metrics.snapshot().cpu_dp, 10);
-        assert_eq!(sim.now() - t0, 10 * sim.cost.cpu_work_unit_us);
+        assert_eq!(sim.now() - t0, 10 * CostModel::CPU_WORK_UNIT_US);
     }
 
     #[test]

@@ -120,13 +120,6 @@ impl Catalog {
         self.entry(name).map(|info| TableInfo::clone(&info))
     }
 
-    /// All table names (diagnostics).
-    pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Adjust the row-count statistic after DML or a bulk load.
     pub fn bump_rows(&self, name: &str, delta: i64) {
         if let Some(t) = self.tables.write().get_mut(&*key(name)) {
@@ -286,30 +279,19 @@ impl Catalog {
                 idx.process.clone(),
                 idx.file,
             );
+            let refused = |e: FsError| match e {
+                FsError::Dp(nsql_dp::DpError::DuplicateKey) => CatalogError::Invalid(format!(
+                    "cannot create unique index {}: duplicate values exist",
+                    idx.name
+                )),
+                e => e.into(),
+            };
             let mut filler = nsql_fs::BlockedInserter::new(fs, &index_only, txn);
             for row in &existing.rows {
                 let irow = idx.index_row(&info.open.desc, &row.0);
-                filler.push(&irow).map_err(|e| {
-                    if matches!(e, FsError::Dp(nsql_dp::DpError::DuplicateKey)) {
-                        CatalogError::Invalid(format!(
-                            "cannot create unique index {}: duplicate values exist",
-                            idx.name
-                        ))
-                    } else {
-                        e.into()
-                    }
-                })?;
+                filler.push(&irow).map_err(refused)?;
             }
-            filler.flush().map_err(|e| {
-                if matches!(e, FsError::Dp(nsql_dp::DpError::DuplicateKey)) {
-                    CatalogError::Invalid(format!(
-                        "cannot create unique index {}: duplicate values exist",
-                        idx.name
-                    ))
-                } else {
-                    e.into()
-                }
-            })?;
+            filler.flush().map_err(refused)?;
         }
 
         // Held here too, the entry would be copied by `make_mut`.

@@ -22,7 +22,7 @@ use crate::sys::{SysSnapshot, SysTable};
 use nsql_dp::{ReadLock, SubsetMode};
 use nsql_fs::{FileSystem, FsError};
 use nsql_lock::TxnId;
-use nsql_records::{EvalError, Expr, KeyRange, Row, Value};
+use nsql_records::{EvalError, Expr, Row, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Mark, Micros, Sim};
 use std::collections::HashMap;
 
@@ -687,9 +687,4 @@ fn group_key<'a>(vals: impl Iterator<Item = &'a Value>, out: &mut Vec<u8>) {
             }
         }
     }
-}
-
-/// Evaluate a `KeyRange`-less full scan quickly (used by tests).
-pub fn full_range() -> KeyRange {
-    KeyRange::all()
 }

@@ -9,7 +9,7 @@
 //! would.
 
 use nsql_records::{EvalError, Expr, Row, Value};
-use nsql_sim::{Ctr, Sim, Wait};
+use nsql_sim::{CostModel, Ctr, Sim, Wait};
 use std::cmp::Ordering;
 
 /// Compare two values for sorting: NULLs sort first, otherwise SQL order.
@@ -55,7 +55,7 @@ pub fn fastsort(
     sim.cluster.add(Ctr::CpuExecutor, work);
     let elapsed_units = if ways == 1 { work } else { work / ways + n / 8 };
     sim.clock
-        .advance_in(Wait::Cpu, elapsed_units * sim.cost.cpu_work_unit_us);
+        .advance_in(Wait::Cpu, elapsed_units * CostModel::CPU_WORK_UNIT_US);
 
     decorated.sort_by(|(ka, _), (kb, _)| {
         for (i, (_, desc)) in keys.iter().enumerate() {

@@ -33,7 +33,7 @@ use crate::audit::{
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use nsql_sim::sync::Mutex;
-use nsql_sim::{Ctr, EntityKind, Event, MeasureRecord, Micros, Sim};
+use nsql_sim::{CostModel, Ctr, EntityKind, Event, MeasureRecord, Micros, Sim};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -106,6 +106,10 @@ pub enum TrailReply {
 /// Bytes a segment of the durable log is allocated with.
 const LOG_SEGMENT: usize = 256 << 10;
 
+/// Write-buffer capacity in bytes: one maximal bulk I/O. Reaching it forces
+/// a flush (the paper's buffer-full condition).
+const BUFFER_CAPACITY: usize = CostModel::BULK_IO_MAX;
+
 /// A pending commit group awaiting its timer.
 #[derive(Debug)]
 struct PendingGroup {
@@ -154,10 +158,7 @@ struct TrailInner {
 pub struct Trail {
     sim: Sim,
     lsns: Arc<LsnSource>,
-    /// Write-buffer capacity in bytes; reaching it forces a flush (the
-    /// paper's buffer-full condition). Default: one maximal bulk I/O (28 KB).
-    pub buffer_capacity: usize,
-    timer: Mutex<CommitTimer>,
+    timer: CommitTimer,
     inner: Mutex<TrailInner>,
     /// MEASURE record of the audit-trail process.
     rec: Arc<MeasureRecord>,
@@ -168,23 +169,16 @@ pub struct Trail {
 impl Trail {
     /// Create a trail with the given timer policy.
     pub fn new(sim: Sim, lsns: Arc<LsnSource>, timer: CommitTimer) -> Arc<Self> {
-        let buffer_capacity = sim.cost.bulk_io_max;
         let rec = sim.measure.entity(EntityKind::Process, AUDIT_PROCESS);
         let volume_rec = sim.measure.entity(EntityKind::Volume, AUDIT_PROCESS);
         Arc::new(Trail {
             sim,
             lsns,
-            buffer_capacity,
-            timer: Mutex::new(timer),
+            timer,
             inner: Mutex::new(TrailInner::default()),
             rec,
             volume_rec,
         })
-    }
-
-    /// Change the timer policy (used by experiment E7's sweep).
-    pub fn set_timer(&self, timer: CommitTimer) {
-        *self.timer.lock() = timer;
     }
 
     /// Highest LSN durably on disk as of virtual `now` (settles any group
@@ -267,7 +261,7 @@ impl Trail {
     /// The sequential bulk-write string needed for `bytes`: its blocks, its
     /// writes, its duration.
     fn flush_string(&self, bytes: usize) -> (usize, usize, Micros) {
-        let blocks = bytes.div_ceil(self.sim.cost.block_size).max(1);
+        let blocks = bytes.div_ceil(CostModel::BLOCK_SIZE).max(1);
         let (writes, duration) = self.sim.cost.bulk_string(blocks);
         (blocks, writes, duration)
     }
@@ -327,7 +321,7 @@ impl Trail {
 
     /// Current timer interval given adaptive state.
     fn timer_interval(&self, inner: &TrailInner) -> Micros {
-        match *self.timer.lock() {
+        match self.timer {
             CommitTimer::Fixed(us) => us,
             CommitTimer::Adaptive {
                 min,
@@ -345,7 +339,7 @@ impl Trail {
 
     /// The buffer-full condition, checked after every append.
     fn flush_if_full(&self, inner: &mut TrailInner, now: Micros) {
-        if inner.buffer.size >= self.buffer_capacity {
+        if inner.buffer.size >= BUFFER_CAPACITY {
             self.flush(inner, now, true);
         }
     }
@@ -601,7 +595,7 @@ mod tests {
         let (sim, _bus, trail, lsns) = setup(CommitTimer::Fixed(1_000_000));
         // Stuff the buffer past 28 KB without any commit.
         let mut pushed = 0usize;
-        while pushed < trail.buffer_capacity {
+        while pushed < BUFFER_CAPACITY {
             let body = update_body(2_000);
             let rec = AuditRecord {
                 lsn: lsns.next(),

@@ -37,6 +37,15 @@ use nsql_sim::{Ctr, EntityKind, Mark, MeasureSnapshot, Sim, SimRng, Wait, Zipf, 
 use nsql_tmf::txn::{TxnError, TMF_ENTITY};
 use std::collections::VecDeque;
 
+/// Pause before re-polling a lock held by someone else.
+const LOCK_RETRY_US: u64 = 300;
+/// Give up on a transaction after this many doomed-and-retried attempts (it
+/// then counts as [`LoadOutcome::gave_up`]).
+const MAX_TXN_RETRIES: u32 = 8;
+/// Base backoff before retrying a doomed transaction (doubles per attempt,
+/// capped at 64x).
+const RETRY_BACKOFF_US: u64 = 400;
+
 /// Tunables of one multi-terminal run.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
@@ -54,19 +63,6 @@ pub struct LoadConfig {
     /// Admission-control gate: at most this many transactions in flight;
     /// excess arrivals queue FIFO.
     pub max_inflight: usize,
-    /// Pause before re-polling a lock held by someone else.
-    pub lock_retry_us: u64,
-    /// Give up on a transaction after this many doomed-and-retried
-    /// attempts (it then counts as [`LoadOutcome::gave_up`]).
-    pub max_txn_retries: u32,
-    /// Base backoff before retrying a doomed transaction (doubles per
-    /// attempt, capped at 64x).
-    pub retry_backoff_us: u64,
-    /// When true (the default), each transaction performs its three
-    /// balance updates in a per-transaction random order. Real mixed
-    /// workloads touch resources in inconsistent orders — this is what
-    /// makes waits-for *cycles* (not just convoys) reachable.
-    pub shuffle_steps: bool,
     /// Virtual-time interval of the telemetry sampler: every this many
     /// microseconds the engine closes an [`IntervalSample`] — throughput,
     /// latencies, the wait-ledger delta, and the busiest MEASURE entity of
@@ -86,10 +82,6 @@ impl Default for LoadConfig {
             mean_think_us: 5_000.0,
             zipf_theta: 0.8,
             max_inflight: 4,
-            lock_retry_us: 300,
-            max_txn_retries: 8,
-            retry_backoff_us: 400,
-            shuffle_steps: true,
             sample_every_us: 0,
             seed: 1,
         }
@@ -562,10 +554,12 @@ pub fn run_load(db: &Cluster, bank: &Bank, cfg: &LoadConfig) -> LoadOutcome {
                 let t = &mut terminals[i];
                 let aid = zipf.draw(&mut t.rng) as i32;
                 let tid = t.rng.below(bank.tellers as u64) as i32;
+                // Each transaction performs its three balance updates in
+                // its own random order. Real mixed workloads touch
+                // resources in inconsistent orders — this is what makes
+                // waits-for *cycles* (not just convoys) reachable.
                 let mut order = [0usize, 1, 2];
-                if cfg.shuffle_steps {
-                    t.rng.shuffle(&mut order);
-                }
+                t.rng.shuffle(&mut order);
                 let job = Job {
                     arrival: now,
                     admitted: now,
@@ -682,7 +676,7 @@ pub fn run_load(db: &Cluster, bank: &Bank, cfg: &LoadConfig) -> LoadOutcome {
                         // re-poll shortly; FIFO order is kept over there.
                         let t = &mut terminals[i];
                         t.state = TermState::Run { job, txn, step };
-                        t.t_next = sim.now() + cfg.lock_retry_us;
+                        t.t_next = sim.now() + LOCK_RETRY_US;
                         t.reason = Wait::Lock;
                     }
                     Err(_) => {
@@ -788,7 +782,7 @@ fn retry(
 ) {
     let now = db.sim.now();
     job.attempt += 1;
-    if job.attempt > cfg.max_txn_retries {
+    if job.attempt > MAX_TXN_RETRIES {
         eng.out.gave_up += 1;
         release_slot(db, terminals, eng, now);
         think_next(&mut terminals[i], now, cutoff, cfg);
@@ -799,7 +793,7 @@ fn retry(
         eng.out.deadlock_retries += 1;
     }
     let shift = (job.attempt - 1).min(6);
-    let backoff = cfg.retry_backoff_us.saturating_mul(1u64 << shift).max(1);
+    let backoff = RETRY_BACKOFF_US.saturating_mul(1u64 << shift).max(1);
     let t = &mut terminals[i];
     t.t_next = now + backoff;
     t.reason = Wait::Retry;

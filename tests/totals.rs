@@ -181,7 +181,6 @@ fn every_cluster_total_equals_its_entity_sum() {
             max_inflight: 6,
             sample_every_us: 50_000,
             seed: 0xE21,
-            ..LoadConfig::default()
         },
     );
     assert!(out.committed > 0);
