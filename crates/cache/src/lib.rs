@@ -267,6 +267,11 @@ impl BufferPool {
         &self.disk
     }
 
+    /// The simulation this pool charges.
+    pub fn sim(&self) -> &Sim {
+        &self.sim
+    }
+
     /// Read one block (point access: no bulk, no pre-fetch). The frame's
     /// image is lent, not copied: it stays what it is when the block is
     /// written or evicted afterwards.

@@ -640,7 +640,7 @@ impl DiskProcess {
             rows.push(v);
             last_key.clear();
             last_key.extend_from_slice(k);
-            self.sim.cpu_work(CpuLayer::DiskProcess, 1);
+            store.charge(1);
             if bytes >= block_budget {
                 full = true;
                 ScanControl::Stop
@@ -648,6 +648,7 @@ impl DiskProcess {
                 ScanControl::Continue
             }
         });
+        store.book();
         let frec = self.file_rec(file);
         frec.add(Ctr::RecsExamined, records);
         frec.add(Ctr::RecsSelected, records);
@@ -1020,9 +1021,10 @@ impl DiskProcess {
         let tree = opened.tree()?;
 
         // Phase 1: scan, evaluating the single-variable query per record.
-        // Every CPU charge of a record lands before the scan reads its next
-        // block (the disk's timeline is read against the clock); the counts
-        // nothing reads meanwhile are booked after the scan.
+        // A record's CPU units accrue on the store, which books them before
+        // the scan's next block access (the disk's timeline is read against
+        // the clock) and once more when the scan stops; the counts nothing
+        // reads meanwhile are booked after the scan.
         let mut rows = RowBlock::default();
         let mut matched: Vec<(Vec<u8>, Vec<u8>)> = Vec::new(); // update/delete candidates
         let mut first_selected: Option<Vec<u8>> = None;
@@ -1044,7 +1046,7 @@ impl DiskProcess {
             }
             examined += 1;
             let mut fail = |units: u64, e: DpError| {
-                self.sim.cpu_work(CpuLayer::DiskProcess, units);
+                store.charge(units);
                 eval_error = Some(e);
                 ScanControl::Stop
             };
@@ -1084,7 +1086,7 @@ impl DiskProcess {
                     (None, _) => matched.push((k.to_vec(), v.to_vec())),
                 }
             }
-            self.sim.cpu_work(CpuLayer::DiskProcess, units);
+            store.charge(units);
             if rows.wire_len() >= reply_budget {
                 exhausted = false; // full (virtual) block: re-drive
                 return ScanControl::Stop;
@@ -1095,6 +1097,7 @@ impl DiskProcess {
             }
             ScanControl::Continue
         });
+        store.book();
         frec.add(Ctr::RecsExamined, examined as u64);
         frec.add(Ctr::RecsSelected, selected as u64);
         if let Some(e) = eval_error {

@@ -11,6 +11,9 @@
 //!   (it refuses before it writes) is never logged;
 //! * the **scan options** — while a set-oriented request is executing, leaf
 //!   reads go through the bulk-I/O / pre-fetch path;
+//! * the **booked CPU** — what a scan charges per record accrues here and
+//!   is booked before the next block access, so every read, pre-fetch and
+//!   write sees the clock a charge per record would have left;
 //! * the volume **block allocator** (block 0 is the volume label).
 
 use crate::{DiskProcess, FileId};
@@ -18,6 +21,7 @@ use nsql_btree::{Block, BlockNo, BlockStore};
 use nsql_cache::{BufferPool, ScanOptions};
 use nsql_lock::TxnId;
 use nsql_sim::sync::Mutex;
+use nsql_sim::CpuLayer;
 use nsql_tmf::AuditBody;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -97,6 +101,8 @@ pub struct DpStore<'a> {
     pub scan: Cell<ScanOptions>,
     /// The change in progress, until it writes its first block.
     pub(crate) unlogged: RefCell<Option<Unlogged<'a>>>,
+    /// Disk Process CPU units charged and not yet booked.
+    cpu: Cell<u64>,
 }
 
 impl<'a> DpStore<'a> {
@@ -108,6 +114,23 @@ impl<'a> DpStore<'a> {
             lsn: Cell::new(0),
             scan: Cell::new(ScanOptions::default()),
             unlogged: RefCell::new(None),
+            cpu: Cell::new(0),
+        }
+    }
+
+    /// Charge `units` of Disk Process CPU, booked at the next block access
+    /// or [`DpStore::book`], whichever comes first. Exact while nothing
+    /// between the charge and the booking reads the clock: only a block
+    /// access can (a disk read, a pre-fetch landing, a write's log force).
+    pub(crate) fn charge(&self, units: u64) {
+        self.cpu.set(self.cpu.get() + units);
+    }
+
+    /// Book what has been charged onto the shared clock.
+    pub(crate) fn book(&self) {
+        let units = self.cpu.take();
+        if units > 0 {
+            self.pool.sim().cpu_work(CpuLayer::DiskProcess, units);
         }
     }
 }
@@ -118,24 +141,28 @@ impl BlockStore for DpStore<'_> {
     }
 
     fn read(&self, block: BlockNo) -> Block {
+        self.book();
         self.pool
             .read(block)
             .unwrap_or_else(|e| panic!("volume read failed: {e}"))
     }
 
     fn read_for_scan(&self, block: BlockNo) -> Block {
+        self.book();
         self.pool
             .read_scan(block, self.scan.get())
             .unwrap_or_else(|e| panic!("volume scan read failed: {e}"))
     }
 
     fn will_need(&self, block: BlockNo) {
+        self.book();
         if self.scan.get().prefetch {
             self.pool.prefetch(block);
         }
     }
 
     fn write(&self, block: BlockNo, data: Block) {
+        self.book();
         if let Some(change) = self.unlogged.take() {
             change.dp.log_ahead(self, &change);
         }
@@ -145,10 +172,12 @@ impl BlockStore for DpStore<'_> {
     }
 
     fn alloc(&self) -> BlockNo {
+        self.book();
         self.alloc.lock().alloc()
     }
 
     fn free(&self, block: BlockNo) {
+        self.book();
         self.alloc.lock().free(block)
     }
 }

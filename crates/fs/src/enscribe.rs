@@ -16,7 +16,7 @@
 //! requester before writing it (two messages), with full-record audit
 //! images.
 
-use crate::{unexpected, FileSystem, FsError, OpenFile};
+use crate::{bad_row, decode, unexpected, FileSystem, FsError, OpenFile};
 use nsql_dp::{AuditMode, DpReply, DpRequest, ReadLock};
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::key::encode_record_key;
@@ -111,7 +111,11 @@ impl FileSystem {
                     return Err(unexpected(verb, &reply));
                 };
                 // De-blocking by the File System from its local block copy.
-                self.deblock(&cur.of.desc, &rows, &mut cur.buffer)?;
+                let buffer = &mut cur.buffer;
+                self.deblock(&rows, |bytes| {
+                    buffer.push_back(decode(&cur.of.desc, bytes)?);
+                    Ok(())
+                })?;
                 cur.after = last_key;
                 cur.done = done;
                 if cur.buffer.is_empty() && done {
@@ -135,10 +139,12 @@ impl FileSystem {
                     }
                     DpReply::Subset { rows, last_key, .. } if rows.iter().count() == 1 => {
                         cur.after = last_key;
-                        let row = rows.iter().next();
-                        return row
-                            .map(|bytes| self.decode(&cur.of.desc, bytes))
-                            .transpose();
+                        let mut row = None;
+                        self.deblock(&rows, |bytes| {
+                            row = Some(decode(&cur.of.desc, bytes)?);
+                            Ok(())
+                        })?;
+                        return Ok(row);
                     }
                     other => return Err(unexpected(verb, &other)),
                 }
@@ -178,7 +184,7 @@ impl FileSystem {
             encode_record_key(&of.desc, old),
             "ENSCRIBE rewrite cannot change the record key"
         );
-        let record = encode_row(&of.desc, new).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let record = encode_row(&of.desc, new).map_err(bad_row)?;
         let p = of.partition_for(&key);
         self.send(
             &p.process,

@@ -29,7 +29,7 @@ pub use sqlapi::{BlockedInserter, CursorUpdater, ScanResult};
 use nsql_dp::{DpError, DpReply, DpRequest, FileId, RowBlock};
 use nsql_msg::{Bus, BusError, CpuId, MsgKind};
 use nsql_records::key::{encode_key_value, encode_record_key};
-use nsql_records::row::encode_row;
+use nsql_records::row::{decode_row, encode_row, CodecError};
 use nsql_records::{KeyRange, RecordDescriptor, Row, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Event, MeasureRecord, Sim, Wait};
 use std::sync::Arc;
@@ -192,7 +192,7 @@ impl IndexInfo {
 
     /// The index file's `(key, record)` for an index row.
     pub(crate) fn entry(&self, irow: &[Value]) -> Result<(Vec<u8>, Vec<u8>), FsError> {
-        let record = encode_row(&self.desc, irow).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let record = encode_row(&self.desc, irow).map_err(bad_row)?;
         Ok((encode_record_key(&self.desc, irow), record))
     }
 
@@ -401,24 +401,35 @@ impl FileSystem {
         }
     }
 
-    /// Decode a full record into a row.
-    pub(crate) fn decode(&self, desc: &RecordDescriptor, bytes: &[u8]) -> Result<Row, FsError> {
-        self.sim.cpu_work(CpuLayer::FileSystem, 1);
-        nsql_records::row::decode_row(desc, bytes).map_err(|e| FsError::BadRow(e.to_string()))
-    }
-
-    /// De-block a reply: decode each row of `block`, in order, onto `out`.
+    /// De-block a reply: hand each row of `block`, in order and as it lies
+    /// in the reply, to `take`, which refuses a row that does not decode
+    /// (by decoding it, or with [`nsql_records::row::check_row`]). The reply
+    /// costs one charge, booked after the block: a unit per row handed over,
+    /// counting one that fails (nothing `take` does may read the virtual
+    /// clock).
     pub(crate) fn deblock(
         &self,
-        desc: &RecordDescriptor,
         block: &RowBlock,
-        out: &mut impl Extend<Row>,
+        mut take: impl FnMut(&[u8]) -> Result<(), FsError>,
     ) -> Result<(), FsError> {
-        for bytes in block.iter() {
-            out.extend([self.decode(desc, bytes)?]);
-        }
-        Ok(())
+        let mut handed = 0;
+        let taken = block.iter().try_for_each(|bytes| {
+            handed += 1;
+            take(bytes)
+        });
+        self.sim.cpu_work(CpuLayer::FileSystem, handed);
+        taken
     }
+}
+
+/// A row that does not decode, as the caller sees it.
+pub(crate) fn bad_row(e: CodecError) -> FsError {
+    FsError::BadRow(e.to_string())
+}
+
+/// Decode a record into values, refusing one that does not decode.
+pub(crate) fn decode(desc: &RecordDescriptor, bytes: &[u8]) -> Result<Row, FsError> {
+    decode_row(desc, bytes).map_err(bad_row)
 }
 
 #[cfg(test)]

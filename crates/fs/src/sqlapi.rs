@@ -8,12 +8,12 @@
 //! System re-drives with the last processed key until the range is
 //! exhausted.
 
-use crate::{unexpected, FileSystem, FsError, IndexInfo, OpenFile};
+use crate::{bad_row, decode, unexpected, FileSystem, FsError, IndexInfo, OpenFile};
 use nsql_dp::{DpError, DpReply, DpRequest, FileId, ReadLock, RowBlock, SubsetMode, SubsetOp};
 use nsql_lock::{LockMode, TxnId};
-use nsql_records::key::encode_record_key;
-use nsql_records::row::encode_row;
-use nsql_records::{Expr, KeyRange, OwnedBound, Row, SetList, Value};
+use nsql_records::key::{encode_record_key, encode_stored_key};
+use nsql_records::row::{check_row, encode_row};
+use nsql_records::{Expr, KeyRange, OwnedBound, RecordDescriptor, Row, SetList, Value};
 use nsql_sim::{CpuLayer, EntityKind, Event};
 use std::collections::BTreeMap;
 
@@ -33,7 +33,7 @@ impl FileSystem {
 
     /// Insert a row, maintaining all secondary indices.
     pub fn insert_row(&self, txn: TxnId, of: &OpenFile, values: &[Value]) -> Result<(), FsError> {
-        let record = encode_row(&of.desc, values).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let record = encode_row(&of.desc, values).map_err(bad_row)?;
         let key = encode_record_key(&of.desc, values);
         let p = of.partition_for(&key);
         self.send(
@@ -120,7 +120,10 @@ impl FileSystem {
         };
         let verb = request.name();
         match self.send(&p.process, request)? {
-            DpReply::Record(Some(bytes)) => Ok(Some(self.decode(&of.desc, &bytes)?)),
+            DpReply::Record(Some(bytes)) => {
+                self.sim.cpu_work(CpuLayer::FileSystem, 1);
+                Ok(Some(decode(&of.desc, &bytes)?))
+            }
             DpReply::Record(None) => Ok(None),
             other => Err(unexpected(verb, &other)),
         }
@@ -308,9 +311,80 @@ impl FileSystem {
         Ok(())
     }
 
+    /// A read subset conversation with each of `destinations`: every reply
+    /// row is de-blocked and handed to `take` where it lands. Returns the
+    /// records the Disk Processes examined.
+    fn read_subset<'a>(
+        &self,
+        destinations: impl IntoIterator<Item = (&'a str, FileId, KeyRange)>,
+        predicate: Option<&Expr>,
+        op: &dyn Fn() -> SubsetOp,
+        mut take: impl FnMut(&[u8]) -> Result<(), FsError>,
+    ) -> Result<u64, FsError> {
+        let mut examined = 0;
+        self.drive_subset(destinations, predicate, op, |rows, n, _| {
+            examined += u64::from(n);
+            self.deblock(rows, &mut take)
+        })?;
+        Ok(examined)
+    }
+
+    /// The read subset conversation over a primary-key range: fans out
+    /// across partitions, re-driving each until exhausted, and hands `take`
+    /// each row of each (virtual) block with its layout, the table's
+    /// descriptor projected to `projection`.
+    #[allow(clippy::too_many_arguments)] // mirrors the GET^FIRST message's fields
+    fn read_range(
+        &self,
+        txn: Option<TxnId>,
+        of: &OpenFile,
+        range: &KeyRange,
+        predicate: Option<&Expr>,
+        projection: Option<&[u16]>,
+        mode: SubsetMode,
+        lock: ReadLock,
+        mut take: impl FnMut(&RecordDescriptor, &[u8]) -> Result<(), FsError>,
+    ) -> Result<u64, FsError> {
+        let projected = projection.map(|fields| of.desc.project(fields));
+        let row_desc = projected.as_ref().unwrap_or(&of.desc);
+        let op = || SubsetOp::Read {
+            txn,
+            projection: projection.map(<[u16]>::to_vec),
+            mode,
+            lock,
+        };
+        self.read_subset(partitions(of, range), predicate, &op, |bytes| {
+            take(row_desc, bytes)
+        })
+    }
+
     /// Set-oriented read over a primary-key range: fans out across
-    /// partitions, re-driving each until exhausted, and de-blocks the
-    /// (virtual) blocks into rows.
+    /// partitions, re-driving each until exhausted, and hands each row of
+    /// each (virtual) block to `each` as the bytes the reply carries, laid
+    /// out per the table's descriptor projected to `projection`. A row that
+    /// does not decode fails the scan with [`FsError::BadRow`] before `each`
+    /// sees it. Returns the records the Disk Processes examined.
+    #[allow(clippy::too_many_arguments)] // mirrors the GET^FIRST message's fields
+    pub fn scan_with(
+        &self,
+        txn: Option<TxnId>,
+        of: &OpenFile,
+        range: &KeyRange,
+        predicate: Option<&Expr>,
+        projection: Option<&[u16]>,
+        mode: SubsetMode,
+        lock: ReadLock,
+        mut each: impl FnMut(&RecordDescriptor, &[u8]) -> Result<(), FsError>,
+    ) -> Result<u64, FsError> {
+        let checked = |desc: &RecordDescriptor, bytes: &[u8]| {
+            check_row(desc, bytes).map_err(bad_row)?;
+            each(desc, bytes)
+        };
+        self.read_range(txn, of, range, predicate, projection, mode, lock, checked)
+    }
+
+    /// [`FileSystem::scan_with`], decoding the rows (which refuses the rows
+    /// `scan_with` refuses).
     #[allow(clippy::too_many_arguments)] // mirrors the GET^FIRST message's fields
     pub fn scan(
         &self,
@@ -322,25 +396,14 @@ impl FileSystem {
         mode: SubsetMode,
         lock: ReadLock,
     ) -> Result<ScanResult, FsError> {
-        let projected = projection.map(|fields| of.desc.project(fields));
-        let row_desc = projected.as_ref().unwrap_or(&of.desc);
-        let op = || SubsetOp::Read {
-            txn,
-            projection: projection.map(<[u16]>::to_vec),
-            mode,
-            lock,
+        let mut rows = Vec::new();
+        let decoded = |desc: &RecordDescriptor, bytes: &[u8]| {
+            rows.push(decode(desc, bytes)?);
+            Ok(())
         };
-        let mut out = ScanResult::default();
-        self.drive_subset(
-            partitions(of, range),
-            predicate,
-            &op,
-            |rows, examined, _| {
-                out.examined += examined as u64;
-                self.deblock(row_desc, rows, &mut out.rows)
-            },
-        )?;
-        Ok(out)
+        let examined =
+            self.read_range(txn, of, range, predicate, projection, mode, lock, decoded)?;
+        Ok(ScanResult { rows, examined })
     }
 
     /// A set-oriented write pushed down to the Disk Processes of `range`;
@@ -361,8 +424,9 @@ impl FileSystem {
     }
 
     /// A set-oriented write on a table whose indices it would disturb: read
-    /// the qualifying rows (whole records, locked), then `change` each by
-    /// key, which maintains the indices from the old row.
+    /// the qualifying rows (whole records, locked) and take each one's key
+    /// from its key fields, then `change` each by key, which maintains the
+    /// indices from the old row.
     fn write_row_at_a_time(
         &self,
         txn: TxnId,
@@ -372,11 +436,24 @@ impl FileSystem {
         change: impl Fn(&[u8]) -> Result<(), FsError>,
     ) -> Result<u64, FsError> {
         let (mode, lock) = (SubsetMode::Vsbb, ReadLock::Shared);
-        let scan = self.scan(Some(txn), of, range, predicate, None, mode, lock)?;
-        for row in &scan.rows {
-            change(&encode_record_key(&of.desc, &row.0))?;
+        let mut keys = Vec::new();
+        self.scan_with(
+            Some(txn),
+            of,
+            range,
+            predicate,
+            None,
+            mode,
+            lock,
+            |desc, record| {
+                keys.push(encode_stored_key(desc, record).map_err(bad_row)?);
+                Ok(())
+            },
+        )?;
+        for key in &keys {
+            change(key)?;
         }
-        Ok(scan.rows.len() as u64)
+        Ok(keys.len() as u64)
     }
 
     /// Set-oriented UPDATE over a key range. When no index covers an
@@ -446,8 +523,9 @@ impl FileSystem {
         };
         let index = [(idx.process.as_str(), idx.file, range.clone())];
         let mut out = Vec::new();
-        self.drive_subset(index, predicate, &op, |rows, _, _| {
-            self.deblock(&idx.desc, rows, &mut out)
+        self.read_subset(index, predicate, &op, |bytes| {
+            out.push(decode(&idx.desc, bytes)?);
+            Ok(())
         })?;
         Ok(out)
     }
@@ -612,7 +690,7 @@ impl<'a> BlockedInserter<'a> {
     /// Buffer one row; flushes automatically at the threshold.
     pub fn push(&mut self, values: &[Value]) -> Result<(), FsError> {
         let of = self.buffers.of;
-        let record = encode_row(&of.desc, values).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let record = encode_row(&of.desc, values).map_err(bad_row)?;
         let key = encode_record_key(&of.desc, values);
         let partition = self.buffers.partition_of(&key)?;
         let buffered = self.buffers.push(Blocked::Insert, partition, key, record);
@@ -669,7 +747,7 @@ impl<'a> CursorUpdater<'a> {
             encode_record_key(&of.desc, old),
             "WHERE CURRENT updates cannot change the primary key"
         );
-        let record = encode_row(&of.desc, new).map_err(|e| FsError::BadRow(e.to_string()))?;
+        let record = encode_row(&of.desc, new).map_err(bad_row)?;
         let partition = self.buffers.partition_of(&key)?;
         self.buffers.push(Blocked::Update, partition, key, record);
         for (ii, idx) in of.indexes.iter().enumerate() {

@@ -7,6 +7,7 @@
 //! range. Encoding keys so that byte-wise comparison equals SQL comparison
 //! makes all of that (and the B-tree) simple and fast.
 
+use crate::row::{extract_field, CodecError};
 use crate::types::{FieldType, RecordDescriptor};
 use crate::value::Value;
 use std::ops::Bound;
@@ -75,6 +76,18 @@ pub fn encode_record_key(desc: &RecordDescriptor, values: &[Value]) -> Vec<u8> {
         encode_key_value(desc.fields[k as usize].ty, &values[k as usize], &mut out);
     }
     out
+}
+
+/// The key of an encoded record, from its key fields alone: what
+/// [`encode_record_key`] makes of the decoded row, without decoding the
+/// rest of it.
+pub fn encode_stored_key(desc: &RecordDescriptor, record: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    for &k in &desc.key_fields {
+        let value = extract_field(desc, record, k)?;
+        encode_key_value(desc.fields[k as usize].ty, &value, &mut out);
+    }
+    Ok(out)
 }
 
 /// Encode a key from an explicit (type, value) list — used for search keys

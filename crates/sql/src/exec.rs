@@ -22,8 +22,9 @@ use crate::sys::{SysSnapshot, SysTable};
 use nsql_dp::{ReadLock, SubsetMode};
 use nsql_fs::{FileSystem, FsError};
 use nsql_lock::TxnId;
-use nsql_records::{EvalError, Expr, Row, Value};
+use nsql_records::{EvalError, Expr, KeyRange, RawRecord, Row, RowAccessor, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Mark, Micros, Sim};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Measured cost of one plan operator (the EXPLAIN ANALYZE row).
@@ -204,20 +205,21 @@ impl Executor<'_> {
         Ok((result, stats))
     }
 
-    fn select_impl(
+    /// Fetch every table of `plan` and join them: the combined rows, each
+    /// table's fetch and the join measured as operators.
+    fn join(
         &self,
         plan: &SelectPlan,
         txn: Option<TxnId>,
-        stats: Option<&mut Vec<OpStats>>,
-    ) -> Result<QueryResult, ExecError> {
-        let mut ops = stats.map(|s| (s, self.sim().mark()));
+        ops: &mut Option<(&mut Vec<OpStats>, Mark)>,
+    ) -> Result<Vec<Row>, ExecError> {
         // Fetch each table's contribution.
         let mut per_table: Vec<Vec<Row>> = Vec::with_capacity(plan.tables.len());
         for (i, t) in plan.tables.iter().enumerate() {
             let rows = self.fetch_table(t, txn)?;
             let prefix = if i == 0 { "" } else { "NESTED-LOOP JOIN with " };
             let label = || format!("{prefix}{}", describe_access(t));
-            self.close_op(&mut ops, label, rows.len());
+            self.close_op(ops, label, rows.len());
             per_table.push(rows);
         }
 
@@ -248,13 +250,23 @@ impl Executor<'_> {
             joined = kept;
         }
         if plan.tables.len() > 1 || plan.join_filter.is_some() {
-            self.close_op(&mut ops, || "JOIN".into(), joined.len());
+            self.close_op(ops, || "JOIN".into(), joined.len());
         }
+        Ok(joined)
+    }
 
+    fn select_impl(
+        &self,
+        plan: &SelectPlan,
+        txn: Option<TxnId>,
+        stats: Option<&mut Vec<OpStats>>,
+    ) -> Result<QueryResult, ExecError> {
+        let mut ops = stats.map(|s| (s, self.sim().mark()));
         // Aggregate or plain projection.
         let mut result = if let Some(agg) = &plan.aggregate {
-            self.aggregate(agg, &joined, &plan.column_names)?
+            self.aggregate(plan, agg, txn, &mut ops)?
         } else {
+            let joined = self.join(plan, txn, &mut ops)?;
             let sorted = fastsort(self.sim(), joined, &plan.order_by, self.sort_parallelism)?;
             let width: usize = plan.tables.iter().map(|t| t.fetch_fields.len()).sum();
             let rows = match plain_columns(&plan.output) {
@@ -319,31 +331,60 @@ impl Executor<'_> {
         Ok(result)
     }
 
+    /// Aggregate the rows `plan` reads. A single subset-scanned table is
+    /// folded reply row by reply row; any other plan is fetched (and
+    /// joined) into rows first, and those are folded.
+    fn aggregate(
+        &self,
+        plan: &SelectPlan,
+        agg: &AggPlan,
+        txn: Option<TxnId>,
+        ops: &mut Option<(&mut Vec<OpStats>, Mark)>,
+    ) -> Result<QueryResult, ExecError> {
+        let mut aggregation = Aggregation::new(agg);
+        if let Some((t, range, pushdown)) = folds_scan_replies(plan) {
+            // One table scanned by subset: each reply row is folded as
+            // the bytes it arrived as, and no row is built.
+            let (mode, projection) = transfer(t);
+            let mut rows = 0;
+            self.fs.scan_with(
+                txn,
+                &t.info.open,
+                range,
+                pushdown,
+                projection,
+                mode,
+                read_lock(txn),
+                |desc, bytes| {
+                    rows += 1;
+                    aggregation.fold(&RawRecord { desc, bytes });
+                    Ok(())
+                },
+            )?;
+            self.close_op(ops, || describe_access(t), rows);
+        } else {
+            for row in &self.join(plan, txn, ops)? {
+                aggregation.fold(row);
+            }
+        }
+        // What the fold would have charged row by row, booked at once:
+        // nothing has read the clock since the last operator closed.
+        self.sim().cpu_work(CpuLayer::Executor, aggregation.units());
+        aggregation.finish(&plan.column_names)
+    }
+
     /// Fetch one table's rows per its access path, projected to
     /// `fetch_fields` and filtered by the residual.
     fn fetch_table(&self, t: &TableAccess, txn: Option<TxnId>) -> Result<Vec<Row>, ExecError> {
         let of = &t.info.open;
-        let all_fields = t.fetch_fields.len() == of.desc.num_fields();
-        // A transaction's reads take shared locks; a bare read takes none.
-        let lock = if txn.is_some() {
-            ReadLock::Shared
-        } else {
-            ReadLock::None
-        };
+        let lock = read_lock(txn);
         let rows = match &t.access {
             AccessPath::TableScan {
                 range,
                 pushdown,
                 browse: false,
             } => {
-                // SELECT * with no predicate travels via RSBB (paper
-                // example 2); anything with selection or projection uses
-                // VSBB (example 1).
-                let (mode, projection) = if pushdown.is_none() && all_fields {
-                    (SubsetMode::Rsbb, None)
-                } else {
-                    (SubsetMode::Vsbb, Some(t.fetch_fields.as_slice()))
-                };
+                let (mode, projection) = transfer(t);
                 self.fs
                     .scan(txn, of, range, pushdown.as_ref(), projection, mode, lock)?
                     .rows
@@ -463,139 +504,6 @@ impl Executor<'_> {
         Ok(rows)
     }
 
-    fn aggregate(
-        &self,
-        agg: &AggPlan,
-        rows: &[Row],
-        names: &[String],
-    ) -> Result<QueryResult, ExecError> {
-        #[derive(Clone)]
-        struct AccState {
-            count: u64,
-            sum_i: i64,
-            sum_f: f64,
-            any_float: bool,
-            min: Option<Value>,
-            max: Option<Value>,
-        }
-        impl Default for AccState {
-            fn default() -> Self {
-                AccState {
-                    count: 0,
-                    sum_i: 0,
-                    sum_f: 0.0,
-                    any_float: false,
-                    min: None,
-                    max: None,
-                }
-            }
-        }
-
-        // Groups in first-seen order, found by key; the key of the row at
-        // hand is built in one buffer, and only a new group keeps a copy of
-        // it and of its grouping values.
-        let mut groups: Vec<(Vec<Value>, Vec<AccState>)> = Vec::new();
-        let mut by_key: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut key = Vec::new();
-        let new_group = |values| (values, vec![AccState::default(); agg.aggs.len()]);
-        for row in rows {
-            self.sim()
-                .cpu_work(CpuLayer::Executor, 1 + agg.aggs.len() as u64);
-            let group_vals = || agg.group_by.iter().map(|&g| &row.0[g as usize]);
-            key.clear();
-            group_key(group_vals(), &mut key);
-            let group = match by_key.get(key.as_slice()) {
-                Some(&group) => group,
-                None => {
-                    by_key.insert(key.clone(), groups.len());
-                    groups.push(new_group(group_vals().cloned().collect()));
-                    groups.len() - 1
-                }
-            };
-            let entry = &mut groups[group];
-            for (i, (func, arg)) in agg.aggs.iter().enumerate() {
-                let v = match arg {
-                    None => Value::Int(1), // COUNT(*)
-                    Some(e) => e.eval(row)?,
-                };
-                if v.is_null() {
-                    continue; // NULLs are ignored by aggregates
-                }
-                let st = &mut entry.1[i];
-                st.count += 1;
-                match func {
-                    AggFunc::Count => {}
-                    AggFunc::Sum | AggFunc::Avg => {
-                        if let Some(i64v) = v.as_i64() {
-                            st.sum_i += i64v;
-                            st.sum_f += i64v as f64;
-                        } else if let Some(f) = v.as_f64() {
-                            st.any_float = true;
-                            st.sum_f += f;
-                        } else {
-                            return Err(ExecError::Eval(
-                                "SUM/AVG requires numeric argument".into(),
-                            ));
-                        }
-                    }
-                    AggFunc::Min => {
-                        if st.min.as_ref().is_none_or(|m| sort_cmp(&v, m).is_lt()) {
-                            st.min = Some(v.clone());
-                        }
-                    }
-                    AggFunc::Max => {
-                        if st.max.as_ref().is_none_or(|m| sort_cmp(&v, m).is_gt()) {
-                            st.max = Some(v.clone());
-                        }
-                    }
-                }
-            }
-        }
-        // A global aggregate over zero rows still yields one row.
-        if groups.is_empty() && agg.group_by.is_empty() {
-            groups.push(new_group(Vec::new()));
-        }
-
-        let mut out_rows = Vec::with_capacity(groups.len());
-        for (gvals, states) in &groups {
-            let mut out = Vec::with_capacity(agg.output.len());
-            for o in &agg.output {
-                out.push(match *o {
-                    AggOutput::GroupCol(i) => gvals[i].clone(),
-                    AggOutput::Agg(i) => {
-                        let st = &states[i];
-                        match agg.aggs[i].0 {
-                            AggFunc::Count => Value::LargeInt(st.count as i64),
-                            AggFunc::Sum => {
-                                if st.count == 0 {
-                                    Value::Null
-                                } else if st.any_float {
-                                    Value::Double(st.sum_f)
-                                } else {
-                                    Value::LargeInt(st.sum_i)
-                                }
-                            }
-                            AggFunc::Avg => {
-                                if st.count == 0 {
-                                    Value::Null
-                                } else {
-                                    Value::Double(st.sum_f / st.count as f64)
-                                }
-                            }
-                            AggFunc::Min => st.min.clone().unwrap_or(Value::Null),
-                            AggFunc::Max => st.max.clone().unwrap_or(Value::Null),
-                        }
-                    }
-                });
-            }
-            out_rows.push(Row(out));
-        }
-        Ok(QueryResult {
-            columns: names.to_vec(),
-            rows: out_rows,
-        })
-    }
-
     // ------------------------------------------------------------------
     // DML
     // ------------------------------------------------------------------
@@ -654,37 +562,207 @@ fn plain_columns(output: &[(String, Expr)]) -> Option<Vec<usize>> {
     Some(columns)
 }
 
-/// Order-insensitive hashable key for grouping values (f64 via bit
-/// patterns; strings length-prefixed), appended to `out`.
-fn group_key<'a>(vals: impl Iterator<Item = &'a Value>, out: &mut Vec<u8>) {
-    for v in vals {
-        match v {
-            Value::Null => out.push(0),
-            Value::Bool(b) => {
-                out.push(1);
-                out.push(*b as u8);
+/// A transaction's reads take shared locks; a bare read takes none.
+fn read_lock(txn: Option<TxnId>) -> ReadLock {
+    if txn.is_some() {
+        ReadLock::Shared
+    } else {
+        ReadLock::None
+    }
+}
+
+/// How a subset scan of `t` travels: `SELECT *` with no predicate via RSBB
+/// (paper example 2), anything with selection or projection via VSBB
+/// (example 1).
+fn transfer(t: &TableAccess) -> (SubsetMode, Option<&[u16]>) {
+    let all_fields = t.fetch_fields.len() == t.info.open.desc.num_fields();
+    match &t.access {
+        AccessPath::TableScan { pushdown: None, .. } if all_fields => (SubsetMode::Rsbb, None),
+        _ => (SubsetMode::Vsbb, Some(t.fetch_fields.as_slice())),
+    }
+}
+
+/// The one table of an aggregate `plan` whose reply rows the aggregation
+/// can fold as they land, with its key range and pushed-down predicate: a
+/// subset scan that leaves the executor no filter to apply.
+fn folds_scan_replies(plan: &SelectPlan) -> Option<(&TableAccess, &KeyRange, Option<&Expr>)> {
+    let [t] = plan.tables.as_slice() else {
+        return None;
+    };
+    match &t.access {
+        AccessPath::TableScan {
+            range,
+            pushdown,
+            browse: false,
+        } if t.residual.is_none() && plan.join_filter.is_none() => {
+            Some((t, range, pushdown.as_ref()))
+        }
+        _ => None,
+    }
+}
+
+/// `GROUP BY` and the aggregate functions, fed one row at a time: the
+/// executor's one aggregation, whether a row is the bytes of a reply
+/// ([`RawRecord`]) or a joined, browsed, index-fetched or `sys.*` [`Row`].
+struct Aggregation<'p> {
+    plan: &'p AggPlan,
+    /// Groups in first-seen order: the grouping values, decoded at the
+    /// group's first row, and one running state per aggregate.
+    groups: Vec<(Vec<Value>, Vec<Running>)>,
+    /// Group by equality key of its grouping values.
+    by_key: HashMap<Vec<u8>, usize>,
+    /// The key of the row at hand, built in one reused buffer.
+    key: Vec<u8>,
+    /// Rows folded, counting one whose evaluation failed.
+    folded: u64,
+    /// The first evaluation error: no row is folded after it.
+    error: Option<ExecError>,
+}
+
+impl<'p> Aggregation<'p> {
+    fn new(plan: &'p AggPlan) -> Self {
+        Aggregation {
+            plan,
+            groups: Vec::new(),
+            by_key: HashMap::new(),
+            key: Vec::new(),
+            folded: 0,
+            error: None,
+        }
+    }
+
+    /// Fold one row into its group. After an evaluation error the rows
+    /// that follow are ignored (a scan still drains) and
+    /// [`Aggregation::finish`] returns the error.
+    fn fold(&mut self, row: &dyn RowAccessor) {
+        if self.error.is_none() {
+            self.folded += 1;
+            if let Err(e) = self.accumulate(row) {
+                self.error = Some(e);
             }
-            Value::SmallInt(n) => {
-                out.push(2);
-                out.extend_from_slice(&(*n as i64).to_be_bytes());
+        }
+    }
+
+    fn accumulate(&mut self, row: &dyn RowAccessor) -> Result<(), ExecError> {
+        let plan = self.plan;
+        self.key.clear();
+        for &g in &plan.group_by {
+            row.eq_key(g, &mut self.key);
+        }
+        let group = match self.by_key.get(self.key.as_slice()) {
+            Some(&group) => group,
+            None => {
+                self.by_key.insert(self.key.clone(), self.groups.len());
+                let values = plan.group_by.iter().map(|&g| row.field(g)).collect();
+                let states = vec![Running::default(); plan.aggs.len()];
+                self.groups.push((values, states));
+                self.groups.len() - 1
             }
-            Value::Int(n) => {
-                out.push(2);
-                out.extend_from_slice(&(*n as i64).to_be_bytes());
+        };
+        let states = &mut self.groups[group].1;
+        for ((func, arg), state) in plan.aggs.iter().zip(states) {
+            let v = match arg {
+                None => Value::Int(1), // COUNT(*)
+                Some(e) => e.eval(row)?,
+            };
+            state.add(*func, v)?;
+        }
+        Ok(())
+    }
+
+    /// Executor CPU units of the rows folded: one per row and one per
+    /// aggregate per row.
+    fn units(&self) -> u64 {
+        self.folded * (1 + self.plan.aggs.len() as u64)
+    }
+
+    /// One output row per group, in first-seen order.
+    fn finish(mut self, names: &[String]) -> Result<QueryResult, ExecError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let plan = self.plan;
+        // A global aggregate over zero rows still yields one row.
+        if self.groups.is_empty() && plan.group_by.is_empty() {
+            let states = vec![Running::default(); plan.aggs.len()];
+            self.groups.push((Vec::new(), states));
+        }
+        let rows = self.groups.into_iter().map(|(values, states)| {
+            let column = |o: &AggOutput| match *o {
+                AggOutput::GroupCol(i) => values[i].clone(),
+                AggOutput::Agg(i) => states[i].result(plan.aggs[i].0),
+            };
+            Row(plan.output.iter().map(column).collect())
+        });
+        Ok(QueryResult {
+            columns: names.to_vec(),
+            rows: rows.collect(),
+        })
+    }
+}
+
+/// One aggregate function's running state within one group.
+#[derive(Debug, Clone, Default)]
+struct Running {
+    /// Non-NULL values seen.
+    count: u64,
+    /// `SUM` of integers, exact.
+    sum_i: i64,
+    /// Sum as a double (`AVG`, and `SUM` of doubles).
+    sum_f: f64,
+    any_float: bool,
+    /// `MIN` / `MAX` so far.
+    extreme: Option<Value>,
+}
+
+impl Running {
+    fn add(&mut self, func: AggFunc, v: Value) -> Result<(), ExecError> {
+        if v.is_null() {
+            return Ok(()); // NULLs are ignored by aggregates
+        }
+        self.count += 1;
+        match func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                if let Some(n) = v.as_i64() {
+                    if func == AggFunc::Sum {
+                        // As LARGEINT arithmetic does: an overflow fails.
+                        self.sum_i = self.sum_i.checked_add(n).ok_or(EvalError::Overflow)?;
+                    }
+                    self.sum_f += n as f64;
+                } else if let Some(x) = v.as_f64() {
+                    self.any_float = true;
+                    self.sum_f += x;
+                } else {
+                    return Err(ExecError::Eval("SUM/AVG requires numeric argument".into()));
+                }
             }
-            Value::LargeInt(n) => {
-                out.push(2);
-                out.extend_from_slice(&n.to_be_bytes());
+            AggFunc::Min | AggFunc::Max => {
+                let wanted = if func == AggFunc::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                if self
+                    .extreme
+                    .as_ref()
+                    .is_none_or(|best| sort_cmp(&v, best) == wanted)
+                {
+                    self.extreme = Some(v);
+                }
             }
-            Value::Double(x) => {
-                out.push(3);
-                out.extend_from_slice(&x.to_bits().to_be_bytes());
-            }
-            Value::Str(s) => {
-                out.push(4);
-                out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+        }
+        Ok(())
+    }
+
+    fn result(&self, func: AggFunc) -> Value {
+        match func {
+            AggFunc::Count => Value::LargeInt(self.count as i64),
+            AggFunc::Sum | AggFunc::Avg if self.count == 0 => Value::Null,
+            AggFunc::Sum if self.any_float => Value::Double(self.sum_f),
+            AggFunc::Sum => Value::LargeInt(self.sum_i),
+            AggFunc::Avg => Value::Double(self.sum_f / self.count as f64),
+            AggFunc::Min | AggFunc::Max => self.extreme.clone().unwrap_or(Value::Null),
         }
     }
 }

@@ -168,3 +168,46 @@ fn abort_metrics_and_trail_abort_records() {
         "abort record missing from the trail"
     );
 }
+
+#[test]
+fn sum_that_overflows_fails_as_largeint_arithmetic_does() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute("CREATE TABLE L (ID INT NOT NULL, X LARGEINT, PRIMARY KEY (ID))")
+        .unwrap();
+    s.execute("INSERT INTO L VALUES (1, 9223372036854775807), (2, 1)")
+        .unwrap();
+    let arithmetic = s.query("SELECT X + 1 FROM L WHERE ID = 1").unwrap_err();
+    assert!(arithmetic.to_string().contains("arithmetic overflow"));
+    // Folded from the reply bytes, and from rows read record at a time.
+    for sql in [
+        "SELECT SUM(X) FROM L",
+        "SELECT SUM(X) FROM L FOR BROWSE RECORD ACCESS",
+    ] {
+        let e = s.query(sql).unwrap_err();
+        assert_eq!(e.to_string(), arithmetic.to_string(), "{sql}");
+    }
+    // AVG sums as a double and does not overflow.
+    let r = s.query("SELECT AVG(X) FROM L").unwrap();
+    assert_eq!(r.rows[0].0[0], Value::Double(i64::MAX as f64 / 2.0));
+}
+
+#[test]
+fn group_by_double_puts_zero_and_negative_zero_together() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute("CREATE TABLE D (ID INT NOT NULL, V DOUBLE PRECISION, PRIMARY KEY (ID))")
+        .unwrap();
+    s.execute("INSERT INTO D VALUES (1, 0.0), (2, -0.0), (3, 1.5)")
+        .unwrap();
+    let equal = s.query("SELECT COUNT(*) FROM D WHERE V = 0.0").unwrap();
+    assert_eq!(equal.rows[0].0[0], Value::LargeInt(2));
+    for sql in [
+        "SELECT V, COUNT(*) AS N FROM D GROUP BY V ORDER BY V",
+        "SELECT V, COUNT(*) AS N FROM D GROUP BY V ORDER BY V FOR BROWSE RECORD ACCESS",
+    ] {
+        let r = s.query(sql).unwrap();
+        assert_eq!(r.rows.len(), 2, "{sql}: {:?}", r.rows);
+        assert_eq!(r.rows[0].0[1], Value::LargeInt(2), "{sql}");
+    }
+}

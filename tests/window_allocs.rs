@@ -15,8 +15,9 @@
 //!
 //! "A scan touches each row once": the Disk Process copies a selected row's
 //! fields from the leaf into the reply's one buffer, the File System decodes
-//! it once, and the executor moves it — so the per-row allocation count of
-//! the `scan_select` statements has a ceiling too.
+//! it once, and the executor moves it — or, grouping, folds the reply's
+//! bytes and builds no row at all — so the per-row allocation count of the
+//! `scan_select` statements has a ceiling too.
 //!
 //! "Off builds nothing": spans, events and messages borrow their labels and
 //! build owned strings only inside the trace recorder's enabled branch, and
@@ -250,6 +251,40 @@ fn set_writes_describe_each_row_once() {
 }
 
 #[test]
+fn a_write_that_keeps_an_index_reads_only_keys() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute(
+        "CREATE TABLE T (K INT NOT NULL, V INT NOT NULL, PAD CHAR(40) NOT NULL, \
+         PRIMARY KEY (K))",
+    )
+    .unwrap();
+    s.execute("CREATE INDEX TV ON T (V)").unwrap();
+    s.execute("BEGIN WORK").unwrap();
+    for k in 0..4000 {
+        s.execute(&format!("INSERT INTO T VALUES ({k}, {k}, 'pad')"))
+            .unwrap();
+    }
+    s.execute("COMMIT WORK").unwrap();
+
+    // An UPDATE of an indexed field reads the qualifying records, then
+    // updates each by key and moves its index entry. The read keeps each
+    // record's key, encoded from its key field where it lies: was 78.8 per
+    // row when each record was decoded whole (a vector and a string) to
+    // encode its key again; now 76.8.
+    let update = per_row(|lo, hi| {
+        let sql = format!("UPDATE T SET V = V + 1 WHERE K BETWEEN {lo} AND {hi}");
+        let ((count, _), outcome) = allocs_during(|| s.execute(&sql).unwrap());
+        assert_eq!(outcome, Outcome::Count((hi - lo + 1) as u64));
+        count
+    });
+    assert!(
+        update <= 77.0,
+        "indexed UPDATE: {update} allocations per row"
+    );
+}
+
+#[test]
 fn a_scan_touches_each_row_once() {
     let db = Cluster::single_volume();
     Wisconsin::create(&db, "WISC", 4_000, &["$DATA1"], 7).unwrap();
@@ -271,9 +306,10 @@ fn a_scan_touches_each_row_once() {
     });
     assert!(range <= 10.0, "SELECT * range: {range} per returned row");
 
-    // Per input row (two integers fetched): the decoded row's vector. Was
-    // 13.4 with three more vectors per row in the executor's grouping; now
-    // 1.3.
+    // Per input row (two integers fetched): the row's share of its message
+    // and leaf block. Was 13.4 with three more vectors per row in the
+    // executor's grouping, 1.05 with a decoded row per input row; now the
+    // reply's bytes are folded where they land, 0.05.
     let group_by = per_row(|lo, hi| {
         let sql = format!(
             "SELECT HUNDRED, MIN(THOUSAND) AS M FROM WISC \
@@ -281,7 +317,23 @@ fn a_scan_touches_each_row_once() {
         );
         statement(sql, 100)
     });
-    assert!(group_by <= 2.5, "GROUP BY: {group_by} per input row");
+    assert!(group_by <= 0.1, "GROUP BY: {group_by} per input row");
+
+    // Grouped by a CHAR(52): the key is read from the reply's bytes, so an
+    // input row allocates no string (a group decodes its value once), and
+    // what is left is the wider row's share of its message. Was 2.21 with a
+    // decoded row and its string per input row; now 0.21.
+    let group_by_char = per_row(|lo, hi| {
+        let sql = format!(
+            "SELECT STRING4, COUNT(*) AS N FROM WISC \
+             WHERE UNIQUE2 BETWEEN {lo} AND {hi} GROUP BY STRING4"
+        );
+        statement(sql, 4)
+    });
+    assert!(
+        group_by_char <= 0.25,
+        "GROUP BY CHAR: {group_by_char} per input row"
+    );
 
     // Per selected row of a full scan (UNIQUE1 is a permutation, so the
     // statements differ in what they select, not in what they examine).
