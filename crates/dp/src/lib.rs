@@ -39,9 +39,10 @@ use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, LockScope, TxnId};
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
-use nsql_records::row::{decode_row, encode_row, CodecError};
+use nsql_records::row::{decode_row, patch_row, CodecError};
 use nsql_records::{
-    Expr, KeyRange, OwnedBound, Predicate, PredicateError, Projection, RecordDescriptor, SetList,
+    Expr, KeyRange, OwnedBound, Patch, PatchError, Predicate, PredicateError, Projection,
+    RecordDescriptor, SetList,
 };
 use nsql_sim::sync::Mutex;
 use nsql_sim::{
@@ -129,9 +130,80 @@ struct Scb {
     /// The selection predicate, compiled; it keeps the expression as
     /// shipped, which is what a record's evaluation is charged by.
     predicate: Option<Predicate>,
-    op: SubsetOp,
-    /// The projection of a read, compiled.
-    plan: Option<Projection>,
+    work: Work,
+}
+
+/// A subset's [`SubsetOp`] compiled against the file's descriptor.
+#[derive(Debug)]
+enum Work {
+    /// Return the selected records, whole or through the compiled
+    /// projection.
+    Read {
+        txn: Option<TxnId>,
+        mode: SubsetMode,
+        lock: ReadLock,
+        plan: Option<Projection>,
+    },
+    /// Change each where it lies.
+    Update {
+        txn: TxnId,
+        patch: Patch,
+    },
+    Delete {
+        txn: TxnId,
+    },
+}
+
+impl Work {
+    /// `op` compiled against `desc`: a projection of a field `desc` does
+    /// not have is `BadRecord`; an update's `SET` list is refused as
+    /// [`compile_patch`] refuses it.
+    fn compile(desc: &RecordDescriptor, op: SubsetOp) -> Result<Work, DpError> {
+        Ok(match op {
+            SubsetOp::Read {
+                txn,
+                projection,
+                mode,
+                lock,
+            } => {
+                let plan = projection.map(|fields| Projection::new(desc, &fields));
+                let plan = plan.transpose();
+                let plan = plan.map_err(|e| DpError::BadRecord(e.to_string()))?;
+                Work::Read {
+                    txn,
+                    mode,
+                    lock,
+                    plan,
+                }
+            }
+            SubsetOp::Update {
+                txn,
+                sets,
+                constraint,
+            } => Work::Update {
+                txn,
+                patch: compile_patch(desc, sets, constraint)?,
+            },
+            SubsetOp::Delete { txn } => Work::Delete { txn },
+        })
+    }
+
+    /// The transaction the operation runs in (a browse read has none).
+    fn txn(&self) -> Option<TxnId> {
+        match self {
+            Work::Read { txn, .. } => *txn,
+            Work::Update { txn, .. } | Work::Delete { txn } => Some(*txn),
+        }
+    }
+
+    /// The verb its re-drives carry.
+    fn verb(&self) -> SubsetVerb {
+        match self {
+            Work::Read { .. } => SubsetVerb::Get,
+            Work::Update { .. } => SubsetVerb::Update,
+            Work::Delete { .. } => SubsetVerb::Delete,
+        }
+    }
 }
 
 /// Replies remembered per opener for duplicate suppression (Tandem kept a
@@ -810,7 +882,7 @@ impl DiskProcess {
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
         let desc = self.descriptor(&label)?;
-        check_no_key_updates(desc, &sets)?;
+        let patch = compile_patch(desc, sets, constraint)?;
         self.join_txn(txn);
         self.lock(
             txn,
@@ -821,8 +893,8 @@ impl DiskProcess {
         let store = DpStore::new(&self.pool, &self.alloc);
         let opened = AuditedFile::open(&store, &label)?;
         let current = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
-        let (image, before, after) =
-            apply_sets(&self.sim, desc, &current, &sets, constraint.as_ref())?;
+        let mut image = Vec::new();
+        let (before, after) = apply_patch(&self.sim, &patch, desc, &current, &mut image)?;
         let body = AuditBody::UpdateFields { key, before, after };
         self.audited_write(&opened, txn, body, Some(&image))?;
         self.checkpoint(96);
@@ -891,27 +963,13 @@ impl DiskProcess {
         let label = self.file_label(file)?;
         let desc = self.descriptor(&label)?;
         let predicate = predicate.map(|expr| Predicate::new(desc, expr));
-        let plan = match &op {
-            SubsetOp::Read {
-                projection: Some(fields),
-                ..
-            } => {
-                let plan = Projection::new(desc, fields);
-                Some(plan.map_err(|e| DpError::BadRecord(e.to_string()))?)
-            }
-            SubsetOp::Read {
-                projection: None, ..
-            }
-            | SubsetOp::Update { .. }
-            | SubsetOp::Delete { .. } => None,
-        };
+        let work = Work::compile(desc, op)?;
         let KeyRange { begin, end } = range;
         let scb = Scb {
             file,
             end,
             predicate,
-            op,
-            plan,
+            work,
         };
         let mut reply = self.run_subset(&scb, &label, begin, None)?;
         if let DpReply::Subset {
@@ -945,7 +1003,7 @@ impl DiskProcess {
     ) -> Result<DpReply, DpError> {
         let scb = self.state.lock().subsets.get(&subset).map(Arc::clone);
         let scb = scb.ok_or(DpError::BadSubset(subset))?;
-        if scb.op.verb() != verb {
+        if scb.work.verb() != verb {
             return Err(DpError::WrongVerb { subset, verb });
         }
         let begin = OwnedBound::Excluded(after);
@@ -973,10 +1031,7 @@ impl DiskProcess {
         if existing.is_some() {
             self.scb_rec.bump(Ctr::ScbRedrives);
         }
-        if let SubsetOp::Update { sets, .. } = &scb.op {
-            check_no_key_updates(desc, sets)?;
-        }
-        if let Some(txn) = scb.op.txn() {
+        if let Some(txn) = scb.work.txn() {
             self.join_txn(txn);
         }
         let (reply_buffer, max_records, write_behind) = {
@@ -990,14 +1045,18 @@ impl DiskProcess {
         // A read fills the reply with (projected) rows; a write collects
         // the records to change. A locking read group-locks the span of
         // what it returns.
-        let (read, group_lock) = match &scb.op {
-            SubsetOp::Read {
-                mode, txn, lock, ..
+        let (read, group_lock, plan) = match &scb.work {
+            Work::Read {
+                mode,
+                txn,
+                lock,
+                plan,
             } => (
                 Some(*mode),
                 txn.filter(|_| matches!(lock, ReadLock::Shared)),
+                plan.as_ref(),
             ),
-            SubsetOp::Update { .. } | SubsetOp::Delete { .. } => (None, None),
+            Work::Update { .. } | Work::Delete { .. } => (None, None, None),
         };
         // RSBB replies carry one physical block copy; VSBB virtual blocks
         // use the configured reply buffer.
@@ -1009,7 +1068,7 @@ impl DiskProcess {
         // must be for predicate or projection to find its fields: the fixed
         // part is checked once per record, ahead of both.
         let predicate = scb.predicate.as_ref().map(|p| (p, 1 + p.eval_cost() / 2));
-        let looks_inside = predicate.is_some() || scb.plan.as_ref().is_some_and(|p| !p.is_empty());
+        let looks_inside = predicate.is_some() || plan.is_some_and(|p| !p.is_empty());
         let fixed_part = if looks_inside {
             desc.bitmap_len() + desc.fixed_size()
         } else {
@@ -1026,7 +1085,7 @@ impl DiskProcess {
         // the clock) and once more when the scan stops; the counts nothing
         // reads meanwhile are booked after the scan.
         let mut rows = RowBlock::default();
-        let mut matched: Vec<(Vec<u8>, Vec<u8>)> = Vec::new(); // update/delete candidates
+        let mut matched = Matched::default(); // update/delete candidates
         let mut first_selected: Option<Vec<u8>> = None;
         let (mut examined, mut selected) = (0u32, 0u32);
         // Last key examined; one buffer reused across the scan.
@@ -1076,14 +1135,14 @@ impl DiskProcess {
                 if group_lock.is_some() && first_selected.is_none() {
                     first_selected = Some(k.to_vec());
                 }
-                match (read, &scb.plan) {
+                match (read, plan) {
                     (Some(_), None) => rows.push(v),
                     (Some(_), Some(plan)) => {
                         if let Err(e) = rows.push_with(|row| plan.project_into(v, row)) {
                             return fail(units - 1, DpError::BadRecord(e.to_string()));
                         }
                     }
-                    (None, _) => matched.push((k.to_vec(), v.to_vec())),
+                    (None, _) => matched.push(k, v),
                 }
             }
             store.charge(units);
@@ -1116,33 +1175,32 @@ impl DiskProcess {
 
         // Phase 2 (update/delete): apply to the matched records.
         let mut affected = selected;
-        let writer = match &scb.op {
-            SubsetOp::Read { .. } => None,
-            SubsetOp::Update {
-                txn,
-                sets,
-                constraint,
-            } => Some((*txn, Some((sets, constraint.as_ref())))),
-            SubsetOp::Delete { txn } => Some((*txn, None)),
+        let writer = match &scb.work {
+            Work::Read { .. } => None,
+            Work::Update { txn, patch } => Some((*txn, Some(patch))),
+            Work::Delete { txn } => Some((*txn, None)),
         };
-        if let Some((txn, update)) = writer {
+        if let Some((txn, patch)) = writer {
             affected = 0;
-            for (key, current) in matched {
+            // One buffer holds each new record in turn.
+            let mut image = Vec::new();
+            for (key, current) in matched.iter() {
                 self.lock(
                     txn,
                     scb.file,
-                    LockScope::record(key.clone()),
+                    LockScope::record(key.to_vec()),
                     LockMode::Exclusive,
                 )?;
-                match update {
-                    Some((sets, constraint)) => {
-                        let (image, before, after) =
-                            apply_sets(&self.sim, desc, &current, sets, constraint)?;
+                let key = key.to_vec();
+                match patch {
+                    Some(patch) => {
+                        let (before, after) =
+                            apply_patch(&self.sim, patch, desc, current, &mut image)?;
                         let body = AuditBody::UpdateFields { key, before, after };
                         self.audited_write(&opened, txn, body, Some(&image))?;
                     }
                     None => {
-                        let before = current;
+                        let before = current.to_vec();
                         self.audited_write(&opened, txn, AuditBody::Delete { key, before }, None)?;
                     }
                 }
@@ -1299,7 +1357,7 @@ impl DiskProcess {
                     // No SCB outlives its transaction: a re-drive that comes
                     // after this finds no subset, not a finished transaction
                     // to work in.
-                    st.subsets.retain(|_, scb| scb.op.txn() != Some(txn));
+                    st.subsets.retain(|_, scb| scb.work.txn() != Some(txn));
                     st.undo.remove(&txn)
                 };
                 if !committed {
@@ -1464,7 +1522,9 @@ impl DiskProcess {
                 let desc = self.descriptor(&label)?;
                 match file.get(key) {
                     Some(current) => {
-                        let image = patch_record(desc, &current, fields)?;
+                        let mut image = Vec::new();
+                        patch_row(desc, &current, fields, &mut image)
+                            .map_err(|e| DpError::BadRecord(e.to_string()))?;
                         file.write(key, &image, BTreeFile::put)
                     }
                     // Set these fields, if the record is there.
@@ -1655,59 +1715,73 @@ impl Server for DiskProcess {
 // Field-level helpers
 // ----------------------------------------------------------------------
 
-/// Evaluate a SetList + constraint against a record: returns the new
-/// encoded record plus field-compressed before/after images.
-fn apply_sets(
-    sim: &Sim,
+/// An update's `SET` list and CHECK compiled against `desc`. A key field
+/// may not be assigned; a list `desc` cannot take is refused
+/// (`NoSuchField`, `AssignedTwice`).
+fn compile_patch(
     desc: &RecordDescriptor,
-    before_bytes: &[u8],
-    sets: &SetList,
-    constraint: Option<&Expr>,
-) -> Result<(Vec<u8>, FieldImage, FieldImage), DpError> {
-    let row = decode_row(desc, before_bytes).map_err(|e| DpError::BadRecord(e.to_string()))?;
-    sim.cpu_work(
-        CpuLayer::DiskProcess,
-        1 + sets.sets.iter().map(|(_, e)| e.eval_cost()).sum::<u64>() / 2,
-    );
-    let assignments = sets
-        .apply(&row)
-        .map_err(|e| DpError::EvalFailed(e.to_string()))?;
-    let mut new_values = row.0.clone();
-    let mut before_img = FieldImage::new();
-    let mut after_img = FieldImage::new();
-    for (f, v) in assignments {
-        let ty = desc.fields[f as usize].ty;
-        let coerced = ty
-            .coerce(v)
-            .ok_or_else(|| DpError::BadRecord(format!("value does not fit field {f}")))?;
-        before_img.push((f, row.0[f as usize].clone()));
-        after_img.push((f, coerced.clone()));
-        new_values[f as usize] = coerced;
+    sets: SetList,
+    constraint: Option<Expr>,
+) -> Result<Patch, DpError> {
+    if sets.sets.iter().any(|(f, _)| desc.key_fields.contains(f)) {
+        return Err(DpError::KeyUpdateNotAllowed);
     }
-    if let Some(c) = constraint {
-        sim.cpu_work(CpuLayer::DiskProcess, 1 + c.eval_cost() / 2);
-        let ok = c
-            .passes(&nsql_records::SliceRow(&new_values))
-            .map_err(|e| DpError::EvalFailed(e.to_string()))?;
-        if !ok {
-            return Err(DpError::ConstraintViolation);
-        }
-    }
-    let new_bytes = encode_row(desc, &new_values).map_err(|e| DpError::BadRecord(e.to_string()))?;
-    Ok((new_bytes, before_img, after_img))
+    Ok(Patch::new(desc, sets, constraint)?)
 }
 
-/// Patch a field image onto an encoded record.
-fn patch_record(
+/// Change `record` as `patch` says: the new record is written into `image`,
+/// and the changed fields' old and new values are returned for the audit.
+/// Its CPU units are charged as the patch reaches them.
+fn apply_patch(
+    sim: &Sim,
+    patch: &Patch,
     desc: &RecordDescriptor,
-    bytes: &[u8],
-    img: &FieldImage,
-) -> Result<Vec<u8>, DpError> {
-    let mut row = decode_row(desc, bytes).map_err(|e| DpError::BadRecord(e.to_string()))?;
-    for (f, v) in img {
-        row.0[*f as usize] = v.clone();
+    record: &[u8],
+    image: &mut Vec<u8>,
+) -> Result<(FieldImage, FieldImage), DpError> {
+    let charge = |units| sim.cpu_work(CpuLayer::DiskProcess, units);
+    Ok(patch.apply(desc, record, charge, image)?)
+}
+
+/// The one reading of what a patch refused.
+impl From<PatchError> for DpError {
+    fn from(e: PatchError) -> DpError {
+        match e {
+            PatchError::NoSuchField(f) => DpError::NoSuchField(f),
+            PatchError::AssignedTwice(f) => DpError::AssignedTwice(f),
+            PatchError::Record(_) | PatchError::DoesNotFit(_) => DpError::BadRecord(e.to_string()),
+            PatchError::Eval(e) => DpError::EvalFailed(e.to_string()),
+            PatchError::Check => DpError::ConstraintViolation,
+        }
     }
-    encode_row(desc, &row.0).map_err(|e| DpError::BadRecord(e.to_string()))
+}
+
+/// The records a subset write selected, in scan order: each one's key and
+/// record end to end in one buffer, behind their two lengths.
+#[derive(Default)]
+struct Matched(Vec<u8>);
+
+impl Matched {
+    fn push(&mut self, key: &[u8], record: &[u8]) {
+        let buf = &mut self.0;
+        buf.reserve(4 + key.len() + record.len());
+        buf.extend_from_slice(&(key.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&(record.len() as u16).to_be_bytes());
+        buf.extend_from_slice(key);
+        buf.extend_from_slice(record);
+    }
+
+    /// `(key, record)` of each, in the order they were pushed.
+    fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        let mut rest = self.0.as_slice();
+        std::iter::from_fn(move || {
+            let (&[k0, k1, r0, r1], after) = rest.split_first_chunk::<4>()?;
+            let (key, after) = after.split_at_checked(u16::from_be_bytes([k0, k1]) as usize)?;
+            let (record, after) = after.split_at_checked(u16::from_be_bytes([r0, r1]) as usize)?;
+            rest = after;
+            Some((key, record))
+        })
+    }
 }
 
 /// ENSCRIBE audit-compression helper: diff two full images field by field.
@@ -1727,16 +1801,6 @@ fn diff_fields(
         }
     }
     Ok((bi, ai))
-}
-
-/// Reject update expressions that assign to primary-key fields.
-fn check_no_key_updates(desc: &RecordDescriptor, sets: &SetList) -> Result<(), DpError> {
-    for (f, _) in &sets.sets {
-        if desc.key_fields.contains(f) {
-            return Err(DpError::KeyUpdateNotAllowed);
-        }
-    }
-    Ok(())
 }
 
 /// A backup process of a process pair: absorbs checkpoint messages.

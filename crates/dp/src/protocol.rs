@@ -545,6 +545,11 @@ pub enum DpError {
     },
     /// Attempt to update a primary-key field.
     KeyUpdateNotAllowed,
+    /// An update's `SET` list assigns, or reads, a field the record does
+    /// not have.
+    NoSuchField(u16),
+    /// An update's `SET` list assigns one field twice.
+    AssignedTwice(u16),
     /// Operation illegal for the file kind.
     WrongFileKind,
     /// The message was none of the protocols a Disk Process speaks.
@@ -575,6 +580,8 @@ impl std::fmt::Display for DpError {
                 write!(f, "subset control block {subset} is not a {verb:?} subset")
             }
             DpError::KeyUpdateNotAllowed => write!(f, "primary key fields cannot be updated"),
+            DpError::NoSuchField(field) => write!(f, "no field {field} in the record"),
+            DpError::AssignedTwice(field) => write!(f, "field {field} assigned twice"),
             DpError::WrongFileKind => write!(f, "operation illegal for this file structure"),
             DpError::UnknownRequest => write!(f, "unknown message type"),
         }

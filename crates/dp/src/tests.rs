@@ -3,6 +3,7 @@
 
 use super::*;
 use nsql_records::key::encode_record_key;
+use nsql_records::row::encode_row;
 use nsql_records::{ArithOp, CmpOp, FieldDef, FieldType, KeyRange, Value};
 use nsql_tmf::{CommitTimer, LsnSource};
 

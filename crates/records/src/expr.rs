@@ -112,9 +112,9 @@ pub enum Expr {
 pub enum EvalError {
     /// Operand types unusable for the operator.
     Type(&'static str),
-    /// Integer division by zero.
+    /// Division by zero, integer or DOUBLE.
     DivideByZero,
-    /// Integer overflow.
+    /// Integer overflow, or a DOUBLE result that is not finite.
     Overflow,
 }
 
@@ -239,23 +239,30 @@ impl Expr {
 
     /// Field numbers referenced by this expression, collected into `out`.
     pub fn collect_fields(&self, out: &mut Vec<u16>) {
+        self.for_each_field(&mut |i| out.push(i));
+    }
+
+    /// Call `visit` with each field number referenced, left to right.
+    pub fn for_each_field(&self, visit: &mut dyn FnMut(u16)) {
         match self {
             Expr::Lit(_) => {}
-            Expr::Field(i) => out.push(*i),
+            Expr::Field(i) => visit(*i),
             Expr::Arith(a, _, b) | Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_fields(out);
-                b.collect_fields(out);
+                a.for_each_field(visit);
+                b.for_each_field(visit);
             }
-            Expr::Not(a) | Expr::IsNull { expr: a, .. } | Expr::Like(a, _) => a.collect_fields(out),
+            Expr::Not(a) | Expr::IsNull { expr: a, .. } | Expr::Like(a, _) => {
+                a.for_each_field(visit)
+            }
             Expr::Between { expr, lo, hi } => {
-                expr.collect_fields(out);
-                lo.collect_fields(out);
-                hi.collect_fields(out);
+                expr.for_each_field(visit);
+                lo.for_each_field(visit);
+                hi.for_each_field(visit);
             }
             Expr::InList(e, list) => {
-                e.collect_fields(out);
+                e.for_each_field(visit);
                 for item in list {
-                    item.collect_fields(out);
+                    item.for_each_field(visit);
                 }
             }
         }
@@ -411,12 +418,19 @@ fn arith(a: Value, op: ArithOp, b: Value) -> Result<Value, EvalError> {
         b.as_f64()
             .ok_or(EvalError::Type("numeric operand expected"))?,
     );
-    Ok(Value::Double(match op {
+    // A DOUBLE fails where an integer would: dividing by zero, or leaving
+    // the finite range (an infinity or a NaN is no value a column stores).
+    let r = match op {
         ArithOp::Add => x + y,
         ArithOp::Sub => x - y,
         ArithOp::Mul => x * y,
+        ArithOp::Div if y == 0.0 => return Err(EvalError::DivideByZero),
         ArithOp::Div => x / y,
-    }))
+    };
+    if !r.is_finite() {
+        return Err(EvalError::Overflow);
+    }
+    Ok(Value::Double(r))
 }
 
 /// SQL `LIKE` matcher: `%` matches any run, `_` matches one character.
@@ -590,6 +604,45 @@ mod tests {
             Box::new(Expr::lit(Value::Int(1))),
         );
         assert_eq!(e.eval(&r), Err(EvalError::Overflow));
+    }
+
+    #[test]
+    fn double_arithmetic_fails_where_integer_arithmetic_does() {
+        let r = row();
+        let arith = |a: Value, op: ArithOp, b: Value| {
+            Expr::Arith(Box::new(Expr::lit(a)), op, Box::new(Expr::lit(b))).eval(&r)
+        };
+        let d = Value::Double;
+        // A DOUBLE zero of either sign divides nothing, 0.0 included.
+        for zero in [d(0.0), d(-0.0)] {
+            let e = Expr::Arith(
+                Box::new(Expr::Field(1)),
+                ArithOp::Div,
+                Box::new(Expr::lit(zero)),
+            );
+            assert_eq!(e.eval(&r), Err(EvalError::DivideByZero));
+        }
+        for dividend in [Value::Int(1), d(0.0)] {
+            assert_eq!(
+                arith(dividend, ArithOp::Div, d(0.0)),
+                Err(EvalError::DivideByZero)
+            );
+        }
+        // Out of the finite range by any operator, or from an operand that
+        // is an infinity or a NaN.
+        for (a, op, b) in [
+            (d(1e308), ArithOp::Mul, Value::Int(10)),
+            (d(f64::MAX), ArithOp::Add, d(f64::MAX)),
+            (d(-f64::MAX), ArithOp::Sub, d(f64::MAX)),
+            (d(1e300), ArithOp::Div, d(1e-300)),
+            (d(f64::NAN), ArithOp::Add, d(1.0)),
+            (d(f64::INFINITY), ArithOp::Mul, d(1.0)),
+        ] {
+            assert_eq!(arith(a, op, b), Err(EvalError::Overflow));
+        }
+        // Within it nothing changes, underflow to zero included.
+        assert_eq!(arith(d(250.5), ArithOp::Div, d(2.0)), Ok(d(125.25)));
+        assert_eq!(arith(d(1e-300), ArithOp::Mul, d(1e-300)), Ok(d(0.0)));
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!   three-valued logic; [`Predicate`] is the form the Disk Process compiles
 //!   one to, to decide it on the bytes of the records it holds.
 //! * [`SetList`] — update expressions (`SET BALANCE = BALANCE * 1.07`)
-//!   applied at the data source.
+//!   applied at the data source; [`Patch`] is the form the Disk Process
+//!   compiles one to, to change a record on its bytes.
 
 pub mod expr;
 pub mod key;
+pub mod patch;
 pub mod predicate;
 pub mod row;
 pub mod types;
@@ -29,6 +31,7 @@ pub mod value;
 
 pub use expr::{ArithOp, CmpOp, EvalError, Expr, SetList};
 pub use key::{KeyRange, OwnedBound};
+pub use patch::{FieldChanges, Patch, PatchError};
 pub use predicate::{Predicate, PredicateError};
 pub use row::{ConcatRow, Projection, RawRecord, Row, RowAccessor, SliceRow};
 pub use types::{FieldDef, FieldType, RecordDescriptor};

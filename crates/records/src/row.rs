@@ -178,56 +178,145 @@ pub fn encode_row(desc: &RecordDescriptor, values: &[Value]) -> Result<Vec<u8>, 
         });
     }
     let mut buf = vec![0u8; desc.bitmap_len() + desc.fixed_size()];
-    let mut tail: Vec<u8> = Vec::new();
-    for (i, (v, f)) in values.iter().zip(&desc.fields).enumerate() {
-        let slot = desc.slot_offset(i as u16);
-        if v.is_null() {
-            if !f.nullable {
-                return Err(CodecError::NullViolation { field: i as u16 });
+    for (i, v) in values.iter().enumerate() {
+        put_value(desc, i as u16, v, &mut buf)?;
+    }
+    Ok(buf)
+}
+
+/// Write `v` as field `i` of the record being built in `out`, which holds
+/// its zeroed bitmap and fixed part, then the `VARCHAR` text of the fields
+/// before `i`: the null bit or the slot, and the text at the tail's end.
+/// Refuses NULL in a NOT NULL field, a value of another type and text
+/// longer than the field.
+fn put_value(
+    desc: &RecordDescriptor,
+    i: u16,
+    v: &Value,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let idx = i as usize;
+    let f = &desc.fields[idx];
+    if v.is_null() {
+        if !f.nullable {
+            return Err(CodecError::NullViolation { field: i });
+        }
+        out[idx / 8] |= 1 << (idx % 8);
+        return Ok(());
+    }
+    let slot = desc.slot_offset(i);
+    let mismatch = CodecError::TypeMismatch { field: i };
+    match (f.ty, v) {
+        (FieldType::SmallInt, Value::SmallInt(n)) => {
+            out[slot..slot + 2].copy_from_slice(&n.to_be_bytes())
+        }
+        (FieldType::Int, Value::Int(n)) => out[slot..slot + 4].copy_from_slice(&n.to_be_bytes()),
+        (FieldType::LargeInt, Value::LargeInt(n)) => {
+            out[slot..slot + 8].copy_from_slice(&n.to_be_bytes())
+        }
+        (FieldType::Double, Value::Double(x)) => {
+            out[slot..slot + 8].copy_from_slice(&x.to_be_bytes())
+        }
+        (FieldType::Char(n), Value::Str(s)) => {
+            let n = n as usize;
+            if s.len() > n {
+                return Err(mismatch);
             }
-            buf[i / 8] |= 1 << (i % 8);
+            out[slot..slot + s.len()].copy_from_slice(s.as_bytes());
+            out[slot + s.len()..slot + n].fill(b' ');
+        }
+        (FieldType::Varchar(n), Value::Str(s)) => {
+            if s.len() > n as usize {
+                return Err(mismatch);
+            }
+            put_text(desc, slot, s.as_bytes(), out);
+        }
+        _ => return Err(mismatch),
+    }
+    Ok(())
+}
+
+/// Append `text` to the tail of the record in `out` and point the
+/// `VARCHAR` slot at `slot` to it.
+fn put_text(desc: &RecordDescriptor, slot: usize, text: &[u8], out: &mut Vec<u8>) {
+    let off = (out.len() - desc.bitmap_len() - desc.fixed_size()) as u16;
+    out[slot..slot + 2].copy_from_slice(&off.to_be_bytes());
+    out[slot + 2..slot + 4].copy_from_slice(&(text.len() as u16).to_be_bytes());
+    out.extend_from_slice(text);
+}
+
+/// Write into `out` the record `record` becomes with `changes` — `(field,
+/// new value)` pairs, the last of a field's winning — in place: byte for
+/// byte what [`encode_row`] makes of the decoded record with the changes
+/// applied, with its error for the lowest-numbered field that does not
+/// encode, and [`decode_row`]'s error for a record that does not decode.
+/// Nothing is decoded: an unchanged field's slot is copied, its `VARCHAR`
+/// text laid out again in field order, and a NULL's slot zeroed. A change
+/// to a field `desc` does not have is [`CodecError::Corrupt`].
+///
+/// This is how the Disk Process backs out and redoes a field-compressed
+/// update; [`Patch`](crate::Patch) writes a `SET` list's new record with it.
+pub fn patch_row(
+    desc: &RecordDescriptor,
+    record: &[u8],
+    changes: &[(u16, Value)],
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    check_row(desc, record)?;
+    if changes
+        .iter()
+        .any(|&(f, _)| f as usize >= desc.num_fields())
+    {
+        return Err(CodecError::Corrupt);
+    }
+    write_patched(desc, record, changes, out)
+}
+
+/// [`patch_row`] for a `record` [`check_row`] accepts and `changes` to
+/// fields `desc` has.
+pub(crate) fn write_patched(
+    desc: &RecordDescriptor,
+    record: &[u8],
+    changes: &[(u16, Value)],
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let fixed_end = desc.bitmap_len() + desc.fixed_size();
+    out.clear();
+    out.resize(fixed_end, 0);
+    for (idx, f) in desc.fields.iter().enumerate() {
+        let i = idx as u16;
+        if let Some((_, v)) = changes.iter().rev().find(|(c, _)| *c == i) {
+            put_value(desc, i, v, out)?;
             continue;
         }
-        if !f.ty.admits(v) {
-            return Err(CodecError::TypeMismatch { field: i as u16 });
+        if record[idx / 8] & (1 << (idx % 8)) != 0 {
+            put_value(desc, i, &Value::Null, out)?;
+            continue;
         }
-        match (f.ty, v) {
-            (FieldType::SmallInt, Value::SmallInt(n)) => {
-                buf[slot..slot + 2].copy_from_slice(&n.to_be_bytes())
-            }
-            (FieldType::Int, Value::Int(n)) => {
-                buf[slot..slot + 4].copy_from_slice(&n.to_be_bytes())
-            }
-            (FieldType::LargeInt, Value::LargeInt(n)) => {
-                buf[slot..slot + 8].copy_from_slice(&n.to_be_bytes())
-            }
-            (FieldType::Double, Value::Double(x)) => {
-                buf[slot..slot + 8].copy_from_slice(&x.to_be_bytes())
-            }
-            (FieldType::Char(n), Value::Str(s)) => {
-                let n = n as usize;
-                if s.len() > n {
-                    return Err(CodecError::TypeMismatch { field: i as u16 });
+        let slot = desc.slot_offset(i);
+        let width = f.ty.fixed_width();
+        match f.ty {
+            FieldType::Varchar(n) => {
+                let len = u16::from_be_bytes([record[slot + 2], record[slot + 3]]);
+                if len > n {
+                    return Err(CodecError::TypeMismatch { field: i });
                 }
-                buf[slot..slot + s.len()].copy_from_slice(s.as_bytes());
-                for b in &mut buf[slot + s.len()..slot + n] {
-                    *b = b' ';
-                }
+                let off = fixed_end + u16::from_be_bytes([record[slot], record[slot + 1]]) as usize;
+                let text = record.get(off..off + len as usize);
+                put_text(desc, slot, text.ok_or(CodecError::Corrupt)?, out);
             }
-            (FieldType::Varchar(n), Value::Str(s)) => {
-                if s.len() > n as usize {
-                    return Err(CodecError::TypeMismatch { field: i as u16 });
-                }
-                let off = tail.len() as u16;
-                buf[slot..slot + 2].copy_from_slice(&off.to_be_bytes());
-                buf[slot + 2..slot + 4].copy_from_slice(&(s.len() as u16).to_be_bytes());
-                tail.extend_from_slice(s.as_bytes());
+            // A number's slot is its value; a CHAR's is its text padded with
+            // the spaces decoding trims and encoding puts back.
+            FieldType::SmallInt
+            | FieldType::Int
+            | FieldType::LargeInt
+            | FieldType::Double
+            | FieldType::Char(_) => {
+                out[slot..slot + width].copy_from_slice(&record[slot..slot + width])
             }
-            _ => return Err(CodecError::TypeMismatch { field: i as u16 }),
         }
     }
-    buf.extend_from_slice(&tail);
-    Ok(buf)
+    Ok(())
 }
 
 /// Decode all fields of an encoded record.

@@ -23,7 +23,9 @@ use crate::bind::{bind_expr, BindError, Params, Scope};
 use crate::catalog::{Catalog, CatalogError, TableInfo};
 use crate::parser::ParseError;
 use nsql_records::key::encode_key_value;
-use nsql_records::{CmpOp, Expr, FieldType, KeyRange, OwnedBound, SetList, Value};
+use nsql_records::{
+    CmpOp, Expr, FieldType, KeyRange, OwnedBound, RecordDescriptor, SetList, Value,
+};
 use std::sync::Arc;
 
 /// Planning errors.
@@ -1077,17 +1079,20 @@ fn plan_insert(
             let v = bound
                 .eval(&nsql_records::Row(Vec::new()))
                 .map_err(|e| PlanError::Unsupported(format!("bad INSERT value: {e}")))?;
-            let ty = desc.fields[pos as usize].ty;
-            row[pos as usize] = ty.coerce(v).ok_or_else(|| {
-                PlanError::Unsupported(format!(
-                    "value does not fit column {}",
-                    desc.fields[pos as usize].name
-                ))
-            })?;
+            row[pos as usize] = fit_literal(desc, pos, v)?;
         }
         rows.push(row);
     }
     Ok(InsertPlan { info, rows })
+}
+
+/// The literal `v` as column `pos` of `desc` stores it — refused at plan
+/// time, before any message is sent, when it does not fit: a value of
+/// another type, text longer than the column, NULL in a NOT NULL column.
+fn fit_literal(desc: &RecordDescriptor, pos: u16, v: Value) -> Result<Value, PlanError> {
+    let f = &desc.fields[pos as usize];
+    let fits = f.ty.coerce(v).filter(|v| f.nullable || !v.is_null());
+    fits.ok_or_else(|| PlanError::Unsupported(format!("value does not fit column {}", f.name)))
 }
 
 fn plan_update(
@@ -1097,21 +1102,31 @@ fn plan_update(
 ) -> Result<UpdatePlan, PlanError> {
     reject_sys_dml(&u.table)?;
     let info = catalog.entry(&u.table)?;
-    let scope = Scope::single(&info.name, &info.open.desc);
-    let mut sets = Vec::new();
+    let desc = &info.open.desc;
+    let scope = Scope::single(&info.name, desc);
+    let mut sets: Vec<(u16, Expr)> = Vec::new();
     for (col, e) in &u.sets {
-        let f = info
-            .open
-            .desc
+        let f = desc
             .field_named(col)
             .ok_or_else(|| PlanError::Catalog(CatalogError::NoSuchColumn(col.clone())))?;
-        sets.push((f, bind_expr(e, &scope, params)?));
+        if sets.iter().any(|(g, _)| *g == f) {
+            let name = &desc.fields[f as usize].name;
+            return Err(PlanError::Unsupported(format!(
+                "column {name} assigned twice"
+            )));
+        }
+        let e = bind_expr(e, &scope, params)?;
+        // A literal is checked as INSERT checks it, and shipped as bound:
+        // its size on the wire is the request's.
+        if let Expr::Lit(v) = &e {
+            fit_literal(desc, f, v.clone())?;
+        }
+        sets.push((f, e));
     }
     let mut conj = Vec::new();
     if let Some(w) = &u.where_clause {
         conjuncts(bind_expr(w, &scope, params)?, &mut conj);
     }
-    let desc = &info.open.desc;
     let range = key_range_from(&conj, &desc.key_fields, |f| desc.fields[f as usize].ty);
     let constraint = conjoin(info.checks.clone());
     Ok(UpdatePlan {
