@@ -135,14 +135,6 @@ pub enum SubsetOp {
 }
 
 impl SubsetOp {
-    /// The transaction the operation runs in (a browse read has none).
-    pub fn txn(&self) -> Option<TxnId> {
-        match self {
-            SubsetOp::Read { txn, .. } => *txn,
-            SubsetOp::Update { txn, .. } | SubsetOp::Delete { txn } => Some(*txn),
-        }
-    }
-
     /// The verb its re-drives carry.
     pub fn verb(&self) -> SubsetVerb {
         match self {

@@ -526,6 +526,68 @@ fn key_field_update_rejected() {
     c.txnmgr.abort(txn, c.client).unwrap();
 }
 
+/// A `SET` list naming a field the record lacks, or assigning one field
+/// twice, is refused with its own error by `UPDATE^POINT` and by
+/// `UPDATE^SUBSET`, and nothing is changed or logged.
+#[test]
+fn a_set_list_the_file_cannot_take_is_refused_by_both_update_verbs() {
+    let c = cluster();
+    let file = c.create_emp();
+    c.load_emps(file, 3);
+    let txn = c.txnmgr.begin();
+    let before = c.sim.metrics.snapshot();
+    let lit = || Expr::lit(Value::Double(1.0));
+    let lists = [
+        (vec![(9, lit())], DpError::NoSuchField(9)),
+        (vec![(3, Expr::Field(7))], DpError::NoSuchField(7)),
+        (
+            vec![(3, lit()), (2, Expr::lit(Value::Int(1))), (3, lit())],
+            DpError::AssignedTwice(3),
+        ),
+    ];
+    for (sets, refused) in lists {
+        let sets = SetList { sets };
+        let point = c.send(DpRequest::UpdatePoint {
+            txn,
+            file,
+            key: emp_key(1),
+            sets: sets.clone(),
+            constraint: None,
+        });
+        assert!(
+            matches!(&point, DpReply::Error(e) if *e == refused),
+            "UPDATE^POINT: {point:?}"
+        );
+        let subset = c.send(DpRequest::SubsetFirst {
+            file,
+            range: KeyRange::all(),
+            predicate: None,
+            op: SubsetOp::Update {
+                txn,
+                sets,
+                constraint: None,
+            },
+        });
+        assert!(
+            matches!(&subset, DpReply::Error(e) if *e == refused),
+            "UPDATE^SUBSET^FIRST: {subset:?}"
+        );
+    }
+    let d = c.sim.metrics.snapshot() - before;
+    assert_eq!(d.audit_records, 0, "a refused update is not logged");
+    c.txnmgr.abort(txn, c.client).unwrap();
+    let DpReply::Record(Some(bytes)) = c.send(DpRequest::Read {
+        txn: None,
+        file,
+        key: emp_key(1),
+        lock: ReadLock::None,
+    }) else {
+        panic!("employee 1 is still there")
+    };
+    let row = decode_row(&emp_desc(), &bytes).unwrap();
+    assert_eq!(row.0, emp_row(1, "EMP00001", 1981, 1010.0));
+}
+
 #[test]
 fn abort_undoes_everything() {
     let c = cluster();

@@ -19,7 +19,6 @@
 use crate::{bad_row, decode, unexpected, FileSystem, FsError, OpenFile};
 use nsql_dp::{AuditMode, DpReply, DpRequest, ReadLock};
 use nsql_lock::{LockMode, TxnId};
-use nsql_records::key::encode_record_key;
 use nsql_records::row::encode_row;
 use nsql_records::{Row, Value};
 use std::collections::VecDeque;
@@ -178,34 +177,21 @@ impl FileSystem {
         old: &[Value],
         new: &[Value],
     ) -> Result<(), FsError> {
-        let key = encode_record_key(&of.desc, new);
-        assert_eq!(
-            key,
-            encode_record_key(&of.desc, old),
-            "ENSCRIBE rewrite cannot change the record key"
-        );
+        let key = of.rewritten_key(old, new)?;
         let record = encode_row(&of.desc, new).map_err(bad_row)?;
-        let p = of.partition_for(&key);
+        let p = of.partition_for(&key)?;
         self.send(
             &p.process,
             DpRequest::UpdateRecord {
                 txn,
                 file: p.file,
-                key: key.clone(),
+                key,
                 record,
                 audit: AuditMode::FullImage,
             },
         )?;
         // Alternate-key maintenance.
-        for idx in &of.indexes {
-            let old_irow = idx.index_row(&of.desc, old);
-            let new_irow = idx.index_row(&of.desc, new);
-            if old_irow != new_irow {
-                self.index_delete(txn, of, idx, old)?;
-                self.index_insert(txn, of, idx, new)?;
-            }
-        }
-        Ok(())
+        self.change_indexes(txn, of, Some(old), Some(new))
     }
 
     /// Write a record into a relative file slot.
@@ -294,7 +280,7 @@ impl FileSystem {
         key: &[u8],
         mode: LockMode,
     ) -> Result<(), FsError> {
-        let p = of.partition_for(key);
+        let p = of.partition_for(key)?;
         self.lock(txn, &p.process, p.file, Some(key.to_vec()), mode)
     }
 }

@@ -190,10 +190,41 @@ impl IndexInfo {
         out
     }
 
-    /// The index file's `(key, record)` for an index row.
-    pub(crate) fn entry(&self, irow: &[Value]) -> Result<(Vec<u8>, Vec<u8>), FsError> {
-        let record = encode_row(&self.desc, irow).map_err(bad_row)?;
-        Ok((encode_record_key(&self.desc, irow), record))
+    /// Where base field `f` lies in an index row: among the indexed fields,
+    /// else among the base key fields after them; `None` when the index
+    /// does not carry it.
+    pub fn field_of(&self, base: &RecordDescriptor, f: u16) -> Option<u16> {
+        let indexed = self.base_fields.iter().position(|&b| b == f);
+        let key = || {
+            let at = base.key_fields.iter().position(|&k| k == f)?;
+            Some(self.base_fields.len() + at)
+        };
+        indexed.or_else(key).map(|at| at as u16)
+    }
+
+    /// The change of this index's entries that a base row's change from
+    /// `old` to `new` makes (`None` where there is no row: an insert has no
+    /// `old`, a delete no `new`). Nothing changes when the old and the new
+    /// index rows are equal.
+    pub(crate) fn change(
+        &self,
+        base: &RecordDescriptor,
+        old: Option<&[Value]>,
+        new: Option<&[Value]>,
+    ) -> Result<IndexChange, FsError> {
+        let old = old.map(|row| self.index_row(base, row));
+        let new = new.map(|row| self.index_row(base, row));
+        if old == new {
+            return Ok(IndexChange::default());
+        }
+        let entry = |irow: Vec<Value>| -> Result<_, FsError> {
+            let record = encode_row(&self.desc, &irow).map_err(bad_row)?;
+            Ok((encode_record_key(&self.desc, &irow), record))
+        };
+        Ok(IndexChange {
+            delete: old.map(|irow| encode_record_key(&self.desc, &irow)),
+            insert: new.map(entry).transpose()?,
+        })
     }
 
     /// Extract the base primary key (encoded) from a decoded index row.
@@ -210,6 +241,16 @@ impl IndexInfo {
     pub fn touched_by(&self, fields: &[u16]) -> bool {
         fields.iter().any(|f| self.base_fields.contains(f))
     }
+}
+
+/// What one base-row change does to one index: the old entry goes, then
+/// the new one comes.
+#[derive(Debug, Default)]
+pub(crate) struct IndexChange {
+    /// Key of the index entry to delete.
+    pub(crate) delete: Option<Vec<u8>>,
+    /// Key and record of the index entry to insert.
+    pub(crate) insert: Option<(Vec<u8>, Vec<u8>)>,
 }
 
 /// An open file (table): the union of its partitions plus its indices.
@@ -248,12 +289,29 @@ impl OpenFile {
         }
     }
 
-    /// The partition owning `key`.
-    pub fn partition_for(&self, key: &[u8]) -> &Partition {
-        self.partitions
-            .iter()
-            .find(|p| p.range.contains(key))
-            .expect("partition ranges must cover the key space")
+    /// The position of the partition owning `key`. A key no partition
+    /// owns (the ranges of a file built by hand need not cover the key
+    /// space) is refused.
+    pub(crate) fn partition_of(&self, key: &[u8]) -> Result<usize, FsError> {
+        let owner = self.partitions.iter().position(|p| p.range.contains(key));
+        owner
+            .ok_or_else(|| FsError::Protocol(format!("no partition of {} owns the key", self.name)))
+    }
+
+    /// The partition owning `key`, as [`OpenFile::partition_of`] finds it.
+    pub fn partition_for(&self, key: &[u8]) -> Result<&Partition, FsError> {
+        Ok(&self.partitions[self.partition_of(key)?])
+    }
+
+    /// The primary key of a row rewritten from `old` to `new`; a rewrite
+    /// that changes it is refused, as the Disk Process refuses an update of
+    /// a key field.
+    pub(crate) fn rewritten_key(&self, old: &[Value], new: &[Value]) -> Result<Vec<u8>, FsError> {
+        let key = encode_record_key(&self.desc, new);
+        if key != encode_record_key(&self.desc, old) {
+            return Err(FsError::Dp(DpError::KeyUpdateNotAllowed));
+        }
+        Ok(key)
     }
 
     /// Partitions overlapping `range`, each with the clipped sub-range.

@@ -8,12 +8,13 @@
 //! System re-drives with the last processed key until the range is
 //! exhausted.
 
-use crate::{bad_row, decode, unexpected, FileSystem, FsError, IndexInfo, OpenFile};
+use crate::{bad_row, decode, unexpected, FileSystem, FsError, IndexChange, IndexInfo, OpenFile};
 use nsql_dp::{DpError, DpReply, DpRequest, FileId, ReadLock, RowBlock, SubsetMode, SubsetOp};
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::key::{encode_record_key, encode_stored_key};
+use nsql_records::patch::assign;
 use nsql_records::row::{check_row, encode_row};
-use nsql_records::{Expr, KeyRange, OwnedBound, RecordDescriptor, Row, SetList, Value};
+use nsql_records::{Expr, KeyRange, OwnedBound, RecordDescriptor, Row, SetList, SliceRow, Value};
 use nsql_sim::{CpuLayer, EntityKind, Event};
 use std::collections::BTreeMap;
 
@@ -35,7 +36,7 @@ impl FileSystem {
     pub fn insert_row(&self, txn: TxnId, of: &OpenFile, values: &[Value]) -> Result<(), FsError> {
         let record = encode_row(&of.desc, values).map_err(bad_row)?;
         let key = encode_record_key(&of.desc, values);
-        let p = of.partition_for(&key);
+        let p = of.partition_for(&key)?;
         self.send(
             &p.process,
             DpRequest::Insert {
@@ -45,62 +46,36 @@ impl FileSystem {
                 record,
             },
         )?;
+        self.change_indexes(txn, of, None, Some(values))
+    }
+
+    /// Keep every index of `of` in step with one base row's change from
+    /// `old` to `new` ([`IndexInfo::change`]): per index, in index order,
+    /// one message deletes its old entry and then one inserts its new one.
+    pub(crate) fn change_indexes(
+        &self,
+        txn: TxnId,
+        of: &OpenFile,
+        old: Option<&[Value]>,
+        new: Option<&[Value]>,
+    ) -> Result<(), FsError> {
         for idx in &of.indexes {
-            self.index_insert(txn, of, idx, values)?;
+            let IndexChange { delete, insert } = idx.change(&of.desc, old, new)?;
+            let file = idx.file;
+            if let Some(key) = delete {
+                self.send(&idx.process, DpRequest::DeleteRecord { txn, file, key })?;
+            }
+            if let Some((key, record)) = insert {
+                let request = DpRequest::Insert {
+                    txn,
+                    file,
+                    key,
+                    record,
+                };
+                self.send(&idx.process, request)?;
+            }
         }
         Ok(())
-    }
-
-    pub(crate) fn index_insert(
-        &self,
-        txn: TxnId,
-        of: &OpenFile,
-        idx: &IndexInfo,
-        values: &[Value],
-    ) -> Result<(), FsError> {
-        let (key, record) = idx.entry(&idx.index_row(&of.desc, values))?;
-        let file = idx.file;
-        self.send(
-            &idx.process,
-            DpRequest::Insert {
-                txn,
-                file,
-                key,
-                record,
-            },
-        )?;
-        Ok(())
-    }
-
-    pub(crate) fn index_delete(
-        &self,
-        txn: TxnId,
-        of: &OpenFile,
-        idx: &IndexInfo,
-        values: &[Value],
-    ) -> Result<(), FsError> {
-        let key = encode_record_key(&idx.desc, &idx.index_row(&of.desc, values));
-        let file = idx.file;
-        self.send(&idx.process, DpRequest::DeleteRecord { txn, file, key })?;
-        Ok(())
-    }
-
-    /// Point read by primary key values.
-    pub fn read_by_pk(
-        &self,
-        txn: Option<TxnId>,
-        of: &OpenFile,
-        pk_values: &[Value],
-        lock: ReadLock,
-    ) -> Result<Option<Row>, FsError> {
-        // Build a full-width value array for key encoding: only key fields
-        // are examined by `encode_record_key`.
-        let mut full = vec![Value::Null; of.desc.num_fields()];
-        for (i, &k) in of.desc.key_fields.iter().enumerate() {
-            full[k as usize] = pk_values[i].clone();
-        }
-        let key = encode_record_key(&of.desc, &full);
-        self.read_by_key(txn, of, &key, lock)
     }
 
     /// Point read by encoded key.
@@ -111,7 +86,7 @@ impl FileSystem {
         key: &[u8],
         lock: ReadLock,
     ) -> Result<Option<Row>, FsError> {
-        let p = of.partition_for(key);
+        let p = of.partition_for(key)?;
         let request = DpRequest::Read {
             txn,
             file: p.file,
@@ -140,24 +115,13 @@ impl FileSystem {
         sets: &SetList,
         constraint: Option<&Expr>,
     ) -> Result<(), FsError> {
-        let touched = sets.target_fields();
-        let affected: Vec<&IndexInfo> = of
-            .indexes
-            .iter()
-            .filter(|i| i.touched_by(&touched))
-            .collect();
         // With no index touched this is pure pushdown: one message, no
         // read-before-write. Otherwise the File System must see old and new
         // values to fix the affected indices.
-        let old = if affected.is_empty() {
-            None
-        } else {
-            Some(
-                self.read_by_key(Some(txn), of, key, ReadLock::Shared)?
-                    .ok_or(FsError::Dp(DpError::NotFound))?,
-            )
-        };
-        let p = of.partition_for(key);
+        let targets = sets.target_fields();
+        let touched = of.indexes.iter().any(|i| i.touched_by(&targets));
+        let old = self.row_for_indexes(txn, of, key, touched)?;
+        let p = of.partition_for(key)?;
         self.send(
             &p.process,
             DpRequest::UpdatePoint {
@@ -168,51 +132,42 @@ impl FileSystem {
                 constraint: constraint.cloned(),
             },
         )?;
-        if let Some(old) = old {
-            let new = self.apply_sets_locally(of, &old.0, sets)?;
-            for idx in affected {
-                self.index_delete(txn, of, idx, &old.0)?;
-                self.index_insert(txn, of, idx, &new)?;
+        if let Some(Row(old)) = old {
+            // The new values again, for the indices' sake (the Disk Process
+            // made the authoritative evaluation).
+            self.sim.cpu_work(CpuLayer::FileSystem, 2);
+            let assigned = assign(&of.desc, sets, &SliceRow(&old))
+                .map_err(|e| FsError::BadRow(e.to_string()))?;
+            let mut new = old.clone();
+            for (f, v) in assigned {
+                new[f as usize] = v;
             }
+            self.change_indexes(txn, of, Some(&old), Some(&new))?;
         }
         Ok(())
     }
 
-    /// Evaluate update expressions at the File System (only used for index
-    /// maintenance bookkeeping; the authoritative evaluation happened at
-    /// the Disk Process).
-    fn apply_sets_locally(
+    /// The row at `key`, read under a shared lock when a write must keep
+    /// indices in step with it (`needed`); a row that is not there is
+    /// [`DpError::NotFound`].
+    fn row_for_indexes(
         &self,
+        txn: TxnId,
         of: &OpenFile,
-        old: &[Value],
-        sets: &SetList,
-    ) -> Result<Vec<Value>, FsError> {
-        self.sim.cpu_work(CpuLayer::FileSystem, 2);
-        let row = Row(old.to_vec());
-        let assigned = sets
-            .apply(&row)
-            .map_err(|e| FsError::BadRow(e.to_string()))?;
-        let mut new = old.to_vec();
-        for (f, v) in assigned {
-            let ty = of.desc.fields[f as usize].ty;
-            new[f as usize] = ty
-                .coerce(v)
-                .ok_or_else(|| FsError::BadRow(format!("value does not fit field {f}")))?;
+        key: &[u8],
+        needed: bool,
+    ) -> Result<Option<Row>, FsError> {
+        if !needed {
+            return Ok(None);
         }
-        Ok(new)
+        let row = self.read_by_key(Some(txn), of, key, ReadLock::Shared)?;
+        row.ok_or(FsError::Dp(DpError::NotFound)).map(Some)
     }
 
     /// Delete one record by key, maintaining indices.
     pub fn delete_by_key(&self, txn: TxnId, of: &OpenFile, key: &[u8]) -> Result<(), FsError> {
-        let old = if of.indexes.is_empty() {
-            None
-        } else {
-            Some(
-                self.read_by_key(Some(txn), of, key, ReadLock::Shared)?
-                    .ok_or(FsError::Dp(DpError::NotFound))?,
-            )
-        };
-        let p = of.partition_for(key);
+        let old = self.row_for_indexes(txn, of, key, !of.indexes.is_empty())?;
+        let p = of.partition_for(key)?;
         self.send(
             &p.process,
             DpRequest::DeleteRecord {
@@ -222,9 +177,7 @@ impl FileSystem {
             },
         )?;
         if let Some(old) = old {
-            for idx in &of.indexes {
-                self.index_delete(txn, of, idx, &old.0)?;
-            }
+            self.change_indexes(txn, of, Some(&old.0), None)?;
         }
         Ok(())
     }
@@ -531,16 +484,19 @@ impl FileSystem {
     }
 
     /// Read base rows via a secondary index (Figure 2): first the index's
-    /// Disk Process, then the base partition's, per qualifying entry.
+    /// Disk Process, which applies `index_predicate` (over the index row)
+    /// to the entries of `index_range`, then the base partition's, per
+    /// qualifying entry.
     pub fn read_via_index(
         &self,
         txn: Option<TxnId>,
         of: &OpenFile,
         idx: &IndexInfo,
         index_range: &KeyRange,
+        index_predicate: Option<&Expr>,
         lock: ReadLock,
     ) -> Result<Vec<Row>, FsError> {
-        let entries = self.scan_index(txn, idx, index_range, None, lock)?;
+        let entries = self.scan_index(txn, idx, index_range, index_predicate, lock)?;
         let mut out = Vec::with_capacity(entries.len());
         for irow in &entries {
             let base_key = idx.base_key_from_index_row(&of.desc, &irow.0);
@@ -601,22 +557,33 @@ impl<'a> BlockedBuffers<'a> {
         }
     }
 
-    fn partition_of(&self, key: &[u8]) -> Result<Destination, FsError> {
-        let owner = self
-            .of
-            .partitions
-            .iter()
-            .position(|p| p.range.contains(key));
-        owner.map(Destination::Partition).ok_or_else(|| {
-            FsError::Protocol("partition ranges do not cover the key space".to_string())
-        })
-    }
-
     /// Buffer one record; returns how many its buffer now holds.
     fn push(&mut self, what: Blocked, to: Destination, key: Vec<u8>, record: Vec<u8>) -> usize {
         let buffer = self.pending.entry((what, to)).or_default();
         buffer.push((key, record));
         buffer.len()
+    }
+
+    /// Buffer what one base row's change from `old` to `new` does to every
+    /// index ([`IndexInfo::change`]): the delete of its old entry and the
+    /// insert of its new one.
+    fn push_index_changes(
+        &mut self,
+        old: Option<&[Value]>,
+        new: Option<&[Value]>,
+    ) -> Result<(), FsError> {
+        let of = self.of;
+        for (i, idx) in of.indexes.iter().enumerate() {
+            let IndexChange { delete, insert } = idx.change(&of.desc, old, new)?;
+            let index = Destination::Index(i);
+            if let Some(key) = delete {
+                self.push(Blocked::Delete, index, key, Vec::new());
+            }
+            if let Some((key, record)) = insert {
+                self.push(Blocked::Insert, index, key, record);
+            }
+        }
+        Ok(())
     }
 
     /// Send one buffer as one message. Inserts go in key order (by prior
@@ -692,13 +659,9 @@ impl<'a> BlockedInserter<'a> {
         let of = self.buffers.of;
         let record = encode_row(&of.desc, values).map_err(bad_row)?;
         let key = encode_record_key(&of.desc, values);
-        let partition = self.buffers.partition_of(&key)?;
+        let partition = Destination::Partition(of.partition_of(&key)?);
         let buffered = self.buffers.push(Blocked::Insert, partition, key, record);
-        for (ii, idx) in of.indexes.iter().enumerate() {
-            let (ikey, irec) = idx.entry(&idx.index_row(&of.desc, values))?;
-            self.buffers
-                .push(Blocked::Insert, Destination::Index(ii), ikey, irec);
-        }
+        self.buffers.push_index_changes(None, Some(values))?;
         if buffered >= Self::FLUSH_AT {
             self.buffers.flush_one(Blocked::Insert, partition)?;
         }
@@ -741,27 +704,11 @@ impl<'a> CursorUpdater<'a> {
     /// becomes `new` (same primary key).
     pub fn update(&mut self, old: &[Value], new: &[Value]) -> Result<(), FsError> {
         let of = self.buffers.of;
-        let key = encode_record_key(&of.desc, new);
-        assert_eq!(
-            key,
-            encode_record_key(&of.desc, old),
-            "WHERE CURRENT updates cannot change the primary key"
-        );
+        let key = of.rewritten_key(old, new)?;
         let record = encode_row(&of.desc, new).map_err(bad_row)?;
-        let partition = self.buffers.partition_of(&key)?;
+        let partition = Destination::Partition(of.partition_of(&key)?);
         self.buffers.push(Blocked::Update, partition, key, record);
-        for (ii, idx) in of.indexes.iter().enumerate() {
-            let old_irow = idx.index_row(&of.desc, old);
-            let new_irow = idx.index_row(&of.desc, new);
-            if old_irow != new_irow {
-                let index = Destination::Index(ii);
-                let old_key = encode_record_key(&idx.desc, &old_irow);
-                self.buffers
-                    .push(Blocked::Delete, index, old_key, Vec::new());
-                let (new_key, new_rec) = idx.entry(&new_irow)?;
-                self.buffers.push(Blocked::Insert, index, new_key, new_rec);
-            }
-        }
+        self.buffers.push_index_changes(Some(old), Some(new))?;
         self.n_updates += 1;
         Ok(())
     }
@@ -770,14 +717,10 @@ impl<'a> CursorUpdater<'a> {
     pub fn delete(&mut self, old: &[Value]) -> Result<(), FsError> {
         let of = self.buffers.of;
         let key = encode_record_key(&of.desc, old);
-        let partition = self.buffers.partition_of(&key)?;
+        let partition = Destination::Partition(of.partition_of(&key)?);
         self.buffers
             .push(Blocked::Delete, partition, key, Vec::new());
-        for (ii, idx) in of.indexes.iter().enumerate() {
-            let ikey = encode_record_key(&idx.desc, &idx.index_row(&of.desc, old));
-            self.buffers
-                .push(Blocked::Delete, Destination::Index(ii), ikey, Vec::new());
-        }
+        self.buffers.push_index_changes(Some(old), None)?;
         self.n_deletes += 1;
         Ok(())
     }

@@ -151,17 +151,13 @@ fn partition_routing_by_key() {
     let of = create_partitioned_emp(&w);
     load(&w, &of, 1000);
     // Keys below 500 live on $DATA1, the rest on $DATA2.
-    assert_eq!(of.partition_for(&emp_key(10)).process, "$DATA1");
-    assert_eq!(of.partition_for(&emp_key(700)).process, "$DATA2");
+    assert_eq!(of.partition_for(&emp_key(10)).unwrap().process, "$DATA1");
+    assert_eq!(of.partition_for(&emp_key(700)).unwrap().process, "$DATA2");
     // Point reads work on both sides of the split.
-    let row =
-        w.fs.read_by_pk(None, &of, &[Value::Int(499)], ReadLock::None)
-            .unwrap();
-    assert_eq!(row.unwrap().0[0], Value::Int(499));
-    let row =
-        w.fs.read_by_pk(None, &of, &[Value::Int(500)], ReadLock::None)
-            .unwrap();
-    assert_eq!(row.unwrap().0[0], Value::Int(500));
+    for k in [499, 500] {
+        let row = w.fs.read_by_key(None, &of, &emp_key(k), ReadLock::None);
+        assert_eq!(row.unwrap().unwrap().0[0], Value::Int(k));
+    }
 }
 
 #[test]
@@ -231,7 +227,7 @@ fn figure_2_read_via_alternate_key() {
     let range = KeyRange::prefix(prefix);
     let before = w.sim.metrics.snapshot();
     let rows =
-        w.fs.read_via_index(None, &of, idx, &range, ReadLock::None)
+        w.fs.read_via_index(None, &of, idx, &range, None, ReadLock::None)
             .unwrap();
     assert_eq!(rows.len(), 10);
     for r in &rows {
@@ -1010,4 +1006,55 @@ fn a_reply_of_the_wrong_shape_is_a_protocol_error_not_a_panic() {
         "DELETE^SUBSET^FIRST",
         fs.delete_set(txn, &of, &KeyRange::all(), None),
     );
+}
+
+/// A key no partition owns is refused with a typed error by every path
+/// that routes by key, before any message is sent.
+#[test]
+fn a_key_no_partition_owns_is_refused() {
+    let w = world(&["$DATA1", "$DATA2", "$IDX"]);
+    let mut of = create_partitioned_emp(&w);
+    // A file built by hand whose one partition stops at EMPNO 500.
+    of.partitions.truncate(1);
+    let (row, key) = (emp_row(700, "E00700", 1, 1.0), emp_key(700));
+    let refused = |r: Result<(), FsError>| match r {
+        Err(FsError::Protocol(e)) => assert!(e.contains("owns the key"), "{e}"),
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+    assert!(of.partition_for(&emp_key(10)).is_ok());
+    let before = w.sim.metrics.snapshot();
+    let txn = w.txnmgr.begin();
+    refused(w.fs.insert_row(txn, &of, &row));
+    refused(
+        w.fs.read_by_key(Some(txn), &of, &key, ReadLock::None)
+            .map(|_| ()),
+    );
+    refused(w.fs.delete_by_key(txn, &of, &key));
+    refused(w.fs.ens_lock_record(txn, &of, &key, LockMode::Exclusive));
+    refused(BlockedInserter::new(&w.fs, &of, txn).push(&row));
+    let mut cursor = CursorUpdater::new(&w.fs, &of, txn);
+    refused(cursor.update(&row, &row));
+    refused(cursor.delete(&row));
+    assert_eq!((w.sim.metrics.snapshot() - before).msgs_fs_dp, 0);
+    w.txnmgr.abort(txn, w.client).unwrap();
+}
+
+/// A rewrite that would change the primary key is refused with the Disk
+/// Process's own error, before any message is sent.
+#[test]
+fn a_rewrite_that_changes_the_key_is_refused() {
+    let w = world(&["$DATA1", "$DATA2", "$IDX"]);
+    let of = create_partitioned_emp(&w);
+    load(&w, &of, 10);
+    let old = emp_row(3, "E00003", 3, 1003.0);
+    let new = emp_row(4, "E00003", 3, 1003.0);
+    let key_change = Err(FsError::Dp(nsql_dp::DpError::KeyUpdateNotAllowed));
+    let before = w.sim.metrics.snapshot();
+    let txn = w.txnmgr.begin();
+    assert_eq!(w.fs.ens_rewrite(txn, &of, &old, &new), key_change);
+    let mut cursor = CursorUpdater::new(&w.fs, &of, txn);
+    assert_eq!(cursor.update(&old, &new), key_change);
+    assert_eq!(cursor.flush(), Ok((0, 0)));
+    assert_eq!((w.sim.metrics.snapshot() - before).msgs_fs_dp, 0);
+    w.txnmgr.abort(txn, w.client).unwrap();
 }

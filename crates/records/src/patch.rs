@@ -129,13 +129,7 @@ impl Patch {
             desc,
             bytes: record,
         };
-        let mut after = self.sets.apply(&old).map_err(PatchError::Eval)?;
-        for (f, v) in &mut after {
-            let ty = desc.fields[*f as usize].ty;
-            *v = ty
-                .coerce(std::mem::replace(v, Value::Null))
-                .ok_or(PatchError::DoesNotFit(*f))?;
-        }
+        let after = assign(desc, &self.sets, &old)?;
         if let Some(c) = &self.check {
             charge(self.check_cost);
             let new = Patched {
@@ -154,6 +148,24 @@ impl Patch {
             .map_err(PatchError::Record)?;
         Ok((before, after))
     }
+}
+
+/// The new values `sets` assigns over `old`, a row of the layout `desc`:
+/// each expression evaluated, in list order, then each value coerced into
+/// its field, in list order.
+pub fn assign(
+    desc: &RecordDescriptor,
+    sets: &SetList,
+    old: &dyn RowAccessor,
+) -> Result<FieldChanges, PatchError> {
+    let mut after = sets.apply(old).map_err(PatchError::Eval)?;
+    for (f, v) in &mut after {
+        let ty = desc.fields[*f as usize].ty;
+        *v = ty
+            .coerce(std::mem::replace(v, Value::Null))
+            .ok_or(PatchError::DoesNotFit(*f))?;
+    }
+    Ok(after)
 }
 
 /// A stored record with new values in place of some of its fields: what the

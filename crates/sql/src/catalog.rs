@@ -245,6 +245,12 @@ impl Catalog {
                 .desc
                 .field_named(c)
                 .ok_or_else(|| CatalogError::NoSuchColumn(c.clone()))?;
+            // Indexed columns are key fields of the index file.
+            if info.open.desc.fields[i as usize].nullable {
+                return Err(CatalogError::Invalid(format!(
+                    "index column {c} must be NOT NULL"
+                )));
+            }
             base_fields.push(i);
         }
         let volume = stmt

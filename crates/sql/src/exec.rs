@@ -396,12 +396,7 @@ impl Executor<'_> {
                 let mut rows = Vec::new();
                 while let Some(full) = self.fs.ens_read_next(&mut cur)? {
                     self.sim().cpu_work(CpuLayer::Executor, 1);
-                    let projected = Row(t
-                        .fetch_fields
-                        .iter()
-                        .map(|&f| full.0[f as usize].clone())
-                        .collect());
-                    rows.push(projected);
+                    rows.push(pick(&full.0, &t.fetch_fields));
                 }
                 rows
             }
@@ -412,48 +407,22 @@ impl Executor<'_> {
                 index_only,
             } => {
                 let idx = &of.indexes[*index];
-                let entries = self
-                    .fs
-                    .scan_index(txn, idx, range, index_pushdown.as_ref(), lock)?;
-                if *index_only {
+                let pushdown = index_pushdown.as_ref();
+                match index_only {
                     // Project directly out of index rows.
-                    let field_in_index = |base: u16| -> usize {
-                        idx.base_fields
-                            .iter()
-                            .position(|&b| b == base)
-                            .or_else(|| {
-                                of.desc
-                                    .key_fields
-                                    .iter()
-                                    .position(|&k| k == base)
-                                    .map(|p| idx.base_fields.len() + p)
-                            })
-                            .expect("index-only plan covers all fetched fields")
-                    };
-                    entries
-                        .into_iter()
-                        .map(|irow| {
-                            Row(t
-                                .fetch_fields
-                                .iter()
-                                .map(|&f| irow.0[field_in_index(f)].clone())
-                                .collect())
-                        })
-                        .collect()
-                } else {
+                    Some(at) => self
+                        .fs
+                        .scan_index(txn, idx, range, pushdown, lock)?
+                        .iter()
+                        .map(|irow| pick(&irow.0, at))
+                        .collect(),
                     // Figure 2: fetch each base record by primary key.
-                    let mut rows = Vec::new();
-                    for irow in &entries {
-                        let base_key = idx.base_key_from_index_row(&of.desc, &irow.0);
-                        if let Some(full) = self.fs.read_by_key(txn, of, &base_key, lock)? {
-                            rows.push(Row(t
-                                .fetch_fields
-                                .iter()
-                                .map(|&f| full.0[f as usize].clone())
-                                .collect()));
-                        }
-                    }
-                    rows
+                    None => self
+                        .fs
+                        .read_via_index(txn, of, idx, range, pushdown, lock)?
+                        .iter()
+                        .map(|full| pick(&full.0, &t.fetch_fields))
+                        .collect(),
                 }
             }
             AccessPath::SysScan { pushdown } => {
@@ -473,11 +442,7 @@ impl Executor<'_> {
                             continue;
                         }
                     }
-                    rows.push(Row(t
-                        .fetch_fields
-                        .iter()
-                        .map(|&f| full.0[f as usize].clone())
-                        .collect()));
+                    rows.push(pick(&full.0, &t.fetch_fields));
                 }
                 // Charged after the snapshot was captured, so the bump is
                 // part of this statement's own cost (visible to the *next*
@@ -560,6 +525,11 @@ fn plain_columns(output: &[(String, Expr)]) -> Option<Vec<usize>> {
         }
     }
     Some(columns)
+}
+
+/// The values at positions `at` of a fetched row, in that order.
+fn pick(values: &[Value], at: &[u16]) -> Row {
+    Row(at.iter().map(|&f| values[f as usize].clone()).collect())
 }
 
 /// A transaction's reads take shared locks; a bare read takes none.

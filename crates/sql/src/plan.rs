@@ -94,9 +94,9 @@ pub enum AccessPath {
         /// Predicate over the *index row*, pushed to the index's Disk
         /// Process.
         index_pushdown: Option<Expr>,
-        /// True when all needed fields live in the index row (no base
-        /// fetch).
-        index_only: bool,
+        /// When every fetched field lies in the index row (no base fetch):
+        /// the index-row position of each, in fetch order.
+        index_only: Option<Vec<u16>>,
     },
     /// Scan of a `sys.*` virtual table, served by the executor from the
     /// statement's introspection snapshot — no File System messages.
@@ -326,7 +326,7 @@ pub fn describe_access(t: &TableAccess) -> String {
             if let Some(p) = index_pushdown {
                 line.push_str(&format!("; index pushdown: {p}"));
             }
-            if *index_only {
+            if index_only.is_some() {
                 line.push_str("; index-only (no base fetch)");
             } else {
                 line.push_str("; fetch base rows by primary key (Figure 2)");
@@ -767,13 +767,7 @@ fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectP
         } else {
             choose_access(info, &table_conjuncts[ti], &mut fetch, s.for_browse)
         };
-        fetch.sort_unstable();
-        fetch.dedup();
-        // Tables contributing nothing still need one field to drive the
-        // join (use the first key column).
-        if fetch.is_empty() {
-            fetch.push(info.open.desc.key_fields[0]);
-        }
+        settle(&mut fetch, &info.open.desc);
         for (pos, &f) in fetch.iter().enumerate() {
             remap[(lo + f) as usize] = Some(out_pos + pos as u16);
         }
@@ -790,7 +784,7 @@ fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectP
             // Index scans that fetch base rows apply the table predicate as
             // an executor residual (over the fetched fields).
             AccessPath::IndexScan {
-                index_only: false, ..
+                index_only: None, ..
             }
             | AccessPath::TableScan { browse: true, .. } => {
                 let ti = tables.len();
@@ -960,33 +954,28 @@ fn choose_access(
         }
         if let Some((ii, _)) = best {
             let idx = &info.open.indexes[ii];
-            // The index row layout: indexed fields first, then pk fields.
-            // Conjuncts over (indexed ∪ pk) fields can be pushed to the
-            // index's Disk Process after remapping.
-            let index_field_of = |base: u16| -> Option<u16> {
-                idx.base_fields
-                    .iter()
-                    .position(|&b| b == base)
-                    .map(|p| p as u16)
-                    .or_else(|| {
-                        desc.key_fields
-                            .iter()
-                            .position(|&k| k == base)
-                            .map(|p| (idx.base_fields.len() + p) as u16)
-                    })
-            };
+            // Conjuncts over fields the index row carries can be pushed to
+            // the index's Disk Process after remapping.
+            let in_index = |f: u16| idx.field_of(desc, f);
             let mut index_pushable = Vec::new();
             for c in conj {
                 let mut fields = Vec::new();
                 c.collect_fields(&mut fields);
-                if fields.iter().all(|&f| index_field_of(f).is_some()) {
-                    index_pushable.push(c.remap_fields(&|f| index_field_of(f).expect("checked")));
+                if fields.iter().all(|&f| in_index(f).is_some()) {
+                    // Every field is carried: `f` itself is never kept.
+                    index_pushable.push(c.remap_fields(&|f| in_index(f).unwrap_or(f)));
                 }
             }
             let range = key_range_from(conj, &idx.base_fields, |f| desc.fields[f as usize].ty);
-            // Index-only when every fetched field is in the index row.
-            let index_only = fetch.iter().all(|&f| index_field_of(f).is_some());
-            if !index_only {
+            // Index-only when every fetched field is in the index row: the
+            // executor projects the fetch list, settled as the caller would
+            // settle it, straight out of the index rows.
+            let mut settled = fetch.clone();
+            settle(&mut settled, desc);
+            let index_only: Option<Vec<u16>> = settled.iter().map(|&f| in_index(f)).collect();
+            if index_only.is_some() {
+                *fetch = settled;
+            } else {
                 // Base rows will be fetched whole; residual needs conjunct
                 // fields available.
                 for c in conj {
@@ -1005,6 +994,17 @@ fn choose_access(
         range: pk_range,
         pushdown: conjoin(conj.to_vec()),
         browse: false,
+    }
+}
+
+/// A fetch list as the executor receives it: ascending, without repeats,
+/// and never empty (a table contributing nothing still needs one field to
+/// drive the join: its first key column).
+fn settle(fetch: &mut Vec<u16>, desc: &RecordDescriptor) {
+    fetch.sort_unstable();
+    fetch.dedup();
+    if fetch.is_empty() {
+        fetch.push(desc.key_fields[0]);
     }
 }
 

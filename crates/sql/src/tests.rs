@@ -312,7 +312,7 @@ fn index_is_chosen_for_equality_on_indexed_column() {
         matches!(
             p.tables[0].access,
             AccessPath::IndexScan {
-                index_only: true,
+                index_only: Some(_),
                 ..
             }
         ),
@@ -347,7 +347,7 @@ fn index_with_base_fetch_when_fields_missing() {
     assert!(matches!(
         p.tables[0].access,
         AccessPath::IndexScan {
-            index_only: false,
+            index_only: None,
             ..
         }
     ));
@@ -459,6 +459,55 @@ fn unique_index_via_sql() {
         .run("CREATE UNIQUE INDEX EMP_D ON EMP (DEPT) ON '$IDX'")
         .unwrap_err();
     assert!(err.contains("duplicate"), "{err}");
+    // Index columns are index keys: a nullable one is refused.
+    let err = w
+        .run("CREATE INDEX EMP_S ON EMP (SALARY) ON '$IDX'")
+        .unwrap_err();
+    assert!(err.contains("SALARY must be NOT NULL"), "{err}");
+}
+
+/// An `UPDATE` that gives an indexed column the value it already has
+/// leaves the index entry where it is: the scan, the read of the old row and
+/// the base update, and no delete and insert at the index. A new value still
+/// moves the entry.
+#[test]
+fn same_value_update_of_an_indexed_column_leaves_the_index_alone() {
+    let w = world();
+    setup_emp(&w, 20);
+    w.run("CREATE INDEX EMP_NAME ON EMP (NAME) ON '$IDX'")
+        .unwrap();
+    let cost = |sql: &str| {
+        let before = w.sim.metrics.snapshot();
+        assert_eq!(w.count(sql), 1, "{sql}");
+        let d = w.sim.metrics.snapshot() - before;
+        (d.msgs_fs_dp, d.audit_records)
+    };
+    assert_eq!(cost("UPDATE EMP SET NAME = NAME WHERE EMPNO = 5"), (3, 2));
+    assert_eq!(
+        cost("UPDATE EMP SET NAME = 'X00005' WHERE EMPNO = 5"),
+        (5, 4)
+    );
+    let r = w.rows("SELECT EMPNO FROM EMP WHERE NAME = 'X00005'");
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(r.rows[0].0[0], Value::Int(5));
+    let r = w.rows("SELECT EMPNO FROM EMP WHERE NAME = 'E00005'");
+    assert!(r.rows.is_empty());
+}
+
+/// A column assigned twice in one `SET` list is refused when the statement
+/// is planned: no message reaches a Disk Process and nothing changes.
+#[test]
+fn a_column_assigned_twice_is_refused_at_plan_time() {
+    let w = world();
+    setup_emp(&w, 5);
+    let before = w.sim.metrics.snapshot();
+    let err = w
+        .run("UPDATE EMP SET DEPT = 1, DEPT = 2 WHERE EMPNO = 3")
+        .unwrap_err();
+    assert!(err.contains("DEPT assigned twice"), "{err}");
+    assert_eq!((w.sim.metrics.snapshot() - before).msgs_fs_dp, 0);
+    let r = w.rows("SELECT DEPT FROM EMP WHERE EMPNO = 3");
+    assert_eq!(r.rows[0].0[0], Value::Int(3));
 }
 
 #[test]

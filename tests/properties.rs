@@ -2,10 +2,11 @@
 //! RNG so every run checks the same cases.
 
 use nsql_records::key::{encode_key_value, encode_record_key, encode_stored_key};
-use nsql_records::row::{check_row, decode_row, encode_row, extract_field, CodecError};
+use nsql_records::row::{check_row, decode_row, encode_row, extract_field, patch_row, CodecError};
 use nsql_records::{
-    ArithOp, CmpOp, EvalError, Expr, FieldDef, FieldType, Predicate, PredicateError, Projection,
-    RawRecord, RecordDescriptor, Row, RowAccessor, Value,
+    ArithOp, CmpOp, EvalError, Expr, FieldChanges, FieldDef, FieldType, Patch, PatchError,
+    Predicate, PredicateError, Projection, RawRecord, RecordDescriptor, Row, RowAccessor, SetList,
+    Value,
 };
 use nsql_sim::SimRng;
 use std::cell::Cell;
@@ -647,6 +648,168 @@ fn compiled_and_interpreted_predicates_agree() {
         "{type_errors} type errors, {arithmetic_errors} of arithmetic"
     );
     assert!(compiled_trees > 1_500, "{compiled_trees} of 4,000 compiled");
+}
+
+/// What the decoding path makes of a `SET` list and a CHECK over `record`:
+/// `decode_row`, `SetList::apply`, `coerce` in list order, the CHECK over
+/// the new row, `encode_row`; the new record and the targets' old and new
+/// values.
+fn decoding_path(
+    d: &RecordDescriptor,
+    record: &[u8],
+    sets: &SetList,
+    check: Option<&Expr>,
+) -> Result<(Vec<u8>, FieldChanges, FieldChanges), PatchError> {
+    let old = decode_row(d, record).map_err(PatchError::Record)?;
+    let assigned = sets.apply(&old).map_err(PatchError::Eval)?;
+    let mut after = Vec::new();
+    for (f, v) in assigned {
+        let fits = d.fields[f as usize].ty.coerce(v);
+        after.push((f, fits.ok_or(PatchError::DoesNotFit(f))?));
+    }
+    let mut new = old.0.clone();
+    for (f, v) in &after {
+        new[*f as usize] = v.clone();
+    }
+    if let Some(c) = check {
+        if !c.passes(&Row(new.clone())).map_err(PatchError::Eval)? {
+            return Err(PatchError::Check);
+        }
+    }
+    let image = encode_row(d, &new).map_err(PatchError::Record)?;
+    let before = after.iter().map(|(f, _)| (*f, old.0[*f as usize].clone()));
+    Ok((image, before.collect(), after))
+}
+
+/// `patch_row` is the decoding path for a list of field changes: decode,
+/// change (the last of a field's winning), encode.
+fn patched_by_decoding(
+    d: &RecordDescriptor,
+    record: &[u8],
+    changes: &[(u16, Value)],
+) -> Result<Vec<u8>, CodecError> {
+    let mut row = decode_row(d, record)?.0;
+    for (f, v) in changes {
+        row[*f as usize] = v.clone();
+    }
+    encode_row(d, &row)
+}
+
+/// A compiled `SET` list changes a record on its bytes as the decoding path
+/// does: over random schemas (all six types, NULLs, empty and full
+/// `VARCHAR` tails), intact and damaged records, random `SET` lists over
+/// the whole expression grammar and random CHECKs, `Patch::apply` gives the
+/// same new record, the same old and new field images and the same error.
+/// Backing the change out with `patch_row` and the old images gives the
+/// record the old row encodes to, redoing it with the new images gives the
+/// new record again, and `patch_row` agrees with decoding for any list of
+/// changes, repeats and NULLs included.
+#[test]
+fn patches_agree_with_the_decoding_path() {
+    let mut rng = SimRng::seed_from(0x31);
+    let mut outcomes: std::collections::BTreeMap<String, u32> = Default::default();
+    for case in 0..3_000 {
+        let d = draw_desc(&mut rng);
+        let n = d.num_fields() as u64;
+        let row: Vec<Value> = (d.fields.iter().enumerate())
+            .map(|(i, f)| match (f.ty, rng.below(4)) {
+                (_, 0) if i > 0 => Value::Null,
+                (FieldType::Varchar(_), 1) => Value::Str(String::new()),
+                (FieldType::Varchar(w), 2) => Value::Str("x".repeat(w as usize)),
+                (ty, _) => draw_value_for(&mut rng, ty),
+            })
+            .collect();
+        let intact = encode_row(&d, &row).unwrap();
+        let mut targets: Vec<u16> = (0..n as u16).collect();
+        let mut sets = Vec::new();
+        for _ in 0..1 + rng.below(n.min(3)) {
+            let f = targets.swap_remove(rng.below(targets.len() as u64) as usize);
+            let ty = d.fields[f as usize].ty;
+            let e = match rng.below(5) {
+                0 => Expr::Lit(Value::Null),
+                1 => Expr::Field(f),
+                2 => Expr::Lit(draw_value_for(&mut rng, ty)),
+                _ => {
+                    let depth = rng.below(3) as u32;
+                    let mut gen = ExprGen {
+                        rng: &mut rng,
+                        d: &d,
+                        row: &row,
+                    };
+                    gen.operand(depth)
+                }
+            };
+            sets.push((f, e));
+        }
+        let sets = SetList { sets };
+        let check = rng.chance(0.5).then(|| {
+            let depth = rng.below(3) as u32;
+            let mut gen = ExprGen {
+                rng: &mut rng,
+                d: &d,
+                row: &row,
+            };
+            gen.predicate(depth)
+        });
+        let patch = Patch::new(&d, sets.clone(), check.clone()).unwrap();
+
+        let damaged = damage(&mut rng, &d, &intact);
+        for record in [&intact, &damaged] {
+            let mut image = vec![0xEE; 5];
+            let got = patch
+                .apply(&d, record, |_| {}, &mut image)
+                .map(|(before, after)| (image, before, after));
+            let expected = decoding_path(&d, record, &sets, check.as_ref());
+            // By their rendering: a NaN is the NaN it is.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{expected:?}"),
+                "case {case}: {sets:?} CHECK {check:?} over {record:?} of {d:?}"
+            );
+            let outcome = match &got {
+                Ok(_) => "changed".to_string(),
+                Err(e) => format!("{e:?}").split('(').next().unwrap_or("").to_string(),
+            };
+            *outcomes.entry(outcome).or_default() += 1;
+            let Ok((image, before, after)) = got else {
+                continue;
+            };
+            let patched = |record: &[u8], changes: &[(u16, Value)]| {
+                let mut out = Vec::new();
+                patch_row(&d, record, changes, &mut out).map(|()| out)
+            };
+            let old = patched_by_decoding(&d, record, &[]);
+            assert_eq!(patched(&image, &before), old, "case {case}: backout");
+            if let Ok(old) = old {
+                assert_eq!(patched(&old, &after), Ok(image), "case {case}: redo");
+            }
+        }
+
+        // Any changes, to any field, repeats and NULLs included.
+        let changes: Vec<(u16, Value)> = (0..rng.below(2 * n))
+            .map(|_| {
+                let f = rng.below(n) as u16;
+                let ty = d.fields[rng.below(n) as usize].ty;
+                let v = match rng.below(3) {
+                    0 => Value::Null,
+                    1 => draw_value_for(&mut rng, d.fields[f as usize].ty),
+                    _ => draw_value_for(&mut rng, ty),
+                };
+                (f, v)
+            })
+            .collect();
+        for record in [&intact, &damaged] {
+            let mut out = vec![0xEE; 2];
+            let got = patch_row(&d, record, &changes, &mut out).map(|()| out);
+            let expected = patched_by_decoding(&d, record, &changes);
+            assert_eq!(got, expected, "case {case}: {changes:?} over {record:?}");
+        }
+    }
+    let seen = |what: &str| outcomes.get(what).copied().unwrap_or(0);
+    assert!(seen("changed") > 1_000, "{outcomes:?}");
+    for error in ["Record", "Eval", "DoesNotFit", "Check"] {
+        assert!(seen(error) > 100, "{outcomes:?}");
+    }
 }
 
 /// A predicate decided by the Disk Process (pushed down under VSBB, compiled
@@ -1361,5 +1524,321 @@ mod subset_conversation {
                 .collect();
             assert_eq!(left, want, "case {case}");
         }
+    }
+}
+
+/// Every writer keeps the secondary indices in step with the base table:
+/// random writes through SQL (`INSERT`, set `UPDATE`s of an indexed column,
+/// of an unindexed one and of a column to its own value, `DELETE`) and
+/// through the File System (`update_by_key`, `delete_by_key`,
+/// `ens_rewrite`, the cursor updater and the blocked inserter), on one or
+/// two partitions with both indices on a volume of their own. After each
+/// transaction, committed or rolled back, each index holds exactly the
+/// entries derived from a dump of the base table; a transaction a unique
+/// index refuses, rolled back, leaves the table as it was.
+mod index_consistency {
+    use nonstop_sql::{ClusterBuilder, Session};
+    use nsql_dp::{ReadLock, SubsetMode};
+    use nsql_fs::{BlockedInserter, CursorUpdater, FsError, OpenFile};
+    use nsql_records::key::encode_record_key;
+    use nsql_records::{ArithOp, Expr, KeyRange, Row, SetList, Value};
+    use nsql_sim::SimRng;
+    use std::collections::BTreeMap;
+
+    const KEYS: u64 = 60;
+    /// Values of the uniquely indexed `U`: few enough to collide.
+    const UNIQUE: u64 = 150;
+    const NAMES: [&str; 4] = ["a", "b", "cc", ""];
+
+    fn name(rng: &mut SimRng) -> Value {
+        Value::Str(NAMES[rng.below(4) as usize].to_string())
+    }
+
+    fn row(rng: &mut SimRng, k: i32) -> Vec<Value> {
+        let u = Value::Int(rng.below(UNIQUE) as i32);
+        vec![
+            Value::Int(k),
+            u,
+            name(rng),
+            Value::Int(rng.below(10) as i32),
+        ]
+    }
+
+    fn sql_literal(v: &Value) -> String {
+        match v {
+            Value::Str(s) => format!("'{s}'"),
+            other => other.to_string(),
+        }
+    }
+
+    /// The base table, in key order.
+    fn dump(s: &Session, of: &OpenFile) -> Vec<Vec<Value>> {
+        let (mode, lock) = (SubsetMode::Vsbb, ReadLock::None);
+        let all = KeyRange::all();
+        let scan = s.fs().scan(None, of, &all, None, None, mode, lock).unwrap();
+        scan.rows.into_iter().map(|r| r.0).collect()
+    }
+
+    /// Each index's entries, as stored and as derived from `base`: the
+    /// indexed field, then the base key, in index-key order.
+    fn check_indexes(s: &Session, of: &OpenFile, base: &[Vec<Value>], context: &str) {
+        for (idx, field) in of.indexes.iter().zip([1usize, 2]) {
+            let all = KeyRange::all();
+            let stored = s
+                .fs()
+                .scan_index(None, idx, &all, None, ReadLock::None)
+                .unwrap();
+            let stored: Vec<Vec<Value>> = stored.into_iter().map(|r| r.0).collect();
+            let mut derived: Vec<Vec<Value>> = base
+                .iter()
+                .map(|r| vec![r[field].clone(), r[0].clone()])
+                .collect();
+            derived.sort_by_cached_key(|r| encode_record_key(&idx.desc, r));
+            assert_eq!(stored, derived, "{context}: index {}", idx.name);
+        }
+    }
+
+    /// The writers `write` takes, by number.
+    const WRITERS: [&str; 13] = [
+        "INSERT",
+        "UPDATE of U",
+        "UPDATE of N",
+        "UPDATE of V",
+        "UPDATE to the same values",
+        "DELETE",
+        "update_by_key of U",
+        "update_by_key of V",
+        "delete_by_key",
+        "ens_rewrite",
+        "CursorUpdater",
+        "BlockedInserter",
+        "INSERT",
+    ];
+
+    /// One random write of the transaction `txn` through `writer`, mostly
+    /// of keys `present` before the transaction: what it did, or why it
+    /// failed.
+    fn write(
+        s: &mut Session,
+        of: &OpenFile,
+        txn: nsql_lock::TxnId,
+        present: &[Vec<Value>],
+        writer: usize,
+        rng: &mut SimRng,
+    ) -> Result<String, String> {
+        let keys: Vec<i32> = present
+            .iter()
+            .map(|r| match r[0] {
+                Value::Int(k) => k,
+                _ => unreachable!("K is an INT"),
+            })
+            .collect();
+        // A key present before the transaction, or absent with `false`;
+        // now and then any key.
+        let pick = |rng: &mut SimRng, present: bool| loop {
+            let k = rng.below(KEYS) as i32;
+            if keys.contains(&k) == present || rng.chance(0.2) {
+                break k;
+            }
+        };
+        let k = pick(rng, true);
+        let key = encode_record_key(&of.desc, &[Value::Int(k), Value::Null, Value::Null]);
+        let hi = k + rng.below(12) as i32;
+        let err = |e: FsError| e.to_string();
+        let sql = |s: &mut Session, text: String| {
+            s.execute(&text).map(|_| text).map_err(|e| e.to_string())
+        };
+        match writer {
+            0 | 12 => {
+                let k = pick(rng, false);
+                let r: Vec<String> = row(rng, k).iter().map(sql_literal).collect();
+                sql(s, format!("INSERT INTO X VALUES ({})", r.join(", ")))
+            }
+            1 => sql(
+                s,
+                format!("UPDATE X SET U = U + 7 WHERE K BETWEEN {k} AND {hi}"),
+            ),
+            2 => {
+                let n = sql_literal(&name(rng));
+                sql(
+                    s,
+                    format!("UPDATE X SET N = {n} WHERE K BETWEEN {k} AND {hi}"),
+                )
+            }
+            3 => sql(
+                s,
+                format!("UPDATE X SET V = V + 1 WHERE K BETWEEN {k} AND {hi}"),
+            ),
+            4 => sql(
+                s,
+                format!("UPDATE X SET N = N, U = U WHERE K BETWEEN {k} AND {hi}"),
+            ),
+            5 => sql(
+                s,
+                format!("DELETE FROM X WHERE K BETWEEN {k} AND {}", k + 2),
+            ),
+            6 | 7 => {
+                let target = if writer == 6 { 1 } else { 3 };
+                let plus = Expr::Arith(
+                    Box::new(Expr::Field(target)),
+                    ArithOp::Add,
+                    Box::new(Expr::lit(Value::Int(rng.below(3) as i32))),
+                );
+                let sets = SetList {
+                    sets: vec![(target, plus)],
+                };
+                let fs = s.fs();
+                fs.update_by_key(txn, of, &key, &sets, None)
+                    .map(|()| format!("update_by_key {k} field {target}"))
+                    .map_err(err)
+            }
+            8 => {
+                let fs = s.fs();
+                fs.delete_by_key(txn, of, &key)
+                    .map(|()| format!("delete_by_key {k}"))
+                    .map_err(err)
+            }
+            9 => {
+                let fs = s.fs();
+                let old = fs.read_by_key(Some(txn), of, &key, ReadLock::Shared);
+                match old.map_err(err)? {
+                    None => Ok(format!("ens_rewrite {k}: absent")),
+                    Some(Row(old)) => {
+                        let new = if rng.chance(0.3) {
+                            old.clone()
+                        } else {
+                            row(rng, k)
+                        };
+                        fs.ens_rewrite(txn, of, &old, &new)
+                            .map(|()| format!("ens_rewrite {k} to {new:?}"))
+                            .map_err(err)
+                    }
+                }
+            }
+            10 => {
+                let fs = s.fs();
+                let (mode, lock) = (SubsetMode::Vsbb, ReadLock::Shared);
+                let range = KeyRange::all();
+                let rows = fs.scan(Some(txn), of, &range, None, None, mode, lock);
+                let rows = rows.map_err(err)?.rows;
+                let mut cursor = CursorUpdater::new(fs, of, txn);
+                for old in &rows {
+                    if rng.chance(0.8) {
+                        continue;
+                    } else if rng.chance(0.5) {
+                        cursor.delete(&old.0).map_err(err)?;
+                    } else {
+                        let mut new = row(rng, 0);
+                        new[0] = old.0[0].clone();
+                        if rng.chance(0.3) {
+                            new[1] = old.0[1].clone();
+                        }
+                        cursor.update(&old.0, &new).map_err(err)?;
+                    }
+                }
+                let (updated, deleted) = cursor.flush().map_err(err)?;
+                Ok(format!("cursor: {updated} updated, {deleted} deleted"))
+            }
+            _ => {
+                let fs = s.fs();
+                let mut inserter = BlockedInserter::new(fs, of, txn);
+                let n = 1 + rng.below(4);
+                for _ in 0..n {
+                    let k = pick(rng, false);
+                    inserter.push(&row(rng, k)).map_err(err)?;
+                }
+                inserter.flush().map_err(err)?;
+                Ok(format!("blocked insert of {n}"))
+            }
+        }
+    }
+
+    #[test]
+    fn every_writer_keeps_the_indexes_equal_to_the_base_table() {
+        let (mut committed, mut refused) = (0, 0);
+        let mut committed_by: BTreeMap<&str, u32> = BTreeMap::new();
+        for case in 0..6u64 {
+            let mut rng = SimRng::seed_from(0x1d3 + case);
+            let db = ClusterBuilder::new()
+                .volume("$DATA1", 0, 1)
+                .volume("$DATA2", 0, 2)
+                .volume("$IDX", 0, 3)
+                .build();
+            let mut s = db.session();
+            let layout = if case % 2 == 1 {
+                " PARTITION BY VALUES (30) ON ('$DATA1', '$DATA2')"
+            } else {
+                ""
+            };
+            s.execute(&format!(
+                "CREATE TABLE X (K INT NOT NULL, U INT NOT NULL, N CHAR(4) NOT NULL, V INT NOT NULL, \
+                 PRIMARY KEY (K)){layout}"
+            ))
+            .unwrap();
+            s.execute("CREATE UNIQUE INDEX XU ON X (U) ON '$IDX'")
+                .unwrap();
+            s.execute("CREATE INDEX XN ON X (N) ON '$IDX'").unwrap();
+            s.execute("BEGIN WORK").unwrap();
+            let mut us: Vec<u64> = (0..UNIQUE).collect();
+            for k in 0..KEYS / 2 {
+                let u = us.swap_remove(rng.below(us.len() as u64) as usize);
+                let n = sql_literal(&name(&mut rng));
+                let v = rng.below(10);
+                s.execute(&format!("INSERT INTO X VALUES ({}, {u}, {n}, {v})", 2 * k))
+                    .unwrap();
+            }
+            s.execute("COMMIT WORK").unwrap();
+            let of = s.open_table("X").unwrap();
+            let mut before = dump(&s, &of);
+            for step in 0..40 {
+                let txn = s.begin().unwrap();
+                let mut done = Vec::new();
+                let mut failed = None;
+                for _ in 0..1 + rng.below(3) {
+                    let writer = rng.below(WRITERS.len() as u64) as usize;
+                    match write(&mut s, &of, txn, &before, writer, &mut rng) {
+                        Ok(what) => done.push((WRITERS[writer], what)),
+                        Err(e) => {
+                            failed = Some((WRITERS[writer], e));
+                            break;
+                        }
+                    }
+                }
+                let context = format!("case {case} step {step}: {done:?}, then {failed:?}");
+                if failed.is_some() || rng.chance(0.2) {
+                    s.rollback().unwrap();
+                    let after = dump(&s, &of);
+                    assert_eq!(after, before, "{context}: rolled back");
+                    // An update cannot repeat a base key: its duplicate is
+                    // the unique index's.
+                    let updates = [
+                        "UPDATE of U",
+                        "update_by_key of U",
+                        "ens_rewrite",
+                        "CursorUpdater",
+                    ];
+                    if failed.is_some_and(|(w, e)| updates.contains(&w) && e.contains("duplicate"))
+                    {
+                        refused += 1;
+                    }
+                } else {
+                    s.commit().unwrap();
+                    committed += 1;
+                    for (writer, _) in &done {
+                        *committed_by.entry(writer).or_default() += 1;
+                    }
+                    before = dump(&s, &of);
+                }
+                check_indexes(&s, &of, &before, &context);
+            }
+        }
+        // Every writer, each index-touching one included, had its writes
+        // committed: a writer that broke the indices by refusing would not.
+        let quiet = WRITERS
+            .iter()
+            .find(|w| committed_by.get(*w).is_none_or(|&n| n < 3));
+        assert_eq!(quiet, None, "writes committed per writer: {committed_by:?}");
+        assert!(committed > 60, "{committed} transactions committed");
+        assert!(refused > 10, "{refused} refused by the unique index");
     }
 }
