@@ -77,7 +77,9 @@ struct Frame {
     /// The block's image, shared with every reader it was lent to and —
     /// once written out, or if it was read in — with the disk.
     data: Block,
-    dirty: bool,
+    /// While the frame is dirty, where its slot stands in
+    /// [`PoolInner::dirty`].
+    dirty: Option<usize>,
     /// Highest audit LSN covering changes to this block (0 = none).
     lsn: u64,
     /// If the block arrived via pre-fetch and has not been waited on yet,
@@ -93,12 +95,15 @@ struct Frame {
 /// recency list threaded through the slots — least recently used first, the
 /// frames one bulk I/O brought in together in ascending block order. A use
 /// moves a frame to the newest end by relinking three slots; the victim is
-/// the oldest end.
+/// the oldest end. The slots of the dirty frames are listed apart, so
+/// write-behind finds them without walking the pool.
 #[derive(Default)]
 struct PoolInner {
     slots: Vec<Frame>,
     /// Slots whose frame was evicted, to be reused.
     vacant: Vec<usize>,
+    /// The slots of the dirty frames, in no particular order.
+    dirty: Vec<usize>,
     slot_of: HashMap<BlockNo, usize>,
     oldest: Option<usize>,
     newest: Option<usize>,
@@ -112,6 +117,7 @@ impl PoolInner {
     }
 
     /// The cached frames, least recently used first.
+    #[cfg(test)]
     fn by_recency(&self) -> impl Iterator<Item = &Frame> {
         let first = self.oldest.map(|slot| &self.slots[slot]);
         std::iter::successors(first, |f| f.newer.map(|slot| &self.slots[slot]))
@@ -139,12 +145,30 @@ impl PoolInner {
         self.newest = Some(slot);
     }
 
-    /// The frame of `block`, now the most recently used, if it is cached.
-    fn touch(&mut self, block: BlockNo) -> Option<&mut Frame> {
+    /// The slot of `block`'s frame, now the most recently used, if it is
+    /// cached.
+    fn touch(&mut self, block: BlockNo) -> Option<usize> {
         let slot = *self.slot_of.get(&block)?;
         self.unlink(slot);
         self.link_newest(slot);
-        Some(&mut self.slots[slot])
+        Some(slot)
+    }
+
+    fn set_dirty(&mut self, slot: usize) {
+        if self.slots[slot].dirty.is_none() {
+            self.slots[slot].dirty = Some(self.dirty.len());
+            self.dirty.push(slot);
+        }
+    }
+
+    fn set_clean(&mut self, slot: usize) {
+        let Some(at) = self.slots[slot].dirty.take() else {
+            return;
+        };
+        self.dirty.swap_remove(at);
+        if let Some(&moved) = self.dirty.get(at) {
+            self.slots[moved].dirty = Some(at);
+        }
     }
 
     /// Cache `data` as `block` (not cached so far), most recently used.
@@ -163,7 +187,7 @@ impl PoolInner {
         let frame = Frame {
             block,
             data,
-            dirty,
+            dirty: None,
             lsn,
             ready_at,
             older: None,
@@ -181,10 +205,16 @@ impl PoolInner {
         };
         self.slot_of.insert(block, slot);
         self.link_newest(slot);
+        if dirty {
+            self.set_dirty(slot);
+        }
     }
 
-    /// Drop the frame in `slot`; returns what it held.
+    /// Drop the frame in `slot`; returns what it held, `dirty` saying
+    /// whether it was dirty.
     fn evict(&mut self, slot: usize) -> Frame {
+        let dirty = self.slots[slot].dirty;
+        self.set_clean(slot);
         self.unlink(slot);
         self.vacant.push(slot);
         let empty = Arc::clone(&self.empty);
@@ -192,6 +222,7 @@ impl PoolInner {
         self.slot_of.remove(&frame.block);
         Frame {
             data: std::mem::replace(&mut frame.data, empty),
+            dirty,
             older: None,
             newer: None,
             ..*frame
@@ -200,8 +231,8 @@ impl PoolInner {
 
     /// The dirty blocks `keep` admits, ascending.
     fn dirty_blocks(&self, keep: impl Fn(&Frame) -> bool) -> Vec<BlockNo> {
-        let dirty = self.by_recency().filter(|f| f.dirty && keep(f));
-        let mut dirty: Vec<BlockNo> = dirty.map(|f| f.block).collect();
+        let dirty = self.dirty.iter().map(|&slot| &self.slots[slot]);
+        let mut dirty: Vec<BlockNo> = dirty.filter(|f| keep(f)).map(|f| f.block).collect();
         dirty.sort_unstable();
         dirty
     }
@@ -222,7 +253,7 @@ impl PoolInner {
     fn mark_clean(&mut self, blocks: &[BlockNo]) {
         for b in blocks {
             if let Some(&slot) = self.slot_of.get(b) {
-                self.slots[slot].dirty = false;
+                self.set_clean(slot);
             }
         }
     }
@@ -287,7 +318,8 @@ impl BufferPool {
     pub fn read_scan(&self, block: BlockNo, opts: ScanOptions) -> Result<Block, DiskError> {
         let mut inner = self.inner.lock();
 
-        if let Some(f) = inner.touch(block) {
+        if let Some(slot) = inner.touch(block) {
+            let f = &mut inner.slots[slot];
             // If the block was pre-fetched, we may have to wait for the I/O
             // to complete — but usually the CPU work since issuing it
             // covers the latency (that is the point of pre-fetch).
@@ -354,11 +386,12 @@ impl BufferPool {
         let data: Block = data.into();
         assert!(data.len() <= self.disk.block_size());
         let mut inner = self.inner.lock();
-        if let Some(f) = inner.touch(block) {
+        if let Some(slot) = inner.touch(block) {
+            let f = &mut inner.slots[slot];
             f.data = data;
-            f.dirty = true;
             f.lsn = f.lsn.max(lsn);
             f.ready_at = None;
+            inner.set_dirty(slot);
             return Ok(());
         }
         self.make_room(&mut inner, 1)?;
@@ -374,7 +407,7 @@ impl BufferPool {
                 .oldest
                 .expect("capacity >= 8 so pool is nonempty when full");
             let f = inner.evict(victim);
-            if f.dirty {
+            if f.dirty.is_some() {
                 // Steal of a dirty page: WAL first, then write it out.
                 let now = self.sim.now();
                 if !self.wal.durable(f.lsn, now) {
@@ -443,12 +476,14 @@ impl BufferPool {
         while let Some(slot) = next.filter(|_| stolen < n) {
             let f = &inner.slots[slot];
             next = f.newer;
-            if !f.dirty && f.ready_at.is_none() {
+            if f.dirty.is_none() && f.ready_at.is_none() {
                 inner.evict(slot);
                 stolen += 1;
             }
         }
-        self.rec.add(Ctr::CacheEvicts, stolen as u64);
+        if stolen > 0 {
+            self.sim.emit(&self.rec, Event::CacheEvict(stolen as u64));
+        }
         stolen
     }
 
@@ -471,7 +506,7 @@ impl BufferPool {
 
     /// Number of dirty frames (tests).
     pub fn dirty_frames(&self) -> usize {
-        self.inner.lock().by_recency().filter(|f| f.dirty).count()
+        self.inner.lock().dirty.len()
     }
 }
 
@@ -592,13 +627,27 @@ mod tests {
 
     /// What the recency list replaced: every frame stamped with the tick of
     /// its last use, the victim found by scanning all of them for the least
-    /// `(last_use, block)`.
+    /// `(last_use, block)`. It also keeps each frame's dirty flag and audit
+    /// LSN and the WAL horizon, to say which blocks are dirty and which of
+    /// them write-behind may write.
     #[derive(Default)]
     struct TickModel {
-        /// `block -> (last_use, dirty, pre-fetch pending)`.
-        frames: HashMap<BlockNo, (u64, bool, bool)>,
+        frames: HashMap<BlockNo, ModelFrame>,
         tick: u64,
         evictions: Vec<BlockNo>,
+        /// The highest durable audit LSN (the gate's).
+        horizon: u64,
+        /// The LSN the last write was tagged with.
+        last_lsn: u64,
+        dirty_steals: usize,
+    }
+
+    #[derive(Clone, Copy)]
+    struct ModelFrame {
+        last_use: u64,
+        dirty: bool,
+        prefetch_pending: bool,
+        lsn: u64,
     }
 
     impl TickModel {
@@ -611,10 +660,26 @@ mod tests {
             (from..).take(Self::BULK).take_while(uncached).count()
         }
 
+        fn install(&mut self, block: BlockNo, dirty: bool, prefetch_pending: bool, lsn: u64) {
+            let frame = ModelFrame {
+                last_use: self.tick,
+                dirty,
+                prefetch_pending,
+                lsn,
+            };
+            self.frames.insert(block, frame);
+        }
+
         fn make_room(&mut self, need: usize) {
             while self.frames.len() + need > Self::CAPACITY {
-                let victim = self.frames.iter().map(|(b, f)| (f.0, *b)).min().unwrap().1;
-                self.frames.remove(&victim);
+                let by_use = self.frames.iter().map(|(b, f)| (f.last_use, *b));
+                let victim = by_use.min().unwrap().1;
+                let f = self.frames.remove(&victim).unwrap();
+                if f.dirty {
+                    // A dirty steal forces the audit that covers it.
+                    self.horizon = self.horizon.max(f.lsn);
+                    self.dirty_steals += 1;
+                }
                 self.evictions.push(victim);
             }
         }
@@ -622,7 +687,8 @@ mod tests {
         fn read(&mut self, block: BlockNo, bulk: bool) {
             self.tick += 1;
             if let Some(f) = self.frames.get_mut(&block) {
-                *f = (self.tick, f.1, false);
+                f.last_use = self.tick;
+                f.prefetch_pending = false;
                 return;
             }
             let run = if bulk {
@@ -632,7 +698,7 @@ mod tests {
             };
             self.make_room(run);
             for b in block..block + run as BlockNo {
-                self.frames.insert(b, (self.tick, false, false));
+                self.install(b, false, false, 0);
             }
         }
 
@@ -642,22 +708,35 @@ mod tests {
             if run > 0 {
                 self.make_room(run);
                 for b in from..from + run as BlockNo {
-                    self.frames.insert(b, (self.tick, false, true));
+                    self.install(b, false, true, 0);
                 }
             }
         }
 
-        fn write(&mut self, block: BlockNo) {
+        /// Write `block`; returns the LSN the write was tagged with.
+        fn write(&mut self, block: BlockNo) -> u64 {
             self.tick += 1;
-            if !self.frames.contains_key(&block) {
-                self.make_room(1);
+            self.last_lsn += 1;
+            let lsn = self.last_lsn;
+            match self.frames.get(&block) {
+                Some(f) => {
+                    let lsn = f.lsn.max(lsn);
+                    self.install(block, true, false, lsn);
+                }
+                None => {
+                    self.make_room(1);
+                    self.install(block, true, false, lsn);
+                }
             }
-            self.frames.insert(block, (self.tick, true, false));
+            lsn
         }
 
         fn steal_clean(&mut self, n: usize) {
-            let clean = self.frames.iter().filter(|(_, f)| !f.1 && !f.2);
-            let mut clean: Vec<(u64, BlockNo)> = clean.map(|(b, f)| (f.0, *b)).collect();
+            let clean = self
+                .frames
+                .iter()
+                .filter(|(_, f)| !f.dirty && !f.prefetch_pending);
+            let mut clean: Vec<(u64, BlockNo)> = clean.map(|(b, f)| (f.last_use, *b)).collect();
             clean.sort_unstable();
             for (_, b) in clean.into_iter().take(n) {
                 self.frames.remove(&b);
@@ -665,27 +744,105 @@ mod tests {
             }
         }
 
+        /// The dirty blocks whose audit is durable, ascending.
+        fn aged(&self) -> Vec<BlockNo> {
+            let aged = self.frames.iter();
+            let aged = aged.filter(|(_, f)| f.dirty && f.lsn <= self.horizon);
+            let mut aged: Vec<BlockNo> = aged.map(|(b, _)| *b).collect();
+            aged.sort_unstable();
+            aged
+        }
+
+        fn dirty(&self) -> Vec<BlockNo> {
+            let dirty = self.frames.iter().filter(|(_, f)| f.dirty);
+            let mut dirty: Vec<BlockNo> = dirty.map(|(b, _)| *b).collect();
+            dirty.sort_unstable();
+            dirty
+        }
+
+        fn clean(&mut self, blocks: &[BlockNo]) {
+            for b in blocks {
+                self.frames.get_mut(b).unwrap().dirty = false;
+            }
+        }
+
         fn recency(&self) -> Vec<BlockNo> {
             let mut order: Vec<(u64, BlockNo)> =
-                self.frames.iter().map(|(b, f)| (f.0, *b)).collect();
+                self.frames.iter().map(|(b, f)| (f.last_use, *b)).collect();
             order.sort_unstable();
             order.into_iter().map(|(_, b)| b).collect()
         }
     }
 
+    /// The pool's dirty blocks, ascending, after checking that its dirty
+    /// list and the frames' places in it agree.
+    fn dirty_list(pool: &BufferPool) -> Vec<BlockNo> {
+        let inner = pool.inner.lock();
+        for (at, &slot) in inner.dirty.iter().enumerate() {
+            let f = &inner.slots[slot];
+            assert_eq!(f.dirty, Some(at), "slot {slot} is listed at {at}");
+            assert_eq!(inner.slot_of.get(&f.block), Some(&slot), "a cached frame");
+        }
+        let listed = inner.by_recency().filter(|f| f.dirty.is_some()).count();
+        assert_eq!(listed, inner.dirty.len(), "every dirty frame is listed");
+        let mut blocks: Vec<BlockNo> = inner.dirty.iter().map(|&s| inner.slots[s].block).collect();
+        blocks.sort_unstable();
+        blocks
+    }
+
+    /// What the dirty list replaced: the dirty blocks `keep` admits, found
+    /// by walking the whole recency list, ascending.
+    fn dirty_by_walk(pool: &BufferPool, keep: impl Fn(&Frame) -> bool) -> Vec<BlockNo> {
+        let inner = pool.inner.lock();
+        let dirty = inner.by_recency().filter(|f| f.dirty.is_some() && keep(f));
+        let mut dirty: Vec<BlockNo> = dirty.map(|f| f.block).collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// The block counts of the writes `sim` traced since `cursor`, in order,
+    /// and whether each was synchronous.
+    fn traced_writes(sim: &Sim, cursor: u64) -> Vec<(u64, bool)> {
+        let events = sim.trace.since(cursor).into_iter();
+        let writes = events.filter_map(|e| match e.kind {
+            nsql_sim::TraceEventKind::DiskIo {
+                write: true,
+                blocks,
+                synchronous,
+                ..
+            } => Some((blocks, synchronous)),
+            _ => None,
+        });
+        writes.collect()
+    }
+
     #[test]
     fn recency_list_evicts_what_the_least_tick_scan_evicted() {
+        let (mut wrote_behind, mut held_back, mut dirty_steals) = (0, 0, 0);
         for seed in 0..40 {
             let mut rng = nsql_sim::SimRng::seed_from(0xCAC4E + seed);
-            let (sim, disk, pool) = setup(TickModel::CAPACITY);
+            let sim = Sim::new();
+            let disk = Disk::new(sim.clone(), "$D", false);
+            let gate = Arc::new(TestGate {
+                durable_lsn: PMutex::new(0),
+                forces: PMutex::new(Vec::new()),
+            });
+            let pool = BufferPool::new(
+                sim.clone(),
+                Arc::clone(&disk),
+                gate.clone(),
+                TickModel::CAPACITY,
+            );
             assert_eq!(sim.cost.bulk_io_max_blocks(), TickModel::BULK);
             fill_disk(&disk, TickModel::DISK);
+            sim.trace.enable_default();
             let mut model = TickModel::default();
             let mut evictions = Vec::new();
             for step in 0..400 {
                 let block = rng.below(u64::from(TickModel::DISK) + 4) as BlockNo;
                 let before = recency(&pool);
-                let op = rng.below(100);
+                let cursor = sim.trace.cursor();
+                let op = rng.below(120);
                 match op {
                     // Past the end of the disk there is nothing to read.
                     0..=34 if block < TickModel::DISK => {
@@ -701,8 +858,8 @@ mod tests {
                         model.prefetch(block);
                     }
                     75..=94 if block < TickModel::DISK => {
-                        pool.write(block, vec![step as u8; 64], 0).unwrap();
-                        model.write(block);
+                        let lsn = model.write(block);
+                        pool.write(block, vec![step as u8; 64], lsn).unwrap();
                     }
                     95..=98 => {
                         let n = rng.below(5) as usize;
@@ -714,10 +871,44 @@ mod tests {
                         pool.crash();
                         model.frames.clear();
                         assert!(recency(&pool).is_empty());
+                        assert!(dirty_list(&pool).is_empty());
                         continue;
+                    }
+                    100..=109 => {
+                        let horizon = model.horizon;
+                        let aged = dirty_by_walk(&pool, |f| f.lsn <= horizon);
+                        assert_eq!(aged, model.aged(), "seed {seed} step {step}");
+                        held_back += model.dirty().len() - aged.len();
+                        assert_eq!(pool.write_behind(), aged.len());
+                        let strings =
+                            strings(&aged, TickModel::BULK).map(|s| (s.len() as u64, false));
+                        assert_eq!(traced_writes(&sim, cursor), strings.collect::<Vec<_>>());
+                        model.clean(&aged);
+                        wrote_behind += aged.len();
+                    }
+                    110..=111 => {
+                        let dirty = dirty_by_walk(&pool, |_| true);
+                        let forced = model.frames.values().filter(|f| f.dirty).map(|f| f.lsn);
+                        model.horizon = forced.fold(model.horizon, u64::max);
+                        pool.flush_all().unwrap();
+                        let strings =
+                            strings(&dirty, TickModel::BULK).map(|s| (s.len() as u64, true));
+                        assert_eq!(traced_writes(&sim, cursor), strings.collect::<Vec<_>>());
+                        model.clean(&dirty);
+                    }
+                    // Audit becomes durable up to the last write or the one before.
+                    112..=119 => {
+                        let horizon = model.last_lsn.saturating_sub(rng.below(2));
+                        model.horizon = model.horizon.max(horizon);
+                        *gate.durable_lsn.lock() = model.horizon;
                     }
                     _ => continue,
                 }
+                assert_eq!(
+                    *gate.durable_lsn.lock(),
+                    model.horizon,
+                    "seed {seed} step {step}"
+                );
                 // What went, oldest first, and the order of what stayed.
                 let after = recency(&pool);
                 evictions.extend(before.into_iter().filter(|b| !after.contains(b)));
@@ -728,16 +919,24 @@ mod tests {
                 );
                 assert_eq!(after, model.recency(), "seed {seed} step {step} op {op}");
                 assert_eq!(
-                    pool.dirty_frames(),
-                    model.frames.values().filter(|f| f.1).count()
+                    dirty_list(&pool),
+                    model.dirty(),
+                    "seed {seed} step {step} op {op}"
                 );
+                assert_eq!(pool.dirty_frames(), model.dirty().len());
             }
             assert!(
                 evictions.len() > 100,
                 "seed {seed}: {} evictions",
                 evictions.len()
             );
+            dirty_steals += model.dirty_steals;
         }
+        // Every path ran: strings written behind, blocks the WAL horizon
+        // held back, dirty frames stolen.
+        assert!(wrote_behind > 100, "{wrote_behind} blocks written behind");
+        assert!(held_back > 100, "{held_back} blocks held back");
+        assert!(dirty_steals > 100, "{dirty_steals} dirty steals");
     }
 
     #[test]

@@ -257,9 +257,24 @@ fn memory_pressure_handshake() {
     // Warm the cache, then the memory manager asks for frames back.
     let r = s.query("SELECT COUNT(*) FROM T").unwrap();
     assert_eq!(r.rows[0].0[0], Value::LargeInt(500));
+    // A steal is booked through the one write path, so it reaches the trace.
+    db.sim.trace.enable_default();
+    let cursor = db.sim.trace.cursor();
+    let steals = db.snapshot().cache_steals;
     let stolen = db.memory_pressure("$DATA1", 10);
     assert!(stolen > 0, "clean frames must be stealable");
-    assert!(db.snapshot().cache_steals >= stolen as u64);
+    assert_eq!(db.snapshot().cache_steals - steals, stolen as u64);
+    let evicts: Vec<u64> = db
+        .sim
+        .trace
+        .since(cursor)
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            nsql_sim::TraceEventKind::CacheEvict { frames } => Some(frames),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(evicts, [stolen as u64], "the steal's trace record");
     // The database still answers correctly (blocks re-read on demand).
     let r = s.query("SELECT COUNT(*) FROM T").unwrap();
     assert_eq!(r.rows[0].0[0], Value::LargeInt(500));

@@ -242,11 +242,44 @@ measure_counters! {
     StmtWaitOther => "stmt.wait.other",
 }
 
+/// Which counters of a record have moved: bit `c` for counter `c`.
+type Moved = u128;
+
+const _: () = assert!(
+    Ctr::COUNT <= Moved::BITS as usize,
+    "a counter without a bit"
+);
+
+/// Words a moved mask takes: in a record's atomics and at the head of each
+/// snapshot row, low word first.
+const MASK_WORDS: usize = 2;
+
+fn moved_from(words: [u64; MASK_WORDS]) -> Moved {
+    Moved::from(words[0]) | Moved::from(words[1]) << 64
+}
+
+/// The counters set in `moved`, ascending.
+fn moved_counters(mut moved: Moved) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let c = (moved != 0).then(|| moved.trailing_zeros() as usize);
+        moved &= moved.wrapping_sub(1);
+        c
+    })
+}
+
+fn moved_len(moved: Moved) -> usize {
+    moved.count_ones() as usize
+}
+
 /// One entity's record: who it is, a fixed array of relaxed atomic
-/// counters, and the flight ring of what recently happened to it.
+/// counters with the mask of those that ever moved, and the flight ring of
+/// what recently happened to it.
 #[derive(Debug)]
 pub struct MeasureRecord {
     name: String,
+    /// The counters ever added to: a snapshot copies only these. A bit is
+    /// set before its counter is first added to, and never cleared.
+    moved: [AtomicU64; MASK_WORDS],
     counters: [AtomicU64; Ctr::COUNT],
     ring: Mutex<VecDeque<FlightEntry>>,
 }
@@ -255,6 +288,7 @@ impl MeasureRecord {
     fn new(name: &str) -> Self {
         MeasureRecord {
             name: name.to_string(),
+            moved: std::array::from_fn(|_| AtomicU64::new(0)),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             ring: Mutex::new(VecDeque::new()),
         }
@@ -272,7 +306,16 @@ impl MeasureRecord {
 
     /// Increment counter `c` by `n`.
     pub fn add(&self, c: Ctr, n: u64) {
-        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+        self.add_at(c as usize, n);
+    }
+
+    fn add_at(&self, i: usize, n: u64) {
+        let (word, bit) = (&self.moved[i / 64], 1u64 << (i % 64));
+        // A load first: after its first add a counter never writes the mask.
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+        self.counters[i].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value of counter `c`.
@@ -280,13 +323,23 @@ impl MeasureRecord {
         self.counters[c as usize].load(Ordering::Relaxed)
     }
 
-    fn values(&self) -> [u64; Ctr::COUNT] {
-        std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))
+    fn moved_words(&self) -> [u64; MASK_WORDS] {
+        std::array::from_fn(|w| self.moved[w].load(Ordering::Relaxed))
+    }
+
+    /// Append this record's snapshot row to `rows`: its moved mask, then
+    /// the values of the counters in it, ascending.
+    fn copy_row(&self, rows: &mut Vec<u64>) {
+        let words = self.moved_words();
+        rows.extend_from_slice(&words);
+        for c in moved_counters(moved_from(words)) {
+            rows.push(self.counters[c].load(Ordering::Relaxed));
+        }
     }
 
     /// Add `us` to the statement-wait counter of category `w`.
     pub(crate) fn add_stmt_wait(&self, w: Wait, us: u64) {
-        self.counters[Ctr::StmtWaitCpu as usize + w.index()].fetch_add(us, Ordering::Relaxed);
+        self.add_at(Ctr::StmtWaitCpu as usize + w.index(), us);
     }
 
     /// Append to the flight ring, evicting the oldest entry when full. The
@@ -355,67 +408,169 @@ impl MeasureRegistry {
         now
     }
 
-    /// Snapshot every record at virtual time `at`.
+    /// Snapshot every record at virtual time `at`: one allocation, sized
+    /// to the counters that have moved.
     pub fn snapshot(&self, at: Micros) -> MeasureSnapshot {
         let e = self.entities.lock();
+        let len = e
+            .records
+            .iter()
+            .map(|rec| MASK_WORDS + moved_len(moved_from(rec.moved_words())));
+        let mut rows = Vec::with_capacity(len.sum());
+        for rec in &e.records {
+            rec.copy_row(&mut rows);
+        }
         MeasureSnapshot {
             at,
             names: Arc::clone(&e.names),
-            values: e.records.iter().map(|rec| rec.values()).collect(),
+            rows,
         }
     }
 }
 
 /// A point-in-time copy of every entity's counters: the registry's sorted
-/// `(kind, name)` list (shared, not copied) and one flat row of counter
-/// values per entity, in the same order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// `(kind, name)` list (shared, not copied) and, in the same order, one
+/// compact row per entity in a single flat buffer — the entity's moved mask
+/// followed by the values of the counters in it, ascending. A counter that
+/// never moved is zero and takes no room.
+///
+/// Equality is by value: two snapshots are equal when they were taken at
+/// the same time over the same entities and every counter reads the same,
+/// whichever counters either one's masks name.
+#[derive(Debug, Clone, Default)]
 pub struct MeasureSnapshot {
     /// Virtual time the snapshot was taken.
     pub at: Micros,
     names: Arc<Vec<EntityKey>>,
-    values: Vec<[u64; Ctr::COUNT]>,
+    rows: Vec<u64>,
 }
 
-impl MeasureSnapshot {
-    /// Every entity's `(kind, name, counter values)`, sorted by
-    /// `(kind, name)`.
-    pub fn iter(
-        &self,
-    ) -> impl ExactSizeIterator<Item = (EntityKind, &str, &[u64; Ctr::COUNT])> + '_ {
-        self.names
-            .iter()
-            .zip(&self.values)
-            .map(|((kind, name), vals)| (*kind, name.as_str(), vals))
+/// One entity's row of a [`MeasureSnapshot`].
+#[derive(Debug, Clone, Copy)]
+struct Row<'a> {
+    moved: Moved,
+    /// The values of the counters in `moved`, ascending.
+    values: &'a [u64],
+}
+
+impl<'a> Row<'a> {
+    /// Counter `c`: zero unless `moved` names it.
+    fn get(&self, c: usize) -> u64 {
+        let bit: Moved = 1 << c;
+        if self.moved & bit == 0 {
+            return 0;
+        }
+        self.values[moved_len(self.moved & (bit - 1))]
     }
 
-    fn row(&self, kind: EntityKind, name: &str) -> Option<&[u64; Ctr::COUNT]> {
-        position(&self.names, kind, name)
-            .ok()
-            .map(|at| &self.values[at])
+    /// `(counter, value)` of every counter the row holds, ascending.
+    fn counters(self) -> impl Iterator<Item = (usize, u64)> + 'a {
+        moved_counters(self.moved).zip(self.values.iter().copied())
+    }
+
+    fn dense(&self) -> [u64; Ctr::COUNT] {
+        let mut vals = [0; Ctr::COUNT];
+        for (c, v) in self.counters() {
+            vals[c] = v;
+        }
+        vals
+    }
+
+    fn is_zero(&self) -> bool {
+        self.values.iter().all(|&v| v == 0)
+    }
+}
+
+/// The rows of a snapshot's flat buffer, in entity order.
+struct Rows<'a> {
+    rest: &'a [u64],
+    left: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = Row<'a>;
+
+    fn next(&mut self) -> Option<Row<'a>> {
+        let (words, rest) = self.rest.split_first_chunk::<MASK_WORDS>()?;
+        let moved = moved_from(*words);
+        let (values, rest) = rest.split_at_checked(moved_len(moved))?;
+        self.rest = rest;
+        self.left = self.left.saturating_sub(1);
+        Some(Row { moved, values })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+impl PartialEq for MeasureSnapshot {
+    fn eq(&self, other: &MeasureSnapshot) -> bool {
+        self.at == other.at
+            && self.names == other.names
+            && self
+                .rows()
+                .zip(other.rows())
+                .all(|(a, b)| a.dense() == b.dense())
+    }
+}
+
+impl Eq for MeasureSnapshot {}
+
+impl MeasureSnapshot {
+    fn rows(&self) -> Rows<'_> {
+        Rows {
+            rest: &self.rows,
+            left: self.names.len(),
+        }
+    }
+
+    /// `(kind, name, row)` of every entity, sorted by `(kind, name)`.
+    fn entities(&self) -> impl ExactSizeIterator<Item = (EntityKind, &str, Row<'_>)> + '_ {
+        let names = self.names.iter();
+        names
+            .zip(self.rows())
+            .map(|((kind, name), row)| (*kind, name.as_str(), row))
+    }
+
+    /// Every entity's `(kind, name, counter values)`, sorted by
+    /// `(kind, name)`. Each row is expanded to every counter: a reader that
+    /// only sums or looks up counters should use [`get`] or [`total`].
+    ///
+    /// [`get`]: MeasureSnapshot::get
+    /// [`total`]: MeasureSnapshot::total
+    pub fn iter(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (EntityKind, &str, [u64; Ctr::COUNT])> + '_ {
+        let rows = self.entities();
+        rows.map(|(kind, name, row)| (kind, name, row.dense()))
     }
 
     /// Counter `c` of entity `(kind, name)`, zero if the entity is unknown.
     pub fn get(&self, kind: EntityKind, name: &str, c: Ctr) -> u64 {
-        self.row(kind, name).map_or(0, |v| v[c as usize])
-    }
-
-    /// The rows of the entities of kind number `kind`: one contiguous run,
-    /// as the snapshot is sorted by kind.
-    fn rows_of(&self, kind: usize) -> &[[u64; Ctr::COUNT]] {
-        let before = |kind| self.names.partition_point(|(k, _)| (*k as usize) < kind);
-        &self.values[before(kind)..before(kind + 1)]
-    }
-
-    /// The rows of each entity kind, indexed by kind.
-    pub(crate) fn rows_by_kind(&self) -> [&[[u64; Ctr::COUNT]]; EntityKind::COUNT] {
-        std::array::from_fn(|kind| self.rows_of(kind))
+        let at = position(&self.names, kind, name).ok();
+        at.and_then(|at| self.rows().nth(at))
+            .map_or(0, |row| row.get(c as usize))
     }
 
     /// Sum of counter `c` over every entity of `kind`.
     pub fn total(&self, kind: EntityKind, c: Ctr) -> u64 {
-        let rows = self.rows_of(kind as usize);
-        rows.iter().map(|v| v[c as usize]).sum()
+        let of_kind = self.entities().filter(|(k, _, _)| *k == kind);
+        of_kind.map(|(_, _, row)| row.get(c as usize)).sum()
+    }
+
+    /// Every counter summed over the entities of each kind, indexed by
+    /// kind and counter: one pass over the counters that have moved.
+    pub(crate) fn sums_by_kind(&self) -> [[u64; Ctr::COUNT]; EntityKind::COUNT] {
+        let mut sums = [[0; Ctr::COUNT]; EntityKind::COUNT];
+        for (kind, _, row) in self.entities() {
+            for (c, v) in row.counters() {
+                sums[kind as usize][c] += v;
+            }
+        }
+        sums
     }
 
     /// The interval delta `self - earlier` (saturating per counter;
@@ -427,18 +582,37 @@ impl MeasureSnapshot {
         delta
     }
 
+    /// Subtract `earlier` in place. The result keeps `self`'s rows: a row
+    /// whose mask equals the earlier one's subtracts by position, any other
+    /// counter by counter.
     fn subtract(&mut self, earlier: &MeasureSnapshot) {
         let positional = Arc::ptr_eq(&self.names, &earlier.names);
-        let rows = self.names.iter().zip(&mut self.values);
-        for (at, ((kind, name), now)) in rows.enumerate() {
-            let then = if positional {
-                earlier.values.get(at)
-            } else {
-                earlier.row(*kind, name)
+        let mut then_rows = earlier.entities().peekable();
+        let mut at = 0;
+        for (kind, name) in self.names.iter() {
+            let Some(words) = self.rows.get(at..).and_then(<[u64]>::first_chunk) else {
+                return;
             };
-            if let Some(then) = then {
-                for (now, then) in now.iter_mut().zip(then) {
+            let moved = moved_from(*words);
+            let start = at + MASK_WORDS;
+            at = start + moved_len(moved);
+            let then = if positional {
+                then_rows.next()
+            } else {
+                let key = (*kind, name.as_str());
+                while then_rows.next_if(|(k, n, _)| (*k, *n) < key).is_some() {}
+                then_rows.next_if(|(k, n, _)| (*k, *n) == key)
+            };
+            let (Some((_, _, then)), Some(now)) = (then, self.rows.get_mut(start..at)) else {
+                continue;
+            };
+            if then.moved == moved {
+                for (now, then) in now.iter_mut().zip(then.values) {
                     *now = now.saturating_sub(*then);
+                }
+            } else {
+                for (now, c) in now.iter_mut().zip(moved_counters(moved)) {
+                    *now = now.saturating_sub(then.get(c));
                 }
             }
         }
@@ -446,7 +620,7 @@ impl MeasureSnapshot {
 
     /// Does any counter of any entity differ from zero?
     pub fn is_zero(&self) -> bool {
-        self.values.iter().all(|v| v.iter().all(|&c| c == 0))
+        self.rows().all(|row| row.is_zero())
     }
 }
 
@@ -496,25 +670,18 @@ impl MeasureReport {
             out,
             "MEASURE @ {} µs  ({} entities, trace dropped: {})",
             self.snap.at,
-            self.snap.values.len(),
+            self.snap.names.len(),
             self.trace_dropped
         );
-        let name_w = self
-            .snap
-            .iter()
-            .map(|(_, n, _)| n.len())
-            .max()
-            .unwrap_or(4)
-            .max(4);
-        for (kind, name, vals) in self.snap.iter() {
-            if vals.iter().all(|&v| v == 0) {
+        let name_w = self.snap.names.iter().map(|(_, n)| n.len());
+        let name_w = name_w.max().unwrap_or(4).max(4);
+        for (kind, name, row) in self.snap.entities() {
+            if row.is_zero() {
                 continue;
             }
             let _ = write!(out, "  [{:<7}] {:<name_w$} ", kind.tag(), name);
-            for (i, &v) in vals.iter().enumerate() {
-                if v != 0 {
-                    let _ = write!(out, " {}={}", COUNTER_NAMES[i], v);
-                }
+            for (c, v) in row.counters().filter(|&(_, v)| v != 0) {
+                let _ = write!(out, " {}={}", COUNTER_NAMES[c], v);
             }
             out.push('\n');
         }
@@ -535,8 +702,8 @@ impl MeasureReport {
             self.trace_dropped
         );
         let mut first_e = true;
-        for (kind, name, vals) in self.snap.iter() {
-            if vals.iter().all(|&v| v == 0) {
+        for (kind, name, row) in self.snap.entities() {
+            if row.is_zero() {
                 continue;
             }
             if !first_e {
@@ -550,15 +717,12 @@ impl MeasureReport {
                 json_str(name)
             );
             let mut first_c = true;
-            for (i, &v) in vals.iter().enumerate() {
-                if v == 0 {
-                    continue;
-                }
+            for (c, v) in row.counters().filter(|&(_, v)| v != 0) {
                 if !first_c {
                     out.push_str(", ");
                 }
                 first_c = false;
-                let _ = write!(out, "{}: {}", json_str(COUNTER_NAMES[i]), v);
+                let _ = write!(out, "{}: {}", json_str(COUNTER_NAMES[c]), v);
             }
             out.push_str("}}");
         }
@@ -758,6 +922,219 @@ mod tests {
         // Saturation rather than wraparound if a counter ever regressed.
         let zero = before.since(&reg.snapshot(9));
         assert!(zero.is_zero());
+    }
+
+    /// Every counter of every entity: what a snapshot reads as.
+    type Dense = std::collections::BTreeMap<(EntityKind, String), [u64; Ctr::COUNT]>;
+
+    const KINDS: [EntityKind; EntityKind::COUNT] = [
+        EntityKind::Cpu,
+        EntityKind::Process,
+        EntityKind::File,
+        EntityKind::Volume,
+        EntityKind::Cache,
+        EntityKind::Scb,
+        EntityKind::Txn,
+        EntityKind::Cluster,
+    ];
+
+    /// `n` random adds to random entities of `reg`, mirrored in `model`;
+    /// a quarter of them add zero. With `grow`, an add may register an
+    /// entity; without it, it picks one `model` already has.
+    fn random_adds(
+        rng: &mut crate::SimRng,
+        reg: &MeasureRegistry,
+        model: &mut Dense,
+        n: usize,
+        grow: bool,
+    ) {
+        for _ in 0..n {
+            let key = if grow || model.is_empty() {
+                let kind = KINDS[rng.below(KINDS.len() as u64) as usize];
+                (kind, format!("e{}", rng.below(4)))
+            } else {
+                let at = rng.below(model.len() as u64) as usize;
+                model.keys().nth(at).unwrap().clone()
+            };
+            let rec = reg.entity(key.0, &key.1);
+            let vals = model.entry(key).or_insert([0; Ctr::COUNT]);
+            let by = if rng.below(4) == 0 {
+                0
+            } else {
+                rng.below(1000)
+            };
+            if rng.below(8) == 0 {
+                let w = crate::WAIT_CATEGORIES[rng.below(crate::Wait::COUNT as u64) as usize];
+                rec.add_stmt_wait(w, by);
+                vals[Ctr::StmtWaitCpu as usize + w.index()] += by;
+            } else {
+                let c = rng.below(Ctr::COUNT as u64) as usize;
+                rec.add_at(c, by);
+                vals[c] += by;
+            }
+        }
+    }
+
+    /// `now - then`, saturating, over the entities of `now`.
+    fn dense_since(now: &Dense, then: &Dense) -> Dense {
+        let delta = now.iter().map(|(key, vals)| {
+            let was = then.get(key).copied().unwrap_or([0; Ctr::COUNT]);
+            (
+                key.clone(),
+                std::array::from_fn(|c| vals[c].saturating_sub(was[c])),
+            )
+        });
+        delta.collect()
+    }
+
+    /// The text the report rendered when every row held every counter.
+    fn dense_render(model: &Dense, at: Micros) -> String {
+        let mut out = format!(
+            "MEASURE @ {at} µs  ({} entities, trace dropped: 0)\n",
+            model.len()
+        );
+        let name_w = model.keys().map(|(_, n)| n.len()).max().unwrap_or(4).max(4);
+        for ((kind, name), vals) in model.iter().filter(|(_, v)| v.iter().any(|&c| c != 0)) {
+            out += &format!("  [{:<7}] {:<name_w$} ", kind.tag(), name);
+            for (c, v) in vals.iter().enumerate().filter(|(_, &v)| v != 0) {
+                out += &format!(" {}={}", COUNTER_NAMES[c], v);
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The JSON record the report rendered when every row held every
+    /// counter.
+    fn dense_json(model: &Dense, at: Micros) -> String {
+        let entities = model.iter().filter(|(_, v)| v.iter().any(|&c| c != 0));
+        let entities: Vec<String> = entities
+            .map(|((kind, name), vals)| {
+                let counters = vals.iter().enumerate().filter(|(_, &v)| v != 0);
+                let counters: Vec<String> = counters
+                    .map(|(c, v)| format!("{}: {}", json_str(COUNTER_NAMES[c]), v))
+                    .collect();
+                format!(
+                    "{{\"kind\": {}, \"name\": {}, \"counters\": {{{}}}}}",
+                    json_str(kind.tag()),
+                    json_str(name),
+                    counters.join(", ")
+                )
+            })
+            .collect();
+        format!(
+            "{{\"id\": \"m\", \"kind\": \"measure\", \"at_us\": {at}, \"trace_dropped\": 0, \
+             \"entities\": [{}]}}",
+            entities.join(", ")
+        )
+    }
+
+    /// Every reader of `snap` agrees with `model`.
+    fn assert_reads_as(snap: &MeasureSnapshot, model: &Dense, what: &str) {
+        let rows: Vec<_> = snap
+            .iter()
+            .map(|(k, n, v)| ((k, n.to_string()), v))
+            .collect();
+        let expected: Vec<_> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        assert_eq!(rows, expected, "{what}: iter");
+        assert_eq!(snap.iter().len(), model.len(), "{what}: iter().len()");
+        // Every counter through the row; through `get` and `total`, every
+        // counter a cluster total names (both words of the mask among them).
+        let named: Vec<Ctr> = crate::TOTALS
+            .iter()
+            .flat_map(|(_, _, cs)| cs.to_vec())
+            .collect();
+        for ((kind, name, row), ((k, n), vals)) in snap.entities().zip(model) {
+            assert_eq!((kind, name), (*k, n.as_str()), "{what}");
+            let got: [u64; Ctr::COUNT] = std::array::from_fn(|c| row.get(c));
+            assert_eq!(got, *vals, "{what}: {name}");
+            for &c in &named {
+                assert_eq!(snap.get(kind, name, c), vals[c as usize], "{what}: {name}");
+            }
+        }
+        for kind in KINDS {
+            for &c in &named {
+                let of_kind = model.iter().filter(|((k, _), _)| *k == kind);
+                let total: u64 = of_kind.map(|(_, v)| v[c as usize]).sum();
+                assert_eq!(snap.total(kind, c), total, "{what}: total {kind:?} {c:?}");
+            }
+        }
+        assert_eq!(snap.get(EntityKind::Cpu, "none", Ctr::MsgsSent), 0);
+        let zero = model.values().all(|v| v.iter().all(|&c| c == 0));
+        assert_eq!(snap.is_zero(), zero, "{what}: is_zero");
+        let totals = crate::MetricsSnapshot::from(snap);
+        for ((name, kind, ctrs), (field, got)) in crate::TOTALS.iter().zip(totals.iter()) {
+            assert_eq!(*name, field);
+            let of_kind = model.iter().filter(|((k, _), _)| k == kind);
+            let sum: u64 = of_kind
+                .map(|(_, v)| ctrs.iter().map(|&c| v[c as usize]).sum::<u64>())
+                .sum();
+            assert_eq!(got, sum, "{what}: total {name}");
+        }
+        let report = MeasureReport {
+            snap: snap.clone(),
+            trace_dropped: 0,
+        };
+        assert_eq!(
+            report.render(),
+            dense_render(model, snap.at),
+            "{what}: render"
+        );
+        assert_eq!(
+            report.to_json("m"),
+            dense_json(model, snap.at),
+            "{what}: json"
+        );
+    }
+
+    #[test]
+    fn compact_snapshots_read_as_every_counter_of_every_entity() {
+        let mut by_name = 0;
+        for seed in 0..30 {
+            let mut rng = crate::SimRng::seed_from(0x3EA5 + seed);
+            let reg = MeasureRegistry::new();
+            let mut model = Dense::new();
+            random_adds(&mut rng, &reg, &mut model, 40, true);
+            let then = model.clone();
+            let earlier = reg.snapshot(10);
+            assert_reads_as(&earlier, &then, "earlier");
+            // Half the windows register entities before they close, so
+            // their delta subtracts by name, not by position.
+            let grow = seed % 2 == 0;
+            random_adds(&mut rng, &reg, &mut model, 40, grow);
+            let now = reg.snapshot(20);
+            assert_reads_as(&now, &model, "now");
+            by_name += usize::from(model.len() > then.len());
+            let delta = now.since(&earlier);
+            assert_reads_as(&delta, &dense_since(&model, &then), "delta");
+            assert_eq!(reg.since(20, &earlier), delta, "one pass or two");
+            // Backwards: every counter saturates at zero, whichever side's
+            // mask names it.
+            assert_reads_as(
+                &earlier.since(&now),
+                &dense_since(&then, &model),
+                "backwards",
+            );
+
+            // Equality is by value: a registry that reaches the same values
+            // through different adds — no zero adds, other counters touched
+            // with zero — snapshots equal.
+            let other = MeasureRegistry::new();
+            for ((kind, name), vals) in &model {
+                let rec = other.entity(*kind, name);
+                for (c, &v) in vals.iter().enumerate() {
+                    if v != 0 || rng.below(10) == 0 {
+                        rec.add_at(c, v);
+                    }
+                }
+            }
+            assert_eq!(other.snapshot(20), now, "seed {seed}");
+            assert_ne!(other.snapshot(21), now, "the time is part of the value");
+            let (kind, name) = model.keys().next().unwrap();
+            other.entity(*kind, name).add(Ctr::StmtWaitOther, 1);
+            assert_ne!(other.snapshot(20), now, "seed {seed}");
+        }
+        assert!(by_name >= 12, "{by_name} windows grew the registry");
     }
 
     #[test]

@@ -48,10 +48,8 @@ macro_rules! totals {
             /// Sum the totals of a counter snapshot (or of a delta: the sums
             /// are linear).
             fn from(entities: &MeasureSnapshot) -> MetricsSnapshot {
-                let rows = entities.rows_by_kind();
-                let sum = |kind: EntityKind, c: Ctr| -> u64 {
-                    rows[kind as usize].iter().map(|row| row[c as usize]).sum()
-                };
+                let sums = entities.sums_by_kind();
+                let sum = |kind: EntityKind, c: Ctr| sums[kind as usize][c as usize];
                 MetricsSnapshot {
                     $($name: sum(EntityKind::$kind, Ctr::$ctr)
                         $(+ sum(EntityKind::$kind, Ctr::$more))*,)+
