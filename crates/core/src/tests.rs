@@ -238,8 +238,67 @@ fn explain_describes_plans() {
     assert!(plan.contains("UPDATE^SUBSET"), "{plan}");
     assert!(plan.contains("update expression"), "{plan}");
 
+    // EMP has an index: its DELETE runs row at a time, and says so.
     let plan = text("EXPLAIN DELETE FROM EMP WHERE EMPNO = 5", &mut s);
-    assert!(plan.contains("DELETE^SUBSET"), "{plan}");
+    assert!(plan.contains("DELETE on EMP row at a time"), "{plan}");
+}
+
+#[test]
+fn explain_names_the_row_at_a_time_write_that_runs() {
+    // A write that changes an index needs each old row, so the File System
+    // reads the rows and writes them one by one instead of one subset
+    // conversation; EXPLAIN and EXPLAIN ANALYZE name the path that runs,
+    // and the message counts are that path's.
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute(
+        "CREATE TABLE EMP (EMPNO INT NOT NULL, NAME CHAR(12) NOT NULL, \
+         DEPT INT NOT NULL, SALARY DOUBLE, PRIMARY KEY (EMPNO))",
+    )
+    .unwrap();
+    for i in 0..10 {
+        s.execute(&format!(
+            "INSERT INTO EMP VALUES ({i}, 'E{i}', {}, 1.0)",
+            i % 3
+        ))
+        .unwrap();
+    }
+    s.execute("CREATE INDEX EMP_DEPT ON EMP (DEPT)").unwrap();
+    let first_line = |sql: &str, s: &mut Session| s.query(sql).unwrap().rows[0].0[0].to_string();
+    for (sql, line, msgs) in [
+        (
+            "DELETE FROM EMP WHERE EMPNO = 5",
+            "DELETE on EMP row at a time over bounded key range: rows read via VSBB, \
+             then one DELETE by key per row, 1 index(es) maintained; \
+             pushdown predicate: F0 = 5",
+            4,
+        ),
+        (
+            "UPDATE EMP SET DEPT = DEPT + 1 WHERE EMPNO < 4",
+            "UPDATE on EMP row at a time over upper-bounded key range: rows read via VSBB, \
+             then one UPDATE by key per row, 1 index(es) maintained; \
+             pushdown predicate: F0 < 4; 1 update expression(s) at DP",
+            17,
+        ),
+        (
+            "UPDATE EMP SET SALARY = SALARY + 1 WHERE EMPNO < 4",
+            "UPDATE^SUBSET on EMP over upper-bounded key range; \
+             pushdown predicate: F0 < 4; 1 update expression(s) at DP",
+            1,
+        ),
+    ] {
+        assert_eq!(first_line(&format!("EXPLAIN {sql}"), &mut s), line);
+        // Each run is rolled back, so every one finds the same rows.
+        s.execute("BEGIN WORK").unwrap();
+        let analyzed = first_line(&format!("EXPLAIN ANALYZE {sql}"), &mut s);
+        assert!(analyzed.contains(line), "{analyzed}");
+        s.execute("ROLLBACK WORK").unwrap();
+        s.execute("BEGIN WORK").unwrap();
+        s.execute(sql).unwrap();
+        let sent = s.last_stats().unwrap().metrics.msgs_fs_dp;
+        assert_eq!(sent, msgs, "{sql}");
+        s.execute("ROLLBACK WORK").unwrap();
+    }
 }
 
 #[test]

@@ -59,27 +59,3 @@ fn async_read_consistency() {
         assert_eq!(async_data, sync_data);
     }
 }
-
-#[test]
-fn message_cost_estimation_matches_actual() {
-    use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
-    use std::any::Any;
-    use std::sync::Arc;
-
-    struct Fixed;
-    impl Server for Fixed {
-        fn handle(&self, _r: Box<dyn Any + Send>) -> Response {
-            Response::new((), 0)
-        }
-    }
-    let sim = Sim::new();
-    let bus = Bus::new(sim.clone());
-    bus.register("$X", CpuId::new(1, 0), Arc::new(Fixed));
-    let from = CpuId::new(0, 0);
-    let est = bus.estimate_cost(from, "$X", 100).unwrap();
-    let t0 = sim.now();
-    bus.request(from, "$X", MsgKind::Other, 100, Box::new(()))
-        .unwrap();
-    assert_eq!(sim.now() - t0, est, "planner estimates must match reality");
-    assert!(bus.estimate_cost(from, "$NOPE", 0).is_none());
-}

@@ -690,14 +690,6 @@ impl DpReply {
             DpReply::Error(_) => 8,
         }
     }
-
-    /// Unwrap into a result, mapping `Error` replies to `Err`.
-    pub fn into_result(self) -> Result<DpReply, DpError> {
-        match self {
-            DpReply::Error(e) => Err(e),
-            other => Ok(other),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1055,11 +1047,5 @@ mod tests {
         block.push(b"more");
         assert_eq!(shared.iter().count(), 2);
         assert_eq!(block.iter().count(), 3);
-    }
-
-    #[test]
-    fn error_replies_convert_to_err() {
-        assert!(DpReply::Error(DpError::NotFound).into_result().is_err());
-        assert!(DpReply::Ok.into_result().is_ok());
     }
 }

@@ -30,7 +30,7 @@ use nsql_dp::{DpError, DpReply, DpRequest, FileId, RowBlock};
 use nsql_msg::{Bus, BusError, CpuId, MsgKind};
 use nsql_records::key::{encode_key_value, encode_record_key};
 use nsql_records::row::{decode_row, encode_row, CodecError};
-use nsql_records::{KeyRange, RecordDescriptor, Row, Value};
+use nsql_records::{KeyRange, RecordDescriptor, Row, SetList, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Event, MeasureRecord, Sim, Wait};
 use std::sync::Arc;
 
@@ -236,11 +236,6 @@ impl IndexInfo {
         }
         key
     }
-
-    /// Does an update of `fields` touch this index?
-    pub fn touched_by(&self, fields: &[u16]) -> bool {
-        fields.iter().any(|f| self.base_fields.contains(f))
-    }
 }
 
 /// What one base-row change does to one index: the old entry goes, then
@@ -312,6 +307,23 @@ impl OpenFile {
             return Err(FsError::Dp(DpError::KeyUpdateNotAllowed));
         }
         Ok(key)
+    }
+
+    /// Does a write that assigns `sets` (an UPDATE), or removes rows
+    /// (`None`, a DELETE), change an index of this file? Such a write needs
+    /// each old row to keep the index in step: a set write of it runs row
+    /// at a time (its rows read via VSBB, then each changed by key), not as
+    /// one `UPDATE`/`DELETE` subset conversation. The one place that choice
+    /// is made, for the writers and for EXPLAIN.
+    pub fn write_changes_indexes(&self, sets: Option<&SetList>) -> bool {
+        match sets {
+            Some(sets) => {
+                let targets = sets.target_fields();
+                let touched = |i: &IndexInfo| i.base_fields.iter().any(|f| targets.contains(f));
+                self.indexes.iter().any(touched)
+            }
+            None => !self.indexes.is_empty(),
+        }
     }
 
     /// Partitions overlapping `range`, each with the clipped sub-range.

@@ -118,8 +118,7 @@ impl FileSystem {
         // With no index touched this is pure pushdown: one message, no
         // read-before-write. Otherwise the File System must see old and new
         // values to fix the affected indices.
-        let targets = sets.target_fields();
-        let touched = of.indexes.iter().any(|i| i.touched_by(&targets));
+        let touched = of.write_changes_indexes(Some(sets));
         let old = self.row_for_indexes(txn, of, key, touched)?;
         let p = of.partition_for(key)?;
         self.send(
@@ -166,7 +165,7 @@ impl FileSystem {
 
     /// Delete one record by key, maintaining indices.
     pub fn delete_by_key(&self, txn: TxnId, of: &OpenFile, key: &[u8]) -> Result<(), FsError> {
-        let old = self.row_for_indexes(txn, of, key, !of.indexes.is_empty())?;
+        let old = self.row_for_indexes(txn, of, key, of.write_changes_indexes(None))?;
         let p = of.partition_for(key)?;
         self.send(
             &p.process,
@@ -413,7 +412,7 @@ impl FileSystem {
     /// assigned field the whole operation is pushed to the Disk Processes
     /// (`UPDATE^SUBSET`); otherwise the File System falls back to reading
     /// the qualifying rows and updating record-at-a-time with index
-    /// maintenance.
+    /// maintenance ([`OpenFile::write_changes_indexes`]).
     pub fn update_set(
         &self,
         txn: TxnId,
@@ -423,8 +422,7 @@ impl FileSystem {
         sets: &SetList,
         constraint: Option<&Expr>,
     ) -> Result<u64, FsError> {
-        let touched = sets.target_fields();
-        if of.indexes.iter().any(|i| i.touched_by(&touched)) {
+        if of.write_changes_indexes(Some(sets)) {
             return self.write_row_at_a_time(txn, of, range, predicate, |key| {
                 self.update_by_key(txn, of, key, sets, constraint)
             });
@@ -437,7 +435,8 @@ impl FileSystem {
     }
 
     /// Set-oriented DELETE over a key range, pushed down when the table has
-    /// no indices (index maintenance requires the old rows).
+    /// no indices (index maintenance requires the old rows,
+    /// [`OpenFile::write_changes_indexes`]).
     pub fn delete_set(
         &self,
         txn: TxnId,
@@ -445,7 +444,7 @@ impl FileSystem {
         range: &KeyRange,
         predicate: Option<&Expr>,
     ) -> Result<u64, FsError> {
-        if !of.indexes.is_empty() {
+        if of.write_changes_indexes(None) {
             return self.write_row_at_a_time(txn, of, range, predicate, |key| {
                 self.delete_by_key(txn, of, key)
             });

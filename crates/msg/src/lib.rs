@@ -20,7 +20,7 @@
 use nsql_sim::measure::{EntityKind, MeasureRecord};
 use nsql_sim::sync::{Mutex, RwLock};
 use nsql_sim::trace::FaultAction;
-use nsql_sim::{Event, Micros, Reply, Sim, SimRng, Wait};
+use nsql_sim::{Event, Reply, Sim, SimRng, Wait};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -506,13 +506,6 @@ impl Bus {
             label,
             remote: from.node != cpu.node,
         })
-    }
-
-    /// Cost (without sending) of an exchange to `to` carrying `bytes` — used
-    /// by planners estimating remote access.
-    pub fn estimate_cost(&self, from: CpuId, to: &str, bytes: usize) -> Option<Micros> {
-        let cpu = self.cpu_of(to)?;
-        Some(self.sim.cost.msg_cost(from.node != cpu.node, bytes))
     }
 }
 

@@ -37,14 +37,6 @@ impl FieldType {
         }
     }
 
-    /// Maximum bytes a value of this type can occupy in a record.
-    pub fn max_width(&self) -> usize {
-        match *self {
-            FieldType::Varchar(n) => 4 + n as usize,
-            _ => self.fixed_width(),
-        }
-    }
-
     /// Whether a value is of this type (NULL matches any type).
     pub fn admits(&self, v: &Value) -> bool {
         matches!(
@@ -182,11 +174,6 @@ impl RecordDescriptor {
     /// Size of the fixed region (excluding bitmap and var tail).
     pub fn fixed_size(&self) -> usize {
         self.fixed_size
-    }
-
-    /// Maximum encoded record size (bitmap + fixed + all varchar maxima).
-    pub fn max_record_size(&self) -> usize {
-        self.bitmap_len() + self.fields.iter().map(|f| f.ty.max_width()).sum::<usize>()
     }
 
     /// Look up a field number by (case-insensitive) name.
@@ -347,12 +334,6 @@ mod tests {
             FieldType::Varchar(8).coerce(Value::Str("abcd".into())),
             Some(Value::Str("abcd".into()))
         );
-    }
-
-    #[test]
-    fn max_record_size_bounds_layout() {
-        let d = emp();
-        assert_eq!(d.max_record_size(), 1 + 4 + 12 + 4 + 8 + (4 + 100));
     }
 
     #[test]

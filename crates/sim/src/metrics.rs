@@ -217,15 +217,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// FS-DP messages per row returned to the application.
-    pub fn msgs_per_returned_row(&self) -> f64 {
-        if self.rows_returned == 0 {
-            0.0
-        } else {
-            self.msgs_fs_dp as f64 / self.rows_returned as f64
-        }
-    }
-
     /// Mean bytes carried per message exchange (request + reply).
     pub fn mean_bytes_per_message(&self) -> f64 {
         if self.msgs_total == 0 {
@@ -299,7 +290,6 @@ mod tests {
     fn derived_ratios() {
         let mut s = MetricsSnapshot::default();
         assert_eq!(s.cache_hit_rate(), 0.0);
-        assert_eq!(s.msgs_per_returned_row(), 0.0);
         assert_eq!(s.mean_bytes_per_message(), 0.0);
         assert_eq!(s.audit_bytes_per_txn(), 0.0);
         s.cache_hits = 3;
@@ -311,7 +301,6 @@ mod tests {
         s.audit_bytes = 600;
         s.txns_committed = 3;
         assert_eq!(s.cache_hit_rate(), 0.75);
-        assert_eq!(s.msgs_per_returned_row(), 2.0);
         assert_eq!(s.mean_bytes_per_message(), 250.0);
         assert_eq!(s.audit_bytes_per_txn(), 200.0);
     }

@@ -136,11 +136,6 @@ impl<'a> Scope<'a> {
         Scope { tables }
     }
 
-    /// Total width of the combined row.
-    pub fn width(&self) -> u16 {
-        self.tables.iter().map(|t| t.desc.num_fields() as u16).sum()
-    }
-
     /// Resolve a column reference to a combined-row field number. Names
     /// compare ignoring ASCII case; errors spell them upper-cased.
     pub fn resolve(&self, col: &ColumnRef) -> Result<u16, BindError> {
@@ -171,16 +166,6 @@ impl<'a> Scope<'a> {
                 found.ok_or_else(|| BindError::UnknownColumn(cname()))
             }
         }
-    }
-
-    /// Which table (index into `tables`) owns combined field `f`?
-    pub fn table_of_field(&self, f: u16) -> usize {
-        for (i, t) in self.tables.iter().enumerate().rev() {
-            if f >= t.offset {
-                return i;
-            }
-        }
-        0
     }
 }
 
@@ -277,9 +262,6 @@ mod tests {
         let mut fields = Vec::new();
         e.collect_fields(&mut fields);
         assert_eq!(fields, vec![2, 3], "DEPT columns offset past EMP's");
-        assert_eq!(scope.table_of_field(2), 0);
-        assert_eq!(scope.table_of_field(3), 1);
-        assert_eq!(scope.width(), 5);
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! field-oriented and possibly set-oriented File System calls implement the
 //! execution plan of the pre-compiled query."
 //!
-//! Reads choose the transfer interface per the paper's examples: a scan
-//! with selection or projection uses **VSBB**; a bare `SELECT *` scan uses
-//! **RSBB**; `FOR BROWSE RECORD ACCESS` (an experiment extension) forces
-//! the old record-at-a-time interface.
+//! The executor decides nothing: the plan ([`crate::plan`]) settles each
+//! table's access path and transfer interface (RSBB, VSBB or
+//! record-at-a-time browse), its residual and the output shape, and the
+//! executor runs what it reads there.
 
 use crate::ast::AggFunc;
 use crate::catalog::Catalog;
 use crate::plan::{
-    describe_access, AccessPath, AggOutput, AggPlan, DeletePlan, InsertPlan, SelectPlan,
-    TableAccess, UpdatePlan,
+    describe_access, AccessPath, AggOutput, AggPlan, DeletePlan, InsertPlan, Projection,
+    SelectPlan, Shape, TableAccess, UpdatePlan,
 };
 use crate::sort::{fastsort, sort_cmp};
 use crate::sys::{SysSnapshot, SysTable};
@@ -262,97 +262,93 @@ impl Executor<'_> {
         stats: Option<&mut Vec<OpStats>>,
     ) -> Result<QueryResult, ExecError> {
         let mut ops = stats.map(|s| (s, self.sim().mark()));
-        // Aggregate or plain projection.
-        let mut result = if let Some(agg) = &plan.aggregate {
-            self.aggregate(plan, agg, txn, &mut ops)?
-        } else {
-            let joined = self.join(plan, txn, &mut ops)?;
-            let sorted = fastsort(self.sim(), joined, &plan.order_by, self.sort_parallelism)?;
-            let width: usize = plan.tables.iter().map(|t| t.fetch_fields.len()).sum();
-            let rows = match plain_columns(&plan.output) {
-                // The rows as fetched are the result.
-                Some(columns) if columns.iter().copied().eq(0..width) => {
-                    self.sim().cpu_work(CpuLayer::Executor, sorted.len() as u64);
-                    sorted
-                }
-                // Each value is wanted once: it moves.
-                Some(columns) => {
-                    let mut rows = Vec::with_capacity(sorted.len());
-                    for mut row in sorted {
-                        self.sim().cpu_work(CpuLayer::Executor, 1);
-                        let values = columns
-                            .iter()
-                            .map(|&c| std::mem::replace(&mut row.0[c], Value::Null));
-                        rows.push(Row(values.collect()));
-                    }
-                    rows
-                }
-                None => {
-                    let mut rows = Vec::with_capacity(sorted.len());
-                    for row in &sorted {
-                        self.sim().cpu_work(CpuLayer::Executor, 1);
-                        let mut out = Vec::with_capacity(plan.output.len());
-                        for (_, e) in &plan.output {
-                            out.push(e.eval(row)?);
-                        }
-                        rows.push(Row(out));
-                    }
-                    rows
-                }
-            };
-            QueryResult {
-                columns: plan.column_names.clone(),
-                rows,
+        let (rows, label) = match &plan.shape {
+            Shape::Rows { order_by, project } => {
+                let joined = self.join(plan, txn, &mut ops)?;
+                let sorted = fastsort(self.sim(), joined, order_by, self.sort_parallelism)?;
+                let label = if order_by.is_empty() {
+                    "PROJECT"
+                } else {
+                    "SORT + PROJECT"
+                };
+                (self.project(sorted, project)?, label)
+            }
+            Shape::Groups { agg, order_by } => {
+                let groups = self.aggregate(plan, agg, txn, &mut ops)?;
+                let sorted = fastsort(self.sim(), groups, order_by, self.sort_parallelism)?;
+                let label = if order_by.is_empty() {
+                    "AGGREGATE + PROJECT"
+                } else {
+                    "AGGREGATE + SORT + PROJECT"
+                };
+                (sorted, label)
             }
         };
+        self.close_op(&mut ops, || label.into(), rows.len());
 
-        // ORDER BY over aggregate output.
-        if !plan.order_on_output.is_empty() {
-            let keys: Vec<(Expr, bool)> = plan
-                .order_on_output
-                .iter()
-                .map(|&(pos, desc)| (Expr::Field(pos as u16), desc))
-                .collect();
-            result.rows = fastsort(self.sim(), result.rows, &keys, self.sort_parallelism)?;
-        }
-
-        let sorted = !plan.order_by.is_empty() || !plan.order_on_output.is_empty();
-        let label = match (&plan.aggregate, sorted) {
-            (Some(_), true) => "AGGREGATE + SORT + PROJECT",
-            (Some(_), false) => "AGGREGATE + PROJECT",
-            (None, true) => "SORT + PROJECT",
-            (None, false) => "PROJECT",
-        };
-        self.close_op(&mut ops, || label.into(), result.rows.len());
-
-        self.sim()
-            .cluster
-            .add(Ctr::RowsReturned, result.rows.len() as u64);
-        Ok(result)
+        self.sim().cluster.add(Ctr::RowsReturned, rows.len() as u64);
+        Ok(QueryResult {
+            columns: plan.column_names.clone(),
+            rows,
+        })
     }
 
-    /// Aggregate the rows `plan` reads. A single subset-scanned table is
-    /// folded reply row by reply row; any other plan is fetched (and
-    /// joined) into rows first, and those are folded.
+    /// The result rows of sorted combined `rows`, as `project` takes them.
+    fn project(&self, rows: Vec<Row>, project: &Projection) -> Result<Vec<Row>, ExecError> {
+        Ok(match project {
+            // The rows as fetched are the result.
+            Projection::Fetched => {
+                self.sim().cpu_work(CpuLayer::Executor, rows.len() as u64);
+                rows
+            }
+            // Each value is wanted once: it moves.
+            Projection::Columns(columns) => {
+                let mut out = Vec::with_capacity(rows.len());
+                for mut row in rows {
+                    self.sim().cpu_work(CpuLayer::Executor, 1);
+                    let values = columns
+                        .iter()
+                        .map(|&c| std::mem::replace(&mut row.0[c as usize], Value::Null));
+                    out.push(Row(values.collect()));
+                }
+                out
+            }
+            Projection::Exprs(exprs) => {
+                let mut out = Vec::with_capacity(rows.len());
+                for row in &rows {
+                    self.sim().cpu_work(CpuLayer::Executor, 1);
+                    let mut values = Vec::with_capacity(exprs.len());
+                    for e in exprs {
+                        values.push(e.eval(row)?);
+                    }
+                    out.push(Row(values));
+                }
+                out
+            }
+        })
+    }
+
+    /// Aggregate the rows `plan` reads into one row per group. A single
+    /// subset-scanned table is folded reply row by reply row; any other
+    /// plan is fetched (and joined) into rows first, and those are folded.
     fn aggregate(
         &self,
         plan: &SelectPlan,
         agg: &AggPlan,
         txn: Option<TxnId>,
         ops: &mut Option<(&mut Vec<OpStats>, Mark)>,
-    ) -> Result<QueryResult, ExecError> {
+    ) -> Result<Vec<Row>, ExecError> {
         let mut aggregation = Aggregation::new(agg);
-        if let Some((t, range, pushdown)) = folds_scan_replies(plan) {
+        if let Some((t, range, pushdown, mode)) = folds_scan_replies(plan) {
             // One table scanned by subset: each reply row is folded as
             // the bytes it arrived as, and no row is built.
-            let (mode, projection) = transfer(t);
             let mut rows = 0;
             self.fs.scan_with(
                 txn,
                 &t.info.open,
                 range,
                 pushdown,
-                projection,
+                projection(t, mode),
                 mode,
                 read_lock(txn),
                 |desc, bytes| {
@@ -370,7 +366,7 @@ impl Executor<'_> {
         // What the fold would have charged row by row, booked at once:
         // nothing has read the clock since the last operator closed.
         self.sim().cpu_work(CpuLayer::Executor, aggregation.units());
-        aggregation.finish(&plan.column_names)
+        aggregation.finish()
     }
 
     /// Fetch one table's rows per its access path, projected to
@@ -382,14 +378,14 @@ impl Executor<'_> {
             AccessPath::TableScan {
                 range,
                 pushdown,
-                browse: false,
+                mode,
             } => {
-                let (mode, projection) = transfer(t);
+                let projection = projection(t, *mode);
                 self.fs
-                    .scan(txn, of, range, pushdown.as_ref(), projection, mode, lock)?
+                    .scan(txn, of, range, pushdown.as_ref(), projection, *mode, lock)?
                     .rows
             }
-            AccessPath::TableScan { browse: true, .. } => {
+            AccessPath::Browse => {
                 // Record-at-a-time: read whole records, project + filter
                 // locally.
                 let mut cur = self.fs.ens_open(of, txn);
@@ -514,19 +510,6 @@ impl Executor<'_> {
     }
 }
 
-/// The positions `output` selects, when it is a list of distinct plain
-/// columns of the fetched row (evaluating one only clones it).
-fn plain_columns(output: &[(String, Expr)]) -> Option<Vec<usize>> {
-    let mut columns = Vec::with_capacity(output.len());
-    for (_, e) in output {
-        match e {
-            Expr::Field(c) if !columns.contains(&(*c as usize)) => columns.push(*c as usize),
-            _ => return None,
-        }
-    }
-    Some(columns)
-}
-
 /// The values at positions `at` of a fetched row, in that order.
 fn pick(values: &[Value], at: &[u16]) -> Row {
     Row(at.iter().map(|&f| values[f as usize].clone()).collect())
@@ -541,32 +524,31 @@ fn read_lock(txn: Option<TxnId>) -> ReadLock {
     }
 }
 
-/// How a subset scan of `t` travels: `SELECT *` with no predicate via RSBB
-/// (paper example 2), anything with selection or projection via VSBB
-/// (example 1).
-fn transfer(t: &TableAccess) -> (SubsetMode, Option<&[u16]>) {
-    let all_fields = t.fetch_fields.len() == t.info.open.desc.num_fields();
-    match &t.access {
-        AccessPath::TableScan { pushdown: None, .. } if all_fields => (SubsetMode::Rsbb, None),
-        _ => (SubsetMode::Vsbb, Some(t.fetch_fields.as_slice())),
+/// The fields a subset scan of `t` in `mode` asks the Disk Process for:
+/// RSBB sends whole records, VSBB the fetch list.
+fn projection(t: &TableAccess, mode: SubsetMode) -> Option<&[u16]> {
+    match mode {
+        SubsetMode::Rsbb => None,
+        SubsetMode::Vsbb => Some(&t.fetch_fields),
     }
 }
 
 /// The one table of an aggregate `plan` whose reply rows the aggregation
-/// can fold as they land, with its key range and pushed-down predicate: a
-/// subset scan that leaves the executor no filter to apply.
-fn folds_scan_replies(plan: &SelectPlan) -> Option<(&TableAccess, &KeyRange, Option<&Expr>)> {
-    let [t] = plan.tables.as_slice() else {
+/// can fold as they land, with its key range, pushed-down predicate and
+/// transfer mode: a subset scan that leaves the executor no filter to
+/// apply.
+fn folds_scan_replies(
+    plan: &SelectPlan,
+) -> Option<(&TableAccess, &KeyRange, Option<&Expr>, SubsetMode)> {
+    let ([t], None) = (plan.tables.as_slice(), &plan.join_filter) else {
         return None;
     };
     match &t.access {
         AccessPath::TableScan {
             range,
             pushdown,
-            browse: false,
-        } if t.residual.is_none() && plan.join_filter.is_none() => {
-            Some((t, range, pushdown.as_ref()))
-        }
+            mode,
+        } if t.residual.is_none() => Some((t, range, pushdown.as_ref(), *mode)),
         _ => None,
     }
 }
@@ -647,7 +629,7 @@ impl<'p> Aggregation<'p> {
     }
 
     /// One output row per group, in first-seen order.
-    fn finish(mut self, names: &[String]) -> Result<QueryResult, ExecError> {
+    fn finish(mut self) -> Result<Vec<Row>, ExecError> {
         if let Some(e) = self.error {
             return Err(e);
         }
@@ -664,10 +646,7 @@ impl<'p> Aggregation<'p> {
             };
             Row(plan.output.iter().map(column).collect())
         });
-        Ok(QueryResult {
-            columns: names.to_vec(),
-            rows: rows.collect(),
-        })
+        Ok(rows.collect())
     }
 }
 

@@ -22,6 +22,7 @@ use crate::ast::{self, AstExpr, Select, SelectItem, Statement};
 use crate::bind::{bind_expr, BindError, Params, Scope};
 use crate::catalog::{Catalog, CatalogError, TableInfo};
 use crate::parser::ParseError;
+use nsql_dp::SubsetMode;
 use nsql_records::key::encode_key_value;
 use nsql_records::{
     CmpOp, Expr, FieldType, KeyRange, OwnedBound, RecordDescriptor, SetList, Value,
@@ -75,16 +76,22 @@ impl std::error::Error for PlanError {}
 /// How one table is accessed.
 #[derive(Debug, Clone)]
 pub enum AccessPath {
-    /// Primary-key-ordered scan over a key range with a pushed-down
+    /// Primary-key-ordered subset scan over a key range with a pushed-down
     /// single-variable query.
     TableScan {
         /// Primary-key range.
         range: KeyRange,
         /// Pushed-down predicate (table-local field numbers).
         pushdown: Option<Expr>,
-        /// Use the old record-at-a-time interface (experiment support).
-        browse: bool,
+        /// How the rows travel: `SELECT *` with no predicate via RSBB,
+        /// whole records (paper example 2); anything with selection or
+        /// projection via VSBB, the fetch list only (example 1).
+        mode: SubsetMode,
     },
+    /// The old record-at-a-time interface (`FOR BROWSE RECORD ACCESS`, an
+    /// experiment extension): every record in one message each, filtered
+    /// by the executor's residual.
+    Browse,
     /// Access through a secondary index.
     IndexScan {
         /// Index position within the table's index list.
@@ -94,8 +101,9 @@ pub enum AccessPath {
         /// Predicate over the *index row*, pushed to the index's Disk
         /// Process.
         index_pushdown: Option<Expr>,
-        /// When every fetched field lies in the index row (no base fetch):
-        /// the index-row position of each, in fetch order.
+        /// When every fetched field lies in the index row and the index
+        /// answers the whole predicate (no base fetch): the index-row
+        /// position of each fetched field, in fetch order.
         index_only: Option<Vec<u16>>,
     },
     /// Scan of a `sys.*` virtual table, served by the executor from the
@@ -116,8 +124,9 @@ pub struct TableAccess {
     /// Base-table fields fetched (in ascending order); the table's
     /// contribution to the combined row.
     pub fetch_fields: Vec<u16>,
-    /// Residual predicate over the fetched fields (evaluated by the
-    /// executor; arises when an index path cannot push everything down).
+    /// Residual predicate over the fetched fields, evaluated by the
+    /// executor: the table's whole predicate on the paths that cannot push
+    /// it down (browse, and an index scan that fetches base rows).
     pub residual: Option<Expr>,
 }
 
@@ -142,24 +151,58 @@ pub enum AggOutput {
     Agg(usize),
 }
 
-/// A planned SELECT.
+/// How the result's values are taken from a sorted combined row.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Projection {
+    /// The combined row as fetched is the result row.
+    Fetched,
+    /// Distinct plain columns of the combined row, in output order: each
+    /// value is wanted once, so it moves.
+    Columns(Vec<u16>),
+    /// Any other output list: one expression per column, evaluated.
+    Exprs(Vec<Expr>),
+}
+
+/// What a SELECT makes of its joined rows: exactly one of two shapes.
+#[derive(Debug, Clone)]
+pub enum Shape {
+    /// One result row per joined row.
+    Rows {
+        /// Sort keys over the combined row, applied before projection.
+        order_by: Vec<(Expr, bool)>,
+        /// The output list.
+        project: Projection,
+    },
+    /// One result row per group.
+    Groups {
+        /// The aggregation.
+        agg: AggPlan,
+        /// Sort keys over the output columns.
+        order_by: Vec<(Expr, bool)>,
+    },
+}
+
+impl Shape {
+    /// The sort keys of either shape (none: no FastSort).
+    pub fn order_by(&self) -> &[(Expr, bool)] {
+        match self {
+            Shape::Rows { order_by, .. } | Shape::Groups { order_by, .. } => order_by,
+        }
+    }
+}
+
+/// A planned SELECT: everything the executor and EXPLAIN read, decided
+/// once.
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
     /// Table accesses, joined left-to-right by nested loops.
     pub tables: Vec<TableAccess>,
     /// Cross-table filter over the combined row.
     pub join_filter: Option<Expr>,
-    /// Sort keys over the combined row (pre-projection), unless
-    /// `order_on_output`.
-    pub order_by: Vec<(Expr, bool)>,
-    /// Aggregation, if any.
-    pub aggregate: Option<AggPlan>,
-    /// Output projection over the combined row (ignored when aggregating).
-    pub output: Vec<(String, Expr)>,
     /// Column names of the result.
     pub column_names: Vec<String>,
-    /// Sort on output columns instead (aggregate queries).
-    pub order_on_output: Vec<(usize, bool)>,
+    /// What is made of the joined rows.
+    pub shape: Shape,
 }
 
 /// A planned UPDATE.
@@ -286,14 +329,12 @@ pub fn describe_access(t: &TableAccess) -> String {
         AccessPath::TableScan {
             range,
             pushdown,
-            browse: false,
+            mode,
         } => {
-            let mode =
-                if pushdown.is_none() && t.fetch_fields.len() == t.info.open.desc.num_fields() {
-                    "RSBB"
-                } else {
-                    "VSBB"
-                };
+            let mode = match mode {
+                SubsetMode::Rsbb => "RSBB",
+                SubsetMode::Vsbb => "VSBB",
+            };
             let mut line = format!(
                 "SCAN {name} via {mode} over {} ({} partition(s))",
                 range_str(range),
@@ -308,7 +349,7 @@ pub fn describe_access(t: &TableAccess) -> String {
             ));
             line
         }
-        AccessPath::TableScan { browse: true, .. } => {
+        AccessPath::Browse => {
             format!("SCAN {name} record-at-a-time (BROWSE), filter at executor")
         }
         AccessPath::IndexScan {
@@ -344,19 +385,37 @@ pub fn describe_access(t: &TableAccess) -> String {
     }
 }
 
+/// The first part of a set write's EXPLAIN line: the `verb^SUBSET`
+/// conversation, or — when the write changes an index
+/// ([`nsql_fs::OpenFile::write_changes_indexes`]) — the row-at-a-time path
+/// the File System runs instead.
+fn describe_write(
+    verb: &str,
+    info: &TableInfo,
+    range: &KeyRange,
+    sets: Option<&SetList>,
+) -> String {
+    let range = range_str(range);
+    let (name, of) = (&info.name, &info.open);
+    if of.write_changes_indexes(sets) {
+        let n = of.indexes.len();
+        format!(
+            "{verb} on {name} row at a time over {range}: rows read via VSBB, \
+             then one {verb} by key per row, {n} index(es) maintained"
+        )
+    } else {
+        format!("{verb}^SUBSET on {name} over {range}")
+    }
+}
+
 /// Human-readable plan description (the EXPLAIN output), one line per step.
 pub fn describe(plan: &Plan) -> Vec<String> {
-    let access_str = describe_access;
     let mut out = Vec::new();
     match plan {
         Plan::Select(p) => {
             for (i, t) in p.tables.iter().enumerate() {
-                let prefix = if i == 0 {
-                    String::new()
-                } else {
-                    "NESTED-LOOP JOIN with ".to_string()
-                };
-                out.push(format!("{prefix}{}", access_str(t)));
+                let prefix = if i == 0 { "" } else { "NESTED-LOOP JOIN with " };
+                out.push(format!("{prefix}{}", describe_access(t)));
                 if let Some(r) = &t.residual {
                     out.push(format!("  residual filter at executor: {r}"));
                 }
@@ -364,14 +423,14 @@ pub fn describe(plan: &Plan) -> Vec<String> {
             if let Some(f) = &p.join_filter {
                 out.push(format!("JOIN FILTER: {f}"));
             }
-            if let Some(a) = &p.aggregate {
+            if let Shape::Groups { agg, .. } = &p.shape {
                 out.push(format!(
                     "AGGREGATE {} function(s), {} group column(s)",
-                    a.aggs.len(),
-                    a.group_by.len()
+                    agg.aggs.len(),
+                    agg.group_by.len()
                 ));
             }
-            if !p.order_by.is_empty() || !p.order_on_output.is_empty() {
+            if !p.shape.order_by().is_empty() {
                 out.push("SORT via FastSort".into());
             }
             if !p.column_names.is_empty() {
@@ -385,11 +444,7 @@ pub fn describe(plan: &Plan) -> Vec<String> {
             p.info.open.indexes.len()
         )),
         Plan::Update(p) => {
-            let mut line = format!(
-                "UPDATE^SUBSET on {} over {}",
-                p.info.name,
-                range_str(&p.range)
-            );
+            let mut line = describe_write("UPDATE", &p.info, &p.range, Some(&p.sets));
             if let Some(pred) = &p.predicate {
                 line.push_str(&format!("; pushdown predicate: {pred}"));
             }
@@ -403,11 +458,7 @@ pub fn describe(plan: &Plan) -> Vec<String> {
             out.push(line);
         }
         Plan::Delete(p) => {
-            let mut line = format!(
-                "DELETE^SUBSET on {} over {}",
-                p.info.name,
-                range_str(&p.range)
-            );
+            let mut line = describe_write("DELETE", &p.info, &p.range, None);
             if let Some(pred) = &p.predicate {
                 line.push_str(&format!("; pushdown predicate: {pred}"));
             }
@@ -510,31 +561,24 @@ fn key_range_from(
     col_type: impl Fn(u16) -> FieldType,
 ) -> KeyRange {
     let mut prefix = Vec::new();
-    let mut range_col_bound: Option<(FieldType, ColBound)> = None;
+    // The column after the equality prefix, with the bounds the conjuncts
+    // put on it.
+    let mut range_col = None;
     for &kc in key_cols {
         let ty = col_type(kc);
         // Find an equality first; otherwise a range ends the prefix walk.
         let mut eq = None;
-        let mut rng: Option<ColBound> = None;
+        let (mut lo, mut hi) = (None, None);
         for c in conj {
             match bound_on(c, kc) {
                 Some(ColBound::Eq(v)) => {
                     eq = Some(v);
                     break;
                 }
-                Some(r @ ColBound::Range { .. }) => {
+                Some(ColBound::Range { lo: l, hi: h }) => {
                     // Merge multiple range conjuncts on the same column.
-                    rng = Some(match (rng, r) {
-                        (None, r) => r,
-                        (
-                            Some(ColBound::Range { lo: l1, hi: h1 }),
-                            ColBound::Range { lo: l2, hi: h2 },
-                        ) => ColBound::Range {
-                            lo: tighter(l1, l2, true),
-                            hi: tighter(h1, h2, false),
-                        },
-                        (some, _) => some.expect("range"),
-                    });
+                    lo = tighter(lo, l, true);
+                    hi = tighter(hi, h, false);
                 }
                 None => {}
             }
@@ -545,56 +589,56 @@ fn key_range_from(
                 continue;
             }
         }
-        if let Some(r) = rng {
-            range_col_bound = Some((ty, r));
+        if lo.is_some() || hi.is_some() {
+            range_col = Some((ty, lo, hi));
         }
         break;
     }
 
-    match range_col_bound {
-        None if prefix.is_empty() => KeyRange::all(),
-        None => KeyRange::prefix(prefix),
-        Some((ty, ColBound::Range { lo, hi })) => {
-            let begin = match lo {
-                None if prefix.is_empty() => OwnedBound::Unbounded,
-                None => OwnedBound::Included(prefix.clone()),
-                Some((v, incl)) => match ty.coerce(v) {
-                    None => OwnedBound::Unbounded,
-                    Some(v) => {
-                        let mut k = prefix.clone();
-                        encode_key_value(ty, &v, &mut k);
-                        if incl {
-                            OwnedBound::Included(k)
-                        } else {
-                            OwnedBound::Excluded(k)
-                        }
-                    }
-                },
-            };
-            let end = match hi {
-                None if prefix.is_empty() => OwnedBound::Unbounded,
-                None => KeyRange::prefix(prefix.clone()).end,
-                Some((v, incl)) => match ty.coerce(v) {
-                    None => OwnedBound::Unbounded,
-                    Some(v) => {
-                        let mut k = prefix.clone();
-                        encode_key_value(ty, &v, &mut k);
-                        if incl {
-                            // Inclusive upper bound on a key prefix: extend
-                            // to cover any remaining key columns.
-                            let mut hi_k = k.clone();
-                            hi_k.push(0xFF);
-                            OwnedBound::Excluded(hi_k)
-                        } else {
-                            OwnedBound::Excluded(k)
-                        }
-                    }
-                },
-            };
-            KeyRange { begin, end }
-        }
-        Some((_, ColBound::Eq(_))) => unreachable!("equalities extend the prefix"),
-    }
+    let Some((ty, lo, hi)) = range_col else {
+        return if prefix.is_empty() {
+            KeyRange::all()
+        } else {
+            KeyRange::prefix(prefix)
+        };
+    };
+    let begin = match lo {
+        None if prefix.is_empty() => OwnedBound::Unbounded,
+        None => OwnedBound::Included(prefix.clone()),
+        Some((v, incl)) => match ty.coerce(v) {
+            None => OwnedBound::Unbounded,
+            Some(v) => {
+                let mut k = prefix.clone();
+                encode_key_value(ty, &v, &mut k);
+                if incl {
+                    OwnedBound::Included(k)
+                } else {
+                    OwnedBound::Excluded(k)
+                }
+            }
+        },
+    };
+    let end = match hi {
+        None if prefix.is_empty() => OwnedBound::Unbounded,
+        None => KeyRange::prefix(prefix.clone()).end,
+        Some((v, incl)) => match ty.coerce(v) {
+            None => OwnedBound::Unbounded,
+            Some(v) => {
+                let mut k = prefix.clone();
+                encode_key_value(ty, &v, &mut k);
+                if incl {
+                    // Inclusive upper bound on a key prefix: extend
+                    // to cover any remaining key columns.
+                    let mut hi_k = k.clone();
+                    hi_k.push(0xFF);
+                    OwnedBound::Excluded(hi_k)
+                } else {
+                    OwnedBound::Excluded(k)
+                }
+            }
+        },
+    };
+    KeyRange { begin, end }
 }
 
 fn tighter(
@@ -621,6 +665,14 @@ fn conjoin(mut exprs: Vec<Expr>) -> Option<Expr> {
 // ----------------------------------------------------------------------
 // SELECT planning
 // ----------------------------------------------------------------------
+
+/// One output column of a SELECT, bound over the scope.
+enum BoundColumn {
+    /// A plain expression (a group column, in an aggregate query).
+    Plain(Expr),
+    /// An aggregate function and its argument (`None` = `*`).
+    Agg(ast::AggFunc, Option<Expr>),
+}
 
 fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectPlan, PlanError> {
     if s.from.is_empty() {
@@ -664,26 +716,26 @@ fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectP
         }
     }
 
-    // Bind SELECT items / ORDER BY / GROUP BY over the scope.
-    let mut out_exprs: Vec<(String, Expr)> = Vec::new();
-    let mut agg_items: Vec<(ast::AggFunc, Option<Expr>, String)> = Vec::new();
-    let mut has_agg = false;
+    // Bind the SELECT items over the scope: each output column's name and
+    // what it holds.
+    let mut column_names: Vec<String> = Vec::new();
+    let mut columns: Vec<BoundColumn> = Vec::new();
     for item in &s.items {
         match item {
             SelectItem::Wildcard => {
                 for st in &scope.tables {
                     for (i, f) in st.desc.fields.iter().enumerate() {
-                        out_exprs.push((f.name.clone(), Expr::Field(st.offset + i as u16)));
+                        column_names.push(f.name.clone());
+                        columns.push(BoundColumn::Plain(Expr::Field(st.offset + i as u16)));
                     }
                 }
             }
             SelectItem::Expr { expr, alias } => {
                 let bound = bind_expr(expr, &scope, params)?;
-                let name = alias.clone().unwrap_or_else(|| display_name(expr));
-                out_exprs.push((name, bound));
+                column_names.push(alias.clone().unwrap_or_else(|| display_name(expr)));
+                columns.push(BoundColumn::Plain(bound));
             }
             SelectItem::Aggregate { func, expr, alias } => {
-                has_agg = true;
                 let bound = expr
                     .as_ref()
                     .map(|e| bind_expr(e, &scope, params))
@@ -691,7 +743,8 @@ fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectP
                 let name = alias
                     .clone()
                     .unwrap_or_else(|| format!("{func:?}").to_uppercase());
-                agg_items.push((*func, bound, name));
+                column_names.push(name);
+                columns.push(BoundColumn::Agg(*func, bound));
             }
         }
     }
@@ -701,300 +754,281 @@ fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectP
         .iter()
         .map(|c| scope.resolve(c))
         .collect::<Result<_, _>>()?;
-    if has_agg || !group_fields.is_empty() {
-        // Aggregate query: every plain item must be a group column.
-        for (name, e) in &out_exprs {
-            match e {
-                Expr::Field(f) if group_fields.contains(f) => {}
-                _ => {
-                    return Err(PlanError::Unsupported(format!(
-                        "non-aggregate output {name} must appear in GROUP BY"
-                    )))
-                }
-            }
-        }
-    }
+    let grouped =
+        !group_fields.is_empty() || columns.iter().any(|c| matches!(c, BoundColumn::Agg(..)));
 
     // Fields each table must deliver: outputs + cross filters + order by +
-    // group by + aggregate arguments + index residuals.
+    // group by + aggregate arguments (residual fields are the access
+    // path's to add).
     let mut needed: Vec<u16> = Vec::new();
-    for (_, e) in &out_exprs {
-        e.collect_fields(&mut needed);
+    for c in &columns {
+        if let BoundColumn::Plain(e) | BoundColumn::Agg(_, Some(e)) = c {
+            e.collect_fields(&mut needed);
+        }
     }
     for c in &cross {
         c.collect_fields(&mut needed);
     }
-    // Aggregate queries sort on *output* columns (matched by name later);
-    // plain queries sort on scope expressions before projection.
-    let is_aggregate_query = has_agg || !group_fields.is_empty();
-    let mut bound_order: Vec<(Expr, bool)> = Vec::new();
-    if !is_aggregate_query {
-        for o in &s.order_by {
-            let e = bind_expr(&o.expr, &scope, params)?;
-            e.collect_fields(&mut needed);
-            bound_order.push((e, o.desc));
-        }
-    }
     needed.extend(&group_fields);
-    for (_, e, _) in &agg_items {
-        if let Some(e) = e {
-            e.collect_fields(&mut needed);
-        }
-    }
 
-    // Per-table access paths + fetch lists; build the global remap from
-    // scope numbering to combined-row numbering.
-    let mut accesses = Vec::new();
-    let mut remap: Vec<Option<u16>> = vec![None; scope.width() as usize];
-    let mut out_pos = 0u16;
-    for (ti, info) in infos.iter().enumerate() {
-        let st = &scope.tables[ti];
-        let lo = st.offset;
-        let nfields = st.desc.num_fields() as u16;
-        // Fields of this table needed upstream (table-local numbers).
-        let mut fetch: Vec<u16> = needed
-            .iter()
-            .filter(|&&f| f >= lo && f < lo + nfields)
-            .map(|&f| f - lo)
-            .collect();
-        let access = if crate::sys::is_sys_name(&info.name) {
-            // Virtual tables: the whole single-variable query evaluates
-            // over the snapshot's full rows; nothing to route or push down
-            // to a Disk Process.
-            AccessPath::SysScan {
-                pushdown: conjoin(table_conjuncts[ti].clone()),
-            }
-        } else {
-            choose_access(info, &table_conjuncts[ti], &mut fetch, s.for_browse)
-        };
-        settle(&mut fetch, &info.open.desc);
-        for (pos, &f) in fetch.iter().enumerate() {
-            remap[(lo + f) as usize] = Some(out_pos + pos as u16);
-        }
-        out_pos += fetch.len() as u16;
-        accesses.push((access, fetch));
-    }
-    let remap_fn =
-        |f: u16| -> u16 { remap[f as usize].expect("every needed field was planned for fetch") };
-
-    // Assemble table accesses with residuals.
-    let mut tables = Vec::new();
-    for ((access, fetch), info) in accesses.into_iter().zip(infos) {
-        let residual = match &access {
-            // Index scans that fetch base rows apply the table predicate as
-            // an executor residual (over the fetched fields).
-            AccessPath::IndexScan {
-                index_only: None, ..
-            }
-            | AccessPath::TableScan { browse: true, .. } => {
-                let ti = tables.len();
-                let local = conjoin(table_conjuncts[ti].clone());
-                local.map(|e| {
-                    e.remap_fields(&|f| {
-                        fetch
-                            .iter()
-                            .position(|&x| x == f)
-                            .expect("residual fields are fetched") as u16
-                    })
-                })
-            }
-            _ => None,
-        };
-        tables.push(TableAccess {
-            info,
-            access,
-            fetch_fields: fetch,
-            residual,
-        });
-    }
-
-    // Residual fields must be fetched: ensure that (browse/index residual
-    // fields were collected into `needed` only if used upstream). Re-check:
-    // add missing residual fields would complicate remapping; instead the
-    // residual for browse/index paths uses the *full* table conjunct set,
-    // whose fields we must fetch. Extend fetch lists up front instead:
-    // handled below by a validation pass.
-    validate_residuals(&tables)?;
-
-    let join_filter = conjoin(cross).map(|e| e.remap_fields(&remap_fn));
-    let order_by: Vec<(Expr, bool)> = bound_order
-        .into_iter()
-        .map(|(e, d)| (e.remap_fields(&remap_fn), d))
-        .collect();
-    let output: Vec<(String, Expr)> = out_exprs
-        .into_iter()
-        .map(|(n, e)| (n, e.remap_fields(&remap_fn)))
-        .collect();
-
-    // Aggregation plan.
-    let aggregate = if is_aggregate_query {
-        let group_by: Vec<u16> = group_fields.iter().map(|&f| remap_fn(f)).collect();
-        let aggs: Vec<(ast::AggFunc, Option<Expr>)> = agg_items
-            .iter()
-            .map(|(f, e, _)| (*f, e.as_ref().map(|e| e.remap_fields(&remap_fn))))
-            .collect();
-        // Output order: walk SELECT items again.
-        let mut agg_i = 0usize;
-        let mut outputs = Vec::new();
-        let mut names = Vec::new();
-        let mut plain_i = 0usize;
-        for item in &s.items {
-            match item {
-                SelectItem::Wildcard => {
-                    return Err(PlanError::Unsupported("SELECT * with GROUP BY".into()))
+    // Aggregate queries sort on *output* columns, matched by name; plain
+    // queries sort on scope expressions before projection.
+    let mut order_by: Vec<(Expr, bool)> = Vec::new();
+    let mut agg_output = Vec::new();
+    if grouped {
+        // Every plain output must be a group column.
+        let mut aggs = 0;
+        for (name, c) in column_names.iter().zip(&columns) {
+            agg_output.push(match c {
+                BoundColumn::Agg(..) => {
+                    aggs += 1;
+                    AggOutput::Agg(aggs - 1)
                 }
-                SelectItem::Expr { .. } => {
-                    let (name, e) = &output[plain_i];
-                    plain_i += 1;
-                    let Expr::Field(f) = e else {
-                        return Err(PlanError::Unsupported(
-                            "grouped output must be a column".into(),
-                        ));
+                BoundColumn::Plain(e) => {
+                    let group = match e {
+                        Expr::Field(f) => group_fields.iter().position(|g| g == f),
+                        _ => None,
                     };
-                    let gi = group_by
-                        .iter()
-                        .position(|g| g == f)
-                        .expect("validated above");
-                    outputs.push(AggOutput::GroupCol(gi));
-                    names.push(name.clone());
+                    AggOutput::GroupCol(group.ok_or_else(|| {
+                        PlanError::Unsupported(format!(
+                            "non-aggregate output {name} must appear in GROUP BY"
+                        ))
+                    })?)
                 }
-                SelectItem::Aggregate { .. } => {
-                    outputs.push(AggOutput::Agg(agg_i));
-                    names.push(agg_items[agg_i].2.clone());
-                    agg_i += 1;
-                }
-            }
+            });
         }
-        // ORDER BY on aggregate output: match by column name.
-        let mut order_on_output = Vec::new();
+        if s.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
+            return Err(PlanError::Unsupported("SELECT * with GROUP BY".into()));
+        }
         for o in &s.order_by {
             let AstExpr::Column(c) = &o.expr else {
                 return Err(PlanError::Unsupported(
                     "ORDER BY on aggregates must name output columns".into(),
                 ));
             };
-            let pos = names
+            let pos = column_names
                 .iter()
                 .position(|n| n.eq_ignore_ascii_case(&c.column))
                 .ok_or_else(|| {
                     PlanError::Unsupported(format!("ORDER BY column {} not in output", c.column))
                 })?;
-            order_on_output.push((pos, o.desc));
+            order_by.push((Expr::Field(pos as u16), o.desc));
         }
-        return Ok(SelectPlan {
-            tables,
-            join_filter,
-            order_by: Vec::new(),
-            aggregate: Some(AggPlan {
-                group_by,
-                aggs,
-                output: outputs,
-            }),
-            output: Vec::new(),
-            column_names: names,
-            order_on_output,
-        });
     } else {
-        None
-    };
+        for o in &s.order_by {
+            let e = bind_expr(&o.expr, &scope, params)?;
+            e.collect_fields(&mut needed);
+            order_by.push((e, o.desc));
+        }
+    }
 
-    let column_names = output.iter().map(|(n, _)| n.clone()).collect();
+    // Each table's access path and fetch list, from the fields of it
+    // needed upstream (table-local numbers).
+    let mut tables = Vec::with_capacity(infos.len());
+    for ((info, conj), st) in infos.iter().zip(table_conjuncts).zip(&scope.tables) {
+        let (lo, hi) = (st.offset, st.offset + st.desc.num_fields() as u16);
+        let fetch = needed.iter().filter(|&&f| f >= lo && f < hi);
+        let fetch = fetch.map(|&f| f - lo).collect();
+        tables.push(choose_access(Arc::clone(info), conj, fetch, s.for_browse));
+    }
+
+    // Scope numbering to combined-row numbering: the tables' fetch lists
+    // side by side. Every field an expression reads is fetched, so it sits
+    // where it sorts in its table's list.
+    let mut remap: Vec<u16> = Vec::new();
+    let mut width = 0u16;
+    for (t, st) in tables.iter().zip(&scope.tables) {
+        let fetch = &t.fetch_fields;
+        let at = |f: u16| width + fetch.partition_point(|&x| x < f) as u16;
+        remap.extend((0..st.desc.num_fields() as u16).map(at));
+        width += fetch.len() as u16;
+    }
+    let remap_fn = |f: u16| remap[f as usize];
+    let combined = |e: Expr| e.remap_fields(&remap_fn);
+
+    let join_filter = conjoin(cross).map(combined);
+    let shape = if grouped {
+        let aggs = columns.into_iter().filter_map(|c| match c {
+            BoundColumn::Agg(func, arg) => Some((func, arg.map(combined))),
+            BoundColumn::Plain(_) => None,
+        });
+        let agg = AggPlan {
+            group_by: group_fields.into_iter().map(remap_fn).collect(),
+            aggs: aggs.collect(),
+            output: agg_output,
+        };
+        Shape::Groups { agg, order_by }
+    } else {
+        let exprs = columns.into_iter().filter_map(|c| match c {
+            BoundColumn::Plain(e) => Some(combined(e)),
+            BoundColumn::Agg(..) => None,
+        });
+        Shape::Rows {
+            order_by: order_by
+                .into_iter()
+                .map(|(e, d)| (combined(e), d))
+                .collect(),
+            project: projection(exprs.collect(), width),
+        }
+    };
     Ok(SelectPlan {
         tables,
         join_filter,
-        order_by,
-        aggregate,
-        output,
         column_names,
-        order_on_output: Vec::new(),
+        shape,
     })
 }
 
-/// Choose between the primary-key scan and available indices, extending
-/// `fetch` with fields the chosen path needs (e.g. residual fields).
+/// How a plain query's output list `exprs` (over a combined row of `width`
+/// fields) is taken from each row.
+fn projection(exprs: Vec<Expr>, width: u16) -> Projection {
+    let mut columns = Vec::with_capacity(exprs.len());
+    let distinct_columns = exprs.iter().all(|e| match e {
+        Expr::Field(c) if !columns.contains(c) => {
+            columns.push(*c);
+            true
+        }
+        _ => false,
+    });
+    if !distinct_columns {
+        Projection::Exprs(exprs)
+    } else if columns.iter().copied().eq(0..width) {
+        Projection::Fetched
+    } else {
+        Projection::Columns(columns)
+    }
+}
+
+/// Choose how to read `info` given its single-variable conjuncts `conj`
+/// and the fields `fetch` needed upstream: the access path, the fetch list
+/// (extended with the fields a residual reads, then settled) and the
+/// residual over it.
 fn choose_access(
-    info: &TableInfo,
-    conj: &[Expr],
-    fetch: &mut Vec<u16>,
+    info: Arc<TableInfo>,
+    conj: Vec<Expr>,
+    mut fetch: Vec<u16>,
     browse: bool,
-) -> AccessPath {
+) -> TableAccess {
     let desc = &info.open.desc;
-    if browse {
+    let mut residual = None;
+    let access = if crate::sys::is_sys_name(&info.name) {
+        // Virtual tables: the whole single-variable query evaluates over
+        // the snapshot's full rows; nothing to route or push down to a
+        // Disk Process.
+        settle(&mut fetch, desc);
+        AccessPath::SysScan {
+            pushdown: conjoin(conj),
+        }
+    } else if browse {
         // Record-at-a-time experiments read everything and filter at the
-        // executor; residual fields must be fetched.
-        for c in conj {
-            c.collect_fields(fetch);
-        }
-        return AccessPath::TableScan {
-            range: KeyRange::all(),
-            pushdown: None,
-            browse: true,
+        // executor.
+        residual = filter_at_executor(conj, &mut fetch, desc);
+        AccessPath::Browse
+    } else {
+        let pk_range = key_range_from(&conj, &desc.key_fields, |f| desc.fields[f as usize].ty);
+        let pk_bounded =
+            pk_range.begin != OwnedBound::Unbounded || pk_range.end != OwnedBound::Unbounded;
+        let index = if pk_bounded {
+            None
+        } else {
+            best_index(&info, &conj)
         };
-    }
-    let pk_range = key_range_from(conj, &desc.key_fields, |f| desc.fields[f as usize].ty);
-    let pk_bounded =
-        pk_range.begin != OwnedBound::Unbounded || pk_range.end != OwnedBound::Unbounded;
-    if !pk_bounded {
-        // Consider secondary indices: prefer one whose leading column has
-        // an equality, then one with a range.
-        let mut best: Option<(usize, bool)> = None; // (index, is_equality)
-        for (ii, idx) in info.open.indexes.iter().enumerate() {
-            let lead = idx.base_fields[0];
-            for c in conj {
-                match bound_on(c, lead) {
-                    Some(ColBound::Eq(_)) if best.is_none_or(|(_, eq)| !eq) => {
-                        best = Some((ii, true));
+        match index {
+            Some(ii) => {
+                let idx = &info.open.indexes[ii];
+                // Conjuncts over fields the index row carries can be pushed
+                // to the index's Disk Process after remapping.
+                let in_index = |f: u16| idx.field_of(desc, f);
+                let mut index_pushable = Vec::new();
+                for c in &conj {
+                    let mut fields = Vec::new();
+                    c.collect_fields(&mut fields);
+                    if fields.iter().all(|&f| in_index(f).is_some()) {
+                        // Every field is carried: `f` itself is never kept.
+                        index_pushable.push(c.remap_fields(&|f| in_index(f).unwrap_or(f)));
                     }
-                    Some(ColBound::Range { .. }) if best.is_none() => {
-                        best = Some((ii, false));
-                    }
-                    _ => {}
+                }
+                let range = key_range_from(&conj, &idx.base_fields, |f| desc.fields[f as usize].ty);
+                // Index-only when the index answers the whole predicate
+                // and carries every fetched field: the executor projects
+                // the settled fetch list straight out of the index rows.
+                let mut settled = fetch.clone();
+                settle(&mut settled, desc);
+                let index_only: Option<Vec<u16>> = settled.iter().map(|&f| in_index(f)).collect();
+                let index_only = index_only.filter(|_| index_pushable.len() == conj.len());
+                if index_only.is_some() {
+                    fetch = settled;
+                } else {
+                    // Base rows are fetched whole; the residual reads the
+                    // conjuncts' fields of them.
+                    residual = filter_at_executor(conj, &mut fetch, desc);
+                }
+                AccessPath::IndexScan {
+                    index: ii,
+                    range,
+                    index_pushdown: conjoin(index_pushable),
+                    index_only,
+                }
+            }
+            None => {
+                settle(&mut fetch, desc);
+                let pushdown = conjoin(conj);
+                let mode = if pushdown.is_none() && fetch.len() == desc.num_fields() {
+                    SubsetMode::Rsbb
+                } else {
+                    SubsetMode::Vsbb
+                };
+                AccessPath::TableScan {
+                    range: pk_range,
+                    pushdown,
+                    mode,
                 }
             }
         }
-        if let Some((ii, _)) = best {
-            let idx = &info.open.indexes[ii];
-            // Conjuncts over fields the index row carries can be pushed to
-            // the index's Disk Process after remapping.
-            let in_index = |f: u16| idx.field_of(desc, f);
-            let mut index_pushable = Vec::new();
-            for c in conj {
-                let mut fields = Vec::new();
-                c.collect_fields(&mut fields);
-                if fields.iter().all(|&f| in_index(f).is_some()) {
-                    // Every field is carried: `f` itself is never kept.
-                    index_pushable.push(c.remap_fields(&|f| in_index(f).unwrap_or(f)));
+    };
+    TableAccess {
+        info,
+        access,
+        fetch_fields: fetch,
+        residual,
+    }
+}
+
+/// The secondary index of `info` that bounds a scan under `conj`: one whose
+/// leading column has an equality, else one with a range.
+fn best_index(info: &TableInfo, conj: &[Expr]) -> Option<usize> {
+    let mut best: Option<(usize, bool)> = None; // (index, is_equality)
+    for (ii, idx) in info.open.indexes.iter().enumerate() {
+        let lead = idx.base_fields[0];
+        for c in conj {
+            match bound_on(c, lead) {
+                Some(ColBound::Eq(_)) if best.is_none_or(|(_, eq)| !eq) => {
+                    best = Some((ii, true));
                 }
-            }
-            let range = key_range_from(conj, &idx.base_fields, |f| desc.fields[f as usize].ty);
-            // Index-only when every fetched field is in the index row: the
-            // executor projects the fetch list, settled as the caller would
-            // settle it, straight out of the index rows.
-            let mut settled = fetch.clone();
-            settle(&mut settled, desc);
-            let index_only: Option<Vec<u16>> = settled.iter().map(|&f| in_index(f)).collect();
-            if index_only.is_some() {
-                *fetch = settled;
-            } else {
-                // Base rows will be fetched whole; residual needs conjunct
-                // fields available.
-                for c in conj {
-                    c.collect_fields(fetch);
+                Some(ColBound::Range { .. }) if best.is_none() => {
+                    best = Some((ii, false));
                 }
+                _ => {}
             }
-            return AccessPath::IndexScan {
-                index: ii,
-                range,
-                index_pushdown: conjoin(index_pushable),
-                index_only,
-            };
         }
     }
-    AccessPath::TableScan {
-        range: pk_range,
-        pushdown: conjoin(conj.to_vec()),
-        browse: false,
+    best.map(|(ii, _)| ii)
+}
+
+/// `conj` as the filter the executor applies to fetched rows: the fields
+/// it reads join `fetch`, which is settled, and it reads each at its
+/// position there.
+fn filter_at_executor(
+    conj: Vec<Expr>,
+    fetch: &mut Vec<u16>,
+    desc: &RecordDescriptor,
+) -> Option<Expr> {
+    for c in &conj {
+        c.collect_fields(fetch);
     }
+    settle(fetch, desc);
+    let at = |f: u16| fetch.partition_point(|&x| x < f) as u16;
+    conjoin(conj).map(|e| e.remap_fields(&at))
 }
 
 /// A fetch list as the executor receives it: ascending, without repeats,
@@ -1006,21 +1040,6 @@ fn settle(fetch: &mut Vec<u16>, desc: &RecordDescriptor) {
     if fetch.is_empty() {
         fetch.push(desc.key_fields[0]);
     }
-}
-
-fn validate_residuals(tables: &[TableAccess]) -> Result<(), PlanError> {
-    for t in tables {
-        if let Some(r) = &t.residual {
-            let mut fields = Vec::new();
-            r.collect_fields(&mut fields);
-            if fields.iter().any(|&f| f as usize >= t.fetch_fields.len()) {
-                return Err(PlanError::Unsupported(
-                    "internal: residual references unfetched field".into(),
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 fn display_name(e: &AstExpr) -> String {

@@ -6,9 +6,9 @@ use crate::cache::StatementCache;
 use crate::catalog::Catalog;
 use crate::exec::{ExecError, Executor, QueryResult};
 use crate::parser::{parse, template};
-use crate::plan::{plan, AccessPath, Plan, PlanError};
+use crate::plan::{plan, AccessPath, AggOutput, Plan, PlanError, Projection, SelectPlan, Shape};
 use nsql_disk::Disk;
-use nsql_dp::{DiskProcess, DpConfig, DpContext};
+use nsql_dp::{DiskProcess, DpConfig, DpContext, SubsetMode};
 use nsql_fs::FileSystem;
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId};
@@ -353,6 +353,98 @@ fn index_with_base_fetch_when_fields_missing() {
     ));
     let r = w.rows("SELECT NAME, SALARY FROM EMP WHERE DEPT = 7");
     assert_eq!(r.rows.len(), 20);
+}
+
+#[test]
+fn an_index_only_scan_keeps_what_the_index_cannot_answer() {
+    // SALARY is not in the index row: the index bounds DEPT = 3, but only
+    // the base row can answer SALARY > 40000, so the base rows are fetched
+    // and the executor applies the whole predicate.
+    let w = world();
+    setup_emp(&w, 200);
+    let sql = "SELECT EMPNO, DEPT FROM EMP WHERE DEPT = 3 AND SALARY > 40000";
+    let scanned = w.rows(sql);
+    w.run("CREATE INDEX EMP_DEPT ON EMP (DEPT) ON '$IDX'")
+        .unwrap();
+    let Plan::Select(p) = plan(&w.catalog, parse(sql).unwrap()).unwrap() else {
+        panic!()
+    };
+    let t = &p.tables[0];
+    assert!(
+        matches!(
+            t.access,
+            AccessPath::IndexScan {
+                index_only: None,
+                ..
+            }
+        ),
+        "{:?}",
+        t.access
+    );
+    assert!(t.residual.is_some());
+    let indexed = w.rows(sql);
+    // i % 10 = 3 and i % 50 > 40: 43, 93, 143 and 193.
+    assert_eq!(scanned.rows.len(), 4);
+    assert_eq!(indexed.rows, scanned.rows);
+}
+
+#[test]
+fn the_plan_settles_transfer_residual_and_output_shape() {
+    let w = world();
+    setup_emp(&w, 10);
+    let select = |sql: &str| {
+        let Plan::Select(p) = plan(&w.catalog, parse(sql).unwrap()).unwrap() else {
+            panic!()
+        };
+        p
+    };
+    let rows = |p: &SelectPlan| match &p.shape {
+        Shape::Rows { order_by, project } => (order_by.len(), project.clone()),
+        Shape::Groups { .. } => panic!("expected rows"),
+    };
+    let mode = |p: &SelectPlan| match &p.tables[0].access {
+        AccessPath::TableScan { mode, .. } => *mode,
+        other => panic!("expected a table scan, got {other:?}"),
+    };
+
+    // Every field, no predicate: RSBB, and the rows as fetched are the result.
+    for sql in [
+        "SELECT * FROM EMP",
+        "SELECT EMPNO, NAME, DEPT, SALARY FROM EMP",
+    ] {
+        let p = select(sql);
+        assert_eq!(mode(&p), SubsetMode::Rsbb, "{sql}");
+        assert_eq!(rows(&p), (0, Projection::Fetched), "{sql}");
+    }
+    // A projection or a predicate travels by VSBB.
+    let p = select("SELECT NAME, EMPNO FROM EMP ORDER BY SALARY");
+    assert_eq!(mode(&p), SubsetMode::Vsbb);
+    assert_eq!(p.tables[0].fetch_fields, vec![0, 1, 3]);
+    assert_eq!(rows(&p), (1, Projection::Columns(vec![1, 0])));
+    let p = select("SELECT * FROM EMP WHERE SALARY > 1");
+    assert_eq!(mode(&p), SubsetMode::Vsbb);
+    assert_eq!(rows(&p).1, Projection::Fetched);
+    // A column wanted twice, or computed, is evaluated.
+    let p = select("SELECT EMPNO, EMPNO FROM EMP");
+    assert_eq!(rows(&p).1, Projection::Exprs(vec![Expr::Field(0); 2]));
+    let p = select("SELECT EMPNO + 1 FROM EMP");
+    assert!(matches!(rows(&p).1, Projection::Exprs(_)));
+    // Browse fetches what the residual reads, and the residual reads it
+    // at its place in the fetch list.
+    let p = select("SELECT SALARY FROM EMP WHERE DEPT = 3 FOR BROWSE RECORD ACCESS");
+    let t = &p.tables[0];
+    assert!(matches!(t.access, AccessPath::Browse));
+    assert_eq!(t.fetch_fields, vec![2, 3]);
+    assert_eq!(t.residual.as_ref().unwrap().to_string(), "F0 = 3");
+    assert_eq!(rows(&p), (0, Projection::Columns(vec![1])));
+    // Groups are sorted on output columns.
+    let p = select("SELECT COUNT(*) AS N, DEPT FROM EMP GROUP BY DEPT ORDER BY DEPT DESC");
+    let Shape::Groups { agg, order_by } = &p.shape else {
+        panic!("expected groups")
+    };
+    assert_eq!(agg.output, vec![AggOutput::Agg(0), AggOutput::GroupCol(0)]);
+    assert_eq!(order_by, &vec![(Expr::Field(1), true)]);
+    assert_eq!(p.column_names, vec!["N", "DEPT"]);
 }
 
 #[test]

@@ -165,16 +165,6 @@ impl Wisconsin {
         )
     }
 
-    /// Set-oriented update: raise a 1% slice.
-    pub fn q_update_1pct(&self) -> String {
-        let hi = self.rows / 100;
-        format!(
-            "UPDATE {} SET THOUSAND = THOUSAND + 1 WHERE UNIQUE2 BETWEEN 0 AND {}",
-            self.name,
-            hi.saturating_sub(1)
-        )
-    }
-
     /// The two-relation join: every row of the 1% subset of this table
     /// joined to `other` on UNIQUE2 (the benchmark's joinAselB shape).
     pub fn q_join_1pct(&self, other: &Wisconsin) -> String {
@@ -288,15 +278,6 @@ mod tests {
                 .clone()
         };
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn update_query_touches_one_percent() {
-        let db = db();
-        let w = Wisconsin::create(&db, "WISC", 500, &["$DATA1"], 3).unwrap();
-        let mut s = db.session();
-        let n = s.execute(&w.q_update_1pct()).unwrap().count();
-        assert_eq!(n, 5);
     }
 }
 #[cfg(test)]

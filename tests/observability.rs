@@ -135,6 +135,151 @@ fn explain_without_analyze_unchanged() {
     }
 }
 
+/// The opening request an EXPLAIN access line names, and the process it
+/// goes to (`None`: the line sends no request).
+fn named_request(line: &str) -> Option<(&'static str, &'static str)> {
+    let to = if line.contains("INDEX SCAN") {
+        "$IDX"
+    } else {
+        "$DATA1"
+    };
+    let verb = if line.contains("SYS SCAN") {
+        return None;
+    } else if line.contains("(BROWSE)") {
+        "READ^NEXT"
+    } else if line.contains("via RSBB") {
+        "GET^FIRST^RSBB"
+    } else if line.contains("via VSBB") || line.contains("INDEX SCAN") {
+        "GET^FIRST^VSBB"
+    } else if line.contains("UPDATE^SUBSET") {
+        "UPDATE^SUBSET^FIRST"
+    } else if line.contains("DELETE^SUBSET") {
+        "DELETE^SUBSET^FIRST"
+    } else {
+        panic!("EXPLAIN line names no access: {line}")
+    };
+    Some((verb, to))
+}
+
+/// For every SELECT shape and every kind of set write, each access line of
+/// EXPLAIN names the request that opens that access in the statement's
+/// trace: RSBB, VSBB, record-at-a-time browse, the index's Disk Process,
+/// no request for `sys.*`, and the row-at-a-time read of a write that
+/// keeps an index.
+#[test]
+fn explain_names_the_request_that_runs() {
+    use nsql_sim::{TraceEventKind, TraceMsgClass};
+
+    let db = ClusterBuilder::new()
+        .volume("$DATA1", 0, 1)
+        .volume("$IDX", 0, 2)
+        .build();
+    let mut s = db.session();
+    s.execute(
+        "CREATE TABLE EMP (EMPNO INT NOT NULL, NAME CHAR(12) NOT NULL, \
+         DEPT INT NOT NULL, SALARY DOUBLE, PRIMARY KEY (EMPNO))",
+    )
+    .unwrap();
+    s.execute(
+        "CREATE TABLE DEPT (DEPTNO INT NOT NULL, DNAME CHAR(8) NOT NULL, PRIMARY KEY (DEPTNO))",
+    )
+    .unwrap();
+    for i in 0..10 {
+        s.execute(&format!(
+            "INSERT INTO EMP VALUES ({i}, 'E{i}', {}, {i}.5)",
+            i % 3
+        ))
+        .unwrap();
+    }
+    for d in 0..3 {
+        s.execute(&format!("INSERT INTO DEPT VALUES ({d}, 'D{d}')"))
+            .unwrap();
+    }
+    s.execute("CREATE INDEX EMP_DEPT ON EMP (DEPT) ON '$IDX'")
+        .unwrap();
+    db.sim.trace.enable_default();
+
+    let shapes = [
+        "SELECT * FROM EMP",
+        "SELECT NAME FROM EMP",
+        "SELECT * FROM EMP WHERE SALARY > 4.0",
+        "SELECT NAME FROM EMP WHERE SALARY > 4.0 FOR BROWSE RECORD ACCESS",
+        "SELECT EMPNO, DEPT FROM EMP WHERE DEPT = 1",
+        "SELECT NAME FROM EMP WHERE DEPT = 1",
+        "SELECT * FROM sys.sessions",
+        "SELECT E.NAME, D.DNAME FROM EMP E, DEPT D WHERE E.DEPT = D.DEPTNO",
+        "SELECT DEPT, COUNT(*) FROM EMP GROUP BY DEPT",
+        "UPDATE EMP SET SALARY = SALARY + 1 WHERE EMPNO < 4",
+        "UPDATE EMP SET DEPT = DEPT + 1 WHERE EMPNO < 4",
+        "DELETE FROM EMP WHERE EMPNO = 5",
+        "DELETE FROM DEPT WHERE DEPTNO = 2",
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for sql in shapes {
+        let explain = s.query(&format!("EXPLAIN {sql}")).unwrap();
+        let lines: Vec<String> = explain.rows.iter().map(|r| r.0[0].to_string()).collect();
+        let access: Vec<&str> = lines
+            .iter()
+            .map(|l| l.strip_prefix("NESTED-LOOP JOIN with ").unwrap_or(l))
+            .filter(|l| !l.starts_with(' ') && !l.starts_with("JOIN FILTER"))
+            .filter(|l| {
+                !["AGGREGATE", "SORT", "PROJECT"]
+                    .iter()
+                    .any(|w| l.starts_with(w))
+            })
+            .collect();
+        let named: Vec<_> = access.iter().filter_map(|l| named_request(l)).collect();
+
+        // Run it (a write is rolled back, so every statement sees the
+        // same rows) and take its FS-DP requests from the trace.
+        s.execute("BEGIN WORK").unwrap();
+        s.execute(sql).unwrap();
+        let sent: Vec<(String, String)> = s
+            .last_stats()
+            .unwrap()
+            .trace
+            .iter()
+            .filter_map(|e| match &e.kind {
+                TraceEventKind::Msg {
+                    class: TraceMsgClass::FsDp,
+                    label,
+                    to,
+                    ..
+                } => Some((label.clone(), to.clone())),
+                _ => None,
+            })
+            .collect();
+        s.execute("ROLLBACK WORK").unwrap();
+
+        // The request that opens each access: a subset FIRST, or the first
+        // of a run of record-at-a-time reads.
+        let mut opened = Vec::new();
+        for (i, (label, to)) in sent.iter().enumerate() {
+            let browse_starts = label == "READ^NEXT" && (i == 0 || sent[i - 1].0 != "READ^NEXT");
+            if label.contains("FIRST") || browse_starts {
+                opened.push((label.as_str(), to.as_str()));
+            }
+        }
+        assert_eq!(
+            opened, named,
+            "{sql}: EXPLAIN says {lines:#?}, sent {sent:?}"
+        );
+        if let [line] = access.as_slice() {
+            if line.contains("INDEX SCAN") {
+                // Only a base fetch reads the base file after the index.
+                let base_reads = sent.iter().any(|(l, to)| l == "READ" && to == "$DATA1");
+                assert_eq!(base_reads, line.contains("fetch base rows"), "{sql}");
+            }
+            if line.contains("SYS SCAN") {
+                assert!(sent.is_empty(), "{sql}: {sent:?}");
+            }
+        }
+        seen.extend(named.iter().map(|(verb, _)| *verb));
+    }
+    // Every kind of opening request was exercised.
+    assert_eq!(seen.len(), 5, "{seen:?}");
+}
+
 /// A statement's captured trace slice contains its FS-DP conversation, and
 /// the formatter renders the paper's message-sequence shape.
 #[test]
