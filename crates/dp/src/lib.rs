@@ -27,8 +27,8 @@ pub mod store;
 
 pub use label::{FileLabel, VolumeLabel};
 pub use protocol::{
-    AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, RowBlock, SubsetId,
-    SubsetMode, SubsetOp, SubsetVerb, SyncId, SyncRequest,
+    AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, RowBlock, RowBuffer,
+    SubsetId, SubsetMode, SubsetOp, SubsetVerb, SyncId, SyncRequest,
 };
 use store::Unlogged;
 pub use store::{Allocator, DpStore};
@@ -39,7 +39,7 @@ use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, LockScope, TxnId};
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
-use nsql_records::row::{decode_row, patch_row, CodecError};
+use nsql_records::row::{check_row, extract_field, field_bytes, patch_row, CodecError};
 use nsql_records::{
     Expr, KeyRange, OwnedBound, Patch, PatchError, Predicate, PredicateError, Projection,
     RecordDescriptor, SetList,
@@ -656,7 +656,7 @@ impl DiskProcess {
         let opened = AuditedFile::open(&store, &label)?;
         let tree = opened.tree()?;
         let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-        let mut rows = RowBlock::default();
+        let mut rows = RowBuffer::default();
         let mut found: Option<Vec<u8>> = None;
         tree.scan(start, |k, v| {
             rows.push(v);
@@ -677,7 +677,7 @@ impl DiskProcess {
                 // The caller needs the key to continue; replies carry it in
                 // a Subset-shaped message.
                 Ok(DpReply::Subset {
-                    rows,
+                    rows: rows.into(),
                     last_key: Some(k),
                     done: false,
                     subset: None,
@@ -698,7 +698,7 @@ impl DiskProcess {
         let opened = AuditedFile::open(&store, &label)?;
         let tree = opened.tree()?;
         let block_budget = self.pool.disk().block_size();
-        let mut rows = RowBlock::default();
+        let mut rows = RowBuffer::default();
         let (mut records, mut bytes) = (0u64, 0usize);
         // Last key returned; one buffer reused across the scan.
         let mut last_key: Vec<u8> = Vec::new();
@@ -725,7 +725,7 @@ impl DiskProcess {
         frec.add(Ctr::RecsExamined, records);
         frec.add(Ctr::RecsSelected, records);
         Ok(DpReply::Subset {
-            rows,
+            rows: rows.into(),
             last_key: (records > 0).then_some(last_key),
             done: !full,
             subset: None,
@@ -1084,7 +1084,7 @@ impl DiskProcess {
         // the scan's next block access (the disk's timeline is read against
         // the clock) and once more when the scan stops; the counts nothing
         // reads meanwhile are booked after the scan.
-        let mut rows = RowBlock::default();
+        let mut rows = RowBuffer::default();
         let mut matched = Matched::default(); // update/delete candidates
         let mut first_selected: Option<Vec<u8>> = None;
         let (mut examined, mut selected) = (0u32, 0u32);
@@ -1138,7 +1138,7 @@ impl DiskProcess {
                 match (read, plan) {
                     (Some(_), None) => rows.push(v),
                     (Some(_), Some(plan)) => {
-                        if let Err(e) = rows.push_with(|row| plan.project_into(v, row)) {
+                        if let Err(e) = rows.push_projected(plan, v) {
                             return fail(units - 1, DpError::BadRecord(e.to_string()));
                         }
                     }
@@ -1215,7 +1215,7 @@ impl DiskProcess {
         }
 
         Ok(DpReply::Subset {
-            rows,
+            rows: rows.into(),
             last_key,
             done: exhausted,
             subset: existing.filter(|_| !exhausted),
@@ -1785,19 +1785,21 @@ impl Matched {
 }
 
 /// ENSCRIBE audit-compression helper: diff two full images field by field.
+/// A field changed when its stored bytes did, so a `0.0` that became
+/// `-0.0` is in the images.
 fn diff_fields(
     desc: &RecordDescriptor,
     before: &[u8],
     after: &[u8],
 ) -> Result<(FieldImage, FieldImage), nsql_records::row::CodecError> {
-    let b = decode_row(desc, before)?;
-    let a = decode_row(desc, after)?;
+    check_row(desc, before)?;
+    check_row(desc, after)?;
     let mut bi = FieldImage::new();
     let mut ai = FieldImage::new();
-    for (i, (vb, va)) in b.0.iter().zip(&a.0).enumerate() {
-        if vb != va {
-            bi.push((i as u16, vb.clone()));
-            ai.push((i as u16, va.clone()));
+    for i in 0..desc.num_fields() as u16 {
+        if field_bytes(desc, before, i)? != field_bytes(desc, after, i)? {
+            bi.push((i, extract_field(desc, before, i)?));
+            ai.push((i, extract_field(desc, after, i)?));
         }
     }
     Ok((bi, ai))

@@ -15,7 +15,8 @@
 //! account bytes — the paper's central metric.
 
 use nsql_lock::{LockMode, TxnId};
-use nsql_records::{Expr, KeyRange, RecordDescriptor, SetList};
+use nsql_records::row::CodecError;
+use nsql_records::{Expr, KeyRange, Projection, RecordDescriptor, SetList};
 use std::sync::Arc;
 
 /// File identifier within a volume.
@@ -584,51 +585,18 @@ impl std::error::Error for DpError {}
 
 /// The rows of a reply — a real or a virtual sequential block: one buffer
 /// per message, each row a 2-byte big-endian length and then its bytes. The
-/// Disk Process appends rows as it selects them and the File System
-/// de-blocks them in place; a clone shares the buffer, which is how the
-/// duplicate-suppression cache keeps a reply it has also handed out.
+/// Disk Process appends rows to a [`RowBuffer`] as it selects them and the
+/// File System de-blocks them in place; a clone shares the buffer, which is
+/// how the duplicate-suppression cache keeps a reply it has also handed
+/// out.
 #[derive(Debug, Clone, Default)]
 pub struct RowBlock {
-    /// `None` until the first row: a reply without rows allocates nothing.
+    /// `None` when there are no rows: a reply without rows allocates
+    /// nothing.
     bytes: Option<Arc<Vec<u8>>>,
 }
 
 impl RowBlock {
-    /// The buffer to append to (a shared one is copied first).
-    fn buffer(&mut self) -> &mut Vec<u8> {
-        Arc::make_mut(self.bytes.get_or_insert_with(Arc::default))
-    }
-
-    /// Append the row `fill` writes; a row `fill` refuses leaves the block
-    /// as it was. Rows are at most a disk block long, well inside the
-    /// prefix's 64 KB.
-    pub fn push_with<E>(
-        &mut self,
-        fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let buf = self.buffer();
-        let at = buf.len();
-        buf.extend_from_slice(&[0; 2]);
-        match fill(buf) {
-            Ok(()) => {
-                let len = (buf.len() - at - 2) as u16;
-                buf[at..at + 2].copy_from_slice(&len.to_be_bytes());
-                Ok(())
-            }
-            Err(e) => {
-                buf.truncate(at);
-                Err(e)
-            }
-        }
-    }
-
-    /// Append `row` as it is.
-    pub fn push(&mut self, row: &[u8]) {
-        let buf = self.buffer();
-        buf.extend_from_slice(&(row.len() as u16).to_be_bytes());
-        buf.extend_from_slice(row);
-    }
-
     /// Bytes on the wire: the sum of `2 + row.len()` over the rows.
     pub fn wire_len(&self) -> usize {
         self.bytes.as_ref().map_or(0, |b| b.len())
@@ -643,6 +611,44 @@ impl RowBlock {
             rest = after;
             Some(row)
         })
+    }
+}
+
+impl From<RowBuffer> for RowBlock {
+    fn from(rows: RowBuffer) -> RowBlock {
+        RowBlock {
+            bytes: (!rows.bytes.is_empty()).then(|| Arc::new(rows.bytes)),
+        }
+    }
+}
+
+/// The rows of a reply being built, framed as a [`RowBlock`] frames them
+/// (a projected row by [`Projection::project_framed`]): each row costs one
+/// reservation and one write of its length. Rows are at most a disk block
+/// long, well inside the prefix's 64 KB.
+#[derive(Debug, Default)]
+pub struct RowBuffer {
+    bytes: Vec<u8>,
+}
+
+impl RowBuffer {
+    /// Append `row` as it is.
+    pub fn push(&mut self, row: &[u8]) {
+        self.bytes.reserve(2 + row.len());
+        self.bytes
+            .extend_from_slice(&(row.len() as u16).to_be_bytes());
+        self.bytes.extend_from_slice(row);
+    }
+
+    /// Append the row `plan` projects out of `record`; a record the plan
+    /// refuses leaves the buffer as it was.
+    pub fn push_projected(&mut self, plan: &Projection, record: &[u8]) -> Result<(), CodecError> {
+        plan.project_framed(record, &mut self.bytes)
+    }
+
+    /// Bytes on the wire so far.
+    pub fn wire_len(&self) -> usize {
+        self.bytes.len()
     }
 }
 
@@ -695,7 +701,8 @@ impl DpReply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsql_records::{CmpOp, Value};
+    use nsql_records::row::encode_row;
+    use nsql_records::{CmpOp, FieldDef, FieldType, Value};
 
     #[test]
     fn wire_sizes_scale_with_content() {
@@ -1001,10 +1008,11 @@ mod tests {
     #[test]
     fn reply_size_counts_rows() {
         let size = |rows: &[&[u8]], last_key: Option<Vec<u8>>| {
-            let mut block = RowBlock::default();
+            let mut buffer = RowBuffer::default();
             for row in rows {
-                block.push(row);
+                buffer.push(row);
             }
+            let block = RowBlock::from(buffer);
             assert!(block.iter().eq(rows.iter().copied()), "de-blocks to rows");
             let reply = DpReply::Subset {
                 rows: block,
@@ -1026,26 +1034,28 @@ mod tests {
 
     #[test]
     fn a_refused_row_leaves_the_block_as_it_was() {
-        let mut block = RowBlock::default();
-        block.push(b"kept");
-        let refused = block.push_with(|buf| {
-            buf.extend_from_slice(b"half a row");
-            Err("no")
-        });
-        assert_eq!(refused, Err("no"));
-        block
-            .push_with(|buf| {
-                buf.extend_from_slice(b"also kept");
-                Ok::<(), ()>(())
-            })
-            .unwrap();
+        let desc = RecordDescriptor::new(vec![FieldDef::new("C", FieldType::Char(4))], vec![0]);
+        let plan = Projection::new(&desc, &[0]).unwrap();
+        let mut record = encode_row(&desc, &[Value::Str("kept".into())]).unwrap();
+        let mut buffer = RowBuffer::default();
+        buffer.push_projected(&plan, &record).unwrap();
+        // Not UTF-8: the row is refused.
+        record[1] = 0xFF;
+        assert_eq!(
+            buffer.push_projected(&plan, &record),
+            Err(CodecError::Corrupt)
+        );
+        buffer.push(b"also kept");
+        let block = RowBlock::from(buffer);
         let rows: Vec<&[u8]> = block.iter().collect();
-        assert_eq!(rows, [&b"kept"[..], b"also kept"]);
-        assert_eq!(block.wire_len(), 2 + 4 + 2 + 9);
-        // A clone shares the buffer; appending to one leaves the other.
+        assert_eq!(rows, [&b"\0kept"[..], b"also kept"]);
+        assert_eq!(block.wire_len(), 2 + 5 + 2 + 9);
+        // A clone shares the buffer.
         let shared = block.clone();
-        block.push(b"more");
-        assert_eq!(shared.iter().count(), 2);
-        assert_eq!(block.iter().count(), 3);
+        assert!(shared.iter().eq(block.iter()));
+        assert_eq!(
+            shared.bytes.as_ref().map(Arc::as_ptr),
+            block.bytes.as_ref().map(Arc::as_ptr)
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use super::*;
 use nsql_records::key::encode_record_key;
-use nsql_records::row::encode_row;
+use nsql_records::row::{decode_row, encode_row};
 use nsql_records::{ArithOp, CmpOp, FieldDef, FieldType, KeyRange, Value};
 use nsql_tmf::{CommitTimer, LsnSource};
 
@@ -1032,6 +1032,28 @@ fn audit_mode_full_vs_field_sizes() {
         field * 3 < full,
         "field-compressed audit ({field}) must be much smaller than full image ({full})"
     );
+}
+
+/// Field-compressed audit keeps a field whose stored bytes changed, even
+/// where SQL finds the old and new values equal: a `0.0` that became
+/// `-0.0` must be redone as `-0.0`.
+#[test]
+fn a_zero_that_changes_sign_is_a_changed_field() {
+    let desc = RecordDescriptor::new(
+        vec![
+            FieldDef::new("ID", FieldType::Int),
+            FieldDef::nullable("D", FieldType::Double),
+        ],
+        vec![0],
+    );
+    let record = |d: f64| encode_row(&desc, &[Value::Int(1), Value::Double(d)]).unwrap();
+    let (before, after) = diff_fields(&desc, &record(0.0), &record(-0.0)).unwrap();
+    assert_eq!(
+        format!("{before:?} {after:?}"),
+        "[(1, Double(0.0))] [(1, Double(-0.0))]"
+    );
+    let (before, after) = diff_fields(&desc, &record(0.0), &record(0.0)).unwrap();
+    assert!(before.is_empty() && after.is_empty());
 }
 
 #[test]

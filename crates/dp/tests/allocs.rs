@@ -12,14 +12,16 @@ use nsql_dp::{
 };
 use nsql_msg::{Bus, CpuId, MsgKind};
 use nsql_records::key::encode_record_key;
-use nsql_records::row::encode_row;
+use nsql_records::row::{decode_row, encode_row};
 use nsql_records::{
-    CmpOp, Expr, FieldDef, FieldType, KeyRange, OwnedBound, RecordDescriptor, Value,
+    CmpOp, Expr, FieldDef, FieldType, Kernel, KeyRange, OwnedBound, Predicate, Projection,
+    RecordDescriptor, Value,
 };
 use nsql_sim::{Sim, SpanHeader};
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 use std::sync::Arc;
 
 thread_local! {
@@ -238,17 +240,15 @@ fn a_cache_resident_scan_allocates_per_reply_not_per_block() {
     assert!(small < 10, "{small} allocations for one empty reply");
 }
 
-#[test]
-fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
-    let (sim, bus, file, _dp) = warm_file();
+/// Every shape that compiles, each rejecting every record of the EMP
+/// file: numbers of both kinds, CHAR (a `String` per record to the
+/// interpreter), BETWEEN, IN with a NULL member, IS NULL, a literal on the
+/// left, and the connectives over them.
+fn compiled_shapes() -> Vec<Expr> {
     let field = |f: u16| Box::new(Expr::Field(f));
     let lit = |v: Value| Box::new(Expr::Lit(v));
     let name = |text: &str| Value::Str(text.into());
-    // Every shape that compiles, each rejecting every record: numbers of
-    // both kinds, CHAR (a `String` per record to the interpreter), BETWEEN,
-    // IN with a NULL member, IS NULL, a literal on the left, and the
-    // connectives over them.
-    let compiled = [
+    vec![
         Expr::field_cmp(2, CmpOp::Lt, Value::SmallInt(0)),
         Expr::field_cmp(2, CmpOp::Gt, Value::Double(1e6)),
         Expr::field_cmp(1, CmpOp::Eq, name("NOBODY  ")),
@@ -258,6 +258,15 @@ fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
             lo: lit(Value::Int(-2)),
             hi: lit(Value::Double(-1.0)),
         },
+        Expr::Between {
+            expr: field(0),
+            lo: lit(Value::Int(-2)),
+            hi: lit(Value::Int(-1)),
+        },
+        Expr::and(
+            Expr::field_cmp(2, CmpOp::Ge, Value::Int(3_000)),
+            Expr::field_cmp(2, CmpOp::Le, Value::LargeInt(i64::MAX)),
+        ),
         Expr::InList(
             field(0),
             vec![Expr::Lit(Value::Int(-1)), Expr::Lit(Value::Null)],
@@ -271,7 +280,14 @@ fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
             Expr::or(paid(NOBODY), Expr::field_cmp(0, CmpOp::Lt, Value::Int(0))),
             Expr::Not(Box::new(Expr::field_cmp(1, CmpOp::Ne, name("EMP00000")))),
         ),
-    ];
+    ]
+}
+
+#[test]
+fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
+    let (sim, bus, file, _dp) = warm_file();
+    let field = |f: u16| Box::new(Expr::Field(f));
+    let compiled = compiled_shapes();
     let mut seq = 5_000;
     let mut allocations = |hi: i32, predicate: &Expr| {
         seq += 1;
@@ -293,4 +309,77 @@ fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
         allocations(1_999, &interpreted),
     );
     assert!(many >= few + 1_000, "LIKE: {few} against {many}");
+}
+
+/// Allocations `work` makes on this thread.
+fn allocations(work: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    work();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// The scan kernels, record by record, off the Disk Process: a compiled
+/// predicate decides on the bytes, a projection appends to a buffer with
+/// room for its rows, and `decode_row` allocates only the row's vector and
+/// one string per text field that is not NULL.
+#[test]
+fn the_scan_kernels_allocate_nothing_per_record() {
+    let d = desc();
+    let records: Vec<Vec<u8>> = (0..100)
+        .map(|empno| encode_row(&d, &row(empno)).unwrap())
+        .collect();
+    for shape in compiled_shapes() {
+        let predicate = Predicate::new(&d, shape.clone());
+        assert!(
+            !predicate.kernels().contains(&Kernel::Interpreted),
+            "{shape} compiles"
+        );
+        let n = allocations(|| {
+            for record in &records {
+                assert!(!predicate.passes(&d, black_box(record)).unwrap());
+            }
+        });
+        assert_eq!(n, 0, "{shape}: {n} allocations over 100 records");
+    }
+
+    // With text of both kinds, NULLs among it.
+    let texts = RecordDescriptor::new(
+        vec![
+            FieldDef::new("K", FieldType::Int),
+            FieldDef::nullable("C", FieldType::Char(8)),
+            FieldDef::nullable("V", FieldType::Varchar(20)),
+            FieldDef::nullable("D", FieldType::Double),
+        ],
+        vec![0],
+    );
+    let text = |k: i32, s: &str| (k % 3 != 0).then(|| Value::Str(s.into()));
+    let records: Vec<(Vec<u8>, u64)> = (0..100)
+        .map(|k| {
+            let values = vec![
+                Value::Int(k),
+                text(k, "CHAR").unwrap_or(Value::Null),
+                text(k + 1, "varying").unwrap_or(Value::Null),
+                Value::Double(k.into()),
+            ];
+            let strings = values.iter().filter(|v| matches!(v, Value::Str(_))).count();
+            (encode_row(&texts, &values).unwrap(), strings as u64)
+        })
+        .collect();
+    let plan = Projection::new(&texts, &[2, 3, 1, 0]).unwrap();
+    // Room for every row: none is longer than 64 bytes.
+    let mut block = Vec::with_capacity(records.len() * 64);
+    let n = allocations(|| {
+        for (record, _) in &records {
+            plan.project_into(black_box(record), &mut block).unwrap();
+        }
+    });
+    assert_eq!(n, 0, "projection: {n} allocations over 100 records");
+    for (record, strings) in &records {
+        let n = allocations(|| drop(black_box(decode_row(&texts, record).unwrap())));
+        assert_eq!(
+            n,
+            1 + strings,
+            "decode_row: the vector and {strings} strings"
+        );
+    }
 }

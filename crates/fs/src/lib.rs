@@ -205,7 +205,8 @@ impl IndexInfo {
     /// The change of this index's entries that a base row's change from
     /// `old` to `new` makes (`None` where there is no row: an insert has no
     /// `old`, a delete no `new`). Nothing changes when the old and the new
-    /// index rows are equal.
+    /// index rows are the same bit for bit ([`Value::is_identical`]): a
+    /// `0.0` that became `-0.0` is the same key but not the same row.
     pub(crate) fn change(
         &self,
         base: &RecordDescriptor,
@@ -214,8 +215,10 @@ impl IndexInfo {
     ) -> Result<IndexChange, FsError> {
         let old = old.map(|row| self.index_row(base, row));
         let new = new.map(|row| self.index_row(base, row));
-        if old == new {
-            return Ok(IndexChange::default());
+        if let (Some(old), Some(new)) = (&old, &new) {
+            if old.iter().zip(new).all(|(a, b)| a.is_identical(b)) {
+                return Ok(IndexChange::default());
+            }
         }
         let entry = |irow: Vec<Value>| -> Result<_, FsError> {
             let record = encode_row(&self.desc, &irow).map_err(bad_row)?;

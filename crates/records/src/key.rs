@@ -37,7 +37,9 @@ pub fn encode_key_value(ty: FieldType, v: &Value, out: &mut Vec<u8>) {
             out.extend_from_slice(&((n as u64) ^ 0x8000_0000_0000_0000).to_be_bytes());
         }
         (FieldType::Double, _) => {
+            // SQL finds `-0.0` equal to `0.0`, so they are one key.
             let x = v.as_f64().expect("typed");
+            let x = if x == 0.0 { 0.0 } else { x };
             let bits = x.to_bits();
             // Standard IEEE total-order trick: flip all bits of negatives,
             // flip only the sign bit of non-negatives.

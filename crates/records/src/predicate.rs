@@ -5,24 +5,27 @@
 //! [`Predicate`] is the selection expression of a subset request compiled
 //! against the file's [`RecordDescriptor`], the way a
 //! [`Projection`](crate::row::Projection) is: the shapes that decide a scan
-//! — a fixed-width field against a literal, `IS [NOT] NULL`, `BETWEEN`, `IN`,
-//! joined by `AND` / `OR` / `NOT` — become a three-valued tree whose leaves
-//! read the null bit and the big-endian slot where the record lies. Every
-//! other node (arithmetic, `LIKE`, `VARCHAR`, field against field, string
-//! against number) stays an [`Expr`] that [`Expr::eval`] interprets over the
-//! same bytes. `Expr::eval` is the one interpreter and the compiled tree's
-//! oracle: both give the same value and the same error for every record.
+//! become a three-valued tree whose leaves are [`Kernel`]s, each reading the
+//! null bit and a slot of its width where the record lies. An integer field
+//! against integers — one comparison, `BETWEEN`, or a conjunction of them on
+//! the one field — is an interval test on one read; a `DOUBLE`, or an
+//! integer against a double, compares as a double; a `CHAR` compares its
+//! unpadded bytes; `IN` and `IS [NOT] NULL` have kernels of their own.
+//! `AND` / `OR` / `NOT` join them. Every other node (arithmetic, `LIKE`,
+//! `VARCHAR`, field against field, string against number) stays an [`Expr`]
+//! that [`Expr::eval`] interprets over the same bytes. `Expr::eval` is the
+//! one interpreter and the compiled tree's oracle: both give the same value
+//! and the same error for every record.
 //!
 //! A referenced field that does not decode (a `VARCHAR` slot pointing past
 //! the tail, a `CHAR` slot that is not UTF-8) is an error under either, not
 //! a NULL.
 
 use crate::expr::{truth, CmpOp, EvalError, Expr};
-use crate::row::{extract_field, CodecError, RowAccessor};
+use crate::row::{char_at, extract_field, load, CodecError, RowAccessor};
 use crate::types::{FieldType, RecordDescriptor};
 use crate::value::Value;
 use std::cell::Cell;
-use std::cmp::Ordering;
 
 /// Why a predicate could not be decided for a record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,128 +48,179 @@ impl std::fmt::Display for PredicateError {
 
 impl std::error::Error for PredicateError {}
 
-/// What a fixed-width slot holds.
-#[derive(Debug, Clone, Copy)]
-enum SlotKind {
-    /// A big-endian two's-complement integer of the slot's width.
-    Int,
-    /// A big-endian IEEE double.
-    Double,
-    /// Space-padded text, which must be UTF-8.
-    Char,
-}
-
-/// A fixed-width field of a stored record: its null bit and its slot.
+/// A fixed-width field of a stored record: its null bit and where its slot
+/// starts.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    field: usize,
+    /// The bitmap byte holding the null bit, and the bit.
+    byte: usize,
+    bit: u8,
     at: usize,
-    width: usize,
-    kind: SlotKind,
 }
 
-/// A field as read from the record, and a literal in the form it is
-/// compared in.
-#[derive(Debug, Clone)]
-enum Operand<T> {
-    Null,
-    Int(i64),
-    Double(f64),
-    /// Text less its trailing spaces (PAD SPACE comparison).
-    Str(T),
+/// The width of an integer slot.
+#[derive(Debug, Clone, Copy)]
+enum IntWidth {
+    I16,
+    I32,
+    I64,
 }
 
-fn unpadded(text: &[u8]) -> &[u8] {
-    let pad = text.iter().rev().take_while(|&&b| b == b' ').count();
-    &text[..text.len() - pad]
+/// How a number slot reads as a double.
+#[derive(Debug, Clone, Copy)]
+enum Num {
+    Int(IntWidth),
+    Double,
+}
+
+/// What a fixed-width field's slot holds.
+#[derive(Debug, Clone, Copy)]
+enum SlotType {
+    Int(IntWidth),
+    Double,
+    /// Space-padded text of the width, which must be UTF-8.
+    Char(u16),
 }
 
 impl Slot {
-    /// The slot of field `f`, if `desc` has it and it is fixed-width.
-    fn of(desc: &RecordDescriptor, f: u16) -> Option<Slot> {
-        let kind = match desc.fields.get(f as usize)?.ty {
-            FieldType::SmallInt | FieldType::Int | FieldType::LargeInt => SlotKind::Int,
-            FieldType::Double => SlotKind::Double,
-            FieldType::Char(_) => SlotKind::Char,
+    /// The slot of field `f` and what it holds, if `desc` has the field and
+    /// it is fixed-width.
+    fn of(desc: &RecordDescriptor, f: u16) -> Option<(Slot, SlotType)> {
+        let ty = match desc.fields.get(f as usize)?.ty {
+            FieldType::SmallInt => SlotType::Int(IntWidth::I16),
+            FieldType::Int => SlotType::Int(IntWidth::I32),
+            FieldType::LargeInt => SlotType::Int(IntWidth::I64),
+            FieldType::Double => SlotType::Double,
+            FieldType::Char(n) => SlotType::Char(n),
             FieldType::Varchar(_) => return None,
         };
-        Some(Slot {
-            field: f as usize,
+        let slot = Slot {
+            byte: f as usize / 8,
+            bit: 1 << (f % 8),
             at: desc.slot_offset(f),
-            width: desc.fields[f as usize].ty.fixed_width(),
-            kind,
-        })
-    }
-
-    /// `v` as this slot's field is compared with it by [`Value::sql_cmp`];
-    /// `None` for a literal that takes the interpreter (NULL, a boolean,
-    /// text against a number).
-    fn literal(&self, v: &Value) -> Option<Operand<Box<[u8]>>> {
-        match (self.kind, v) {
-            (SlotKind::Int | SlotKind::Double, Value::Double(x)) => Some(Operand::Double(*x)),
-            (SlotKind::Int | SlotKind::Double, _) => v.as_i64().map(Operand::Int),
-            (SlotKind::Char, Value::Str(s)) => Some(Operand::Str(unpadded(s.as_bytes()).into())),
-            (SlotKind::Char, _) => None,
-        }
-    }
-
-    /// Read the field from `record`, which holds its fixed part.
-    fn read<'a>(&self, record: &'a [u8]) -> Result<Operand<&'a [u8]>, CodecError> {
-        if record[self.field / 8] & (1 << (self.field % 8)) != 0 {
-            return Ok(Operand::Null);
-        }
-        let slot = &record[self.at..self.at + self.width];
-        let bits = || {
-            let mut wide = [0u8; 8];
-            wide[8 - slot.len()..].copy_from_slice(slot);
-            u64::from_be_bytes(wide)
         };
-        Ok(match self.kind {
-            SlotKind::Int => {
-                let unused = 64 - 8 * self.width as u32;
-                Operand::Int(((bits() << unused) as i64) >> unused)
-            }
-            SlotKind::Double => Operand::Double(f64::from_bits(bits())),
-            SlotKind::Char => {
-                std::str::from_utf8(slot).map_err(|_| CodecError::Corrupt)?;
-                Operand::Str(unpadded(slot))
-            }
-        })
+        Some((slot, ty))
+    }
+
+    // The readers below are handed a record that holds its fixed part.
+
+    fn is_null(self, record: &[u8]) -> bool {
+        record[self.byte] & self.bit != 0
+    }
+
+    fn int(self, width: IntWidth, record: &[u8]) -> i64 {
+        match width {
+            IntWidth::I16 => i16::from_be_bytes(load(record, self.at)).into(),
+            IntWidth::I32 => i32::from_be_bytes(load(record, self.at)).into(),
+            IntWidth::I64 => i64::from_be_bytes(load(record, self.at)),
+        }
+    }
+
+    /// A number as [`Value::sql_cmp`] promotes it against a double.
+    fn double(self, num: Num, record: &[u8]) -> f64 {
+        match num {
+            Num::Int(width) => self.int(width, record) as f64,
+            Num::Double => f64::from_be_bytes(load(record, self.at)),
+        }
+    }
+
+    /// Is the field there (not NULL)? A `CHAR` (`text` is its width) that
+    /// is there must decode.
+    fn present(self, text: Option<u16>, record: &[u8]) -> Result<bool, PredicateError> {
+        if self.is_null(record) {
+            return Ok(false);
+        }
+        if let Some(width) = text {
+            self.text(width, record)?;
+        }
+        Ok(true)
+    }
+
+    /// A `CHAR` of `width` less its padding; text that is not UTF-8 does
+    /// not decode.
+    fn text(self, width: u16, record: &[u8]) -> Result<&[u8], PredicateError> {
+        match char_at(width, record, self.at) {
+            Ok(text) => Ok(text.as_bytes()),
+            Err(e) => Err(PredicateError::Record(e)),
+        }
     }
 }
 
-/// [`Value::sql_cmp`] on a field read in place and a compiled literal:
-/// integers compare exactly, a double on either side promotes the other,
-/// text compares by its bytes, and NULL (or a NaN) is unknown.
-fn sql_cmp(field: &Operand<&[u8]>, literal: &Operand<Box<[u8]>>) -> Option<Ordering> {
-    match (field, literal) {
-        (Operand::Int(a), Operand::Int(b)) => Some(a.cmp(b)),
-        (Operand::Int(a), Operand::Double(b)) => (*a as f64).partial_cmp(b),
-        (Operand::Double(a), Operand::Int(b)) => a.partial_cmp(&(*b as f64)),
-        (Operand::Double(a), Operand::Double(b)) => a.partial_cmp(b),
-        (Operand::Str(a), Operand::Str(b)) => Some((*a).cmp(b)),
-        _ => None,
+/// The integers `op b` admits, as an interval `lo..=hi` (empty when
+/// `lo > hi`) and whether the test is to fall outside it.
+fn interval(op: CmpOp, b: i64) -> (i64, i64, bool) {
+    const EMPTY: (i64, i64, bool) = (1, 0, false);
+    match op {
+        CmpOp::Eq => (b, b, false),
+        CmpOp::Ne => (b, b, true),
+        CmpOp::Lt => b.checked_sub(1).map_or(EMPTY, |hi| (i64::MIN, hi, false)),
+        CmpOp::Le => (i64::MIN, b, false),
+        CmpOp::Gt => b.checked_add(1).map_or(EMPTY, |lo| (lo, i64::MAX, false)),
+        CmpOp::Ge => (b, i64::MAX, false),
     }
+}
+
+/// The kernel a leaf of a compiled predicate runs on a record's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// An integer field tested against an interval of integers: one
+    /// comparison with an integer, `BETWEEN` integers, or a conjunction of
+    /// them on one field, fused.
+    IntRange,
+    /// A number compared as a double: a `DOUBLE` field, or an integer
+    /// field against a double.
+    Double,
+    /// A `CHAR` field against text.
+    Char,
+    /// `IN` a list of literals.
+    In,
+    /// `IS [NOT] NULL`.
+    IsNull,
+    /// A sub-expression left to [`Expr::eval`].
+    Interpreted,
 }
 
 /// A node of the compiled tree; it evaluates to TRUE, FALSE or unknown.
 #[derive(Debug, Clone)]
 enum Node {
-    /// `field op literal`.
-    Cmp {
+    /// An integer field in `lo..=hi`, or outside it.
+    IntRange {
         slot: Slot,
-        op: CmpOp,
-        literal: Operand<Box<[u8]>>,
+        width: IntWidth,
+        lo: i64,
+        hi: i64,
+        outside: bool,
     },
-    /// `field IS [NOT] NULL`.
+    /// `field op literal`, compared as doubles.
+    Double {
+        slot: Slot,
+        num: Num,
+        op: CmpOp,
+        literal: f64,
+    },
+    /// `field op literal` on a `CHAR`, both less their trailing spaces
+    /// (PAD SPACE).
+    Char {
+        slot: Slot,
+        width: u16,
+        op: CmpOp,
+        literal: Box<[u8]>,
+    },
+    /// `field IS [NOT] NULL`; `text` is the width of a `CHAR`, which must
+    /// decode.
     IsNull {
         slot: Slot,
+        text: Option<u16>,
         negated: bool,
     },
-    /// `field IN (literals)`.
+    /// `field IN (literals)`: unknown for a NULL field, else TRUE when the
+    /// field equals a member — one leaf per non-NULL member — and unknown
+    /// when none does but one compares unknown (`null_member`, a NaN).
     In {
         slot: Slot,
-        items: Vec<Operand<Box<[u8]>>>,
+        text: Option<u16>,
+        members: Vec<Node>,
+        null_member: bool,
     },
     And(Box<Node>, Box<Node>),
     Or(Box<Node>, Box<Node>),
@@ -176,84 +230,201 @@ enum Node {
 }
 
 impl Node {
+    /// The leaf for `field op literal`, if the field is fixed-width and the
+    /// literal one it is compared with as [`Value::sql_cmp`] compares.
+    fn cmp(desc: &RecordDescriptor, field: &Expr, op: CmpOp, literal: &Expr) -> Option<Node> {
+        let (Expr::Field(f), Expr::Lit(v)) = (field, literal) else {
+            return None;
+        };
+        let (slot, ty) = Slot::of(desc, *f)?;
+        Some(match (ty, v) {
+            (SlotType::Int(width), Value::Double(x)) => Node::Double {
+                slot,
+                num: Num::Int(width),
+                op,
+                literal: *x,
+            },
+            (SlotType::Int(width), _) => {
+                let (lo, hi, outside) = interval(op, v.as_i64()?);
+                Node::IntRange {
+                    slot,
+                    width,
+                    lo,
+                    hi,
+                    outside,
+                }
+            }
+            (SlotType::Double, _) => Node::Double {
+                slot,
+                num: Num::Double,
+                op,
+                literal: v.as_f64()?,
+            },
+            (SlotType::Char(width), Value::Str(s)) => Node::Char {
+                slot,
+                width,
+                op,
+                literal: s.trim_end_matches(' ').as_bytes().into(),
+            },
+            (SlotType::Char(_), _) => return None,
+        })
+    }
+
+    /// `a AND b`: two integer ranges on one field are one range.
+    fn and(a: Node, b: Node) -> Node {
+        match (a, b) {
+            (
+                Node::IntRange {
+                    slot,
+                    width,
+                    lo,
+                    hi,
+                    outside: false,
+                },
+                Node::IntRange {
+                    slot: other,
+                    lo: lo2,
+                    hi: hi2,
+                    outside: false,
+                    ..
+                },
+            ) if slot.at == other.at => Node::IntRange {
+                slot,
+                width,
+                lo: lo.max(lo2),
+                hi: hi.min(hi2),
+                outside: false,
+            },
+            (a, b) => Node::And(Box::new(a), Box::new(b)),
+        }
+    }
+
     /// The node for `e`, or `None` when all of `e` takes the interpreter.
     fn compile(desc: &RecordDescriptor, e: &Expr) -> Option<Node> {
-        let cmp = |field: &Expr, op: CmpOp, literal: &Expr| match (field, literal) {
-            (Expr::Field(f), Expr::Lit(v)) => {
-                let slot = Slot::of(desc, *f)?;
-                let literal = slot.literal(v)?;
-                Some(Node::Cmp { slot, op, literal })
-            }
-            _ => None,
-        };
+        let cmp = |field: &Expr, op: CmpOp, literal: &Expr| Node::cmp(desc, field, op, literal);
         // A connective is compiled when either side is; the other side
         // becomes an interpreted leaf, evaluated in the same order.
-        let side = |e: &Expr, node: Option<Node>| {
-            Box::new(node.unwrap_or_else(|| Node::Interpreted(e.clone())))
-        };
+        let side =
+            |e: &Expr, node: Option<Node>| node.unwrap_or_else(|| Node::Interpreted(e.clone()));
         let sides = |a: &Expr, b: &Expr| match (Node::compile(desc, a), Node::compile(desc, b)) {
             (None, None) => None,
             (na, nb) => Some((side(a, na), side(b, nb))),
         };
+        // A fixed-width field's slot, and the width of a `CHAR`, which must
+        // decode to be found NULL or not.
+        let present = |field: &Expr| {
+            let Expr::Field(f) = field else { return None };
+            let (slot, ty) = Slot::of(desc, *f)?;
+            let text = match ty {
+                SlotType::Char(width) => Some(width),
+                SlotType::Int(_) | SlotType::Double => None,
+            };
+            Some((slot, text))
+        };
         match e {
             Expr::Cmp(a, op, b) => cmp(a, *op, b).or_else(|| cmp(b, op.flipped(), a)),
-            Expr::IsNull { expr, negated } => match &**expr {
-                Expr::Field(f) => Slot::of(desc, *f).map(|slot| Node::IsNull {
+            Expr::IsNull { expr, negated } => {
+                let (slot, text) = present(expr)?;
+                Some(Node::IsNull {
                     slot,
+                    text,
                     negated: *negated,
-                }),
-                _ => None,
-            },
+                })
+            }
             // Both bounds read the same field, so the three-valued AND of
             // the two comparisons is BETWEEN's own table.
             Expr::Between { expr, lo, hi } => {
                 let (ge, le) = (cmp(expr, CmpOp::Ge, lo)?, cmp(expr, CmpOp::Le, hi)?);
-                Some(Node::And(Box::new(ge), Box::new(le)))
+                Some(Node::and(ge, le))
             }
-            Expr::InList(e, list) => {
-                let Expr::Field(f) = &**e else { return None };
-                let slot = Slot::of(desc, *f)?;
-                let item = |item: &Expr| match item {
-                    Expr::Lit(Value::Null) => Some(Operand::Null),
-                    Expr::Lit(v) => slot.literal(v),
-                    _ => None,
-                };
-                let items = list.iter().map(item).collect::<Option<_>>()?;
-                Some(Node::In { slot, items })
+            Expr::InList(field, list) => {
+                let (slot, text) = present(field)?;
+                let mut null_member = false;
+                let mut members = Vec::with_capacity(list.len());
+                for item in list {
+                    match item {
+                        Expr::Lit(Value::Null) => null_member = true,
+                        item => members.push(cmp(field, CmpOp::Eq, item)?),
+                    }
+                }
+                Some(Node::In {
+                    slot,
+                    text,
+                    members,
+                    null_member,
+                })
             }
-            Expr::And(a, b) => sides(a, b).map(|(a, b)| Node::And(a, b)),
-            Expr::Or(a, b) => sides(a, b).map(|(a, b)| Node::Or(a, b)),
+            Expr::And(a, b) => sides(a, b).map(|(a, b)| Node::and(a, b)),
+            Expr::Or(a, b) => sides(a, b).map(|(a, b)| Node::Or(Box::new(a), Box::new(b))),
             Expr::Not(a) => Node::compile(desc, a).map(|a| Node::Not(Box::new(a))),
             Expr::Lit(_) | Expr::Field(_) | Expr::Arith(..) | Expr::Like(..) => None,
         }
     }
 
-    /// Evaluate over `record`, in [`Expr::eval`]'s order and with its
-    /// short circuits.
+    /// Evaluate over `record`, which holds its fixed part, in
+    /// [`Expr::eval`]'s order and with its short circuits.
     fn truth(
         &self,
         desc: &RecordDescriptor,
         record: &[u8],
     ) -> Result<Option<bool>, PredicateError> {
-        let read = |slot: &Slot| slot.read(record).map_err(PredicateError::Record);
         Ok(match self {
-            Node::Cmp { slot, op, literal } => {
-                sql_cmp(&read(slot)?, literal).map(|ord| op.matches(ord))
-            }
-            Node::IsNull { slot, negated } => {
-                Some(matches!(read(slot)?, Operand::Null) != *negated)
-            }
-            Node::In { slot, items } => {
-                let field = read(slot)?;
-                if matches!(field, Operand::Null) {
+            Node::IntRange {
+                slot,
+                width,
+                lo,
+                hi,
+                outside,
+            } => {
+                if slot.is_null(record) {
                     return Ok(None);
                 }
-                let mut unknown = false;
-                for item in items {
-                    match sql_cmp(&field, item) {
-                        Some(Ordering::Equal) => return Ok(Some(true)),
+                let v = slot.int(*width, record);
+                Some((*lo <= v && v <= *hi) != *outside)
+            }
+            Node::Double {
+                slot,
+                num,
+                op,
+                literal,
+            } => {
+                if slot.is_null(record) {
+                    return Ok(None);
+                }
+                let v = slot.double(*num, record);
+                v.partial_cmp(literal).map(|ord| op.matches(ord))
+            }
+            Node::Char {
+                slot,
+                width,
+                op,
+                literal,
+            } => {
+                if slot.is_null(record) {
+                    return Ok(None);
+                }
+                Some(op.matches(slot.text(*width, record)?.cmp(literal)))
+            }
+            Node::IsNull {
+                slot,
+                text,
+                negated,
+            } => Some(slot.present(*text, record)? == *negated),
+            Node::In {
+                slot,
+                text,
+                members,
+                null_member,
+            } => {
+                if !slot.present(*text, record)? {
+                    return Ok(None);
+                }
+                let mut unknown = *null_member;
+                for member in members {
+                    match member.truth(desc, record)? {
+                        Some(true) => return Ok(Some(true)),
+                        Some(false) => {}
                         None => unknown = true,
-                        Some(_) => {}
                     }
                 }
                 (!unknown).then_some(false)
@@ -279,6 +450,23 @@ impl Node {
                 truth(interpret(e, desc, record)?).map_err(PredicateError::Eval)?
             }
         })
+    }
+
+    /// Append the kernel of each leaf, left to right.
+    fn kernels(&self, out: &mut Vec<Kernel>) {
+        match self {
+            Node::IntRange { .. } => out.push(Kernel::IntRange),
+            Node::Double { .. } => out.push(Kernel::Double),
+            Node::Char { .. } => out.push(Kernel::Char),
+            Node::IsNull { .. } => out.push(Kernel::IsNull),
+            Node::In { .. } => out.push(Kernel::In),
+            Node::And(a, b) | Node::Or(a, b) => {
+                a.kernels(out);
+                b.kernels(out);
+            }
+            Node::Not(a) => a.kernels(out),
+            Node::Interpreted(_) => out.push(Kernel::Interpreted),
+        }
     }
 }
 
@@ -342,24 +530,45 @@ impl Predicate {
         self.expr.eval_cost()
     }
 
+    /// The kernel of each leaf of the compiled tree, left to right; one
+    /// [`Kernel::Interpreted`] when nothing compiled.
+    pub fn kernels(&self) -> Vec<Kernel> {
+        let mut out = Vec::new();
+        match &self.root {
+            Some(root) => root.kernels(&mut out),
+            None => out.push(Kernel::Interpreted),
+        }
+        out
+    }
+
     /// Evaluate over `record`, encoded per the descriptor `desc` the
     /// predicate was compiled against: what [`Expr::eval`] gives for the
     /// decoded row.
     pub fn eval(&self, desc: &RecordDescriptor, record: &[u8]) -> Result<Value, PredicateError> {
-        if record.len() < self.fixed_end {
-            return Err(PredicateError::Record(CodecError::Corrupt));
-        }
+        self.fixed_part(record)?;
         match &self.root {
             None => interpret(&self.expr, desc, record),
-            Some(root) => Ok(match root.truth(desc, record)? {
-                Some(b) => Value::Bool(b),
-                None => Value::Null,
-            }),
+            Some(root) => Ok(root.truth(desc, record)?.map_or(Value::Null, Value::Bool)),
         }
     }
 
     /// Does `record` pass (evaluate to exactly TRUE)?
     pub fn passes(&self, desc: &RecordDescriptor, record: &[u8]) -> Result<bool, PredicateError> {
-        Ok(matches!(self.eval(desc, record)?, Value::Bool(true)))
+        self.fixed_part(record)?;
+        match &self.root {
+            None => Ok(matches!(
+                interpret(&self.expr, desc, record)?,
+                Value::Bool(true)
+            )),
+            Some(root) => Ok(root.truth(desc, record)? == Some(true)),
+        }
+    }
+
+    /// A record shorter than its fixed part is corrupt.
+    fn fixed_part(&self, record: &[u8]) -> Result<(), PredicateError> {
+        if record.len() < self.fixed_end {
+            return Err(PredicateError::Record(CodecError::Corrupt));
+        }
+        Ok(())
     }
 }

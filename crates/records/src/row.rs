@@ -3,14 +3,21 @@
 //! Three access paths exist deliberately:
 //!
 //! * [`Row`] — fully decoded values, used by the SQL executor.
+//!   [`decode_row`] makes one in one pass over the layout, the fixed part
+//!   checked once.
 //! * [`RawRecord`] — lazy field extraction straight from encoded record
 //!   bytes (decode only the fields actually touched): how
-//!   [`Expr::eval`](crate::Expr::eval) reads a stored record. The Disk
+//!   [`Expr::eval`](crate::Expr::eval) reads a stored record, and how a
+//!   `GROUP BY` keys a reply row and reads its text in place. The Disk
 //!   Process's pushed-down predicates go through a
 //!   [`Predicate`](crate::Predicate), which compares most fields undecoded.
 //! * [`Projection`] — a pushed-down projection compiled once per request,
 //!   by which the Disk Process copies field bytes from a stored record into
-//!   a virtual block (decode nothing).
+//!   a virtual block (decode nothing), a number's slot by a copy of its
+//!   width.
+//!
+//! One set of slot readers serves them all: a number's slot, a `CHAR`'s
+//! text less its padding, a `VARCHAR`'s text in the tail.
 
 use crate::types::{FieldType, RecordDescriptor};
 use crate::value::Value;
@@ -71,28 +78,50 @@ pub trait RowAccessor {
     /// concatenate. A [`Row`] and a [`RawRecord`] build it without
     /// allocating.
     fn eq_key(&self, i: u16, out: &mut Vec<u8>) {
-        value_eq_key(&self.field(i), out);
+        match self.field_ref(i) {
+            FieldRef::Value(v) => value_eq_key(&v, out),
+            FieldRef::Text(text) => text_eq_key(text, out),
+        }
+    }
+    /// Field `i` with its text, if any, borrowed where it lies: what
+    /// [`RowAccessor::field`] gives, without a `String`. A [`Row`] and a
+    /// [`RawRecord`] lend their text; by default the value is copied.
+    fn field_ref(&self, i: u16) -> FieldRef<'_> {
+        FieldRef::Value(self.field(i))
     }
 }
 
+/// A field as a row holds it: text borrowed from the row, or any other
+/// value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldRef<'a> {
+    /// A number, a boolean or NULL.
+    Value(Value),
+    /// Text; a `CHAR` less its padding.
+    Text(&'a str),
+}
+
 fn value_eq_key(v: &Value, out: &mut Vec<u8>) {
-    let int = |n: i64, out: &mut Vec<u8>| {
-        out.push(2);
-        out.extend_from_slice(&n.to_be_bytes());
-    };
     match v {
         Value::Null => out.push(0),
         Value::Bool(b) => out.extend_from_slice(&[1, *b as u8]),
-        Value::SmallInt(n) => int((*n).into(), out),
-        Value::Int(n) => int((*n).into(), out),
-        Value::LargeInt(n) => int(*n, out),
-        Value::Double(x) => {
-            let x = if *x == 0.0 { 0.0 } else { *x };
-            out.push(3);
-            out.extend_from_slice(&x.to_bits().to_be_bytes());
-        }
+        Value::SmallInt(n) => int_eq_key((*n).into(), out),
+        Value::Int(n) => int_eq_key((*n).into(), out),
+        Value::LargeInt(n) => int_eq_key(*n, out),
+        Value::Double(x) => double_eq_key(*x, out),
         Value::Str(s) => text_eq_key(s, out),
     }
+}
+
+fn int_eq_key(n: i64, out: &mut Vec<u8>) {
+    let [a, b, c, d, e, f, g, h] = n.to_be_bytes();
+    out.extend_from_slice(&[2, a, b, c, d, e, f, g, h]);
+}
+
+fn double_eq_key(x: f64, out: &mut Vec<u8>) {
+    let x = if x == 0.0 { 0.0 } else { x };
+    let [a, b, c, d, e, f, g, h] = x.to_bits().to_be_bytes();
+    out.extend_from_slice(&[3, a, b, c, d, e, f, g, h]);
 }
 
 fn text_eq_key(s: &str, out: &mut Vec<u8>) {
@@ -120,8 +149,11 @@ impl RowAccessor for Row {
     fn width(&self) -> usize {
         self.0.len()
     }
-    fn eq_key(&self, i: u16, out: &mut Vec<u8>) {
-        value_eq_key(&self.0[i as usize], out);
+    fn field_ref(&self, i: u16) -> FieldRef<'_> {
+        match &self.0[i as usize] {
+            Value::Str(text) => FieldRef::Text(text),
+            v => FieldRef::Value(v.clone()),
+        }
     }
 }
 
@@ -319,11 +351,37 @@ pub(crate) fn write_patched(
     Ok(())
 }
 
-/// Decode all fields of an encoded record.
+/// The `N` bytes at `at` of a record whose fixed part holds them.
+pub(crate) fn load<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&bytes[at..at + N]);
+    out
+}
+
+/// Where the fixed part of a record laid out per `desc` ends; a record
+/// shorter than that is corrupt.
+fn fixed_part(desc: &RecordDescriptor, bytes: &[u8]) -> Result<usize, CodecError> {
+    let fixed_end = desc.bitmap_len() + desc.fixed_size();
+    if bytes.len() < fixed_end {
+        return Err(CodecError::Corrupt);
+    }
+    Ok(fixed_end)
+}
+
+fn is_null(bytes: &[u8], idx: usize) -> bool {
+    bytes[idx / 8] & (1 << (idx % 8)) != 0
+}
+
+/// Decode all fields of an encoded record: one pass over the layout, the
+/// fixed part checked once.
 pub fn decode_row(desc: &RecordDescriptor, bytes: &[u8]) -> Result<Row, CodecError> {
+    let fixed_end = fixed_part(desc, bytes)?;
     let mut out = Vec::with_capacity(desc.num_fields());
-    for i in 0..desc.num_fields() as u16 {
-        out.push(extract_field(desc, bytes, i)?);
+    for (idx, (f, slot)) in desc.slots().enumerate() {
+        out.push(match is_null(bytes, idx) {
+            true => Value::Null,
+            false => value_at(f.ty, bytes, slot, fixed_end)?,
+        });
     }
     Ok(Row(out))
 }
@@ -331,95 +389,116 @@ pub fn decode_row(desc: &RecordDescriptor, bytes: &[u8]) -> Result<Row, CodecErr
 /// Extract one field from encoded record bytes without decoding the rest.
 pub fn extract_field(desc: &RecordDescriptor, bytes: &[u8], i: u16) -> Result<Value, CodecError> {
     let idx = i as usize;
-    if idx >= desc.num_fields() || bytes.len() < desc.bitmap_len() + desc.fixed_size() {
-        return Err(CodecError::Corrupt);
-    }
-    if bytes[idx / 8] & (1 << (idx % 8)) != 0 {
+    let f = desc.fields.get(idx).ok_or(CodecError::Corrupt)?;
+    let fixed_end = fixed_part(desc, bytes)?;
+    if is_null(bytes, idx) {
         return Ok(Value::Null);
     }
+    value_at(f.ty, bytes, desc.slot_offset(i), fixed_end)
+}
+
+/// Field `i` as it is stored: `None` for NULL, else its slot — or, for a
+/// `VARCHAR`, its text. Two records that decode hold the same value of the
+/// field, bit for bit, exactly when these are equal (a `CHAR`'s padding is
+/// part of its slot, and `-0.0` is not `0.0`). Fails where
+/// [`extract_field`] fails, but for a `CHAR` that is not UTF-8.
+pub fn field_bytes<'a>(
+    desc: &RecordDescriptor,
+    bytes: &'a [u8],
+    i: u16,
+) -> Result<Option<&'a [u8]>, CodecError> {
+    let idx = i as usize;
+    let f = desc.fields.get(idx).ok_or(CodecError::Corrupt)?;
+    let fixed_end = fixed_part(desc, bytes)?;
+    if is_null(bytes, idx) {
+        return Ok(None);
+    }
     let slot = desc.slot_offset(i);
-    let f = &desc.fields[idx];
-    let take = |n: usize| -> Result<&[u8], CodecError> {
-        bytes.get(slot..slot + n).ok_or(CodecError::Corrupt)
-    };
-    Ok(match f.ty {
-        FieldType::SmallInt => Value::SmallInt(i16::from_be_bytes(take(2)?.try_into().unwrap())),
-        FieldType::Int => Value::Int(i32::from_be_bytes(take(4)?.try_into().unwrap())),
-        FieldType::LargeInt => Value::LargeInt(i64::from_be_bytes(take(8)?.try_into().unwrap())),
-        FieldType::Double => Value::Double(f64::from_be_bytes(take(8)?.try_into().unwrap())),
-        FieldType::Char(n) => {
-            let raw = take(n as usize)?;
-            let s = std::str::from_utf8(raw).map_err(|_| CodecError::Corrupt)?;
-            Value::Str(s.trim_end_matches(' ').to_string())
-        }
-        FieldType::Varchar(_) => {
-            let hdr = take(4)?;
-            let off = u16::from_be_bytes(hdr[0..2].try_into().unwrap()) as usize;
-            let len = u16::from_be_bytes(hdr[2..4].try_into().unwrap()) as usize;
-            let base = desc.bitmap_len() + desc.fixed_size();
-            let raw = bytes
-                .get(base + off..base + off + len)
-                .ok_or(CodecError::Corrupt)?;
-            let s = std::str::from_utf8(raw).map_err(|_| CodecError::Corrupt)?;
-            Value::Str(s.to_string())
+    Ok(Some(match f.ty {
+        FieldType::Varchar(_) => varchar_at(bytes, slot, fixed_end)?.as_bytes(),
+        ty => &bytes[slot..slot + ty.fixed_width()],
+    }))
+}
+
+/// The value of a field of type `ty` that is not NULL, its slot at `slot`
+/// of a record whose fixed part, ending at `fixed_end`, `bytes` holds.
+fn value_at(
+    ty: FieldType,
+    bytes: &[u8],
+    slot: usize,
+    fixed_end: usize,
+) -> Result<Value, CodecError> {
+    Ok(match ty {
+        FieldType::SmallInt => Value::SmallInt(i16::from_be_bytes(load(bytes, slot))),
+        FieldType::Int => Value::Int(i32::from_be_bytes(load(bytes, slot))),
+        FieldType::LargeInt => Value::LargeInt(i64::from_be_bytes(load(bytes, slot))),
+        FieldType::Double => Value::Double(f64::from_be_bytes(load(bytes, slot))),
+        FieldType::Char(n) => Value::Str(char_at(n, bytes, slot)?.to_owned()),
+        FieldType::Varchar(_) => Value::Str(varchar_at(bytes, slot, fixed_end)?.to_owned()),
+    })
+}
+
+/// [`value_at`] with the text borrowed from the record.
+fn field_at(
+    ty: FieldType,
+    bytes: &[u8],
+    slot: usize,
+    fixed_end: usize,
+) -> Result<FieldRef<'_>, CodecError> {
+    Ok(match ty {
+        FieldType::Char(n) => FieldRef::Text(char_at(n, bytes, slot)?),
+        FieldType::Varchar(_) => FieldRef::Text(varchar_at(bytes, slot, fixed_end)?),
+        FieldType::SmallInt | FieldType::Int | FieldType::LargeInt | FieldType::Double => {
+            FieldRef::Value(value_at(ty, bytes, slot, fixed_end)?)
         }
     })
 }
 
+/// The text of a `CHAR(n)` slot less its padding; it must be UTF-8. A space
+/// is no part of a longer UTF-8 sequence, so the slot is UTF-8 exactly when
+/// the text less its padding is.
+pub(crate) fn char_at(n: u16, bytes: &[u8], slot: usize) -> Result<&str, CodecError> {
+    let raw = &bytes[slot..slot + n as usize];
+    let text = &raw[..raw.iter().rposition(|&b| b != b' ').map_or(0, |i| i + 1)];
+    std::str::from_utf8(text).map_err(|_| CodecError::Corrupt)
+}
+
+/// The text a `VARCHAR` slot points to in the tail; it must lie inside the
+/// record and be UTF-8.
+fn varchar_at(bytes: &[u8], slot: usize, fixed_end: usize) -> Result<&str, CodecError> {
+    let [a, b, c, d] = load(bytes, slot);
+    let off = fixed_end + u16::from_be_bytes([a, b]) as usize;
+    let raw = bytes.get(off..off + u16::from_be_bytes([c, d]) as usize);
+    std::str::from_utf8(raw.ok_or(CodecError::Corrupt)?).map_err(|_| CodecError::Corrupt)
+}
+
 /// Check that every field of an encoded record decodes, allocating nothing:
 /// `Ok` exactly when [`decode_row`] would decode the record, else the error
-/// it would give.
+/// it would give. One pass, as `decode_row` makes.
 pub fn check_row(desc: &RecordDescriptor, bytes: &[u8]) -> Result<(), CodecError> {
-    (0..desc.num_fields() as u16).try_for_each(|i| field_text(desc, bytes, i).map(|_| ()))
-}
-
-/// The text of field `i` as it lies in the record — a `CHAR` less its
-/// padding — or `None` for NULL and for a number (whose slot, inside the
-/// fixed part, always decodes). Fails where [`extract_field`] fails; it is
-/// kept apart from it because `decode_row`, run through one reader shared
-/// with this, measured 5–7 % slower (2-core x86-64 VM).
-fn field_text<'a>(
-    desc: &RecordDescriptor,
-    bytes: &'a [u8],
-    i: u16,
-) -> Result<Option<&'a str>, CodecError> {
-    let idx = i as usize;
-    let fixed_end = desc.bitmap_len() + desc.fixed_size();
-    if idx >= desc.num_fields() || bytes.len() < fixed_end {
-        return Err(CodecError::Corrupt);
-    }
-    if bytes[idx / 8] & (1 << (idx % 8)) != 0 {
-        return Ok(None);
-    }
-    let slot = desc.slot_offset(i);
-    let raw = match desc.fields[idx].ty {
-        FieldType::Char(n) => bytes.get(slot..slot + n as usize),
-        FieldType::Varchar(_) => match bytes[slot..slot + 4] {
-            [a, b, c, d] => {
-                let off = fixed_end + u16::from_be_bytes([a, b]) as usize;
-                bytes.get(off..off + u16::from_be_bytes([c, d]) as usize)
+    let fixed_end = fixed_part(desc, bytes)?;
+    for (idx, (f, slot)) in desc.slots().enumerate() {
+        if !is_null(bytes, idx) {
+            match f.ty {
+                FieldType::Char(n) => _ = char_at(n, bytes, slot)?,
+                FieldType::Varchar(_) => _ = varchar_at(bytes, slot, fixed_end)?,
+                FieldType::SmallInt | FieldType::Int | FieldType::LargeInt | FieldType::Double => {}
             }
-            _ => None,
-        },
-        FieldType::SmallInt | FieldType::Int | FieldType::LargeInt | FieldType::Double => {
-            return Ok(None)
         }
-    };
-    let text = std::str::from_utf8(raw.ok_or(CodecError::Corrupt)?);
-    let text = text.map_err(|_| CodecError::Corrupt)?;
-    Ok(Some(match desc.fields[idx].ty {
-        FieldType::Char(_) => text.trim_end_matches(' '),
-        _ => text,
-    }))
+    }
+    Ok(())
 }
 
-/// What a projected field's fixed slot holds, for [`Projection`].
+/// How a projected field's fixed slot is copied, for [`Projection`].
 #[derive(Debug, Clone, Copy)]
 enum SlotKind {
-    /// A number: the slot is the value.
-    Number,
-    /// `CHAR(n)`: the padded slot is the value, which must be UTF-8.
-    Char,
+    /// A number of 2, 4 or 8 bytes: the slot is the value.
+    Number2,
+    Number4,
+    Number8,
+    /// `CHAR(n)` of the width: the padded slot is the value, which must be
+    /// UTF-8.
+    Char(usize),
     /// `VARCHAR`: the slot points into the tail, which is rebuilt.
     Varchar,
 }
@@ -428,12 +507,17 @@ enum SlotKind {
 /// and where it goes in the projected row.
 #[derive(Debug, Clone)]
 struct FieldCopy {
-    /// Field number in the stored record (its null bit).
-    source: usize,
+    /// The field's null bit in the stored record: its bitmap byte and bit.
+    null_byte: usize,
+    null_bit: u8,
     source_slot: usize,
     dest_slot: usize,
-    width: usize,
     kind: SlotKind,
+}
+
+/// Copy the `N`-byte slot at `from` of `record` to `to` of `out`.
+fn copy_slot<const N: usize>(record: &[u8], from: usize, out: &mut [u8], to: usize) {
+    out[to..to + N].copy_from_slice(&load::<N>(record, from));
 }
 
 /// A projection compiled against a record descriptor: the plan by which the
@@ -448,6 +532,8 @@ pub struct Projection {
     source_fixed_end: usize,
     /// Bitmap plus fixed part of a projected row; VARCHAR tails follow.
     dest_fixed_end: usize,
+    /// Does a projected field have a tail (so a row's length varies)?
+    varchar: bool,
     fields: Vec<FieldCopy>,
 }
 
@@ -461,26 +547,25 @@ impl Projection {
         let mut copies = Vec::with_capacity(fields.len());
         for &f in fields {
             let def = desc.fields.get(f as usize).ok_or(CodecError::Corrupt)?;
-            let width = def.ty.fixed_width();
             copies.push(FieldCopy {
-                source: f as usize,
+                null_byte: f as usize / 8,
+                null_bit: 1 << (f % 8),
                 source_slot: desc.slot_offset(f),
                 dest_slot,
-                width,
                 kind: match def.ty {
-                    FieldType::Char(_) => SlotKind::Char,
+                    FieldType::SmallInt => SlotKind::Number2,
+                    FieldType::Int => SlotKind::Number4,
+                    FieldType::LargeInt | FieldType::Double => SlotKind::Number8,
+                    FieldType::Char(n) => SlotKind::Char(n as usize),
                     FieldType::Varchar(_) => SlotKind::Varchar,
-                    FieldType::SmallInt
-                    | FieldType::Int
-                    | FieldType::LargeInt
-                    | FieldType::Double => SlotKind::Number,
                 },
             });
-            dest_slot += width;
+            dest_slot += def.ty.fixed_width();
         }
         Ok(Projection {
             source_fixed_end: desc.bitmap_len() + desc.fixed_size(),
             dest_fixed_end: dest_slot,
+            varchar: copies.iter().any(|f| matches!(f.kind, SlotKind::Varchar)),
             fields: copies,
         })
     }
@@ -490,13 +575,44 @@ impl Projection {
         self.fields.is_empty()
     }
 
+    /// The length of `record`'s projected row, for a record that holds its
+    /// fixed part: the fixed part, and the length of each `VARCHAR` text
+    /// that is not NULL (whether or not it lies inside the record).
+    fn row_len(&self, record: &[u8]) -> usize {
+        let mut len = self.dest_fixed_end;
+        if self.varchar && record.len() >= self.source_fixed_end {
+            for f in &self.fields {
+                if matches!(f.kind, SlotKind::Varchar) && record[f.null_byte] & f.null_bit == 0 {
+                    let [_, _, a, b] = load(record, f.source_slot);
+                    len += u16::from_be_bytes([a, b]) as usize;
+                }
+            }
+        }
+        len
+    }
+
     /// Append the projected row of `record` to `out`; on error `out` is left
-    /// as it was.
+    /// as it was. A buffer with room for the row is not grown.
     pub fn project_into(&self, record: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         let base = out.len();
         let done = self.copy_fields(record, out, base);
         if done.is_err() {
             out.truncate(base);
+        }
+        done
+    }
+
+    /// [`Projection::project_into`] behind the row's length as a 2-byte
+    /// big-endian prefix — a row as a reply's row block frames it — with
+    /// one reservation for both.
+    pub fn project_framed(&self, record: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+        let at = out.len();
+        let len = self.row_len(record);
+        out.reserve(2 + len);
+        out.extend_from_slice(&(len as u16).to_be_bytes());
+        let done = self.copy_fields(record, out, at + 2);
+        if done.is_err() {
+            out.truncate(at);
         }
         done
     }
@@ -508,30 +624,27 @@ impl Projection {
         // Bitmap and slots start zeroed, which is what a NULL's slot holds.
         out.resize(base + self.dest_fixed_end, 0);
         for (i, f) in self.fields.iter().enumerate() {
-            if record[f.source / 8] & (1 << (f.source % 8)) != 0 {
+            if record[f.null_byte] & f.null_bit != 0 {
                 out[base + i / 8] |= 1 << (i % 8);
                 continue;
             }
-            let slot = &record[f.source_slot..f.source_slot + f.width];
-            let dest = base + f.dest_slot;
+            let (from, to) = (f.source_slot, base + f.dest_slot);
             match f.kind {
-                SlotKind::Number => out[dest..dest + f.width].copy_from_slice(slot),
-                SlotKind::Char => {
+                SlotKind::Number2 => copy_slot::<2>(record, from, out, to),
+                SlotKind::Number4 => copy_slot::<4>(record, from, out, to),
+                SlotKind::Number8 => copy_slot::<8>(record, from, out, to),
+                SlotKind::Char(n) => {
+                    let slot = &record[from..from + n];
                     std::str::from_utf8(slot).map_err(|_| CodecError::Corrupt)?;
-                    out[dest..dest + f.width].copy_from_slice(slot);
+                    out[to..to + n].copy_from_slice(slot);
                 }
                 SlotKind::Varchar => {
-                    let off = u16::from_be_bytes([slot[0], slot[1]]) as usize;
-                    let len = u16::from_be_bytes([slot[2], slot[3]]);
-                    let start = self.source_fixed_end + off;
-                    let text = record
-                        .get(start..start + len as usize)
-                        .ok_or(CodecError::Corrupt)?;
-                    std::str::from_utf8(text).map_err(|_| CodecError::Corrupt)?;
+                    let text = varchar_at(record, from, self.source_fixed_end)?;
                     let tail = (out.len() - base - self.dest_fixed_end) as u16;
-                    out[dest..dest + 2].copy_from_slice(&tail.to_be_bytes());
-                    out[dest + 2..dest + 4].copy_from_slice(&len.to_be_bytes());
-                    out.extend_from_slice(text);
+                    let [a, b] = tail.to_be_bytes();
+                    let [c, d] = (text.len() as u16).to_be_bytes();
+                    out[to..to + 4].copy_from_slice(&[a, b, c, d]);
+                    out.extend_from_slice(text.as_bytes());
                 }
             }
         }
@@ -556,13 +669,52 @@ impl RowAccessor for RawRecord<'_> {
     fn width(&self) -> usize {
         self.desc.num_fields()
     }
-    /// Text is keyed where it lies in the record, and a number's value
-    /// holds nothing to allocate: nothing is allocated.
-    fn eq_key(&self, i: u16, out: &mut Vec<u8>) {
-        match field_text(self.desc, self.bytes, i) {
-            Ok(Some(text)) => text_eq_key(text, out),
-            _ => value_eq_key(&self.field(i), out),
+    /// Read where the field lies, text borrowed; a field that does not
+    /// decode reads as NULL, as it does to [`RowAccessor::field`].
+    fn field_ref(&self, i: u16) -> FieldRef<'_> {
+        match self.slot(i) {
+            Some((ty, slot, fixed_end)) => match field_at(ty, self.bytes, slot, fixed_end) {
+                Ok(field) => field,
+                Err(_) => FieldRef::Value(Value::Null),
+            },
+            None => FieldRef::Value(Value::Null),
         }
+    }
+    /// Keyed from the slot, nothing allocated; a field that does not decode
+    /// keys as NULL, as it reads.
+    fn eq_key(&self, i: u16, out: &mut Vec<u8>) {
+        let Some((ty, slot, fixed_end)) = self.slot(i) else {
+            return out.push(0);
+        };
+        let bytes = self.bytes;
+        match ty {
+            FieldType::SmallInt => int_eq_key(i16::from_be_bytes(load(bytes, slot)).into(), out),
+            FieldType::Int => int_eq_key(i32::from_be_bytes(load(bytes, slot)).into(), out),
+            FieldType::LargeInt => int_eq_key(i64::from_be_bytes(load(bytes, slot)), out),
+            FieldType::Double => double_eq_key(f64::from_be_bytes(load(bytes, slot)), out),
+            FieldType::Char(n) => match char_at(n, bytes, slot) {
+                Ok(text) => text_eq_key(text, out),
+                Err(_) => out.push(0),
+            },
+            FieldType::Varchar(_) => match varchar_at(bytes, slot, fixed_end) {
+                Ok(text) => text_eq_key(text, out),
+                Err(_) => out.push(0),
+            },
+        }
+    }
+}
+
+impl RawRecord<'_> {
+    /// Field `i`'s type, slot and the end of the fixed part, for a field
+    /// that is there: `None` for NULL, a field `desc` lacks and a record
+    /// too short for its fixed part.
+    fn slot(&self, i: u16) -> Option<(FieldType, usize, usize)> {
+        let f = self.desc.fields.get(i as usize)?;
+        let fixed_end = fixed_part(self.desc, self.bytes).ok()?;
+        if is_null(self.bytes, i as usize) {
+            return None;
+        }
+        Some((f.ty, self.desc.slot_offset(i), fixed_end))
     }
 }
 

@@ -171,6 +171,13 @@ impl RecordDescriptor {
         self.bitmap_len() + self.fixed_offsets[i as usize]
     }
 
+    /// Each field with the offset of its fixed slot from the start of the
+    /// record, in field order.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (&FieldDef, usize)> {
+        let bitmap = self.bitmap_len();
+        (self.fields.iter()).zip(self.fixed_offsets.iter().map(move |off| bitmap + off))
+    }
+
     /// Size of the fixed region (excluding bitmap and var tail).
     pub fn fixed_size(&self) -> usize {
         self.fixed_size

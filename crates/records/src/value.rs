@@ -81,6 +81,16 @@ impl Value {
         }
     }
 
+    /// Is `other` this value bit for bit: `==`, but a double compares by
+    /// its bits, so `-0.0` is not `0.0` and a NaN is itself. What decides
+    /// whether a stored value changed.
+    pub fn is_identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// Approximate size of this value on the wire, in bytes. Used for
     /// message-byte accounting.
     pub fn wire_size(&self) -> usize {

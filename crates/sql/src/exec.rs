@@ -22,10 +22,11 @@ use crate::sys::{SysSnapshot, SysTable};
 use nsql_dp::{ReadLock, SubsetMode};
 use nsql_fs::{FileSystem, FsError};
 use nsql_lock::TxnId;
-use nsql_records::{EvalError, Expr, KeyRange, RawRecord, Row, RowAccessor, Value};
+use nsql_records::{EvalError, Expr, FieldRef, KeyRange, RawRecord, Row, RowAccessor, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Mark, Micros, Sim};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Measured cost of one plan operator (the EXPLAIN ANALYZE row).
 ///
@@ -562,7 +563,7 @@ struct Aggregation<'p> {
     /// group's first row, and one running state per aggregate.
     groups: Vec<(Vec<Value>, Vec<Running>)>,
     /// Group by equality key of its grouping values.
-    by_key: HashMap<Vec<u8>, usize>,
+    by_key: HashMap<Vec<u8>, usize, BuildHasherDefault<KeyHasher>>,
     /// The key of the row at hand, built in one reused buffer.
     key: Vec<u8>,
     /// Rows folded, counting one whose evaluation failed.
@@ -576,7 +577,7 @@ impl<'p> Aggregation<'p> {
         Aggregation {
             plan,
             groups: Vec::new(),
-            by_key: HashMap::new(),
+            by_key: HashMap::default(),
             key: Vec::new(),
             folded: 0,
             error: None,
@@ -615,6 +616,16 @@ impl<'p> Aggregation<'p> {
         for ((func, arg), state) in plan.aggs.iter().zip(states) {
             let v = match arg {
                 None => Value::Int(1), // COUNT(*)
+                // What `Expr::eval` makes of a bare field, read directly;
+                // the MIN or MAX of text is compared where it lies.
+                Some(Expr::Field(f)) => match row.field_ref(*f) {
+                    FieldRef::Value(v) => v,
+                    FieldRef::Text(text) if matches!(func, AggFunc::Min | AggFunc::Max) => {
+                        state.add_text(*func, text);
+                        continue;
+                    }
+                    FieldRef::Text(text) => Value::Str(text.to_owned()),
+                },
                 Some(e) => e.eval(row)?,
             };
             state.add(*func, v)?;
@@ -647,6 +658,38 @@ impl<'p> Aggregation<'p> {
             Row(plan.output.iter().map(column).collect())
         });
         Ok(rows.collect())
+    }
+}
+
+/// The hasher of the group keys: a multiply-rotate over the key's 8-byte
+/// words. The keys come from the statement's own data and the groups keep
+/// first-seen order, so the hash needs neither a seed nor resistance to
+/// chosen keys; SipHash cost more than the rest of a row's fold.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut rest = bytes;
+        while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*word));
+            rest = tail;
+        }
+        self.add(rest.iter().fold(0, |word, &b| word << 8 | u64::from(b)));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -702,6 +745,29 @@ impl Running {
             }
         }
         Ok(())
+    }
+
+    /// [`Running::add`] of the text `text` to a `MIN` or `MAX`: a new
+    /// extreme is copied into the old one's string.
+    fn add_text(&mut self, func: AggFunc, text: &str) {
+        self.count += 1;
+        let wanted = if func == AggFunc::Min {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        };
+        match &mut self.extreme {
+            Some(Value::Str(best)) => {
+                if text.trim_end_matches(' ').cmp(best.trim_end_matches(' ')) == wanted {
+                    best.clear();
+                    best.push_str(text);
+                }
+            }
+            // Text does not order against a number (`sort_cmp` finds them
+            // equal).
+            Some(_) => {}
+            extreme @ None => *extreme = Some(Value::Str(text.to_owned())),
+        }
     }
 
     fn result(&self, func: AggFunc) -> Value {

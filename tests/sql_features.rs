@@ -217,3 +217,48 @@ fn empty_results_and_edge_predicates() {
     let r = s.query("SELECT K FROM T WHERE K = 1 OR K = 3").unwrap();
     assert_eq!(r.rows.len(), 2);
 }
+
+/// SQL finds `-0.0` equal to `0.0`, so as a key it is the key of `0.0`; a
+/// change of a zero's sign is still a change of the row, which the index
+/// holds too.
+#[test]
+fn negative_zero_keys_as_zero() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute("CREATE TABLE T (K INT NOT NULL, D DOUBLE NOT NULL, PRIMARY KEY (K))")
+        .unwrap();
+    s.execute("CREATE INDEX TD ON T (D)").unwrap();
+    s.execute("INSERT INTO T VALUES (1, 0.0)").unwrap();
+    s.execute("INSERT INTO T VALUES (2, 0.0 * -1.0)").unwrap();
+    let zeros = |s: &mut nonstop_sql::Session<'_>| {
+        let plan = s.query("EXPLAIN SELECT K, D FROM T WHERE D = 0").unwrap();
+        assert!(format!("{plan:?}").contains("index-only"), "{plan:?}");
+        let r = s.query("SELECT K, D FROM T WHERE D = 0").unwrap();
+        let mut rows: Vec<(Value, bool)> = (r.rows.iter())
+            .map(|row| match row.0[1] {
+                Value::Double(d) => (row.0[0].clone(), d.is_sign_negative()),
+                ref other => panic!("D is {other:?}"),
+            })
+            .collect();
+        rows.sort_by_key(|(k, _)| format!("{k}"));
+        rows
+    };
+    // Both zeros are found under the one key, each with its own sign.
+    assert_eq!(
+        zeros(&mut s),
+        [(Value::Int(1), false), (Value::Int(2), true)]
+    );
+    // Flipping a zero's sign changes the row, and so its index entry.
+    s.execute("UPDATE T SET D = D * -1.0 WHERE K = 1").unwrap();
+    assert_eq!(
+        zeros(&mut s),
+        [(Value::Int(1), true), (Value::Int(2), true)]
+    );
+
+    // As a primary key, the second zero is a duplicate.
+    s.execute("CREATE TABLE P (D DOUBLE NOT NULL, PRIMARY KEY (D))")
+        .unwrap();
+    s.execute("INSERT INTO P VALUES (0.0)").unwrap();
+    assert!(s.execute("INSERT INTO P VALUES (0.0 * -1.0)").is_err());
+    assert_eq!(s.query("SELECT D FROM P").unwrap().rows.len(), 1);
+}

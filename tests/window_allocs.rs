@@ -354,3 +354,44 @@ fn a_scan_touches_each_row_once() {
     });
     assert!(filter <= 3.0, "projected filter: {filter} per selected row");
 }
+
+/// The fold of a `GROUP BY`: after a group's first row, which decodes its
+/// grouping values and opens its running states, a row allocates nothing —
+/// its key, its bare-field arguments and the MIN and MAX of text are read
+/// where the row lies in the reply. With every row in one reply, twice the
+/// rows cost only the reply buffer's one more doubling.
+#[test]
+fn a_grouped_row_folds_without_allocating() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute(
+        "CREATE TABLE G (K INT NOT NULL, G INT NOT NULL, X INT NOT NULL, \
+         D DOUBLE NOT NULL, C CHAR(6) NOT NULL, PRIMARY KEY (K))",
+    )
+    .unwrap();
+    s.execute("BEGIN WORK").unwrap();
+    for k in 0..200 {
+        let (g, x, d, c) = (k % 4, (k * 7) % 13, f64::from(k) * 0.5, (k * 37) % 1000);
+        s.execute(&format!(
+            "INSERT INTO G VALUES ({k}, {g}, {x}, {d}, 'C{c:04}')"
+        ))
+        .unwrap();
+    }
+    s.execute("COMMIT WORK").unwrap();
+    let mut grouped = |rows: i32| {
+        let sql = format!(
+            "SELECT G, COUNT(*) AS N, SUM(X) AS S, AVG(D) AS A, MIN(X) AS LO, \
+             MAX(D) AS HI, MIN(C) AS CLO, MAX(C) AS CHI FROM G WHERE K < {rows} GROUP BY G"
+        );
+        let ((count, _), outcome) = allocs_during(|| s.execute(&sql).unwrap());
+        assert!(matches!(outcome, Outcome::Rows(r) if r.rows.len() == 4));
+        count
+    };
+    // The shape's first text is parsed into its template.
+    grouped(60);
+    let (few, many) = (grouped(60), grouped(120));
+    assert!(
+        many <= few + 2,
+        "60 rows folded: {few} allocations, 120 rows: {many}"
+    );
+}
