@@ -518,15 +518,15 @@ fn e5() -> Outcome<Vec<Table>> {
     };
     let (update, ()) = window(&db, || {
         in_txn(&s, |txn| {
-            let entries = s.fs().scan_index(
-                Some(txn),
-                idx,
-                &KeyRange::prefix(name),
-                None,
-                ReadLock::Shared,
-            )?;
-            let entry = entries.first().ok_or("E5: no index entry for E00123")?;
-            let base_key = idx.base_key_from_index_row(&of.desc, &entry.0);
+            let mut base_key = None;
+            let range = KeyRange::prefix(name);
+            s.fs()
+                .scan_index(Some(txn), idx, &range, None, ReadLock::Shared, |entry| {
+                    let entry = entry.checked()?;
+                    base_key.get_or_insert_with(|| idx.base_key_from_index_row(&of.desc, &entry));
+                    Ok(())
+                })?;
+            let base_key = base_key.ok_or("E5: no index entry for E00123")?;
             Ok(s.fs().update_by_key(txn, &of, &base_key, &raise, None)?)
         })
     })?;

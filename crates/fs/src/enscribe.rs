@@ -16,7 +16,7 @@
 //! requester before writing it (two messages), with full-record audit
 //! images.
 
-use crate::{bad_row, decode, unexpected, FileSystem, FsError, OpenFile};
+use crate::{bad_row, unexpected, FileSystem, FsError, OpenFile, ReplyRow};
 use nsql_dp::{AuditMode, DpReply, DpRequest, ReadLock};
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::row::encode_row;
@@ -112,7 +112,7 @@ impl FileSystem {
                 // De-blocking by the File System from its local block copy.
                 let buffer = &mut cur.buffer;
                 self.deblock(&rows, |bytes| {
-                    buffer.push_back(decode(&cur.of.desc, bytes)?);
+                    buffer.push_back(ReplyRow::new(&cur.of.desc, bytes).decode()?);
                     Ok(())
                 })?;
                 cur.after = last_key;
@@ -140,7 +140,7 @@ impl FileSystem {
                         cur.after = last_key;
                         let mut row = None;
                         self.deblock(&rows, |bytes| {
-                            row = Some(decode(&cur.of.desc, bytes)?);
+                            row = Some(ReplyRow::new(&cur.of.desc, bytes).decode()?);
                             Ok(())
                         })?;
                         return Ok(row);

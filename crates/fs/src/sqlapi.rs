@@ -8,12 +8,12 @@
 //! System re-drives with the last processed key until the range is
 //! exhausted.
 
-use crate::{bad_row, decode, unexpected, FileSystem, FsError, IndexChange, IndexInfo, OpenFile};
+use crate::{bad_row, unexpected, FileSystem, FsError, IndexChange, IndexInfo, OpenFile, ReplyRow};
 use nsql_dp::{DpError, DpReply, DpRequest, FileId, ReadLock, RowBlock, SubsetMode, SubsetOp};
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::key::{encode_record_key, encode_stored_key};
 use nsql_records::patch::assign;
-use nsql_records::row::{check_row, encode_row};
+use nsql_records::row::encode_row;
 use nsql_records::{Expr, KeyRange, OwnedBound, RecordDescriptor, Row, SetList, SliceRow, Value};
 use nsql_sim::{CpuLayer, EntityKind, Event};
 use std::collections::BTreeMap;
@@ -23,8 +23,6 @@ use std::collections::BTreeMap;
 pub struct ScanResult {
     /// Decoded rows (projected when a projection was pushed down).
     pub rows: Vec<Row>,
-    /// Records the Disk Processes examined on our behalf.
-    pub examined: u64,
 }
 
 impl FileSystem {
@@ -86,6 +84,21 @@ impl FileSystem {
         key: &[u8],
         lock: ReadLock,
     ) -> Result<Option<Row>, FsError> {
+        let record = self.read_record(txn, of, key, lock)?;
+        record
+            .map(|bytes| ReplyRow::new(&of.desc, &bytes).decode())
+            .transpose()
+    }
+
+    /// Point read by encoded key: the record's bytes as the reply carries
+    /// them.
+    fn read_record(
+        &self,
+        txn: Option<TxnId>,
+        of: &OpenFile,
+        key: &[u8],
+        lock: ReadLock,
+    ) -> Result<Option<Vec<u8>>, FsError> {
         let p = of.partition_for(key)?;
         let request = DpRequest::Read {
             txn,
@@ -97,7 +110,7 @@ impl FileSystem {
         match self.send(&p.process, request)? {
             DpReply::Record(Some(bytes)) => {
                 self.sim.cpu_work(CpuLayer::FileSystem, 1);
-                Ok(Some(decode(&of.desc, &bytes)?))
+                Ok(Some(bytes))
             }
             DpReply::Record(None) => Ok(None),
             other => Err(unexpected(verb, &other)),
@@ -190,7 +203,7 @@ impl FileSystem {
     /// and the operation `make_op` builds; the Disk Process bounds every
     /// execution, and NEXT re-drives it after the last key it processed
     /// until the range is exhausted. `chunk` is handed each reply's row block
-    /// and its examined and affected counts.
+    /// and its affected count.
     ///
     /// The Subset Control Block is volatile: it is lost when the process
     /// crashes and its backup takes over. A re-drive answered `BadSubset`
@@ -201,7 +214,7 @@ impl FileSystem {
         destinations: impl IntoIterator<Item = (&'a str, FileId, KeyRange)>,
         predicate: Option<&Expr>,
         make_op: &dyn Fn() -> SubsetOp,
-        mut chunk: impl FnMut(&RowBlock, u32, u32) -> Result<(), FsError>,
+        mut chunk: impl FnMut(&RowBlock, u32) -> Result<(), FsError>,
     ) -> Result<(), FsError> {
         for (process, file, range) in destinations {
             let first = |range, op| DpRequest::SubsetFirst {
@@ -236,13 +249,13 @@ impl FileSystem {
                     last_key,
                     done,
                     subset,
-                    examined,
                     affected,
+                    ..
                 } = reply
                 else {
                     return Err(unexpected(label, &reply));
                 };
-                chunk(&rows, examined, affected)?;
+                chunk(&rows, affected)?;
                 if done {
                     break;
                 }
@@ -264,58 +277,25 @@ impl FileSystem {
     }
 
     /// A read subset conversation with each of `destinations`: every reply
-    /// row is de-blocked and handed to `take` where it lands. Returns the
-    /// records the Disk Processes examined.
+    /// row, laid out per `desc`, is de-blocked and handed to `each` where
+    /// it lands.
     fn read_subset<'a>(
         &self,
         destinations: impl IntoIterator<Item = (&'a str, FileId, KeyRange)>,
         predicate: Option<&Expr>,
         op: &dyn Fn() -> SubsetOp,
-        mut take: impl FnMut(&[u8]) -> Result<(), FsError>,
-    ) -> Result<u64, FsError> {
-        let mut examined = 0;
-        self.drive_subset(destinations, predicate, op, |rows, n, _| {
-            examined += u64::from(n);
-            self.deblock(rows, &mut take)
-        })?;
-        Ok(examined)
-    }
-
-    /// The read subset conversation over a primary-key range: fans out
-    /// across partitions, re-driving each until exhausted, and hands `take`
-    /// each row of each (virtual) block with its layout, the table's
-    /// descriptor projected to `projection`.
-    #[allow(clippy::too_many_arguments)] // mirrors the GET^FIRST message's fields
-    fn read_range(
-        &self,
-        txn: Option<TxnId>,
-        of: &OpenFile,
-        range: &KeyRange,
-        predicate: Option<&Expr>,
-        projection: Option<&[u16]>,
-        mode: SubsetMode,
-        lock: ReadLock,
-        mut take: impl FnMut(&RecordDescriptor, &[u8]) -> Result<(), FsError>,
-    ) -> Result<u64, FsError> {
-        let projected = projection.map(|fields| of.desc.project(fields));
-        let row_desc = projected.as_ref().unwrap_or(&of.desc);
-        let op = || SubsetOp::Read {
-            txn,
-            projection: projection.map(<[u16]>::to_vec),
-            mode,
-            lock,
-        };
-        self.read_subset(partitions(of, range), predicate, &op, |bytes| {
-            take(row_desc, bytes)
+        desc: &RecordDescriptor,
+        mut each: impl FnMut(ReplyRow<'_>) -> Result<(), FsError>,
+    ) -> Result<(), FsError> {
+        self.drive_subset(destinations, predicate, op, |rows, _| {
+            self.deblock(rows, |bytes| each(ReplyRow::new(desc, bytes)))
         })
     }
 
     /// Set-oriented read over a primary-key range: fans out across
     /// partitions, re-driving each until exhausted, and hands each row of
-    /// each (virtual) block to `each` as the bytes the reply carries, laid
-    /// out per the table's descriptor projected to `projection`. A row that
-    /// does not decode fails the scan with [`FsError::BadRow`] before `each`
-    /// sees it. Returns the records the Disk Processes examined.
+    /// each (virtual) block to `each` as the reply carries it, laid out per
+    /// the table's descriptor projected to `projection`.
     #[allow(clippy::too_many_arguments)] // mirrors the GET^FIRST message's fields
     pub fn scan_with(
         &self,
@@ -326,17 +306,20 @@ impl FileSystem {
         projection: Option<&[u16]>,
         mode: SubsetMode,
         lock: ReadLock,
-        mut each: impl FnMut(&RecordDescriptor, &[u8]) -> Result<(), FsError>,
-    ) -> Result<u64, FsError> {
-        let checked = |desc: &RecordDescriptor, bytes: &[u8]| {
-            check_row(desc, bytes).map_err(bad_row)?;
-            each(desc, bytes)
+        each: impl FnMut(ReplyRow<'_>) -> Result<(), FsError>,
+    ) -> Result<(), FsError> {
+        let projected = projection.map(|fields| of.desc.project(fields));
+        let op = || SubsetOp::Read {
+            txn,
+            projection: projection.map(<[u16]>::to_vec),
+            mode,
+            lock,
         };
-        self.read_range(txn, of, range, predicate, projection, mode, lock, checked)
+        let desc = projected.as_ref().unwrap_or(&of.desc);
+        self.read_subset(partitions(of, range), predicate, &op, desc, each)
     }
 
-    /// [`FileSystem::scan_with`], decoding the rows (which refuses the rows
-    /// `scan_with` refuses).
+    /// [`FileSystem::scan_with`], decoding the rows.
     #[allow(clippy::too_many_arguments)] // mirrors the GET^FIRST message's fields
     pub fn scan(
         &self,
@@ -349,13 +332,12 @@ impl FileSystem {
         lock: ReadLock,
     ) -> Result<ScanResult, FsError> {
         let mut rows = Vec::new();
-        let decoded = |desc: &RecordDescriptor, bytes: &[u8]| {
-            rows.push(decode(desc, bytes)?);
+        let decoded = |row: ReplyRow| {
+            rows.push(row.decode()?);
             Ok(())
         };
-        let examined =
-            self.read_range(txn, of, range, predicate, projection, mode, lock, decoded)?;
-        Ok(ScanResult { rows, examined })
+        self.scan_with(txn, of, range, predicate, projection, mode, lock, decoded)?;
+        Ok(ScanResult { rows })
     }
 
     /// A set-oriented write pushed down to the Disk Processes of `range`;
@@ -368,7 +350,7 @@ impl FileSystem {
         op: &dyn Fn() -> SubsetOp,
     ) -> Result<u64, FsError> {
         let mut total = 0u64;
-        self.drive_subset(partitions(of, range), predicate, op, |_, _, affected| {
+        self.drive_subset(partitions(of, range), predicate, op, |_, affected| {
             total += affected as u64;
             Ok(())
         })?;
@@ -389,19 +371,11 @@ impl FileSystem {
     ) -> Result<u64, FsError> {
         let (mode, lock) = (SubsetMode::Vsbb, ReadLock::Shared);
         let mut keys = Vec::new();
-        self.scan_with(
-            Some(txn),
-            of,
-            range,
-            predicate,
-            None,
-            mode,
-            lock,
-            |desc, record| {
-                keys.push(encode_stored_key(desc, record).map_err(bad_row)?);
-                Ok(())
-            },
-        )?;
+        self.scan_with(Some(txn), of, range, predicate, None, mode, lock, |row| {
+            let record = row.checked()?;
+            keys.push(encode_stored_key(record.desc, record.bytes).map_err(bad_row)?);
+            Ok(())
+        })?;
         for key in &keys {
             change(key)?;
         }
@@ -456,9 +430,9 @@ impl FileSystem {
     // Access via secondary index (Figure 2)
     // ------------------------------------------------------------------
 
-    /// Scan a secondary index by index-key range. Returns decoded *index*
-    /// rows (indexed fields + base primary key) — enough for index-only
-    /// queries.
+    /// Scan a secondary index by index-key range, handing each *index* row
+    /// (indexed fields + base primary key, laid out per the index's
+    /// descriptor) to `each` — enough for index-only queries.
     pub fn scan_index(
         &self,
         txn: Option<TxnId>,
@@ -466,7 +440,8 @@ impl FileSystem {
         range: &KeyRange,
         predicate: Option<&Expr>,
         lock: ReadLock,
-    ) -> Result<Vec<Row>, FsError> {
+        each: impl FnMut(ReplyRow<'_>) -> Result<(), FsError>,
+    ) -> Result<(), FsError> {
         let op = || SubsetOp::Read {
             txn,
             projection: None,
@@ -474,18 +449,15 @@ impl FileSystem {
             lock,
         };
         let index = [(idx.process.as_str(), idx.file, range.clone())];
-        let mut out = Vec::new();
-        self.read_subset(index, predicate, &op, |bytes| {
-            out.push(decode(&idx.desc, bytes)?);
-            Ok(())
-        })?;
-        Ok(out)
+        self.read_subset(index, predicate, &op, &idx.desc, each)
     }
 
     /// Read base rows via a secondary index (Figure 2): first the index's
     /// Disk Process, which applies `index_predicate` (over the index row)
     /// to the entries of `index_range`, then the base partition's, per
-    /// qualifying entry.
+    /// qualifying entry, each base record handed to `each` as the reply
+    /// carries it.
+    #[allow(clippy::too_many_arguments)] // the index scan's fields, and where rows go
     pub fn read_via_index(
         &self,
         txn: Option<TxnId>,
@@ -494,16 +466,19 @@ impl FileSystem {
         index_range: &KeyRange,
         index_predicate: Option<&Expr>,
         lock: ReadLock,
-    ) -> Result<Vec<Row>, FsError> {
-        let entries = self.scan_index(txn, idx, index_range, index_predicate, lock)?;
-        let mut out = Vec::with_capacity(entries.len());
-        for irow in &entries {
-            let base_key = idx.base_key_from_index_row(&of.desc, &irow.0);
-            if let Some(row) = self.read_by_key(txn, of, &base_key, lock)? {
-                out.push(row);
+        mut each: impl FnMut(ReplyRow<'_>) -> Result<(), FsError>,
+    ) -> Result<(), FsError> {
+        let mut keys = Vec::new();
+        self.scan_index(txn, idx, index_range, index_predicate, lock, |entry| {
+            keys.push(idx.base_key_from_index_row(&of.desc, &entry.checked()?));
+            Ok(())
+        })?;
+        for key in &keys {
+            if let Some(record) = self.read_record(txn, of, key, lock)? {
+                each(ReplyRow::new(&of.desc, &record))?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 

@@ -12,6 +12,17 @@ use nsql_records::{CmpOp, Expr, FieldDef, FieldType, OwnedBound, SetList};
 use nsql_sim::TraceEventKind;
 use nsql_tmf::{CommitTimer, LsnSource, Trail, TxnManager, AUDIT_PROCESS};
 
+/// Every row of `idx` in `range`, decoded.
+fn index_rows(fs: &FileSystem, idx: &IndexInfo, range: &KeyRange) -> Vec<Row> {
+    let mut rows = Vec::new();
+    fs.scan_index(None, idx, range, None, ReadLock::None, |row| {
+        rows.push(row.decode()?);
+        Ok(())
+    })
+    .unwrap();
+    rows
+}
+
 struct World {
     sim: Sim,
     bus: Arc<Bus>,
@@ -226,9 +237,13 @@ fn figure_2_read_via_alternate_key() {
     let prefix = encode_key_prefix(&[(FieldType::Int, Value::Int(3))]);
     let range = KeyRange::prefix(prefix);
     let before = w.sim.metrics.snapshot();
-    let rows =
-        w.fs.read_via_index(None, &of, idx, &range, None, ReadLock::None)
-            .unwrap();
+    let mut rows = Vec::new();
+    let lock = ReadLock::None;
+    w.fs.read_via_index(None, &of, idx, &range, None, lock, |row| {
+        rows.push(row.decode()?);
+        Ok(())
+    })
+    .unwrap();
     assert_eq!(rows.len(), 10);
     for r in &rows {
         assert_eq!(r.0[2], Value::Int(3));
@@ -257,16 +272,12 @@ fn index_maintained_on_insert_update_delete() {
         .unwrap();
     w.txnmgr.commit(txn, w.client).unwrap();
 
-    let in_5 =
-        w.fs.scan_index(None, idx, &dept_range(5), None, ReadLock::None)
-            .unwrap();
+    let in_5 = index_rows(&w.fs, idx, &dept_range(5));
     assert!(
         in_5.iter().all(|r| r.0[1] != Value::Int(5)),
         "old index entry removed"
     );
-    let in_9 =
-        w.fs.scan_index(None, idx, &dept_range(9), None, ReadLock::None)
-            .unwrap();
+    let in_9 = index_rows(&w.fs, idx, &dept_range(9));
     assert!(
         in_9.iter().any(|r| r.0[1] == Value::Int(5)),
         "new entry added"
@@ -276,9 +287,7 @@ fn index_maintained_on_insert_update_delete() {
     let txn = w.txnmgr.begin();
     w.fs.delete_by_key(txn, &of, &emp_key(5)).unwrap();
     w.txnmgr.commit(txn, w.client).unwrap();
-    let in_9 =
-        w.fs.scan_index(None, idx, &dept_range(9), None, ReadLock::None)
-            .unwrap();
+    let in_9 = index_rows(&w.fs, idx, &dept_range(9));
     assert!(in_9.iter().all(|r| r.0[1] != Value::Int(5)));
 }
 
@@ -341,9 +350,7 @@ fn update_of_indexed_field_falls_back_to_maintenance() {
     // Every employee 0..=9 is now in DEPT 7 per the index.
     let idx = &of.indexes[0];
     let range = KeyRange::prefix(encode_key_prefix(&[(FieldType::Int, Value::Int(7))]));
-    let entries =
-        w.fs.scan_index(None, idx, &range, None, ReadLock::None)
-            .unwrap();
+    let entries = index_rows(&w.fs, idx, &range);
     // Originally EMPNO 7 and 17, 27 were in dept 7; after the update 0..=9
     // all are, and 7 stays: total = 10 + {17, 27} = 12.
     assert_eq!(entries.len(), 12);
@@ -473,9 +480,7 @@ fn blocked_inserter_batches_messages() {
     // Index entries exist too.
     let idx = &of.indexes[0];
     let range = KeyRange::prefix(encode_key_prefix(&[(FieldType::Int, Value::Int(3))]));
-    let entries =
-        w.fs.scan_index(None, idx, &range, None, ReadLock::None)
-            .unwrap();
+    let entries = index_rows(&w.fs, idx, &range);
     assert_eq!(entries.len(), 40);
 }
 
@@ -813,9 +818,7 @@ fn cursor_updater_batches_where_current() {
     // Index reflects the moves into DEPT 99.
     let idx = &of.indexes[0];
     let range = KeyRange::prefix(encode_key_prefix(&[(FieldType::Int, Value::Int(99))]));
-    let entries =
-        w.fs.scan_index(None, idx, &range, None, nsql_dp::ReadLock::None)
-            .unwrap();
+    let entries = index_rows(&w.fs, idx, &range);
     assert_eq!(entries.len(), 50);
 }
 

@@ -33,6 +33,6 @@ pub use expr::{ArithOp, CmpOp, EvalError, Expr, SetList};
 pub use key::{KeyRange, OwnedBound};
 pub use patch::{FieldChanges, Patch, PatchError};
 pub use predicate::{Kernel, Predicate, PredicateError};
-pub use row::{ConcatRow, FieldRef, Projection, RawRecord, Row, RowAccessor, SliceRow};
+pub use row::{FieldRef, Projection, RawRecord, Row, RowAccessor, SliceRow};
 pub use types::{FieldDef, FieldType, RecordDescriptor};
 pub use value::Value;

@@ -182,9 +182,6 @@ impl RowAccessor for Patched<'_> {
             None => self.old.field(i),
         }
     }
-    fn width(&self) -> usize {
-        self.old.width()
-    }
 }
 
 #[cfg(test)]

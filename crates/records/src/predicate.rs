@@ -485,9 +485,6 @@ fn interpret(e: &Expr, desc: &RecordDescriptor, record: &[u8]) -> Result<Value, 
                 Value::Null
             })
         }
-        fn width(&self) -> usize {
-            self.desc.num_fields()
-        }
     }
     let fields = Fields {
         desc,

@@ -7,8 +7,9 @@
 //!   checked once.
 //! * [`RawRecord`] — lazy field extraction straight from encoded record
 //!   bytes (decode only the fields actually touched): how
-//!   [`Expr::eval`](crate::Expr::eval) reads a stored record, and how a
-//!   `GROUP BY` keys a reply row and reads its text in place. The Disk
+//!   [`Expr::eval`](crate::Expr::eval) reads a stored record, and how the
+//!   executor reads a reply row in place — a `GROUP BY`'s key and text, a
+//!   residual over a whole record, the fetched fields of a kept one. The Disk
 //!   Process's pushed-down predicates go through a
 //!   [`Predicate`](crate::Predicate), which compares most fields undecoded.
 //! * [`Projection`] — a pushed-down projection compiled once per request,
@@ -68,8 +69,6 @@ pub trait RowAccessor {
     /// Value of field `i`. Out-of-range access is a logic error upstream and
     /// may panic.
     fn field(&self, i: u16) -> Value;
-    /// Number of accessible fields.
-    fn width(&self) -> usize;
     /// Append field `i`'s equality key to `out`: two fields' keys are
     /// equal exactly when [`Value::sql_cmp`] finds their values equal, with
     /// NULL equal to NULL (how `GROUP BY` groups). Integers of every width
@@ -146,23 +145,11 @@ impl RowAccessor for Row {
     fn field(&self, i: u16) -> Value {
         self.0[i as usize].clone()
     }
-    fn width(&self) -> usize {
-        self.0.len()
-    }
     fn field_ref(&self, i: u16) -> FieldRef<'_> {
         match &self.0[i as usize] {
             Value::Str(text) => FieldRef::Text(text),
             v => FieldRef::Value(v.clone()),
         }
-    }
-}
-
-impl RowAccessor for [Value] {
-    fn field(&self, i: u16) -> Value {
-        self[i as usize].clone()
-    }
-    fn width(&self) -> usize {
-        self.len()
     }
 }
 
@@ -172,32 +159,6 @@ pub struct SliceRow<'a>(pub &'a [Value]);
 impl RowAccessor for SliceRow<'_> {
     fn field(&self, i: u16) -> Value {
         self.0[i as usize].clone()
-    }
-    fn width(&self) -> usize {
-        self.0.len()
-    }
-}
-
-/// Two rows side by side (outer ++ inner), used by the executor for join
-/// predicate evaluation.
-pub struct ConcatRow<'a, A: ?Sized, B: ?Sized> {
-    /// Left (outer) row.
-    pub left: &'a A,
-    /// Right (inner) row.
-    pub right: &'a B,
-}
-
-impl<A: RowAccessor + ?Sized, B: RowAccessor + ?Sized> RowAccessor for ConcatRow<'_, A, B> {
-    fn field(&self, i: u16) -> Value {
-        let lw = self.left.width() as u16;
-        if i < lw {
-            self.left.field(i)
-        } else {
-            self.right.field(i - lw)
-        }
-    }
-    fn width(&self) -> usize {
-        self.left.width() + self.right.width()
     }
 }
 
@@ -666,9 +627,6 @@ impl RowAccessor for RawRecord<'_> {
     fn field(&self, i: u16) -> Value {
         extract_field(self.desc, self.bytes, i).unwrap_or(Value::Null)
     }
-    fn width(&self) -> usize {
-        self.desc.num_fields()
-    }
     /// Read where the field lies, text borrowed; a field that does not
     /// decode reads as NULL, as it does to [`RowAccessor::field`].
     fn field_ref(&self, i: u16) -> FieldRef<'_> {
@@ -829,19 +787,6 @@ mod tests {
         let mut vals = sample();
         vals[3] = Value::Str("x".repeat(21));
         assert!(encode_row(&d, &vals).is_err());
-    }
-
-    #[test]
-    fn concat_row_spans_both_sides() {
-        let left = Row(vec![Value::Int(1), Value::Int(2)]);
-        let right = Row(vec![Value::Int(3)]);
-        let c = ConcatRow {
-            left: &left,
-            right: &right,
-        };
-        assert_eq!(c.width(), 3);
-        assert_eq!(c.field(0), Value::Int(1));
-        assert_eq!(c.field(2), Value::Int(3));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! The executor decides nothing: the plan ([`crate::plan`]) settles each
 //! table's access path and transfer interface (RSBB, VSBB or
 //! record-at-a-time browse), its residual and the output shape, and the
-//! executor runs what it reads there.
+//! executor runs what it reads there. Whatever the path, one row source
+//! ([`Executor::feed`]) hands a table's rows to one consumer: the
+//! fetch-list rows a join or a plain SELECT builds, or the aggregation.
 
 use crate::ast::AggFunc;
 use crate::catalog::Catalog;
@@ -20,9 +22,9 @@ use crate::plan::{
 use crate::sort::{fastsort, sort_cmp};
 use crate::sys::{SysSnapshot, SysTable};
 use nsql_dp::{ReadLock, SubsetMode};
-use nsql_fs::{FileSystem, FsError};
+use nsql_fs::{FileSystem, FsError, ReplyRow};
 use nsql_lock::TxnId;
-use nsql_records::{EvalError, Expr, FieldRef, KeyRange, RawRecord, Row, RowAccessor, Value};
+use nsql_records::{EvalError, Expr, FieldRef, Row, RowAccessor, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Mark, Micros, Sim};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -217,7 +219,8 @@ impl Executor<'_> {
         // Fetch each table's contribution.
         let mut per_table: Vec<Vec<Row>> = Vec::with_capacity(plan.tables.len());
         for (i, t) in plan.tables.iter().enumerate() {
-            let rows = self.fetch_table(t, txn)?;
+            let mut rows = Vec::new();
+            self.feed(t, txn, &mut rows)?;
             let prefix = if i == 0 { "" } else { "NESTED-LOOP JOIN with " };
             let label = || format!("{prefix}{}", describe_access(t));
             self.close_op(ops, label, rows.len());
@@ -329,9 +332,9 @@ impl Executor<'_> {
         })
     }
 
-    /// Aggregate the rows `plan` reads into one row per group. A single
-    /// subset-scanned table is folded reply row by reply row; any other
-    /// plan is fetched (and joined) into rows first, and those are folded.
+    /// Aggregate the rows `plan` reads into one row per group. A one-table
+    /// plan's rows are folded as the row source hands them over; a join's
+    /// combined rows are built first, and those are folded.
     fn aggregate(
         &self,
         plan: &SelectPlan,
@@ -340,28 +343,16 @@ impl Executor<'_> {
         ops: &mut Option<(&mut Vec<OpStats>, Mark)>,
     ) -> Result<Vec<Row>, ExecError> {
         let mut aggregation = Aggregation::new(agg);
-        if let Some((t, range, pushdown, mode)) = folds_scan_replies(plan) {
-            // One table scanned by subset: each reply row is folded as
-            // the bytes it arrived as, and no row is built.
-            let mut rows = 0;
-            self.fs.scan_with(
-                txn,
-                &t.info.open,
-                range,
-                pushdown,
-                projection(t, mode),
-                mode,
-                read_lock(txn),
-                |desc, bytes| {
-                    rows += 1;
-                    aggregation.fold(&RawRecord { desc, bytes });
-                    Ok(())
-                },
-            )?;
-            self.close_op(ops, || describe_access(t), rows);
-        } else {
-            for row in &self.join(plan, txn, ops)? {
-                aggregation.fold(row);
+        match (plan.tables.as_slice(), &plan.join_filter) {
+            ([t], None) => {
+                self.feed(t, txn, &mut aggregation)?;
+                let folded = aggregation.folded as usize;
+                self.close_op(ops, || describe_access(t), folded);
+            }
+            _ => {
+                for row in &self.join(plan, txn, ops)? {
+                    aggregation.fold(row);
+                }
             }
         }
         // What the fold would have charged row by row, booked at once:
@@ -370,32 +361,69 @@ impl Executor<'_> {
         aggregation.finish()
     }
 
-    /// Fetch one table's rows per its access path, projected to
-    /// `fetch_fields` and filtered by the residual.
-    fn fetch_table(&self, t: &TableAccess, txn: Option<TxnId>) -> Result<Vec<Row>, ExecError> {
+    /// The one row source of a SELECT: every row `t`'s access path reads,
+    /// handed to `sink` in fetch-list numbering. A subset scan's reply rows
+    /// are laid out as the fetch list already; every other path reads
+    /// whole rows (index rows, for an index-only scan), and those pass the
+    /// residual here — read whole, in table field numbering, so a record it
+    /// rejects is never decoded — before `sink` takes their fetched
+    /// fields. After an evaluation error the residual admits no row but
+    /// the access drains; its units (`1 + eval_cost / 2` per row evaluated,
+    /// counting the one that failed) and the error come after, as when it
+    /// filtered fetched rows.
+    fn feed(
+        &self,
+        t: &TableAccess,
+        txn: Option<TxnId>,
+        sink: &mut impl Sink,
+    ) -> Result<(), ExecError> {
         let of = &t.info.open;
-        let lock = read_lock(txn);
-        let rows = match &t.access {
+        // A transaction's reads take shared locks; a bare read takes none.
+        let lock = match txn {
+            Some(_) => ReadLock::Shared,
+            None => ReadLock::None,
+        };
+        let (mut evaluated, mut error) = (0, None);
+        let mut offer = |row: &dyn RowAccessor, at: &[u16]| {
+            if let Some(residual) = &t.residual {
+                if error.is_some() {
+                    return;
+                }
+                evaluated += 1;
+                match residual.passes(row) {
+                    Ok(true) => {}
+                    Ok(false) => return,
+                    Err(e) => {
+                        error = Some(e);
+                        return;
+                    }
+                }
+            }
+            sink.take(row, at);
+        };
+        match &t.access {
             AccessPath::TableScan {
                 range,
                 pushdown,
                 mode,
             } => {
-                let projection = projection(t, *mode);
+                // RSBB sends whole records, VSBB the fetch list.
+                let projection = match mode {
+                    SubsetMode::Rsbb => None,
+                    SubsetMode::Vsbb => Some(&t.fetch_fields[..]),
+                };
+                let pushdown = pushdown.as_ref();
+                let reply = |row: ReplyRow| sink.take_reply(row);
                 self.fs
-                    .scan(txn, of, range, pushdown.as_ref(), projection, *mode, lock)?
-                    .rows
+                    .scan_with(txn, of, range, pushdown, projection, *mode, lock, reply)?;
             }
             AccessPath::Browse => {
-                // Record-at-a-time: read whole records, project + filter
-                // locally.
+                // Record-at-a-time: whole records, filtered here.
                 let mut cur = self.fs.ens_open(of, txn);
-                let mut rows = Vec::new();
                 while let Some(full) = self.fs.ens_read_next(&mut cur)? {
                     self.sim().cpu_work(CpuLayer::Executor, 1);
-                    rows.push(pick(&full.0, &t.fetch_fields));
+                    offer(&full, &t.fetch_fields);
                 }
-                rows
             }
             AccessPath::IndexScan {
                 index,
@@ -407,19 +435,17 @@ impl Executor<'_> {
                 let pushdown = index_pushdown.as_ref();
                 match index_only {
                     // Project directly out of index rows.
-                    Some(at) => self
-                        .fs
-                        .scan_index(txn, idx, range, pushdown, lock)?
-                        .iter()
-                        .map(|irow| pick(&irow.0, at))
-                        .collect(),
+                    Some(at) => self.fs.scan_index(txn, idx, range, pushdown, lock, |row| {
+                        offer(&row.checked()?, at);
+                        Ok(())
+                    })?,
                     // Figure 2: fetch each base record by primary key.
                     None => self
                         .fs
-                        .read_via_index(txn, of, idx, range, pushdown, lock)?
-                        .iter()
-                        .map(|full| pick(&full.0, &t.fetch_fields))
-                        .collect(),
+                        .read_via_index(txn, of, idx, range, pushdown, lock, |row| {
+                            offer(&row.checked()?, &t.fetch_fields);
+                            Ok(())
+                        })?,
                 }
             }
             AccessPath::SysScan { pushdown } => {
@@ -431,7 +457,6 @@ impl Executor<'_> {
                 };
                 let table = SysTable::from_name(&of.name)
                     .ok_or_else(|| ExecError::Eval(format!("unknown sys table {}", of.name)))?;
-                let mut rows = Vec::new();
                 for full in snap.rows(table) {
                     self.sim().cpu_work(CpuLayer::Executor, 1);
                     if let Some(p) = pushdown {
@@ -439,7 +464,7 @@ impl Executor<'_> {
                             continue;
                         }
                     }
-                    rows.push(pick(&full.0, &t.fetch_fields));
+                    offer(full, &t.fetch_fields);
                 }
                 // Charged after the snapshot was captured, so the bump is
                 // part of this statement's own cost (visible to the *next*
@@ -448,22 +473,13 @@ impl Executor<'_> {
                     .measure
                     .entity(EntityKind::Process, "$SYS")
                     .bump(Ctr::SysScans);
-                rows
             }
-        };
-        // Residual filter (browse / base-fetch index paths).
-        if let Some(r) = &t.residual {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                self.sim()
-                    .cpu_work(CpuLayer::Executor, 1 + r.eval_cost() / 2);
-                if r.passes(&row)? {
-                    kept.push(row);
-                }
-            }
-            return Ok(kept);
         }
-        Ok(rows)
+        if let Some(residual) = t.residual.as_ref().filter(|_| evaluated > 0) {
+            let units = evaluated * (1 + residual.eval_cost() / 2);
+            self.sim().cpu_work(CpuLayer::Executor, units);
+        }
+        error.map_or(Ok(()), |e| Err(e.into()))
     }
 
     // ------------------------------------------------------------------
@@ -511,52 +527,61 @@ impl Executor<'_> {
     }
 }
 
-/// The values at positions `at` of a fetched row, in that order.
-fn pick(values: &[Value], at: &[u16]) -> Row {
-    Row(at.iter().map(|&f| values[f as usize].clone()).collect())
+/// Where the row source puts a table's rows: the fetch-list rows a join or
+/// a plain SELECT builds, or the aggregation.
+trait Sink {
+    /// A reply row laid out as the fetch list.
+    fn take_reply(&mut self, row: ReplyRow) -> Result<(), FsError>;
+    /// A row whose fetched fields are fields `at` of `row`, in that order.
+    fn take(&mut self, row: &dyn RowAccessor, at: &[u16]);
 }
 
-/// A transaction's reads take shared locks; a bare read takes none.
-fn read_lock(txn: Option<TxnId>) -> ReadLock {
-    if txn.is_some() {
-        ReadLock::Shared
-    } else {
-        ReadLock::None
+/// Rows are built: a reply row decoded, and of any other row only its
+/// fetched fields read.
+impl Sink for Vec<Row> {
+    fn take_reply(&mut self, row: ReplyRow) -> Result<(), FsError> {
+        self.push(row.decode()?);
+        Ok(())
+    }
+    fn take(&mut self, row: &dyn RowAccessor, at: &[u16]) {
+        self.push(Row(at.iter().map(|&f| row.field(f)).collect()));
     }
 }
 
-/// The fields a subset scan of `t` in `mode` asks the Disk Process for:
-/// RSBB sends whole records, VSBB the fetch list.
-fn projection(t: &TableAccess, mode: SubsetMode) -> Option<&[u16]> {
-    match mode {
-        SubsetMode::Rsbb => None,
-        SubsetMode::Vsbb => Some(&t.fetch_fields),
+/// Rows are folded where they lie.
+impl Sink for Aggregation<'_> {
+    fn take_reply(&mut self, row: ReplyRow) -> Result<(), FsError> {
+        self.fold(&row.checked()?);
+        Ok(())
+    }
+    fn take(&mut self, row: &dyn RowAccessor, at: &[u16]) {
+        self.fold(&Fetched { row, at });
     }
 }
 
-/// The one table of an aggregate `plan` whose reply rows the aggregation
-/// can fold as they land, with its key range, pushed-down predicate and
-/// transfer mode: a subset scan that leaves the executor no filter to
-/// apply.
-fn folds_scan_replies(
-    plan: &SelectPlan,
-) -> Option<(&TableAccess, &KeyRange, Option<&Expr>, SubsetMode)> {
-    let ([t], None) = (plan.tables.as_slice(), &plan.join_filter) else {
-        return None;
-    };
-    match &t.access {
-        AccessPath::TableScan {
-            range,
-            pushdown,
-            mode,
-        } if t.residual.is_none() => Some((t, range, pushdown.as_ref(), *mode)),
-        _ => None,
+/// The fetch-list view of a row that holds more: field `i` is field
+/// `at[i]` of `row`.
+struct Fetched<'r> {
+    row: &'r dyn RowAccessor,
+    at: &'r [u16],
+}
+
+impl RowAccessor for Fetched<'_> {
+    fn field(&self, i: u16) -> Value {
+        self.row.field(self.at[i as usize])
+    }
+    fn eq_key(&self, i: u16, out: &mut Vec<u8>) {
+        self.row.eq_key(self.at[i as usize], out)
+    }
+    fn field_ref(&self, i: u16) -> FieldRef<'_> {
+        self.row.field_ref(self.at[i as usize])
     }
 }
 
 /// `GROUP BY` and the aggregate functions, fed one row at a time: the
-/// executor's one aggregation, whether a row is the bytes of a reply
-/// ([`RawRecord`]) or a joined, browsed, index-fetched or `sys.*` [`Row`].
+/// executor's one aggregation, whether a row is read where it lies (a
+/// reply's bytes, a whole record or index row, a browsed or `sys.*` row)
+/// or is a joined [`Row`].
 struct Aggregation<'p> {
     plan: &'p AggPlan,
     /// Groups in first-seen order: the grouping values, decoded at the

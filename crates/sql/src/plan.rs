@@ -124,9 +124,10 @@ pub struct TableAccess {
     /// Base-table fields fetched (in ascending order); the table's
     /// contribution to the combined row.
     pub fetch_fields: Vec<u16>,
-    /// Residual predicate over the fetched fields, evaluated by the
-    /// executor: the table's whole predicate on the paths that cannot push
-    /// it down (browse, and an index scan that fetches base rows).
+    /// Residual predicate over whole rows (table field numbering),
+    /// evaluated by the executor before it takes the fetched fields: the
+    /// table's whole predicate on the paths that cannot push it down
+    /// (browse, and an index scan that fetches base rows).
     pub residual: Option<Expr>,
 }
 
@@ -758,8 +759,8 @@ fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectP
         !group_fields.is_empty() || columns.iter().any(|c| matches!(c, BoundColumn::Agg(..)));
 
     // Fields each table must deliver: outputs + cross filters + order by +
-    // group by + aggregate arguments (residual fields are the access
-    // path's to add).
+    // group by + aggregate arguments (a residual reads whole rows, not
+    // these).
     let mut needed: Vec<u16> = Vec::new();
     for c in &columns {
         if let BoundColumn::Plain(e) | BoundColumn::Agg(_, Some(e)) = c {
@@ -900,9 +901,9 @@ fn projection(exprs: Vec<Expr>, width: u16) -> Projection {
 }
 
 /// Choose how to read `info` given its single-variable conjuncts `conj`
-/// and the fields `fetch` needed upstream: the access path, the fetch list
-/// (extended with the fields a residual reads, then settled) and the
-/// residual over it.
+/// and the fields `fetch` needed upstream: the access path, the settled
+/// fetch list and the residual, which reads whole rows in table field
+/// numbering.
 fn choose_access(
     info: Arc<TableInfo>,
     conj: Vec<Expr>,
@@ -910,19 +911,19 @@ fn choose_access(
     browse: bool,
 ) -> TableAccess {
     let desc = &info.open.desc;
+    settle(&mut fetch, desc);
     let mut residual = None;
     let access = if crate::sys::is_sys_name(&info.name) {
         // Virtual tables: the whole single-variable query evaluates over
         // the snapshot's full rows; nothing to route or push down to a
         // Disk Process.
-        settle(&mut fetch, desc);
         AccessPath::SysScan {
             pushdown: conjoin(conj),
         }
     } else if browse {
         // Record-at-a-time experiments read everything and filter at the
         // executor.
-        residual = filter_at_executor(conj, &mut fetch, desc);
+        residual = conjoin(conj);
         AccessPath::Browse
     } else {
         let pk_range = key_range_from(&conj, &desc.key_fields, |f| desc.fields[f as usize].ty);
@@ -951,17 +952,13 @@ fn choose_access(
                 let range = key_range_from(&conj, &idx.base_fields, |f| desc.fields[f as usize].ty);
                 // Index-only when the index answers the whole predicate
                 // and carries every fetched field: the executor projects
-                // the settled fetch list straight out of the index rows.
-                let mut settled = fetch.clone();
-                settle(&mut settled, desc);
-                let index_only: Option<Vec<u16>> = settled.iter().map(|&f| in_index(f)).collect();
+                // the fetch list straight out of the index rows.
+                let index_only: Option<Vec<u16>> = fetch.iter().map(|&f| in_index(f)).collect();
                 let index_only = index_only.filter(|_| index_pushable.len() == conj.len());
-                if index_only.is_some() {
-                    fetch = settled;
-                } else {
-                    // Base rows are fetched whole; the residual reads the
-                    // conjuncts' fields of them.
-                    residual = filter_at_executor(conj, &mut fetch, desc);
+                if index_only.is_none() {
+                    // Base rows are fetched whole, and the residual reads
+                    // them so.
+                    residual = conjoin(conj);
                 }
                 AccessPath::IndexScan {
                     index: ii,
@@ -971,7 +968,6 @@ fn choose_access(
                 }
             }
             None => {
-                settle(&mut fetch, desc);
                 let pushdown = conjoin(conj);
                 let mode = if pushdown.is_none() && fetch.len() == desc.num_fields() {
                     SubsetMode::Rsbb
@@ -1013,22 +1009,6 @@ fn best_index(info: &TableInfo, conj: &[Expr]) -> Option<usize> {
         }
     }
     best.map(|(ii, _)| ii)
-}
-
-/// `conj` as the filter the executor applies to fetched rows: the fields
-/// it reads join `fetch`, which is settled, and it reads each at its
-/// position there.
-fn filter_at_executor(
-    conj: Vec<Expr>,
-    fetch: &mut Vec<u16>,
-    desc: &RecordDescriptor,
-) -> Option<Expr> {
-    for c in &conj {
-        c.collect_fields(fetch);
-    }
-    settle(fetch, desc);
-    let at = |f: u16| fetch.partition_point(|&x| x < f) as u16;
-    conjoin(conj).map(|e| e.remap_fields(&at))
 }
 
 /// A fetch list as the executor receives it: ascending, without repeats,

@@ -6,7 +6,9 @@ use crate::cache::StatementCache;
 use crate::catalog::Catalog;
 use crate::exec::{ExecError, Executor, QueryResult};
 use crate::parser::{parse, template};
-use crate::plan::{plan, AccessPath, AggOutput, Plan, PlanError, Projection, SelectPlan, Shape};
+use crate::plan::{
+    describe, plan, AccessPath, AggOutput, Plan, PlanError, Projection, SelectPlan, Shape,
+};
 use nsql_disk::Disk;
 use nsql_dp::{DiskProcess, DpConfig, DpContext, SubsetMode};
 use nsql_fs::FileSystem;
@@ -429,14 +431,14 @@ fn the_plan_settles_transfer_residual_and_output_shape() {
     assert_eq!(rows(&p).1, Projection::Exprs(vec![Expr::Field(0); 2]));
     let p = select("SELECT EMPNO + 1 FROM EMP");
     assert!(matches!(rows(&p).1, Projection::Exprs(_)));
-    // Browse fetches what the residual reads, and the residual reads it
-    // at its place in the fetch list.
+    // Browse fetches only what is wanted upstream; the residual reads the
+    // whole record, by table field number.
     let p = select("SELECT SALARY FROM EMP WHERE DEPT = 3 FOR BROWSE RECORD ACCESS");
     let t = &p.tables[0];
     assert!(matches!(t.access, AccessPath::Browse));
-    assert_eq!(t.fetch_fields, vec![2, 3]);
-    assert_eq!(t.residual.as_ref().unwrap().to_string(), "F0 = 3");
-    assert_eq!(rows(&p), (0, Projection::Columns(vec![1])));
+    assert_eq!(t.fetch_fields, vec![3]);
+    assert_eq!(t.residual.as_ref().unwrap().to_string(), "F2 = 3");
+    assert_eq!(rows(&p), (0, Projection::Fetched));
     // Groups are sorted on output columns.
     let p = select("SELECT COUNT(*) AS N, DEPT FROM EMP GROUP BY DEPT ORDER BY DEPT DESC");
     let Shape::Groups { agg, order_by } = &p.shape else {
@@ -445,6 +447,31 @@ fn the_plan_settles_transfer_residual_and_output_shape() {
     assert_eq!(agg.output, vec![AggOutput::Agg(0), AggOutput::GroupCol(0)]);
     assert_eq!(order_by, &vec![(Expr::Field(1), true)]);
     assert_eq!(p.column_names, vec!["N", "DEPT"]);
+}
+
+/// One predicate names the same field in EXPLAIN whichever path applies
+/// it: pushed down to a scan, or as the residual of a browse or of an index
+/// scan that fetches base rows.
+#[test]
+fn explain_names_a_predicates_field_alike_on_every_path() {
+    let w = world();
+    setup_emp(&w, 10);
+    let explain = |sql: &str| describe(&plan(&w.catalog, parse(sql).unwrap()).unwrap());
+    let sql = "SELECT SALARY FROM EMP WHERE DEPT = 3";
+    let residual = "  residual filter at executor: F2 = 3";
+    let scan = explain(sql);
+    assert!(
+        scan[0].contains("; pushdown predicate: F2 = 3;"),
+        "{scan:?}"
+    );
+    let browse = explain(&format!("{sql} FOR BROWSE RECORD ACCESS"));
+    assert!(browse[0].contains("(BROWSE)"), "{browse:?}");
+    assert_eq!(browse[1], residual);
+    w.run("CREATE INDEX EMP_DEPT ON EMP (DEPT) ON '$IDX'")
+        .unwrap();
+    let fetch = explain(sql);
+    assert!(fetch[0].contains("fetch base rows"), "{fetch:?}");
+    assert_eq!(fetch[1], residual);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Randomised tests over the stack's core invariants, driven by a seeded
 //! RNG so every run checks the same cases.
 
+use nsql_fs::{FsError, ReplyRow};
 use nsql_records::key::{encode_key_value, encode_record_key, encode_stored_key};
 use nsql_records::row::{check_row, decode_row, encode_row, extract_field, patch_row, CodecError};
 use nsql_records::{
@@ -371,9 +372,10 @@ fn projection_plan_matches_extract_and_encode() {
 
 /// What the File System reads of a reply row in place agrees with decoding
 /// it: `check_row` refuses a damaged record exactly when `decode_row` does,
-/// with its error; a record's key taken from its key field is the key of its
-/// decoded values; and the equality key of each field read from the bytes
-/// is the key of the decoded value.
+/// with its error, and so do both doors of a `ReplyRow`; a record's key
+/// taken from its key field is the key of its decoded values; and the
+/// equality key of each field read from the bytes is the key of the decoded
+/// value.
 #[test]
 fn rows_read_in_place_agree_with_decoded_rows() {
     let mut rng = SimRng::seed_from(0x209);
@@ -393,6 +395,15 @@ fn rows_read_in_place_agree_with_decoded_rows() {
                 check_row(&d, &record),
                 decoded.as_ref().map(|_| ()).map_err(Clone::clone)
             );
+            let reply = || ReplyRow::new(&d, &record);
+            let as_fs = decoded.clone().map_err(|e| FsError::BadRow(e.to_string()));
+            // Printed, as a NaN is not equal to itself.
+            assert_eq!(format!("{:?}", reply().decode()), format!("{as_fs:?}"));
+            let refusal = as_fs.err();
+            match reply().checked() {
+                Ok(raw) => assert!(refusal.is_none() && raw.bytes == record),
+                Err(e) => assert_eq!(Some(e), refusal),
+            }
             let Ok(decoded) = decoded else {
                 refused += 1;
                 continue;
@@ -554,9 +565,6 @@ impl RowAccessor for FieldByField {
             self.read_an_undecodable.set(true);
             Value::Null
         })
-    }
-    fn width(&self) -> usize {
-        self.fields.len()
     }
 }
 
@@ -1023,9 +1031,20 @@ fn pushed_down_and_executor_evaluated_predicates_select_the_same_rows() {
 /// `MIN` / `MAX` queries with zero to two grouping columns, with and without
 /// a pushed-down predicate and an `ORDER BY` on the output, give the same
 /// rows or the same error.
+///
+/// Every access path feeds the one row source: each such query, bounded on
+/// `I` and often filtered on another column too, and random plain row
+/// queries (`ORDER BY K`, some computing an overflowing expression) give
+/// the same rows or the same error by subset scan, by browse and through a
+/// secondary index on `I` — index-only, or fetching base rows under a
+/// residual. Those tables hold the first table's rows but for `I`, which
+/// an index requires NOT NULL: its values are drawn anew and dealt out in
+/// ascending order along `K`, so that every path meets the rows in one
+/// order and answers that depend on it (a group's first-seen value, a
+/// floating-point sum, an overflow) agree too.
 #[test]
 fn folded_and_decoded_aggregation_agree() {
-    use nonstop_sql::ClusterBuilder;
+    use nonstop_sql::{ClusterBuilder, Session};
 
     let domains: [&[&str]; 6] = [
         &["-2", "0", "1", "2"],
@@ -1052,21 +1071,58 @@ fn folded_and_decoded_aggregation_agree() {
         "L IS NOT NULL",
         "S <> 1 OR V = 'a'",
     ];
+    // Each bounds the index on I.
+    let on_i = [
+        "I > 0",
+        "I >= -3000",
+        "I BETWEEN 0 AND 1000",
+        "I = 1000",
+        "I < 3000",
+    ];
+    let outputs = ["K", "S", "I", "L", "D", "C", "V", "I + 1", "L * 2", "D / S"];
+    let ddl = |i: &str| {
+        format!(
+            "(K INT NOT NULL, S SMALLINT, I INT{i}, L LARGEINT, D DOUBLE PRECISION, \
+             C CHAR(6), V VARCHAR(8), PRIMARY KEY (K)) \
+             PARTITION BY VALUES (40) ON ('$DATA1', '$DATA2')"
+        )
+    };
+    let run = |s: &mut Session, sql: &str| s.query(sql).map(|r| r.rows).map_err(|e| e.to_string());
+    // `sql` over U by subset scan and by browse, and over X through its
+    // index, with the plan X ran by; the one answer.
+    let three_ways = |s: &mut Session, sql: &str, plans: &mut [u32; 2]| {
+        let scanned = run(s, sql);
+        let browsed = run(s, &format!("{sql} FOR BROWSE RECORD ACCESS"));
+        assert_eq!(scanned, browsed, "{sql} FOR BROWSE RECORD ACCESS");
+        let indexed = sql.replace(" FROM U", " FROM X");
+        // A bounded `K` still makes a scan of it.
+        let plan = format!("{:?}", s.query(&format!("EXPLAIN {indexed}")).unwrap());
+        if plan.contains("index-only") {
+            plans[0] += 1;
+        } else if plan.contains("residual filter at executor") {
+            plans[1] += 1;
+        }
+        assert_eq!(scanned, run(s, &indexed), "{indexed}");
+        scanned
+    };
     let mut rng = SimRng::seed_from(0x29);
+    // The index's queries, drawn apart so the first table's are as before.
+    let mut rng2 = SimRng::seed_from(0x36);
     let (mut answered, mut failed) = (0, 0);
+    let (mut agreed, mut refused, mut plans) = (0, 0, [0; 2]);
     for _ in 0..4 {
         let db = ClusterBuilder::new()
             .volume("$DATA1", 0, 1)
             .volume("$DATA2", 0, 2)
             .build();
         let mut s = db.session();
-        s.execute(
-            "CREATE TABLE T (K INT NOT NULL, S SMALLINT, I INT, L LARGEINT, \
-             D DOUBLE PRECISION, C CHAR(6), V VARCHAR(8), PRIMARY KEY (K)) \
-             PARTITION BY VALUES (40) ON ('$DATA1', '$DATA2')",
-        )
-        .unwrap();
+        for (table, i) in [("T", ""), ("U", " NOT NULL"), ("X", " NOT NULL")] {
+            s.execute(&format!("CREATE TABLE {table} {}", ddl(i)))
+                .unwrap();
+        }
+        s.execute("CREATE INDEX XI ON X (I)").unwrap();
         s.execute("BEGIN WORK").unwrap();
+        let mut rows = Vec::new();
         for k in 0..80 {
             let values = domains.map(|domain| match rng.below(5) {
                 0 => "NULL",
@@ -1079,6 +1135,19 @@ fn folded_and_decoded_aggregation_agree() {
                 values.join(", ")
             ))
             .unwrap();
+            rows.push(values);
+        }
+        let mut is: Vec<&str> = (0..80)
+            .map(|_| domains[1][rng2.below(4) as usize])
+            .collect();
+        is.sort_by_key(|i| i.parse::<i32>().unwrap());
+        for (k, (mut values, i)) in rows.into_iter().zip(is).enumerate() {
+            values[1] = i;
+            for table in ["U", "X"] {
+                let values = values.join(", ");
+                s.execute(&format!("INSERT INTO {table} VALUES ({k}, {values})"))
+                    .unwrap();
+            }
         }
         s.execute("COMMIT WORK").unwrap();
 
@@ -1107,32 +1176,74 @@ fn folded_and_decoded_aggregation_agree() {
                 items.push(format!("{func}({arg}) AS {name}"));
                 names.push(name);
             }
-            let mut sql = format!("SELECT {} FROM T", items.join(", "));
-            if rng.chance(0.5) {
-                sql += &format!(" WHERE {}", predicates[rng.below(6) as usize]);
-            }
+            let predicate = rng.chance(0.5).then(|| predicates[rng.below(6) as usize]);
+            let mut tail = String::new();
             if !groups.is_empty() {
-                sql += &format!(" GROUP BY {}", groups.join(", "));
+                tail += &format!(" GROUP BY {}", groups.join(", "));
             }
             if rng.chance(0.5) {
                 let name = names[rng.below(names.len() as u64) as usize];
                 let desc = if rng.chance(0.5) { " DESC" } else { "" };
-                sql += &format!(" ORDER BY {name}{desc}");
+                tail += &format!(" ORDER BY {name}{desc}");
             }
-            let folded = s.query(&sql).map(|r| r.rows).map_err(|e| e.to_string());
-            let decoded = s
-                .query(&format!("{sql} FOR BROWSE RECORD ACCESS"))
-                .map(|r| r.rows)
-                .map_err(|e| e.to_string());
+            let items = items.join(", ");
+            let filter = predicate.map_or(String::new(), |p| format!(" WHERE {p}"));
+            let sql = format!("SELECT {items} FROM T{filter}{tail}");
+            let folded = run(&mut s, &sql);
+            let decoded = run(&mut s, &format!("{sql} FOR BROWSE RECORD ACCESS"));
             assert_eq!(folded, decoded, "{sql}");
             match folded {
                 Ok(_) => answered += 1,
                 Err(_) => failed += 1,
             }
+
+            let mut filter = format!(" WHERE {}", on_i[rng2.below(5) as usize]);
+            if let Some(p) = predicate.filter(|_| rng2.chance(0.5)) {
+                filter += &format!(" AND ({p})");
+            }
+            let sql = format!("SELECT {items} FROM U{filter}{tail}");
+            match three_ways(&mut s, &sql, &mut plans) {
+                Ok(_) => agreed += 1,
+                Err(_) => refused += 1,
+            }
+        }
+
+        // Plain rows, in key order: an output list of stored columns and
+        // expressions, or only what the index row carries.
+        for _ in 0..30 {
+            let carried = rng2.chance(0.3);
+            let mut items: Vec<&str> = Vec::new();
+            for _ in 0..1 + rng2.below(4) {
+                let item = match carried {
+                    true => outputs[2 * rng2.below(2) as usize],
+                    false => outputs[rng2.below(outputs.len() as u64) as usize],
+                };
+                if !items.contains(&item) {
+                    items.push(item);
+                }
+            }
+            let mut filter = format!(" WHERE {}", on_i[rng2.below(5) as usize]);
+            if !carried && rng2.chance(0.6) {
+                filter += &format!(" AND ({})", predicates[rng2.below(6) as usize]);
+            }
+            let sql = format!("SELECT {} FROM U{filter} ORDER BY K", items.join(", "));
+            match three_ways(&mut s, &sql, &mut plans) {
+                Ok(_) => agreed += 1,
+                Err(_) => refused += 1,
+            }
         }
     }
     assert!(answered > 100, "{answered} queries answered");
     assert!(failed > 5, "{failed} queries failed");
+    assert!(
+        agreed > 150 && refused > 40,
+        "{agreed} agreed, {refused} refused"
+    );
+    let [index_only, base_fetch] = plans;
+    assert!(
+        index_only > 30 && base_fetch > 150,
+        "{index_only} index-only, {base_fetch} base fetches"
+    );
 }
 
 /// End-to-end: a batch of random rows inserted through SQL is exactly what
@@ -1706,11 +1817,13 @@ mod index_consistency {
     fn check_indexes(s: &Session, of: &OpenFile, base: &[Vec<Value>], context: &str) {
         for (idx, field) in of.indexes.iter().zip([1usize, 2]) {
             let all = KeyRange::all();
-            let stored = s
-                .fs()
-                .scan_index(None, idx, &all, None, ReadLock::None)
+            let mut stored: Vec<Vec<Value>> = Vec::new();
+            s.fs()
+                .scan_index(None, idx, &all, None, ReadLock::None, |row| {
+                    stored.push(row.decode()?.0);
+                    Ok(())
+                })
                 .unwrap();
-            let stored: Vec<Vec<Value>> = stored.into_iter().map(|r| r.0).collect();
             let mut derived: Vec<Vec<Value>> = base
                 .iter()
                 .map(|r| vec![r[field].clone(), r[0].clone()])

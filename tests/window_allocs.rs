@@ -14,10 +14,13 @@
 //! has a ceiling.
 //!
 //! "A scan touches each row once": the Disk Process copies a selected row's
-//! fields from the leaf into the reply's one buffer, the File System decodes
-//! it once, and the executor moves it — or, grouping, folds the reply's
-//! bytes and builds no row at all — so the per-row allocation count of the
-//! `scan_select` statements has a ceiling too.
+//! fields from the leaf into the reply's one buffer, and the executor's one
+//! row source hands it on once — decoded into the row it moves to the
+//! output, or, grouping, folded where it lies with no row built at all.
+//! A whole record that a residual reads (an index base fetch) is checked
+//! and read in place, and decoded only as far as a kept row's fetched
+//! fields. So the per-row allocation count of the `scan_select` statements
+//! and of an index base fetch has a ceiling too.
 //!
 //! "Off builds nothing": spans, events and messages borrow their labels and
 //! build owned strings only inside the trace recorder's enabled branch, and
@@ -353,6 +356,43 @@ fn a_scan_touches_each_row_once() {
         statement(sql, hi - lo + 1)
     });
     assert!(filter <= 3.0, "projected filter: {filter} per selected row");
+}
+
+/// An index base fetch reads each base record whole, and its residual
+/// reads the record where it lies in the reply: a record the residual
+/// rejects is checked, never decoded, and only a kept one's fetched fields
+/// are.
+#[test]
+fn a_rejected_record_is_never_decoded() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute(
+        "CREATE TABLE T (K INT NOT NULL, V INT NOT NULL, X INT NOT NULL, \
+         A CHAR(20) NOT NULL, B CHAR(20) NOT NULL, PRIMARY KEY (K))",
+    )
+    .unwrap();
+    s.execute("CREATE INDEX TV ON T (V)").unwrap();
+    s.execute("BEGIN WORK").unwrap();
+    for k in 0..4000 {
+        s.execute(&format!(
+            "INSERT INTO T VALUES ({k}, {k}, {}, 'A{k}', 'B{k}')",
+            k % 10
+        ))
+        .unwrap();
+    }
+    s.execute("COMMIT WORK").unwrap();
+
+    // Per index entry: its base key and its base record's read, one
+    // message each; nine in ten records fail `X = 0`. Was 13.1 when every
+    // base record was decoded whole (a vector and two strings) and its
+    // fetched fields cloned out before the residual ran; now 7.23.
+    let fetched = per_row(|lo, hi| {
+        let sql = format!("SELECT K, A FROM T WHERE V BETWEEN {lo} AND {hi} AND X = 0");
+        let ((count, _), outcome) = allocs_during(|| s.execute(&sql).unwrap());
+        assert!(matches!(outcome, Outcome::Rows(r) if r.rows.len() as i32 == (hi - lo + 1) / 10));
+        count
+    });
+    assert!(fetched <= 7.3, "index base fetch: {fetched} per entry");
 }
 
 /// The fold of a `GROUP BY`: after a group's first row, which decodes its
