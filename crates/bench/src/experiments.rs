@@ -86,6 +86,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     paper("e20", e20, &["e20"]),
     paper("e21", e21, &["e21"]),
     paper("e22", e22, &["e22", "e22cdf"]),
+    paper("e23", e23, &["e23"]),
     by_name("chaos", crate::chaos::chaos),
     by_name("load", load),
 ];
@@ -1993,6 +1994,106 @@ fn e22() -> Outcome<Vec<Table>> {
          curve, not just the tail.",
     );
     Ok(vec![series, cdf])
+}
+
+// ----------------------------------------------------------------------
+// E23 — aggregation at the source
+// ----------------------------------------------------------------------
+
+/// A `GROUP BY` folded at the Disk Process, whose requests reply with the
+/// partial groups of what they select, against the plain `SELECT` of the
+/// same fields — the rows an executor-side fold reads — over selectivity ×
+/// group count on a cold 10,000-row Wisconsin table. The same aggregate
+/// over `UNIQUE2 + 0`, which the Disk Process does not fold, reads those
+/// rows and folds them in the executor: its elapsed time is the third.
+fn e23() -> Outcome<Vec<Table>> {
+    const ROWS: u32 = 10_000;
+    let db = ClusterBuilder::new().volume("$DATA1", 0, 1).build();
+    Wisconsin::create(&db, "WISC", ROWS, &["$DATA1"], 23)?;
+    let mut s = db.session();
+    // The load's blocks reach the disk before anything is measured.
+    cold_caches(&db)?;
+    s.query("SELECT COUNT(*) FROM WISC")?;
+    struct Cell {
+        query: String,
+        groups: usize,
+        rows: usize,
+        pushed: Window,
+        plain: Window,
+        executor: Window,
+    }
+    let selections = [("1%", ROWS / 100), ("10%", ROWS / 10), ("100%", ROWS)];
+    let groupings = [None, Some("TEN"), Some("HUNDRED"), Some("THOUSAND")];
+    let mut cells = Vec::new();
+    for (selected, below) in selections {
+        for column in groupings {
+            let (field, tail) = match column {
+                Some(c) => (format!("{c}, "), format!(" GROUP BY {c}")),
+                None => (String::new(), String::new()),
+            };
+            let filter = format!("FROM WISC WHERE UNIQUE1 < {below}");
+            let folded = format!("SELECT {field}COUNT(*), MIN(UNIQUE2) {filter}{tail}");
+            let plain = format!("SELECT {field}UNIQUE2 {filter}");
+            let by_executor = folded.replace("MIN(UNIQUE2)", "MIN(UNIQUE2 + 0)");
+            for (sql, at_dp) in [(&folded, true), (&by_executor, false)] {
+                let plan = format!("{:?}", s.query(&format!("EXPLAIN {sql}"))?.rows);
+                ensure!(plan.contains("AGGREGATE at DP") == at_dp, "{sql}: {plan}");
+            }
+            cold_caches(&db)?;
+            let (pushed, groups) = window(&db, || Ok(s.query(&folded)?.rows))?;
+            cold_caches(&db)?;
+            let (plain, rows) = window(&db, || Ok(s.query(&plain)?.rows.len()))?;
+            cold_caches(&db)?;
+            let (executor, same) = window(&db, || Ok(s.query(&by_executor)?.rows))?;
+            // The counts agree (the expression's minimum is another type).
+            let counts = |rows: &[nsql_records::Row]| -> Vec<Value> {
+                rows.iter().map(|r| r.0[r.0.len() - 2].clone()).collect()
+            };
+            ensure!(
+                counts(&same) == counts(&groups),
+                "{by_executor} answers otherwise"
+            );
+            let groups = groups.len();
+            cells.push(Cell {
+                query: format!("{selected} by {}", column.unwrap_or("nothing")),
+                groups,
+                rows,
+                pushed,
+                plain,
+                executor,
+            });
+        }
+    }
+    let msgs = |w: &Window| w.metrics.msgs_fs_dp.to_string();
+    let bytes = |w: &Window| w.metrics.msg_bytes_total.to_string();
+    let mut t = Table::measured(
+        "E23 — GROUP BY folded at the Disk Process vs the rows an executor fold reads (10000-row Wisconsin)",
+        &cells,
+        &[
+            ("selected, grouped", &|c| c.query.clone()),
+            ("groups", &|c| c.groups.to_string()),
+            ("rows", &|c| c.rows.to_string()),
+            ("msgs (folded)", &|c| msgs(&c.pushed)),
+            ("msgs (rows)", &|c| msgs(&c.plain)),
+            ("bytes (folded)", &|c| bytes(&c.pushed)),
+            ("bytes (rows)", &|c| bytes(&c.plain)),
+            ("elapsed (folded)", &|c| ms(c.pushed.elapsed_us)),
+            ("elapsed (rows)", &|c| ms(c.plain.elapsed_us)),
+            ("elapsed (executor fold)", &|c| ms(c.executor.elapsed_us)),
+        ],
+    );
+    t.note(
+        "Each Disk Process request folds the records it selects and replies with one partial \
+         row per group: bytes follow groups × requests, not rows, and the messages are the \
+         scan's own — a request still ends at the record budget, or when its partial groups \
+         fill the reply, as a thousand groups do here. The fold's CPU moves to the Disk \
+         Process, one unit per record and aggregate, as the executor would book it, and each \
+         partial row costs the File System and the executor one unit each: against the same \
+         aggregate folded by the executor, the elapsed time falls where a request's records \
+         share groups, and rises where nearly every record is a group of its own (THOUSAND), \
+         whose partial rows outweigh the rows.",
+    );
+    Ok(vec![t])
 }
 
 #[cfg(test)]

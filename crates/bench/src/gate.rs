@@ -592,7 +592,7 @@ mod tests {
             .map(|d| format!("[{}] {}", d.record, d.what))
             .collect();
         assert!(diffs.is_empty(), "EXPERIMENTS.md vs baseline: {diffs:#?}");
-        assert_eq!(tables, 11, "table records in BENCH_baseline.json");
+        assert_eq!(tables, 12, "table records in BENCH_baseline.json");
         assert!(compared > 500, "only {compared} cells compared");
     }
 }

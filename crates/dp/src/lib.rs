@@ -39,10 +39,13 @@ use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, LockScope, TxnId};
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
-use nsql_records::row::{check_row, extract_field, field_bytes, patch_row, CodecError};
+use nsql_records::fold::{partial_layout, partial_row_max, Groups};
+use nsql_records::row::{
+    check_field, check_row, extract_field, field_bytes, patch_row, CodecError,
+};
 use nsql_records::{
-    Expr, KeyRange, OwnedBound, Patch, PatchError, Predicate, PredicateError, Projection,
-    RecordDescriptor, SetList,
+    AggFunc, Aggregation, Expr, FieldType, KeyRange, OwnedBound, Patch, PatchError, Predicate,
+    PredicateError, Projection, RawRecord, RecordDescriptor, SetList,
 };
 use nsql_sim::sync::Mutex;
 use nsql_sim::{
@@ -152,6 +155,19 @@ enum Work {
     Delete {
         txn: TxnId,
     },
+    /// Fold them into partial groups, laid out per `layout`.
+    Aggregate {
+        txn: Option<TxnId>,
+        lock: ReadLock,
+        group_by: Vec<u16>,
+        /// Each aggregate over its bare field, as the fold reads it.
+        aggs: Vec<(AggFunc, Option<Expr>)>,
+        /// The text fields the fold reads: each must decode.
+        text: Vec<u16>,
+        layout: RecordDescriptor,
+        /// The longest partial row, by which the groups fill a reply.
+        row_max: usize,
+    },
 }
 
 impl Work {
@@ -185,13 +201,44 @@ impl Work {
                 patch: compile_patch(desc, sets, constraint)?,
             },
             SubsetOp::Delete { txn } => Work::Delete { txn },
+            SubsetOp::Aggregate {
+                txn,
+                lock,
+                group_by,
+                aggs,
+            } => {
+                let refused = || DpError::BadRecord("aggregate not foldable here".into());
+                let layout = partial_layout(desc, &group_by, &aggs).ok_or_else(refused)?;
+                let read = group_by
+                    .iter()
+                    .chain(aggs.iter().filter_map(|(_, f)| f.as_ref()));
+                let is_text = |f: &&u16| {
+                    let ty = desc.fields[**f as usize].ty;
+                    matches!(ty, FieldType::Char(_) | FieldType::Varchar(_))
+                };
+                let mut text: Vec<u16> = read.filter(is_text).copied().collect();
+                text.sort_unstable();
+                text.dedup();
+                Work::Aggregate {
+                    txn,
+                    lock,
+                    group_by,
+                    aggs: aggs
+                        .into_iter()
+                        .map(|(f, a)| (f, a.map(Expr::Field)))
+                        .collect(),
+                    text,
+                    row_max: partial_row_max(&layout),
+                    layout,
+                }
+            }
         })
     }
 
     /// The transaction the operation runs in (a browse read has none).
     fn txn(&self) -> Option<TxnId> {
         match self {
-            Work::Read { txn, .. } => *txn,
+            Work::Read { txn, .. } | Work::Aggregate { txn, .. } => *txn,
             Work::Update { txn, .. } | Work::Delete { txn } => Some(*txn),
         }
     }
@@ -202,6 +249,7 @@ impl Work {
             Work::Read { .. } => SubsetVerb::Get,
             Work::Update { .. } => SubsetVerb::Update,
             Work::Delete { .. } => SubsetVerb::Delete,
+            Work::Aggregate { .. } => SubsetVerb::Aggregate,
         }
     }
 }
@@ -248,6 +296,10 @@ pub struct DiskProcess {
     scb_rec: Arc<MeasureRecord>,
     /// Per-open-file MEASURE records (`$VOL#Fn`), created on first touch.
     file_recs: Mutex<HashMap<FileId, Arc<MeasureRecord>>>,
+    /// The buffers of the last aggregate request's groups, emptied and
+    /// reused by the next: folding allocates only for groups and text
+    /// longer than any before.
+    fold: Mutex<Groups>,
 }
 
 /// Everything a Disk Process plugs into.
@@ -349,6 +401,7 @@ impl DiskProcess {
             rec: ctx.sim.measure.entity(EntityKind::Process, name),
             scb_rec: ctx.sim.measure.entity(EntityKind::Scb, name),
             file_recs: Mutex::new(HashMap::new()),
+            fold: Mutex::new(Groups::default()),
         })
     }
 
@@ -1042,21 +1095,36 @@ impl DiskProcess {
                 cfg.write_behind,
             )
         };
-        // A read fills the reply with (projected) rows; a write collects
-        // the records to change. A locking read group-locks the span of
-        // what it returns.
+        // A read fills the reply with (projected) rows, an aggregate with
+        // the partial groups of what it folds; a write collects the records
+        // to change. A locking read or aggregate group-locks the span of
+        // what it selects.
+        let shared = |txn: &Option<TxnId>, lock| txn.filter(|_| matches!(lock, ReadLock::Shared));
         let (read, group_lock, plan) = match &scb.work {
             Work::Read {
                 mode,
                 txn,
                 lock,
                 plan,
-            } => (
-                Some(*mode),
-                txn.filter(|_| matches!(lock, ReadLock::Shared)),
-                plan.as_ref(),
-            ),
+            } => (Some(*mode), shared(txn, *lock), plan.as_ref()),
+            Work::Aggregate { txn, lock, .. } => (Some(SubsetMode::Vsbb), shared(txn, *lock), None),
             Work::Update { .. } | Work::Delete { .. } => (None, None, None),
+        };
+        // The fold of an aggregate, in the buffers the last one left, with
+        // its charge per record folded.
+        let mut fold = match &scb.work {
+            Work::Aggregate {
+                group_by,
+                aggs,
+                text,
+                row_max,
+                ..
+            } => {
+                let groups = std::mem::take(&mut *self.fold.lock());
+                let fold = Aggregation::with_groups(group_by, aggs, groups);
+                Some((fold, 1 + aggs.len() as u64, &text[..], 2 + row_max))
+            }
+            Work::Read { .. } | Work::Update { .. } | Work::Delete { .. } => None,
         };
         // RSBB replies carry one physical block copy; VSBB virtual blocks
         // use the configured reply buffer.
@@ -1068,7 +1136,8 @@ impl DiskProcess {
         // must be for predicate or projection to find its fields: the fixed
         // part is checked once per record, ahead of both.
         let predicate = scb.predicate.as_ref().map(|p| (p, 1 + p.eval_cost() / 2));
-        let looks_inside = predicate.is_some() || plan.is_some_and(|p| !p.is_empty());
+        let looks_inside =
+            predicate.is_some() || plan.is_some_and(|p| !p.is_empty()) || fold.is_some();
         let fixed_part = if looks_inside {
             desc.bitmap_len() + desc.fixed_size()
         } else {
@@ -1135,18 +1204,32 @@ impl DiskProcess {
                 if group_lock.is_some() && first_selected.is_none() {
                     first_selected = Some(k.to_vec());
                 }
-                match (read, plan) {
-                    (Some(_), None) => rows.push(v),
-                    (Some(_), Some(plan)) => {
+                match (&mut fold, read, plan) {
+                    (Some((fold, per_record, text, _)), _, _) => {
+                        let refused = text.iter().find_map(|&f| check_field(desc, v, f).err());
+                        if let Some(e) = refused {
+                            return fail(units - 1, DpError::BadRecord(e.to_string()));
+                        }
+                        fold.fold(&RawRecord { desc, bytes: v });
+                        units += *per_record;
+                    }
+                    (None, Some(_), None) => rows.push(v),
+                    (None, Some(_), Some(plan)) => {
                         if let Err(e) = rows.push_projected(plan, v) {
                             return fail(units - 1, DpError::BadRecord(e.to_string()));
                         }
                     }
-                    (None, _) => matched.push(k, v),
+                    (None, None, _) => matched.push(k, v),
                 }
             }
             store.charge(units);
-            if rows.wire_len() >= reply_budget {
+            // Partial groups fill a reply as rows do, each counted at the
+            // longest it can be.
+            let filled = match &fold {
+                Some((fold, _, _, row)) => fold.len() * row,
+                None => rows.wire_len(),
+            };
+            if filled >= reply_budget {
                 exhausted = false; // full (virtual) block: re-drive
                 return ScanControl::Stop;
             }
@@ -1163,6 +1246,11 @@ impl DiskProcess {
             return Err(e);
         }
         let last_key = (examined > 0).then_some(last_key);
+        if let (Some((mut fold, ..)), Work::Aggregate { layout, .. }) = (fold, &scb.work) {
+            let written = fold.each_partial(layout, |row| rows.push(row));
+            *self.fold.lock() = fold.into_groups();
+            written.map_err(|e| DpError::EvalFailed(e.to_string()))?;
+        }
 
         // Locking: a read subset with locking group-locks the span of the
         // virtual block ("the records of the virtual block are locked as a
@@ -1176,7 +1264,7 @@ impl DiskProcess {
         // Phase 2 (update/delete): apply to the matched records.
         let mut affected = selected;
         let writer = match &scb.work {
-            Work::Read { .. } => None,
+            Work::Read { .. } | Work::Aggregate { .. } => None,
             Work::Update { txn, patch } => Some((*txn, Some(patch))),
             Work::Delete { txn } => Some((*txn, None)),
         };

@@ -16,7 +16,7 @@
 
 use nsql_lock::{LockMode, TxnId};
 use nsql_records::row::CodecError;
-use nsql_records::{Expr, KeyRange, Projection, RecordDescriptor, SetList};
+use nsql_records::{AggFunc, Expr, KeyRange, Projection, RecordDescriptor, SetList};
 use std::sync::Arc;
 
 /// File identifier within a volume.
@@ -133,6 +133,20 @@ pub enum SubsetOp {
         /// Enclosing transaction.
         txn: TxnId,
     },
+    /// Fold them into groups (`AGGREGATE^SUBSET^FIRST`): each request
+    /// replies with the partial groups of exactly the records it selected,
+    /// one row each, laid out by [`nsql_records::fold::partial_layout`].
+    Aggregate {
+        /// Enclosing transaction, if any.
+        txn: Option<TxnId>,
+        /// Lock behaviour for the records folded.
+        lock: ReadLock,
+        /// Grouping fields.
+        group_by: Vec<u16>,
+        /// Each aggregate and its field (`None` = `*`); only those
+        /// [`nsql_records::fold::pushable`] admits.
+        aggs: Vec<(AggFunc, Option<u16>)>,
+    },
 }
 
 impl SubsetOp {
@@ -142,6 +156,7 @@ impl SubsetOp {
             SubsetOp::Read { .. } => SubsetVerb::Get,
             SubsetOp::Update { .. } => SubsetVerb::Update,
             SubsetOp::Delete { .. } => SubsetVerb::Delete,
+            SubsetOp::Aggregate { .. } => SubsetVerb::Aggregate,
         }
     }
 }
@@ -156,6 +171,8 @@ pub enum SubsetVerb {
     Update,
     /// `DELETE^SUBSET^NEXT`.
     Delete,
+    /// `AGGREGATE^SUBSET^NEXT`.
+    Aggregate,
 }
 
 /// A request message on the FS-DP interface.
@@ -415,6 +432,10 @@ impl DpRequest {
                             sets, constraint, ..
                         } => 8 + sets.wire_size() + constraint.as_ref().map_or(1, Expr::wire_size),
                         SubsetOp::Delete { .. } => 8,
+                        // A function byte and a field number per aggregate.
+                        SubsetOp::Aggregate { group_by, aggs, .. } => {
+                            10 + 1 + 2 * group_by.len() + 1 + 3 * aggs.len()
+                        }
                     }
             }
             DpRequest::SubsetNext { after, .. } => 8 + after.len(),
@@ -466,11 +487,13 @@ impl DpRequest {
                 },
                 SubsetOp::Update { .. } => "UPDATE^SUBSET^FIRST",
                 SubsetOp::Delete { .. } => "DELETE^SUBSET^FIRST",
+                SubsetOp::Aggregate { .. } => "AGGREGATE^SUBSET^FIRST",
             },
             DpRequest::SubsetNext { verb, .. } => match verb {
                 SubsetVerb::Get => "GET^NEXT",
                 SubsetVerb::Update => "UPDATE^SUBSET^NEXT",
                 SubsetVerb::Delete => "DELETE^SUBSET^NEXT",
+                SubsetVerb::Aggregate => "AGGREGATE^SUBSET^NEXT",
             },
             DpRequest::UpdatePoint { .. } => "UPDATE^POINT",
             DpRequest::BlockedInsert { .. } => "BLOCKED^INSERT",
@@ -745,7 +768,7 @@ mod tests {
         assert!(with_pred.wire_size() > without.wire_size());
     }
 
-    /// One request of every variant — and of each of the six subset
+    /// One request of every variant — and of each of the eight subset
     /// shapes, which are two variants — with its paper verb, message kind
     /// and wire bytes. `DpRequest::name` is the only place the verbs are
     /// spelled, so this is where they are pinned (the subset sizes as
@@ -794,14 +817,21 @@ mod tests {
             constraint: Some(Expr::field_cmp(2, CmpOp::Ge, Value::Double(0.0))),
         };
         let delete = SubsetOp::Delete { txn };
-        let verbs = [&vsbb, &rsbb, &update, &delete].map(SubsetOp::verb);
+        let aggregate = SubsetOp::Aggregate {
+            txn: Some(txn),
+            lock: ReadLock::Shared,
+            group_by: vec![1],
+            aggs: vec![(AggFunc::Count, None), (AggFunc::Min, Some(2))],
+        };
+        let verbs = [&vsbb, &rsbb, &update, &delete, &aggregate].map(SubsetOp::verb);
         assert_eq!(
             verbs,
             [
                 SubsetVerb::Get,
                 SubsetVerb::Get,
                 SubsetVerb::Update,
-                SubsetVerb::Delete
+                SubsetVerb::Delete,
+                SubsetVerb::Aggregate
             ]
         );
         let (file, key, record) = (3, || vec![1; 4], || vec![2; 40]);
@@ -903,6 +933,18 @@ mod tests {
             (first(predicate(), delete), "DELETE^SUBSET^FIRST", false, 51),
             (next(SubsetVerb::Delete), "DELETE^SUBSET^NEXT", true, 36),
             (
+                first(predicate(), aggregate),
+                "AGGREGATE^SUBSET^FIRST",
+                false,
+                63,
+            ),
+            (
+                next(SubsetVerb::Aggregate),
+                "AGGREGATE^SUBSET^NEXT",
+                true,
+                36,
+            ),
+            (
                 DpRequest::UpdatePoint {
                     txn,
                     file,
@@ -994,7 +1036,7 @@ mod tests {
             ),
         ];
         let names: std::collections::BTreeSet<&str> = shapes.iter().map(|s| s.1).collect();
-        assert_eq!(names.len(), 26, "every verb, once");
+        assert_eq!(names.len(), 28, "every verb, once");
         for (request, name, redrive, bytes) in shapes {
             assert_eq!(request.name(), name);
             assert_eq!(request.is_redrive(), redrive, "{name}");

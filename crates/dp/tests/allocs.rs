@@ -14,7 +14,7 @@ use nsql_msg::{Bus, CpuId, MsgKind};
 use nsql_records::key::encode_record_key;
 use nsql_records::row::{decode_row, encode_row};
 use nsql_records::{
-    CmpOp, Expr, FieldDef, FieldType, Kernel, KeyRange, OwnedBound, Predicate, Projection,
+    AggFunc, CmpOp, Expr, FieldDef, FieldType, Kernel, KeyRange, OwnedBound, Predicate, Projection,
     RecordDescriptor, Value,
 };
 use nsql_sim::{Sim, SpanHeader};
@@ -309,6 +309,51 @@ fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
         allocations(1_999, &interpreted),
     );
     assert!(many >= few + 1_000, "LIKE: {few} against {many}");
+}
+
+/// `(allocations, reply)` of one aggregate request over the keys `0..=hi`:
+/// `COUNT(*)`, `SUM(EMPNO)` and `MAX(NAME)` by `HIRE_DATE`.
+fn fold_read(bus: &Bus, file: FileId, seq: u64, hi: i32) -> (u64, DpReply) {
+    let request = DpRequest::SubsetFirst {
+        file,
+        range: KeyRange {
+            begin: OwnedBound::Unbounded,
+            end: OwnedBound::Included(encode_record_key(&desc(), &row(hi))),
+        },
+        predicate: None,
+        op: SubsetOp::Aggregate {
+            txn: None,
+            lock: ReadLock::None,
+            group_by: vec![2],
+            aggs: vec![
+                (AggFunc::Count, None),
+                (AggFunc::Sum, Some(0)),
+                (AggFunc::Max, Some(1)),
+            ],
+        },
+    };
+    let before = ALLOCS.with(Cell::get);
+    let reply = send(bus, seq, request);
+    (ALLOCS.with(Cell::get) - before, reply)
+}
+
+#[test]
+fn a_folded_record_allocates_nothing() {
+    let (_sim, bus, file, _dp) = warm_file();
+    // The first aggregate sizes the buffers its groups keep for the next.
+    fold_read(&bus, file, 6_000, 999);
+    let (few, reply) = fold_read(&bus, file, 6_001, 999);
+    assert_eq!(examined_and_selected(&reply), (1_000, 1_000));
+    let (many, reply) = fold_read(&bus, file, 6_002, 1_999);
+    assert_eq!(examined_and_selected(&reply), (2_000, 2_000));
+    assert_eq!(many, few, "1,000 against 2,000 records folded");
+    // The reply is the nine partial groups: the year, the count, the sum
+    // as two words and the name, behind a one-byte bitmap.
+    let DpReply::Subset { rows, .. } = &reply else {
+        unreachable!()
+    };
+    assert_eq!(rows.iter().count(), 9);
+    assert_eq!(rows.wire_len(), 9 * (2 + 1 + 4 + 8 * 4 + 12));
 }
 
 /// Allocations `work` makes on this thread.

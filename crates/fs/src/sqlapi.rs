@@ -11,10 +11,13 @@
 use crate::{bad_row, unexpected, FileSystem, FsError, IndexChange, IndexInfo, OpenFile, ReplyRow};
 use nsql_dp::{DpError, DpReply, DpRequest, FileId, ReadLock, RowBlock, SubsetMode, SubsetOp};
 use nsql_lock::{LockMode, TxnId};
+use nsql_records::fold::partial_layout;
 use nsql_records::key::{encode_record_key, encode_stored_key};
 use nsql_records::patch::assign;
 use nsql_records::row::encode_row;
-use nsql_records::{Expr, KeyRange, OwnedBound, RecordDescriptor, Row, SetList, SliceRow, Value};
+use nsql_records::{
+    AggFunc, Expr, KeyRange, OwnedBound, RecordDescriptor, Row, SetList, SliceRow, Value,
+};
 use nsql_sim::{CpuLayer, EntityKind, Event};
 use std::collections::BTreeMap;
 
@@ -317,6 +320,36 @@ impl FileSystem {
         };
         let desc = projected.as_ref().unwrap_or(&of.desc);
         self.read_subset(partitions(of, range), predicate, &op, desc, each)
+    }
+
+    /// Set-oriented aggregate over a primary-key range, folded where the
+    /// records lie (`AGGREGATE^SUBSET`): each Disk Process request folds
+    /// the records it selects by `group_by` into `aggs` and replies with
+    /// their partial groups, each handed to `each` as the reply carries it,
+    /// laid out by [`partial_layout`]. Merged in the order they come, they
+    /// make the fold of the whole range. An aggregate that layout refuses
+    /// is [`FsError::BadRow`], before any message is sent.
+    #[allow(clippy::too_many_arguments)] // mirrors the AGGREGATE^SUBSET^FIRST message's fields
+    pub fn aggregate_with(
+        &self,
+        txn: Option<TxnId>,
+        of: &OpenFile,
+        range: &KeyRange,
+        predicate: Option<&Expr>,
+        group_by: &[u16],
+        aggs: &[(AggFunc, Option<u16>)],
+        lock: ReadLock,
+        each: impl FnMut(ReplyRow<'_>) -> Result<(), FsError>,
+    ) -> Result<(), FsError> {
+        let refused = || FsError::BadRow("aggregate not foldable at the source".into());
+        let layout = partial_layout(&of.desc, group_by, aggs).ok_or_else(refused)?;
+        let op = || SubsetOp::Aggregate {
+            txn,
+            lock,
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+        };
+        self.read_subset(partitions(of, range), predicate, &op, &layout, each)
     }
 
     /// [`FileSystem::scan_with`], decoding the rows.

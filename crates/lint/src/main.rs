@@ -219,7 +219,7 @@ fn cmd_check_protocol(args: &[String]) -> Result<ExitCode, String> {
     let (mut schedules, mut failed) = (0u64, false);
     let (mut msgs, mut hits, mut switches) = (0u64, 0u64, 0u64);
     for repair in [Repair::Takeover, Repair::Restart] {
-        for scenario in [Scenario::Scan, Scenario::Update] {
+        for scenario in [Scenario::Scan, Scenario::Aggregate, Scenario::Update] {
             let ex = model::explore(scenario, repair, depth as usize);
             println!(
                 "  {scenario:?} / {repair:?}: {} schedules run (max {} exchanges), \

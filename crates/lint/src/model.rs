@@ -15,13 +15,18 @@
 //! ([`nsql_msg::FaultConfig::at`]), run a scenario through the File
 //! System, observe. Every retry, path switch, reply-cache hit, SCB
 //! rebuild, doom and recovery in a run is the product's own code; what
-//! is written here is the two scenarios and what must hold after them:
+//! is written here is the three scenarios and what must hold after them:
 //!
 //! * **scan** — `SELECT K, V FROM T`: the client sees keys `1..=KEYS`
 //!   exactly once, in order, or the statement fails cleanly with
 //!   `Unavailable` — across drops, duplicates, delays, transport errors
 //!   and a mid-scan crash (`BadSubset` → rebuild after the last confirmed
 //!   key);
+//! * **aggregate** — `SELECT COUNT(*), SUM(K) FROM T` folded at the Disk
+//!   Process, one partial group per request: the client sees exactly
+//!   `(KEYS, 1 + … + KEYS)` or a clean `Unavailable` — a duplicated or
+//!   retransmitted request folds nothing twice, and a rebuilt SCB loses
+//!   nothing;
 //! * **update** — `UPDATE T SET V = V + 1 WHERE K = k` for every key in
 //!   one transaction, then commit: a committed transaction applied every
 //!   update exactly once, and one that failed, aborted or was doomed left
@@ -40,7 +45,7 @@ use nsql_dp::{SyncRequest, REPLY_CACHE_PER_OPENER};
 use nsql_fs::{FsError, OpenFile};
 pub use nsql_msg::Fault;
 use nsql_msg::{Response, Server};
-use nsql_records::KeyRange;
+use nsql_records::{KeyRange, Value};
 use nsql_tmf::txn::TxnError;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -66,6 +71,8 @@ pub const KEYS: i32 = 6;
 pub enum Scenario {
     /// One set-oriented read of the whole table.
     Scan,
+    /// One aggregate of the whole table, folded at the source.
+    Aggregate,
     /// One transaction updating every row, then commit.
     Update,
 }
@@ -173,6 +180,7 @@ fn run(
     });
     let faulted = match scenario {
         Scenario::Scan => scan(&db, &of).map(|()| None),
+        Scenario::Aggregate => aggregate(&db, &of).map(|()| None),
         Scenario::Update => update(&db, &of).map(Some),
     };
     let exchanges = db.bus.fault_exchanges();
@@ -217,6 +225,28 @@ fn scan(db: &Cluster, of: &OpenFile) -> Result<(), Broke> {
     if seen.len() as i32 != KEYS {
         let detail = format!("scan reported done after {} of {KEYS} keys", seen.len());
         return Err(("scan-complete", detail));
+    }
+    Ok(())
+}
+
+/// The aggregate scenario, checked on the answer the client is handed.
+fn aggregate(db: &Cluster, of: &OpenFile) -> Result<(), Broke> {
+    let session = db.session();
+    let answer = stack::count_and_sum(session.fs(), of);
+    cache_bounded(db)?;
+    let answer = match answer {
+        Ok(answer) => answer,
+        // Retries exhausted: the statement failed cleanly.
+        Err(FsError::Unavailable(_)) => return Ok(()),
+        Err(e) => return Err(unexpected("SELECT COUNT(*), SUM(K)", e)),
+    };
+    let exact = [
+        Value::LargeInt(KEYS.into()),
+        Value::LargeInt((1..=KEYS).sum::<i32>().into()),
+    ];
+    if answer != exact {
+        let detail = format!("client observed {answer:?}; expected {exact:?}");
+        return Err(("aggregate-exact", detail));
     }
     Ok(())
 }
@@ -359,9 +389,11 @@ mod tests {
         assert!(scan.schedules > 100);
         let upd = clean(Scenario::Update, Repair::Takeover, 2);
         assert!(upd.schedules > 100);
+        let agg = clean(Scenario::Aggregate, Repair::Takeover, 2);
+        assert!(agg.schedules > 100);
         // The shipped stack did the work, its reply cache and its takeover
         // included.
-        for ex in [scan, upd] {
+        for ex in [scan, upd, agg] {
             assert!(ex.msgs_fs_dp > ex.schedules);
             assert!(ex.dup_suppressed > 0 && ex.path_switches > 0);
         }
@@ -376,6 +408,7 @@ mod tests {
         let upd = clean(Scenario::Update, Repair::Restart, 2);
         assert!(upd.schedules > 100 && upd.path_switches > 0);
         clean(Scenario::Scan, Repair::Restart, 1);
+        clean(Scenario::Aggregate, Repair::Restart, 1);
     }
 
     #[test]
@@ -398,7 +431,7 @@ mod tests {
         // budget. A request lost on its every attempt does.
         let attempts = u64::from(nsql_fs::MAX_RETRIES) + 1;
         let lost: Schedule = (0..attempts).map(|at| (at, Fault::DropRequest)).collect();
-        for scenario in [Scenario::Scan, Scenario::Update] {
+        for scenario in [Scenario::Scan, Scenario::Aggregate, Scenario::Update] {
             let mut out = Exploration::default();
             let ran = run((scenario, Repair::Takeover, false), &lost, &mut out);
             assert_eq!(ran, (attempts, Ok(())), "{scenario:?}");

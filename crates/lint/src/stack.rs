@@ -5,7 +5,7 @@ use nsql_core::{Cluster, ClusterBuilder, DiskProcessConfig};
 use nsql_dp::{ReadLock, SubsetMode};
 use nsql_fs::{BlockedInserter, FileSystem, FsError, OpenFile};
 use nsql_records::key::encode_record_key;
-use nsql_records::{ArithOp, Expr, KeyRange, SetList, Value};
+use nsql_records::{AggFunc, Aggregation, ArithOp, Expr, KeyRange, SetList, Value};
 
 /// The one volume of every explored cluster.
 pub(crate) const VOLUME: &str = "$DATA1";
@@ -68,4 +68,20 @@ pub(crate) fn select_all(fs: &FileSystem, of: &OpenFile) -> Result<Vec<(i32, i32
         other => Err(FsError::BadRow(format!("{other:?}"))),
     };
     scan.rows.iter().map(pair).collect()
+}
+
+/// `SELECT COUNT(*), SUM(K) FROM T` folded where the records lie: the Disk
+/// Process replies with the partial groups of each request, merged here in
+/// reply order as the executor merges them.
+pub(crate) fn count_and_sum(fs: &FileSystem, of: &OpenFile) -> Result<Vec<Value>, FsError> {
+    let pushed = [(AggFunc::Count, None), (AggFunc::Sum, Some(0))];
+    let aggs = pushed.map(|(func, arg)| (func, arg.map(Expr::Field)));
+    let mut fold = Aggregation::new(&[], &aggs);
+    let (all, lock) = (KeyRange::all(), ReadLock::None);
+    fs.aggregate_with(None, of, &all, None, &[], &pushed, lock, |row| {
+        fold.merge(&row.checked()?);
+        Ok(())
+    })?;
+    let rows = fold.finish().map_err(|e| FsError::BadRow(e.to_string()))?;
+    Ok(rows.into_iter().flatten().collect())
 }

@@ -20,8 +20,11 @@
 //! * [`SetList`] — update expressions (`SET BALANCE = BALANCE * 1.07`)
 //!   applied at the data source; [`Patch`] is the form the Disk Process
 //!   compiles one to, to change a record on its bytes.
+//! * [`fold`] — `GROUP BY` and the aggregate functions, one fold for the
+//!   executor and for the Disk Process, which replies with partial groups.
 
 pub mod expr;
+pub mod fold;
 pub mod key;
 pub mod patch;
 pub mod predicate;
@@ -30,6 +33,7 @@ pub mod types;
 pub mod value;
 
 pub use expr::{ArithOp, CmpOp, EvalError, Expr, SetList};
+pub use fold::{AggFunc, Aggregation};
 pub use key::{KeyRange, OwnedBound};
 pub use patch::{FieldChanges, Patch, PatchError};
 pub use predicate::{Kernel, Predicate, PredicateError};

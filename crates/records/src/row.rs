@@ -182,7 +182,7 @@ pub fn encode_row(desc: &RecordDescriptor, values: &[Value]) -> Result<Vec<u8>, 
 /// before `i`: the null bit or the slot, and the text at the tail's end.
 /// Refuses NULL in a NOT NULL field, a value of another type and text
 /// longer than the field.
-fn put_value(
+pub(crate) fn put_value(
     desc: &RecordDescriptor,
     i: u16,
     v: &Value,
@@ -440,12 +440,34 @@ pub fn check_row(desc: &RecordDescriptor, bytes: &[u8]) -> Result<(), CodecError
     let fixed_end = fixed_part(desc, bytes)?;
     for (idx, (f, slot)) in desc.slots().enumerate() {
         if !is_null(bytes, idx) {
-            match f.ty {
-                FieldType::Char(n) => _ = char_at(n, bytes, slot)?,
-                FieldType::Varchar(_) => _ = varchar_at(bytes, slot, fixed_end)?,
-                FieldType::SmallInt | FieldType::Int | FieldType::LargeInt | FieldType::Double => {}
-            }
+            check_slot(f.ty, bytes, slot, fixed_end)?;
         }
+    }
+    Ok(())
+}
+
+/// Check that field `i` of an encoded record decodes, allocating nothing:
+/// `Ok` exactly when [`extract_field`] would extract it.
+pub fn check_field(desc: &RecordDescriptor, bytes: &[u8], i: u16) -> Result<(), CodecError> {
+    let f = desc.fields.get(i as usize).ok_or(CodecError::Corrupt)?;
+    let fixed_end = fixed_part(desc, bytes)?;
+    match is_null(bytes, i as usize) {
+        true => Ok(()),
+        false => check_slot(f.ty, bytes, desc.slot_offset(i), fixed_end),
+    }
+}
+
+/// Does the slot at `slot` of a field of type `ty` that is not NULL decode?
+fn check_slot(
+    ty: FieldType,
+    bytes: &[u8],
+    slot: usize,
+    fixed_end: usize,
+) -> Result<(), CodecError> {
+    match ty {
+        FieldType::Char(n) => _ = char_at(n, bytes, slot)?,
+        FieldType::Varchar(_) => _ = varchar_at(bytes, slot, fixed_end)?,
+        FieldType::SmallInt | FieldType::Int | FieldType::LargeInt | FieldType::Double => {}
     }
     Ok(())
 }

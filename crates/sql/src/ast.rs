@@ -64,20 +64,8 @@ pub enum AstExpr {
     Like(Box<AstExpr>, String),
 }
 
-/// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// COUNT(*) / COUNT(expr).
-    Count,
-    /// SUM(expr).
-    Sum,
-    /// AVG(expr).
-    Avg,
-    /// MIN(expr).
-    Min,
-    /// MAX(expr).
-    Max,
-}
+/// Aggregate functions: the fold's own, which the Disk Process runs too.
+pub use nsql_records::AggFunc;
 
 /// One item of a SELECT list.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,24 +11,22 @@
 //! record-at-a-time browse), its residual and the output shape, and the
 //! executor runs what it reads there. Whatever the path, one row source
 //! ([`Executor::feed`]) hands a table's rows to one consumer: the
-//! fetch-list rows a join or a plain SELECT builds, or the aggregation.
+//! fetch-list rows a join or a plain SELECT builds, or the aggregation —
+//! [`nsql_records::fold`], the fold the Disk Process runs too, which merges
+//! the partial groups of an aggregate folded at the source.
 
-use crate::ast::AggFunc;
 use crate::catalog::Catalog;
 use crate::plan::{
     describe_access, AccessPath, AggOutput, AggPlan, DeletePlan, InsertPlan, Projection,
     SelectPlan, Shape, TableAccess, UpdatePlan,
 };
-use crate::sort::{fastsort, sort_cmp};
+use crate::sort::fastsort;
 use crate::sys::{SysSnapshot, SysTable};
 use nsql_dp::{ReadLock, SubsetMode};
 use nsql_fs::{FileSystem, FsError, ReplyRow};
 use nsql_lock::TxnId;
-use nsql_records::{EvalError, Expr, FieldRef, Row, RowAccessor, Value};
+use nsql_records::{Aggregation, EvalError, FieldRef, Row, RowAccessor, Value};
 use nsql_sim::{CpuLayer, Ctr, EntityKind, Mark, Micros, Sim};
-use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Measured cost of one plan operator (the EXPLAIN ANALYZE row).
 ///
@@ -333,8 +331,9 @@ impl Executor<'_> {
     }
 
     /// Aggregate the rows `plan` reads into one row per group. A one-table
-    /// plan's rows are folded as the row source hands them over; a join's
-    /// combined rows are built first, and those are folded.
+    /// plan's rows are folded as the row source hands them over, or the
+    /// partial groups of a fold at the source merged; a join's combined
+    /// rows are built first, and those are folded.
     fn aggregate(
         &self,
         plan: &SelectPlan,
@@ -342,12 +341,12 @@ impl Executor<'_> {
         txn: Option<TxnId>,
         ops: &mut Option<(&mut Vec<OpStats>, Mark)>,
     ) -> Result<Vec<Row>, ExecError> {
-        let mut aggregation = Aggregation::new(agg);
+        let mut aggregation = Aggregation::new(&agg.group_by, &agg.aggs);
         match (plan.tables.as_slice(), &plan.join_filter) {
             ([t], None) => {
                 self.feed(t, txn, &mut aggregation)?;
-                let folded = aggregation.folded as usize;
-                self.close_op(ops, || describe_access(t), folded);
+                let taken = aggregation.taken() as usize;
+                self.close_op(ops, || describe_access(t), taken);
             }
             _ => {
                 for row in &self.join(plan, txn, ops)? {
@@ -358,7 +357,15 @@ impl Executor<'_> {
         // What the fold would have charged row by row, booked at once:
         // nothing has read the clock since the last operator closed.
         self.sim().cpu_work(CpuLayer::Executor, aggregation.units());
-        aggregation.finish()
+        let width = agg.group_by.len();
+        let rows = aggregation.finish()?.into_iter().map(|row| {
+            let column = |o: &AggOutput| match *o {
+                AggOutput::GroupCol(i) => row[i].clone(),
+                AggOutput::Agg(i) => row[width + i].clone(),
+            };
+            Row(agg.output.iter().map(column).collect())
+        });
+        Ok(rows.collect())
     }
 
     /// The one row source of a SELECT: every row `t`'s access path reads,
@@ -416,6 +423,17 @@ impl Executor<'_> {
                 let reply = |row: ReplyRow| sink.take_reply(row);
                 self.fs
                     .scan_with(txn, of, range, pushdown, projection, *mode, lock, reply)?;
+            }
+            AccessPath::AggregateScan {
+                range,
+                pushdown,
+                group_by,
+                aggs,
+            } => {
+                let pushdown = pushdown.as_ref();
+                let partial = |row: ReplyRow| sink.take_partial(row);
+                self.fs
+                    .aggregate_with(txn, of, range, pushdown, group_by, aggs, lock, partial)?;
             }
             AccessPath::Browse => {
                 // Record-at-a-time: whole records, filtered here.
@@ -532,6 +550,8 @@ impl Executor<'_> {
 trait Sink {
     /// A reply row laid out as the fetch list.
     fn take_reply(&mut self, row: ReplyRow) -> Result<(), FsError>;
+    /// A partial group row of a fold at the source.
+    fn take_partial(&mut self, row: ReplyRow) -> Result<(), FsError>;
     /// A row whose fetched fields are fields `at` of `row`, in that order.
     fn take(&mut self, row: &dyn RowAccessor, at: &[u16]);
 }
@@ -543,15 +563,25 @@ impl Sink for Vec<Row> {
         self.push(row.decode()?);
         Ok(())
     }
+    /// The plan folds at the source only into an aggregation.
+    fn take_partial(&mut self, _: ReplyRow) -> Result<(), FsError> {
+        Err(FsError::Protocol(
+            "partial groups for a row consumer".into(),
+        ))
+    }
     fn take(&mut self, row: &dyn RowAccessor, at: &[u16]) {
         self.push(Row(at.iter().map(|&f| row.field(f)).collect()));
     }
 }
 
-/// Rows are folded where they lie.
+/// Rows are folded where they lie, and partial groups merged.
 impl Sink for Aggregation<'_> {
     fn take_reply(&mut self, row: ReplyRow) -> Result<(), FsError> {
         self.fold(&row.checked()?);
+        Ok(())
+    }
+    fn take_partial(&mut self, row: ReplyRow) -> Result<(), FsError> {
+        self.merge(&row.checked()?);
         Ok(())
     }
     fn take(&mut self, row: &dyn RowAccessor, at: &[u16]) {
@@ -575,234 +605,5 @@ impl RowAccessor for Fetched<'_> {
     }
     fn field_ref(&self, i: u16) -> FieldRef<'_> {
         self.row.field_ref(self.at[i as usize])
-    }
-}
-
-/// `GROUP BY` and the aggregate functions, fed one row at a time: the
-/// executor's one aggregation, whether a row is read where it lies (a
-/// reply's bytes, a whole record or index row, a browsed or `sys.*` row)
-/// or is a joined [`Row`].
-struct Aggregation<'p> {
-    plan: &'p AggPlan,
-    /// Groups in first-seen order: the grouping values, decoded at the
-    /// group's first row, and one running state per aggregate.
-    groups: Vec<(Vec<Value>, Vec<Running>)>,
-    /// Group by equality key of its grouping values.
-    by_key: HashMap<Vec<u8>, usize, BuildHasherDefault<KeyHasher>>,
-    /// The key of the row at hand, built in one reused buffer.
-    key: Vec<u8>,
-    /// Rows folded, counting one whose evaluation failed.
-    folded: u64,
-    /// The first evaluation error: no row is folded after it.
-    error: Option<ExecError>,
-}
-
-impl<'p> Aggregation<'p> {
-    fn new(plan: &'p AggPlan) -> Self {
-        Aggregation {
-            plan,
-            groups: Vec::new(),
-            by_key: HashMap::default(),
-            key: Vec::new(),
-            folded: 0,
-            error: None,
-        }
-    }
-
-    /// Fold one row into its group. After an evaluation error the rows
-    /// that follow are ignored (a scan still drains) and
-    /// [`Aggregation::finish`] returns the error.
-    fn fold(&mut self, row: &dyn RowAccessor) {
-        if self.error.is_none() {
-            self.folded += 1;
-            if let Err(e) = self.accumulate(row) {
-                self.error = Some(e);
-            }
-        }
-    }
-
-    fn accumulate(&mut self, row: &dyn RowAccessor) -> Result<(), ExecError> {
-        let plan = self.plan;
-        self.key.clear();
-        for &g in &plan.group_by {
-            row.eq_key(g, &mut self.key);
-        }
-        let group = match self.by_key.get(self.key.as_slice()) {
-            Some(&group) => group,
-            None => {
-                self.by_key.insert(self.key.clone(), self.groups.len());
-                let values = plan.group_by.iter().map(|&g| row.field(g)).collect();
-                let states = vec![Running::default(); plan.aggs.len()];
-                self.groups.push((values, states));
-                self.groups.len() - 1
-            }
-        };
-        let states = &mut self.groups[group].1;
-        for ((func, arg), state) in plan.aggs.iter().zip(states) {
-            let v = match arg {
-                None => Value::Int(1), // COUNT(*)
-                // What `Expr::eval` makes of a bare field, read directly;
-                // the MIN or MAX of text is compared where it lies.
-                Some(Expr::Field(f)) => match row.field_ref(*f) {
-                    FieldRef::Value(v) => v,
-                    FieldRef::Text(text) if matches!(func, AggFunc::Min | AggFunc::Max) => {
-                        state.add_text(*func, text);
-                        continue;
-                    }
-                    FieldRef::Text(text) => Value::Str(text.to_owned()),
-                },
-                Some(e) => e.eval(row)?,
-            };
-            state.add(*func, v)?;
-        }
-        Ok(())
-    }
-
-    /// Executor CPU units of the rows folded: one per row and one per
-    /// aggregate per row.
-    fn units(&self) -> u64 {
-        self.folded * (1 + self.plan.aggs.len() as u64)
-    }
-
-    /// One output row per group, in first-seen order.
-    fn finish(mut self) -> Result<Vec<Row>, ExecError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        let plan = self.plan;
-        // A global aggregate over zero rows still yields one row.
-        if self.groups.is_empty() && plan.group_by.is_empty() {
-            let states = vec![Running::default(); plan.aggs.len()];
-            self.groups.push((Vec::new(), states));
-        }
-        let rows = self.groups.into_iter().map(|(values, states)| {
-            let column = |o: &AggOutput| match *o {
-                AggOutput::GroupCol(i) => values[i].clone(),
-                AggOutput::Agg(i) => states[i].result(plan.aggs[i].0),
-            };
-            Row(plan.output.iter().map(column).collect())
-        });
-        Ok(rows.collect())
-    }
-}
-
-/// The hasher of the group keys: a multiply-rotate over the key's 8-byte
-/// words. The keys come from the statement's own data and the groups keep
-/// first-seen order, so the hash needs neither a seed nor resistance to
-/// chosen keys; SipHash cost more than the rest of a row's fold.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut rest = bytes;
-        while let Some((word, tail)) = rest.split_first_chunk::<8>() {
-            self.add(u64::from_le_bytes(*word));
-            rest = tail;
-        }
-        self.add(rest.iter().fold(0, |word, &b| word << 8 | u64::from(b)));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One aggregate function's running state within one group.
-#[derive(Debug, Clone, Default)]
-struct Running {
-    /// Non-NULL values seen.
-    count: u64,
-    /// `SUM` of integers, exact.
-    sum_i: i64,
-    /// Sum as a double (`AVG`, and `SUM` of doubles).
-    sum_f: f64,
-    any_float: bool,
-    /// `MIN` / `MAX` so far.
-    extreme: Option<Value>,
-}
-
-impl Running {
-    fn add(&mut self, func: AggFunc, v: Value) -> Result<(), ExecError> {
-        if v.is_null() {
-            return Ok(()); // NULLs are ignored by aggregates
-        }
-        self.count += 1;
-        match func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => {
-                if let Some(n) = v.as_i64() {
-                    if func == AggFunc::Sum {
-                        // As LARGEINT arithmetic does: an overflow fails.
-                        self.sum_i = self.sum_i.checked_add(n).ok_or(EvalError::Overflow)?;
-                    }
-                    self.sum_f += n as f64;
-                } else if let Some(x) = v.as_f64() {
-                    self.any_float = true;
-                    self.sum_f += x;
-                } else {
-                    return Err(ExecError::Eval("SUM/AVG requires numeric argument".into()));
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let wanted = if func == AggFunc::Min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
-                if self
-                    .extreme
-                    .as_ref()
-                    .is_none_or(|best| sort_cmp(&v, best) == wanted)
-                {
-                    self.extreme = Some(v);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Running::add`] of the text `text` to a `MIN` or `MAX`: a new
-    /// extreme is copied into the old one's string.
-    fn add_text(&mut self, func: AggFunc, text: &str) {
-        self.count += 1;
-        let wanted = if func == AggFunc::Min {
-            Ordering::Less
-        } else {
-            Ordering::Greater
-        };
-        match &mut self.extreme {
-            Some(Value::Str(best)) => {
-                if text.trim_end_matches(' ').cmp(best.trim_end_matches(' ')) == wanted {
-                    best.clear();
-                    best.push_str(text);
-                }
-            }
-            // Text does not order against a number (`sort_cmp` finds them
-            // equal).
-            Some(_) => {}
-            extreme @ None => *extreme = Some(Value::Str(text.to_owned())),
-        }
-    }
-
-    fn result(&self, func: AggFunc) -> Value {
-        match func {
-            AggFunc::Count => Value::LargeInt(self.count as i64),
-            AggFunc::Sum | AggFunc::Avg if self.count == 0 => Value::Null,
-            AggFunc::Sum if self.any_float => Value::Double(self.sum_f),
-            AggFunc::Sum => Value::LargeInt(self.sum_i),
-            AggFunc::Avg => Value::Double(self.sum_f / self.count as f64),
-            AggFunc::Min | AggFunc::Max => self.extreme.clone().unwrap_or(Value::Null),
-        }
     }
 }

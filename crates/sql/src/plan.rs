@@ -23,6 +23,7 @@ use crate::bind::{bind_expr, BindError, Params, Scope};
 use crate::catalog::{Catalog, CatalogError, TableInfo};
 use crate::parser::ParseError;
 use nsql_dp::SubsetMode;
+use nsql_records::fold::pushable;
 use nsql_records::key::encode_key_value;
 use nsql_records::{
     CmpOp, Expr, FieldType, KeyRange, OwnedBound, RecordDescriptor, SetList, Value,
@@ -105,6 +106,22 @@ pub enum AccessPath {
         /// answers the whole predicate (no base fetch): the index-row
         /// position of each fetched field, in fetch order.
         index_only: Option<Vec<u16>>,
+    },
+    /// A one-table aggregate folded where the records lie: a subset scan
+    /// whose Disk Process requests each reply with the partial groups of
+    /// the records they select, which the executor merges. Chosen for a
+    /// `GROUP BY` or global aggregate over a [`AccessPath::TableScan`] when
+    /// every aggregate is [`pushable`].
+    AggregateScan {
+        /// Primary-key range.
+        range: KeyRange,
+        /// Pushed-down predicate (table-local field numbers).
+        pushdown: Option<Expr>,
+        /// Grouping fields (table-local), in the plan's group order.
+        group_by: Vec<u16>,
+        /// Each aggregate over its table-local field (`None` = `*`), in
+        /// the plan's order.
+        aggs: Vec<(ast::AggFunc, Option<u16>)>,
     },
     /// Scan of a `sys.*` virtual table, served by the executor from the
     /// statement's introspection snapshot — no File System messages.
@@ -347,6 +364,27 @@ pub fn describe_access(t: &TableAccess) -> String {
             line.push_str(&format!(
                 "; project {} field(s) at DP",
                 t.fetch_fields.len()
+            ));
+            line
+        }
+        AccessPath::AggregateScan {
+            range,
+            pushdown,
+            group_by,
+            aggs,
+        } => {
+            let mut line = format!(
+                "SCAN {name} with AGGREGATE at DP over {} ({} partition(s))",
+                range_str(range),
+                t.info.open.partitions_for_range(range).len()
+            );
+            if let Some(p) = pushdown {
+                line.push_str(&format!("; pushdown predicate: {p}"));
+            }
+            line.push_str(&format!(
+                "; fold {} function(s) by {} group column(s), merge partial groups",
+                aggs.len(),
+                group_by.len()
             ));
             line
         }
@@ -858,6 +896,11 @@ fn plan_select(catalog: &Catalog, s: &Select, params: &Params) -> Result<SelectP
             aggs: aggs.collect(),
             output: agg_output,
         };
+        if let ([t], None) = (&mut tables[..], &join_filter) {
+            if let Some(at_source) = fold_at_source(t, &agg) {
+                t.access = at_source;
+            }
+        }
         Shape::Groups { agg, order_by }
     } else {
         let exprs = columns.into_iter().filter_map(|c| match c {
@@ -988,6 +1031,35 @@ fn choose_access(
         fetch_fields: fetch,
         residual,
     }
+}
+
+/// The access path that folds `agg` where `t`'s records lie, when `t` is a
+/// subset scan and every aggregate is a `*` or a bare field whose partial
+/// states merge exactly ([`pushable`]): `agg` over the combined row, which
+/// is `t`'s fetch list, mapped to `t`'s own field numbers.
+fn fold_at_source(t: &TableAccess, agg: &AggPlan) -> Option<AccessPath> {
+    let AccessPath::TableScan {
+        range, pushdown, ..
+    } = &t.access
+    else {
+        return None;
+    };
+    let field = |at: u16| t.fetch_fields.get(at as usize).copied();
+    let group_by = agg.group_by.iter().map(|&g| field(g));
+    let aggs = agg.aggs.iter().map(|(func, arg)| {
+        let arg = match arg {
+            None => None,
+            Some(Expr::Field(at)) => Some(field(*at)?),
+            Some(_) => return None,
+        };
+        pushable(&t.info.open.desc, *func, arg).then_some((*func, arg))
+    });
+    Some(AccessPath::AggregateScan {
+        range: range.clone(),
+        pushdown: pushdown.clone(),
+        group_by: group_by.collect::<Option<_>>()?,
+        aggs: aggs.collect::<Option<_>>()?,
+    })
 }
 
 /// The secondary index of `info` that bounds a scan under `conj`: one whose

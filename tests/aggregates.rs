@@ -192,6 +192,35 @@ fn sum_that_overflows_fails_as_largeint_arithmetic_does() {
     assert_eq!(r.rows[0].0[0], Value::Double(i64::MAX as f64 / 2.0));
 }
 
+/// An integer `SUM` is exact whatever order the rows come in: only the
+/// result is judged against `LARGEINT`. Key order meets `MAX` then 1 (past
+/// `LARGEINT` on the way), index order 1, -5 and then `MAX`.
+#[test]
+fn integer_sum_does_not_depend_on_the_access_path() {
+    let db = Cluster::single_volume();
+    let mut s = db.session();
+    s.execute("CREATE TABLE X (K INT NOT NULL, I INT NOT NULL, L LARGEINT, PRIMARY KEY (K))")
+        .unwrap();
+    s.execute("CREATE INDEX XI ON X (I)").unwrap();
+    s.execute("INSERT INTO X VALUES (1, 3, 9223372036854775807), (2, 1, 1), (3, 2, -5)")
+        .unwrap();
+    let mut plan = |sql: &str| format!("{:?}", s.query(&format!("EXPLAIN {sql}")).unwrap());
+    assert!(plan("SELECT SUM(L) FROM X").contains("SCAN X with AGGREGATE at DP"));
+    assert!(plan("SELECT SUM(L) FROM X WHERE I > 0").contains("INDEX SCAN X via XI"));
+    for sql in [
+        "SELECT SUM(L) FROM X",
+        "SELECT SUM(L) FROM X FOR BROWSE RECORD ACCESS",
+        "SELECT SUM(L) FROM X WHERE I > 0",
+    ] {
+        let r = s.query(sql).unwrap();
+        assert_eq!(
+            r.rows[0].0[0],
+            Value::LargeInt(9223372036854775803),
+            "{sql}"
+        );
+    }
+}
+
 #[test]
 fn group_by_double_puts_zero_and_negative_zero_together() {
     let db = Cluster::single_volume();

@@ -147,6 +147,8 @@ fn named_request(line: &str) -> Option<(&'static str, &'static str)> {
         return None;
     } else if line.contains("(BROWSE)") {
         "READ^NEXT"
+    } else if line.contains("AGGREGATE at DP") {
+        "AGGREGATE^SUBSET^FIRST"
     } else if line.contains("via RSBB") {
         "GET^FIRST^RSBB"
     } else if line.contains("via VSBB") || line.contains("INDEX SCAN") {
@@ -163,9 +165,9 @@ fn named_request(line: &str) -> Option<(&'static str, &'static str)> {
 
 /// For every SELECT shape and every kind of set write, each access line of
 /// EXPLAIN names the request that opens that access in the statement's
-/// trace: RSBB, VSBB, record-at-a-time browse, the index's Disk Process,
-/// no request for `sys.*`, and the row-at-a-time read of a write that
-/// keeps an index.
+/// trace: RSBB, VSBB, an aggregate folded at the Disk Process,
+/// record-at-a-time browse, the index's Disk Process, no request for
+/// `sys.*`, and the row-at-a-time read of a write that keeps an index.
 #[test]
 fn explain_names_the_request_that_runs() {
     use nsql_sim::{TraceEventKind, TraceMsgClass};
@@ -277,7 +279,7 @@ fn explain_names_the_request_that_runs() {
         seen.extend(named.iter().map(|(verb, _)| *verb));
     }
     // Every kind of opening request was exercised.
-    assert_eq!(seen.len(), 5, "{seen:?}");
+    assert_eq!(seen.len(), 6, "{seen:?}");
 }
 
 /// A statement's captured trace slice contains its FS-DP conversation, and

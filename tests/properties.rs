@@ -1023,14 +1023,19 @@ fn pushed_down_and_executor_evaluated_predicates_select_the_same_rows() {
     assert!(selected > 500, "{selected} rows selected in all");
 }
 
-/// The executor's one aggregation answers alike whether it folds the bytes
-/// of subset-scan replies or the decoded rows `FOR BROWSE RECORD ACCESS`
-/// reads record by record: random two-partition tables over all six field
-/// types (NULLs, padded `CHAR`s, `VARCHAR`s with trailing spaces, `-0.0`,
+/// The one aggregation answers alike whether the Disk Processes fold the
+/// records they select and the executor merges their partial groups, or
+/// the executor folds the decoded rows `FOR BROWSE RECORD ACCESS` reads
+/// record by record: random two-partition tables over all six field types
+/// (NULLs, padded `CHAR`s, `VARCHAR`s with trailing spaces, `-0.0`,
 /// `LARGEINT`s whose `SUM` overflows) and random `COUNT` / `SUM` / `AVG` /
 /// `MIN` / `MAX` queries with zero to two grouping columns, with and without
 /// a pushed-down predicate and an `ORDER BY` on the output, give the same
-/// rows or the same error.
+/// rows or the same error. Those the plan folds at the source (`DOUBLE`
+/// sums and text `SUM`s are folded by the executor) are counted through
+/// EXPLAIN, and give the same answer again on a second cluster whose Disk
+/// Processes end every request after one to three records, or when its
+/// partial groups fill a small reply.
 ///
 /// Every access path feeds the one row source: each such query, bounded on
 /// `I` and often filtered on another column too, and random plain row
@@ -1044,7 +1049,7 @@ fn pushed_down_and_executor_evaluated_predicates_select_the_same_rows() {
 /// floating-point sum, an overflow) agree too.
 #[test]
 fn folded_and_decoded_aggregation_agree() {
-    use nonstop_sql::{ClusterBuilder, Session};
+    use nonstop_sql::{ClusterBuilder, DiskProcessConfig, Session};
 
     let domains: [&[&str]; 6] = [
         &["-2", "0", "1", "2"],
@@ -1110,7 +1115,8 @@ fn folded_and_decoded_aggregation_agree() {
     let mut rng2 = SimRng::seed_from(0x36);
     let (mut answered, mut failed) = (0, 0);
     let (mut agreed, mut refused, mut plans) = (0, 0, [0; 2]);
-    for _ in 0..4 {
+    let mut pushed = 0;
+    for round in 0..4 {
         let db = ClusterBuilder::new()
             .volume("$DATA1", 0, 1)
             .volume("$DATA2", 0, 2)
@@ -1121,6 +1127,17 @@ fn folded_and_decoded_aggregation_agree() {
                 .unwrap();
         }
         s.execute("CREATE INDEX XI ON X (I)").unwrap();
+        let small = ClusterBuilder::new()
+            .dp_config(DiskProcessConfig {
+                max_records_per_request: 1 + round % 3,
+                reply_buffer: 24,
+                ..DiskProcessConfig::default()
+            })
+            .volume("$DATA1", 0, 1)
+            .volume("$DATA2", 0, 2)
+            .build();
+        let mut s2 = small.session();
+        s2.execute(&format!("CREATE TABLE T {}", ddl(""))).unwrap();
         s.execute("BEGIN WORK").unwrap();
         let mut rows = Vec::new();
         for k in 0..80 {
@@ -1130,11 +1147,9 @@ fn folded_and_decoded_aggregation_agree() {
                 _ if domain.len() == 6 && rng.below(4) > 0 => domain[rng.below(5) as usize],
                 _ => domain[rng.below(domain.len() as u64) as usize],
             });
-            s.execute(&format!(
-                "INSERT INTO T VALUES ({k}, {})",
-                values.join(", ")
-            ))
-            .unwrap();
+            let insert = format!("INSERT INTO T VALUES ({k}, {})", values.join(", "));
+            s.execute(&insert).unwrap();
+            s2.execute(&insert).unwrap();
             rows.push(values);
         }
         let mut is: Vec<&str> = (0..80)
@@ -1192,6 +1207,11 @@ fn folded_and_decoded_aggregation_agree() {
             let folded = run(&mut s, &sql);
             let decoded = run(&mut s, &format!("{sql} FOR BROWSE RECORD ACCESS"));
             assert_eq!(folded, decoded, "{sql}");
+            let plan = format!("{:?}", s.query(&format!("EXPLAIN {sql}")).unwrap());
+            if plan.contains("SCAN T with AGGREGATE at DP") {
+                pushed += 1;
+                assert_eq!(folded, run(&mut s2, &sql), "{sql} in small requests");
+            }
             match folded {
                 Ok(_) => answered += 1,
                 Err(_) => failed += 1,
@@ -1235,6 +1255,7 @@ fn folded_and_decoded_aggregation_agree() {
     }
     assert!(answered > 100, "{answered} queries answered");
     assert!(failed > 5, "{failed} queries failed");
+    assert!(pushed > 100, "{pushed} queries folded at the source");
     assert!(
         agreed > 150 && refused > 40,
         "{agreed} agreed, {refused} refused"

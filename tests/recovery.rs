@@ -235,6 +235,58 @@ fn takeover_mid_scan_completes_with_correct_rows() {
 }
 
 #[test]
+fn pushed_group_by_is_exact_across_takeover_and_duplicated_redrive() {
+    // Each request of an aggregate folded at the source replies with the
+    // partial groups of exactly the records it folded. A takeover mid-chain
+    // rebuilds the Subset Control Block after the last confirmed key, and
+    // a duplicated or retransmitted re-drive is answered from the reply
+    // cache: no record is folded twice or lost, and the groups are exact.
+    let sql = "SELECT G, COUNT(*) AS N, SUM(V) AS S, MIN(V) AS LO, MAX(V) AS HI \
+               FROM T GROUP BY G";
+    for fault in [Fault::DownTarget, Fault::Duplicate, Fault::DropReply] {
+        let db = ClusterBuilder::new()
+            .dp_config(DiskProcessConfig {
+                max_records_per_request: 10,
+                ..Default::default()
+            })
+            .volume_with_backup("$DATA1", 0, 1, 0, 3)
+            .build();
+        let mut s = db.session();
+        s.execute("CREATE TABLE T (K INT NOT NULL, G INT NOT NULL, V INT, PRIMARY KEY (K))")
+            .unwrap();
+        s.execute("BEGIN WORK").unwrap();
+        for k in 0..100 {
+            let g = (k * 5) % 7;
+            s.execute(&format!("INSERT INTO T VALUES ({k}, {g}, {k})"))
+                .unwrap();
+        }
+        s.execute("COMMIT WORK").unwrap();
+        let plan = format!("{:?}", s.query(&format!("EXPLAIN {sql}")).unwrap());
+        assert!(plan.contains("SCAN T with AGGREGATE at DP"), "{plan}");
+        let expected = s.query(&format!("{sql} FOR BROWSE RECORD ACCESS")).unwrap();
+        assert_eq!(expected.rows.len(), 7);
+
+        let before = db.snapshot();
+        // The 5th eligible exchange is a re-drive in mid-chain.
+        db.enable_faults(FaultConfig {
+            at: vec![(4, fault)],
+            ..FaultConfig::with_seed(1)
+        });
+        let r = s.query(sql).unwrap();
+        db.disable_faults();
+        assert_eq!(r, expected, "{fault:?}");
+        let after = db.snapshot();
+        match fault {
+            Fault::DownTarget => assert!(after.path_switches > before.path_switches),
+            _ => assert!(
+                after.dp_dup_suppressed > before.dp_dup_suppressed,
+                "{fault:?} answered from the reply cache"
+            ),
+        }
+    }
+}
+
+#[test]
 fn media_recovery_rebuilds_a_dead_unmirrored_volume_from_the_trail() {
     let db = ClusterBuilder::new()
         .volume_unmirrored("$DATA1", 0, 1)
