@@ -10,7 +10,11 @@
 //! [`BlockStore`] — in production the Disk Process's buffer pool, in tests
 //! a [`MemStore`]. The B-tree implements splits and *collapses* (the
 //! paper's term for structure shrinkage), which is what breaks physical
-//! clustering and shortens the cache's bulk-I/O strings.
+//! clustering and shortens the cache's bulk-I/O strings. Leaves are
+//! free-at-empty: a delete merges a leaf into its sibling only once the
+//! leaf is empty, so records deleted and inserted again refill the leaves
+//! they left instead of re-homing them (internal nodes still rebalance
+//! under a quarter of a block).
 //!
 //! A block is read as a [`Block`]: the store's own image, lent, never a
 //! copy. The access methods search and iterate it where it is; one that

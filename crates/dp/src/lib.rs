@@ -37,7 +37,7 @@ use nsql_btree::relative::RelativeError;
 use nsql_btree::{BTreeFile, EntrySequencedFile, RelativeFile, ScanControl, TreeError};
 use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
-use nsql_lock::{LockError, LockManager, LockMode, LockScope, TxnId};
+use nsql_lock::{LockError, LockManager, LockMode, ScopeRef, TxnId};
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use nsql_records::fold::{partial_layout, partial_row_max, Groups};
 use nsql_records::row::{
@@ -473,7 +473,7 @@ impl DiskProcess {
         &self,
         txn: TxnId,
         file: FileId,
-        scope: LockScope,
+        scope: ScopeRef<'_>,
         mode: LockMode,
     ) -> Result<(), DpError> {
         // `nsql-lint check-locks` runs every branch below under every
@@ -487,7 +487,7 @@ impl DiskProcess {
         }
         // One lock wait, however it ended, is one event.
         let waited = |end| self.sim.emit(&self.rec, Event::LockWait(txn.0, end));
-        match self.locks.acquire(txn, file, scope.clone(), mode) {
+        match self.locks.acquire(txn, file, scope, mode) {
             Ok(()) => Ok(()),
             Err(LockError::Conflict { holder }) => {
                 // Queue behind the holder; a closed waits-for cycle dooms
@@ -599,9 +599,9 @@ impl DiskProcess {
                 mode,
             } => {
                 self.join_txn(txn);
-                let scope = match key {
-                    Some(k) => LockScope::record(k),
-                    None => LockScope::File,
+                let scope = match &key {
+                    Some(k) => ScopeRef::record(k),
+                    None => ScopeRef::File,
                 };
                 self.lock(txn, file, scope, mode).map(|_| DpReply::Ok)
             }
@@ -681,7 +681,7 @@ impl DiskProcess {
         let label = self.file_label(file)?;
         if let (Some(txn), ReadLock::Shared) = (txn, lock) {
             self.join_txn(txn);
-            self.lock(txn, file, LockScope::record(key.to_vec()), LockMode::Shared)?;
+            self.lock(txn, file, ScopeRef::record(key), LockMode::Shared)?;
         }
         let store = DpStore::new(&self.pool, &self.alloc);
         let opened = AuditedFile::open(&store, &label)?;
@@ -722,7 +722,7 @@ impl DiskProcess {
             Some(k) => {
                 if let (Some(txn), ReadLock::Shared) = (txn, lock) {
                     self.join_txn(txn);
-                    self.lock(txn, file, LockScope::record(k.clone()), LockMode::Shared)?;
+                    self.lock(txn, file, ScopeRef::record(&k), LockMode::Shared)?;
                 }
                 let frec = self.file_rec(file);
                 frec.bump(Ctr::RecsExamined);
@@ -792,12 +792,7 @@ impl DiskProcess {
     fn begin_write(&self, txn: TxnId, file: FileId, key: &[u8]) -> Result<Arc<FileLabel>, DpError> {
         let label = self.file_label(file)?;
         self.join_txn(txn);
-        self.lock(
-            txn,
-            file,
-            LockScope::record(key.to_vec()),
-            LockMode::Exclusive,
-        )?;
+        self.lock(txn, file, ScopeRef::record(key), LockMode::Exclusive)?;
         Ok(label)
     }
 
@@ -937,12 +932,7 @@ impl DiskProcess {
         let desc = self.descriptor(&label)?;
         let patch = compile_patch(desc, sets, constraint)?;
         self.join_txn(txn);
-        self.lock(
-            txn,
-            file,
-            LockScope::record(key.clone()),
-            LockMode::Exclusive,
-        )?;
+        self.lock(txn, file, ScopeRef::record(&key), LockMode::Exclusive)?;
         let store = DpStore::new(&self.pool, &self.alloc);
         let opened = AuditedFile::open(&store, &label)?;
         let current = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
@@ -984,7 +974,7 @@ impl DiskProcess {
         self.join_txn(txn);
         // The whole target key range is locked as a group (by prior
         // agreement with the File System).
-        let span = LockScope::interval(lo.clone(), hi.clone());
+        let span = ScopeRef::interval(lo, hi);
         self.lock(txn, file, span, LockMode::Exclusive)?;
         let store = DpStore::new(&self.pool, &self.alloc);
         let opened = AuditedFile::open(&store, &label)?;
@@ -1257,7 +1247,7 @@ impl DiskProcess {
         // group").
         if let (Some(txn), Some(lo), Some(hi)) = (group_lock, &first_selected, &last_key) {
             let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-            let span = LockScope::interval(lo.clone(), hi.clone());
+            let span = ScopeRef::interval(lo, hi);
             self.lock(txn, scb.file, span, LockMode::Shared)?;
         }
 
@@ -1273,12 +1263,7 @@ impl DiskProcess {
             // One buffer holds each new record in turn.
             let mut image = Vec::new();
             for (key, current) in matched.iter() {
-                self.lock(
-                    txn,
-                    scb.file,
-                    LockScope::record(key.to_vec()),
-                    LockMode::Exclusive,
-                )?;
+                self.lock(txn, scb.file, ScopeRef::record(key), LockMode::Exclusive)?;
                 let key = key.to_vec();
                 match patch {
                     Some(patch) => {
@@ -1333,12 +1318,7 @@ impl DiskProcess {
         let tree = opened.tree()?;
         let mut affected = 0u32;
         for (key, after) in changes {
-            self.lock(
-                txn,
-                file,
-                LockScope::record(key.clone()),
-                LockMode::Exclusive,
-            )?;
+            self.lock(txn, file, ScopeRef::record(&key), LockMode::Exclusive)?;
             let before = tree.get(&key).ok_or(DpError::NotFound)?;
             let body = match after {
                 Some(after) => AuditBody::UpdateFull { key, before, after },

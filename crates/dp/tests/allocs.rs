@@ -10,6 +10,7 @@ use nsql_dp::{
     DiskProcess, DpConfig, DpContext, DpReply, DpRequest, FileId, FileKind, ReadLock, SubsetMode,
     SubsetOp, SyncId, SyncRequest,
 };
+use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind};
 use nsql_records::key::encode_record_key;
 use nsql_records::row::{decode_row, encode_row};
@@ -142,8 +143,8 @@ fn examined_and_selected(reply: &DpReply) -> (u32, u32) {
 }
 
 /// A Disk Process over a 3,000-row EMP file that fits its cache, already
-/// read once; the handles keep it alive.
-fn warm_file() -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>) {
+/// read once, and its transaction manager; the handles keep it alive.
+fn warm_file() -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>, Arc<TxnManager>) {
     let sim = Sim::new();
     let bus = Bus::new(sim.clone());
     let lsns = LsnSource::new();
@@ -192,12 +193,12 @@ fn warm_file() -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>) {
     txnmgr.commit(txn, CpuId::new(0, 0)).unwrap();
     // The file fits the cache; the first read warms it.
     vsbb_read(&sim, &bus, file, 4_000, 2_999, paid(NOBODY));
-    (sim, bus, file, dp)
+    (sim, bus, file, dp, txnmgr)
 }
 
 #[test]
 fn an_examined_record_allocates_nothing_and_a_selected_one_only_grows_the_buffer() {
-    let (sim, bus, file, _dp) = warm_file();
+    let (sim, bus, file, _dp, _) = warm_file();
 
     // Rejected records: twice as many cost nothing more.
     let (small, _, reply) = vsbb_read(&sim, &bus, file, 4_001, 999, paid(NOBODY));
@@ -226,7 +227,7 @@ fn an_examined_record_allocates_nothing_and_a_selected_one_only_grows_the_buffer
 
 #[test]
 fn a_cache_resident_scan_allocates_per_reply_not_per_block() {
-    let (sim, bus, file, _dp) = warm_file();
+    let (sim, bus, file, _dp, _) = warm_file();
     // Twice the leaves, the same handful of allocations (the request, its
     // compiled forms, the reply): a block read is a lent image. Before the
     // cache lent its frames: 29 and 48, one 4 KB copy per block read.
@@ -285,7 +286,7 @@ fn compiled_shapes() -> Vec<Expr> {
 
 #[test]
 fn an_examined_record_under_a_fixed_width_predicate_allocates_nothing() {
-    let (sim, bus, file, _dp) = warm_file();
+    let (sim, bus, file, _dp, _) = warm_file();
     let field = |f: u16| Box::new(Expr::Field(f));
     let compiled = compiled_shapes();
     let mut seq = 5_000;
@@ -339,7 +340,7 @@ fn fold_read(bus: &Bus, file: FileId, seq: u64, hi: i32) -> (u64, DpReply) {
 
 #[test]
 fn a_folded_record_allocates_nothing() {
-    let (_sim, bus, file, _dp) = warm_file();
+    let (_sim, bus, file, _dp, _) = warm_file();
     // The first aggregate sizes the buffers its groups keep for the next.
     fold_read(&bus, file, 6_000, 999);
     let (few, reply) = fold_read(&bus, file, 6_001, 999);
@@ -354,6 +355,57 @@ fn a_folded_record_allocates_nothing() {
     };
     assert_eq!(rows.iter().count(), 9);
     assert_eq!(rows.wire_len(), 9 * (2 + 1 + 4 + 8 * 4 + 12));
+}
+
+/// Allocations of point reads of the records `empnos` in `txn`, each
+/// taking a shared record lock or none.
+fn point_reads(
+    bus: &Bus,
+    file: FileId,
+    seq: &mut u64,
+    txn: TxnId,
+    empnos: std::ops::Range<i32>,
+    lock: ReadLock,
+) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    for empno in empnos {
+        *seq += 1;
+        let key = encode_record_key(&desc(), &row(empno));
+        let read = DpRequest::Read {
+            txn: Some(txn),
+            file,
+            key,
+            lock,
+        };
+        let reply = send(bus, *seq, read);
+        assert!(matches!(reply, DpReply::Record(Some(_))), "{reply:?}");
+    }
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn a_record_lock_allocates_at_most_its_key() {
+    let (_sim, bus, file, dp, txnmgr) = warm_file();
+    let txn = txnmgr.begin();
+    let mut seq = 7_000;
+    // The transaction joins the volume once, on its first lock.
+    point_reads(&bus, file, &mut seq, txn, 2_999..3_000, ReadLock::Shared);
+    let unlocked = point_reads(&bus, file, &mut seq, txn, 0..1_000, ReadLock::None);
+    let locked = point_reads(&bus, file, &mut seq, txn, 0..1_000, ReadLock::Shared);
+    assert_eq!(dp.locks.lock_count(), 1_001);
+    // The lock table keeps a short key inline; what remains is its index
+    // growing. Before the table was indexed: 4 per lock (the key, the
+    // record scope's second copy, and the Disk Process's copy of both).
+    assert!(
+        locked <= unlocked + 1_000,
+        "1,000 new record locks: {locked} allocations, {unlocked} without locking"
+    );
+    // Locked again: every lock is covered, and copies nothing.
+    let covered = point_reads(&bus, file, &mut seq, txn, 0..1_000, ReadLock::Shared);
+    assert_eq!(covered, unlocked, "1,000 covered re-acquires");
+    assert_eq!(dp.locks.lock_count(), 1_001);
+    txnmgr.commit(txn, CpuId::new(0, 0)).unwrap();
+    assert_eq!(dp.locks.lock_count(), 0);
 }
 
 /// Allocations `work` makes on this thread.

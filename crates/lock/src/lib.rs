@@ -38,12 +38,29 @@
 //! Locking is strict two-phase: transactions release everything at
 //! commit/abort via [`LockManager::release_all`].
 //!
+//! The table is indexed so that a set-oriented statement holding thousands
+//! of record locks pays for each new one what it pays with ten held: per
+//! file, record locks sit in an ordered map by encoded key (a point request
+//! looks up its key, an interval or file request walks the keys it spans),
+//! and interval and file locks in a short side list. Every grant carries a
+//! sequence number, so [`LockManager::held`] lists grants in grant order
+//! and a conflict names the earliest-granted conflicting holder. Each
+//! transaction keeps the list of what it was granted, so
+//! [`LockManager::release_all`] visits only its own locks. A request names
+//! its scope by reference ([`ScopeRef`]); the table copies a key only when
+//! it keeps it, and keeps a short key inline.
+//!
 //! `nsql-lint check-locks` runs this manager, as shipped, under every
 //! interleaving of its client scripts (`crates/lint/src/lockmodel.rs`).
 
 use nsql_sim::sync::Mutex;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// Transaction identifier (assigned by TMF; opaque here).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,7 +98,8 @@ pub enum LockScope {
     File,
     /// An inclusive interval of encoded keys. Record locks are degenerate
     /// intervals (`lo == hi`); generic (key-prefix) locks and virtual-block
-    /// group locks are wider.
+    /// group locks are wider. An inverted interval (`lo > hi`) covers no
+    /// key: it overlaps nothing, so it never conflicts.
     KeyInterval {
         /// Low end (inclusive).
         lo: Vec<u8>,
@@ -101,20 +119,112 @@ impl LockScope {
 
     /// A lock over `[lo, hi]` — used for virtual-block group locks.
     pub fn interval(lo: Vec<u8>, hi: Vec<u8>) -> Self {
-        assert!(lo <= hi);
         LockScope::KeyInterval { lo, hi }
     }
 
     /// Do two scopes cover any key in common? File scope overlaps
     /// everything in the same file.
     pub fn overlaps(&self, other: &LockScope) -> bool {
+        self.as_scope().overlaps(other.as_scope())
+    }
+}
+
+/// A [`LockScope`] borrowed from the caller's keys: what a request names.
+/// The table copies a key only when it keeps it (a new grant, a new or
+/// changed queue entry), so a covered re-acquire or a repeated wait copies
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScopeRef<'k> {
+    /// The whole file.
+    File,
+    /// An inclusive interval of encoded keys (see [`LockScope::KeyInterval`]).
+    KeyInterval {
+        /// Low end (inclusive).
+        lo: &'k [u8],
+        /// High end (inclusive).
+        hi: &'k [u8],
+    },
+}
+
+impl<'k> ScopeRef<'k> {
+    /// A record (point) lock on `key`.
+    pub fn record(key: &'k [u8]) -> Self {
+        ScopeRef::KeyInterval { lo: key, hi: key }
+    }
+
+    /// A lock over `[lo, hi]`.
+    pub fn interval(lo: &'k [u8], hi: &'k [u8]) -> Self {
+        ScopeRef::KeyInterval { lo, hi }
+    }
+
+    /// The owned scope, for the table to keep.
+    fn to_scope(self) -> LockScope {
+        match self {
+            ScopeRef::File => LockScope::File,
+            ScopeRef::KeyInterval { lo, hi } => LockScope::interval(lo.to_vec(), hi.to_vec()),
+        }
+    }
+
+    /// Does the scope cover no key at all (an inverted interval)?
+    fn is_empty(self) -> bool {
+        matches!(self, ScopeRef::KeyInterval { lo, hi } if lo > hi)
+    }
+
+    /// Do two scopes cover any key in common?
+    fn overlaps(self, other: ScopeRef<'_>) -> bool {
+        if self.is_empty() || other.is_empty() {
+            return false;
+        }
         match (self, other) {
-            (LockScope::File, _) | (_, LockScope::File) => true,
+            (ScopeRef::File, _) | (_, ScopeRef::File) => true,
             (
-                LockScope::KeyInterval { lo: a_lo, hi: a_hi },
-                LockScope::KeyInterval { lo: b_lo, hi: b_hi },
+                ScopeRef::KeyInterval { lo: a_lo, hi: a_hi },
+                ScopeRef::KeyInterval { lo: b_lo, hi: b_hi },
             ) => a_lo <= b_hi && b_lo <= a_hi,
         }
+    }
+
+    /// Does the scope cover every key `inner` covers, and `inner` some key?
+    fn covers(self, inner: ScopeRef<'_>) -> bool {
+        if inner.is_empty() {
+            return false;
+        }
+        match (self, inner) {
+            (ScopeRef::File, _) => true,
+            (ScopeRef::KeyInterval { .. }, ScopeRef::File) => false,
+            (
+                ScopeRef::KeyInterval { lo: o_lo, hi: o_hi },
+                ScopeRef::KeyInterval { lo: i_lo, hi: i_hi },
+            ) => o_lo <= i_lo && i_hi <= o_hi,
+        }
+    }
+}
+
+/// Anything a request can name its scope with: an owned [`LockScope`], a
+/// reference to one, or a [`ScopeRef`].
+pub trait AsScope {
+    /// The scope, borrowed.
+    fn as_scope(&self) -> ScopeRef<'_>;
+}
+
+impl AsScope for LockScope {
+    fn as_scope(&self) -> ScopeRef<'_> {
+        match self {
+            LockScope::File => ScopeRef::File,
+            LockScope::KeyInterval { lo, hi } => ScopeRef::KeyInterval { lo, hi },
+        }
+    }
+}
+
+impl AsScope for ScopeRef<'_> {
+    fn as_scope(&self) -> ScopeRef<'_> {
+        *self
+    }
+}
+
+impl<T: AsScope + ?Sized> AsScope for &T {
+    fn as_scope(&self) -> ScopeRef<'_> {
+        (**self).as_scope()
     }
 }
 
@@ -168,15 +278,6 @@ impl fmt::Display for LockError {
 impl std::error::Error for LockError {}
 
 /// A queued lock request (FIFO by arrival; `since` is virtual time).
-struct Waiter {
-    txn: TxnId,
-    file: FileId,
-    scope: LockScope,
-    mode: LockMode,
-    since: u64,
-}
-
-/// A queued lock request as reported to introspection readers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaitingLock {
     /// The blocked requester.
@@ -191,15 +292,295 @@ pub struct WaitingLock {
     pub since: u64,
 }
 
+/// One grant: its owner, its mode and its place in grant order.
+#[derive(Clone, Copy)]
+struct Grant {
+    txn: TxnId,
+    mode: LockMode,
+    seq: u64,
+}
+
+/// Keys up to this length are kept inline (an integer or short CHAR
+/// primary key): a record lock on one allocates nothing for its key.
+const INLINE_KEY: usize = 22;
+
+/// An encoded key as the table keeps it: inline when short, otherwise one
+/// shared allocation that the owner's list and the index both point at.
+#[derive(Clone)]
+enum Key {
+    Inline(u8, [u8; INLINE_KEY]),
+    Shared(Arc<[u8]>),
+}
+
+impl Key {
+    fn new(bytes: &[u8]) -> Key {
+        if bytes.len() > INLINE_KEY {
+            return Key::Shared(bytes.into());
+        }
+        let mut inline = [0; INLINE_KEY];
+        inline[..bytes.len()].copy_from_slice(bytes);
+        Key::Inline(bytes.len() as u8, inline)
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Key::Inline(len, inline) => &inline[..usize::from(*len)],
+            Key::Shared(bytes) => bytes,
+        }
+    }
+}
+
+impl Borrow<[u8]> for Key {
+    fn borrow(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        self.bytes().cmp(other.bytes())
+    }
+}
+
+/// Every grant on one record key, in grant order: the first inline, so a
+/// key with one holder costs the index nothing beyond its map entry.
+struct Holders {
+    first: Grant,
+    more: Vec<Grant>,
+}
+
+impl Holders {
+    fn iter(&self) -> impl Iterator<Item = &Grant> {
+        std::iter::once(&self.first).chain(&self.more)
+    }
+
+    /// Drop `txn`'s grants: how many there were, and whether none are left.
+    fn release(&mut self, txn: TxnId) -> (usize, bool) {
+        let before = self.more.len();
+        self.more.retain(|g| g.txn != txn);
+        let mut released = before - self.more.len();
+        if self.first.txn == txn {
+            released += 1;
+            if self.more.is_empty() {
+                return (released, true);
+            }
+            self.first = self.more.remove(0);
+        }
+        (released, false)
+    }
+}
+
+/// The locks granted on one file.
+#[derive(Default)]
+struct FileLocks {
+    /// Record (point) locks, by encoded key.
+    records: BTreeMap<Key, Holders>,
+    /// Interval and file-scope locks, in grant order.
+    wide: Vec<(Grant, LockScope)>,
+}
+
+impl FileLocks {
+    /// Call `visit` with every grant whose scope overlaps `want`, and
+    /// whether that scope covers `want`.
+    fn overlapping(&self, want: ScopeRef<'_>, mut visit: impl FnMut(&Grant, bool)) {
+        match want {
+            ScopeRef::File => {
+                for grant in self.records.values().flat_map(Holders::iter) {
+                    visit(grant, false);
+                }
+            }
+            ScopeRef::KeyInterval { lo, hi } => match lo.cmp(hi) {
+                Ordering::Equal => {
+                    for grant in self.records.get(lo).into_iter().flat_map(Holders::iter) {
+                        visit(grant, true);
+                    }
+                }
+                Ordering::Less => {
+                    let span = (Bound::Included(lo), Bound::Included(hi));
+                    let spanned = self.records.range::<[u8], _>(span);
+                    for grant in spanned.flat_map(|(_, holders)| holders.iter()) {
+                        visit(grant, false);
+                    }
+                }
+                Ordering::Greater => {} // an inverted interval covers no key
+            },
+        }
+        for (grant, scope) in &self.wide {
+            let scope = scope.as_scope();
+            if scope.overlaps(want) {
+                visit(grant, scope.covers(want));
+            }
+        }
+    }
+}
+
+/// One entry of a transaction's list of grants: where to find it.
+enum Owned {
+    Record(FileId, Key),
+    Wide(FileId),
+}
+
+/// What the table would do with a request.
+enum Verdict {
+    /// The requester already holds the lock at sufficient strength.
+    Covered,
+    /// Grantable now.
+    Grant,
+    /// Blocked by this holder, or by this waiter queued ahead.
+    Conflict(TxnId),
+}
+
 #[derive(Default)]
 struct State {
-    held: Vec<HeldLock>,
+    files: BTreeMap<FileId, FileLocks>,
+    /// Each transaction's grants, for `release_all`.
+    owned: BTreeMap<TxnId, Vec<Owned>>,
+    /// Emptied grant lists, kept for the next transactions to fill.
+    spare: Vec<Vec<Owned>>,
+    /// Grants made so far: the next grant's sequence number.
+    granted: u64,
+    /// Locks held now.
+    held: usize,
     /// FIFO queue of declared waiters; arrival order is grant order.
-    waiters: Vec<Waiter>,
+    waiters: Vec<WaitingLock>,
     /// waiter -> holder edges, declared by callers that decide to block.
     waits_for: HashMap<TxnId, TxnId>,
     /// Lock-wait timeout budget in virtual microseconds (0 = disabled).
     timeout_us: u64,
+}
+
+impl State {
+    /// The one lock decision: covered re-acquire, conflict with the
+    /// earliest-granted incompatible holder, FIFO bounce off an
+    /// incompatible waiter queued ahead (unless `txn` already holds an
+    /// overlapping lock on the file — upgrades jump the queue), or grant.
+    fn decide(&self, txn: TxnId, file: FileId, want: ScopeRef<'_>, mode: LockMode) -> Verdict {
+        let (mut covered, mut upgrading) = (false, false);
+        let mut earliest: Option<Grant> = None;
+        if let Some(locks) = self.files.get(&file) {
+            locks.overlapping(want, |grant, covers| {
+                if grant.txn == txn {
+                    upgrading = true;
+                    covered |=
+                        covers && (grant.mode == LockMode::Exclusive || mode == LockMode::Shared);
+                } else if !grant.mode.compatible(mode) && earliest.is_none_or(|e| grant.seq < e.seq)
+                {
+                    earliest = Some(*grant);
+                }
+            });
+        }
+        if covered {
+            return Verdict::Covered;
+        }
+        if let Some(grant) = earliest {
+            return Verdict::Conflict(grant.txn);
+        }
+        if !upgrading {
+            // Only arrivals ahead of our own queue position count.
+            let ahead = self.waiters.iter().take_while(|w| w.txn != txn);
+            for w in ahead {
+                if w.file == file && w.scope.as_scope().overlaps(want) && !w.mode.compatible(mode) {
+                    return Verdict::Conflict(w.txn);
+                }
+            }
+        }
+        Verdict::Grant
+    }
+
+    /// Record a grant decided by [`State::decide`].
+    fn grant(&mut self, txn: TxnId, file: FileId, want: ScopeRef<'_>, mode: LockMode) {
+        let grant = Grant {
+            txn,
+            mode,
+            seq: self.granted,
+        };
+        self.granted += 1;
+        self.held += 1;
+        let locks = self.files.entry(file).or_default();
+        let owned = match want {
+            ScopeRef::KeyInterval { lo, hi } if lo == hi => {
+                let key = Key::new(lo);
+                match locks.records.entry(key.clone()) {
+                    Entry::Occupied(mut holders) => holders.get_mut().more.push(grant),
+                    Entry::Vacant(slot) => {
+                        slot.insert(Holders {
+                            first: grant,
+                            more: Vec::new(),
+                        });
+                    }
+                }
+                Owned::Record(file, key)
+            }
+            _ => {
+                locks.wide.push((grant, want.to_scope()));
+                Owned::Wide(file)
+            }
+        };
+        let spare = &mut self.spare;
+        let list = self
+            .owned
+            .entry(txn)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        list.push(owned);
+    }
+
+    /// Drop every lock `txn` holds.
+    fn release(&mut self, txn: TxnId) {
+        let Some(mut list) = self.owned.remove(&txn) else {
+            return;
+        };
+        for owned in list.drain(..) {
+            let (file, key) = match owned {
+                Owned::Record(file, key) => (file, Some(key)),
+                Owned::Wide(file) => (file, None),
+            };
+            let Some(locks) = self.files.get_mut(&file) else {
+                continue;
+            };
+            match key {
+                Some(key) => {
+                    // An upgrade's second entry finds its key already gone.
+                    if let Entry::Occupied(mut holders) = locks.records.entry(key) {
+                        let (released, emptied) = holders.get_mut().release(txn);
+                        if emptied {
+                            holders.remove();
+                        }
+                        self.held -= released;
+                    }
+                }
+                None => {
+                    let before = locks.wide.len();
+                    locks.wide.retain(|(grant, _)| grant.txn != txn);
+                    self.held -= before - locks.wide.len();
+                }
+            }
+        }
+        self.spare.push(list);
+    }
+
+    /// Clear `txn`'s queue entry and waits-for edge.
+    fn stop_waiting(&mut self, txn: TxnId) {
+        if !self.waiters.is_empty() {
+            self.waiters.retain(|w| w.txn != txn);
+        }
+        if !self.waits_for.is_empty() {
+            self.waits_for.remove(&txn);
+        }
+    }
 }
 
 /// The per-volume lock manager.
@@ -224,67 +605,44 @@ impl LockManager {
     /// Try to acquire a lock. On success the lock is recorded and any wait
     /// state of `txn` is cleared (re-acquiring a covered lock in the same
     /// or weaker mode is a no-op; a stronger mode upgrades when no other
-    /// holder conflicts). Grants are FIFO-fair: a request that would jump
-    /// an earlier incompatible queued waiter is bounced off that waiter,
-    /// unless the requester already holds an overlapping lock on the file
-    /// (upgrades jump the queue — parking an upgrade behind a queued
-    /// request for the same key is a guaranteed deadlock).
+    /// holder conflicts). A conflict names the earliest-granted conflicting
+    /// holder. Grants are FIFO-fair: a request that would jump an earlier
+    /// incompatible queued waiter is bounced off that waiter, unless the
+    /// requester already holds an overlapping lock on the file (upgrades
+    /// jump the queue — parking an upgrade behind a queued request for the
+    /// same key is a guaranteed deadlock).
     pub fn acquire(
         &self,
         txn: TxnId,
         file: FileId,
-        scope: LockScope,
+        scope: impl AsScope,
         mode: LockMode,
     ) -> Result<(), LockError> {
+        let want = scope.as_scope();
         let mut st = self.state.lock();
-        // Already covered by one of our own locks at sufficient strength?
-        let covered = st.held.iter().any(|h| {
-            h.txn == txn
-                && h.file == file
-                && covers(&h.scope, &scope)
-                && (h.mode == LockMode::Exclusive || mode == LockMode::Shared)
-        });
-        if covered {
-            st.waiters.retain(|w| w.txn != txn);
-            st.waits_for.remove(&txn);
-            return Ok(());
+        match st.decide(txn, file, want, mode) {
+            Verdict::Conflict(holder) => return Err(LockError::Conflict { holder }),
+            Verdict::Covered => {}
+            Verdict::Grant => st.grant(txn, file, want, mode),
         }
-        // Conflict scan: any overlapping lock by another txn in an
-        // incompatible mode blocks us.
-        for h in &st.held {
-            if h.txn != txn
-                && h.file == file
-                && h.scope.overlaps(&scope)
-                && !h.mode.compatible(mode)
-            {
-                return Err(LockError::Conflict { holder: h.txn });
-            }
-        }
-        // FIFO fairness scan: an incompatible waiter queued before us (or
-        // before our own queue position) gets the grant first.
-        let upgrading = st
-            .held
-            .iter()
-            .any(|h| h.txn == txn && h.file == file && h.scope.overlaps(&scope));
-        if !upgrading {
-            for w in &st.waiters {
-                if w.txn == txn {
-                    break; // only arrivals ahead of our own position count
-                }
-                if w.file == file && w.scope.overlaps(&scope) && !w.mode.compatible(mode) {
-                    return Err(LockError::Conflict { holder: w.txn });
-                }
-            }
-        }
-        st.held.push(HeldLock {
-            txn,
-            file,
-            scope,
-            mode,
-        });
-        st.waiters.retain(|w| w.txn != txn);
-        st.waits_for.remove(&txn);
+        st.stop_waiting(txn);
         Ok(())
+    }
+
+    /// Would [`Self::acquire`] grant (or find covered) this request right
+    /// now? The same decision, with no side effects.
+    pub fn can_acquire(
+        &self,
+        txn: TxnId,
+        file: FileId,
+        scope: impl AsScope,
+        mode: LockMode,
+    ) -> bool {
+        let st = self.state.lock();
+        !matches!(
+            st.decide(txn, file, scope.as_scope(), mode),
+            Verdict::Conflict(_)
+        )
     }
 
     /// Declare that `waiter` is queued behind `holder` for the given lock,
@@ -303,10 +661,11 @@ impl LockManager {
         waiter: TxnId,
         holder: TxnId,
         file: FileId,
-        scope: LockScope,
+        scope: impl AsScope,
         mode: LockMode,
         now_us: u64,
     ) -> Result<(), LockError> {
+        let want = scope.as_scope();
         let mut st = self.state.lock();
         if holder == waiter {
             return Err(LockError::Deadlock { victim: waiter });
@@ -314,20 +673,20 @@ impl LockManager {
         // Find or create the FIFO queue entry.
         let since = match st.waiters.iter_mut().find(|w| w.txn == waiter) {
             Some(w) => {
-                if w.file != file || w.scope != scope || w.mode != mode {
+                if w.file != file || w.scope.as_scope() != want || w.mode != mode {
                     // A different request forfeits the old queue position.
                     w.file = file;
-                    w.scope = scope;
+                    w.scope = want.to_scope();
                     w.mode = mode;
                     w.since = now_us;
                 }
                 w.since
             }
             None => {
-                st.waiters.push(Waiter {
+                st.waiters.push(WaitingLock {
                     txn: waiter,
                     file,
-                    scope,
+                    scope: want.to_scope(),
                     mode,
                     since: now_us,
                 });
@@ -336,55 +695,35 @@ impl LockManager {
         };
         let timeout = st.timeout_us;
         if timeout > 0 && now_us.saturating_sub(since) >= timeout {
-            st.waiters.retain(|w| w.txn != waiter);
-            st.waits_for.remove(&waiter);
+            st.stop_waiting(waiter);
             return Err(LockError::WaitTimeout { victim: waiter });
-        }
-        close_cycle(&mut st, waiter, holder)
-    }
-
-    /// Declare that `waiter` intends to wait for `holder` (legacy edge-only
-    /// API: no queue entry, no timeout). Returns `Deadlock` with the
-    /// youngest cycle member as victim if the new edge closes a cycle,
-    /// otherwise records the edge.
-    pub fn wait_for(&self, waiter: TxnId, holder: TxnId) -> Result<(), LockError> {
-        let mut st = self.state.lock();
-        if holder == waiter {
-            return Err(LockError::Deadlock { victim: waiter });
         }
         close_cycle(&mut st, waiter, holder)
     }
 
     /// Remove the wait state of `waiter` (it got the lock or gave up).
     pub fn stop_waiting(&self, waiter: TxnId) {
-        let mut st = self.state.lock();
-        st.waits_for.remove(&waiter);
-        st.waiters.retain(|w| w.txn != waiter);
+        self.state.lock().stop_waiting(waiter);
     }
 
     /// Release every lock held by `txn` (commit/abort; strict two-phase).
     pub fn release_all(&self, txn: TxnId) {
         let mut st = self.state.lock();
-        st.held.retain(|h| h.txn != txn);
-        st.waiters.retain(|w| w.txn != txn);
-        st.waits_for.remove(&txn);
+        st.release(txn);
+        st.stop_waiting(txn);
         st.waits_for.retain(|_, holder| *holder != txn);
     }
 
-    /// Locks currently held by `txn` (for tests/inspection).
+    /// Locks currently held by `txn`, in grant order (for tests/inspection).
     pub fn held_by(&self, txn: TxnId) -> Vec<HeldLock> {
-        self.state
-            .lock()
-            .held
-            .iter()
-            .filter(|h| h.txn == txn)
-            .cloned()
-            .collect()
+        let mut held = self.held();
+        held.retain(|h| h.txn == txn);
+        held
     }
 
     /// Total number of held locks.
     pub fn lock_count(&self) -> usize {
-        self.state.lock().held.len()
+        self.state.lock().held
     }
 
     /// Number of queued waiters (leak detector for property tests: must be
@@ -402,24 +741,34 @@ impl LockManager {
     /// Snapshot of every held lock, in grant order. A pure read for
     /// introspection (`sys.locks`): no clock, counter, or queue effects.
     pub fn held(&self) -> Vec<HeldLock> {
-        self.state.lock().held.clone()
+        let st = self.state.lock();
+        let mut held = Vec::with_capacity(st.held);
+        for (&file, locks) in &st.files {
+            for (key, holders) in &locks.records {
+                for grant in holders.iter() {
+                    let scope = LockScope::record(key.bytes().to_vec());
+                    held.push((grant.seq, grant, scope, file));
+                }
+            }
+            for (grant, scope) in &locks.wide {
+                held.push((grant.seq, grant, scope.clone(), file));
+            }
+        }
+        held.sort_unstable_by_key(|&(seq, ..)| seq);
+        held.into_iter()
+            .map(|(_, grant, scope, file)| HeldLock {
+                txn: grant.txn,
+                file,
+                scope,
+                mode: grant.mode,
+            })
+            .collect()
     }
 
     /// Snapshot of the waiter queue in FIFO (arrival = grant) order. Pure
     /// read for introspection (`sys.lock_waiters`), like [`Self::held`].
     pub fn waiters(&self) -> Vec<WaitingLock> {
-        self.state
-            .lock()
-            .waiters
-            .iter()
-            .map(|w| WaitingLock {
-                txn: w.txn,
-                file: w.file,
-                scope: w.scope.clone(),
-                mode: w.mode,
-                since: w.since,
-            })
-            .collect()
+        self.state.lock().waiters.clone()
     }
 
     /// Snapshot of the declared `waiter -> holder` edges, sorted by waiter
@@ -434,14 +783,6 @@ impl LockManager {
             .collect();
         edges.sort_unstable();
         edges
-    }
-
-    /// Would `txn` be able to acquire the lock right now? (No side effects.)
-    pub fn can_acquire(&self, txn: TxnId, file: FileId, scope: &LockScope, mode: LockMode) -> bool {
-        let st = self.state.lock();
-        st.held.iter().all(|h| {
-            h.txn == txn || h.file != file || !h.scope.overlaps(scope) || h.mode.compatible(mode)
-        })
     }
 }
 
@@ -459,8 +800,7 @@ fn close_cycle(st: &mut State, waiter: TxnId, holder: TxnId) -> Result<(), LockE
     while let Some(&next) = st.waits_for.get(&cur) {
         if next == waiter {
             let victim = members.iter().copied().fold(waiter, TxnId::max);
-            st.waits_for.remove(&victim);
-            st.waiters.retain(|w| w.txn != victim);
+            st.stop_waiting(victim);
             if victim != waiter {
                 st.waits_for.insert(waiter, holder);
             }
@@ -475,18 +815,6 @@ fn close_cycle(st: &mut State, waiter: TxnId, holder: TxnId) -> Result<(), LockE
     }
     st.waits_for.insert(waiter, holder);
     Ok(())
-}
-
-/// Does scope `outer` cover every key `inner` covers?
-fn covers(outer: &LockScope, inner: &LockScope) -> bool {
-    match (outer, inner) {
-        (LockScope::File, _) => true,
-        (LockScope::KeyInterval { .. }, LockScope::File) => false,
-        (
-            LockScope::KeyInterval { lo: o_lo, hi: o_hi },
-            LockScope::KeyInterval { lo: i_lo, hi: i_hi },
-        ) => o_lo <= i_lo && i_hi <= o_hi,
-    }
 }
 
 #[cfg(test)]
@@ -592,7 +920,7 @@ mod tests {
         // Upgrade to exclusive with no other holder.
         lm.acquire(t, 0, LockScope::record(k(5)), LockMode::Exclusive)
             .unwrap();
-        assert!(!lm.can_acquire(TxnId(2), 0, &LockScope::record(k(5)), LockMode::Shared));
+        assert!(!lm.can_acquire(TxnId(2), 0, LockScope::record(k(5)), LockMode::Shared));
         // Upgrade blocked by another shared holder.
         let lm = LockManager::new();
         lm.acquire(TxnId(1), 0, LockScope::record(k(7)), LockMode::Shared)
@@ -618,35 +946,50 @@ mod tests {
             .is_ok());
     }
 
+    /// `waiter` queues behind `holder` for an exclusive lock on the key
+    /// named after the holder, at time 0.
+    fn wait(lm: &LockManager, waiter: u64, holder: u64) -> Result<(), LockError> {
+        let key = [holder as u8];
+        let scope = ScopeRef::record(&key);
+        lm.wait(
+            TxnId(waiter),
+            TxnId(holder),
+            0,
+            scope,
+            LockMode::Exclusive,
+            0,
+        )
+    }
+
     #[test]
     fn deadlock_detected_on_cycle() {
         let lm = LockManager::new();
         // T1 waits for T2, T2 waits for T3: fine.
-        lm.wait_for(TxnId(1), TxnId(2)).unwrap();
-        lm.wait_for(TxnId(2), TxnId(3)).unwrap();
+        wait(&lm, 1, 2).unwrap();
+        wait(&lm, 2, 3).unwrap();
         // T3 waiting for T1 closes the cycle.
         assert_eq!(
-            lm.wait_for(TxnId(3), TxnId(1)),
+            wait(&lm, 3, 1),
             Err(LockError::Deadlock { victim: TxnId(3) })
         );
         // After T1 stops waiting, the edge is gone and T3 may wait.
         lm.stop_waiting(TxnId(1));
-        lm.wait_for(TxnId(3), TxnId(1)).unwrap();
+        wait(&lm, 3, 1).unwrap();
     }
 
     #[test]
     fn self_wait_is_deadlock() {
         let lm = LockManager::new();
-        assert!(lm.wait_for(TxnId(1), TxnId(1)).is_err());
+        assert!(wait(&lm, 1, 1).is_err());
     }
 
     #[test]
     fn release_clears_wait_edges() {
         let lm = LockManager::new();
-        lm.wait_for(TxnId(1), TxnId(2)).unwrap();
+        wait(&lm, 1, 2).unwrap();
         lm.release_all(TxnId(2));
         // T2 gone: T2->? edges and ?->T2 edges cleared, so no cycle now.
-        lm.wait_for(TxnId(2), TxnId(1)).unwrap();
+        wait(&lm, 2, 1).unwrap();
     }
 
     #[test]
@@ -726,16 +1069,16 @@ mod tests {
     fn youngest_cycle_member_is_the_victim() {
         let lm = LockManager::new();
         // T3 waits for T1; then T1 closing the cycle picks T3 (younger).
-        lm.wait_for(TxnId(3), TxnId(1)).unwrap();
+        wait(&lm, 3, 1).unwrap();
         assert_eq!(
-            lm.wait_for(TxnId(1), TxnId(3)),
+            wait(&lm, 1, 3),
             Err(LockError::Deadlock { victim: TxnId(3) })
         );
-        // T3's edge was cleared (cycle broken) and T1's edge recorded, so
-        // T1 is genuinely waiting on the doomed T3.
-        assert_eq!(lm.wait_edge_count(), 1);
+        // T3's wait state was cleared (cycle broken) and T1's edge
+        // recorded, so T1 is genuinely waiting on the doomed T3.
+        assert_eq!((lm.wait_edge_count(), lm.waiting_count()), (1, 1));
         lm.stop_waiting(TxnId(1));
-        assert_eq!(lm.wait_edge_count(), 0);
+        assert_eq!((lm.wait_edge_count(), lm.waiting_count()), (0, 0));
     }
 
     #[test]
@@ -781,6 +1124,60 @@ mod tests {
                 4000,
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_conflict_names_the_earliest_granted_holder() {
+        // A shared interval granted before a shared record lock inside it:
+        // the index finds the record first, the answer is the interval's.
+        let lm = LockManager::new();
+        let span = LockScope::interval(k(1), k(9));
+        lm.acquire(TxnId(1), 0, &span, LockMode::Shared).unwrap();
+        lm.acquire(TxnId(2), 0, LockScope::record(k(5)), LockMode::Shared)
+            .unwrap();
+        let write = |t| lm.acquire(TxnId(t), 0, LockScope::record(k(5)), LockMode::Exclusive);
+        assert_eq!(write(3), Err(LockError::Conflict { holder: TxnId(1) }));
+        lm.release_all(TxnId(1));
+        assert_eq!(write(3), Err(LockError::Conflict { holder: TxnId(2) }));
+        // And the other way round: the record lock first.
+        lm.acquire(TxnId(1), 0, &span, LockMode::Shared).unwrap();
+        assert_eq!(write(3), Err(LockError::Conflict { holder: TxnId(2) }));
+        let grant_order: Vec<TxnId> = lm.held().iter().map(|h| h.txn).collect();
+        assert_eq!(grant_order, [TxnId(2), TxnId(1)]);
+    }
+
+    #[test]
+    fn an_inverted_interval_covers_no_key() {
+        let lm = LockManager::new();
+        let inverted = LockScope::KeyInterval { lo: k(9), hi: k(1) };
+        lm.acquire(TxnId(1), 0, &inverted, LockMode::Exclusive)
+            .unwrap();
+        lm.acquire(TxnId(2), 0, LockScope::File, LockMode::Exclusive)
+            .unwrap();
+        lm.acquire(TxnId(3), 0, &inverted, LockMode::Exclusive)
+            .unwrap();
+        assert_eq!(lm.lock_count(), 3);
+        assert!(!inverted.overlaps(&LockScope::File));
+        lm.release_all(TxnId(1));
+        assert_eq!(lm.lock_count(), 2);
+    }
+
+    #[test]
+    fn can_acquire_answers_what_acquire_would() {
+        let lm = LockManager::new();
+        let row = LockScope::record(k(5));
+        lm.acquire(TxnId(1), 0, &row, LockMode::Shared).unwrap();
+        lm.wait(TxnId(2), TxnId(1), 0, &row, LockMode::Exclusive, 0)
+            .unwrap();
+        // A shared request is compatible with the holder but would jump
+        // the queued writer: bounced.
+        assert!(!lm.can_acquire(TxnId(3), 0, &row, LockMode::Shared));
+        assert!(lm.acquire(TxnId(3), 0, &row, LockMode::Shared).is_err());
+        // The holder's covered re-acquire and its upgrade are grantable.
+        assert!(lm.can_acquire(TxnId(1), 0, &row, LockMode::Shared));
+        assert!(lm.can_acquire(TxnId(1), 0, &row, LockMode::Exclusive));
+        // None of which touched the table.
+        assert_eq!((lm.lock_count(), lm.waiting_count()), (1, 1));
     }
 
     #[test]

@@ -154,13 +154,20 @@ fn inserts_into_distinct_ranges_coexist_with_blocked_insert_lock() {
 #[test]
 fn deadlock_detection_via_waits_for() {
     // The lock manager's waits-for graph catches a cycle when the Disk
-    // Process declares waits (driven directly here).
+    // Process declares waits (driven directly here): each queues for the
+    // file the other holds.
     let db = db_with_rows(2);
     let dp = db.dp("$DATA1");
     let (a, b) = (db.txnmgr.begin(), db.txnmgr.begin());
-    dp.locks.wait_for(a, b).unwrap();
-    let err = dp.locks.wait_for(b, a).unwrap_err();
+    let wait = |waiter, holder| {
+        let file = nsql_lock::ScopeRef::File;
+        let mode = nsql_lock::LockMode::Exclusive;
+        dp.locks.wait(waiter, holder, 0, file, mode, 0)
+    };
+    wait(a, b).unwrap();
+    let err = wait(b, a).unwrap_err();
     assert!(matches!(err, nsql_lock::LockError::Deadlock { victim } if victim == b));
+    assert_eq!(dp.locks.waiting_count(), 1, "the victim left the queue");
     db.txnmgr.abort(b, db.session().cpu()).unwrap();
     db.txnmgr.abort(a, db.session().cpu()).unwrap();
 }

@@ -231,12 +231,13 @@ fn set_writes_describe_each_row_once() {
 
     // With the undo list cloning the key and the before-image beside the
     // audit record: 20.3 per row; 17.3 when the Disk Process decoded each
-    // record to change it. Now 10.24.
+    // record to change it; 10.24 when each record lock copied its key four
+    // times. Now 6.405.
     let update = per_row(|lo, hi| {
         let sql = format!("UPDATE T SET V = V + 1 WHERE K BETWEEN {lo} AND {hi}");
         statement(sql, rows(lo, hi))
     });
-    assert!(update <= 10.3, "UPDATE: {update} allocations per row");
+    assert!(update <= 6.41, "UPDATE: {update} allocations per row");
 
     // Was 20.1 per row (a label and a descriptor cloned per record backed
     // out); 14.1 when each backout decoded the record; now 4.06.
@@ -252,12 +253,13 @@ fn set_writes_describe_each_row_once() {
     );
 
     // Was 20.6 per row; 15.0 before the Disk Process kept matched keys and
-    // records in one buffer; now 13.92.
+    // records in one buffer; 13.92 before a record lock kept its key once,
+    // inline; now 9.2285.
     let delete = per_row(|lo, hi| {
         let sql = format!("DELETE FROM T WHERE K BETWEEN {lo} AND {hi}");
         statement(sql, rows(lo, hi))
     });
-    assert!(delete <= 14.0, "DELETE: {delete} allocations per row");
+    assert!(delete <= 9.23, "DELETE: {delete} allocations per row");
 }
 
 #[test]
@@ -282,9 +284,10 @@ fn a_write_that_keeps_an_index_reads_only_keys() {
     // record's key, encoded from its key field where it lies: was 78.8 per
     // row when each record was decoded whole (a vector and a string) to
     // encode its key again; 76.8, then 71.8 with the record changed on its
-    // bytes; now 68.8, the File System evaluating the SET list for the
+    // bytes; 68.8 with the File System evaluating the SET list for the
     // index over the row it read, not a copy, and listing no touched
-    // indices.
+    // indices; now 53.27, each record lock (base row and index entries)
+    // keeping its key once, inline.
     let update = per_row(|lo, hi| {
         let sql = format!("UPDATE T SET V = V + 1 WHERE K BETWEEN {lo} AND {hi}");
         let ((count, _), outcome) = allocs_during(|| s.execute(&sql).unwrap());
@@ -292,7 +295,7 @@ fn a_write_that_keeps_an_index_reads_only_keys() {
         count
     });
     assert!(
-        update <= 68.9,
+        update <= 53.3,
         "indexed UPDATE: {update} allocations per row"
     );
 }
