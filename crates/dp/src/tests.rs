@@ -1880,3 +1880,489 @@ fn a_field_that_does_not_decode_is_corrupt_to_the_predicate_that_reads_it() {
     // A scan that reaches the record stops at it.
     assert_eq!(select(KeyRange::all(), note_is_null), corrupt);
 }
+
+/// Every write verb once, accepted and refused, each on a fresh cluster
+/// with checkpointing on: the reply, the virtual microseconds the request
+/// took, the Disk Process CPU units, the audit records and bytes logged,
+/// the checkpoint messages and the locks held afterwards, pinned. Another
+/// transaction holds employee 9's record lock throughout.
+#[test]
+fn each_write_verb_costs_what_it_did() {
+    struct Files {
+        txn: TxnId,
+        emp: FileId,
+        rel: FileId,
+        log: FileId,
+    }
+    let desc = emp_desc();
+    let row = |empno: i32, salary: f64| emp_row(empno, "NEW", 1990, salary);
+    let record = |empno: i32, salary: f64| encode_row(&desc, &row(empno, salary)).unwrap();
+    let raise = || SetList {
+        sets: vec![(
+            3,
+            Expr::Arith(
+                Box::new(Expr::Field(3)),
+                ArithOp::Add,
+                Box::new(Expr::lit(Value::Double(1.0))),
+            ),
+        )],
+    };
+    let solvent = || Some(Expr::field_cmp(3, CmpOp::Lt, Value::Double(0.0)));
+    let to = |hi: i32| range_to(hi);
+    type Case<'a> = (
+        &'a str,
+        &'a str,
+        [u64; 6],
+        Box<dyn Fn(&Files) -> DpRequest + 'a>,
+    );
+    let cases: Vec<Case> = vec![
+        (
+            "insert",
+            "Ok",
+            [1352, 9, 1, 64, 1, 2],
+            Box::new(|f| DpRequest::Insert {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(50),
+                record: record(50, 5.0),
+            }),
+        ),
+        (
+            "insert duplicate",
+            "Error(DuplicateKey)",
+            [683, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::Insert {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+                record: record(3, 5.0),
+            }),
+        ),
+        (
+            "insert on relative",
+            "Error(WrongFileKind)",
+            [681, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::Insert {
+                txn: f.txn,
+                file: f.rel,
+                key: 7u64.to_be_bytes().to_vec(),
+                record: vec![1; 8],
+            }),
+        ),
+        (
+            "insert on entry-sequenced",
+            "Error(WrongFileKind)",
+            [683, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::Insert {
+                txn: f.txn,
+                file: f.log,
+                key: emp_key(50),
+                record: record(50, 5.0),
+            }),
+        ),
+        (
+            "update full",
+            "Ok",
+            [1352, 9, 1, 93, 1, 2],
+            Box::new(|f| DpRequest::UpdateRecord {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+                record: record(3, 7.0),
+                audit: AuditMode::FullImage,
+            }),
+        ),
+        (
+            "update fields",
+            "Ok",
+            [1412, 13, 1, 92, 1, 2],
+            Box::new(|f| DpRequest::UpdateRecord {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+                record: record(3, 7.0),
+                audit: AuditMode::FieldCompressed,
+            }),
+        ),
+        (
+            "update missing",
+            "Error(NotFound)",
+            [683, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::UpdateRecord {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(77),
+                record: record(77, 7.0),
+                audit: AuditMode::FullImage,
+            }),
+        ),
+        (
+            "update fields corrupt",
+            "Error(BadRecord(\"corrupt record bytes\"))",
+            [680, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::UpdateRecord {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+                record: vec![1; 3],
+                audit: AuditMode::FieldCompressed,
+            }),
+        ),
+        (
+            "delete",
+            "Ok",
+            [1350, 9, 1, 64, 1, 2],
+            Box::new(|f| DpRequest::DeleteRecord {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+            }),
+        ),
+        (
+            "delete missing",
+            "Error(NotFound)",
+            [680, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::DeleteRecord {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(77),
+            }),
+        ),
+        (
+            "delete locked",
+            "Error(Locked { holder: TxnId(3) })",
+            [680, 5, 0, 0, 0, 1],
+            Box::new(|f| DpRequest::DeleteRecord {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(9),
+            }),
+        ),
+        (
+            "update point",
+            "Ok",
+            [1322, 7, 1, 57, 1, 2],
+            Box::new(|f| DpRequest::UpdatePoint {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+                sets: raise(),
+                constraint: None,
+            }),
+        ),
+        (
+            "update point key field",
+            "Error(KeyUpdateNotAllowed)",
+            [681, 5, 0, 0, 0, 1],
+            Box::new(|f| DpRequest::UpdatePoint {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+                sets: SetList {
+                    sets: vec![(0, Expr::lit(Value::Int(99)))],
+                },
+                constraint: None,
+            }),
+        ),
+        (
+            "update point check",
+            "Error(ConstraintViolation)",
+            [743, 9, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::UpdatePoint {
+                txn: f.txn,
+                file: f.emp,
+                key: emp_key(3),
+                sets: raise(),
+                constraint: solvent(),
+            }),
+        ),
+        (
+            "relative insert",
+            "Ok",
+            [1339, 8, 1, 78, 1, 2],
+            Box::new(|f| DpRequest::RelativeWrite {
+                txn: f.txn,
+                file: f.rel,
+                recnum: 9,
+                record: vec![9; 40],
+            }),
+        ),
+        (
+            "relative replace",
+            "Ok",
+            [1339, 8, 1, 142, 1, 2],
+            Box::new(|f| DpRequest::RelativeWrite {
+                txn: f.txn,
+                file: f.rel,
+                recnum: 2,
+                record: vec![9; 40],
+            }),
+        ),
+        (
+            "relative out of range",
+            "Error(BadRecord(\"record number out of range\"))",
+            [684, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::RelativeWrite {
+                txn: f.txn,
+                file: f.rel,
+                recnum: 1 << 40,
+                record: vec![9; 40],
+            }),
+        ),
+        (
+            "relative write on keyed",
+            "Error(WrongFileKind)",
+            [684, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::RelativeWrite {
+                txn: f.txn,
+                file: f.emp,
+                recnum: 2,
+                record: vec![9; 40],
+            }),
+        ),
+        (
+            "relative delete on entry-sequenced",
+            "Error(WrongFileKind)",
+            [680, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::RelativeDelete {
+                txn: f.txn,
+                file: f.log,
+                recnum: 2,
+            }),
+        ),
+        (
+            "relative delete",
+            "Ok",
+            [725, 8, 1, 102, 0, 2],
+            Box::new(|f| DpRequest::RelativeDelete {
+                txn: f.txn,
+                file: f.rel,
+                recnum: 2,
+            }),
+        ),
+        (
+            "relative delete empty",
+            "Error(NotFound)",
+            [680, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::RelativeDelete {
+                txn: f.txn,
+                file: f.rel,
+                recnum: 9,
+            }),
+        ),
+        (
+            "blocked insert",
+            "Subset done=true examined=3 affected=3",
+            [826, 14, 3, 192, 0, 2],
+            Box::new(|f| DpRequest::BlockedInsert {
+                txn: f.txn,
+                file: f.emp,
+                records: (50..53).map(|i| (emp_key(i), record(i, 1.0))).collect(),
+            }),
+        ),
+        (
+            "blocked insert duplicate",
+            "Error(DuplicateKey)",
+            [691, 5, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::BlockedInsert {
+                txn: f.txn,
+                file: f.emp,
+                records: (0..3).map(|i| (emp_key(i), record(i, 1.0))).collect(),
+            }),
+        ),
+        (
+            "blocked insert empty",
+            "Ok",
+            [679, 5, 0, 0, 0, 1],
+            Box::new(|f| DpRequest::BlockedInsert {
+                txn: f.txn,
+                file: f.emp,
+                records: vec![],
+            }),
+        ),
+        (
+            "blocked update",
+            "Subset done=true examined=2 affected=2",
+            [777, 11, 2, 186, 0, 3],
+            Box::new(|f| DpRequest::BlockedUpdate {
+                txn: f.txn,
+                file: f.emp,
+                records: (1..3).map(|i| (emp_key(i), record(i, 2.0))).collect(),
+            }),
+        ),
+        (
+            "blocked update missing",
+            "Error(NotFound)",
+            [732, 8, 1, 93, 0, 3],
+            Box::new(|f| DpRequest::BlockedUpdate {
+                txn: f.txn,
+                file: f.emp,
+                records: vec![(emp_key(1), record(1, 2.0)), (emp_key(77), record(77, 2.0))],
+            }),
+        ),
+        (
+            "blocked update empty",
+            "Subset done=true examined=0 affected=0",
+            [680, 5, 0, 0, 0, 1],
+            Box::new(|f| DpRequest::BlockedUpdate {
+                txn: f.txn,
+                file: f.emp,
+                records: vec![],
+            }),
+        ),
+        (
+            "blocked delete",
+            "Subset done=true examined=2 affected=2",
+            [771, 11, 2, 128, 0, 3],
+            Box::new(|f| DpRequest::BlockedDelete {
+                txn: f.txn,
+                file: f.emp,
+                keys: vec![emp_key(1), emp_key(2)],
+            }),
+        ),
+        (
+            "blocked delete locked",
+            "Error(Locked { holder: TxnId(3) })",
+            [726, 8, 1, 64, 0, 2],
+            Box::new(|f| DpRequest::BlockedDelete {
+                txn: f.txn,
+                file: f.emp,
+                keys: vec![emp_key(8), emp_key(9)],
+            }),
+        ),
+        (
+            "update subset",
+            "Subset done=true examined=5 affected=5",
+            [1133, 35, 5, 285, 0, 6],
+            Box::new(|f| DpRequest::SubsetFirst {
+                file: f.emp,
+                range: to(4),
+                predicate: None,
+                op: SubsetOp::Update {
+                    txn: f.txn,
+                    sets: raise(),
+                    constraint: None,
+                },
+            }),
+        ),
+        (
+            "update subset check",
+            "Error(ConstraintViolation)",
+            [818, 14, 0, 0, 0, 2],
+            Box::new(|f| DpRequest::SubsetFirst {
+                file: f.emp,
+                range: to(4),
+                predicate: None,
+                op: SubsetOp::Update {
+                    txn: f.txn,
+                    sets: raise(),
+                    constraint: solvent(),
+                },
+            }),
+        ),
+        (
+            "update subset locked",
+            "Error(Locked { holder: TxnId(3) })",
+            [1506, 60, 9, 513, 0, 10],
+            Box::new(|f| DpRequest::SubsetFirst {
+                file: f.emp,
+                range: KeyRange::all(),
+                predicate: None,
+                op: SubsetOp::Update {
+                    txn: f.txn,
+                    sets: raise(),
+                    constraint: None,
+                },
+            }),
+        ),
+        (
+            "delete subset",
+            "Subset done=true examined=5 affected=5",
+            [981, 25, 5, 320, 0, 6],
+            Box::new(|f| DpRequest::SubsetFirst {
+                file: f.emp,
+                range: to(4),
+                predicate: None,
+                op: SubsetOp::Delete { txn: f.txn },
+            }),
+        ),
+        (
+            "delete subset on relative",
+            "Error(WrongFileKind)",
+            [680, 5, 0, 0, 0, 1],
+            Box::new(|f| DpRequest::SubsetFirst {
+                file: f.rel,
+                range: KeyRange::all(),
+                predicate: None,
+                op: SubsetOp::Delete { txn: f.txn },
+            }),
+        ),
+    ];
+    let summary = |reply: &DpReply| match reply {
+        DpReply::Subset {
+            done,
+            examined,
+            affected,
+            ..
+        } => format!("Subset done={done} examined={examined} affected={affected}"),
+        other => format!("{other:?}"),
+    };
+    for (name, expect_reply, expect, request) in &cases {
+        let c = cluster_with(DpConfig {
+            checkpointing: true,
+            ..DpConfig::default()
+        });
+        c.bus
+            .register("$DATA1-B", CpuId::new(0, 2), Arc::new(BackupSink));
+        let emp = c.create_emp();
+        c.load_emps(emp, 10);
+        let DpReply::FileCreated(rel) = c.send(DpRequest::CreateFile {
+            kind: FileKind::Relative { slot_size: 64 },
+        }) else {
+            panic!()
+        };
+        let DpReply::FileCreated(log) = c.send(DpRequest::CreateFile {
+            kind: FileKind::EntrySequenced,
+        }) else {
+            panic!()
+        };
+        let txn = c.txnmgr.begin();
+        for recnum in 1..4 {
+            let record = vec![recnum as u8; 32];
+            let reply = c.send(DpRequest::RelativeWrite {
+                txn,
+                file: rel,
+                recnum,
+                record,
+            });
+            assert!(matches!(reply, DpReply::Ok));
+        }
+        c.txnmgr.commit(txn, c.client).unwrap();
+        let holder = c.txnmgr.begin();
+        let reply = c.send(DpRequest::Lock {
+            txn: holder,
+            file: emp,
+            key: Some(emp_key(9)),
+            mode: LockMode::Exclusive,
+        });
+        assert!(matches!(reply, DpReply::Ok));
+        let txn = c.txnmgr.begin();
+        let request = request(&Files { txn, emp, rel, log });
+        let (before, t0) = (c.sim.metrics.snapshot(), c.sim.now());
+        let reply = c.send(request);
+        let d = c.sim.metrics.snapshot() - before;
+        let got = [
+            c.sim.now() - t0,
+            d.cpu_dp,
+            d.audit_records,
+            d.audit_bytes,
+            d.msgs_checkpoint,
+            c.dp.locks.lock_count() as u64,
+        ];
+        assert_eq!(summary(&reply), *expect_reply, "{name}");
+        assert_eq!(
+            got, *expect,
+            "{name}: [µs, cpu, audit records, audit bytes, checkpoints, locks]"
+        );
+    }
+}
