@@ -13,11 +13,16 @@ use nsql_sim::SimRng;
 use std::cell::Cell;
 use std::ops::Bound;
 
+/// The first byte of an internal node's block (`node.rs`).
+const INTERNAL_TAG: u8 = 0x02;
+
 /// FNV-1a over every `BlockStore` call made through it.
 struct TraceStore {
     inner: MemStore,
     hash: Cell<u64>,
     calls: Cell<u64>,
+    /// Internal nodes' blocks freed (seen past the trace).
+    internal_frees: Cell<u64>,
 }
 
 impl TraceStore {
@@ -26,6 +31,7 @@ impl TraceStore {
             inner: MemStore::with_block_size(block_size),
             hash: Cell::new(0xcbf2_9ce4_8422_2325),
             calls: Cell::new(0),
+            internal_frees: Cell::new(0),
         }
     }
 
@@ -73,6 +79,9 @@ impl BlockStore for TraceStore {
     }
     fn free(&self, block: BlockNo) {
         self.record(b'f', block, &[]);
+        if self.inner.read(block)[0] == INTERNAL_TAG {
+            self.internal_frees.set(self.internal_frees.get() + 1);
+        }
         self.inner.free(block);
     }
 }
@@ -137,5 +146,66 @@ fn block_store_call_trace_is_pinned() {
         (calls, hash),
         (PINNED_CALLS, PINNED_HASH),
         "BlockStore call trace moved: {calls} calls, hash {hash:#018x}"
+    );
+}
+
+/// Internal levels from the root of `tree` down to its leaves, read past
+/// the trace.
+fn internal_levels(store: &TraceStore, tree: &BTreeFile<'_, TraceStore>) -> u32 {
+    let (mut block, mut levels) = (tree.root(), 0);
+    loop {
+        let node = store.inner.read(block);
+        if node[0] != INTERNAL_TAG {
+            return levels;
+        }
+        levels += 1;
+        block = BlockNo::from_be_bytes([node[3], node[4], node[5], node[6]]);
+    }
+}
+
+/// The first pin's shrink phase deletes at random, and free-at-empty
+/// leaves empty too rarely there to take an internal node below its
+/// quarter or to collapse the root. This script grows a tree past two
+/// internal levels, then deletes it whole, key range after key range in
+/// key order: internal nodes underflow and are freed, the root collapses
+/// level by level, and one block is left.
+const SHRINK_CALLS: u64 = 137_024;
+const SHRINK_HASH: u64 = 0xfd36_c570_6ff5_b66c;
+
+#[test]
+fn block_store_call_trace_of_a_tree_deleted_range_by_range_is_pinned() {
+    let store = TraceStore::new(256);
+    let tree = BTreeFile::open(&store, BTreeFile::create(&store));
+    let mut rng = SimRng::seed_from(0x5EED);
+    let key = |k: u64| (k as u32).to_be_bytes().to_vec();
+    const KEYS: u64 = 12_000;
+    for _ in 0..KEYS {
+        let k = rng.below(KEYS);
+        assert!(tree.put(&key(k), &vec![k as u8; k as usize % 13]).is_ok());
+    }
+    let grown = internal_levels(&store, &tree);
+    assert!(grown > 2, "the tree grew to {grown} internal levels");
+    // Ranges in a scattered order, each deleted in key order.
+    let ranges = 10;
+    let width = KEYS / ranges;
+    for r in (0..ranges).map(|r| r * 3 % ranges) {
+        for k in r * width..(r + 1) * width {
+            drop(tree.delete(&key(k)));
+        }
+    }
+    let (calls, hash) = (store.calls.get(), store.hash.get());
+    tree.validate();
+    assert!(tree.is_empty());
+    assert!(
+        store.internal_frees.get() > 0,
+        "no internal block was freed"
+    );
+    assert_eq!(store.inner.live_blocks(), 1, "only the root is left");
+    assert_eq!(internal_levels(&store, &tree), 0);
+    assert_eq!(
+        (calls, hash),
+        (SHRINK_CALLS, SHRINK_HASH),
+        "BlockStore call trace moved: {calls} calls, hash {hash:#018x}, {} internal frees",
+        store.internal_frees.get()
     );
 }

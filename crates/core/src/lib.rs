@@ -922,45 +922,31 @@ impl Session<'_> {
     /// stay contiguous and their message counts sum to the global delta.
     fn analyze(&self, exec: &Executor<'_>, planned: Plan) -> Result<Vec<OpStats>, DbError> {
         let sim = &self.cluster.sim;
-        match planned {
+        let dml = |run: &dyn Fn(TxnId) -> Result<u64, DbError>| {
+            let label = nsql_sql::plan::describe(&planned).join("; ");
+            let statement = |txn| {
+                let mark = sim.mark();
+                let n = run(txn)?;
+                Ok(OpStats::close(label, n, &mark, sim))
+            };
+            let mut commit_op = None;
+            let commit = |txn| {
+                let mark = sim.mark();
+                self.cluster.txnmgr.commit(txn, self.cpu).map_err(db_err)?;
+                commit_op = Some(OpStats::close("COMMIT".into(), 0, &mark, sim));
+                Ok(())
+            };
+            let op = self.autocommit(statement, commit)?;
+            Ok(std::iter::once(op).chain(commit_op).collect())
+        };
+        match &planned {
             Plan::Select(p) => {
-                let (_, stats) = exec.select_analyzed(&p, self.txn).map_err(db_err)?;
+                let (_, stats) = exec.select_analyzed(p, self.txn).map_err(db_err)?;
                 Ok(stats)
             }
-            p @ (Plan::Insert(_) | Plan::Update(_) | Plan::Delete(_)) => {
-                let label = nsql_sql::plan::describe(&p).join("; ");
-                let run = |txn: TxnId| match &p {
-                    Plan::Insert(ip) => exec.insert(ip, txn).map_err(db_err),
-                    Plan::Update(up) => exec.update(up, txn).map_err(db_err),
-                    Plan::Delete(dp) => exec.delete(dp, txn).map_err(db_err),
-                    _ => unreachable!(),
-                };
-                let mut stats = Vec::new();
-                match self.txn {
-                    Some(txn) => {
-                        let mark = sim.mark();
-                        let n = run(txn)?;
-                        stats.push(OpStats::close(label, n, &mark, sim));
-                    }
-                    None => {
-                        let txn = self.cluster.txnmgr.begin();
-                        let mark = sim.mark();
-                        match run(txn) {
-                            Ok(n) => {
-                                stats.push(OpStats::close(label, n, &mark, sim));
-                                let mark = sim.mark();
-                                self.cluster.txnmgr.commit(txn, self.cpu).map_err(db_err)?;
-                                stats.push(OpStats::close("COMMIT".into(), 0, &mark, sim));
-                            }
-                            Err(e) => {
-                                let _ = self.cluster.txnmgr.abort(txn, self.cpu);
-                                return Err(e);
-                            }
-                        }
-                    }
-                }
-                Ok(stats)
-            }
+            Plan::Insert(p) => dml(&|txn| exec.insert(p, txn).map_err(db_err)),
+            Plan::Update(p) => dml(&|txn| exec.update(p, txn).map_err(db_err)),
+            Plan::Delete(p) => dml(&|txn| exec.delete(p, txn).map_err(db_err)),
             _ => Err(DbError(
                 "EXPLAIN ANALYZE supports SELECT, INSERT, UPDATE and DELETE".into(),
             )),
@@ -968,19 +954,26 @@ impl Session<'_> {
     }
 
     fn dml<F: FnOnce(TxnId) -> Result<u64, DbError>>(&self, f: F) -> Result<Outcome, DbError> {
+        let commit = |txn| self.cluster.txnmgr.commit(txn, self.cpu).map_err(db_err);
+        self.autocommit(f, commit).map(Outcome::Count)
+    }
+
+    /// Run `f` in the session's transaction or, outside one, in a
+    /// transaction of its own that `commit` commits once `f` succeeds and
+    /// that is aborted if `f` fails. Inside an explicit transaction a failed
+    /// statement leaves the transaction open; the caller decides to roll
+    /// back.
+    fn autocommit<T>(
+        &self,
+        f: impl FnOnce(TxnId) -> Result<T, DbError>,
+        commit: impl FnOnce(TxnId) -> Result<(), DbError>,
+    ) -> Result<T, DbError> {
         match self.txn {
-            Some(txn) => {
-                // Inside an explicit transaction a failed statement leaves
-                // the transaction open; the caller decides to roll back.
-                f(txn).map(Outcome::Count)
-            }
+            Some(txn) => f(txn),
             None => {
                 let txn = self.cluster.txnmgr.begin();
                 match f(txn) {
-                    Ok(n) => {
-                        self.cluster.txnmgr.commit(txn, self.cpu).map_err(db_err)?;
-                        Ok(Outcome::Count(n))
-                    }
+                    Ok(done) => commit(txn).map(|()| done),
                     Err(e) => {
                         let _ = self.cluster.txnmgr.abort(txn, self.cpu);
                         Err(e)

@@ -55,6 +55,8 @@ use nsql_tmf::audit::FieldImage;
 use nsql_tmf::txn::{EndTxnReply, EndTxnRequest};
 use nsql_tmf::{AuditBody, AuditRecord, Direction, Trail, TxnManager, VolumeAuditor};
 use std::any::Any;
+use std::borrow::Cow;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -559,7 +561,15 @@ impl DiskProcess {
 
     fn handle_request(&self, req: DpRequest) -> DpReply {
         self.sim.cpu_work(CpuLayer::DiskProcess, 5);
-        let result = match req {
+        self.execute(req).unwrap_or_else(DpReply::Error)
+    }
+
+    /// One request's work. A write verb's arm holds only what is its own —
+    /// a `SET` list compiled before the record is locked, a blocked insert's
+    /// interval lock, its CPU units, its checkpoint bytes and its reply —
+    /// and changes each record through [`Self::keyed_change`].
+    fn execute(&self, req: DpRequest) -> Result<DpReply, DpError> {
+        match req {
             DpRequest::CreateFile { kind } => self.create_file(kind),
             DpRequest::FlushCache => {
                 self.pool.flush_all().expect("flush failed");
@@ -583,15 +593,26 @@ impl DiskProcess {
                 file,
                 key,
                 record,
-            } => self.insert(txn, file, key, record),
+            } => {
+                let (label, checkpoint) = (self.file_label(file)?, Some(64 + record.len()));
+                let insert = Change::Insert(record);
+                self.write_record(txn, label, Key::Record(key), insert, 4, checkpoint)
+            }
             DpRequest::UpdateRecord {
                 txn,
                 file,
                 key,
                 record,
                 audit,
-            } => self.update_record(txn, file, key, record, audit),
-            DpRequest::DeleteRecord { txn, file, key } => self.delete_record(txn, file, key),
+            } => {
+                let (label, checkpoint) = (self.file_label(file)?, Some(64 + record.len()));
+                let replace = Change::Replace(record, audit);
+                self.write_record(txn, label, Key::Record(key), replace, 4, checkpoint)
+            }
+            DpRequest::DeleteRecord { txn, file, key } => {
+                let label = self.file_label(file)?;
+                self.write_record(txn, label, Key::Record(key), Change::Delete, 4, Some(96))
+            }
             DpRequest::Lock {
                 txn,
                 file,
@@ -622,37 +643,63 @@ impl DiskProcess {
                 key,
                 sets,
                 constraint,
-            } => self.update_point(txn, file, key, sets, constraint),
+            } => {
+                let label = self.file_label(file)?;
+                let patch = compile_patch(self.descriptor(&label)?, sets, constraint)?;
+                // The patch charges its own CPU units.
+                let patch = Change::Patch(&patch);
+                self.write_record(txn, label, Key::Record(key), patch, 0, Some(96))
+            }
             DpRequest::BlockedInsert { txn, file, records } => {
-                self.blocked_insert(txn, file, records)
+                let (Some((lo, _)), Some((hi, _))) = (records.first(), records.last()) else {
+                    return Ok(DpReply::Ok);
+                };
+                let label = self.file_label(file)?;
+                self.join_txn(txn);
+                // The whole target key range is locked as a group (by prior
+                // agreement with the File System).
+                self.lock(txn, file, ScopeRef::interval(lo, hi), LockMode::Exclusive)?;
+                let insert = |(key, record)| (Key::Covered(key), Change::Insert(record));
+                self.write_blocked(txn, &label, records.into_iter().map(insert))
             }
             DpRequest::CloseSubset { subset } => {
                 self.state.lock().subsets.remove(&subset);
                 Ok(DpReply::Ok)
             }
             DpRequest::BlockedUpdate { txn, file, records } => {
-                let changes = records.into_iter().map(|(key, after)| (key, Some(after)));
-                self.blocked_change(txn, file, changes)
+                let label = self.file_label(file)?;
+                self.join_txn(txn);
+                let full = |(key, after)| {
+                    (
+                        Key::Record(key),
+                        Change::Replace(after, AuditMode::FullImage),
+                    )
+                };
+                self.write_blocked(txn, &label, records.into_iter().map(full))
             }
             DpRequest::BlockedDelete { txn, file, keys } => {
-                self.blocked_change(txn, file, keys.into_iter().map(|key| (key, None)))
+                let label = self.file_label(file)?;
+                self.join_txn(txn);
+                let delete = |key| (Key::Record(key), Change::Delete);
+                self.write_blocked(txn, &label, keys.into_iter().map(delete))
             }
             DpRequest::RelativeWrite {
                 txn,
                 file,
                 recnum,
                 record,
-            } => self.relative_write(txn, file, recnum, record),
+            } => {
+                let (label, checkpoint) = (self.file_label(file)?, Some(64 + record.len()));
+                let put = Change::Put(record);
+                self.write_record(txn, label, Key::Slot(recnum), put, 3, checkpoint)
+            }
             DpRequest::RelativeRead { file, recnum } => self.relative_read(file, recnum),
             DpRequest::RelativeDelete { txn, file, recnum } => {
-                self.relative_delete(txn, file, recnum)
+                let label = self.file_label(file)?;
+                self.write_record(txn, label, Key::Slot(recnum), Change::Delete, 3, None)
             }
             DpRequest::EntryAppend { file, record } => self.entry_append(file, record),
             DpRequest::EntryRead { file, address } => self.entry_read(file, address),
-        };
-        match result {
-            Ok(reply) => reply,
-            Err(e) => DpReply::Error(e),
         }
     }
 
@@ -684,7 +731,7 @@ impl DiskProcess {
             self.lock(txn, file, ScopeRef::record(key), LockMode::Shared)?;
         }
         let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
+        let opened = AuditedFile::new(&store, &label);
         let tree = opened.tree()?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 3);
         let found = tree.get(key);
@@ -706,7 +753,7 @@ impl DiskProcess {
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
+        let opened = AuditedFile::new(&store, &label);
         let tree = opened.tree()?;
         let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
         let mut rows = RowBuffer::default();
@@ -748,7 +795,7 @@ impl DiskProcess {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
-        let opened = AuditedFile::open(&store, &label)?;
+        let opened = AuditedFile::new(&store, &label);
         let tree = opened.tree()?;
         let block_budget = self.pool.disk().block_size();
         let mut rows = RowBuffer::default();
@@ -787,22 +834,13 @@ impl DiskProcess {
         })
     }
 
-    /// What every record-at-a-time write begins with: the file's label,
-    /// membership of the transaction, the exclusive lock on the record.
-    fn begin_write(&self, txn: TxnId, file: FileId, key: &[u8]) -> Result<Arc<FileLabel>, DpError> {
-        let label = self.file_label(file)?;
-        self.join_txn(txn);
-        self.lock(txn, file, ScopeRef::record(key), LockMode::Exclusive)?;
-        Ok(label)
-    }
-
     /// The one way a record of an audited file is changed. `body` is the
     /// change: it is logged, the LSN it gets stamps the blocks it dirties,
     /// it is applied to the file's structure, and it — the body itself, not
     /// a copy, less the after-images backout never reads — goes on the
     /// transaction's undo list, from where abort backs it out the way
-    /// restart would ([`Self::apply_logged`]). `image` is the full
-    /// after-image when `body` carries field images only.
+    /// restart would ([`Self::apply_logged`]). A body of field images is
+    /// applied as `image`, the whole new record.
     ///
     /// The structure refuses a change (duplicate key, record too large, not
     /// found) before it writes a block, and the change is logged only just
@@ -813,25 +851,21 @@ impl DiskProcess {
         file: &AuditedFile<'_, 's>,
         txn: TxnId,
         body: AuditBody,
-        image: Option<&[u8]>,
+        image: &[u8],
     ) -> Result<(), DpError> {
         let body = Arc::new(body);
         file.store.unlogged.replace(Some(Unlogged {
             dp: self,
             txn,
-            file: file.id,
+            file: file.label.id,
             body: Arc::clone(&body),
         }));
-        let applied = match (&*body, image) {
-            (AuditBody::Insert { key, record }, _) => file.write(key, record, BTreeFile::insert),
-            (AuditBody::UpdateFull { key, after, .. }, _) => {
-                file.write(key, after, BTreeFile::update)
-            }
-            (AuditBody::UpdateFields { key, .. }, Some(after)) => {
-                file.write(key, after, BTreeFile::update)
-            }
-            (AuditBody::Delete { key, .. }, _) => file.delete(key),
-            (AuditBody::UpdateFields { .. }, None) | (AuditBody::Commit | AuditBody::Abort, _) => {
+        let applied = match &*body {
+            AuditBody::Insert { key, record } => file.write(key, record, BTreeFile::insert),
+            AuditBody::UpdateFull { key, after, .. } => file.write(key, after, BTreeFile::update),
+            AuditBody::UpdateFields { key, .. } => file.write(key, image, BTreeFile::update),
+            AuditBody::Delete { key, .. } => file.delete(key),
+            AuditBody::Commit | AuditBody::Abort => {
                 Err(DpError::BadRecord("not a record change".into()))
             }
         };
@@ -842,7 +876,7 @@ impl DiskProcess {
         let mut body = Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone());
         body.forget_after();
         let mut st = self.state.lock();
-        st.undo.entry(txn).or_default().push((file.id, body));
+        st.undo.entry(txn).or_default().push((file.label.id, body));
         Ok(())
     }
 
@@ -854,138 +888,132 @@ impl DiskProcess {
         store.lsn.set(lsn);
     }
 
-    fn insert(
-        &self,
+    /// The one keyed change every write verb makes. It locks the record
+    /// exclusively, unless `key` lies under the caller's interval lock;
+    /// reaches the structure the verb addresses only then (a file of
+    /// another kind is `WrongFileKind`; a relative file's header is read
+    /// here); takes the before-image — `scanned`, the record as a subset
+    /// scan found it, or else a `get` or slot read — and logs and applies
+    /// the change through [`Self::audited_write`].
+    fn keyed_change<'s>(
+        &'s self,
         txn: TxnId,
-        file: FileId,
-        key: Vec<u8>,
-        record: Vec<u8>,
-    ) -> Result<DpReply, DpError> {
-        let label = self.begin_write(txn, file, &key)?;
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        opened.tree()?;
-        let checkpoint = 64 + record.len();
-        self.audited_write(&opened, txn, AuditBody::Insert { key, record }, None)?;
-        self.sim.cpu_work(CpuLayer::DiskProcess, 4);
-        self.checkpoint(checkpoint);
-        Ok(DpReply::Ok)
-    }
-
-    fn update_record(
-        &self,
-        txn: TxnId,
-        file: FileId,
-        key: Vec<u8>,
-        record: Vec<u8>,
-        audit: AuditMode,
-    ) -> Result<DpReply, DpError> {
-        let label = self.begin_write(txn, file, &key)?;
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        let before = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
-        let checkpoint = 64 + record.len();
-        match audit {
-            AuditMode::FullImage => {
-                let after = record;
-                let body = AuditBody::UpdateFull { key, before, after };
-                self.audited_write(&opened, txn, body, None)?;
+        file: &AuditedFile<'_, 's>,
+        key: Key,
+        scanned: Option<&[u8]>,
+        change: Change<'_>,
+    ) -> Result<(), DpError> {
+        let (key, lock, relative) = match key {
+            Key::Record(key) => (key, true, false),
+            Key::Covered(key) => (key, false, false),
+            Key::Slot(recnum) => (recnum.to_be_bytes().to_vec(), true, true),
+        };
+        if lock {
+            let scope = ScopeRef::record(&key);
+            self.lock(txn, file.label.id, scope, LockMode::Exclusive)?;
+        }
+        if relative {
+            file.relative()?;
+        } else {
+            file.tree()?;
+        }
+        let before = || match scanned {
+            Some(record) => Ok(Cow::Borrowed(record)),
+            None => file.read(&key).map(Cow::Owned),
+        };
+        let mut image = file.image.borrow_mut();
+        let body = match change {
+            Change::Insert(record) => AuditBody::Insert { key, record },
+            Change::Put(record) => match file.read(&key) {
+                Ok(before) => {
+                    let after = record;
+                    AuditBody::UpdateFull { key, before, after }
+                }
+                Err(_) => AuditBody::Insert { key, record },
+            },
+            Change::Replace(after, AuditMode::FullImage) => {
+                let before = before()?.into_owned();
+                AuditBody::UpdateFull { key, before, after }
             }
-            AuditMode::FieldCompressed => {
+            Change::Replace(record, AuditMode::FieldCompressed) => {
                 // Compute which fields changed by comparing images — this is
                 // exactly the "costly" ENSCRIBE audit-compression option the
                 // paper contrasts with SQL's free field knowledge.
-                let desc = self.descriptor(&label)?;
-                let (before, after) = diff_fields(desc, &before, &record)
+                let desc = self.descriptor(file.label)?;
+                let (before, after) = diff_fields(desc, &before()?, &record)
                     .map_err(|e| DpError::BadRecord(e.to_string()))?;
                 self.sim
                     .cpu_work(CpuLayer::DiskProcess, desc.num_fields() as u64);
-                let body = AuditBody::UpdateFields { key, before, after };
-                self.audited_write(&opened, txn, body, Some(&record))?;
+                *image = record;
+                AuditBody::UpdateFields { key, before, after }
             }
-        }
-        self.sim.cpu_work(CpuLayer::DiskProcess, 4);
-        self.checkpoint(checkpoint);
-        Ok(DpReply::Ok)
+            Change::Patch(patch) => {
+                // Its CPU units are charged as the patch reaches them.
+                let charge = |units| self.sim.cpu_work(CpuLayer::DiskProcess, units);
+                let desc = self.descriptor(file.label)?;
+                let (before, after) = patch.apply(desc, &before()?, charge, &mut image)?;
+                AuditBody::UpdateFields { key, before, after }
+            }
+            Change::Delete => AuditBody::Delete {
+                before: before()?.into_owned(),
+                key,
+            },
+        };
+        self.audited_write(file, txn, body, &image)
     }
 
-    fn delete_record(&self, txn: TxnId, file: FileId, key: Vec<u8>) -> Result<DpReply, DpError> {
-        let label = self.begin_write(txn, file, &key)?;
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        let before = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
-        self.audited_write(&opened, txn, AuditBody::Delete { key, before }, None)?;
-        self.sim.cpu_work(CpuLayer::DiskProcess, 4);
-        self.checkpoint(96);
-        Ok(DpReply::Ok)
-    }
-
-    fn update_point(
+    /// A record-at-a-time write: the keyed change, then the verb's CPU
+    /// units and the bytes it checkpoints to the backup.
+    fn write_record(
         &self,
         txn: TxnId,
-        file: FileId,
-        key: Vec<u8>,
-        sets: SetList,
-        constraint: Option<Expr>,
+        label: Arc<FileLabel>,
+        key: Key,
+        change: Change<'_>,
+        units: u64,
+        checkpoint: Option<usize>,
     ) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        let desc = self.descriptor(&label)?;
-        let patch = compile_patch(desc, sets, constraint)?;
         self.join_txn(txn);
-        self.lock(txn, file, ScopeRef::record(&key), LockMode::Exclusive)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        let current = opened.tree()?.get(&key).ok_or(DpError::NotFound)?;
-        let mut image = Vec::new();
-        let (before, after) = apply_patch(&self.sim, &patch, desc, &current, &mut image)?;
-        let body = AuditBody::UpdateFields { key, before, after };
-        self.audited_write(&opened, txn, body, Some(&image))?;
-        self.checkpoint(96);
+        self.keyed_change(txn, &AuditedFile::new(&store, &label), key, None, change)?;
+        self.sim.cpu_work(CpuLayer::DiskProcess, units);
+        if let Some(bytes) = checkpoint {
+            self.checkpoint(bytes);
+        }
         Ok(DpReply::Ok)
     }
 
-    /// The reply of a blocked (buffered) write: every record examined was
-    /// affected.
-    fn blocked_done(&self, affected: u32) -> DpReply {
+    /// A blocked (buffered) write: the File System's buffer of changes in
+    /// one message — "substantial message traffic savings in the FS-DP
+    /// interface" — to a key-sequenced file, 3 CPU units each. Its reply
+    /// says every record examined was affected.
+    fn write_blocked<'p>(
+        &self,
+        txn: TxnId,
+        label: &FileLabel,
+        changes: impl Iterator<Item = (Key, Change<'p>)>,
+    ) -> Result<DpReply, DpError> {
+        let store = DpStore::new(&self.pool, &self.alloc);
+        let opened = AuditedFile::new(&store, label);
+        opened.tree()?;
+        let mut affected = 0u32;
+        for (key, change) in changes {
+            self.keyed_change(txn, &opened, key, None, change)?;
+            self.sim.cpu_work(CpuLayer::DiskProcess, 3);
+            affected += 1;
+        }
         // Insert Control Block equivalent: let aged dirty strings go out.
         if self.config.lock().write_behind {
             self.pool.write_behind();
         }
-        DpReply::Subset {
+        Ok(DpReply::Subset {
             rows: RowBlock::default(),
             last_key: None,
             done: true,
             subset: None,
             examined: affected,
             affected,
-        }
-    }
-
-    fn blocked_insert(
-        &self,
-        txn: TxnId,
-        file: FileId,
-        records: Vec<(Vec<u8>, Vec<u8>)>,
-    ) -> Result<DpReply, DpError> {
-        let (Some((lo, _)), Some((hi, _))) = (records.first(), records.last()) else {
-            return Ok(DpReply::Ok);
-        };
-        let label = self.file_label(file)?;
-        self.join_txn(txn);
-        // The whole target key range is locked as a group (by prior
-        // agreement with the File System).
-        let span = ScopeRef::interval(lo, hi);
-        self.lock(txn, file, span, LockMode::Exclusive)?;
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        opened.tree()?;
-        let mut affected = 0u32;
-        for (key, record) in records {
-            self.audited_write(&opened, txn, AuditBody::Insert { key, record }, None)?;
-            self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-            affected += 1;
-        }
-        Ok(self.blocked_done(affected))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1135,7 +1163,7 @@ impl DiskProcess {
         };
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
-        let opened = AuditedFile::open(&store, label)?;
+        let opened = AuditedFile::new(&store, label);
         let tree = opened.tree()?;
 
         // Phase 1: scan, evaluating the single-variable query per record.
@@ -1251,34 +1279,19 @@ impl DiskProcess {
             self.lock(txn, scb.file, span, LockMode::Shared)?;
         }
 
-        // Phase 2 (update/delete): apply to the matched records.
-        let mut affected = selected;
+        // Phase 2 (update/delete): change each record selected — every
+        // one, or the request fails — from the image the scan found.
         let writer = match &scb.work {
             Work::Read { .. } | Work::Aggregate { .. } => None,
             Work::Update { txn, patch } => Some((*txn, Some(patch))),
             Work::Delete { txn } => Some((*txn, None)),
         };
         if let Some((txn, patch)) = writer {
-            affected = 0;
-            // One buffer holds each new record in turn.
-            let mut image = Vec::new();
             for (key, current) in matched.iter() {
-                self.lock(txn, scb.file, ScopeRef::record(key), LockMode::Exclusive)?;
-                let key = key.to_vec();
-                match patch {
-                    Some(patch) => {
-                        let (before, after) =
-                            apply_patch(&self.sim, patch, desc, current, &mut image)?;
-                        let body = AuditBody::UpdateFields { key, before, after };
-                        self.audited_write(&opened, txn, body, Some(&image))?;
-                    }
-                    None => {
-                        let before = current.to_vec();
-                        self.audited_write(&opened, txn, AuditBody::Delete { key, before }, None)?;
-                    }
-                }
+                let change = patch.map_or(Change::Delete, Change::Patch);
+                let key = Key::Record(key.to_vec());
+                self.keyed_change(txn, &opened, key, Some(current), change)?;
                 self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-                affected += 1;
             }
         }
 
@@ -1293,91 +1306,21 @@ impl DiskProcess {
             done: exhausted,
             subset: existing.filter(|_| !exhausted),
             examined,
-            affected,
+            affected: selected,
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Buffered WHERE CURRENT (future-work extension)
-    // ------------------------------------------------------------------
-
-    /// Apply a File-System buffer of cursor updates or deletes in one
-    /// message: "substantial message traffic savings in the FS-DP interface".
-    /// Replace (`Some(after)`) or delete (`None`) each keyed record, full
-    /// images in the audit.
-    fn blocked_change(
-        &self,
-        txn: TxnId,
-        file: FileId,
-        changes: impl Iterator<Item = (Vec<u8>, Option<Vec<u8>>)>,
-    ) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        self.join_txn(txn);
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        let tree = opened.tree()?;
-        let mut affected = 0u32;
-        for (key, after) in changes {
-            self.lock(txn, file, ScopeRef::record(&key), LockMode::Exclusive)?;
-            let before = tree.get(&key).ok_or(DpError::NotFound)?;
-            let body = match after {
-                Some(after) => AuditBody::UpdateFull { key, before, after },
-                None => AuditBody::Delete { key, before },
-            };
-            self.audited_write(&opened, txn, body, None)?;
-            self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-            affected += 1;
-        }
-        Ok(self.blocked_done(affected))
     }
 
     // ------------------------------------------------------------------
     // Relative and entry-sequenced access methods
     // ------------------------------------------------------------------
 
-    fn relative_write(
-        &self,
-        txn: TxnId,
-        file: FileId,
-        recnum: u64,
-        record: Vec<u8>,
-    ) -> Result<DpReply, DpError> {
-        let key = recnum.to_be_bytes().to_vec();
-        let label = self.begin_write(txn, file, &key)?;
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        let checkpoint = 64 + record.len();
-        let body = match opened.relative()?.read_record(recnum) {
-            Ok(before) => {
-                let after = record;
-                AuditBody::UpdateFull { key, before, after }
-            }
-            Err(_) => AuditBody::Insert { key, record },
-        };
-        self.audited_write(&opened, txn, body, None)?;
-        self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-        self.checkpoint(checkpoint);
-        Ok(DpReply::Ok)
-    }
-
     fn relative_read(&self, file: FileId, recnum: u64) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
+        let opened = AuditedFile::new(&store, &label);
         let rel = opened.relative()?;
         self.sim.cpu_work(CpuLayer::DiskProcess, 2);
         Ok(DpReply::Record(rel.read_record(recnum).ok()))
-    }
-
-    fn relative_delete(&self, txn: TxnId, file: FileId, recnum: u64) -> Result<DpReply, DpError> {
-        let key = recnum.to_be_bytes().to_vec();
-        let label = self.begin_write(txn, file, &key)?;
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::open(&store, &label)?;
-        let before = opened.relative()?.read_record(recnum)?;
-        self.audited_write(&opened, txn, AuditBody::Delete { key, before }, None)?;
-        self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-        Ok(DpReply::Ok)
     }
 
     /// Entry-sequenced appends are non-audited (ENSCRIBE supported
@@ -1568,7 +1511,7 @@ impl DiskProcess {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
         store.lsn.set(lsn);
-        let file = AuditedFile::open(&store, &label)?;
+        let file = AuditedFile::new(&store, &label);
         match (body, direction) {
             (AuditBody::Insert { key, record }, Redo) => file.write(key, record, BTreeFile::put),
             (AuditBody::Delete { key, before }, Undo) => file.write(key, before, BTreeFile::put),
@@ -1588,16 +1531,15 @@ impl DiskProcess {
             (AuditBody::UpdateFields { key, before, after }, _) => {
                 let fields = if direction == Redo { after } else { before };
                 let desc = self.descriptor(&label)?;
-                match file.get(key) {
-                    Some(current) => {
-                        let mut image = Vec::new();
-                        patch_row(desc, &current, fields, &mut image)
-                            .map_err(|e| DpError::BadRecord(e.to_string()))?;
-                        file.write(key, &image, BTreeFile::put)
-                    }
+                let current = match file.read(key) {
                     // Set these fields, if the record is there.
-                    None => Ok(()),
-                }
+                    Err(DpError::NotFound) => return Ok(()),
+                    current => current?,
+                };
+                let mut image = Vec::new();
+                patch_row(desc, &current, fields, &mut image)
+                    .map_err(|e| DpError::BadRecord(e.to_string()))?;
+                file.write(key, &image, BTreeFile::put)
             }
             (AuditBody::Commit | AuditBody::Abort, _) => Ok(()),
         }
@@ -1605,14 +1547,20 @@ impl DiskProcess {
 }
 
 /// An audited file's structure — key-sequenced or relative; entry-sequenced
-/// files are not audited — opened on a request's store view. A request made
-/// for one structure reaches it through [`tree`](Self::tree) or
-/// [`relative`](Self::relative); the audited-write path, backout and replay
-/// work on either, a relative record being keyed by its big-endian number.
+/// files are not audited — on a request's store view, opened at its first
+/// use: a relative file's header is read then, so a write verb reads it
+/// only once it holds its record lock. A request made for one structure
+/// reaches it through [`tree`](Self::tree) or [`relative`](Self::relative);
+/// the keyed change, backout and replay work on either, a relative record
+/// being keyed by its big-endian number.
 struct AuditedFile<'r, 's> {
-    id: FileId,
+    label: &'r FileLabel,
     store: &'r DpStore<'s>,
-    records: Records<'r, 's>,
+    /// `None` for an entry-sequenced file.
+    records: OnceCell<Option<Records<'r, 's>>>,
+    /// The whole new record of a change audited as field images; one
+    /// buffer holds each patched record in turn.
+    image: RefCell<Vec<u8>>,
 }
 
 enum Records<'r, 's> {
@@ -1625,36 +1573,47 @@ enum Records<'r, 's> {
 type TreeWrite<'r, 's> = fn(&BTreeFile<'r, DpStore<'s>>, &[u8], &[u8]) -> Result<(), TreeError>;
 
 impl<'r, 's> AuditedFile<'r, 's> {
-    fn open(store: &'r DpStore<'s>, label: &FileLabel) -> Result<Self, DpError> {
-        let records = match &label.kind {
+    fn new(store: &'r DpStore<'s>, label: &'r FileLabel) -> Self {
+        AuditedFile {
+            label,
+            store,
+            records: OnceCell::new(),
+            image: RefCell::default(),
+        }
+    }
+
+    fn records(&self) -> Result<&Records<'r, 's>, DpError> {
+        let (store, anchor) = (self.store, self.label.anchor);
+        let open = || match &self.label.kind {
             FileKind::KeySequenced(_) => {
-                Records::KeySequenced(BTreeFile::open(store, label.anchor))
+                Some(Records::KeySequenced(BTreeFile::open(store, anchor)))
             }
-            FileKind::Relative { .. } => Records::Relative(RelativeFile::open(store, label.anchor)),
-            FileKind::EntrySequenced => return Err(DpError::WrongFileKind),
+            FileKind::Relative { .. } => Some(Records::Relative(RelativeFile::open(store, anchor))),
+            FileKind::EntrySequenced => None,
         };
-        let id = label.id;
-        Ok(AuditedFile { id, store, records })
+        let records = self.records.get_or_init(open).as_ref();
+        records.ok_or(DpError::WrongFileKind)
     }
 
     fn tree(&self) -> Result<&BTreeFile<'r, DpStore<'s>>, DpError> {
-        match &self.records {
+        match self.records()? {
             Records::KeySequenced(tree) => Ok(tree),
             Records::Relative(_) => Err(DpError::WrongFileKind),
         }
     }
 
     fn relative(&self) -> Result<&RelativeFile<'r, DpStore<'s>>, DpError> {
-        match &self.records {
+        match self.records()? {
             Records::Relative(rel) => Ok(rel),
             Records::KeySequenced(_) => Err(DpError::WrongFileKind),
         }
     }
 
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        match &self.records {
-            Records::KeySequenced(tree) => tree.get(key),
-            Records::Relative(rel) => rel.read_record(recnum(key).ok()?).ok(),
+    /// The record under `key`.
+    fn read(&self, key: &[u8]) -> Result<Vec<u8>, DpError> {
+        match self.records()? {
+            Records::KeySequenced(tree) => tree.get(key).ok_or(DpError::NotFound),
+            Records::Relative(rel) => Ok(rel.read_record(recnum(key)?)?),
         }
     }
 
@@ -1667,19 +1626,42 @@ impl<'r, 's> AuditedFile<'r, 's> {
         image: &[u8],
         tree_write: TreeWrite<'r, 's>,
     ) -> Result<(), DpError> {
-        match &self.records {
+        match self.records()? {
             Records::KeySequenced(tree) => Ok(tree_write(tree, key, image)?),
             Records::Relative(rel) => Ok(rel.write_record(recnum(key)?, image)?),
         }
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), DpError> {
-        match &self.records {
+        match self.records()? {
             Records::KeySequenced(tree) => tree.delete(key).map(drop)?,
             Records::Relative(rel) => rel.delete_record(recnum(key)?)?,
         }
         Ok(())
     }
+}
+
+/// Where a keyed change lands.
+enum Key {
+    /// A key-sequenced file's record: the change locks it.
+    Record(Vec<u8>),
+    /// The same, under the caller's interval lock (a blocked insert's).
+    Covered(Vec<u8>),
+    /// A relative file's record, by number: the change locks it.
+    Slot(u64),
+}
+
+/// What a keyed change does to its record.
+enum Change<'p> {
+    Insert(Vec<u8>),
+    /// Replace the record with this image, audited as the mode says: an
+    /// ENSCRIBE write or a blocked update.
+    Replace(Vec<u8>, AuditMode),
+    /// Insert or replace a relative slot's record.
+    Put(Vec<u8>),
+    /// Change the fields a compiled `SET` list names.
+    Patch(&'p Patch),
+    Delete,
 }
 
 /// Create an empty file structure of `kind`; returns its anchor block.
@@ -1795,20 +1777,6 @@ fn compile_patch(
         return Err(DpError::KeyUpdateNotAllowed);
     }
     Ok(Patch::new(desc, sets, constraint)?)
-}
-
-/// Change `record` as `patch` says: the new record is written into `image`,
-/// and the changed fields' old and new values are returned for the audit.
-/// Its CPU units are charged as the patch reaches them.
-fn apply_patch(
-    sim: &Sim,
-    patch: &Patch,
-    desc: &RecordDescriptor,
-    record: &[u8],
-    image: &mut Vec<u8>,
-) -> Result<(FieldImage, FieldImage), DpError> {
-    let charge = |units| sim.cpu_work(CpuLayer::DiskProcess, units);
-    Ok(patch.apply(desc, record, charge, image)?)
 }
 
 /// The one reading of what a patch refused.

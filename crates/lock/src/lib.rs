@@ -647,8 +647,8 @@ impl LockManager {
 
     /// Declare that `waiter` is queued behind `holder` for the given lock,
     /// at virtual time `now_us`. The waiter keeps its FIFO position across
-    /// repeated polls of the *same* request (a changed request forfeits the
-    /// old position). Errors:
+    /// repeated polls, also when the request changes: a changed request is
+    /// rewritten in place, and only its wait clock restarts. Errors:
     ///
     /// * [`LockError::WaitTimeout`] once the armed timeout budget elapses —
     ///   the waiter is dequeued; the caller should doom it.
@@ -674,7 +674,8 @@ impl LockManager {
         let since = match st.waiters.iter_mut().find(|w| w.txn == waiter) {
             Some(w) => {
                 if w.file != file || w.scope.as_scope() != want || w.mode != mode {
-                    // A different request forfeits the old queue position.
+                    // A different request keeps the queue position; its
+                    // wait clock restarts.
                     w.file = file;
                     w.scope = want.to_scope();
                     w.mode = mode;
@@ -1102,7 +1103,7 @@ mod tests {
         assert_eq!(w(1100), Err(LockError::WaitTimeout { victim: TxnId(2) }));
         assert_eq!(lm.waiting_count(), 0);
         assert_eq!(lm.wait_edge_count(), 0);
-        // A changed request resets the clock (old position forfeited).
+        // A changed request restarts the clock (and keeps its position).
         w(2000).unwrap();
         assert!(lm
             .wait(
@@ -1124,6 +1125,27 @@ mod tests {
                 4000,
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_changed_request_keeps_its_queue_position() {
+        let lm = LockManager::new();
+        let five = || LockScope::record(k(5));
+        lm.acquire(TxnId(1), 0, five(), LockMode::Exclusive)
+            .unwrap();
+        lm.wait(TxnId(2), TxnId(1), 0, five(), LockMode::Exclusive, 100)
+            .unwrap();
+        lm.wait(TxnId(3), TxnId(1), 0, five(), LockMode::Exclusive, 200)
+            .unwrap();
+        // T2 asks for less; its entry stays ahead of T3's.
+        lm.wait(TxnId(2), TxnId(1), 0, five(), LockMode::Shared, 300)
+            .unwrap();
+        lm.release_all(TxnId(1));
+        let write = |t| lm.acquire(TxnId(t), 0, five(), LockMode::Exclusive);
+        assert_eq!(write(3), Err(LockError::Conflict { holder: TxnId(2) }));
+        assert_eq!(write(4), Err(LockError::Conflict { holder: TxnId(2) }));
+        lm.acquire(TxnId(2), 0, five(), LockMode::Shared).unwrap();
+        assert_eq!(lm.waiting_count(), 1, "T3 still queued behind T2");
     }
 
     #[test]
