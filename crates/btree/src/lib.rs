@@ -29,7 +29,7 @@ pub mod tree;
 
 pub use entryseq::EntrySequencedFile;
 pub use relative::RelativeFile;
-pub use tree::{BTreeFile, ScanControl, TreeError};
+pub use tree::{BTreeFile, LeafRewrites, ScanControl, TreeError};
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -71,6 +71,12 @@ pub struct LeafRef<'a> {
 }
 
 impl<'a> LeafRef<'a> {
+    /// View `bytes`, a leaf's block, as the leaf.
+    pub(crate) fn of(bytes: &'a [u8]) -> Self {
+        debug_assert_eq!(bytes[0], LEAF_TAG);
+        LeafRef { bytes }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         u16_at(self.bytes, 1)
@@ -103,8 +109,29 @@ impl<'a> LeafRef<'a> {
 
     /// Where `key` sits, or would be inserted, and the record it holds.
     pub fn locate(&self, key: &[u8]) -> (LeafSlot, Option<&'a [u8]>) {
-        let mut entries = self.entries();
-        let mut index = 0;
+        self.locate_from(self.entries(), 0, key)
+    }
+
+    /// [`Self::locate`] among the entries past `after`'s, a slot found in
+    /// this leaf: a search for ascending keys resumes where the last ended.
+    pub fn locate_after(&self, after: &LeafSlot, key: &[u8]) -> (LeafSlot, Option<&'a [u8]>) {
+        let passed = after.index + usize::from(after.found());
+        let entries = LeafEntries {
+            bytes: self.bytes,
+            pos: after.entry.end,
+            left: self.len() - passed,
+        };
+        self.locate_from(entries, passed, key)
+    }
+
+    /// Search `entries`, the leaf's from entry `index` on, for `key`.
+    #[inline]
+    fn locate_from(
+        &self,
+        mut entries: LeafEntries<'a>,
+        mut index: usize,
+        key: &[u8],
+    ) -> (LeafSlot, Option<&'a [u8]>) {
         let mut start = entries.pos;
         let mut value = None;
         while let Some((k, v)) = entries.next() {
@@ -188,16 +215,27 @@ impl LeafSlot {
         let mut out = Vec::with_capacity(leaf.len() - (end - start) + new_len);
         out.extend_from_slice(&leaf[..start]);
         if let Some((k, v)) = new {
-            out.extend_from_slice(&(k.len() as u16).to_be_bytes());
-            out.extend_from_slice(&(v.len() as u16).to_be_bytes());
-            out.extend_from_slice(k);
-            out.extend_from_slice(v);
+            push_entry(&mut out, k, v);
         }
         out.extend_from_slice(&leaf[end..]);
         let nkeys = u16_at(leaf, 1) + usize::from(new.is_some()) - usize::from(self.found());
-        out[1..3].copy_from_slice(&(nkeys as u16).to_be_bytes());
+        set_len(&mut out, nkeys);
         out
     }
+}
+
+/// Append one leaf entry, as [`Node::encode`] writes it.
+#[inline]
+pub(crate) fn push_entry(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    out.extend_from_slice(&(key.len() as u16).to_be_bytes());
+    out.extend_from_slice(&(value.len() as u16).to_be_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+}
+
+/// Set the entry count in a node's block bytes.
+pub(crate) fn set_len(node: &mut [u8], len: usize) {
+    node[1..3].copy_from_slice(&(len as u16).to_be_bytes());
 }
 
 /// An internal node's block bytes.
@@ -347,10 +385,7 @@ impl Node {
                 out.extend_from_slice(&(entries.len() as u16).to_be_bytes());
                 out.extend_from_slice(&next.unwrap_or(NO_LEAF).to_be_bytes());
                 for (k, v) in entries {
-                    out.extend_from_slice(&(k.len() as u16).to_be_bytes());
-                    out.extend_from_slice(&(v.len() as u16).to_be_bytes());
-                    out.extend_from_slice(k);
-                    out.extend_from_slice(v);
+                    push_entry(&mut out, k, v);
                 }
             }
             Node::Internal { seps, children } => {

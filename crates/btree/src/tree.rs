@@ -8,8 +8,8 @@
 //! Range scans walk the leaf chain through [`BlockStore::read_for_scan`],
 //! which is where the Disk Process's bulk-I/O and pre-fetch policies attach.
 
-use crate::node::{Node, NodeRef};
-use crate::{BlockNo, BlockStore};
+use crate::node::{push_entry, set_len, LeafRef, LeafSlot, Node, NodeRef};
+use crate::{Block, BlockNo, BlockStore};
 use std::ops::Bound;
 
 /// Errors from key-sequenced file operations.
@@ -117,11 +117,7 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     }
 
     fn write_entry(&self, key: &[u8], value: &[u8], mode: WriteMode) -> Result<(), TreeError> {
-        // Each entry must fit in half a block so splits always succeed, and
-        // separator keys must fit comfortably in internal nodes.
-        if 4 + key.len() + value.len() > (self.cap() - 7) / 2
-            || 6 + key.len() > (self.cap() - 7) / 2
-        {
+        if !entry_fits(self.cap(), key, value) {
             return Err(TreeError::EntryTooLarge);
         }
         if let Some((sep, right)) = self.write_rec(self.root, key, value, mode)? {
@@ -222,9 +218,59 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     /// Delete a record, returning its old value.
     pub fn delete(&self, key: &[u8]) -> Result<Vec<u8>, TreeError> {
         let (old, _) = self.delete_rec(self.root, key)?;
-        // Root collapse: while the root is an internal node with a single
-        // child, pull that child up into the root block (the paper's
-        // "collapses").
+        self.collapse_root();
+        Ok(old)
+    }
+
+    /// Changes to this file's records in ascending key order, made a leaf
+    /// at a time: each leaf's in one new image of it, written once.
+    pub fn leaf_rewrites(&self) -> LeafRewrites<'a, S> {
+        LeafRewrites {
+            tree: BTreeFile {
+                store: self.store,
+                root: self.root,
+            },
+            leaf: None,
+        }
+    }
+
+    /// The leaf that holds `key`, read from the root down as
+    /// [`Self::update`] and [`Self::delete`] read it, ready to take changes
+    /// of its records in place.
+    fn rewrite_leaf(&self, key: &[u8]) -> LeafRewrite<'a, S> {
+        let mut path = Vec::new();
+        let (mut block, mut bytes) = (self.root, self.store.read(self.root));
+        loop {
+            let child = match NodeRef::new(&bytes) {
+                NodeRef::Internal(node) => node.child_for(key).1,
+                NodeRef::Leaf(leaf) => {
+                    let len = leaf.len();
+                    let size = bytes.len();
+                    return LeafRewrite {
+                        tree: BTreeFile {
+                            store: self.store,
+                            root: self.root,
+                        },
+                        path,
+                        block,
+                        leaf: bytes,
+                        len,
+                        size,
+                        last: None,
+                        image: Vec::new(),
+                        removed: false,
+                    };
+                }
+            };
+            path.push((block, std::mem::replace(&mut bytes, self.store.read(child))));
+            block = child;
+        }
+    }
+
+    /// Root collapse: while the root is an internal node with a single
+    /// child, pull that child up into the root block (the paper's
+    /// "collapses").
+    fn collapse_root(&self) {
         loop {
             let bytes = self.store.read(self.root);
             match NodeRef::new(&bytes) {
@@ -236,7 +282,6 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
                 _ => break,
             }
         }
-        Ok(old)
     }
 
     /// Delete from the subtree at `block`; returns the old value and
@@ -531,6 +576,170 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     }
 }
 
+/// Each entry must fit in half a block so splits always succeed, and
+/// separator keys must fit comfortably in internal nodes.
+fn entry_fits(cap: usize, key: &[u8], value: &[u8]) -> bool {
+    let half = (cap - 7) / 2;
+    4 + key.len() + value.len() <= half && 6 + key.len() <= half
+}
+
+/// Changes to a file's records in ascending key order, a leaf at a time:
+/// [`BTreeFile::leaf_rewrites`].
+pub struct LeafRewrites<'a, S: BlockStore> {
+    tree: BTreeFile<'a, S>,
+    /// The leaf the last change was staged in.
+    leaf: Option<LeafRewrite<'a, S>>,
+}
+
+impl<S: BlockStore> LeafRewrites<'_, S> {
+    /// Stage replacing the record under `key` with `value`, or removing it
+    /// (`None`), into the new image of its leaf. When `key` lies past the
+    /// leaf in hand, that leaf is written first and `key`'s is read from
+    /// the root down. `false` — the leaf in hand written, nothing staged —
+    /// when the change cannot be made in place: the record is not there,
+    /// its new entry is too large for any block, or the leaf would
+    /// overflow its block or be emptied. The caller then makes it through
+    /// [`BTreeFile::update`] or [`BTreeFile::delete`], which split, free or
+    /// rebalance.
+    pub fn stage(&mut self, key: &[u8], value: Option<&[u8]>) -> bool {
+        let in_hand = self.leaf.as_mut().map(|leaf| leaf.stage(key, value));
+        let staged = match in_hand {
+            Some(Stage::Elsewhere) | None => {
+                self.write();
+                let leaf = self.leaf.insert(self.tree.rewrite_leaf(key));
+                leaf.stage(key, value)
+            }
+            Some(staged) => staged,
+        };
+        if staged != Stage::Staged {
+            self.write();
+        }
+        staged == Stage::Staged
+    }
+
+    /// Write the leaf in hand: one new image with its staged changes.
+    fn write(&mut self) {
+        if let Some(leaf) = self.leaf.take() {
+            leaf.finish();
+        }
+    }
+
+    /// Write the last leaf: every change staged is made.
+    pub fn finish(mut self) {
+        self.write();
+    }
+}
+
+/// What [`LeafRewrite::stage`] made of a change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Staged: the leaf's new image will hold it.
+    Staged,
+    /// The key is not among the leaf's records past those staged so far.
+    Elsewhere,
+    /// Not in place: the new entry is too large for any block, the leaf
+    /// would overflow its block, or the leaf would be emptied.
+    Refused,
+}
+
+/// One leaf's records changed in place, written back as one new image.
+/// The image is built as the changes are staged, in key order, each
+/// unchanged run of the leaf copied once.
+struct LeafRewrite<'a, S: BlockStore> {
+    tree: BTreeFile<'a, S>,
+    /// The internal nodes read on the way down, root first, as read: a
+    /// delete hands them back as [`BTreeFile::delete`] does.
+    path: Vec<(BlockNo, Block)>,
+    block: BlockNo,
+    /// The leaf as read.
+    leaf: Block,
+    /// Entries and bytes of the leaf with the staged changes.
+    len: usize,
+    size: usize,
+    /// The last change's slot in `leaf`; `None` until one is staged.
+    last: Option<LeafSlot>,
+    /// The new image up to the end of `last`'s entry.
+    image: Vec<u8>,
+    /// Whether a staged change removes a record.
+    removed: bool,
+}
+
+impl<S: BlockStore> LeafRewrite<'_, S> {
+    /// Stage replacing the record under `key` with `value`, or removing
+    /// it (`None`). A key at or before the last staged one is
+    /// [`Stage::Elsewhere`].
+    fn stage(&mut self, key: &[u8], value: Option<&[u8]>) -> Stage {
+        let leaf = LeafRef::of(&self.leaf);
+        let (slot, found) = match &self.last {
+            None => leaf.locate(key),
+            Some(last) => leaf.locate_after(last, key),
+        };
+        if found.is_none() {
+            return Stage::Elsewhere;
+        }
+        let cap = self.tree.cap();
+        let size = self.size - slot.entry.len() + value.map_or(0, |v| 4 + key.len() + v.len());
+        let fits = match value {
+            Some(v) => entry_fits(cap, key, v) && size <= cap,
+            None => self.len > 1,
+        };
+        if !fits {
+            return Stage::Refused;
+        }
+        let from = match &self.last {
+            None => {
+                self.image.reserve_exact(self.leaf.len());
+                0
+            }
+            Some(last) => last.entry.end,
+        };
+        self.image
+            .extend_from_slice(&self.leaf[from..slot.entry.start]);
+        match value {
+            Some(v) => push_entry(&mut self.image, key, v),
+            None => {
+                self.len -= 1;
+                self.removed = true;
+            }
+        }
+        self.size = size;
+        self.last = Some(slot);
+        Stage::Staged
+    }
+
+    /// Write the leaf with every staged change — nothing when none was
+    /// staged. After a removal, the internal nodes above it are handed
+    /// back and the root checked for collapse, as [`BTreeFile::delete`]
+    /// does: a leaf with one change staged makes the calls
+    /// [`BTreeFile::update`] or [`BTreeFile::delete`] of it would.
+    fn finish(self) {
+        let LeafRewrite {
+            tree,
+            path,
+            block,
+            leaf,
+            len,
+            size,
+            last,
+            mut image,
+            removed,
+        } = self;
+        let Some(last) = last else {
+            return;
+        };
+        image.extend_from_slice(&leaf[last.entry.end..]);
+        set_len(&mut image, len);
+        debug_assert_eq!(image.len(), size);
+        tree.store.write(block, image.into());
+        if removed {
+            for (block, bytes) in path.into_iter().rev() {
+                tree.store.write(block, bytes);
+            }
+            tree.collapse_root();
+        }
+    }
+}
+
 /// Split index for an overflowing node: aims for the cumulative-size
 /// midpoint, then adjusts so that both halves (plus the 7-byte header) fit
 /// in `cap`. Always leaves at least one element on each side.
@@ -751,6 +960,114 @@ mod tests {
         let got = t.entries();
         let want: Vec<_> = model.into_iter().collect();
         assert_eq!(got, want);
+    }
+
+    /// Apply ascending changes to `t` as the Disk Process's set writes
+    /// do: staged a leaf at a time, and through `update` / `delete` where
+    /// the leaf refuses one. What each change came to.
+    fn apply_by_leaf(
+        t: &BTreeFile<MemStore>,
+        changes: &[(Vec<u8>, Option<Vec<u8>>)],
+    ) -> Vec<Result<(), TreeError>> {
+        let mut leaves = t.leaf_rewrites();
+        let mut outcomes = Vec::new();
+        for (k, v) in changes {
+            let v = v.as_deref();
+            let staged = leaves.stage(k, v);
+            outcomes.push(if staged { Ok(()) } else { apply(t, k, v) });
+        }
+        leaves.finish();
+        outcomes
+    }
+
+    fn apply(t: &BTreeFile<MemStore>, k: &[u8], v: Option<&[u8]>) -> Result<(), TreeError> {
+        match v {
+            Some(v) => t.update(k, v),
+            None => t.delete(k).map(drop),
+        }
+    }
+
+    #[test]
+    fn leaf_rewrites_end_where_record_at_a_time_changes_do() {
+        let mut s = 7u64;
+        let mut next = |n: u64| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) % n
+        };
+        let (mut too_large, mut split, mut freed) = (0, 0, 0);
+        for round in 0..40 {
+            let (by_leaf, each) = (
+                MemStore::with_block_size(256),
+                MemStore::with_block_size(256),
+            );
+            let a = BTreeFile::open(&by_leaf, BTreeFile::create(&by_leaf));
+            let b = BTreeFile::open(&each, BTreeFile::create(&each));
+            for i in 0..300 {
+                a.insert(&key(i), &val(i)).unwrap();
+                b.insert(&key(i), &val(i)).unwrap();
+            }
+            // An ascending run of changes: rewrites of every length (some
+            // overflow their leaf, some cannot fit any block), and deletes
+            // that empty whole leaves.
+            let lo = next(200) as u32;
+            let hi = lo + 1 + next(100) as u32;
+            let mut changes: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
+            for i in lo..hi {
+                if next(4) == 0 {
+                    continue;
+                }
+                let value = match (round % 3, next(8)) {
+                    (0, _) => None,
+                    (_, 0) => Some(vec![i as u8; 40 + next(90) as usize]),
+                    _ => Some(format!("v{i}").into_bytes()),
+                };
+                changes.push((key(i), value));
+            }
+            let blocks = by_leaf.live_blocks();
+            let outcomes = apply_by_leaf(&a, &changes);
+            too_large += outcomes.iter().filter(|o| o.is_err()).count();
+            split += usize::from(by_leaf.live_blocks() > blocks);
+            freed += usize::from(by_leaf.live_blocks() < blocks);
+            let each_outcomes: Vec<_> = changes
+                .iter()
+                .map(|(k, v)| apply(&b, k, v.as_deref()))
+                .collect();
+            assert_eq!(outcomes, each_outcomes);
+            assert!(outcomes.contains(&Ok(())));
+            a.validate();
+            assert_eq!(a.entries(), b.entries(), "round {round}");
+            assert_eq!(by_leaf.live_block_numbers(), each.live_block_numbers());
+        }
+        assert!(
+            too_large > 0 && split > 0 && freed > 0,
+            "{too_large} {split} {freed}"
+        );
+    }
+
+    #[test]
+    fn a_leaf_rewrite_refuses_what_does_not_fit_in_place() {
+        let store = MemStore::with_block_size(256);
+        let t = BTreeFile::open(&store, BTreeFile::create(&store));
+        for i in 0..3 {
+            t.insert(&key(i), &val(i)).unwrap();
+        }
+        let mut leaves = t.leaf_rewrites();
+        assert!(!leaves.stage(&key(9), None), "not there");
+        assert!(!leaves.stage(&key(1), Some(&[0; 200])), "too large");
+        assert!(leaves.stage(&key(1), Some(&[1; 60])));
+        assert!(leaves.stage(&key(2), None));
+        leaves.finish();
+        assert_eq!(t.entries(), vec![(key(0), val(0)), (key(1), vec![1; 60])]);
+        // The last record of a leaf is not removed in place; what was
+        // staged before it is written.
+        let mut leaves = t.leaf_rewrites();
+        assert!(leaves.stage(&key(0), None));
+        assert!(!leaves.stage(&key(1), None));
+        assert_eq!(t.entries(), vec![(key(1), vec![1; 60])]);
+        leaves.finish();
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -209,3 +209,97 @@ fn block_store_call_trace_of_a_tree_deleted_range_by_range_is_pinned() {
         store.internal_frees.get()
     );
 }
+
+/// Two identical trees over 256-byte blocks, three levels deep.
+fn twin_trees() -> [TraceStore; 2] {
+    let stores = [TraceStore::new(256), TraceStore::new(256)];
+    for store in &stores {
+        let tree = BTreeFile::open(store, BTreeFile::create(store));
+        for k in 0..2_000u32 {
+            assert!(tree.insert(&k.to_be_bytes(), &[k as u8; 9]).is_ok());
+        }
+        assert_eq!(internal_levels(store, &tree), 2);
+    }
+    stores
+}
+
+#[test]
+fn a_leaf_rewrite_of_one_record_makes_the_calls_of_update_and_of_delete() {
+    let [each, by_leaf] = twin_trees();
+    let (a, b) = (BTreeFile::open(&each, 0), BTreeFile::open(&by_leaf, 0));
+    for k in [0u32, 2, 777, 1_997] {
+        let key = k.to_be_bytes();
+        assert!(a.update(&key, &[1; 12]).is_ok());
+        let mut leaves = b.leaf_rewrites();
+        assert!(leaves.stage(&key, Some(&[1; 12])));
+        leaves.finish();
+        assert_eq!(
+            (by_leaf.calls.get(), by_leaf.hash.get()),
+            (each.calls.get(), each.hash.get()),
+            "update of {k}"
+        );
+
+        let key = (k + 1).to_be_bytes();
+        assert!(a.delete(&key).is_ok());
+        let mut leaves = b.leaf_rewrites();
+        assert!(leaves.stage(&key, None));
+        leaves.finish();
+        assert_eq!(
+            (by_leaf.calls.get(), by_leaf.hash.get()),
+            (each.calls.get(), each.hash.get()),
+            "delete of {}",
+            k + 1
+        );
+    }
+}
+
+/// Ascending changes a leaf at a time, as the Disk Process's set writes
+/// make them: the leaf's changes in place in one image, and through
+/// `update` / `delete` where the leaf refuses one (it would overflow, or
+/// be emptied).
+const BY_LEAF_CALLS: u64 = 13_635;
+const BY_LEAF_HASH: u64 = 0xce53_c5ea_9756_dfe1;
+
+#[test]
+fn block_store_call_trace_of_leaf_rewrites_is_pinned() {
+    let [store, _] = twin_trees();
+    let tree = BTreeFile::open(&store, 0);
+    let mut rng = SimRng::seed_from(0x1EAF);
+    let (mut refused, mut freed, mut missing) = (0, 0, 0);
+    for _ in 0..60 {
+        let lo = rng.below(1_900) as u32;
+        let delete = rng.below(3) == 0;
+        let hi = lo + 1 + rng.below(120) as u32;
+        let keys: Vec<u32> = (lo..hi).filter(|_| rng.below(5) > 0).collect();
+        let mut leaves = tree.leaf_rewrites();
+        for k in keys {
+            let key = k.to_be_bytes();
+            let value = vec![k as u8; rng.below(24) as usize];
+            let value = (!delete).then_some(&value[..]);
+            if leaves.stage(&key, value) {
+                continue;
+            }
+            refused += 1;
+            let blocks = store.inner.live_blocks();
+            let changed = match value {
+                Some(value) => tree.update(&key, value),
+                None => tree.delete(&key).map(drop),
+            };
+            // Ranges overlap: a record deleted before is not found.
+            missing += usize::from(changed.is_err());
+            freed += usize::from(store.inner.live_blocks() < blocks);
+        }
+        leaves.finish();
+    }
+    let (calls, hash) = (store.calls.get(), store.hash.get());
+    tree.validate();
+    assert!(
+        refused > missing && freed > 0 && missing > 0,
+        "{refused} refused, {freed} freed, {missing} missing"
+    );
+    assert_eq!(
+        (calls, hash),
+        (BY_LEAF_CALLS, BY_LEAF_HASH),
+        "BlockStore call trace moved: {calls} calls, hash {hash:#018x}"
+    );
+}

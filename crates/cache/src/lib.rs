@@ -508,6 +508,16 @@ impl BufferPool {
     pub fn dirty_frames(&self) -> usize {
         self.inner.lock().dirty.len()
     }
+
+    /// The dirty blocks, ascending, each with the audit LSN its frame
+    /// carries — what write-ahead order holds it to (tests).
+    pub fn dirty_lsns(&self) -> Vec<(BlockNo, u64)> {
+        let inner = self.inner.lock();
+        let dirty = inner.dirty_blocks(|_| true).into_iter();
+        dirty
+            .filter_map(|b| inner.frame(b).map(|f| (b, f.lsn)))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub use protocol::{
     AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, RowBlock, RowBuffer,
     SubsetId, SubsetMode, SubsetOp, SubsetVerb, SyncId, SyncRequest,
 };
-use store::Unlogged;
+use store::InProgress;
 pub use store::{Allocator, DpStore};
 
 use nsql_btree::relative::RelativeError;
@@ -56,7 +56,7 @@ use nsql_tmf::txn::{EndTxnReply, EndTxnRequest};
 use nsql_tmf::{AuditBody, AuditRecord, Direction, Trail, TxnManager, VolumeAuditor};
 use std::any::Any;
 use std::borrow::Cow;
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -853,48 +853,59 @@ impl DiskProcess {
         body: AuditBody,
         image: &[u8],
     ) -> Result<(), DpError> {
-        let body = Arc::new(body);
-        file.store.unlogged.replace(Some(Unlogged {
+        // The store view holds the body while the structure applies it, and
+        // logs it at the first block write.
+        file.store.change.replace(Some(InProgress {
             dp: self,
             txn,
             file: file.label.id,
-            body: Arc::clone(&body),
+            body,
+            logged: Cell::new(false),
         }));
-        let applied = match &*body {
-            AuditBody::Insert { key, record } => file.write(key, record, BTreeFile::insert),
-            AuditBody::UpdateFull { key, after, .. } => file.write(key, after, BTreeFile::update),
-            AuditBody::UpdateFields { key, .. } => file.write(key, image, BTreeFile::update),
-            AuditBody::Delete { key, .. } => file.delete(key),
-            AuditBody::Commit | AuditBody::Abort => {
+        let applied = match file.store.change.borrow().as_ref().map(|c| &c.body) {
+            Some(AuditBody::Insert { key, record }) => file.write(key, record, BTreeFile::insert),
+            Some(AuditBody::UpdateFull { key, after, .. }) => {
+                file.write(key, after, BTreeFile::update)
+            }
+            Some(AuditBody::UpdateFields { key, .. }) => file.write(key, image, BTreeFile::update),
+            Some(AuditBody::Delete { key, .. }) => file.delete(key),
+            Some(AuditBody::Commit | AuditBody::Abort) | None => {
                 Err(DpError::BadRecord("not a record change".into()))
             }
         };
-        let unlogged = file.store.unlogged.take().is_some();
+        let change = file.store.change.take();
         applied?;
-        debug_assert!(!unlogged, "a change that is applied writes a block");
-        // The store view let go of the body when it logged it.
-        let mut body = Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone());
-        body.forget_after();
-        let mut st = self.state.lock();
-        st.undo.entry(txn).or_default().push((file.label.id, body));
+        if let Some(InProgress { body, logged, .. }) = change {
+            debug_assert!(logged.get(), "a change that is applied writes a block");
+            self.push_undo(txn, file.label.id, body);
+        }
         Ok(())
     }
 
-    /// Write-ahead: `change` goes onto the volume's audit buffer and its LSN
+    /// `body`, logged, goes on `txn`'s undo list, less its after-images.
+    fn push_undo(&self, txn: TxnId, file: FileId, mut body: AuditBody) {
+        body.forget_after();
+        let mut st = self.state.lock();
+        st.undo.entry(txn).or_default().push((file, body));
+    }
+
+    /// Write-ahead: `body` goes onto the volume's audit buffer and its LSN
     /// onto every block `store` writes from here on. The store view calls
-    /// this just before the change's first block write (`DpStore::write`).
-    pub(crate) fn log_ahead(&self, store: &DpStore<'_>, change: &Unlogged<'_>) {
-        let lsn = self.auditor.log(change.txn, change.file, &change.body);
+    /// this just before a change's first block write (`DpStore::write`); a
+    /// leaf rewrite, as it stages each change.
+    pub(crate) fn log_ahead(
+        &self,
+        store: &DpStore<'_>,
+        txn: TxnId,
+        file: FileId,
+        body: &AuditBody,
+    ) {
+        let lsn = self.auditor.log(txn, file, body);
         store.lsn.set(lsn);
     }
 
-    /// The one keyed change every write verb makes. It locks the record
-    /// exclusively, unless `key` lies under the caller's interval lock;
-    /// reaches the structure the verb addresses only then (a file of
-    /// another kind is `WrongFileKind`; a relative file's header is read
-    /// here); takes the before-image — `scanned`, the record as a subset
-    /// scan found it, or else a `get` or slot read — and logs and applies
-    /// the change through [`Self::audited_write`].
+    /// The one keyed change every write verb makes: [`Self::change_body`],
+    /// logged and applied through [`Self::audited_write`].
     fn keyed_change<'s>(
         &'s self,
         txn: TxnId,
@@ -903,6 +914,25 @@ impl DiskProcess {
         scanned: Option<&[u8]>,
         change: Change<'_>,
     ) -> Result<(), DpError> {
+        let body = self.change_body(txn, file, key, scanned, change)?;
+        self.audited_write(file, txn, body, &file.image.borrow())
+    }
+
+    /// What a keyed change is, as an audit body. It locks the record
+    /// exclusively, unless `key` lies under the caller's interval lock;
+    /// reaches the structure the verb addresses only then (a file of
+    /// another kind is `WrongFileKind`; a relative file's header is read
+    /// here); and takes the before-image — `scanned`, the record as a
+    /// subset scan found it, or else a `get` or slot read. A change audited
+    /// as field images leaves the whole new record in `file.image`.
+    fn change_body(
+        &self,
+        txn: TxnId,
+        file: &AuditedFile<'_, '_>,
+        key: Key,
+        scanned: Option<&[u8]>,
+        change: Change<'_>,
+    ) -> Result<AuditBody, DpError> {
         let (key, lock, relative) = match key {
             Key::Record(key) => (key, true, false),
             Key::Covered(key) => (key, false, false),
@@ -922,7 +952,7 @@ impl DiskProcess {
             None => file.read(&key).map(Cow::Owned),
         };
         let mut image = file.image.borrow_mut();
-        let body = match change {
+        Ok(match change {
             Change::Insert(record) => AuditBody::Insert { key, record },
             Change::Put(record) => match file.read(&key) {
                 Ok(before) => {
@@ -958,8 +988,7 @@ impl DiskProcess {
                 before: before()?.into_owned(),
                 key,
             },
-        };
-        self.audited_write(file, txn, body, &image)
+        })
     }
 
     /// A record-at-a-time write: the keyed change, then the verb's CPU
@@ -1287,12 +1316,7 @@ impl DiskProcess {
             Work::Delete { txn } => Some((*txn, None)),
         };
         if let Some((txn, patch)) = writer {
-            for (key, current) in matched.iter() {
-                let change = patch.map_or(Change::Delete, Change::Patch);
-                let key = Key::Record(key.to_vec());
-                self.keyed_change(txn, &opened, key, Some(current), change)?;
-                self.sim.cpu_work(CpuLayer::DiskProcess, 3);
-            }
+            self.change_matched(txn, &opened, &matched, patch)?;
         }
 
         // Idle-time write-behind after set-oriented work.
@@ -1308,6 +1332,45 @@ impl DiskProcess {
             examined,
             affected: selected,
         })
+    }
+
+    /// Phase 2 of `UPDATE^SUBSET` / `DELETE^SUBSET`: change each matched
+    /// record, a leaf at a time. Each is locked, patched, logged and charged
+    /// its 3 units in turn, as [`Self::keyed_change`] would, but a leaf's
+    /// changes go into one new image of it ([`BTreeFile::leaf_rewrites`]),
+    /// written once — stamped with the last change's LSN — when the records
+    /// move on to another leaf, or one fails. A change the leaf cannot take
+    /// in place (it would overflow the block or empty the leaf) is made by
+    /// [`Self::audited_write`], after the leaf's changes before it, and
+    /// splits, frees or rebalances as it always did.
+    fn change_matched<'s>(
+        &'s self,
+        txn: TxnId,
+        file: &AuditedFile<'_, 's>,
+        matched: &Matched,
+        patch: Option<&Patch>,
+    ) -> Result<(), DpError> {
+        #[cfg(test)]
+        if tests::record_at_a_time() {
+            return tests::change_each(self, txn, file, matched, patch);
+        }
+        let mut leaves = file.tree()?.leaf_rewrites();
+        let written = matched.iter().try_for_each(|(key, current)| {
+            let change = patch.map_or(Change::Delete, Change::Patch);
+            let body =
+                self.change_body(txn, file, Key::Record(key.to_vec()), Some(current), change)?;
+            let image = file.image.borrow();
+            if leaves.stage(key, patch.map(|_| image.as_slice())) {
+                self.log_ahead(file.store, txn, file.label.id, &body);
+                self.push_undo(txn, file.label.id, body);
+            } else {
+                self.audited_write(file, txn, body, &image)?;
+            }
+            self.sim.cpu_work(CpuLayer::DiskProcess, 3);
+            Ok(())
+        });
+        leaves.finish();
+        written
     }
 
     // ------------------------------------------------------------------

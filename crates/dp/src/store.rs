@@ -24,7 +24,6 @@ use nsql_sim::sync::Mutex;
 use nsql_sim::CpuLayer;
 use nsql_tmf::AuditBody;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
 
 /// Volume block allocator. Block 0 is reserved for the volume label.
 #[derive(Debug)]
@@ -80,13 +79,15 @@ impl Default for Allocator {
     }
 }
 
-/// An audited change that has not written a block yet, and so is not logged
-/// yet: whose it is, what it is, and the Disk Process to log it through.
-pub(crate) struct Unlogged<'a> {
+/// An audited change being applied: whose it is, what it is, the Disk
+/// Process to log it through, and whether it is logged yet — it is, just
+/// ahead of the first block it writes.
+pub(crate) struct InProgress<'a> {
     pub dp: &'a DiskProcess,
     pub txn: TxnId,
     pub file: FileId,
-    pub body: Arc<AuditBody>,
+    pub body: AuditBody,
+    pub logged: Cell<bool>,
 }
 
 /// The per-operation view of the volume's blocks.
@@ -99,8 +100,8 @@ pub struct DpStore<'a> {
     pub lsn: Cell<u64>,
     /// Scan behaviour for `read_for_scan` during the current operation.
     pub scan: Cell<ScanOptions>,
-    /// The change in progress, until it writes its first block.
-    pub(crate) unlogged: RefCell<Option<Unlogged<'a>>>,
+    /// The change in progress, lent while the access method applies it.
+    pub(crate) change: RefCell<Option<InProgress<'a>>>,
     /// Disk Process CPU units charged and not yet booked.
     cpu: Cell<u64>,
 }
@@ -113,7 +114,7 @@ impl<'a> DpStore<'a> {
             alloc,
             lsn: Cell::new(0),
             scan: Cell::new(ScanOptions::default()),
-            unlogged: RefCell::new(None),
+            change: RefCell::new(None),
             cpu: Cell::new(0),
         }
     }
@@ -163,8 +164,12 @@ impl BlockStore for DpStore<'_> {
 
     fn write(&self, block: BlockNo, data: Block) {
         self.book();
-        if let Some(change) = self.unlogged.take() {
-            change.dp.log_ahead(self, &change);
+        if let Some(change) = &*self.change.borrow() {
+            if !change.logged.replace(true) {
+                change
+                    .dp
+                    .log_ahead(self, change.txn, change.file, &change.body);
+            }
         }
         self.pool
             .write(block, data, self.lsn.get())

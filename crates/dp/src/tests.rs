@@ -7,6 +7,34 @@ use nsql_records::row::{decode_row, encode_row};
 use nsql_records::{ArithOp, CmpOp, FieldDef, FieldType, KeyRange, Value};
 use nsql_tmf::{CommitTimer, LsnSource};
 
+thread_local! {
+    /// Whether this thread's subset writes change their records one at a
+    /// time, each through the keyed change, as before leaf rewrites: the
+    /// reference the leaf path is checked against.
+    static RECORD_AT_A_TIME: Cell<bool> = const { Cell::new(false) };
+}
+
+pub(super) fn record_at_a_time() -> bool {
+    RECORD_AT_A_TIME.with(Cell::get)
+}
+
+/// Phase 2 of a subset write record at a time: each matched record's keyed
+/// change, then its 3 units.
+pub(super) fn change_each<'s>(
+    dp: &'s DiskProcess,
+    txn: TxnId,
+    file: &AuditedFile<'_, 's>,
+    matched: &Matched,
+    patch: Option<&Patch>,
+) -> Result<(), DpError> {
+    for (key, current) in matched.iter() {
+        let change = patch.map_or(Change::Delete, Change::Patch);
+        dp.keyed_change(txn, file, Key::Record(key.to_vec()), Some(current), change)?;
+        dp.sim.cpu_work(CpuLayer::DiskProcess, 3);
+    }
+    Ok(())
+}
+
 struct TestCluster {
     sim: Sim,
     bus: Arc<Bus>,
@@ -2365,4 +2393,331 @@ fn each_write_verb_costs_what_it_did() {
             "{name}: [µs, cpu, audit records, audit bytes, checkpoints, locks]"
         );
     }
+}
+
+/// What a subset write leaves behind, which changing a leaf's records
+/// through one image must not move: the reply, the virtual clock and every
+/// counter but cache hits, the file, the undo list, locks, and the dirty
+/// frames with their LSNs; then, once the transaction is aborted, the
+/// audit trail (bodies and LSNs) and the file backed out.
+#[derive(Debug, PartialEq)]
+struct Aftermath {
+    reply: String,
+    micros: u64,
+    counters: String,
+    entries: Vec<(Vec<u8>, Vec<u8>)>,
+    undo: Vec<(FileId, AuditBody)>,
+    locks: usize,
+    dirty: Vec<(nsql_btree::BlockNo, u64)>,
+    audit: Vec<AuditRecord>,
+    backed_out: Vec<(Vec<u8>, Vec<u8>)>,
+}
+
+/// The records of `file`, read past the request path.
+fn entries_of(c: &TestCluster, file: FileId) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let label = c.dp.file_label(file).unwrap();
+    let store = DpStore::new(&c.dp.pool, &c.dp.alloc);
+    let tree = BTreeFile::open(&store, label.anchor);
+    tree.validate();
+    tree.entries()
+}
+
+/// `request` — made by `setup` on a fresh cluster, against a file it
+/// loads, in the transaction it is given — sent once, its records changed
+/// a leaf at a time or one at a time; and the cache hits it made.
+fn subset_write(
+    record_at_a_time: bool,
+    setup: &dyn Fn(&TestCluster, TxnId) -> (FileId, DpRequest),
+) -> (Aftermath, u64) {
+    let c = cluster();
+    let txn = c.txnmgr.begin();
+    let (file, request) = setup(&c, txn);
+    let loaded = entries_of(&c, file);
+    let (before, t0) = (c.sim.metrics.snapshot(), c.sim.now());
+    RECORD_AT_A_TIME.with(|r| r.set(record_at_a_time));
+    let reply = c.send(request);
+    RECORD_AT_A_TIME.with(|r| r.set(false));
+    let micros = c.sim.now() - t0;
+    let mut counters = c.sim.metrics.snapshot() - before;
+    let hits = std::mem::take(&mut counters.cache_hits);
+    let undo =
+        c.dp.state
+            .lock()
+            .undo
+            .get(&txn)
+            .cloned()
+            .unwrap_or_default();
+    let (locks, dirty) = (c.dp.locks.lock_count(), c.dp.pool.dirty_lsns());
+    let entries = entries_of(&c, file);
+    c.txnmgr.abort(txn, c.client).unwrap();
+    c.dp.auditor.send();
+    let durable = c.trail.force_up_to(u64::MAX, c.sim.now());
+    let aftermath = Aftermath {
+        reply: format!("{reply:?}"),
+        micros,
+        counters: format!("{counters:?}"),
+        entries,
+        undo,
+        locks,
+        dirty,
+        audit: c.trail.durable_records(durable),
+        backed_out: entries_of(&c, file),
+    };
+    assert_eq!(aftermath.backed_out, loaded, "abort backs every change out");
+    (aftermath, hits)
+}
+
+/// Both ways of changing the records leave the same aftermath; the leaf
+/// way reads fewer blocks when a leaf holds several of them.
+fn assert_leaf_rewrites_match(
+    what: &str,
+    setup: &dyn Fn(&TestCluster, TxnId) -> (FileId, DpRequest),
+) -> Aftermath {
+    let (each, each_hits) = subset_write(true, setup);
+    let (by_leaf, by_leaf_hits) = subset_write(false, setup);
+    assert_eq!(by_leaf, each, "{what}");
+    assert!(
+        by_leaf_hits < each_hits,
+        "{what}: {by_leaf_hits} cache hits a leaf at a time, {each_hits} record at a time"
+    );
+    by_leaf
+}
+
+/// `SET SALARY = SALARY <op> <operand>` over EMPNO `lo..=hi` of a loaded
+/// EMP file, selecting by `predicate`.
+fn emp_update(
+    c: &TestCluster,
+    txn: TxnId,
+    (lo, hi): (i32, i32),
+    predicate: Option<Expr>,
+    op: ArithOp,
+    operand: Expr,
+) -> (FileId, DpRequest) {
+    let file = c.create_emp();
+    c.load_emps(file, 600);
+    let sets = SetList {
+        sets: vec![(
+            3,
+            Expr::Arith(Box::new(Expr::Field(3)), op, Box::new(operand)),
+        )],
+    };
+    let request = DpRequest::SubsetFirst {
+        file,
+        range: KeyRange {
+            begin: OwnedBound::Included(emp_key(lo)),
+            end: OwnedBound::Included(emp_key(hi)),
+        },
+        predicate,
+        op: SubsetOp::Update {
+            txn,
+            sets,
+            constraint: None,
+        },
+    };
+    (file, request)
+}
+
+/// The leaf block holding `key` in `file`, found past the request path.
+fn leaf_of(c: &TestCluster, file: FileId, key: &[u8]) -> nsql_btree::BlockNo {
+    use nsql_btree::node::NodeRef;
+    use nsql_btree::BlockStore;
+    let label = c.dp.file_label(file).unwrap();
+    let store = DpStore::new(&c.dp.pool, &c.dp.alloc);
+    let mut block = label.anchor;
+    loop {
+        let bytes = store.read(block);
+        match NodeRef::new(&bytes) {
+            NodeRef::Internal(node) => block = node.child_for(key).1,
+            NodeRef::Leaf(_) => return block,
+        }
+    }
+}
+
+/// How many leaves hold EMPNO `lo..=hi` in the file `setup` makes, and
+/// whether the range starts and ends inside a leaf.
+fn emp_leaves(
+    setup: &dyn Fn(&TestCluster, TxnId) -> (FileId, DpRequest),
+    (lo, hi): (i32, i32),
+) -> (usize, bool) {
+    let c = cluster();
+    let (file, _) = setup(&c, c.txnmgr.begin());
+    let leaf = |empno| leaf_of(&c, file, &emp_key(empno));
+    let leaves: std::collections::BTreeSet<_> = (lo..=hi).map(leaf).collect();
+    let inside = leaf(lo - 1) == leaf(lo) && leaf(hi + 1) == leaf(hi);
+    (leaves.len(), inside)
+}
+
+const SPAN: (i32, i32) = (37, 412);
+
+fn raise(c: &TestCluster, txn: TxnId) -> (FileId, DpRequest) {
+    // Every third record of the range is left alone.
+    let predicate = Expr::Not(Box::new(Expr::field_cmp(2, CmpOp::Eq, Value::Int(1983))));
+    emp_update(
+        c,
+        txn,
+        SPAN,
+        Some(predicate),
+        ArithOp::Add,
+        Expr::lit(Value::Double(1.0)),
+    )
+}
+
+#[test]
+fn leaf_rewrites_change_a_range_across_leaves_as_record_at_a_time_did() {
+    assert_eq!(emp_leaves(&raise, SPAN), (8, true));
+    let done = assert_leaf_rewrites_match("raise", &raise);
+    assert!(done.reply.contains("affected: 334"), "{}", done.reply);
+    assert_eq!(done.undo.len(), 334);
+    let audit = done.audit.len();
+    assert_eq!(
+        audit,
+        601 + 334 + 1,
+        "the load and its commit, the changes, the abort"
+    );
+}
+
+#[test]
+fn a_lock_conflict_inside_a_leaf_fails_as_record_at_a_time_did() {
+    let conflict = |c: &TestCluster, txn| {
+        let made = emp_update(
+            c,
+            txn,
+            SPAN,
+            None,
+            ArithOp::Mul,
+            Expr::lit(Value::Double(1.5)),
+        );
+        let other = c.txnmgr.begin();
+        let lock = DpRequest::Lock {
+            txn: other,
+            file: made.0,
+            key: Some(emp_key(200)),
+            mode: LockMode::Exclusive,
+        };
+        assert!(matches!(c.send(lock), DpReply::Ok));
+        made
+    };
+    let c = cluster();
+    let (file, _) = conflict(&c, c.txnmgr.begin());
+    let leaf = |empno| leaf_of(&c, file, &emp_key(empno));
+    assert!(
+        leaf(37) != leaf(200) && leaf(190) == leaf(200),
+        "200 is inside a leaf"
+    );
+    let done = assert_leaf_rewrites_match("lock conflict", &conflict);
+    assert!(done.reply.contains("Locked"), "{}", done.reply);
+    assert_eq!(done.undo.len(), 200 - 37);
+}
+
+#[test]
+fn a_patch_error_inside_a_leaf_fails_as_record_at_a_time_did() {
+    // SALARY / (EMPNO - 250) divides by zero at 250.
+    let divide = |c: &TestCluster, txn| {
+        let by = Expr::Arith(
+            Box::new(Expr::Field(0)),
+            ArithOp::Sub,
+            Box::new(Expr::lit(Value::Int(250))),
+        );
+        emp_update(c, txn, SPAN, None, ArithOp::Div, by)
+    };
+    let c = cluster();
+    let (file, _) = divide(&c, c.txnmgr.begin());
+    let leaf = |empno| leaf_of(&c, file, &emp_key(empno));
+    assert!(
+        leaf(37) != leaf(250) && leaf(240) == leaf(250),
+        "250 is inside a leaf"
+    );
+    let done = assert_leaf_rewrites_match("division by zero", &divide);
+    assert!(done.reply.contains("EvalFailed"), "{}", done.reply);
+    assert_eq!(done.undo.len(), 250 - 37);
+}
+
+#[test]
+fn records_that_outgrow_their_leaf_split_it_as_record_at_a_time_did() {
+    let grow = |c: &TestCluster, txn| {
+        let desc = RecordDescriptor::new(
+            vec![
+                FieldDef::new("K", FieldType::Int),
+                FieldDef::new("V", FieldType::Varchar(200)),
+            ],
+            vec![0],
+        );
+        let created = c.send(DpRequest::CreateFile {
+            kind: FileKind::KeySequenced(desc.clone()),
+        });
+        let DpReply::FileCreated(file) = created else {
+            panic!("{created:?}")
+        };
+        let load = c.txnmgr.begin();
+        let row = |k: i32| vec![Value::Int(k), Value::Str(format!("v{k}"))];
+        for k in 0..400 {
+            let insert = DpRequest::Insert {
+                txn: load,
+                file,
+                key: encode_record_key(&desc, &row(k)),
+                record: encode_row(&desc, &row(k)).unwrap(),
+            };
+            assert!(matches!(c.send(insert), DpReply::Ok));
+        }
+        c.txnmgr.commit(load, c.client).unwrap();
+        let long = Value::Str("L".repeat(120));
+        let request = DpRequest::SubsetFirst {
+            file,
+            range: KeyRange {
+                begin: OwnedBound::Included(encode_record_key(&desc, &row(30))),
+                end: OwnedBound::Included(encode_record_key(&desc, &row(330))),
+            },
+            predicate: Some(Expr::field_cmp(0, CmpOp::Ne, Value::Int(100))),
+            op: SubsetOp::Update {
+                txn,
+                sets: SetList {
+                    sets: vec![(1, Expr::lit(long))],
+                },
+                constraint: None,
+            },
+        };
+        (file, request)
+    };
+    // The leaves split: the file takes many more blocks than it had.
+    let c = cluster();
+    let (_, request) = grow(&c, c.txnmgr.begin());
+    let loaded = c.dp.alloc.lock().high_water();
+    c.send(request);
+    assert!(c.dp.alloc.lock().high_water() > loaded + 10);
+    let done = assert_leaf_rewrites_match("growth", &grow);
+    assert!(done.reply.contains("affected: 300"), "{}", done.reply);
+}
+
+#[test]
+fn a_delete_that_empties_leaves_frees_them_as_record_at_a_time_did() {
+    let delete = |c: &TestCluster, txn| {
+        let file = c.create_emp();
+        c.load_emps(file, 600);
+        let request = DpRequest::SubsetFirst {
+            file,
+            range: KeyRange {
+                begin: OwnedBound::Included(emp_key(SPAN.0)),
+                end: OwnedBound::Included(emp_key(SPAN.1)),
+            },
+            predicate: None,
+            op: SubsetOp::Delete { txn },
+        };
+        (file, request)
+    };
+    assert_eq!(emp_leaves(&delete, SPAN), (8, true));
+    // The six leaves wholly inside the range are emptied and merged away.
+    let c = cluster();
+    let (file, request) = delete(&c, c.txnmgr.begin());
+    let leaves = |empnos: &mut dyn Iterator<Item = i32>| {
+        let leaves: std::collections::BTreeSet<_> =
+            empnos.map(|e| leaf_of(&c, file, &emp_key(e))).collect();
+        leaves.len()
+    };
+    let before = leaves(&mut (0..600));
+    c.send(request);
+    let kept = leaves(&mut (0..600).filter(|e| !(SPAN.0..=SPAN.1).contains(e)));
+    assert_eq!(kept, before - 6);
+    let done = assert_leaf_rewrites_match("delete", &delete);
+    assert_eq!(done.entries.len(), 600 - 376);
+    assert_eq!(done.undo.len(), 376);
 }

@@ -33,7 +33,7 @@ pub struct Config {
     /// Enum type names whose matches must not use a `_ =>` arm
     /// (`[protocol_enums] names`).
     pub protocol_enums: Vec<String>,
-    /// Ratchet ceilings: path prefix → max `unwrap/expect/panic!` count in
+    /// Ratchet ceilings: path prefix → max panic-site count in
     /// non-test code under that prefix (`[ratchet]`).
     pub ratchet: BTreeMap<String, u64>,
     /// Crate-path prefixes in which silent `Result` discards are banned

@@ -57,7 +57,8 @@ const SKIP_DIRS: [&str; 4] = ["target", ".git", "lint_fixtures", "node_modules"]
 pub struct WorkspaceReport {
     /// All rule violations, sorted by file and line.
     pub diags: Vec<Diagnostic>,
-    /// Non-test `unwrap/expect/panic!` count per file.
+    /// Non-test panic sites (`unwrap`, `expect`, `panic!`, `unreachable!`,
+    /// `todo!`, `unimplemented!`) per file.
     pub file_counts: BTreeMap<String, u64>,
     /// Summed counts per ratchet bucket.
     pub bucket_counts: BTreeMap<String, u64>,

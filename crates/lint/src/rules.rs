@@ -224,48 +224,38 @@ fn wall_clock_rule(cfg: &Config, rel: &str, toks: &[Tok], report: &mut FileRepor
 // Rule: panic-ratchet (counting half; ceilings enforced by the caller)
 // ----------------------------------------------------------------------
 
-/// Count `unwrap()` / `expect()` / `panic!` in non-test tokens. Emits no
-/// diagnostics itself except to carry per-occurrence positions for the
-/// zero-ratchet paths (the caller decides which counts are violations).
-fn panic_count(toks: &[Tok], in_test: &[bool], _rel: &str, _report: &mut FileReport) -> u64 {
-    let mut count = 0u64;
-    for i in 0..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        let t = &toks[i];
-        let hit = (t.is_ident("panic") && toks.get(i + 1).is_some_and(|n| n.is_punct('!')))
-            || ((t.is_ident("unwrap") || t.is_ident("expect"))
-                && i > 0
-                && toks[i - 1].is_punct('.'));
-        if hit {
-            count += 1;
-        }
+/// The macros that panic: each is a panic site wherever it is invoked.
+const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+
+/// The panic site the token at `i` begins, if any: a `panic!`,
+/// `unreachable!`, `todo!` or `unimplemented!`, or a `.unwrap()` /
+/// `.expect()` call.
+fn panic_site(toks: &[Tok], i: usize) -> Option<String> {
+    let t = &toks[i];
+    let bang = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
+    if bang && PANIC_MACROS.iter().any(|m| t.is_ident(m)) {
+        return Some(format!("{}!", t.text));
     }
-    count
+    let method = i > 0 && toks[i - 1].is_punct('.');
+    (method && (t.is_ident("unwrap") || t.is_ident("expect"))).then(|| format!(".{}()", t.text))
 }
 
-/// Positions of each non-test `unwrap/expect/panic!` (for zero-ratchet
+/// Count the panic sites ([`panic_site`]) in non-test tokens. Emits no
+/// diagnostics itself (the caller decides which counts are violations).
+fn panic_count(toks: &[Tok], in_test: &[bool], _rel: &str, _report: &mut FileReport) -> u64 {
+    let sites = (0..toks.len()).filter(|&i| !in_test[i] && panic_site(toks, i).is_some());
+    sites.count() as u64
+}
+
+/// Line and form of each non-test panic site (for zero-ratchet
 /// diagnostics with file:line).
 pub fn panic_sites(src: &str) -> Vec<(usize, String)> {
     let toks = tokenize(src);
     let in_test = test_region_mask(&toks);
-    let mut sites = Vec::new();
-    for i in 0..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if t.is_ident("panic") && toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-            sites.push((t.line, "panic!".to_string()));
-        } else if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i > 0
-            && toks[i - 1].is_punct('.')
-        {
-            sites.push((t.line, format!(".{}()", t.text)));
-        }
-    }
+    let sites = (0..toks.len()).filter(|&i| !in_test[i]);
     sites
+        .filter_map(|i| panic_site(&toks, i).map(|form| (toks[i].line, form)))
+        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -716,7 +706,7 @@ pub fn enforce_ratchet(
                 file: key.clone(),
                 line: 0,
                 msg: format!(
-                    "unwrap/expect/panic! count {n} exceeds the ratcheted ceiling {ceiling}; \
+                    "panic-site count {n} exceeds the ratcheted ceiling {ceiling}; \
                      convert the new sites to typed errors (ceilings only go down)"
                 ),
             });
@@ -768,6 +758,36 @@ mod tests {
         assert_eq!(r.panic_count, 2);
         let sites = panic_sites(src);
         assert_eq!(sites.len(), 2);
+    }
+
+    #[test]
+    fn every_panicking_macro_is_a_panic_site() {
+        let cfg = test_cfg();
+        let src = r#"
+            fn f(x: u8) -> u8 {
+                match x {
+                    0 => unreachable!("never zero"),
+                    1 => todo!(),
+                    2 => unimplemented!("later"),
+                    3 => panic!("three"),
+                    _ => x.checked_add(1).expect("no overflow"),
+                }
+            }
+            // Not invocations: a path, a name, a method.
+            fn g(todo: u8) -> u8 { std::unreachable::<u8>; todo.unimplemented() }
+        "#;
+        assert_eq!(lint_source(&cfg, "x.rs", src).panic_count, 5);
+        let forms: Vec<String> = panic_sites(src).into_iter().map(|(_, f)| f).collect();
+        assert_eq!(
+            forms,
+            [
+                "unreachable!",
+                "todo!",
+                "unimplemented!",
+                "panic!",
+                ".expect()"
+            ]
+        );
     }
 
     #[test]

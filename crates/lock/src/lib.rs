@@ -419,12 +419,84 @@ impl FileLocks {
                 Ordering::Greater => {} // an inverted interval covers no key
             },
         }
-        for (grant, scope) in &self.wide {
-            let scope = scope.as_scope();
-            if scope.overlaps(want) {
-                visit(grant, scope.covers(want));
+        overlapping_wide(&self.wide, want, visit);
+    }
+}
+
+/// [`FileLocks::overlapping`] over the interval and file locks alone.
+fn overlapping_wide(
+    wide: &[(Grant, LockScope)],
+    want: ScopeRef<'_>,
+    mut visit: impl FnMut(&Grant, bool),
+) {
+    for (grant, scope) in wide {
+        let scope = scope.as_scope();
+        if scope.overlaps(want) {
+            visit(grant, scope.covers(want));
+        }
+    }
+}
+
+/// What the grants overlapping a request say about it, seen one by one.
+struct Tally {
+    txn: TxnId,
+    mode: LockMode,
+    /// The requester holds a lock covering the request, at least as strong.
+    covered: bool,
+    /// The requester holds a lock overlapping the request.
+    upgrading: bool,
+    /// The earliest-granted incompatible grant of another transaction.
+    earliest: Option<Grant>,
+}
+
+impl Tally {
+    fn new(txn: TxnId, mode: LockMode) -> Self {
+        Tally {
+            txn,
+            mode,
+            covered: false,
+            upgrading: false,
+            earliest: None,
+        }
+    }
+
+    /// A grant whose scope overlaps the request, and whether it covers it.
+    fn see(&mut self, grant: &Grant, covers: bool) {
+        if grant.txn == self.txn {
+            self.upgrading = true;
+            self.covered |=
+                covers && (grant.mode == LockMode::Exclusive || self.mode == LockMode::Shared);
+        } else if !grant.mode.compatible(self.mode)
+            && self.earliest.is_none_or(|e| grant.seq < e.seq)
+        {
+            self.earliest = Some(*grant);
+        }
+    }
+
+    /// The one lock decision: covered re-acquire, conflict with the
+    /// earliest-granted incompatible holder, FIFO bounce off an
+    /// incompatible waiter queued ahead (unless the requester already holds
+    /// an overlapping lock on the file — upgrades jump the queue), or grant.
+    fn verdict(self, waiters: &[WaitingLock], file: FileId, want: ScopeRef<'_>) -> Verdict {
+        if self.covered {
+            return Verdict::Covered;
+        }
+        if let Some(grant) = self.earliest {
+            return Verdict::Conflict(grant.txn);
+        }
+        if !self.upgrading {
+            // Only arrivals ahead of our own queue position count.
+            let ahead = waiters.iter().take_while(|w| w.txn != self.txn);
+            for w in ahead {
+                if w.file == file
+                    && w.scope.as_scope().overlaps(want)
+                    && !w.mode.compatible(self.mode)
+                {
+                    return Verdict::Conflict(w.txn);
+                }
             }
         }
+        Verdict::Grant
     }
 }
 
@@ -464,72 +536,69 @@ struct State {
 }
 
 impl State {
-    /// The one lock decision: covered re-acquire, conflict with the
-    /// earliest-granted incompatible holder, FIFO bounce off an
-    /// incompatible waiter queued ahead (unless `txn` already holds an
-    /// overlapping lock on the file — upgrades jump the queue), or grant.
+    /// [`Tally::verdict`] on a request, with no side effects.
     fn decide(&self, txn: TxnId, file: FileId, want: ScopeRef<'_>, mode: LockMode) -> Verdict {
-        let (mut covered, mut upgrading) = (false, false);
-        let mut earliest: Option<Grant> = None;
+        let mut tally = Tally::new(txn, mode);
         if let Some(locks) = self.files.get(&file) {
-            locks.overlapping(want, |grant, covers| {
-                if grant.txn == txn {
-                    upgrading = true;
-                    covered |=
-                        covers && (grant.mode == LockMode::Exclusive || mode == LockMode::Shared);
-                } else if !grant.mode.compatible(mode) && earliest.is_none_or(|e| grant.seq < e.seq)
-                {
-                    earliest = Some(*grant);
-                }
-            });
+            locks.overlapping(want, |grant, covers| tally.see(grant, covers));
         }
-        if covered {
-            return Verdict::Covered;
-        }
-        if let Some(grant) = earliest {
-            return Verdict::Conflict(grant.txn);
-        }
-        if !upgrading {
-            // Only arrivals ahead of our own queue position count.
-            let ahead = self.waiters.iter().take_while(|w| w.txn != txn);
-            for w in ahead {
-                if w.file == file && w.scope.as_scope().overlaps(want) && !w.mode.compatible(mode) {
-                    return Verdict::Conflict(w.txn);
-                }
-            }
-        }
-        Verdict::Grant
+        tally.verdict(&self.waiters, file, want)
     }
 
-    /// Record a grant decided by [`State::decide`].
-    fn grant(&mut self, txn: TxnId, file: FileId, want: ScopeRef<'_>, mode: LockMode) {
+    /// Decide a request and record the grant when it is one. A record
+    /// request looks its key up once, to decide and to grant.
+    fn acquire(&mut self, txn: TxnId, file: FileId, want: ScopeRef<'_>, mode: LockMode) -> Verdict {
         let grant = Grant {
             txn,
             mode,
             seq: self.granted,
         };
-        self.granted += 1;
-        self.held += 1;
-        let locks = self.files.entry(file).or_default();
-        let owned = match want {
-            ScopeRef::KeyInterval { lo, hi } if lo == hi => {
-                let key = Key::new(lo);
-                match locks.records.entry(key.clone()) {
-                    Entry::Occupied(mut holders) => holders.get_mut().more.push(grant),
-                    Entry::Vacant(slot) => {
-                        slot.insert(Holders {
-                            first: grant,
-                            more: Vec::new(),
-                        });
-                    }
-                }
-                Owned::Record(file, key)
-            }
+        let key = match want {
+            ScopeRef::KeyInterval { lo, hi } if lo == hi => lo,
             _ => {
-                locks.wide.push((grant, want.to_scope()));
-                Owned::Wide(file)
+                let verdict = self.decide(txn, file, want, mode);
+                if let Verdict::Grant = verdict {
+                    let locks = self.files.entry(file).or_default();
+                    locks.wide.push((grant, want.to_scope()));
+                    self.own(txn, Owned::Wide(file));
+                }
+                return verdict;
             }
         };
+        let locks = self.files.entry(file).or_default();
+        let slot = locks.records.entry(Key::new(key));
+        let mut tally = Tally::new(txn, mode);
+        if let Entry::Occupied(holders) = &slot {
+            for held in holders.get().iter() {
+                tally.see(held, true);
+            }
+        }
+        overlapping_wide(&locks.wide, want, |held, covers| tally.see(held, covers));
+        let verdict = tally.verdict(&self.waiters, file, want);
+        if let Verdict::Grant = verdict {
+            let key = match slot {
+                Entry::Occupied(mut holders) => {
+                    holders.get_mut().more.push(grant);
+                    holders.key().clone()
+                }
+                Entry::Vacant(slot) => {
+                    let key = slot.key().clone();
+                    slot.insert(Holders {
+                        first: grant,
+                        more: Vec::new(),
+                    });
+                    key
+                }
+            };
+            self.own(txn, Owned::Record(file, key));
+        }
+        verdict
+    }
+
+    /// Count the grant just recorded, and add it to `txn`'s list.
+    fn own(&mut self, txn: TxnId, owned: Owned) {
+        self.granted += 1;
+        self.held += 1;
         let spare = &mut self.spare;
         let list = self
             .owned
@@ -620,10 +689,9 @@ impl LockManager {
     ) -> Result<(), LockError> {
         let want = scope.as_scope();
         let mut st = self.state.lock();
-        match st.decide(txn, file, want, mode) {
+        match st.acquire(txn, file, want, mode) {
             Verdict::Conflict(holder) => return Err(LockError::Conflict { holder }),
-            Verdict::Covered => {}
-            Verdict::Grant => st.grant(txn, file, want, mode),
+            Verdict::Covered | Verdict::Grant => {}
         }
         st.stop_waiting(txn);
         Ok(())
