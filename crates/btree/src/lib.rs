@@ -4,9 +4,11 @@
 //! "The record management component of the Disk Process implements the
 //! access methods supporting the file structures common to ENSCRIBE and
 //! NonStop SQL: key-sequenced (B-Tree); relative (direct access);
-//! entry-sequenced (direct access for reads, insert at EOF only)."
+//! entry-sequenced (direct access for reads, insert at EOF only)." Every
+//! claim the paper measures is about key-sequenced SQL tables, so only the
+//! B-tree is reproduced here.
 //!
-//! All three access methods operate on 4 KB blocks obtained through a
+//! The B-tree operates on 4 KB blocks obtained through a
 //! [`BlockStore`] — in production the Disk Process's buffer pool, in tests
 //! a [`MemStore`]. The B-tree implements splits and *collapses* (the
 //! paper's term for structure shrinkage), which is what breaks physical
@@ -22,13 +24,9 @@
 //! it back whole, and one that only moves a block hands the image it read
 //! straight back.
 
-pub mod entryseq;
 pub mod node;
-pub mod relative;
 pub mod tree;
 
-pub use entryseq::EntrySequencedFile;
-pub use relative::RelativeFile;
 pub use tree::{BTreeFile, LeafRewrites, ScanControl, TreeError};
 
 use std::cell::RefCell;

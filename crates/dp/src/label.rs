@@ -1,12 +1,11 @@
 //! The volume label: the on-disk directory of files on a volume.
 //!
-//! Block 0 of every volume holds the label: for each file its id, structure
-//! kind, anchor block (B-tree root / header block) and, for key-sequenced
-//! files, the record descriptor. The label is what lets a Disk Process —
-//! or its backup after a takeover — reopen the volume's files after losing
-//! all in-memory state.
+//! Block 0 of every volume holds the label: for each file its id, B-tree
+//! root block and record descriptor. The label is what lets a Disk
+//! Process — or its backup after a takeover — reopen the volume's files
+//! after losing all in-memory state.
 
-use crate::protocol::{FileId, FileKind};
+use crate::protocol::FileId;
 use nsql_btree::BlockNo;
 use nsql_records::RecordDescriptor;
 use std::collections::BTreeMap;
@@ -17,9 +16,9 @@ use std::sync::Arc;
 pub struct FileLabel {
     /// File id within the volume.
     pub id: FileId,
-    /// Structure kind (with descriptor for key-sequenced files).
-    pub kind: FileKind,
-    /// Anchor block: B-tree root or relative/entry-sequenced header.
+    /// Record descriptor.
+    pub desc: RecordDescriptor,
+    /// Anchor block: the B-tree root.
     pub anchor: BlockNo,
 }
 
@@ -43,19 +42,11 @@ impl VolumeLabel {
         for f in self.files.values() {
             out.extend_from_slice(&f.id.to_be_bytes());
             out.extend_from_slice(&f.anchor.to_be_bytes());
-            match &f.kind {
-                FileKind::KeySequenced(desc) => {
-                    out.push(1);
-                    let d = desc.encode_bytes();
-                    out.extend_from_slice(&(d.len() as u16).to_be_bytes());
-                    out.extend_from_slice(&d);
-                }
-                FileKind::Relative { slot_size } => {
-                    out.push(2);
-                    out.extend_from_slice(&slot_size.to_be_bytes());
-                }
-                FileKind::EntrySequenced => out.push(3),
-            }
+            // The structure tag: 1, key-sequenced, is the only one.
+            out.push(1);
+            let d = f.desc.encode_bytes();
+            out.extend_from_slice(&(d.len() as u16).to_be_bytes());
+            out.extend_from_slice(&d);
         }
         out
     }
@@ -74,28 +65,12 @@ impl VolumeLabel {
             let id = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap());
             let anchor = u32::from_be_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
             pos += 8;
-            let kind = match bytes[pos] {
-                1 => {
-                    let dlen =
-                        u16::from_be_bytes(bytes[pos + 1..pos + 3].try_into().unwrap()) as usize;
-                    let (desc, used) =
-                        RecordDescriptor::decode_bytes(&bytes[pos + 3..pos + 3 + dlen]);
-                    assert_eq!(used, dlen, "descriptor length mismatch");
-                    pos += 3 + dlen;
-                    FileKind::KeySequenced(desc)
-                }
-                2 => {
-                    let slot = u32::from_be_bytes(bytes[pos + 1..pos + 5].try_into().unwrap());
-                    pos += 5;
-                    FileKind::Relative { slot_size: slot }
-                }
-                3 => {
-                    pos += 1;
-                    FileKind::EntrySequenced
-                }
-                other => panic!("corrupt file-kind tag {other}"),
-            };
-            files.insert(id, Arc::new(FileLabel { id, kind, anchor }));
+            assert_eq!(bytes[pos], 1, "corrupt file-kind tag");
+            let dlen = u16::from_be_bytes(bytes[pos + 1..pos + 3].try_into().unwrap()) as usize;
+            let (desc, used) = RecordDescriptor::decode_bytes(&bytes[pos + 3..pos + 3 + dlen]);
+            assert_eq!(used, dlen, "descriptor length mismatch");
+            pos += 3 + dlen;
+            files.insert(id, Arc::new(FileLabel { id, desc, anchor }));
         }
         VolumeLabel { files, next_file }
     }
@@ -123,28 +98,34 @@ mod tests {
             0,
             Arc::new(FileLabel {
                 id: 0,
-                kind: FileKind::KeySequenced(desc),
+                desc,
                 anchor: 1,
-            }),
-        );
-        label.files.insert(
-            1,
-            Arc::new(FileLabel {
-                id: 1,
-                kind: FileKind::Relative { slot_size: 128 },
-                anchor: 9,
-            }),
-        );
-        label.files.insert(
-            2,
-            Arc::new(FileLabel {
-                id: 2,
-                kind: FileKind::EntrySequenced,
-                anchor: 14,
             }),
         );
         let decoded = VolumeLabel::decode(&label.encode());
         assert_eq!(decoded, label);
+    }
+
+    /// The label keeps its on-disk layout: tag 1, key-sequenced, is the
+    /// one structure a label may name.
+    #[test]
+    #[should_panic(expected = "corrupt file-kind tag")]
+    fn another_structure_tag_is_refused() {
+        let desc = RecordDescriptor::new(vec![FieldDef::new("ID", FieldType::Int)], vec![0]);
+        let file = FileLabel {
+            id: 0,
+            desc,
+            anchor: 1,
+        };
+        let label = VolumeLabel {
+            files: BTreeMap::from([(0, Arc::new(file))]),
+            next_file: 1,
+        };
+        let mut bytes = label.encode();
+        // Magic, next file id, file count, then the file's id and anchor.
+        assert_eq!(bytes[18], 1);
+        bytes[18] = 2;
+        VolumeLabel::decode(&bytes);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! server side of the disk I/O subsystem." A [`DiskProcess`] owns one disk
 //! volume and integrates every component the paper enumerates:
 //!
-//! * **record management** — the key-sequenced / relative / entry-sequenced
-//!   access methods (`nsql-btree`);
+//! * **record management** — the key-sequenced (B-tree) access method
+//!   (`nsql-btree`);
 //! * **cache management** — an LRU buffer pool obeying write-ahead log,
 //!   with bulk I/O, pre-fetch, and write-behind (`nsql-cache`);
 //! * **lock management** — file / record / generic / virtual-block-group
@@ -27,14 +27,13 @@ pub mod store;
 
 pub use label::{FileLabel, VolumeLabel};
 pub use protocol::{
-    AuditMode, DpError, DpReply, DpRequest, FileId, FileKind, ReadLock, RowBlock, RowBuffer,
-    SubsetId, SubsetMode, SubsetOp, SubsetVerb, SyncId, SyncRequest,
+    AuditMode, DpError, DpReply, DpRequest, FileId, ReadLock, RowBlock, RowBuffer, SubsetId,
+    SubsetMode, SubsetOp, SubsetVerb, SyncId, SyncRequest,
 };
 use store::InProgress;
 pub use store::{Allocator, DpStore};
 
-use nsql_btree::relative::RelativeError;
-use nsql_btree::{BTreeFile, EntrySequencedFile, RelativeFile, ScanControl, TreeError};
+use nsql_btree::{BTreeFile, ScanControl, TreeError};
 use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, ScopeRef, TxnId};
@@ -56,7 +55,7 @@ use nsql_tmf::txn::{EndTxnReply, EndTxnRequest};
 use nsql_tmf::{AuditBody, AuditRecord, Direction, Trail, TxnManager, VolumeAuditor};
 use std::any::Any;
 use std::borrow::Cow;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -460,13 +459,6 @@ impl DiskProcess {
             .ok_or(DpError::BadFile(file))
     }
 
-    fn descriptor<'l>(&self, label: &'l FileLabel) -> Result<&'l RecordDescriptor, DpError> {
-        match &label.kind {
-            FileKind::KeySequenced(desc) => Ok(desc),
-            FileKind::Relative { .. } | FileKind::EntrySequenced => Err(DpError::WrongFileKind),
-        }
-    }
-
     fn join_txn(&self, txn: TxnId) {
         self.txnmgr.join(txn, &self.name);
     }
@@ -570,7 +562,7 @@ impl DiskProcess {
     /// and changes each record through [`Self::keyed_change`].
     fn execute(&self, req: DpRequest) -> Result<DpReply, DpError> {
         match req {
-            DpRequest::CreateFile { kind } => self.create_file(kind),
+            DpRequest::CreateFile { desc } => self.create_file(desc),
             DpRequest::FlushCache => {
                 self.pool.flush_all().expect("flush failed");
                 Ok(DpReply::Ok)
@@ -645,7 +637,7 @@ impl DiskProcess {
                 constraint,
             } => {
                 let label = self.file_label(file)?;
-                let patch = compile_patch(self.descriptor(&label)?, sets, constraint)?;
+                let patch = compile_patch(&label.desc, sets, constraint)?;
                 // The patch charges its own CPU units.
                 let patch = Change::Patch(&patch);
                 self.write_record(txn, label, Key::Record(key), patch, 0, Some(96))
@@ -683,34 +675,17 @@ impl DiskProcess {
                 let delete = |key| (Key::Record(key), Change::Delete);
                 self.write_blocked(txn, &label, keys.into_iter().map(delete))
             }
-            DpRequest::RelativeWrite {
-                txn,
-                file,
-                recnum,
-                record,
-            } => {
-                let (label, checkpoint) = (self.file_label(file)?, Some(64 + record.len()));
-                let put = Change::Put(record);
-                self.write_record(txn, label, Key::Slot(recnum), put, 3, checkpoint)
-            }
-            DpRequest::RelativeRead { file, recnum } => self.relative_read(file, recnum),
-            DpRequest::RelativeDelete { txn, file, recnum } => {
-                let label = self.file_label(file)?;
-                self.write_record(txn, label, Key::Slot(recnum), Change::Delete, 3, None)
-            }
-            DpRequest::EntryAppend { file, record } => self.entry_append(file, record),
-            DpRequest::EntryRead { file, address } => self.entry_read(file, address),
         }
     }
 
-    fn create_file(&self, kind: FileKind) -> Result<DpReply, DpError> {
+    fn create_file(&self, desc: RecordDescriptor) -> Result<DpReply, DpError> {
         let store = DpStore::new(&self.pool, &self.alloc);
-        let anchor = create_structure(&store, &kind);
+        let anchor = BTreeFile::create(&store);
         let label = {
             let mut st = self.state.lock();
             let id = st.label.next_file;
             st.label.next_file += 1;
-            let file = FileLabel { id, kind, anchor };
+            let file = FileLabel { id, desc, anchor };
             st.label.files.insert(id, Arc::new(file));
             st.label.clone()
         };
@@ -731,8 +706,7 @@ impl DiskProcess {
             self.lock(txn, file, ScopeRef::record(key), LockMode::Shared)?;
         }
         let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::new(&store, &label);
-        let tree = opened.tree()?;
+        let tree = BTreeFile::open(&store, label.anchor);
         self.sim.cpu_work(CpuLayer::DiskProcess, 3);
         let found = tree.get(key);
         if found.is_some() {
@@ -753,8 +727,7 @@ impl DiskProcess {
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::new(&store, &label);
-        let tree = opened.tree()?;
+        let tree = BTreeFile::open(&store, label.anchor);
         let start = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
         let mut rows = RowBuffer::default();
         let mut found: Option<Vec<u8>> = None;
@@ -795,8 +768,7 @@ impl DiskProcess {
         let label = self.file_label(file)?;
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
-        let opened = AuditedFile::new(&store, &label);
-        let tree = opened.tree()?;
+        let tree = BTreeFile::open(&store, label.anchor);
         let block_budget = self.pool.disk().block_size();
         let mut rows = RowBuffer::default();
         let (mut records, mut bytes) = (0u64, 0usize);
@@ -919,12 +891,10 @@ impl DiskProcess {
     }
 
     /// What a keyed change is, as an audit body. It locks the record
-    /// exclusively, unless `key` lies under the caller's interval lock;
-    /// reaches the structure the verb addresses only then (a file of
-    /// another kind is `WrongFileKind`; a relative file's header is read
-    /// here); and takes the before-image — `scanned`, the record as a
-    /// subset scan found it, or else a `get` or slot read. A change audited
-    /// as field images leaves the whole new record in `file.image`.
+    /// exclusively, unless `key` lies under the caller's interval lock, and
+    /// takes the before-image — `scanned`, the record as a subset scan
+    /// found it, or else a `get`. A change audited as field images leaves
+    /// the whole new record in `file.image`.
     fn change_body(
         &self,
         txn: TxnId,
@@ -933,19 +903,13 @@ impl DiskProcess {
         scanned: Option<&[u8]>,
         change: Change<'_>,
     ) -> Result<AuditBody, DpError> {
-        let (key, lock, relative) = match key {
-            Key::Record(key) => (key, true, false),
-            Key::Covered(key) => (key, false, false),
-            Key::Slot(recnum) => (recnum.to_be_bytes().to_vec(), true, true),
+        let (key, lock) = match key {
+            Key::Record(key) => (key, true),
+            Key::Covered(key) => (key, false),
         };
         if lock {
             let scope = ScopeRef::record(&key);
             self.lock(txn, file.label.id, scope, LockMode::Exclusive)?;
-        }
-        if relative {
-            file.relative()?;
-        } else {
-            file.tree()?;
         }
         let before = || match scanned {
             Some(record) => Ok(Cow::Borrowed(record)),
@@ -954,13 +918,6 @@ impl DiskProcess {
         let mut image = file.image.borrow_mut();
         Ok(match change {
             Change::Insert(record) => AuditBody::Insert { key, record },
-            Change::Put(record) => match file.read(&key) {
-                Ok(before) => {
-                    let after = record;
-                    AuditBody::UpdateFull { key, before, after }
-                }
-                Err(_) => AuditBody::Insert { key, record },
-            },
             Change::Replace(after, AuditMode::FullImage) => {
                 let before = before()?.into_owned();
                 AuditBody::UpdateFull { key, before, after }
@@ -969,7 +926,7 @@ impl DiskProcess {
                 // Compute which fields changed by comparing images — this is
                 // exactly the "costly" ENSCRIBE audit-compression option the
                 // paper contrasts with SQL's free field knowledge.
-                let desc = self.descriptor(file.label)?;
+                let desc = &file.label.desc;
                 let (before, after) = diff_fields(desc, &before()?, &record)
                     .map_err(|e| DpError::BadRecord(e.to_string()))?;
                 self.sim
@@ -980,7 +937,7 @@ impl DiskProcess {
             Change::Patch(patch) => {
                 // Its CPU units are charged as the patch reaches them.
                 let charge = |units| self.sim.cpu_work(CpuLayer::DiskProcess, units);
-                let desc = self.descriptor(file.label)?;
+                let desc = &file.label.desc;
                 let (before, after) = patch.apply(desc, &before()?, charge, &mut image)?;
                 AuditBody::UpdateFields { key, before, after }
             }
@@ -1024,7 +981,6 @@ impl DiskProcess {
     ) -> Result<DpReply, DpError> {
         let store = DpStore::new(&self.pool, &self.alloc);
         let opened = AuditedFile::new(&store, label);
-        opened.tree()?;
         let mut affected = 0u32;
         for (key, change) in changes {
             self.keyed_change(txn, &opened, key, None, change)?;
@@ -1061,7 +1017,7 @@ impl DiskProcess {
         op: SubsetOp,
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
-        let desc = self.descriptor(&label)?;
+        let desc = &label.desc;
         let predicate = predicate.map(|expr| Predicate::new(desc, expr));
         let work = Work::compile(desc, op)?;
         let KeyRange { begin, end } = range;
@@ -1126,7 +1082,7 @@ impl DiskProcess {
         begin: OwnedBound,
         existing: Option<SubsetId>,
     ) -> Result<DpReply, DpError> {
-        let desc = self.descriptor(label)?;
+        let desc = &label.desc;
         let frec = self.file_rec(scb.file);
         if existing.is_some() {
             self.scb_rec.bump(Ctr::ScbRedrives);
@@ -1193,7 +1149,7 @@ impl DiskProcess {
         let store = DpStore::new(&self.pool, &self.alloc);
         store.scan.set(self.scan_options());
         let opened = AuditedFile::new(&store, label);
-        let tree = opened.tree()?;
+        let tree = &opened.tree;
 
         // Phase 1: scan, evaluating the single-variable query per record.
         // A record's CPU units accrue on the store, which books them before
@@ -1354,7 +1310,7 @@ impl DiskProcess {
         if tests::record_at_a_time() {
             return tests::change_each(self, txn, file, matched, patch);
         }
-        let mut leaves = file.tree()?.leaf_rewrites();
+        let mut leaves = file.tree.leaf_rewrites();
         let written = matched.iter().try_for_each(|(key, current)| {
             let change = patch.map_or(Change::Delete, Change::Patch);
             let body =
@@ -1371,46 +1327,6 @@ impl DiskProcess {
         });
         leaves.finish();
         written
-    }
-
-    // ------------------------------------------------------------------
-    // Relative and entry-sequenced access methods
-    // ------------------------------------------------------------------
-
-    fn relative_read(&self, file: FileId, recnum: u64) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let opened = AuditedFile::new(&store, &label);
-        let rel = opened.relative()?;
-        self.sim.cpu_work(CpuLayer::DiskProcess, 2);
-        Ok(DpReply::Record(rel.read_record(recnum).ok()))
-    }
-
-    /// Entry-sequenced appends are non-audited (ENSCRIBE supported
-    /// non-audited files); the address is stable for the file's lifetime.
-    fn entry_append(&self, file: FileId, record: Vec<u8>) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        if !matches!(label.kind, FileKind::EntrySequenced) {
-            return Err(DpError::WrongFileKind);
-        }
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let es = EntrySequencedFile::open(&store, label.anchor);
-        let addr = es
-            .append(&record)
-            .map_err(|e| DpError::BadRecord(e.to_string()))?;
-        self.sim.cpu_work(CpuLayer::DiskProcess, 2);
-        Ok(DpReply::Appended(addr))
-    }
-
-    fn entry_read(&self, file: FileId, address: u64) -> Result<DpReply, DpError> {
-        let label = self.file_label(file)?;
-        if !matches!(label.kind, FileKind::EntrySequenced) {
-            return Err(DpError::WrongFileKind);
-        }
-        let store = DpStore::new(&self.pool, &self.alloc);
-        let es = EntrySequencedFile::open(&store, label.anchor);
-        self.sim.cpu_work(CpuLayer::DiskProcess, 2);
-        Ok(DpReply::Record(es.read_at(address).ok()))
     }
 
     // ------------------------------------------------------------------
@@ -1490,8 +1406,8 @@ impl DiskProcess {
 
     /// Rebuild this volume after a **media failure** (dead unmirrored
     /// drive): the process survived, the platters did not. The drive is
-    /// replaced (empty), every file structure is re-created empty with its
-    /// id, kind and descriptor preserved from the in-memory label, and the
+    /// replaced (empty), every file's B-tree is re-created empty with its
+    /// id and descriptor preserved from the in-memory label, and the
     /// winners' work is redone from the durable audit trail. Losers are
     /// *not* undone: their in-flight changes never reached a store rebuilt
     /// from scratch, so there is nothing to roll back.
@@ -1507,11 +1423,10 @@ impl DiskProcess {
                 next_file: old.next_file,
             };
             for (id, f) in &old.files {
-                let anchor = create_structure(&store, &f.kind);
                 let file = FileLabel {
                     id: *id,
-                    kind: f.kind.clone(),
-                    anchor,
+                    desc: f.desc.clone(),
+                    anchor: BTreeFile::create(&store),
                 };
                 label.files.insert(*id, Arc::new(file));
             }
@@ -1593,7 +1508,7 @@ impl DiskProcess {
             }
             (AuditBody::UpdateFields { key, before, after }, _) => {
                 let fields = if direction == Redo { after } else { before };
-                let desc = self.descriptor(&label)?;
+                let desc = &label.desc;
                 let current = match file.read(key) {
                     // Set these fields, if the record is there.
                     Err(DpError::NotFound) => return Ok(()),
@@ -1609,29 +1524,18 @@ impl DiskProcess {
     }
 }
 
-/// An audited file's structure — key-sequenced or relative; entry-sequenced
-/// files are not audited — on a request's store view, opened at its first
-/// use: a relative file's header is read then, so a write verb reads it
-/// only once it holds its record lock. A request made for one structure
-/// reaches it through [`tree`](Self::tree) or [`relative`](Self::relative);
-/// the keyed change, backout and replay work on either, a relative record
-/// being keyed by its big-endian number.
+/// An audited file's B-tree on a request's store view, opened when the
+/// request starts (opening reads no block).
 struct AuditedFile<'r, 's> {
     label: &'r FileLabel,
     store: &'r DpStore<'s>,
-    /// `None` for an entry-sequenced file.
-    records: OnceCell<Option<Records<'r, 's>>>,
+    tree: BTreeFile<'r, DpStore<'s>>,
     /// The whole new record of a change audited as field images; one
     /// buffer holds each patched record in turn.
     image: RefCell<Vec<u8>>,
 }
 
-enum Records<'r, 's> {
-    KeySequenced(BTreeFile<'r, DpStore<'s>>),
-    Relative(RelativeFile<'r, DpStore<'s>>),
-}
-
-/// How [`AuditedFile::write`] treats a key-sequenced file's existing entry:
+/// How [`AuditedFile::write`] treats an existing entry:
 /// [`BTreeFile::insert`], [`BTreeFile::update`] or [`BTreeFile::put`].
 type TreeWrite<'r, 's> = fn(&BTreeFile<'r, DpStore<'s>>, &[u8], &[u8]) -> Result<(), TreeError>;
 
@@ -1640,78 +1544,38 @@ impl<'r, 's> AuditedFile<'r, 's> {
         AuditedFile {
             label,
             store,
-            records: OnceCell::new(),
+            tree: BTreeFile::open(store, label.anchor),
             image: RefCell::default(),
-        }
-    }
-
-    fn records(&self) -> Result<&Records<'r, 's>, DpError> {
-        let (store, anchor) = (self.store, self.label.anchor);
-        let open = || match &self.label.kind {
-            FileKind::KeySequenced(_) => {
-                Some(Records::KeySequenced(BTreeFile::open(store, anchor)))
-            }
-            FileKind::Relative { .. } => Some(Records::Relative(RelativeFile::open(store, anchor))),
-            FileKind::EntrySequenced => None,
-        };
-        let records = self.records.get_or_init(open).as_ref();
-        records.ok_or(DpError::WrongFileKind)
-    }
-
-    fn tree(&self) -> Result<&BTreeFile<'r, DpStore<'s>>, DpError> {
-        match self.records()? {
-            Records::KeySequenced(tree) => Ok(tree),
-            Records::Relative(_) => Err(DpError::WrongFileKind),
-        }
-    }
-
-    fn relative(&self) -> Result<&RelativeFile<'r, DpStore<'s>>, DpError> {
-        match self.records()? {
-            Records::Relative(rel) => Ok(rel),
-            Records::KeySequenced(_) => Err(DpError::WrongFileKind),
         }
     }
 
     /// The record under `key`.
     fn read(&self, key: &[u8]) -> Result<Vec<u8>, DpError> {
-        match self.records()? {
-            Records::KeySequenced(tree) => tree.get(key).ok_or(DpError::NotFound),
-            Records::Relative(rel) => Ok(rel.read_record(recnum(key)?)?),
-        }
+        self.tree.get(key).ok_or(DpError::NotFound)
     }
 
-    /// Store `image` under `key`: into the slot, whatever it held, on a
-    /// relative file; the way `tree_write` goes about it on a key-sequenced
-    /// one.
+    /// Store `image` under `key` the way `tree_write` goes about it.
     fn write(
         &self,
         key: &[u8],
         image: &[u8],
         tree_write: TreeWrite<'r, 's>,
     ) -> Result<(), DpError> {
-        match self.records()? {
-            Records::KeySequenced(tree) => Ok(tree_write(tree, key, image)?),
-            Records::Relative(rel) => Ok(rel.write_record(recnum(key)?, image)?),
-        }
+        Ok(tree_write(&self.tree, key, image)?)
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), DpError> {
-        match self.records()? {
-            Records::KeySequenced(tree) => tree.delete(key).map(drop)?,
-            Records::Relative(rel) => rel.delete_record(recnum(key)?)?,
-        }
+        self.tree.delete(key)?;
         Ok(())
     }
 }
 
 /// Where a keyed change lands.
 enum Key {
-    /// A key-sequenced file's record: the change locks it.
+    /// A record: the change locks it.
     Record(Vec<u8>),
     /// The same, under the caller's interval lock (a blocked insert's).
     Covered(Vec<u8>),
-    /// A relative file's record, by number: the change locks it.
-    Slot(u64),
 }
 
 /// What a keyed change does to its record.
@@ -1720,27 +1584,9 @@ enum Change<'p> {
     /// Replace the record with this image, audited as the mode says: an
     /// ENSCRIBE write or a blocked update.
     Replace(Vec<u8>, AuditMode),
-    /// Insert or replace a relative slot's record.
-    Put(Vec<u8>),
     /// Change the fields a compiled `SET` list names.
     Patch(&'p Patch),
     Delete,
-}
-
-/// Create an empty file structure of `kind`; returns its anchor block.
-fn create_structure(store: &DpStore<'_>, kind: &FileKind) -> nsql_btree::BlockNo {
-    match kind {
-        FileKind::KeySequenced(_) => BTreeFile::create(store),
-        FileKind::Relative { slot_size } => RelativeFile::create(store, *slot_size as usize),
-        FileKind::EntrySequenced => EntrySequencedFile::create(store),
-    }
-}
-
-/// The record number a relative file's key stands for.
-fn recnum(key: &[u8]) -> Result<u64, DpError> {
-    let bytes = key.try_into();
-    let bytes = bytes.map_err(|_| DpError::BadRecord("not a record number".into()))?;
-    Ok(u64::from_be_bytes(bytes))
 }
 
 /// The one reading of what an access method refused.
@@ -1750,17 +1596,6 @@ impl From<TreeError> for DpError {
             TreeError::DuplicateKey => DpError::DuplicateKey,
             TreeError::NotFound => DpError::NotFound,
             TreeError::EntryTooLarge => DpError::BadRecord("record too large".into()),
-        }
-    }
-}
-
-impl From<RelativeError> for DpError {
-    fn from(e: RelativeError) -> DpError {
-        match e {
-            RelativeError::NotFound => DpError::NotFound,
-            RelativeError::OutOfRange | RelativeError::RecordTooLarge => {
-                DpError::BadRecord(e.to_string())
-            }
         }
     }
 }

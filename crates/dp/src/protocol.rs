@@ -56,21 +56,6 @@ pub struct SyncRequest {
     pub req: DpRequest,
 }
 
-/// File structure kinds (the three ENSCRIBE/SQL access methods).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FileKind {
-    /// Key-sequenced (B-tree). Carries the record descriptor so the Disk
-    /// Process can evaluate field-level operations at the data source.
-    KeySequenced(RecordDescriptor),
-    /// Relative (direct access by record number) with fixed slot size.
-    Relative {
-        /// Slot size in bytes.
-        slot_size: u32,
-    },
-    /// Entry-sequenced (append at EOF only).
-    EntrySequenced,
-}
-
 /// How records touched by a read are locked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadLock {
@@ -179,10 +164,11 @@ pub enum SubsetVerb {
 #[derive(Debug, Clone)]
 pub enum DpRequest {
     // ----- administration -----
-    /// Create a file on the volume.
+    /// Create a key-sequenced file on the volume.
     CreateFile {
-        /// Structure and (for key-sequenced) record layout.
-        kind: FileKind,
+        /// Record layout, so the Disk Process can evaluate field-level
+        /// operations at the data source.
+        desc: RecordDescriptor,
     },
     /// Synchronously flush dirty cache (orderly shutdown / checkpoint).
     FlushCache,
@@ -345,53 +331,6 @@ pub enum DpRequest {
         /// Keys of records the cursor deleted.
         keys: Vec<Vec<u8>>,
     },
-
-    // ----- relative files (direct access by record number) -----
-    /// Write (insert or replace) the slot at `recnum`.
-    RelativeWrite {
-        /// Enclosing transaction.
-        txn: TxnId,
-        /// Target relative file.
-        file: FileId,
-        /// Record number.
-        recnum: u64,
-        /// Record bytes (at most the file's slot size).
-        record: Vec<u8>,
-    },
-    /// Read the slot at `recnum`.
-    RelativeRead {
-        /// Target relative file.
-        file: FileId,
-        /// Record number.
-        recnum: u64,
-    },
-    /// Delete the slot at `recnum`.
-    RelativeDelete {
-        /// Enclosing transaction.
-        txn: TxnId,
-        /// Target relative file.
-        file: FileId,
-        /// Record number.
-        recnum: u64,
-    },
-
-    // ----- entry-sequenced files (insert at EOF only) -----
-    /// Append an entry at EOF; replies with its stable address.
-    /// Entry-sequenced files are non-audited in this reproduction (ENSCRIBE
-    /// supported non-audited files; appends are not transactional).
-    EntryAppend {
-        /// Target entry-sequenced file.
-        file: FileId,
-        /// Entry bytes.
-        record: Vec<u8>,
-    },
-    /// Read the entry at `address`.
-    EntryRead {
-        /// Target entry-sequenced file.
-        file: FileId,
-        /// Address returned by `EntryAppend`.
-        address: u64,
-    },
 }
 
 fn opt_len(v: &Option<Vec<u8>>) -> usize {
@@ -403,11 +342,7 @@ impl DpRequest {
     /// variant payload.
     pub fn wire_size(&self) -> usize {
         16 + match self {
-            DpRequest::CreateFile { kind } => match kind {
-                FileKind::KeySequenced(desc) => desc.encode_bytes().len(),
-                FileKind::Relative { .. } => 8,
-                FileKind::EntrySequenced => 8,
-            },
+            DpRequest::CreateFile { desc } => desc.encode_bytes().len(),
             DpRequest::FlushCache => 0,
             DpRequest::Read { key, .. } => 8 + key.len(),
             DpRequest::ReadNext { after, .. } => 9 + opt_len(after),
@@ -461,10 +396,6 @@ impl DpRequest {
             DpRequest::BlockedDelete { keys, .. } => {
                 8 + keys.iter().map(|k| 2 + k.len()).sum::<usize>()
             }
-            DpRequest::RelativeWrite { record, .. } => 16 + record.len(),
-            DpRequest::RelativeRead { .. } | DpRequest::RelativeDelete { .. } => 16,
-            DpRequest::EntryAppend { record, .. } => 8 + record.len(),
-            DpRequest::EntryRead { .. } => 16,
         }
     }
 
@@ -500,11 +431,6 @@ impl DpRequest {
             DpRequest::CloseSubset { .. } => "CLOSE^SUBSET",
             DpRequest::BlockedUpdate { .. } => "BLOCKED^UPDATE",
             DpRequest::BlockedDelete { .. } => "BLOCKED^DELETE",
-            DpRequest::RelativeWrite { .. } => "RELATIVE^WRITE",
-            DpRequest::RelativeRead { .. } => "RELATIVE^READ",
-            DpRequest::RelativeDelete { .. } => "RELATIVE^DELETE",
-            DpRequest::EntryAppend { .. } => "ENTRY^APPEND",
-            DpRequest::EntryRead { .. } => "ENTRY^READ",
         }
     }
 
@@ -566,8 +492,6 @@ pub enum DpError {
     NoSuchField(u16),
     /// An update's `SET` list assigns one field twice.
     AssignedTwice(u16),
-    /// Operation illegal for the file kind.
-    WrongFileKind,
     /// The message was none of the protocols a Disk Process speaks.
     UnknownRequest,
 }
@@ -598,7 +522,6 @@ impl std::fmt::Display for DpError {
             DpError::KeyUpdateNotAllowed => write!(f, "primary key fields cannot be updated"),
             DpError::NoSuchField(field) => write!(f, "no field {field} in the record"),
             DpError::AssignedTwice(field) => write!(f, "field {field} assigned twice"),
-            DpError::WrongFileKind => write!(f, "operation illegal for this file structure"),
             DpError::UnknownRequest => write!(f, "unknown message type"),
         }
     }
@@ -684,8 +607,6 @@ pub enum DpReply {
     FileCreated(FileId),
     /// Point-read result.
     Record(Option<Vec<u8>>),
-    /// Stable address of an appended entry.
-    Appended(u64),
     /// A (real or virtual) sequential block plus re-drive state.
     Subset {
         /// Encoded rows: full records (RSBB) or projected rows (VSBB).
@@ -711,7 +632,7 @@ impl DpReply {
     /// Wire size in bytes for message accounting.
     pub fn wire_size(&self) -> usize {
         16 + match self {
-            DpReply::Ok | DpReply::FileCreated(_) | DpReply::Appended(_) => 8,
+            DpReply::Ok | DpReply::FileCreated(_) => 8,
             DpReply::Record(r) => 1 + r.as_ref().map_or(0, Vec::len),
             DpReply::Subset { rows, last_key, .. } => {
                 rows.wire_len() + 1 + last_key.as_ref().map_or(0, Vec::len) + 10
@@ -842,11 +763,14 @@ mod tests {
         let shapes = [
             (
                 DpRequest::CreateFile {
-                    kind: FileKind::Relative { slot_size: 64 },
+                    desc: RecordDescriptor::new(
+                        vec![FieldDef::new("C", FieldType::Char(4))],
+                        vec![0],
+                    ),
                 },
                 "CREATE^FILE",
                 false,
-                24,
+                29,
             ),
             (DpRequest::FlushCache, "FLUSH^CACHE", false, 16),
             (
@@ -992,51 +916,9 @@ mod tests {
                 false,
                 42,
             ),
-            (
-                DpRequest::RelativeWrite {
-                    txn,
-                    file,
-                    recnum: 9,
-                    record: record(),
-                },
-                "RELATIVE^WRITE",
-                false,
-                72,
-            ),
-            (
-                DpRequest::RelativeRead { file, recnum: 9 },
-                "RELATIVE^READ",
-                false,
-                32,
-            ),
-            (
-                DpRequest::RelativeDelete {
-                    txn,
-                    file,
-                    recnum: 9,
-                },
-                "RELATIVE^DELETE",
-                false,
-                32,
-            ),
-            (
-                DpRequest::EntryAppend {
-                    file,
-                    record: record(),
-                },
-                "ENTRY^APPEND",
-                false,
-                64,
-            ),
-            (
-                DpRequest::EntryRead { file, address: 9 },
-                "ENTRY^READ",
-                false,
-                32,
-            ),
         ];
         let names: std::collections::BTreeSet<&str> = shapes.iter().map(|s| s.1).collect();
-        assert_eq!(names.len(), 28, "every verb, once");
+        assert_eq!(names.len(), 23, "every verb, once");
         for (request, name, redrive, bytes) in shapes {
             assert_eq!(request.name(), name);
             assert_eq!(request.is_redrive(), redrive, "{name}");

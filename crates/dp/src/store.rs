@@ -1,7 +1,7 @@
-//! Bridging the access methods to the buffer pool.
+//! Bridging the access method to the buffer pool.
 //!
-//! The B-tree (and the other file structures) see a [`nsql_btree::BlockStore`];
-//! this module implements it over the Disk Process's [`BufferPool`], adding:
+//! The B-tree sees a [`nsql_btree::BlockStore`]; this module implements it
+//! over the Disk Process's [`BufferPool`], adding:
 //!
 //! * the **current-LSN tag** — every block written during a record
 //!   operation is stamped with the audit LSN of that operation, which is

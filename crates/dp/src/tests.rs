@@ -129,9 +129,7 @@ impl TestCluster {
     }
 
     fn create_emp(&self) -> FileId {
-        match self.send(DpRequest::CreateFile {
-            kind: FileKind::KeySequenced(emp_desc()),
-        }) {
+        match self.send(DpRequest::CreateFile { desc: emp_desc() }) {
             DpReply::FileCreated(id) => id,
             other => panic!("unexpected {other:?}"),
         }
@@ -1020,9 +1018,8 @@ fn audit_mode_full_vs_field_sizes() {
     let run = |audit: AuditMode| {
         let c = cluster();
         let desc = wide_desc();
-        let DpReply::FileCreated(file) = c.send(DpRequest::CreateFile {
-            kind: FileKind::KeySequenced(desc.clone()),
-        }) else {
+        let DpReply::FileCreated(file) = c.send(DpRequest::CreateFile { desc: desc.clone() })
+        else {
             panic!()
         };
         let old = vec![
@@ -1343,164 +1340,110 @@ fn a_failed_redrive_frees_its_scb() {
 }
 
 #[test]
-fn wrong_file_kind_rejected() {
+fn an_unknown_file_is_refused_by_every_handler() {
     let c = cluster();
-    let DpReply::FileCreated(rel) = c.send(DpRequest::CreateFile {
-        kind: FileKind::Relative { slot_size: 64 },
-    }) else {
-        panic!()
-    };
-    let DpReply::FileCreated(log) = c.send(DpRequest::CreateFile {
-        kind: FileKind::EntrySequenced,
-    }) else {
-        panic!()
-    };
-    let keyed = c.create_emp();
-    let reply = c.send(DpRequest::Read {
-        txn: None,
-        file: 99,
-        key: vec![],
-        lock: ReadLock::None,
-    });
-    assert!(matches!(reply, DpReply::Error(DpError::BadFile(99))));
-
-    // Every handler, once per structure it is not meant for. None of them
-    // may reach the file (a B-tree opened on a relative file's header block
-    // used to panic on the node tag), and none may leave audit behind.
+    c.create_emp();
+    // Every handler that names a file. None of them may reach a structure,
+    // and none may leave audit behind.
     let txn = c.txnmgr.begin();
     let before = c.sim.metrics.snapshot();
-    let key = || 7u64.to_be_bytes().to_vec();
+    let (file, key) = (99, || 7u64.to_be_bytes().to_vec());
     let sets = || SetList {
         sets: vec![(3, Expr::lit(Value::Double(1.0)))],
     };
-    for file in [rel, log] {
-        let keyed_requests = vec![
-            DpRequest::Read {
+    let requests = vec![
+        DpRequest::Read {
+            txn: None,
+            file,
+            key: key(),
+            lock: ReadLock::None,
+        },
+        DpRequest::ReadNext {
+            txn: None,
+            file,
+            after: None,
+            lock: ReadLock::None,
+        },
+        DpRequest::ReadSeqBlock {
+            txn: None,
+            file,
+            after: None,
+        },
+        DpRequest::Insert {
+            txn,
+            file,
+            key: key(),
+            record: vec![1; 8],
+        },
+        DpRequest::UpdateRecord {
+            txn,
+            file,
+            key: key(),
+            record: vec![1; 8],
+            audit: AuditMode::FullImage,
+        },
+        DpRequest::DeleteRecord {
+            txn,
+            file,
+            key: key(),
+        },
+        DpRequest::UpdatePoint {
+            txn,
+            file,
+            key: key(),
+            sets: sets(),
+            constraint: None,
+        },
+        DpRequest::BlockedInsert {
+            txn,
+            file,
+            records: vec![(key(), vec![1; 8])],
+        },
+        DpRequest::BlockedUpdate {
+            txn,
+            file,
+            records: vec![(key(), vec![1; 8])],
+        },
+        DpRequest::BlockedDelete {
+            txn,
+            file,
+            keys: vec![key()],
+        },
+        DpRequest::SubsetFirst {
+            file,
+            range: KeyRange::all(),
+            predicate: None,
+            op: SubsetOp::Read {
                 txn: None,
-                file,
-                key: key(),
+                projection: None,
+                mode: SubsetMode::Rsbb,
                 lock: ReadLock::None,
             },
-            DpRequest::ReadNext {
-                txn: None,
-                file,
-                after: None,
-                lock: ReadLock::None,
-            },
-            DpRequest::ReadSeqBlock {
-                txn: None,
-                file,
-                after: None,
-            },
-            DpRequest::Insert {
+        },
+        DpRequest::SubsetFirst {
+            file,
+            range: KeyRange::all(),
+            predicate: None,
+            op: SubsetOp::Update {
                 txn,
-                file,
-                key: key(),
-                record: vec![1; 8],
-            },
-            DpRequest::UpdateRecord {
-                txn,
-                file,
-                key: key(),
-                record: vec![1; 8],
-                audit: AuditMode::FullImage,
-            },
-            DpRequest::DeleteRecord {
-                txn,
-                file,
-                key: key(),
-            },
-            DpRequest::UpdatePoint {
-                txn,
-                file,
-                key: key(),
                 sets: sets(),
                 constraint: None,
             },
-            DpRequest::BlockedInsert {
-                txn,
-                file,
-                records: vec![(key(), vec![1; 8])],
-            },
-            DpRequest::BlockedUpdate {
-                txn,
-                file,
-                records: vec![(key(), vec![1; 8])],
-            },
-            DpRequest::BlockedDelete {
-                txn,
-                file,
-                keys: vec![key()],
-            },
-            DpRequest::SubsetFirst {
-                file,
-                range: KeyRange::all(),
-                predicate: None,
-                op: SubsetOp::Read {
-                    txn: None,
-                    projection: None,
-                    mode: SubsetMode::Rsbb,
-                    lock: ReadLock::None,
-                },
-            },
-            DpRequest::SubsetFirst {
-                file,
-                range: KeyRange::all(),
-                predicate: None,
-                op: SubsetOp::Update {
-                    txn,
-                    sets: sets(),
-                    constraint: None,
-                },
-            },
-            DpRequest::SubsetFirst {
-                file,
-                range: KeyRange::all(),
-                predicate: None,
-                op: SubsetOp::Delete { txn },
-            },
-        ];
-        for req in keyed_requests {
-            let name = req.name();
-            let reply = c.send(req);
-            assert!(
-                matches!(reply, DpReply::Error(DpError::WrongFileKind)),
-                "{name} on file {file}: {reply:?}"
-            );
-        }
-    }
-    for file in [keyed, log] {
-        let relative_requests = vec![
-            DpRequest::RelativeWrite {
-                txn,
-                file,
-                recnum: 7,
-                record: vec![1; 8],
-            },
-            DpRequest::RelativeRead { file, recnum: 7 },
-            DpRequest::RelativeDelete {
-                txn,
-                file,
-                recnum: 7,
-            },
-        ];
-        for req in relative_requests {
-            let name = req.name();
-            let reply = c.send(req);
-            assert!(
-                matches!(reply, DpReply::Error(DpError::WrongFileKind)),
-                "{name} on file {file}: {reply:?}"
-            );
-        }
-    }
-    for file in [keyed, rel] {
-        let reply = c.send(DpRequest::EntryAppend {
+        },
+        DpRequest::SubsetFirst {
             file,
-            record: vec![1; 8],
-        });
-        assert!(matches!(reply, DpReply::Error(DpError::WrongFileKind)));
-        let reply = c.send(DpRequest::EntryRead { file, address: 0 });
-        assert!(matches!(reply, DpReply::Error(DpError::WrongFileKind)));
+            range: KeyRange::all(),
+            predicate: None,
+            op: SubsetOp::Delete { txn },
+        },
+    ];
+    for req in requests {
+        let name = req.name();
+        let reply = c.send(req);
+        assert!(
+            matches!(reply, DpReply::Error(DpError::BadFile(99))),
+            "{name}: {reply:?}"
+        );
     }
     assert_eq!((c.sim.metrics.snapshot() - before).audit_records, 0);
     c.txnmgr.abort(txn, c.client).unwrap();
@@ -1824,9 +1767,7 @@ fn a_field_that_does_not_decode_is_corrupt_to_the_predicate_that_reads_it() {
         vec![0],
     );
     let c = cluster();
-    let created = c.send(DpRequest::CreateFile {
-        kind: FileKind::KeySequenced(desc.clone()),
-    });
+    let created = c.send(DpRequest::CreateFile { desc: desc.clone() });
     let DpReply::FileCreated(file) = created else {
         panic!("unexpected {created:?}")
     };
@@ -1919,8 +1860,6 @@ fn each_write_verb_costs_what_it_did() {
     struct Files {
         txn: TxnId,
         emp: FileId,
-        rel: FileId,
-        log: FileId,
     }
     let desc = emp_desc();
     let row = |empno: i32, salary: f64| emp_row(empno, "NEW", 1990, salary);
@@ -1964,28 +1903,6 @@ fn each_write_verb_costs_what_it_did() {
                 file: f.emp,
                 key: emp_key(3),
                 record: record(3, 5.0),
-            }),
-        ),
-        (
-            "insert on relative",
-            "Error(WrongFileKind)",
-            [681, 5, 0, 0, 0, 2],
-            Box::new(|f| DpRequest::Insert {
-                txn: f.txn,
-                file: f.rel,
-                key: 7u64.to_be_bytes().to_vec(),
-                record: vec![1; 8],
-            }),
-        ),
-        (
-            "insert on entry-sequenced",
-            "Error(WrongFileKind)",
-            [683, 5, 0, 0, 0, 2],
-            Box::new(|f| DpRequest::Insert {
-                txn: f.txn,
-                file: f.log,
-                key: emp_key(50),
-                record: record(50, 5.0),
             }),
         ),
         (
@@ -2102,80 +2019,6 @@ fn each_write_verb_costs_what_it_did() {
                 key: emp_key(3),
                 sets: raise(),
                 constraint: solvent(),
-            }),
-        ),
-        (
-            "relative insert",
-            "Ok",
-            [1339, 8, 1, 78, 1, 2],
-            Box::new(|f| DpRequest::RelativeWrite {
-                txn: f.txn,
-                file: f.rel,
-                recnum: 9,
-                record: vec![9; 40],
-            }),
-        ),
-        (
-            "relative replace",
-            "Ok",
-            [1339, 8, 1, 142, 1, 2],
-            Box::new(|f| DpRequest::RelativeWrite {
-                txn: f.txn,
-                file: f.rel,
-                recnum: 2,
-                record: vec![9; 40],
-            }),
-        ),
-        (
-            "relative out of range",
-            "Error(BadRecord(\"record number out of range\"))",
-            [684, 5, 0, 0, 0, 2],
-            Box::new(|f| DpRequest::RelativeWrite {
-                txn: f.txn,
-                file: f.rel,
-                recnum: 1 << 40,
-                record: vec![9; 40],
-            }),
-        ),
-        (
-            "relative write on keyed",
-            "Error(WrongFileKind)",
-            [684, 5, 0, 0, 0, 2],
-            Box::new(|f| DpRequest::RelativeWrite {
-                txn: f.txn,
-                file: f.emp,
-                recnum: 2,
-                record: vec![9; 40],
-            }),
-        ),
-        (
-            "relative delete on entry-sequenced",
-            "Error(WrongFileKind)",
-            [680, 5, 0, 0, 0, 2],
-            Box::new(|f| DpRequest::RelativeDelete {
-                txn: f.txn,
-                file: f.log,
-                recnum: 2,
-            }),
-        ),
-        (
-            "relative delete",
-            "Ok",
-            [725, 8, 1, 102, 0, 2],
-            Box::new(|f| DpRequest::RelativeDelete {
-                txn: f.txn,
-                file: f.rel,
-                recnum: 2,
-            }),
-        ),
-        (
-            "relative delete empty",
-            "Error(NotFound)",
-            [680, 5, 0, 0, 0, 2],
-            Box::new(|f| DpRequest::RelativeDelete {
-                txn: f.txn,
-                file: f.rel,
-                recnum: 9,
             }),
         ),
         (
@@ -2314,17 +2157,6 @@ fn each_write_verb_costs_what_it_did() {
                 op: SubsetOp::Delete { txn: f.txn },
             }),
         ),
-        (
-            "delete subset on relative",
-            "Error(WrongFileKind)",
-            [680, 5, 0, 0, 0, 1],
-            Box::new(|f| DpRequest::SubsetFirst {
-                file: f.rel,
-                range: KeyRange::all(),
-                predicate: None,
-                op: SubsetOp::Delete { txn: f.txn },
-            }),
-        ),
     ];
     let summary = |reply: &DpReply| match reply {
         DpReply::Subset {
@@ -2344,27 +2176,8 @@ fn each_write_verb_costs_what_it_did() {
             .register("$DATA1-B", CpuId::new(0, 2), Arc::new(BackupSink));
         let emp = c.create_emp();
         c.load_emps(emp, 10);
-        let DpReply::FileCreated(rel) = c.send(DpRequest::CreateFile {
-            kind: FileKind::Relative { slot_size: 64 },
-        }) else {
-            panic!()
-        };
-        let DpReply::FileCreated(log) = c.send(DpRequest::CreateFile {
-            kind: FileKind::EntrySequenced,
-        }) else {
-            panic!()
-        };
+        // A committed transaction, so that the holder is transaction 3.
         let txn = c.txnmgr.begin();
-        for recnum in 1..4 {
-            let record = vec![recnum as u8; 32];
-            let reply = c.send(DpRequest::RelativeWrite {
-                txn,
-                file: rel,
-                recnum,
-                record,
-            });
-            assert!(matches!(reply, DpReply::Ok));
-        }
         c.txnmgr.commit(txn, c.client).unwrap();
         let holder = c.txnmgr.begin();
         let reply = c.send(DpRequest::Lock {
@@ -2375,7 +2188,7 @@ fn each_write_verb_costs_what_it_did() {
         });
         assert!(matches!(reply, DpReply::Ok));
         let txn = c.txnmgr.begin();
-        let request = request(&Files { txn, emp, rel, log });
+        let request = request(&Files { txn, emp });
         let (before, t0) = (c.sim.metrics.snapshot(), c.sim.now());
         let reply = c.send(request);
         let d = c.sim.metrics.snapshot() - before;
@@ -2642,9 +2455,7 @@ fn records_that_outgrow_their_leaf_split_it_as_record_at_a_time_did() {
             ],
             vec![0],
         );
-        let created = c.send(DpRequest::CreateFile {
-            kind: FileKind::KeySequenced(desc.clone()),
-        });
+        let created = c.send(DpRequest::CreateFile { desc: desc.clone() });
         let DpReply::FileCreated(file) = created else {
             panic!("{created:?}")
         };

@@ -7,8 +7,8 @@
 
 use nsql_disk::Disk;
 use nsql_dp::{
-    DiskProcess, DpConfig, DpContext, DpReply, DpRequest, FileId, FileKind, ReadLock, SubsetMode,
-    SubsetOp, SyncId, SyncRequest,
+    DiskProcess, DpConfig, DpContext, DpReply, DpRequest, FileId, ReadLock, SubsetMode, SubsetOp,
+    SyncId, SyncRequest,
 };
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind};
@@ -166,13 +166,7 @@ fn warm_file() -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>, Arc<TxnManager>) {
     };
     let disk = Disk::new(sim.clone(), VOLUME, true);
     let dp = DiskProcess::format(&ctx, VOLUME, CpuId::new(0, 1), disk, config);
-    let created = send(
-        &bus,
-        0,
-        DpRequest::CreateFile {
-            kind: FileKind::KeySequenced(desc()),
-        },
-    );
+    let created = send(&bus, 0, DpRequest::CreateFile { desc: desc() });
     let DpReply::FileCreated(file) = created else {
         panic!("unexpected {created:?}")
     };

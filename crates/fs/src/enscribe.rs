@@ -194,84 +194,6 @@ impl FileSystem {
         self.change_indexes(txn, of, Some(old), Some(new))
     }
 
-    /// Write a record into a relative file slot.
-    pub fn ens_relative_write(
-        &self,
-        txn: TxnId,
-        process: &str,
-        file: nsql_dp::FileId,
-        recnum: u64,
-        record: Vec<u8>,
-    ) -> Result<(), FsError> {
-        self.send(
-            process,
-            DpRequest::RelativeWrite {
-                txn,
-                file,
-                recnum,
-                record,
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Read a relative file slot.
-    pub fn ens_relative_read(
-        &self,
-        process: &str,
-        file: nsql_dp::FileId,
-        recnum: u64,
-    ) -> Result<Option<Vec<u8>>, FsError> {
-        let request = DpRequest::RelativeRead { file, recnum };
-        let verb = request.name();
-        match self.send(process, request)? {
-            DpReply::Record(r) => Ok(r),
-            other => Err(unexpected(verb, &other)),
-        }
-    }
-
-    /// Delete a relative file slot.
-    pub fn ens_relative_delete(
-        &self,
-        txn: TxnId,
-        process: &str,
-        file: nsql_dp::FileId,
-        recnum: u64,
-    ) -> Result<(), FsError> {
-        self.send(process, DpRequest::RelativeDelete { txn, file, recnum })?;
-        Ok(())
-    }
-
-    /// Append to an entry-sequenced file; returns the entry's address.
-    pub fn ens_entry_append(
-        &self,
-        process: &str,
-        file: nsql_dp::FileId,
-        record: Vec<u8>,
-    ) -> Result<u64, FsError> {
-        let request = DpRequest::EntryAppend { file, record };
-        let verb = request.name();
-        match self.send(process, request)? {
-            DpReply::Appended(a) => Ok(a),
-            other => Err(unexpected(verb, &other)),
-        }
-    }
-
-    /// Read an entry-sequenced file entry by address.
-    pub fn ens_entry_read(
-        &self,
-        process: &str,
-        file: nsql_dp::FileId,
-        address: u64,
-    ) -> Result<Option<Vec<u8>>, FsError> {
-        let request = DpRequest::EntryRead { file, address };
-        let verb = request.name();
-        match self.send(process, request)? {
-            DpReply::Record(r) => Ok(r),
-            other => Err(unexpected(verb, &other)),
-        }
-    }
-
     /// LOCKRECORD.
     pub fn ens_lock_record(
         &self,

@@ -5,7 +5,7 @@ use crate::enscribe::EnscribeCursor;
 use crate::sqlapi::BlockedInserter;
 use crate::*;
 use nsql_disk::Disk;
-use nsql_dp::{DiskProcess, DpConfig, DpContext, FileKind, ReadLock, SubsetMode};
+use nsql_dp::{DiskProcess, DpConfig, DpContext, ReadLock, SubsetMode};
 use nsql_lock::LockMode;
 use nsql_records::key::{encode_key_prefix, encode_record_key};
 use nsql_records::{CmpOp, Expr, FieldDef, FieldType, OwnedBound, SetList};
@@ -99,18 +99,18 @@ fn emp_key(empno: i32) -> Vec<u8> {
 /// with a (non-unique) index on DEPT on a third volume.
 fn create_partitioned_emp(w: &World) -> OpenFile {
     let desc = emp_desc();
-    let mk_file = |proc_name: &str, kind: FileKind| -> FileId {
+    let mk_file = |proc_name: &str, desc: RecordDescriptor| -> FileId {
         match w
             .fs
-            .send(proc_name, nsql_dp::DpRequest::CreateFile { kind })
+            .send(proc_name, nsql_dp::DpRequest::CreateFile { desc })
             .unwrap()
         {
             nsql_dp::DpReply::FileCreated(id) => id,
             other => panic!("{other:?}"),
         }
     };
-    let f1 = mk_file("$DATA1", FileKind::KeySequenced(desc.clone()));
-    let f2 = mk_file("$DATA2", FileKind::KeySequenced(desc.clone()));
+    let f1 = mk_file("$DATA1", desc.clone());
+    let f2 = mk_file("$DATA2", desc.clone());
     let split = emp_key(500);
     let mut of = OpenFile {
         name: "EMP".into(),
@@ -137,7 +137,7 @@ fn create_partitioned_emp(w: &World) -> OpenFile {
     };
     // Index on DEPT, on the third volume.
     let idx = IndexInfo::build("EMP_DEPT", "$IDX", 0, &desc, vec![2], false);
-    let ifile = mk_file("$IDX", FileKind::KeySequenced(idx.desc.clone()));
+    let ifile = mk_file("$IDX", idx.desc.clone());
     let idx = IndexInfo { file: ifile, ..idx };
     of.indexes.push(idx);
     of
@@ -494,8 +494,8 @@ fn blocked_messages_go_out_in_one_order() {
         let mut of = create_partitioned_emp(&w);
         // A second index, on SALARY, kept on the first data volume.
         let by_salary = IndexInfo::build("EMP_SALARY", "$DATA1", 0, &of.desc, vec![3], false);
-        let kind = FileKind::KeySequenced(by_salary.desc.clone());
-        let request = nsql_dp::DpRequest::CreateFile { kind };
+        let desc = by_salary.desc.clone();
+        let request = nsql_dp::DpRequest::CreateFile { desc };
         let nsql_dp::DpReply::FileCreated(file) = w.fs.send("$DATA1", request).unwrap() else {
             panic!("index file not created")
         };
@@ -559,9 +559,7 @@ fn unique_index_rejects_duplicates() {
         .fs
         .send(
             "$DATA1",
-            nsql_dp::DpRequest::CreateFile {
-                kind: FileKind::KeySequenced(desc.clone()),
-            },
+            nsql_dp::DpRequest::CreateFile { desc: desc.clone() },
         )
         .unwrap()
     {
@@ -575,7 +573,7 @@ fn unique_index_rejects_duplicates() {
         .send(
             "$IDX",
             nsql_dp::DpRequest::CreateFile {
-                kind: FileKind::KeySequenced(idx.desc.clone()),
+                desc: idx.desc.clone(),
             },
         )
         .unwrap()
@@ -603,9 +601,7 @@ fn delete_set_pushdown_without_indices() {
         .fs
         .send(
             "$DATA1",
-            nsql_dp::DpRequest::CreateFile {
-                kind: FileKind::KeySequenced(desc.clone()),
-            },
+            nsql_dp::DpRequest::CreateFile { desc: desc.clone() },
         )
         .unwrap()
     {
@@ -679,9 +675,7 @@ fn remote_partition_costs_more_time() {
         match fs
             .send(
                 proc_name,
-                nsql_dp::DpRequest::CreateFile {
-                    kind: FileKind::KeySequenced(desc.clone()),
-                },
+                nsql_dp::DpRequest::CreateFile { desc: desc.clone() },
             )
             .unwrap()
         {
@@ -823,127 +817,6 @@ fn cursor_updater_batches_where_current() {
 }
 
 #[test]
-fn relative_file_via_fs() {
-    let w = world(&["$DATA1"]);
-    let file = match w
-        .fs
-        .send(
-            "$DATA1",
-            nsql_dp::DpRequest::CreateFile {
-                kind: FileKind::Relative { slot_size: 64 },
-            },
-        )
-        .unwrap()
-    {
-        nsql_dp::DpReply::FileCreated(id) => id,
-        _ => panic!(),
-    };
-    let txn = w.txnmgr.begin();
-    w.fs.ens_relative_write(txn, "$DATA1", file, 7, b"hello".to_vec())
-        .unwrap();
-    w.fs.ens_relative_write(txn, "$DATA1", file, 7, b"world".to_vec())
-        .unwrap();
-    w.txnmgr.commit(txn, w.client).unwrap();
-    let got = w.fs.ens_relative_read("$DATA1", file, 7).unwrap().unwrap();
-    assert_eq!(&got[..5], b"world");
-    assert!(w.fs.ens_relative_read("$DATA1", file, 8).unwrap().is_none());
-
-    // Abort rolls a relative write back (insert undone, update undone).
-    let txn = w.txnmgr.begin();
-    w.fs.ens_relative_write(txn, "$DATA1", file, 7, b"XXXXX".to_vec())
-        .unwrap();
-    w.fs.ens_relative_write(txn, "$DATA1", file, 9, b"new".to_vec())
-        .unwrap();
-    w.txnmgr.abort(txn, w.client).unwrap();
-    let got = w.fs.ens_relative_read("$DATA1", file, 7).unwrap().unwrap();
-    assert_eq!(&got[..5], b"world", "update undone");
-    assert!(
-        w.fs.ens_relative_read("$DATA1", file, 9).unwrap().is_none(),
-        "insert undone"
-    );
-
-    // Delete under txn + commit.
-    let txn = w.txnmgr.begin();
-    w.fs.ens_relative_delete(txn, "$DATA1", file, 7).unwrap();
-    w.txnmgr.commit(txn, w.client).unwrap();
-    assert!(w.fs.ens_relative_read("$DATA1", file, 7).unwrap().is_none());
-}
-
-#[test]
-fn relative_file_recovers_from_trail() {
-    let w = world(&["$DATA1"]);
-    let file = match w
-        .fs
-        .send(
-            "$DATA1",
-            nsql_dp::DpRequest::CreateFile {
-                kind: FileKind::Relative { slot_size: 32 },
-            },
-        )
-        .unwrap()
-    {
-        nsql_dp::DpReply::FileCreated(id) => id,
-        _ => panic!(),
-    };
-    let txn = w.txnmgr.begin();
-    for r in 0..10u64 {
-        w.fs.ens_relative_write(txn, "$DATA1", file, r, format!("rec{r}").into_bytes())
-            .unwrap();
-    }
-    w.txnmgr.commit(txn, w.client).unwrap();
-    // Crash the DP (cache lost) and recover from the audit trail.
-    let dp = &w.dps[0];
-    dp.crash();
-    dp.recover();
-    let got = w.fs.ens_relative_read("$DATA1", file, 3).unwrap().unwrap();
-    assert_eq!(&got[..4], b"rec3");
-}
-
-#[test]
-fn entry_sequenced_file_via_fs() {
-    let w = world(&["$DATA1", "$DATA2", "$IDX"]);
-    let file = match w
-        .fs
-        .send(
-            "$DATA1",
-            nsql_dp::DpRequest::CreateFile {
-                kind: FileKind::EntrySequenced,
-            },
-        )
-        .unwrap()
-    {
-        nsql_dp::DpReply::FileCreated(id) => id,
-        _ => panic!(),
-    };
-    let a1 =
-        w.fs.ens_entry_append("$DATA1", file, b"first".to_vec())
-            .unwrap();
-    let a2 =
-        w.fs.ens_entry_append("$DATA1", file, b"second".to_vec())
-            .unwrap();
-    assert_ne!(a1, a2);
-    assert_eq!(
-        w.fs.ens_entry_read("$DATA1", file, a1).unwrap().unwrap(),
-        b"first"
-    );
-    assert_eq!(
-        w.fs.ens_entry_read("$DATA1", file, a2).unwrap().unwrap(),
-        b"second"
-    );
-    assert!(w
-        .fs
-        .ens_entry_read("$DATA1", file, 12345)
-        .unwrap()
-        .is_none());
-    // Wrong-kind guards.
-    let of = create_partitioned_emp(&w);
-    let err =
-        w.fs.ens_entry_append(&of.partitions[0].process, of.partitions[0].file, vec![1])
-            .unwrap_err();
-    assert!(matches!(err, FsError::Dp(nsql_dp::DpError::WrongFileKind)));
-}
-
-#[test]
 fn doom_class_dp_errors_become_typed_fs_doomed() {
     // Deadlock and lock-timeout replies map to the typed, retryable
     // FsError::Doomed — never a panic path — and the reason keeps the
@@ -998,9 +871,6 @@ fn a_reply_of_the_wrong_shape_is_a_protocol_error_not_a_panic() {
     refused("READ^NEXT", fs.ens_read_next(&mut fs.ens_open(&of, None)));
     let mut sbb = fs.ens_open_sbb(&of, txn).unwrap();
     refused("READ^SEQ^BLOCK", fs.ens_read_next(&mut sbb));
-    refused("RELATIVE^READ", fs.ens_relative_read("$ODD", 0, 1));
-    refused("ENTRY^APPEND", fs.ens_entry_append("$ODD", 0, vec![1]));
-    refused("ENTRY^READ", fs.ens_entry_read("$ODD", 0, 1));
     refused(
         "READ",
         fs.read_by_key(None, &of, &emp_key(1), ReadLock::None),

@@ -30,7 +30,7 @@ mod stack;
 
 use config::Config;
 use rules::{Diagnostic, FileReport};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// An invariant an explorer found broken, with the schedule of `A`ctions
@@ -96,6 +96,7 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// Lint the whole workspace rooted at `root` against `cfg`.
 pub fn check_workspace(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceReport> {
     let mut report = WorkspaceReport::default();
+    let mut enums = BTreeSet::new();
     for path in collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
@@ -107,8 +108,10 @@ pub fn check_workspace(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceRe
             diags,
             panic_count,
             discard_count,
+            enums: declared,
         } = rules::lint_source(cfg, &rel, &src);
         report.diags.extend(diags);
+        enums.extend(declared);
         if !rules::is_test_path(&rel) {
             if rules::is_discard_path(cfg, &rel) {
                 report.discard_counts.insert(rel.clone(), discard_count);
@@ -117,6 +120,9 @@ pub fn check_workspace(root: &Path, cfg: &Config) -> std::io::Result<WorkspaceRe
         }
         report.files += 1;
     }
+    report
+        .diags
+        .extend(rules::stale_protocol_enums(cfg, &enums));
     let (ratchet_diags, buckets) = rules::enforce_ratchet(cfg, &report.file_counts);
     report.diags.extend(ratchet_diags);
     report.bucket_counts = buckets;
@@ -221,6 +227,32 @@ mod tests {
             .map(|p| p.strip_prefix(&dir).unwrap().to_string_lossy().into_owned())
             .collect();
         assert_eq!(rels, vec!["src/lib.rs"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `[protocol_enums]` name is live only while a non-test enum of that
+    /// name exists; one declared in a test module does not count.
+    #[test]
+    fn a_protocol_enum_no_code_declares_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("nsql_lint_enums_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("src")).unwrap();
+        let src = "pub enum DpRequest { Read }\n\
+                   #[cfg(test)]\nmod tests { enum Retired { Gone } }\n";
+        std::fs::write(dir.join("src/lib.rs"), src).unwrap();
+        let cfg = Config {
+            protocol_enums: vec!["DpRequest".into(), "Retired".into()],
+            ratchet: BTreeMap::from([("src".into(), 0)]),
+            ..Config::default()
+        };
+        let report = check_workspace(&dir, &cfg).unwrap();
+        let msgs: Vec<String> = report.diags.iter().map(|d| d.to_string()).collect();
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(
+            msgs[0].starts_with("lint.toml: [wildcard-match]"),
+            "{msgs:?}"
+        );
+        assert!(msgs[0].contains("`Retired`"), "{msgs:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

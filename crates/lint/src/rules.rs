@@ -12,7 +12,9 @@
 //! * **`wildcard-match`** — no `_ =>` arms in matches over the protocol
 //!   enums (`DpRequest`, `DpReply`, …): adding a protocol variant must be
 //!   a compile/lint error everywhere it is interpreted, not a silent
-//!   default (the `_ => 8` wire-size guess this rule was born from).
+//!   default (the `_ => 8` wire-size guess this rule was born from). A
+//!   listed name that no non-test `enum` in the workspace declares is an
+//!   error too: a stale entry guards nothing.
 //! * **`trace-label`** — a name is spelled only by the type that owns it.
 //!   In non-test code a paper-verb literal (`GET^FIRST^VSBB` style) outside
 //!   `crates/dp/src/protocol.rs`, or a dotted counter-shaped literal
@@ -34,7 +36,7 @@
 
 use crate::config::Config;
 use crate::lexer::{tokenize, Tok, TokKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone)]
@@ -73,6 +75,8 @@ pub struct FileReport {
     /// Silent `Result` discards (`let _ =` / bare `.ok();`) in non-test
     /// code — only counted for files under a `[result_discard]` crate.
     pub discard_count: u64,
+    /// Names of the enums this file declares in non-test code.
+    pub(crate) enums: Vec<String>,
 }
 
 /// Is this path test or bench code (excluded from the ratchet, wildcard and
@@ -103,6 +107,12 @@ pub fn lint_source(cfg: &Config, rel: &str, src: &str) -> FileReport {
         if is_discard_path(cfg, rel) {
             report.discard_count = discard_positions(&toks, &in_test).len() as u64;
         }
+        report.enums = toks
+            .windows(2)
+            .zip(&in_test)
+            .filter(|(pair, &test)| !test && pair[0].is_ident("enum"))
+            .map(|(pair, _)| pair[1].text.clone())
+            .collect();
     }
     report
 }
@@ -297,6 +307,22 @@ fn wildcard_match_rule(
         }
         analyze_match_body(cfg, rel, toks, j, report);
     }
+}
+
+/// The `[protocol_enums]` names that no enum in `declared` answers to.
+pub(crate) fn stale_protocol_enums(cfg: &Config, declared: &BTreeSet<String>) -> Vec<Diagnostic> {
+    let stale = cfg.protocol_enums.iter().filter(|n| !declared.contains(*n));
+    stale
+        .map(|name| Diagnostic {
+            rule: "wildcard-match",
+            file: "lint.toml".into(),
+            line: 0,
+            msg: format!(
+                "[protocol_enums] names `{name}`, which no enum in the workspace declares: \
+                 the entry guards nothing"
+            ),
+        })
+        .collect()
 }
 
 /// Walk one match body (opening brace at `open`), splitting top-level arms

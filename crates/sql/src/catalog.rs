@@ -10,7 +10,7 @@
 
 use crate::ast::{CreateIndex, CreateTable};
 use crate::bind::{bind_expr, BindError, Params, Scope};
-use nsql_dp::{DpReply, DpRequest, FileKind};
+use nsql_dp::{DpReply, DpRequest};
 use nsql_fs::{FileSystem, FsError, IndexInfo, OpenFile, Partition};
 use nsql_lock::TxnId;
 use nsql_records::key::encode_key_value;
@@ -191,7 +191,7 @@ impl Catalog {
             } else {
                 OwnedBound::Excluded(split_keys[i].clone())
             };
-            let file = create_file(fs, vol, FileKind::KeySequenced(desc.clone()))?;
+            let file = create_file(fs, vol, desc.clone())?;
             partitions.push(Partition {
                 process: vol.clone(),
                 file,
@@ -265,7 +265,7 @@ impl Catalog {
             base_fields,
             stmt.unique,
         );
-        let file = create_file(fs, &volume, FileKind::KeySequenced(idx.desc.clone()))?;
+        let file = create_file(fs, &volume, idx.desc.clone())?;
         let idx = IndexInfo { file, ..idx };
 
         // Back-fill from existing rows using the blocked-insert interface.
@@ -319,8 +319,8 @@ impl Catalog {
     }
 }
 
-fn create_file(fs: &FileSystem, volume: &str, kind: FileKind) -> Result<u32, CatalogError> {
-    match fs.send(volume, DpRequest::CreateFile { kind }) {
+fn create_file(fs: &FileSystem, volume: &str, desc: RecordDescriptor) -> Result<u32, CatalogError> {
+    match fs.send(volume, DpRequest::CreateFile { desc }) {
         Ok(DpReply::FileCreated(id)) => Ok(id),
         Ok(other) => Err(CatalogError::Fs(format!("unexpected reply {other:?}"))),
         Err(e) => Err(e.into()),

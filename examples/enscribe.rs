@@ -1,14 +1,13 @@
-//! The pre-existing DBMS: ENSCRIBE's record-at-a-time API and the three
-//! file structures (key-sequenced, relative, entry-sequenced), driven
-//! directly through the File System — the world the paper's SQL system had
-//! to match.
+//! The pre-existing DBMS: ENSCRIBE's record-at-a-time API on a
+//! key-sequenced file, driven directly through the File System — the world
+//! the paper's SQL system had to match.
 //!
 //! ```sh
 //! cargo run --example enscribe
 //! ```
 
 use nonstop_sql::ClusterBuilder;
-use nsql_dp::{DpReply, DpRequest, FileKind, ReadLock};
+use nsql_dp::{DpReply, DpRequest, ReadLock};
 use nsql_fs::OpenFile;
 use nsql_records::key::encode_record_key;
 use nsql_records::{FieldDef, FieldType, RecordDescriptor, Value};
@@ -28,12 +27,7 @@ fn main() {
         vec![0],
     );
     let DpReply::FileCreated(file) = fs
-        .send(
-            "$DATA1",
-            DpRequest::CreateFile {
-                kind: FileKind::KeySequenced(desc.clone()),
-            },
-        )
+        .send("$DATA1", DpRequest::CreateFile { desc: desc.clone() })
         .unwrap()
     else {
         panic!()
@@ -80,56 +74,6 @@ fn main() {
     println!(
         "key-sequenced: sequential read of {n} records took {} FS-DP messages",
         m.msgs_fs_dp
-    );
-
-    // --- relative file: direct access by record number ----------------
-    let DpReply::FileCreated(rel) = fs
-        .send(
-            "$DATA1",
-            DpRequest::CreateFile {
-                kind: FileKind::Relative { slot_size: 64 },
-            },
-        )
-        .unwrap()
-    else {
-        panic!()
-    };
-    let txn = db.txnmgr.begin();
-    fs.ens_relative_write(txn, "$DATA1", rel, 12, b"slot twelve".to_vec())
-        .unwrap();
-    fs.ens_relative_write(txn, "$DATA1", rel, 4000, b"sparse slots are fine".to_vec())
-        .unwrap();
-    db.txnmgr.commit(txn, session.cpu()).unwrap();
-    let got = fs.ens_relative_read("$DATA1", rel, 12).unwrap().unwrap();
-    println!(
-        "relative: slot 12 holds {:?}",
-        String::from_utf8_lossy(&got[..11])
-    );
-
-    // --- entry-sequenced file: insert at EOF only ----------------------
-    let DpReply::FileCreated(log) = fs
-        .send(
-            "$DATA1",
-            DpRequest::CreateFile {
-                kind: FileKind::EntrySequenced,
-            },
-        )
-        .unwrap()
-    else {
-        panic!()
-    };
-    let mut addrs = Vec::new();
-    for i in 0..5 {
-        addrs.push(
-            fs.ens_entry_append("$DATA1", log, format!("event {i}").into_bytes())
-                .unwrap(),
-        );
-    }
-    let got = fs.ens_entry_read("$DATA1", log, addrs[3]).unwrap().unwrap();
-    println!(
-        "entry-sequenced: address {} holds {:?}",
-        addrs[3],
-        String::from_utf8_lossy(&got)
     );
 
     println!(

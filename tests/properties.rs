@@ -1434,19 +1434,32 @@ fn lock_table_and_waits_for_drain_to_zero_after_random_interleavings() {
 
 mod backout {
     use nonstop_sql::{Cluster, ClusterBuilder, Session};
-    use nsql_dp::{DpReply, DpRequest, FileId, FileKind};
-    use nsql_fs::BlockedInserter;
-    use nsql_records::Value;
-    use nsql_sim::SimRng;
+    use nsql_dp::ReadLock;
+    use nsql_fs::{BlockedInserter, CursorUpdater};
+    use nsql_records::key::encode_record_key;
+    use nsql_records::{ArithOp, Expr, SetList, Value};
+    use nsql_sim::{SimRng, TraceEventKind};
+    use std::collections::BTreeSet;
 
     const VOLUME: &str = "$DATA1";
     const ROWS: i32 = 120;
-    const SLOTS: u64 = 24;
 
-    /// `T (K, V, PAD)` with the even keys below `2 * ROWS`, and a relative
-    /// file with every third slot filled: the committed state a script
-    /// starts from.
-    fn committed_state() -> (Cluster, FileId) {
+    /// Every write verb of the Disk Process.
+    const WRITE_VERBS: [&str; 9] = [
+        "INSERT",
+        "WRITE",
+        "DELETE",
+        "UPDATE^POINT",
+        "UPDATE^SUBSET^FIRST",
+        "DELETE^SUBSET^FIRST",
+        "BLOCKED^INSERT",
+        "BLOCKED^UPDATE",
+        "BLOCKED^DELETE",
+    ];
+
+    /// `T (K, V, PAD)` with the even keys below `2 * ROWS`: the committed
+    /// state a script starts from.
+    fn committed_state() -> Cluster {
         let db = ClusterBuilder::new().volume(VOLUME, 0, 1).build();
         let mut s = db.session();
         s.execute(
@@ -1454,43 +1467,30 @@ mod backout {
              PRIMARY KEY (K))",
         )
         .unwrap();
-        let created = DpRequest::CreateFile {
-            kind: FileKind::Relative { slot_size: 16 },
-        };
-        let DpReply::FileCreated(rel) = s.fs().send(VOLUME, created).unwrap() else {
-            panic!("relative file not created")
-        };
-        let txn = s.begin().unwrap();
+        s.begin().unwrap();
         for k in 0..ROWS {
             s.execute(&format!("INSERT INTO T VALUES ({}, {k}, 'p{k}')", 2 * k))
                 .unwrap();
         }
-        for slot in (0..SLOTS).step_by(3) {
-            let record = format!("slot {slot}").into_bytes();
-            s.fs()
-                .ens_relative_write(txn, VOLUME, rel, slot, record)
-                .unwrap();
-        }
         s.commit().unwrap();
         drop(s);
-        (db, rel)
+        db
     }
 
-    /// Everything both files hold, in key order.
-    fn dump(db: &Cluster, rel: FileId) -> (Vec<Vec<Value>>, Vec<Option<Vec<u8>>>) {
-        let mut s = db.session();
-        let rows = s.query("SELECT * FROM T").unwrap().rows;
-        let slots = (0..SLOTS + 8).map(|slot| s.fs().ens_relative_read(VOLUME, rel, slot).unwrap());
-        (rows.into_iter().map(|r| r.0).collect(), slots.collect())
+    /// Everything the table holds, in key order.
+    fn dump(db: &Cluster) -> Vec<Vec<Value>> {
+        let rows = db.session().query("SELECT * FROM T").unwrap().rows;
+        rows.into_iter().map(|r| r.0).collect()
     }
 
     /// A random run of audited writes inside the session's open
     /// transaction: every kind of write request the Disk Process has, some
-    /// of them refused (duplicate key, missing slot).
-    fn run_script(s: &mut Session<'_>, rel: FileId, rng: &mut SimRng) {
+    /// of them refused (duplicate key, missing record).
+    fn run_script(s: &mut Session<'_>, rng: &mut SimRng) {
         let txn = s.current_txn().expect("script runs inside a transaction");
         let table = s.open_table("T").unwrap();
         let key = |rng: &mut SimRng| rng.below(2 * ROWS as u64 + 40) as i32;
+        let encoded = |k: i32| encode_record_key(&table.desc, &[Value::Int(k)]);
         for step in 0..40 {
             match rng.below(7) {
                 0 => {
@@ -1499,8 +1499,20 @@ mod backout {
                     let _ = s.execute(&format!("INSERT INTO T VALUES ({k}, -1, 'new')"));
                 }
                 1 => {
-                    let sql = format!("UPDATE T SET V = V + {step} WHERE K = {}", key(rng));
-                    s.execute(&sql).unwrap();
+                    // UPDATE^POINT: refused on the keys that do not exist.
+                    let sets = SetList {
+                        sets: vec![(
+                            1,
+                            Expr::Arith(
+                                Box::new(Expr::Field(1)),
+                                ArithOp::Add,
+                                Box::new(Expr::lit(Value::Int(step))),
+                            ),
+                        )],
+                    };
+                    let _ = s
+                        .fs()
+                        .update_by_key(txn, &table, &encoded(key(rng)), &sets, None);
                 }
                 2 => {
                     let lo = key(rng);
@@ -1527,16 +1539,37 @@ mod backout {
                     let _ = ins.flush();
                 }
                 5 => {
-                    let slot = rng.below(SLOTS + 8);
-                    let record = format!("step {step}").into_bytes();
-                    s.fs()
-                        .ens_relative_write(txn, VOLUME, rel, slot, record)
-                        .unwrap();
+                    // The ENSCRIBE way: read, then WRITE the full image back;
+                    // or DELETE by key, refused on a missing record.
+                    let k = key(rng);
+                    let fs = s.fs();
+                    if rng.below(2) == 0 {
+                        let _ = fs.delete_by_key(txn, &table, &encoded(k));
+                    } else if let Some(old) = fs
+                        .ens_read(Some(txn), &table, &encoded(k), ReadLock::Shared)
+                        .unwrap()
+                    {
+                        let mut new = old.0.clone();
+                        new[1] = Value::Int(-step);
+                        fs.ens_rewrite(txn, &table, &old.0, &new).unwrap();
+                    }
                 }
                 _ => {
-                    // Refused on an empty slot.
-                    let slot = rng.below(SLOTS);
-                    let _ = s.fs().ens_relative_delete(txn, VOLUME, rel, slot);
+                    // A cursor's blocked UPDATE / DELETE WHERE CURRENT.
+                    let lo = key(rng);
+                    let sql = format!("SELECT * FROM T WHERE K BETWEEN {lo} AND {}", lo + 8);
+                    let rows = s.query(&sql).unwrap().rows;
+                    let mut cursor = CursorUpdater::new(s.fs(), &table, txn);
+                    for (i, old) in rows.iter().enumerate() {
+                        if i % 2 == 0 {
+                            let mut new = old.0.clone();
+                            new[2] = Value::Str(format!("c{step}"));
+                            cursor.update(&old.0, &new).unwrap();
+                        } else {
+                            cursor.delete(&old.0).unwrap();
+                        }
+                    }
+                    cursor.flush().unwrap();
                 }
             }
         }
@@ -1544,29 +1577,33 @@ mod backout {
 
     /// The dump after `ROLLBACK WORK`, the dump after a restart with the
     /// transaction left in flight, and the dump taken before the
-    /// transaction are the same dump.
+    /// transaction are the same dump; and over the seeds the scripts send
+    /// every write verb.
     #[test]
     fn abort_and_restart_back_out_identically() {
+        let mut sent = BTreeSet::new();
         for seed in 0..12u64 {
-            let (db, rel) = committed_state();
-            let before = dump(&db, rel);
+            let db = committed_state();
+            let before = dump(&db);
 
             let mut s = db.session();
             s.begin().unwrap();
-            run_script(&mut s, rel, &mut SimRng::seed_from(0xBAC0 + seed));
-            assert_ne!(
-                dump(&db, rel),
-                before,
-                "seed {seed}: the script changed nothing"
-            );
+            db.sim.trace.enable(100_000);
+            run_script(&mut s, &mut SimRng::seed_from(0xBAC0 + seed));
+            for event in db.sim.trace.events() {
+                if let TraceEventKind::Msg { label, .. } = event.kind {
+                    sent.insert(label);
+                }
+            }
+            assert_ne!(dump(&db), before, "seed {seed}: the script changed nothing");
             s.rollback().unwrap();
-            assert_eq!(dump(&db, rel), before, "seed {seed}: ROLLBACK WORK");
+            assert_eq!(dump(&db), before, "seed {seed}: ROLLBACK WORK");
             drop(s);
 
-            let (db, rel) = committed_state();
+            let db = committed_state();
             let mut s = db.session();
             s.begin().unwrap();
-            run_script(&mut s, rel, &mut SimRng::seed_from(0xBAC0 + seed));
+            run_script(&mut s, &mut SimRng::seed_from(0xBAC0 + seed));
             if seed % 2 == 0 {
                 // The loser's pages reach the disk (write-ahead log first)...
                 db.dp(VOLUME).pool().flush_all().unwrap();
@@ -1576,8 +1613,11 @@ mod backout {
                 db.session().execute(&other).unwrap();
             }
             db.crash_and_restart(0, 1);
-            assert_eq!(dump(&db, rel), before, "seed {seed}: restart");
+            assert_eq!(dump(&db), before, "seed {seed}: restart");
             drop(s);
+        }
+        for verb in WRITE_VERBS {
+            assert!(sent.contains(verb), "no script sent {verb}");
         }
     }
 }
