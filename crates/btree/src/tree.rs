@@ -161,7 +161,11 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
                     self.store.write(block, changed.into());
                     return Ok(None);
                 }
-                // Split by cumulative size.
+                // A new key past the leaf's last one splits at the insertion
+                // point: the leaf stays as it is and the new right sibling
+                // starts with the one new entry, so an ascending load fills
+                // its leaves. Any other split is by cumulative size.
+                let appended = !slot.found() && slot.index == leaf.len();
                 let mut entries = leaf.to_entries();
                 if slot.found() {
                     entries[slot.index].1 = value.to_vec();
@@ -169,9 +173,14 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
                     entries.insert(slot.index, (key.to_vec(), value.to_vec()));
                 }
                 let right_block = self.store.alloc();
-                let sizes: Vec<usize> =
-                    entries.iter().map(|(k, v)| 4 + k.len() + v.len()).collect();
-                let right_entries = entries.split_off(split_point(&sizes, self.cap()));
+                let at = if appended {
+                    slot.index
+                } else {
+                    let sizes: Vec<usize> =
+                        entries.iter().map(|(k, v)| 4 + k.len() + v.len()).collect();
+                    split_point(&sizes, self.cap())
+                };
+                let right_entries = entries.split_off(at);
                 let sep = right_entries[0].0.clone();
                 let right = Node::Leaf {
                     next: leaf.next(),
@@ -198,9 +207,16 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
                     self.save(block, &Node::Internal { seps, children });
                     return Ok(None);
                 }
-                // Split the internal node: promote the middle separator.
+                // Split the internal node: promote the middle separator, or,
+                // when the new separator landed last, the one before it, so
+                // the right node keeps one separator and two children and an
+                // ascending load fills the left.
                 let right_block = self.store.alloc();
-                let m = split_point(&sizes, self.cap());
+                let m = if ci + 1 == seps.len() && seps.len() >= 3 {
+                    ci
+                } else {
+                    split_point(&sizes, self.cap())
+                };
                 // Separators [0, m-1) stay left, separator m-1 is promoted,
                 // [m, ..) go right; children split at m.
                 let right = Node::Internal {
@@ -845,9 +861,9 @@ mod tests {
 
     #[test]
     fn reverse_and_random_insert_orders() {
+        let descending: Vec<u32> = (0..300).rev().collect();
+        let mut orders = vec![descending];
         for seed in [0u64, 1, 2] {
-            let store = MemStore::with_block_size(256);
-            let t = BTreeFile::open(&store, BTreeFile::create(&store));
             let mut keys: Vec<u32> = (0..300).collect();
             // Simple deterministic shuffle.
             let mut s = seed.wrapping_add(12345);
@@ -858,17 +874,101 @@ mod tests {
                 let j = (s >> 33) as usize % (i + 1);
                 keys.swap(i, j);
             }
+            orders.push(keys);
+        }
+        for keys in orders {
+            let store = MemStore::with_block_size(256);
+            let t = BTreeFile::open(&store, BTreeFile::create(&store));
             for &i in &keys {
                 t.insert(&key(i), &val(i)).unwrap();
             }
             t.validate();
-            let got: Vec<u32> = t
-                .entries()
-                .iter()
-                .map(|(k, _)| u32::from_be_bytes(k[..4].try_into().unwrap()))
-                .collect();
-            assert_eq!(got, (0..300).collect::<Vec<_>>(), "seed {seed}");
+            let want: Vec<_> = (0..300).map(|i| (key(i), val(i))).collect();
+            assert_eq!(t.entries(), want, "order starting {:?}", &keys[..3]);
         }
+    }
+
+    /// Entries per node, level by level from the root, each level left to
+    /// right: a leaf's records, an internal node's separators.
+    fn fill_by_level(t: &BTreeFile<MemStore>) -> Vec<Vec<usize>> {
+        let mut levels = Vec::new();
+        let mut level = vec![t.root()];
+        while !level.is_empty() {
+            let mut counts = Vec::new();
+            let mut below = Vec::new();
+            for block in level {
+                match t.load(block) {
+                    Node::Leaf { entries, .. } => counts.push(entries.len()),
+                    Node::Internal { seps, children } => {
+                        counts.push(seps.len());
+                        below.extend(children);
+                    }
+                }
+            }
+            levels.push(counts);
+            level = below;
+        }
+        levels
+    }
+
+    #[test]
+    fn an_ascending_load_fills_every_node_off_its_right_edge() {
+        const N: usize = 500;
+        let store = MemStore::with_block_size(256);
+        let t = BTreeFile::open(&store, BTreeFile::create(&store));
+        for i in 0..N as u32 {
+            t.insert(&key(i), &val(i)).unwrap();
+        }
+        t.validate();
+        // Header 7 bytes; a leaf entry is 4 + key + value, a separator 6 + key.
+        let per_leaf = (256 - 7) / (4 + key(0).len() + val(0).len());
+        let per_internal = (256 - 7) / (6 + key(0).len());
+        let levels = fill_by_level(&t);
+        assert_eq!(levels.len(), 3, "{levels:?}");
+        // Leaves: every one full but the last, the fewest there can be.
+        let leaves = levels.last().unwrap();
+        assert_eq!(leaves.len(), N.div_ceil(per_leaf));
+        let (last, full) = leaves.split_last().unwrap();
+        assert!(full.iter().all(|&n| n == per_leaf), "{leaves:?}");
+        assert_eq!(*last, N - full.len() * per_leaf);
+        // Internal nodes: a split whose new separator lands last promotes
+        // the one before it, so each node it leaves behind holds all but
+        // one separator of a full node.
+        let (_, inner) = levels[1].split_last().unwrap();
+        assert!(!inner.is_empty(), "{levels:?}");
+        assert!(inner.iter().all(|&n| n == per_internal - 1), "{levels:?}");
+    }
+
+    #[test]
+    fn ascending_inserts_into_a_gap_keep_the_tree_whole() {
+        let all: Vec<_> = (0..300).map(|i| (key(i), val(i))).collect();
+        // A gap inside a leaf: its keys sort before the leaf's last, so the
+        // leaf splits by size.
+        let store = MemStore::with_block_size(256);
+        let t = BTreeFile::open(&store, BTreeFile::create(&store));
+        for i in (0..50).chain(250..300).chain(50..250) {
+            t.insert(&key(i), &val(i)).unwrap();
+        }
+        t.validate();
+        assert_eq!(t.entries(), all);
+        // A gap the deletes freed whole leaves of: the leaf before it takes
+        // the first re-inserts past its last key and is full again.
+        let store = MemStore::with_block_size(256);
+        let t = BTreeFile::open(&store, BTreeFile::create(&store));
+        for i in 0..300 {
+            t.insert(&key(i), &val(i)).unwrap();
+        }
+        for i in 50..250 {
+            t.delete(&key(i)).unwrap();
+        }
+        for i in 50..250 {
+            t.insert(&key(i), &val(i)).unwrap();
+        }
+        t.validate();
+        assert_eq!(t.entries(), all);
+        let per_leaf = (256 - 7) / (4 + key(0).len() + val(0).len());
+        let leaves = fill_by_level(&t).pop().unwrap();
+        assert_eq!(leaves[50 / per_leaf], per_leaf, "{leaves:?}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn key(i: u32) -> [u8; 8] {
 
 #[test]
 fn hot_paths_allocate_per_statement_not_per_block() {
-    const ROWS: u32 = 8000;
+    const ROWS: u32 = 16_000;
     let store = MemStore::new(); // 4 KB blocks
     let tree = BTreeFile::open(&store, BTreeFile::create(&store));
     for i in 0..ROWS {

@@ -86,12 +86,13 @@ impl BlockStore for TraceStore {
     }
 }
 
-/// Re-recorded when leaves became free-at-empty (a leaf is merged only
-/// once a delete empties it, no longer at a quarter full): more leaves
-/// stay live, so scans read more blocks. Before: 11,415 calls, hash
-/// `0x000f_11b7_7424_45bb`.
-const PINNED_CALLS: u64 = 11_857;
-const PINNED_HASH: u64 = 0x10c8_07ab_6cb9_356c;
+/// Re-recorded when an insert past a leaf's last key came to split at the
+/// insertion point (and an internal node whose new separator lands last
+/// to promote the one before it): the script's inserts past the largest
+/// key leave full leaves behind. Before: 11,857 calls, hash
+/// `0x10c8_07ab_6cb9_356c`.
+const PINNED_CALLS: u64 = 11_957;
+const PINNED_HASH: u64 = 0x581e_44cb_f770_a9da;
 
 #[test]
 fn block_store_call_trace_is_pinned() {
@@ -105,7 +106,7 @@ fn block_store_call_trace_is_pinned() {
     for step in 0..3000u32 {
         // Grow for the first third, then mix, then shrink: on the recorded
         // run the script crosses two root splits (the second of an internal
-        // root) and 7 rebalances, each of a leaf its deletes emptied.
+        // root) and 9 rebalances, each of a leaf its deletes emptied.
         let delete_weight = match step {
             0..=999 => 1,
             1000..=1999 => 3,
@@ -168,9 +169,11 @@ fn internal_levels(store: &TraceStore, tree: &BTreeFile<'_, TraceStore>) -> u32 
 /// quarter or to collapse the root. This script grows a tree past two
 /// internal levels, then deletes it whole, key range after key range in
 /// key order: internal nodes underflow and are freed, the root collapses
-/// level by level, and one block is left.
-const SHRINK_CALLS: u64 = 137_024;
-const SHRINK_HASH: u64 = 0xfd36_c570_6ff5_b66c;
+/// level by level, and one block is left. Re-recorded with the split at
+/// the insertion point, as above. Before: 137,024 calls, hash
+/// `0xfd36_c570_6ff5_b66c`.
+const SHRINK_CALLS: u64 = 133_649;
+const SHRINK_HASH: u64 = 0xf2bc_f225_1e44_a21d;
 
 #[test]
 fn block_store_call_trace_of_a_tree_deleted_range_by_range_is_pinned() {
@@ -256,9 +259,11 @@ fn a_leaf_rewrite_of_one_record_makes_the_calls_of_update_and_of_delete() {
 /// Ascending changes a leaf at a time, as the Disk Process's set writes
 /// make them: the leaf's changes in place in one image, and through
 /// `update` / `delete` where the leaf refuses one (it would overflow, or
-/// be emptied).
-const BY_LEAF_CALLS: u64 = 13_635;
-const BY_LEAF_HASH: u64 = 0xce53_c5ea_9756_dfe1;
+/// be emptied). Re-recorded with the split at the insertion point: the
+/// twin trees are loaded in key order. Before: 13,635 calls, hash
+/// `0xce53_c5ea_9756_dfe1`.
+const BY_LEAF_CALLS: u64 = 13_730;
+const BY_LEAF_HASH: u64 = 0x7917_7463_3e82_f2c5;
 
 #[test]
 fn block_store_call_trace_of_leaf_rewrites_is_pinned() {

@@ -60,6 +60,10 @@ struct DiskState {
     next_sequential: Option<BlockNo>,
     /// Device busy-timeline: virtual time at which the arm becomes free.
     busy_until: Micros,
+    /// When each block's last asynchronous write begins on the device
+    /// timeline: until then it is queued, and another asynchronous write
+    /// of the block is the same I/O.
+    write_begins: Vec<Micros>,
     /// Remaining injected write failures.
     write_failures_pending: u32,
     /// Mirror halves still alive (ignored when not mirrored).
@@ -259,7 +263,10 @@ impl Disk {
     }
 
     /// Schedule an asynchronous write (write-behind). The data is durable
-    /// once the returned completion time has been reached.
+    /// once the returned completion time has been reached. When every
+    /// block's last asynchronous write is still queued, not begun, that
+    /// write takes the new images: the device does no more work, and the
+    /// completion time returned is when its queue drains.
     pub fn write_async<B: Clone + Into<Block>>(
         &self,
         start: BlockNo,
@@ -287,15 +294,24 @@ impl Disk {
             st.write_failures_pending -= 1;
             return Err(DiskError::WriteFailed);
         }
-        let needed = start as usize + blocks.len();
-        if st.blocks.len() < needed {
-            st.blocks.resize(needed, None);
+        let range = start as usize..start as usize + blocks.len();
+        if st.blocks.len() < range.end {
+            st.blocks.resize(range.end, None);
+            st.write_begins.resize(range.end, 0);
         }
         let bs = self.block_size();
         for (i, data) in blocks.iter().enumerate() {
             let data: Block = data.clone().into();
             assert!(data.len() <= bs, "block exceeds {bs} bytes");
             st.blocks[start as usize + i] = Some(data);
+        }
+        if !synchronous {
+            let now = self.sim.now();
+            if st.write_begins[range.clone()].iter().all(|&at| at > now) {
+                return Ok(st.busy_until);
+            }
+            let begins = st.busy_until.max(now);
+            st.write_begins[range].fill(begins);
         }
         Ok(self.account_io(&mut st, start, blocks.len(), true, synchronous))
     }
@@ -311,6 +327,7 @@ impl Disk {
     pub fn clear(&self) {
         let mut st = self.state.lock();
         st.blocks.clear();
+        st.write_begins.clear();
         st.next_sequential = None;
     }
 }
@@ -446,6 +463,29 @@ mod tests {
         // A synchronous read must wait for the queue.
         d.read(0, 1).unwrap();
         assert!(sim.now() >= done2);
+    }
+
+    #[test]
+    fn a_write_behind_still_queued_takes_the_next_image_of_its_blocks() {
+        let (sim, d) = disk();
+        let (one, two) = (block(1, 512), block(2, 512));
+        // A read keeps the device busy, so the writes queue behind it.
+        d.write(0, &[one.clone(), one.clone()]).unwrap();
+        d.read_async(0, 2).unwrap();
+        let done = d.write_async(0, &[one.clone(), one.clone()]).unwrap();
+        let writes = sim.metrics.snapshot().disk_writes;
+        // Queued, not begun: the same I/O, with the new images.
+        assert_eq!(d.write_async(0, &[two.clone(), two.clone()]), Ok(done));
+        assert_eq!(d.busy_until(), done);
+        assert_eq!(sim.metrics.snapshot().disk_writes, writes);
+        // Begun (a synchronous read waits for the queue): a new I/O.
+        assert_eq!(*d.read(1, 1).unwrap()[0], two);
+        d.read_async(0, 2).unwrap();
+        d.write_async(1, std::slice::from_ref(&one)).unwrap();
+        assert_eq!(sim.metrics.snapshot().disk_writes, writes + 1);
+        // Only partly queued: a new I/O too.
+        d.write_async(0, &[two.clone(), two]).unwrap();
+        assert_eq!(sim.metrics.snapshot().disk_writes, writes + 2);
     }
 
     #[test]

@@ -4,8 +4,10 @@ use nsql_disk::Disk;
 use nsql_sim::{Sim, SimRng};
 use std::collections::HashMap;
 
-/// Reads always return the latest write, across arbitrary write orders and
-/// bulk sizes; the device timeline never runs backwards.
+/// Reads always return the latest write, across arbitrary write orders,
+/// bulk sizes and mixes of synchronous and asynchronous writes (one still
+/// queued takes the next image of its blocks); the device timeline never
+/// runs backwards.
 #[test]
 fn read_your_writes() {
     for case in 0..64u64 {
@@ -22,7 +24,11 @@ fn read_your_writes() {
             let blocks: Vec<Vec<u8>> = (0..nblocks)
                 .map(|i| vec![fill.wrapping_add(i as u8); 64])
                 .collect();
-            disk.write(start, &blocks).unwrap();
+            if rng.below(2) == 0 {
+                disk.write(start, &blocks).unwrap();
+            } else {
+                disk.write_async(start, &blocks).unwrap();
+            }
             for i in 0..nblocks {
                 model.insert(start + i as u32, fill.wrapping_add(i as u8));
             }

@@ -611,6 +611,7 @@ impl DiskProcess {
                 key,
                 mode,
             } => {
+                self.file_label(file)?;
                 self.join_txn(txn);
                 let scope = match &key {
                     Some(k) => ScopeRef::record(k),
@@ -770,7 +771,7 @@ impl DiskProcess {
         store.scan.set(self.scan_options());
         let tree = BTreeFile::open(&store, label.anchor);
         let block_budget = self.pool.disk().block_size();
-        let mut rows = RowBuffer::default();
+        let mut rows = RowBuffer::with_room(2 * block_budget);
         let (mut records, mut bytes) = (0u64, 0usize);
         // Last key returned; one buffer reused across the scan.
         let mut last_key: Vec<u8> = Vec::new();
@@ -1131,8 +1132,9 @@ impl DiskProcess {
         };
         // RSBB replies carry one physical block copy; VSBB virtual blocks
         // use the configured reply buffer.
+        let block = self.pool.disk().block_size();
         let reply_budget = match read {
-            Some(SubsetMode::Rsbb) => self.pool.disk().block_size(),
+            Some(SubsetMode::Rsbb) => block,
             Some(SubsetMode::Vsbb) | None => reply_buffer,
         };
         // The predicate with its charge per record, and how long a record
@@ -1156,7 +1158,7 @@ impl DiskProcess {
         // the scan's next block access (the disk's timeline is read against
         // the clock) and once more when the scan stops; the counts nothing
         // reads meanwhile are booked after the scan.
-        let mut rows = RowBuffer::default();
+        let mut rows = RowBuffer::with_room(reply_budget + block);
         let mut matched = Matched::default(); // update/delete candidates
         let mut first_selected: Option<Vec<u8>> = None;
         let (mut examined, mut selected) = (0u32, 0u32);

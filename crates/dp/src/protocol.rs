@@ -575,11 +575,31 @@ impl From<RowBuffer> for RowBlock {
 #[derive(Debug, Default)]
 pub struct RowBuffer {
     bytes: Vec<u8>,
+    /// Bytes taken at the first row.
+    room: usize,
 }
 
 impl RowBuffer {
+    /// An empty buffer that takes `room` bytes at its first row: a reply
+    /// that stops once its rows reach a budget holds at most the budget and
+    /// one row more, so with `room` that much its rows are one allocation,
+    /// and a reply without rows still makes none.
+    pub(crate) fn with_room(room: usize) -> Self {
+        RowBuffer {
+            bytes: Vec::new(),
+            room,
+        }
+    }
+
+    fn take_room(&mut self) {
+        if self.bytes.capacity() == 0 {
+            self.bytes.reserve_exact(self.room);
+        }
+    }
+
     /// Append `row` as it is.
     pub fn push(&mut self, row: &[u8]) {
+        self.take_room();
         self.bytes.reserve(2 + row.len());
         self.bytes
             .extend_from_slice(&(row.len() as u16).to_be_bytes());
@@ -589,6 +609,7 @@ impl RowBuffer {
     /// Append the row `plan` projects out of `record`; a record the plan
     /// refuses leaves the buffer as it was.
     pub fn push_projected(&mut self, plan: &Projection, record: &[u8]) -> Result<(), CodecError> {
+        self.take_room();
         plan.project_framed(record, &mut self.bytes)
     }
 

@@ -1436,6 +1436,18 @@ fn an_unknown_file_is_refused_by_every_handler() {
             predicate: None,
             op: SubsetOp::Delete { txn },
         },
+        DpRequest::Lock {
+            txn,
+            file,
+            key: Some(key()),
+            mode: LockMode::Exclusive,
+        },
+        DpRequest::Lock {
+            txn,
+            file,
+            key: None,
+            mode: LockMode::Shared,
+        },
     ];
     for req in requests {
         let name = req.name();
@@ -1446,6 +1458,7 @@ fn an_unknown_file_is_refused_by_every_handler() {
         );
     }
     assert_eq!((c.sim.metrics.snapshot() - before).audit_records, 0);
+    assert_eq!(c.dp.locks.lock_count(), 0, "no lock granted");
     c.txnmgr.abort(txn, c.client).unwrap();
 }
 
@@ -1854,7 +1867,8 @@ fn a_field_that_does_not_decode_is_corrupt_to_the_predicate_that_reads_it() {
 /// with checkpointing on: the reply, the virtual microseconds the request
 /// took, the Disk Process CPU units, the audit records and bytes logged,
 /// the checkpoint messages and the locks held afterwards, pinned. Another
-/// transaction holds employee 9's record lock throughout.
+/// transaction holds employee 9's record lock throughout; a reply names it
+/// as `HOLDER`.
 #[test]
 fn each_write_verb_costs_what_it_did() {
     struct Files {
@@ -1975,7 +1989,7 @@ fn each_write_verb_costs_what_it_did() {
         ),
         (
             "delete locked",
-            "Error(Locked { holder: TxnId(3) })",
+            "Error(Locked { holder: HOLDER })",
             [680, 5, 0, 0, 0, 1],
             Box::new(|f| DpRequest::DeleteRecord {
                 txn: f.txn,
@@ -2093,7 +2107,7 @@ fn each_write_verb_costs_what_it_did() {
         ),
         (
             "blocked delete locked",
-            "Error(Locked { holder: TxnId(3) })",
+            "Error(Locked { holder: HOLDER })",
             [726, 8, 1, 64, 0, 2],
             Box::new(|f| DpRequest::BlockedDelete {
                 txn: f.txn,
@@ -2133,7 +2147,7 @@ fn each_write_verb_costs_what_it_did() {
         ),
         (
             "update subset locked",
-            "Error(Locked { holder: TxnId(3) })",
+            "Error(Locked { holder: HOLDER })",
             [1506, 60, 9, 513, 0, 10],
             Box::new(|f| DpRequest::SubsetFirst {
                 file: f.emp,
@@ -2176,9 +2190,6 @@ fn each_write_verb_costs_what_it_did() {
             .register("$DATA1-B", CpuId::new(0, 2), Arc::new(BackupSink));
         let emp = c.create_emp();
         c.load_emps(emp, 10);
-        // A committed transaction, so that the holder is transaction 3.
-        let txn = c.txnmgr.begin();
-        c.txnmgr.commit(txn, c.client).unwrap();
         let holder = c.txnmgr.begin();
         let reply = c.send(DpRequest::Lock {
             txn: holder,
@@ -2200,7 +2211,8 @@ fn each_write_verb_costs_what_it_did() {
             d.msgs_checkpoint,
             c.dp.locks.lock_count() as u64,
         ];
-        assert_eq!(summary(&reply), *expect_reply, "{name}");
+        let expect_reply = expect_reply.replace("HOLDER", &format!("{holder:?}"));
+        assert_eq!(summary(&reply), expect_reply, "{name}");
         assert_eq!(
             got, *expect,
             "{name}: [µs, cpu, audit records, audit bytes, checkpoints, locks]"
@@ -2377,7 +2389,7 @@ fn raise(c: &TestCluster, txn: TxnId) -> (FileId, DpRequest) {
 
 #[test]
 fn leaf_rewrites_change_a_range_across_leaves_as_record_at_a_time_did() {
-    assert_eq!(emp_leaves(&raise, SPAN), (8, true));
+    assert_eq!(emp_leaves(&raise, SPAN), (4, true));
     let done = assert_leaf_rewrites_match("raise", &raise);
     assert!(done.reply.contains("affected: 334"), "{}", done.reply);
     assert_eq!(done.undo.len(), 334);
@@ -2515,8 +2527,8 @@ fn a_delete_that_empties_leaves_frees_them_as_record_at_a_time_did() {
         };
         (file, request)
     };
-    assert_eq!(emp_leaves(&delete, SPAN), (8, true));
-    // The six leaves wholly inside the range are emptied and merged away.
+    assert_eq!(emp_leaves(&delete, SPAN), (4, true));
+    // The two leaves wholly inside the range are emptied and merged away.
     let c = cluster();
     let (file, request) = delete(&c, c.txnmgr.begin());
     let leaves = |empnos: &mut dyn Iterator<Item = i32>| {
@@ -2527,7 +2539,7 @@ fn a_delete_that_empties_leaves_frees_them_as_record_at_a_time_did() {
     let before = leaves(&mut (0..600));
     c.send(request);
     let kept = leaves(&mut (0..600).filter(|e| !(SPAN.0..=SPAN.1).contains(e)));
-    assert_eq!(kept, before - 6);
+    assert_eq!(kept, before - 2);
     let done = assert_leaf_rewrites_match("delete", &delete);
     assert_eq!(done.entries.len(), 600 - 376);
     assert_eq!(done.undo.len(), 376);
