@@ -25,7 +25,7 @@
 //! ```
 
 use nsql_disk::Disk;
-use nsql_dp::{BackupSink, DiskProcess, DpConfig, DpContext};
+use nsql_dp::{DiskProcess, DpConfig, DpContext};
 use nsql_fs::{FileSystem, OpenFile};
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId};
@@ -193,8 +193,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Add a volume whose Disk Process runs as a process pair with a
-    /// backup on another CPU (checkpointing enabled).
+    /// Add a volume whose Disk Process restarts on `(backup_node,
+    /// backup_cpu)` when its own CPU fails: the File System's path switch
+    /// reopens the volume there and recovers it from the audit trail, and
+    /// a later failure there moves it back. No backup process runs and
+    /// nothing is checkpointed, so until a takeover such a volume costs
+    /// exactly what [`Self::volume`] does.
     pub fn volume_with_backup(
         mut self,
         name: &str,
@@ -233,12 +237,10 @@ impl ClusterBuilder {
         let mut default_volume = None;
         for spec in &self.volumes {
             let disk = Disk::new(sim.clone(), spec.name.clone(), spec.mirrored);
-            let mut config = self.dp_config.clone();
             if let Some(bcpu) = spec.backup_cpu {
-                config.checkpointing = true;
                 pair_cpus.insert(spec.name.clone(), (spec.cpu, bcpu));
-                bus.register(format!("{}-B", spec.name), bcpu, Arc::new(BackupSink));
             }
+            let config = self.dp_config.clone();
             let dp = DiskProcess::format(&ctx, &spec.name, spec.cpu, Arc::clone(&disk), config);
             dps.insert(spec.name.clone(), dp);
             disks.insert(spec.name.clone(), disk);
@@ -252,8 +254,8 @@ impl ClusterBuilder {
         });
         // The File System's path-switch hook: when a retry hits a down CPU,
         // the bus asks the cluster to re-resolve the volume's primary. If
-        // the volume was configured as a process pair, its backup takes
-        // over and the retry proceeds against the new primary.
+        // the volume was given a backup CPU, it restarts there and the
+        // retry proceeds against the restarted Disk Process.
         {
             let (dps, hook_bus) = (Arc::clone(&dps), Arc::clone(&bus));
             bus.set_path_switch(Arc::new(move |name: &str| {
@@ -321,12 +323,14 @@ impl DiskProcesses {
     }
 
     /// Crash `old`, the Disk Process serving `volume`, and open the volume
-    /// again on `cpu` with its configuration; the new process recovers from
-    /// the durable audit trail before it serves a request.
+    /// again on `cpu` with its configuration and its armed lock-wait
+    /// timeout; the new process recovers from the durable audit trail
+    /// before it serves a request.
     fn replace(&self, volume: &str, old: &DiskProcess, cpu: CpuId) {
         old.crash();
         let disk = Arc::clone(&self.disks[volume]);
-        let new_dp = DiskProcess::open(&self.ctx, volume, cpu, disk, old.config.lock().clone());
+        let new_dp = DiskProcess::open(&self.ctx, volume, cpu, disk, old.config.clone());
+        new_dp.locks.set_wait_timeout(old.locks.wait_timeout());
         new_dp.recover();
         self.by_volume.write().insert(volume.to_string(), new_dp);
     }
@@ -574,7 +578,7 @@ impl Cluster {
     /// lock-timeout error instead of queueing forever (`0` disarms).
     pub fn set_lock_wait_timeout(&self, us: u64) {
         for dp in self.dps.by_volume.read().values() {
-            dp.set_lock_wait_timeout(us);
+            dp.locks.set_wait_timeout(us);
         }
     }
 

@@ -1,7 +1,9 @@
 //! Facade tests: sessions, transactions, fault tolerance at cluster level.
 
 use super::*;
-use nsql_records::Value;
+use nsql_fs::{BlockedInserter, FsError, OpenFile};
+use nsql_records::key::encode_record_key;
+use nsql_records::{ArithOp, Expr, SetList, Value};
 
 fn two_node_cluster() -> Cluster {
     ClusterBuilder::new()
@@ -130,20 +132,88 @@ fn total_crash_recovers_committed_loses_uncommitted() {
     assert_eq!(r.rows[0].0[0], Value::Int(3), "in-flight update undone");
 }
 
+/// `SET V = V + 1` on a `T (K, V)` table, as the File System ships it.
+fn bump() -> SetList {
+    let v_plus_1 = Expr::Arith(
+        Box::new(Expr::Field(1)),
+        ArithOp::Add,
+        Box::new(Expr::Lit(Value::Int(1))),
+    );
+    SetList {
+        sets: vec![(1, v_plus_1)],
+    }
+}
+
+/// The encoded primary key of row `k` of a `T (K, V)` table.
+fn key(of: &OpenFile, k: i32) -> Vec<u8> {
+    encode_record_key(&of.desc, &[Value::Int(k), Value::Null])
+}
+
+/// A volume given a backup CPU runs no backup process: until a takeover
+/// restarts it there, every write verb — INSERT, UPDATE^POINT, DELETE, a
+/// blocked insert and a subset UPDATE — costs it exactly what it costs a
+/// volume without one: every counter, every wait category and the
+/// virtual clock.
 #[test]
-fn process_pair_checkpoints_flow() {
+fn a_pair_costs_nothing_until_its_takeover() {
+    let run = |builder: ClusterBuilder| {
+        let db = builder.build();
+        let mut s = db.session();
+        s.execute("CREATE TABLE T (K INT NOT NULL, V INT NOT NULL, PRIMARY KEY (K))")
+            .unwrap();
+        for k in 0..10 {
+            s.execute(&format!("INSERT INTO T VALUES ({k}, {k})"))
+                .unwrap();
+        }
+        let of = s.open_table("T").unwrap();
+        let txn = db.txnmgr.begin();
+        s.fs()
+            .update_by_key(txn, &of, &key(&of, 3), &bump(), None)
+            .unwrap();
+        s.fs().delete_by_key(txn, &of, &key(&of, 4)).unwrap();
+        let mut load = BlockedInserter::new(s.fs(), &of, txn);
+        for k in 100..150 {
+            load.push(&[Value::Int(k), Value::Int(k)]).unwrap();
+        }
+        load.flush().unwrap();
+        db.txnmgr.commit(txn, s.cpu()).unwrap();
+        let updated = s.execute("UPDATE T SET V = V + 1 WHERE V >= 0").unwrap();
+        assert_eq!(updated.count(), 59);
+        (db.snapshot(), db.sim.wait_profile(), db.sim.now())
+    };
+    let single = run(ClusterBuilder::new().volume("$DATA1", 0, 1));
+    let pair = run(ClusterBuilder::new().volume_with_backup("$DATA1", 0, 1, 0, 3));
+    assert_eq!(pair, single);
+}
+
+/// The lock-wait timeout the cluster armed survives a takeover: the
+/// restarted Disk Process still bounces a waiter that out-waits it.
+#[test]
+fn a_takeover_keeps_the_armed_lock_wait_timeout() {
     let db = ClusterBuilder::new()
-        .volume_with_backup("$DATA1", 0, 1, 0, 2)
+        .volume_with_backup("$DATA1", 0, 1, 0, 3)
         .build();
     let mut s = db.session();
-    s.execute("CREATE TABLE T (A INT NOT NULL, PRIMARY KEY (A))")
+    s.execute("CREATE TABLE T (K INT NOT NULL, V INT NOT NULL, PRIMARY KEY (K))")
         .unwrap();
-    for i in 0..10 {
-        s.execute(&format!("INSERT INTO T VALUES ({i})")).unwrap();
-    }
+    s.execute("INSERT INTO T VALUES (1, 0)").unwrap();
+    db.set_lock_wait_timeout(2_000);
+    db.takeover("$DATA1", 0, 3);
+
+    let of = s.open_table("T").unwrap();
+    let update = |txn| s.fs().update_by_key(txn, &of, &key(&of, 1), &bump(), None);
+    let (holder, waiter) = (db.txnmgr.begin(), db.txnmgr.begin());
+    update(holder).unwrap();
+    let queued = update(waiter);
     assert!(
-        db.snapshot().msgs_checkpoint >= 10,
-        "primary must checkpoint each change to its backup"
+        matches!(queued, Err(FsError::Dp(nsql_dp::DpError::Locked { .. }))),
+        "{queued:?}"
+    );
+    db.sim.clock.advance(2_000);
+    let bounced = update(waiter);
+    assert!(
+        matches!(&bounced, Err(FsError::Doomed { reason }) if reason.contains("lock wait timeout")),
+        "{bounced:?}"
     );
 }
 

@@ -37,7 +37,7 @@ use nsql_btree::{BTreeFile, ScanControl, TreeError};
 use nsql_cache::{BufferPool, ScanOptions, WalGate};
 use nsql_disk::Disk;
 use nsql_lock::{LockError, LockManager, LockMode, ScopeRef, TxnId};
-use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
+use nsql_msg::{Bus, CpuId, Response, Server};
 use nsql_records::fold::{partial_layout, partial_row_max, Groups};
 use nsql_records::row::{
     check_field, check_row, extract_field, field_bytes, patch_row, CodecError,
@@ -72,8 +72,6 @@ pub struct DpConfig {
     /// elapsed/processor-time limit that prevents one set-oriented request
     /// from monopolizing the Disk Process.
     pub max_records_per_request: u32,
-    /// Send process-pair checkpoint messages to the backup.
-    pub checkpointing: bool,
     /// Run write-behind during idle time after set-oriented requests.
     pub write_behind: bool,
     /// Read sequential strings of blocks with bulk I/O during set-oriented
@@ -81,11 +79,6 @@ pub struct DpConfig {
     pub bulk_io: bool,
     /// Pre-fetch the next string asynchronously during set-oriented scans.
     pub prefetch: bool,
-    /// Lock-wait timeout budget in virtual microseconds; a waiter that
-    /// out-waits the budget is bounced with [`DpError::LockTimeout`] so
-    /// convoy stragglers abort and retry instead of queueing forever.
-    /// `0` disables the timeout (the default).
-    pub lock_wait_timeout_us: u64,
 }
 
 impl Default for DpConfig {
@@ -94,11 +87,9 @@ impl Default for DpConfig {
             cache_frames: 256,
             reply_buffer: 4096,
             max_records_per_request: 500,
-            checkpointing: false,
             write_behind: true,
             bulk_io: true,
             prefetch: true,
-            lock_wait_timeout_us: 0,
         }
     }
 }
@@ -277,7 +268,6 @@ struct DpState {
 /// One Disk Process: the server for one disk volume.
 pub struct DiskProcess {
     sim: Sim,
-    bus: Arc<Bus>,
     /// Process name (`$DATA1`); also the volume name.
     pub name: String,
     cpu: CpuId,
@@ -288,8 +278,8 @@ pub struct DiskProcess {
     pub locks: LockManager,
     pool: BufferPool,
     alloc: Mutex<Allocator>,
-    /// Tunables (mutable for experiment sweeps).
-    pub config: Mutex<DpConfig>,
+    /// Tunables, fixed when the process opens.
+    pub config: DpConfig,
     state: Mutex<DpState>,
     /// MEASURE record for this process.
     rec: Arc<MeasureRecord>,
@@ -384,20 +374,17 @@ impl DiskProcess {
         } else {
             Allocator::recovered(disk.len_blocks())
         };
-        let locks = LockManager::new();
-        locks.set_wait_timeout(config.lock_wait_timeout_us);
         Arc::new(DiskProcess {
             sim: ctx.sim.clone(),
-            bus: Arc::clone(&ctx.bus),
             name: name.to_string(),
             cpu,
             trail: Arc::clone(&ctx.trail),
             txnmgr: Arc::clone(&ctx.txnmgr),
             auditor,
-            locks,
+            locks: LockManager::new(),
             pool,
             alloc: Mutex::new(alloc),
-            config: Mutex::new(config),
+            config,
             state: Mutex::new(DpState::default()),
             rec: ctx.sim.measure.entity(EntityKind::Process, name),
             scb_rec: ctx.sim.measure.entity(EntityKind::Scb, name),
@@ -428,13 +415,6 @@ impl DiskProcess {
         self.auditor.set_send_threshold(bytes);
     }
 
-    /// Arm (or, with `0`, disarm) the lock-wait timeout at runtime; also
-    /// settable at construction via [`DpConfig::lock_wait_timeout_us`].
-    pub fn set_lock_wait_timeout(&self, us: u64) {
-        self.config.lock().lock_wait_timeout_us = us;
-        self.locks.set_wait_timeout(us);
-    }
-
     fn persist_label(&self, label: &VolumeLabel) {
         let bytes = label.encode();
         self.pool.write(0, bytes, 0).expect("label write failed");
@@ -442,10 +422,9 @@ impl DiskProcess {
     }
 
     fn scan_options(&self) -> ScanOptions {
-        let cfg = self.config.lock();
         ScanOptions {
-            bulk: cfg.bulk_io,
-            prefetch: cfg.prefetch,
+            bulk: self.config.bulk_io,
+            prefetch: self.config.prefetch,
         }
     }
 
@@ -536,17 +515,6 @@ impl DiskProcess {
         }))
     }
 
-    /// Send a process-pair checkpoint to the backup, when enabled.
-    fn checkpoint(&self, bytes: usize) {
-        if !self.config.lock().checkpointing {
-            return;
-        }
-        let backup = format!("{}-B", self.name);
-        let _ = self
-            .bus
-            .request(self.cpu, &backup, MsgKind::Checkpoint, bytes, Box::new(()));
-    }
-
     // ------------------------------------------------------------------
     // Request dispatch
     // ------------------------------------------------------------------
@@ -558,7 +526,7 @@ impl DiskProcess {
 
     /// One request's work. A write verb's arm holds only what is its own —
     /// a `SET` list compiled before the record is locked, a blocked insert's
-    /// interval lock, its CPU units, its checkpoint bytes and its reply —
+    /// interval lock, its CPU units and its reply —
     /// and changes each record through [`Self::keyed_change`].
     fn execute(&self, req: DpRequest) -> Result<DpReply, DpError> {
         match req {
@@ -586,9 +554,8 @@ impl DiskProcess {
                 key,
                 record,
             } => {
-                let (label, checkpoint) = (self.file_label(file)?, Some(64 + record.len()));
-                let insert = Change::Insert(record);
-                self.write_record(txn, label, Key::Record(key), insert, 4, checkpoint)
+                let label = self.file_label(file)?;
+                self.write_record(txn, label, Key::Record(key), Change::Insert(record), 4)
             }
             DpRequest::UpdateRecord {
                 txn,
@@ -597,13 +564,13 @@ impl DiskProcess {
                 record,
                 audit,
             } => {
-                let (label, checkpoint) = (self.file_label(file)?, Some(64 + record.len()));
+                let label = self.file_label(file)?;
                 let replace = Change::Replace(record, audit);
-                self.write_record(txn, label, Key::Record(key), replace, 4, checkpoint)
+                self.write_record(txn, label, Key::Record(key), replace, 4)
             }
             DpRequest::DeleteRecord { txn, file, key } => {
                 let label = self.file_label(file)?;
-                self.write_record(txn, label, Key::Record(key), Change::Delete, 4, Some(96))
+                self.write_record(txn, label, Key::Record(key), Change::Delete, 4)
             }
             DpRequest::Lock {
                 txn,
@@ -641,7 +608,7 @@ impl DiskProcess {
                 let patch = compile_patch(&label.desc, sets, constraint)?;
                 // The patch charges its own CPU units.
                 let patch = Change::Patch(&patch);
-                self.write_record(txn, label, Key::Record(key), patch, 0, Some(96))
+                self.write_record(txn, label, Key::Record(key), patch, 0)
             }
             DpRequest::BlockedInsert { txn, file, records } => {
                 let (Some((lo, _)), Some((hi, _))) = (records.first(), records.last()) else {
@@ -950,7 +917,7 @@ impl DiskProcess {
     }
 
     /// A record-at-a-time write: the keyed change, then the verb's CPU
-    /// units and the bytes it checkpoints to the backup.
+    /// units.
     fn write_record(
         &self,
         txn: TxnId,
@@ -958,15 +925,11 @@ impl DiskProcess {
         key: Key,
         change: Change<'_>,
         units: u64,
-        checkpoint: Option<usize>,
     ) -> Result<DpReply, DpError> {
         self.join_txn(txn);
         let store = DpStore::new(&self.pool, &self.alloc);
         self.keyed_change(txn, &AuditedFile::new(&store, &label), key, None, change)?;
         self.sim.cpu_work(CpuLayer::DiskProcess, units);
-        if let Some(bytes) = checkpoint {
-            self.checkpoint(bytes);
-        }
         Ok(DpReply::Ok)
     }
 
@@ -989,7 +952,7 @@ impl DiskProcess {
             affected += 1;
         }
         // Insert Control Block equivalent: let aged dirty strings go out.
-        if self.config.lock().write_behind {
+        if self.config.write_behind {
             self.pool.write_behind();
         }
         Ok(DpReply::Subset {
@@ -1091,14 +1054,12 @@ impl DiskProcess {
         if let Some(txn) = scb.work.txn() {
             self.join_txn(txn);
         }
-        let (reply_buffer, max_records, write_behind) = {
-            let cfg = self.config.lock();
-            (
-                cfg.reply_buffer,
-                cfg.max_records_per_request,
-                cfg.write_behind,
-            )
-        };
+        let DpConfig {
+            reply_buffer,
+            max_records_per_request: max_records,
+            write_behind,
+            ..
+        } = self.config;
         // A read fills the reply with (projected) rows, an aggregate with
         // the partial groups of what it folds; a write collects the records
         // to change. A locking read or aggregate group-locks the span of
@@ -1361,7 +1322,7 @@ impl DiskProcess {
                     }
                 }
                 self.locks.release_all(txn);
-                if self.config.lock().write_behind {
+                if self.config.write_behind {
                     self.pool.write_behind();
                 }
                 EndTxnReply::Ok
@@ -1739,15 +1700,6 @@ fn diff_fields(
         }
     }
     Ok((bi, ai))
-}
-
-/// A backup process of a process pair: absorbs checkpoint messages.
-pub struct BackupSink;
-
-impl Server for BackupSink {
-    fn handle(&self, _request: Box<dyn Any + Send>) -> Response {
-        Response::new((), 4)
-    }
 }
 
 #[cfg(test)]

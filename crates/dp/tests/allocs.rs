@@ -145,6 +145,13 @@ fn examined_and_selected(reply: &DpReply) -> (u32, u32) {
 /// A Disk Process over a 6,000-row EMP file that fits its cache, already
 /// read once, and its transaction manager; the handles keep it alive.
 fn warm_file() -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>, Arc<TxnManager>) {
+    warm_file_with(true)
+}
+
+/// [`warm_file`], with the Disk Process's write-behind on or off.
+fn warm_file_with(
+    write_behind: bool,
+) -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>, Arc<TxnManager>) {
     let sim = Sim::new();
     let bus = Bus::new(sim.clone());
     let lsns = LsnSource::new();
@@ -162,6 +169,7 @@ fn warm_file() -> (Sim, Arc<Bus>, FileId, Arc<DiskProcess>, Arc<TxnManager>) {
     let config = DpConfig {
         max_records_per_request: 10_000,
         reply_buffer: 1 << 20,
+        write_behind,
         ..DpConfig::default()
     };
     let disk = Disk::new(sim.clone(), VOLUME, true);
@@ -520,9 +528,8 @@ fn raise(sim: &Sim, bus: &Bus, file: FileId, seq: u64, txn: TxnId, hi: i32) -> (
 /// 3.38 over 4,000 records of a file loaded into full leaves).
 #[test]
 fn a_subset_update_rewrites_each_leaf_once() {
-    let (sim, bus, file, dp, txnmgr) = warm_file();
     // Every frame dirty after an update is one it wrote.
-    dp.config.lock().write_behind = false;
+    let (sim, bus, file, dp, txnmgr) = warm_file_with(false);
     let updated = |seq: u64, hi: i32| {
         assert!(matches!(
             send(&bus, seq, DpRequest::FlushCache),

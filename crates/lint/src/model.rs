@@ -80,8 +80,8 @@ pub enum Scenario {
 /// How the volume of a CPU that [`Fault::DownTarget`] failed comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Repair {
-    /// The volume is a process pair: the shipped path-switch hook has the
-    /// backup take over on the other CPU.
+    /// The volume has a backup CPU: the shipped path-switch hook restarts
+    /// its Disk Process on the pair's other CPU.
     Takeover,
     /// A single process: a path-switch hook installed here reloads the CPU
     /// and restarts the volume in place ([`Cluster::crash_and_restart`]).

@@ -671,6 +671,11 @@ impl LockManager {
         self.state.lock().timeout_us = us;
     }
 
+    /// The armed lock-wait timeout in virtual microseconds (`0`: disarmed).
+    pub fn wait_timeout(&self) -> u64 {
+        self.state.lock().timeout_us
+    }
+
     /// Try to acquire a lock. On success the lock is recorded and any wait
     /// state of `txn` is cleared (re-acquiring a covered lock in the same
     /// or weaker mode is a no-op; a stronger mode upgrades when no other

@@ -100,7 +100,7 @@ impl Response {
     }
 }
 
-/// A message server (Disk Process, audit-trail process, backup process, ...).
+/// A message server (Disk Process, audit-trail process, ...).
 pub trait Server: Send + Sync {
     /// Handle one request. The payload is downcast to the protocol type the
     /// server expects. Handlers run on the server's CPU: they may account

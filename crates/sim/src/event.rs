@@ -193,7 +193,6 @@ impl Sim {
                         from.bump(Ctr::MsgsRedrive);
                     }
                     TraceMsgClass::Audit => from.bump(Ctr::MsgsAudit),
-                    TraceMsgClass::Checkpoint => from.bump(Ctr::MsgsCheckpoint),
                     TraceMsgClass::Other => {}
                 }
                 let Reply::Bytes(reply_bytes) = reply else {

@@ -121,8 +121,6 @@ measure_counters! {
     MsgsFsDp => "msgs.fs_dp",
     /// Audit shipments to the audit-trail process sent by this CPU.
     MsgsAudit => "msgs.audit",
-    /// Process-pair checkpoint messages sent by this CPU.
-    MsgsCheckpoint => "msgs.checkpoint",
     /// Bytes sent (requests out plus replies returned).
     BytesSent => "bytes.sent",
     /// Bytes received (requests in plus replies consumed).

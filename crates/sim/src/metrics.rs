@@ -99,8 +99,6 @@ totals! {
     msgs_fs_dp = Cpu: MsgsFsDp;
     /// Audit messages from data-volume DPs to the audit-trail DP.
     msgs_audit = Cpu: MsgsAudit;
-    /// Process-pair checkpoint messages (primary -> backup).
-    msgs_checkpoint = Cpu: MsgsCheckpoint;
     /// Continuation re-drive messages (GET^NEXT / UPDATE^SUBSET^NEXT ...).
     msgs_redrive = Cpu: MsgsRedrive;
     /// Disk read operations issued.

@@ -39,8 +39,6 @@ pub enum TraceMsgClass {
     Redrive,
     /// An audit-buffer send to the audit-trail process.
     Audit,
-    /// A process-pair checkpoint message.
-    Checkpoint,
     /// Anything else.
     Other,
 }
@@ -52,7 +50,6 @@ impl TraceMsgClass {
             TraceMsgClass::FsDp => "FS-DP",
             TraceMsgClass::Redrive => "FS-DP re-drive",
             TraceMsgClass::Audit => "AUDIT",
-            TraceMsgClass::Checkpoint => "CHECKPOINT",
             TraceMsgClass::Other => "MSG",
         }
     }

@@ -69,9 +69,9 @@ pub fn mixes(seed: u64) -> Vec<(&'static str, FaultConfig)> {
     ]
 }
 
-/// The cluster every chaos run uses: `$DATA1` served by a process pair,
-/// primary on CPU 1 and backup on CPU 3, so a crashed primary is taken
-/// over.
+/// The cluster every chaos run uses: `$DATA1` served from CPU 1 with CPU 3
+/// as its backup CPU, so a crashed primary is taken over (restarted on
+/// CPU 3).
 pub fn cluster() -> Cluster {
     ClusterBuilder::new()
         .volume_with_backup("$DATA1", 0, 1, 0, 3)
