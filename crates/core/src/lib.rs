@@ -323,14 +323,15 @@ impl DiskProcesses {
     }
 
     /// Crash `old`, the Disk Process serving `volume`, and open the volume
-    /// again on `cpu` with its configuration and its armed lock-wait
-    /// timeout; the new process recovers from the durable audit trail
-    /// before it serves a request.
+    /// again on `cpu` with its configuration, its armed lock-wait timeout
+    /// and its audit send threshold; the new process recovers from the
+    /// durable audit trail before it serves a request.
     fn replace(&self, volume: &str, old: &DiskProcess, cpu: CpuId) {
         old.crash();
         let disk = Arc::clone(&self.disks[volume]);
         let new_dp = DiskProcess::open(&self.ctx, volume, cpu, disk, old.config.clone());
         new_dp.locks.set_wait_timeout(old.locks.wait_timeout());
+        new_dp.set_audit_send_threshold(old.audit_send_threshold());
         new_dp.recover();
         self.by_volume.write().insert(volume.to_string(), new_dp);
     }

@@ -217,6 +217,39 @@ fn a_takeover_keeps_the_armed_lock_wait_timeout() {
     );
 }
 
+/// The audit send threshold armed on a volume survives a takeover and a
+/// restart: with it at 0, the restarted Disk Process still ships each audit
+/// record the moment it is written, not at commit.
+#[test]
+fn a_restart_keeps_the_armed_audit_send_threshold() {
+    let db = ClusterBuilder::new()
+        .volume_with_backup("$DATA1", 0, 1, 0, 3)
+        .build();
+    let mut s = db.session();
+    s.execute("CREATE TABLE T (K INT NOT NULL, V INT NOT NULL, PRIMARY KEY (K))")
+        .unwrap();
+    s.execute("INSERT INTO T VALUES (1, 0)").unwrap();
+    db.dp("$DATA1").set_audit_send_threshold(0);
+    let of = s.open_table("T").unwrap();
+    let sent_before_commit = || {
+        let before = db.snapshot().msgs_audit;
+        let txn = db.txnmgr.begin();
+        s.fs()
+            .update_by_key(txn, &of, &key(&of, 1), &bump(), None)
+            .unwrap();
+        let sent = db.snapshot().msgs_audit - before;
+        db.txnmgr.commit(txn, s.cpu()).unwrap();
+        sent
+    };
+    assert_eq!(sent_before_commit(), 1);
+    db.takeover("$DATA1", 0, 3);
+    assert_eq!(db.dp("$DATA1").audit_send_threshold(), 0);
+    assert_eq!(sent_before_commit(), 1);
+    db.crash_and_restart(0, 3);
+    assert_eq!(db.dp("$DATA1").audit_send_threshold(), 0);
+    assert_eq!(sent_before_commit(), 1);
+}
+
 #[test]
 fn sessions_share_the_catalog() {
     let db = Cluster::single_volume();

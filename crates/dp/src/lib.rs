@@ -415,6 +415,11 @@ impl DiskProcess {
         self.auditor.set_send_threshold(bytes);
     }
 
+    /// The audit send-buffer threshold in force.
+    pub fn audit_send_threshold(&self) -> usize {
+        self.auditor.send_threshold()
+    }
+
     fn persist_label(&self, label: &VolumeLabel) {
         let bytes = label.encode();
         self.pool.write(0, bytes, 0).expect("label write failed");

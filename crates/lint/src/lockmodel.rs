@@ -13,14 +13,14 @@
 //! from a live [`nsql_core::Cluster`] after each action — `held()`,
 //! `waiters()` and `wait_edges()` of the volume's lock manager, `is_doomed`
 //! of the TMF — and expanded by replaying its action prefix on a fresh
-//! cluster and taking one more action. What *is* written here is the
-//! **workload** ([`Live`]): scripted clients whose step is
-//! `read_by_key(.., Shared)` or `update_by_key`, that re-poll a `Locked`
-//! bounce, abort on `Doomed` and retry as a fresh, younger transaction
-//! within a budget, commit at the end of their script, and pass a FIFO
-//! admission gate whose slot is kept across retries. The load engine's own
-//! client is another program with the same manners; `tests/load_sweep.rs`
-//! covers it.
+//! cluster and taking one more action. The clients are the load engine's
+//! own ([`nsql_workloads::client`]): they pass a FIFO admission gate whose
+//! slot is kept across retries, re-poll a `Locked` bounce, abort on
+//! `Doomed` and retry as a fresh, younger transaction within a budget, and
+//! commit at the end of their script. What *is* written here is the
+//! **workload** ([`Live`]): each client's script, whose step is
+//! `read_by_key(.., Shared)` or `update_by_key`, and the scheduler that
+//! chooses which client moves next.
 //!
 //! Exploration is a deterministic BFS over *canonical* states: transaction
 //! ids appear only as begin-order rank among live transactions (all the lock
@@ -51,12 +51,12 @@
 use crate::stack::{self, VOLUME};
 use crate::Broke;
 use nsql_core::{Cluster, DiskProcessConfig};
-use nsql_dp::{DpError, ReadLock};
-use nsql_fs::{FileSystem, FsError, OpenFile};
+use nsql_dp::ReadLock;
+use nsql_fs::{FileSystem, OpenFile};
 pub use nsql_lock::LockMode as Mode;
 use nsql_lock::{LockScope, TxnId};
 use nsql_msg::CpuId;
-use nsql_tmf::txn::TxnError;
+use nsql_workloads::client::{Client, Clients, Phase, Rollback};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -128,6 +128,18 @@ impl LockModelConfig {
             max_timeouts: 1,
         }
     }
+
+    /// The give-up configuration: the upgrade deadlock among 3 transactions
+    /// through a 2-slot gate, with no retries — the victim gives up at once
+    /// and its slot admits the queued third, which the other
+    /// configurations' budgets never come to.
+    pub fn give_up() -> LockModelConfig {
+        LockModelConfig {
+            scripts: vec![Self::upgrade().scripts[0].clone(); 3],
+            max_retries: 0,
+            ..Self::upgrade()
+        }
+    }
 }
 
 /// One scheduler choice. `Arrive`: a client reaches the admission gate
@@ -162,41 +174,16 @@ impl std::fmt::Display for Act {
     }
 }
 
-/// Where a client slot is: not yet at the gate, queued there, executing its
-/// script, bounced and queued at the lock manager, aborted and about to try
-/// afresh, committed, or out of retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-enum Phase {
-    #[default]
-    Unarrived,
-    Queued,
-    Running,
-    Waiting,
-    Backoff,
-    Committed,
-    GaveUp,
-}
-
-/// One client slot's state.
+/// One client slot's state: its client's, and what is kept of its TMF
+/// transaction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 struct Slot {
-    phase: Phase,
-    /// Next script step; past the end means commit next.
-    pc: u8,
-    /// Attempts begun so far.
-    attempt: u8,
+    client: Client,
     /// Begin-order rank among *live* transactions — all that is kept of a
     /// TMF id; higher = younger; 0 unless live.
     rank: u8,
     /// TMF has doomed the slot's live transaction.
     doomed: bool,
-}
-
-impl Slot {
-    /// Does this slot currently own a live transaction?
-    fn live(&self) -> bool {
-        matches!(self.phase, Phase::Running | Phase::Waiting)
-    }
 }
 
 /// A lock-table or waiter-queue entry. `slot` is the client whose current
@@ -238,7 +225,7 @@ impl Lock {
 }
 
 /// The canonical state: the workload's half (phases, gate, budgets), which
-/// the clients below keep, and the lock plane's half (`held`, `waiters`,
+/// the clients keep, and the lock plane's half (`held`, `waiters`,
 /// `waits_for`, ranks, `doomed`), which is only ever observed. Slots are told
 /// apart by index (their scripts differ).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -273,7 +260,8 @@ impl St {
     }
 
     fn live(&self, slot: u8) -> bool {
-        self.slots.get(slot as usize).is_some_and(Slot::live)
+        let slot = self.slots.get(slot as usize);
+        slot.is_some_and(|s| s.client.live())
     }
 
     /// Does `slot` hold a lock on `item` (so that asking for more is an
@@ -296,14 +284,16 @@ struct Transition {
 /// them over the explored transitions: deadlock verdicts on a waits-for
 /// cycle of two and of three, verdicts on a request that was upgrading,
 /// verdicts whose victim was not the requester, armed timeouts that fired,
-/// arrivals that had to queue at the gate.
-pub const REACHED: [&str; 6] = [
+/// arrivals that had to queue at the gate, and clients out of retries whose
+/// gate slot admitted a queued arrival.
+pub const REACHED: [&str; 7] = [
     "2-cycle verdicts",
     "3-cycle verdicts",
     "upgrade deadlocks",
     "victims other than the requester",
     "timeout bounces",
     "arrivals queued at the gate",
+    "give-ups that admitted a queued arrival",
 ];
 
 /// One explored state: how it was first reached, and where it leads.
@@ -331,7 +321,7 @@ pub struct Exploration {
     /// Quiescent states in which some slot exhausted its retry budget.
     pub gave_up_terminals: u64,
     /// How often the transitions reached each of [`REACHED`], in its order.
-    pub reach: [u64; 6],
+    pub reach: [u64; REACHED.len()],
     /// FS-DP messages the clusters served over all replays (`sim.metrics`),
     /// and the lock requests among them that had to wait.
     pub served: (u64, u64),
@@ -352,10 +342,9 @@ struct Live<'c> {
     db: Cluster,
     fs: FileSystem,
     of: OpenFile,
-    /// The clients' half of the state, and the lock plane as last observed.
+    clients: Clients,
+    /// The clients and the lock plane, as last observed.
     st: St,
-    /// Each slot's current transaction, or its last.
-    txns: Vec<Option<TxnId>>,
 }
 
 /// Is `act` something its slot's client (or the adversary) can do in `st`?
@@ -363,10 +352,11 @@ fn enabled(st: &St, cfg: &LockModelConfig, act: Act) -> bool {
     let Some(slot) = st.slots.get(act.slot() as usize) else {
         return false;
     };
+    let phase = slot.client.phase;
     match act {
-        Act::Arrive(_) => slot.phase == Phase::Unarrived,
-        Act::Poll(_) => slot.live() || slot.phase == Phase::Backoff,
-        Act::Timeout(_) => slot.phase == Phase::Waiting && st.timeouts_used < cfg.max_timeouts,
+        Act::Arrive(_) => phase == Phase::Unarrived,
+        Act::Poll(_) => slot.client.live() || phase == Phase::Backoff,
+        Act::Timeout(_) => phase == Phase::Waiting && st.timeouts_used < cfg.max_timeouts,
     }
 }
 
@@ -375,14 +365,16 @@ impl<'c> Live<'c> {
     fn at(cfg: &'c LockModelConfig, schedule: &[Act]) -> Result<Live<'c>, String> {
         let (db, of) = stack::build(false, DiskProcessConfig::default(), cfg.locks() as i32)?;
         let fs = FileSystem::new(db.sim.clone(), Arc::clone(&db.bus), CpuId::new(0, 0));
-        let (st, txns) = (St::initial(cfg), vec![None; cfg.scripts.len()]);
+        let (n, gate) = (cfg.scripts.len(), cfg.max_inflight as usize);
+        let clients = Clients::new(n, gate, u32::from(cfg.max_retries));
+        let st = St::initial(cfg);
         let mut live = Live {
             cfg,
             db,
             fs,
             of,
+            clients,
             st,
-            txns,
         };
         for (i, &act) in schedule.iter().enumerate() {
             let stepped = live.step(act);
@@ -391,76 +383,32 @@ impl<'c> Live<'c> {
         Ok(live)
     }
 
-    /// Begin a fresh transaction for `slot` at the TMF: the youngest.
-    fn begin(&mut self, slot: u8) {
-        self.txns[slot as usize] = Some(self.db.txnmgr.begin());
-        let s = &mut self.st.slots[slot as usize];
-        (s.phase, s.pc, s.attempt) = (Phase::Running, 0, s.attempt + 1);
-    }
-
-    /// The slot's transaction is gone: back off (keeping the admission slot)
-    /// and run again — or give up past the budget, which frees it.
-    fn retry(&mut self, slot: u8) {
-        let s = &mut self.st.slots[slot as usize];
-        if s.attempt > self.cfg.max_retries {
-            s.phase = Phase::GaveUp;
-            self.release_gate_slot();
-        } else {
-            s.phase = Phase::Backoff;
-        }
-    }
-
-    /// Free one admission slot, or rather hand it straight to the head of
-    /// the gate FIFO, which begins at once.
-    fn release_gate_slot(&mut self) {
-        if self.st.gate.is_empty() {
-            self.st.inflight -= 1;
-        } else {
-            let head = self.st.gate.remove(0);
-            self.begin(head);
-        }
-    }
-
-    /// The slot's next request, or its commit at the end of its script.
+    /// The slot's client's next action: its next request, its commit at
+    /// the end of its script, or a fresh attempt after a backoff.
     fn poll(&mut self, slot: u8) -> Result<(), String> {
-        let txn = self.txns[slot as usize].ok_or("no transaction")?;
-        let (of, cpu) = (&self.of, self.fs.cpu);
-        let pc = self.st.slots[slot as usize].pc as usize;
-        let Some(&(item, mode)) = self.cfg.scripts[slot as usize].get(pc) else {
-            match self.db.txnmgr.commit(txn, cpu) {
-                Ok(()) => {
-                    self.st.slots[slot as usize].phase = Phase::Committed;
-                    self.release_gate_slot();
+        let (i, of) = (slot as usize, &self.of);
+        let script = &self.cfg.scripts[i];
+        let send = |fs: &FileSystem, txn, step: usize| {
+            let (item, mode) = script[step];
+            let key = stack::key(of, i32::from(item) + 1);
+            match mode {
+                Mode::Shared => {
+                    let read = fs.read_by_key(Some(txn), of, &key, ReadLock::Shared);
+                    read.map(drop)
                 }
-                // TMF refused, and rolled the doomed transaction back.
-                Err(TxnError::Doomed(_)) => self.retry(slot),
-                Err(e) => return Err(format!("T{slot} commit: {e}")),
+                Mode::Exclusive => fs.update_by_key(txn, of, &key, &stack::bump(), None),
             }
-            return Ok(());
         };
-        let key = stack::key(of, i32::from(item) + 1);
-        let sent = match mode {
-            Mode::Shared => {
-                let read = self.fs.read_by_key(Some(txn), of, &key, ReadLock::Shared);
-                read.map(drop)
-            }
-            Mode::Exclusive => self.fs.update_by_key(txn, of, &key, &stack::bump(), None),
-        };
-        let s = &mut self.st.slots[slot as usize];
-        match sent {
-            Ok(()) => (s.phase, s.pc) = (Phase::Running, s.pc + 1),
-            // Queued behind a holder: to re-poll.
-            Err(FsError::Dp(DpError::Locked { .. })) => s.phase = Phase::Waiting,
-            // A deadlock victim — chosen on this very request, or earlier on
-            // someone else's — or timed out.
-            Err(FsError::Doomed { .. }) => {
-                let aborted = self.db.txnmgr.abort(txn, cpu);
-                aborted.map_err(|e| format!("T{slot} abort: {e}"))?;
-                self.retry(slot);
-            }
-            Err(e) => return Err(format!("T{slot} step {pc}: {e}")),
+        let step = self.clients.clients[i].step;
+        let (db, fs) = (&self.db, &self.fs);
+        let polled = self.clients.poll(db, fs, i, script.len(), send);
+        // A client knows what to do with any answer; the stack owes these
+        // ones to no client.
+        match polled.rollback {
+            Some(Rollback::Request(e)) => Err(format!("T{slot} step {step}: {e}")),
+            Some(Rollback::Commit(e)) => Err(format!("T{slot} commit: {e}")),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Take one action and observe.
@@ -470,16 +418,9 @@ impl<'c> Live<'c> {
         }
         let slot = act.slot();
         match act {
-            Act::Arrive(_) if self.st.inflight < self.cfg.max_inflight => {
-                self.st.inflight += 1;
-                self.begin(slot);
-            }
             Act::Arrive(_) => {
-                self.st.slots[slot as usize].phase = Phase::Queued;
-                self.st.gate.push(slot);
+                self.clients.arrive(&self.db, slot as usize);
             }
-            // Backoff over: a fresh attempt.
-            Act::Poll(_) if !self.st.live(slot) => self.begin(slot),
             Act::Poll(_) => self.poll(slot)?,
             Act::Timeout(_) => {
                 // One re-poll under a budget any wait has outlasted.
@@ -508,11 +449,18 @@ impl<'c> Live<'c> {
         })
     }
 
-    /// Read the lock plane's half of the state off the shipped stack.
+    /// Read the state off the clients and the shipped stack.
     fn observe(&mut self) {
+        let clients = &self.clients;
+        for (slot, client) in self.st.slots.iter_mut().zip(&clients.clients) {
+            slot.client = *client;
+        }
+        self.st.gate = clients.gate.iter().map(|&i| i as u8).collect();
+        self.st.inflight = clients.inflight as u8;
         let dp = self.db.dp(VOLUME);
         let stray = |at: Option<usize>| at.map_or(STRAY, |i| i as u8);
-        let slot_of = |txn: TxnId| stray(self.txns.iter().position(|t| *t == Some(txn)));
+        let txns = &clients.txns;
+        let slot_of = |txn: TxnId| stray(txns.iter().position(|t| *t == Some(txn)));
         let rows = 1..=self.cfg.locks() as i32;
         let row = |k| LockScope::record(stack::key(&self.of, k));
         let rows: Vec<LockScope> = rows.map(row).collect();
@@ -531,11 +479,9 @@ impl<'c> Live<'c> {
         self.st.waits_for = edges.collect();
         self.st.waits_for.sort_unstable();
         // Live transactions, oldest first: a TMF id is its begin order.
-        let live = |s: &usize| self.st.slots[*s].live();
-        let mut live: Vec<(Option<TxnId>, usize)> = (0..self.txns.len())
-            .filter(live)
-            .map(|s| (self.txns[s], s))
-            .collect();
+        let live = |s: &usize| clients.clients[*s].live();
+        let mut live: Vec<(Option<TxnId>, usize)> =
+            (0..txns.len()).filter(live).map(|s| (txns[s], s)).collect();
         live.sort_unstable();
         for s in &mut self.st.slots {
             (s.rank, s.doomed) = (0, false);
@@ -583,7 +529,7 @@ fn check(cfg: &LockModelConfig, t: &Transition) -> (Vec<Broke>, Vec<usize>) {
     let me = &t.before.slots[slot as usize];
     let then = &t.after.slots[slot as usize];
     // The requester's transaction was live, and the action ended it unhappily.
-    let aborted = me.live() && matches!(then.phase, Phase::Backoff | Phase::GaveUp);
+    let aborted = me.client.live() && matches!(then.client.phase, Phase::Backoff | Phase::GaveUp);
     // fifo-no-overtake: what was granted did not bypass an earlier-queued
     // incompatible waiter (upgrades excepted).
     for g in t.after.held.iter().filter(|l| !t.before.held.contains(l)) {
@@ -595,7 +541,7 @@ fn check(cfg: &LockModelConfig, t: &Transition) -> (Vec<Broke>, Vec<usize>) {
         }
     }
     // A deadlock verdict: who was shot, and was it the right one?
-    let step = cfg.scripts[slot as usize].get(me.pc as usize);
+    let step = cfg.scripts[slot as usize].get(me.client.step);
     if let (true, Some(&(item, mode))) = (t.verdicts > 0, step) {
         let exclusive = mode == Mode::Exclusive;
         let closed = cycles(
@@ -638,13 +584,15 @@ fn check(cfg: &LockModelConfig, t: &Transition) -> (Vec<Broke>, Vec<usize>) {
             }
         }
     }
-    if then.phase == Phase::Committed && me.doomed {
+    if then.client.phase == Phase::Committed && me.doomed {
         broke.push(("doomed-commit", format!("T{slot} committed while doomed")));
     }
     // An armed timeout bounced a waiter that was not going down anyway.
     let timed_out = matches!(t.act, Act::Timeout(_)) && aborted && !me.doomed;
     reached.extend(timed_out.then_some(4));
-    reached.extend((then.phase == Phase::Queued).then_some(5));
+    reached.extend((then.client.phase == Phase::Queued).then_some(5));
+    let handed_on = t.after.gate.len() < t.before.gate.len();
+    reached.extend((then.client.phase == Phase::GaveUp && handed_on).then_some(6));
     state_invariants(&t.after, &mut broke);
     (broke, reached)
 }
@@ -678,12 +626,12 @@ fn state_invariants(st: &St, broke: &mut Vec<Broke>) {
 
 /// Invariants of a quiescent state (no action changes it).
 fn quiescent_invariants(st: &St, broke: &mut Vec<Broke>) {
-    for (i, s) in st.slots.iter().enumerate() {
-        if !matches!(s.phase, Phase::Committed | Phase::GaveUp) {
+    for (i, Slot { client: c, .. }) in st.slots.iter().enumerate() {
+        if !matches!(c.phase, Phase::Committed | Phase::GaveUp) {
             let detail = format!(
                 "quiescent state leaves T{i} in {:?} (pc {}, attempt {}): stuck waiter or \
                  lost wakeup",
-                s.phase, s.pc, s.attempt
+                c.phase, c.step, c.attempt
             );
             broke.push(("liveness-stuck", detail));
         }
@@ -805,7 +753,7 @@ pub fn explore(cfg: &LockModelConfig) -> Exploration {
         if !moved {
             out.graph[at as usize].quiescent = true;
             out.terminals += 1;
-            let gave_up = st.slots.iter().any(|s| s.phase == Phase::GaveUp);
+            let gave_up = st.slots.iter().any(|s| s.client.phase == Phase::GaveUp);
             out.gave_up_terminals += u64::from(gave_up);
             let mut broke = Vec::new();
             quiescent_invariants(&st, &mut broke);
@@ -917,11 +865,12 @@ mod tests {
     /// Each default configuration is explored once per test run.
     fn explored(name: &str) -> (&'static LockModelConfig, &'static Exploration) {
         type Cached = OnceLock<(LockModelConfig, Exploration)>;
-        static CACHE: [Cached; 3] = [Cached::new(), Cached::new(), Cached::new()];
+        static CACHE: [Cached; 4] = [Cached::new(), Cached::new(), Cached::new(), Cached::new()];
         let (slot, cfg): (_, fn() -> LockModelConfig) = match name {
             "cycle" => (0, LockModelConfig::cycle),
             "convoy" => (1, LockModelConfig::convoy),
-            _ => (2, LockModelConfig::upgrade),
+            "upgrade" => (2, LockModelConfig::upgrade),
+            _ => (3, LockModelConfig::give_up),
         };
         let (cfg, ex) = CACHE[slot].get_or_init(|| (cfg(), explore(&cfg())));
         (cfg, ex)
@@ -930,9 +879,10 @@ mod tests {
     fn clean(name: &str) -> &'static Exploration {
         let ex = explored(name).1;
         assert!(ex.violations.is_empty(), "{:?}", ex.violations.first());
-        // Strong liveness at default bounds: every transaction commits —
-        // no schedule exhausts a retry budget.
-        assert_eq!(ex.gave_up_terminals, 0);
+        // Strong liveness within the budgets: a schedule exhausts a retry
+        // budget only where there is none.
+        let budget = explored(name).0.max_retries;
+        assert_eq!(ex.gave_up_terminals > 0, budget == 0, "{name}");
         // The shipped stack did the work.
         assert!(ex.served.0 > ex.transitions && ex.served.1 > 0);
         ex
@@ -975,17 +925,18 @@ mod tests {
     const CYCLE: (u64, u64, u64) = (4_998, 11_217, 24_432_594);
     const CONVOY: (u64, u64, u64) = (1_105, 2_058, 148_812);
     const UPGRADE: (u64, u64, u64) = (233, 352, 1_598);
+    const GIVE_UP: (u64, u64, u64) = (738, 1_380, 10_392);
 
     fn size(ex: &Exploration) -> (u64, u64, u64) {
         (ex.states, ex.transitions, ex.schedules)
     }
 
     /// Which of [`REACHED`] the exploration got to.
-    fn reached(ex: &Exploration) -> [bool; 6] {
+    fn reached(ex: &Exploration) -> [bool; REACHED.len()] {
         ex.reach.map(|n| n > 0)
     }
 
-    // Between them the three reach every situation the invariants are
+    // Between them the four reach every situation the invariants are
     // about: "0 violations" does not mean "never got there".
 
     #[test]
@@ -993,7 +944,7 @@ mod tests {
         let ex = clean("cycle");
         assert_eq!(size(ex), CYCLE);
         assert_eq!(ex.terminals, 14);
-        assert_eq!(reached(ex), [false, true, false, true, true, false]);
+        assert_eq!(reached(ex), [false, true, false, true, true, false, false]);
     }
 
     #[test]
@@ -1001,22 +952,31 @@ mod tests {
         let ex = clean("convoy");
         assert_eq!(size(ex), CONVOY);
         // Same order everywhere: nothing to deadlock on.
-        assert_eq!(reached(ex), [false, false, false, false, true, true]);
+        assert_eq!(reached(ex), [false, false, false, false, true, true, false]);
     }
 
     #[test]
     fn upgrade_config_is_clean_and_deadlocks_on_the_upgrade() {
         let ex = clean("upgrade");
         assert_eq!(size(ex), UPGRADE);
-        assert_eq!(reached(ex), [true, false, true, true, true, false]);
+        assert_eq!(reached(ex), [true, false, true, true, true, false, false]);
         assert_eq!(ex.reach[0], ex.reach[2], "{REACHED:?}");
+    }
+
+    #[test]
+    fn give_up_config_is_clean_and_hands_the_slot_on() {
+        let ex = clean("give_up");
+        assert_eq!(size(ex), GIVE_UP);
+        assert_eq!((ex.terminals, ex.gave_up_terminals), (20, 18));
+        assert_eq!(reached(ex), [true, false, true, true, true, true, true]);
     }
 
     #[test]
     fn the_floors_are_no_higher_than_what_is_explored() {
         let floors = crate::config::Config::parse(include_str!("../../../lint.toml")).unwrap();
-        assert!(floors.lock_min_states <= CYCLE.0 + CONVOY.0 + UPGRADE.0);
-        assert!(floors.lock_min_schedules <= CYCLE.2 + CONVOY.2 + UPGRADE.2);
+        let all = [CYCLE, CONVOY, UPGRADE, GIVE_UP];
+        assert!(floors.lock_min_states <= all.iter().map(|c| c.0).sum());
+        assert!(floors.lock_min_schedules <= all.iter().map(|c| c.2).sum());
     }
 
     #[test]
@@ -1126,7 +1086,7 @@ mod tests {
         // it, and is bounced off the queued T1.
         let cfg = LockModelConfig::convoy();
         let mut t = last_transition(&cfg, OVERTAKE);
-        assert_eq!(t.after.slots[2].phase, Phase::Waiting);
+        assert_eq!(t.after.slots[2].client.phase, Phase::Waiting);
         let barged = t.after.waiters.pop().unwrap();
         assert_eq!((barged.slot, barged.item), (2, 0));
         t.after.waits_for.retain(|&(w, _)| w != 2);
@@ -1141,10 +1101,13 @@ mod tests {
         // and T2 — the youngest — is shot.
         let cfg = LockModelConfig::cycle();
         let mut t = last_transition(&cfg, OLDEST_VICTIM);
-        assert_eq!((t.after.slots[2].phase, t.verdicts), (Phase::Backoff, 1));
+        assert_eq!(
+            (t.after.slots[2].client.phase, t.verdicts),
+            (Phase::Backoff, 1)
+        );
         // T0 (rank 0, the oldest) shot instead; T2 bounced and waits on.
         t.after = t.before.clone();
-        t.after.slots[2].phase = Phase::Waiting;
+        t.after.slots[2].client.phase = Phase::Waiting;
         t.after.slots[0].doomed = true;
         trips(&cfg, &t, "youngest-victim");
     }
@@ -1156,7 +1119,10 @@ mod tests {
         let cfg = LockModelConfig::cycle();
         let verdict = DROP_DOOM.strip_suffix(" Poll(T2)").unwrap();
         let mut t = last_transition(&cfg, verdict);
-        assert_eq!((t.after.slots[1].phase, t.verdicts), (Phase::Waiting, 1));
+        assert_eq!(
+            (t.after.slots[1].client.phase, t.verdicts),
+            (Phase::Waiting, 1)
+        );
         assert!(t.after.slots[2].doomed);
         // A verdict, and nobody the worse for it: the cycle stands.
         t.after.slots[2].doomed = false;
@@ -1181,7 +1147,7 @@ mod tests {
         // committed all the same.
         let cfg = LockModelConfig::convoy();
         let mut t = last_transition(&cfg, "Arrive(T0) Poll(T0) Poll(T0) Poll(T0)");
-        assert_eq!(t.after.slots[0].phase, Phase::Committed);
+        assert_eq!(t.after.slots[0].client.phase, Phase::Committed);
         t.before.slots[0].doomed = true;
         trips(&cfg, &t, "doomed-commit");
     }
@@ -1203,14 +1169,14 @@ mod tests {
         trips(&cfg, &t, "drain");
         // … an edge to it …
         let mut t = last_transition(&cfg, "Arrive(T0) Poll(T0) Arrive(T1) Poll(T1)");
-        t.after.slots[0].phase = Phase::Committed;
+        t.after.slots[0].client.phase = Phase::Committed;
         trips(&cfg, &t, "drain");
         // … and a quiescent state that still holds an admission slot.
         let mut quiet = last_transition(&cfg, committed).after;
         quiet
             .slots
             .iter_mut()
-            .for_each(|s| s.phase = Phase::Committed);
+            .for_each(|s| s.client.phase = Phase::Committed);
         let mut broke = Vec::new();
         quiescent_invariants(&quiet, &mut broke);
         assert_eq!(broke, vec![]);

@@ -285,6 +285,7 @@ fn cmd_check_locks(args: &[String]) -> Result<ExitCode, String> {
         ("cycle", LockModelConfig::cycle()),
         ("convoy", LockModelConfig::convoy()),
         ("upgrade", LockModelConfig::upgrade()),
+        ("give_up", LockModelConfig::give_up()),
     ];
     for (name, cfg) in &configs {
         let ex = lockmodel::explore(cfg);

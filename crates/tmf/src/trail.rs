@@ -462,6 +462,12 @@ impl VolumeAuditor {
             .store(bytes, std::sync::atomic::Ordering::Relaxed);
     }
 
+    /// The send-buffer threshold in force.
+    pub fn send_threshold(&self) -> usize {
+        self.send_threshold
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// Append an audit record for (`txn`, `file`); ships the buffer if the
     /// threshold is reached. Returns the record's LSN (for WAL page
     /// tagging).

@@ -14,13 +14,17 @@
 //!   with Poisson arrivals, Zipf-skewed hotspots, an admission-control
 //!   gate, and automatic retry of doomed (deadlock-victim / lock-timeout)
 //!   transactions.
+//! * [`client`] — the contention client both the load engine and
+//!   `nsql-lint check-locks` run: the admission gate, the retry budget and
+//!   what to do with each answer the lock plane and TMF give.
 //! * [`chaos`] — the fault mixes and seeds the chaos suite and `experiments
 //!   chaos` share, and the bank and Wisconsin runs that check the
 //!   fault-tolerance contract under them.
 //!
-//! The DebitCredit loop ([`Bank::batch`]), the chaos runs and the load
-//! check ([`LoadOutcome::check`]) are written once, here; the tests, the
-//! experiments and the examples call them.
+//! The DebitCredit loop ([`Bank::batch`]), the chaos runs, the contention
+//! client ([`client::Clients`]) and the load check ([`LoadOutcome::check`])
+//! are written once, here; the tests, the experiments, the examples and
+//! the lock-plane explorer call them.
 
 /// Return a [`nsql_core::DbError`] carrying the message unless `cond`
 /// holds: the checks of this crate end a run with an error, not a panic.
@@ -35,6 +39,7 @@ macro_rules! ensure {
 
 pub mod bank;
 pub mod chaos;
+pub mod client;
 pub mod load;
 pub mod wisconsin;
 

@@ -7,20 +7,14 @@
 //! interleave — and genuinely contend for locks and group commit — at
 //! message granularity, all on one OS thread and one deterministic clock.
 //!
-//! Contention is survivable end to end:
-//!
-//! * a transaction doomed as a **deadlock victim** (or by the lock-wait
-//!   timeout) surfaces as the typed [`FsError::Doomed`]; the terminal
-//!   aborts it (full UNDO through the audit trail) and automatically
-//!   retries with bounded exponential backoff;
-//! * a plain **lock conflict** ([`DpError::Locked`]) is re-polled after a
-//!   short lock-retry pause, preserving the Disk Process's FIFO grant
-//!   order;
-//! * an **admission-control gate** bounds in-flight transactions: arrivals
-//!   beyond the bound queue FIFO (counted as `admission.queued`) and only
-//!   enter when a slot frees, so offered load beyond saturation degrades
-//!   gracefully — throughput plateaus and queueing absorbs the excess —
-//!   instead of collapsing into lock thrash.
+//! Contention is survivable end to end: each terminal runs the
+//! [`crate::client`], which aborts a **deadlock victim** (or a timed-out
+//! lock wait) and retries it, here after a bounded exponential backoff;
+//! re-polls a plain **lock conflict**, here after a short pause, keeping
+//! the Disk Process's FIFO grant order; and queues arrivals FIFO at an
+//! **admission-control gate** (counted as `admission.queued`), so offered
+//! load beyond saturation degrades gracefully — throughput plateaus and
+//! queueing absorbs the excess — instead of collapsing into lock thrash.
 //!
 //! On the *shared* clock, admission queueing only accrues `wait.admission`
 //! ledger time when the gate itself is the critical path (grants happen at
@@ -29,13 +23,11 @@
 //! therefore measured separately in [`LoadOutcome::admission_wait_us`].
 
 use crate::bank::{Bank, DEBIT_CREDIT_STEPS};
+use crate::client::{Clients, Phase, Rollback};
 use nsql_core::{Cluster, DbError};
-use nsql_dp::DpError;
-use nsql_fs::FsError;
-use nsql_lock::TxnId;
+use nsql_fs::FileSystem;
 use nsql_sim::{Ctr, EntityKind, Mark, MeasureSnapshot, Sim, SimRng, Wait, Zipf, WAIT_CATEGORIES};
-use nsql_tmf::txn::{TxnError, TMF_ENTITY};
-use std::collections::VecDeque;
+use nsql_tmf::txn::TMF_ENTITY;
 
 /// Pause before re-polling a lock held by someone else.
 const LOCK_RETRY_US: u64 = 300;
@@ -358,12 +350,11 @@ impl LoadOutcome {
     }
 }
 
-/// One transaction's inputs and retry bookkeeping.
-#[derive(Debug, Clone)]
+/// One transaction's inputs.
+#[derive(Debug, Clone, Copy, Default)]
 struct Job {
     arrival: u64,
     admitted: u64,
-    attempt: u32,
     aid: i32,
     tid: i32,
     bid: i32,
@@ -373,34 +364,18 @@ struct Job {
     order: [usize; 3],
 }
 
-enum TermState {
-    /// Waiting for the next arrival at `t_next`.
-    Think,
-    /// Arrived, queued at the admission gate; a freed slot wakes us.
-    Queued(Job),
-    /// Executing `job` as transaction `txn`; `step` messages already sent.
-    Run { job: Job, txn: TxnId, step: usize },
-    /// Sleeping out a retry backoff; the admission slot is retained.
-    Backoff(Job),
-    /// Past the arrival window with nothing in flight.
-    Done,
-}
+/// No event of its own: queued at the gate, or past the arrival window.
+const NEVER: u64 = u64::MAX;
 
+/// One terminal: its client's next event and the transaction it runs. What
+/// the client does there is `clients.clients[i].phase`'s to say.
 struct Terminal {
     rng: SimRng,
     t_next: u64,
     /// What the gap until `t_next` is: charged to the clock's ledger when
     /// this terminal's event is the one that advances the clock.
     reason: Wait,
-    state: TermState,
-}
-
-/// The engine's shared mutable bookkeeping (admission gate + tallies),
-/// separated from the terminal array so helpers can borrow both.
-struct Engine {
-    gate: VecDeque<usize>,
-    inflight: usize,
-    out: LoadOutcome,
+    job: Job,
 }
 
 /// The interval sampler: high-water marks of the run tallies plus the
@@ -484,18 +459,14 @@ pub fn run_load(db: &Cluster, bank: &Bank, cfg: &LoadConfig) -> LoadOutcome {
     assert!(cfg.max_inflight > 0, "admission gate needs capacity");
     let session = db.session();
     let fs = session.fs();
-    let cpu = session.cpu();
     let sim = &db.sim;
     let rec = sim.measure.entity(EntityKind::Txn, TMF_ENTITY);
     let zipf = Zipf::new(bank.accounts as u64, cfg.zipf_theta);
 
     let start = sim.now();
     let cutoff = start + cfg.duration_us;
-    let mut eng = Engine {
-        gate: VecDeque::new(),
-        inflight: 0,
-        out: LoadOutcome::default(),
-    };
+    let mut clients = Clients::new(cfg.terminals, cfg.max_inflight, MAX_TXN_RETRIES);
+    let mut out = LoadOutcome::default();
     let mut sampler =
         (cfg.sample_every_us > 0).then(|| Sampler::new(sim, start, cfg.sample_every_us));
 
@@ -506,28 +477,20 @@ pub fn run_load(db: &Cluster, bank: &Bank, cfg: &LoadConfig) -> LoadOutcome {
             let first = start + rng.exp_us(cfg.mean_think_us);
             Terminal {
                 rng,
-                t_next: first,
+                t_next: if first > cutoff { NEVER } else { first },
                 reason: Wait::Other,
-                state: if first > cutoff {
-                    TermState::Done
-                } else {
-                    TermState::Think
-                },
+                job: Job::default(),
             }
         })
         .collect();
 
     loop {
-        // Next event: the runnable terminal with the earliest local time
-        // (ties break deterministically by terminal id). Queued and Done
-        // terminals have no self-scheduled event of their own.
-        let next = terminals
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !matches!(t.state, TermState::Done | TermState::Queued(_)))
-            .min_by_key(|&(i, t)| (t.t_next, i))
-            .map(|(i, _)| i);
-        let Some(i) = next else { break };
+        // Next event: the terminal with the earliest local time (ties break
+        // deterministically by terminal id).
+        let next = (0..terminals.len()).min_by_key(|&i| (terminals[i].t_next, i));
+        let Some(i) = next.filter(|&i| terminals[i].t_next != NEVER) else {
+            break;
+        };
 
         // Advance the shared clock to this event, charging any skipped
         // span to whatever this terminal was waiting on. Sampler boundaries
@@ -541,263 +504,133 @@ pub fn run_load(db: &Cluster, bank: &Bank, cfg: &LoadConfig) -> LoadOutcome {
                 // actually is so the interval delta stays exact.
                 let at = s.next_at.max(sim.now());
                 sim.clock.advance_to_in(reason, at);
-                s.close(sim, &mut eng.out, at);
+                s.close(sim, &mut out, at);
             }
         }
         sim.clock.advance_to_in(reason, t_next);
         let now = sim.now();
 
-        match std::mem::replace(&mut terminals[i].state, TermState::Done) {
-            TermState::Think => {
-                // An arrival. Draw the transaction, then face the gate.
-                eng.out.arrivals += 1;
-                let t = &mut terminals[i];
-                let aid = zipf.draw(&mut t.rng) as i32;
-                let tid = t.rng.below(bank.tellers as u64) as i32;
-                // Each transaction performs its three balance updates in
-                // its own random order. Real mixed workloads touch
-                // resources in inconsistent orders — this is what makes
-                // waits-for *cycles* (not just convoys) reachable.
-                let mut order = [0usize, 1, 2];
-                t.rng.shuffle(&mut order);
-                let job = Job {
-                    arrival: now,
-                    admitted: now,
-                    attempt: 0,
-                    aid,
-                    tid,
-                    bid: tid / 10,
-                    delta: t.rng.between(-500, 500) as f64,
-                    order,
-                };
-                if eng.inflight < cfg.max_inflight {
-                    eng.inflight += 1;
-                    begin_run(db, &mut terminals[i], job, now);
-                } else {
-                    rec.bump(Ctr::AdmissionQueued);
-                    eng.out.admission_queued += 1;
-                    eng.gate.push_back(i);
-                    terminals[i].state = TermState::Queued(job);
-                    terminals[i].t_next = u64::MAX;
+        let client = clients.clients[i];
+        if !client.live() && client.phase != Phase::Backoff {
+            // An arrival. Draw the transaction, then face the gate.
+            out.arrivals += 1;
+            let t = &mut terminals[i];
+            let aid = zipf.draw(&mut t.rng) as i32;
+            let tid = t.rng.below(bank.tellers as u64) as i32;
+            // Each transaction performs its three balance updates in its
+            // own random order. Real mixed workloads touch resources in
+            // inconsistent orders — this is what makes waits-for *cycles*
+            // (not just convoys) reachable.
+            let mut order = [0usize, 1, 2];
+            t.rng.shuffle(&mut order);
+            t.job = Job {
+                arrival: now,
+                admitted: now,
+                aid,
+                tid,
+                bid: tid / 10,
+                delta: t.rng.between(-500, 500) as f64,
+                order,
+            };
+            if clients.arrive(db, i) {
+                (t.t_next, t.reason) = (now, Wait::Other);
+            } else {
+                rec.bump(Ctr::AdmissionQueued);
+                out.admission_queued += 1;
+                t.t_next = NEVER;
+            }
+            continue;
+        }
+
+        // Begin after a backoff, or one FS-DP message of the transaction
+        // under a span on this terminal's track (critical-path
+        // attribution), or its commit.
+        let job = terminals[i].job;
+        let send = |fs: &FileSystem, txn, step: usize| {
+            let track = format_args!("terminal-{i}");
+            let _span = sim.span_root("DEBITCREDIT STEP", &track);
+            let actual = *job.order.get(step).unwrap_or(&(DEBIT_CREDIT_STEPS - 1));
+            bank.debit_credit_step(fs, txn, actual, job.aid, job.tid, job.bid, job.delta)
+        };
+        let mut polled = clients.poll(db, fs, i, DEBIT_CREDIT_STEPS, send);
+        let client = clients.clients[i];
+        if client.phase == Phase::Running && client.step == DEBIT_CREDIT_STEPS {
+            // The last message and the commit are one event.
+            polled = clients.poll(db, fs, i, DEBIT_CREDIT_STEPS, send);
+        }
+        let now = sim.now();
+        if let Some(j) = polled.admitted {
+            // The grant happens at a completion instant, so this charge is
+            // normally zero — nonzero only when the gate itself is the
+            // critical path.
+            let t = &mut terminals[j];
+            t.job.admitted = now;
+            (t.t_next, t.reason) = (now, Wait::Admission);
+        }
+        let doomed = matches!(
+            polled.rollback,
+            Some(Rollback::Doomed(_) | Rollback::CommitRefused)
+        );
+        out.aborted += u64::from(doomed);
+        match &polled.rollback {
+            Some(Rollback::Doomed(why)) => out.lock_timeouts += u64::from(why.contains("timeout")),
+            Some(Rollback::Request(_) | Rollback::Commit(_)) => out.other_errors += 1,
+            Some(Rollback::CommitRefused) | None => {}
+        }
+        let client = clients.clients[i];
+        let t = &mut terminals[i];
+        match client.phase {
+            Phase::Running => (t.t_next, t.reason) = (now, Wait::Other),
+            // Queued behind the holder at the Disk Process: re-poll
+            // shortly; FIFO order is kept over there.
+            Phase::Waiting => (t.t_next, t.reason) = (now + LOCK_RETRY_US, Wait::Lock),
+            Phase::Backoff => {
+                if doomed {
+                    rec.bump(Ctr::DeadlockRetries);
+                    out.deadlock_retries += 1;
                 }
+                let shift = client.attempt.saturating_sub(1).min(6);
+                let backoff = RETRY_BACKOFF_US.saturating_mul(1u64 << shift).max(1);
+                (t.t_next, t.reason) = (now + backoff, Wait::Retry);
             }
-            TermState::Backoff(job) => {
-                // Backoff expired: run the same transaction again under a
-                // fresh TMF transaction (the slot was retained).
-                begin_run(db, &mut terminals[i], job, now);
+            Phase::Committed => {
+                out.committed += 1;
+                out.net_delta += t.job.delta;
+                out.latencies_us.push(now.saturating_sub(t.job.arrival));
+                out.admission_wait_us += t.job.admitted.saturating_sub(t.job.arrival);
+                think_next(t, now, cutoff, cfg);
             }
-            TermState::Run { job, txn, step } => {
-                // One FS-DP message of this transaction, under a span on
-                // this terminal's track for critical-path attribution.
-                let track = format_args!("terminal-{i}");
-                let span = sim.span_root("DEBITCREDIT STEP", &track);
-                let actual = if step < job.order.len() {
-                    job.order[step]
-                } else {
-                    DEBIT_CREDIT_STEPS - 1
-                };
-                let sent =
-                    bank.debit_credit_step(fs, txn, actual, job.aid, job.tid, job.bid, job.delta);
-                drop(span);
-                match sent {
-                    Ok(()) if step + 1 < DEBIT_CREDIT_STEPS => {
-                        let t = &mut terminals[i];
-                        t.state = TermState::Run {
-                            job,
-                            txn,
-                            step: step + 1,
-                        };
-                        t.t_next = sim.now();
-                        t.reason = Wait::Other;
-                    }
-                    Ok(()) => match db.txnmgr.commit(txn, cpu) {
-                        Ok(()) => {
-                            let done = sim.now();
-                            eng.out.committed += 1;
-                            eng.out.net_delta += job.delta;
-                            eng.out.latencies_us.push(done.saturating_sub(job.arrival));
-                            eng.out.admission_wait_us += job.admitted.saturating_sub(job.arrival);
-                            release_slot(db, &mut terminals, &mut eng, done);
-                            think_next(&mut terminals[i], done, cutoff, cfg);
-                        }
-                        Err(TxnError::Doomed(_)) => {
-                            // Dooming flipped the commit into an abort.
-                            eng.out.aborted += 1;
-                            retry(
-                                db,
-                                &mut terminals,
-                                i,
-                                &mut eng,
-                                &rec,
-                                cfg,
-                                cutoff,
-                                job,
-                                true,
-                            );
-                        }
-                        Err(_) => {
-                            let _ = db.txnmgr.abort(txn, cpu);
-                            eng.out.other_errors += 1;
-                            retry(
-                                db,
-                                &mut terminals,
-                                i,
-                                &mut eng,
-                                &rec,
-                                cfg,
-                                cutoff,
-                                job,
-                                false,
-                            );
-                        }
-                    },
-                    Err(FsError::Doomed { reason }) => {
-                        // Deadlock victim or lock-timeout straggler: abort
-                        // (full UNDO via the audit trail) and retry.
-                        let _ = db.txnmgr.abort(txn, cpu);
-                        eng.out.aborted += 1;
-                        if reason.contains("timeout") {
-                            eng.out.lock_timeouts += 1;
-                        }
-                        retry(
-                            db,
-                            &mut terminals,
-                            i,
-                            &mut eng,
-                            &rec,
-                            cfg,
-                            cutoff,
-                            job,
-                            true,
-                        );
-                    }
-                    Err(FsError::Dp(DpError::Locked { .. })) => {
-                        // Queued behind the holder at the Disk Process:
-                        // re-poll shortly; FIFO order is kept over there.
-                        let t = &mut terminals[i];
-                        t.state = TermState::Run { job, txn, step };
-                        t.t_next = sim.now() + LOCK_RETRY_US;
-                        t.reason = Wait::Lock;
-                    }
-                    Err(_) => {
-                        // Chaos-plane casualty (unavailable server, bus
-                        // fault...): abort cleanly and retry like a doom,
-                        // but tallied separately.
-                        let _ = db.txnmgr.abort(txn, cpu);
-                        eng.out.other_errors += 1;
-                        retry(
-                            db,
-                            &mut terminals,
-                            i,
-                            &mut eng,
-                            &rec,
-                            cfg,
-                            cutoff,
-                            job,
-                            false,
-                        );
-                    }
-                }
+            Phase::GaveUp => {
+                out.gave_up += 1;
+                think_next(t, now, cutoff, cfg);
             }
-            TermState::Queued(_) | TermState::Done => {
-                debug_assert!(false, "queued/done terminals are never scheduled");
+            Phase::Unarrived | Phase::Queued => {
+                debug_assert!(false, "a polled client is at the gate or past it");
             }
         }
     }
-    debug_assert!(eng.gate.is_empty(), "admission queue drained");
-    debug_assert_eq!(eng.inflight, 0, "all slots released");
+    debug_assert!(clients.gate.is_empty(), "admission queue drained");
+    debug_assert_eq!(clients.inflight, 0, "all slots released");
 
     // Close the partial interval covering the drain tail, so the series
     // decomposes the whole run: interval spans sum to elapsed_us.
     if let Some(s) = sampler.as_mut() {
         let now = sim.now();
         if now > s.start {
-            s.close(sim, &mut eng.out, now);
+            s.close(sim, &mut out, now);
         }
     }
 
-    let mut out = eng.out;
     out.elapsed_us = sim.now().saturating_sub(start);
     out.latencies_us.sort_unstable();
     out
-}
-
-/// Begin a fresh TMF transaction for `job` and schedule its first message
-/// immediately.
-fn begin_run(db: &Cluster, t: &mut Terminal, job: Job, now: u64) {
-    let txn = db.txnmgr.begin();
-    t.state = TermState::Run { job, txn, step: 0 };
-    t.t_next = now;
-    t.reason = Wait::Other;
-}
-
-/// Free one admission slot and, when someone is queued, hand it straight
-/// to the head of the FIFO (its admission wait ends now).
-fn release_slot(db: &Cluster, terminals: &mut [Terminal], eng: &mut Engine, now: u64) {
-    eng.inflight -= 1;
-    if let Some(j) = eng.gate.pop_front() {
-        let prev = std::mem::replace(&mut terminals[j].state, TermState::Done);
-        let TermState::Queued(mut job) = prev else {
-            debug_assert!(false, "gate entries are always Queued");
-            return;
-        };
-        job.admitted = now;
-        eng.inflight += 1;
-        begin_run(db, &mut terminals[j], job, now);
-        // The grant happens at a completion instant, so this charge is
-        // normally zero — nonzero only when the gate itself is the
-        // critical path.
-        terminals[j].reason = Wait::Admission;
-    }
 }
 
 /// Schedule the terminal's next arrival from `now`, or finish it past the
 /// cutoff.
 fn think_next(t: &mut Terminal, now: u64, cutoff: u64, cfg: &LoadConfig) {
     let at = now.saturating_add(t.rng.exp_us(cfg.mean_think_us));
-    if at > cutoff {
-        t.state = TermState::Done;
-        t.t_next = u64::MAX;
-    } else {
-        t.state = TermState::Think;
-        t.t_next = at;
-        t.reason = Wait::Other;
-    }
-}
-
-/// Put a doomed/errored transaction on the retry path: exponential backoff
-/// while keeping the admission slot, or give up past the retry budget
-/// (which frees the slot for the queue).
-#[allow(clippy::too_many_arguments)]
-fn retry(
-    db: &Cluster,
-    terminals: &mut [Terminal],
-    i: usize,
-    eng: &mut Engine,
-    rec: &std::sync::Arc<nsql_sim::MeasureRecord>,
-    cfg: &LoadConfig,
-    cutoff: u64,
-    mut job: Job,
-    doomed: bool,
-) {
-    let now = db.sim.now();
-    job.attempt += 1;
-    if job.attempt > MAX_TXN_RETRIES {
-        eng.out.gave_up += 1;
-        release_slot(db, terminals, eng, now);
-        think_next(&mut terminals[i], now, cutoff, cfg);
-        return;
-    }
-    if doomed {
-        rec.bump(Ctr::DeadlockRetries);
-        eng.out.deadlock_retries += 1;
-    }
-    let shift = (job.attempt - 1).min(6);
-    let backoff = RETRY_BACKOFF_US.saturating_mul(1u64 << shift).max(1);
-    let t = &mut terminals[i];
-    t.t_next = now + backoff;
-    t.reason = Wait::Retry;
-    t.state = TermState::Backoff(job);
+    (t.t_next, t.reason) = (if at > cutoff { NEVER } else { at }, Wait::Other);
 }
 
 #[cfg(test)]
