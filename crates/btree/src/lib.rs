@@ -27,7 +27,7 @@
 pub mod node;
 pub mod tree;
 
-pub use tree::{BTreeFile, LeafRewrites, ScanControl, TreeError};
+pub use tree::{BTreeFile, KeySpan, LeafRewrites, ScanControl, TreeError};
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -51,9 +51,11 @@ pub trait BlockStore {
     fn read_for_scan(&self, block: BlockNo) -> Block {
         self.read(block)
     }
-    /// Advise that `block` will be needed soon (the B-tree scan announces
-    /// the next leaf in the chain). Implementations may pre-fetch
-    /// asynchronously; by default a no-op.
+    /// Advise that `block` will be needed soon: a B-tree scan whose span
+    /// may run past the leaf in hand announces the next leaf in the chain,
+    /// once per leaf, before it visits the leaf's records. Implementations
+    /// may pre-fetch asynchronously — from `block` or from further along
+    /// the string it starts; by default a no-op.
     fn will_need(&self, _block: BlockNo) {}
     /// Write (replace) a block: the store keeps `data` as the image.
     fn write(&self, block: BlockNo, data: Block);

@@ -282,6 +282,20 @@ impl<'a> InternalRef<'a> {
         found
     }
 
+    /// The child whose subtree covers `key` (the first child for `None`),
+    /// and the separator to its right if it has one: every key under the
+    /// child is below that separator.
+    pub fn child_and_bound(&self, key: Option<&[u8]>) -> (BlockNo, Option<&'a [u8]>) {
+        let mut child = self.first_child();
+        for (sep, right) in self.seps() {
+            if key.is_none_or(|k| sep > k) {
+                return (child, Some(sep));
+            }
+            child = right;
+        }
+        (child, None)
+    }
+
     /// Separators and children as owned vectors, for restructuring.
     pub fn to_parts(&self) -> (Vec<Vec<u8>>, Vec<BlockNo>) {
         let mut seps = Vec::with_capacity(self.len());
@@ -530,7 +544,11 @@ mod tests {
             for probe in probes(&seps) {
                 let ci = seps.partition_point(|s| s.as_slice() <= probe.as_slice());
                 assert_eq!(node.child_for(&probe), (ci, children[ci]));
+                let bound = seps.get(ci).map(Vec::as_slice);
+                assert_eq!(node.child_and_bound(Some(&probe)), (children[ci], bound));
             }
+            let first = (children[0], seps.first().map(Vec::as_slice));
+            assert_eq!(node.child_and_bound(None), first);
         }
     }
 

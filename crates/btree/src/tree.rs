@@ -44,6 +44,25 @@ pub enum ScanControl {
     Stop,
 }
 
+/// The key span of a [`BTreeFile::scan`]: a start bound alone, which runs
+/// to the end of the file, or a `(start, end)` pair of bounds.
+pub trait KeySpan<'k> {
+    /// The start and the end bound.
+    fn bounds(self) -> (Bound<&'k [u8]>, Bound<&'k [u8]>);
+}
+
+impl<'k, K: AsRef<[u8]> + ?Sized> KeySpan<'k> for Bound<&'k K> {
+    fn bounds(self) -> (Bound<&'k [u8]>, Bound<&'k [u8]>) {
+        (self.map(AsRef::as_ref), Bound::Unbounded)
+    }
+}
+
+impl<'k> KeySpan<'k> for (Bound<&'k [u8]>, Bound<&'k [u8]>) {
+    fn bounds(self) -> (Bound<&'k [u8]>, Bound<&'k [u8]>) {
+        self
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum WriteMode {
     Insert,
@@ -437,35 +456,60 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         self.save(rb, &right);
     }
 
-    /// Scan in key order from `start`, invoking `visit` per record until it
-    /// returns [`ScanControl::Stop`] or the file ends.
-    pub fn scan<F>(&self, start: Bound<&[u8]>, mut visit: F)
+    /// Scan `span` in key order — a start bound alone runs to the end of
+    /// the file — invoking `visit` per record until it returns
+    /// [`ScanControl::Stop`] or the span or the file ends.
+    ///
+    /// The span decides the reads. The descent finds the deepest separator
+    /// to the right of its path: every key of the leaf it reaches is below
+    /// it. A span that ends before that separator (or at or before its own
+    /// start key) lies inside that leaf: the leaf, and every node the
+    /// descent reads once that is known, is read alone
+    /// ([`BlockStore::read`]) and no next leaf is announced. Otherwise the
+    /// leaf chain is read for scan ([`BlockStore::read_for_scan`]) and each
+    /// leaf announces the next ([`BlockStore::will_need`]) before its
+    /// records are visited. A span with no end bound makes the calls it
+    /// made before the end bound existed.
+    pub fn scan<'k, F>(&self, span: impl KeySpan<'k>, mut visit: F)
     where
         F: FnMut(&[u8], &[u8]) -> ScanControl,
     {
+        let (mut start, end) = span.bounds();
         // Descend to the leaf that may contain the first qualifying key.
         let seek: Option<&[u8]> = match start {
             Bound::Unbounded => None,
             Bound::Included(k) | Bound::Excluded(k) => Some(k),
         };
-        let mut bytes = self.store.read_for_scan(self.root);
+        // Whether the span is known to lie inside the leaf the descent
+        // reaches: from the outset when it holds at most its start key.
+        let mut within = match (seek, end) {
+            (Some(s), Bound::Included(e) | Bound::Excluded(e)) => e <= s,
+            _ => false,
+        };
+        let read = |block, within: bool| {
+            if within {
+                self.store.read(block)
+            } else {
+                self.store.read_for_scan(block)
+            }
+        };
+        let mut bytes = read(self.root, within);
         while let NodeRef::Internal(node) = NodeRef::new(&bytes) {
-            let child = match seek {
-                None => node.first_child(),
-                Some(k) => node.child_for(k).1,
-            };
-            bytes = self.store.read_for_scan(child);
+            let (child, bound) = node.child_and_bound(seek);
+            if let Some(sep) = bound {
+                within = ends_before(end, sep);
+            }
+            bytes = read(child, within);
         }
         // Only the first leaf can hold keys before the start bound: once a
         // key has passed it, or the leaf has ended, the bound is spent.
-        let mut start = start;
         loop {
             let NodeRef::Leaf(leaf) = NodeRef::new(&bytes) else {
                 panic!("leaf chain reached an internal node");
             };
-            // Announce the next leaf so the cache can pre-fetch it while
+            // Announce the next leaf so the cache can pre-fetch ahead while
             // this leaf's records are being processed.
-            let next = leaf.next();
+            let next = leaf.next().filter(|_| !within);
             if let Some(nb) = next {
                 self.store.will_need(nb);
             }
@@ -479,7 +523,7 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
                     continue;
                 }
                 start = Bound::Unbounded;
-                if visit(k, v) == ScanControl::Stop {
+                if ends_before(end, k) || visit(k, v) == ScanControl::Stop {
                     return;
                 }
             }
@@ -494,7 +538,7 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     /// All entries (tests / small files).
     pub fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
-        self.scan(Bound::Unbounded, |k, v| {
+        self.scan((Bound::Unbounded, Bound::Unbounded), |k, v| {
             out.push((k.to_vec(), v.to_vec()));
             ScanControl::Continue
         });
@@ -504,7 +548,7 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     /// Number of records.
     pub fn len(&self) -> usize {
         let mut n = 0;
-        self.scan(Bound::Unbounded, |_, _| {
+        self.scan((Bound::Unbounded, Bound::Unbounded), |_, _| {
             n += 1;
             ScanControl::Continue
         });
@@ -589,6 +633,15 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
             };
         }
         assert_eq!(chain, leaves, "leaf chain does not match tree order");
+    }
+}
+
+/// Does the end bound `end` exclude `key`, and with it every key after?
+fn ends_before(end: Bound<&[u8]>, key: &[u8]) -> bool {
+    match end {
+        Bound::Unbounded => false,
+        Bound::Included(e) => e < key,
+        Bound::Excluded(e) => e <= key,
     }
 }
 

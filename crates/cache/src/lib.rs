@@ -56,8 +56,10 @@ pub struct ScanOptions {
     /// Read sequential strings of blocks with one bulk I/O instead of a
     /// block at a time.
     pub bulk: bool,
-    /// Issue the *next* string asynchronously while the caller consumes the
-    /// current one.
+    /// Keep the *next* string in flight while the caller consumes the
+    /// current one: the scan announces the leaf after the one in hand, and
+    /// the pool reads ahead the first uncached string within one bulk
+    /// string of it ([`BufferPool::prefetch`]).
     pub prefetch: bool,
 }
 
@@ -109,6 +111,10 @@ struct PoolInner {
     newest: Option<usize>,
     /// What a vacant slot holds in place of the image it gave up.
     empty: Block,
+    /// The images of one transfer — a read's on their way to their frames,
+    /// a write's on their way to the platter: one buffer, kept, so a
+    /// transfer allocates nothing to list them.
+    images: Vec<Block>,
 }
 
 impl PoolInner {
@@ -237,17 +243,18 @@ impl PoolInner {
         dirty
     }
 
-    /// Copies of the cached images of `blocks`, for one bulk write of frames
-    /// that stay cached. The copy is the transfer to the device, and it is
-    /// deliberate: were the platter to keep a frame's own image, the next
-    /// change of the block would have to leave that image behind and build
-    /// its successor somewhere else, every time — the frames' working set
-    /// would wander through the heap instead of recycling the buffers it
-    /// has (measured: `contended_load` 15–20 % slower). An evicted frame
-    /// keeps nothing, so it hands its image on (`make_room`).
-    fn contents(&self, blocks: &[BlockNo]) -> Vec<Block> {
+    /// Append copies of the cached images of `blocks` to `images`, for one
+    /// bulk write of frames that stay cached. The copy is the transfer to
+    /// the device, and it is deliberate: were the platter to keep a frame's
+    /// own image, the next change of the block would have to leave that
+    /// image behind and build its successor somewhere else, every time —
+    /// the frames' working set would wander through the heap instead of
+    /// recycling the buffers it has (measured: `contended_load` 15–20 %
+    /// slower). An evicted frame keeps nothing, so it hands its image on
+    /// (`make_room`).
+    fn copy_out(&self, blocks: &[BlockNo], images: &mut Vec<Block>) {
         let cached = blocks.iter().filter_map(|&b| self.frame(b));
-        cached.map(|f| Arc::new(Vec::clone(&f.data))).collect()
+        images.extend(cached.map(|f| Arc::new(Vec::clone(&f.data))));
     }
 
     fn mark_clean(&mut self, blocks: &[BlockNo]) {
@@ -339,10 +346,12 @@ impl BufferPool {
             1
         };
         self.make_room(&mut inner, run)?;
-        let datas = self.disk.read(block, run)?;
-        for (b, data) in (block..).zip(datas) {
+        let mut images = std::mem::take(&mut inner.images);
+        self.disk.fetch(block, run, true, &mut images)?;
+        for (b, data) in (block..).zip(images.drain(..)) {
             inner.install(b, data, false, 0, None);
         }
+        inner.images = images;
         let installed = inner
             .frame(block)
             .expect("the string read starts at `block`");
@@ -358,12 +367,21 @@ impl BufferPool {
         (block..).take(max).take_while(uncached).count()
     }
 
-    /// Asynchronously pre-fetch the next uncached string of contiguous
-    /// blocks starting at `from` (the B-tree scan announces the next leaf
-    /// in the chain). The I/O runs on the disk's private timeline,
-    /// overlapping the caller's CPU-bound record processing.
+    /// Asynchronously pre-fetch the first string of uncached blocks that
+    /// starts within one bulk string of `from` (the B-tree scan announces
+    /// the next leaf in the chain at every leaf). When those blocks are all
+    /// cached or in flight there is nothing to do. So the announcement made
+    /// at the first leaf of a string just read brings in the string after
+    /// it, and the ones made at the rest of its leaves find that string in
+    /// flight: each scan keeps one string ahead. The I/O runs on the disk's
+    /// private timeline, overlapping the caller's CPU-bound record
+    /// processing.
     pub fn prefetch(&self, from: BlockNo) {
         let mut inner = self.inner.lock();
+        let mut ahead = from..from.saturating_add(self.sim.cost.bulk_io_max_blocks() as BlockNo);
+        let Some(from) = ahead.find(|b| !inner.slot_of.contains_key(b)) else {
+            return;
+        };
         let run = self.uncached_run(&inner, from);
         if run == 0 {
             return;
@@ -371,13 +389,15 @@ impl BufferPool {
         if self.make_room(&mut inner, run).is_err() {
             return; // cannot evict enough: skip the pre-fetch
         }
-        let Ok((datas, ready)) = self.disk.read_async(from, run) else {
+        let mut images = std::mem::take(&mut inner.images);
+        let Ok(ready) = self.disk.fetch(from, run, false, &mut images) else {
             return; // hole in the file: skip
         };
         self.sim.emit(&self.rec, Event::Prefetch(run as u64));
-        for (b, data) in (from..).zip(datas) {
+        for (b, data) in (from..).zip(images.drain(..)) {
             inner.install(b, data, false, 0, Some(ready));
         }
+        inner.images = images;
     }
 
     /// Install new contents for a block, tagging it with the audit LSN that
@@ -435,16 +455,16 @@ impl BufferPool {
         let mut inner = self.inner.lock();
         let dirty = inner.dirty_blocks(|f| self.wal.durable(f.lsn, now));
         let mut written = 0usize;
+        let mut images = std::mem::take(&mut inner.images);
         for string in strings(&dirty, self.sim.cost.bulk_io_max_blocks()) {
-            if self
-                .disk
-                .write_async(string[0], &inner.contents(string))
-                .is_ok()
-            {
+            inner.copy_out(string, &mut images);
+            if self.disk.write_async(string[0], &images).is_ok() {
                 inner.mark_clean(string);
                 written += string.len();
             }
+            images.clear();
         }
+        inner.images = images;
         written
     }
 
@@ -460,10 +480,14 @@ impl BufferPool {
             let done = self.wal.force(max_lsn, now);
             self.sim.clock.advance_to_in(Wait::Commit, done);
         }
+        let mut images = std::mem::take(&mut inner.images);
         for string in strings(&dirty, self.sim.cost.bulk_io_max_blocks()) {
-            self.disk.write(string[0], &inner.contents(string))?;
+            inner.copy_out(string, &mut images);
+            self.disk.write(string[0], &images)?;
             inner.mark_clean(string);
+            images.clear();
         }
+        inner.images = images;
         Ok(())
     }
 
@@ -584,7 +608,7 @@ mod tests {
         assert_eq!(pool.dirty_frames(), 0, "block 2 was stolen");
         assert!(Arc::ptr_eq(&disk.read(2, 1).unwrap()[0], &written));
         // Write-behind leaves the frame cached, and leaves it its image: the
-        // platter gets a copy (see `PoolInner::contents`).
+        // platter gets a copy (see `PoolInner::copy_out`).
         let behind: Block = Arc::new(vec![7u8; 64]);
         pool.write(3, Arc::clone(&behind), 0).unwrap();
         assert_eq!(pool.write_behind(), 1);
@@ -714,6 +738,10 @@ mod tests {
 
         fn prefetch(&mut self, from: BlockNo) {
             self.tick += 1;
+            let ahead = (from..from + Self::BULK as BlockNo).find(|b| !self.frames.contains_key(b));
+            let Some(from) = ahead else {
+                return;
+            };
             let run = self.uncached_run(from);
             if run > 0 {
                 self.make_room(run);

@@ -10,7 +10,7 @@
 //!   (up to 28 KB) for a single positioning cost.
 //! * **Sequentiality** — an access that continues where the previous one
 //!   ended pays a small positioning cost instead of a full seek.
-//! * **Asynchrony** — [`Disk::read_async`] schedules an I/O on the disk's
+//! * **Asynchrony** — an asynchronous [`Disk::fetch`] schedules an I/O on the disk's
 //!   private busy-timeline *without* blocking the virtual clock, so the
 //!   cache's pre-fetcher can overlap I/O with CPU-bound processing ("allows
 //!   cpu-bound processing using data from the cache to occur in parallel
@@ -206,28 +206,26 @@ impl Disk {
     /// Synchronously read `nblocks` contiguous blocks starting at `start`
     /// as one (possibly bulk) I/O.
     pub fn read(&self, start: BlockNo, nblocks: usize) -> Result<Vec<Block>, DiskError> {
-        self.fetch(start, nblocks, true).map(|(data, _)| data)
+        let mut out = Vec::with_capacity(nblocks);
+        self.fetch(start, nblocks, true, &mut out)?;
+        Ok(out)
     }
 
-    /// Schedule an asynchronous read (pre-fetch). Returns `(data,
-    /// completion_time)`; the caller must not *use* the data before
-    /// advancing the clock to the completion time (the cache does this).
-    pub fn read_async(
-        &self,
-        start: BlockNo,
-        nblocks: usize,
-    ) -> Result<(Vec<Block>, Micros), DiskError> {
-        self.fetch(start, nblocks, false)
-    }
-
-    /// One read I/O: the images on the platter, shared, and its completion
-    /// time.
-    fn fetch(
+    /// One read I/O of `nblocks` contiguous blocks starting at `start`:
+    /// appends the images on the platter, shared, to `out` (a buffer the
+    /// caller keeps, so the read allocates nothing) and returns the I/O's
+    /// completion time. A synchronous read advances the clock to it; an
+    /// asynchronous one (pre-fetch) leaves the clock alone, and the caller
+    /// must not *use* the images before advancing it there (the cache does
+    /// this). A block not on the platter fails the read and appends
+    /// nothing.
+    pub fn fetch(
         &self,
         start: BlockNo,
         nblocks: usize,
         synchronous: bool,
-    ) -> Result<(Vec<Block>, Micros), DiskError> {
+        out: &mut Vec<Block>,
+    ) -> Result<Micros, DiskError> {
         assert!(nblocks >= 1);
         assert!(
             nblocks * self.block_size() <= CostModel::BULK_IO_MAX,
@@ -236,18 +234,17 @@ impl Disk {
         );
         let mut st = self.state.lock();
         self.check_media(&st)?;
-        let mut out = Vec::with_capacity(nblocks);
-        for i in 0..nblocks {
-            let b = start + i as u32;
-            let data = st
-                .blocks
-                .get(b as usize)
-                .and_then(|x| x.as_ref())
-                .ok_or(DiskError::Unallocated(b))?;
-            out.push(Arc::clone(data));
+        let had = out.len();
+        for b in start..start + nblocks as BlockNo {
+            match st.blocks.get(b as usize).and_then(Option::as_ref) {
+                Some(data) => out.push(Arc::clone(data)),
+                None => {
+                    out.truncate(had);
+                    return Err(DiskError::Unallocated(b));
+                }
+            }
         }
-        let end = self.account_io(&mut st, start, nblocks, false, synchronous);
-        Ok((out, end))
+        Ok(self.account_io(&mut st, start, nblocks, false, synchronous))
     }
 
     /// Synchronously write a contiguous string of blocks as one (possibly
@@ -363,9 +360,10 @@ mod tests {
         // The image written is the image read, twice over: no copy on the
         // way down or on the way up.
         let first = d.read(3, 1).unwrap().remove(0);
-        let (mut again, _) = d.read_async(3, 1).unwrap();
+        let mut again = Vec::new();
+        d.fetch(3, 1, false, &mut again).unwrap();
         assert!(Arc::ptr_eq(&first, &image));
-        assert!(Arc::ptr_eq(&again.remove(0), &image));
+        assert!(Arc::ptr_eq(&again[0], &image));
         // A later write replaces the block wholesale; what a reader holds
         // is a snapshot.
         d.write(3, &[block(9, 16)]).unwrap();
@@ -443,7 +441,7 @@ mod tests {
         let b = block(5, 512);
         d.write(0, std::slice::from_ref(&b)).unwrap();
         let now = sim.now();
-        let (_data, done) = d.read_async(0, 1).unwrap();
+        let done = d.fetch(0, 1, false, &mut Vec::new()).unwrap();
         // The clock did not move...
         assert_eq!(sim.now(), now);
         // ... but the device is busy until `done`.
@@ -457,8 +455,8 @@ mod tests {
         let (sim, d) = disk();
         let b = block(2, 512);
         d.write(0, std::slice::from_ref(&b)).unwrap();
-        let (_a, done1) = d.read_async(0, 1).unwrap();
-        let (_b, done2) = d.read_async(0, 1).unwrap();
+        let done1 = d.fetch(0, 1, false, &mut Vec::new()).unwrap();
+        let done2 = d.fetch(0, 1, false, &mut Vec::new()).unwrap();
         assert!(done2 > done1, "second I/O queues behind the first");
         // A synchronous read must wait for the queue.
         d.read(0, 1).unwrap();
@@ -471,7 +469,7 @@ mod tests {
         let (one, two) = (block(1, 512), block(2, 512));
         // A read keeps the device busy, so the writes queue behind it.
         d.write(0, &[one.clone(), one.clone()]).unwrap();
-        d.read_async(0, 2).unwrap();
+        d.fetch(0, 2, false, &mut Vec::new()).unwrap();
         let done = d.write_async(0, &[one.clone(), one.clone()]).unwrap();
         let writes = sim.metrics.snapshot().disk_writes;
         // Queued, not begun: the same I/O, with the new images.
@@ -480,7 +478,7 @@ mod tests {
         assert_eq!(sim.metrics.snapshot().disk_writes, writes);
         // Begun (a synchronous read waits for the queue): a new I/O.
         assert_eq!(*d.read(1, 1).unwrap()[0], two);
-        d.read_async(0, 2).unwrap();
+        d.fetch(0, 2, false, &mut Vec::new()).unwrap();
         d.write_async(1, std::slice::from_ref(&one)).unwrap();
         assert_eq!(sim.metrics.snapshot().disk_writes, writes + 1);
         // Only partly queued: a new I/O too.

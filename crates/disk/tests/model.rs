@@ -58,7 +58,8 @@ fn async_read_consistency() {
         let data: Vec<Vec<u8>> = (0..blocks).map(|i| vec![fill ^ i as u8; 32]).collect();
         disk.write(0, &data).unwrap();
         let now = sim.now();
-        let (async_data, done) = disk.read_async(0, blocks).unwrap();
+        let mut async_data = Vec::new();
+        let done = disk.fetch(0, blocks, false, &mut async_data).unwrap();
         assert!(done > now);
         sim.clock.advance_to(done);
         let sync_data = disk.read(0, blocks).unwrap();

@@ -1133,16 +1133,7 @@ impl DiskProcess {
         let mut exhausted = true;
         let mut eval_error: Option<DpError> = None;
 
-        tree.scan(begin.as_ref(), |k, v| {
-            // Range end check.
-            let in_range = match &scb.end {
-                OwnedBound::Unbounded => true,
-                OwnedBound::Included(e) => k <= e.as_slice(),
-                OwnedBound::Excluded(e) => k < e.as_slice(),
-            };
-            if !in_range {
-                return ScanControl::Stop;
-            }
+        tree.scan((begin.as_ref(), scb.end.as_ref()), |k, v| {
             examined += 1;
             let mut fail = |units: u64, e: DpError| {
                 store.charge(units);

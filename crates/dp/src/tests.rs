@@ -1068,6 +1068,14 @@ fn a_zero_that_changes_sign_is_a_changed_field() {
     assert!(before.is_empty() && after.is_empty());
 }
 
+/// Write every dirty block of the volume out, drop the cache and let the
+/// disk finish what it has queued.
+fn go_cold(c: &TestCluster) {
+    c.send(DpRequest::FlushCache);
+    c.dp.pool().crash();
+    c.sim.clock.advance_to(c.disk.busy_until());
+}
+
 #[test]
 fn bulk_io_and_prefetch_on_sequential_scan() {
     let cfg = DpConfig {
@@ -1077,9 +1085,7 @@ fn bulk_io_and_prefetch_on_sequential_scan() {
     let c = cluster_with(cfg);
     let file = c.create_emp();
     c.load_emps(file, 2000);
-    // Flush and drop the cache so the scan reads from disk.
-    c.send(DpRequest::FlushCache);
-    c.dp.pool().crash();
+    go_cold(&c);
     let before = c.sim.metrics.snapshot();
     let mut reply = c.send(DpRequest::SubsetFirst {
         file,
@@ -1116,6 +1122,258 @@ fn bulk_io_and_prefetch_on_sequential_scan() {
     assert!(
         d.disk_blocks_read > d.disk_reads,
         "multi-block strings expected"
+    );
+}
+
+/// How many levels `file`'s B-tree has, root to leaf, read past the
+/// request path.
+fn levels_of(c: &TestCluster, file: FileId) -> u64 {
+    use nsql_btree::node::NodeRef;
+    use nsql_btree::BlockStore;
+    let label = c.dp.file_label(file).unwrap();
+    let store = DpStore::new(&c.dp.pool, &c.dp.alloc);
+    let (mut block, mut levels) = (label.anchor, 1);
+    while let NodeRef::Internal(node) = NodeRef::new(&store.read(block)) {
+        (block, levels) = (node.first_child(), levels + 1);
+    }
+    levels
+}
+
+/// A one-key range lies inside one leaf. On a cold file a keyed `READ` (a
+/// primary-key `SELECT`) and an `UPDATE^SUBSET` over the one key each read
+/// one block per level: no bulk string, no pre-fetch. The keys are in the
+/// first leaf, a middle one and the last, where no separator bounds the
+/// leaf.
+#[test]
+fn a_one_leaf_range_reads_one_block() {
+    let c = cluster_with(DpConfig {
+        cache_frames: 64,
+        ..DpConfig::default()
+    });
+    let file = c.create_emp();
+    c.load_emps(file, 2000);
+    let levels = levels_of(&c, file);
+    assert!(levels > 1, "a one-level file reads one block anyway");
+    let volume = c.sim.measure.entity(EntityKind::Volume, "$DATA1");
+    let reads = || [Ctr::DiskReads, Ctr::BlocksRead, Ctr::PrefetchIos].map(|n| volume.get(n));
+    let raise = SetList {
+        sets: vec![(
+            3,
+            Expr::Arith(
+                Box::new(Expr::Field(3)),
+                ArithOp::Add,
+                Box::new(Expr::lit(Value::Double(1.0))),
+            ),
+        )],
+    };
+    for empno in [0, 1000, 1999] {
+        let key = emp_key(empno);
+        let txn = c.txnmgr.begin();
+        let select = DpRequest::Read {
+            txn: None,
+            file,
+            key: key.clone(),
+            lock: ReadLock::None,
+        };
+        let update = DpRequest::SubsetFirst {
+            file,
+            range: KeyRange {
+                begin: OwnedBound::Included(key.clone()),
+                end: OwnedBound::Included(key),
+            },
+            predicate: None,
+            op: SubsetOp::Update {
+                txn,
+                sets: raise.clone(),
+                constraint: None,
+            },
+        };
+        for request in [select, update] {
+            let verb = request.name();
+            go_cold(&c);
+            let before = reads();
+            let reply = c.send(request);
+            assert!(
+                matches!(
+                    reply,
+                    DpReply::Record(Some(_)) | DpReply::Subset { affected: 1, .. }
+                ),
+                "{verb} {empno}: {reply:?}"
+            );
+            let read: Vec<u64> = reads().iter().zip(before).map(|(a, b)| a - b).collect();
+            assert_eq!(
+                read,
+                [levels, levels, 0],
+                "{verb} {empno}: disk.reads, blocks.read, prefetch.ios"
+            );
+        }
+        c.txnmgr.abort(txn, c.client).unwrap();
+    }
+}
+
+use nsql_btree::{Block, BlockNo};
+
+/// What one call on a [`Watched`] store made the volume do.
+#[derive(Debug)]
+struct Watch {
+    /// `'r'` read, `'s'` read for scan, `'n'` will need.
+    call: char,
+    block: BlockNo,
+    /// Blocks a synchronous read brought in.
+    read: u64,
+    /// Blocks a pre-fetch brought in.
+    prefetched: u64,
+}
+
+/// The Disk Process's block store, watched: every call is noted with the
+/// reads it issued, and the device time of those reads is summed.
+struct Watched<'a> {
+    store: DpStore<'a>,
+    disk: &'a Disk,
+    volume: Arc<nsql_sim::MeasureRecord>,
+    calls: RefCell<Vec<Watch>>,
+    busy: Cell<Micros>,
+}
+
+impl Watched<'_> {
+    fn watch(&self, call: char, block: BlockNo, f: impl FnOnce() -> Block) -> Block {
+        // What the scan charged is booked first, so the clock read here is
+        // the one the store's own access starts from.
+        self.store.book();
+        let blocks = || [Ctr::BlocksRead, Ctr::PrefetchReads].map(|n| self.volume.get(n));
+        let (before, busy, now) = (
+            blocks(),
+            self.disk.busy_until(),
+            self.store.pool.sim().now(),
+        );
+        let data = f();
+        let [read, prefetched] = [0, 1].map(|i| blocks()[i] - before[i]);
+        if read > 0 {
+            let took = self.disk.busy_until() - busy.max(now);
+            self.busy.set(self.busy.get() + took);
+        }
+        let read = read - prefetched;
+        self.calls.borrow_mut().push(Watch {
+            call,
+            block,
+            read,
+            prefetched,
+        });
+        data
+    }
+}
+
+impl nsql_btree::BlockStore for Watched<'_> {
+    fn block_size(&self) -> usize {
+        self.store.block_size()
+    }
+    fn read(&self, block: BlockNo) -> Block {
+        self.watch('r', block, || self.store.read(block))
+    }
+    fn read_for_scan(&self, block: BlockNo) -> Block {
+        self.watch('s', block, || self.store.read_for_scan(block))
+    }
+    fn will_need(&self, block: BlockNo) {
+        self.watch('n', block, || {
+            self.store.will_need(block);
+            Block::default()
+        });
+    }
+    fn write(&self, _: BlockNo, _: Block) {
+        unreachable!("a scan writes nothing")
+    }
+    fn alloc(&self) -> BlockNo {
+        unreachable!("a scan allocates nothing")
+    }
+    fn free(&self, _: BlockNo) {
+        unreachable!("a scan frees nothing")
+    }
+}
+
+/// A cold scan keeps one bulk string in flight: after the descent's own
+/// read, every string arrives by pre-fetch, issued while the first leaf of
+/// the string before it is in hand — so the records of the seven leaves in
+/// hand are processed while the next seven come in, and the scan takes its
+/// disk's busy time plus the processing of at most one string.
+#[test]
+fn a_cold_scan_keeps_one_string_in_flight() {
+    let c = cluster_with(DpConfig {
+        cache_frames: 64,
+        ..DpConfig::default()
+    });
+    let file = c.create_emp();
+    c.load_emps(file, 4000);
+    let levels = levels_of(&c, file) as usize;
+    go_cold(&c);
+    let store = DpStore::new(&c.dp.pool, &c.dp.alloc);
+    store.scan.set(ScanOptions::sequential());
+    let watched = Watched {
+        store,
+        disk: &c.disk,
+        volume: c.sim.measure.entity(EntityKind::Volume, "$DATA1"),
+        calls: RefCell::new(Vec::new()),
+        busy: Cell::new(0),
+    };
+    let tree = BTreeFile::open(&watched, c.dp.file_label(file).unwrap().anchor);
+    let (t0, cpu0) = (c.sim.now(), c.sim.wait_profile().get(Wait::Cpu));
+    let mut records = 0;
+    tree.scan(Bound::<&[u8]>::Unbounded, |_, _| {
+        records += 1;
+        watched.store.charge(1);
+        ScanControl::Continue
+    });
+    watched.store.book();
+    let (elapsed, cpu) = (c.sim.now() - t0, c.sim.wait_profile().get(Wait::Cpu) - cpu0);
+    assert_eq!(records, 4000);
+
+    // The strings in the order they were read, and the leaf in hand when
+    // each pre-fetch was issued. The file was loaded in key order, so its
+    // blocks follow one another and so do the strings.
+    let calls = watched.calls.into_inner();
+    let leaves = calls.iter().filter(|w| w.call == 's').skip(levels - 1);
+    let leaves: Vec<_> = leaves.map(|w| w.block).collect();
+    let mut strings = Vec::new();
+    let mut in_hand = None;
+    let mut issued_at = Vec::new();
+    for w in &calls {
+        if w.call == 's' {
+            in_hand = Some(w.block);
+        }
+        if w.read > 0 {
+            strings.push((w.block, w.read));
+        }
+        if w.prefetched > 0 {
+            let (start, len) = *strings.last().expect("a string was read first");
+            strings.push((start + len as BlockNo, w.prefetched));
+            issued_at.push(in_hand.expect("a leaf is in hand"));
+        }
+    }
+    let sync_reads = calls.iter().filter(|w| w.read > 0).count();
+    assert_eq!(
+        sync_reads, 1,
+        "only the descent waits for a read: {calls:?}"
+    );
+    assert!(strings.len() >= 5, "{} strings: {strings:?}", strings.len());
+    for (k, &leaf) in issued_at.iter().enumerate() {
+        let (start, len) = strings[k];
+        let first = leaves
+            .iter()
+            .find(|&&b| (start..start + len as BlockNo).contains(&b));
+        assert_eq!(
+            Some(&leaf),
+            first,
+            "string {} was issued at leaf {leaf}, not at the first leaf of {:?}",
+            k + 1,
+            strings[k]
+        );
+    }
+    // Disk-bound: the records of all but (at most) the last string were
+    // processed while the disk was busy reading.
+    let per_string = cpu * c.sim.cost.bulk_io_max_blocks() as u64 / leaves.len() as u64;
+    let busy = watched.busy.get();
+    assert!(
+        elapsed <= busy + per_string,
+        "elapsed {elapsed} µs, disk busy {busy} µs, one string's processing {per_string} µs"
     );
 }
 

@@ -304,6 +304,13 @@ struct Grant {
 /// primary key): a record lock on one allocates nothing for its key.
 const INLINE_KEY: usize = 22;
 
+/// A transaction holding at least this many record grants in a file, and
+/// the only one holding any there, has the file's record index cleared in
+/// one call when it releases them. A smaller index is emptied key by key:
+/// that is cheap, and it keeps the index's node for the next transaction,
+/// where a clear frees it and the next grant allocates it again.
+const CLEAR_FROM: usize = 32;
+
 /// An encoded key as the table keeps it: inline when short, otherwise one
 /// shared allocation that the owner's list and the index both point at.
 #[derive(Clone)]
@@ -389,6 +396,11 @@ impl Holders {
 struct FileLocks {
     /// Record (point) locks, by encoded key.
     records: BTreeMap<Key, Holders>,
+    /// The grants in `records`: an upgrade adds a second one under a key.
+    record_grants: usize,
+    /// While a transaction's locks are released: how many of the record
+    /// grants are its own.
+    releasing: usize,
     /// Interval and file-scope locks, in grant order.
     wide: Vec<(Grant, LockScope)>,
 }
@@ -576,6 +588,7 @@ impl State {
         overlapping_wide(&locks.wide, want, |held, covers| tally.see(held, covers));
         let verdict = tally.verdict(&self.waiters, file, want);
         if let Verdict::Grant = verdict {
+            locks.record_grants += 1;
             let key = match slot {
                 Entry::Occupied(mut holders) => {
                     holders.get_mut().more.push(grant);
@@ -612,6 +625,9 @@ impl State {
         let Some(mut list) = self.owned.remove(&txn) else {
             return;
         };
+        if list.len() >= CLEAR_FROM {
+            self.clear_sole_indexes(&list);
+        }
         for owned in list.drain(..) {
             let (file, key) = match owned {
                 Owned::Record(file, key) => (file, Some(key)),
@@ -621,6 +637,8 @@ impl State {
                 continue;
             };
             match key {
+                // The index was cleared: nothing to look up.
+                Some(_) if locks.record_grants == 0 => {}
                 Some(key) => {
                     // An upgrade's second entry finds its key already gone.
                     if let Entry::Occupied(mut holders) = locks.records.entry(key) {
@@ -628,6 +646,7 @@ impl State {
                         if emptied {
                             holders.remove();
                         }
+                        locks.record_grants -= released;
                         self.held -= released;
                     }
                 }
@@ -639,6 +658,28 @@ impl State {
             }
         }
         self.spare.push(list);
+    }
+
+    /// Clear, in one call each, the record indexes of the files where
+    /// `list` — one transaction's grants — holds every record grant there
+    /// is, and at least [`CLEAR_FROM`]. Grants are counted, not keys, so an
+    /// upgrade's second grant under a key balances.
+    fn clear_sole_indexes(&mut self, list: &[Owned]) {
+        for owned in list {
+            if let Owned::Record(file, _) = owned {
+                if let Some(locks) = self.files.get_mut(file) {
+                    locks.releasing += 1;
+                }
+            }
+        }
+        for locks in self.files.values_mut() {
+            let own = std::mem::take(&mut locks.releasing);
+            if own >= CLEAR_FROM && own == locks.record_grants {
+                locks.records.clear();
+                locks.record_grants = 0;
+                self.held -= own;
+            }
+        }
     }
 
     /// Clear `txn`'s queue entry and waits-for edge.
@@ -980,6 +1021,46 @@ mod tests {
         assert!(lm
             .acquire(TxnId(2), 0, LockScope::record(k(25)), LockMode::Exclusive)
             .is_ok());
+    }
+
+    /// A release that clears a file's record index in one call leaves what
+    /// releasing key by key left: only the files where the transaction
+    /// held every record grant are cleared, an upgrade's two grants count
+    /// as two, and other holders' grants and the grant count stay right.
+    #[test]
+    fn release_all_clears_only_an_index_its_own_grants_fill() {
+        let (one, two) = (TxnId(1), TxnId(2));
+        let lm = LockManager::new();
+        let key = |i: usize| (i as u32).to_be_bytes().to_vec();
+        let grant = |txn, file, i, mode| {
+            lm.acquire(txn, file, LockScope::record(key(i)), mode)
+                .unwrap()
+        };
+        // File 0: `one` alone, one key upgraded. File 1: shared with `two`.
+        for i in 0..CLEAR_FROM {
+            grant(one, 0, i, LockMode::Shared);
+            grant(one, 1, i, LockMode::Exclusive);
+        }
+        grant(one, 0, 3, LockMode::Exclusive);
+        grant(two, 1, CLEAR_FROM, LockMode::Exclusive);
+        lm.acquire(one, 2, LockScope::File, LockMode::Shared)
+            .unwrap();
+        assert_eq!(lm.lock_count(), 2 * CLEAR_FROM + 3);
+        lm.release_all(one);
+        assert_eq!(lm.lock_count(), 1);
+        let left = lm.held();
+        assert_eq!(left.len(), 1);
+        assert_eq!((left[0].txn, left[0].file), (two, 1));
+        // Both files take new grants and give them back again.
+        for i in 0..CLEAR_FROM {
+            grant(one, 0, i, LockMode::Exclusive);
+            grant(two, 1, i, LockMode::Exclusive);
+        }
+        lm.release_all(two);
+        assert_eq!(lm.lock_count(), CLEAR_FROM);
+        lm.release_all(one);
+        assert_eq!(lm.lock_count(), 0);
+        assert!(lm.held().is_empty());
     }
 
     #[test]
